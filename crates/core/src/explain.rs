@@ -14,7 +14,7 @@
 
 use std::fmt::Write;
 
-use c4h_telemetry::{tile_critical_path, DagEdge};
+use c4h_telemetry::{escape_into, tile_critical_path, DagEdge};
 
 use crate::health::bucket_for_stage;
 use crate::report::OpReport;
@@ -128,22 +128,6 @@ pub(crate) fn explain_text(report: &OpReport) -> String {
         if sum == total_ns { "ok" } else { "VIOLATED" },
     );
     out
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Serializes one report's critical-path DAG and ledger as a byte-stable

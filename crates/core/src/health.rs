@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::{CriticalPath, FlightRecorder, PathBucket, SlidingHistogram};
+use c4h_telemetry::{FlightRecorder, PathBucket, SlidingHistogram};
 
 use crate::config::Config;
 use crate::report::{OpId, PathAttribution};
@@ -220,15 +220,15 @@ pub(crate) fn attribute(
     stage_log: &[(&'static str, u64, u64)],
     total_ns: u64,
     via_cloud: bool,
-) -> CriticalPath {
-    let mut cp = CriticalPath::default();
+) -> PathAttribution {
+    let mut cp = PathAttribution::default();
     for (name, start_ns, end_ns) in stage_log {
         cp.add(
             bucket_for_stage(name, via_cloud),
             end_ns.saturating_sub(*start_ns),
         );
     }
-    let accounted = cp.total();
+    let accounted = cp.total_ns();
     cp.add(PathBucket::Other, total_ns.saturating_sub(accounted));
     cp
 }
@@ -310,7 +310,7 @@ mod tests {
         assert_eq!(cp.dht_ns, 10);
         assert_eq!(cp.lan_ns, 60);
         assert_eq!(cp.other_ns, 30); // 10 charged + 20 gap
-        assert_eq!(cp.total(), 100);
+        assert_eq!(cp.total_ns(), 100);
         assert_eq!(cp.dominant(), ("lan", 60));
     }
 

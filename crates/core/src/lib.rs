@@ -65,6 +65,7 @@ mod overload;
 mod policy;
 mod report;
 mod runtime;
+mod transfers;
 
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};
 pub use c4h_kvstore::Acl;

@@ -33,6 +33,7 @@ use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, P
 use crate::runtime::{
     ec_stripe_name, Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE,
 };
+use crate::transfers::FlowOwner;
 
 /// Size of a command packet on the guest ↔ dom0 channel ("commands are
 /// usually less than 50 bytes").
@@ -860,24 +861,14 @@ impl Cloud4Home {
     fn complete_op(&mut self, mut op: Op, outcome: Result<OpOutput, OpError>) {
         // A store failing with replica flights still in the air (e.g. the
         // client crashed) abandons them: nobody is left to publish them.
-        if !op.replica_flows.is_empty() {
-            let flows: Vec<FlowId> = op.replica_flows.keys().copied().collect();
-            for flow in flows {
-                self.net.cancel(flow);
-                self.flow_waiters.remove(&flow);
-                self.flow_endpoints.remove(&flow);
-            }
-            op.replica_flows.clear();
+        for flow in std::mem::take(&mut op.replica_flows).into_keys() {
+            self.cancel_flow(flow);
         }
         // Likewise a striped fetch failing with stripes still in flight
         // (e.g. the client crashed) abandons them.
         if !op.stripe_flows.is_empty() {
-            let flights: Vec<(FlowId, StripeFlight)> =
-                std::mem::take(&mut op.stripe_flows).into_iter().collect();
-            for (flow, flight) in flights {
-                self.net.cancel(flow);
-                self.flow_waiters.remove(&flow);
-                self.flow_endpoints.remove(&flow);
+            for (flow, flight) in std::mem::take(&mut op.stripe_flows) {
+                self.cancel_flow(flow);
                 self.emit_stripe_span(&op, flow, &flight, false);
             }
             op.stripe_requests.clear();
@@ -925,7 +916,7 @@ impl Cloud4Home {
             // Critical-path attribution: bucket the recorded stage spans,
             // with queueing/control time as the remainder. The ledger
             // needs it too: `slowest` ranks ops by these rows.
-            critical = attribute(&op.stage_log, total_ns, op.via_cloud).into();
+            critical = attribute(&op.stage_log, total_ns, op.via_cloud);
             self.health.record_path(PathRow {
                 op: op.id,
                 kind: op.kind,
@@ -2088,19 +2079,9 @@ impl Cloud4Home {
         let name = object.name;
         let size = object.size_bytes();
         let blob = object.blob.clone();
-        if self.nodes[target].alive {
-            if self.nodes[target].bins.lookup(name.as_str()).is_some() {
-                self.nodes[target].bins.remove(name.as_str());
-            }
-            if self.nodes[target]
-                .bins
-                .store(name.as_str(), size, Bin::Voluntary)
-                .is_ok()
-            {
-                self.nodes[target].objects.insert(name, blob);
-                op.replicas_done.push(self.nodes[target].key);
-                self.stats.replicas_written += 1;
-            }
+        if self.nodes[target].alive && self.nodes[target].install_voluntary(name, size, blob) {
+            op.replicas_done.push(self.nodes[target].key);
+            self.stats.replicas_written += 1;
         }
     }
 
@@ -2122,7 +2103,6 @@ impl Cloud4Home {
             std::mem::take(&mut op.replica_flows).into_iter().collect();
         let bytes = op.object_bytes();
         for (flow, flight) in flights {
-            self.flow_waiters.remove(&flow);
             let span = self.telemetry.begin_args(
                 "fanout",
                 "fanout.replica",
@@ -2143,15 +2123,15 @@ impl Cloud4Home {
                 .expect("store carries payload")
                 .blob
                 .clone();
-            self.fanout_flows.insert(
+            self.flows.reassign(
                 flow,
-                FanoutJob {
+                FlowOwner::Fanout(FanoutJob {
                     name: op.name,
                     dst: flight.target,
                     bytes,
                     blob,
                     span,
-                },
+                }),
             );
         }
     }
@@ -2738,9 +2718,7 @@ impl Cloud4Home {
         let Some(flight) = op.stripe_flows.remove(&flow) else {
             return;
         };
-        self.net.cancel(flow);
-        self.flow_waiters.remove(&flow);
-        self.flow_endpoints.remove(&flow);
+        self.cancel_flow(flow);
         self.emit_stripe_span(op, flow, &flight, false);
     }
 

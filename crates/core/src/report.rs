@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use c4h_chimera::DhtError;
 use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::CriticalPath;
+use c4h_telemetry::PathBucket;
 use serde::{Deserialize, Serialize};
 
 /// Correlates a submitted operation with its report.
@@ -160,6 +160,20 @@ pub struct PathAttribution {
 }
 
 impl PathAttribution {
+    /// Adds `ns` to one bucket (saturating).
+    pub(crate) fn add(&mut self, bucket: PathBucket, ns: u64) {
+        let slot = match bucket {
+            PathBucket::Dht => &mut self.dht_ns,
+            PathBucket::Disk => &mut self.disk_ns,
+            PathBucket::Lan => &mut self.lan_ns,
+            PathBucket::Wan => &mut self.wan_ns,
+            PathBucket::Service => &mut self.service_ns,
+            PathBucket::Backoff => &mut self.backoff_ns,
+            PathBucket::Other => &mut self.other_ns,
+        };
+        *slot = slot.saturating_add(ns);
+    }
+
     /// `(label, ns)` pairs in fixed bucket order.
     pub fn buckets(&self) -> [(&'static str, u64); 7] {
         [
@@ -187,20 +201,6 @@ impl PathAttribution {
             }
         }
         best
-    }
-}
-
-impl From<CriticalPath> for PathAttribution {
-    fn from(cp: CriticalPath) -> Self {
-        PathAttribution {
-            dht_ns: cp.dht_ns,
-            disk_ns: cp.disk_ns,
-            lan_ns: cp.lan_ns,
-            wan_ns: cp.wan_ns,
-            service_ns: cp.service_ns,
-            backoff_ns: cp.backoff_ns,
-            other_ns: cp.other_ns,
-        }
     }
 }
 
@@ -368,12 +368,13 @@ mod tests {
 
     #[test]
     fn path_attribution_totals_and_dominant() {
-        let mut cp = CriticalPath::default();
-        cp.add(c4h_telemetry::PathBucket::Wan, 700);
-        cp.add(c4h_telemetry::PathBucket::Dht, 200);
-        let p: PathAttribution = cp.into();
+        let mut p = PathAttribution::default();
+        p.add(PathBucket::Wan, 700);
+        p.add(PathBucket::Dht, 200);
+        p.add(PathBucket::Other, 100);
         assert_eq!(p.wan_ns, 700);
-        assert_eq!(p.total_ns(), 900);
+        assert_eq!(p.total_ns(), 1000);
+        assert_eq!(PathBucket::Backoff.label(), "backoff");
         assert_eq!(p.dominant(), ("wan", 700));
         assert_eq!(PathAttribution::default().dominant(), ("other", 0));
     }

@@ -11,7 +11,7 @@ use std::fmt::Write;
 use crate::recorder::{ArgValue, Args, EventRec, Inner};
 
 /// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -1,5 +1,5 @@
 //! Health-plane primitives: sliding latency windows, critical-path
-//! accumulation, and the post-mortem flight recorder.
+//! buckets, and the post-mortem flight recorder.
 //!
 //! Everything here is deterministic integer math on the virtual clock. The
 //! types are substrate: the runtime decides *when* to observe and *what*
@@ -117,72 +117,6 @@ impl PathBucket {
             PathBucket::Backoff => "backoff",
             PathBucket::Other => "other",
         }
-    }
-}
-
-/// Wall-clock attribution of one operation's end-to-end latency across
-/// [`PathBucket`]s. Bucket sums are arranged by the caller to equal the
-/// op's total duration (`Other` absorbs the unattributed remainder).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CriticalPath {
-    /// Nanoseconds attributed to DHT / metadata work.
-    pub dht_ns: u64,
-    /// Nanoseconds attributed to local disk.
-    pub disk_ns: u64,
-    /// Nanoseconds attributed to home-network transfers.
-    pub lan_ns: u64,
-    /// Nanoseconds attributed to wide-area transfers.
-    pub wan_ns: u64,
-    /// Nanoseconds attributed to service execution.
-    pub service_ns: u64,
-    /// Nanoseconds attributed to retry back-off.
-    pub backoff_ns: u64,
-    /// Nanoseconds not otherwise attributed (queueing, control).
-    pub other_ns: u64,
-}
-
-impl CriticalPath {
-    /// Adds `ns` to one bucket (saturating).
-    pub fn add(&mut self, bucket: PathBucket, ns: u64) {
-        let slot = match bucket {
-            PathBucket::Dht => &mut self.dht_ns,
-            PathBucket::Disk => &mut self.disk_ns,
-            PathBucket::Lan => &mut self.lan_ns,
-            PathBucket::Wan => &mut self.wan_ns,
-            PathBucket::Service => &mut self.service_ns,
-            PathBucket::Backoff => &mut self.backoff_ns,
-            PathBucket::Other => &mut self.other_ns,
-        };
-        *slot = slot.saturating_add(ns);
-    }
-
-    /// `(label, ns)` pairs in fixed bucket order.
-    pub fn buckets(&self) -> [(&'static str, u64); 7] {
-        [
-            ("dht", self.dht_ns),
-            ("disk", self.disk_ns),
-            ("lan", self.lan_ns),
-            ("wan", self.wan_ns),
-            ("service", self.service_ns),
-            ("backoff", self.backoff_ns),
-            ("other", self.other_ns),
-        ]
-    }
-
-    /// Total attributed nanoseconds.
-    pub fn total(&self) -> u64 {
-        self.buckets().iter().map(|&(_, ns)| ns).sum()
-    }
-
-    /// The bucket charged the most time (first in bucket order on ties).
-    pub fn dominant(&self) -> (&'static str, u64) {
-        let mut best = ("other", 0);
-        for (label, ns) in self.buckets() {
-            if ns > best.1 {
-                best = (label, ns);
-            }
-        }
-        best
     }
 }
 
@@ -423,17 +357,6 @@ mod tests {
         let m = w.merged(30 * MS);
         assert_eq!(m.count, 1);
         assert_eq!(m.value_at_quantile(99, 100), 5000);
-    }
-
-    #[test]
-    fn critical_path_totals_and_dominant() {
-        let mut p = CriticalPath::default();
-        p.add(PathBucket::Wan, 700);
-        p.add(PathBucket::Dht, 200);
-        p.add(PathBucket::Other, 100);
-        assert_eq!(p.total(), 1000);
-        assert_eq!(p.dominant(), ("wan", 700));
-        assert_eq!(PathBucket::Backoff.label(), "backoff");
     }
 
     #[test]

@@ -241,6 +241,50 @@ fn erasure_coded_object_survives_m_holder_crashes() {
     home.run_until_complete(op).expect_ok();
 }
 
+/// An owner whose voluntary bin cannot hold its own stripe row must not
+/// start (or pay the encode for) a conversion: pass after pass, the cold
+/// object stays a full copy and nothing in the deployment moves.
+#[test]
+fn full_owner_skips_erasure_conversion_every_pass() {
+    let mut config = Config::paper_testbed(88);
+    config.adaptive.enabled = true;
+    config.nodes[0].voluntary_bytes = 64 << 10; // below one stripe row
+    let interval = Duration::from_millis(config.adaptive.interval_ms);
+    let mut home = Cloud4Home::new(config);
+
+    let obj = Object::synthetic("cold/full-owner.bin", 23, 2 << 20, "tar");
+    let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+
+    let footprint = |home: &Cloud4Home| -> Vec<(u64, usize)> {
+        (0..home.node_count())
+            .map(|j| (home.stored_bytes(NodeId(j)), home.objects_on(NodeId(j))))
+            .collect()
+    };
+    let (bins_before, stats_before) = (footprint(&home), home.stats());
+    for pass in 1..=8 {
+        home.run_for(interval);
+        let stats = home.stats();
+        assert_eq!(footprint(&home), bins_before, "pass {pass} moved bytes");
+        assert_eq!(
+            (
+                stats.flows_started,
+                stats.replicas_written,
+                stats.repairs_started
+            ),
+            (
+                stats_before.flows_started,
+                stats_before.replicas_written,
+                stats_before.repairs_started
+            ),
+            "pass {pass} started placement work"
+        );
+    }
+    assert!(!home.is_erasure_coded("cold/full-owner.bin"));
+    assert_eq!(home.live_copies("cold/full-owner.bin"), 1);
+}
+
 /// A hot object grows replicas toward its recent readers, and cooling
 /// shrinks it back — but never below copies parked at recent readers.
 #[test]
