@@ -105,8 +105,61 @@ fn drive(home: &mut Cloud4Home, label: &str) -> String {
     transcript
 }
 
-/// Runs one cell and folds every observable surface into its digest.
+/// The many-flows script: ≈ 100 stores, then ≈ 60 fetches, each batch
+/// submitted in one instant and drained with `run_until_idle`, so
+/// hundreds of replica / stripe flows share the LAN at once (the scripted
+/// `drive` never has more than three). Completion instants go into the
+/// transcript: they are the flow engine's rates made visible.
+fn drive_surge(home: &mut Cloud4Home, label: &str) -> String {
+    let mut transcript = format!("cell={label}\n");
+    let n = home.node_count();
+    let names: Vec<String> = (0..100)
+        .map(|i| format!("golden/{label}/obj-{i:03}.bin"))
+        .collect();
+    let stores: Vec<_> = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let obj = Object::synthetic(
+                name,
+                500 + i as u64,
+                (96 + 16 * (i as u64 % 11)) << 10,
+                "doc",
+            );
+            home.store_object(NodeId(i % n), obj, StorePolicy::MandatoryFirst, true)
+        })
+        .collect();
+    home.run_until_idle();
+    let fetches: Vec<_> = (0..60)
+        .map(|i| home.fetch_object(NodeId((i * 5 + 2) % n), &names[(i * 7) % names.len()]))
+        .collect();
+    home.run_until_idle();
+    for (kind, ops) in [("store", stores), ("fetch", fetches)] {
+        for op in ops {
+            let report = home.take_report(op).expect("idle means every op reported");
+            let _ = writeln!(
+                transcript,
+                "{kind} {op} @{} -> {:?}",
+                report.completed.as_nanos(),
+                report.outcome
+            );
+        }
+    }
+    transcript
+}
+
+/// Runs one cell of the scripted workload.
 fn run_cell(label: &str, config: Config, plan: Option<FaultPlan>) -> String {
+    run_script(label, config, plan, drive)
+}
+
+/// Runs one cell and folds every observable surface into its digest.
+fn run_script(
+    label: &str,
+    config: Config,
+    plan: Option<FaultPlan>,
+    drive: fn(&mut Cloud4Home, &str) -> String,
+) -> String {
     // Chaos perturbs placement enough that a fixed script can dead-end;
     // every cell keeps the same script and simply records outcomes.
     let mut home = Cloud4Home::new(config.clone());
@@ -212,6 +265,15 @@ fn corpus() -> BTreeMap<String, String> {
     cells.insert(
         "overload-s11".to_owned(),
         run_cell("overload-s11", config, None),
+    );
+
+    let mut config = base(11);
+    config.replication = 3;
+    config.replica_quorum = 2;
+    config.fetch_sources = 3;
+    cells.insert(
+        "surge-s11".to_owned(),
+        run_script("surge-s11", config, None, drive_surge),
     );
 
     cells
