@@ -12,7 +12,11 @@
 //!    engines), so the wheels pay their real cascade costs. Payloads are
 //!    112 bytes — `size_of` of the runtime's event enum — so inline
 //!    cascades copy what they would copy in production.
-//! 2. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
+//! 2. **Flow engine steady state**: `FlowNet` holding 200 LAN flows on the
+//!    testbed topology, topped up as they finish. Rounds of `next_event` +
+//!    `advance_into` that complete nothing must not allocate at all, and a
+//!    flow's start and finish together at most a small constant.
+//! 3. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
 //!    paper testbed — how much of the engine win survives under the full
 //!    stack (overlay, flows, services).
 //!
@@ -42,8 +46,8 @@ use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
 use c4h_simnet::queue::reference::{InlineWheel, RefQueue};
-use c4h_simnet::EventQueue;
-use c4h_telemetry::{CauseKind, OpLedger, LEDGER_NONE};
+use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime};
+use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
 
 #[global_allocator]
@@ -246,6 +250,61 @@ fn explain_overhead(ops: u64) -> (f64, f64, u64) {
     (base, on, on_allocs)
 }
 
+/// Flows the steady-state `FlowNet` row keeps in flight.
+const FLOWNET_INFLIGHT: usize = 200;
+
+/// `FlowNet` on the paper testbed's topology holding [`FLOWNET_INFLIGHT`]
+/// LAN flows of mixed sizes, with a (disabled) recorder attached as the
+/// runtime attaches one. After a warm-up that lets every buffer reach its
+/// high-water mark, each `next_event` + `advance_into` round is charged to
+/// "quiet" when it completed nothing and to "churn" — together with the
+/// refill that follows — when it did. Returns (flows finished per second,
+/// quiet-round allocations, churn allocations per finished flow).
+fn flownet_steady(finishes: u64) -> (f64, u64, f64) {
+    const NODES: u64 = 6;
+    let mut tb = presets::paper_testbed();
+    for i in 0..NODES {
+        tb.topology.attach(Addr::new(i), tb.home);
+    }
+    let mut net = FlowNet::new(tb.topology);
+    net.set_recorder(Recorder::new());
+    let mut rng = DetRng::seed(0xF10);
+    let mut started = 0u64;
+    let mut refill = |net: &mut FlowNet, now: SimTime| {
+        while net.in_flight() < FLOWNET_INFLIGHT {
+            let src = started % NODES;
+            let dst = (src + 1 + (started / NODES) % (NODES - 1)) % NODES;
+            let bytes = rng.uniform_u64(128 << 10, 384 << 10);
+            net.start_flow(now, Addr::new(src), Addr::new(dst), bytes, &mut rng)
+                .expect("both endpoints are attached");
+            started += 1;
+        }
+    };
+    refill(&mut net, SimTime::ZERO);
+    let mut out = Vec::new();
+    let mut run = |net: &mut FlowNet, finishes: u64| -> (u64, u64) {
+        let (mut done, mut quiet, mut churn) = (0, 0, 0);
+        while done < finishes {
+            let allocs0 = allocations();
+            let now = net.next_event().expect("flows are in flight");
+            net.advance_into(now, &mut out);
+            if out.is_empty() {
+                quiet += allocations() - allocs0;
+            } else {
+                done += out.len() as u64;
+                refill(net, now);
+                churn += allocations() - allocs0;
+            }
+        }
+        (quiet, churn)
+    };
+    run(&mut net, 2 * FLOWNET_INFLIGHT as u64);
+    let timer = Instant::now();
+    let (quiet, churn) = run(&mut net, finishes);
+    let rate = finishes as f64 / timer.elapsed().as_secs_f64();
+    (rate, quiet, churn as f64 / finishes as f64)
+}
+
 /// End-to-end ops/sec: a mixed store/fetch workload on the paper testbed,
 /// wall-clock timed through the full stack.
 fn runtime_ops_per_sec() -> (u64, f64) {
@@ -379,6 +438,37 @@ fn main() {
         ),
     );
 
+    // Flow engine steady state: exact allocation counts, gated in smoke
+    // and full mode alike.
+    let flow_finishes = if smoke() { 2_000 } else { 20_000 };
+    let (flow_rate, quiet_allocs, churn_allocs) = flownet_steady(flow_finishes);
+    println!(
+        "flownet steady @{FLOWNET_INFLIGHT} flows: {flow_rate:.0} flows/sec, \
+         {quiet_allocs} allocs in quiet rounds, {churn_allocs:.2} allocs per finished flow"
+    );
+    report.push_row(vec![
+        ("flownet_inflight", FLOWNET_INFLIGHT.into()),
+        ("flownet_flows_per_sec", flow_rate.round().into()),
+        ("flownet_quiet_allocs", quiet_allocs.into()),
+        ("flownet_allocs_per_flow", churn_allocs.into()),
+    ]);
+    report.check(
+        "flownet_steady_zero_alloc",
+        quiet_allocs == 0,
+        format!(
+            "next_event + advance_into rounds that completed no flow made \
+             {quiet_allocs} allocations; reallocation must reuse its buffers"
+        ),
+    );
+    report.check(
+        "flownet_steady_allocs_per_flow",
+        churn_allocs <= 2.0,
+        format!(
+            "starting and finishing a flow made {churn_allocs:.2} allocations \
+             (must stay <= 2)"
+        ),
+    );
+
     let (runtime_ops, runtime_rate) = runtime_ops_per_sec();
     println!("full stack: {runtime_ops} mixed ops at {runtime_rate:.0} ops/sec wall");
     report.push_row(vec![
@@ -387,7 +477,7 @@ fn main() {
     ]);
     let _ = writeln!(
         json,
-        "  \"runtime_ops\": {runtime_ops},\n  \"runtime_ops_per_sec\": {runtime_rate:.1},\n  \
+        "  \"flownet_flows_per_sec\": {flow_rate:.0},\n  \"runtime_ops\": {runtime_ops},\n  \"runtime_ops_per_sec\": {runtime_rate:.1},\n  \
          \"hold_ops_per_point\": {ops},\n  \"smoke\": {}\n}}",
         smoke()
     );

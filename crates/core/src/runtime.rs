@@ -3378,11 +3378,11 @@ mod step_order_tests {
             .net
             .start_flow(now, src, dst, bytes, &mut twin.rng)
             .expect("route exists");
+        let mut events = Vec::new();
         let done_at = loop {
             let t = twin.net.next_event().expect("flow must complete");
-            if twin
-                .net
-                .advance(t)
+            twin.net.advance_into(t, &mut events);
+            if events
                 .iter()
                 .any(|FlowEvent::Completed { flow: f, .. }| *f == flow)
             {

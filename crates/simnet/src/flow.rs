@@ -11,13 +11,22 @@
 //!
 //! The engine is pull-based: the simulation runtime asks for
 //! [`FlowNet::next_event`] and merges it with its own event queue, then calls
-//! [`FlowNet::advance`] to accrue progress and collect completions.
+//! [`FlowNet::advance_into`] to accrue progress and collect completions.
+//!
+//! One event costs a few linear passes over the flow store and no heap
+//! traffic. Rates are a pure function of (active flows in id order, their
+//! cap bits, segment capacity bits): the allocator re-solves only when
+//! that signature differs from the one it last solved, and the next
+//! internal event is memoised until the clock, the flow set or a byte count
+//! moves. See DESIGN.md ("Fluid-flow exactness contract") for why none of
+//! this may move a bit of any rate.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use c4h_telemetry::{ArgValue, Recorder, SpanId};
 
+use crate::intern::Sym;
 use crate::tcp::TcpProfile;
 use crate::time::{duration_from_secs_f64, SimTime};
 use crate::topology::{Addr, SegmentId, Topology};
@@ -56,7 +65,7 @@ pub struct ChunkSpec {
     pub window: usize,
 }
 
-/// An event produced by the flow engine during [`FlowNet::advance`].
+/// An event produced by the flow engine during [`FlowNet::advance_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowEvent {
     /// The flow delivered its final byte at the given instant.
@@ -95,10 +104,14 @@ impl std::error::Error for NetError {}
 /// Half a byte: flows complete once within this tolerance of their total.
 const COMPLETE_EPS: f64 = 0.5;
 
+/// Index into [`FlowNet::paths`]: a route's segment list, shared by every
+/// flow started on that route.
+type PathId = usize;
+
 #[derive(Debug)]
 struct Flow {
     id: FlowId,
-    path: Vec<SegmentId>,
+    path: PathId,
     total_bytes: u64,
     sent: f64,
     tcp: TcpProfile,
@@ -118,7 +131,7 @@ struct Flow {
 /// exposed to callers under a single parent [`FlowId`].
 #[derive(Debug)]
 struct Transfer {
-    path: Vec<SegmentId>,
+    path: PathId,
     tcp: TcpProfile,
     /// One bandwidth factor sampled at transfer start and shared by every
     /// chunk, so chunk dispatch never consumes randomness mid-run.
@@ -136,6 +149,12 @@ struct Transfer {
 impl Flow {
     fn is_active(&self, now: SimTime) -> bool {
         now >= self.active_from
+    }
+
+    /// Whether the flow has delivered its last byte. Bytes only accrue to
+    /// active flows, so this needs no clock.
+    fn is_complete(&self) -> bool {
+        self.sent + COMPLETE_EPS >= self.total_bytes as f64
     }
 
     /// The flow's own rate cap at `now` (before sharing).
@@ -239,6 +258,26 @@ impl SegmentLoad {
     }
 }
 
+/// Buffers [`FlowNet::reallocate`] reuses, so a warmed-up engine solves
+/// without touching the allocator.
+#[derive(Debug, Default)]
+struct AllocScratch {
+    /// Inputs of the last solve: every segment's capacity bits, then
+    /// `(id, cap bits)` per active flow in id order.
+    solved: Vec<u64>,
+    /// The same signature for the engine's present state.
+    probe: Vec<u64>,
+    /// Active flows without a rate yet: `(index in flows, path, cap)`.
+    unfixed: Vec<(usize, PathId, f64)>,
+    /// Per segment: capacity left and unfixed flows crossing it.
+    residual: Vec<f64>,
+    count: Vec<usize>,
+    /// Per path: unfixed flows on it, and this filling round's fair share
+    /// along it (computed only while some flow is left to read it).
+    waiting: Vec<usize>,
+    share: Vec<f64>,
+}
+
 /// The fluid-flow bulk transfer network.
 ///
 /// # Examples
@@ -269,18 +308,42 @@ impl SegmentLoad {
 /// // The 1000-byte flow is segment-limited to 1000 B/s: done after 1 s.
 /// let done_at = net.next_event().unwrap();
 /// assert_eq!(done_at, SimTime::from_secs(1));
-/// let events = net.advance(done_at);
+/// let mut events = Vec::new();
+/// net.advance_into(done_at, &mut events);
 /// assert_eq!(events.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct FlowNet {
     topology: Topology,
     now: SimTime,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Every in-flight flow (chunk flows included) in ascending [`FlowId`]
+    /// order: ids are handed out monotonically, so `push` keeps it sorted.
+    flows: Vec<Flow>,
+    /// The distinct segment lists of the routes flows were started on: a
+    /// handful, found by a scan at each start. Kept on a measurement — with
+    /// flows holding their route's list behind an `Arc` instead (no table,
+    /// per-segment shares, a fold per flow per round) `flash-crowd` ran
+    /// 25 % slower. A topology with many distinct routes wants a dense
+    /// route index from `Topology` here.
+    paths: Vec<Box<[SegmentId]>>,
     transfers: BTreeMap<FlowId, Transfer>,
     next_id: u64,
-    alloc_dirty: bool,
+    /// The clock, the flow set or a byte count moved since rates and
+    /// `next` were derived. Only a hint that the allocation *may* have
+    /// changed — [`FlowNet::reallocate`]'s signature decides.
+    dirty: bool,
+    /// Memo of the earliest internal event; valid while `!dirty`.
+    next: Option<SimTime>,
+    /// Boxed on a measurement: the runtime embeds `FlowNet` by value, and
+    /// six more `Vec` headers inline shifted its hot fields enough to cost
+    /// the benchmark's 1000-node workload (`neighborhood-1k`, where the
+    /// flow engine itself is idle) 12 % in set-up and 5 % in steady state.
+    scratch: Box<AllocScratch>,
     recorder: Option<Recorder>,
+    /// `net.segment_bytes.<name>` counter key per segment, built when first
+    /// needed and dropped by [`FlowNet::topology_mut`] (segments may be
+    /// renamed or added through it).
+    segment_keys: Vec<&'static str>,
     spans: BTreeMap<FlowId, SpanId>,
     counters: FlowCounters,
 }
@@ -304,11 +367,15 @@ impl FlowNet {
         FlowNet {
             topology,
             now: SimTime::ZERO,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            paths: Vec::new(),
             transfers: BTreeMap::new(),
             next_id: 0,
-            alloc_dirty: false,
+            dirty: false,
+            next: None,
+            scratch: Box::default(),
             recorder: None,
+            segment_keys: Vec::new(),
             spans: BTreeMap::new(),
             counters: FlowCounters::default(),
         }
@@ -322,12 +389,17 @@ impl FlowNet {
         self.recorder = Some(recorder);
     }
 
+    /// Position of a flow in the id-ordered store.
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
+    }
+
     /// Ids of all in-flight logical transfers (plain flows and chunked
     /// parents), in creation order.
     pub fn flow_ids(&self) -> Vec<FlowId> {
         let mut ids: Vec<FlowId> = self
             .flows
-            .values()
+            .iter()
             .filter(|f| f.parent.is_none())
             .map(|f| f.id)
             .chain(self.transfers.keys().copied())
@@ -338,21 +410,49 @@ impl FlowNet {
 
     /// The segments a flow's bytes traverse, if it is still in flight.
     pub fn flow_path(&self, id: FlowId) -> Option<&[SegmentId]> {
-        self.flows
-            .get(&id)
-            .map(|f| f.path.as_slice())
-            .or_else(|| self.transfers.get(&id).map(|t| t.path.as_slice()))
+        let path = match self.index_of(id) {
+            Some(i) => self.flows[i].path,
+            None => self.transfers.get(&id)?.path,
+        };
+        Some(&self.paths[path])
     }
 
     /// A flow's own rate cap (TCP profile and bandwidth factor, before
     /// max-min sharing) at the engine's current instant.
     pub fn flow_cap(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.cap(self.now))
+        self.index_of(id).map(|i| self.flows[i].cap(self.now))
+    }
+
+    /// Opens the `net.flow` span of a starting logical transfer.
+    fn begin_flow_telemetry(&mut self, id: FlowId, src: Addr, dst: Addr, bytes: u64, chunks: u64) {
+        self.counters.started += 1;
+        let Some(rec) = self.recorder.as_ref().filter(|r| r.enabled()) else {
+            return;
+        };
+        rec.add("net.flows_started", 1);
+        let mut args = vec![
+            ("src", ArgValue::from(src.raw())),
+            ("dst", ArgValue::from(dst.raw())),
+            ("bytes", ArgValue::from(bytes)),
+        ];
+        if chunks > 0 {
+            args.push(("chunks", ArgValue::from(chunks)));
+        }
+        let span = rec.begin_args(
+            "net",
+            "net.flow",
+            NET_TRACK_BASE + id.0,
+            self.now.as_nanos(),
+            args,
+        );
+        if !span.is_none() {
+            self.spans.insert(id, span);
+        }
     }
 
     /// Credits a finished or canceled flow's delivered bytes to the
     /// per-segment byte counters and closes its span.
-    fn retire_flow_telemetry(&mut self, id: FlowId, sent: u64, path: &[SegmentId], done: bool) {
+    fn retire_flow_telemetry(&mut self, id: FlowId, sent: u64, path: PathId, done: bool) {
         if done {
             self.counters.completed += 1;
         } else {
@@ -360,11 +460,14 @@ impl FlowNet {
         }
         let span = self.spans.remove(&id);
         let Some(rec) = &self.recorder else { return };
-        for seg in path {
-            rec.add(
-                format!("net.segment_bytes.{}", self.topology.segment(*seg).name()),
-                sent,
+        if self.segment_keys.is_empty() {
+            let segments = self.topology.segments().iter();
+            self.segment_keys.extend(
+                segments.map(|s| Sym::new(&format!("net.segment_bytes.{}", s.name())).as_str()),
             );
+        }
+        for seg in &self.paths[path] {
+            rec.add(self.segment_keys[seg.0], sent);
         }
         rec.add(
             if done {
@@ -394,6 +497,7 @@ impl FlowNet {
     /// Mutable topology access, for modeling changing network conditions.
     /// In-flight flows keep their already-sampled parameters.
     pub fn topology_mut(&mut self) -> &mut Topology {
+        self.segment_keys.clear();
         &mut self.topology
     }
 
@@ -405,7 +509,13 @@ impl FlowNet {
     /// Number of logical transfers currently in flight (a chunked transfer
     /// counts once, however many chunk flows it has live).
     pub fn in_flight(&self) -> usize {
-        self.flows.values().filter(|f| f.parent.is_none()).count() + self.transfers.len()
+        let c = &self.counters;
+        let n = (c.started - c.completed - c.canceled) as usize;
+        debug_assert_eq!(
+            n,
+            self.flows.iter().filter(|f| f.parent.is_none()).count() + self.transfers.len()
+        );
+        n
     }
 
     /// Cumulative started/completed/canceled logical-transfer counts (kept
@@ -422,9 +532,7 @@ impl FlowNet {
     /// instant. Reallocation is deterministic, so probing for health
     /// samples never perturbs flow outcomes.
     pub fn segment_loads(&mut self) -> Vec<SegmentLoad> {
-        if self.alloc_dirty {
-            self.reallocate();
-        }
+        self.next_event();
         let mut loads: Vec<SegmentLoad> = self
             .topology
             .segments()
@@ -436,8 +544,8 @@ impl FlowNet {
                 flows: 0,
             })
             .collect();
-        for f in self.flows.values() {
-            for seg in &f.path {
+        for f in &self.flows {
+            for seg in &self.paths[f.path] {
                 let load = &mut loads[seg.0];
                 load.allocated_bps += f.rate;
                 load.flows += 1;
@@ -449,7 +557,10 @@ impl FlowNet {
     /// Progress of a flow or chunked transfer, if still in flight.
     pub fn progress(&self, id: FlowId) -> Option<FlowProgress> {
         if let Some(t) = self.transfers.get(&id) {
-            let chunks = t.live.iter().filter_map(|c| self.flows.get(c));
+            let chunks = t
+                .live
+                .iter()
+                .filter_map(|c| self.index_of(*c).map(|i| &self.flows[i]));
             let live_sent: f64 = chunks.clone().map(|f| f.sent).sum();
             let rate: f64 = chunks.map(|f| f.rate).sum();
             return Some(FlowProgress {
@@ -458,11 +569,52 @@ impl FlowNet {
                 rate_bps: rate,
             });
         }
-        self.flows.get(&id).map(|f| FlowProgress {
-            sent_bytes: f.sent,
-            total_bytes: f.total_bytes,
-            rate_bps: f.rate,
+        self.index_of(id).map(|i| {
+            let f = &self.flows[i];
+            FlowProgress {
+                sent_bytes: f.sent,
+                total_bytes: f.total_bytes,
+                rate_bps: f.rate,
+            }
         })
+    }
+
+    /// The front half of every start: moves the clock to `now`, resolves
+    /// the route, samples the transfer's bandwidth factor and hands out its
+    /// id.
+    fn open(
+        &mut self,
+        now: SimTime,
+        src: Addr,
+        dst: Addr,
+        rng: &mut DetRng,
+    ) -> Result<(FlowId, PathId, TcpProfile, f64), NetError> {
+        assert!(
+            now >= self.now,
+            "transfer start at {now} is in the engine's past ({})",
+            self.now
+        );
+        debug_assert!(
+            self.next_internal_event().is_none_or(|t| t >= now),
+            "caller must advance_into() before starting transfers"
+        );
+        self.now = now;
+        self.dirty = true;
+        let route = self
+            .topology
+            .route_between(src, dst)
+            .ok_or(NetError::NoRoute { src, dst })?;
+        let factor = route.sample_bandwidth_factor(rng);
+        let path = match self.paths.iter().position(|p| **p == *route.segments) {
+            Some(known) => known,
+            None => {
+                self.paths.push(route.segments.clone().into_boxed_slice());
+                self.paths.len() - 1
+            }
+        };
+        let id = FlowId(self.next_id);
+        self.next_id += 1;
+        Ok((id, path, route.tcp.clone(), factor))
     }
 
     /// Starts a bulk transfer of `bytes` from `src` to `dst`.
@@ -478,8 +630,8 @@ impl FlowNet {
     ///
     /// # Panics
     ///
-    /// Panics if `now` is in the engine's past — call [`FlowNet::advance`]
-    /// first.
+    /// Panics if `now` is in the engine's past — call
+    /// [`FlowNet::advance_into`] first.
     pub fn start_flow(
         &mut self,
         now: SimTime,
@@ -488,54 +640,19 @@ impl FlowNet {
         bytes: u64,
         rng: &mut DetRng,
     ) -> Result<FlowId, NetError> {
-        assert!(
-            now >= self.now,
-            "start_flow at {now} is in the engine's past ({})",
-            self.now
-        );
-        debug_assert!(
-            self.next_internal_event().is_none_or(|t| t >= now),
-            "caller must advance() before starting flows"
-        );
-        self.now = now;
-        let route = self
-            .topology
-            .route_between(src, dst)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        let factor = route.sample_bandwidth_factor(rng);
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        let flow = Flow {
+        let (id, path, tcp, factor) = self.open(now, src, dst, rng)?;
+        self.flows.push(Flow {
             id,
-            path: route.segments.clone(),
+            path,
             total_bytes: bytes.max(1),
             sent: 0.0,
-            tcp: route.tcp.clone(),
+            active_from: now + tcp.setup,
+            tcp,
             factor,
-            active_from: now + route.tcp.setup,
             rate: 0.0,
             parent: None,
-        };
-        self.flows.insert(id, flow);
-        self.alloc_dirty = true;
-        self.counters.started += 1;
-        if let Some(rec) = &self.recorder {
-            rec.add("net.flows_started", 1);
-            let span = rec.begin_args(
-                "net",
-                "net.flow",
-                NET_TRACK_BASE + id.0,
-                now.as_nanos(),
-                vec![
-                    ("src", ArgValue::from(src.raw())),
-                    ("dst", ArgValue::from(dst.raw())),
-                    ("bytes", ArgValue::from(bytes)),
-                ],
-            );
-            if !span.is_none() {
-                self.spans.insert(id, span);
-            }
-        }
+        });
+        self.begin_flow_telemetry(id, src, dst, bytes, 0);
         Ok(id)
     }
 
@@ -553,8 +670,8 @@ impl FlowNet {
     ///
     /// # Panics
     ///
-    /// Panics if `now` is in the engine's past — call [`FlowNet::advance`]
-    /// first.
+    /// Panics if `now` is in the engine's past — call
+    /// [`FlowNet::advance_into`] first.
     pub fn start_transfer(
         &mut self,
         now: SimTime,
@@ -565,32 +682,14 @@ impl FlowNet {
         rng: &mut DetRng,
     ) -> Result<FlowId, NetError> {
         let bytes = bytes.max(1);
-        let Some(spec) = chunking else {
-            return self.start_flow(now, src, dst, bytes, rng);
+        let spec = match chunking {
+            Some(s) if s.chunk_bytes > 0 && bytes > s.chunk_bytes && s.window >= 2 => s,
+            _ => return self.start_flow(now, src, dst, bytes, rng),
         };
-        if spec.chunk_bytes == 0 || bytes <= spec.chunk_bytes || spec.window < 2 {
-            return self.start_flow(now, src, dst, bytes, rng);
-        }
-        assert!(
-            now >= self.now,
-            "start_transfer at {now} is in the engine's past ({})",
-            self.now
-        );
-        debug_assert!(
-            self.next_internal_event().is_none_or(|t| t >= now),
-            "caller must advance() before starting transfers"
-        );
-        self.now = now;
-        let route = self
-            .topology
-            .route_between(src, dst)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        let factor = route.sample_bandwidth_factor(rng);
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
+        let (id, path, tcp, factor) = self.open(now, src, dst, rng)?;
         let mut transfer = Transfer {
-            path: route.segments.clone(),
-            tcp: route.tcp.clone(),
+            path,
+            tcp,
             factor,
             chunk_bytes: spec.chunk_bytes,
             total_bytes: bytes,
@@ -598,32 +697,13 @@ impl FlowNet {
             live: Vec::new(),
             delivered: 0,
         };
-        self.counters.started += 1;
-        if let Some(rec) = &self.recorder {
-            rec.add("net.flows_started", 1);
-            let span = rec.begin_args(
-                "net",
-                "net.flow",
-                NET_TRACK_BASE + id.0,
-                now.as_nanos(),
-                vec![
-                    ("src", ArgValue::from(src.raw())),
-                    ("dst", ArgValue::from(dst.raw())),
-                    ("bytes", ArgValue::from(bytes)),
-                    ("chunks", ArgValue::from(bytes.div_ceil(spec.chunk_bytes))),
-                ],
-            );
-            if !span.is_none() {
-                self.spans.insert(id, span);
-            }
-        }
+        self.begin_flow_telemetry(id, src, dst, bytes, bytes.div_ceil(spec.chunk_bytes));
         for _ in 0..spec.window {
             if !self.dispatch_chunk(id, &mut transfer) {
                 break;
             }
         }
         self.transfers.insert(id, transfer);
-        self.alloc_dirty = true;
         Ok(id)
     }
 
@@ -638,9 +718,9 @@ impl FlowNet {
         transfer.undispatched -= bytes;
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let flow = Flow {
+        self.flows.push(Flow {
             id,
-            path: transfer.path.clone(),
+            path: transfer.path,
             total_bytes: bytes,
             sent: 0.0,
             tcp: transfer.tcp.clone(),
@@ -648,8 +728,7 @@ impl FlowNet {
             active_from: self.now + transfer.tcp.setup,
             rate: 0.0,
             parent: Some(parent),
-        };
-        self.flows.insert(id, flow);
+        });
         transfer.live.push(id);
         if let Some(rec) = &self.recorder {
             rec.add("net.chunks_started", 1);
@@ -663,19 +742,20 @@ impl FlowNet {
         if let Some(transfer) = self.transfers.remove(&id) {
             let mut sent = transfer.delivered as f64;
             for chunk in &transfer.live {
-                if let Some(f) = self.flows.remove(chunk) {
-                    sent += f.sent;
+                if let Some(i) = self.index_of(*chunk) {
+                    sent += self.flows.remove(i).sent;
                 }
             }
-            self.alloc_dirty = true;
-            self.retire_flow_telemetry(id, sent as u64, &transfer.path, false);
+            self.dirty = true;
+            self.retire_flow_telemetry(id, sent as u64, transfer.path, false);
             return true;
         }
-        let Some(flow) = self.flows.remove(&id) else {
+        let Some(i) = self.index_of(id) else {
             self.spans.remove(&id);
             return false;
         };
-        self.alloc_dirty = true;
+        let flow = self.flows.remove(i);
+        self.dirty = true;
         if let Some(parent) = flow.parent {
             // A chunk canceled directly just shrinks its parent transfer.
             if let Some(t) = self.transfers.get_mut(&parent) {
@@ -684,8 +764,7 @@ impl FlowNet {
             }
             return true;
         }
-        let (sent, path) = (flow.sent as u64, flow.path);
-        self.retire_flow_telemetry(id, sent, &path, false);
+        self.retire_flow_telemetry(id, flow.sent as u64, flow.path, false);
         true
     }
 
@@ -693,32 +772,21 @@ impl FlowNet {
     /// (a completion or an internal rate change), or `None` when idle.
     ///
     /// The runtime merges this with its own event queue and calls
-    /// [`FlowNet::advance`] up to the earlier of the two.
+    /// [`FlowNet::advance_into`] up to the earlier of the two. Asking again
+    /// before anything moved answers from the memo.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        if self.alloc_dirty {
+        if self.dirty {
             self.reallocate();
+            self.next = self.next_internal_event();
+            self.dirty = false;
         }
-        self.next_internal_event()
+        self.next
     }
 
-    /// Advances the engine to `to`, accruing transfer progress, and returns
-    /// the completions that occurred (in completion order).
-    ///
-    /// Allocates a fresh `Vec` per call; hot loops should prefer
-    /// [`FlowNet::advance_into`] with a reused buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is in the past.
-    pub fn advance(&mut self, to: SimTime) -> Vec<FlowEvent> {
-        let mut out = Vec::new();
-        self.advance_into(to, &mut out);
-        out
-    }
-
-    /// Allocation-lean [`FlowNet::advance`]: appends the completions that
-    /// occurred to `out` (cleared first) instead of returning a fresh `Vec`,
-    /// so a caller-held buffer amortizes across the simulation's main loop.
+    /// Advances the engine to `to`, accruing transfer progress, and
+    /// collects the completions that occurred (in completion order) into
+    /// `out` (cleared first), so a caller-held buffer amortizes across the
+    /// simulation's main loop.
     ///
     /// # Panics
     ///
@@ -727,46 +795,52 @@ impl FlowNet {
         assert!(to >= self.now, "cannot rewind flow engine");
         out.clear();
         while self.now < to {
-            if self.alloc_dirty {
-                self.reallocate();
-            }
-            let step_end = self
-                .next_internal_event()
-                .map_or(to, |t| t.min(to))
-                .max(self.now);
+            let step_end = self.next_event().map_or(to, |t| t.min(to)).max(self.now);
             let dt = (step_end - self.now).as_secs_f64();
+            // A flow can only come within reach of its total where bytes
+            // accrue, so completions are looked for only after a pass that
+            // saw one.
+            let mut landed = false;
             if dt > 0.0 {
-                for f in self.flows.values_mut() {
+                for f in &mut self.flows {
                     if f.is_active(self.now) && f.rate > 0.0 {
                         f.sent = (f.sent + f.rate * dt).min(f.total_bytes as f64);
+                        landed |= f.is_complete();
                     }
                 }
             }
             self.now = step_end;
-            self.fire_completions(out);
             // Caps may have changed at this boundary (setup completion, ramp
-            // step, sustained-threshold crossing) — always refresh rates.
-            self.alloc_dirty = true;
+            // step, sustained-threshold crossing); whether they did is read
+            // off the caps themselves, not off which boundary this was.
+            self.dirty = true;
+            if landed {
+                self.fire_completions(out);
+            }
+            debug_assert!(!self.flows.iter().any(Flow::is_complete));
         }
-        // Completions landing exactly on `to` when the loop body didn't run.
-        self.fire_completions(out);
     }
 
-    /// Removes completed flows at the current instant.
+    /// Removes completed flows at the current instant, in ascending id
+    /// order.
     fn fire_completions(&mut self, out: &mut Vec<FlowEvent>) {
         let now = self.now;
-        let done: Vec<FlowId> = self
-            .flows
-            .values()
-            .filter(|f| f.is_active(now) && f.sent + COMPLETE_EPS >= f.total_bytes as f64)
-            .map(|f| f.id)
-            .collect();
-        for id in done {
-            let flow = self.flows.remove(&id).expect("completion listed a flow");
-            self.alloc_dirty = true;
+        // Chunks dispatched below land behind `live` and start at zero
+        // bytes, so the scan never needs to reach them.
+        let (mut i, mut live) = (0, self.flows.len());
+        while i < live {
+            if !self.flows[i].is_complete() {
+                i += 1;
+                continue;
+            }
+            let flow = self.flows.remove(i);
+            live -= 1;
             let Some(parent) = flow.parent else {
-                out.push(FlowEvent::Completed { flow: id, at: now });
-                self.retire_flow_telemetry(id, flow.total_bytes, &flow.path, true);
+                out.push(FlowEvent::Completed {
+                    flow: flow.id,
+                    at: now,
+                });
+                self.retire_flow_telemetry(flow.id, flow.total_bytes, flow.path, true);
                 continue;
             };
             // A chunk landed: credit the parent, keep the pipeline full, and
@@ -774,7 +848,7 @@ impl FlowNet {
             let Some(mut transfer) = self.transfers.remove(&parent) else {
                 continue;
             };
-            transfer.live.retain(|f| *f != id);
+            transfer.live.retain(|f| *f != flow.id);
             transfer.delivered += flow.total_bytes;
             self.dispatch_chunk(parent, &mut transfer);
             if transfer.live.is_empty() && transfer.undispatched == 0 {
@@ -782,7 +856,7 @@ impl FlowNet {
                     flow: parent,
                     at: now,
                 });
-                self.retire_flow_telemetry(parent, transfer.total_bytes, &transfer.path, true);
+                self.retire_flow_telemetry(parent, transfer.total_bytes, transfer.path, true);
             } else {
                 self.transfers.insert(parent, transfer);
             }
@@ -792,7 +866,7 @@ impl FlowNet {
     /// Earliest internal event across all flows, using current rates.
     fn next_internal_event(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
-        for f in self.flows.values() {
+        for f in &self.flows {
             for t in [f.completion_time(self.now), f.next_cap_change(self.now)]
                 .into_iter()
                 .flatten()
@@ -804,56 +878,78 @@ impl FlowNet {
     }
 
     /// Progressive-filling max-min fair allocation subject to per-flow caps.
+    ///
+    /// The rates are a pure function of the signature built first; when it
+    /// equals the one last solved, the stored rates already are the answer.
+    /// Every order below is part of the result's bits: flows enter in
+    /// ascending id, the strict `<` lets the first of equal candidates win,
+    /// and `swap_remove` decides who is looked at first next round.
     fn reallocate(&mut self) {
         let now = self.now;
-        let mut residual: Vec<f64> = self
-            .topology
-            .segments()
-            .iter()
-            .map(|s| s.capacity_bps())
-            .collect();
-        let mut count = vec![0usize; residual.len()];
-        let mut unfixed: Vec<FlowId> = Vec::new();
-        for f in self.flows.values_mut() {
-            if f.is_active(now) {
-                for s in &f.path {
-                    count[s.0] += 1;
-                }
-                unfixed.push(f.id);
-            } else {
-                f.rate = 0.0;
+        let (flows, paths, segments) = (&mut self.flows, &self.paths, self.topology.segments());
+        let s = &mut self.scratch;
+        s.probe.clear();
+        s.probe
+            .extend(segments.iter().map(|g| g.capacity_bps().to_bits()));
+        s.unfixed.clear();
+        // Flows still in setup have held rate 0.0 since they were created.
+        for (i, f) in flows.iter().enumerate().filter(|(_, f)| f.is_active(now)) {
+            let cap = f.cap(now);
+            s.probe.extend([f.id.0, cap.to_bits()]);
+            s.unfixed.push((i, f.path, cap));
+        }
+        if s.probe == s.solved {
+            return;
+        }
+        std::mem::swap(&mut s.probe, &mut s.solved);
+
+        s.residual.clear();
+        s.residual.extend(segments.iter().map(|g| g.capacity_bps()));
+        s.count.clear();
+        s.count.resize(segments.len(), 0);
+        s.waiting.clear();
+        s.waiting.resize(paths.len(), 0);
+        for &(_, path, _) in &s.unfixed {
+            s.waiting[path] += 1;
+            for g in &paths[path] {
+                s.count[g.0] += 1;
             }
         }
-        while !unfixed.is_empty() {
+        while !s.unfixed.is_empty() {
+            // What a path's segments can still give one more flow is the
+            // same whichever flow on that path asks.
+            s.share.clear();
+            s.share
+                .extend(paths.iter().zip(&s.waiting).map(|(path, &n)| {
+                    if n == 0 {
+                        return f64::INFINITY; // nobody left to read it
+                    }
+                    path.iter()
+                        .map(|g| s.residual[g.0].max(0.0) / s.count[g.0].max(1) as f64)
+                        .fold(f64::INFINITY, f64::min)
+                }));
             // Find the unfixed flow with the smallest achievable rate.
             let mut best: Option<(f64, usize)> = None;
-            for (i, id) in unfixed.iter().enumerate() {
-                let f = &self.flows[id];
-                let share = f
-                    .path
-                    .iter()
-                    .map(|s| residual[s.0].max(0.0) / count[s.0].max(1) as f64)
-                    .fold(f64::INFINITY, f64::min);
-                let r = f.cap(now).min(share);
+            for (k, &(_, path, cap)) in s.unfixed.iter().enumerate() {
+                let r = cap.min(s.share[path]);
                 if best.is_none_or(|(b, _)| r < b) {
-                    best = Some((r, i));
+                    best = Some((r, k));
                 }
             }
-            let (rate, idx) = best.expect("unfixed flows must yield a candidate");
-            let id = unfixed.swap_remove(idx);
-            let path = {
-                let f = self.flows.get_mut(&id).expect("flow exists");
-                f.rate = rate;
-                f.path.clone()
-            };
-            for s in &path {
-                residual[s.0] -= rate;
-                count[s.0] -= 1;
+            let (rate, k) = best.expect("unfixed flows must yield a candidate");
+            let (i, path, _) = s.unfixed.swap_remove(k);
+            flows[i].rate = rate;
+            s.waiting[path] -= 1;
+            for g in &paths[path] {
+                s.residual[g.0] -= rate;
+                s.count[g.0] -= 1;
             }
         }
-        self.alloc_dirty = false;
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -886,9 +982,10 @@ mod tests {
 
     fn drain(net: &mut FlowNet) -> Vec<(FlowId, SimTime)> {
         let mut out = Vec::new();
+        let mut events = Vec::new();
         while let Some(t) = net.next_event() {
-            for ev in net.advance(t) {
-                let FlowEvent::Completed { flow, at } = ev;
+            net.advance_into(t, &mut events);
+            for &FlowEvent::Completed { flow, at } in &events {
                 out.push((flow, at));
             }
         }
@@ -956,6 +1053,41 @@ mod tests {
         for (_, at) in &done {
             assert_eq!(*at, SimTime::from_secs(2));
         }
+    }
+
+    #[test]
+    fn segment_byte_counters_follow_a_replaced_topology() {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        let mut net = FlowNet::new(topo(1_000.0, 2_000.0));
+        net.set_recorder(rec.clone());
+        let mut rng = DetRng::seed(0);
+        net.start_flow(SimTime::ZERO, Addr::new(0), Addr::new(1), 500, &mut rng)
+            .unwrap();
+        drain(&mut net);
+        assert_eq!(rec.snapshot().counter("net.segment_bytes.lan"), 500);
+
+        // A world whose route crosses a second, new segment.
+        let mut b = Topology::builder();
+        let (lan, wan) = (b.segment("lan2", 1_000.0), b.segment("wan", 1_000.0));
+        let home = b.site("home");
+        let lat = LatencyModel {
+            base: Duration::from_millis(1),
+            jitter: 0.0,
+        };
+        let tcp = TcpProfile::constant_rate(2_000.0);
+        b.route(home, home, vec![lan, wan], lat, tcp, 1.0, 0.0);
+        *net.topology_mut() = b.build();
+        for i in 0..2 {
+            net.topology_mut().attach(Addr::new(i), home);
+        }
+        net.start_flow(net.now(), Addr::new(0), Addr::new(1), 300, &mut rng)
+            .unwrap();
+        drain(&mut net);
+        let counters = rec.snapshot();
+        assert_eq!(counters.counter("net.segment_bytes.lan"), 500);
+        assert_eq!(counters.counter("net.segment_bytes.lan2"), 300);
+        assert_eq!(counters.counter("net.segment_bytes.wan"), 300);
     }
 
     #[test]
@@ -1092,7 +1224,7 @@ mod tests {
             .start_flow(SimTime::ZERO, Addr::new(0), Addr::new(1), 2_000, &mut rng)
             .unwrap();
         net.next_event();
-        net.advance(SimTime::from_millis(500));
+        net.advance_into(SimTime::from_millis(500), &mut Vec::new());
         let p = net.progress(id).unwrap();
         assert!((p.sent_bytes - 500.0).abs() < 1.0, "{p:?}");
         assert_eq!(p.total_bytes, 2_000);
@@ -1270,7 +1402,7 @@ mod tests {
             )
             .unwrap();
         net.next_event();
-        net.advance(SimTime::from_secs(1));
+        net.advance_into(SimTime::from_secs(1), &mut Vec::new());
         assert!(net.cancel(id));
         assert!(!net.cancel(id));
         assert_eq!(net.in_flight(), 0);
@@ -1295,7 +1427,7 @@ mod tests {
             )
             .unwrap();
         net.next_event();
-        net.advance(SimTime::from_secs(1));
+        net.advance_into(SimTime::from_secs(1), &mut Vec::new());
         let p = net.progress(id).unwrap();
         // Two live chunks at 500 B/s each for 1 s.
         assert!((p.sent_bytes - 1_000.0).abs() < 1.0, "{p:?}");
@@ -1311,7 +1443,9 @@ mod tests {
             .start_flow(SimTime::ZERO, Addr::new(0), Addr::new(1), 10_000, &mut rng)
             .unwrap();
         net.next_event();
-        assert!(net.advance(SimTime::from_secs(3)).is_empty());
+        let mut events = vec![];
+        net.advance_into(SimTime::from_secs(3), &mut events);
+        assert!(events.is_empty());
         let p = net.progress(id).unwrap();
         assert!((p.sent_bytes - 3_000.0).abs() < 1.0);
     }

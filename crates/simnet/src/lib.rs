@@ -40,9 +40,10 @@
 //! let mut net = FlowNet::new(tb.topology);
 //! let mut rng = DetRng::seed(42);
 //! net.start_flow(SimTime::ZERO, Addr::new(1), Addr::new(2), 1 << 20, &mut rng)?;
-//! let mut done_at = SimTime::ZERO;
+//! let (mut done_at, mut events) = (SimTime::ZERO, Vec::new());
 //! while let Some(t) = net.next_event() {
-//!     if !net.advance(t).is_empty() {
+//!     net.advance_into(t, &mut events);
+//!     if !events.is_empty() {
 //!         done_at = t;
 //!     }
 //! }

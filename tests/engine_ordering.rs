@@ -3,7 +3,7 @@
 //! surfacing at queue-event instants) re-audited against wheel-bucketed
 //! delivery.
 //!
-//! The four `net.advance()` call sites (`run_for`, `step`'s two branches,
+//! The four `net.advance_into()` call sites (`run_for`, `step`'s two branches,
 //! `defer_flow_completions`) all promise: a flow completion landing at the
 //! same virtual instant as queued events is routed to its waiter at that
 //! instant, never stranded, and the interleaving is identical under the
