@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cloud4home::{
-    Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, Object, RoutePolicy, ServiceKind,
+    Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, NodeSpec, Object, RoutePolicy, ServiceKind,
     StorePolicy,
 };
 
@@ -144,6 +144,52 @@ fn drive_surge(home: &mut Cloud4Home, label: &str) -> String {
                 report.outcome
             );
         }
+    }
+    transcript
+}
+
+/// The big-world script: 30 stores and 30 fetches in waves of six from
+/// clients spread over the overlay, with i.i.d. envelope loss on from the
+/// first instant. The cell's fault plan lays a Gilbert–Elliott burst
+/// window, a crash, a partition + heal and a rejoin over the waves, so
+/// every envelope `pump` forwards draws from the RNG in visit order — the
+/// order of the drain is what this cell pins.
+fn drive_lossy_churn(home: &mut Cloud4Home, label: &str) -> String {
+    let mut transcript = format!("cell={label}\n");
+    home.set_message_loss(0.02);
+    let n = home.node_count();
+    let names: Vec<String> = (0..30)
+        .map(|i| format!("golden/{label}/obj-{i:02}.bin"))
+        .collect();
+    for wave in 0..6 {
+        let mut ops = Vec::new();
+        for i in (wave * 6..wave * 6 + 6).filter(|&i| i < names.len()) {
+            let obj = Object::synthetic(
+                &names[i],
+                900 + i as u64,
+                (64 + 24 * (i as u64 % 7)) << 10,
+                "doc",
+            );
+            let client = live_client(home, (i * 17 + 3) % n);
+            let op = home.store_object(client, obj, StorePolicy::MandatoryFirst, true);
+            ops.push(("store", op));
+        }
+        // Read back the previous wave's objects from far-away clients.
+        for i in (wave * 6..wave * 6 + 6).filter_map(|i| i.checked_sub(6)) {
+            let client = live_client(home, (i * 29 + 11) % n);
+            ops.push(("fetch", home.fetch_object(client, &names[i])));
+        }
+        home.run_until_idle();
+        for (kind, op) in ops {
+            let report = home.take_report(op).expect("idle means every op reported");
+            let _ = writeln!(
+                transcript,
+                "{kind} {op} @{} -> {:?}",
+                report.completed.as_nanos(),
+                report.outcome
+            );
+        }
+        home.run_for(Duration::from_millis(1500));
     }
     transcript
 }
@@ -274,6 +320,44 @@ fn corpus() -> BTreeMap<String, String> {
     cells.insert(
         "surge-s11".to_owned(),
         run_script("surge-s11", config, None, drive_surge),
+    );
+
+    // 96 nodes on one LAN, every bin the same size, so replica placement
+    // is decided by the index tie-break on every store.
+    let mut config = base(11);
+    config.chimera.leaf_size = 2;
+    config.replication = 2;
+    config.nodes = (0..95)
+        .map(|i| NodeSpec::netbook(&format!("nb-{i:02}")))
+        .collect();
+    let mut gateway = NodeSpec::desktop("nb-gateway");
+    gateway.voluntary_bytes = config.nodes[0].voluntary_bytes;
+    config.nodes.push(gateway);
+    let plan = FaultPlan::new()
+        .at(
+            Duration::from_secs(1),
+            FaultEvent::BurstyLoss {
+                mean_loss: 0.05,
+                mean_burst_len: 4.0,
+            },
+        )
+        .at(Duration::from_secs(2), FaultEvent::Crash(NodeId(3)))
+        .at(
+            Duration::from_secs(4),
+            FaultEvent::Partition(vec![(40..52).map(NodeId).collect()]),
+        )
+        .at(Duration::from_secs(8), FaultEvent::Heal)
+        .at(Duration::from_secs(9), FaultEvent::Rejoin(NodeId(3)))
+        .at(
+            Duration::from_secs(10),
+            FaultEvent::BurstyLoss {
+                mean_loss: 0.0,
+                mean_burst_len: 1.0,
+            },
+        );
+    cells.insert(
+        "lossy-churn-s11".to_owned(),
+        run_script("lossy-churn-s11", config, Some(plan), drive_lossy_churn),
     );
 
     cells
