@@ -603,9 +603,8 @@ impl ChimeraNode {
             return;
         }
         self.last_ping_round = Some(now);
-        let neighbors = self.leaf.immediate_neighbors();
         let mut failed = Vec::new();
-        for n in neighbors {
+        for n in self.leaf.immediate_neighbors() {
             let Some(state) = self.peers.get_mut(&n) else {
                 continue;
             };
@@ -622,6 +621,11 @@ impl ChimeraNode {
         for (node, inc) in failed {
             self.declare_failed(node, inc, now);
         }
+    }
+
+    /// Whether an envelope or application event is waiting to be polled.
+    pub fn has_output(&self) -> bool {
+        !self.outbox.is_empty() || !self.events.is_empty()
     }
 
     /// Drains the next outgoing envelope, if any.

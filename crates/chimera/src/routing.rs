@@ -170,18 +170,12 @@ impl LeafSet {
     }
 
     /// The immediate neighbours (one per side, deduplicated) that join/leave
-    /// announcements are sent to.
-    pub fn immediate_neighbors(&self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(2);
-        if let Some(&l) = self.left.first() {
-            out.push(l);
-        }
-        if let Some(&r) = self.right.first() {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-        out
+    /// announcements are sent to, left first. Owned, so callers may send
+    /// while iterating.
+    pub fn immediate_neighbors(&self) -> impl Iterator<Item = Key> {
+        let left = self.left.first().copied();
+        let right = self.right.first().copied().filter(|&r| Some(r) != left);
+        [left, right].into_iter().flatten()
     }
 
     /// Whether `key` falls inside the ring interval spanned by the leaf set
@@ -362,7 +356,10 @@ mod tests {
         let peers = tree(&[0x20]);
         let mut leaf = LeafSet::new();
         leaf.rebuild(owner, &peers, 2);
-        assert_eq!(leaf.immediate_neighbors(), vec![Key::from_raw(0x20)]);
+        assert_eq!(
+            leaf.immediate_neighbors().collect::<Vec<_>>(),
+            vec![Key::from_raw(0x20)]
+        );
         assert_eq!(leaf.members(), vec![Key::from_raw(0x20)]);
     }
 

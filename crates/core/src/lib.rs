@@ -66,6 +66,7 @@ mod policy;
 mod report;
 mod runtime;
 mod transfers;
+mod worklist;
 
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};
 pub use c4h_kvstore::Acl;

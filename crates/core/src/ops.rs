@@ -1915,22 +1915,11 @@ impl Cloud4Home {
     /// the most free space. Replicas never leave the home cloud, so the
     /// object's privacy class is preserved.
     fn store_pick_replicas(&mut self, op: &Op, primary: usize) -> VecDeque<usize> {
-        let size = op.object_bytes();
-        let mut peers: Vec<usize> = (0..self.nodes.len())
-            .filter(|&j| {
-                j != primary
-                    && self.nodes[j].alive
-                    && self.node_reachable(primary, j)
-                    && self.nodes[j].bins.fits(size, Bin::Voluntary)
-            })
-            .collect();
-        peers.sort_by_key(|&j| {
-            (
-                std::cmp::Reverse(self.nodes[j].bins.free_bytes(Bin::Voluntary)),
-                j,
-            )
+        let mut peers = vec![0; self.config.replication.saturating_sub(1)];
+        let found = self.roomiest_peers(op.object_bytes(), &mut peers, |j| {
+            j != primary && self.node_reachable(primary, j)
         });
-        peers.truncate(self.config.replication.saturating_sub(1));
+        peers.truncate(found);
         peers.into()
     }
 

@@ -44,6 +44,7 @@ use crate::overload::OverloadPlane;
 use crate::policy::{adaptive_action, AdaptiveAction};
 use crate::report::{OpId, OpReport};
 use crate::transfers::{FlowOwner, FlowTable};
+use crate::worklist::DirtyNodes;
 
 /// Address offset of the cloud site endpoint.
 pub(crate) const CLOUD_ADDR: Addr = Addr::new(10_000);
@@ -84,7 +85,10 @@ pub(crate) struct NodeRt {
     pub(crate) channel: XenChannel,
     pub(crate) grants: GrantTable,
     pub(crate) disk: DiskModel,
-    pub(crate) chimera: ChimeraNode,
+    /// Private to this module: the runtime mutates it only through
+    /// [`Cloud4Home::overlay_mut`], which is what keeps `pump`'s worklist
+    /// complete.
+    chimera: ChimeraNode,
     pub(crate) sampler: ResourceSampler,
     pub(crate) bins: BinWatcher,
     pub(crate) monitor: ResourceMonitor,
@@ -365,6 +369,13 @@ pub struct Cloud4Home {
     /// How many objects repair scans have visited (`maybe_repair` calls);
     /// exposed so tests can assert scan narrowing.
     pub(crate) repair_scan_visits: u64,
+    /// Nodes whose overlay may hold undelivered output: what `pump` drains
+    /// instead of scanning the world. Marked by [`Self::overlay_mut`].
+    dirty: DirtyNodes,
+    /// How many nodes `pump` has polled and how many events `step` has
+    /// processed; their ratio is the scale gate in `tests/world_scaling.rs`.
+    pump_node_visits: u64,
+    steps: u64,
     /// Next instant the anti-entropy sweep may run (piggybacks on the
     /// runtime tick).
     next_anti_entropy: SimTime,
@@ -589,6 +600,9 @@ impl Cloud4Home {
             replica_meta: BTreeMap::new(),
             holder_index: FxHashMap::default(),
             repair_scan_visits: 0,
+            dirty: DirtyNodes::new(config.nodes.len()),
+            pump_node_visits: 0,
+            steps: 0,
             next_anti_entropy: SimTime::ZERO,
             flow_scratch: Vec::new(),
             names_scratch: Vec::new(),
@@ -624,10 +638,10 @@ impl Cloud4Home {
     /// Forms the overlay and publishes service + initial resource records.
     fn warmup(&mut self) {
         let now = self.queue.now();
-        self.nodes[0].chimera.bootstrap(now);
+        self.overlay_mut(0).bootstrap(now);
         let seed_key = self.nodes[0].key;
         for i in 1..self.nodes.len() {
-            self.nodes[i].chimera.join_via(seed_key, now);
+            self.overlay_mut(i).join_via(seed_key, now);
         }
         self.run_for(Duration::from_secs(2));
         debug_assert!(self.nodes.iter().all(|n| n.chimera.is_joined()));
@@ -669,7 +683,7 @@ impl Cloud4Home {
                 policy: "performance".into(),
             });
             let now = self.queue.now();
-            if let Ok(req) = self.nodes[publisher].chimera.put(
+            if let Ok(req) = self.overlay_mut(publisher).put(
                 service_key(kind.name(), kind.id()),
                 record.encode(),
                 OverwritePolicy::Overwrite,
@@ -699,7 +713,7 @@ impl Cloud4Home {
             n.monitor
                 .publish(n.key, now, &mut n.sampler, &n.bins, up, down, &mut self.rng);
         let key = node_resource_key(&n.key.to_string());
-        if let Ok(req) = n.chimera.put(
+        if let Ok(req) = self.overlay_mut(i).put(
             key,
             Record::Resource(record).encode(),
             OverwritePolicy::Overwrite,
@@ -756,6 +770,40 @@ impl Cloud4Home {
     pub(crate) fn node_reachable(&self, a: usize, b: usize) -> bool {
         self.partition
             .connected(self.nodes[a].addr, self.nodes[b].addr)
+    }
+
+    /// The placement rule every background and store path shares: fills
+    /// `best` with the live peers that have voluntary room for `size` bytes
+    /// and pass `viable`, roomiest first, equal room to the lower index,
+    /// and returns how many it found. One pass over the nodes, nothing
+    /// allocated.
+    pub(crate) fn roomiest_peers(
+        &self,
+        size: u64,
+        best: &mut [usize],
+        viable: impl Fn(usize) -> bool,
+    ) -> usize {
+        let room = |j: usize| self.nodes[j].bins.free_bytes(Bin::Voluntary);
+        let mut len = 0;
+        for j in 0..self.nodes.len() {
+            let free = room(j);
+            // `j` ascends, so a kept peer with equal room wins the tie.
+            let beaten = len == best.len() && best.last().is_none_or(|&b| free <= room(b));
+            if beaten || free < size || !self.nodes[j].alive || !viable(j) {
+                continue;
+            }
+            let at = best[..len].partition_point(|&b| room(b) >= free);
+            len = (len + 1).min(best.len());
+            best.copy_within(at..len - 1, at + 1);
+            best[at] = j;
+        }
+        len
+    }
+
+    /// [`Self::roomiest_peers`] for a single destination.
+    pub(crate) fn roomiest_peer(&self, size: u64, viable: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut best = [0];
+        (self.roomiest_peers(size, &mut best, viable) == 1).then_some(best[0])
     }
 
     /// Whether a node can currently reach the remote cloud.
@@ -1312,6 +1360,18 @@ impl Cloud4Home {
         self.repair_scan_visits
     }
 
+    /// How many times `pump` has polled a node's overlay for output. With
+    /// [`Self::steps`] this gives node visits per event, which must not
+    /// grow with the size of the world.
+    pub fn pump_node_visits(&self) -> u64 {
+        self.pump_node_visits
+    }
+
+    /// How many events the loop has processed since construction.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
     /// Bandwidth samples observed for transfers from a node's address.
     /// Zero for an untrained (or crash-reset) peer, whose estimate sits
     /// at the prior.
@@ -1554,7 +1614,7 @@ impl Cloud4Home {
     /// announces departure before going offline.
     pub fn leave_node(&mut self, id: NodeId) {
         let now = self.now();
-        self.nodes[id.0].chimera.leave(now);
+        self.overlay_mut(id.0).leave(now);
         self.pump();
         self.nodes[id.0].alive = false;
         self.publish_service_records();
@@ -1591,7 +1651,7 @@ impl Cloud4Home {
                 .flight
                 .note_fault(now.as_nanos(), format!("rejoin {}", self.nodes[id.0].name));
         }
-        self.nodes[id.0].chimera.join_via(seed_key, now);
+        self.overlay_mut(id.0).join_via(seed_key, now);
         self.run_for(Duration::from_secs(2));
         self.publish_service_records();
         self.publish_resources(id.0);
@@ -1817,11 +1877,6 @@ impl Cloud4Home {
 
     /// Advances the flow engine to `to` and reaps every completion that
     /// surfaces, at the queue's current instant.
-    ///
-    /// `#[inline]` is measured, not decorative: with this left out of line
-    /// `step()` compiles differently and the benchmark's 1000-node workload
-    /// (`neighborhood-1k`) runs 12–19 % slower in set-up and steady state.
-    #[inline]
     fn drain_net(&mut self, to: SimTime) {
         let mut events = std::mem::take(&mut self.flow_scratch);
         self.net.advance_into(to, &mut events);
@@ -1923,6 +1978,7 @@ impl Cloud4Home {
             self.dispatch(event);
         }
         self.pump();
+        self.steps += 1;
         true
     }
 
@@ -1932,7 +1988,7 @@ impl Cloud4Home {
                 if self.nodes[to].alive {
                     let now = self.now();
                     self.stats.envelopes_delivered += 1;
-                    self.nodes[to].chimera.handle(env, now);
+                    self.overlay_mut(to).handle(env, now);
                 }
             }
             Event::Tick => {
@@ -1950,7 +2006,7 @@ impl Cloud4Home {
                 }
                 for i in 0..self.nodes.len() {
                     if self.nodes[i].alive {
-                        self.nodes[i].chimera.tick(now);
+                        self.overlay_mut(i).tick(now);
                         if self.nodes[i].monitor.due(now) {
                             self.publish_resources(i);
                         }
@@ -2105,85 +2161,103 @@ impl Cloud4Home {
         self.health.flight.note_gauges(ts, row);
     }
 
+    /// The one way the runtime reaches a node's overlay mutably. Any such
+    /// call (`handle`, `tick`, `get`/`put`/`delete`, `join_via`, `leave`,
+    /// `bootstrap`) may leave envelopes or events behind, so the node goes
+    /// on `pump`'s worklist. Marking a node that ends up with nothing to
+    /// send costs one empty poll; a node with output and no mark would be
+    /// a hung request, which `pump`'s exit assertion catches.
+    fn overlay_mut(&mut self, i: usize) -> &mut ChimeraNode {
+        self.dirty.mark(i);
+        &mut self.nodes[i].chimera
+    }
+
     /// Drains overlay outboxes into scheduled deliveries and overlay events
     /// into operation continuations, until quiescent.
+    ///
+    /// Visits only marked nodes, in the order a scan of the whole world
+    /// would reach them: ascending index within a round, a node marked
+    /// while a lower index drains still in the same round, a node marked at
+    /// or below the one draining in the next. The loss, burst-chain and
+    /// latency draws below therefore happen in the scan's order.
     pub(crate) fn pump(&mut self) {
-        loop {
-            let mut moved = false;
-            for i in 0..self.nodes.len() {
-                // Outgoing envelopes.
-                while let Some(env) = self.nodes[i].chimera.poll_send() {
-                    moved = true;
-                    let Some(&dst) = self.node_of_key.get(&env.to) else {
-                        continue; // stale peer
-                    };
-                    let (src_addr, dst_addr) = (self.nodes[i].addr, self.nodes[dst].addr);
-                    if !self.partition.connected(src_addr, dst_addr) {
-                        self.stats.envelopes_dropped += 1;
-                        continue; // severed by the active partition
-                    }
-                    if self.message_loss > 0.0 && self.rng.chance(self.message_loss) {
-                        self.stats.envelopes_dropped += 1;
-                        continue; // lost on the wireless link
-                    }
-                    if let Some(template) = self.bursty {
-                        let chain = self
-                            .ge_chains
-                            .entry((src_addr, dst_addr))
-                            .or_insert(template);
-                        if chain.step(&mut self.rng) {
-                            self.stats.envelopes_dropped += 1;
-                            continue; // lost in a burst on this route
-                        }
-                    }
-                    let latency = self
-                        .net
-                        .topology()
-                        .message_latency(src_addr, dst_addr, &mut self.rng)
-                        .unwrap_or(Duration::from_millis(1));
-                    // Gray failure: a throttled receiver processes slower.
-                    let proc = self
-                        .config
-                        .timing
-                        .chimera_proc
-                        .mul_f64(self.slow_factor[dst]);
-                    let delay = latency + proc;
-                    self.queue
-                        .schedule_in(delay, Event::Deliver { to: dst, env });
+        let mut cursor = 0;
+        while !self.dirty.is_empty() {
+            let Some(i) = self.dirty.take_from(cursor) else {
+                cursor = 0; // round over, marks remain below the cursor
+                continue;
+            };
+            cursor = i + 1;
+            self.pump_node_visits += 1;
+            // Outgoing envelopes.
+            while let Some(env) = self.nodes[i].chimera.poll_send() {
+                let Some(&dst) = self.node_of_key.get(&env.to) else {
+                    continue; // stale peer
+                };
+                let (src_addr, dst_addr) = (self.nodes[i].addr, self.nodes[dst].addr);
+                if !self.partition.connected(src_addr, dst_addr) {
+                    self.stats.envelopes_dropped += 1;
+                    continue; // severed by the active partition
                 }
-                // Application-visible DHT events.
-                while let Some(ev) = self.nodes[i].chimera.poll_event() {
-                    moved = true;
-                    let req = match &ev {
-                        DhtEvent::PutCompleted { req, .. } => Some(*req),
-                        DhtEvent::GetCompleted { req, .. } => Some(*req),
-                        DhtEvent::DeleteCompleted { req, .. } => Some(*req),
-                        DhtEvent::PeerFailed { node } => {
-                            // Failure detection feeds the repair daemon.
-                            let node = *node;
-                            self.handle_peer_failed(node);
-                            continue;
-                        }
-                        _ => None,
-                    };
-                    let Some(req) = req else { continue };
-                    match self.dht_waiters.remove(&(i, req)) {
-                        Some(DhtWaiter::Op(op)) => {
-                            // Completion crosses the VStore++ ↔ Chimera IPC
-                            // boundary.
-                            self.queue.schedule_in(
-                                self.config.timing.chimera_ipc,
-                                Event::DhtDone { op, ev },
-                            );
-                        }
-                        Some(DhtWaiter::Ignore) | None => {}
+                if self.message_loss > 0.0 && self.rng.chance(self.message_loss) {
+                    self.stats.envelopes_dropped += 1;
+                    continue; // lost on the wireless link
+                }
+                if let Some(template) = self.bursty {
+                    let chain = self
+                        .ge_chains
+                        .entry((src_addr, dst_addr))
+                        .or_insert(template);
+                    if chain.step(&mut self.rng) {
+                        self.stats.envelopes_dropped += 1;
+                        continue; // lost in a burst on this route
                     }
                 }
+                let latency = self
+                    .net
+                    .topology()
+                    .message_latency(src_addr, dst_addr, &mut self.rng)
+                    .unwrap_or(Duration::from_millis(1));
+                // Gray failure: a throttled receiver processes slower.
+                let proc = self
+                    .config
+                    .timing
+                    .chimera_proc
+                    .mul_f64(self.slow_factor[dst]);
+                let delay = latency + proc;
+                self.queue
+                    .schedule_in(delay, Event::Deliver { to: dst, env });
             }
-            if !moved {
-                return;
+            // Application-visible DHT events.
+            while let Some(ev) = self.nodes[i].chimera.poll_event() {
+                let req = match &ev {
+                    DhtEvent::PutCompleted { req, .. } => Some(*req),
+                    DhtEvent::GetCompleted { req, .. } => Some(*req),
+                    DhtEvent::DeleteCompleted { req, .. } => Some(*req),
+                    DhtEvent::PeerFailed { node } => {
+                        // Failure detection feeds the repair daemon.
+                        let node = *node;
+                        self.handle_peer_failed(node);
+                        continue;
+                    }
+                    _ => None,
+                };
+                let Some(req) = req else { continue };
+                match self.dht_waiters.remove(&(i, req)) {
+                    Some(DhtWaiter::Op(op)) => {
+                        // Completion crosses the VStore++ ↔ Chimera IPC
+                        // boundary.
+                        self.queue
+                            .schedule_in(self.config.timing.chimera_ipc, Event::DhtDone { op, ev });
+                    }
+                    Some(DhtWaiter::Ignore) | None => {}
+                }
             }
         }
+        debug_assert!(
+            self.nodes.iter().all(|n| !n.chimera.has_output()),
+            "an overlay node holds output pump was never told about"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -2252,15 +2326,15 @@ impl Cloud4Home {
     /// Issues a DHT get from node `i` on behalf of an operation.
     pub(crate) fn dht_get_for_op(&mut self, op: OpId, i: usize, key: Key) {
         let now = self.now();
-        let req = self.nodes[i].chimera.get(key, now).expect("node is joined");
+        let req = self.overlay_mut(i).get(key, now).expect("node is joined");
         self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
     }
 
     /// Issues a DHT put from node `i` on behalf of an operation.
     pub(crate) fn dht_put_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
         let now = self.now();
-        let req = self.nodes[i]
-            .chimera
+        let req = self
+            .overlay_mut(i)
             .put(key, value, OverwritePolicy::Overwrite, now)
             .expect("node is joined");
         self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
@@ -2270,8 +2344,8 @@ impl Cloud4Home {
     /// `i` on behalf of an operation — used for directory entry chains.
     pub(crate) fn dht_chain_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
         let now = self.now();
-        let req = self.nodes[i]
-            .chimera
+        let req = self
+            .overlay_mut(i)
             .put(key, value, OverwritePolicy::Chain, now)
             .expect("node is joined");
         self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
@@ -2280,8 +2354,8 @@ impl Cloud4Home {
     /// Issues a DHT delete from node `i` on behalf of an operation.
     pub(crate) fn dht_delete_for_op(&mut self, op: OpId, i: usize, key: Key) {
         let now = self.now();
-        let req = self.nodes[i]
-            .chimera
+        let req = self
+            .overlay_mut(i)
             .delete(key, now)
             .expect("node is joined");
         self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
@@ -2468,21 +2542,10 @@ impl Cloud4Home {
         let Some((_, src)) = src else {
             return; // every live holder's path is tripped; retry later
         };
-        // Best destination: a live, reachable non-holder with voluntary
-        // space, preferring the most free space (index breaks ties).
-        let dst = (0..self.nodes.len())
-            .filter(|&j| {
-                self.nodes[j].alive
-                    && !holders.contains(&j)
-                    && self.node_reachable(src, j)
-                    && self.nodes[j].bins.fits(size, Bin::Voluntary)
-            })
-            .max_by_key(|&j| {
-                (
-                    self.nodes[j].bins.free_bytes(Bin::Voluntary),
-                    usize::MAX - j,
-                )
-            });
+        // Destination: the roomiest reachable non-holder.
+        let dst = self.roomiest_peer(size, |j| {
+            !holders.contains(&j) && self.node_reachable(src, j)
+        });
         let Some(dst) = dst else {
             return;
         };
@@ -2578,7 +2641,7 @@ impl Cloud4Home {
         // fetches learn the new replica.
         let publisher = job.src;
         let now = self.now();
-        if let Ok(req) = self.nodes[publisher].chimera.put(
+        if let Ok(req) = self.overlay_mut(publisher).put(
             object_key(meta.name.as_str()),
             Record::Object(meta).encode(),
             OverwritePolicy::Overwrite,
@@ -2690,7 +2753,7 @@ impl Cloud4Home {
             return;
         }
         let now = self.now();
-        if let Ok(req) = self.nodes[i].chimera.put(
+        if let Ok(req) = self.overlay_mut(i).put(
             object_key(meta.name.as_str()),
             Record::Object(meta).encode(),
             OverwritePolicy::Overwrite,
@@ -2711,6 +2774,7 @@ impl Cloud4Home {
     pub(crate) fn invalidate_meta_caches(&mut self, name: Sym) {
         let key = object_key(name.as_str());
         for n in &mut self.nodes {
+            // Dropping a cache entry sends nothing: no worklist mark.
             n.chimera.invalidate_cached(key);
         }
     }
@@ -2803,28 +2867,19 @@ impl Cloud4Home {
         let Some((_, src)) = src else {
             return;
         };
-        let viable = |s: &Self, j: usize| {
-            s.nodes[j].alive
-                && !holders.contains(&j)
-                && s.node_reachable(src, j)
-                && s.nodes[j].bins.fits(size, Bin::Voluntary)
-        };
+        let eligible = |j: usize| !holders.contains(&j) && self.node_reachable(src, j);
         let reader = self
             .object_heat
             .recent_readers(name)
             .iter()
             .copied()
-            .find(|&j| j < self.nodes.len() && viable(self, j));
-        let dst = reader.or_else(|| {
-            (0..self.nodes.len())
-                .filter(|&j| viable(self, j))
-                .max_by_key(|&j| {
-                    (
-                        self.nodes[j].bins.free_bytes(Bin::Voluntary),
-                        usize::MAX - j,
-                    )
-                })
-        });
+            .find(|&j| {
+                j < self.nodes.len()
+                    && self.nodes[j].alive
+                    && eligible(j)
+                    && self.nodes[j].bins.fits(size, Bin::Voluntary)
+            });
+        let dst = reader.or_else(|| self.roomiest_peer(size, eligible));
         let Some(dst) = dst else {
             return;
         };
@@ -2898,24 +2953,13 @@ impl Cloud4Home {
         // Sites: the owner takes row 0; the other rows go to the roomiest
         // live peers that can fit a stripe, one row per distinct node
         // (losing a node must lose at most one row).
-        let mut peers: Vec<usize> = (0..self.nodes.len())
-            .filter(|&j| {
-                j != owner
-                    && self.nodes[j].alive
-                    && self.node_reachable(owner, j)
-                    && self.nodes[j].bins.fits(stripe_len, Bin::Voluntary)
-            })
-            .collect();
-        peers.sort_by_key(|&j| {
-            (
-                std::cmp::Reverse(self.nodes[j].bins.free_bytes(Bin::Voluntary)),
-                j,
-            )
+        let mut sites = vec![owner; total];
+        let found = self.roomiest_peers(stripe_len, &mut sites[1..], |j| {
+            j != owner && self.node_reachable(owner, j)
         });
-        if peers.len() + 1 < total {
+        if found + 1 < total {
             return; // not enough distinct sites; keep the full copies
         }
-        let sites: Vec<usize> = std::iter::once(owner).chain(peers).take(total).collect();
         let code = ErasureCode::new(k, m);
         let window = blob.sample(SAMPLE_WINDOW);
         let stripes = code.encode(&window);
@@ -3072,7 +3116,7 @@ impl Cloud4Home {
                     holder: conv.layout.holders[row],
                     checksum: stripe_checksum(shard),
                 });
-                if let Ok(req) = self.nodes[conv.owner].chimera.put(
+                if let Ok(req) = self.overlay_mut(conv.owner).put(
                     stripe_key(name.as_str(), row as u32),
                     record.encode(),
                     OverwritePolicy::Overwrite,
@@ -3158,20 +3202,11 @@ impl Cloud4Home {
             (0..layout.holders.len() as u32)
                 .any(|r| s.nodes[j].objects.contains_key(&ec_stripe_name(name, r)))
         };
-        let dst = (0..self.nodes.len())
-            .filter(|&j| {
-                self.nodes[j].alive
-                    && !live_holders.contains(&j)
-                    && !holds_any(self, j)
-                    && srcs.iter().all(|&(_, s)| self.node_reachable(s, j))
-                    && self.nodes[j].bins.fits(stripe_len, Bin::Voluntary)
-            })
-            .max_by_key(|&j| {
-                (
-                    self.nodes[j].bins.free_bytes(Bin::Voluntary),
-                    usize::MAX - j,
-                )
-            });
+        let dst = self.roomiest_peer(stripe_len, |j| {
+            !live_holders.contains(&j)
+                && !holds_any(self, j)
+                && srcs.iter().all(|&(_, s)| self.node_reachable(s, j))
+        });
         let Some(dst) = dst else {
             return;
         };
@@ -3282,7 +3317,7 @@ impl Cloud4Home {
                 holder: dst_key,
                 checksum,
             });
-            if let Ok(req) = self.nodes[job.dst].chimera.put(
+            if let Ok(req) = self.overlay_mut(job.dst).put(
                 stripe_key(job.name.as_str(), job.row),
                 record.encode(),
                 OverwritePolicy::Overwrite,

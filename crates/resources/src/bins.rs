@@ -71,8 +71,9 @@ impl std::error::Error for BinError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinWatcher {
-    capacity: HashMap<Bin, u64>,
-    used: HashMap<Bin, u64>,
+    /// Per-bin byte counts, indexed by `bin as usize`.
+    capacity: [u64; 2],
+    used: [u64; 2],
     objects: HashMap<String, (Bin, u64)>,
 }
 
@@ -80,28 +81,25 @@ impl BinWatcher {
     /// Creates a watcher with the given bin capacities in bytes.
     pub fn new(mandatory_bytes: u64, voluntary_bytes: u64) -> Self {
         BinWatcher {
-            capacity: HashMap::from([
-                (Bin::Mandatory, mandatory_bytes),
-                (Bin::Voluntary, voluntary_bytes),
-            ]),
-            used: HashMap::from([(Bin::Mandatory, 0), (Bin::Voluntary, 0)]),
+            capacity: [mandatory_bytes, voluntary_bytes],
+            used: [0; 2],
             objects: HashMap::new(),
         }
     }
 
     /// Bytes free in a bin.
     pub fn free_bytes(&self, bin: Bin) -> u64 {
-        self.capacity[&bin].saturating_sub(self.used[&bin])
+        self.capacity[bin as usize].saturating_sub(self.used[bin as usize])
     }
 
     /// Bytes used in a bin.
     pub fn used_bytes(&self, bin: Bin) -> u64 {
-        self.used[&bin]
+        self.used[bin as usize]
     }
 
     /// Total capacity of a bin.
     pub fn capacity_bytes(&self, bin: Bin) -> u64 {
-        self.capacity[&bin]
+        self.capacity[bin as usize]
     }
 
     /// Whether `bytes` fits in a bin right now.
@@ -137,7 +135,7 @@ impl BinWatcher {
                 free,
             });
         }
-        *self.used.get_mut(&bin).expect("bin exists") += bytes;
+        self.used[bin as usize] += bytes;
         self.objects.insert(name.to_owned(), (bin, bytes));
         Ok(())
     }
@@ -145,7 +143,7 @@ impl BinWatcher {
     /// Removes an object, freeing its space. Returns its bin and size.
     pub fn remove(&mut self, name: &str) -> Option<(Bin, u64)> {
         let (bin, bytes) = self.objects.remove(name)?;
-        *self.used.get_mut(&bin).expect("bin exists") -= bytes;
+        self.used[bin as usize] -= bytes;
         Some((bin, bytes))
     }
 }

@@ -334,10 +334,9 @@ pub struct FlowNet {
     dirty: bool,
     /// Memo of the earliest internal event; valid while `!dirty`.
     next: Option<SimTime>,
-    /// Boxed on a measurement: the runtime embeds `FlowNet` by value, and
-    /// six more `Vec` headers inline shifted its hot fields enough to cost
-    /// the benchmark's 1000-node workload (`neighborhood-1k`, where the
-    /// flow engine itself is idle) 12 % in set-up and 5 % in steady state.
+    /// Boxed to keep `FlowNet`, which the runtime embeds by value, six
+    /// `Vec` headers smaller. Measured neutral since the runtime stopped
+    /// polling every node per event (ROADMAP, lesson (i)).
     scratch: Box<AllocScratch>,
     recorder: Option<Recorder>,
     /// `net.segment_bytes.<name>` counter key per segment, built when first
