@@ -16,7 +16,11 @@
 //!    testbed topology, topped up as they finish. Rounds of `next_event` +
 //!    `advance_into` that complete nothing must not allocate at all, and a
 //!    flow's start and finish together at most a small constant.
-//! 3. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
+//! 3. **DHT chained append**: chained puts to one key on a small overlay
+//!    with replica targets — what every `store` does to its directory. The
+//!    allocations one append makes must not depend on how many versions the
+//!    record already holds (records are shared between copies, not copied).
+//! 4. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
 //!    paper testbed — how much of the engine win survives under the full
 //!    stack (overlay, flows, services).
 //!
@@ -44,7 +48,8 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
+use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
+use c4h_chimera::{ChimeraConfig, ChimeraNode, DhtEvent, Key, OverwritePolicy};
 use c4h_simnet::queue::reference::{InlineWheel, RefQueue};
 use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime};
 use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
@@ -305,6 +310,67 @@ fn flownet_steady(finishes: u64) -> (f64, u64, f64) {
     (rate, quiet, churn as f64 / finishes as f64)
 }
 
+/// Chain lengths at which [`dht_chain_append`] measures one append.
+const CHAIN_LENGTHS: [u64; 3] = [10, 1_000, 100_000];
+
+/// Appends measured at each chain length.
+const CHAIN_WINDOW: u64 = 64;
+
+/// Chained puts to one key on four overlay nodes wired by direct delivery,
+/// two replica targets per record: the root appends, re-reads the record and
+/// sends a copy to each target, as for every directory entry a `store`
+/// writes. Returns (allocations per append, ns per append) over
+/// [`CHAIN_WINDOW`] appends starting at each of [`CHAIN_LENGTHS`]; an append
+/// runs from `put` until the origin has its `PutCompleted`.
+fn dht_chain_append() -> Vec<(f64, f64)> {
+    let now = SimTime::ZERO;
+    let config = ChimeraConfig {
+        replication: 2,
+        ..ChimeraConfig::default()
+    };
+    let mut nodes: Vec<ChimeraNode> = (0..4)
+        .map(|i| ChimeraNode::new(Key::from_name(&format!("chain-{i}")), config.clone()))
+        .collect();
+    nodes[0].bootstrap(now);
+    let seed = nodes[0].id();
+    for i in 1..nodes.len() {
+        nodes[i].join_via(seed, now);
+        pump_overlay(&mut nodes);
+    }
+    let key = Key::from_name("chain/dir");
+    let mut len = 0u64;
+    let mut append = |nodes: &mut Vec<ChimeraNode>| {
+        len += 1;
+        let entry = len.to_le_bytes().to_vec();
+        nodes[0]
+            .put(key, entry, OverwritePolicy::Chain, now)
+            .expect("joined");
+        pump_overlay(nodes);
+        let mut acked = false;
+        while let Some(ev) = nodes[0].poll_event() {
+            acked |= matches!(ev, DhtEvent::PutCompleted { result: Ok(v), .. } if v == len);
+        }
+        assert!(acked, "append {len} was not acknowledged");
+        len
+    };
+    let mut rows = Vec::new();
+    for start in CHAIN_LENGTHS {
+        while append(&mut nodes) < start {}
+        let allocs0 = allocations();
+        let timer = Instant::now();
+        for _ in 0..CHAIN_WINDOW {
+            append(&mut nodes);
+        }
+        let ns = timer.elapsed().as_nanos() as f64 / CHAIN_WINDOW as f64;
+        let allocs = (allocations() - allocs0) as f64 / CHAIN_WINDOW as f64;
+        rows.push((allocs, ns));
+    }
+    // The root and both replica targets hold the whole chain.
+    let holders = nodes.iter().filter_map(|n| n.local_get(key));
+    assert_eq!(holders.filter(|v| v.version() == len).count(), 3);
+    rows
+}
+
 /// End-to-end ops/sec: a mixed store/fetch workload on the paper testbed,
 /// wall-clock timed through the full stack.
 fn runtime_ops_per_sec() -> (u64, f64) {
@@ -466,6 +532,30 @@ fn main() {
         format!(
             "starting and finishing a flow made {churn_allocs:.2} allocations \
              (must stay <= 2)"
+        ),
+    );
+
+    // A count gate, not a clock: an append to a 100 000-entry directory
+    // allocates exactly what an append to a 10-entry one does. Copying the
+    // record anywhere on the put path adds one allocation per entry per copy.
+    let chain = dht_chain_append();
+    for (&len, &(allocs, ns)) in CHAIN_LENGTHS.iter().zip(&chain) {
+        println!("dht chain append @{len:>6} versions: {allocs:.2} allocs, {ns:.0} ns per append");
+        report.push_row(vec![
+            ("dht_chain_len", len.into()),
+            ("dht_chain_append_allocs", allocs.into()),
+            ("dht_chain_append_ns", ns.round().into()),
+        ]);
+    }
+    let (short, long) = (chain[0].0, chain[CHAIN_LENGTHS.len() - 1].0);
+    report.check(
+        "dht_chain_append_allocs_flat",
+        short == long,
+        format!(
+            "a chained put allocates {short:.2} times at {} versions but {long:.2} at {}; \
+             the record must be shared between its copies, not copied",
+            CHAIN_LENGTHS[0],
+            CHAIN_LENGTHS[CHAIN_LENGTHS.len() - 1]
         ),
     );
 

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo bench -p c4h-bench --bench micro`
 
+use c4h_bench::pump_overlay;
 use c4h_chimera::{ChimeraConfig, ChimeraNode, Key, OverwritePolicy, RbTree, RoutingTable};
 use c4h_kvstore::{object_key, Acl, Location, ObjectMeta, Record};
 use c4h_services::{FaceDetect, Service, Transcode};
@@ -158,7 +159,7 @@ fn bench_dht_round(c: &mut Criterion) {
         let seed = nodes[0].id();
         for i in 1..6 {
             nodes[i].join_via(seed, now);
-            pump(&mut nodes);
+            pump_overlay(&mut nodes);
         }
         let mut counter = 0u64;
         b.iter(|| {
@@ -167,31 +168,13 @@ fn bench_dht_round(c: &mut Criterion) {
             nodes[0]
                 .put(key, vec![1, 2, 3], OverwritePolicy::Overwrite, now)
                 .unwrap();
-            pump(&mut nodes);
+            pump_overlay(&mut nodes);
             nodes[3].get(key, now).unwrap();
-            pump(&mut nodes);
+            pump_overlay(&mut nodes);
             while nodes[3].poll_event().is_some() {}
             while nodes[0].poll_event().is_some() {}
         })
     });
-}
-
-fn pump(nodes: &mut [ChimeraNode]) {
-    let now = SimTime::ZERO;
-    loop {
-        let mut moved = false;
-        for i in 0..nodes.len() {
-            while let Some(env) = nodes[i].poll_send() {
-                moved = true;
-                if let Some(j) = nodes.iter().position(|n| n.id() == env.to) {
-                    nodes[j].handle(env, now);
-                }
-            }
-        }
-        if !moved {
-            return;
-        }
-    }
 }
 
 criterion_group!(

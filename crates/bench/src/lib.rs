@@ -8,6 +8,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use c4h_chimera::ChimeraNode;
+use c4h_simnet::SimTime;
 use cloud4home::{Cloud4Home, OpId, OpReport};
 
 mod report;
@@ -83,6 +85,26 @@ pub fn run_until_any(home: &mut Cloud4Home, pending: &[OpId]) -> (usize, OpRepor
             }
         }
         home.run_for(Duration::from_millis(200));
+    }
+}
+
+/// Delivers overlay envelopes between `nodes` directly — no network model,
+/// virtual time held at zero — until none has anything left to send.
+/// Envelopes addressed outside `nodes` are dropped.
+pub fn pump_overlay(nodes: &mut [ChimeraNode]) {
+    loop {
+        let mut moved = false;
+        for i in 0..nodes.len() {
+            while let Some(env) = nodes[i].poll_send() {
+                moved = true;
+                if let Some(j) = nodes.iter().position(|n| n.id() == env.to) {
+                    nodes[j].handle(env, SimTime::ZERO);
+                }
+            }
+        }
+        if !moved {
+            return;
+        }
     }
 }
 

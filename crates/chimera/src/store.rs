@@ -11,6 +11,7 @@
 //! and evicted FIFO when the cache is full.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use c4h_simnet::FxHashMap;
 
@@ -46,11 +47,41 @@ impl std::fmt::Display for PutError {
 
 impl std::error::Error for PutError {}
 
+/// One version in a record's chain. Immutable once built: an append makes a
+/// new link in front of it, so every copy taken earlier keeps seeing exactly
+/// the chain it was cloned from.
+struct Link {
+    data: Vec<u8>,
+    prev: Option<Arc<Link>>,
+}
+
+impl Drop for Link {
+    /// Unlinks the tail in a loop — the derived drop recurses once per link
+    /// and overflows the stack on a long chain — and stops at the first link
+    /// another copy still holds.
+    fn drop(&mut self) {
+        let mut next = self.prev.take();
+        while let Some(link) = next {
+            match Arc::into_inner(link) {
+                Some(mut link) => next = link.prev.take(),
+                None => break,
+            }
+        }
+    }
+}
+
 /// A stored record: the chain of versions plus a monotonically increasing
 /// version counter used for cache freshness.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// The chain is persistent — newest-first links whose tail is shared between
+/// copies — so a clone is a reference-count bump and a chained append
+/// allocates one link however long the chain is. Records are copied at every
+/// hop they travel (replication, key transfer, get replies, caches), and none
+/// of those copies may grow with the directory they carry.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct StoredValue {
-    versions: Vec<Vec<u8>>,
+    head: Option<Arc<Link>>,
+    len: usize,
     version: u64,
 }
 
@@ -58,19 +89,28 @@ impl StoredValue {
     /// Creates a record holding a single initial version.
     pub fn initial(data: Vec<u8>) -> Self {
         StoredValue {
-            versions: vec![data],
+            head: Some(Arc::new(Link { data, prev: None })),
+            len: 1,
             version: 1,
         }
     }
 
     /// The newest version's bytes.
     pub fn latest(&self) -> &[u8] {
-        self.versions.last().map(Vec::as_slice).unwrap_or(&[])
+        self.head.as_deref().map_or(&[], |l| l.data.as_slice())
+    }
+
+    /// The links, newest first.
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        std::iter::successors(self.head.as_deref(), |l| l.prev.as_deref())
     }
 
     /// All versions, oldest first (length 1 unless chained).
-    pub fn versions(&self) -> &[Vec<u8>] {
-        &self.versions
+    pub fn versions(&self) -> Vec<&[u8]> {
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(self.links().map(|l| l.data.as_slice()));
+        out.reverse();
+        out
     }
 
     /// The record's version counter.
@@ -85,17 +125,46 @@ impl StoredValue {
     /// Returns [`PutError::Exists`] under [`OverwritePolicy::Error`] when a
     /// value is already present.
     pub fn apply(&mut self, data: Vec<u8>, policy: OverwritePolicy) -> Result<(), PutError> {
-        match policy {
+        let prev = match policy {
             OverwritePolicy::Overwrite => {
-                self.versions = vec![data];
+                self.len = 0;
+                None
             }
-            OverwritePolicy::Chain => {
-                self.versions.push(data);
-            }
+            OverwritePolicy::Chain => self.head.take(),
             OverwritePolicy::Error => return Err(PutError::Exists),
-        }
+        };
+        self.head = Some(Arc::new(Link { data, prev }));
+        self.len += 1;
         self.version += 1;
         Ok(())
+    }
+}
+
+/// Equality is by content (counter, length, bytes), never by pointer: two
+/// nodes that built the same chain independently hold equal records.
+impl PartialEq for StoredValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.version == other.version
+            && self.len == other.len
+            && self
+                .links()
+                .zip(other.links())
+                // From a link both chains share, the rest is the same memory.
+                .take_while(|(a, b)| !std::ptr::eq(*a, *b))
+                .all(|(a, b)| a.data == b.data)
+    }
+}
+
+impl Eq for StoredValue {}
+
+/// Prints what the derive printed for a vector of versions; the derive on the
+/// links would nest (and recurse) once per version.
+impl std::fmt::Debug for StoredValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StoredValue")
+            .field("versions", &self.versions())
+            .field("version", &self.version)
+            .finish()
     }
 }
 
@@ -317,6 +386,61 @@ mod tests {
         assert_eq!(rec.versions().len(), 2);
         assert_eq!(rec.latest(), b"b");
         assert_eq!(rec.versions()[0], b"a");
+    }
+
+    #[test]
+    fn clone_shares_storage_and_never_sees_later_appends() {
+        let mut rec = StoredValue::initial(b"a".to_vec());
+        rec.apply(b"b".to_vec(), OverwritePolicy::Chain).unwrap();
+        let copy = rec.clone();
+        let head = |v: &StoredValue| v.head.clone().expect("non-empty");
+        assert!(
+            Arc::ptr_eq(&head(&rec), &head(&copy)),
+            "clone copies no bytes"
+        );
+        rec.apply(b"c".to_vec(), OverwritePolicy::Chain).unwrap();
+        // The append put one link in front of the chain both still share.
+        let tail = head(&rec).prev.clone().expect("two older versions");
+        assert!(Arc::ptr_eq(&tail, &head(&copy)));
+        assert_eq!(copy.versions(), [b"a", b"b"]);
+        assert_eq!(copy.version(), 2);
+        assert_eq!(rec.versions(), [b"a", b"b", b"c"]);
+        // Equality is by content: a chain built separately is equal.
+        let mut rebuilt = StoredValue::initial(b"a".to_vec());
+        rebuilt
+            .apply(b"b".to_vec(), OverwritePolicy::Chain)
+            .unwrap();
+        assert_eq!(rebuilt, copy);
+        assert_ne!(rebuilt, rec);
+        assert_eq!(StoredValue::default().latest(), b"");
+    }
+
+    /// The derived drop recurses once per link; this chain needs far more
+    /// frames than the thread's stack holds.
+    #[test]
+    fn million_link_chain_drops_on_a_small_stack() {
+        let body = || {
+            let mut rec = StoredValue::default();
+            let mut kept = None;
+            for i in 0..1_000_000u32 {
+                rec.apply(Vec::new(), OverwritePolicy::Chain).unwrap();
+                if i == 600_000 {
+                    kept = Some(rec.clone());
+                }
+            }
+            assert_eq!(rec.version(), 1_000_000);
+            // Stops at the link `kept` still holds, which then frees the rest.
+            drop(rec);
+            let kept = kept.expect("taken mid-way");
+            assert_eq!(kept.versions().len(), 600_001);
+            drop(kept);
+        };
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(body)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
     }
 
     #[test]

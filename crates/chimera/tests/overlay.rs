@@ -4,7 +4,8 @@
 use std::time::Duration;
 
 use c4h_chimera::{
-    root_of, ChimeraConfig, ChimeraNode, DhtError, DhtEvent, Key, OverwritePolicy, PutError,
+    root_of, ChimeraConfig, ChimeraNode, DhtError, DhtEvent, Envelope, Key, Message,
+    OverwritePolicy, PutError, StoredValue,
 };
 use c4h_simnet::SimTime;
 
@@ -55,13 +56,18 @@ impl Cluster {
     /// Delivers messages until the cluster is quiescent. Messages to dead
     /// nodes vanish (simulated crash).
     fn pump(&mut self) {
+        self.pump_losing(|_| false);
+    }
+
+    /// [`Self::pump`] over a network that loses the envelopes `lost` picks.
+    fn pump_losing(&mut self, mut lost: impl FnMut(&Envelope) -> bool) {
         for _ in 0..100_000 {
             let mut moved = false;
             for i in 0..self.nodes.len() {
                 while let Some(env) = self.nodes[i].poll_send() {
                     moved = true;
                     let j = self.index_of(env.to);
-                    if self.alive[j] {
+                    if self.alive[j] && !lost(&env) {
                         let now = self.now;
                         self.nodes[j].handle(env, now);
                     }
@@ -108,6 +114,12 @@ impl Cluster {
 
     /// Issues a get and returns `(value, from_cache, hops)`.
     fn get(&mut self, origin: usize, key: Key) -> (Option<Vec<u8>>, bool, u8) {
+        let (value, from_cache, hops) = self.get_record(origin, key);
+        (value.map(|v| v.latest().to_vec()), from_cache, hops)
+    }
+
+    /// Issues a get and returns `(record, from_cache, hops)`.
+    fn get_record(&mut self, origin: usize, key: Key) -> (Option<StoredValue>, bool, u8) {
         let now = self.now;
         let req = self.nodes[origin].get(key, now).unwrap();
         self.pump();
@@ -123,7 +135,7 @@ impl Cluster {
             {
                 if r == req {
                     result.unwrap();
-                    return (value.map(|v| v.latest().to_vec()), from_cache, hops);
+                    return (value, from_cache, hops);
                 }
             }
         }
@@ -294,6 +306,43 @@ fn crash_failover_serves_replicated_keys() {
         let (v, _, _) = c.get(reader, k);
         assert_eq!(v.unwrap(), b"replicated", "key {k} lost after crash");
     }
+}
+
+/// Replication ships the whole record, so a replica that misses one
+/// `Replicate` is whole again after the next: the root can crash at any
+/// point and the promoted replica serves every version up to the last
+/// `Replicate` it received. (An append-only delta would leave a hole.)
+#[test]
+fn lost_replicate_is_healed_by_the_next_one() {
+    let mut config = cfg();
+    config.replication = 2;
+    let mut c = Cluster::build(6, config);
+    let key = Key::from_name("dir/long");
+    let root = c.index_of(root_of(key, c.ids()).unwrap());
+    let origin = (root + 1) % 6;
+    let entry = |i: u64| format!("entry-{i}").into_bytes();
+    for i in 1..=50u64 {
+        let now = c.now;
+        c.nodes[origin]
+            .put(key, entry(i), OverwritePolicy::Chain, now)
+            .unwrap();
+        // The 25th append reaches the root but none of its replicas.
+        c.pump_losing(|env| i == 25 && matches!(env.msg, Message::Replicate { .. }));
+        assert_eq!(c.last_put_result(origin), Ok(i));
+        let replicas: Vec<u64> = (0..6)
+            .filter(|&j| j != root)
+            .filter_map(|j| c.nodes[j].local_get(key).map(StoredValue::version))
+            .collect();
+        let want = if i == 25 { 24 } else { i };
+        assert_eq!(replicas, [want, want], "after append {i}");
+    }
+    c.crash(root);
+    c.run_for(Duration::from_secs(10), Duration::from_millis(500));
+    let (record, _, _) = c.get_record(origin, key);
+    let record = record.expect("a replica was promoted");
+    let all: Vec<Vec<u8>> = (1..=50).map(entry).collect();
+    assert_eq!(record.versions(), all);
+    assert_eq!(record.version(), 50);
 }
 
 #[test]

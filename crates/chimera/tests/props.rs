@@ -3,7 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use c4h_chimera::{root_of, ChimeraConfig, ChimeraNode, Key, OverwritePolicy, RbTree};
+use c4h_chimera::{
+    root_of, ChimeraConfig, ChimeraNode, Key, LocalStore, MetaCache, OverwritePolicy, RbTree,
+    StoredValue,
+};
 use c4h_simnet::SimTime;
 use proptest::prelude::*;
 
@@ -225,6 +228,172 @@ proptest! {
                 Some(vec![p as u8]),
                 "record {} lost after churn", p
             );
+        }
+    }
+}
+
+/// The record representation the shared chain replaced, kept as the model: a
+/// plain vector of versions, oldest first, deep-copied on every clone.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ModelValue {
+    versions: Vec<Vec<u8>>,
+    version: u64,
+}
+
+impl ModelValue {
+    fn apply(&mut self, data: Vec<u8>, policy: OverwritePolicy) -> bool {
+        match policy {
+            OverwritePolicy::Overwrite => self.versions = vec![data],
+            OverwritePolicy::Chain => self.versions.push(data),
+            OverwritePolicy::Error => return false,
+        }
+        self.version += 1;
+        true
+    }
+
+    /// `LocalStore::install` / `MetaCache::insert`: the newer version wins.
+    fn install_over(slot: &mut Option<ModelValue>, value: ModelValue) {
+        if slot.as_ref().is_none_or(|old| old.version < value.version) {
+            *slot = Some(value);
+        }
+    }
+}
+
+/// One step of the record model test. Indexes pick a held copy modulo the
+/// number of copies alive at that moment.
+#[derive(Debug, Clone)]
+enum RecOp {
+    /// `apply` on a held copy (diverges it from every copy sharing its tail).
+    Apply(usize, Vec<u8>, OverwritePolicy),
+    /// `clone` a held copy into a new one.
+    Clone(usize),
+    /// `LocalStore::put` at the root.
+    Put(Vec<u8>, OverwritePolicy),
+    /// Take a copy of the root's record (what `handle_put` re-reads).
+    ReadRoot,
+    /// `LocalStore::install` of a held copy (replica adoption / key transfer).
+    Install(usize),
+    /// `MetaCache::insert` of a held copy (a `GetReply` passing by).
+    CacheInsert(usize),
+    /// `MetaCache::update_in_place` (a `Put` passing by).
+    CacheUpdate(Vec<u8>, OverwritePolicy),
+}
+
+/// Appends twice as likely as the others: long shared tails are the point.
+fn policy_strategy() -> impl Strategy<Value = OverwritePolicy> {
+    prop_oneof![
+        Just(OverwritePolicy::Overwrite),
+        Just(OverwritePolicy::Chain),
+        Just(OverwritePolicy::Chain),
+        Just(OverwritePolicy::Error),
+    ]
+}
+
+fn rec_op_strategy() -> impl Strategy<Value = RecOp> {
+    let data = || proptest::collection::vec(any::<u8>(), 0..4);
+    prop_oneof![
+        (any::<usize>(), data(), policy_strategy()).prop_map(|(i, d, p)| RecOp::Apply(i, d, p)),
+        any::<usize>().prop_map(RecOp::Clone),
+        (data(), policy_strategy()).prop_map(|(d, p)| RecOp::Put(d, p)),
+        Just(RecOp::ReadRoot),
+        any::<usize>().prop_map(RecOp::Install),
+        any::<usize>().prop_map(RecOp::CacheInsert),
+        (data(), policy_strategy()).prop_map(|(d, p)| RecOp::CacheUpdate(d, p)),
+    ]
+}
+
+/// Everything observable about a record agrees with its model.
+fn check_record(real: &StoredValue, model: &ModelValue) -> Result<(), TestCaseError> {
+    let versions: Vec<&[u8]> = model.versions.iter().map(Vec::as_slice).collect();
+    prop_assert_eq!(real.versions(), versions);
+    prop_assert_eq!(
+        real.latest(),
+        model.versions.last().map_or(&[][..], Vec::as_slice)
+    );
+    prop_assert_eq!(real.version(), model.version);
+    Ok(())
+}
+
+proptest! {
+    /// The shared chain behaves like the deep-copied vector it replaced under
+    /// any interleaving of appends, overwrites, copies, installs and cache
+    /// updates — and a copy taken earlier never sees a later update: every
+    /// held copy is re-checked against its model after every step.
+    #[test]
+    fn stored_value_matches_deep_copy_model(
+        ops in proptest::collection::vec(rec_op_strategy(), 0..80),
+    ) {
+        let key = Key::from_raw(7);
+        let mut held: Vec<(StoredValue, ModelValue)> =
+            vec![(StoredValue::default(), ModelValue::default())];
+        let (mut root, mut root_model) = (LocalStore::new(), None::<ModelValue>);
+        let (mut cache, mut cache_model) = (MetaCache::new(4), None::<ModelValue>);
+        for op in ops {
+            match op {
+                RecOp::Apply(i, data, policy) => {
+                    let i = i % held.len();
+                    let (real, model) = &mut held[i];
+                    let ok = real.apply(data.clone(), policy).is_ok();
+                    prop_assert_eq!(ok, model.apply(data, policy));
+                }
+                RecOp::Clone(i) => {
+                    let copy = held[i % held.len()].clone();
+                    held.push(copy);
+                }
+                RecOp::Put(data, policy) => {
+                    let got = root.put(key, data.clone(), policy).ok();
+                    let want = match &mut root_model {
+                        Some(m) => m.apply(data, policy).then_some(m.version),
+                        None => {
+                            root_model = Some(ModelValue { versions: vec![data], version: 1 });
+                            Some(1)
+                        }
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                RecOp::ReadRoot => {
+                    if let (Some(real), Some(model)) = (root.get(key), &root_model) {
+                        held.push((real.clone(), model.clone()));
+                    }
+                }
+                RecOp::Install(i) => {
+                    let (real, model) = held[i % held.len()].clone();
+                    root.install(key, real);
+                    ModelValue::install_over(&mut root_model, model);
+                }
+                RecOp::CacheInsert(i) => {
+                    let (real, model) = held[i % held.len()].clone();
+                    cache.insert(key, real);
+                    ModelValue::install_over(&mut cache_model, model);
+                }
+                RecOp::CacheUpdate(data, policy) => {
+                    cache.update_in_place(key, &data, policy);
+                    if let Some(m) = &mut cache_model {
+                        m.apply(data, policy);
+                    }
+                }
+            }
+            prop_assert_eq!(root.get(key).is_some(), root_model.is_some());
+            if let (Some(real), Some(model)) = (root.get(key), &root_model) {
+                check_record(real, model)?;
+            }
+            let cached = cache.lookup(key);
+            prop_assert_eq!(cached.is_some(), cache_model.is_some());
+            if let (Some(real), Some(model)) = (&cached, &cache_model) {
+                check_record(real, model)?;
+            }
+            for (real, model) in &held {
+                check_record(real, model)?;
+            }
+            // `==` is by content: it agrees with the models' for every pair,
+            // whether or not the two copies share any storage.
+            let newest = held.last().expect("never empty");
+            for (real, model) in &held {
+                prop_assert_eq!(*real == newest.0, *model == newest.1);
+                if let (Some(r), Some(m)) = (root.get(key), &root_model) {
+                    prop_assert_eq!(real == r, model == m);
+                }
+            }
         }
     }
 }

@@ -14,8 +14,8 @@ use std::time::Duration;
 use c4h_chimera::{DhtError, DhtEvent, Key};
 use c4h_cloud::{S3Url, REQUEST_LATENCY};
 use c4h_kvstore::{
-    directory_key, node_resource_key, object_key, parent_dir, service_key, DirEntry, Location,
-    ObjectMeta, Record, ResourceRecord, ServiceRecord,
+    directory_key, object_key, parent_dir, service_key, DirEntry, Location, ObjectMeta, Record,
+    ResourceRecord, ServiceRecord,
 };
 use c4h_resources::Bin;
 use c4h_services::{ServiceDemand, ServiceId, ServiceOutput};
@@ -30,9 +30,7 @@ use crate::object::{Blob, Object, SAMPLE_WINDOW};
 use crate::overload::{shed_reason_code, AdmitDecision};
 use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
 use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, PathAttribution};
-use crate::runtime::{
-    ec_stripe_name, Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE,
-};
+use crate::runtime::{Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE};
 use crate::transfers::FlowOwner;
 
 /// Size of a command packet on the guest ↔ dom0 channel ("commands are
@@ -1552,7 +1550,7 @@ impl Cloud4Home {
                     return Some(Err(e.into()));
                 }
                 let listing = match &value {
-                    Some(v) => DirEntry::fold_listing(v.versions().iter().map(Vec::as_slice)),
+                    Some(v) => DirEntry::fold_listing(v.versions()),
                     None => Vec::new(),
                 };
                 Some(Ok(OpOutput {
@@ -1800,7 +1798,7 @@ impl Cloud4Home {
             .iter()
             .enumerate()
             .filter(|(j, n)| *j != op.client && n.alive)
-            .map(|(_, n)| n.key)
+            .map(|(_, n)| n.resource_key)
             .collect();
         if peers.is_empty() {
             return self.store_spill_or_fail(op);
@@ -1808,7 +1806,7 @@ impl Cloud4Home {
         op.stage = Stage::StoreQueryPeers;
         for key in peers {
             op.pending_gets += 1;
-            self.dht_get_for_op(op.id, op.client, node_resource_key(&key.to_string()));
+            self.dht_get_for_op(op.id, op.client, key);
         }
         None
     }
@@ -2611,7 +2609,7 @@ impl Cloud4Home {
         // The bytes a holder serves: the object itself, or — on a coded
         // read — the stripe of the code row this slot is assigned to.
         let want = match &op.ec_plan {
-            Some(plan) => ec_stripe_name(op.name, plan.slot_rows[req.stripe as usize]),
+            Some(plan) => self.ec_stripe_name(op.name, plan.slot_rows[req.stripe as usize]),
             None => op.name,
         };
         if !self.nodes[req.holder].alive
@@ -2997,7 +2995,7 @@ impl Cloud4Home {
                 && self.node_reachable(client, j)
                 && self.nodes[j]
                     .objects
-                    .contains_key(&ec_stripe_name(name, row))
+                    .contains_key(&self.ec_stripe_name(name, row))
                 && !self
                     .overload
                     .breaker_would_block(self.nodes[j].addr.raw(), now_ns)
@@ -3190,7 +3188,11 @@ impl Cloud4Home {
         for &row in &plan.slot_rows {
             let shard = plan.row_holders[row as usize]
                 .filter(|&j| self.nodes[j].alive)
-                .and_then(|j| self.nodes[j].objects.get(&ec_stripe_name(op.name, row)))
+                .and_then(|j| {
+                    self.nodes[j]
+                        .objects
+                        .get(&self.ec_stripe_name(op.name, row))
+                })
                 .map(|b| b.sample(usize::MAX));
             match shard {
                 Some(s) => survivors.push((row as usize, s)),
@@ -3363,11 +3365,12 @@ impl Cloud4Home {
                 self.phase(op);
                 op.resources.clear();
                 op.pending_gets = 0;
+                // Live providers, as the keys of their resource records.
                 let providers: Vec<Key> = record
                     .providers
                     .iter()
-                    .copied()
-                    .filter(|k| self.node_index(*k).is_some_and(|j| self.nodes[j].alive))
+                    .filter_map(|k| self.node_index(*k).filter(|&j| self.nodes[j].alive))
+                    .map(|j| self.nodes[j].resource_key)
                     .collect();
                 if providers.is_empty() {
                     if record.cloud_available && self.cloud.is_some() {
@@ -3381,7 +3384,7 @@ impl Cloud4Home {
                 op.stage = Stage::ProcQueryResources;
                 for key in providers {
                     op.pending_gets += 1;
-                    self.dht_get_for_op(op.id, op.client, node_resource_key(&key.to_string()));
+                    self.dht_get_for_op(op.id, op.client, key);
                 }
                 None
             }

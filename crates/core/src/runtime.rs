@@ -80,6 +80,9 @@ pub(crate) struct NodeRt {
     pub(crate) name_sym: Sym,
     pub(crate) addr: Addr,
     pub(crate) key: Key,
+    /// Where this node's resource record lives in the key-value store
+    /// (derived from `key`; every publish and every placement query uses it).
+    pub(crate) resource_key: Key,
     pub(crate) machine: Machine,
     pub(crate) service_vm: VmSpec,
     pub(crate) channel: XenChannel,
@@ -268,13 +271,6 @@ pub(crate) struct RepairJob {
     pub(crate) span: SpanId,
 }
 
-/// The per-holder object name a code row's stripe is stored under.
-/// Interned: conversions are cold-path, and repeated repair scans of the
-/// same stripe resolve to the same `Sym` without re-allocating.
-pub(crate) fn ec_stripe_name(name: Sym, row: u32) -> Sym {
-    Sym::new(&format!("{name}.ec{row}"))
-}
-
 /// A full-copy → erasure-coded conversion in flight: the owner encoded the
 /// object into `k + m` shards, installed its own row locally, and is
 /// shipping the remaining rows to their holders. Full copies are stripped
@@ -406,6 +402,11 @@ pub struct Cloud4Home {
     pub(crate) ec_originals: BTreeMap<Sym, Blob>,
     /// In-flight full-copy → stripe conversions, keyed by object name.
     pub(crate) ec_converts: BTreeMap<Sym, EcConvert>,
+    /// The stripe names of each object that has (or is getting) a layout,
+    /// in row order: filled when a conversion starts, dropped by
+    /// [`Self::ec_scrub`]. Every anti-entropy pass asks for all `k + m` of
+    /// them per object. Keyed access only.
+    ec_row_names: SymMap<Vec<Sym>>,
     /// In-flight lost-stripe rebuilds, keyed by job id (`BTreeMap` so
     /// scrub-time scans are deterministic).
     pub(crate) ec_repairs: BTreeMap<u64, EcRepair>,
@@ -534,6 +535,7 @@ impl Cloud4Home {
                 name_sym: Sym::new(&spec.name),
                 addr: Addr::new(i as u64),
                 key,
+                resource_key: node_resource_key(&key.to_string()),
                 disk: DiskModel::for_platform(&spec.platform),
                 machine,
                 service_vm: spec.service_vm,
@@ -614,6 +616,7 @@ impl Cloud4Home {
             object_heat: ObjectHeat::new(config.adaptive.heat_alpha),
             ec_originals: BTreeMap::new(),
             ec_converts: BTreeMap::new(),
+            ec_row_names: SymMap::default(),
             ec_repairs: BTreeMap::new(),
             next_ec_repair: 0,
             next_adaptive: SimTime::ZERO,
@@ -712,7 +715,7 @@ impl Cloud4Home {
         let record =
             n.monitor
                 .publish(n.key, now, &mut n.sampler, &n.bins, up, down, &mut self.rng);
-        let key = node_resource_key(&n.key.to_string());
+        let key = n.resource_key;
         if let Ok(req) = self.overlay_mut(i).put(
             key,
             Record::Resource(record).encode(),
@@ -2923,6 +2926,18 @@ impl Cloud4Home {
         self.telemetry.add("adaptive.shrink", 1);
     }
 
+    /// The per-holder object name a code row's stripe is stored under.
+    /// Resolved from the names kept since the object's conversion began;
+    /// only a name with no conversion on record (a fetch holding metadata
+    /// from before a delete) is formatted and interned here.
+    pub(crate) fn ec_stripe_name(&self, name: Sym, row: u32) -> Sym {
+        let known = self.ec_row_names.get(&name);
+        match known.and_then(|rows| rows.get(row as usize)) {
+            Some(&sname) => sname,
+            None => Sym::new(&format!("{name}.ec{row}")),
+        }
+    }
+
     /// Begins converting a cold object from full copies to `(k, m)`
     /// erasure-coded stripes: the owner encodes the content window,
     /// installs its own row locally, and ships each remaining row to a
@@ -2969,7 +2984,7 @@ impl Cloud4Home {
             stripe_len,
             holders: sites.iter().map(|&j| self.nodes[j].key).collect(),
         };
-        let sname0 = ec_stripe_name(name, 0);
+        let sname0 = self.ec_stripe_name(name, 0);
         if self.nodes[owner]
             .bins
             .store(sname0.as_str(), stripe_len, Bin::Voluntary)
@@ -3008,6 +3023,10 @@ impl Cloud4Home {
                 ("stripe_len", ArgValue::from(stripe_len)),
             ],
         );
+        let row_names: Vec<Sym> = (0..total as u32)
+            .map(|r| self.ec_stripe_name(name, r))
+            .collect();
+        self.ec_row_names.insert(name, row_names);
         self.ec_converts.insert(
             name,
             EcConvert {
@@ -3036,9 +3055,10 @@ impl Cloud4Home {
         let site = self
             .node_index(conv.layout.holders[row as usize])
             .filter(|&j| self.nodes[j].alive);
+        let sname = self.ec_stripe_name(name, row);
         let installed = site.is_some_and(|j| {
             self.nodes[j].install_voluntary(
-                ec_stripe_name(name, row),
+                sname,
                 conv.layout.stripe_len,
                 Blob::inline(conv.stripes[row as usize].clone()),
             )
@@ -3064,7 +3084,7 @@ impl Cloud4Home {
         }
         for &row in &conv.installed {
             if let Some(j) = self.node_index(conv.layout.holders[row as usize]) {
-                let sname = ec_stripe_name(name, row);
+                let sname = self.ec_stripe_name(name, row);
                 self.nodes[j].objects.remove(&sname);
                 self.nodes[j].bins.remove(sname.as_str());
             }
@@ -3151,7 +3171,10 @@ impl Cloud4Home {
             .map(|&key| self.node_index(key))
             .collect();
         let holds = |s: &Self, j: usize, row: u32| {
-            s.nodes[j].alive && s.nodes[j].objects.contains_key(&ec_stripe_name(name, row))
+            s.nodes[j].alive
+                && s.nodes[j]
+                    .objects
+                    .contains_key(&s.ec_stripe_name(name, row))
         };
         let survivors: Vec<u32> = (0..holder_idx.len() as u32)
             .filter(|&r| holder_idx[r as usize].is_some_and(|j| holds(self, j, r)))
@@ -3200,7 +3223,7 @@ impl Cloud4Home {
         }
         let holds_any = |s: &Self, j: usize| {
             (0..layout.holders.len() as u32)
-                .any(|r| s.nodes[j].objects.contains_key(&ec_stripe_name(name, r)))
+                .any(|r| s.nodes[j].objects.contains_key(&s.ec_stripe_name(name, r)))
         };
         let dst = self.roomiest_peer(stripe_len, |j| {
             !live_holders.contains(&j)
@@ -3281,7 +3304,7 @@ impl Cloud4Home {
             let Some(bytes) = self
                 .node_index(layout.holders[r as usize])
                 .filter(|&j| self.nodes[j].alive)
-                .and_then(|j| self.nodes[j].objects.get(&ec_stripe_name(job.name, r)))
+                .and_then(|j| self.nodes[j].objects.get(&self.ec_stripe_name(job.name, r)))
                 .map(|b| b.sample(usize::MAX))
             else {
                 return; // a survivor vanished mid-rebuild; retry later
@@ -3293,11 +3316,8 @@ impl Cloud4Home {
             return;
         };
         let checksum = stripe_checksum(&rebuilt);
-        if !self.nodes[job.dst].install_voluntary(
-            ec_stripe_name(job.name, job.row),
-            layout.stripe_len,
-            Blob::inline(rebuilt),
-        ) {
+        let sname = self.ec_stripe_name(job.name, job.row);
+        if !self.nodes[job.dst].install_voluntary(sname, layout.stripe_len, Blob::inline(rebuilt)) {
             return;
         }
         self.stats.repairs_completed += 1;
@@ -3352,7 +3372,7 @@ impl Cloud4Home {
         }
         if let Some(layout) = self.replica_meta.get(&name).and_then(|m| m.ec.clone()) {
             for row in 0..layout.holders.len() as u32 {
-                let sname = ec_stripe_name(name, row);
+                let sname = self.ec_stripe_name(name, row);
                 for j in 0..self.nodes.len() {
                     if self.nodes[j].alive {
                         self.nodes[j].objects.remove(&sname);
@@ -3363,6 +3383,7 @@ impl Cloud4Home {
             self.invalidate_meta_caches(name);
         }
         self.ec_originals.remove(&name);
+        self.ec_row_names.remove(&name);
     }
 }
 

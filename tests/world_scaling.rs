@@ -5,7 +5,10 @@
 //! These tests pin the replacement: the number of nodes `pump` visits per
 //! event is a small constant at any world size, and the single-pass
 //! replica placement picks exactly what collecting and sorting every
-//! candidate picked.
+//! candidate picked. A directory's record is likewise shared between the
+//! copies the overlay makes of it, not copied (the allocation count lives
+//! in the `engine_throughput` bench's `dht_chain_append` row); the twin here
+//! pins what a reader of a long chain must still see.
 
 use c4h_simnet::DetRng;
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, StorePolicy};
@@ -113,4 +116,24 @@ fn replica_placement_matches_collect_and_sort() {
         "only {tied} stores had an equal-room tie at the cut"
     );
     assert!(short >= 5, "only {short} stores ran out of peers with room");
+}
+
+/// 600 stores into one directory of the six-node testbed append 600 entries
+/// to one chained record; `list` is the one reader of the whole chain and
+/// folds it oldest first, so it returns the names in store order, and a name
+/// stored again keeps its first position and appears once.
+#[test]
+fn long_directory_lists_in_store_order() {
+    let mut home = Cloud4Home::new(Config::paper_testbed(18));
+    let nodes = home.node_count();
+    let names: Vec<String> = (0..600).map(|i| format!("bulk/obj-{i:03}.txt")).collect();
+    // The last three are owners storing their object again.
+    for i in (0..600).chain([17, 599, 300]) {
+        let obj = Object::new(&names[i], &b"entry"[..], "txt");
+        let op = home.store_object(NodeId(i % nodes), obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+    }
+    let op = home.list_objects(NodeId(3), "bulk");
+    let listing = home.run_until_complete(op).expect_ok().listing.clone();
+    assert_eq!(listing, Some(names));
 }
