@@ -6,7 +6,7 @@
 //! at an aggressive 100 ms cadence — and reports host-time cost plus the
 //! volume of health data each configuration produced.
 //!
-//! Two acceptance properties are asserted, not just printed:
+//! Three acceptance properties are asserted, not just printed:
 //!
 //! 1. The health plane must not perturb the simulation: all three runs
 //!    finish at the identical virtual time (sampling draws no randomness
@@ -14,14 +14,21 @@
 //! 2. With tracing disabled the plane is entirely dark: zero telemetry
 //!    events, zero gauge series, zero post-mortems — the per-call cost is
 //!    one relaxed atomic load.
+//! 3. A gauge sample formats nothing it has formatted before: at most 8
+//!    heap acquisitions per sample (a count, not a clock — the sampler
+//!    used to format, clone and look up every gauge name every time,
+//!    98.6 acquisitions per sample on this world's 42 gauges).
 //!
 //! Run with: `cargo bench -p c4h-bench --bench health_overhead`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: a smaller workload).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use c4h_bench::{banner, BenchReport};
+use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, RoutePolicy, ServiceKind, StorePolicy};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 2024;
 
@@ -76,6 +83,27 @@ fn timed(tracing: bool, cadence_ms: u64) -> (std::time::Duration, Cloud4Home) {
     let t = Instant::now();
     let home = run_workload(tracing, cadence_ms);
     (t.elapsed(), home)
+}
+
+/// Heap acquisitions per gauge sample, and the samples measured. The
+/// sampler perturbs nothing, so the same 200 idle virtual seconds after
+/// the workload, traced with the sampler on and with it off, differ by
+/// exactly the sampler's own acquisitions.
+fn allocs_per_health_sample() -> (f64, usize) {
+    let idle = |cadence_ms: u64| {
+        let mut home = run_workload(true, cadence_ms);
+        let points = |home: &Cloud4Home| {
+            let series = home.telemetry().snapshot().series;
+            series.get("runtime.queue_depth").map_or(0, |s| s.len())
+        };
+        let (points0, allocs0) = (points(&home), allocations());
+        home.run_for(Duration::from_secs(200));
+        let allocs = allocations() - allocs0;
+        (allocs, points(&home) - points0)
+    };
+    let (off, _) = idle(0);
+    let (on, samples) = idle(500);
+    (on.saturating_sub(off) as f64 / samples as f64, samples)
 }
 
 fn main() {
@@ -173,6 +201,21 @@ fn main() {
         "denser_cadence_more_points",
         p100 > p500,
         format!("100 ms cadence must sample more points than 500 ms ({p100} vs {p500})"),
+    );
+
+    let (per_sample, samples) = allocs_per_health_sample();
+    println!("\nallocations per gauge sample: {per_sample:.2} (over {samples} samples)");
+    report.push_row(vec![
+        ("configuration", "on, 500ms, idle".into()),
+        ("samples", samples.into()),
+        ("allocs_per_health_sample", per_sample.into()),
+    ]);
+    report.check(
+        "allocs_per_health_sample",
+        samples >= 300 && per_sample <= 8.0,
+        format!(
+            "{per_sample:.2} heap acquisitions per gauge sample over {samples} samples (bound 8)"
+        ),
     );
 
     let snap = at_500.telemetry().snapshot();

@@ -7,11 +7,17 @@
 //! what the simulator pays for it: host time per processed event and the
 //! nodes `pump` polls per event, neither of which may grow with the world.
 //!
+//! A second axis grows the *object population* of a 12-node world with
+//! the adaptive plane on: the host time of one `Tick` and the objects its
+//! periodic passes (adaptive review, anti-entropy) look at must follow
+//! what can change, not what exists — settled objects cost nothing.
+//!
 //! Run with: `cargo bench -p c4h-bench --bench scaling`
-//! (set `C4H_SMOKE=1` for the CI smoke variant: no 1000-node row, one
-//! repetition, wall-clock check recorded but not enforced).
+//! (set `C4H_SMOKE=1` for the CI smoke variant: no 1000-node and no
+//! 50 000-object row, one repetition, wall-clock checks recorded but not
+//! enforced).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use c4h_bench::{banner, mean_std, ms, BenchReport};
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, ServiceKind, StorePolicy};
@@ -78,6 +84,54 @@ fn run(n: usize) -> Row {
     }
 }
 
+/// One object-population row: what the periodic passes look at, and what
+/// a `Tick` costs the host, while `objects` settled objects sit idle.
+struct IdleRow {
+    visits_per_pass: f64,
+    host_us_per_tick: f64,
+}
+
+/// A 12-node world, replication 3, adaptive plane on with the band pinned
+/// at 3 (so nothing shrinks) and every object below the erasure-coding
+/// threshold: `objects` stores, a minute to settle, then a minute of idle
+/// ticks — 120 `Tick`s, 30 adaptive passes, 6 anti-entropy sweeps.
+fn idle_ticks(objects: usize, reps: u32) -> IdleRow {
+    let mut config = Config::paper_testbed(1900);
+    config.chimera.leaf_size = 2;
+    config.nodes = (0..11)
+        .map(|i| NodeSpec::netbook(&format!("pop-{i}")))
+        .collect();
+    config.nodes.push(NodeSpec::desktop("pop-desktop"));
+    config.replication = 3;
+    config.adaptive.enabled = true;
+    config.adaptive.replication_min = 3;
+    config.adaptive.replication_max = 3;
+    let mut home = Cloud4Home::new(config);
+    for i in 0..objects {
+        let name = format!("pop/{:02}/obj-{i}", i % 64);
+        let obj = Object::synthetic(&name, i as u64, 4 << 10, "doc");
+        let op = home.store_object(NodeId(i % 12), obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+    }
+    home.run_until_idle();
+    home.run_for(Duration::from_secs(60));
+
+    let window = Duration::from_secs(60);
+    let (ticks, passes) = (120.0, 36.0);
+    let before = home.adaptive_review_visits() + home.repair_scan_visits();
+    let mut host_s = f64::INFINITY;
+    for _ in 0..reps {
+        let started = Instant::now();
+        home.run_for(window);
+        host_s = host_s.min(started.elapsed().as_secs_f64());
+    }
+    let visits = home.adaptive_review_visits() + home.repair_scan_visits() - before;
+    IdleRow {
+        visits_per_pass: visits as f64 / (passes * f64::from(reps)),
+        host_us_per_tick: host_s * 1e6 / ticks,
+    }
+}
+
 fn main() {
     banner(
         "Scaling",
@@ -137,6 +191,53 @@ fn main() {
         "host_us_per_event_flat",
         smoke() || large <= 2.0 * small,
         format!("384 nodes {large:.2} us/event vs 24 nodes {small:.2} (bound 2x)"),
+    );
+
+    println!(
+        "\n{:>9} | {:>16} {:>14}",
+        "objects", "visits per pass", "host us/tick"
+    );
+    println!("{}", "-".repeat(45));
+    let populations: &[usize] = if smoke() {
+        &[1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 50_000]
+    };
+    let rows: Vec<IdleRow> = populations
+        .iter()
+        .map(|&objects| {
+            let row = idle_ticks(objects, reps);
+            println!(
+                "{objects:>9} | {:>16.2} {:>14.1}",
+                row.visits_per_pass, row.host_us_per_tick
+            );
+            report.push_row(vec![
+                ("objects", objects.into()),
+                ("pass_visits_per_pass", row.visits_per_pass.into()),
+                ("host_us_per_tick", row.host_us_per_tick.into()),
+            ]);
+            row
+        })
+        .collect();
+    println!(
+        "\nSettled objects leave the passes' work sets: a `Tick` looks at the\n\
+         objects an event touched since the last one, not at the catalogue."
+    );
+    report.check(
+        "tick_visits_flat_in_objects",
+        rows.iter().all(|r| r.visits_per_pass == 0.0),
+        format!(
+            "review + repair visits per pass over idle settled objects: {:?} (must all be 0)",
+            rows.iter().map(|r| r.visits_per_pass).collect::<Vec<_>>()
+        ),
+    );
+    report.check(
+        "tick_host_flat_in_objects",
+        smoke() || rows[1].host_us_per_tick <= 2.0 * rows[0].host_us_per_tick,
+        format!(
+            "10 000 objects {:.1} us/tick vs 1 000 objects {:.1} (bound 2x)",
+            rows[1].host_us_per_tick, rows[0].host_us_per_tick
+        ),
     );
     report.finish();
 }

@@ -15,9 +15,11 @@
 //! per call site.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Display;
+use std::sync::Arc;
 use std::time::Duration;
 
-use c4h_simnet::{SimTime, Sym};
+use c4h_simnet::{FxHashMap, SimTime, Sym};
 use c4h_telemetry::{FlightRecorder, PathBucket, SlidingHistogram};
 
 use crate::config::Config;
@@ -61,6 +63,43 @@ pub(crate) struct KindHealth {
     pub(crate) slo_ns: Option<u64>,
 }
 
+/// The gauge sampler's name table. A gauge is keyed by what its name is
+/// made of — `(prefix, index, suffix)`, the index standing for the node,
+/// segment or wheel level whose label sits between the two — so a name is
+/// formatted the first time it is sampled and shared from then on: by the
+/// row, the recorder's lookup and the flight ring. Bounded by the gauges
+/// the deployment can report (≈ 5 per node); keyed access only.
+#[derive(Debug, Default)]
+pub(crate) struct GaugeNames(FxHashMap<(&'static str, usize, &'static str), Arc<str>>);
+
+impl GaugeNames {
+    /// The shared name of the fixed gauge `name`.
+    pub(crate) fn plain(&mut self, name: &'static str) -> Arc<str> {
+        self.of(name, 0, "", "")
+    }
+
+    /// The shared name `{prefix}{label}{suffix}`; `label` must be the same
+    /// whenever `(prefix, index, suffix)` is.
+    pub(crate) fn of(
+        &mut self,
+        prefix: &'static str,
+        index: usize,
+        label: impl Display,
+        suffix: &'static str,
+    ) -> Arc<str> {
+        let name = self
+            .0
+            .entry((prefix, index, suffix))
+            .or_insert_with(|| format!("{prefix}{label}{suffix}").into());
+        Arc::clone(name)
+    }
+
+    /// How many distinct gauges have been sampled so far.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
 /// Runtime state of the health plane: SLO windows, the worst-path ring,
 /// the flight recorder, and the sampler's arming bookkeeping.
 #[derive(Debug)]
@@ -74,6 +113,8 @@ pub(crate) struct HealthPlane {
     windows: BTreeMap<&'static str, SlidingHistogram>,
     /// Post-mortem context ring + dumps.
     pub(crate) flight: FlightRecorder,
+    /// Names of the gauges sampled so far.
+    pub(crate) gauge_names: GaugeNames,
     paths: VecDeque<PathRow>,
     /// Bound on `paths` (`Config::path_ring`).
     path_ring: usize,
@@ -99,6 +140,7 @@ impl HealthPlane {
                 .collect(),
             windows: BTreeMap::new(),
             flight: FlightRecorder::new(config.fault_ring, config.gauge_ring, config.dump_cap),
+            gauge_names: GaugeNames::default(),
             paths: VecDeque::new(),
             path_ring: config.path_ring,
             last_sample: None,
@@ -274,6 +316,31 @@ mod tests {
             .is_none());
         let (_, h) = hp.summaries(SimTime::from_secs(61))[0];
         assert_eq!(h.count, 1);
+    }
+
+    #[test]
+    fn gauge_names_are_formatted_once_and_shared() {
+        let mut names = GaugeNames::default();
+        let cpu = names.of("node.", 3, "netbook-3", ".cpu_milli");
+        assert_eq!(&*cpu, "node.netbook-3.cpu_milli");
+        assert!(Arc::ptr_eq(
+            &cpu,
+            &names.of("node.", 3, "unused", ".cpu_milli")
+        ));
+        assert_eq!(
+            &*names.of("node.", 4, "desktop", ".cpu_milli"),
+            "node.desktop.cpu_milli"
+        );
+        assert_eq!(
+            &*names.of("engine.wheel.l", 2, 2, "_occupied"),
+            "engine.wheel.l2_occupied"
+        );
+        assert_eq!(
+            &*names.of("overload.admit_tokens.", 0, "", "fetch"),
+            "overload.admit_tokens.fetch"
+        );
+        assert_eq!(&*names.plain("runtime.queue_depth"), "runtime.queue_depth");
+        assert_eq!(names.len(), 5);
     }
 
     #[test]

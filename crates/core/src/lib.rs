@@ -63,6 +63,7 @@ mod object;
 mod ops;
 mod overload;
 mod policy;
+mod replicas;
 mod report;
 mod runtime;
 mod transfers;

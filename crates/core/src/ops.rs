@@ -1002,6 +1002,7 @@ impl Cloud4Home {
         if self.config.adaptive.enabled && op.kind == "fetch" && outcome.is_ok() {
             self.object_heat
                 .observe_fetch(op.name, op.client, now.as_nanos());
+            self.replicas.fetched(op.name);
         }
         // Explain plane: completed with the ledger on, the report carries
         // its stage spans and causal chain so the critical-path DAG can be
@@ -2163,7 +2164,7 @@ impl Cloud4Home {
         if (self.config.replication > 1 || self.config.adaptive.enabled)
             && matches!(meta.location, Location::Home { .. })
         {
-            self.replica_meta_insert(meta.name, meta.clone());
+            self.replicas.insert(meta.name, meta.clone());
             // A store that lost replica flights publishes short; hand the
             // shortfall to the repair daemon now instead of hoping an
             // unrelated peer death triggers a scan that happens to cover
@@ -2172,7 +2173,7 @@ impl Cloud4Home {
                 self.maybe_repair(meta.name);
             }
         } else {
-            self.replica_meta_remove(meta.name);
+            self.replicas.remove(meta.name);
         }
         op.meta = Some(meta.clone());
         self.phase(op);
@@ -3236,7 +3237,7 @@ impl Cloud4Home {
             self.ec_scrub(op.name);
             self.object_heat.forget(op.name);
         }
-        self.replica_meta_remove(op.name);
+        self.replicas.remove(op.name);
         match &meta.location {
             Location::Home { node } => {
                 let Some(owner) = self.node_index(*node).filter(|&j| self.nodes[j].alive) else {
@@ -3571,8 +3572,8 @@ impl Cloud4Home {
                     meta.replicas
                         .retain(|k| self.node_index(*k).is_none_or(|j| self.nodes[j].alive));
                     meta.location = Location::Home { node: owner_key };
-                    if self.replica_meta.contains_key(&meta.name) {
-                        self.replica_meta_insert(meta.name, meta.clone());
+                    if self.replicas.get(meta.name).is_some() {
+                        self.replicas.insert(meta.name, meta.clone());
                     }
                     self.publish_meta_background(op.client, meta.clone());
                 } else {

@@ -42,6 +42,7 @@ use crate::object::{synth_bytes, Blob, SAMPLE_WINDOW};
 use crate::ops::{Op, OpInput};
 use crate::overload::OverloadPlane;
 use crate::policy::{adaptive_action, AdaptiveAction};
+use crate::replicas::{holder_keys, Repair, ReplicaIndex, Review, WorkSet};
 use crate::report::{OpId, OpReport};
 use crate::transfers::{FlowOwner, FlowTable};
 use crate::worklist::DirtyNodes;
@@ -351,20 +352,10 @@ pub struct Cloud4Home {
     pub(crate) ge_chains: FxHashMap<(Addr, Addr), GilbertElliott>,
     /// Per-node gray-failure processing-delay multiplier (1.0 = healthy).
     pub(crate) slow_factor: Vec<f64>,
-    /// Metadata of replicated home objects, indexed for the repair daemon.
-    /// `BTreeMap` so repair scans are deterministic. Mutate only through
-    /// [`Self::replica_meta_insert`] / [`Self::replica_meta_remove`] so the
-    /// holder index below stays in sync.
-    pub(crate) replica_meta: BTreeMap<Sym, ObjectMeta>,
-    /// Inverse index: holder key → names of replicated objects it holds a
-    /// copy of. Lets a peer-failure scan visit only the dead peer's
-    /// objects instead of every entry in `replica_meta`. Keyed access
-    /// only; the per-holder `BTreeSet` keeps scan order deterministic
-    /// (`Sym` orders by string content, matching the old `String` order).
-    pub(crate) holder_index: FxHashMap<Key, BTreeSet<Sym>>,
-    /// How many objects repair scans have visited (`maybe_repair` calls);
-    /// exposed so tests can assert scan narrowing.
-    pub(crate) repair_scan_visits: u64,
+    /// Metadata of replicated home objects with its inverse holder index,
+    /// and the names the anti-entropy sweep and the adaptive pass still
+    /// have to look at (see [`crate::replicas`]).
+    pub(crate) replicas: ReplicaIndex,
     /// Nodes whose overlay may hold undelivered output: what `pump` drains
     /// instead of scanning the world. Marked by [`Self::overlay_mut`].
     dirty: DirtyNodes,
@@ -372,21 +363,20 @@ pub struct Cloud4Home {
     /// processed; their ratio is the scale gate in `tests/world_scaling.rs`.
     pump_node_visits: u64,
     steps: u64,
-    /// Next instant the anti-entropy sweep may run (piggybacks on the
-    /// runtime tick).
-    next_anti_entropy: SimTime,
     /// Reusable scratch buffer for [`FlowNet::advance_into`] — the main
     /// loop drains flow completions every step, so the allocation is paid
     /// once instead of per step. Taken (`mem::take`) while in use; a
     /// nested advance during completion handling just starts from an
     /// empty spare.
     pub(crate) flow_scratch: Vec<FlowEvent>,
-    /// Reusable scratch buffer of object names for the periodic scans
-    /// (anti-entropy, adaptive review, peer-failure repair). The sweeps
-    /// run every tick; reusing one buffer keeps the steady-state event
-    /// loop allocation-free. Same take/restore discipline as
-    /// `flow_scratch`.
+    /// Reusable scratch buffers for the periodic scans (anti-entropy,
+    /// adaptive review, peer-failure repair): the names one scan walks —
+    /// a snapshot, because the work a visit starts re-marks its name — and
+    /// the live holders of the object being looked at. Same take/restore
+    /// discipline as `flow_scratch`, so a scan of objects that need no
+    /// work allocates nothing.
     names_scratch: Vec<Sym>,
+    holders_scratch: Vec<usize>,
     /// Peers whose failure the repair daemon has already reacted to.
     pub(crate) repaired_peers: BTreeSet<Key>,
     /// Per-peer bandwidth estimates (keyed by raw address) learned from
@@ -412,9 +402,6 @@ pub struct Cloud4Home {
     pub(crate) ec_repairs: BTreeMap<u64, EcRepair>,
     /// Next lost-stripe rebuild job id.
     next_ec_repair: u64,
-    /// Next instant the adaptive placement pass may run (piggybacks on
-    /// the runtime tick, like anti-entropy).
-    next_adaptive: SimTime,
     /// The deployment-wide telemetry collector; clones of this handle live
     /// in the flow network and every overlay node.
     pub(crate) telemetry: Recorder,
@@ -599,15 +586,13 @@ impl Cloud4Home {
             bursty: None,
             ge_chains: FxHashMap::default(),
             slow_factor,
-            replica_meta: BTreeMap::new(),
-            holder_index: FxHashMap::default(),
-            repair_scan_visits: 0,
+            replicas: ReplicaIndex::default(),
             dirty: DirtyNodes::new(config.nodes.len()),
             pump_node_visits: 0,
             steps: 0,
-            next_anti_entropy: SimTime::ZERO,
             flow_scratch: Vec::new(),
             names_scratch: Vec::new(),
+            holders_scratch: Vec::new(),
             repaired_peers: BTreeSet::new(),
             // Prior: the LAN's nominal per-flow TCP cap. Unseen peers all
             // rank equal, so candidate order matches the metadata until
@@ -619,7 +604,6 @@ impl Cloud4Home {
             ec_row_names: SymMap::default(),
             ec_repairs: BTreeMap::new(),
             next_ec_repair: 0,
-            next_adaptive: SimTime::ZERO,
             telemetry,
             health: HealthPlane::new(&config),
             overload: OverloadPlane::new(&config),
@@ -1360,7 +1344,16 @@ impl Cloud4Home {
     /// not the deployment's object count; tests assert that narrowing
     /// here.
     pub fn repair_scan_visits(&self) -> u64 {
-        self.repair_scan_visits
+        self.replicas.repair_scan_visits
+    }
+
+    /// How many objects the adaptive pass has reviewed in total. An object
+    /// is reviewed once per event that touches it (its store, a fetch, a
+    /// holder's crash or return) and then every pass only while it is warm
+    /// or has placement work outstanding — not once per pass for as long
+    /// as it exists; tests assert that here.
+    pub fn adaptive_review_visits(&self) -> u64 {
+        self.replicas.adaptive_review_visits
     }
 
     /// How many times `pump` has polled a node's overlay for output. With
@@ -1386,7 +1379,7 @@ impl Cloud4Home {
     /// rather than full copies.
     pub fn is_erasure_coded(&self, name: &str) -> bool {
         Sym::lookup(name)
-            .and_then(|sym| self.replica_meta.get(&sym))
+            .and_then(|sym| self.replicas.get(sym))
             .is_some_and(|meta| meta.ec.is_some())
     }
 
@@ -1394,7 +1387,7 @@ impl Cloud4Home {
     /// (empty when `name` is not erasure-coded or unknown).
     pub fn stripe_holders(&self, name: &str) -> Vec<NodeId> {
         Sym::lookup(name)
-            .and_then(|sym| self.replica_meta.get(&sym))
+            .and_then(|sym| self.replicas.get(sym))
             .and_then(|meta| meta.ec.as_ref())
             .map(|layout| {
                 layout
@@ -1412,24 +1405,12 @@ impl Cloud4Home {
         let Some(name) = Sym::lookup(name) else {
             return 0;
         };
-        let Some(meta) = self.replica_meta.get(&name) else {
+        let Some(meta) = self.replicas.get(name) else {
             return 0;
         };
-        let mut holders: Vec<usize> = Vec::new();
-        let primary = match meta.location {
-            Location::Home { node } => Some(node),
-            _ => None,
-        };
-        for key in primary.into_iter().chain(meta.replicas.iter().copied()) {
-            if let Some(j) = self.node_index(key) {
-                if self.nodes[j].alive
-                    && self.nodes[j].objects.contains_key(&name)
-                    && !holders.contains(&j)
-                {
-                    holders.push(j);
-                }
-            }
-        }
+        let mut holders = Vec::new();
+        self.live_holders_into(meta, &mut holders);
+        holders.retain(|&j| self.nodes[j].objects.contains_key(&name));
         holders.len()
     }
 
@@ -1512,12 +1493,20 @@ impl Cloud4Home {
     // Churn API
     // ------------------------------------------------------------------
 
+    /// The one place a node's liveness flips. Every object the node holds
+    /// just lost or regained a live copy, so each goes back to both
+    /// periodic passes.
+    fn set_alive(&mut self, i: usize, alive: bool) {
+        self.nodes[i].alive = alive;
+        self.replicas.holder_flipped(self.nodes[i].key);
+    }
+
     /// Crashes a node: it stops responding, transfers it was part of abort
     /// (the waiting operations fail over to surviving replicas where they
     /// can), and its unreplicated state is lost until failure detection
     /// recovers what replicas hold.
     pub fn crash_node(&mut self, id: NodeId) {
-        self.nodes[id.0].alive = false;
+        self.set_alive(id.0, false);
         let addr = self.nodes[id.0].addr;
         self.telemetry.instant_args(
             "fault",
@@ -1619,7 +1608,7 @@ impl Cloud4Home {
         let now = self.now();
         self.overlay_mut(id.0).leave(now);
         self.pump();
-        self.nodes[id.0].alive = false;
+        self.set_alive(id.0, false);
         self.publish_service_records();
     }
 
@@ -1636,7 +1625,7 @@ impl Cloud4Home {
             .position(|n| n.alive && n.chimera.is_joined())
             .ok_or(ChurnError::NoLiveSeed)?;
         let seed_key = self.nodes[seed].key;
-        self.nodes[id.0].alive = true;
+        self.set_alive(id.0, true);
         // The peer is back: let the repair daemon react afresh if it fails
         // again later.
         let key = self.nodes[id.0].key;
@@ -2045,122 +2034,135 @@ impl Cloud4Home {
     /// Records one gauge sample row: runtime queue depths, per-link
     /// utilization, and per-node resource/overlay gauges. Read-only with
     /// respect to simulation state and draws no randomness, so enabling the
-    /// sampler cannot perturb event timing or the RNG stream.
+    /// sampler cannot perturb event timing or the RNG stream. Names come
+    /// from the health plane's table (formatted once, shared with the
+    /// flight ring) and the row reaches the recorder in one call.
     pub(crate) fn sample_health(&mut self) {
         let now = self.now();
         self.health.last_sample = Some(now);
         let ts = now.as_nanos();
-        let mut row: Vec<(String, i64)> = vec![
-            ("runtime.queue_depth".to_owned(), self.queue.len() as i64),
-            ("runtime.ops_inflight".to_owned(), self.ops.len() as i64),
-            (
-                "runtime.flows_inflight".to_owned(),
-                self.flows.op_owned() as i64,
-            ),
-            (
-                "runtime.background_jobs".to_owned(),
-                self.flows.background() as i64,
-            ),
-        ];
-        for load in self.net.segment_loads() {
-            row.push((
-                format!("net.{}.util_permille", load.name),
+        let names = &mut self.health.gauge_names;
+        let mut row: Vec<(Arc<str>, i64)> = Vec::with_capacity(names.len());
+        let mut put = |name: Arc<str>, value: i64| row.push((name, value));
+        put(names.plain("runtime.queue_depth"), self.queue.len() as i64);
+        put(names.plain("runtime.ops_inflight"), self.ops.len() as i64);
+        put(
+            names.plain("runtime.flows_inflight"),
+            self.flows.op_owned() as i64,
+        );
+        put(
+            names.plain("runtime.background_jobs"),
+            self.flows.background() as i64,
+        );
+        for (i, load) in self.net.segment_loads().iter().enumerate() {
+            put(
+                names.of("net.", i, &load.name, ".util_permille"),
                 load.util_permille() as i64,
-            ));
-            row.push((format!("net.{}.flows", load.name), load.flows as i64));
+            );
+            put(names.of("net.", i, &load.name, ".flows"), load.flows as i64);
         }
-        for n in self.nodes.iter().filter(|n| n.alive) {
+        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
             let peek = n.sampler.peek();
-            row.push((
-                format!("node.{}.cpu_milli", n.name),
+            put(
+                names.of("node.", i, &n.name, ".cpu_milli"),
                 (peek.cpu_load * 1000.0).round() as i64,
-            ));
-            row.push((
-                format!("node.{}.mem_free_mib", n.name),
+            );
+            put(
+                names.of("node.", i, &n.name, ".mem_free_mib"),
                 peek.mem_free_mib as i64,
-            ));
-            row.push((
-                format!("node.{}.disk_used_bytes", n.name),
+            );
+            put(
+                names.of("node.", i, &n.name, ".disk_used_bytes"),
                 (n.bins.used_bytes(Bin::Mandatory) + n.bins.used_bytes(Bin::Voluntary)) as i64,
-            ));
-            row.push((
-                format!("node.{}.dht_table", n.name),
+            );
+            put(
+                names.of("node.", i, &n.name, ".dht_table"),
                 n.chimera.routing_table_size() as i64,
-            ));
+            );
             let (hits, misses) = n.chimera.cache_stats();
             let permille = (hits * 1000).checked_div(hits + misses).unwrap_or(0);
-            row.push((
-                format!("node.{}.cache_hit_permille", n.name),
+            put(
+                names.of("node.", i, &n.name, ".cache_hit_permille"),
                 permille as i64,
-            ));
+            );
         }
         if self.overload.enabled {
-            row.push((
-                "overload.shed_permille".to_owned(),
+            put(
+                names.plain("overload.shed_permille"),
                 i64::from(self.overload.shed_permille()),
-            ));
-            row.push((
-                "overload.breakers_open".to_owned(),
+            );
+            put(
+                names.plain("overload.breakers_open"),
                 self.overload.breakers_open() as i64,
-            ));
-            row.push((
-                "overload.tenants_inflight".to_owned(),
+            );
+            put(
+                names.plain("overload.tenants_inflight"),
                 self.overload.inflight() as i64,
-            ));
+            );
         }
         if self.ledger.enabled() {
             // Engine introspection rides the same cadence but only when the
             // causal ledger is on, so default-config gauge output (and with
             // it the golden corpus) stays byte-identical.
             let qs = self.queue.stats();
-            row.push(("engine.wheel.len".to_owned(), qs.len as i64));
-            row.push(("engine.wheel.ready".to_owned(), qs.ready as i64));
-            row.push(("engine.wheel.cascades".to_owned(), qs.cascades as i64));
-            row.push((
-                "engine.wheel.cascaded_slots".to_owned(),
+            put(names.plain("engine.wheel.len"), qs.len as i64);
+            put(names.plain("engine.wheel.ready"), qs.ready as i64);
+            put(names.plain("engine.wheel.cascades"), qs.cascades as i64);
+            put(
+                names.plain("engine.wheel.cascaded_slots"),
                 qs.cascaded_slots as i64,
-            ));
+            );
             for (lvl, occ) in qs.level_occupancy.iter().enumerate() {
-                row.push((format!("engine.wheel.l{lvl}_occupied"), i64::from(*occ)));
+                put(
+                    names.of("engine.wheel.l", lvl, lvl, "_occupied"),
+                    i64::from(*occ),
+                );
             }
-            row.push(("engine.slab.cells".to_owned(), qs.slab_cells as i64));
-            row.push(("engine.slab.free".to_owned(), qs.free_cells as i64));
-            row.push(("engine.spare.buckets".to_owned(), qs.spare_buckets as i64));
-            row.push(("engine.spare.capacity".to_owned(), qs.spare_capacity as i64));
-            row.push((
-                "engine.intern.count".to_owned(),
+            put(names.plain("engine.slab.cells"), qs.slab_cells as i64);
+            put(names.plain("engine.slab.free"), qs.free_cells as i64);
+            put(names.plain("engine.spare.buckets"), qs.spare_buckets as i64);
+            put(
+                names.plain("engine.spare.capacity"),
+                qs.spare_capacity as i64,
+            );
+            put(
+                names.plain("engine.intern.count"),
                 Sym::interned_count() as i64,
-            ));
+            );
             let fc = self.net.counters();
-            row.push(("engine.flows.started".to_owned(), fc.started as i64));
-            row.push(("engine.flows.completed".to_owned(), fc.completed as i64));
-            row.push(("engine.flows.canceled".to_owned(), fc.canceled as i64));
-            row.push((
-                "engine.flows.inflight".to_owned(),
+            put(names.plain("engine.flows.started"), fc.started as i64);
+            put(names.plain("engine.flows.completed"), fc.completed as i64);
+            put(names.plain("engine.flows.canceled"), fc.canceled as i64);
+            put(
+                names.plain("engine.flows.inflight"),
                 self.net.in_flight() as i64,
-            ));
-            row.push((
-                "engine.ledger.rings".to_owned(),
+            );
+            put(
+                names.plain("engine.ledger.rings"),
                 self.ledger.rings_live() as i64,
-            ));
-            row.push((
-                "engine.ledger.recorded".to_owned(),
+            );
+            put(
+                names.plain("engine.ledger.recorded"),
                 self.ledger.recorded() as i64,
-            ));
-            row.push((
-                "engine.ledger.dropped".to_owned(),
+            );
+            put(
+                names.plain("engine.ledger.dropped"),
                 self.ledger.dropped() as i64,
-            ));
+            );
             if self.overload.enabled {
                 for (kind, tokens) in self.overload.admit_token_rows() {
-                    row.push((format!("overload.admit_tokens.{kind}"), tokens as i64));
+                    // Keyed by the kind itself: the set of kinds can grow.
+                    put(
+                        names.of("overload.admit_tokens.", 0, "", kind),
+                        tokens as i64,
+                    );
                 }
             }
         }
-        row.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, value) in &row {
-            self.telemetry.gauge(name.clone(), ts, *value);
-        }
+        // Names are distinct, so the unstable sort (which does not
+        // allocate) orders the row exactly as a stable one would.
+        row.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.telemetry.gauge_row(ts, &row);
         self.health.flight.note_gauges(ts, row);
     }
 
@@ -2447,12 +2449,7 @@ impl Cloud4Home {
         self.repaired_peers.insert(peer);
         let mut names = std::mem::take(&mut self.names_scratch);
         names.clear();
-        names.extend(
-            self.holder_index
-                .get(&peer)
-                .into_iter()
-                .flat_map(|names| names.iter().copied()),
-        );
+        names.extend(self.replicas.held_by(peer));
         for &name in &names {
             self.maybe_repair(name);
         }
@@ -2461,56 +2458,108 @@ impl Cloud4Home {
 
     /// Periodic catch-all for under-replication no peer death will ever
     /// surface: objects whose straggler replica flow failed after a quorum
-    /// publish, or whose store placed fewer copies than asked. Walks the
-    /// replicated-object index at a low cadence, riding the existing tick
-    /// (no extra queue events). When every object is at target the walk is
-    /// a pure read — no RNG draws, no telemetry — so healthy runs keep
-    /// their event streams byte-identical.
+    /// publish, or whose store placed fewer copies than asked. Visits the
+    /// repair suspects at a low cadence, riding the existing tick (no
+    /// extra queue events); a suspect found whole leaves the set until an
+    /// event that names it. A visit that finds its object whole is a pure
+    /// read — no RNG draws, no telemetry — which is why not making it
+    /// changes nothing.
     fn anti_entropy_sweep(&mut self, now: SimTime) {
         if self.config.anti_entropy_ms == 0
             || (self.config.replication <= 1 && !self.config.adaptive.enabled)
         {
             return;
         }
-        if now < self.next_anti_entropy {
-            return;
-        }
-        self.next_anti_entropy = now + Duration::from_millis(self.config.anti_entropy_ms);
+        let every = Duration::from_millis(self.config.anti_entropy_ms);
         let mut names = std::mem::take(&mut self.names_scratch);
-        names.clear();
-        names.extend(self.replica_meta.keys().copied());
-        for &name in &names {
-            self.maybe_repair(name);
+        if self
+            .replicas
+            .repair_suspects
+            .snapshot_if_due(now, every, &mut names)
+        {
+            for &name in &names {
+                if self.maybe_repair(name) == Repair::Whole {
+                    self.replicas.repair_suspects.clear(name);
+                }
+            }
+            let set = &self.replicas.repair_suspects;
+            self.assert_unmarked_read(set, Repair::Whole, Self::repair_verdict);
         }
         self.names_scratch = names;
     }
 
-    /// Re-replicates one object if it has fewer live copies than the
-    /// configured replication factor and a viable destination exists.
-    pub(crate) fn maybe_repair(&mut self, name: Sym) {
-        self.repair_scan_visits += 1;
-        let Some(meta) = self.replica_meta.get(&name) else {
+    /// The complement oracle of a periodic pass (debug builds): every
+    /// indexed object the pass did *not* look at must read `rest` — the
+    /// old walk over the whole index, kept as the check that no mutation
+    /// of a verdict's inputs forgot its mark.
+    fn assert_unmarked_read<V: PartialEq + std::fmt::Debug>(
+        &self,
+        set: &WorkSet,
+        rest: V,
+        verdict: impl Fn(&Self, Sym, &mut Vec<usize>) -> V,
+    ) {
+        if !cfg!(debug_assertions) {
             return;
-        };
-        if meta.ec.is_some() {
-            return self.ec_maybe_repair(name);
         }
-        let Location::Home { node } = meta.location else {
-            return;
+        let mut holders = Vec::new();
+        for name in self.replicas.outside(set) {
+            let found = verdict(self, name, &mut holders);
+            assert!(
+                found == rest,
+                "pass oracle: {name} is not marked but reads {found:?}, not {rest:?}"
+            );
+        }
+    }
+
+    /// Live nodes the metadata names as holders of a full copy — the home
+    /// primary first, then replica order (deterministic) — into `out`.
+    fn live_holders_into(&self, meta: &ObjectMeta, out: &mut Vec<usize>) {
+        out.clear();
+        let primary = match meta.location {
+            Location::Home { node } => Some(node),
+            _ => None,
         };
-        let size = meta.size_bytes;
-        // Live holders, metadata order: primary first (deterministic).
-        let mut holders: Vec<usize> = Vec::new();
-        for key in std::iter::once(node).chain(meta.replicas.iter().copied()) {
+        for key in primary.into_iter().chain(meta.replicas.iter().copied()) {
             if let Some(j) = self.node_index(key) {
-                if self.nodes[j].alive && !holders.contains(&j) {
-                    holders.push(j);
+                if self.nodes[j].alive && !out.contains(&j) {
+                    out.push(j);
                 }
             }
         }
-        if holders.is_empty() {
-            return; // every copy is gone; nothing to repair from
+    }
+
+    /// Whether node `j` is up and has `name`'s code row `row` on disk.
+    fn holds_stripe(&self, j: usize, name: Sym, row: u32) -> bool {
+        self.nodes[j].alive
+            && self.nodes[j]
+                .objects
+                .contains_key(&self.ec_stripe_name(name, row))
+    }
+
+    /// What a repair visit of `name` finds; fills `holders` with the live
+    /// full-copy holders unless the object is erasure-coded. Reads only
+    /// the metadata, node liveness and stripe presence, so it can change
+    /// only through [`ReplicaIndex::insert`] / [`ReplicaIndex::remove`]
+    /// and [`Self::set_alive`].
+    pub(crate) fn repair_verdict(&self, name: Sym, holders: &mut Vec<usize>) -> Repair {
+        let Some(meta) = self.replicas.get(name) else {
+            return Repair::Whole;
+        };
+        if let Some(layout) = &meta.ec {
+            let intact = layout.holders.iter().enumerate().all(|(row, &key)| {
+                self.node_index(key)
+                    .is_some_and(|j| self.holds_stripe(j, name, row as u32))
+            });
+            return if intact {
+                Repair::Whole
+            } else {
+                Repair::ShortRows
+            };
         }
+        if !matches!(meta.location, Location::Home { .. }) {
+            return Repair::Whole;
+        }
+        self.live_holders_into(meta, holders);
         // With the adaptive plane on, the daemon defends only the
         // durability floor; copies above it are the heat tracker's call
         // (it grows hot objects back on its own cadence).
@@ -2519,30 +2568,38 @@ impl Cloud4Home {
         } else {
             self.config.replication
         };
-        if holders.len() >= target {
-            return;
+        // No live holder: every copy is gone; nothing to repair from.
+        if holders.is_empty() || holders.len() >= target {
+            return Repair::Whole;
         }
+        Repair::ShortCopies {
+            size: meta.size_bytes,
+        }
+    }
+
+    /// Re-replicates one object if it has fewer live copies than the
+    /// configured replication factor (or rebuilds its lost code rows) and
+    /// a viable destination exists. Returns what it found; only the
+    /// anti-entropy sweep acts on that.
+    pub(crate) fn maybe_repair(&mut self, name: Sym) -> Repair {
+        self.replicas.repair_scan_visits += 1;
+        let mut holders = std::mem::take(&mut self.holders_scratch);
+        let verdict = self.repair_verdict(name, &mut holders);
+        match verdict {
+            Repair::Whole => {}
+            Repair::ShortRows => self.ec_maybe_repair(name),
+            Repair::ShortCopies { size } => self.repair_copies(name, &holders, size),
+        }
+        self.holders_scratch = holders;
+        verdict
+    }
+
+    /// Starts one replica transfer for an object short of full copies.
+    fn repair_copies(&mut self, name: Sym, holders: &[usize], size: u64) {
         if self.flows.replicating(name) {
             return; // a repair or detached store straggler may still land the copy
         }
-        // Source: skip holders whose path breaker is open (a read-only
-        // check — background repair must not race the half-open probe),
-        // then prefer the highest observed bandwidth class. Metadata order
-        // breaks ties, so on a uniform LAN — where every peer shares class
-        // 0 — the choice matches the old primary-first behavior exactly.
-        let now_ns = self.now().as_nanos();
-        let mut src: Option<(i64, usize)> = None;
-        for &j in &holders {
-            let addr = self.nodes[j].addr.raw();
-            if self.overload.enabled && self.overload.breaker_would_block(addr, now_ns) {
-                continue;
-            }
-            let class = self.peer_bw.class(addr);
-            if src.is_none_or(|(best, _)| class > best) {
-                src = Some((class, j));
-            }
-        }
-        let Some((_, src)) = src else {
+        let Some(src) = self.best_source(holders) else {
             return; // every live holder's path is tripped; retry later
         };
         // Destination: the roomiest reachable non-holder.
@@ -2612,7 +2669,7 @@ impl Cloud4Home {
     /// The installation step of [`Self::finish_repair`]; returns whether
     /// the replica was actually installed.
     fn finish_repair_inner(&mut self, job: &RepairJob) -> bool {
-        let Some(meta) = self.replica_meta.get(&job.name).cloned() else {
+        let Some(meta) = self.replicas.get(job.name).cloned() else {
             return false; // deleted while the repair was in flight
         };
         if !self.nodes[job.dst].alive {
@@ -2638,7 +2695,7 @@ impl Cloud4Home {
         {
             meta.replicas.push(dst_key);
         }
-        self.replica_meta_insert(job.name, meta.clone());
+        self.replicas.insert(job.name, meta.clone());
 
         // Republish the metadata record in the background so future
         // fetches learn the new replica.
@@ -2677,7 +2734,7 @@ impl Cloud4Home {
     /// Consumes the job so the carried blob moves into the destination's
     /// object file system instead of being cloned.
     fn finish_background_replica_inner(&mut self, job: FanoutJob) -> bool {
-        let Some(meta) = self.replica_meta.get(&job.name).cloned() else {
+        let Some(meta) = self.replicas.get(job.name).cloned() else {
             return false; // deleted while the straggler was in flight
         };
         if !self.nodes[job.dst].alive {
@@ -2694,59 +2751,9 @@ impl Cloud4Home {
         {
             meta.replicas.push(dst_key);
         }
-        self.replica_meta_insert(job.name, meta.clone());
+        self.replicas.insert(job.name, meta.clone());
         self.publish_meta_background(job.dst, meta);
         true
-    }
-
-    // ------------------------------------------------------------------
-    // Replicated-object index maintenance
-    // ------------------------------------------------------------------
-
-    /// Every holder key a metadata record names: the home primary plus the
-    /// replica set (dead or alive — liveness is the scan's concern).
-    fn meta_holder_keys(meta: &ObjectMeta) -> impl Iterator<Item = Key> + '_ {
-        let primary = match meta.location {
-            Location::Home { node } => Some(node),
-            _ => None,
-        };
-        primary
-            .into_iter()
-            .chain(meta.replicas.iter().copied())
-            .chain(meta.ec.iter().flat_map(|l| l.holders.iter().copied()))
-    }
-
-    /// Inserts (or replaces) a replicated object's metadata, keeping the
-    /// holder → objects inverse index in sync.
-    pub(crate) fn replica_meta_insert(&mut self, name: Sym, meta: ObjectMeta) {
-        self.holder_unindex(name);
-        for key in Self::meta_holder_keys(&meta) {
-            self.holder_index.entry(key).or_default().insert(name);
-        }
-        self.replica_meta.insert(name, meta);
-    }
-
-    /// Removes a replicated object's metadata and its index entries.
-    pub(crate) fn replica_meta_remove(&mut self, name: Sym) {
-        self.holder_unindex(name);
-        self.replica_meta.remove(&name);
-    }
-
-    /// Drops `name` from every holder's index set (per the currently
-    /// recorded metadata), pruning holders left with no objects.
-    fn holder_unindex(&mut self, name: Sym) {
-        let Some(old) = self.replica_meta.get(&name) else {
-            return;
-        };
-        let keys: Vec<Key> = Self::meta_holder_keys(old).collect();
-        for key in keys {
-            if let Some(set) = self.holder_index.get_mut(&key) {
-                set.remove(&name);
-                if set.is_empty() {
-                    self.holder_index.remove(&key);
-                }
-            }
-        }
     }
 
     /// Best-effort background publish of an object metadata record from
@@ -2783,78 +2790,108 @@ impl Cloud4Home {
     }
 
     /// The periodic heat review, riding the runtime tick like
-    /// anti-entropy. When every object is in its band the walk is a pure
-    /// read — no RNG draws, no telemetry.
+    /// anti-entropy. Reviews the objects that are due: each once per event
+    /// that touches it, then every pass only while it is warm or has
+    /// placement work outstanding. A review that settles is a pure read —
+    /// no RNG draws, no telemetry — which is why not repeating it changes
+    /// nothing.
     fn adaptive_pass(&mut self, now: SimTime) {
         if !self.config.adaptive.enabled {
             return;
         }
-        if now < self.next_adaptive {
-            return;
-        }
-        self.next_adaptive = now + Duration::from_millis(self.config.adaptive.interval_ms.max(1));
+        let every = Duration::from_millis(self.config.adaptive.interval_ms.max(1));
         let mut names = std::mem::take(&mut self.names_scratch);
-        names.clear();
-        names.extend(self.replica_meta.keys().copied());
-        for &name in &names {
-            self.adaptive_review(name);
+        if self
+            .replicas
+            .adaptive_due
+            .snapshot_if_due(now, every, &mut names)
+        {
+            for &name in &names {
+                self.replicas.adaptive_review_visits += 1;
+                if self.adaptive_review(name) == Review::Settled {
+                    self.replicas.adaptive_due.clear(name);
+                }
+            }
+            let set = &self.replicas.adaptive_due;
+            self.assert_unmarked_read(set, Review::Settled, Self::review_verdict);
         }
         self.names_scratch = names;
+    }
+
+    /// What a review of `name` would do; fills `holders` with the live
+    /// full-copy holders. Besides the metadata and node liveness (marked
+    /// by [`ReplicaIndex::insert`] and [`Self::set_alive`]) it reads the
+    /// object's heat, which rises only in `observe_fetch` (marked at its
+    /// call site) and otherwise decays: a hold at or below the cold rate
+    /// therefore settles, whatever is in flight, while a warmer hold and
+    /// anything waiting on a transfer stay due.
+    pub(crate) fn review_verdict(&self, name: Sym, holders: &mut Vec<usize>) -> Review {
+        let Some(meta) = self.replicas.get(name) else {
+            return Review::Settled;
+        };
+        if meta.ec.is_some() {
+            return Review::Settled; // already striped; the rebuild path owns it now
+        }
+        if !matches!(meta.location, Location::Home { .. }) {
+            return Review::Settled;
+        }
+        self.live_holders_into(meta, holders);
+        if holders.is_empty() {
+            return Review::Settled;
+        }
+        let size = meta.size_bytes;
+        let cfg = &self.config.adaptive;
+        let rate = self.object_heat.rate_per_min(name, self.now().as_nanos());
+        let action = adaptive_action(rate, holders.len(), size, cfg);
+        if action == AdaptiveAction::Hold {
+            return if rate <= cfg.cold_per_min {
+                Review::Settled
+            } else {
+                Review::Stay
+            };
+        }
+        if self.ec_converts.contains_key(&name) || self.flows.replicating(name) {
+            return Review::Stay; // let in-flight placement work land first
+        }
+        Review::Act { action, size }
     }
 
     /// Reviews one replicated object against its fetch heat: grow toward
     /// recent readers when hot, drop a copy when cold, convert a cold
     /// large object to erasure-coded stripes once it is at the floor.
-    fn adaptive_review(&mut self, name: Sym) {
-        let Some(meta) = self.replica_meta.get(&name) else {
-            return;
-        };
-        if meta.ec.is_some() {
-            return; // already striped; the rebuild path owns it now
-        }
-        let Location::Home { node } = meta.location else {
-            return;
-        };
-        if self.ec_converts.contains_key(&name) || self.flows.replicating(name) {
-            return; // let in-flight placement work land first
-        }
-        let size = meta.size_bytes;
-        let mut holders: Vec<usize> = Vec::new();
-        for key in std::iter::once(node).chain(meta.replicas.iter().copied()) {
-            if let Some(j) = self.node_index(key) {
-                if self.nodes[j].alive && !holders.contains(&j) {
-                    holders.push(j);
-                }
+    /// Returns what it found; only the adaptive pass acts on that.
+    fn adaptive_review(&mut self, name: Sym) -> Review {
+        let mut holders = std::mem::take(&mut self.holders_scratch);
+        let verdict = self.review_verdict(name, &mut holders);
+        if let Review::Act { action, size } = verdict {
+            if self.ledger.enabled() {
+                let kind = match action {
+                    AdaptiveAction::Grow => CauseKind::AdaptiveGrow,
+                    AdaptiveAction::Shrink => CauseKind::AdaptiveShrink,
+                    _ => CauseKind::AdaptiveEncode,
+                };
+                self.ledger_bg(kind, u64::from(name.id()), holders.len() as u64);
+                self.telemetry
+                    .add(format!("adaptive.action.{}", action.label()), 1);
+            }
+            match action {
+                AdaptiveAction::Grow => self.adaptive_grow(name, &holders, size),
+                AdaptiveAction::Shrink => self.adaptive_shrink(name, &holders),
+                AdaptiveAction::Erasure => self.ec_begin_convert(name),
+                AdaptiveAction::Hold => {}
             }
         }
-        if holders.is_empty() {
-            return;
-        }
-        let rate = self.object_heat.rate_per_min(name, self.now().as_nanos());
-        let action = adaptive_action(rate, holders.len(), size, &self.config.adaptive);
-        if self.ledger.enabled() && action != AdaptiveAction::Hold {
-            let kind = match action {
-                AdaptiveAction::Grow => CauseKind::AdaptiveGrow,
-                AdaptiveAction::Shrink => CauseKind::AdaptiveShrink,
-                _ => CauseKind::AdaptiveEncode,
-            };
-            self.ledger_bg(kind, u64::from(name.id()), holders.len() as u64);
-            self.telemetry
-                .add(format!("adaptive.action.{}", action.label()), 1);
-        }
-        match action {
-            AdaptiveAction::Grow => self.adaptive_grow(name, &holders, size),
-            AdaptiveAction::Shrink => self.adaptive_shrink(name, &holders),
-            AdaptiveAction::Erasure => self.ec_begin_convert(name),
-            AdaptiveAction::Hold => {}
-        }
+        self.holders_scratch = holders;
+        verdict
     }
 
-    /// Adds one replica of a hot object, placed at the most recent reader
-    /// that doesn't already hold a copy (falling back to the roomiest
-    /// peer), sourced like a repair: breaker-open holders skipped, then
-    /// the best observed bandwidth class.
-    fn adaptive_grow(&mut self, name: Sym, holders: &[usize], size: u64) {
+    /// The live holder a background copy should be read from: holders
+    /// whose path breaker is open are skipped (a read-only check —
+    /// background work must not race the half-open probe), then the
+    /// highest observed bandwidth class wins. Metadata order breaks ties,
+    /// so on a uniform LAN — where every peer shares class 0 — the choice
+    /// is the primary.
+    fn best_source(&self, holders: &[usize]) -> Option<usize> {
         let now_ns = self.now().as_nanos();
         let mut src: Option<(i64, usize)> = None;
         for &j in holders {
@@ -2867,7 +2904,15 @@ impl Cloud4Home {
                 src = Some((class, j));
             }
         }
-        let Some((_, src)) = src else {
+        src.map(|(_, j)| j)
+    }
+
+    /// Adds one replica of a hot object, placed at the most recent reader
+    /// that doesn't already hold a copy (falling back to the roomiest
+    /// peer), sourced like a repair: breaker-open holders skipped, then
+    /// the best observed bandwidth class.
+    fn adaptive_grow(&mut self, name: Sym, holders: &[usize], size: u64) {
+        let Some(src) = self.best_source(holders) else {
             return;
         };
         let eligible = |j: usize| !holders.contains(&j) && self.node_reachable(src, j);
@@ -2895,7 +2940,7 @@ impl Cloud4Home {
     /// non-primary holder that is not a recent reader. With every extra
     /// copy parked at a recent reader the object holds steady instead.
     fn adaptive_shrink(&mut self, name: Sym, holders: &[usize]) {
-        let Some(meta) = self.replica_meta.get(&name).cloned() else {
+        let Some(meta) = self.replicas.get(name).cloned() else {
             return;
         };
         let Location::Home { node } = meta.location else {
@@ -2916,7 +2961,7 @@ impl Cloud4Home {
         self.nodes[victim].bins.remove(name.as_str());
         let mut meta = meta;
         meta.replicas.retain(|&k| k != victim_key);
-        self.replica_meta_insert(name, meta.clone());
+        self.replicas.insert(name, meta.clone());
         let publisher = primary
             .filter(|&j| self.nodes[j].alive)
             .or_else(|| holders.iter().copied().find(|&j| j != victim));
@@ -2944,7 +2989,7 @@ impl Cloud4Home {
     /// distinct peer. Full copies survive untouched until every stripe
     /// has landed.
     fn ec_begin_convert(&mut self, name: Sym) {
-        let Some(meta) = self.replica_meta.get(&name).cloned() else {
+        let Some(meta) = self.replicas.get(name).cloned() else {
             return;
         };
         let Location::Home { node } = meta.location else {
@@ -3097,7 +3142,7 @@ impl Cloud4Home {
     /// copies from live holders, rewrites the metadata with the layout,
     /// publishes per-row stripe records, and flushes stale caches.
     fn ec_convert_finalize(&mut self, name: Sym, conv: EcConvert) {
-        let Some(meta) = self.replica_meta.get(&name).cloned() else {
+        let Some(meta) = self.replicas.get(name).cloned() else {
             // Deleted mid-conversion; the stripes are orphans — scrub.
             self.ec_convert_abort(name, conv);
             return;
@@ -3110,7 +3155,7 @@ impl Cloud4Home {
         // Strip full copies from live holders. A dead holder's disk can't
         // be touched; its stale copy is a harmless orphan (the metadata no
         // longer names it).
-        let holder_keys: Vec<Key> = Self::meta_holder_keys(&meta).collect();
+        let holder_keys: Vec<Key> = holder_keys(&meta).collect();
         for key in holder_keys {
             if let Some(j) = self.node_index(key) {
                 if self.nodes[j].alive {
@@ -3122,7 +3167,7 @@ impl Cloud4Home {
         let mut meta = meta;
         meta.replicas.clear();
         meta.ec = Some(conv.layout.clone());
-        self.replica_meta_insert(name, meta.clone());
+        self.replicas.insert(name, meta.clone());
         self.publish_meta_background(conv.owner, meta);
         // Per-row stripe records, so repair tooling can audit placement
         // and checksums through the overlay.
@@ -3154,15 +3199,12 @@ impl Cloud4Home {
         self.telemetry.add("adaptive.ec_converted", 1);
     }
 
-    /// The repair path for an erasure-coded object: rebuild every lost
-    /// row for which `k` survivor stripes are still live. Below `k`
-    /// survivors nothing can be rebuilt — fetches back off until holders
-    /// rejoin.
+    /// The repair path for an erasure-coded object with a lost row
+    /// ([`Repair::ShortRows`]): rebuild every lost row for which `k`
+    /// survivor stripes are still live. Below `k` survivors nothing can be
+    /// rebuilt — fetches back off until holders rejoin.
     fn ec_maybe_repair(&mut self, name: Sym) {
-        let Some(meta) = self.replica_meta.get(&name) else {
-            return;
-        };
-        let Some(layout) = meta.ec.clone() else {
+        let Some(layout) = self.replicas.get(name).and_then(|m| m.ec.clone()) else {
             return;
         };
         let holder_idx: Vec<Option<usize>> = layout
@@ -3170,18 +3212,9 @@ impl Cloud4Home {
             .iter()
             .map(|&key| self.node_index(key))
             .collect();
-        let holds = |s: &Self, j: usize, row: u32| {
-            s.nodes[j].alive
-                && s.nodes[j]
-                    .objects
-                    .contains_key(&s.ec_stripe_name(name, row))
-        };
         let survivors: Vec<u32> = (0..holder_idx.len() as u32)
-            .filter(|&r| holder_idx[r as usize].is_some_and(|j| holds(self, j, r)))
+            .filter(|&r| holder_idx[r as usize].is_some_and(|j| self.holds_stripe(j, name, r)))
             .collect();
-        if survivors.len() >= holder_idx.len() {
-            return; // fully intact
-        }
         if survivors.len() < layout.k as usize {
             return; // unrecoverable until holders rejoin
         }
@@ -3289,7 +3322,7 @@ impl Cloud4Home {
     /// row, install it on the destination, re-home the row in the layout,
     /// and republish metadata and the row's stripe record.
     fn ec_repair_finish(&mut self, job: EcRepair) {
-        let Some(meta) = self.replica_meta.get(&job.name).cloned() else {
+        let Some(meta) = self.replicas.get(job.name).cloned() else {
             return; // deleted while the rebuild was in flight
         };
         let Some(mut layout) = meta.ec.clone() else {
@@ -3326,7 +3359,7 @@ impl Cloud4Home {
         layout.holders[job.row as usize] = dst_key;
         let mut meta = meta;
         meta.ec = Some(layout.clone());
-        self.replica_meta_insert(job.name, meta.clone());
+        self.replicas.insert(job.name, meta.clone());
         self.publish_meta_background(job.dst, meta);
         let now = self.now();
         if self.nodes[job.dst].alive && self.nodes[job.dst].chimera.is_joined() {
@@ -3370,7 +3403,7 @@ impl Cloud4Home {
                 }
             }
         }
-        if let Some(layout) = self.replica_meta.get(&name).and_then(|m| m.ec.clone()) {
+        if let Some(layout) = self.replicas.get(name).and_then(|m| m.ec.clone()) {
             for row in 0..layout.holders.len() as u32 {
                 let sname = self.ec_stripe_name(name, row);
                 for j in 0..self.nodes.len() {

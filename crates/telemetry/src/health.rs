@@ -6,6 +6,7 @@
 //! the buckets mean; this module only stores and aggregates.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::recorder::Histogram;
 use crate::TimeNs;
@@ -210,6 +211,11 @@ impl Postmortem {
     }
 }
 
+/// One gauge sample row: sorted `(gauge, value)` pairs. The names are
+/// shared with the sampler that cut the row; a dump copies them out as
+/// `String`s.
+type GaugeRow = Vec<(Arc<str>, i64)>;
+
 /// A bounded ring of recent health context plus the post-mortem dumps cut
 /// from it when operations fail.
 ///
@@ -223,7 +229,7 @@ pub struct FlightRecorder {
     gauge_cap: usize,
     dump_cap: usize,
     faults: VecDeque<(TimeNs, String)>,
-    gauges: VecDeque<(TimeNs, Vec<(String, i64)>)>,
+    gauges: VecDeque<(TimeNs, GaugeRow)>,
     dumps: Vec<Postmortem>,
     dropped: u64,
     /// `(ts, next seq)` for per-instant dump-id disambiguation.
@@ -255,7 +261,7 @@ impl FlightRecorder {
     }
 
     /// Notes one gauge sample row (sorted `(gauge, value)` pairs).
-    pub fn note_gauges(&mut self, ts_ns: TimeNs, row: Vec<(String, i64)>) {
+    pub fn note_gauges(&mut self, ts_ns: TimeNs, row: Vec<(Arc<str>, i64)>) {
         if self.gauges.len() == self.gauge_cap {
             self.gauges.pop_front();
         }
@@ -295,7 +301,11 @@ impl FlightRecorder {
             submitted_ns,
             stages,
             faults: self.faults.iter().cloned().collect(),
-            gauges: self.gauges.iter().cloned().collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(ts, row)| (*ts, row.iter().map(|(n, v)| (n.to_string(), *v)).collect()))
+                .collect(),
         });
     }
 

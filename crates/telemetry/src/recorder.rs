@@ -585,6 +585,26 @@ impl Recorder {
             .push(ts_ns, value);
     }
 
+    /// Appends one sample row — the point `(ts_ns, value)` to each named
+    /// gauge series — under one lock. Series are looked up by `&str`, so
+    /// only the first sample of a name allocates its key.
+    pub fn gauge_row<N: AsRef<str>>(&self, ts_ns: TimeNs, row: &[(N, i64)]) {
+        if !self.enabled() {
+            return;
+        }
+        let mut inner = self.lock();
+        for (name, value) in row {
+            let name = name.as_ref();
+            if let Some(series) = inner.series.get_mut(name) {
+                series.push(ts_ns, *value);
+            } else {
+                let mut series = GaugeSeries::new();
+                series.push(ts_ns, *value);
+                inner.series.insert(Cow::Owned(name.to_owned()), series);
+            }
+        }
+    }
+
     /// A structured copy of everything recorded so far (completed spans,
     /// instants, counters, histograms, gauge series). Open spans are not
     /// included.
@@ -829,6 +849,24 @@ mod tests {
         let s = &snap.series["node0.cpu_milli"];
         assert_eq!(s.points(), &[(500, 250), (1000, 300)]);
         assert_eq!(s.last(), Some((1000, 300)));
+    }
+
+    #[test]
+    fn a_gauge_row_lands_like_its_points_one_by_one() {
+        let (by_row, by_point) = (Recorder::new(), Recorder::new());
+        by_row.gauge_row(0, &[("a", 1)]); // disabled → dropped
+        by_row.set_enabled(true);
+        by_point.set_enabled(true);
+        for ts in [500, 1000] {
+            let row = [("b.gauge", ts as i64), ("a.gauge", -2)];
+            by_row.gauge_row(ts, &row);
+            for (name, value) in row {
+                by_point.gauge(name, ts, value);
+            }
+        }
+        assert_eq!(by_row.series_json(), by_point.series_json());
+        assert_eq!(by_row.prometheus_text(), by_point.prometheus_text());
+        assert_eq!(by_row.snapshot().series["b.gauge"].len(), 2);
     }
 
     #[test]

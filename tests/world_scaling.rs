@@ -8,7 +8,12 @@
 //! candidate picked. A directory's record is likewise shared between the
 //! copies the overlay makes of it, not copied (the allocation count lives
 //! in the `engine_throughput` bench's `dht_chain_append` row); the twin here
-//! pins what a reader of a long chain must still see.
+//! pins what a reader of a long chain must still see. The periodic passes
+//! (adaptive review, anti-entropy) likewise look at the objects an event
+//! touched, not at every object that exists: settled objects cost them
+//! nothing, whatever their number.
+
+use std::time::Duration;
 
 use c4h_simnet::DetRng;
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, StorePolicy};
@@ -136,4 +141,134 @@ fn long_directory_lists_in_store_order() {
     let op = home.list_objects(NodeId(3), "bulk");
     let listing = home.run_until_complete(op).expect_ok().listing.clone();
     assert_eq!(listing, Some(names));
+}
+
+/// A 12-node world with the adaptive plane on and nothing for it to do:
+/// the band is pinned at the replication factor and the objects stored by
+/// [`archive`] are below the erasure-coding threshold.
+fn pinned_band_world(seed: u64) -> Cloud4Home {
+    let mut config = world(12, seed);
+    config.adaptive.enabled = true;
+    config.adaptive.replication_min = 2;
+    config.adaptive.replication_max = 2;
+    config.adaptive.ec_threshold_bytes = 1 << 20;
+    Cloud4Home::new(config)
+}
+
+/// Stores objects `from..to` (64 KiB each) from clients spread over the
+/// world and leaves them alone for a minute of virtual time.
+fn archive(home: &mut Cloud4Home, from: usize, to: usize) {
+    let nodes = home.node_count();
+    for i in from..to {
+        let obj = Object::synthetic(&format!("cold/obj-{i:03}.bin"), i as u64, 64 * KIB, "doc");
+        let op = home.store_object(
+            NodeId((i * 5 + 1) % nodes),
+            obj,
+            StorePolicy::ForceHome,
+            true,
+        );
+        home.run_until_complete(op).expect_ok();
+    }
+    home.run_until_idle();
+    home.run_for(Duration::from_secs(60));
+}
+
+/// `(adaptive reviews, repair visits)` so far.
+fn pass_visits(home: &Cloud4Home) -> (u64, u64) {
+    (home.adaptive_review_visits(), home.repair_scan_visits())
+}
+
+/// Ten adaptive passes (every 2 s) and two anti-entropy sweeps (every 10 s)
+/// over an archive of settled objects look at none of them, at 50 objects
+/// and at 400. The walk over the whole index paid objects × passes.
+#[test]
+fn settled_objects_cost_the_periodic_passes_nothing() {
+    let mut home = pinned_band_world(19);
+    for (from, to) in [(0, 50), (50, 400)] {
+        archive(&mut home, from, to);
+        let before = pass_visits(&home);
+        assert!(
+            before.0 >= to as u64 && before.1 >= to as u64,
+            "each of {to} objects is looked at once after its store: {before:?}"
+        );
+        home.run_for(Duration::from_secs(20));
+        assert_eq!(
+            pass_visits(&home),
+            before,
+            "{to} settled objects: a pass looked at an object no event touched"
+        );
+        for i in (0..to).step_by(7) {
+            assert_eq!(home.live_copies(&format!("cold/obj-{i:03}.bin")), 2);
+        }
+    }
+}
+
+/// Two fetches give one object a heat estimate: it alone is reviewed, once
+/// per pass, until silence has cooled it to the cold rate (60 / 0.5 per
+/// minute = 120 s, sixty 2 s passes), and then not at all. No repair visit
+/// is made at any point — a fetch says nothing about durability.
+#[test]
+fn a_warm_object_is_the_only_review_until_it_cools() {
+    let mut home = pinned_band_world(20);
+    archive(&mut home, 0, 50);
+    for client in [3, 8] {
+        let op = home.fetch_object(NodeId(client), "cold/obj-017.bin");
+        home.run_until_complete(op).expect_ok();
+    }
+    let repairs = home.repair_scan_visits();
+    let mut reviews_per_pass = Vec::new();
+    for _ in 0..70 {
+        let before = home.adaptive_review_visits();
+        home.run_for(Duration::from_secs(2));
+        reviews_per_pass.push(home.adaptive_review_visits() - before);
+    }
+    let warm = reviews_per_pass.iter().take_while(|&&n| n == 1).count();
+    assert!(
+        (55..=62).contains(&warm),
+        "reviewed for {warm} passes: {reviews_per_pass:?}"
+    );
+    assert!(
+        reviews_per_pass[warm..].iter().all(|&n| n == 0),
+        "once cold the object is settled again: {reviews_per_pass:?}"
+    );
+    assert_eq!(home.repair_scan_visits(), repairs);
+}
+
+/// A crashed holder's objects — and only they — go back to the sweep: the
+/// sweep after the crash visits exactly the victim's holdings (the failure
+/// detector's own scan of the same holdings, once, may share its window),
+/// later sweeps visit those still short, and once every object is back at
+/// two live copies the sweeps visit nothing.
+#[test]
+fn a_crash_sends_exactly_the_victims_holdings_to_the_sweep() {
+    let mut home = pinned_band_world(21);
+    archive(&mut home, 0, 50);
+    let victim = NodeId(4);
+    let held = home.objects_on(victim) as u64;
+    assert!((1..20).contains(&held), "victim holds {held} of 50 objects");
+    let sweep = Duration::from_secs(10);
+
+    let before = home.repair_scan_visits();
+    home.crash_node(victim);
+    home.run_for(sweep);
+    let first = home.repair_scan_visits() - before;
+    assert!(
+        first == held || first == 2 * held,
+        "first sweep after the crash made {first} visits, the victim held {held}"
+    );
+    let mut later = Vec::new();
+    for _ in 0..8 {
+        let before = home.repair_scan_visits();
+        home.run_for(sweep);
+        later.push(home.repair_scan_visits() - before);
+    }
+    home.run_until_idle();
+    assert!(
+        later.iter().all(|&n| n <= 2 * held),
+        "later sweeps: {later:?}"
+    );
+    assert_eq!(later[5..], [0, 0, 0], "repaired objects left the sweep");
+    for i in 0..50 {
+        assert_eq!(home.live_copies(&format!("cold/obj-{i:03}.bin")), 2);
+    }
 }
