@@ -11,8 +11,8 @@
 //! tail, and measured loss tolerance.
 //!
 //! Run with: `cargo bench -p c4h-bench --bench adaptive_placement`
-//! (set `C4H_SMOKE=1` for the CI smoke variant; set
-//! `C4H_ADAPTIVE_DIR=<dir>` to write `adaptive_placement.json`).
+//! (set `C4H_SMOKE=1` for the CI smoke variant). The table lands in
+//! `BENCH_adaptive_placement.json` like every bench's.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -112,31 +112,6 @@ fn run_arm(label: &'static str, mut config: Config, workload: &HotsetConfig, see
     }
 }
 
-fn write_artifact(dir: &str, arms: &[Arm]) {
-    std::fs::create_dir_all(dir).expect("create artifact dir");
-    let mut json = String::from("[\n");
-    for (i, a) in arms.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "  {{\"arm\": \"{}\", \"logical_bytes\": {}, \"stored_bytes\": {}, \
-             \"overhead\": {:.3}, \"fetch_mean_ms\": {:.2}, \"fetch_p99_ms\": {:.2}, \
-             \"ec_objects\": {}, \"loss_floor\": {}}}{}",
-            a.label,
-            a.logical_bytes,
-            a.stored_bytes,
-            a.stored_bytes as f64 / a.logical_bytes as f64,
-            a.fetch_mean_ms,
-            a.fetch_p99_ms,
-            a.ec_objects,
-            a.loss_floor,
-            if i + 1 < arms.len() { "," } else { "" },
-        );
-    }
-    json.push_str("]\n");
-    std::fs::write(format!("{dir}/adaptive_placement.json"), json)
-        .expect("write adaptive_placement.json");
-}
-
 fn main() {
     banner(
         "Adaptive placement",
@@ -232,10 +207,5 @@ fn main() {
         100.0 * adaptive_arm.stored_bytes as f64 / static_arm.stored_bytes as f64
     );
 
-    if let Some(dir) = std::env::var_os("C4H_ADAPTIVE_DIR") {
-        let dir = dir.to_string_lossy().into_owned();
-        write_artifact(&dir, &[static_arm, adaptive_arm]);
-        println!("wrote adaptive_placement.json to {dir}/");
-    }
     report.finish();
 }

@@ -18,16 +18,15 @@
 //!
 //! Run with: `cargo bench -p c4h-bench --bench capacity_frontier`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: fewer points, shorter
-//! horizon; set `C4H_FRONTIER_DIR=<dir>` to write the frontier table as
-//! JSON plus the highest-load protected run's Prometheus export).
+//! horizon). The frontier table lands in `BENCH_capacity_frontier.json`
+//! like every bench's.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use c4h_bench::{banner, BenchReport};
 use c4h_workloads::{arrivals, Arrival, OpKind, OpenLoopConfig};
-use cloud4home::{Cloud4Home, Config, NodeId, Object, OpError, OpReport, StorePolicy};
+use cloud4home::{Cloud4Home, Config, NodeId, Object, OpError, OpReport, RunStats, StorePolicy};
 
 const SEED: u64 = 7_191;
 const OBJ_BYTES: u64 = 256 << 10;
@@ -130,6 +129,10 @@ struct Point {
     shed: usize,
     fetch_p99_ms: f64,
     goodput_hz: f64,
+    /// The run's counters; the rows take the plane's other three from
+    /// here (retries its budgets refused, breakers it tripped, ops those
+    /// breakers failed fast).
+    stats: RunStats,
 }
 
 fn slo_ns(kind: &str) -> u64 {
@@ -149,7 +152,7 @@ fn p99_ms(mut lat_ns: Vec<u64>) -> f64 {
     lat_ns[(lat_ns.len() - 1) * 99 / 100] as f64 / 1e6
 }
 
-fn run_point(offered_hz: f64, protected: bool) -> (Point, Cloud4Home) {
+fn run_point(offered_hz: f64, protected: bool) -> Point {
     let stream = arrivals(&OpenLoopConfig::steady(offered_hz, horizon(), TENANTS), 91);
     let mut home = Cloud4Home::new(config(protected));
     let catalog = seed_catalog(&mut home);
@@ -168,41 +171,15 @@ fn run_point(offered_hz: f64, protected: bool) -> (Point, Cloud4Home) {
         .iter()
         .filter(|r| r.outcome.is_ok() && (r.total().as_nanos() as u64) <= slo_ns(r.kind))
         .count();
-    let point = Point {
+    Point {
         offered_hz,
         protected,
         admitted: reports.len() - shed,
         shed,
         fetch_p99_ms: p99_ms(fetch_lat),
         goodput_hz: good as f64 / horizon().as_secs_f64(),
-    };
-    (point, home)
-}
-
-fn write_artifacts(dir: &str, points: &[Point], top_protected: &Cloud4Home) {
-    std::fs::create_dir_all(dir).expect("create frontier artifact dir");
-    let mut json = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "  {{\"offered_hz\": {}, \"protected\": {}, \"admitted\": {}, \
-             \"shed\": {}, \"fetch_p99_ms\": {:.3}, \"goodput_hz\": {:.3}}}{}",
-            p.offered_hz,
-            p.protected,
-            p.admitted,
-            p.shed,
-            p.fetch_p99_ms,
-            p.goodput_hz,
-            if i + 1 < points.len() { ",\n" } else { "\n" }
-        );
+        stats: home.stats(),
     }
-    json.push_str("]\n");
-    std::fs::write(format!("{dir}/frontier.json"), json).expect("write frontier.json");
-    std::fs::write(
-        format!("{dir}/frontier.prom"),
-        top_protected.prometheus_text(),
-    )
-    .expect("write frontier.prom");
 }
 
 fn main() {
@@ -212,14 +189,9 @@ fn main() {
     );
 
     let mut points = Vec::new();
-    let mut top_protected = None;
     for &rate in &offered_rates() {
         for protected in [false, true] {
-            let (p, home) = run_point(rate, protected);
-            points.push(p);
-            if protected {
-                top_protected = Some(home);
-            }
+            points.push(run_point(rate, protected));
         }
     }
 
@@ -254,6 +226,9 @@ fn main() {
             ("shed", p.shed.into()),
             ("fetch_p99_ms", p.fetch_p99_ms.into()),
             ("goodput_hz", p.goodput_hz.into()),
+            ("retry_budget_denied", p.stats.retry_budget_denied.into()),
+            ("breaker_trips", p.stats.breaker_trips.into()),
+            ("breaker_fast_fails", p.stats.breaker_fast_fails.into()),
         ]);
     }
 
@@ -300,11 +275,5 @@ fn main() {
         ),
     );
 
-    if let Some(dir) = std::env::var_os("C4H_FRONTIER_DIR") {
-        let dir = dir.to_string_lossy().into_owned();
-        let home = top_protected.expect("at least one protected point ran");
-        write_artifacts(&dir, &points, &home);
-        println!("\nwrote frontier.json + frontier.prom to {dir}/");
-    }
     report.finish();
 }

@@ -1,17 +1,16 @@
-//! Event-engine throughput — slab wheel vs inline wheel vs `BinaryHeap`.
+//! Event-engine throughput — slab wheel vs `BinaryHeap`.
 //!
 //! Two sections:
 //!
 //! 1. **Hold model** (classic calendar-queue benchmark): pre-fill the
 //!    queue with N pending events, then repeatedly pop-one/push-one so the
 //!    population holds at N. Reports raw events/sec for the production
-//!    slab-arena wheel (`EventQueue`), the PR-7 inline-payload wheel
-//!    (`queue::reference::InlineWheel`), and the reference heap
+//!    slab-arena wheel (`EventQueue`) and the reference heap
 //!    (`queue::reference::RefQueue`) at N = 1k / 10k / 100k / 1M. Delays
-//!    span nine orders of magnitude (same splitmix64 stream for all three
-//!    engines), so the wheels pay their real cascade costs. Payloads are
-//!    112 bytes — `size_of` of the runtime's event enum — so inline
-//!    cascades copy what they would copy in production.
+//!    span nine orders of magnitude (same splitmix64 stream for both
+//!    engines), so the wheel pays its real cascade costs. Payloads are
+//!    112 bytes — `size_of` of the runtime's event enum — so the heap
+//!    moves what it would move in production.
 //! 2. **Flow engine steady state**: `FlowNet` holding 200 LAN flows on the
 //!    testbed topology, topped up as they finish. Rounds of `next_event` +
 //!    `advance_into` that complete nothing must not allocate at all, and a
@@ -30,27 +29,19 @@
 //! run until an entire chunk performs zero heap acquisitions, and that
 //! quiescent chunk is the reported measurement. The delay stream is
 //! deterministic, so this is a hard regression gate, not a flaky timing
-//! check. In full mode two speedups are also asserted: ≥ 2× over the
-//! heap at 100k (the PR-6 bar) and ≥ 1.3× over the inline wheel at 1M
-//! (the slab-arena bar). The crossover is real and worth knowing: at
-//! ≤ 100k pending the working set fits in cache and the inline wheel's
-//! payload locality matches the slab's smaller cascades, but at 10⁶
-//! events cascade memory traffic dominates and moving 24-byte slots
-//! instead of 128-byte entries wins outright — on top of the zero-alloc
-//! guarantee, which holds at every size.
+//! check. In full mode one speedup is also asserted: ≥ 2× over the heap
+//! at 100k (the PR-6 bar).
 //!
 //! Run with: `cargo bench -p c4h-bench --bench engine_throughput`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: fewer hold ops, no
-//! speedup assertions — the zero-alloc assertion still gates; set
-//! `C4H_ENGINE_DIR=<dir>` to write the table as JSON for artifact
-//! upload).
+//! speedup assertion — the zero-alloc assertion still gates). The table
+//! lands in `BENCH_engine_throughput.json` like every bench's.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
 use c4h_chimera::{ChimeraConfig, ChimeraNode, DhtEvent, Key, OverwritePolicy};
-use c4h_simnet::queue::reference::{InlineWheel, RefQueue};
+use c4h_simnet::queue::reference::RefQueue;
 use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime};
 use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
@@ -61,8 +52,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// 112-byte payload — exactly `size_of::<Event>()` for the runtime's
-/// event enum, so the inline wheel pays the cascade-copy costs it would
-/// pay in production.
+/// event enum, so the heap's sift moves what it would move in production.
 type Payload = [u64; 14];
 
 fn payload(seed: u64) -> Payload {
@@ -109,7 +99,7 @@ impl Mix {
 /// Chunks to try before giving up on allocator quiescence.
 const MAX_CHUNKS: u64 = 40;
 
-/// Generates a hold-model runner for one queue engine. All three engines
+/// Generates a hold-model runner for one queue engine. Both engines
 /// share the schedule_in/pop API, identical seeds, and identical op
 /// streams; each returns (events/sec, heap acquisitions, warm chunks).
 ///
@@ -160,12 +150,6 @@ hold_model!(
     /// parked in a generational slab with free-list reuse.
     hold_slab,
     EventQueue<Payload>
-);
-hold_model!(
-    /// The PR-7 wheel with payloads stored inline in bucket vectors —
-    /// the baseline the slab arena must beat.
-    hold_inline,
-    InlineWheel<Payload>
 );
 hold_model!(
     /// The `BinaryHeap` oracle.
@@ -404,44 +388,33 @@ fn runtime_ops_per_sec() -> (u64, f64) {
 fn main() {
     banner(
         "Engine throughput",
-        "slab wheel vs inline wheel vs BinaryHeap (hold model + full stack)",
+        "slab wheel vs BinaryHeap (hold model + full stack)",
     );
     let ops = hold_ops();
     println!(
-        "{:>8} | {:>13} {:>13} {:>13} {:>8} {:>9} {:>9}",
-        "pending", "slab (ev/s)", "inline(ev/s)", "heap (ev/s)", "vs heap", "vs inline", "allocs"
+        "{:>8} | {:>13} {:>13} {:>8} {:>9}",
+        "pending", "slab (ev/s)", "heap (ev/s)", "vs heap", "allocs"
     );
-    println!("{}", "-".repeat(82));
+    println!("{}", "-".repeat(58));
 
     let mut report = BenchReport::new("engine_throughput");
     report.config("smoke", smoke());
     report.config("hold_ops_per_point", ops);
 
-    let mut json = String::from("{\n  \"hold\": [\n");
     let mut vs_heap_100k = 0.0;
-    let mut vs_inline_1m = 0.0;
-    for (i, &n) in SIZES.iter().enumerate() {
+    for n in SIZES {
         let (slab, slab_allocs, warm) = hold_slab(n, ops);
-        let (inline, _, _) = hold_inline(n, ops);
         let (heap, _, _) = hold_heap(n, ops);
         let vs_heap = slab / heap;
-        let vs_inline = slab / inline;
         if n == 100_000 {
             vs_heap_100k = vs_heap;
         }
-        if n == 1_000_000 {
-            vs_inline_1m = vs_inline;
-        }
-        println!(
-            "{n:>8} | {slab:>13.0} {inline:>13.0} {heap:>13.0} {vs_heap:>7.2}x {vs_inline:>8.2}x {slab_allocs:>9}"
-        );
+        println!("{n:>8} | {slab:>13.0} {heap:>13.0} {vs_heap:>7.2}x {slab_allocs:>9}");
         report.push_row(vec![
             ("pending", n.into()),
             ("slab_events_per_sec", slab.round().into()),
-            ("inline_events_per_sec", inline.round().into()),
             ("heap_events_per_sec", heap.round().into()),
             ("speedup_vs_heap", vs_heap.into()),
-            ("speedup_vs_inline", vs_inline.into()),
             ("slab_allocs", slab_allocs.into()),
             ("warm_chunks", warm.into()),
         ]);
@@ -457,17 +430,7 @@ fn main() {
                  allocation-free"
             ),
         );
-        let comma = if i + 1 == SIZES.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"pending\": {n}, \"slab_events_per_sec\": {slab:.0}, \
-             \"inline_events_per_sec\": {inline:.0}, \
-             \"heap_events_per_sec\": {heap:.0}, \"speedup_vs_heap\": {vs_heap:.3}, \
-             \"speedup_vs_inline\": {vs_inline:.3}, \
-             \"slab_allocs\": {slab_allocs}, \"warm_chunks\": {warm}}}{comma}"
-        );
     }
-    json.push_str("  ],\n");
 
     // Causal-ledger overhead: recording decisions into warmed rings must
     // stay allocation-free and within 3% of the ledger-off rate. Hard
@@ -565,22 +528,8 @@ fn main() {
         ("runtime_ops", runtime_ops.into()),
         ("runtime_ops_per_sec", runtime_rate.into()),
     ]);
-    let _ = writeln!(
-        json,
-        "  \"flownet_flows_per_sec\": {flow_rate:.0},\n  \"runtime_ops\": {runtime_ops},\n  \"runtime_ops_per_sec\": {runtime_rate:.1},\n  \
-         \"hold_ops_per_point\": {ops},\n  \"smoke\": {}\n}}",
-        smoke()
-    );
 
-    if let Some(dir) = std::env::var_os("C4H_ENGINE_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create artifact dir");
-        let path = dir.join("engine_throughput.json");
-        std::fs::write(&path, &json).expect("write engine_throughput.json");
-        println!("wrote {}", path.display());
-    }
-
-    // Timing acceptance bars. Smoke runs (CI shared runners, tiny op
+    // Timing acceptance bar. Smoke runs (CI shared runners, tiny op
     // counts) print but don't gate on wall-clock ratios; the zero-alloc
     // and ledger-overhead checks above gate everywhere.
     if !smoke() {
@@ -590,14 +539,6 @@ fn main() {
             format!(
                 "slab wheel must be >=2x the BinaryHeap reference at 100k \
                  pending events; measured {vs_heap_100k:.2}x"
-            ),
-        );
-        report.check(
-            "speedup_vs_inline_1m",
-            vs_inline_1m >= 1.3,
-            format!(
-                "slab wheel must be >=1.3x the inline-payload wheel at 1M \
-                 pending events; measured {vs_inline_1m:.2}x"
             ),
         );
     }

@@ -8,6 +8,8 @@ use c4h_resources::{BatteryConfig, MonitorConfig};
 use c4h_vmm::{PlatformSpec, VmSpec, XenChannelConfig};
 use serde::{Deserialize, Serialize};
 
+use crate::ops::OpKind;
+
 /// Handle of a home-cloud node within a [`Cloud4Home`](crate::Cloud4Home)
 /// instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -367,11 +369,13 @@ pub struct Config {
     /// way, the overlay warm-up is never recorded.
     pub tracing: bool,
     /// Per-op-kind latency objectives, milliseconds of virtual time, keyed
-    /// by op kind (`"store"`, `"fetch"`, `"process"`, `"delete"`). When the
-    /// sliding-window p99 for a kind exceeds its threshold at op
-    /// completion, the health plane emits an `slo.violation` instant and
-    /// bumps `slo.violation.<kind>`. Kinds without an entry are never
-    /// checked.
+    /// by op kind ([`OpReport::kind`](crate::OpReport::kind): `"store"`,
+    /// `"fetch"`, `"delete"`, `"list"`, `"process"`, `"fetch_process"`,
+    /// `"pipeline"`). When the sliding-window p99 for a kind exceeds its
+    /// threshold at op completion, the health plane emits an
+    /// `slo.violation` instant and bumps `slo.violation.<kind>`. Kinds
+    /// without an entry are never checked; a key that names no kind is
+    /// rejected by [`Config::validate`].
     pub slo_ms: BTreeMap<String, u64>,
     /// Health-plane gauge sampling cadence, milliseconds of virtual time.
     /// Samples are recorded only while tracing is enabled; `0` disables the
@@ -548,6 +552,11 @@ impl Config {
                 "health_sample_ms {} is coarser than health_window_ms {}: \
                  SLO windows would expire between samples",
                 self.health_sample_ms, self.health_window_ms
+            ));
+        }
+        if let Some(key) = self.slo_ms.keys().find(|k| OpKind::from_name(k).is_none()) {
+            return Err(format!(
+                "slo_ms key {key:?} names no op kind: its objective would never be checked"
             ));
         }
         if !self.fetch_hedge.is_finite() || self.fetch_hedge < 0.0 {
@@ -737,6 +746,25 @@ mod tests {
         // A disabled sampler is not a mismatch.
         c.health_sample_ms = 0;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_slo_for_unknown_op_kind() {
+        let mut c = Config::paper_testbed(1);
+        for kind in [
+            "store",
+            "fetch",
+            "delete",
+            "list",
+            "process",
+            "fetch_process",
+            "pipeline",
+        ] {
+            c.slo_ms.insert(kind.to_owned(), 1_000);
+        }
+        assert_eq!(c.validate(), Ok(()));
+        c.slo_ms.insert("fetchh".to_owned(), 1_000);
+        assert!(c.validate().unwrap_err().contains("\"fetchh\""));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 
 use std::fmt::Write;
 
-use c4h_telemetry::{escape_into, tile_critical_path, DagEdge};
+use c4h_telemetry::{escape_into, tile_critical_path, DagEdge, PathBucket};
 
-use crate::health::bucket_for_stage;
+use crate::ops::Stage;
 use crate::report::OpReport;
 
 impl OpReport {
@@ -48,14 +48,16 @@ fn via_cloud(report: &OpReport) -> bool {
     matches!(&report.outcome, Ok(o) if o.via_cloud)
 }
 
-/// The latency bucket an edge charges to: the stage analyzer's bucket for
-/// service edges, `"wait"` for gap edges.
+/// The latency bucket an edge charges to: the stage table's bucket for
+/// service edges (a label the table does not know charges to `other`),
+/// `"wait"` for gap edges.
 fn edge_bucket(report: &OpReport, edge: &DagEdge) -> &'static str {
     if edge.wait {
-        "wait"
-    } else {
-        bucket_for_stage(&edge.label, via_cloud(report)).label()
+        return "wait";
     }
+    Stage::from_name(&edge.label)
+        .map_or(PathBucket::Other, |s| s.bucket(via_cloud(report)))
+        .label()
 }
 
 /// Renders one report as the `explain` command's annotated timeline.
@@ -219,7 +221,7 @@ mod tests {
     use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, PathAttribution};
     use c4h_simnet::SimTime;
 
-    fn report_with(stages: Vec<(String, u64, u64)>, ledger: Vec<CausalEvent>) -> OpReport {
+    fn report_with(stages: Vec<(&'static str, u64, u64)>, ledger: Vec<CausalEvent>) -> OpReport {
         OpReport {
             id: OpId(7),
             kind: "fetch",
@@ -258,8 +260,8 @@ mod tests {
     fn dag_tiles_the_exact_window() {
         let r = report_with(
             vec![
-                ("fetch.meta_get".into(), 1_200, 2_000),
-                ("fetch.flow_home".into(), 2_500, 10_000),
+                ("fetch.meta_get", 1_200, 2_000),
+                ("fetch.flow_home", 2_500, 10_000),
             ],
             vec![cev(1, 0, 1_000, "admit"), cev(2, 1, 2_400, "backoff.wait")],
         );
@@ -276,7 +278,7 @@ mod tests {
     #[test]
     fn text_and_json_are_deterministic_and_exact() {
         let r = report_with(
-            vec![("fetch.meta_get".into(), 1_200, 2_000)],
+            vec![("fetch.meta_get", 1_200, 2_000)],
             vec![cev(1, 0, 1_000, "admit")],
         );
         let text = explain_text(&r);

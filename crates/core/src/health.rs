@@ -23,6 +23,7 @@ use c4h_simnet::{FxHashMap, SimTime, Sym};
 use c4h_telemetry::{FlightRecorder, PathBucket, SlidingHistogram};
 
 use crate::config::Config;
+use crate::ops::{OpKind, Stage};
 use crate::report::{OpId, PathAttribution};
 
 /// Sliding-window slices per window (granularity of expiry).
@@ -108,9 +109,10 @@ pub(crate) struct HealthPlane {
     pub(crate) sample_period: Duration,
     window_ns: u64,
     slice_ns: u64,
+    /// Latency objectives by op-kind name, nanoseconds.
     slo_ns: BTreeMap<String, u64>,
     /// Per-op-kind sliding latency windows, populated on first completion.
-    windows: BTreeMap<&'static str, SlidingHistogram>,
+    windows: [Option<SlidingHistogram>; OpKind::COUNT],
     /// Post-mortem context ring + dumps.
     pub(crate) flight: FlightRecorder,
     /// Names of the gauges sampled so far.
@@ -138,7 +140,7 @@ impl HealthPlane {
                 .iter()
                 .map(|(k, ms)| (k.clone(), ms.saturating_mul(1_000_000)))
                 .collect(),
-            windows: BTreeMap::new(),
+            windows: Default::default(),
             flight: FlightRecorder::new(config.fault_ring, config.gauge_ring, config.dump_cap),
             gauge_names: GaugeNames::default(),
             paths: VecDeque::new(),
@@ -153,16 +155,14 @@ impl HealthPlane {
     /// checks the window p99 against the kind's objective, if configured.
     pub(crate) fn observe_latency(
         &mut self,
-        kind: &'static str,
+        kind: OpKind,
         now: SimTime,
         total_ns: u64,
     ) -> Option<SloBreach> {
-        let window = self
-            .windows
-            .entry(kind)
-            .or_insert_with(|| SlidingHistogram::new(self.window_ns, self.slice_ns));
+        let window = self.windows[kind as usize]
+            .get_or_insert_with(|| SlidingHistogram::new(self.window_ns, self.slice_ns));
         window.observe(now.as_nanos(), total_ns);
-        let slo_ns = *self.slo_ns.get(kind)?;
+        let slo_ns = *self.slo_ns.get(kind.name())?;
         let p99_ns = window.merged(now.as_nanos()).value_at_quantile(99, 100);
         if p99_ns > slo_ns {
             self.violations += 1;
@@ -172,22 +172,21 @@ impl HealthPlane {
         }
     }
 
-    /// Current per-kind window summaries, in kind order.
+    /// Current window summaries of the kinds seen so far, in name order.
     pub(crate) fn summaries(&self, now: SimTime) -> Vec<(&'static str, KindHealth)> {
-        self.windows
-            .iter()
-            .map(|(kind, w)| {
-                let m = w.merged(now.as_nanos());
-                (
-                    *kind,
+        OpKind::all()
+            .filter_map(|kind| {
+                let m = self.windows[kind as usize].as_ref()?.merged(now.as_nanos());
+                Some((
+                    kind.name(),
                     KindHealth {
                         count: m.count,
                         p50_ns: m.value_at_quantile(1, 2),
                         p95_ns: m.value_at_quantile(95, 100),
                         p99_ns: m.value_at_quantile(99, 100),
-                        slo_ns: self.slo_ns.get(*kind).copied(),
+                        slo_ns: self.slo_ns.get(kind.name()).copied(),
                     },
-                )
+                ))
             })
             .collect()
     }
@@ -210,65 +209,20 @@ impl HealthPlane {
     }
 }
 
-/// Maps a recorded stage span onto its critical-path bucket.
-///
-/// `fetch.striped` pulls either from home peers or from the cloud via
-/// parallel range reads; `via_cloud` disambiguates. Unknown stages charge
-/// to `Other` rather than panicking so new stages degrade gracefully.
-pub(crate) fn bucket_for_stage(name: &str, via_cloud: bool) -> PathBucket {
-    match name {
-        "store.query_peers"
-        | "store.meta_put"
-        | "store.dir_put"
-        | "fetch.meta_get"
-        | "delete.meta_get"
-        | "delete.dht_delete"
-        | "delete.dir_put"
-        | "list.dir_get"
-        | "proc.meta_svc_get"
-        | "proc.query_resources" => PathBucket::Dht,
-        "store.disk_write" | "delete.remove_bytes" | "fetch.disk_local" | "proc.read_arg" => {
-            PathBucket::Disk
-        }
-        "store.flow_to_peer"
-        | "store.fanout"
-        | "fetch.owner_request"
-        | "fetch.flow_home"
-        | "proc.move_arg"
-        | "proc.move_result" => PathBucket::Lan,
-        "store.flow_to_cloud" | "store.cloud_put" | "fetch.cloud_request" | "fetch.flow_cloud" => {
-            PathBucket::Wan
-        }
-        "fetch.striped" => {
-            if via_cloud {
-                PathBucket::Wan
-            } else {
-                PathBucket::Lan
-            }
-        }
-        "fetch.retry_wait" => PathBucket::Backoff,
-        "proc.exec" => PathBucket::Service,
-        _ => PathBucket::Other,
-    }
-}
-
 /// Attributes an op's end-to-end latency across buckets from its stage log
-/// (the sequential `(name, start_ns, end_ns)` spans `phase()` charged).
+/// (the sequential `(stage, start_ns, end_ns)` spans `charge()` recorded).
 ///
 /// Stages on the sequential path never overlap, so bucket sums plus the
 /// `Other` remainder (queueing, command processing, uncharged transitions)
 /// equal `total_ns` exactly.
 pub(crate) fn attribute(
-    stage_log: &[(&'static str, u64, u64)],
+    stage_log: &[(Stage, u64, u64)],
     total_ns: u64,
     via_cloud: bool,
 ) -> PathAttribution {
     let mut cp = PathAttribution::default();
-    for (name, start_ns, end_ns) in stage_log {
-        cp.add(
-            bucket_for_stage(name, via_cloud),
-            end_ns.saturating_sub(*start_ns),
-        );
+    for &(stage, start_ns, end_ns) in stage_log {
+        cp.add(stage.bucket(via_cloud), end_ns.saturating_sub(start_ns));
     }
     let accounted = cp.total_ns();
     cp.add(PathBucket::Other, total_ns.saturating_sub(accounted));
@@ -290,15 +244,15 @@ mod tests {
     fn breach_fires_iff_window_p99_exceeds_slo() {
         let mut hp = plane(100); // 100 ms objective
         let t = SimTime::from_secs(1);
-        assert!(hp.observe_latency("fetch", t, 50_000_000).is_none());
+        assert!(hp.observe_latency(OpKind::Fetch, t, 50_000_000).is_none());
         let breach = hp
-            .observe_latency("fetch", t, 500_000_000)
+            .observe_latency(OpKind::Fetch, t, 500_000_000)
             .expect("p99 is now 500ms > 100ms");
         assert_eq!(breach.slo_ns, 100_000_000);
         assert!(breach.p99_ns >= 500_000_000);
         assert_eq!(hp.violations, 1);
         // Kinds without an objective are tracked but never breach.
-        assert!(hp.observe_latency("store", t, u64::MAX / 2).is_none());
+        assert!(hp.observe_latency(OpKind::Store, t, u64::MAX / 2).is_none());
         assert_eq!(hp.summaries(t).len(), 2);
     }
 
@@ -307,12 +261,12 @@ mod tests {
         let mut hp = plane(100);
         let slow = 500_000_000;
         assert!(hp
-            .observe_latency("fetch", SimTime::from_secs(1), slow)
+            .observe_latency(OpKind::Fetch, SimTime::from_secs(1), slow)
             .is_some());
         // 60s later (window is 10s) the slow sample is gone; a fast op
         // completes without a breach.
         assert!(hp
-            .observe_latency("fetch", SimTime::from_secs(61), 1_000_000)
+            .observe_latency(OpKind::Fetch, SimTime::from_secs(61), 1_000_000)
             .is_none());
         let (_, h) = hp.summaries(SimTime::from_secs(61))[0];
         assert_eq!(h.count, 1);
@@ -344,34 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn stage_buckets_cover_every_kind_of_work() {
-        assert_eq!(bucket_for_stage("fetch.meta_get", false), PathBucket::Dht);
-        assert_eq!(
-            bucket_for_stage("store.disk_write", false),
-            PathBucket::Disk
-        );
-        assert_eq!(bucket_for_stage("fetch.flow_home", false), PathBucket::Lan);
-        assert_eq!(bucket_for_stage("fetch.flow_cloud", true), PathBucket::Wan);
-        assert_eq!(bucket_for_stage("fetch.striped", true), PathBucket::Wan);
-        assert_eq!(bucket_for_stage("fetch.striped", false), PathBucket::Lan);
-        assert_eq!(
-            bucket_for_stage("fetch.retry_wait", false),
-            PathBucket::Backoff
-        );
-        assert_eq!(bucket_for_stage("proc.exec", false), PathBucket::Service);
-        assert_eq!(
-            bucket_for_stage("fetch.channel_out", false),
-            PathBucket::Other
-        );
-        assert_eq!(bucket_for_stage("not.a.stage", false), PathBucket::Other);
-    }
-
-    #[test]
     fn attribution_sums_to_total_with_other_as_remainder() {
-        let log: Vec<(&'static str, u64, u64)> = vec![
-            ("fetch.meta_get", 0, 10),
-            ("fetch.flow_home", 10, 70),
-            ("fetch.channel_out", 70, 80),
+        let log = [
+            (Stage::FetchMetaGet, 0, 10),
+            (Stage::FetchFlowHome, 10, 70),
+            (Stage::FetchChannelOut, 70, 80),
         ];
         let cp = attribute(&log, 100, false);
         assert_eq!(cp.dht_ns, 10);

@@ -20,7 +20,7 @@ use c4h_kvstore::{
 use c4h_resources::Bin;
 use c4h_services::{ServiceDemand, ServiceId, ServiceOutput};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
 use crate::config::{NodeId, ServiceKind};
 use crate::decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME};
@@ -29,7 +29,9 @@ use crate::health::{attribute, PathRow};
 use crate::object::{Blob, Object, SAMPLE_WINDOW};
 use crate::overload::{shed_reason_code, AdmitDecision};
 use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
-use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, PathAttribution};
+use crate::report::{
+    Breakdown, CausalEvent, Column, OpError, OpId, OpOutput, OpReport, PathAttribution,
+};
 use crate::runtime::{Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE};
 use crate::transfers::FlowOwner;
 
@@ -73,20 +75,25 @@ pub(crate) enum OpInput {
     Dht(DhtEvent),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// Where an operation is in its state machine. What each stage *means* to
+/// the reports — its span name, its Table-I column, its critical-path
+/// bucket — is its row of [`STAGES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stage {
     // --- store ---
     StoreChannelIn,
     StoreQueryPeers,
-    StoreFlowToPeer {
-        peer: usize,
-    },
-    StoreDiskWrite {
-        target: usize,
-    },
+    StoreFlowToPeer,
+    StoreDiskWrite,
     /// All pending replica transfers run concurrently; the stage ends when
     /// the last replica lands or a quorum is reached.
     StoreFanout,
+    /// One replica's transfer and its disk write: concurrent sub-stages of
+    /// [`Stage::StoreFanout`]. They name spans only — an op's `stage` never
+    /// holds them and the fan-out's elapsed time is charged once, by the
+    /// parent stage.
+    StoreReplicaFlow,
+    StoreReplicaWrite,
     StoreFlowToCloud,
     StoreCloudPut,
     StoreMetaPut,
@@ -95,21 +102,15 @@ pub(crate) enum Stage {
     // --- fetch ---
     FetchChannelIn,
     FetchMetaGet,
-    FetchOwnerRequest {
-        owner: usize,
-    },
-    FetchFlowHome {
-        owner: usize,
-    },
+    FetchOwnerRequest,
+    FetchFlowHome,
     /// The object is being pulled as concurrent stripes from several
     /// holders (or as parallel cloud range reads). The stage ends when the
     /// last stripe lands; a lost stripe is reassigned to another holder
     /// without restarting the fetch.
     FetchStriped,
     FetchRetry,
-    FetchCloudRequest {
-        url: S3Url,
-    },
+    FetchCloudRequest,
     FetchFlowCloud,
     FetchDiskLocal,
     FetchChannelOut,
@@ -136,45 +137,214 @@ pub(crate) enum Stage {
     ProcChannelOut,
 }
 
-/// The trace-span name of a stage (dotted `<op>.<step>` form).
-pub(crate) fn stage_name(stage: &Stage) -> &'static str {
-    match stage {
-        Stage::StoreChannelIn => "store.channel_in",
-        Stage::StoreQueryPeers => "store.query_peers",
-        Stage::StoreFlowToPeer { .. } => "store.flow_to_peer",
-        Stage::StoreDiskWrite { .. } => "store.disk_write",
-        Stage::StoreFanout => "store.fanout",
-        Stage::StoreFlowToCloud => "store.flow_to_cloud",
-        Stage::StoreCloudPut => "store.cloud_put",
-        Stage::StoreMetaPut => "store.meta_put",
-        Stage::StoreDirPut => "store.dir_put",
-        Stage::StoreAck => "store.ack",
-        Stage::FetchChannelIn => "fetch.channel_in",
-        Stage::FetchMetaGet => "fetch.meta_get",
-        Stage::FetchOwnerRequest { .. } => "fetch.owner_request",
-        Stage::FetchFlowHome { .. } => "fetch.flow_home",
-        Stage::FetchStriped => "fetch.striped",
-        Stage::FetchRetry => "fetch.retry_wait",
-        Stage::FetchCloudRequest { .. } => "fetch.cloud_request",
-        Stage::FetchFlowCloud => "fetch.flow_cloud",
-        Stage::FetchDiskLocal => "fetch.disk_local",
-        Stage::FetchChannelOut => "fetch.channel_out",
-        Stage::DelChannelIn => "delete.channel_in",
-        Stage::DelMetaGet => "delete.meta_get",
-        Stage::DelDhtDelete => "delete.dht_delete",
-        Stage::DelRemoveBytes => "delete.remove_bytes",
-        Stage::DelDirPut => "delete.dir_put",
-        Stage::ListChannelIn => "list.channel_in",
-        Stage::ListDirGet => "list.dir_get",
-        Stage::ProcChannelIn => "proc.channel_in",
-        Stage::ProcMetaSvcGet => "proc.meta_svc_get",
-        Stage::ProcQueryResources => "proc.query_resources",
-        Stage::ProcDecide => "proc.decide",
-        Stage::ProcReadArg => "proc.read_arg",
-        Stage::ProcMoveArg => "proc.move_arg",
-        Stage::ProcExec => "proc.exec",
-        Stage::ProcMoveResult => "proc.move_result",
-        Stage::ProcChannelOut => "proc.channel_out",
+/// One row of the stage table: everything the reports derive from "stage S
+/// ran from t₀ to t₁".
+#[derive(Debug)]
+pub(crate) struct StageInfo {
+    stage: Stage,
+    /// Trace-span name (dotted `<op>.<step>` form). An export format: the
+    /// names are hashed into the golden digests.
+    pub(crate) name: &'static str,
+    /// Name of the stage's latency histogram, `phase.<name>_ns`.
+    hist: &'static str,
+    /// The [`Breakdown`] component the stage's elapsed time is charged to.
+    /// `None` for control time Table I leaves in the remainder.
+    pub(crate) column: Option<Column>,
+    /// Critical-path bucket; see [`Stage::bucket`] for the one exception.
+    bucket: PathBucket,
+}
+
+macro_rules! row {
+    ($stage:ident, $name:literal, $column:expr, $bucket:ident) => {
+        StageInfo {
+            stage: Stage::$stage,
+            name: $name,
+            hist: concat!("phase.", $name, "_ns"),
+            column: $column,
+            bucket: PathBucket::$bucket,
+        }
+    };
+}
+
+/// The stage table, indexed by discriminant.
+#[rustfmt::skip]
+const STAGES: [StageInfo; 38] = {
+    use Column::*;
+    [
+        row!(StoreChannelIn,     "store.channel_in",     Some(InterDomain), Other),
+        row!(StoreQueryPeers,    "store.query_peers",    Some(Decision),    Dht),
+        row!(StoreFlowToPeer,    "store.flow_to_peer",   Some(InterNode),   Lan),
+        row!(StoreDiskWrite,     "store.disk_write",     Some(Disk),        Disk),
+        row!(StoreFanout,        "store.fanout",         Some(InterNode),   Lan),
+        row!(StoreReplicaFlow,   "store.replica_flow",   None,              Other),
+        row!(StoreReplicaWrite,  "store.replica_write",  None,              Other),
+        row!(StoreFlowToCloud,   "store.flow_to_cloud",  Some(InterNode),   Wan),
+        row!(StoreCloudPut,      "store.cloud_put",      Some(InterNode),   Wan),
+        row!(StoreMetaPut,       "store.meta_put",       Some(Dht),         Dht),
+        row!(StoreDirPut,        "store.dir_put",        Some(Dht),         Dht),
+        row!(StoreAck,           "store.ack",            Some(InterDomain), Other),
+        row!(FetchChannelIn,     "fetch.channel_in",     Some(InterDomain), Other),
+        row!(FetchMetaGet,       "fetch.meta_get",       Some(Dht),         Dht),
+        // The request's modelled holder disk read is charged separately,
+        // on completion; the control round trip stays in the remainder.
+        row!(FetchOwnerRequest,  "fetch.owner_request",  None,              Lan),
+        row!(FetchFlowHome,      "fetch.flow_home",      Some(InterNode),   Lan),
+        // Wan when the stripes are cloud range reads: see `Stage::bucket`.
+        row!(FetchStriped,       "fetch.striped",        Some(InterNode),   Lan),
+        row!(FetchRetry,         "fetch.retry_wait",     Some(InterNode),   Backoff),
+        row!(FetchCloudRequest,  "fetch.cloud_request",  Some(InterNode),   Wan),
+        row!(FetchFlowCloud,     "fetch.flow_cloud",     Some(InterNode),   Wan),
+        row!(FetchDiskLocal,     "fetch.disk_local",     Some(Disk),        Disk),
+        row!(FetchChannelOut,    "fetch.channel_out",    Some(InterDomain), Other),
+        row!(DelChannelIn,       "delete.channel_in",    Some(InterDomain), Other),
+        row!(DelMetaGet,         "delete.meta_get",      Some(Dht),         Dht),
+        row!(DelDhtDelete,       "delete.dht_delete",    Some(Dht),         Dht),
+        row!(DelRemoveBytes,     "delete.remove_bytes",  Some(Disk),        Disk),
+        row!(DelDirPut,          "delete.dir_put",       Some(Dht),         Dht),
+        row!(ListChannelIn,      "list.channel_in",      Some(InterDomain), Other),
+        row!(ListDirGet,         "list.dir_get",         Some(Dht),         Dht),
+        row!(ProcChannelIn,      "proc.channel_in",      Some(InterDomain), Other),
+        row!(ProcMetaSvcGet,     "proc.meta_svc_get",    Some(Dht),         Dht),
+        row!(ProcQueryResources, "proc.query_resources", Some(Decision),    Dht),
+        row!(ProcDecide,         "proc.decide",          Some(Decision),    Other),
+        row!(ProcReadArg,        "proc.read_arg",        Some(Disk),        Disk),
+        row!(ProcMoveArg,        "proc.move_arg",        Some(InterNode),   Lan),
+        row!(ProcExec,           "proc.exec",            Some(Exec),        Service),
+        row!(ProcMoveResult,     "proc.move_result",     Some(InterNode),   Lan),
+        row!(ProcChannelOut,     "proc.channel_out",     Some(InterDomain), Other),
+    ]
+};
+
+// Rows sit in discriminant order, so `info` is an index.
+const _: () = {
+    let mut i = 0;
+    while i < STAGES.len() {
+        assert!(STAGES[i].stage as usize == i);
+        i += 1;
+    }
+};
+
+impl Stage {
+    /// This stage's row of the table.
+    pub(crate) const fn info(self) -> &'static StageInfo {
+        &STAGES[self as usize]
+    }
+
+    /// The stage whose span name is `name` (cold path: rendering only).
+    pub(crate) fn from_name(name: &str) -> Option<Stage> {
+        STAGES.iter().find(|r| r.name == name).map(|r| r.stage)
+    }
+
+    /// The critical-path bucket the stage's time falls in. `fetch.striped`
+    /// pulls either from home peers or from the cloud via parallel range
+    /// reads; `via_cloud`, known at completion, disambiguates.
+    pub(crate) fn bucket(self, via_cloud: bool) -> PathBucket {
+        match self {
+            Stage::FetchStriped if via_cloud => PathBucket::Wan,
+            _ => self.info().bucket,
+        }
+    }
+
+    /// Whether the stage tolerates a lost DHT reply itself (resource
+    /// queries score whoever answered; the batched lookup reissues only
+    /// what is missing) instead of leaning on [`Cloud4Home::retry_dht`].
+    fn absorbs_lost_reply(self) -> bool {
+        matches!(
+            self,
+            Stage::StoreQueryPeers | Stage::ProcQueryResources | Stage::ProcMetaSvcGet
+        )
+    }
+}
+
+/// The kind of a client operation. One table carries its public name and
+/// the names of its per-kind metrics; declared in name order, so an array
+/// indexed by kind iterates the way a map keyed by name would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    Delete,
+    Fetch,
+    FetchProcess,
+    List,
+    Pipeline,
+    Process,
+    Store,
+}
+
+/// One row of the op-kind table.
+#[derive(Debug)]
+pub(crate) struct OpKindInfo {
+    kind: OpKind,
+    /// The kind's public name ([`OpReport::kind`], `Config::slo_ms` keys).
+    pub(crate) name: &'static str,
+    /// The stage an admitted op of this kind starts in.
+    first: Stage,
+    /// Counters `op.<kind>.ok` / `op.<kind>.err`.
+    ok: &'static str,
+    err: &'static str,
+    /// Histogram `op.<kind>.total_ns`.
+    total_ns: &'static str,
+    /// Counter `shed.<kind>`.
+    shed: &'static str,
+    /// Counter `slo.violation.<kind>`.
+    slo_violation: &'static str,
+}
+
+macro_rules! kind_row {
+    ($kind:ident, $name:literal, $first:ident) => {
+        OpKindInfo {
+            kind: OpKind::$kind,
+            name: $name,
+            first: Stage::$first,
+            ok: concat!("op.", $name, ".ok"),
+            err: concat!("op.", $name, ".err"),
+            total_ns: concat!("op.", $name, ".total_ns"),
+            shed: concat!("shed.", $name),
+            slo_violation: concat!("slo.violation.", $name),
+        }
+    };
+}
+
+/// The op-kind table, indexed by discriminant.
+const OP_KINDS: [OpKindInfo; 7] = [
+    kind_row!(Delete, "delete", DelChannelIn),
+    kind_row!(Fetch, "fetch", FetchChannelIn),
+    kind_row!(FetchProcess, "fetch_process", ProcChannelIn),
+    kind_row!(List, "list", ListChannelIn),
+    kind_row!(Pipeline, "pipeline", ProcChannelIn),
+    kind_row!(Process, "process", ProcChannelIn),
+    kind_row!(Store, "store", StoreChannelIn),
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < OP_KINDS.len() {
+        assert!(OP_KINDS[i].kind as usize == i);
+        i += 1;
+    }
+};
+
+impl OpKind {
+    /// How many kinds there are (the length of a per-kind array).
+    pub(crate) const COUNT: usize = OP_KINDS.len();
+
+    /// Every kind, in name order.
+    pub(crate) fn all() -> impl Iterator<Item = OpKind> {
+        OP_KINDS.iter().map(|row| row.kind)
+    }
+
+    /// This kind's row of the table.
+    pub(crate) const fn info(self) -> &'static OpKindInfo {
+        &OP_KINDS[self as usize]
+    }
+
+    /// The kind's public name.
+    pub(crate) const fn name(self) -> &'static str {
+        self.info().name
+    }
+
+    /// The kind called `name`, if any.
+    pub(crate) fn from_name(name: &str) -> Option<OpKind> {
+        OP_KINDS.iter().find(|r| r.name == name).map(|r| r.kind)
     }
 }
 
@@ -182,7 +352,7 @@ pub(crate) fn stage_name(stage: &Stage) -> &'static str {
 #[derive(Debug)]
 pub(crate) struct Op {
     pub(crate) id: OpId,
-    pub(crate) kind: &'static str,
+    pub(crate) kind: OpKind,
     pub(crate) client: usize,
     pub(crate) submitted: SimTime,
     pub(crate) name: Sym,
@@ -196,6 +366,13 @@ pub(crate) struct Op {
     pub(crate) pipeline: Vec<ServiceKind>,
     pub(crate) pipeline_idx: usize,
     pub(crate) stage: Stage,
+    /// The home node the current stage works with: the node a store flows
+    /// to and writes on (the client itself for a local-first store), the
+    /// holder a fetch requests and pulls from.
+    pub(crate) peer: usize,
+    /// The parsed S3 location a cloud fetch requests, parked between
+    /// routing and the request's completion.
+    pub(crate) cloud_url: Option<S3Url>,
     pub(crate) breakdown: Breakdown,
     pub(crate) phase_started: SimTime,
     pub(crate) meta: Option<ObjectMeta>,
@@ -251,11 +428,11 @@ pub(crate) struct Op {
     pub(crate) backoff: Duration,
     /// Absolute recovery deadline; failovers past it fail with `Timeout`.
     pub(crate) deadline: SimTime,
-    /// Sequential stage spans `(name, start_ns, end_ns)` recorded while
+    /// Sequential stage spans `(stage, start_ns, end_ns)` recorded while
     /// tracing or the causal ledger is on; the critical-path analyzer
     /// buckets them at completion and the explain plane tiles them into
     /// the op's DAG. Empty when both are disabled.
-    pub(crate) stage_log: Vec<(&'static str, u64, u64)>,
+    pub(crate) stage_log: Vec<(Stage, u64, u64)>,
     /// Whether the overload plane rejected this op at admission. Shed ops
     /// never held a tenant slot and never enter the SLO windows.
     pub(crate) shed: bool,
@@ -270,7 +447,7 @@ pub(crate) struct Op {
 }
 
 impl Op {
-    fn new(id: OpId, kind: &'static str, client: usize, name: Sym, now: SimTime) -> Self {
+    fn new(id: OpId, kind: OpKind, client: usize, name: Sym, now: SimTime) -> Self {
         Op {
             id,
             kind,
@@ -285,7 +462,9 @@ impl Op {
             service: None,
             pipeline: Vec::new(),
             pipeline_idx: 0,
-            stage: Stage::StoreChannelIn,
+            stage: kind.info().first,
+            peer: client,
+            cloud_url: None,
             breakdown: Breakdown::default(),
             phase_started: now,
             meta: None,
@@ -480,24 +659,14 @@ impl Cloud4Home {
         policy: StorePolicy,
         blocking: bool,
     ) -> OpId {
-        let i = self.require_live(client);
-        let id = self.alloc_op();
-        let now = self.now();
-        let mut op = Op::new(id, "store", i, object.name, now);
+        let mut op = self.new_op(OpKind::Store, client, object.name);
         op.blocking = blocking;
         op.store_policy = policy;
-        let Some(mut op) = self.admit_gate(op) else {
-            return id;
-        };
-        op.stage = Stage::StoreChannelIn;
         // CreateObject + StoreObject: command packet, then the object
         // crosses the guest → dom0 shared-memory channel.
-        let channel = self.nodes[i].channel_transfer(object.size_bytes());
+        let channel_bytes = object.size_bytes();
         op.payload = Some(object);
-        self.wake_in(id, self.config.timing.command_proc + channel);
-        self.ops.insert(id, op);
-        self.ensure_tick();
-        id
+        self.submit(op, channel_bytes)
     }
 
     /// Fetches an object by name to an application on `client`.
@@ -506,19 +675,8 @@ impl Cloud4Home {
     ///
     /// Panics if `client` is out of range or the node is offline.
     pub fn fetch_object(&mut self, client: NodeId, name: &str) -> OpId {
-        let i = self.require_live(client);
-        let id = self.alloc_op();
-        let now = self.now();
-        let op = Op::new(id, "fetch", i, Sym::new(name), now);
-        let Some(mut op) = self.admit_gate(op) else {
-            return id;
-        };
-        op.stage = Stage::FetchChannelIn;
-        let channel = self.nodes[i].channel_transfer(COMMAND_BYTES);
-        self.wake_in(id, self.config.timing.command_proc + channel);
-        self.ops.insert(id, op);
-        self.ensure_tick();
-        id
+        let op = self.new_op(OpKind::Fetch, client, Sym::new(name));
+        self.submit(op, COMMAND_BYTES)
     }
 
     /// Deletes an object: its metadata is removed from the key-value store
@@ -531,19 +689,8 @@ impl Cloud4Home {
     ///
     /// Panics if `client` is out of range or the node is offline.
     pub fn delete_object(&mut self, client: NodeId, name: &str) -> OpId {
-        let i = self.require_live(client);
-        let id = self.alloc_op();
-        let now = self.now();
-        let op = Op::new(id, "delete", i, Sym::new(name), now);
-        let Some(mut op) = self.admit_gate(op) else {
-            return id;
-        };
-        op.stage = Stage::DelChannelIn;
-        let channel = self.nodes[i].channel_transfer(COMMAND_BYTES);
-        self.wake_in(id, self.config.timing.command_proc + channel);
-        self.ops.insert(id, op);
-        self.ensure_tick();
-        id
+        let op = self.new_op(OpKind::Delete, client, Sym::new(name));
+        self.submit(op, COMMAND_BYTES)
     }
 
     /// Lists the objects in a directory (the prefix before the final `/` of
@@ -554,19 +701,8 @@ impl Cloud4Home {
     ///
     /// Panics if `client` is out of range or the node is offline.
     pub fn list_objects(&mut self, client: NodeId, dir: &str) -> OpId {
-        let i = self.require_live(client);
-        let id = self.alloc_op();
-        let now = self.now();
-        let op = Op::new(id, "list", i, Sym::new(dir), now);
-        let Some(mut op) = self.admit_gate(op) else {
-            return id;
-        };
-        op.stage = Stage::ListChannelIn;
-        let channel = self.nodes[i].channel_transfer(COMMAND_BYTES);
-        self.wake_in(id, self.config.timing.command_proc + channel);
-        self.ops.insert(id, op);
-        self.ensure_tick();
-        id
+        let op = self.new_op(OpKind::List, client, Sym::new(dir));
+        self.submit(op, COMMAND_BYTES)
     }
 
     /// Invokes a processing service on a stored object, choosing the
@@ -578,7 +714,14 @@ impl Cloud4Home {
         service: ServiceKind,
         route: RoutePolicy,
     ) -> OpId {
-        self.submit_process(client, name, service, Placement::Auto, route, "process")
+        self.submit_process(
+            client,
+            name,
+            service,
+            Placement::Auto,
+            route,
+            OpKind::Process,
+        )
     }
 
     /// Invokes a processing service at an explicitly pinned location
@@ -596,7 +739,7 @@ impl Cloud4Home {
             service,
             placement,
             RoutePolicy::Performance,
-            "process",
+            OpKind::Process,
         )
     }
 
@@ -616,7 +759,7 @@ impl Cloud4Home {
             service,
             Placement::Auto,
             route,
-            "fetch_process",
+            OpKind::FetchProcess,
         )
     }
 
@@ -644,7 +787,7 @@ impl Cloud4Home {
             services[0],
             Placement::Auto,
             route,
-            "pipeline",
+            OpKind::Pipeline,
         );
         // The overload plane may have shed the submission, in which case
         // the op already completed and is no longer in flight.
@@ -661,31 +804,37 @@ impl Cloud4Home {
         service: ServiceKind,
         placement: Placement,
         route: RoutePolicy,
-        kind: &'static str,
+        kind: OpKind,
     ) -> OpId {
-        let i = self.require_live(client);
-        let id = self.alloc_op();
-        let now = self.now();
-        let mut op = Op::new(id, kind, i, Sym::new(name), now);
+        let mut op = self.new_op(kind, client, Sym::new(name));
         op.service = Some(service);
         op.pipeline = vec![service];
         op.placement = placement;
         op.route = route;
-        let Some(mut op) = self.admit_gate(op) else {
+        self.submit(op, COMMAND_BYTES)
+    }
+
+    /// Builds the op a live `client` is submitting, in its kind's first
+    /// stage.
+    fn new_op(&mut self, kind: OpKind, client: NodeId, name: Sym) -> Op {
+        assert!(client.0 < self.nodes.len(), "no such node {client}");
+        assert!(self.nodes[client.0].alive, "{client} is offline");
+        Op::new(self.alloc_op(), kind, client.0, name, self.now())
+    }
+
+    /// Puts a new op through admission and, if admitted, starts it: its
+    /// first stage lasts until `channel_bytes` have crossed the guest →
+    /// dom0 channel and the command is processed.
+    fn submit(&mut self, op: Op, channel_bytes: u64) -> OpId {
+        let id = op.id;
+        let Some(op) = self.admit_gate(op) else {
             return id;
         };
-        op.stage = Stage::ProcChannelIn;
-        let channel = self.nodes[i].channel_transfer(COMMAND_BYTES);
+        let channel = self.nodes[op.client].channel_transfer(channel_bytes);
         self.wake_in(id, self.config.timing.command_proc + channel);
         self.ops.insert(id, op);
         self.ensure_tick();
         id
-    }
-
-    fn require_live(&self, client: NodeId) -> usize {
-        assert!(client.0 < self.nodes.len(), "no such node {client}");
-        assert!(self.nodes[client.0].alive, "{client} is offline");
-        client.0
     }
 
     /// Runs the overload plane's admission check for a newly built op.
@@ -696,7 +845,7 @@ impl Cloud4Home {
     fn admit_gate(&mut self, mut op: Op) -> Option<Op> {
         match self
             .overload
-            .admit(op.kind, op.client, self.now().as_nanos())
+            .admit(op.kind.name(), op.client, self.now().as_nanos())
         {
             AdmitDecision::Admitted => {
                 self.ledger_op(op.id, CauseKind::Admit, LEDGER_NONE, 0, 0);
@@ -712,14 +861,14 @@ impl Cloud4Home {
                     0,
                 );
                 self.stats.ops_shed += 1;
-                self.telemetry.add(format!("shed.{}", op.kind), 1);
+                self.telemetry.add(op.kind.info().shed, 1);
                 self.telemetry.instant_args(
                     "overload",
                     "shed.drop",
                     op.id.0,
                     self.now().as_nanos(),
                     vec![
-                        ("kind", ArgValue::from(op.kind)),
+                        ("kind", ArgValue::from(op.kind.name())),
                         ("reason", ArgValue::from(reason)),
                         ("object", ArgValue::from(op.name.as_str())),
                         (
@@ -754,7 +903,7 @@ impl Cloud4Home {
             op.id.0,
             self.now().as_nanos(),
             vec![
-                ("stage", ArgValue::from(stage_name(&op.stage))),
+                ("stage", ArgValue::from(op.stage.info().name)),
                 ("why", ArgValue::from(why)),
             ],
         );
@@ -770,9 +919,8 @@ impl Cloud4Home {
         // Circuit breakers: charge the severed path before recovery
         // reroutes around it, so a repeat offender trips open and later
         // candidate selection steers clear without burning a flow on it.
-        let failed_addr = match &op.stage {
-            Stage::FetchFlowHome { owner } => Some(self.nodes[*owner].addr),
-            Stage::StoreFlowToPeer { peer } => Some(self.nodes[*peer].addr),
+        let failed_addr = match op.stage {
+            Stage::FetchFlowHome | Stage::StoreFlowToPeer => Some(self.nodes[op.peer].addr),
             Stage::FetchStriped => op.stripe_flows.get(&flow).map(|f| match f.holder {
                 Some(h) => self.nodes[h].addr,
                 None => CLOUD_ADDR,
@@ -787,8 +935,8 @@ impl Cloud4Home {
         if let Some(addr) = failed_addr {
             self.breaker_failure(addr);
         }
-        let outcome = match op.stage.clone() {
-            Stage::FetchFlowHome { .. } => self.fetch_try_next(&mut op, true),
+        let outcome = match op.stage {
+            Stage::FetchFlowHome => self.fetch_try_next(&mut op, true),
             Stage::FetchStriped => {
                 // Only the severed stripe is affected; reassign it (or lean
                 // on a hedge copy already racing) while the rest keep
@@ -831,7 +979,7 @@ impl Cloud4Home {
                     None
                 }
             }
-            Stage::StoreFlowToPeer { .. } => self.store_spill_or_fail(&mut op),
+            Stage::StoreFlowToPeer => self.store_spill_or_fail(&mut op),
             Stage::ProcMoveArg | Stage::ProcMoveResult => self.proc_redispatch(&mut op, why),
             _ => Some(Err(OpError::OwnerUnreachable(why.to_owned()))),
         };
@@ -904,7 +1052,7 @@ impl Cloud4Home {
                     b.slo_ns,
                 );
                 self.telemetry.set_exemplar(
-                    format!("slo.violation.{}", op.kind),
+                    op.kind.info().slo_violation,
                     format!("op{}#{breach_seq}", op.id.0),
                 );
             }
@@ -917,7 +1065,7 @@ impl Cloud4Home {
             critical = attribute(&op.stage_log, total_ns, op.via_cloud);
             self.health.record_path(PathRow {
                 op: op.id,
-                kind: op.kind,
+                kind: op.kind.name(),
                 object: op.name,
                 total_ns,
                 path: critical,
@@ -925,9 +1073,10 @@ impl Cloud4Home {
         }
         if self.telemetry.enabled() {
             let ok = outcome.is_ok();
+            let kind = op.kind.info();
             self.telemetry.span_args(
                 "op",
-                op.kind,
+                kind.name,
                 op.id.0,
                 op.submitted.as_nanos(),
                 now.as_nanos(),
@@ -938,11 +1087,8 @@ impl Cloud4Home {
                     ("failovers", ArgValue::from(u64::from(op.failovers))),
                 ],
             );
-            let outcome_tag = if ok { "ok" } else { "err" };
-            self.telemetry
-                .add(format!("op.{}.{outcome_tag}", op.kind), 1);
-            self.telemetry
-                .observe(format!("op.{}.total_ns", op.kind), total_ns);
+            self.telemetry.add(if ok { kind.ok } else { kind.err }, 1);
+            self.telemetry.observe(kind.total_ns, total_ns);
 
             self.stats.crit_dht_ns += critical.dht_ns;
             self.stats.crit_disk_ns += critical.disk_ns;
@@ -954,7 +1100,7 @@ impl Cloud4Home {
 
             if let Some(breach) = breach {
                 let mut args = vec![
-                    ("kind", ArgValue::from(op.kind)),
+                    ("kind", ArgValue::from(kind.name)),
                     ("p99_ns", ArgValue::from(breach.p99_ns)),
                     ("slo_ns", ArgValue::from(breach.slo_ns)),
                 ];
@@ -968,7 +1114,7 @@ impl Cloud4Home {
                     now.as_nanos(),
                     args,
                 );
-                self.telemetry.add(format!("slo.violation.{}", op.kind), 1);
+                self.telemetry.add(kind.slo_violation, 1);
             }
 
             // Flight recorder: hard failures (deadline blown, every executor
@@ -981,12 +1127,12 @@ impl Cloud4Home {
                     let stages = op
                         .stage_log
                         .iter()
-                        .map(|(n, s, e)| ((*n).to_owned(), *s, *e))
+                        .map(|&(stage, s, e)| (stage.info().name.to_owned(), s, e))
                         .collect();
                     self.health.flight.record(
                         now.as_nanos(),
                         op.id.0,
-                        op.kind,
+                        kind.name,
                         op.name.as_str(),
                         e.label(),
                         op.submitted.as_nanos(),
@@ -999,7 +1145,7 @@ impl Cloud4Home {
         // Heat tracking: each successful fetch feeds the per-object rate
         // EWMA and reader history that the adaptive placement pass steers
         // replica counts and placement by.
-        if self.config.adaptive.enabled && op.kind == "fetch" && outcome.is_ok() {
+        if self.config.adaptive.enabled && op.kind == OpKind::Fetch && outcome.is_ok() {
             self.object_heat
                 .observe_fetch(op.name, op.client, now.as_nanos());
             self.replicas.fetched(op.name);
@@ -1008,13 +1154,13 @@ impl Cloud4Home {
         // its stage spans and causal chain so the critical-path DAG can be
         // materialized after the fact. The per-op ring is consumed (moved,
         // not copied) either way, so disabled runs leak nothing.
-        let mut stages: Vec<(String, u64, u64)> = Vec::new();
+        let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
         let mut ledger: Vec<CausalEvent> = Vec::new();
         if self.ledger.enabled() {
             stages = op
                 .stage_log
                 .iter()
-                .map(|(n, s, e)| ((*n).to_owned(), *s, *e))
+                .map(|&(stage, s, e)| (stage.info().name, s, e))
                 .collect();
             ledger = self
                 .ledger
@@ -1028,7 +1174,7 @@ impl Cloud4Home {
         let has_detail = !stages.is_empty() || !ledger.is_empty();
         let report = OpReport {
             id: op.id,
-            kind: op.kind,
+            kind: op.kind.name(),
             object: op.name,
             submitted: op.submitted,
             completed: self.now(),
@@ -1059,38 +1205,56 @@ impl Cloud4Home {
         }
     }
 
-    /// Marks the start of a new timing phase, returning the previous
-    /// phase's elapsed time.
-    ///
-    /// When tracing is enabled, the elapsed phase is also recorded as a
-    /// child span on the operation's track (named after `op.stage`, which
-    /// still holds the stage whose work just finished at every charging
-    /// call site) plus a per-stage latency histogram. Zero-length phases —
-    /// bookkeeping transitions within one event — are skipped so traces
-    /// show only stages that consumed virtual time.
-    fn phase(&self, op: &mut Op) -> Duration {
+    /// Closes the stage `op.stage` at the current instant and returns the
+    /// time it took. This is the one place an op's time is accounted: the
+    /// elapsed time goes to the stage's Table-I column and — while tracing
+    /// or the causal ledger is on — becomes a child span on the op's track,
+    /// a sample of the stage's latency histogram and an entry of the op's
+    /// stage log, from which the critical path and the explain DAG derive.
+    /// Zero-length closes — bookkeeping transitions within one event — do
+    /// nothing, so traces show only stages that consumed virtual time.
+    fn charge(&self, op: &mut Op) -> Duration {
         let now = self.now();
-        let elapsed = now
-            .checked_duration_since(op.phase_started)
-            .unwrap_or_default();
-        if !elapsed.is_zero() && (self.telemetry.enabled() || self.ledger.enabled()) {
-            let name = stage_name(&op.stage);
-            if self.telemetry.enabled() {
-                self.telemetry.span(
-                    "stage",
-                    name,
-                    op.id.0,
-                    op.phase_started.as_nanos(),
-                    now.as_nanos(),
-                );
-                self.telemetry
-                    .observe(format!("phase.{name}_ns"), elapsed.as_nanos() as u64);
-            }
-            op.stage_log
-                .push((name, op.phase_started.as_nanos(), now.as_nanos()));
+        let started = std::mem::replace(&mut op.phase_started, now);
+        let elapsed = now.checked_duration_since(started).unwrap_or_default();
+        if elapsed.is_zero() {
+            return elapsed;
         }
-        op.phase_started = now;
+        if let Some(column) = op.stage.info().column {
+            op.breakdown.add(column, elapsed);
+        }
+        let (start_ns, end_ns) = (started.as_nanos(), now.as_nanos());
+        let traced = self.telemetry.enabled();
+        if traced {
+            self.stage_span(op.id, op.stage, start_ns, end_ns);
+        }
+        if traced || self.ledger.enabled() {
+            op.stage_log.push((op.stage, start_ns, end_ns));
+        }
         elapsed
+    }
+
+    /// Records one run of `stage` on the op's track: a `stage` span under
+    /// the table's name and a sample of the stage's latency histogram.
+    fn stage_span(&self, op: OpId, stage: Stage, start_ns: u64, end_ns: u64) {
+        let info = stage.info();
+        self.telemetry
+            .span("stage", info.name, op.0, start_ns, end_ns);
+        self.telemetry.observe(info.hist, end_ns - start_ns);
+    }
+
+    /// Closes the current stage and enters `next`.
+    fn enter(&self, op: &mut Op, next: Stage) {
+        self.charge(op);
+        op.stage = next;
+    }
+
+    /// Enters `next`, a stage that lasts `duration`: the op is woken when
+    /// it is over.
+    fn enter_for(&mut self, op: &mut Op, next: Stage, duration: Duration) -> StepOutcome {
+        self.enter(op, next);
+        self.wake_in(op.id, duration);
+        None
     }
 
     fn op_step(&mut self, op: &mut Op, input: OpInput) -> StepOutcome {
@@ -1131,7 +1295,7 @@ impl Cloud4Home {
                         op.id.0,
                         self.now().as_nanos(),
                         vec![
-                            ("stage", ArgValue::from(stage_name(&op.stage))),
+                            ("stage", ArgValue::from(op.stage.info().name)),
                             ("retries", ArgValue::from(u64::from(op.retries))),
                         ],
                     );
@@ -1146,34 +1310,21 @@ impl Cloud4Home {
                     let cause = std::mem::take(&mut op.ledger_cause);
                     self.ledger_op(op.id, CauseKind::RetryDenied, cause, 1, 0);
                 }
-                if !budgeted
-                    && !matches!(
-                        op.stage,
-                        Stage::StoreQueryPeers | Stage::ProcQueryResources | Stage::ProcMetaSvcGet
-                    )
-                {
+                if !budgeted && !op.stage.absorbs_lost_reply() {
                     return Some(Err(OpError::Timeout(op.name.to_string())));
                 }
             }
             // Retry cap exhausted on a stage that has no fallback of its
             // own: surface the exhaustion as an operation timeout. Stages
             // that absorb missing replies (resource queries) fall through.
-            if op.retries >= MAX_DHT_RETRIES
-                && !matches!(
-                    op.stage,
-                    Stage::StoreQueryPeers | Stage::ProcQueryResources | Stage::ProcMetaSvcGet
-                )
-            {
+            if op.retries >= MAX_DHT_RETRIES && !op.stage.absorbs_lost_reply() {
                 return Some(Err(OpError::Timeout(op.name.to_string())));
             }
         }
-        match op.stage.clone() {
+        match op.stage {
             // ---------------- store ----------------
             Stage::StoreChannelIn => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
+                self.charge(op);
                 self.store_decide_placement(op)
             }
             Stage::StoreQueryPeers => {
@@ -1181,46 +1332,27 @@ impl Cloud4Home {
                 if op.pending_gets > 0 {
                     return None;
                 }
-                {
-                    let el = self.phase(op);
-                    op.breakdown.decision += el;
-                }
+                self.charge(op);
                 self.store_pick_peer(op)
             }
-            Stage::StoreFlowToPeer { peer } => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
-                let write = self.nodes[peer].disk.write_time(op.object_bytes());
-                op.stage = Stage::StoreDiskWrite { target: peer };
-                self.wake_in(op.id, write);
-                None
+            Stage::StoreFlowToPeer => {
+                let write = self.nodes[op.peer].disk.write_time(op.object_bytes());
+                self.enter_for(op, Stage::StoreDiskWrite, write)
             }
-            Stage::StoreDiskWrite { target } => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.disk += el;
-                }
-                self.store_install(op, target)
+            Stage::StoreDiskWrite => {
+                self.charge(op);
+                self.store_install(op, op.peer)
             }
-            // Flow completions and write wakes of the fan-out are routed by
-            // the intercepts above; anything else (a stray wake) is inert.
-            Stage::StoreFanout => None,
-            Stage::StoreFlowToCloud => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
-                op.stage = Stage::StoreCloudPut;
-                self.wake_in(op.id, REQUEST_LATENCY);
-                None
-            }
+            // Flow completions, write wakes and request wakes of the two
+            // concurrent stages are routed by the intercepts above; anything
+            // else (a stray wake) is inert. The sub-stages are never current.
+            Stage::StoreFanout
+            | Stage::FetchStriped
+            | Stage::StoreReplicaFlow
+            | Stage::StoreReplicaWrite => None,
+            Stage::StoreFlowToCloud => self.enter_for(op, Stage::StoreCloudPut, REQUEST_LATENCY),
             Stage::StoreCloudPut => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+                self.charge(op);
                 self.breaker_success(CLOUD_ADDR);
                 let object = op.payload.as_ref().expect("store carries payload");
                 let cloud = self.cloud.as_mut().expect("cloud path requires a cloud");
@@ -1246,10 +1378,7 @@ impl Cloud4Home {
                 let DhtEvent::PutCompleted { result, .. } = ev else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
@@ -1267,10 +1396,7 @@ impl Cloud4Home {
                 let OpInput::Dht(DhtEvent::PutCompleted { result, .. }) = input else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
@@ -1279,28 +1405,19 @@ impl Cloud4Home {
                     // acknowledgement."
                     let ack = self.nodes[op.client].channel_transfer(COMMAND_BYTES)
                         + self.config.timing.command_proc;
-                    op.stage = Stage::StoreAck;
-                    self.wake_in(op.id, ack);
-                    None
+                    self.enter_for(op, Stage::StoreAck, ack)
                 } else {
-                    Some(Ok(self.store_output(op)))
+                    Some(Ok(self.bytes_output(op)))
                 }
             }
             Stage::StoreAck => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
-                Some(Ok(self.store_output(op)))
+                self.charge(op);
+                Some(Ok(self.bytes_output(op)))
             }
 
             // ---------------- fetch ----------------
             Stage::FetchChannelIn => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
-                op.stage = Stage::FetchMetaGet;
+                self.enter(op, Stage::FetchMetaGet);
                 self.dht_get_for_op(op.id, op.client, object_key(op.name.as_str()));
                 None
             }
@@ -1309,13 +1426,11 @@ impl Cloud4Home {
                     Ok(m) => m,
                     Err(e) => return Some(Err(e)),
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 self.fetch_route_to_owner(op, meta)
             }
-            Stage::FetchOwnerRequest { owner } => {
+            Stage::FetchOwnerRequest => {
+                let owner = op.peer;
                 // The holder may have crashed or been cut off while the
                 // control request was in flight: fail over instead of
                 // starting a doomed transfer.
@@ -1328,26 +1443,20 @@ impl Cloud4Home {
                 // read is charged here, on completion — a holder that died
                 // before responding must not leave its read time behind.
                 op.breakdown.disk += self.nodes[owner].disk.read_time(op.object_bytes());
-                self.phase(op);
-                op.stage = Stage::FetchFlowHome { owner };
+                self.enter(op, Stage::FetchFlowHome);
                 let src = self.nodes[owner].addr;
                 let dst = self.nodes[op.client].addr;
                 self.start_flow_for_op(op.id, src, dst, op.object_bytes());
                 None
             }
-            Stage::FetchFlowHome { owner } => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                    // The completed transfer is a bandwidth observation for
-                    // this holder (the phase covers exactly the flow).
-                    self.peer_bw.observe(
-                        self.nodes[owner].addr.raw(),
-                        op.object_bytes(),
-                        el.as_secs_f64(),
-                    );
-                }
+            Stage::FetchFlowHome => {
+                let owner = op.peer;
                 let addr = self.nodes[owner].addr;
+                // The completed transfer is a bandwidth observation for
+                // this holder (the stage covers exactly the flow).
+                let el = self.charge(op);
+                self.peer_bw
+                    .observe(addr.raw(), op.object_bytes(), el.as_secs_f64());
                 self.breaker_success(addr);
                 match self.nodes[owner].objects.get(&op.name) {
                     Some(blob) => {
@@ -1359,14 +1468,8 @@ impl Cloud4Home {
                     None => self.fetch_try_next(op, true),
                 }
             }
-            // Stripe completions and request wakes are routed by the
-            // intercepts above; anything else (a stray wake) is inert.
-            Stage::FetchStriped => None,
             Stage::FetchRetry => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+                self.charge(op);
                 // With the adaptive plane on, the object may have changed
                 // shape while this op was backing off (converted to coded
                 // stripes, replicas re-placed); the snapshot in `op.meta`
@@ -1382,18 +1485,18 @@ impl Cloud4Home {
                 let meta = op.meta.clone().expect("set in FetchMetaGet");
                 self.fetch_route_to_owner(op, meta)
             }
-            Stage::FetchCloudRequest { url } => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+            Stage::FetchCloudRequest => {
+                self.charge(op);
+                let url = op
+                    .cloud_url
+                    .take()
+                    .expect("parked when the fetch was routed");
                 let cloud = self.cloud.as_mut().expect("cloud fetch requires a cloud");
                 match cloud.s3.get(&url) {
                     Ok(obj) => {
                         op.staged = Some(obj.payload.clone());
                         op.via_cloud = true;
                         let src = cloud.addr;
-                        self.phase(op);
                         let dst = self.nodes[op.client].addr;
                         let bytes = op.object_bytes();
                         // A WAN flow's TCP cap sits well below the downlink
@@ -1411,18 +1514,12 @@ impl Cloud4Home {
                 }
             }
             Stage::FetchFlowCloud => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+                self.charge(op);
                 self.breaker_success(CLOUD_ADDR);
                 self.fetch_channel_out(op)
             }
             Stage::FetchDiskLocal => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.disk += el;
-                }
+                self.charge(op);
                 match self.nodes[op.client].objects.get(&op.name) {
                     Some(blob) => {
                         op.staged = Some(blob.clone());
@@ -1432,26 +1529,13 @@ impl Cloud4Home {
                 }
             }
             Stage::FetchChannelOut => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
-                Some(Ok(OpOutput {
-                    bytes: op.object_bytes(),
-                    via_cloud: op.via_cloud,
-                    exec_target: None,
-                    summary: None,
-                    listing: None,
-                }))
+                self.charge(op);
+                Some(Ok(self.bytes_output(op)))
             }
 
             // ---------------- delete ----------------
             Stage::DelChannelIn => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
-                op.stage = Stage::DelMetaGet;
+                self.enter(op, Stage::DelMetaGet);
                 self.dht_get_for_op(op.id, op.client, object_key(op.name.as_str()));
                 None
             }
@@ -1459,10 +1543,7 @@ impl Cloud4Home {
                 let OpInput::Dht(DhtEvent::GetCompleted { value, result, .. }) = input else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
@@ -1486,20 +1567,14 @@ impl Cloud4Home {
                 let OpInput::Dht(DhtEvent::DeleteCompleted { result, .. }) = input else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
                 self.delete_remove_bytes(op)
             }
             Stage::DelRemoveBytes => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.disk += el;
-                }
+                self.charge(op);
                 let entry = DirEntry {
                     name: op.name,
                     tombstone: true,
@@ -1513,29 +1588,16 @@ impl Cloud4Home {
                 let OpInput::Dht(DhtEvent::PutCompleted { result, .. }) = input else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
-                Some(Ok(OpOutput {
-                    bytes: op.object_bytes(),
-                    via_cloud: op.via_cloud,
-                    exec_target: None,
-                    summary: None,
-                    listing: None,
-                }))
+                Some(Ok(self.bytes_output(op)))
             }
 
             // ---------------- list ----------------
             Stage::ListChannelIn => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
-                op.stage = Stage::ListDirGet;
+                self.enter(op, Stage::ListDirGet);
                 self.dht_get_for_op(op.id, op.client, directory_key(op.name.as_str()));
                 None
             }
@@ -1543,10 +1605,7 @@ impl Cloud4Home {
                 let OpInput::Dht(DhtEvent::GetCompleted { value, result, .. }) = input else {
                     return None;
                 };
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 if let Err(e) = result {
                     return Some(Err(e.into()));
                 }
@@ -1565,10 +1624,7 @@ impl Cloud4Home {
 
             // ---------------- process ----------------
             Stage::ProcChannelIn => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
+                self.charge(op);
                 // The object-metadata and service-record lookups are
                 // independent: issue both at once and pay one round trip.
                 let kind = op.service.expect("process carries a service");
@@ -1616,7 +1672,7 @@ impl Cloud4Home {
                         op.id.0,
                         self.now().as_nanos(),
                         vec![
-                            ("stage", ArgValue::from(stage_name(&op.stage))),
+                            ("stage", ArgValue::from(op.stage.info().name)),
                             ("retries", ArgValue::from(u64::from(op.retries))),
                         ],
                     );
@@ -1630,10 +1686,7 @@ impl Cloud4Home {
                     }
                     return None;
                 }
-                {
-                    let el = self.phase(op);
-                    op.breakdown.dht += el;
-                }
+                self.charge(op);
                 let timed_out = op.batch_timed_out;
                 let Some(meta) = op.meta.clone() else {
                     return Some(Err(if timed_out {
@@ -1659,52 +1712,31 @@ impl Cloud4Home {
                 if op.pending_gets > 0 {
                     return None;
                 }
-                {
-                    let el = self.phase(op);
-                    op.breakdown.decision += el;
-                }
+                self.charge(op);
                 self.proc_choose_target(op)
             }
             Stage::ProcDecide => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.decision += el;
-                }
+                self.charge(op);
                 self.proc_move_argument(op)
             }
             Stage::ProcReadArg => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.disk += el;
-                }
+                self.charge(op);
                 self.proc_start_move_flow(op)
             }
             Stage::ProcMoveArg => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+                self.charge(op);
                 self.proc_start_exec(op)
             }
             Stage::ProcExec => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.exec += el;
-                }
+                self.charge(op);
                 self.proc_finish_exec(op)
             }
             Stage::ProcMoveResult => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_node += el;
-                }
+                self.charge(op);
                 self.proc_channel_out(op)
             }
             Stage::ProcChannelOut => {
-                {
-                    let el = self.phase(op);
-                    op.breakdown.inter_domain += el;
-                }
+                self.charge(op);
                 Some(Ok(OpOutput {
                     bytes: op.result_bytes,
                     via_cloud: op.via_cloud,
@@ -1719,7 +1751,7 @@ impl Cloud4Home {
     /// Reissues the metadata request the current stage is waiting on.
     /// Returns `false` for stages that tolerate missing replies themselves.
     fn retry_dht(&mut self, op: &mut Op) -> bool {
-        match op.stage.clone() {
+        match op.stage {
             Stage::FetchMetaGet | Stage::DelMetaGet => {
                 self.dht_get_for_op(op.id, op.client, object_key(op.name.as_str()));
                 true
@@ -1767,10 +1799,8 @@ impl Cloud4Home {
             PlacementClass::LocalFirst => {
                 if self.nodes[op.client].bins.fits(size, Bin::Mandatory) {
                     let write = self.nodes[op.client].disk.write_time(size);
-                    self.phase(op);
-                    op.stage = Stage::StoreDiskWrite { target: op.client };
-                    self.wake_in(op.id, write);
-                    None
+                    op.peer = op.client;
+                    self.enter_for(op, Stage::StoreDiskWrite, write)
                 } else {
                     self.store_query_peers(op)
                 }
@@ -1791,7 +1821,7 @@ impl Cloud4Home {
     /// Queries every live peer's resource record before picking a
     /// voluntary-bin target.
     fn store_query_peers(&mut self, op: &mut Op) -> StepOutcome {
-        self.phase(op);
+        self.charge(op);
         op.resources.clear();
         op.pending_gets = 0;
         let peers: Vec<Key> = self
@@ -1825,8 +1855,8 @@ impl Cloud4Home {
             .filter(|&j| self.nodes[j].alive && j != op.client);
         match best {
             Some(peer) => {
-                self.phase(op);
-                op.stage = Stage::StoreFlowToPeer { peer };
+                op.peer = peer;
+                self.enter(op, Stage::StoreFlowToPeer);
                 let src = self.nodes[op.client].addr;
                 let dst = self.nodes[peer].addr;
                 self.start_flow_for_op(op.id, src, dst, size);
@@ -1848,8 +1878,7 @@ impl Cloud4Home {
     }
 
     fn store_go_cloud(&mut self, op: &mut Op) -> StepOutcome {
-        self.phase(op);
-        op.stage = Stage::StoreFlowToCloud;
+        self.enter(op, Stage::StoreFlowToCloud);
         let src = self.nodes[op.client].addr;
         let dst = self.cloud.as_ref().expect("checked by caller").addr;
         let bytes = op.object_bytes();
@@ -1929,8 +1958,7 @@ impl Cloud4Home {
     fn store_begin_fanout(&mut self, op: &mut Op) -> StepOutcome {
         let primary = op.store_target.expect("primary copy installed");
         let size = op.object_bytes();
-        self.phase(op);
-        op.stage = Stage::StoreFanout;
+        self.enter(op, Stage::StoreFanout);
         let now = self.now();
         while let Some(target) = op.replica_targets.pop_front() {
             // Conditions may have changed since the targets were picked.
@@ -2015,10 +2043,7 @@ impl Cloud4Home {
                 detached,
             );
         }
-        {
-            let el = self.phase(op);
-            op.breakdown.inter_node += el;
-        }
+        self.charge(op);
         let primary = op.store_target.expect("primary copy installed");
         let location = Location::Home {
             node: self.nodes[primary].key,
@@ -2031,7 +2056,7 @@ impl Cloud4Home {
     fn fanout_flow_done(&mut self, op: &mut Op, flow: FlowId) -> StepOutcome {
         let flight = op.replica_flows.remove(&flow)?;
         let now = self.now();
-        self.emit_substage(op.id, "store.replica_flow", flight.started, now);
+        self.emit_substage(op.id, Stage::StoreReplicaFlow, flight.started, now);
         // Replica transfers are bandwidth observations for their targets.
         let secs = now
             .checked_duration_since(flight.started)
@@ -2056,7 +2081,7 @@ impl Cloud4Home {
     fn fanout_write_done(&mut self, op: &mut Op, token: u64) -> StepOutcome {
         let started = op.replica_writes.remove(&token)?;
         let now = self.now();
-        self.emit_substage(op.id, "store.replica_write", started, now);
+        self.emit_substage(op.id, Stage::StoreReplicaWrite, started, now);
         self.install_replica_copy(op, token as usize);
         self.store_fanout_check(op)
     }
@@ -2084,7 +2109,7 @@ impl Cloud4Home {
         let writes: Vec<(u64, SimTime)> =
             std::mem::take(&mut op.replica_writes).into_iter().collect();
         for (token, started) in writes {
-            self.emit_substage(op.id, "store.replica_write", started, now);
+            self.emit_substage(op.id, Stage::StoreReplicaWrite, started, now);
             self.install_replica_copy(op, token as usize);
         }
         let flights: Vec<(FlowId, ReplicaFlight)> =
@@ -2125,15 +2150,11 @@ impl Cloud4Home {
     }
 
     /// Records a concurrent sub-stage span (one replica's transfer or disk
-    /// write) on the operation's track, mirroring [`Self::phase`]'s naming
+    /// write) on the operation's track, mirroring [`Self::charge`]'s naming
     /// and zero-length skip.
-    fn emit_substage(&self, op: OpId, name: &'static str, from: SimTime, to: SimTime) {
-        let elapsed = to.checked_duration_since(from).unwrap_or_default();
-        if !elapsed.is_zero() && self.telemetry.enabled() {
-            self.telemetry
-                .span("stage", name, op.0, from.as_nanos(), to.as_nanos());
-            self.telemetry
-                .observe(format!("phase.{name}_ns"), elapsed.as_nanos() as u64);
+    fn emit_substage(&self, op: OpId, stage: Stage, from: SimTime, to: SimTime) {
+        if to > from && self.telemetry.enabled() {
+            self.stage_span(op, stage, from.as_nanos(), to.as_nanos());
         }
     }
 
@@ -2176,8 +2197,7 @@ impl Cloud4Home {
             self.replicas.remove(meta.name);
         }
         op.meta = Some(meta.clone());
-        self.phase(op);
-        op.stage = Stage::StoreMetaPut;
+        self.enter(op, Stage::StoreMetaPut);
         self.dht_put_for_op(
             op.id,
             op.client,
@@ -2187,7 +2207,8 @@ impl Cloud4Home {
         None
     }
 
-    fn store_output(&self, op: &Op) -> OpOutput {
+    /// The output of an op that only moved (or removed) the object's bytes.
+    fn bytes_output(&self, op: &Op) -> OpOutput {
         OpOutput {
             bytes: op.object_bytes(),
             via_cloud: op.via_cloud,
@@ -2256,10 +2277,8 @@ impl Cloud4Home {
                 let Some(url) = S3Url::parse(url) else {
                     return Some(Err(OpError::NotFound(op.name.to_string())));
                 };
-                self.phase(op);
-                op.stage = Stage::FetchCloudRequest { url };
-                self.wake_in(op.id, REQUEST_LATENCY);
-                None
+                op.cloud_url = Some(url);
+                self.enter_for(op, Stage::FetchCloudRequest, REQUEST_LATENCY)
             }
         }
     }
@@ -2335,31 +2354,27 @@ impl Cloud4Home {
                 );
                 continue;
             }
+            // The holder's disk read is part of either wait; a remote
+            // one is charged when the request completes, not here: a
+            // holder that dies before responding must not leave its read
+            // in the breakdown.
+            let read = self.nodes[j].disk.read_time(size);
             if j == op.client {
-                let read = self.nodes[j].disk.read_time(size);
-                self.phase(op);
-                op.stage = Stage::FetchDiskLocal;
-                self.wake_in(op.id, read);
-            } else {
-                // Control message to the holder plus its disk read.
-                let latency = self
-                    .net
-                    .topology()
-                    .message_latency(
-                        self.nodes[op.client].addr,
-                        self.nodes[j].addr,
-                        &mut self.rng,
-                    )
-                    .unwrap_or_default();
-                // The read time is charged when the request completes, not
-                // here: a holder that dies before responding must not leave
-                // its read in the breakdown.
-                let read = self.nodes[j].disk.read_time(size);
-                self.phase(op);
-                op.stage = Stage::FetchOwnerRequest { owner: j };
-                self.wake_in(op.id, latency + self.config.timing.peer_request + read);
+                return self.enter_for(op, Stage::FetchDiskLocal, read);
             }
-            return None;
+            // Control message to the holder plus its disk read.
+            let latency = self
+                .net
+                .topology()
+                .message_latency(
+                    self.nodes[op.client].addr,
+                    self.nodes[j].addr,
+                    &mut self.rng,
+                )
+                .unwrap_or_default();
+            op.peer = j;
+            let request = latency + self.config.timing.peer_request + read;
+            return self.enter_for(op, Stage::FetchOwnerRequest, request);
         }
         let replicated = op.meta.as_ref().is_some_and(|m| !m.replicas.is_empty());
         if replicated {
@@ -2397,10 +2412,7 @@ impl Cloud4Home {
                 wait.as_nanos() as u64,
                 u64::from(op.failovers),
             );
-            self.phase(op);
-            op.stage = Stage::FetchRetry;
-            self.wake_in(op.id, wait);
-            return None;
+            return self.enter_for(op, Stage::FetchRetry, wait);
         }
         Some(Err(OpError::OwnerUnreachable(op.name.to_string())))
     }
@@ -2493,8 +2505,7 @@ impl Cloud4Home {
                 ("bytes", ArgValue::from(size)),
             ],
         );
-        self.phase(op);
-        op.stage = Stage::FetchStriped;
+        self.enter(op, Stage::FetchStriped);
         let base = size / stripes;
         for s in 0..stripes {
             let offset = s * base;
@@ -2713,10 +2724,7 @@ impl Cloud4Home {
     /// Every stripe landed: close the striped stage and hand the bytes to
     /// the client channel.
     fn stripe_finish(&mut self, op: &mut Op) -> StepOutcome {
-        {
-            let el = self.phase(op);
-            op.breakdown.inter_node += el;
-        }
+        self.charge(op);
         if op.ec_plan.is_some() {
             return self.ec_decode_finish(op);
         }
@@ -2951,7 +2959,7 @@ impl Cloud4Home {
     /// Records one stripe transfer on the stripe track (base + flow id),
     /// with `won` false for severed flows and lost hedge races. Zero-length
     /// spans (cancelled the instant they started) are skipped like
-    /// [`Self::phase`]'s.
+    /// [`Self::charge`]'s.
     fn emit_stripe_span(&self, op: &Op, flow: FlowId, flight: &StripeFlight, won: bool) {
         let now = self.now();
         let elapsed = now
@@ -3050,8 +3058,7 @@ impl Cloud4Home {
                 ("stripe_len", ArgValue::from(stripe_len)),
             ],
         );
-        self.phase(op);
-        op.stage = Stage::FetchStriped;
+        self.enter(op, Stage::FetchStriped);
         op.fetch_candidates.clear();
         op.stripe_sources.clear();
         op.stripes_total = k as u32;
@@ -3098,10 +3105,7 @@ impl Cloud4Home {
             .min(remaining)
             .max(Duration::from_millis(1));
         op.backoff = op.backoff.saturating_mul(2).min(MAX_FETCH_BACKOFF);
-        self.phase(op);
-        op.stage = Stage::FetchRetry;
-        self.wake_in(op.id, wait);
-        None
+        self.enter_for(op, Stage::FetchRetry, wait)
     }
 
     /// One stripe slot of a coded read lost its source. Re-point the slot
@@ -3267,20 +3271,14 @@ impl Cloud4Home {
                         + self.config.timing.peer_request
                 };
                 let unlink = self.nodes[owner].disk.access_latency;
-                self.phase(op);
-                op.stage = Stage::DelRemoveBytes;
-                self.wake_in(op.id, latency + unlink);
-                None
+                self.enter_for(op, Stage::DelRemoveBytes, latency + unlink)
             }
             Location::Cloud { url } => {
                 if let (Some(cloud), Some(url)) = (self.cloud.as_mut(), S3Url::parse(url)) {
                     let _ = cloud.s3.delete(&url);
                     op.via_cloud = true;
                 }
-                self.phase(op);
-                op.stage = Stage::DelRemoveBytes;
-                self.wake_in(op.id, REQUEST_LATENCY);
-                None
+                self.enter_for(op, Stage::DelRemoveBytes, REQUEST_LATENCY)
             }
         }
     }
@@ -3288,10 +3286,7 @@ impl Cloud4Home {
     fn fetch_channel_out(&mut self, op: &mut Op) -> StepOutcome {
         let bytes = op.object_bytes();
         let channel = self.nodes[op.client].channel_transfer(bytes);
-        self.phase(op);
-        op.stage = Stage::FetchChannelOut;
-        self.wake_in(op.id, channel);
-        None
+        self.enter_for(op, Stage::FetchChannelOut, channel)
     }
 
     // ------------------------------------------------------------------
@@ -3317,7 +3312,7 @@ impl Cloud4Home {
         let sid = ServiceId(kind.id());
         let record = op.svc_record.clone().expect("set in ProcMetaSvcGet");
 
-        if op.kind == "fetch_process" && op.placement == Placement::Auto {
+        if op.kind == OpKind::FetchProcess && op.placement == Placement::Auto {
             // "It uses the service identifier to first determine if the
             // requesting node is capable of executing the service itself."
             if self.nodes[op.client].registry.provides(sid) {
@@ -3346,24 +3341,18 @@ impl Cloud4Home {
                     return Some(Err(OpError::ServiceUnavailable(kind.id())));
                 }
                 op.exec_target = Some(ExecTarget::Node(node.0));
-                self.phase(op);
-                op.stage = Stage::ProcDecide;
-                self.wake_in(op.id, LOCATE_TIME);
-                None
+                self.enter_for(op, Stage::ProcDecide, LOCATE_TIME)
             }
             Placement::Cloud => {
                 if self.cloud.is_none() || !record.cloud_available {
                     return Some(Err(OpError::ServiceUnavailable(kind.id())));
                 }
                 op.exec_target = Some(ExecTarget::Cloud);
-                self.phase(op);
-                op.stage = Stage::ProcDecide;
-                self.wake_in(op.id, LOCATE_TIME);
-                None
+                self.enter_for(op, Stage::ProcDecide, LOCATE_TIME)
             }
             Placement::Auto => {
                 // Query each provider's resource record.
-                self.phase(op);
+                self.charge(op);
                 op.resources.clear();
                 op.pending_gets = 0;
                 // Live providers, as the keys of their resource records.
@@ -3376,9 +3365,7 @@ impl Cloud4Home {
                 if providers.is_empty() {
                     if record.cloud_available && self.cloud.is_some() {
                         op.exec_target = Some(ExecTarget::Cloud);
-                        op.stage = Stage::ProcDecide;
-                        self.wake_in(op.id, LOCATE_TIME);
-                        return None;
+                        return self.enter_for(op, Stage::ProcDecide, LOCATE_TIME);
                     }
                     return Some(Err(OpError::ServiceUnavailable(kind.id())));
                 }
@@ -3466,10 +3453,7 @@ impl Cloud4Home {
             .collect();
         rest.sort_by_key(|(est, _)| *est);
         op.exec_candidates = rest.into_iter().map(|(_, t)| t).collect();
-        self.phase(op);
-        op.stage = Stage::ProcDecide;
-        self.wake_in(op.id, LOCATE_TIME);
-        None
+        self.enter_for(op, Stage::ProcDecide, LOCATE_TIME)
     }
 
     /// Re-dispatches a process operation to the next-best surviving
@@ -3508,10 +3492,7 @@ impl Cloud4Home {
             op.pipeline_idx = 0;
             op.output = None;
             op.staged = None;
-            self.phase(op);
-            op.stage = Stage::ProcDecide;
-            self.wake_in(op.id, LOCATE_TIME);
-            return None;
+            return self.enter_for(op, Stage::ProcDecide, LOCATE_TIME);
         }
         Some(Err(OpError::ExecutorFailed(format!("{} ({why})", op.name))))
     }
@@ -3582,10 +3563,7 @@ impl Cloud4Home {
                 op.meta = Some(meta.clone());
                 op.staged = Some(blob);
                 let read = self.nodes[owner].disk.read_time(meta.size_bytes);
-                self.phase(op);
-                op.stage = Stage::ProcReadArg;
-                self.wake_in(op.id, read);
-                None
+                self.enter_for(op, Stage::ProcReadArg, read)
             }
             Location::Cloud { url } => {
                 let Some(url) = S3Url::parse(url) else {
@@ -3596,10 +3574,7 @@ impl Cloud4Home {
                     Ok(obj) => {
                         op.staged = Some(obj.payload.clone());
                         op.via_cloud = true;
-                        self.phase(op);
-                        op.stage = Stage::ProcReadArg;
-                        self.wake_in(op.id, REQUEST_LATENCY);
-                        None
+                        self.enter_for(op, Stage::ProcReadArg, REQUEST_LATENCY)
                     }
                     Err(_) => Some(Err(OpError::NotFound(op.name.to_string()))),
                 }
@@ -3613,8 +3588,7 @@ impl Cloud4Home {
         if src == dst {
             return self.proc_start_exec(op);
         }
-        self.phase(op);
-        op.stage = Stage::ProcMoveArg;
+        self.enter(op, Stage::ProcMoveArg);
         self.start_flow_for_op(op.id, src, dst, op.object_bytes());
         None
     }
@@ -3697,10 +3671,7 @@ impl Cloud4Home {
             }
         };
         op.exec_demand = Some(demand);
-        self.phase(op);
-        op.stage = Stage::ProcExec;
-        self.wake_in(op.id, duration);
-        None
+        self.enter_for(op, Stage::ProcExec, duration)
     }
 
     fn proc_finish_exec(&mut self, op: &mut Op) -> StepOutcome {
@@ -3760,8 +3731,7 @@ impl Cloud4Home {
         if src == dst {
             self.proc_channel_out(op)
         } else {
-            self.phase(op);
-            op.stage = Stage::ProcMoveResult;
+            self.enter(op, Stage::ProcMoveResult);
             self.start_flow_for_op(op.id, src, dst, op.result_bytes);
             None
         }
@@ -3769,9 +3739,113 @@ impl Cloud4Home {
 
     fn proc_channel_out(&mut self, op: &mut Op) -> StepOutcome {
         let channel = self.nodes[op.client].channel_transfer(op.result_bytes);
-        self.phase(op);
-        op.stage = Stage::ProcChannelOut;
-        self.wake_in(op.id, channel);
-        None
+        self.enter_for(op, Stage::ProcChannelOut, channel)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stage table is an export format: span names, `phase.*_ns`
+    /// histogram names and `stats.crit_*` shares are hashed into the golden
+    /// digests, and `Breakdown` is Table I. This is the frozen copy.
+    #[test]
+    fn stage_table_is_frozen() {
+        // (span name, Breakdown column, bucket, bucket when via_cloud)
+        let frozen: [(&str, &str, &str, &str); 38] = [
+            ("store.channel_in", "InterDomain", "other", "other"),
+            ("store.query_peers", "Decision", "dht", "dht"),
+            ("store.flow_to_peer", "InterNode", "lan", "lan"),
+            ("store.disk_write", "Disk", "disk", "disk"),
+            ("store.fanout", "InterNode", "lan", "lan"),
+            ("store.replica_flow", "-", "other", "other"),
+            ("store.replica_write", "-", "other", "other"),
+            ("store.flow_to_cloud", "InterNode", "wan", "wan"),
+            ("store.cloud_put", "InterNode", "wan", "wan"),
+            ("store.meta_put", "Dht", "dht", "dht"),
+            ("store.dir_put", "Dht", "dht", "dht"),
+            ("store.ack", "InterDomain", "other", "other"),
+            ("fetch.channel_in", "InterDomain", "other", "other"),
+            ("fetch.meta_get", "Dht", "dht", "dht"),
+            ("fetch.owner_request", "-", "lan", "lan"),
+            ("fetch.flow_home", "InterNode", "lan", "lan"),
+            ("fetch.striped", "InterNode", "lan", "wan"),
+            ("fetch.retry_wait", "InterNode", "backoff", "backoff"),
+            ("fetch.cloud_request", "InterNode", "wan", "wan"),
+            ("fetch.flow_cloud", "InterNode", "wan", "wan"),
+            ("fetch.disk_local", "Disk", "disk", "disk"),
+            ("fetch.channel_out", "InterDomain", "other", "other"),
+            ("delete.channel_in", "InterDomain", "other", "other"),
+            ("delete.meta_get", "Dht", "dht", "dht"),
+            ("delete.dht_delete", "Dht", "dht", "dht"),
+            ("delete.remove_bytes", "Disk", "disk", "disk"),
+            ("delete.dir_put", "Dht", "dht", "dht"),
+            ("list.channel_in", "InterDomain", "other", "other"),
+            ("list.dir_get", "Dht", "dht", "dht"),
+            ("proc.channel_in", "InterDomain", "other", "other"),
+            ("proc.meta_svc_get", "Dht", "dht", "dht"),
+            ("proc.query_resources", "Decision", "dht", "dht"),
+            ("proc.decide", "Decision", "other", "other"),
+            ("proc.read_arg", "Disk", "disk", "disk"),
+            ("proc.move_arg", "InterNode", "lan", "lan"),
+            ("proc.exec", "Exec", "service", "service"),
+            ("proc.move_result", "InterNode", "lan", "lan"),
+            ("proc.channel_out", "InterDomain", "other", "other"),
+        ];
+        for (row, want) in STAGES.iter().zip(frozen) {
+            let stage = row.stage;
+            let column = row.column.map_or("-".to_owned(), |c| format!("{c:?}"));
+            let got = (
+                row.name,
+                column.as_str(),
+                stage.bucket(false).label(),
+                stage.bucket(true).label(),
+            );
+            assert_eq!(got, want);
+            assert_eq!(row.hist, ["phase.", row.name, "_ns"].concat());
+            // Names are unique: the first row with this name is this row.
+            assert_eq!(Stage::from_name(row.name), Some(stage));
+        }
+        assert_eq!(Stage::from_name("not.a.stage"), None);
+    }
+
+    #[test]
+    fn op_kind_table_is_frozen_and_in_name_order() {
+        let names: Vec<&str> = OpKind::all().map(OpKind::name).collect();
+        assert_eq!(
+            names,
+            [
+                "delete",
+                "fetch",
+                "fetch_process",
+                "list",
+                "pipeline",
+                "process",
+                "store"
+            ]
+        );
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        for kind in OpKind::all() {
+            assert_eq!(OpKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(OpKind::from_name("fetchh"), None);
+        let fetch = OpKind::Fetch.info();
+        assert_eq!(
+            [
+                fetch.ok,
+                fetch.err,
+                fetch.total_ns,
+                fetch.shed,
+                fetch.slo_violation
+            ],
+            [
+                "op.fetch.ok",
+                "op.fetch.err",
+                "op.fetch.total_ns",
+                "shed.fetch",
+                "slo.violation.fetch"
+            ]
+        );
     }
 }

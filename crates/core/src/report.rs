@@ -40,7 +40,31 @@ pub struct Breakdown {
     pub exec: Duration,
 }
 
+/// One [`Breakdown`] component: the Table-I column a stage charges its
+/// elapsed time to (see the stage table in `ops.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Column {
+    InterDomain,
+    InterNode,
+    Dht,
+    Decision,
+    Disk,
+    Exec,
+}
+
 impl Breakdown {
+    /// Adds `elapsed` to one component.
+    pub(crate) fn add(&mut self, column: Column, elapsed: Duration) {
+        *match column {
+            Column::InterDomain => &mut self.inter_domain,
+            Column::InterNode => &mut self.inter_node,
+            Column::Dht => &mut self.dht,
+            Column::Decision => &mut self.decision,
+            Column::Disk => &mut self.disk,
+            Column::Exec => &mut self.exec,
+        } += elapsed;
+    }
+
     /// The sum of all accounted components (the remainder of an operation's
     /// total is queueing plus command processing).
     pub fn accounted(&self) -> Duration {
@@ -241,7 +265,8 @@ impl From<c4h_telemetry::LedgerEvent> for CausalEvent {
 pub struct OpReport {
     /// The operation.
     pub id: OpId,
-    /// `"store"`, `"fetch"`, `"process"`, or `"fetch_process"`.
+    /// `"store"`, `"fetch"`, `"delete"`, `"list"`, `"process"`,
+    /// `"fetch_process"`, or `"pipeline"`.
     pub kind: &'static str,
     /// The object operated on (interned name).
     pub object: Sym,
@@ -272,7 +297,7 @@ pub struct OpReport {
     /// ledger is enabled (the explain plane's DAG tiles these against the
     /// op window); empty otherwise.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub stages: Vec<(String, u64, u64)>,
+    pub stages: Vec<(&'static str, u64, u64)>,
     /// The op's causal-ledger decision events, in `seq` order. Populated
     /// only while the causal ledger is enabled; empty otherwise.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]

@@ -32,11 +32,10 @@
 //! nothing once capacities have converged (the counting-allocator harness
 //! in `c4h-bench` asserts exactly this).
 //!
-//! Two baselines survive for differential testing and benchmarking:
-//! [`reference::RefQueue`], the pre-wheel `BinaryHeap` scheduler, and
-//! [`reference::InlineWheel`], the first-generation wheel that stored
-//! payloads inline in its buckets. `tests/queue_equiv.rs` drives all three
-//! in lockstep; `engine_throughput` measures the slab wheel against both.
+//! One baseline survives for differential testing and benchmarking:
+//! [`reference::RefQueue`], the pre-wheel `BinaryHeap` scheduler.
+//! `tests/queue_equiv.rs` drives the two in lockstep; `engine_throughput`
+//! measures the wheel against it.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -507,26 +506,18 @@ impl<E> EventQueue<E> {
 }
 
 pub mod reference {
-    //! Reference schedulers kept for differential testing and benchmark
-    //! baselines. Production code uses [`EventQueue`](super::EventQueue);
-    //! these types exist so tests can prove the engines agree on every
-    //! schedule/pop/advance sequence and benches can measure the speedups.
-    //!
-    //! * [`RefQueue`] — the original `BinaryHeap` scheduler, the simplest
-    //!   possible statement of the `(at, seq)` contract.
-    //! * [`InlineWheel`] — the first-generation hierarchical timer wheel,
-    //!   which stored payloads inline in its buckets (so cascades moved
-    //!   whole payloads). The slab wheel's throughput gains are measured
-    //!   against this baseline.
+    //! The reference scheduler kept for differential testing and as the
+    //! benchmark baseline. Production code uses
+    //! [`EventQueue`](super::EventQueue); [`RefQueue`] — the original
+    //! `BinaryHeap` scheduler, the simplest possible statement of the
+    //! `(at, seq)` contract — exists so tests can prove the wheel agrees
+    //! with it on every schedule/pop/advance sequence and benches can
+    //! measure the speedup.
 
     use std::collections::BinaryHeap;
-    use std::collections::VecDeque;
-    use std::mem;
     use std::time::Duration;
 
     use crate::time::SimTime;
-
-    use super::{level_slot, LEVELS, SLOTS, SLOT_BITS};
 
     /// A pending entry in the [`RefQueue`].
     #[derive(Debug)]
@@ -654,189 +645,11 @@ pub mod reference {
             self.now = at;
         }
     }
-
-    /// A pending entry in the [`InlineWheel`], payload stored inline.
-    #[derive(Debug)]
-    struct Entry<E> {
-        at: u64,
-        seq: u64,
-        payload: E,
-    }
-
-    /// One inline-wheel slot with its cached minimum timestamp.
-    #[derive(Debug)]
-    struct Bucket<E> {
-        entries: Vec<Entry<E>>,
-        min_at: u64,
-    }
-
-    impl<E> Bucket<E> {
-        fn new() -> Self {
-            Bucket {
-                entries: Vec::new(),
-                min_at: u64::MAX,
-            }
-        }
-    }
-
-    /// The first-generation hierarchical timer wheel, preserved verbatim:
-    /// identical wheel geometry and `(at, seq)` contract to
-    /// [`EventQueue`](super::EventQueue), but payloads live inline in the
-    /// buckets, so every cascade and same-instant sort moves whole
-    /// payloads. Test and bench use only.
-    #[derive(Debug)]
-    pub struct InlineWheel<E> {
-        buckets: Vec<Bucket<E>>,
-        occupied: [u64; LEVELS],
-        ready: VecDeque<Entry<E>>,
-        now: u64,
-        len: usize,
-        next_seq: u64,
-    }
-
-    impl<E> Default for InlineWheel<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> InlineWheel<E> {
-        /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-        pub fn new() -> Self {
-            InlineWheel {
-                buckets: (0..LEVELS * SLOTS).map(|_| Bucket::new()).collect(),
-                occupied: [0; LEVELS],
-                ready: VecDeque::new(),
-                now: 0,
-                len: 0,
-                next_seq: 0,
-            }
-        }
-
-        /// The current virtual time (the timestamp of the last popped
-        /// event).
-        pub fn now(&self) -> SimTime {
-            SimTime::from_nanos(self.now)
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// Returns `true` if no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-
-        /// Schedules `payload` at the absolute instant `at`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `at` is earlier than the current virtual time.
-        pub fn schedule_at(&mut self, at: SimTime, payload: E) {
-            assert!(
-                at.as_nanos() >= self.now,
-                "cannot schedule into the past: at={at} now={}",
-                SimTime::from_nanos(self.now)
-            );
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.insert(Entry {
-                at: at.as_nanos(),
-                seq,
-                payload,
-            });
-            self.len += 1;
-        }
-
-        /// Schedules `payload` after a relative `delay` from the current
-        /// time.
-        pub fn schedule_in(&mut self, delay: Duration, payload: E) {
-            let at = SimTime::from_nanos(self.now) + delay;
-            self.schedule_at(at, payload);
-        }
-
-        /// Timestamp of the next pending event, if any.
-        pub fn peek_time(&self) -> Option<SimTime> {
-            if !self.ready.is_empty() {
-                return Some(SimTime::from_nanos(self.now));
-            }
-            self.earliest_bucket()
-                .map(|(_, _, at)| SimTime::from_nanos(at))
-        }
-
-        /// Pops the earliest event, advancing the clock to its timestamp.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            loop {
-                if let Some(e) = self.ready.pop_front() {
-                    debug_assert_eq!(e.at, self.now);
-                    self.len -= 1;
-                    return Some((SimTime::from_nanos(e.at), e.payload));
-                }
-                let (level, slot, at) = self.earliest_bucket()?;
-                debug_assert!(at >= self.now);
-                self.now = at;
-                let idx = level * SLOTS + slot;
-                self.occupied[level] &= !(1u64 << slot);
-                let mut drained = mem::take(&mut self.buckets[idx].entries);
-                self.buckets[idx].min_at = u64::MAX;
-                if level == 0 {
-                    debug_assert!(drained.iter().all(|e| e.at == at));
-                    drained.sort_unstable_by_key(|e| e.seq);
-                    self.ready.extend(drained.drain(..));
-                } else {
-                    for e in drained.drain(..) {
-                        self.insert(e);
-                    }
-                }
-                self.buckets[idx].entries = drained;
-            }
-        }
-
-        /// Advances the clock to `at` without delivering events.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `at` is earlier than the current time, or if an event
-        /// is pending before `at`.
-        pub fn advance_to(&mut self, at: SimTime) {
-            assert!(at.as_nanos() >= self.now, "cannot rewind the clock");
-            if let Some(t) = self.peek_time() {
-                assert!(t >= at, "cannot advance past a pending event at {t}");
-            }
-            self.now = at.as_nanos();
-        }
-
-        fn insert(&mut self, e: Entry<E>) {
-            let (level, slot) = level_slot(self.now, e.at);
-            let b = &mut self.buckets[level * SLOTS + slot];
-            b.min_at = b.min_at.min(e.at);
-            b.entries.push(e);
-            self.occupied[level] |= 1u64 << slot;
-        }
-
-        fn earliest_bucket(&self) -> Option<(usize, usize, u64)> {
-            let mut best: Option<(usize, usize, u64)> = None;
-            for level in 0..LEVELS {
-                let cursor = (self.now >> (level * SLOT_BITS)) & (SLOTS as u64 - 1);
-                let mask = self.occupied[level] & (!0u64 << cursor);
-                if mask != 0 {
-                    let slot = mask.trailing_zeros() as usize;
-                    let at = self.buckets[level * SLOTS + slot].min_at;
-                    if best.is_none_or(|(_, _, b)| at <= b) {
-                        best = Some((level, slot, at));
-                    }
-                }
-            }
-            best
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{InlineWheel, RefQueue};
+    use super::reference::RefQueue;
     use super::*;
 
     #[test]
@@ -1019,13 +832,12 @@ mod tests {
         );
     }
 
-    /// A randomized hold-model churn must agree with both reference
-    /// engines exactly — the in-crate smoke version of the differential
-    /// oracle in `tests/queue_equiv.rs`.
+    /// A randomized hold-model churn must agree with the reference engine
+    /// exactly — the in-crate smoke version of the differential oracle in
+    /// `tests/queue_equiv.rs`.
     #[test]
     fn wheel_agrees_with_references_under_churn() {
         let mut wheel = EventQueue::new();
-        let mut inline = InlineWheel::new();
         let mut oracle = RefQueue::new();
         // Deterministic splitmix64 stream.
         let mut state = 0x1234_5678_9ABC_DEF0u64;
@@ -1041,9 +853,7 @@ mod tests {
             if r % 3 == 0 && !wheel.is_empty() {
                 let a = wheel.pop();
                 let b = oracle.pop();
-                let c = inline.pop();
                 assert_eq!(a, b, "slab wheel diverged from heap at op {i}");
-                assert_eq!(a, c, "slab wheel diverged from inline wheel at op {i}");
             } else {
                 // Delays spanning ten orders of magnitude, with a bias
                 // toward ties (delay 0).
@@ -1051,7 +861,6 @@ mod tests {
                 let delay = Duration::from_nanos(if r % 5 == 0 { 0 } else { r % (1 << shift) });
                 wheel.schedule_in(delay, i);
                 oracle.schedule_in(delay, i);
-                inline.schedule_in(delay, i);
             }
             assert_eq!(wheel.len(), oracle.len());
             assert_eq!(wheel.peek_time(), oracle.peek_time());
@@ -1059,31 +868,17 @@ mod tests {
         }
         while let Some(a) = wheel.pop() {
             assert_eq!(Some(a), oracle.pop());
-            assert_eq!(a, inline.pop().expect("inline wheel in lockstep"));
         }
         assert!(oracle.is_empty());
-        assert!(inline.is_empty());
     }
 
     mod reference_contract {
-        //! The oracles themselves honor the documented contract.
+        //! The oracle itself honors the documented contract.
         use super::*;
 
         #[test]
         fn pops_in_time_order_with_fifo_ties() {
             let mut q = RefQueue::new();
-            let t = SimTime::from_millis(5);
-            q.schedule_at(SimTime::from_millis(9), 99);
-            for i in 0..4 {
-                q.schedule_at(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![0, 1, 2, 3, 99]);
-        }
-
-        #[test]
-        fn inline_wheel_pops_in_time_order_with_fifo_ties() {
-            let mut q = InlineWheel::new();
             let t = SimTime::from_millis(5);
             q.schedule_at(SimTime::from_millis(9), 99);
             for i in 0..4 {

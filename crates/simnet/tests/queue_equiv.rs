@@ -1,19 +1,18 @@
 //! Differential oracle for the timer-wheel event queue.
 //!
 //! Every test drives the production [`EventQueue`] (slab-backed
-//! hierarchical timer wheel) and both reference engines — [`RefQueue`]
-//! (the pre-wheel `BinaryHeap` implementation) and [`InlineWheel`] (the
-//! first-generation payload-inline wheel), kept verbatim in
-//! `queue::reference` — with the *same* operation sequence and demands
-//! bit-identical observable state after every single step: pop results, clock, length, and peek. The generated
-//! sequences deliberately stress the wheel's hard cases — same-tick tie
-//! storms, zero-delay re-arming from inside the pop loop, delays spanning
-//! ten orders of magnitude (cross-level cascades), and `advance_to`
-//! jumps across long empty slot runs.
+//! hierarchical timer wheel) and the reference engine — [`RefQueue`], the
+//! pre-wheel `BinaryHeap` implementation kept in `queue::reference` — with
+//! the *same* operation sequence and demands bit-identical observable
+//! state after every single step: pop results, clock, length, and peek.
+//! The generated sequences deliberately stress the wheel's hard cases —
+//! same-tick tie storms, zero-delay re-arming from inside the pop loop,
+//! delays spanning ten orders of magnitude (cross-level cascades), and
+//! `advance_to` jumps across long empty slot runs.
 
 use std::time::Duration;
 
-use c4h_simnet::queue::reference::{InlineWheel, RefQueue};
+use c4h_simnet::queue::reference::RefQueue;
 use c4h_simnet::{EventQueue, SimTime};
 use proptest::prelude::*;
 
@@ -69,7 +68,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// afterwards. `seq` numbers the payloads.
 fn apply_and_compare(
     wheel: &mut EventQueue<u64>,
-    inline: &mut InlineWheel<u64>,
     oracle: &mut RefQueue<u64>,
     op: Op,
     seq: u64,
@@ -78,13 +76,11 @@ fn apply_and_compare(
         Op::Schedule { delay_ns } => {
             let d = Duration::from_nanos(delay_ns);
             wheel.schedule_in(d, seq);
-            inline.schedule_in(d, seq);
             oracle.schedule_in(d, seq);
         }
         Op::Pop => {
             let got = wheel.pop();
             prop_assert_eq!(got, oracle.pop());
-            prop_assert_eq!(got, inline.pop());
         }
         Op::Advance {
             permille,
@@ -99,7 +95,6 @@ fn apply_and_compare(
             };
             let target = SimTime::from_nanos(target);
             wheel.advance_to(target);
-            inline.advance_to(target);
             oracle.advance_to(target);
         }
     }
@@ -107,23 +102,18 @@ fn apply_and_compare(
     prop_assert_eq!(wheel.len(), oracle.len());
     prop_assert_eq!(wheel.is_empty(), oracle.is_empty());
     prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
-    prop_assert_eq!(inline.now(), oracle.now());
-    prop_assert_eq!(inline.len(), oracle.len());
-    prop_assert_eq!(inline.peek_time(), oracle.peek_time());
     Ok(())
 }
 
 /// Fully drains both queues in lockstep.
 fn drain_and_compare(
     wheel: &mut EventQueue<u64>,
-    inline: &mut InlineWheel<u64>,
     oracle: &mut RefQueue<u64>,
 ) -> Result<(), TestCaseError> {
     loop {
         let a = wheel.pop();
         let b = oracle.pop();
         prop_assert_eq!(a, b);
-        prop_assert_eq!(a, inline.pop());
         prop_assert_eq!(wheel.now(), oracle.now());
         if a.is_none() {
             return Ok(());
@@ -143,12 +133,11 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
         let mut wheel = EventQueue::new();
-        let mut inline = InlineWheel::new();
         let mut oracle = RefQueue::new();
         for (seq, &op) in ops.iter().enumerate() {
-            apply_and_compare(&mut wheel, &mut inline, &mut oracle, op, seq as u64)?;
+            apply_and_compare(&mut wheel, &mut oracle, op, seq as u64)?;
         }
-        drain_and_compare(&mut wheel, &mut inline, &mut oracle)?;
+        drain_and_compare(&mut wheel, &mut oracle)?;
     }
 
     /// Tie storms: many events on few distinct instants must pop in exact
@@ -159,20 +148,17 @@ proptest! {
         instants in proptest::collection::vec(0u64..50, 20..200),
     ) {
         let mut wheel = EventQueue::new();
-        let mut inline = InlineWheel::new();
         let mut oracle = RefQueue::new();
         for (seq, &i) in instants.iter().enumerate() {
             // Few distinct timestamps → long tie runs at each.
             let at = SimTime::from_nanos(i * 1000);
             wheel.schedule_at(at, seq as u64);
-            inline.schedule_at(at, seq as u64);
             oracle.schedule_at(at, seq as u64);
         }
         let mut last: Option<(SimTime, u64)> = None;
         loop {
             let a = wheel.pop();
             prop_assert_eq!(a, oracle.pop());
-            prop_assert_eq!(a, inline.pop());
             let Some((t, seq)) = a else { break };
             if let Some((lt, lseq)) = last {
                 prop_assert!(t > lt || (t == lt && seq > lseq),
@@ -192,12 +178,10 @@ proptest! {
         rearms in 1u8..10,
     ) {
         let mut wheel = EventQueue::new();
-        let mut inline = InlineWheel::new();
         let mut oracle = RefQueue::new();
         for (seq, &ns) in initial.iter().enumerate() {
             let at = SimTime::from_nanos(ns);
             wheel.schedule_at(at, seq as u64);
-            inline.schedule_at(at, seq as u64);
             oracle.schedule_at(at, seq as u64);
         }
         let mut seq = initial.len() as u64;
@@ -205,14 +189,12 @@ proptest! {
         loop {
             let a = wheel.pop();
             prop_assert_eq!(a, oracle.pop());
-            prop_assert_eq!(a, inline.pop());
             prop_assert_eq!(wheel.now(), oracle.now());
             let Some(_) = a else { break };
             if budget > 0 {
                 budget -= 1;
                 // Re-arm at the instant being delivered.
                 wheel.schedule_in(Duration::ZERO, seq);
-                inline.schedule_in(Duration::ZERO, seq);
                 oracle.schedule_in(Duration::ZERO, seq);
                 seq += 1;
                 prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
@@ -227,7 +209,6 @@ proptest! {
         gaps in proptest::collection::vec((1u64..u64::MAX / 64, 0u16..=1000), 1..40),
     ) {
         let mut wheel = EventQueue::new();
-        let mut inline = InlineWheel::new();
         let mut oracle = RefQueue::new();
         let mut seq = 0u64;
         for &(gap, permille) in &gaps {
@@ -236,12 +217,10 @@ proptest! {
                 oracle.now().as_nanos().saturating_add(gap),
             );
             wheel.schedule_at(at, seq);
-            inline.schedule_at(at, seq);
             oracle.schedule_at(at, seq);
             seq += 1;
             apply_and_compare(
                 &mut wheel,
-                &mut inline,
                 &mut oracle,
                 Op::Advance { permille, fallback_ns: 0 },
                 seq,
@@ -251,9 +230,8 @@ proptest! {
             if permille % 2 == 0 {
                 let got = wheel.pop();
                 prop_assert_eq!(got, oracle.pop());
-                prop_assert_eq!(got, inline.pop());
             }
         }
-        drain_and_compare(&mut wheel, &mut inline, &mut oracle)?;
+        drain_and_compare(&mut wheel, &mut oracle)?;
     }
 }

@@ -7,13 +7,18 @@
 //! failed fetch attempts are always followed by a failover, no transfer
 //! span crosses an active partition, and the whole trace — Chrome export
 //! and metrics dump included — is byte-identical across same-seed runs.
+//!
+//! The last section ties the latency views of one op together: its Table-I
+//! `Breakdown`, its stage spans, its critical-path buckets and its explain
+//! DAG are all derived from the same "stage S ran from t₀ to t₁" facts, so
+//! they must agree to the nanosecond on every report.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use c4h_workloads::{generate, OpKind, TraceConfig};
 use cloud4home::{
-    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, RoutePolicy,
+    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, OpReport, RoutePolicy,
     ServiceKind, Snapshot, SpanRec, StorePolicy,
 };
 
@@ -340,4 +345,227 @@ fn chrome_trace_and_metrics_are_byte_deterministic() {
     for needle in ["op.store.ok", "stats.ops_completed", "chimera.lookup_hops"] {
         assert!(metrics_a.contains(needle), "metrics dump lacks {needle}");
     }
+}
+
+// ----------------------------------------------------------------------
+// One decomposition, four views
+// ----------------------------------------------------------------------
+
+/// The `Breakdown` column a stage span is charged to; `None` for control
+/// time Table I leaves in the remainder. The crate keeps this in its stage
+/// table; the span names and their columns are an export format, so the
+/// test carries its own copy.
+fn column_of(stage: &str) -> Option<&'static str> {
+    Some(match stage {
+        "store.channel_in" | "store.ack" | "fetch.channel_in" | "fetch.channel_out"
+        | "delete.channel_in" | "list.channel_in" | "proc.channel_in" | "proc.channel_out" => {
+            "inter_domain"
+        }
+        "store.flow_to_peer"
+        | "store.fanout"
+        | "store.flow_to_cloud"
+        | "store.cloud_put"
+        | "fetch.flow_home"
+        | "fetch.striped"
+        | "fetch.retry_wait"
+        | "fetch.cloud_request"
+        | "fetch.flow_cloud"
+        | "proc.move_arg"
+        | "proc.move_result" => "inter_node",
+        "store.meta_put" | "store.dir_put" | "fetch.meta_get" | "delete.meta_get"
+        | "delete.dht_delete" | "delete.dir_put" | "list.dir_get" | "proc.meta_svc_get" => "dht",
+        "store.query_peers" | "proc.query_resources" | "proc.decide" => "decision",
+        "store.disk_write" | "fetch.disk_local" | "delete.remove_bytes" | "proc.read_arg" => "disk",
+        "proc.exec" => "exec",
+        "fetch.owner_request" => return None,
+        other => panic!("stage span {other} is not in the frozen name list"),
+    })
+}
+
+/// Checks one report completed with the ledger on: every `Breakdown`
+/// column equals the summed length of the stage spans charged to it
+/// (`disk` may exceed its spans by the modelled holder reads, which have
+/// no span of their own), and both the critical-path buckets and the
+/// explain DAG's edges sum to the op's latency.
+fn assert_views_agree(report: &OpReport) {
+    let spans = |column: &str| -> u64 {
+        report
+            .stages
+            .iter()
+            .filter(|(name, _, _)| column_of(name) == Some(column))
+            .map(|(_, start, end)| end - start)
+            .sum()
+    };
+    let b = &report.breakdown;
+    for (column, charged) in [
+        ("inter_domain", b.inter_domain),
+        ("inter_node", b.inter_node),
+        ("dht", b.dht),
+        ("decision", b.decision),
+        ("exec", b.exec),
+    ] {
+        assert_eq!(
+            charged.as_nanos() as u64,
+            spans(column),
+            "{} {}: breakdown.{column} disagrees with its stage spans {:?}",
+            report.id,
+            report.kind,
+            report.stages
+        );
+    }
+    assert!(
+        b.disk.as_nanos() as u64 >= spans("disk"),
+        "{} {}: breakdown.disk is below its stage spans",
+        report.id,
+        report.kind
+    );
+    let total = report.total().as_nanos() as u64;
+    assert!(b.accounted().as_nanos() as u64 <= total + b.disk.as_nanos() as u64);
+    assert_eq!(report.critical_path.total_ns(), total);
+    let dag: u64 = report
+        .critical_dag()
+        .iter()
+        .map(|e| e.end_ns - e.start_ns)
+        .sum();
+    assert_eq!(dag, total);
+}
+
+fn span_count(report: &OpReport, stage: &str) -> usize {
+    report
+        .stages
+        .iter()
+        .filter(|(name, _, _)| *name == stage)
+        .count()
+}
+
+#[test]
+fn breakdown_equals_its_stage_spans_on_every_op_kind() {
+    let mut config = Config::paper_testbed(71);
+    config.ledger = true;
+    let mut home = Cloud4Home::new(config);
+    let check = |home: &mut Cloud4Home, op| {
+        let report = home.run_until_complete(op);
+        report.expect_ok();
+        assert!(!report.stages.is_empty(), "the ledger records stage spans");
+        assert_views_agree(&report);
+        report
+    };
+
+    // Local-first, peer and cloud placements, then every op kind on them.
+    let policies = [
+        StorePolicy::MandatoryFirst,
+        StorePolicy::ForceHome,
+        StorePolicy::SizeThreshold {
+            cloud_at_bytes: 128 << 10,
+        },
+    ];
+    for (i, policy) in policies.into_iter().enumerate() {
+        let name = format!("views/obj-{i}.jpg");
+        let obj = Object::synthetic(&name, 40 + i as u64, (96 + 64 * i as u64) << 10, "jpeg");
+        let op = home.store_object(NodeId(i), obj, policy, true);
+        let stored = check(&mut home, op);
+        let op = home.fetch_object(NodeId(i + 2), &name);
+        let fetched = check(&mut home, op);
+        assert_eq!(
+            fetched.expect_ok().via_cloud,
+            stored.expect_ok().via_cloud,
+            "{name} is read from where it was placed"
+        );
+    }
+    let op = home.list_objects(NodeId(1), "views");
+    check(&mut home, op);
+    let op = home.process_object(
+        NodeId(4),
+        "views/obj-0.jpg",
+        ServiceKind::FaceDetect,
+        RoutePolicy::Performance,
+    );
+    let processed = check(&mut home, op);
+    assert!(processed.breakdown.exec > Duration::ZERO);
+    let op = home.fetch_and_process(
+        NodeId(5),
+        "views/obj-1.jpg",
+        ServiceKind::Compress,
+        RoutePolicy::Performance,
+    );
+    check(&mut home, op);
+    let op = home.delete_object(NodeId(0), "views/obj-0.jpg");
+    check(&mut home, op);
+}
+
+#[test]
+fn breakdown_equals_its_stage_spans_on_striped_and_coded_fetches() {
+    // Three copies, three sources: the fetch is one `fetch.striped` stage
+    // whose holder reads are modelled, not spanned.
+    let mut config = Config::paper_testbed(72);
+    config.ledger = true;
+    config.replication = 3;
+    config.fetch_sources = 3;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("views/striped.bin", 7, 3 << 20, "doc");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+    let stored = home.run_until_complete(op);
+    stored.expect_ok();
+    assert_views_agree(&stored);
+    home.run_until_idle();
+    let client = (0..home.node_count())
+        .map(NodeId)
+        .find(|&id| home.objects_on(id) == 0)
+        .expect("some node holds no copy");
+    let op = home.fetch_object(client, "views/striped.bin");
+    let fetched = home.run_until_complete(op);
+    fetched.expect_ok();
+    assert_eq!(span_count(&fetched, "fetch.striped"), 1);
+    assert!(fetched.breakdown.disk > Duration::ZERO);
+    assert_views_agree(&fetched);
+
+    // A cold object over the threshold converts to coded stripes; its
+    // fetch is k stripe pulls and a decode.
+    let mut config = Config::paper_testbed(73);
+    config.ledger = true;
+    config.adaptive.enabled = true;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("views/coded.bin", 8, 2 << 20, "tar");
+    let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_for(Duration::from_secs(15));
+    assert!(home.is_erasure_coded("views/coded.bin"));
+    let op = home.fetch_object(NodeId(2), "views/coded.bin");
+    let fetched = home.run_until_complete(op);
+    fetched.expect_ok();
+    assert_eq!(span_count(&fetched, "fetch.striped"), 1);
+    assert_views_agree(&fetched);
+}
+
+/// A transfer severed mid-flight is time the op spent moving bytes between
+/// nodes: the aborted `fetch.flow_home` span must be in `inter_node` like
+/// the one that finally delivered the object.
+#[test]
+fn a_severed_transfers_time_stays_in_the_breakdown() {
+    let mut config = Config::paper_testbed(74);
+    config.ledger = true;
+    config.replication = 2;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("views/severed.bin", 9, 8 << 20, "doc");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+
+    let op = home.fetch_object(NodeId(0), "views/severed.bin");
+    home.run_for(Duration::from_millis(400));
+    home.crash_node(NodeId(1));
+    let report = home.run_until_complete(op);
+    report.expect_ok();
+    assert!(report.failovers >= 1, "the crash must redirect the fetch");
+    assert!(
+        report.ledger.iter().any(|e| e.kind == "transfer.failed"),
+        "the crash must land mid-transfer: {:?}",
+        report.stages
+    );
+    assert!(
+        span_count(&report, "fetch.flow_home") >= 2,
+        "one severed and one completed transfer: {:?}",
+        report.stages
+    );
+    assert_views_agree(&report);
 }
