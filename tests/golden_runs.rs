@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use cloud4home::{
     Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, NodeSpec, Object, RoutePolicy, ServiceKind,
-    StorePolicy,
+    SpanRec, StorePolicy,
 };
 
 /// FNV-1a 64-bit, the same construction the proptest shim uses for test
@@ -32,6 +32,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+fn digest_of(transcript: &str) -> String {
+    format!("{:016x}", fnv64(transcript.as_bytes()))
 }
 
 fn digest_path() -> PathBuf {
@@ -194,12 +198,150 @@ fn drive_lossy_churn(home: &mut Cloud4Home, label: &str) -> String {
     transcript
 }
 
+/// The background-job script: one small object (stays on full copies) and
+/// three large cold ones, each store publishing at quorum with its replica
+/// flows detached, then 45 s of quiet with a fetch every five seconds
+/// while the adaptive pass converts the large objects to (2, 1) stripes
+/// and the repair daemon restores what the cell's fault plan takes away.
+/// The trace (`repair` / `fanout.replica` spans with their `installed`
+/// flag, flow spans in record order) is folded into the transcript.
+fn drive_adaptive_ec_churn(home: &mut Cloud4Home, label: &str) -> String {
+    let mut transcript = format!("cell={label}\n");
+    let mut names = vec![format!("golden/{label}/small.bin")];
+    names.extend((0..3).map(|i| format!("golden/{label}/cold-{i}.bin")));
+    for (i, name) in names.iter().enumerate() {
+        let size = if i == 0 {
+            768 << 10
+        } else {
+            (4 + i as u64) << 20
+        };
+        let obj = Object::synthetic(name, 700 + i as u64, size, "tar");
+        let client = live_client(home, (i + 3) % 4);
+        let op = home.store_object(client, obj, StorePolicy::ForceHome, true);
+        let report = home.run_until_complete(op);
+        let _ = writeln!(
+            transcript,
+            "store {name} @{} -> {:?}",
+            report.completed.as_nanos(),
+            report.outcome
+        );
+    }
+    for round in 0..9 {
+        home.run_for(Duration::from_secs(5));
+        let name = &names[round % names.len()];
+        let op = home.fetch_object(live_client(home, round + 3), name);
+        let report = home.run_until_complete(op);
+        let _ = writeln!(
+            transcript,
+            "fetch {name} @{} ec={} copies={} -> {:?}",
+            report.completed.as_nanos(),
+            home.is_erasure_coded(name),
+            home.live_copies(name),
+            report.outcome
+        );
+    }
+    // A last object is deleted while its conversion is in flight.
+    let doomed = format!("golden/{label}/doomed.bin");
+    let obj = Object::synthetic(&doomed, 777, 6 << 20, "tar");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+    let report = home.run_until_complete(op);
+    let _ = writeln!(transcript, "store {doomed} -> {:?}", report.outcome);
+    let converts = |home: &Cloud4Home| home.telemetry().snapshot().counter("adaptive.ec_converts");
+    let before = converts(home);
+    while converts(home) == before {
+        home.run_for(Duration::from_millis(100));
+    }
+    let op = home.delete_object(NodeId(1), &doomed);
+    let report = home.run_until_complete(op);
+    let _ = writeln!(
+        transcript,
+        "delete {doomed} @{} -> {:?}",
+        report.completed.as_nanos(),
+        report.outcome
+    );
+    home.run_until_idle();
+    assert_background_edges_crossed(home);
+    transcript.push_str(&home.chrome_trace_json());
+    transcript
+}
+
+/// The `adaptive-ec-churn-s11` cell exists to pin the background-job
+/// lifecycles byte for byte; a re-tuned script that no longer reaches one
+/// of their edges must fail here rather than silently pin less.
+fn assert_background_edges_crossed(home: &Cloud4Home) {
+    let stats = home.stats();
+    let snap = home.telemetry().snapshot();
+    let landed = |span: &SpanRec| span.arg("installed").and_then(|v| v.as_bool());
+    let object = |span: &SpanRec| {
+        span.arg("object")
+            .and_then(|v| v.as_str().map(str::to_owned))
+    };
+    // A straggler severed in flight whose object a later repair made whole.
+    let requeued = snap.spans().any(|cut| {
+        cut.name == "fanout.replica"
+            && landed(cut) == Some(false)
+            && snap.spans().any(|fix| {
+                fix.name == "repair"
+                    && landed(fix) == Some(true)
+                    && object(fix) == object(cut)
+                    && fix.start_ns >= cut.end_ns
+            })
+    });
+    assert!(stats.quorum_publishes >= 1, "no store published at quorum");
+    assert!(
+        requeued,
+        "no severed straggler was re-queued into a completed repair"
+    );
+    assert!(stats.repairs_completed >= 1, "no repair completed");
+    for counter in [
+        "adaptive.ec_converted",
+        "adaptive.ec_converts_aborted",
+        "adaptive.ec_rebuilt",
+    ] {
+        assert!(snap.counter(counter) >= 1, "{counter} never moved");
+    }
+}
+
+/// Config and fault plan of the `adaptive-ec-churn-s11` cell.
+fn adaptive_ec_churn_cell() -> (Config, FaultPlan) {
+    let mut config = base(11);
+    config.replication = 3;
+    // On the one-segment testbed LAN a store's two replica flows share
+    // max-min bandwidth and land in the same instant, so quorum 2 of 3
+    // never leaves a *flow* behind (only a pending write, installed at the
+    // publish). Quorum 1 detaches both flows as background stragglers.
+    config.replica_quorum = 1;
+    config.anti_entropy_ms = 4_000;
+    config.adaptive.enabled = true;
+    // The floor equals the static factor, so the repair daemon defends all
+    // three copies and a cold object converts straight from them.
+    config.adaptive.replication_min = 3;
+    config.adaptive.replication_max = 4;
+    config.adaptive.ec_k = 2;
+    config.adaptive.ec_m = 1;
+    let ms = Duration::from_millis;
+    let plan = FaultPlan::new()
+        .at(
+            ms(120),
+            FaultEvent::Partition(vec![vec![NodeId(3), NodeId(4)]]),
+        )
+        .at(ms(700), FaultEvent::Heal)
+        .at(ms(2_700), FaultEvent::Crash(NodeId(2)))
+        .at(ms(9_000), FaultEvent::Rejoin(NodeId(2)))
+        .at(ms(12_000), FaultEvent::Crash(NodeId(4)))
+        .at(ms(12_700), FaultEvent::Partition(vec![vec![NodeId(1)]]))
+        .at(ms(13_500), FaultEvent::Heal)
+        .at(ms(20_000), FaultEvent::Rejoin(NodeId(4)));
+    (config, plan)
+}
+
 /// Runs one cell of the scripted workload.
 fn run_cell(label: &str, config: Config, plan: Option<FaultPlan>) -> String {
     run_script(label, config, plan, drive)
 }
 
-/// Runs one cell and folds every observable surface into its digest.
+/// Runs one cell and returns its transcript: every observable surface, in
+/// the order the digest folds them.
 fn run_script(
     label: &str,
     config: Config,
@@ -236,7 +378,7 @@ fn run_script(
         transcript == again,
         "cell {label} is not self-deterministic (two in-process runs differ)"
     );
-    format!("{:016x}", fnv64(transcript.as_bytes()))
+    transcript
 }
 
 /// A plan exercising crash, partition, bursty loss, and heal.
@@ -257,7 +399,7 @@ fn chaos_plan() -> FaultPlan {
         .at(Duration::from_secs(15), FaultEvent::Heal)
 }
 
-/// The seed × config matrix: every cell name maps to its digest.
+/// The seed × config matrix: every cell name maps to its transcript.
 fn corpus() -> BTreeMap<String, String> {
     let mut cells = BTreeMap::new();
 
@@ -360,12 +502,24 @@ fn corpus() -> BTreeMap<String, String> {
         run_script("lossy-churn-s11", config, Some(plan), drive_lossy_churn),
     );
 
+    let (config, plan) = adaptive_ec_churn_cell();
+    cells.insert(
+        "adaptive-ec-churn-s11".to_owned(),
+        run_script(
+            "adaptive-ec-churn-s11",
+            config,
+            Some(plan),
+            drive_adaptive_ec_churn,
+        ),
+    );
+
     cells
 }
 
 fn render_digests(cells: &BTreeMap<String, String>) -> String {
     let mut out = String::from("{\n");
-    for (i, (name, digest)) in cells.iter().enumerate() {
+    for (i, (name, transcript)) in cells.iter().enumerate() {
+        let digest = digest_of(transcript);
         let comma = if i + 1 == cells.len() { "" } else { "," };
         let _ = writeln!(out, "  \"{name}\": \"{digest}\"{comma}");
     }
@@ -411,13 +565,23 @@ fn golden_corpus_digests_match() {
         )
     });
     let committed = parse_digests(&committed);
+    // A diverging cell's whole transcript is left where a second checkout's
+    // can be `diff`ed against it (see tests/golden/README.md).
+    let dump_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
     let mut failures = Vec::new();
-    for (name, digest) in &cells {
-        match committed.get(name) {
-            Some(want) if want == digest => {}
-            Some(want) => failures.push(format!("{name}: committed {want}, got {digest}")),
-            None => failures.push(format!("{name}: not in committed digest file")),
+    for (name, transcript) in &cells {
+        let digest = digest_of(transcript);
+        if committed.get(name) == Some(&digest) {
+            continue;
         }
+        let dump = dump_dir.join(format!("{name}.txt"));
+        std::fs::create_dir_all(&dump_dir).expect("create the transcript directory");
+        std::fs::write(&dump, transcript).expect("write the diverging transcript");
+        let want = committed.get(name).map_or("nothing", String::as_str);
+        failures.push(format!(
+            "{name}: committed {want}, got {digest}; transcript in {}",
+            dump.display()
+        ));
     }
     for name in committed.keys() {
         if !cells.contains_key(name) {
