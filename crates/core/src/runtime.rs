@@ -2610,7 +2610,7 @@ impl Cloud4Home {
             return;
         };
         if self.start_replica_flow(name, src, dst, size) {
-            self.ledger_bg(CauseKind::RepairTrigger, u64::from(name.id()), 0);
+            self.ledger_bg(CauseKind::RepairTrigger, object_key(name.as_str()).raw(), 0);
         }
     }
 
@@ -2870,7 +2870,7 @@ impl Cloud4Home {
                     AdaptiveAction::Shrink => CauseKind::AdaptiveShrink,
                     _ => CauseKind::AdaptiveEncode,
                 };
-                self.ledger_bg(kind, u64::from(name.id()), holders.len() as u64);
+                self.ledger_bg(kind, object_key(name.as_str()).raw(), holders.len() as u64);
                 self.telemetry
                     .add(format!("adaptive.action.{}", action.label()), 1);
             }

@@ -79,14 +79,14 @@ pub enum CauseKind {
     /// The op's completion breached its kind's sliding-window SLO
     /// (`a` = window p99 ns, `b` = objective ns).
     SloBreach,
-    /// The repair daemon queued a re-replication (`a` = object sym).
+    /// The repair daemon queued a re-replication (`a` = the object's DHT key).
     RepairTrigger,
-    /// The adaptive plane grew an object's replica set (`a` = object sym).
+    /// The adaptive plane grew an object's replica set (`a` = the object's DHT key).
     AdaptiveGrow,
-    /// The adaptive plane shrank an object's replica set (`a` = object sym).
+    /// The adaptive plane shrank an object's replica set (`a` = the object's DHT key).
     AdaptiveShrink,
     /// The adaptive plane converted an object to erasure-coded stripes
-    /// (`a` = object sym).
+    /// (`a` = the object's DHT key).
     AdaptiveEncode,
 }
 

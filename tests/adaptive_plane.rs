@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use cloud4home::{Cloud4Home, Config, FaultEvent, NodeId, Object, StorePolicy};
+use cloud4home::{CauseKind, Cloud4Home, Config, FaultEvent, NodeId, Object, StorePolicy};
 
 /// A run with the adaptive plane disabled must be byte-identical no
 /// matter how the (inert) adaptive knobs are set: the whole plane has to
@@ -323,4 +323,246 @@ fn hot_object_grows_then_cools_back() {
         "a cold object must drop surplus replicas (still at {cooled})"
     );
     assert!(cooled >= 1, "shrinking must never drop the last copy");
+}
+
+// ----------------------------------------------------------------------
+// Background-job lifecycle edges, at the public surface. Each ends with
+// `run_until_idle` returning (it waits for every background flow, so a
+// stranded job or transfer would hang it) and with the bins and object
+// counts the edge must leave behind.
+// ----------------------------------------------------------------------
+
+/// A deployment whose one cold 2 MiB object converts from two full copies
+/// to (2, 1) stripes on the first adaptive pass that finds it settled.
+fn striping_config(seed: u64) -> Config {
+    let mut config = Config::paper_testbed(seed);
+    config.tracing = true; // the tests watch `adaptive.*` counters and flow spans
+    config.replication = 2;
+    config.adaptive.enabled = true;
+    config.adaptive.replication_min = 2; // convert straight from both copies
+    config.adaptive.ec_k = 2;
+    config.adaptive.ec_m = 1;
+    config
+}
+
+const STRIPED: &str = "edge/cold.bin";
+
+fn store_cold(home: &mut Cloud4Home) {
+    let obj = Object::synthetic(STRIPED, 31, 2 << 20, "tar");
+    let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+}
+
+/// (stored bytes, objects) per node.
+fn footprint(home: &Cloud4Home) -> Vec<(u64, usize)> {
+    (0..home.node_count())
+        .map(|j| (home.stored_bytes(NodeId(j)), home.objects_on(NodeId(j))))
+        .collect()
+}
+
+fn counter(home: &Cloud4Home, name: &str) -> u64 {
+    home.telemetry().snapshot().counter(name)
+}
+
+/// Steps virtual time until `done` holds (at most 60 s).
+fn run_until(home: &mut Cloud4Home, what: &str, done: impl Fn(&Cloud4Home) -> bool) {
+    for _ in 0..1_200 {
+        if done(home) {
+            return;
+        }
+        home.run_for(Duration::from_millis(50));
+    }
+    panic!("timed out waiting for {what}");
+}
+
+/// The stripe sites the conversion picks, learned from a twin run of the
+/// same seed (the choice is deterministic, and not observable mid-flight).
+fn twin_stripe_holders(seed: u64) -> Vec<NodeId> {
+    let mut twin = Cloud4Home::new(striping_config(seed));
+    store_cold(&mut twin);
+    run_until(&mut twin, "the twin's conversion", |h| {
+        h.is_erasure_coded(STRIPED)
+    });
+    twin.stripe_holders(STRIPED)
+}
+
+/// Crash a stripe site while the conversion's transfers are in flight:
+/// the conversion aborts whole, every full copy is untouched, no stripe
+/// is left on any live node, and a later pass converts the object.
+#[test]
+fn crash_mid_conversion_keeps_full_copies_and_leaves_no_stripe() {
+    let seed = 91;
+    let sites = twin_stripe_holders(seed);
+    let mut home = Cloud4Home::new(striping_config(seed));
+    store_cold(&mut home);
+    let before = footprint(&home);
+    assert_eq!(home.live_copies(STRIPED), 2);
+    // A site that holds no full copy, so the crash itself costs none.
+    let victim = *sites[1..]
+        .iter()
+        .find(|id| before[id.0].1 == 0)
+        .expect("a stripe site without a full copy");
+
+    run_until(&mut home, "the conversion to start", |h| {
+        counter(h, "adaptive.ec_converts") == 1
+    });
+    assert_ne!(footprint(&home), before, "the owner's row is installed");
+    home.crash_node(victim);
+
+    assert_eq!(counter(&home, "adaptive.ec_converts_aborted"), 1);
+    assert_eq!(home.live_copies(STRIPED), 2, "every full copy is intact");
+    assert!(!home.is_erasure_coded(STRIPED));
+    for j in (0..home.node_count()).filter(|&j| j != victim.0) {
+        assert_eq!(
+            footprint(&home)[j],
+            before[j],
+            "a stripe was left on node {j}"
+        );
+    }
+
+    run_until(&mut home, "a later pass to convert", |h| {
+        h.is_erasure_coded(STRIPED)
+    });
+    home.run_until_idle();
+    assert_eq!(home.live_copies(STRIPED), 0);
+    assert!(!home.stripe_holders(STRIPED).contains(&victim));
+    let op = home.fetch_object(NodeId(3), STRIPED);
+    assert_eq!(home.run_until_complete(op).expect_ok().bytes, 2 << 20);
+}
+
+/// Delete an object while its conversion is in flight: the stripe
+/// transfers are cancelled with the conversion, nothing lands later, and
+/// no byte of the object is left anywhere.
+#[test]
+fn delete_mid_conversion_leaves_no_stripe_and_no_job() {
+    let mut home = Cloud4Home::new(striping_config(92));
+    let empty = footprint(&home);
+    store_cold(&mut home);
+    run_until(&mut home, "the conversion to start", |h| {
+        counter(h, "adaptive.ec_converts") == 1
+    });
+    let flows = home.stats().flows_started;
+
+    let op = home.delete_object(NodeId(0), STRIPED);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+    assert_eq!(counter(&home, "adaptive.ec_converts_aborted"), 1);
+    assert_eq!(counter(&home, "adaptive.ec_converted"), 0);
+    assert_eq!(footprint(&home), empty, "bytes of a deleted object remain");
+
+    // Nothing of it is still on its way, and no pass picks it up again.
+    home.run_for(Duration::from_secs(10));
+    home.run_until_idle();
+    assert_eq!(footprint(&home), empty, "a stripe landed after the delete");
+    assert_eq!(home.stats().flows_started, flows);
+    assert!(!home.is_erasure_coded(STRIPED));
+}
+
+/// Partition away one source of a row rebuild while its `k` survivor
+/// transfers are in flight: the sibling transfer is cancelled with it,
+/// and the row is rebuilt once the network heals.
+#[test]
+fn severed_rebuild_source_cancels_siblings_and_rebuilds_after_heal() {
+    let mut config = striping_config(93);
+    config.anti_entropy_ms = 4_000;
+    let mut home = Cloud4Home::new(config);
+    store_cold(&mut home);
+    run_until(&mut home, "the conversion", |h| h.is_erasure_coded(STRIPED));
+    home.run_until_idle();
+    let holders = home.stripe_holders(STRIPED);
+    assert_eq!(holders.len(), 3);
+
+    // Lose the parity row; rows 0 and 1 are the rebuild's two sources.
+    let lost = holders[2];
+    home.crash_node(lost);
+    let started = home.stats().repairs_started;
+    run_until(&mut home, "the rebuild to start", |h| {
+        h.stats().repairs_started > started
+    });
+    let done = home.stats().repairs_completed;
+    let cut_at = home.now().as_nanos();
+    home.apply_fault(FaultEvent::Partition(vec![vec![holders[1]]]));
+    let ended_unfinished = home
+        .telemetry()
+        .snapshot()
+        .spans()
+        .filter(|s| {
+            s.name == "net.flow"
+                && s.end_ns == cut_at
+                && s.arg("done").and_then(|v| v.as_u64()) == Some(0)
+        })
+        .count();
+    assert_eq!(
+        ended_unfinished, 2,
+        "the severed transfer and its sibling both end at the cut"
+    );
+
+    home.run_for(Duration::from_secs(3));
+    assert_eq!(
+        home.stats().repairs_completed,
+        done,
+        "nothing rebuilds while a source is unreachable"
+    );
+    home.apply_fault(FaultEvent::Heal);
+    run_until(&mut home, "the rebuild after the heal", |h| {
+        h.stats().repairs_completed > done
+    });
+    home.run_until_idle();
+    let rehomed = home.stripe_holders(STRIPED);
+    assert!(!rehomed.contains(&lost), "the lost row has a new holder");
+    assert_eq!(rehomed[..2], holders[..2]);
+    let op = home.fetch_object(NodeId(0), STRIPED);
+    assert_eq!(home.run_until_complete(op).expect_ok().bytes, 2 << 20);
+}
+
+/// What the background ledger says about an object must not depend on
+/// what else this process interned, and in which order: the payload is
+/// the object's DHT key, never its interning id.
+#[test]
+fn background_ledger_names_objects_by_key_not_by_interning_order() {
+    let scenario = || {
+        let mut config = striping_config(94);
+        config.ledger = true;
+        config.adaptive.replication_min = 1; // shrink first, then convert
+        let mut home = Cloud4Home::new(config);
+        store_cold(&mut home);
+        run_until(&mut home, "the conversion", |h| h.is_erasure_coded(STRIPED));
+        home.crash_node(home.stripe_holders(STRIPED)[2]);
+        home.run_for(Duration::from_secs(20));
+        home.run_until_idle();
+        home.background_ledger().to_vec()
+    };
+    let first = scenario();
+    for i in 0..64 {
+        let _ = Object::synthetic(&format!("noise/interned-{i}"), i, 1, "x");
+    }
+    let second = scenario();
+    assert_eq!(first, second);
+
+    let key = c4h_kvstore::object_key(STRIPED).raw();
+    let about_objects: Vec<_> = first
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                CauseKind::RepairTrigger
+                    | CauseKind::AdaptiveGrow
+                    | CauseKind::AdaptiveShrink
+                    | CauseKind::AdaptiveEncode
+            )
+        })
+        .collect();
+    assert!(
+        about_objects
+            .iter()
+            .any(|e| e.kind == CauseKind::AdaptiveShrink)
+            && about_objects
+                .iter()
+                .any(|e| e.kind == CauseKind::AdaptiveEncode),
+        "the scenario must shrink and convert: {about_objects:?}"
+    );
+    for e in about_objects {
+        assert_eq!(e.a, key, "{e:?} does not carry the object's key");
+    }
 }
