@@ -3233,8 +3233,7 @@ impl Cloud4Home {
         // regardless of the primary's liveness.
         for key in &meta.replicas {
             if let Some(j) = self.node_index(*key) {
-                self.nodes[j].objects.remove(&op.name);
-                self.nodes[j].bins.remove(op.name.as_str());
+                self.nodes[j].evict(op.name);
             }
         }
         if self.config.adaptive.enabled {
@@ -3255,8 +3254,7 @@ impl Cloud4Home {
                         listing: None,
                     }));
                 };
-                self.nodes[owner].objects.remove(&op.name);
-                self.nodes[owner].bins.remove(op.name.as_str());
+                self.nodes[owner].evict(op.name);
                 let latency = if owner == op.client {
                     Duration::ZERO
                 } else {

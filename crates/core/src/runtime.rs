@@ -459,6 +459,12 @@ impl NodeRt {
         self.objects.insert(name, blob);
         true
     }
+
+    /// Removes `name`'s bytes and its bin entry, if the node has them.
+    pub(crate) fn evict(&mut self, name: Sym) {
+        self.objects.remove(&name);
+        self.bins.remove(name.as_str());
+    }
 }
 
 impl Cloud4Home {
@@ -669,15 +675,7 @@ impl Cloud4Home {
                 cloud_available,
                 policy: "performance".into(),
             });
-            let now = self.queue.now();
-            if let Ok(req) = self.overlay_mut(publisher).put(
-                service_key(kind.name(), kind.id()),
-                record.encode(),
-                OverwritePolicy::Overwrite,
-                now,
-            ) {
-                self.dht_waiters.insert((publisher, req), DhtWaiter::Ignore);
-            }
+            self.publish_background(publisher, service_key(kind.name(), kind.id()), record);
         }
     }
 
@@ -700,12 +698,23 @@ impl Cloud4Home {
             n.monitor
                 .publish(n.key, now, &mut n.sampler, &n.bins, up, down, &mut self.rng);
         let key = n.resource_key;
-        if let Ok(req) = self.overlay_mut(i).put(
-            key,
-            Record::Resource(record).encode(),
-            OverwritePolicy::Overwrite,
-            now,
-        ) {
+        self.publish_background(i, key, Record::Resource(record));
+    }
+
+    /// Best-effort DHT put from node `i` whose completion nobody waits
+    /// for: resource and service records, republished object metadata,
+    /// stripe records. A node that is down or outside the overlay
+    /// publishes nothing — checked before the record is encoded, because
+    /// encoding counts in `kvstore.record_encodes`.
+    pub(crate) fn publish_background(&mut self, i: usize, key: Key, record: Record) {
+        if !self.nodes[i].alive || !self.nodes[i].chimera.is_joined() {
+            return;
+        }
+        let now = self.now();
+        if let Ok(req) =
+            self.overlay_mut(i)
+                .put(key, record.encode(), OverwritePolicy::Overwrite, now)
+        {
             self.dht_waiters.insert((i, req), DhtWaiter::Ignore);
         }
     }
@@ -2699,16 +2708,7 @@ impl Cloud4Home {
 
         // Republish the metadata record in the background so future
         // fetches learn the new replica.
-        let publisher = job.src;
-        let now = self.now();
-        if let Ok(req) = self.overlay_mut(publisher).put(
-            object_key(meta.name.as_str()),
-            Record::Object(meta).encode(),
-            OverwritePolicy::Overwrite,
-            now,
-        ) {
-            self.dht_waiters.insert((publisher, req), DhtWaiter::Ignore);
-        }
+        self.publish_meta_background(job.src, meta);
         true
     }
 
@@ -2759,18 +2759,7 @@ impl Cloud4Home {
     /// Best-effort background publish of an object metadata record from
     /// node `i` (result dropped; callers don't wait).
     pub(crate) fn publish_meta_background(&mut self, i: usize, meta: ObjectMeta) {
-        if !self.nodes[i].alive || !self.nodes[i].chimera.is_joined() {
-            return;
-        }
-        let now = self.now();
-        if let Ok(req) = self.overlay_mut(i).put(
-            object_key(meta.name.as_str()),
-            Record::Object(meta).encode(),
-            OverwritePolicy::Overwrite,
-            now,
-        ) {
-            self.dht_waiters.insert((i, req), DhtWaiter::Ignore);
-        }
+        self.publish_background(i, object_key(meta.name.as_str()), Record::Object(meta));
     }
 
     // ------------------------------------------------------------------
@@ -2957,8 +2946,7 @@ impl Cloud4Home {
             return;
         };
         let victim_key = self.nodes[victim].key;
-        self.nodes[victim].objects.remove(&name);
-        self.nodes[victim].bins.remove(name.as_str());
+        self.nodes[victim].evict(name);
         let mut meta = meta;
         meta.replicas.retain(|&k| k != victim_key);
         self.replicas.insert(name, meta.clone());
@@ -3048,8 +3036,7 @@ impl Cloud4Home {
                 for &flow in pending.keys() {
                     self.cancel_flow(flow);
                 }
-                self.nodes[owner].objects.remove(&sname0);
-                self.nodes[owner].bins.remove(sname0.as_str());
+                self.nodes[owner].evict(sname0);
                 return;
             };
             pending.insert(flow, row as u32);
@@ -3130,8 +3117,7 @@ impl Cloud4Home {
         for &row in &conv.installed {
             if let Some(j) = self.node_index(conv.layout.holders[row as usize]) {
                 let sname = self.ec_stripe_name(name, row);
-                self.nodes[j].objects.remove(&sname);
-                self.nodes[j].bins.remove(sname.as_str());
+                self.nodes[j].evict(sname);
             }
         }
         self.telemetry.add("adaptive.ec_converts_aborted", 1);
@@ -3159,8 +3145,7 @@ impl Cloud4Home {
         for key in holder_keys {
             if let Some(j) = self.node_index(key) {
                 if self.nodes[j].alive {
-                    self.nodes[j].objects.remove(&name);
-                    self.nodes[j].bins.remove(name.as_str());
+                    self.nodes[j].evict(name);
                 }
             }
         }
@@ -3171,26 +3156,15 @@ impl Cloud4Home {
         self.publish_meta_background(conv.owner, meta);
         // Per-row stripe records, so repair tooling can audit placement
         // and checksums through the overlay.
-        let now = self.now();
-        if self.nodes[conv.owner].alive && self.nodes[conv.owner].chimera.is_joined() {
-            for (row, shard) in conv.stripes.iter().enumerate() {
-                let record = Record::Stripe(StripeRecord {
-                    object: name,
-                    row: row as u32,
-                    len: conv.layout.stripe_len,
-                    holder: conv.layout.holders[row],
-                    checksum: stripe_checksum(shard),
-                });
-                if let Ok(req) = self.overlay_mut(conv.owner).put(
-                    stripe_key(name.as_str(), row as u32),
-                    record.encode(),
-                    OverwritePolicy::Overwrite,
-                    now,
-                ) {
-                    self.dht_waiters
-                        .insert((conv.owner, req), DhtWaiter::Ignore);
-                }
-            }
+        for (row, shard) in conv.stripes.iter().enumerate() {
+            let record = Record::Stripe(StripeRecord {
+                object: name,
+                row: row as u32,
+                len: conv.layout.stripe_len,
+                holder: conv.layout.holders[row],
+                checksum: stripe_checksum(shard),
+            });
+            self.publish_background(conv.owner, stripe_key(name.as_str(), row as u32), record);
         }
         self.invalidate_meta_caches(name);
         // Heat restarts from scratch in the new form; the EWMA of the
@@ -3361,24 +3335,14 @@ impl Cloud4Home {
         meta.ec = Some(layout.clone());
         self.replicas.insert(job.name, meta.clone());
         self.publish_meta_background(job.dst, meta);
-        let now = self.now();
-        if self.nodes[job.dst].alive && self.nodes[job.dst].chimera.is_joined() {
-            let record = Record::Stripe(StripeRecord {
-                object: job.name,
-                row: job.row,
-                len: layout.stripe_len,
-                holder: dst_key,
-                checksum,
-            });
-            if let Ok(req) = self.overlay_mut(job.dst).put(
-                stripe_key(job.name.as_str(), job.row),
-                record.encode(),
-                OverwritePolicy::Overwrite,
-                now,
-            ) {
-                self.dht_waiters.insert((job.dst, req), DhtWaiter::Ignore);
-            }
-        }
+        let record = Record::Stripe(StripeRecord {
+            object: job.name,
+            row: job.row,
+            len: layout.stripe_len,
+            holder: dst_key,
+            checksum,
+        });
+        self.publish_background(job.dst, stripe_key(job.name.as_str(), job.row), record);
         self.invalidate_meta_caches(job.name);
     }
 
@@ -3408,8 +3372,7 @@ impl Cloud4Home {
                 let sname = self.ec_stripe_name(name, row);
                 for j in 0..self.nodes.len() {
                     if self.nodes[j].alive {
-                        self.nodes[j].objects.remove(&sname);
-                        self.nodes[j].bins.remove(sname.as_str());
+                        self.nodes[j].evict(sname);
                     }
                 }
             }
