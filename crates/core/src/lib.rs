@@ -53,6 +53,7 @@
 #![warn(missing_debug_implementations)]
 
 mod adaptive;
+mod background;
 mod config;
 mod decision;
 mod ec;

@@ -22,6 +22,7 @@ use c4h_services::{ServiceDemand, ServiceId, ServiceOutput};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
+use crate::background::FanoutJob;
 use crate::config::{NodeId, ServiceKind};
 use crate::decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME};
 use crate::ec::ErasureCode;
@@ -32,7 +33,7 @@ use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
 use crate::report::{
     Breakdown, CausalEvent, Column, OpError, OpId, OpOutput, OpReport, PathAttribution,
 };
-use crate::runtime::{Cloud4Home, FanoutJob, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE};
+use crate::runtime::{Cloud4Home, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE};
 use crate::transfers::FlowOwner;
 
 /// Size of a command packet on the guest ↔ dom0 channel ("commands are

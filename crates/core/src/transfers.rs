@@ -8,8 +8,8 @@
 
 use c4h_simnet::{Addr, FlowId, FxHashMap, Sym};
 
+use crate::background::{FanoutJob, RepairJob};
 use crate::report::OpId;
-use crate::runtime::{FanoutJob, RepairJob};
 
 /// Who a flow's completion (or abort) is routed to.
 #[derive(Debug)]
