@@ -16,80 +16,329 @@ use crate::ec::ErasureCode;
 use crate::object::{Blob, SAMPLE_WINDOW};
 use crate::policy::{adaptive_action, AdaptiveAction};
 use crate::replicas::{holder_keys, Repair, Review, WorkSet};
-use crate::runtime::{Cloud4Home, REPAIR_TRACK_BASE, RUNTIME_TRACK};
+use crate::runtime::{Cloud4Home, FANOUT_TRACK_BASE, REPAIR_TRACK_BASE, RUNTIME_TRACK};
 use crate::transfers::FlowOwner;
 
-/// A replica transfer that detached from its store after a quorum publish
-/// and now completes in the background.
-#[derive(Debug, Clone)]
-pub(crate) struct FanoutJob {
-    /// Object being replicated.
-    pub(crate) name: Sym,
-    /// Destination node index (the new replica holder).
-    pub(crate) dst: usize,
-    /// Object size in bytes.
-    pub(crate) bytes: u64,
-    /// The object's bytes, carried so installation survives the primary
-    /// crashing mid-flight.
-    pub(crate) blob: Blob,
-    /// Open trace span covering the detached transfer.
-    pub(crate) span: SpanId,
+/// Identifies one background job; handed out in start order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct JobId(pub(crate) u64);
+
+/// One unit of background data movement: the transfers ("legs") it still
+/// waits for, and what their arrival installs. Every job runs the same
+/// lifecycle — [`Cloud4Home::start_job`], [`Cloud4Home::job_flow_done`]
+/// per leg with a per-kind arrival and finish, or
+/// [`Cloud4Home::job_abort`].
+#[derive(Debug)]
+struct Job {
+    /// The object being moved.
+    name: Sym,
+    /// Legs in flight, flow → part (the code row a stripe leg carries, 0
+    /// for a whole copy), in start order and so ascending by flow id.
+    pending: Vec<(FlowId, u32)>,
+    /// Parts whose leg has arrived: the rows a conversion has installed on
+    /// their holders, the survivor rows a rebuild has received.
+    landed: Vec<u32>,
+    kind: JobKind,
 }
 
-/// A background re-replication transfer in flight.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RepairJob {
-    /// Object being re-replicated.
-    pub(crate) name: Sym,
-    /// Source node index (a surviving holder).
-    pub(crate) src: usize,
-    /// Destination node index (the new replica).
-    pub(crate) dst: usize,
-    /// Object size in bytes.
-    pub(crate) bytes: u64,
-    /// Open trace span covering the repair transfer.
-    pub(crate) span: SpanId,
+/// What a job moves and installs.
+#[derive(Debug)]
+enum JobKind {
+    /// One full copy on its way to node `dst`, under an open `repair` or
+    /// `fanout.replica` trace span.
+    Copy {
+        dst: usize,
+        bytes: u64,
+        span: SpanId,
+        from: CopyFrom,
+    },
+    /// Full copies → stripes: the owner (holder of row 0) encoded the
+    /// object into `stripes` (row order, data then parity), installed its
+    /// own row, and ships every other row to its holder. Full copies are
+    /// stripped only once every row has landed, so an abort leaves the
+    /// object exactly as replicated as before.
+    Encode {
+        layout: EcLayout,
+        stripes: Vec<Vec<u8>>,
+    },
+    /// A lost code row: `dst` pulls `k` surviving stripes and re-derives
+    /// the row once all have arrived.
+    Rebuild { row: u32, dst: usize },
 }
 
-/// A full-copy → erasure-coded conversion in flight: the owner encoded the
-/// object into `k + m` shards, installed its own row locally, and is
-/// shipping the remaining rows to their holders. Full copies are stripped
-/// only once every row has landed, so an aborted conversion leaves the
-/// object exactly as replicated as before.
-#[derive(Debug, Clone)]
-pub(crate) struct EcConvert {
-    /// The object's home node (source of every stripe transfer).
-    pub(crate) owner: usize,
-    /// The target layout being installed.
-    pub(crate) layout: EcLayout,
-    /// Encoded shard bytes in row order (data rows then parity).
-    pub(crate) stripes: Vec<Vec<u8>>,
-    /// Outstanding stripe transfers: flow → code row.
-    pub(crate) pending: BTreeMap<FlowId, u32>,
-    /// Rows already installed on their holders.
-    pub(crate) installed: Vec<u32>,
+/// Where a copy's bytes come from, which is also what tells a repair from
+/// a store's straggler everywhere else the two differ.
+#[derive(Debug)]
+enum CopyFrom {
+    /// The repair daemon or the adaptive grow path: installs the holder's
+    /// blob as of landing, prunes dead holders from the replica set,
+    /// republishes from the holder, and counts in `repairs_completed`. A
+    /// copy that fails to land waits for the next sweep.
+    Holder(usize),
+    /// A replica transfer that outlived its store (published at quorum):
+    /// installs the blob the store carried, so it survives the primary
+    /// dying mid-flight, and republishes from the destination. No
+    /// peer-failure scan would ever find its shortfall, so a straggler
+    /// that fails to land hands its object straight to the repair daemon.
+    Carried(Blob),
 }
 
-/// A lost-stripe rebuild in flight: the destination is pulling `k`
-/// surviving stripes, and re-derives the lost row from them once all have
-/// arrived.
-#[derive(Debug, Clone)]
-pub(crate) struct EcRepair {
-    /// The erasure-coded object being repaired.
-    pub(crate) name: Sym,
-    /// The lost code row being rebuilt.
-    pub(crate) row: u32,
-    /// Destination node index (the row's new holder).
-    pub(crate) dst: usize,
-    /// Outstanding survivor-stripe transfers: flow → survivor row.
-    pub(crate) pending: BTreeMap<FlowId, u32>,
-    /// Survivor rows whose stripes have arrived.
-    pub(crate) arrived: Vec<u32>,
+impl JobKind {
+    fn is_copy(&self) -> bool {
+        matches!(self, JobKind::Copy { .. })
+    }
+
+    /// Whether a job of this kind that cannot finish goes back to the
+    /// repair daemon (a conversion does not: its full copies are intact).
+    fn requeues(&self) -> bool {
+        match self {
+            JobKind::Copy { from, .. } => matches!(from, CopyFrom::Carried(_)),
+            JobKind::Encode { .. } => false,
+            JobKind::Rebuild { .. } => true,
+        }
+    }
+}
+
+/// The jobs in flight, keyed by id. Iterated only for order-free `any`
+/// queries and in ascending id.
+#[derive(Debug, Default)]
+pub(crate) struct Jobs {
+    table: BTreeMap<JobId, Job>,
+    last_id: u64,
+}
+
+impl Jobs {
+    fn next_id(&mut self) -> JobId {
+        self.last_id += 1;
+        JobId(self.last_id)
+    }
+
+    fn insert(&mut self, id: JobId, name: Sym, pending: Vec<(FlowId, u32)>, kind: JobKind) {
+        let landed = Vec::new();
+        let job = Job {
+            name,
+            pending,
+            landed,
+            kind,
+        };
+        self.table.insert(id, job);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Takes `flow` out of job `id`'s legs in flight, yielding its part.
+    fn take_leg(&mut self, id: JobId, flow: FlowId) -> Option<u32> {
+        let pending = &mut self.table.get_mut(&id)?.pending;
+        let at = pending.iter().position(|&(f, _)| f == flow)?;
+        Some(pending.remove(at).1)
+    }
+
+    /// Records that `part` of job `id` arrived, and takes the job out once
+    /// no leg is left in flight.
+    fn leg_landed(&mut self, id: JobId, part: u32) -> Option<Job> {
+        let job = self.table.get_mut(&id)?;
+        if !job.kind.is_copy() {
+            job.landed.push(part); // a copy's one leg is the whole job
+        }
+        if job.pending.is_empty() {
+            return self.table.remove(&id);
+        }
+        None
+    }
+
+    /// Whether a full copy of `name` is on its way to a new holder (a
+    /// repair, or a store's straggler that may still land).
+    fn copying(&self, name: Sym) -> bool {
+        let mut jobs = self.table.values();
+        jobs.any(|job| job.name == name && job.kind.is_copy() && !job.pending.is_empty())
+    }
+
+    /// Whether any placement work for `name` is in flight.
+    fn any(&self, name: Sym) -> bool {
+        self.table.values().any(|job| job.name == name)
+    }
+
+    /// Whether `name`'s code row `row` is being rebuilt.
+    fn rebuilding(&self, name: Sym, row: u32) -> bool {
+        let mut jobs = self.table.values();
+        jobs.any(|job| {
+            job.name == name && matches!(job.kind, JobKind::Rebuild { row: r, .. } if r == row)
+        })
+    }
+
+    /// The oldest conversion or rebuild of `name`, if any.
+    fn striping(&self, name: Sym) -> Option<JobId> {
+        let mut jobs = self.table.iter();
+        jobs.find_map(|(&id, job)| (job.name == name && !job.kind.is_copy()).then_some(id))
+    }
+
+    /// The order in which jobs that lost a leg to one cut are aborted —
+    /// observable, because a re-queue can start flows and draw from the
+    /// RNG: copies first, as cut (ascending flow id, which is not id order
+    /// for a straggler adopted long after its flow started), then
+    /// conversions by object name, then rebuilds by id.
+    fn abort_rank(&self, id: JobId) -> (u8, Option<Sym>, u64) {
+        match self.table.get(&id).map(|job| (&job.kind, job.name)) {
+            None | Some((JobKind::Copy { .. }, _)) => (0, None, 0),
+            Some((JobKind::Encode { .. }, name)) => (1, Some(name), 0),
+            Some((JobKind::Rebuild { .. }, _)) => (2, None, id.0),
+        }
+    }
 }
 
 impl Cloud4Home {
+    // ------------------------------------------------------------------
+    // The background-job lifecycle
+    // ------------------------------------------------------------------
+
+    /// Starts one flow of `bytes` per leg `(src, dst, part)`, all owned by
+    /// a fresh job id — every leg or none. The caller enters the job under
+    /// the returned id with the returned legs.
+    fn start_job(
+        &mut self,
+        bytes: u64,
+        legs: impl IntoIterator<Item = (usize, usize, u32)>,
+    ) -> Option<(JobId, Vec<(FlowId, u32)>)> {
+        let id = self.jobs.next_id();
+        let legs = legs.into_iter();
+        let mut pending = Vec::with_capacity(legs.size_hint().0);
+        for (src, dst, part) in legs {
+            let (from, to) = (self.nodes[src].addr, self.nodes[dst].addr);
+            let Ok(flow) = self.start_flow(FlowOwner::Job(id), from, to, bytes, None) else {
+                for (flow, _) in pending {
+                    self.cancel_flow(flow);
+                }
+                return None;
+            };
+            pending.push((flow, part));
+        }
+        self.ensure_tick();
+        Some((id, pending))
+    }
+
+    /// Adopts a store's still-running replica transfer as a background
+    /// copy: the store published at quorum and no longer waits for it.
+    pub(crate) fn detach_straggler(
+        &mut self,
+        flow: FlowId,
+        started: SimTime,
+        name: Sym,
+        dst: usize,
+        blob: Blob,
+    ) {
+        let bytes = blob.len();
+        let span = self.telemetry.begin_args(
+            "fanout",
+            "fanout.replica",
+            FANOUT_TRACK_BASE + flow.raw(),
+            started.as_nanos(),
+            vec![
+                ("object", ArgValue::from(name.as_str())),
+                ("dst", ArgValue::from(self.nodes[dst].name.as_str())),
+                ("bytes", ArgValue::from(bytes)),
+            ],
+        );
+        let id = self.jobs.next_id();
+        let from = CopyFrom::Carried(blob);
+        let kind = JobKind::Copy {
+            dst,
+            bytes,
+            span,
+            from,
+        };
+        self.jobs.insert(id, name, vec![(flow, 0)], kind);
+        self.flows.reassign(flow, FlowOwner::Job(id));
+    }
+
+    /// One leg of job `id` delivered its last byte: per-kind arrival, and
+    /// the per-kind finish once no leg is left.
+    pub(crate) fn job_flow_done(&mut self, flow: FlowId, id: JobId) {
+        let Some(part) = self.jobs.take_leg(id, flow) else {
+            return;
+        };
+        let job = &self.jobs.table[&id];
+        // A conversion's row goes onto its holder as it arrives; one that
+        // cannot (holder died, bin filled) ends the whole conversion.
+        if let JobKind::Encode { layout, stripes } = &job.kind {
+            let holder = self.node_index(layout.holders[part as usize]);
+            let (sname, len) = (self.ec_stripe_name(job.name, part), layout.stripe_len);
+            let shard = Blob::inline(stripes[part as usize].clone());
+            let site = holder.filter(|&j| self.nodes[j].alive);
+            if !site.is_some_and(|j| self.nodes[j].install_voluntary(sname, len, shard)) {
+                return self.job_abort(id, false);
+            }
+        }
+        let Some(job) = self.jobs.leg_landed(id, part) else {
+            return;
+        };
+        match job.kind {
+            JobKind::Copy {
+                dst,
+                bytes,
+                span,
+                from,
+            } => {
+                // A straggler that does not land (destination died, bin
+                // filled) goes straight back to the repair daemon.
+                let requeue = matches!(from, CopyFrom::Carried(_));
+                let installed = self.copy_install(job.name, dst, bytes, from);
+                self.end_replica_span(span, installed);
+                if !installed && requeue {
+                    self.maybe_repair(job.name);
+                }
+            }
+            JobKind::Encode { layout, stripes } => {
+                if !self.encode_finish(job.name, &layout, &stripes) {
+                    self.encode_undo(job.name, &layout, &job.landed);
+                }
+            }
+            JobKind::Rebuild { row, dst } => self.rebuild_finish(job.name, row, dst, &job.landed),
+        }
+    }
+
+    /// A partition or crash cut `flow` from under job `id`. The job is
+    /// aborted once the whole cut is made (see [`Jobs::abort_rank`]); what
+    /// happens at the cut itself is that the leg is gone and a copy's
+    /// trace span closes.
+    pub(crate) fn job_leg_severed(&mut self, flow: FlowId, id: JobId) {
+        self.jobs.take_leg(id, flow);
+        if let Some(JobKind::Copy { span, .. }) = self.jobs.table.get(&id).map(|job| &job.kind) {
+            self.end_replica_span(*span, false);
+        }
+    }
+
+    /// Aborts the jobs that lost a leg to one cut, in abort order.
+    pub(crate) fn abort_severed_jobs(&mut self, mut severed: Vec<JobId>) {
+        severed.sort_by_key(|&id| self.jobs.abort_rank(id));
+        severed.dedup();
+        for id in severed {
+            self.job_abort(id, true);
+        }
+    }
+
+    /// Ends a job that cannot finish: cancels the legs still in flight,
+    /// undoes what already landed, and — when `requeue` — hands the object
+    /// of a kind that re-queues back to the repair daemon (the survivor
+    /// set or the reachable destinations may have changed).
+    fn job_abort(&mut self, id: JobId, requeue: bool) {
+        let Some(job) = self.jobs.table.remove(&id) else {
+            return;
+        };
+        for &(flow, _) in &job.pending {
+            self.cancel_flow(flow);
+        }
+        if let JobKind::Encode { layout, .. } = &job.kind {
+            self.encode_undo(job.name, layout, &job.landed);
+        }
+        if requeue && job.kind.requeues() {
+            self.maybe_repair(job.name);
+        }
+    }
+
     /// Closes a repair or detached fan-out transfer's trace span.
-    pub(crate) fn end_replica_span(&self, span: SpanId, installed: bool) {
+    fn end_replica_span(&self, span: SpanId, installed: bool) {
         self.telemetry.end_args(
             span,
             self.now().as_nanos(),
@@ -273,7 +522,7 @@ impl Cloud4Home {
 
     /// Starts one replica transfer for an object short of full copies.
     fn repair_copies(&mut self, name: Sym, holders: &[usize], size: u64) {
-        if self.flows.replicating(name) {
+        if self.jobs.copying(name) {
             return; // a repair or detached store straggler may still land the copy
         }
         let Some(src) = self.best_source(holders) else {
@@ -301,28 +550,15 @@ impl Cloud4Home {
         if !self.retry_budget_take(src, "repair", name) {
             return false;
         }
-        let mut job = RepairJob {
-            name,
-            src,
-            dst,
-            bytes: size,
-            span: SpanId::NONE,
-        };
-        let Ok(flow) = self.start_flow(
-            FlowOwner::Repair(job),
-            self.nodes[src].addr,
-            self.nodes[dst].addr,
-            size,
-            None,
-        ) else {
+        let Some((id, pending)) = self.start_job(size, [(src, dst, 0)]) else {
             return false;
         };
         self.stats.repairs_started += 1;
-        // The span's track is the flow id, known only now.
-        job.span = self.telemetry.begin_args(
+        // The span's track is the flow id.
+        let span = self.telemetry.begin_args(
             "repair",
             "repair",
-            REPAIR_TRACK_BASE + flow.raw(),
+            REPAIR_TRACK_BASE + pending[0].0.raw(),
             self.now().as_nanos(),
             vec![
                 ("object", ArgValue::from(name.as_str())),
@@ -331,96 +567,55 @@ impl Cloud4Home {
                 ("bytes", ArgValue::from(size)),
             ],
         );
-        self.flows.reassign(flow, FlowOwner::Repair(job));
-        self.ensure_tick();
+        let from = CopyFrom::Holder(src);
+        let kind = JobKind::Copy {
+            dst,
+            bytes: size,
+            span,
+            from,
+        };
+        self.jobs.insert(id, name, pending, kind);
         true
     }
 
-    /// Installs a completed repair transfer on its destination and
-    /// republishes the object's metadata with the new replica set.
-    pub(crate) fn finish_repair(&mut self, job: RepairJob) {
-        let installed = self.finish_repair_inner(&job);
-        self.end_replica_span(job.span, installed);
-    }
-
-    /// The installation step of [`Self::finish_repair`]; returns whether
-    /// the replica was actually installed.
-    fn finish_repair_inner(&mut self, job: &RepairJob) -> bool {
-        let Some(meta) = self.replicas.get(job.name).cloned() else {
-            return false; // deleted while the repair was in flight
+    /// Installs a landed copy on `dst` and republishes the object's
+    /// metadata with the new replica set; returns whether it was installed.
+    fn copy_install(&mut self, name: Sym, dst: usize, bytes: u64, from: CopyFrom) -> bool {
+        let Some(mut meta) = self.replicas.get(name).cloned() else {
+            return false; // deleted while the copy was in flight
         };
-        if !self.nodes[job.dst].alive {
+        if !self.nodes[dst].alive {
             return false;
         }
-        let Some(blob) = self.nodes[job.src].objects.get(&job.name).cloned() else {
-            return false; // the source lost the bytes mid-repair
+        let (blob, repaired_from) = match from {
+            CopyFrom::Carried(blob) => (blob, None),
+            CopyFrom::Holder(src) => {
+                let Some(blob) = self.nodes[src].objects.get(&name).cloned() else {
+                    return false; // the source lost the bytes mid-repair
+                };
+                (blob, Some(src))
+            }
         };
-        if !self.nodes[job.dst].install_voluntary(job.name, job.bytes, blob) {
+        if !self.nodes[dst].install_voluntary(name, bytes, blob) {
             return false;
         }
         self.stats.replicas_written += 1;
-        self.stats.repairs_completed += 1;
-
-        // Refresh the replica set: drop dead holders, add the new one.
-        let mut meta = meta;
-        let dst_key = self.nodes[job.dst].key;
-        meta.replicas.retain(|k| {
-            self.node_index(*k)
-                .is_some_and(|j| self.nodes[j].alive && j != job.dst)
-        });
+        let dst_key = self.nodes[dst].key;
+        if repaired_from.is_some() {
+            self.stats.repairs_completed += 1;
+            // Refresh the replica set: drop dead holders.
+            meta.replicas.retain(|k| {
+                self.node_index(*k)
+                    .is_some_and(|j| self.nodes[j].alive && j != dst)
+            });
+        }
         if !meta.replicas.contains(&dst_key) && meta.location != (Location::Home { node: dst_key })
         {
             meta.replicas.push(dst_key);
         }
-        self.replicas.insert(job.name, meta.clone());
-
-        // Republish the metadata record in the background so future
-        // fetches learn the new replica.
-        self.publish_meta_background(job.src, meta);
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Detached store fan-out
-    // ------------------------------------------------------------------
-
-    /// Installs a replica whose transfer outlived its store (the store
-    /// published at quorum and completed) and republishes the object's
-    /// metadata with the grown replica set. An install that falls through
-    /// (destination died, bin filled) leaves the object under target with
-    /// no peer-failure scan ever the wiser, so the shortfall is handed
-    /// straight back to the repair daemon.
-    pub(crate) fn finish_background_replica(&mut self, job: FanoutJob) {
-        let (name, span) = (job.name, job.span);
-        let installed = self.finish_background_replica_inner(job);
-        self.end_replica_span(span, installed);
-        if !installed {
-            self.maybe_repair(name);
-        }
-    }
-
-    /// Consumes the job so the carried blob moves into the destination's
-    /// object file system instead of being cloned.
-    fn finish_background_replica_inner(&mut self, job: FanoutJob) -> bool {
-        let Some(meta) = self.replicas.get(job.name).cloned() else {
-            return false; // deleted while the straggler was in flight
-        };
-        if !self.nodes[job.dst].alive {
-            return false;
-        }
-        if !self.nodes[job.dst].install_voluntary(job.name, job.bytes, job.blob) {
-            return false;
-        }
-        self.stats.replicas_written += 1;
-
-        let mut meta = meta;
-        let dst_key = self.nodes[job.dst].key;
-        if !meta.replicas.contains(&dst_key) && meta.location != (Location::Home { node: dst_key })
-        {
-            meta.replicas.push(dst_key);
-        }
-        self.replicas.insert(job.name, meta.clone());
-        self.publish_meta_background(job.dst, meta);
+        self.replicas.insert(name, meta.clone());
+        // Republish in the background so future fetches learn the replica.
+        self.publish_meta_background(repaired_from.unwrap_or(dst), meta);
         true
     }
 
@@ -489,7 +684,7 @@ impl Cloud4Home {
                 Review::Stay
             };
         }
-        if self.ec_converts.contains_key(&name) || self.flows.replicating(name) {
+        if self.jobs.any(name) {
             return Review::Stay; // let in-flight placement work land first
         }
         Review::Act { action, size }
@@ -668,29 +863,16 @@ impl Cloud4Home {
             holders: sites.iter().map(|&j| self.nodes[j].key).collect(),
         };
         let sname0 = self.ec_stripe_name(name, 0);
-        if self.nodes[owner]
-            .bins
-            .store(sname0.as_str(), stripe_len, Bin::Voluntary)
-            .is_err()
-        {
+        let row0 = Blob::inline(stripes[0].clone());
+        if !self.nodes[owner].install_voluntary(sname0, stripe_len, row0) {
             return;
         }
-        self.nodes[owner]
-            .objects
-            .insert(sname0, Blob::inline(stripes[0].clone()));
-        let mut pending: BTreeMap<FlowId, u32> = BTreeMap::new();
-        for (row, &site) in sites.iter().enumerate().skip(1) {
-            let (from, to) = (self.nodes[owner].addr, self.nodes[site].addr);
-            let Ok(flow) = self.start_flow(FlowOwner::EcConvert(name), from, to, stripe_len, None)
-            else {
-                for &flow in pending.keys() {
-                    self.cancel_flow(flow);
-                }
-                self.nodes[owner].evict(sname0);
-                return;
-            };
-            pending.insert(flow, row as u32);
-        }
+        let legs = sites.iter().enumerate().skip(1);
+        let legs = legs.map(|(row, &site)| (owner, site, row as u32));
+        let Some((id, pending)) = self.start_job(stripe_len, legs) else {
+            self.nodes[owner].evict(sname0);
+            return;
+        };
         let now = self.now();
         self.telemetry.add("adaptive.ec_converts", 1);
         self.telemetry.instant_args(
@@ -709,63 +891,17 @@ impl Cloud4Home {
             .map(|r| self.ec_stripe_name(name, r))
             .collect();
         self.ec_row_names.insert(name, row_names);
-        self.ec_converts.insert(
-            name,
-            EcConvert {
-                owner,
-                layout,
-                stripes,
-                pending,
-                installed: vec![0],
-            },
-        );
-        self.ensure_tick();
+        let kind = JobKind::Encode { layout, stripes };
+        self.jobs.insert(id, name, pending, kind);
     }
 
-    /// One conversion stripe transfer landed: install the row on its
-    /// holder, and finalize the conversion once every row is in place.
-    /// An install that falls through (holder died, bin filled) aborts the
-    /// whole conversion — the full copies are still intact.
-    pub(crate) fn ec_convert_flow_done(&mut self, flow: FlowId, name: Sym) {
-        let Some(mut conv) = self.ec_converts.remove(&name) else {
-            return;
-        };
-        let Some(row) = conv.pending.remove(&flow) else {
-            self.ec_converts.insert(name, conv);
-            return;
-        };
-        let site = self
-            .node_index(conv.layout.holders[row as usize])
-            .filter(|&j| self.nodes[j].alive);
-        let sname = self.ec_stripe_name(name, row);
-        let installed = site.is_some_and(|j| {
-            self.nodes[j].install_voluntary(
-                sname,
-                conv.layout.stripe_len,
-                Blob::inline(conv.stripes[row as usize].clone()),
-            )
-        });
-        if !installed {
-            self.ec_convert_abort(name, conv);
-            return;
-        }
-        conv.installed.push(row);
-        if conv.pending.is_empty() {
-            self.ec_convert_finalize(name, conv);
-        } else {
-            self.ec_converts.insert(name, conv);
-        }
-    }
-
-    /// Abandons a conversion mid-flight: cancels its outstanding stripe
-    /// transfers and removes every stripe already installed. The object
-    /// keeps its full copies; a later pass may try again.
-    pub(crate) fn ec_convert_abort(&mut self, name: Sym, conv: EcConvert) {
-        for &flow in conv.pending.keys() {
-            self.cancel_flow(flow);
-        }
-        for &row in &conv.installed {
-            if let Some(j) = self.node_index(conv.layout.holders[row as usize]) {
+    /// Undoes a conversion that cannot finish: removes the owner's row 0
+    /// (installed when the conversion began) and every row that has landed
+    /// since — dead holders included. The object keeps its full copies; a
+    /// later pass may try again.
+    fn encode_undo(&mut self, name: Sym, layout: &EcLayout, landed: &[u32]) {
+        for &row in [0].iter().chain(landed) {
+            if let Some(j) = self.node_index(layout.holders[row as usize]) {
                 let sname = self.ec_stripe_name(name, row);
                 self.nodes[j].evict(sname);
             }
@@ -776,16 +912,18 @@ impl Cloud4Home {
     /// Every stripe landed: cut the object over to its erasure-coded
     /// form. Stages the original for decode verification, strips the full
     /// copies from live holders, rewrites the metadata with the layout,
-    /// publishes per-row stripe records, and flushes stale caches.
-    fn ec_convert_finalize(&mut self, name: Sym, conv: EcConvert) {
-        let Some(meta) = self.replicas.get(name).cloned() else {
-            // Deleted mid-conversion; the stripes are orphans — scrub.
-            self.ec_convert_abort(name, conv);
-            return;
+    /// publishes per-row stripe records, and flushes stale caches. Returns
+    /// `false` (nothing changed) when the object or the owner's copy is
+    /// gone.
+    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Vec<u8>]) -> bool {
+        let owner = self
+            .node_index(layout.holders[0])
+            .expect("the owner is a node");
+        let Some(mut meta) = self.replicas.get(name).cloned() else {
+            return false; // deleted mid-conversion; the stripes are orphans
         };
-        let Some(blob) = self.nodes[conv.owner].objects.get(&name).cloned() else {
-            self.ec_convert_abort(name, conv);
-            return;
+        let Some(blob) = self.nodes[owner].objects.get(&name).cloned() else {
+            return false;
         };
         self.ec_originals.insert(name, blob);
         // Strip full copies from live holders. A dead holder's disk can't
@@ -799,28 +937,19 @@ impl Cloud4Home {
                 }
             }
         }
-        let mut meta = meta;
         meta.replicas.clear();
-        meta.ec = Some(conv.layout.clone());
+        meta.ec = Some(layout.clone());
         self.replicas.insert(name, meta.clone());
-        self.publish_meta_background(conv.owner, meta);
-        // Per-row stripe records, so repair tooling can audit placement
-        // and checksums through the overlay.
-        for (row, shard) in conv.stripes.iter().enumerate() {
-            let record = Record::Stripe(StripeRecord {
-                object: name,
-                row: row as u32,
-                len: conv.layout.stripe_len,
-                holder: conv.layout.holders[row],
-                checksum: stripe_checksum(shard),
-            });
-            self.publish_background(conv.owner, stripe_key(name.as_str(), row as u32), record);
+        self.publish_meta_background(owner, meta);
+        for (row, shard) in stripes.iter().enumerate() {
+            self.publish_stripe_record(owner, name, row as u32, layout, stripe_checksum(shard));
         }
         self.invalidate_meta_caches(name);
         // Heat restarts from scratch in the new form; the EWMA of the
         // replicated life says nothing about the striped one.
         self.object_heat.forget(name);
         self.telemetry.add("adaptive.ec_converted", 1);
+        true
     }
 
     /// The repair path for an erasure-coded object with a lost row
@@ -831,61 +960,46 @@ impl Cloud4Home {
         let Some(layout) = self.replicas.get(name).and_then(|m| m.ec.clone()) else {
             return;
         };
-        let holder_idx: Vec<Option<usize>> = layout
-            .holders
-            .iter()
-            .map(|&key| self.node_index(key))
-            .collect();
-        let survivors: Vec<u32> = (0..holder_idx.len() as u32)
-            .filter(|&r| holder_idx[r as usize].is_some_and(|j| self.holds_stripe(j, name, r)))
+        // Rows still on a live holder, with that holder, in row order.
+        let rows = layout.holders.iter().enumerate();
+        let survivors: Vec<(u32, usize)> = rows
+            .filter_map(|(r, &key)| {
+                let j = self.node_index(key)?;
+                self.holds_stripe(j, name, r as u32)
+                    .then_some((r as u32, j))
+            })
             .collect();
         if survivors.len() < layout.k as usize {
             return; // unrecoverable until holders rejoin
         }
-        for row in 0..holder_idx.len() as u32 {
-            if survivors.contains(&row) {
-                continue;
+        for row in 0..layout.holders.len() as u32 {
+            let lost = survivors.iter().all(|&(r, _)| r != row);
+            if lost && !self.jobs.rebuilding(name, row) {
+                self.ec_start_row_repair(name, &layout, row, &survivors);
             }
-            if self
-                .ec_repairs
-                .values()
-                .any(|j| j.name == name && j.row == row)
-            {
-                continue;
-            }
-            self.ec_start_row_repair(name, &layout, row, &survivors);
         }
     }
 
     /// Starts rebuilding one lost code row: a destination with space pulls
-    /// `k` surviving stripes and re-derives the row from them on arrival.
-    fn ec_start_row_repair(&mut self, name: Sym, layout: &EcLayout, row: u32, survivors: &[u32]) {
+    /// the first `k` surviving stripes and re-derives the row from them on
+    /// arrival.
+    fn ec_start_row_repair(
+        &mut self,
+        name: Sym,
+        layout: &EcLayout,
+        row: u32,
+        survivors: &[(u32, usize)],
+    ) {
         let stripe_len = layout.stripe_len;
-        let holder_idx: Vec<Option<usize>> = layout
-            .holders
-            .iter()
-            .map(|&key| self.node_index(key))
-            .collect();
-        let live_holders: Vec<usize> = survivors
-            .iter()
-            .filter_map(|&r| holder_idx[r as usize])
-            .collect();
-        let srcs: Vec<(u32, usize)> = survivors
-            .iter()
-            .filter_map(|&r| holder_idx[r as usize].map(|j| (r, j)))
-            .take(layout.k as usize)
-            .collect();
-        if srcs.len() < layout.k as usize {
-            return;
-        }
+        let srcs = &survivors[..layout.k as usize];
         let holds_any = |s: &Self, j: usize| {
             (0..layout.holders.len() as u32)
                 .any(|r| s.nodes[j].objects.contains_key(&s.ec_stripe_name(name, r)))
         };
+        // A node with any row of this object (every survivor's holder
+        // included) is no destination: losing it must lose one row.
         let dst = self.roomiest_peer(stripe_len, |j| {
-            !live_holders.contains(&j)
-                && !holds_any(self, j)
-                && srcs.iter().all(|&(_, s)| self.node_reachable(s, j))
+            !holds_any(self, j) && srcs.iter().all(|&(_, s)| self.node_reachable(s, j))
         });
         let Some(dst) = dst else {
             return;
@@ -895,73 +1009,36 @@ impl Cloud4Home {
         if !self.retry_budget_take(dst, "repair", name) {
             return;
         }
-        let id = self.next_ec_repair;
-        let mut pending: BTreeMap<FlowId, u32> = BTreeMap::new();
-        for &(r, s) in &srcs {
-            let (from, to) = (self.nodes[s].addr, self.nodes[dst].addr);
-            let Ok(flow) = self.start_flow(FlowOwner::EcRepair(id), from, to, stripe_len, None)
-            else {
-                for &flow in pending.keys() {
-                    self.cancel_flow(flow);
-                }
-                return;
-            };
-            pending.insert(flow, r);
-        }
-        self.next_ec_repair += 1;
+        let legs = srcs.iter().map(|&(r, s)| (s, dst, r));
+        let Some((id, pending)) = self.start_job(stripe_len, legs) else {
+            return;
+        };
         self.stats.repairs_started += 1;
         self.telemetry.add("adaptive.ec_repairs", 1);
-        self.ec_repairs.insert(
-            id,
-            EcRepair {
-                name,
-                row,
-                dst,
-                pending,
-                arrived: Vec::new(),
-            },
-        );
-        self.ensure_tick();
-    }
-
-    /// One survivor stripe arrived at a rebuild destination; re-derive
-    /// the lost row once all `k` are in.
-    pub(crate) fn ec_repair_flow_done(&mut self, flow: FlowId, id: u64) {
-        let Some(mut job) = self.ec_repairs.remove(&id) else {
-            return;
-        };
-        let Some(row) = job.pending.remove(&flow) else {
-            self.ec_repairs.insert(id, job);
-            return;
-        };
-        job.arrived.push(row);
-        if job.pending.is_empty() {
-            self.ec_repair_finish(job);
-        } else {
-            self.ec_repairs.insert(id, job);
-        }
+        let kind = JobKind::Rebuild { row, dst };
+        self.jobs.insert(id, name, pending, kind);
     }
 
     /// All survivor stripes are in: invert the code to re-derive the lost
     /// row, install it on the destination, re-home the row in the layout,
     /// and republish metadata and the row's stripe record.
-    fn ec_repair_finish(&mut self, job: EcRepair) {
-        let Some(meta) = self.replicas.get(job.name).cloned() else {
+    fn rebuild_finish(&mut self, name: Sym, row: u32, dst: usize, arrived: &[u32]) {
+        let Some(mut meta) = self.replicas.get(name).cloned() else {
             return; // deleted while the rebuild was in flight
         };
         let Some(mut layout) = meta.ec.clone() else {
             return;
         };
-        if !self.nodes[job.dst].alive {
+        if !self.nodes[dst].alive {
             return;
         }
         let code = ErasureCode::new(layout.k as usize, layout.m as usize);
-        let mut shards: Vec<(usize, Vec<u8>)> = Vec::with_capacity(job.arrived.len());
-        for &r in &job.arrived {
+        let mut shards: Vec<(usize, Vec<u8>)> = Vec::with_capacity(arrived.len());
+        for &r in arrived {
             let Some(bytes) = self
                 .node_index(layout.holders[r as usize])
                 .filter(|&j| self.nodes[j].alive)
-                .and_then(|j| self.nodes[j].objects.get(&self.ec_stripe_name(job.name, r)))
+                .and_then(|j| self.nodes[j].objects.get(&self.ec_stripe_name(name, r)))
                 .map(|b| b.sample(usize::MAX))
             else {
                 return; // a survivor vanished mid-rebuild; retry later
@@ -969,31 +1046,44 @@ impl Cloud4Home {
             shards.push((r as usize, bytes));
         }
         let refs: Vec<(usize, &[u8])> = shards.iter().map(|(r, s)| (*r, s.as_slice())).collect();
-        let Some(rebuilt) = code.reconstruct_row(job.row as usize, &refs) else {
+        let Some(rebuilt) = code.reconstruct_row(row as usize, &refs) else {
             return;
         };
         let checksum = stripe_checksum(&rebuilt);
-        let sname = self.ec_stripe_name(job.name, job.row);
-        if !self.nodes[job.dst].install_voluntary(sname, layout.stripe_len, Blob::inline(rebuilt)) {
+        let sname = self.ec_stripe_name(name, row);
+        if !self.nodes[dst].install_voluntary(sname, layout.stripe_len, Blob::inline(rebuilt)) {
             return;
         }
         self.stats.repairs_completed += 1;
         self.telemetry.add("adaptive.ec_rebuilt", 1);
-        let dst_key = self.nodes[job.dst].key;
-        layout.holders[job.row as usize] = dst_key;
-        let mut meta = meta;
+        let dst_key = self.nodes[dst].key;
+        layout.holders[row as usize] = dst_key;
         meta.ec = Some(layout.clone());
-        self.replicas.insert(job.name, meta.clone());
-        self.publish_meta_background(job.dst, meta);
+        self.replicas.insert(name, meta.clone());
+        self.publish_meta_background(dst, meta);
+        self.publish_stripe_record(dst, name, row, &layout, checksum);
+        self.invalidate_meta_caches(name);
+    }
+
+    /// Publishes the record of `name`'s code row `row` from `node`, so
+    /// repair tooling can audit placement and checksums through the
+    /// overlay.
+    fn publish_stripe_record(
+        &mut self,
+        node: usize,
+        name: Sym,
+        row: u32,
+        layout: &EcLayout,
+        checksum: u64,
+    ) {
         let record = Record::Stripe(StripeRecord {
-            object: job.name,
-            row: job.row,
+            object: name,
+            row,
             len: layout.stripe_len,
-            holder: dst_key,
+            holder: layout.holders[row as usize],
             checksum,
         });
-        self.publish_background(job.dst, stripe_key(job.name.as_str(), job.row), record);
-        self.invalidate_meta_caches(job.name);
+        self.publish_background(node, stripe_key(name.as_str(), row), record);
     }
 
     /// Expunges every trace of an object's erasure-coded form: in-flight
@@ -1001,21 +1091,8 @@ impl Cloud4Home {
     /// and stale cached metadata. Called when the object is deleted or
     /// re-stored (the new bytes supersede the old stripes).
     pub(crate) fn ec_scrub(&mut self, name: Sym) {
-        if let Some(conv) = self.ec_converts.remove(&name) {
-            self.ec_convert_abort(name, conv);
-        }
-        let ids: Vec<u64> = self
-            .ec_repairs
-            .iter()
-            .filter(|(_, j)| j.name == name)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            if let Some(job) = self.ec_repairs.remove(&id) {
-                for &flow in job.pending.keys() {
-                    self.cancel_flow(flow);
-                }
-            }
+        while let Some(id) = self.jobs.striping(name) {
+            self.job_abort(id, false);
         }
         if let Some(layout) = self.replicas.get(name).and_then(|m| m.ec.clone()) {
             for row in 0..layout.holders.len() as u32 {
@@ -1030,5 +1107,28 @@ impl Cloud4Home {
         }
         self.ec_originals.remove(&name);
         self.ec_row_names.remove(&name);
+    }
+}
+
+#[cfg(test)]
+impl Jobs {
+    /// Which of the four job flavours each job in flight is.
+    pub(crate) fn flavours(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.table.values().map(|job| match &job.kind {
+            JobKind::Copy { from, .. } => match from {
+                CopyFrom::Holder(_) => "repair",
+                CopyFrom::Carried(_) => "straggler",
+            },
+            JobKind::Encode { .. } => "encode",
+            JobKind::Rebuild { .. } => "rebuild",
+        })
+    }
+
+    /// The stripe holders, in row order, of the oldest conversion in flight.
+    pub(crate) fn converting_onto(&self) -> Option<&[Key]> {
+        self.table.values().find_map(|job| match &job.kind {
+            JobKind::Encode { layout, .. } => Some(layout.holders.as_slice()),
+            _ => None,
+        })
     }
 }

@@ -22,7 +22,6 @@ use c4h_services::{ServiceDemand, ServiceId, ServiceOutput};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
-use crate::background::FanoutJob;
 use crate::config::{NodeId, ServiceKind};
 use crate::decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME};
 use crate::ec::ErasureCode;
@@ -33,8 +32,7 @@ use crate::policy::{PlacementClass, RoutePolicy, StorePolicy};
 use crate::report::{
     Breakdown, CausalEvent, Column, OpError, OpId, OpOutput, OpReport, PathAttribution,
 };
-use crate::runtime::{Cloud4Home, CLOUD_ADDR, FANOUT_TRACK_BASE, STRIPE_TRACK_BASE};
-use crate::transfers::FlowOwner;
+use crate::runtime::{Cloud4Home, CLOUD_ADDR, STRIPE_TRACK_BASE};
 
 /// Size of a command packet on the guest ↔ dom0 channel ("commands are
 /// usually less than 50 bytes").
@@ -2103,50 +2101,17 @@ impl Cloud4Home {
     /// quorum publish doesn't abandon the remaining copies: pending disk
     /// writes (bytes already delivered) are installed immediately so the
     /// published metadata includes them, and in-flight transfers become
-    /// background [`FanoutJob`]s that republish the metadata when they
-    /// land.
+    /// background copies that republish the metadata when they land.
     fn detach_fanout(&mut self, op: &mut Op) {
         let now = self.now();
-        let writes: Vec<(u64, SimTime)> =
-            std::mem::take(&mut op.replica_writes).into_iter().collect();
-        for (token, started) in writes {
+        for (token, started) in std::mem::take(&mut op.replica_writes) {
             self.emit_substage(op.id, Stage::StoreReplicaWrite, started, now);
             self.install_replica_copy(op, token as usize);
         }
-        let flights: Vec<(FlowId, ReplicaFlight)> =
-            std::mem::take(&mut op.replica_flows).into_iter().collect();
-        let bytes = op.object_bytes();
-        for (flow, flight) in flights {
-            let span = self.telemetry.begin_args(
-                "fanout",
-                "fanout.replica",
-                FANOUT_TRACK_BASE + flow.raw(),
-                flight.started.as_nanos(),
-                vec![
-                    ("object", ArgValue::from(op.name.as_str())),
-                    (
-                        "dst",
-                        ArgValue::from(self.nodes[flight.target].name.as_str()),
-                    ),
-                    ("bytes", ArgValue::from(bytes)),
-                ],
-            );
-            let blob = op
-                .payload
-                .as_ref()
-                .expect("store carries payload")
-                .blob
-                .clone();
-            self.flows.reassign(
-                flow,
-                FlowOwner::Fanout(FanoutJob {
-                    name: op.name,
-                    dst: flight.target,
-                    bytes,
-                    blob,
-                    span,
-                }),
-            );
+        for (flow, flight) in std::mem::take(&mut op.replica_flows) {
+            let object = op.payload.as_ref().expect("store carries payload");
+            let blob = object.blob.clone();
+            self.detach_straggler(flow, flight.started, op.name, flight.target, blob);
         }
     }
 

@@ -379,8 +379,8 @@ mod tests {
             let mut victim = 2;
             for _ in 0..400 {
                 home.run_for(Duration::from_millis(5));
-                if let Some(conv) = home.ec_converts.values().next() {
-                    let site = conv.layout.holders[1];
+                if let Some(holders) = home.jobs.converting_onto() {
+                    let site = holders[1];
                     victim = home.node_index(site).filter(|&j| j != 5).unwrap_or(2);
                     crashed_mid_convert += 1;
                     break;

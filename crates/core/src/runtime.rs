@@ -33,7 +33,7 @@ use c4h_telemetry::{ArgValue, CauseKind, LedgerEvent, OpLedger, Recorder, LEDGER
 use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, VmSpec, XenChannel};
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
-use crate::background::{EcConvert, EcRepair};
+use crate::background::Jobs;
 use crate::config::{Config, NodeId, ServiceKind};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::health::HealthPlane;
@@ -269,6 +269,9 @@ pub struct Cloud4Home {
     /// Every in-flight bulk transfer with its endpoints and its one
     /// accountable owner (see [`crate::transfers`]).
     pub(crate) flows: FlowTable,
+    /// The background jobs those flows belong to when no operation owns
+    /// them (see [`crate::background`]).
+    pub(crate) jobs: Jobs,
     pub(crate) next_op: u64,
     pub(crate) stats: RunStats,
     pub(crate) message_loss: f64,
@@ -320,18 +323,11 @@ pub struct Cloud4Home {
     /// decoding fetch (and verified against the decode) is staged here.
     /// `BTreeMap` for deterministic iteration.
     pub(crate) ec_originals: BTreeMap<Sym, Blob>,
-    /// In-flight full-copy → stripe conversions, keyed by object name.
-    pub(crate) ec_converts: BTreeMap<Sym, EcConvert>,
     /// The stripe names of each object that has (or is getting) a layout,
     /// in row order: filled when a conversion starts, dropped by
     /// [`Self::ec_scrub`]. Every anti-entropy pass asks for all `k + m` of
     /// them per object. Keyed access only.
     pub(crate) ec_row_names: SymMap<Vec<Sym>>,
-    /// In-flight lost-stripe rebuilds, keyed by job id (`BTreeMap` so
-    /// scrub-time scans are deterministic).
-    pub(crate) ec_repairs: BTreeMap<u64, EcRepair>,
-    /// Next lost-stripe rebuild job id.
-    pub(crate) next_ec_repair: u64,
     /// The deployment-wide telemetry collector; clones of this handle live
     /// in the flow network and every overlay node.
     pub(crate) telemetry: Recorder,
@@ -515,6 +511,7 @@ impl Cloud4Home {
             reports: FxHashMap::default(),
             dht_waiters: FxHashMap::default(),
             flows: FlowTable::default(),
+            jobs: Jobs::default(),
             next_op: 1,
             stats: RunStats::default(),
             message_loss: 0.0,
@@ -536,10 +533,7 @@ impl Cloud4Home {
             peer_bw: PeerBandwidth::new(10.3e6, 0.3),
             object_heat: ObjectHeat::new(config.adaptive.heat_alpha),
             ec_originals: BTreeMap::new(),
-            ec_converts: BTreeMap::new(),
             ec_row_names: SymMap::default(),
-            ec_repairs: BTreeMap::new(),
-            next_ec_repair: 0,
             telemetry,
             health: HealthPlane::new(&config),
             overload: OverloadPlane::new(&config),
@@ -1473,55 +1467,28 @@ impl Cloud4Home {
     }
 
     /// Cancels every in-flight bulk transfer whose endpoints satisfy `cut`,
-    /// rerouting the operations that were waiting on them. Repair transfers
-    /// crossing the cut are dropped (the daemon retries on the next failure
-    /// notification or anti-entropy sweep); severed fan-out stragglers
-    /// route their object straight back into the repair daemon — their
-    /// destination never became a holder, so no peer-failure scan would
-    /// ever find the shortfall.
+    /// rerouting the operations that were waiting on them. A background
+    /// job that loses a leg aborts whole once the cut is made (see
+    /// [`Self::job_abort`]): a repair is dropped (the daemon retries on
+    /// the next failure notification or anti-entropy sweep), a severed
+    /// fan-out straggler or row rebuild routes its object straight back
+    /// into the repair daemon, a conversion leaves the full copies as they
+    /// were.
     fn abort_flows(&mut self, cut: impl Fn(Addr, Addr) -> bool, why: &str) {
-        let mut orphaned: Vec<Sym> = Vec::new();
-        let mut dead_converts: Vec<Sym> = Vec::new();
-        let mut dead_ec_repairs: Vec<u64> = Vec::new();
+        let mut severed = Vec::new();
         for flow in self.flows.cut(cut) {
             // Rerouting an earlier flow's operation may already have
             // canceled this one; `None` then, and nothing left to do.
             match self.cancel_flow(flow) {
                 Some(FlowOwner::Op(op)) => self.transfer_failed(op, flow, why),
-                Some(FlowOwner::Repair(job)) => self.end_replica_span(job.span, false),
-                Some(FlowOwner::Fanout(job)) => {
-                    self.end_replica_span(job.span, false);
-                    orphaned.push(job.name);
+                Some(FlowOwner::Job(id)) => {
+                    self.job_leg_severed(flow, id);
+                    severed.push(id);
                 }
-                Some(FlowOwner::EcConvert(name)) => dead_converts.push(name),
-                Some(FlowOwner::EcRepair(id)) => dead_ec_repairs.push(id),
                 None => {}
             }
         }
-        for name in orphaned {
-            self.maybe_repair(name);
-        }
-        // A conversion losing any stripe transfer aborts whole: the object
-        // still has its full copies, so nothing of value is lost.
-        dead_converts.sort();
-        dead_converts.dedup();
-        for name in dead_converts {
-            if let Some(conv) = self.ec_converts.remove(&name) {
-                self.ec_convert_abort(name, conv);
-            }
-        }
-        // A rebuild losing a survivor transfer restarts from scratch on
-        // the next repair trigger (the survivor set may have changed).
-        dead_ec_repairs.sort_unstable();
-        dead_ec_repairs.dedup();
-        for id in dead_ec_repairs {
-            if let Some(job) = self.ec_repairs.remove(&id) {
-                for &f in job.pending.keys() {
-                    self.cancel_flow(f);
-                }
-                self.maybe_repair(job.name);
-            }
-        }
+        self.abort_severed_jobs(severed);
     }
 
     /// Cancels one in-flight transfer and releases its table entry,
@@ -1813,10 +1780,7 @@ impl Cloud4Home {
     fn reap_flow(&mut self, flow: FlowId) {
         match self.flows.remove(flow) {
             Some(FlowOwner::Op(op)) => self.op_continue(op, OpInput::FlowDone { flow }),
-            Some(FlowOwner::Repair(job)) => self.finish_repair(job),
-            Some(FlowOwner::Fanout(job)) => self.finish_background_replica(job),
-            Some(FlowOwner::EcConvert(name)) => self.ec_convert_flow_done(flow, name),
-            Some(FlowOwner::EcRepair(id)) => self.ec_repair_flow_done(flow, id),
+            Some(FlowOwner::Job(id)) => self.job_flow_done(flow, id),
             None => {}
         }
     }
@@ -1848,6 +1812,11 @@ impl Cloud4Home {
     /// has landed.
     pub fn run_until_idle(&mut self) {
         while !self.ops.is_empty() || self.flows.background() > 0 {
+            debug_assert_eq!(
+                self.jobs.is_empty(),
+                self.flows.background() == 0,
+                "every background flow is a leg of a job, every job has a leg"
+            );
             self.ensure_tick();
             assert!(self.step(), "simulation stalled with operations pending");
         }

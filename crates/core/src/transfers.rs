@@ -6,24 +6,19 @@
 //! over several maps. An empty table at idle means no transfer was
 //! stranded.
 
-use c4h_simnet::{Addr, FlowId, FxHashMap, Sym};
+use c4h_simnet::{Addr, FlowId, FxHashMap};
 
-use crate::background::{FanoutJob, RepairJob};
+use crate::background::JobId;
 use crate::report::OpId;
 
 /// Who a flow's completion (or abort) is routed to.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum FlowOwner {
     /// A foreground operation parked on the transfer.
     Op(OpId),
-    /// A background re-replication transfer of the repair daemon.
-    Repair(RepairJob),
-    /// A replica transfer that detached from its store at quorum.
-    Fanout(FanoutJob),
-    /// One stripe transfer of the named object's erasure-code conversion.
-    EcConvert(Sym),
-    /// One survivor-stripe transfer of a lost-row rebuild (by job id).
-    EcRepair(u64),
+    /// One leg of a background job (repair, store straggler, erasure-code
+    /// conversion, row rebuild).
+    Job(JobId),
 }
 
 #[derive(Debug)]
@@ -34,8 +29,7 @@ struct Entry {
 }
 
 /// In-flight flows keyed by id. Keyed access only, except [`Self::cut`]
-/// (which sorts) and [`Self::replicating`] (an order-free `any`), so
-/// `HashMap` ordering cannot perturb determinism.
+/// (which sorts), so `HashMap` ordering cannot perturb determinism.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     flows: FxHashMap<FlowId, Entry>,
@@ -97,17 +91,6 @@ impl FlowTable {
         flows.sort_unstable();
         flows
     }
-
-    /// Whether a full copy of `name` is on its way to a new holder (a
-    /// repair, or a detached store straggler that may still land).
-    pub(crate) fn replicating(&self, name: Sym) -> bool {
-        self.background() > 0
-            && self.flows.values().any(|e| match &e.owner {
-                FlowOwner::Repair(job) => job.name == name,
-                FlowOwner::Fanout(job) => job.name == name,
-                _ => false,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -136,21 +119,14 @@ mod tests {
             .collect()
     }
 
-    fn repair(name: &str) -> FlowOwner {
-        FlowOwner::Repair(RepairJob {
-            name: Sym::new(name),
-            src: 0,
-            dst: 1,
-            bytes: 1,
-            span: c4h_telemetry::SpanId::NONE,
-        })
+    fn job(id: u64) -> FlowOwner {
+        FlowOwner::Job(JobId(id))
     }
 
     #[test]
     fn owner_stays_small() {
-        // One entry per in-flight flow; box the job payloads before
-        // letting this grow.
-        assert!(std::mem::size_of::<FlowOwner>() <= 64);
+        // One entry per in-flight flow: an id, never a job's payload.
+        assert!(std::mem::size_of::<FlowOwner>() <= 16);
     }
 
     #[test]
@@ -158,12 +134,12 @@ mod tests {
         let ids = flow_ids(2);
         let mut t = FlowTable::default();
         t.insert(ids[0], addr(0), addr(1), FlowOwner::Op(OpId(7)));
-        t.insert(ids[1], addr(1), addr(2), FlowOwner::EcRepair(3));
+        t.insert(ids[1], addr(1), addr(2), job(3));
         assert_eq!((t.len(), t.op_owned(), t.background()), (2, 1, 1));
         assert!(matches!(t.remove(ids[0]), Some(FlowOwner::Op(OpId(7)))));
         assert!(t.remove(ids[0]).is_none(), "an owner is yielded once");
         assert_eq!((t.len(), t.op_owned(), t.background()), (1, 0, 1));
-        assert!(matches!(t.remove(ids[1]), Some(FlowOwner::EcRepair(3))));
+        assert!(matches!(t.remove(ids[1]), Some(FlowOwner::Job(JobId(3)))));
         assert_eq!(t.len(), 0);
     }
 
@@ -172,10 +148,8 @@ mod tests {
         let ids = flow_ids(2);
         let mut t = FlowTable::default();
         t.insert(ids[0], addr(4), addr(5), FlowOwner::Op(OpId(1)));
-        assert!(t.reassign(ids[0], repair("a")));
+        assert!(t.reassign(ids[0], job(1)));
         assert_eq!((t.op_owned(), t.background()), (0, 1));
-        assert!(t.replicating(Sym::new("a")));
-        assert!(!t.replicating(Sym::new("b")));
         assert_eq!(t.cut(|s, d| s == addr(4) && d == addr(5)), vec![ids[0]]);
         assert!(!t.reassign(ids[1], FlowOwner::Op(OpId(2))), "unknown flow");
         assert_eq!(t.len(), 1);
@@ -207,19 +181,17 @@ mod tests {
         use crate::{Cloud4Home, Config, FaultEvent, NodeId, Object, StorePolicy};
         use std::time::Duration;
 
-        /// Runs `ms` of virtual time, noting which owner kinds appear.
+        /// Runs `ms` of virtual time, noting which owners appear: an
+        /// operation, and each flavour of background job.
         fn run(home: &mut Cloud4Home, kinds: &mut [bool; 5], ms: u64) {
             for _ in 0..ms.div_ceil(5) {
                 home.run_for(Duration::from_millis(5));
-                for e in home.flows.flows.values() {
-                    kinds[match e.owner {
-                        FlowOwner::Op(_) => 0,
-                        FlowOwner::Repair(_) => 1,
-                        FlowOwner::Fanout(_) => 2,
-                        FlowOwner::EcConvert(_) => 3,
-                        FlowOwner::EcRepair(_) => 4,
-                    }] = true;
+                kinds[0] |= home.flows.op_owned() > 0;
+                for flavour in home.jobs.flavours() {
+                    let seen = ["repair", "straggler", "encode", "rebuild"];
+                    kinds[1 + seen.iter().position(|&f| f == flavour).expect("listed")] = true;
                 }
+                assert_eq!(home.jobs.is_empty(), home.flows.background() == 0);
             }
         }
 
@@ -268,6 +240,7 @@ mod tests {
 
         assert_eq!(kinds, [true; 5], "script must exercise every owner kind");
         assert_eq!(home.flows.len(), 0, "stranded: {:?}", home.flows);
+        assert!(home.jobs.is_empty(), "stranded: {:?}", home.jobs);
         assert_eq!(home.net.in_flight(), 0);
     }
 
@@ -284,13 +257,13 @@ mod tests {
                 match action {
                     0 | 1 if model[slot].is_none() => {
                         let is_op = action == 0;
-                        let owner = if is_op { FlowOwner::Op(OpId(1)) } else { repair("p") };
+                        let owner = if is_op { FlowOwner::Op(OpId(1)) } else { job(9) };
                         t.insert(flow, addr(0), addr(1), owner);
                         model[slot] = Some(is_op);
                     }
                     0 | 1 => {
                         let is_op = action == 0;
-                        let owner = if is_op { FlowOwner::Op(OpId(1)) } else { repair("p") };
+                        let owner = if is_op { FlowOwner::Op(OpId(1)) } else { job(9) };
                         prop_assert!(t.reassign(flow, owner));
                         model[slot] = Some(is_op);
                     }
