@@ -149,7 +149,9 @@ impl Jobs {
     }
 
     /// Whether a full copy of `name` is on its way to a new holder (a
-    /// repair, or a store's straggler that may still land).
+    /// repair, or a store's straggler that may still land). A copy whose
+    /// leg was just severed — it waits for the cut to finish before it is
+    /// aborted — is on its way nowhere.
     fn copying(&self, name: Sym) -> bool {
         let mut jobs = self.table.values();
         jobs.any(|job| job.name == name && job.kind.is_copy() && !job.pending.is_empty())
@@ -273,6 +275,9 @@ impl Cloud4Home {
         let Some(job) = self.jobs.leg_landed(id, part) else {
             return;
         };
+        // A straggler that does not land (destination died, bin filled)
+        // goes straight back to the repair daemon.
+        let requeue = job.kind.requeues();
         match job.kind {
             JobKind::Copy {
                 dst,
@@ -280,9 +285,6 @@ impl Cloud4Home {
                 span,
                 from,
             } => {
-                // A straggler that does not land (destination died, bin
-                // filled) goes straight back to the repair daemon.
-                let requeue = matches!(from, CopyFrom::Carried(_));
                 let installed = self.copy_install(job.name, dst, bytes, from);
                 self.end_replica_span(span, installed);
                 if !installed && requeue {
@@ -916,9 +918,9 @@ impl Cloud4Home {
     /// `false` (nothing changed) when the object or the owner's copy is
     /// gone.
     fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Vec<u8>]) -> bool {
-        let owner = self
-            .node_index(layout.holders[0])
-            .expect("the owner is a node");
+        let Some(owner) = self.node_index(layout.holders[0]) else {
+            return false;
+        };
         let Some(mut meta) = self.replicas.get(name).cloned() else {
             return false; // deleted mid-conversion; the stripes are orphans
         };
@@ -1112,15 +1114,13 @@ impl Cloud4Home {
 
 #[cfg(test)]
 impl Jobs {
-    /// Which of the four job flavours each job in flight is.
-    pub(crate) fn flavours(&self) -> impl Iterator<Item = &'static str> + '_ {
+    /// Which of the four job flavours each job in flight is: 0 a repair,
+    /// 1 a store's straggler, 2 a conversion, 3 a rebuild.
+    pub(crate) fn flavours(&self) -> impl Iterator<Item = usize> + '_ {
         self.table.values().map(|job| match &job.kind {
-            JobKind::Copy { from, .. } => match from {
-                CopyFrom::Holder(_) => "repair",
-                CopyFrom::Carried(_) => "straggler",
-            },
-            JobKind::Encode { .. } => "encode",
-            JobKind::Rebuild { .. } => "rebuild",
+            JobKind::Copy { from, .. } => usize::from(matches!(from, CopyFrom::Carried(_))),
+            JobKind::Encode { .. } => 2,
+            JobKind::Rebuild { .. } => 3,
         })
     }
 

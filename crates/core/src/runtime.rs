@@ -612,6 +612,7 @@ impl Cloud4Home {
 
     /// Publishes node `i`'s resource record into the key-value store.
     pub(crate) fn publish_resources(&mut self, i: usize) {
+        // Checked here too: the sample below draws from the RNG.
         if !self.nodes[i].alive || !self.nodes[i].chimera.is_joined() {
             return;
         }

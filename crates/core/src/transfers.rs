@@ -188,8 +188,7 @@ mod tests {
                 home.run_for(Duration::from_millis(5));
                 kinds[0] |= home.flows.op_owned() > 0;
                 for flavour in home.jobs.flavours() {
-                    let seen = ["repair", "straggler", "encode", "rebuild"];
-                    kinds[1 + seen.iter().position(|&f| f == flavour).expect("listed")] = true;
+                    kinds[1 + flavour] = true;
                 }
                 assert_eq!(home.jobs.is_empty(), home.flows.background() == 0);
             }
