@@ -14,7 +14,10 @@
 //! 2. **Flow engine steady state**: `FlowNet` holding 200 LAN flows on the
 //!    testbed topology, topped up as they finish. Rounds of `next_event` +
 //!    `advance_into` that complete nothing must not allocate at all, and a
-//!    flow's start and finish together at most a small constant.
+//!    flow's start and finish together at most a small constant. The polled
+//!    variant moves the clock 10⁵ times without reaching any flow's next
+//!    instant, as a driver polling `run_for(20 ms)` does: that must cost no
+//!    pass over the flows (0 derivations, an exact count) and no allocation.
 //! 3. **DHT chained append**: chained puts to one key on a small overlay
 //!    with replica targets — what every `store` does to its directory. The
 //!    allocations one append makes must not depend on how many versions the
@@ -294,6 +297,46 @@ fn flownet_steady(finishes: u64) -> (f64, u64, f64) {
     (rate, quiet, churn as f64 / finishes as f64)
 }
 
+/// Clock moves the polled `FlowNet` row makes between two internal instants.
+const FLOWNET_POLLS: u64 = 100_000;
+
+/// The same [`FLOWNET_INFLIGHT`] LAN flows, polled: once the flows are out
+/// of setup, [`FLOWNET_POLLS`] `advance_into` + `next_event` rounds spread
+/// over the gap before the engine's next internal instant, reaching none.
+/// Returns (derivations, allocations, ns per poll) over those rounds.
+fn flownet_polled() -> (u64, u64, f64) {
+    const NODES: u64 = 6;
+    let mut tb = presets::paper_testbed();
+    for i in 0..NODES {
+        tb.topology.attach(Addr::new(i), tb.home);
+    }
+    let mut net = FlowNet::new(tb.topology);
+    net.set_recorder(Recorder::new());
+    let mut rng = DetRng::seed(0xF10);
+    for i in 0..FLOWNET_INFLIGHT as u64 {
+        let (src, dst) = (Addr::new(i % NODES), Addr::new((i + 1) % NODES));
+        let bytes = rng.uniform_u64(128 << 10, 384 << 10);
+        net.start_flow(SimTime::ZERO, src, dst, bytes, &mut rng)
+            .expect("both endpoints are attached");
+    }
+    let mut out = Vec::new();
+    let active = net.next_event().expect("flows are in setup");
+    net.advance_into(active, &mut out);
+    let next = net.next_event().expect("flows are moving").as_nanos();
+    let gap = next - active.as_nanos();
+    assert!(gap > FLOWNET_POLLS, "no room to poll before {next}");
+    let (derives0, allocs0) = (net.counters().derives, allocations());
+    let timer = Instant::now();
+    for i in 1..=FLOWNET_POLLS {
+        let to = active.as_nanos() + gap * i / (FLOWNET_POLLS + 1);
+        net.advance_into(SimTime::from_nanos(to), &mut out);
+        assert!(out.is_empty() && net.next_event().is_some_and(|t| t.as_nanos() == next));
+    }
+    let ns = timer.elapsed().as_nanos() as f64 / FLOWNET_POLLS as f64;
+    let derives = net.counters().derives - derives0;
+    (derives, allocations() - allocs0, ns)
+}
+
 /// Chain lengths at which [`dht_chain_append`] measures one append.
 const CHAIN_LENGTHS: [u64; 3] = [10, 1_000, 100_000];
 
@@ -496,6 +539,32 @@ fn main() {
             "starting and finishing a flow made {churn_allocs:.2} allocations \
              (must stay <= 2)"
         ),
+    );
+
+    let (poll_derives, poll_allocs, poll_ns) = flownet_polled();
+    println!(
+        "flownet polled @{FLOWNET_INFLIGHT} flows: {FLOWNET_POLLS} clock moves short of the \
+         next instant, {poll_derives} derivations, {poll_allocs} allocs, {poll_ns:.1} ns per poll"
+    );
+    report.push_row(vec![
+        ("flownet_inflight", FLOWNET_INFLIGHT.into()),
+        ("flownet_polls", FLOWNET_POLLS.into()),
+        ("flownet_poll_derives", poll_derives.into()),
+        ("flownet_poll_allocs", poll_allocs.into()),
+        ("flownet_ns_per_poll", poll_ns.into()),
+    ]);
+    report.check(
+        "flownet_polled_zero_derives",
+        poll_derives == 0,
+        format!(
+            "{FLOWNET_POLLS} clock moves that reached no internal instant made the engine \
+             pass over its flows {poll_derives} times; a poll must be `now = to`"
+        ),
+    );
+    report.check(
+        "flownet_polled_zero_alloc",
+        poll_allocs == 0,
+        format!("polling made {poll_allocs} allocations"),
     );
 
     // A count gate, not a clock: an append to a 100 000-entry directory

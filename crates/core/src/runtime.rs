@@ -132,11 +132,6 @@ pub(crate) enum Event {
     Fault(FaultEvent),
     /// The health plane's periodic gauge sample fires.
     HealthSample,
-    /// A flow completion surfaced while the runtime was mid-step (the flow
-    /// engine's float accrual can land a completion a hair before its
-    /// predicted time). Routed through the queue so the waiter is continued
-    /// at the same instant but outside the current operation's step.
-    FlowReap { flow: FlowId },
 }
 
 /// Who is waiting on a DHT request.
@@ -1297,6 +1292,15 @@ impl Cloud4Home {
         self.pump_node_visits
     }
 
+    /// How many passes the flow engine has made over its flows (re-solves
+    /// and searches for its next instant). It makes one per flow start,
+    /// cancel, topology change or internal instant reached, and none for a
+    /// clock move that reaches no such instant — however often a driver
+    /// polls.
+    pub fn flow_derivations(&self) -> u64 {
+        self.net.counters().derives
+    }
+
     /// How many events the loop has processed since construction.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -1740,29 +1744,10 @@ impl Cloud4Home {
             self.step();
         }
         if self.now() < target {
+            // Nothing is due by the horizon: both clocks just move.
             self.queue.advance_to(target);
             self.drain_net(target);
-            // An early-fired completion may have scheduled follow-on work
-            // at or before the horizon; drain it.
-            while self.next_time().is_some_and(|t| t <= target) {
-                self.step();
-            }
         }
-    }
-
-    /// Advances the flow engine to `now` while mid-step (starting a new
-    /// flow requires up-to-date accruals). Completions surfacing here — a
-    /// float-accrual hair before their predicted time — cannot re-enter the
-    /// operation machinery, so they are handed back to the event queue and
-    /// reaped at the same instant, after the current step finishes.
-    fn defer_flow_completions(&mut self, now: SimTime) {
-        let mut events = std::mem::take(&mut self.flow_scratch);
-        self.net.advance_into(now, &mut events);
-        for &FlowEvent::Completed { flow, .. } in &events {
-            self.queue
-                .schedule_in(Duration::ZERO, Event::FlowReap { flow });
-        }
-        self.flow_scratch = events;
     }
 
     /// Advances the flow engine to `to` and reaps every completion that
@@ -1858,13 +1843,13 @@ impl Cloud4Home {
             (Some(a), None) => a,
             (None, Some(b)) => b,
         };
-        if nt == Some(t) && qt.is_none_or(|q| t <= q) {
+        if nt == Some(t) {
             self.queue.advance_to(t);
             self.drain_net(t);
         } else {
-            // The flow engine predicted no completion at or before `t`, but
-            // float accrual can still land one a hair early — route it, or
-            // the waiter hangs forever.
+            // No completion is due before `nt`: this only moves the flow
+            // engine's clock, so that what dispatch reads from it or starts
+            // on it is at `t`.
             self.drain_net(t);
             let (_, event) = self.queue.pop().expect("queue has an event at t");
             self.dispatch(event);
@@ -1914,7 +1899,6 @@ impl Cloud4Home {
             Event::OpSubWake { op, token } => self.op_continue(op, OpInput::SubWake { token }),
             Event::DhtDone { op, ev } => self.op_continue(op, OpInput::Dht(ev)),
             Event::Fault(ev) => self.apply_fault(ev),
-            Event::FlowReap { flow } => self.reap_flow(flow),
             Event::HealthSample => {
                 self.health.armed = false;
                 if self.telemetry.enabled() && !self.health.sample_period.is_zero() {
@@ -2207,9 +2191,9 @@ impl Cloud4Home {
             .expect("routes exist between all configured sites")
     }
 
-    /// Starts a bulk transfer owned by `owner`: brings the flow engine up
-    /// to the current instant, starts the flow, and enters it in the
-    /// ownership table. The one place transfers begin.
+    /// Starts a bulk transfer owned by `owner` and enters it in the
+    /// ownership table. The one place transfers begin; `step` and `run_for`
+    /// keep the flow engine's clock on the queue's.
     pub(crate) fn start_flow(
         &mut self,
         owner: FlowOwner,
@@ -2219,7 +2203,7 @@ impl Cloud4Home {
         chunking: Option<ChunkSpec>,
     ) -> Result<FlowId, NetError> {
         let now = self.now();
-        self.defer_flow_completions(now);
+        debug_assert_eq!(self.net.now(), now, "flow engine fell behind the queue");
         let flow = self
             .net
             .start_transfer(now, src, dst, bytes, chunking, &mut self.rng)?;
@@ -2341,27 +2325,19 @@ impl Cloud4Home {
 
 #[cfg(test)]
 mod step_order_tests {
-    //! Pins the same-instant tie-break in [`Cloud4Home::step`]: when a flow
-    //! completion and a queued event land on the identical virtual
-    //! nanosecond, the completion is reaped *first* and the queue event is
-    //! delivered after it, within the same instant.
+    //! Pins the two orderings [`Cloud4Home::step`] keeps between the flow
+    //! engine and the event queue (DESIGN.md §12):
     //!
-    //! Audit of the four places the flow engine is advanced, which this
-    //! ordering rests on (see DESIGN.md §12 for the full notes); the first
-    //! three go through `drain_net`:
-    //!
-    //! * `step`, net branch — taken when `net_t <= queue_t`, so the tie
-    //!   goes to the network by construction; this test pins it.
-    //! * `step`, queue branch — advances the net to the queue instant
-    //!   first and reaps any float-accrual-early completions before
-    //!   dispatching, so a completion can never be processed *after* a
-    //!   queue event of a strictly earlier instant.
-    //! * `run_for` — horizon drain; advances net and queue to the same
-    //!   target and reaps before stepping again.
-    //! * `defer_flow_completions` — mid-dispatch advances; completions
-    //!   surfacing here become `Event::FlowReap` at `Duration::ZERO`,
-    //!   which seq-orders *after* everything already queued at the
-    //!   current instant (the wheel preserves exactly this).
+    //! * **The net wins a same-instant tie.** When a flow completion and a
+    //!   queued event land on the identical virtual nanosecond, the
+    //!   completion is reaped *first* and the queue event is delivered after
+    //!   it, within the same instant: `step` takes the net branch whenever
+    //!   `net_t <= queue_t`.
+    //! * **A completion is never processed after a queue event of a strictly
+    //!   earlier instant.** The instant `FlowNet::next_event` announces is
+    //!   the instant the flow lands, so a clock move short of it (the queue
+    //!   branch's, `run_for`'s horizon) surfaces nothing, and `step` always
+    //!   picks the earlier of the two.
 
     use super::*;
 
@@ -2399,7 +2375,7 @@ mod step_order_tests {
         };
 
         // Main run: identical flow, plus a queue event at the completion
-        // instant. `FlowReap` for this raw flow is inert (no waiter), so
+        // instant. A wake for an operation that does not exist is inert, so
         // it observes ordering without perturbing state.
         let mut home = Cloud4Home::new(config);
         while home.step() {}
@@ -2408,7 +2384,9 @@ mod step_order_tests {
             .net
             .start_flow(now, src, dst, bytes, &mut home.rng)
             .expect("route exists");
-        home.queue.schedule_at(done_at, Event::FlowReap { flow });
+        let nobody = OpId(u64::MAX);
+        home.queue
+            .schedule_at(done_at, Event::OpWake { op: nobody });
 
         // Drain the flow engine's internal rate-change instants, all
         // strictly before the completion; the marker must stay pending.

@@ -11,15 +11,19 @@
 //!
 //! The engine is pull-based: the simulation runtime asks for
 //! [`FlowNet::next_event`] and merges it with its own event queue, then calls
-//! [`FlowNet::advance_into`] to accrue progress and collect completions.
+//! [`FlowNet::advance_into`] to move the clock and collect completions.
 //!
-//! One event costs a few linear passes over the flow store and no heap
-//! traffic. Rates are a pure function of (active flows in id order, their
-//! cap bits, segment capacity bits): the allocator re-solves only when
-//! that signature differs from the one it last solved, and the next
-//! internal event is memoised until the clock, the flow set or a byte count
-//! moves. See DESIGN.md ("Fluid-flow exactness contract") for why none of
-//! this may move a bit of any rate.
+//! Between two of its own events a flow's state is a pure function of
+//! virtual time: it holds a *rate epoch* — an anchor instant, the progress
+//! made by then and a fixed-point rate — and its bytes at `t`, its
+//! completion instant and its sustained-threshold crossing are all read off
+//! those integers, so the instant [`FlowNet::next_event`] announces is the
+//! instant the flow lands. A clock move that reaches no such instant is
+//! `now = to` and nothing else; only a start, a cancel, a
+//! [`FlowNet::topology_mut`] call or reaching the announced instant makes
+//! the engine pass over its flows again (one *derivation*: re-solve if the
+//! solver's inputs moved, re-anchor the flows whose rate did, find the next
+//! instant). See DESIGN.md ("Poll-independence contract").
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -27,8 +31,8 @@ use std::time::Duration;
 use c4h_telemetry::{ArgValue, Recorder, SpanId};
 
 use crate::intern::Sym;
-use crate::tcp::TcpProfile;
-use crate::time::{duration_from_secs_f64, SimTime};
+use crate::tcp::{SustainedCap, TcpProfile};
+use crate::time::SimTime;
 use crate::topology::{Addr, SegmentId, Topology};
 use crate::DetRng;
 
@@ -101,8 +105,20 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Half a byte: flows complete once within this tolerance of their total.
-const COMPLETE_EPS: f64 = 0.5;
+/// Rates are whole numbers of 2⁻²⁰ bytes per second, so progress — rate
+/// units × nanoseconds — is exact integer arithmetic and a byte is
+/// [`BYTE`] units of it. At the slowest preset rate (62 kB/s) the rounding
+/// is 1.5e-11 of the rate: 55 ns on an hour-long transfer.
+const RATE_ONE: f64 = (1u64 << 20) as f64;
+
+/// Progress units per byte.
+const BYTE: u128 = (1 << 20) * 1_000_000_000;
+
+/// An allocated rate in fixed point, rounded down so that a segment's
+/// flows never add up to more than it was solved for.
+fn fixed(rate_bps: f64) -> u64 {
+    (rate_bps * RATE_ONE) as u64
+}
 
 /// Index into [`FlowNet::paths`]: a route's segment list, shared by every
 /// flow started on that route.
@@ -113,14 +129,21 @@ struct Flow {
     id: FlowId,
     path: PathId,
     total_bytes: u64,
-    sent: f64,
     tcp: TcpProfile,
     /// Per-flow bandwidth availability factor (WAN variability).
     factor: f64,
     /// Instant the connection setup completes and bytes start moving.
     active_from: SimTime,
-    /// Current allocated rate, bytes/second (0 while in setup).
-    rate: f64,
+    /// The rate epoch: `sent` progress units had moved by `anchor`, and
+    /// `rate` (fixed point, 0 while in setup) more move every nanosecond
+    /// since. Rewritten only when a solve gives the flow a different rate.
+    anchor: SimTime,
+    sent: u128,
+    rate: u64,
+    /// The flow's own next event — setup completion, ramp step, sustained
+    /// threshold or last byte, whichever is first in this epoch. At or
+    /// before the engine's clock it means "not derived yet".
+    due: SimTime,
     /// Chunked-transfer parent, when this flow carries one chunk of a
     /// larger logical transfer. Chunk completions feed the parent instead of
     /// surfacing as [`FlowEvent`]s.
@@ -147,14 +170,64 @@ struct Transfer {
 }
 
 impl Flow {
+    fn new(
+        id: FlowId,
+        path: PathId,
+        bytes: u64,
+        tcp: &TcpProfile,
+        factor: f64,
+        now: SimTime,
+        parent: Option<FlowId>,
+    ) -> Flow {
+        Flow {
+            id,
+            path,
+            total_bytes: bytes,
+            tcp: tcp.clone(),
+            factor,
+            active_from: now + tcp.setup,
+            anchor: now,
+            sent: 0,
+            rate: 0,
+            due: now,
+            parent,
+        }
+    }
+
     fn is_active(&self, now: SimTime) -> bool {
         now >= self.active_from
     }
 
-    /// Whether the flow has delivered its last byte. Bytes only accrue to
-    /// active flows, so this needs no clock.
-    fn is_complete(&self) -> bool {
-        self.sent + COMPLETE_EPS >= self.total_bytes as f64
+    /// Progress units moved by `at`: the one function every byte count and
+    /// every predicted instant of this epoch is read from.
+    fn progress(&self, at: SimTime) -> u128 {
+        let dt = at.as_nanos() - self.anchor.as_nanos();
+        self.sent + u128::from(self.rate) * u128::from(dt)
+    }
+
+    /// Whole bytes delivered by `at`.
+    fn bytes(&self, at: SimTime) -> u64 {
+        // Above 1 GB/s the last nanosecond moves more than a byte.
+        ((self.progress(at) / BYTE) as u64).min(self.total_bytes)
+    }
+
+    fn rate_bps(&self) -> f64 {
+        self.rate as f64 / RATE_ONE
+    }
+
+    /// Opens a new epoch at `now` if `rate` differs from the present one.
+    fn set_rate(&mut self, now: SimTime, rate: u64) {
+        if rate != self.rate {
+            (self.sent, self.anchor, self.rate) = (self.progress(now), now, rate);
+            self.due = now;
+        }
+    }
+
+    /// Whether the sustained cap applies: `bytes(now) >= threshold`,
+    /// without the division.
+    fn shaped(&self, now: SimTime) -> bool {
+        let crossed = |s: SustainedCap| self.progress(now) >= u128::from(s.threshold_bytes) * BYTE;
+        self.tcp.sustained.is_some_and(crossed)
     }
 
     /// The flow's own rate cap at `now` (before sharing).
@@ -162,59 +235,47 @@ impl Flow {
         let active = now
             .checked_duration_since(self.active_from)
             .unwrap_or_default();
-        self.tcp.cap_at(active, self.sent as u64) * self.factor
+        // `cap_at` reads the byte count against the threshold only.
+        let sent = if self.shaped(now) { u64::MAX } else { 0 };
+        self.tcp.cap_at(active, sent) * self.factor
     }
 
-    /// The next instant at which this flow's cap changes on its own
-    /// (ramp step or sustained-threshold crossing), given its current rate.
-    fn next_cap_change(&self, now: SimTime) -> Option<SimTime> {
+    /// The flow's next event after `now`, given its present epoch.
+    fn next_due(&self, now: SimTime) -> SimTime {
         if !self.is_active(now) {
-            return Some(self.active_from);
+            return self.active_from;
         }
-        let mut next: Option<SimTime> = None;
-        // Ramp step boundary, computed in integer nanoseconds to avoid
-        // floating-point boundary loops.
-        let sustained_active = self
-            .tcp
-            .sustained
-            .is_some_and(|s| self.sent as u64 >= s.threshold_bytes);
-        if !sustained_active
+        let shaped = self.shaped(now);
+        let mut due = SimTime::MAX;
+        let step = self.tcp.ramp_step.as_nanos() as u64;
+        let active = now.as_nanos() - self.active_from.as_nanos();
+        if !shaped
+            && step > 0
             && self.tcp.ramp_bps_per_sec > 0.0
-            && !self.tcp.ramp_step.is_zero()
-            && self.cap(now) < self.tcp.rate_cap_bps * self.factor
+            && self.tcp.cap_at(Duration::from_nanos(active), 0) < self.tcp.rate_cap_bps
         {
-            let step_ns = self.tcp.ramp_step.as_nanos() as u64;
-            let active_ns = (now - self.active_from).as_nanos() as u64;
-            let k = active_ns / step_ns;
-            let boundary = SimTime::from_nanos(self.active_from.as_nanos() + (k + 1) * step_ns);
-            next = Some(boundary);
+            due = SimTime::from_nanos(now.as_nanos() + step - active % step);
         }
-        // Sustained-threshold crossing at the current rate.
-        if let Some(s) = self.tcp.sustained {
-            if (self.sent as u64) < s.threshold_bytes && self.rate > 0.0 {
-                let secs = (s.threshold_bytes as f64 - self.sent) / self.rate;
-                // Never schedule a zero-length event: a crossing whose
-                // remaining time rounds below 1 ns would pin the engine at
-                // the current instant forever.
-                let at = now + duration_from_secs_f64(secs).max(Duration::from_nanos(1));
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
+        if self.rate > 0 {
+            // The first nanosecond at which `progress` reaches the next
+            // byte count that matters. It is after `now`: a flow is retired
+            // in the instant it reaches its total.
+            let target = match self.tcp.sustained {
+                Some(s) if !shaped => s.threshold_bytes.min(self.total_bytes),
+                _ => self.total_bytes,
+            };
+            let left = (u128::from(target) * BYTE).saturating_sub(self.sent);
+            let lands = u64::try_from(left.div_ceil(u128::from(self.rate)))
+                .ok()
+                .and_then(|dt| self.anchor.as_nanos().checked_add(dt));
+            due = due.min(lands.map_or(SimTime::MAX, SimTime::from_nanos));
         }
-        next
+        due
     }
 
-    /// The instant this flow completes at its current rate, if it is moving.
-    fn completion_time(&self, now: SimTime) -> Option<SimTime> {
-        if !self.is_active(now) || self.rate <= 0.0 {
-            return None;
-        }
-        let remaining = (self.total_bytes as f64 - self.sent).max(0.0);
-        if remaining <= COMPLETE_EPS {
-            // Already within the completion tolerance: fire immediately.
-            return Some(now);
-        }
-        let secs = remaining / self.rate;
-        Some(now + duration_from_secs_f64(secs).max(Duration::from_nanos(1)))
+    /// Whether the last byte has landed by `now`.
+    fn is_complete(&self, now: SimTime) -> bool {
+        self.progress(now) >= u128::from(self.total_bytes) * BYTE
     }
 }
 
@@ -328,12 +389,13 @@ pub struct FlowNet {
     paths: Vec<Box<[SegmentId]>>,
     transfers: BTreeMap<FlowId, Transfer>,
     next_id: u64,
-    /// The clock, the flow set or a byte count moved since rates and
-    /// `next` were derived. Only a hint that the allocation *may* have
-    /// changed — [`FlowNet::reallocate`]'s signature decides.
-    dirty: bool,
-    /// Memo of the earliest internal event; valid while `!dirty`.
-    next: Option<SimTime>,
+    /// The flow set or the topology changed, or the clock reached `next`,
+    /// since rates and `next` were derived. A clock move short of `next`
+    /// does not set it.
+    stale: bool,
+    /// Memo of the earliest flow's `due` ([`SimTime::MAX`] when idle);
+    /// valid while `!stale`.
+    next: SimTime,
     /// Boxed to keep `FlowNet`, which the runtime embeds by value, six
     /// `Vec` headers smaller. Measured neutral since the runtime stopped
     /// polling every node per event (ROADMAP, lesson (i)).
@@ -358,6 +420,10 @@ pub struct FlowCounters {
     pub completed: u64,
     /// Transfers canceled in flight.
     pub canceled: u64,
+    /// Passes over the flow set (a re-solve and the search for the next
+    /// internal instant count as one). A clock move that reaches no
+    /// internal instant makes none.
+    pub derives: u64,
 }
 
 impl FlowNet {
@@ -370,8 +436,8 @@ impl FlowNet {
             paths: Vec::new(),
             transfers: BTreeMap::new(),
             next_id: 0,
-            dirty: false,
-            next: None,
+            stale: false,
+            next: SimTime::MAX,
             scratch: Box::default(),
             recorder: None,
             segment_keys: Vec::new(),
@@ -497,6 +563,7 @@ impl FlowNet {
     /// In-flight flows keep their already-sampled parameters.
     pub fn topology_mut(&mut self) -> &mut Topology {
         self.segment_keys.clear();
+        self.stale = true;
         &mut self.topology
     }
 
@@ -517,8 +584,9 @@ impl FlowNet {
         n
     }
 
-    /// Cumulative started/completed/canceled logical-transfer counts (kept
-    /// with or without a recorder attached).
+    /// Cumulative started/completed/canceled logical-transfer counts and
+    /// the engine's derivation count (kept with or without a recorder
+    /// attached).
     pub fn counters(&self) -> FlowCounters {
         self.counters
     }
@@ -526,10 +594,11 @@ impl FlowNet {
     /// Current load on every topology segment, in segment-id order.
     ///
     /// Takes `&mut self` because pending flow arrivals/departures may have
-    /// marked the allocation dirty; rates are re-derived first (like
+    /// left the allocation stale; rates are re-derived first (like
     /// [`FlowNet::next_event`]) so the report reflects the engine's present
-    /// instant. Reallocation is deterministic, so probing for health
-    /// samples never perturbs flow outcomes.
+    /// instant. A derivation happens at the instant of the change that
+    /// called for it whoever asks first, so probing for health samples
+    /// never perturbs flow outcomes.
     pub fn segment_loads(&mut self) -> Vec<SegmentLoad> {
         self.next_event();
         let mut loads: Vec<SegmentLoad> = self
@@ -546,7 +615,7 @@ impl FlowNet {
         for f in &self.flows {
             for seg in &self.paths[f.path] {
                 let load = &mut loads[seg.0];
-                load.allocated_bps += f.rate;
+                load.allocated_bps += f.rate_bps();
                 load.flows += 1;
             }
         }
@@ -560,10 +629,10 @@ impl FlowNet {
                 .live
                 .iter()
                 .filter_map(|c| self.index_of(*c).map(|i| &self.flows[i]));
-            let live_sent: f64 = chunks.clone().map(|f| f.sent).sum();
-            let rate: f64 = chunks.map(|f| f.rate).sum();
+            let live_sent: u64 = chunks.clone().map(|f| f.bytes(self.now)).sum();
+            let rate: f64 = chunks.map(Flow::rate_bps).sum();
             return Some(FlowProgress {
-                sent_bytes: t.delivered as f64 + live_sent,
+                sent_bytes: (t.delivered + live_sent) as f64,
                 total_bytes: t.total_bytes,
                 rate_bps: rate,
             });
@@ -571,9 +640,9 @@ impl FlowNet {
         self.index_of(id).map(|i| {
             let f = &self.flows[i];
             FlowProgress {
-                sent_bytes: f.sent,
+                sent_bytes: f.bytes(self.now) as f64,
                 total_bytes: f.total_bytes,
-                rate_bps: f.rate,
+                rate_bps: f.rate_bps(),
             }
         })
     }
@@ -593,12 +662,15 @@ impl FlowNet {
             "transfer start at {now} is in the engine's past ({})",
             self.now
         );
-        debug_assert!(
-            self.next_internal_event().is_none_or(|t| t >= now),
-            "caller must advance_into() before starting transfers"
-        );
-        self.now = now;
-        self.dirty = true;
+        if now > self.now {
+            // Whatever is stale is derived at the instant it changed.
+            assert!(
+                self.next_event().is_none_or(|t| t >= now),
+                "caller must advance_into() before starting transfers"
+            );
+            self.now = now;
+        }
+        self.stale = true;
         let route = self
             .topology
             .route_between(src, dst)
@@ -640,17 +712,8 @@ impl FlowNet {
         rng: &mut DetRng,
     ) -> Result<FlowId, NetError> {
         let (id, path, tcp, factor) = self.open(now, src, dst, rng)?;
-        self.flows.push(Flow {
-            id,
-            path,
-            total_bytes: bytes.max(1),
-            sent: 0.0,
-            active_from: now + tcp.setup,
-            tcp,
-            factor,
-            rate: 0.0,
-            parent: None,
-        });
+        self.flows
+            .push(Flow::new(id, path, bytes.max(1), &tcp, factor, now, None));
         self.begin_flow_telemetry(id, src, dst, bytes, 0);
         Ok(id)
     }
@@ -717,17 +780,16 @@ impl FlowNet {
         transfer.undispatched -= bytes;
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.push(Flow {
+        let (path, tcp, factor) = (transfer.path, &transfer.tcp, transfer.factor);
+        self.flows.push(Flow::new(
             id,
-            path: transfer.path,
-            total_bytes: bytes,
-            sent: 0.0,
-            tcp: transfer.tcp.clone(),
-            factor: transfer.factor,
-            active_from: self.now + transfer.tcp.setup,
-            rate: 0.0,
-            parent: Some(parent),
-        });
+            path,
+            bytes,
+            tcp,
+            factor,
+            self.now,
+            Some(parent),
+        ));
         transfer.live.push(id);
         if let Some(rec) = &self.recorder {
             rec.add("net.chunks_started", 1);
@@ -739,14 +801,14 @@ impl FlowNet {
     /// live chunk flow). Returns `true` if it existed.
     pub fn cancel(&mut self, id: FlowId) -> bool {
         if let Some(transfer) = self.transfers.remove(&id) {
-            let mut sent = transfer.delivered as f64;
+            let mut sent = transfer.delivered;
             for chunk in &transfer.live {
                 if let Some(i) = self.index_of(*chunk) {
-                    sent += self.flows.remove(i).sent;
+                    sent += self.flows.remove(i).bytes(self.now);
                 }
             }
-            self.dirty = true;
-            self.retire_flow_telemetry(id, sent as u64, transfer.path, false);
+            self.stale = true;
+            self.retire_flow_telemetry(id, sent, transfer.path, false);
             return true;
         }
         let Some(i) = self.index_of(id) else {
@@ -754,7 +816,7 @@ impl FlowNet {
             return false;
         };
         let flow = self.flows.remove(i);
-        self.dirty = true;
+        self.stale = true;
         if let Some(parent) = flow.parent {
             // A chunk canceled directly just shrinks its parent transfer.
             if let Some(t) = self.transfers.get_mut(&parent) {
@@ -763,7 +825,7 @@ impl FlowNet {
             }
             return true;
         }
-        self.retire_flow_telemetry(id, flow.sent as u64, flow.path, false);
+        self.retire_flow_telemetry(id, flow.bytes(self.now), flow.path, false);
         true
     }
 
@@ -771,21 +833,21 @@ impl FlowNet {
     /// (a completion or an internal rate change), or `None` when idle.
     ///
     /// The runtime merges this with its own event queue and calls
-    /// [`FlowNet::advance_into`] up to the earlier of the two. Asking again
-    /// before anything moved answers from the memo.
+    /// [`FlowNet::advance_into`] up to the earlier of the two. The answer
+    /// is a memo: it is worked out again only after a start, a cancel, a
+    /// [`FlowNet::topology_mut`] call or the clock reaching it.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        if self.dirty {
-            self.reallocate();
-            self.next = self.next_internal_event();
-            self.dirty = false;
+        if self.stale {
+            self.derive();
         }
-        self.next
+        (self.next != SimTime::MAX).then_some(self.next)
     }
 
-    /// Advances the engine to `to`, accruing transfer progress, and
-    /// collects the completions that occurred (in completion order) into
-    /// `out` (cleared first), so a caller-held buffer amortizes across the
-    /// simulation's main loop.
+    /// Advances the engine to `to` and collects the completions that
+    /// occurred (in completion order) into `out` (cleared first), so a
+    /// caller-held buffer amortizes across the simulation's main loop.
+    /// Short of [`FlowNet::next_event`] this moves the clock and touches no
+    /// flow; every completion's `at` is a `next_event()` that preceded it.
     ///
     /// # Panics
     ///
@@ -793,42 +855,25 @@ impl FlowNet {
     pub fn advance_into(&mut self, to: SimTime, out: &mut Vec<FlowEvent>) {
         assert!(to >= self.now, "cannot rewind flow engine");
         out.clear();
-        while self.now < to {
-            let step_end = self.next_event().map_or(to, |t| t.min(to)).max(self.now);
-            let dt = (step_end - self.now).as_secs_f64();
-            // A flow can only come within reach of its total where bytes
-            // accrue, so completions are looked for only after a pass that
-            // saw one.
-            let mut landed = false;
-            if dt > 0.0 {
-                for f in &mut self.flows {
-                    if f.is_active(self.now) && f.rate > 0.0 {
-                        f.sent = (f.sent + f.rate * dt).min(f.total_bytes as f64);
-                        landed |= f.is_complete();
-                    }
-                }
-            }
-            self.now = step_end;
-            // Caps may have changed at this boundary (setup completion, ramp
-            // step, sustained-threshold crossing); whether they did is read
-            // off the caps themselves, not off which boundary this was.
-            self.dirty = true;
-            if landed {
-                self.fire_completions(out);
-            }
-            debug_assert!(!self.flows.iter().any(Flow::is_complete));
+        while let Some(t) = self.next_event().filter(|&t| t <= to) {
+            self.now = t;
+            self.fire_completions(out);
+            self.stale = true;
         }
+        self.now = to;
     }
 
     /// Removes completed flows at the current instant, in ascending id
     /// order.
     fn fire_completions(&mut self, out: &mut Vec<FlowEvent>) {
         let now = self.now;
-        // Chunks dispatched below land behind `live` and start at zero
-        // bytes, so the scan never needs to reach them.
+        // Only a flow whose own event this is can have landed. Chunks
+        // dispatched below land behind `live` and start at zero bytes, so
+        // the scan never needs to reach them.
         let (mut i, mut live) = (0, self.flows.len());
         while i < live {
-            if !self.flows[i].is_complete() {
+            let f = &self.flows[i];
+            if f.due > now || !f.is_complete(now) {
                 i += 1;
                 continue;
             }
@@ -862,24 +907,29 @@ impl FlowNet {
         }
     }
 
-    /// Earliest internal event across all flows, using current rates.
-    fn next_internal_event(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        for f in &self.flows {
-            for t in [f.completion_time(self.now), f.next_cap_change(self.now)]
-                .into_iter()
-                .flatten()
-            {
-                next = Some(next.map_or(t, |n| n.min(t)));
+    /// One pass over the flow set at the present instant: re-solve, open a
+    /// new epoch for every flow whose rate moved, and find the earliest
+    /// `due`. Flows whose rate stayed and whose own event is still ahead
+    /// are not touched.
+    fn derive(&mut self) {
+        self.counters.derives += 1;
+        self.reallocate();
+        let now = self.now;
+        self.next = SimTime::MAX;
+        for f in &mut self.flows {
+            if f.due <= now {
+                f.due = f.next_due(now);
             }
+            self.next = self.next.min(f.due);
         }
-        next
+        self.stale = false;
     }
 
     /// Progressive-filling max-min fair allocation subject to per-flow caps.
     ///
     /// The rates are a pure function of the signature built first; when it
-    /// equals the one last solved, the stored rates already are the answer.
+    /// equals the one last solved (a flow still in setup joined or left),
+    /// the stored rates already are the answer.
     /// Every order below is part of the result's bits: flows enter in
     /// ascending id, the strict `<` lets the first of equal candidates win,
     /// and `swap_remove` decides who is looked at first next round.
@@ -937,7 +987,7 @@ impl FlowNet {
             }
             let (rate, k) = best.expect("unfixed flows must yield a candidate");
             let (i, path, _) = s.unfixed.swap_remove(k);
-            flows[i].rate = rate;
+            flows[i].set_rate(now, fixed(rate));
             s.waiting[path] -= 1;
             for g in &paths[path] {
                 s.residual[g.0] -= rate;
@@ -946,9 +996,6 @@ impl FlowNet {
         }
     }
 }
-
-#[cfg(test)]
-mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -989,6 +1036,42 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The runtime embeds the engine by value; growing it cost
+    /// `neighborhood-1k` 12 % of its set-up time once (PR 15).
+    #[test]
+    fn engine_is_no_larger_than_before_integer_accounting() {
+        assert!(std::mem::size_of::<FlowNet>() <= 312);
+    }
+
+    #[test]
+    fn a_clock_move_short_of_the_next_instant_derives_nothing() {
+        let mut net = FlowNet::new(topo(1_000.0, 2_000.0));
+        let mut rng = DetRng::seed(0);
+        for i in 0..2 {
+            let (src, dst) = (Addr::new(i), Addr::new(i + 2));
+            net.start_flow(SimTime::ZERO, src, dst, 1_000 + 1_000 * i, &mut rng)
+                .unwrap();
+        }
+        // Both starts are one derivation; polling adds none.
+        let first = net.next_event().unwrap();
+        assert_eq!(first, SimTime::from_secs(2));
+        assert_eq!(net.counters().derives, 1);
+        let mut events = Vec::new();
+        for ms in 1..2_000 {
+            net.advance_into(SimTime::from_millis(ms), &mut events);
+            assert!(events.is_empty());
+            assert_eq!(net.next_event(), Some(first));
+            net.segment_loads();
+        }
+        assert_eq!(net.counters().derives, 1);
+        // Reaching the instant fires the completion due at it and derives
+        // once more, for the survivor.
+        net.advance_into(first, &mut events);
+        assert_eq!(events.len(), 1);
+        assert_eq!(net.next_event(), Some(SimTime::from_secs(3)));
+        assert_eq!(net.counters().derives, 2);
     }
 
     #[test]

@@ -96,10 +96,11 @@ impl TcpProfile {
                 return s.rate_bps;
             }
         }
-        let steps = if self.ramp_step.is_zero() {
-            0
-        } else {
-            (active.as_secs_f64() / self.ramp_step.as_secs_f64()).floor() as u64
+        // Whole steps by integer division of nanoseconds: at a boundary the
+        // cap is already the new one (`0.15 / 0.05` floors to 2 in `f64`).
+        let steps = match self.ramp_step.as_nanos() {
+            0 => 0,
+            step => (active.as_nanos() / step) as u64,
         };
         let ramped = self.rate_floor_bps
             + self.ramp_bps_per_sec * self.ramp_step.as_secs_f64() * steps as f64;
@@ -260,6 +261,20 @@ mod tests {
         let later = p.cap_at(Duration::from_secs(5), 0);
         assert!(later > 40_000.0);
         assert_eq!(p.cap_at(Duration::from_secs(3600), 0), 200_000.0);
+    }
+
+    #[test]
+    fn cap_at_a_step_boundary_is_already_the_new_step() {
+        let mut p = wan_like();
+        p.ramp_step = Duration::from_millis(50);
+        let per_step = p.ramp_bps_per_sec * 0.05;
+        for k in 0..6u32 {
+            let at = Duration::from_millis(50) * k;
+            assert_eq!(p.cap_at(at, 0), p.rate_floor_bps + per_step * f64::from(k));
+        }
+        // One nanosecond earlier is still the step before.
+        let before = Duration::from_millis(150) - Duration::from_nanos(1);
+        assert_eq!(p.cap_at(before, 0), p.rate_floor_bps + per_step * 2.0);
     }
 
     #[test]

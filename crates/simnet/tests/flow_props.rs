@@ -1,13 +1,17 @@
 //! Property tests for the flow engine: the event-driven simulation must
-//! agree with the analytic single-flow oracle, conserve bytes, and respect
-//! capacity under contention.
+//! agree with the analytic single-flow oracle, conserve bytes, respect
+//! capacity under contention, and be *poll-independent* — how often and
+//! when a driver looks at the engine moves no completion instant, no rate
+//! bit and no byte count (DESIGN.md, "Poll-independence contract").
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use c4h_simnet::{
-    Addr, DetRng, FlowEvent, FlowId, FlowNet, LatencyModel, SegmentId, SimTime, SustainedCap,
-    TcpProfile, Topology,
+    presets, Addr, ChunkSpec, DetRng, FlowEvent, FlowId, FlowNet, LatencyModel, SegmentId, SimTime,
+    SustainedCap, TcpProfile, Topology,
 };
+use c4h_telemetry::Recorder;
 use proptest::prelude::*;
 
 fn topology(seg_cap: f64, tcp: TcpProfile) -> Topology {
@@ -166,6 +170,279 @@ fn profile_strategy() -> impl Strategy<Value = TcpProfile> {
                 }),
             }
         })
+}
+
+const SITES: usize = 3;
+
+/// A random world: 2–4 segments and a route for every ordered site pair,
+/// each over its own multi-hop segment list and TCP profile.
+#[derive(Debug, Clone)]
+struct World {
+    capacities: Vec<f64>,
+    /// Per ordered site pair: segment mask (reduced to the world's segment
+    /// count, never empty), profile, bandwidth sigma.
+    routes: Vec<(u8, TcpProfile, f64)>,
+}
+
+impl World {
+    fn topology(&self, capacities: &[f64]) -> Topology {
+        let mut b = Topology::builder();
+        let segs: Vec<SegmentId> = capacities
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| b.segment(&format!("seg{i}"), c))
+            .collect();
+        let sites: Vec<_> = (0..SITES).map(|i| b.site(&format!("site{i}"))).collect();
+        let lat = LatencyModel {
+            base: Duration::from_millis(1),
+            jitter: 0.0,
+        };
+        for (k, (mask, tcp, sigma)) in self.routes.iter().enumerate() {
+            let mask = match mask % (1 << segs.len()) {
+                0 => 1,
+                m => m,
+            };
+            let path = (0..segs.len())
+                .filter(|i| (mask >> i) & 1 == 1)
+                .map(|i| segs[i])
+                .collect();
+            let (src, dst) = (sites[k / SITES], sites[k % SITES]);
+            b.route(src, dst, path, lat, tcp.clone(), 0.8, *sigma);
+        }
+        let mut t = b.build();
+        for (i, &site) in sites.iter().enumerate() {
+            for a in 0..2 {
+                t.attach(Addr::new((i * 2 + a) as u64), site);
+            }
+        }
+        t
+    }
+}
+
+/// Ramp, sustained threshold and zero setup, alone and mixed; every third
+/// profile is the LAN shape (50 ms steps: `0.15 / 0.05` floors to 2 in
+/// `f64`, the step index the engine once read a boundary late by).
+fn mixed_profile_strategy() -> impl Strategy<Value = TcpProfile> {
+    (
+        (0u64..3, 0u64..4),                                 // shape, setup ms
+        (1.0e4..4.0e5f64, 0.0..2.0e6f64, 1.0e4..1.0e6f64),  // floor, ramp, cap
+        5u64..200,                                          // ramp step ms
+        proptest::option::of((4u64..256, 5.0e3..2.0e5f64)), // sustained KiB, bps
+    )
+        .prop_map(
+            |((shape, setup_ms), (floor, ramp, cap), step_ms, sustained)| {
+                let mut p = TcpProfile {
+                    setup: Duration::from_millis(setup_ms),
+                    rate_floor_bps: floor,
+                    ramp_bps_per_sec: ramp,
+                    ramp_step: Duration::from_millis(step_ms),
+                    rate_cap_bps: cap.max(floor),
+                    sustained: sustained.map(|(kib, rate_bps)| SustainedCap {
+                        threshold_bytes: kib << 10,
+                        rate_bps,
+                    }),
+                };
+                if shape == 0 {
+                    p.ramp_step = Duration::from_millis(50);
+                    p.ramp_bps_per_sec = 1.0e6;
+                    p.rate_cap_bps = p.rate_floor_bps + 4.0e5;
+                }
+                p
+            },
+        )
+}
+
+fn world_strategy() -> impl Strategy<Value = World> {
+    (
+        proptest::collection::vec(2.0e4..2.0e6f64, 2..5),
+        proptest::collection::vec(
+            (
+                1u8..16,
+                mixed_profile_strategy(),
+                prop_oneof![Just(0.0), Just(0.4)],
+            ),
+            SITES * SITES..SITES * SITES + 1,
+        ),
+    )
+        .prop_map(|(capacities, routes)| World { capacities, routes })
+}
+
+/// One step of a driver's script. Both engines of a poll-independence run
+/// execute the same script at the same instants.
+#[derive(Debug, Clone)]
+enum Op {
+    Start {
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        chunking: Option<ChunkSpec>,
+    },
+    /// Cancels the `pick`-th in-flight logical transfer.
+    Cancel { pick: usize },
+    /// Moves the clock `permille` of the way to the next internal event
+    /// (1000 = exactly onto it, above = across several).
+    Advance { permille: u64 },
+    /// Swaps in a topology whose segment capacities are scaled.
+    Recapacity { scale: f64 },
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let start = |chunked: bool| {
+        (0..SITES, 0..SITES, 1u64..(384 << 10), 1u64..64, 2usize..5).prop_map(
+            move |(src, dst, bytes, chunk_kib, window)| Op::Start {
+                src,
+                dst,
+                bytes,
+                chunking: chunked.then_some(ChunkSpec {
+                    chunk_bytes: chunk_kib << 10,
+                    window,
+                }),
+            },
+        )
+    };
+    let advance = |lo: u64, hi: u64| (lo..hi).prop_map(|permille| Op::Advance { permille });
+    prop_oneof![
+        start(false),
+        start(false),
+        start(true),
+        (0usize..64).prop_map(|pick| Op::Cancel { pick }),
+        Just(Op::Advance { permille: 1000 }),
+        Just(Op::Advance { permille: 1000 }),
+        advance(1, 1000),
+        advance(1001, 4000),
+        (0.3..1.5f64).prop_map(|scale| Op::Recapacity { scale }),
+    ]
+}
+
+/// What [`apply`] did.
+#[derive(Debug, PartialEq)]
+enum Applied {
+    Started(FlowId),
+    /// The transfer canceled and the bytes it had delivered.
+    Canceled(FlowId, f64),
+    /// An [`Op::Advance`]: the instant to move the clock to (not moved yet).
+    AdvanceTo(SimTime),
+    Nothing,
+}
+
+/// Runs everything of `op` that is not a clock move.
+fn apply(net: &mut FlowNet, world: &World, op: &Op, rng: &mut DetRng) -> Applied {
+    match *op {
+        Op::Start {
+            src,
+            dst,
+            bytes,
+            chunking,
+        } => {
+            let (src, dst) = (Addr::new(src as u64 * 2), Addr::new(dst as u64 * 2 + 1));
+            let id = net.start_transfer(net.now(), src, dst, bytes, chunking, rng);
+            Applied::Started(id.expect("every site pair has a route"))
+        }
+        Op::Cancel { pick } => {
+            let ids = net.flow_ids();
+            let Some(&id) = ids.get(pick % ids.len().max(1)) else {
+                return Applied::Nothing;
+            };
+            let sent = net.progress(id).expect("listed").sent_bytes;
+            assert!(net.cancel(id));
+            Applied::Canceled(id, sent)
+        }
+        Op::Advance { permille } => {
+            let Some(t) = net.next_event() else {
+                return Applied::Nothing;
+            };
+            let now = net.now().as_nanos();
+            let span = (t.as_nanos() - now) as u128 * permille as u128 / 1000;
+            Applied::AdvanceTo(SimTime::from_nanos(now + span as u64))
+        }
+        Op::Recapacity { scale } => {
+            let scaled: Vec<f64> = world.capacities.iter().map(|c| c * scale).collect();
+            *net.topology_mut() = world.topology(&scaled);
+            Applied::Nothing
+        }
+    }
+}
+
+/// Everything a caller can read of the engine at its present instant, rates
+/// and caps by their bits.
+fn observe(net: &mut FlowNet) -> Vec<(FlowId, u64, u64, Option<u64>)> {
+    net.next_event(); // rates as of now
+    let row = |id| {
+        let p = net.progress(id).expect("listed");
+        let cap = net.flow_cap(id).map(f64::to_bits);
+        (id, p.sent_bytes.to_bits(), p.rate_bps.to_bits(), cap)
+    };
+    net.flow_ids().into_iter().map(row).collect()
+}
+
+fn completions(events: &[FlowEvent]) -> impl Iterator<Item = (FlowId, SimTime)> + '_ {
+    events
+        .iter()
+        .map(|&FlowEvent::Completed { flow, at }| (flow, at))
+}
+
+/// Reads the engine the ways a runtime does between events, as `noise`
+/// decides: the next instant, the health sampler's segment loads, a
+/// hedge's progress estimate.
+fn look(net: &mut FlowNet, noise: &mut DetRng) {
+    if noise.chance(0.5) {
+        net.next_event();
+    }
+    if noise.chance(0.3) {
+        net.segment_loads();
+    }
+    if noise.chance(0.5) {
+        for id in net.flow_ids() {
+            let _ = (net.progress(id), net.flow_cap(id));
+        }
+    }
+}
+
+/// Moves the clock to `to` the way a polling driver does: through up to
+/// four instants `noise` picks on the way, looking at the engine at each.
+fn poll_to(net: &mut FlowNet, to: SimTime, noise: &mut DetRng, done: &mut Vec<(FlowId, SimTime)>) {
+    let (now, mut events) = (net.now().as_nanos(), Vec::new());
+    let mut stops: Vec<u64> = (0..noise.uniform_u64(0, 5))
+        .map(|_| noise.uniform_u64(now, to.as_nanos() + 1))
+        .collect();
+    stops.sort_unstable();
+    stops.push(to.as_nanos());
+    for stop in stops {
+        look(net, noise);
+        net.advance_into(SimTime::from_nanos(stop), &mut events);
+        done.extend(completions(&events));
+    }
+}
+
+/// A lone flow of each testbed profile lands where the decision engine's
+/// analytic estimate says, to the microsecond: `transfer_time` walks the
+/// same `cap_at` schedule the engine does, so the two stay one model.
+#[test]
+fn lone_preset_flows_land_on_the_analytic_estimate() {
+    let profiles = [
+        ("lan", presets::lan_tcp_profile()),
+        ("wan-down", presets::wan_down_profile()),
+        ("wan-up", presets::wan_up_profile()),
+        ("cloud-lan", presets::cloud_lan_profile()),
+    ];
+    for (name, profile) in profiles {
+        for bytes in [64 << 10, 1 << 20, 4 << 20, 32 << 20] {
+            let seg_cap = presets::home_lan_capacity_bps();
+            let mut net = FlowNet::new(topology(seg_cap, profile.clone()));
+            let mut rng = DetRng::seed(5);
+            net.start_flow(SimTime::ZERO, Addr::new(0), Addr::new(1), bytes, &mut rng)
+                .unwrap();
+            let done = drain_completion_times(&mut net);
+            assert_eq!(done.len(), 1);
+            let estimate = SimTime::ZERO + profile.transfer_time(bytes, seg_cap, 1.0);
+            let off = done[0].as_nanos().abs_diff(estimate.as_nanos());
+            assert!(
+                off <= 1_000,
+                "{name}, {bytes} bytes: engine {} vs estimate {estimate}, {off} ns apart",
+                done[0]
+            );
+        }
+    }
 }
 
 proptest! {
@@ -336,13 +613,144 @@ proptest! {
         net.next_event();
         net.advance_into(SimTime::from_millis(cut_ms), &mut Vec::new());
         if let Some(p) = net.progress(id) {
-            prop_assert!(p.sent_bytes <= p.total_bytes as f64 + 1.0);
-            let expected = (100_000.0 * cut_ms as f64 / 1e3).min(bytes as f64);
-            prop_assert!(
-                (p.sent_bytes - expected).abs() < 120.0,
-                "sent {} vs expected {expected}",
-                p.sent_bytes
-            );
+            prop_assert!(p.sent_bytes <= p.total_bytes as f64);
+            // No tolerance: 100 000 B/s is a whole number of rate units and
+            // the cut a whole number of milliseconds, so the product is a
+            // whole number of bytes and the engine holds exactly that.
+            prop_assert_eq!(p.sent_bytes, (100 * cut_ms) as f64);
+        }
+    }
+
+    /// Two engines run one script; one of them is also polled — extra
+    /// `next_event` / `advance_into` / `progress` / `segment_loads` calls at
+    /// arbitrary instants on the way. Completion sequences, byte counts and
+    /// the bits of every rate and cap agree after every step.
+    #[test]
+    fn polling_moves_no_bit(
+        world in world_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let mut plain = FlowNet::new(world.topology(&world.capacities));
+        let mut polled = FlowNet::new(world.topology(&world.capacities));
+        let (mut rng, mut polled_rng) = (DetRng::seed(seed), DetRng::seed(seed));
+        let mut noise = DetRng::seed(seed ^ 0x9e37_79b9);
+        let (mut done, mut polled_done, mut events) = (Vec::new(), Vec::new(), Vec::new());
+        // The script, then event by event to idle.
+        let mut script = ops.iter();
+        let mut guard = 0;
+        loop {
+            let applied = match script.next() {
+                Some(op) => {
+                    let applied = apply(&mut plain, &world, op, &mut rng);
+                    prop_assert_eq!(&applied, &apply(&mut polled, &world, op, &mut polled_rng));
+                    applied
+                }
+                None => match plain.next_event() {
+                    Some(t) => Applied::AdvanceTo(t),
+                    None => break,
+                },
+            };
+            if let Applied::AdvanceTo(to) = applied {
+                plain.advance_into(to, &mut events);
+                done.extend(completions(&events));
+                poll_to(&mut polled, to, &mut noise, &mut polled_done);
+            }
+            look(&mut polled, &mut noise);
+            prop_assert_eq!(&done, &polled_done);
+            prop_assert_eq!(plain.now(), polled.now());
+            prop_assert_eq!(observe(&mut plain), observe(&mut polled));
+            prop_assert_eq!(plain.next_event(), polled.next_event());
+            guard += 1;
+            prop_assert!(guard < 100_000, "engine failed to converge");
+        }
+        prop_assert_eq!(polled.next_event(), None);
+        prop_assert_eq!(plain.in_flight(), 0);
+    }
+
+    /// The instant `next_event` announces is the instant flows land: a
+    /// clock move short of it completes nothing and leaves it standing, and
+    /// every completion carries it. Bytes are whole and exact: a completed
+    /// transfer is credited its total on every segment it crossed, a
+    /// canceled one the whole bytes it had delivered, never more than its
+    /// total.
+    #[test]
+    fn completions_land_on_the_announced_instant(
+        world in world_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        let mut net = FlowNet::new(world.topology(&world.capacities));
+        net.set_recorder(rec.clone());
+        let mut rng = DetRng::seed(seed);
+        let mut noise = DetRng::seed(seed ^ 0x9e37_79b9);
+        let mut events = Vec::new();
+        // Per in-flight transfer: its segments' counters and total; per
+        // counter: the bytes retired transfers must have credited it.
+        let mut inflight: BTreeMap<FlowId, (Vec<String>, u64)> = BTreeMap::new();
+        let mut credited: BTreeMap<String, u64> = BTreeMap::new();
+        let mut script = ops.iter();
+        let mut guard = 0;
+        loop {
+            let applied = match script.next() {
+                Some(op) => apply(&mut net, &world, op, &mut rng),
+                None => match net.next_event() {
+                    Some(t) => Applied::AdvanceTo(t),
+                    None => break,
+                },
+            };
+            match applied {
+                Applied::Started(id) => {
+                    let total = net.progress(id).expect("just started").total_bytes;
+                    let path = net.flow_path(id).expect("just started").iter();
+                    let name = |&seg| net.topology().segment(seg).name();
+                    let keys = path.map(|seg| format!("net.segment_bytes.{}", name(seg)));
+                    inflight.insert(id, (keys.collect(), total));
+                }
+                Applied::Canceled(id, sent) => {
+                    let (path, total) = inflight.remove(&id).expect("was in flight");
+                    prop_assert!(sent.fract() == 0.0 && sent <= total as f64, "{sent} of {total}");
+                    for key in path {
+                        *credited.entry(key).or_default() += sent as u64;
+                    }
+                }
+                Applied::AdvanceTo(to) => loop {
+                    let next = net.next_event();
+                    let stop = next.filter(|&t| t <= to).unwrap_or(to);
+                    if net.now() < stop {
+                        let short = noise.uniform_u64(net.now().as_nanos(), stop.as_nanos());
+                        net.advance_into(SimTime::from_nanos(short), &mut events);
+                        prop_assert!(events.is_empty(), "{events:?} before {next:?}");
+                        prop_assert_eq!(net.next_event(), next);
+                        for id in net.flow_ids() {
+                            let p = net.progress(id).expect("listed");
+                            prop_assert!(p.sent_bytes.fract() == 0.0, "{p:?}");
+                            prop_assert!(p.sent_bytes <= p.total_bytes as f64, "{p:?}");
+                        }
+                    }
+                    net.advance_into(stop, &mut events);
+                    for (flow, at) in completions(&events) {
+                        prop_assert_eq!(Some(at), next);
+                        let (path, total) = inflight.remove(&flow).expect("was in flight");
+                        for key in path {
+                            *credited.entry(key).or_default() += total;
+                        }
+                    }
+                    if stop == to {
+                        break;
+                    }
+                },
+                Applied::Nothing => {}
+            }
+            guard += 1;
+            prop_assert!(guard < 100_000, "engine failed to converge");
+        }
+        prop_assert!(inflight.is_empty());
+        let counters = rec.snapshot();
+        for (key, &bytes) in &credited {
+            prop_assert_eq!(counters.counter(key), bytes, "{}", key);
         }
     }
 }

@@ -3,11 +3,10 @@
 //! surfacing at queue-event instants) re-audited against wheel-bucketed
 //! delivery.
 //!
-//! The four `net.advance_into()` call sites (`run_for`, `step`'s two branches,
-//! `defer_flow_completions`) all promise: a flow completion landing at the
-//! same virtual instant as queued events is routed to its waiter at that
-//! instant, never stranded, and the interleaving is identical under the
-//! same seed. These tests drive the paths hard — pipelined chunked
+//! The three `drain_net()` call sites (`run_for`, `step`'s two branches)
+//! all promise: a flow completion landing at the same virtual instant as
+//! queued events is routed to its waiter at that instant, never stranded,
+//! and the interleaving is identical under the same seed. These tests drive the paths hard — pipelined chunked
 //! transfers make same-instant collisions routine because every chunk
 //! boundary is a completion that can coincide with `OpSubWake`/`Tick`
 //! events — and pin both liveness (no stalled waiter panics) and byte

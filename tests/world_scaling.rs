@@ -11,14 +11,18 @@
 //! pins what a reader of a long chain must still see. The periodic passes
 //! (adaptive review, anti-entropy) likewise look at the objects an event
 //! touched, not at every object that exists: settled objects cost them
-//! nothing, whatever their number.
+//! nothing, whatever their number. And the flow engine passes over its
+//! flows when a flow starts, ends or reaches a boundary of its own rate cap
+//! — never because a driver polled: the derivation count of a run is the
+//! same at any polling cadence, and bounded by what its flows did.
 
 use std::time::Duration;
 
-use c4h_simnet::DetRng;
+use c4h_simnet::{presets, DetRng, SimTime};
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, StorePolicy};
 
 const KIB: u64 = 1 << 10;
+const MIB: u64 = 1 << 20;
 
 /// `nodes - 1` netbooks and a desktop gateway on one LAN.
 fn world(nodes: usize, seed: u64) -> Config {
@@ -271,4 +275,119 @@ fn a_crash_sends_exactly_the_victims_holdings_to_the_sweep() {
     for i in 0..50 {
         assert_eq!(home.live_copies(&format!("cold/obj-{i:03}.bin")), 2);
     }
+}
+
+/// One 32 MiB store to the cloud — setup, the whole slow-start ramp, the
+/// ISP's shaping threshold, the last byte — driven by polling every `poll`
+/// of virtual time. Returns the flow engine's derivations and the instant
+/// the store completed.
+fn wan_store_polled_every(poll: Duration) -> (u64, SimTime) {
+    let mut home = Cloud4Home::new(Config::paper_testbed(22));
+    home.run_until_idle();
+    let before = home.flow_derivations();
+    let obj = Object::synthetic("wan/big.bin", 22, 32 * MIB, "doc");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
+    let report = loop {
+        home.run_for(poll);
+        if let Some(report) = home.take_report(op) {
+            break report;
+        }
+    };
+    report.expect_ok();
+    home.run_until_idle();
+    (home.flow_derivations() - before, report.completed)
+}
+
+#[test]
+fn polling_cadence_moves_neither_the_derivation_count_nor_the_completion() {
+    let coarse = wan_store_polled_every(Duration::from_secs(1));
+    let fine = wan_store_polled_every(Duration::from_millis(20));
+    assert_eq!(
+        fine, coarse,
+        "(derivations, completed) at 20 ms vs 1 s polls"
+    );
+    // ≈ 300 s of virtual time is 15 000 polls at 20 ms; the flow's own
+    // events are its start, setup, 93 ramp steps, the threshold and the end.
+    let own = 4 + presets::wan_up_profile().steps_to_saturation();
+    assert!(
+        (1..=own + 1).contains(&fine.0),
+        "{} derivations for one flow with {own} events of its own",
+        fine.0
+    );
+}
+
+/// A closed loop of home and cloud stores and fetches, two clients, polled
+/// every 20 ms: the engine derives at most once per flow start, per flow
+/// end and per cap boundary a flow crosses (setup completion, each ramp
+/// step up to saturation, the sustained threshold), plus once.
+#[test]
+fn derivations_are_bounded_by_what_the_flows_did() {
+    let mut home = Cloud4Home::new(Config::paper_testbed(23));
+    home.run_until_idle();
+    let (flows0, derives0) = (home.stats().flows_started, home.flow_derivations());
+    let mut rng = DetRng::seed(23);
+    let (mut pending, mut names, mut polls) = (Vec::new(), Vec::new(), 0u64);
+    // Cloud transfers, and the ramp steps they lived long enough to cross.
+    let (mut wan_flows, mut wan_steps) = (0u64, 0u64);
+    let wan = presets::wan_up_profile();
+    for i in 0..60u64 {
+        let client = NodeId((i % 5) as usize);
+        let op = if i < 20 || rng.chance(0.4) {
+            let name = format!("mixed/obj-{i:02}.bin");
+            let size = rng.uniform_u64(64, 1024) * KIB;
+            let policy = if i % 4 == 3 {
+                StorePolicy::ForceCloud
+            } else {
+                StorePolicy::ForceHome
+            };
+            if i < 20 {
+                names.push(name.clone());
+            }
+            home.store_object(
+                client,
+                Object::synthetic(&name, i, size, "doc"),
+                policy,
+                true,
+            )
+        } else {
+            let name = &names[rng.uniform_u64(0, names.len() as u64) as usize];
+            home.fetch_object(client, name)
+        };
+        pending.push(op);
+        // Two ops in flight; the twenty objects the fetches read are all
+        // stored before the first fetch.
+        while pending.len() >= if i == 19 { 1 } else { 2 } {
+            home.run_for(Duration::from_millis(20));
+            polls += 1;
+            pending.retain(|&op| match home.take_report(op) {
+                Some(report) => {
+                    if report.expect_ok().via_cloud {
+                        let life = report.completed - report.submitted;
+                        let steps = life.as_nanos() / wan.ramp_step.as_nanos() + 1;
+                        wan_flows += 1;
+                        wan_steps += wan.steps_to_saturation().min(steps as u64);
+                    }
+                    false
+                }
+                None => true,
+            });
+        }
+    }
+    home.run_until_idle();
+    let flows = home.stats().flows_started - flows0;
+    let lan_flows = flows - wan_flows;
+    // Start, end, setup, threshold: 4 per flow; plus its ramp steps.
+    let lan_steps = lan_flows * presets::lan_tcp_profile().steps_to_saturation();
+    let bound = 1 + 4 * flows + lan_steps + wan_steps;
+    let derives = home.flow_derivations() - derives0;
+    assert!(
+        wan_flows >= 5 && lan_flows >= 10,
+        "{wan_flows} WAN, {lan_flows} LAN flows"
+    );
+    assert!(
+        derives <= bound,
+        "{derives} derivations for {lan_flows} LAN + {wan_flows} WAN flows (bound {bound}) \
+         over {polls} polls"
+    );
+    assert!(derives < polls, "{derives} derivations, {polls} polls");
 }
