@@ -245,21 +245,29 @@ fn explain_overhead(ops: u64) -> (f64, f64, u64) {
 /// Flows the steady-state `FlowNet` row keeps in flight.
 const FLOWNET_INFLIGHT: usize = 200;
 
-/// `FlowNet` on the paper testbed's topology holding [`FLOWNET_INFLIGHT`]
-/// LAN flows of mixed sizes, with a (disabled) recorder attached as the
-/// runtime attaches one. After a warm-up that lets every buffer reach its
-/// high-water mark, each `next_event` + `advance_into` round is charged to
-/// "quiet" when it completed nothing and to "churn" — together with the
-/// refill that follows — when it did. Returns (flows finished per second,
-/// quiet-round allocations, churn allocations per finished flow).
-fn flownet_steady(finishes: u64) -> (f64, u64, f64) {
-    const NODES: u64 = 6;
+/// Home nodes attached to the `FlowNet` rows' testbed topology.
+const NODES: u64 = 6;
+
+/// `FlowNet` on the paper testbed's topology with [`NODES`] home nodes and
+/// a (disabled) recorder attached as the runtime attaches one.
+fn testbed_flownet() -> FlowNet {
     let mut tb = presets::paper_testbed();
     for i in 0..NODES {
         tb.topology.attach(Addr::new(i), tb.home);
     }
     let mut net = FlowNet::new(tb.topology);
     net.set_recorder(Recorder::new());
+    net
+}
+
+/// [`testbed_flownet`] holding [`FLOWNET_INFLIGHT`] LAN flows of mixed
+/// sizes. After a warm-up that lets every buffer reach its
+/// high-water mark, each `next_event` + `advance_into` round is charged to
+/// "quiet" when it completed nothing and to "churn" — together with the
+/// refill that follows — when it did. Returns (flows finished per second,
+/// quiet-round allocations, churn allocations per finished flow).
+fn flownet_steady(finishes: u64) -> (f64, u64, f64) {
+    let mut net = testbed_flownet();
     let mut rng = DetRng::seed(0xF10);
     let mut started = 0u64;
     let mut refill = |net: &mut FlowNet, now: SimTime| {
@@ -305,13 +313,7 @@ const FLOWNET_POLLS: u64 = 100_000;
 /// over the gap before the engine's next internal instant, reaching none.
 /// Returns (derivations, allocations, ns per poll) over those rounds.
 fn flownet_polled() -> (u64, u64, f64) {
-    const NODES: u64 = 6;
-    let mut tb = presets::paper_testbed();
-    for i in 0..NODES {
-        tb.topology.attach(Addr::new(i), tb.home);
-    }
-    let mut net = FlowNet::new(tb.topology);
-    net.set_recorder(Recorder::new());
+    let mut net = testbed_flownet();
     let mut rng = DetRng::seed(0xF10);
     for i in 0..FLOWNET_INFLIGHT as u64 {
         let (src, dst) = (Addr::new(i % NODES), Addr::new((i + 1) % NODES));

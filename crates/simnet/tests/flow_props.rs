@@ -131,11 +131,7 @@ fn drain_completions(net: &mut FlowNet) -> Vec<(FlowId, SimTime)> {
         guard += 1;
         assert!(guard < 1_000_000, "flow engine failed to converge");
         net.advance_into(t, &mut events);
-        out.extend(
-            events
-                .iter()
-                .map(|&FlowEvent::Completed { flow, at }| (flow, at)),
-        );
+        out.extend(completions(&events));
     }
     out
 }

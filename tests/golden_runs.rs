@@ -7,11 +7,11 @@
 //! committed in `tests/golden/digests.json`; any engine change that
 //! perturbs a single byte of any run fails here.
 //!
-//! The committed digests were generated with the pre-wheel `BinaryHeap`
-//! scheduler and must stay valid under the timer-wheel engine: this file
-//! is the same-seed → same-bytes contract in executable form. See
-//! `tests/golden/README.md` for when re-blessing (`C4H_BLESS=1`) is
-//! legitimate.
+//! This file is the same-seed → same-bytes contract in executable form:
+//! the digests survived the timer-wheel engine and every rework after it
+//! unchanged, and were re-blessed once, when the flow engine's byte
+//! accounting became integer. See `tests/golden/README.md` for when
+//! re-blessing (`C4H_BLESS=1`) is legitimate.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -306,14 +306,11 @@ fn polling_cadence_moves_neither_the_derivation_count_nor_the_completion() {
         fine, coarse,
         "(derivations, completed) at 20 ms vs 1 s polls"
     );
-    // ≈ 300 s of virtual time is 15 000 polls at 20 ms; the flow's own
-    // events are its start, setup, 93 ramp steps, the threshold and the end.
+    // ≈ 380 s of virtual time is 19 000 polls at 20 ms; the engine derives
+    // once per event of the flow's own: its start, setup, 93 ramp steps,
+    // the threshold and the end.
     let own = 4 + presets::wan_up_profile().steps_to_saturation();
-    assert!(
-        (1..=own + 1).contains(&fine.0),
-        "{} derivations for one flow with {own} events of its own",
-        fine.0
-    );
+    assert_eq!(fine.0, own, "derivations for one flow's own events");
 }
 
 /// A closed loop of home and cloud stores and fetches, two clients, polled
