@@ -18,6 +18,11 @@
 //!    variant moves the clock 10⁵ times without reaching any flow's next
 //!    instant, as a driver polling `run_for(20 ms)` does: that must cost no
 //!    pass over the flows (0 derivations, an exact count) and no allocation.
+//!    The `flownet_solve` rows hold 50 / 200 / 800 flows on the LAN and time
+//!    the max-min solve alone, once with every flow below its cap (a round
+//!    evaluates one candidate — at most 2 per round is asserted, an exact
+//!    count) and once with every cap binding (a round scans every unfixed
+//!    flow).
 //! 3. **DHT chained append**: chained puts to one key on a small overlay
 //!    with replica targets — what every `store` does to its directory. The
 //!    allocations one append makes must not depend on how many versions the
@@ -45,7 +50,7 @@ use std::time::{Duration, Instant};
 use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
 use c4h_chimera::{ChimeraConfig, ChimeraNode, DhtEvent, Key, OverwritePolicy};
 use c4h_simnet::queue::reference::RefQueue;
-use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime};
+use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime, TcpProfile};
 use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
 
@@ -339,6 +344,79 @@ fn flownet_polled() -> (u64, u64, f64) {
     (derives, allocations() - allocs0, ns)
 }
 
+/// In-flight flow counts of the `flownet_solve` rows.
+const SOLVE_INFLIGHT: [usize; 3] = [50, 200, 800];
+
+/// The max-min solve alone, at `inflight` LAN flows topped up as they
+/// finish: with the LAN's own profile every flow is offered less than its
+/// cap, with `cap_limited` every flow's cap is a quarter of its share. Setup
+/// is zero in both, so a solve's filling rounds number the flows in flight.
+/// Times the engine calls that solved, over `solves` of them; returns (ns
+/// per solve, candidates per filling round).
+fn flownet_solve(inflight: usize, cap_limited: bool, solves: u64) -> (f64, f64) {
+    let mut tb = presets::paper_testbed();
+    for i in 0..NODES {
+        tb.topology.attach(Addr::new(i), tb.home);
+    }
+    let lan = tb.topology.route_mut(tb.home, tb.home).expect("LAN route");
+    if cap_limited {
+        let share = presets::home_lan_capacity_bps() / inflight as f64;
+        lan.tcp = TcpProfile::constant_rate(share / 4.0);
+    }
+    lan.tcp.setup = Duration::ZERO;
+    let mut net = FlowNet::new(tb.topology);
+    let mut rng = DetRng::seed(0x501);
+    let mut started = 0u64;
+    let mut refill = |net: &mut FlowNet, now: SimTime| {
+        while net.in_flight() < inflight {
+            let (src, dst) = (started % NODES, (started + 1) % NODES);
+            let bytes = rng.uniform_u64(128 << 10, 384 << 10);
+            net.start_flow(now, Addr::new(src), Addr::new(dst), bytes, &mut rng)
+                .expect("both endpoints are attached");
+            started += 1;
+        }
+    };
+    refill(&mut net, SimTime::ZERO);
+    let mut out = Vec::new();
+    // (time spent in calls that solved, filling rounds of those solves)
+    let mut tally = (Duration::ZERO, 0u64);
+    let first = net.counters();
+    // A finish solves twice: inside `advance_into` for the flows left, and
+    // at the next `next_event` once the refill has joined them.
+    while net.counters().solves - first.solves < solves {
+        let now = timed_if_solved(&mut net, &mut tally, |net| {
+            net.next_event().expect("flows are in flight")
+        });
+        timed_if_solved(&mut net, &mut tally, |net| net.advance_into(now, &mut out));
+        refill(&mut net, now);
+    }
+    let (spent, rounds) = tally;
+    let last = net.counters();
+    let ns = spent.as_nanos() as f64 / (last.solves - first.solves) as f64;
+    (
+        ns,
+        (last.candidates - first.candidates) as f64 / rounds as f64,
+    )
+}
+
+/// Runs `call` and, if it made the engine solve, adds its duration and the
+/// solve's filling rounds (the flows in flight) to `tally`.
+fn timed_if_solved<T>(
+    net: &mut FlowNet,
+    tally: &mut (Duration, u64),
+    call: impl FnOnce(&mut FlowNet) -> T,
+) -> T {
+    let before = net.counters().solves;
+    let timer = Instant::now();
+    let result = call(net);
+    let took = timer.elapsed();
+    if net.counters().solves > before {
+        tally.0 += took;
+        tally.1 += net.in_flight() as u64;
+    }
+    result
+}
+
 /// Chain lengths at which [`dht_chain_append`] measures one append.
 const CHAIN_LENGTHS: [u64; 3] = [10, 1_000, 100_000];
 
@@ -568,6 +646,42 @@ fn main() {
         poll_allocs == 0,
         format!("polling made {poll_allocs} allocations"),
     );
+
+    // The solve's cost follows what binds: one candidate per filling round
+    // while no cap can bind (an exact count, gated in both modes), a scan
+    // of the unfixed flows per round when every cap does.
+    for inflight in SOLVE_INFLIGHT {
+        for cap_limited in [false, true] {
+            let solves = if smoke() { 200 } else { 2_000 };
+            let (ns, per_round) = flownet_solve(inflight, cap_limited, solves);
+            let kind = if cap_limited {
+                "cap-limited"
+            } else {
+                "share-limited"
+            };
+            println!(
+                "flownet solve @{inflight:>3} flows, {kind:>13}: {ns:>9.0} ns per solve, \
+                 {per_round:.2} candidates per round"
+            );
+            report.push_row(vec![
+                ("flownet_solve_inflight", inflight.into()),
+                ("flownet_solve_cap_limited", cap_limited.into()),
+                ("flownet_solve_ns", ns.round().into()),
+                ("flownet_solve_candidates_per_round", per_round.into()),
+            ]);
+            if !cap_limited {
+                report.check(
+                    &format!("flownet_solve_candidates_per_round_{inflight}"),
+                    per_round <= 2.0,
+                    format!(
+                        "a filling round of {inflight} flows below their caps evaluated \
+                         {per_round:.2} candidates (must stay <= 2: the round's lower bound \
+                         is its answer)"
+                    ),
+                );
+            }
+        }
+    }
 
     // A count gate, not a clock: an append to a 100 000-entry directory
     // allocates exactly what an append to a 10-entry one does. Copying the

@@ -26,8 +26,8 @@ use c4h_services::{
     Compress, FaceDetect, FaceRecognize, Service, ServiceRegistry, TrainingSet, Transcode,
 };
 use c4h_simnet::{
-    presets, Addr, ChunkSpec, DetRng, EventQueue, FlowEvent, FlowId, FlowNet, FxHashMap,
-    GilbertElliott, NetError, Partition, SimTime, Sym, SymMap,
+    presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
+    FxHashMap, GilbertElliott, NetError, Partition, SimTime, Sym, SymMap,
 };
 use c4h_telemetry::{ArgValue, CauseKind, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
 use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, VmSpec, XenChannel};
@@ -1292,13 +1292,13 @@ impl Cloud4Home {
         self.pump_node_visits
     }
 
-    /// How many passes the flow engine has made over its flows (re-solves
-    /// and searches for its next instant). It makes one per flow start,
-    /// cancel, topology change or internal instant reached, and none for a
-    /// clock move that reaches no such instant — however often a driver
-    /// polls.
-    pub fn flow_derivations(&self) -> u64 {
-        self.net.counters().derives
+    /// The flow engine's own counts. `derives` is its passes over its flows
+    /// (one per flow start, cancel, topology change or internal instant
+    /// reached, none for a clock move that reaches no such instant —
+    /// however often a driver polls); `solves` of those ran the max-min
+    /// solve, at a cost of `candidates` evaluations.
+    pub fn flow_counters(&self) -> FlowCounters {
+        self.net.counters()
     }
 
     /// How many events the loop has processed since construction.

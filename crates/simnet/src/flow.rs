@@ -24,6 +24,18 @@
 //! the engine pass over its flows again (one *derivation*: re-solve if the
 //! solver's inputs moved, re-anchor the flows whose rate did, find the next
 //! instant). See DESIGN.md ("Poll-independence contract").
+//!
+//! The solve pays for what binds, on two lemmas (`FlowNet::reallocate`,
+//! DESIGN.md §12). *Lower-bound round:* when the smallest share any path
+//! offers is no larger than a lower bound on the unfixed flows' caps, that
+//! share is the round's minimum and the first flow to tie at it wins — the
+//! round costs the shares plus the flows looked at before that one, not a
+//! scan of all. *Replayed trace:* a derivation whose inputs differ from the
+//! solved ones only in caps that never bound, then or now, would replay the
+//! solve round for round, so it keeps the stored rates. The orders the
+//! rates' bits depend on — flows enter in ascending id, the first of equal
+//! candidates wins, `swap_remove` picks who is seen first next — are kept
+//! exactly; [`FlowCounters`] counts solves and candidate evaluations.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -144,6 +156,10 @@ struct Flow {
     /// threshold or last byte, whichever is first in this epoch. At or
     /// before the engine's clock it means "not derived yet".
     due: SimTime,
+    /// The largest share the flow's path was offered in a round of the last
+    /// solve the flow was still unfixed in: a cap at or above it did not
+    /// bind.
+    bound: f64,
     /// Chunked-transfer parent, when this flow carries one chunk of a
     /// larger logical transfer. Chunk completions feed the parent instead of
     /// surfacing as [`FlowEvent`]s.
@@ -190,6 +206,7 @@ impl Flow {
             sent: 0,
             rate: 0,
             due: now,
+            bound: f64::INFINITY,
             parent,
         }
     }
@@ -319,17 +336,25 @@ impl SegmentLoad {
     }
 }
 
+/// An active flow the solve under way has not given a rate yet.
+#[derive(Debug, Clone, Copy)]
+struct Unfixed {
+    /// Index in [`FlowNet::flows`].
+    flow: usize,
+    path: PathId,
+    cap: f64,
+}
+
 /// Buffers [`FlowNet::reallocate`] reuses, so a warmed-up engine solves
 /// without touching the allocator.
 #[derive(Debug, Default)]
 struct AllocScratch {
-    /// Inputs of the last solve: every segment's capacity bits, then
-    /// `(id, cap bits)` per active flow in id order.
+    /// Inputs of the last solve: the segment count, every segment's
+    /// capacity bits, then `(id, cap bits)` per active flow in id order.
     solved: Vec<u64>,
     /// The same signature for the engine's present state.
     probe: Vec<u64>,
-    /// Active flows without a rate yet: `(index in flows, path, cap)`.
-    unfixed: Vec<(usize, PathId, f64)>,
+    unfixed: Vec<Unfixed>,
     /// Per segment: capacity left and unfixed flows crossing it.
     residual: Vec<f64>,
     count: Vec<usize>,
@@ -337,6 +362,68 @@ struct AllocScratch {
     /// along it (computed only while some flow is left to read it).
     waiting: Vec<usize>,
     share: Vec<f64>,
+    /// Per path: the largest share it was offered in this solve.
+    peak: Vec<f64>,
+    /// Not the solver's: the `net.segment_bytes.<name>` counter key per
+    /// segment, built when first needed and dropped by
+    /// [`FlowNet::topology_mut`] (segments may be renamed or added through
+    /// it). It lives behind the box to pay for the engine's two solve
+    /// counters, whose size is pinned.
+    segment_keys: Vec<&'static str>,
+}
+
+/// What `path`'s segments can still give one more flow: the least of
+/// their residual capacities divided among the unfixed flows crossing each.
+fn path_share(path: &[SegmentId], residual: &[f64], count: &[usize]) -> f64 {
+    path.iter()
+        .map(|g| residual[g.0].max(0.0) / count[g.0].max(1) as f64)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The first of the smallest candidates `min(cap, share)`: the whole of
+/// the scan every filling round used to be, kept as the oracle the rounds
+/// are checked against.
+#[cfg(debug_assertions)]
+fn first_smallest(unfixed: &[Unfixed], share: &[f64]) -> (f64, usize) {
+    let mut best: Option<(f64, usize)> = None;
+    for (k, u) in unfixed.iter().enumerate() {
+        let r = u.cap.min(share[u.path]);
+        if best.is_none_or(|(b, _)| r < b) {
+            best = Some((r, k));
+        }
+    }
+    best.expect("unfixed flows must yield a candidate")
+}
+
+/// Progressive filling with the full scan in every round and nothing
+/// carried between solves: `(index in flows, fixed-point rate)` per active
+/// flow. What a skipped solve is checked against.
+#[cfg(debug_assertions)]
+fn solve_by_full_scans(
+    mut unfixed: Vec<Unfixed>,
+    paths: &[Box<[SegmentId]>],
+    capacities: impl Iterator<Item = f64>,
+) -> Vec<(usize, u64)> {
+    let mut residual: Vec<f64> = capacities.collect();
+    let mut count = vec![0usize; residual.len()];
+    for u in &unfixed {
+        for g in &paths[u.path] {
+            count[g.0] += 1;
+        }
+    }
+    let mut rates = Vec::new();
+    while !unfixed.is_empty() {
+        let share = paths.iter().map(|path| path_share(path, &residual, &count));
+        let share: Vec<f64> = share.collect();
+        let (rate, k) = first_smallest(&unfixed, &share);
+        let u = unfixed.swap_remove(k);
+        rates.push((u.flow, fixed(rate)));
+        for g in &paths[u.path] {
+            residual[g.0] -= rate;
+            count[g.0] -= 1;
+        }
+    }
+    rates
 }
 
 /// The fluid-flow bulk transfer network.
@@ -396,15 +483,11 @@ pub struct FlowNet {
     /// Memo of the earliest flow's `due` ([`SimTime::MAX`] when idle);
     /// valid while `!stale`.
     next: SimTime,
-    /// Boxed to keep `FlowNet`, which the runtime embeds by value, six
+    /// Boxed to keep `FlowNet`, which the runtime embeds by value, eleven
     /// `Vec` headers smaller. Measured neutral since the runtime stopped
     /// polling every node per event (ROADMAP, lesson (i)).
     scratch: Box<AllocScratch>,
     recorder: Option<Recorder>,
-    /// `net.segment_bytes.<name>` counter key per segment, built when first
-    /// needed and dropped by [`FlowNet::topology_mut`] (segments may be
-    /// renamed or added through it).
-    segment_keys: Vec<&'static str>,
     spans: BTreeMap<FlowId, SpanId>,
     counters: FlowCounters,
 }
@@ -424,6 +507,12 @@ pub struct FlowCounters {
     /// internal instant count as one). A clock move that reaches no
     /// internal instant makes none.
     pub derives: u64,
+    /// Derivations that had to run the max-min solve: the rest found the
+    /// stored rates still the answer.
+    pub solves: u64,
+    /// Evaluations of a flow's `min(cap, share)` over all filling rounds of
+    /// all solves — what the solves cost.
+    pub candidates: u64,
 }
 
 impl FlowNet {
@@ -440,7 +529,6 @@ impl FlowNet {
             next: SimTime::MAX,
             scratch: Box::default(),
             recorder: None,
-            segment_keys: Vec::new(),
             spans: BTreeMap::new(),
             counters: FlowCounters::default(),
         }
@@ -525,14 +613,14 @@ impl FlowNet {
         }
         let span = self.spans.remove(&id);
         let Some(rec) = &self.recorder else { return };
-        if self.segment_keys.is_empty() {
+        if self.scratch.segment_keys.is_empty() {
             let segments = self.topology.segments().iter();
-            self.segment_keys.extend(
+            self.scratch.segment_keys.extend(
                 segments.map(|s| Sym::new(&format!("net.segment_bytes.{}", s.name())).as_str()),
             );
         }
         for seg in &self.paths[path] {
-            rec.add(self.segment_keys[seg.0], sent);
+            rec.add(self.scratch.segment_keys[seg.0], sent);
         }
         rec.add(
             if done {
@@ -562,7 +650,7 @@ impl FlowNet {
     /// Mutable topology access, for modeling changing network conditions.
     /// In-flight flows keep their already-sampled parameters.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        self.segment_keys.clear();
+        self.scratch.segment_keys.clear();
         self.stale = true;
         &mut self.topology
     }
@@ -670,11 +758,13 @@ impl FlowNet {
             );
             self.now = now;
         }
-        self.stale = true;
         let route = self
             .topology
             .route_between(src, dst)
             .ok_or(NetError::NoRoute { src, dst })?;
+        // Only now is a flow certain to join: a start that found no route
+        // changed nothing a derivation reads.
+        self.stale = true;
         let factor = route.sample_bandwidth_factor(rng);
         let path = match self.paths.iter().position(|p| **p == *route.segments) {
             Some(known) => known,
@@ -927,30 +1017,70 @@ impl FlowNet {
 
     /// Progressive-filling max-min fair allocation subject to per-flow caps.
     ///
-    /// The rates are a pure function of the signature built first; when it
-    /// equals the one last solved (a flow still in setup joined or left),
-    /// the stored rates already are the answer.
     /// Every order below is part of the result's bits: flows enter in
-    /// ascending id, the strict `<` lets the first of equal candidates win,
-    /// and `swap_remove` decides who is looked at first next round.
+    /// ascending id, the first of equal candidates wins a round, and
+    /// `swap_remove` decides who is looked at first in the next. What the
+    /// solve *pays* follows what binds, by two lemmas (DESIGN.md §12):
+    ///
+    /// * **Lower-bound round.** `floor` is at most the smallest cap among
+    ///   the unfixed flows, so no candidate `min(cap, share[p])` is below
+    ///   `min(floor, smallest share)`. When the smallest share is no larger
+    ///   than `floor`, every flow on the path offering it ties at exactly
+    ///   that share: it is the round's minimum, and the winner is the first
+    ///   unfixed flow whose candidate equals it — the scan stops there.
+    ///   Otherwise some cap may bind: the full first-wins scan runs and
+    ///   takes `floor` anew on its way.
+    /// * **Replayed trace.** The rates are a pure function of the signature
+    ///   built first. A signature that differs from the solved one only in
+    ///   caps that were and are at or above the largest share their flow
+    ///   was ever offered replays the solve round for round — every
+    ///   `min(cap, share)` reads the share both times — so the stored rates
+    ///   already are the answer, as they are when the signature is equal (a
+    ///   flow still in setup joined or left).
+    ///
+    /// Debug builds check every round against the full scan and every
+    /// skipped signature against a solve from scratch.
     fn reallocate(&mut self) {
         let now = self.now;
         let (flows, paths, segments) = (&mut self.flows, &self.paths, self.topology.segments());
-        let s = &mut self.scratch;
+        let s = &mut *self.scratch;
         s.probe.clear();
+        s.probe.push(segments.len() as u64);
         s.probe
             .extend(segments.iter().map(|g| g.capacity_bps().to_bits()));
+        // Same flows over the same capacities, and no cap that moved bound
+        // before or binds now?
+        let mut replays = s.solved.starts_with(&s.probe);
         s.unfixed.clear();
         // Flows still in setup have held rate 0.0 since they were created.
-        for (i, f) in flows.iter().enumerate().filter(|(_, f)| f.is_active(now)) {
-            let cap = f.cap(now);
+        for (flow, f) in flows.iter().enumerate().filter(|(_, f)| f.is_active(now)) {
+            let (path, cap) = (f.path, f.cap(now));
+            let at = s.probe.len();
+            replays = replays
+                && match s.solved.get(at..at + 2) {
+                    Some(&[id, solved]) => {
+                        let never_bound = cap.min(f64::from_bits(solved)) >= f.bound;
+                        id == f.id.0 && (solved == cap.to_bits() || never_bound)
+                    }
+                    _ => false,
+                };
             s.probe.extend([f.id.0, cap.to_bits()]);
-            s.unfixed.push((i, f.path, cap));
+            s.unfixed.push(Unfixed { flow, path, cap });
         }
-        if s.probe == s.solved {
+        replays = replays && s.probe.len() == s.solved.len();
+        // What replays the solved trace stands for it from here on.
+        std::mem::swap(&mut s.probe, &mut s.solved);
+        if replays {
+            #[cfg(debug_assertions)]
+            {
+                let capacities = segments.iter().map(|g| g.capacity_bps());
+                for (i, rate) in solve_by_full_scans(s.unfixed.clone(), paths, capacities) {
+                    debug_assert_eq!(flows[i].rate, rate, "skipped a solve that moves {i}");
+                }
+            }
             return;
         }
-        std::mem::swap(&mut s.probe, &mut s.solved);
+        self.counters.solves += 1;
 
         s.residual.clear();
         s.residual.extend(segments.iter().map(|g| g.capacity_bps()));
@@ -958,9 +1088,15 @@ impl FlowNet {
         s.count.resize(segments.len(), 0);
         s.waiting.clear();
         s.waiting.resize(paths.len(), 0);
-        for &(_, path, _) in &s.unfixed {
-            s.waiting[path] += 1;
-            for g in &paths[path] {
+        s.peak.clear();
+        s.peak.resize(paths.len(), 0.0);
+        // At most the smallest cap among the unfixed flows; not always
+        // tight, since a fixed flow's cap stays in it until the next scan.
+        let mut floor = f64::INFINITY;
+        for u in &s.unfixed {
+            s.waiting[u.path] += 1;
+            floor = floor.min(u.cap);
+            for g in &paths[u.path] {
                 s.count[g.0] += 1;
             }
         }
@@ -968,28 +1104,56 @@ impl FlowNet {
             // What a path's segments can still give one more flow is the
             // same whichever flow on that path asks.
             s.share.clear();
-            s.share
-                .extend(paths.iter().zip(&s.waiting).map(|(path, &n)| {
-                    if n == 0 {
-                        return f64::INFINITY; // nobody left to read it
-                    }
-                    path.iter()
-                        .map(|g| s.residual[g.0].max(0.0) / s.count[g.0].max(1) as f64)
-                        .fold(f64::INFINITY, f64::min)
-                }));
-            // Find the unfixed flow with the smallest achievable rate.
-            let mut best: Option<(f64, usize)> = None;
-            for (k, &(_, path, cap)) in s.unfixed.iter().enumerate() {
-                let r = cap.min(s.share[path]);
-                if best.is_none_or(|(b, _)| r < b) {
-                    best = Some((r, k));
+            let mut low_share = f64::INFINITY;
+            for (p, path) in paths.iter().enumerate() {
+                if s.waiting[p] == 0 {
+                    s.share.push(f64::INFINITY); // nobody left to read it
+                    continue;
                 }
+                let share = path_share(path, &s.residual, &s.count);
+                s.share.push(share);
+                s.peak[p] = s.peak[p].max(share);
+                low_share = low_share.min(share);
             }
-            let (rate, k) = best.expect("unfixed flows must yield a candidate");
-            let (i, path, _) = s.unfixed.swap_remove(k);
-            flows[i].set_rate(now, fixed(rate));
-            s.waiting[path] -= 1;
-            for g in &paths[path] {
+            // Find the first unfixed flow with the smallest achievable rate.
+            let (rate, k) = if low_share <= floor {
+                let mut candidates = s.unfixed.iter().enumerate();
+                let (rate, k) = candidates
+                    .find_map(|(k, u)| {
+                        let r = u.cap.min(s.share[u.path]);
+                        (r == low_share).then_some((r, k))
+                    })
+                    .expect("the flows of the path offering the least share tie at it");
+                self.counters.candidates += k as u64 + 1;
+                (rate, k)
+            } else {
+                floor = f64::INFINITY;
+                let mut best: Option<(f64, usize)> = None;
+                for (k, u) in s.unfixed.iter().enumerate() {
+                    // A branch that is almost never taken; `f64::min` here
+                    // chains every iteration behind the one before (1.5× on
+                    // the scan at 800 flows).
+                    if u.cap < floor {
+                        floor = u.cap;
+                    }
+                    let r = u.cap.min(s.share[u.path]);
+                    if best.is_none_or(|(b, _)| r < b) {
+                        best = Some((r, k));
+                    }
+                }
+                self.counters.candidates += s.unfixed.len() as u64;
+                best.expect("unfixed flows must yield a candidate")
+            };
+            #[cfg(debug_assertions)]
+            {
+                let (r, first) = first_smallest(&s.unfixed, &s.share);
+                debug_assert_eq!((rate.to_bits(), k), (r.to_bits(), first));
+            }
+            let u = s.unfixed.swap_remove(k);
+            flows[u.flow].set_rate(now, fixed(rate));
+            flows[u.flow].bound = s.peak[u.path];
+            s.waiting[u.path] -= 1;
+            for g in &paths[u.path] {
                 s.residual[g.0] -= rate;
                 s.count[g.0] -= 1;
             }
@@ -1004,6 +1168,10 @@ mod tests {
     use std::time::Duration;
 
     fn topo(seg_cap: f64, flow_cap: f64) -> Topology {
+        topo_with(seg_cap, TcpProfile::constant_rate(flow_cap))
+    }
+
+    fn topo_with(seg_cap: f64, tcp: TcpProfile) -> Topology {
         let mut b = Topology::builder();
         let lan = b.segment("lan", seg_cap);
         let home = b.site("home");
@@ -1015,7 +1183,7 @@ mod tests {
                 base: Duration::from_millis(1),
                 jitter: 0.0,
             },
-            TcpProfile::constant_rate(flow_cap),
+            tcp,
             1.0,
             0.0,
         );
@@ -1072,6 +1240,83 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(net.next_event(), Some(SimTime::from_secs(3)));
         assert_eq!(net.counters().derives, 2);
+    }
+
+    /// `n` flows started together on a one-segment world, derived once.
+    fn surge(seg_cap: f64, tcp: TcpProfile, n: u64) -> FlowNet {
+        let mut net = FlowNet::new(topo_with(seg_cap, tcp));
+        let mut rng = DetRng::seed(0);
+        for _ in 0..n {
+            net.start_flow(SimTime::ZERO, Addr::new(0), Addr::new(1), 1 << 20, &mut rng)
+                .unwrap();
+        }
+        net.next_event();
+        net
+    }
+
+    #[test]
+    fn a_start_that_finds_no_route_forces_no_derivation() {
+        let mut net = surge(1_000.0, TcpProfile::constant_rate(2_000.0), 2);
+        let before = net.counters();
+        let mut rng = DetRng::seed(0);
+        let late = SimTime::from_millis(10);
+        let err = net.start_flow(late, Addr::new(0), Addr::new(99), 10, &mut rng);
+        assert!(matches!(err, Err(NetError::NoRoute { .. })));
+        assert_eq!(net.now(), late);
+        net.next_event();
+        net.segment_loads();
+        assert_eq!(net.counters(), before);
+    }
+
+    #[test]
+    fn a_round_costs_one_candidate_unless_a_cap_may_bind() {
+        // 50 flows offered 20 B/s each against caps of 2000: every round is
+        // a 50-way tie the first flow wins.
+        let shared = surge(1_000.0, TcpProfile::constant_rate(2_000.0), 50).counters();
+        assert_eq!((shared.solves, shared.candidates), (1, 50));
+        // Caps of 10 against the same shares: every round scans every
+        // unfixed flow, as every round used to.
+        let capped = surge(1_000.0, TcpProfile::constant_rate(10.0), 50).counters();
+        assert_eq!((capped.solves, capped.candidates), (1, 50 * 51 / 2));
+    }
+
+    #[test]
+    fn a_cap_re_solves_only_when_it_bound_or_binds() {
+        // Two flows on a 1000 B/s segment, caps ramping 500, 600, … 1000 in
+        // steps of 1 s: 500 equals the share exactly and still does not
+        // bind; after 4000 bytes the cap falls to 100, which does.
+        let tcp = TcpProfile {
+            setup: Duration::ZERO,
+            rate_floor_bps: 500.0,
+            ramp_bps_per_sec: 100.0,
+            ramp_step: Duration::from_secs(1),
+            rate_cap_bps: 1_000.0,
+            sustained: Some(SustainedCap {
+                threshold_bytes: 4_000,
+                rate_bps: 100.0,
+            }),
+        };
+        let mut net = surge(1_000.0, tcp, 2);
+        let rates = |net: &FlowNet| -> Vec<u64> { net.flows.iter().map(|f| f.rate).collect() };
+        assert_eq!(rates(&net), [fixed(500.0); 2]);
+        let mut events = Vec::new();
+        for step in 1..=5 {
+            net.advance_into(SimTime::from_secs(step), &mut events);
+            net.next_event();
+            assert_eq!(rates(&net), [fixed(500.0); 2], "after ramp step {step}");
+        }
+        let c = net.counters();
+        assert_eq!(
+            (c.derives, c.solves),
+            (6, 1),
+            "ramp steps derive, none solves"
+        );
+        // Both flows cross the threshold at 8 s; the survivor of the first
+        // round is then offered 900 against a cap of 100.
+        net.advance_into(SimTime::from_secs(8), &mut events);
+        net.next_event();
+        assert_eq!(rates(&net), [fixed(100.0); 2]);
+        assert_eq!(net.counters().solves, 2);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! agree with the analytic single-flow oracle, conserve bytes, respect
 //! capacity under contention, and be *poll-independent* — how often and
 //! when a driver looks at the engine moves no completion instant, no rate
-//! bit and no byte count (DESIGN.md, "Poll-independence contract").
+//! bit and no byte count (DESIGN.md, "Poll-independence contract"). The
+//! solver's shortcuts — rounds bounded from below, solves skipped for caps
+//! that never bound — are checked bit for bit against a copy of the loop
+//! that takes neither.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -410,6 +413,141 @@ fn poll_to(net: &mut FlowNet, to: SimTime, noise: &mut DetRng, done: &mut Vec<(F
     }
 }
 
+/// The solver as it stood before a round could stop at its lower bound and
+/// a solve be skipped for a cap that never bound: every filling round scans
+/// every unfixed flow, the first of the smallest candidates wins, and
+/// nothing is remembered between calls. Built on the engine's public view
+/// only; returns the fixed-point rate (2⁻²⁰ B/s units) of every flow of
+/// `active` (the flows past setup, ascending id).
+fn full_scan_rates(net: &FlowNet, active: &[FlowId]) -> Vec<(FlowId, u64)> {
+    // `World::topology` names segment `i` "seg{i}".
+    let index = |g: &SegmentId| -> usize {
+        let name = net.topology().segment(*g).name();
+        name["seg".len()..].parse().expect("seg{i}")
+    };
+    let segments = net.topology().segments();
+    let mut residual: Vec<f64> = segments.iter().map(|g| g.capacity_bps()).collect();
+    let mut count = vec![0usize; residual.len()];
+    let mut unfixed: Vec<(FlowId, Vec<usize>, f64)> = active
+        .iter()
+        .map(|&id| {
+            let path = net.flow_path(id).expect("in flight").iter();
+            (
+                id,
+                path.map(index).collect(),
+                net.flow_cap(id).expect("plain"),
+            )
+        })
+        .collect();
+    for g in unfixed.iter().flat_map(|(_, path, _)| path) {
+        count[*g] += 1;
+    }
+    let mut rates = Vec::new();
+    while !unfixed.is_empty() {
+        let mut best: Option<(f64, usize)> = None;
+        for (k, (_, path, cap)) in unfixed.iter().enumerate() {
+            let share = path
+                .iter()
+                .map(|&g| residual[g].max(0.0) / count[g].max(1) as f64)
+                .fold(f64::INFINITY, f64::min);
+            let r = cap.min(share);
+            if best.is_none_or(|(b, _)| r < b) {
+                best = Some((r, k));
+            }
+        }
+        let (rate, k) = best.expect("unfixed flows must yield a candidate");
+        let (id, path, _) = unfixed.swap_remove(k);
+        rates.push((id, (rate * (1u64 << 20) as f64) as u64));
+        for g in path {
+            residual[g] -= rate;
+            count[g] -= 1;
+        }
+    }
+    rates
+}
+
+/// Progress units (2⁻²⁰ B/s × ns) per byte.
+const BYTE: u128 = (1 << 20) * 1_000_000_000;
+
+/// A flow as the reference sees it: when its setup ends, and the epoch its
+/// reference rate opened — progress `sent` at `anchor`, `rate` since.
+#[derive(Debug, Clone, Copy)]
+struct RefFlow {
+    active_from: SimTime,
+    total: u64,
+    anchor: SimTime,
+    sent: u128,
+    rate: u64,
+}
+
+impl RefFlow {
+    /// The first nanosecond the last byte is in.
+    fn lands(&self) -> SimTime {
+        let left = u128::from(self.total) * BYTE - self.sent;
+        let dt = left.div_ceil(u128::from(self.rate));
+        SimTime::from_nanos(self.anchor.as_nanos() + dt as u64)
+    }
+}
+
+/// Solves the engine's present state with [`full_scan_rates`], checks every
+/// rate the engine reports against it by bits, and moves the reference's
+/// epochs to the rates that changed.
+fn check_against_full_scans(
+    net: &mut FlowNet,
+    model: &mut BTreeMap<FlowId, RefFlow>,
+) -> Result<(), TestCaseError> {
+    net.next_event(); // rates as of now
+    let now = net.now();
+    let active: Vec<FlowId> = model
+        .iter()
+        .filter(|(_, f)| now >= f.active_from)
+        .map(|(&id, _)| id)
+        .collect();
+    for (id, rate) in full_scan_rates(net, &active) {
+        let f = model.get_mut(&id).expect("listed");
+        if rate != f.rate {
+            let dt = u128::from(now.as_nanos() - f.anchor.as_nanos());
+            (f.sent, f.anchor, f.rate) = (f.sent + u128::from(f.rate) * dt, now, rate);
+        }
+    }
+    for (&id, f) in model.iter() {
+        let reported = net.progress(id).expect("in flight").rate_bps;
+        let expected = f.rate as f64 / (1u64 << 20) as f64;
+        prop_assert_eq!(
+            reported.to_bits(),
+            expected.to_bits(),
+            "{:?} at {}: engine {} B/s, full scans {} B/s",
+            id,
+            now,
+            reported,
+            expected
+        );
+    }
+    Ok(())
+}
+
+/// Rounds the world onto a coarse grid — capacities and every profile's
+/// floor, cap and ramp to multiples of 32 KiB/s, no bandwidth variability —
+/// so that caps equal each other, shares equal each other across paths and
+/// a cap lands exactly on its share.
+fn tie_storm(mut world: World) -> World {
+    let grid = |x: f64| ((x / 32_768.0).round().max(1.0)) * 32_768.0;
+    for c in &mut world.capacities {
+        *c = grid(*c);
+    }
+    for (_, tcp, sigma) in &mut world.routes {
+        tcp.rate_floor_bps = grid(tcp.rate_floor_bps);
+        tcp.rate_cap_bps = grid(tcp.rate_cap_bps).max(tcp.rate_floor_bps);
+        tcp.ramp_bps_per_sec = grid(tcp.ramp_bps_per_sec);
+        tcp.ramp_step = Duration::from_millis(250);
+        if let Some(s) = &mut tcp.sustained {
+            s.rate_bps = grid(s.rate_bps);
+        }
+        *sigma = 0.0;
+    }
+    world
+}
+
 /// A lone flow of each testbed profile lands where the decision engine's
 /// analytic estimate says, to the microsecond: `transfer_time` walks the
 /// same `cap_at` schedule the engine does, so the two stay one model.
@@ -748,5 +886,72 @@ proptest! {
         for (key, &bytes) in &credited {
             prop_assert_eq!(counters.counter(key), bytes, "{}", key);
         }
+    }
+
+    /// One script, one engine, and beside it the solver as it was: after
+    /// every step the engine's rates equal, bit for bit, what a full scan
+    /// of every round over the same caps, paths and capacities gives, and
+    /// every completion lands on the instant the reference's own epochs
+    /// put it. Half the worlds are tie storms.
+    #[test]
+    fn rates_and_landings_match_the_full_scan_solver(
+        world in world_strategy(),
+        storm in any::<bool>(),
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let world = if storm { tie_storm(world) } else { world };
+        let mut net = FlowNet::new(world.topology(&world.capacities));
+        let mut rng = DetRng::seed(seed);
+        let mut model: BTreeMap<FlowId, RefFlow> = BTreeMap::new();
+        let mut events = Vec::new();
+        let (mut script, mut guard, mut landed) = (ops.iter(), 0, 0);
+        loop {
+            let applied = match script.next() {
+                // The reference reads a flow's cap; a chunk flow's is not
+                // on the public surface.
+                Some(&Op::Start { src, dst, bytes, .. }) => {
+                    let op = Op::Start { src, dst, bytes, chunking: None };
+                    let Applied::Started(id) = apply(&mut net, &world, &op, &mut rng) else {
+                        unreachable!("a start starts");
+                    };
+                    let (now, setup) = (net.now(), world.routes[src * SITES + dst].1.setup);
+                    let flow = RefFlow { active_from: now + setup, total: bytes, anchor: now, sent: 0, rate: 0 };
+                    model.insert(id, flow);
+                    Applied::Started(id)
+                }
+                Some(op) => apply(&mut net, &world, op, &mut rng),
+                None => match net.next_event() {
+                    Some(t) => Applied::AdvanceTo(t),
+                    None => break,
+                },
+            };
+            match applied {
+                Applied::Canceled(id, _) => {
+                    model.remove(&id);
+                }
+                // Event by event: the reference re-solves where the engine
+                // does.
+                Applied::AdvanceTo(to) => loop {
+                    let stop = net.next_event().filter(|&t| t <= to).unwrap_or(to);
+                    net.advance_into(stop, &mut events);
+                    for (flow, at) in completions(&events) {
+                        let f = model.remove(&flow).expect("was in flight");
+                        prop_assert_eq!(at, f.lands(), "{:?} of {:?}", flow, f);
+                        landed += 1;
+                    }
+                    check_against_full_scans(&mut net, &mut model)?;
+                    if stop == to {
+                        break;
+                    }
+                },
+                Applied::Started(_) | Applied::Nothing => {}
+            }
+            check_against_full_scans(&mut net, &mut model)?;
+            guard += 1;
+            prop_assert!(guard < 100_000, "engine failed to converge");
+        }
+        prop_assert!(model.is_empty());
+        prop_assert_eq!(net.counters().completed, landed);
     }
 }

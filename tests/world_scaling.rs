@@ -14,11 +14,13 @@
 //! nothing, whatever their number. And the flow engine passes over its
 //! flows when a flow starts, ends or reaches a boundary of its own rate cap
 //! — never because a driver polled: the derivation count of a run is the
-//! same at any polling cadence, and bounded by what its flows did.
+//! same at any polling cadence, and bounded by what its flows did. A pass
+//! re-solves only when a cap that bound, or binds, moved, and a solve's
+//! filling round looks at one flow unless a cap may bind in it.
 
 use std::time::Duration;
 
-use c4h_simnet::{presets, DetRng, SimTime};
+use c4h_simnet::{presets, Addr, DetRng, FlowNet, SimTime, TcpProfile};
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, StorePolicy};
 
 const KIB: u64 = 1 << 10;
@@ -279,12 +281,12 @@ fn a_crash_sends_exactly_the_victims_holdings_to_the_sweep() {
 
 /// One 32 MiB store to the cloud — setup, the whole slow-start ramp, the
 /// ISP's shaping threshold, the last byte — driven by polling every `poll`
-/// of virtual time. Returns the flow engine's derivations and the instant
-/// the store completed.
-fn wan_store_polled_every(poll: Duration) -> (u64, SimTime) {
+/// of virtual time. Returns the flow engine's derivations and solves and the
+/// instant the store completed.
+fn wan_store_polled_every(poll: Duration) -> (u64, u64, SimTime) {
     let mut home = Cloud4Home::new(Config::paper_testbed(22));
     home.run_until_idle();
-    let before = home.flow_derivations();
+    let before = home.flow_counters();
     let obj = Object::synthetic("wan/big.bin", 22, 32 * MIB, "doc");
     let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
     let report = loop {
@@ -295,7 +297,9 @@ fn wan_store_polled_every(poll: Duration) -> (u64, SimTime) {
     };
     report.expect_ok();
     home.run_until_idle();
-    (home.flow_derivations() - before, report.completed)
+    let after = home.flow_counters();
+    let (derives, solves) = (after.derives - before.derives, after.solves - before.solves);
+    (derives, solves, report.completed)
 }
 
 #[test]
@@ -304,13 +308,19 @@ fn polling_cadence_moves_neither_the_derivation_count_nor_the_completion() {
     let fine = wan_store_polled_every(Duration::from_millis(20));
     assert_eq!(
         fine, coarse,
-        "(derivations, completed) at 20 ms vs 1 s polls"
+        "(derivations, solves, completed) at 20 ms vs 1 s polls"
     );
     // ≈ 380 s of virtual time is 19 000 polls at 20 ms; the engine derives
     // once per event of the flow's own: its start, setup, 93 ramp steps,
     // the threshold and the end.
     let own = 4 + presets::wan_up_profile().steps_to_saturation();
     assert_eq!(fine.0, own, "derivations for one flow's own events");
+    // Alone on the uplink the flow runs at its cap, so every one of those
+    // is a change the solver must see (the start's pass, with the flow
+    // still in setup, is this engine's first solve, of no flow) — and the
+    // store lands where it always has.
+    assert_eq!(fine.1, own, "a binding cap re-solves at every step");
+    assert_eq!(fine.2, SimTime::from_nanos(378_352_432_351));
 }
 
 /// A closed loop of home and cloud stores and fetches, two clients, polled
@@ -321,7 +331,7 @@ fn polling_cadence_moves_neither_the_derivation_count_nor_the_completion() {
 fn derivations_are_bounded_by_what_the_flows_did() {
     let mut home = Cloud4Home::new(Config::paper_testbed(23));
     home.run_until_idle();
-    let (flows0, derives0) = (home.stats().flows_started, home.flow_derivations());
+    let (flows0, derives0) = (home.stats().flows_started, home.flow_counters().derives);
     let mut rng = DetRng::seed(23);
     let (mut pending, mut names, mut polls) = (Vec::new(), Vec::new(), 0u64);
     // Cloud transfers, and the ramp steps they lived long enough to cross.
@@ -376,7 +386,7 @@ fn derivations_are_bounded_by_what_the_flows_did() {
     // Start, end, setup, threshold: 4 per flow; plus its ramp steps.
     let lan_steps = lan_flows * presets::lan_tcp_profile().steps_to_saturation();
     let bound = 1 + 4 * flows + lan_steps + wan_steps;
-    let derives = home.flow_derivations() - derives0;
+    let derives = home.flow_counters().derives - derives0;
     assert!(
         wan_flows >= 5 && lan_flows >= 10,
         "{wan_flows} WAN, {lan_flows} LAN flows"
@@ -387,4 +397,89 @@ fn derivations_are_bounded_by_what_the_flows_did() {
          over {polls} polls"
     );
     assert!(derives < polls, "{derives} derivations, {polls} polls");
+}
+
+/// 200 replicated stores submitted at once: 200 LAN flows sharing one
+/// segment, each offered far less than its cap from its first byte to its
+/// last. The engine derives at every flow's start, setup, three ramp steps
+/// and end, but only a flow joining or leaving the active set moves a rate,
+/// so only those solve; and every filling round of a solve is a tie its
+/// first flow wins, so a solve of F flows evaluates F candidates, not
+/// F² / 2.
+#[test]
+fn a_lan_surge_solves_per_arrival_and_departure_at_one_candidate_a_round() {
+    let mut config = Config::paper_testbed(24);
+    config.replication = 2;
+    let mut home = Cloud4Home::new(config);
+    home.run_until_idle();
+    let (flows0, before) = (home.stats().flows_started, home.flow_counters());
+    let ops: Vec<_> = (0..200u64)
+        .map(|i| {
+            let name = format!("surge/obj-{i:03}.bin");
+            let obj = Object::synthetic(&name, i, (192 + i) * KIB, "doc");
+            home.store_object(NodeId((i % 5) as usize), obj, StorePolicy::ForceHome, true)
+        })
+        .collect();
+    home.run_until_idle();
+    for op in ops {
+        home.take_report(op).expect("idle").expect_ok();
+    }
+    let flows = home.stats().flows_started - flows0;
+    let after = home.flow_counters();
+    let (derives, solves, candidates) = (
+        after.derives - before.derives,
+        after.solves - before.solves,
+        after.candidates - before.candidates,
+    );
+    assert_eq!(flows, 200, "one replica flow per store");
+    assert!(
+        solves <= 2 * flows + 1,
+        "{solves} solves for {flows} flows: a ramp step of a flow below its cap re-solved"
+    );
+    let ramp_steps = flows * presets::lan_tcp_profile().steps_to_saturation();
+    assert!(
+        derives - solves >= ramp_steps,
+        "{derives} derivations, {solves} solves: the {ramp_steps} ramp steps were not derived"
+    );
+    // The j-th arrival solves at most j flows and the j-th departure at
+    // most `flows - j`: at most `flows²` rounds in all.
+    assert!(
+        candidates <= 2 * flows * flows,
+        "{candidates} candidates over {solves} solves of ≤ {flows} flows: rounds scan again"
+    );
+}
+
+/// The other end: caps that always bind. 60 flows of distinct sizes on a
+/// segment that could carry them all leave one by one; every round of every
+/// solve may be decided by a cap, so every round scans every unfixed flow —
+/// exactly what every round used to cost, and no more.
+#[test]
+fn a_cap_limited_world_costs_what_the_full_scan_did() {
+    let mut tb = presets::paper_testbed();
+    let (a, b) = (Addr::new(0), Addr::new(1));
+    tb.topology.attach(a, tb.home);
+    tb.topology.attach(b, tb.home);
+    let lan = tb.topology.route_mut(tb.home, tb.home).expect("LAN route");
+    lan.tcp = TcpProfile::constant_rate(presets::home_lan_capacity_bps() / 100.0);
+    let mut net = FlowNet::new(tb.topology);
+    let mut rng = DetRng::seed(25);
+    let flows = 60u64;
+    for i in 0..flows {
+        net.start_flow(SimTime::ZERO, a, b, (64 + i) * KIB, &mut rng)
+            .expect("attached");
+    }
+    let (mut events, mut quadratic) = (Vec::new(), 0);
+    while let Some(t) = net.next_event() {
+        let active = net.in_flight() as u64;
+        quadratic += active * (active + 1) / 2;
+        net.advance_into(t, &mut events);
+    }
+    let c = net.counters();
+    assert_eq!(c.completed, flows);
+    assert!(c.solves >= flows, "{} solves", c.solves);
+    assert!(
+        c.candidates <= quadratic,
+        "{} candidates, the full scan of every round made {quadratic}",
+        c.candidates
+    );
 }
