@@ -2,12 +2,13 @@
 //! the repair-plane fixes that ride along with it: straggler-flow
 //! failures repairing without any peer death, peer-failure scans
 //! narrowed to the dead peer's holdings, bandwidth estimates reset on
-//! crash, and (k, m) erasure-coded objects surviving `m` holder losses.
+//! crash, (k, m) erasure-coded objects surviving `m` holder losses, and the
+//! recovery arms of the coded read.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use cloud4home::{CauseKind, Cloud4Home, Config, FaultEvent, NodeId, Object, StorePolicy};
+use cloud4home::{CauseKind, Cloud4Home, Config, FaultEvent, NodeId, Object, OpError, StorePolicy};
 
 /// A run with the adaptive plane disabled must be byte-identical no
 /// matter how the (inert) adaptive knobs are set: the whole plane has to
@@ -565,4 +566,174 @@ fn background_ledger_names_objects_by_key_not_by_interning_order() {
     for e in about_objects {
         assert_eq!(e.a, key, "{e:?} does not carry the object's key");
     }
+}
+
+// ----------------------------------------------------------------------
+// Recovery arms of the coded read, at the public surface: a (2, 1) object
+// read as two concurrent row stripes, with the third row as the one spare.
+// ----------------------------------------------------------------------
+
+/// A deployment whose cold object has settled into its (2, 1) coded form,
+/// with the row holders and a client that holds no row.
+fn coded(seed: u64) -> (Cloud4Home, Vec<NodeId>, NodeId) {
+    let mut home = Cloud4Home::new(striping_config(seed));
+    store_cold(&mut home);
+    run_until(&mut home, "the conversion", |h| h.is_erasure_coded(STRIPED));
+    home.run_until_idle();
+    let rows = home.stripe_holders(STRIPED);
+    assert_eq!(rows.len(), 3);
+    let client = (0..home.node_count())
+        .map(NodeId)
+        .find(|id| !rows.contains(id))
+        .expect("a node without a row");
+    (home, rows, client)
+}
+
+/// Starts a coded read and returns it with both row stripes on the wire.
+fn coded_read_in_flight(home: &mut Cloud4Home, client: NodeId) -> cloud4home::OpId {
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, STRIPED);
+    while home.stats().flows_started < before + 2 {
+        home.run_for(Duration::from_millis(2));
+    }
+    op
+}
+
+fn stage_spans(home: &Cloud4Home, name: &str) -> usize {
+    let snap = home.telemetry().snapshot();
+    snap.spans()
+        .filter(|s| s.cat == "stage" && s.name == name)
+        .count()
+}
+
+fn instants(home: &Cloud4Home, name: &str) -> usize {
+    let snap = home.telemetry().snapshot();
+    snap.instants().filter(|i| i.name == name).count()
+}
+
+/// A row holder crashes mid-stripe: the slot re-points at the spare parity
+/// row and the other stripe keeps flowing.
+#[test]
+fn coded_read_repoints_a_lost_slot_at_the_spare_row() {
+    let (mut home, rows, client) = coded(95);
+    let op = coded_read_in_flight(&mut home, client);
+    home.crash_node(rows[1]);
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 2 << 20, "the decode is byte-identical");
+    assert_eq!(r.failovers, 1, "{r:?}");
+    let snap = home.telemetry().snapshot();
+    let reassign = snap
+        .instants()
+        .find(|i| i.name == "fetch.stripe_reassign")
+        .expect("the re-pointing is traced");
+    assert_eq!(reassign.arg("row").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(
+        reassign.arg("via").and_then(|v| v.as_str()),
+        Some(home.node_name(rows[2]))
+    );
+    assert_eq!(stage_spans(&home, "fetch.retry_wait"), 0, "no backoff");
+    home.run_until_idle();
+}
+
+/// More than `m` rows are lost mid-read: the slot has no spare to re-point
+/// at, the surviving stripe is dropped and the read backs off — until a
+/// holder is back.
+#[test]
+fn coded_read_that_loses_too_many_rows_backs_off_until_a_holder_rejoins() {
+    let (mut home, rows, client) = coded(96);
+    let op = coded_read_in_flight(&mut home, client);
+    let canceled = home.flow_counters().canceled;
+    home.crash_node(rows[2]); // the spare: nothing of the read notices
+    assert_eq!(home.flow_counters().canceled, canceled);
+    home.crash_node(rows[1]);
+    assert_eq!(
+        home.flow_counters().canceled,
+        canceled + 2,
+        "the severed stripe and its now useless sibling"
+    );
+    home.run_for(Duration::from_secs(3));
+    assert!(home.take_report(op).is_none(), "the read is backing off");
+    home.rejoin_node(rows[1]).expect("live seed exists");
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 2 << 20);
+    assert_eq!(r.failovers, 1, "{r:?}");
+    assert!(stage_spans(&home, "fetch.retry_wait") >= 1);
+    assert_eq!(
+        instants(&home, "fetch.ec_plan"),
+        2,
+        "planned, then re-planned"
+    );
+    home.run_until_idle();
+}
+
+/// The same loss with nobody coming back: the read keeps backing off and
+/// fails as `StripesLost` once its deadline is spent.
+#[test]
+fn coded_read_without_enough_rows_fails_as_stripes_lost_by_its_deadline() {
+    let (mut home, rows, client) = coded(97);
+    let op = coded_read_in_flight(&mut home, client);
+    home.crash_node(rows[2]);
+    home.crash_node(rows[1]);
+    let r = home.run_until_complete(op);
+    assert!(matches!(r.outcome, Err(OpError::StripesLost(_))), "{r:?}");
+    assert!(
+        r.total() >= Duration::from_secs(60),
+        "it used its whole recovery deadline: {:?}",
+        r.total()
+    );
+    assert!(stage_spans(&home, "fetch.retry_wait") >= 2);
+    home.run_until_idle();
+    let fc = home.flow_counters();
+    assert_eq!(fc.started, fc.completed + fc.canceled, "{fc:?}");
+}
+
+/// Fewer than `k` rows are readable when the read is planned: that is a
+/// wait, not a failure.
+#[test]
+fn coded_read_with_too_few_rows_at_plan_time_waits_for_one() {
+    let (mut home, rows, client) = coded(98);
+    home.crash_node(rows[0]);
+    home.crash_node(rows[2]);
+    let op = home.fetch_object(client, STRIPED);
+    home.run_for(Duration::from_secs(3));
+    assert!(home.take_report(op).is_none(), "the read is backing off");
+    assert_eq!(instants(&home, "fetch.ec_plan"), 0, "nothing to plan with");
+    home.rejoin_node(rows[0]).expect("live seed exists");
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 2 << 20);
+    assert!(stage_spans(&home, "fetch.retry_wait") >= 1);
+    assert_eq!(instants(&home, "fetch.ec_plan"), 1);
+    home.run_until_idle();
+}
+
+/// A row holder crashes after its stripe landed but before the last one
+/// does: the decode finds the shard gone and re-plans over the rows that
+/// are left, instead of panicking or decoding from nothing.
+#[test]
+fn coded_read_replans_when_a_landed_rows_holder_vanishes_before_decode() {
+    let (mut home, _rows, client) = coded(99);
+    let op = coded_read_in_flight(&mut home, client);
+    let landed = |home: &Cloud4Home| -> Vec<String> {
+        let snap = home.telemetry().snapshot();
+        snap.spans()
+            .filter(|s| s.name == "fetch.stripe")
+            .filter(|s| s.arg("won").and_then(|v| v.as_bool()) == Some(true))
+            .filter_map(|s| s.arg("src").and_then(|v| v.as_str()).map(str::to_owned))
+            .collect()
+    };
+    while landed(&home).is_empty() {
+        home.run_for(Duration::from_micros(200));
+    }
+    let first = landed(&home);
+    assert_eq!(first.len(), 1, "one stripe landed, one is in flight");
+    let holder = (0..home.node_count())
+        .map(NodeId)
+        .find(|&id| home.node_name(id) == first[0])
+        .expect("the span names a node");
+    home.crash_node(holder);
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 2 << 20);
+    assert_eq!(stage_spans(&home, "fetch.retry_wait"), 1, "one re-plan");
+    assert_eq!(instants(&home, "fetch.ec_plan"), 2);
+    home.run_until_idle();
 }

@@ -1,12 +1,13 @@
 //! Integration tests for the striped multi-source fetch data path:
 //! concurrent stripes pulled from several holders, bandwidth-ranked
 //! candidate order, hedged tail requests, parallel cloud range reads,
-//! mid-stripe holder loss — and the byte accounting and determinism
-//! guarantees that must survive all of it.
+//! mid-stripe holder loss, every recovery arm of the striped machine — and
+//! the byte accounting and determinism guarantees that must survive all of
+//! it. (The coded read's arms are in `adaptive_plane.rs`.)
 
 use std::time::Duration;
 
-use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
+use cloud4home::{Cloud4Home, Config, FaultEvent, NodeId, Object, OpError, StorePolicy};
 
 fn striped_config(seed: u64, sources: usize) -> Config {
     let mut config = Config::paper_testbed(seed);
@@ -293,4 +294,220 @@ fn striped_fetches_are_byte_deterministic() {
         a.metrics_json() == b.metrics_json(),
         "metrics dumps differ between same-seed runs"
     );
+}
+
+// ----------------------------------------------------------------------
+// Recovery arms of the striped machine, at the public surface. Each ends
+// with the transfers settled: a flow that outlives the fetch that started
+// it is a leak.
+// ----------------------------------------------------------------------
+
+/// Stores a 24 MiB object on three holders and returns a client that holds
+/// no copy, so its fetch stripes across all three.
+fn three_holders(home: &mut Cloud4Home, name: &str) -> NodeId {
+    let obj = Object::synthetic(name, 6, 24 << 20, "avi");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+    non_holder(home)
+}
+
+/// The nodes holding a copy of the one stored object.
+fn holders(home: &Cloud4Home) -> Vec<NodeId> {
+    (0..home.node_count())
+        .map(NodeId)
+        .filter(|&id| home.objects_on(id) == 1)
+        .collect()
+}
+
+/// Steps virtual time in 5 ms polls until `flows` more transfers than
+/// `before` are on the wire.
+fn run_until_flows(home: &mut Cloud4Home, before: u64, flows: u64) {
+    while home.stats().flows_started < before + flows {
+        home.run_for(Duration::from_millis(5));
+    }
+}
+
+fn has_instant(home: &Cloud4Home, name: &str) -> bool {
+    home.telemetry()
+        .snapshot()
+        .instants()
+        .any(|i| i.name == name)
+}
+
+fn has_stage_span(home: &Cloud4Home, name: &str) -> bool {
+    home.telemetry()
+        .snapshot()
+        .spans()
+        .any(|s| s.cat == "stage" && s.name == name)
+}
+
+/// Nothing the fetch started is still in flight: the flow engine settled
+/// every transfer it began, and the gauge row `run_until_idle` flushes at
+/// quiescence shows an empty flow table.
+fn assert_no_flow_leaked(home: &mut Cloud4Home) {
+    home.run_until_idle();
+    let fc = home.flow_counters();
+    assert_eq!(
+        fc.started,
+        fc.completed + fc.canceled,
+        "a transfer is still in the flow engine: {fc:?}"
+    );
+    let snap = home.telemetry().snapshot();
+    for gauge in ["runtime.flows_inflight", "runtime.background_jobs"] {
+        let (_, last) = snap
+            .series
+            .get(gauge)
+            .and_then(|s| s.last())
+            .unwrap_or_else(|| panic!("no sample of `{gauge}`"));
+        assert_eq!(last, 0, "`{gauge}` must read 0 at idle");
+    }
+}
+
+/// Every source of a home-striped read dies while its stripes are on the
+/// wire: the last loss finds no holder to re-issue to, the plan is dropped
+/// and the fetch falls back to the capped retry path — where a holder that
+/// comes back serves it.
+#[test]
+fn losing_every_stripe_source_falls_back_to_the_retry_path() {
+    let mut home = Cloud4Home::new(striped_config(86, 3));
+    let client = three_holders(&mut home, "lost/all.avi");
+    let sources = holders(&home);
+    assert_eq!(sources.len(), 3);
+
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, "lost/all.avi");
+    run_until_flows(&mut home, before, 3);
+    for &id in &sources {
+        home.crash_node(id);
+    }
+    home.run_for(Duration::from_millis(200));
+    assert!(
+        home.take_report(op).is_none(),
+        "a replicated object backs off instead of failing"
+    );
+    home.rejoin_node(sources[0]).expect("live seed exists");
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 24 << 20);
+    assert!(r.failovers >= 3, "each lost source is a failover: {r:?}");
+    assert!(has_instant(&home, "fetch.stripe_reassign"));
+    assert!(
+        has_stage_span(&home, "fetch.retry_wait"),
+        "the fetch must have waited on the retry path"
+    );
+    assert_no_flow_leaked(&mut home);
+}
+
+/// A holder dies after a stripe's control request went out but before it
+/// completes (the holder's disk read is still in progress, no transfer has
+/// started): only that stripe is re-issued.
+#[test]
+fn holder_death_before_its_stripe_starts_reissues_the_request() {
+    let mut home = Cloud4Home::new(striped_config(87, 3));
+    let client = three_holders(&mut home, "early/big.avi");
+    let victim = *holders(&home).last().expect("three holders");
+
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, "early/big.avi");
+    while !has_instant(&home, "fetch.stripe_plan") {
+        home.run_for(Duration::from_millis(1));
+    }
+    assert_eq!(
+        home.stats().flows_started,
+        before,
+        "the holders are still reading: no stripe is on the wire yet"
+    );
+    home.crash_node(victim);
+    let r = home.run_until_complete(op);
+    assert_eq!(r.expect_ok().bytes, 24 << 20);
+    assert_eq!(r.failovers, 1, "{r:?}");
+    let snap = home.telemetry().snapshot();
+    let why = snap
+        .instants()
+        .find(|i| i.name == "fetch.stripe_reassign")
+        .and_then(|i| i.arg("why").and_then(|v| v.as_str()))
+        .expect("the re-issue is traced");
+    assert_eq!(why, "holder lost before serving stripe");
+    assert_exact_coverage(&won_stripes(&home), 24 << 20);
+    assert_no_flow_leaked(&mut home);
+}
+
+/// Cloud range reads have one source: a partition that cuts the gateway
+/// (and the uplink with it) fails the fetch, and the sibling ranges are
+/// cancelled with the severed one.
+#[test]
+fn partitioned_gateway_fails_cloud_range_reads_without_a_leak() {
+    let mut config = Config::paper_testbed(88);
+    config.fetch_sources = 3;
+    config.tracing = true;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("wan/cut.zip", 7, 4 << 20, "doc");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
+    home.run_until_complete(op).expect_ok();
+    let gateway = home.gateway().expect("the testbed has a gateway");
+    let client = NodeId(2);
+    assert_ne!(client, gateway);
+
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, "wan/cut.zip");
+    run_until_flows(&mut home, before, 3);
+    home.apply_fault(FaultEvent::Partition(vec![vec![gateway]]));
+    let r = home.run_until_complete(op);
+    assert!(
+        matches!(r.outcome, Err(OpError::OwnerUnreachable(_))),
+        "{r:?}"
+    );
+    let lost = home
+        .telemetry()
+        .snapshot()
+        .spans()
+        .filter(|s| s.name == "fetch.stripe")
+        .filter(|s| s.arg("won").and_then(|v| v.as_bool()) == Some(false))
+        .count();
+    assert_eq!(lost, 3, "every range read ends as a lost span");
+    home.apply_fault(FaultEvent::Heal);
+    assert_no_flow_leaked(&mut home);
+}
+
+/// The client crashes with three stripes inbound: the fetch fails (nobody
+/// is left to recover for) and every stripe transfer is cancelled with it.
+#[test]
+fn client_crash_mid_striped_fetch_cancels_every_stripe() {
+    let mut home = Cloud4Home::new(striped_config(89, 3));
+    let client = three_holders(&mut home, "gone/client.avi");
+
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, "gone/client.avi");
+    run_until_flows(&mut home, before, 3);
+    let canceled = home.flow_counters().canceled;
+    home.crash_node(client);
+    let r = home.take_report(op).expect("the crash resolves the fetch");
+    assert!(
+        matches!(r.outcome, Err(OpError::OwnerUnreachable(_))),
+        "{r:?}"
+    );
+    assert_eq!(home.flow_counters().canceled, canceled + 3);
+    assert_no_flow_leaked(&mut home);
+}
+
+/// The object is deleted under a striped read: the stripes still land, but
+/// no holder is left to stage the bytes from. The fetch falls back to the
+/// retry path instead of handing out nothing, and resolves by its deadline.
+#[test]
+fn delete_under_a_striped_read_falls_back_instead_of_panicking() {
+    let mut home = Cloud4Home::new(striped_config(90, 3));
+    let client = three_holders(&mut home, "gone/object.avi");
+
+    let before = home.stats().flows_started;
+    let fetch = home.fetch_object(client, "gone/object.avi");
+    run_until_flows(&mut home, before, 3);
+    let delete = home.delete_object(NodeId(1), "gone/object.avi");
+    home.run_until_complete(delete).expect_ok();
+    assert!(holders(&home).is_empty(), "the delete removed every copy");
+
+    let r = home.run_until_complete(fetch);
+    assert!(matches!(r.outcome, Err(OpError::Timeout(_))), "{r:?}");
+    assert_eq!(won_stripes(&home).len(), 3, "the stripes did land");
+    assert!(has_stage_span(&home, "fetch.retry_wait"));
+    assert_no_flow_leaked(&mut home);
 }
