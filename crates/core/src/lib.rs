@@ -68,6 +68,7 @@ mod replicas;
 mod report;
 mod runtime;
 mod transfers;
+mod transport;
 mod worklist;
 
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};

@@ -27,15 +27,15 @@ use c4h_services::{
 };
 use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
-    FxHashMap, GilbertElliott, NetError, Partition, SimTime, Sym, SymMap,
+    FxHashMap, NetError, SimTime, Sym, SymMap,
 };
 use c4h_telemetry::{ArgValue, CauseKind, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
-use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, VmSpec, XenChannel};
+use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, PlatformSpec, VmSpec, XenChannel};
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
 use crate::background::Jobs;
 use crate::config::{Config, NodeId, ServiceKind};
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::FaultEvent;
 use crate::health::HealthPlane;
 use crate::object::{synth_bytes, Blob};
 use crate::ops::{Op, OpInput};
@@ -43,7 +43,7 @@ use crate::overload::OverloadPlane;
 use crate::replicas::ReplicaIndex;
 use crate::report::{OpId, OpReport};
 use crate::transfers::{FlowOwner, FlowTable};
-use crate::worklist::DirtyNodes;
+use crate::transport::Transport;
 
 /// Address offset of the cloud site endpoint.
 pub(crate) const CLOUD_ADDR: Addr = Addr::new(10_000);
@@ -111,6 +111,14 @@ pub(crate) struct CloudRt {
     pub(crate) registry: ServiceRegistry,
     pub(crate) instance_vm: VmSpec,
     pub(crate) active_tasks: u32,
+}
+
+impl CloudRt {
+    /// The platform the cloud's compute instance runs on.
+    pub(crate) fn platform(&self) -> PlatformSpec {
+        let instance = self.fleet.iter().next().expect("fleet has an instance");
+        instance.machine.platform().clone()
+    }
 }
 
 /// Events in the runtime's queue.
@@ -269,27 +277,15 @@ pub struct Cloud4Home {
     pub(crate) jobs: Jobs,
     pub(crate) next_op: u64,
     pub(crate) stats: RunStats,
-    pub(crate) message_loss: f64,
-    /// Active reachability cut over node/cloud addresses.
-    pub(crate) partition: Partition,
-    /// Template for per-route bursty loss chains; `None` disables them.
-    pub(crate) bursty: Option<GilbertElliott>,
-    /// Per-directed-route Gilbert–Elliott chains, spawned lazily from
-    /// `bursty`. Keyed access only — never iterated — so `HashMap` ordering
-    /// cannot perturb determinism.
-    pub(crate) ge_chains: FxHashMap<(Addr, Addr), GilbertElliott>,
-    /// Per-node gray-failure processing-delay multiplier (1.0 = healthy).
-    pub(crate) slow_factor: Vec<f64>,
+    /// Link conditions between overlay nodes and `pump`'s worklist (see
+    /// [`crate::transport`]).
+    pub(crate) transport: Transport,
     /// Metadata of replicated home objects with its inverse holder index,
     /// and the names the anti-entropy sweep and the adaptive pass still
     /// have to look at (see [`crate::replicas`]).
     pub(crate) replicas: ReplicaIndex,
-    /// Nodes whose overlay may hold undelivered output: what `pump` drains
-    /// instead of scanning the world. Marked by [`Self::overlay_mut`].
-    dirty: DirtyNodes,
-    /// How many nodes `pump` has polled and how many events `step` has
-    /// processed; their ratio is the scale gate in `tests/world_scaling.rs`.
-    pump_node_visits: u64,
+    /// How many events `step` has processed; against the transport's node
+    /// visits this is the scale gate in `tests/world_scaling.rs`.
     steps: u64,
     /// Reusable scratch buffer for [`FlowNet::advance_into`] — the main
     /// loop drains flow completions every step, so the allocation is paid
@@ -362,6 +358,23 @@ impl NodeRt {
         self.grants.unmap(gref).expect("mapped above");
         self.grants.revoke(gref).expect("unmapped above");
         cost
+    }
+
+    /// The overlay's next outgoing envelope. Polling (like
+    /// [`Self::poll_event`] and [`Self::has_output`]) leaves nothing new
+    /// behind, so unlike a mutation it needs no worklist mark.
+    pub(crate) fn poll_send(&mut self) -> Option<Envelope> {
+        self.chimera.poll_send()
+    }
+
+    /// The overlay's next application-visible event.
+    pub(crate) fn poll_event(&mut self) -> Option<DhtEvent> {
+        self.chimera.poll_event()
+    }
+
+    /// Whether the overlay holds anything `pump` has yet to forward.
+    pub(crate) fn has_output(&self) -> bool {
+        self.chimera.has_output()
     }
 
     /// Installs a copy (or stripe) in the voluntary bin, replacing any
@@ -494,7 +507,6 @@ impl Cloud4Home {
             }
         });
 
-        let slow_factor = vec![1.0; nodes.len()];
         let mut home = Cloud4Home {
             rng: rng.fork(),
             queue: EventQueue::new(),
@@ -509,14 +521,8 @@ impl Cloud4Home {
             jobs: Jobs::default(),
             next_op: 1,
             stats: RunStats::default(),
-            message_loss: 0.0,
-            partition: Partition::default(),
-            bursty: None,
-            ge_chains: FxHashMap::default(),
-            slow_factor,
+            transport: Transport::new(config.nodes.len()),
             replicas: ReplicaIndex::default(),
-            dirty: DirtyNodes::new(config.nodes.len()),
-            pump_node_visits: 0,
             steps: 0,
             flow_scratch: Vec::new(),
             names_scratch: Vec::new(),
@@ -681,13 +687,6 @@ impl Cloud4Home {
         self.nodes.iter().position(|n| n.gateway).map(NodeId)
     }
 
-    /// Whether two home nodes can currently exchange traffic (no partition
-    /// cut between them).
-    pub(crate) fn node_reachable(&self, a: usize, b: usize) -> bool {
-        self.partition
-            .connected(self.nodes[a].addr, self.nodes[b].addr)
-    }
-
     /// The placement rule every background and store path shares: fills
     /// `best` with the live peers that have voluntary room for `size` bytes
     /// and pass `viable`, roomiest first, equal room to the lower index,
@@ -720,14 +719,6 @@ impl Cloud4Home {
     pub(crate) fn roomiest_peer(&self, size: u64, viable: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best = [0];
         (self.roomiest_peers(size, &mut best, viable) == 1).then_some(best[0])
-    }
-
-    /// Whether a node can currently reach the remote cloud.
-    pub(crate) fn cloud_reachable(&self, i: usize) -> bool {
-        match &self.cloud {
-            Some(c) => self.partition.connected(self.nodes[i].addr, c.addr),
-            None => false,
-        }
     }
 
     /// Runtime statistics. The metadata-cache fields are aggregated live
@@ -804,13 +795,18 @@ impl Cloud4Home {
         self.health.flight.dumps_json()
     }
 
+    /// The first line of every text report: what it is and when it was
+    /// taken.
+    fn report_header(&self, what: &str) -> String {
+        format!("{what} @ {} ms\n", self.now().as_nanos() / 1_000_000)
+    }
+
     /// A human-readable health summary: per-op-kind sliding-window latency
     /// percentiles against their objectives, violation and post-mortem
     /// counts. Integer-only formatting, deterministic per seed.
     pub fn health_text(&self) -> String {
         let now = self.now();
-        let mut out = String::new();
-        out.push_str(&format!("health @ {} ms\n", now.as_nanos() / 1_000_000));
+        let mut out = self.report_header("health");
         let summaries = self.health.summaries(now);
         if summaries.is_empty() {
             out.push_str("no operations observed in the window\n");
@@ -853,8 +849,7 @@ impl Cloud4Home {
         {
             self.sample_health();
         }
-        let mut out = String::new();
-        out.push_str(&format!("top @ {} ms\n", self.now().as_nanos() / 1_000_000));
+        let mut out = self.report_header("top");
         let snap = self.telemetry.snapshot();
         let mut latest: Vec<(String, i64)> = snap
             .series
@@ -891,11 +886,7 @@ impl Cloud4Home {
     /// probability, breach and rejection totals, and per-tenant inflight
     /// rows. Integer-only formatting, deterministic per seed.
     pub fn shed_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "shed @ {} ms\n",
-            self.now().as_nanos() / 1_000_000
-        ));
+        let mut out = self.report_header("shed");
         if !self.overload.enabled {
             out.push_str("overload plane disabled\n");
             return out;
@@ -926,11 +917,7 @@ impl Cloud4Home {
     /// count, and trip total. Integer-only formatting, deterministic per
     /// seed.
     pub fn breaker_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "breakers @ {} ms\n",
-            self.now().as_nanos() / 1_000_000
-        ));
+        let mut out = self.report_header("breakers");
         if !self.overload.enabled {
             out.push_str("overload plane disabled\n");
             return out;
@@ -997,11 +984,7 @@ impl Cloud4Home {
     /// critical-path edge when the op completed under the ledger.
     /// Integer-only formatting, deterministic per seed.
     pub fn slowest_text(&self, n: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "slowest @ {} ms\n",
-            self.now().as_nanos() / 1_000_000
-        ));
+        let mut out = self.report_header("slowest");
         let worst = self.health.worst_paths(n);
         if worst.is_empty() {
             out.push_str("no completed operations in the window\n");
@@ -1027,11 +1010,7 @@ impl Cloud4Home {
     /// cares about. Scans completed reports in (latency desc, op id)
     /// order, capped at eight rows. Integer-only, deterministic per seed.
     pub fn outliers_text(&self, kind: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "outliers op.{kind} @ {} ms\n",
-            self.now().as_nanos() / 1_000_000
-        ));
+        let mut out = self.report_header(&format!("outliers op.{kind}"));
         let snap = self.telemetry.snapshot();
         let Some(h) = snap.histograms.get(&format!("op.{kind}.total_ns")) else {
             out.push_str("no latency histogram for this kind (tracing off or no ops)\n");
@@ -1160,6 +1139,20 @@ impl Cloud4Home {
             .map_or_else(|| Sym::new(&format!("addr-{}", addr.raw())), |n| n.name_sym)
     }
 
+    /// Counts and traces one breaker transition or fast-fail on `addr`'s
+    /// path.
+    fn note_breaker(&self, name: &'static str, addr: Addr) {
+        let path = self.path_name(addr);
+        self.telemetry.add(name, 1);
+        self.telemetry.instant_args(
+            "overload",
+            name,
+            RUNTIME_TRACK,
+            self.now().as_nanos(),
+            vec![("path", ArgValue::from(path.as_str()))],
+        );
+    }
+
     /// Records a successful transfer on a path, closing its breaker when a
     /// half-open probe just succeeded.
     pub(crate) fn breaker_success(&mut self, addr: Addr) {
@@ -1167,15 +1160,7 @@ impl Cloud4Home {
             return;
         }
         if self.overload.record_success(addr.raw()) {
-            let path = self.path_name(addr);
-            self.telemetry.add("breaker.close", 1);
-            self.telemetry.instant_args(
-                "overload",
-                "breaker.close",
-                RUNTIME_TRACK,
-                self.now().as_nanos(),
-                vec![("path", ArgValue::from(path.as_str()))],
-            );
+            self.note_breaker("breaker.close", addr);
         }
     }
 
@@ -1189,15 +1174,7 @@ impl Cloud4Home {
         if self.overload.record_failure(addr.raw(), now_ns) {
             self.stats.breaker_trips += 1;
             self.ledger_bg(CauseKind::BreakerTrip, addr.raw(), 0);
-            let path = self.path_name(addr);
-            self.telemetry.add("breaker.trip", 1);
-            self.telemetry.instant_args(
-                "overload",
-                "breaker.trip",
-                RUNTIME_TRACK,
-                now_ns,
-                vec![("path", ArgValue::from(path.as_str()))],
-            );
+            self.note_breaker("breaker.trip", addr);
         }
     }
 
@@ -1215,15 +1192,7 @@ impl Cloud4Home {
         }
         self.stats.breaker_fast_fails += 1;
         self.ledger_op(op, CauseKind::BreakerSkip, LEDGER_NONE, addr.raw(), 0);
-        let path = self.path_name(addr);
-        self.telemetry.add("breaker.fast_fail", 1);
-        self.telemetry.instant_args(
-            "overload",
-            "breaker.fast_fail",
-            RUNTIME_TRACK,
-            now_ns,
-            vec![("path", ArgValue::from(path.as_str()))],
-        );
+        self.note_breaker("breaker.fast_fail", addr);
         true
     }
 
@@ -1283,13 +1252,6 @@ impl Cloud4Home {
     /// as it exists; tests assert that here.
     pub fn adaptive_review_visits(&self) -> u64 {
         self.replicas.adaptive_review_visits
-    }
-
-    /// How many times `pump` has polled a node's overlay for output. With
-    /// [`Self::steps`] this gives node visits per event, which must not
-    /// grow with the size of the world.
-    pub fn pump_node_visits(&self) -> u64 {
-        self.pump_node_visits
     }
 
     /// The flow engine's own counts. `derives` is its passes over its flows
@@ -1377,21 +1339,6 @@ impl Cloud4Home {
             .fold((0, 0), |(h, m), (nh, nm)| (h + nh, m + nm))
     }
 
-    /// Injects overlay message loss: each control envelope is independently
-    /// dropped with probability `p`. Request timeouts and the operation
-    /// layer's retries recover; this models flaky home wireless links.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p < 1.0`.
-    pub fn set_message_loss(&mut self, p: f64) {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "loss probability must be in [0, 1)"
-        );
-        self.message_loss = p;
-    }
-
     /// Scales the WAN's per-flow bandwidth availability (1.0 = nominal) to
     /// model changing network conditions — the paper's open issue (iv):
     /// "mechanisms that adapt to the changing network conditions".
@@ -1446,22 +1393,12 @@ impl Cloud4Home {
     pub fn crash_node(&mut self, id: NodeId) {
         self.set_alive(id.0, false);
         let addr = self.nodes[id.0].addr;
-        self.telemetry.instant_args(
-            "fault",
-            "fault.crash",
-            RUNTIME_TRACK,
-            self.now().as_nanos(),
-            vec![
-                ("node", ArgValue::from(self.nodes[id.0].name.as_str())),
-                ("addr", ArgValue::from(addr.raw())),
-            ],
-        );
-        if self.telemetry.enabled() {
-            self.health.flight.note_fault(
-                self.now().as_nanos(),
-                format!("crash {}", self.nodes[id.0].name),
-            );
-        }
+        let name = self.nodes[id.0].name_sym;
+        let args = vec![
+            ("node", ArgValue::from(name.as_str())),
+            ("addr", ArgValue::from(addr.raw())),
+        ];
+        self.note_fault("fault.crash", args, || format!("crash {name}"));
         let why = format!("transfer peer {} crashed", self.nodes[id.0].name);
         self.abort_flows(|src, dst| src == addr || dst == addr, &why);
         // A rejoined instance starts cold: bandwidth observed before the
@@ -1479,7 +1416,7 @@ impl Cloud4Home {
     /// fan-out straggler or row rebuild routes its object straight back
     /// into the repair daemon, a conversion leaves the full copies as they
     /// were.
-    fn abort_flows(&mut self, cut: impl Fn(Addr, Addr) -> bool, why: &str) {
+    pub(crate) fn abort_flows(&mut self, cut: impl Fn(Addr, Addr) -> bool, why: &str) {
         let mut severed = Vec::new();
         for flow in self.flows.cut(cut) {
             // Rerouting an earlier flow's operation may already have
@@ -1532,184 +1469,15 @@ impl Cloud4Home {
         // again later.
         let key = self.nodes[id.0].key;
         self.repaired_peers.remove(&key);
+        let name = self.nodes[id.0].name_sym;
+        let args = vec![("node", ArgValue::from(name.as_str()))];
+        self.note_fault("fault.rejoin", args, || format!("rejoin {name}"));
         let now = self.now();
-        self.telemetry.instant_args(
-            "fault",
-            "fault.rejoin",
-            RUNTIME_TRACK,
-            now.as_nanos(),
-            vec![("node", ArgValue::from(self.nodes[id.0].name.as_str()))],
-        );
-        if self.telemetry.enabled() {
-            self.health
-                .flight
-                .note_fault(now.as_nanos(), format!("rejoin {}", self.nodes[id.0].name));
-        }
         self.overlay_mut(id.0).join_via(seed_key, now);
         self.run_for(Duration::from_secs(2));
         self.publish_service_records();
         self.publish_resources(id.0);
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection
-    // ------------------------------------------------------------------
-
-    /// Schedules a [`FaultPlan`]'s events relative to the current virtual
-    /// time. Events fire as the clock reaches each offset, deterministically
-    /// under the run seed; plans may be layered by calling this repeatedly.
-    pub fn inject_faults(&mut self, plan: FaultPlan) {
-        for (offset, event) in plan.into_sorted_events() {
-            self.queue.schedule_in(offset, Event::Fault(event));
-        }
-        self.ensure_tick();
-    }
-
-    /// Applies one fault (or recovery) action immediately.
-    pub fn apply_fault(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::Crash(id) => {
-                if self.nodes[id.0].alive {
-                    self.crash_node(id);
-                }
-            }
-            FaultEvent::Rejoin(id) => {
-                if !self.nodes[id.0].alive {
-                    // Ignored when no live seed exists, per the event's
-                    // documented semantics.
-                    let _ = self.rejoin_node(id);
-                }
-            }
-            FaultEvent::Partition(groups) => {
-                let gateway_group = self.gateway().map(|g| self.nodes[g.0].addr).map(|addr| {
-                    groups
-                        .iter()
-                        .position(|g| g.iter().any(|id| self.nodes[id.0].addr == addr))
-                });
-                let mut addr_groups: Vec<Vec<Addr>> = groups
-                    .iter()
-                    .map(|g| g.iter().map(|id| self.nodes[id.0].addr).collect())
-                    .collect();
-                // The cloud uplink runs through the gateway: the cloud
-                // endpoint lands in the gateway's group (the implicit
-                // remainder group when the gateway is unlisted).
-                if let Some(Some(idx)) = gateway_group {
-                    addr_groups[idx].push(CLOUD_ADDR);
-                }
-                // `groups`: explicit groups as "addr,addr|addr,..."; every
-                // unlisted address forms the implicit remainder group.
-                let desc: String = addr_groups
-                    .iter()
-                    .map(|g| {
-                        g.iter()
-                            .map(|a| a.raw().to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|");
-                self.telemetry.instant_args(
-                    "fault",
-                    "fault.partition",
-                    RUNTIME_TRACK,
-                    self.now().as_nanos(),
-                    vec![("groups", ArgValue::from(desc.clone()))],
-                );
-                if self.telemetry.enabled() {
-                    self.health
-                        .flight
-                        .note_fault(self.now().as_nanos(), format!("partition {desc}"));
-                }
-                self.partition = Partition::new(addr_groups);
-                let cut = self.partition.clone();
-                self.abort_flows(
-                    |src, dst| !cut.connected(src, dst),
-                    "network partition severed the transfer",
-                );
-                self.ensure_tick();
-            }
-            FaultEvent::Heal => {
-                self.telemetry
-                    .instant("fault", "fault.heal", RUNTIME_TRACK, self.now().as_nanos());
-                if self.telemetry.enabled() {
-                    self.health
-                        .flight
-                        .note_fault(self.now().as_nanos(), "heal".to_owned());
-                }
-                self.partition = Partition::default();
-            }
-            FaultEvent::WanDegrade(factor) => {
-                let factor = factor.clamp(0.05, 1.0);
-                self.telemetry.instant_args(
-                    "fault",
-                    "fault.wan_degrade",
-                    RUNTIME_TRACK,
-                    self.now().as_nanos(),
-                    vec![("factor_permille", ArgValue::from((factor * 1000.0) as u64))],
-                );
-                if self.telemetry.enabled() {
-                    self.health.flight.note_fault(
-                        self.now().as_nanos(),
-                        format!("wan_degrade {}", (factor * 1000.0) as u64),
-                    );
-                }
-                self.set_wan_quality(factor);
-            }
-            FaultEvent::BurstyLoss {
-                mean_loss,
-                mean_burst_len,
-            } => {
-                self.telemetry.instant_args(
-                    "fault",
-                    "fault.bursty_loss",
-                    RUNTIME_TRACK,
-                    self.now().as_nanos(),
-                    vec![
-                        (
-                            "mean_loss_permille",
-                            ArgValue::from((mean_loss * 1000.0) as u64),
-                        ),
-                        (
-                            "mean_burst_len_x1000",
-                            ArgValue::from((mean_burst_len * 1000.0) as u64),
-                        ),
-                    ],
-                );
-                if self.telemetry.enabled() {
-                    self.health.flight.note_fault(
-                        self.now().as_nanos(),
-                        format!("bursty_loss {}", (mean_loss * 1000.0) as u64),
-                    );
-                }
-                self.ge_chains.clear();
-                self.bursty = if mean_loss > 0.0 {
-                    Some(GilbertElliott::bursty(mean_loss, mean_burst_len))
-                } else {
-                    None
-                };
-            }
-            FaultEvent::SlowNode { node, factor } => {
-                let factor = factor.max(1.0);
-                self.telemetry.instant_args(
-                    "fault",
-                    "fault.slow_node",
-                    RUNTIME_TRACK,
-                    self.now().as_nanos(),
-                    vec![
-                        ("node", ArgValue::from(self.nodes[node.0].name.as_str())),
-                        ("factor_permille", ArgValue::from((factor * 1000.0) as u64)),
-                    ],
-                );
-                if self.telemetry.enabled() {
-                    self.health.flight.note_fault(
-                        self.now().as_nanos(),
-                        format!("slow_node {}", self.nodes[node.0].name),
-                    );
-                }
-                self.slow_factor[node.0] = factor;
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2057,96 +1825,8 @@ impl Cloud4Home {
     /// send costs one empty poll; a node with output and no mark would be
     /// a hung request, which `pump`'s exit assertion catches.
     fn overlay_mut(&mut self, i: usize) -> &mut ChimeraNode {
-        self.dirty.mark(i);
+        self.transport.mark(i);
         &mut self.nodes[i].chimera
-    }
-
-    /// Drains overlay outboxes into scheduled deliveries and overlay events
-    /// into operation continuations, until quiescent.
-    ///
-    /// Visits only marked nodes, in the order a scan of the whole world
-    /// would reach them: ascending index within a round, a node marked
-    /// while a lower index drains still in the same round, a node marked at
-    /// or below the one draining in the next. The loss, burst-chain and
-    /// latency draws below therefore happen in the scan's order.
-    pub(crate) fn pump(&mut self) {
-        let mut cursor = 0;
-        while !self.dirty.is_empty() {
-            let Some(i) = self.dirty.take_from(cursor) else {
-                cursor = 0; // round over, marks remain below the cursor
-                continue;
-            };
-            cursor = i + 1;
-            self.pump_node_visits += 1;
-            // Outgoing envelopes.
-            while let Some(env) = self.nodes[i].chimera.poll_send() {
-                let Some(&dst) = self.node_of_key.get(&env.to) else {
-                    continue; // stale peer
-                };
-                let (src_addr, dst_addr) = (self.nodes[i].addr, self.nodes[dst].addr);
-                if !self.partition.connected(src_addr, dst_addr) {
-                    self.stats.envelopes_dropped += 1;
-                    continue; // severed by the active partition
-                }
-                if self.message_loss > 0.0 && self.rng.chance(self.message_loss) {
-                    self.stats.envelopes_dropped += 1;
-                    continue; // lost on the wireless link
-                }
-                if let Some(template) = self.bursty {
-                    let chain = self
-                        .ge_chains
-                        .entry((src_addr, dst_addr))
-                        .or_insert(template);
-                    if chain.step(&mut self.rng) {
-                        self.stats.envelopes_dropped += 1;
-                        continue; // lost in a burst on this route
-                    }
-                }
-                let latency = self
-                    .net
-                    .topology()
-                    .message_latency(src_addr, dst_addr, &mut self.rng)
-                    .unwrap_or(Duration::from_millis(1));
-                // Gray failure: a throttled receiver processes slower.
-                let proc = self
-                    .config
-                    .timing
-                    .chimera_proc
-                    .mul_f64(self.slow_factor[dst]);
-                let delay = latency + proc;
-                self.queue
-                    .schedule_in(delay, Event::Deliver { to: dst, env });
-            }
-            // Application-visible DHT events.
-            while let Some(ev) = self.nodes[i].chimera.poll_event() {
-                let req = match &ev {
-                    DhtEvent::PutCompleted { req, .. } => Some(*req),
-                    DhtEvent::GetCompleted { req, .. } => Some(*req),
-                    DhtEvent::DeleteCompleted { req, .. } => Some(*req),
-                    DhtEvent::PeerFailed { node } => {
-                        // Failure detection feeds the repair daemon.
-                        let node = *node;
-                        self.handle_peer_failed(node);
-                        continue;
-                    }
-                    _ => None,
-                };
-                let Some(req) = req else { continue };
-                match self.dht_waiters.remove(&(i, req)) {
-                    Some(DhtWaiter::Op(op)) => {
-                        // Completion crosses the VStore++ ↔ Chimera IPC
-                        // boundary.
-                        self.queue
-                            .schedule_in(self.config.timing.chimera_ipc, Event::DhtDone { op, ev });
-                    }
-                    Some(DhtWaiter::Ignore) | None => {}
-                }
-            }
-        }
-        debug_assert!(
-            self.nodes.iter().all(|n| !n.chimera.has_output()),
-            "an overlay node holds output pump was never told about"
-        );
     }
 
     // ------------------------------------------------------------------

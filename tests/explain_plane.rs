@@ -206,6 +206,87 @@ fn exact_sum_survives_hedge_race() {
     assert!(json.contains("hedge.launch"), "{json}");
 }
 
+/// A coded read that loses more rows than the code tolerates backs off
+/// like the replicated path does, and says so: the wait is in the op's
+/// ledger, chained to the severed transfer that induced it, and it is an
+/// edge of the DAG, which still sums to the latency.
+#[test]
+fn coded_read_backoff_is_chained_in_the_ledger_and_the_dag_still_sums() {
+    const CODED: &str = "chaos/coded.bin";
+    let mut config = ledger_config(9300);
+    config.replication = 2;
+    config.adaptive.enabled = true;
+    config.adaptive.replication_min = 2; // convert straight from both copies
+    config.adaptive.ec_k = 2;
+    config.adaptive.ec_m = 1;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic(CODED, 7, 2 << 20, "tar");
+    let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    for _ in 0..1_200 {
+        if home.is_erasure_coded(CODED) {
+            break;
+        }
+        home.run_for(Duration::from_millis(50));
+    }
+    home.run_until_idle();
+    let rows = home.stripe_holders(CODED);
+    assert_eq!(rows.len(), 3, "the cold object converts to (2, 1) stripes");
+    let client = (0..home.node_count())
+        .map(NodeId)
+        .find(|id| !rows.contains(id))
+        .expect("a node without a row");
+
+    // Both row stripes are on the wire when the spare row's holder and then
+    // a row being read are lost: no row is left to re-point the slot at.
+    let before = home.stats().flows_started;
+    let op = home.fetch_object(client, CODED);
+    while home.stats().flows_started < before + 2 {
+        home.run_for(Duration::from_millis(2));
+    }
+    home.crash_node(rows[2]);
+    home.crash_node(rows[1]);
+    home.run_for(Duration::from_secs(3));
+    home.rejoin_node(rows[1]).expect("a live seed exists");
+    let report = home.run_until_complete(op);
+    assert_eq!(report.expect_ok().bytes, 2 << 20);
+    assert_exact_sum(&report);
+    assert_chain_closed(&report);
+
+    let severed = report
+        .ledger
+        .iter()
+        .find(|e| e.kind == "transfer.failed")
+        .unwrap_or_else(|| panic!("the severed stripe is recorded: {:?}", report.ledger));
+    let waits: Vec<_> = report
+        .ledger
+        .iter()
+        .filter(|e| e.kind == "backoff.wait")
+        .collect();
+    assert!(
+        waits.len() >= 2,
+        "three seconds of backing off is several waits: {:?}",
+        report.ledger
+    );
+    assert_eq!(
+        waits[0].cause, severed.seq,
+        "the first wait chains to the failure that induced it"
+    );
+    for pair in waits.windows(2) {
+        assert_eq!(pair[1].cause, pair[0].seq, "each wait chains to the last");
+    }
+    let dag = report.critical_dag();
+    let edge = dag
+        .iter()
+        .find(|e| e.label == "fetch.retry_wait")
+        .expect("the backoff is an edge of the DAG");
+    assert_eq!(
+        edge.dur_ns(),
+        waits[0].a,
+        "the edge lasts exactly the wait the ledger recorded"
+    );
+}
+
 /// The scripted workload the determinism tests replay: stores, fetches,
 /// and a delete from rotating clients, then drain to idle.
 fn drive(home: &mut Cloud4Home) -> String {
