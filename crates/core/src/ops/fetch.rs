@@ -26,8 +26,8 @@
 //!   in flight.
 //!
 //! **Deliberately not folded:** the single-source paths stay beside the
-//! striped machine instead of becoming a one-slot plan. They carry about
-//! half of all fetches, and their stage names (`fetch.owner_request`,
+//! striped machine instead of becoming a one-slot plan. They carry most
+//! fetches, and their stage names (`fetch.owner_request`,
 //! `fetch.flow_home`, `fetch.flow_cloud`) are an export format hashed into
 //! every golden digest — merging them is a bit-changing change for a
 //! deliberate re-bless, not a refactor.
@@ -134,7 +134,7 @@ struct StripeFlight {
 /// The decode plan of an erasure-coded fetch: which code rows the `k`
 /// stripe slots are reading and who holds each row. Present on an op only
 /// while a coded read is in flight; the stripe machinery branches on it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EcPlan {
     /// Data shards needed to decode.
     k: u32,
@@ -397,7 +397,8 @@ impl Cloud4Home {
     fn note_failover(&mut self, op: &mut OpCore, detail: Option<(&'static str, ArgValue)>) {
         op.failovers += 1;
         self.stats.fetch_failovers += 1;
-        let mut args = vec![("object", ArgValue::from(op.name.as_str()))];
+        let mut args = Vec::with_capacity(2);
+        args.push(("object", ArgValue::from(op.name.as_str())));
         args.extend(detail);
         self.op_instant(op, "fetch.failover", args);
     }
@@ -478,7 +479,7 @@ impl Cloud4Home {
                 .filter(|r| !ec.slot_rows.contains(r))
                 .find_map(|r| {
                     let holder = ec.row_holders[r as usize]?;
-                    self.ec_row_viable(op.client, op.name, Some(holder), r)
+                    self.holder_viable(op.client, holder, self.ec_stripe_name(op.name, r))
                         .then_some((holder, Some(r), u64::from(r) * ec.stripe_len, ec.stripe_len))
                 }),
         };

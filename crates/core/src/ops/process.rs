@@ -216,9 +216,6 @@ impl Cloud4Home {
         p: &mut Process,
         input: OpInput,
     ) -> StepOutcome {
-        if matches!(input, OpInput::SubWake { .. }) {
-            return None; // a process has no concurrent branches
-        }
         match op.stage {
             Stage::ProcChannelIn => {
                 self.charge(op);

@@ -41,7 +41,7 @@ pub struct Breakdown {
 }
 
 /// One [`Breakdown`] component: the Table-I column a stage charges its
-/// elapsed time to (see the stage table in `ops.rs`).
+/// elapsed time to (see the stage table in `ops/mod.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Column {
     InterDomain,
