@@ -1,18 +1,19 @@
 //! Criterion micro-benchmarks of the Cloud4Home building blocks:
 //! key hashing, the red-black tree, prefix routing, the wire codecs, the
-//! TCP transfer model, the service kernels, the telemetry recorder's
-//! hot paths, and a full in-memory DHT round trip.
+//! TCP transfer model, the byte kernels under every stored object's content
+//! (synthesis, erasure coding, stripe checksums), the service kernels, the
+//! telemetry recorder's hot paths, and a full in-memory DHT round trip.
 //!
 //! Run with: `cargo bench -p c4h-bench --bench micro`
 
 use c4h_bench::pump_overlay;
 use c4h_chimera::{ChimeraConfig, ChimeraNode, Key, OverwritePolicy, RbTree, RoutingTable};
-use c4h_kvstore::{object_key, Acl, Location, ObjectMeta, Record};
+use c4h_kvstore::{object_key, stripe_checksums, Acl, Location, ObjectMeta, Record};
 use c4h_services::{FaceDetect, Service, Transcode};
 use c4h_simnet::{mib, SimTime};
 use c4h_telemetry::Recorder;
 use c4h_vmm::{CommandPacket, CommandType, DomId};
-use cloud4home::synth_bytes;
+use cloud4home::{synth_bytes, ErasureCode, SAMPLE_WINDOW};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_key_hash(c: &mut Criterion) {
@@ -92,6 +93,31 @@ fn bench_tcp_model(c: &mut Criterion) {
     let profile = c4h_simnet::presets::wan_down_profile();
     c.bench_function("simnet/transfer_time_20mib", |b| {
         b.iter(|| profile.transfer_time(black_box(mib(20)), 1e6, 0.9))
+    });
+}
+
+/// The three byte kernels at the size the runtime runs them: one 64 KiB
+/// sample window, (3, 2)-coded into five 21.8 KiB stripes.
+fn bench_byte_kernels(c: &mut Criterion) {
+    c.bench_function("object/synth_bytes_64k", |b| {
+        b.iter(|| synth_bytes(black_box(7), SAMPLE_WINDOW))
+    });
+    let window = synth_bytes(7, SAMPLE_WINDOW);
+    let code = ErasureCode::new(3, 2);
+    c.bench_function("ec/encode_3_2_64k", |b| {
+        b.iter(|| code.encode(black_box(&window)))
+    });
+    let stripes = code.encode(&window);
+    // Two parity rows among the survivors: every data row but one is derived.
+    let survivors: Vec<(usize, &[u8])> = [0, 3, 4]
+        .iter()
+        .map(|&r| (r, stripes[r].as_slice()))
+        .collect();
+    c.bench_function("ec/reconstruct_3_2_64k", |b| {
+        b.iter(|| code.reconstruct_data(black_box(&survivors)))
+    });
+    c.bench_function("kvstore/stripe_checksums_5x22k", |b| {
+        b.iter(|| stripe_checksums(black_box(&stripes)).fold(0, |acc, h| acc ^ h))
     });
 }
 
@@ -184,6 +210,7 @@ criterion_group!(
     bench_routing,
     bench_codecs,
     bench_tcp_model,
+    bench_byte_kernels,
     bench_services,
     bench_telemetry,
     bench_dht_round

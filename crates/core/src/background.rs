@@ -4,9 +4,11 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use bytes::Bytes;
 use c4h_chimera::Key;
 use c4h_kvstore::{
-    object_key, stripe_checksum, stripe_key, EcLayout, Location, ObjectMeta, Record, StripeRecord,
+    object_key, stripe_checksum, stripe_checksums, stripe_key, EcLayout, Location, ObjectMeta,
+    Record, StripeRecord,
 };
 use c4h_resources::Bin;
 use c4h_simnet::{FlowId, SimTime, Sym};
@@ -54,12 +56,13 @@ enum JobKind {
     },
     /// Full copies → stripes: the owner (holder of row 0) encoded the
     /// object into `stripes` (row order, data then parity), installed its
-    /// own row, and ships every other row to its holder. Full copies are
-    /// stripped only once every row has landed, so an abort leaves the
-    /// object exactly as replicated as before.
+    /// own row, and ships every other row to its holder; each installed
+    /// row shares its bytes with `stripes`. Full copies are stripped only
+    /// once every row has landed, so an abort leaves the object exactly as
+    /// replicated as before.
     Encode {
         layout: EcLayout,
-        stripes: Vec<Vec<u8>>,
+        stripes: Vec<Bytes>,
     },
     /// A lost code row: `dst` pulls `k` surviving stripes and re-derives
     /// the row once all have arrived.
@@ -266,7 +269,7 @@ impl Cloud4Home {
         if let JobKind::Encode { layout, stripes } = &job.kind {
             let holder = self.node_index(layout.holders[part as usize]);
             let (sname, len) = (self.ec_stripe_name(job.name, part), layout.stripe_len);
-            let shard = Blob::inline(stripes[part as usize].clone());
+            let shard = Blob::Inline(stripes[part as usize].clone());
             let site = holder.filter(|&j| self.nodes[j].alive);
             if !site.is_some_and(|j| self.nodes[j].install_voluntary(sname, len, shard)) {
                 return self.job_abort(id, false);
@@ -857,7 +860,7 @@ impl Cloud4Home {
         }
         let code = ErasureCode::new(k, m);
         let window = blob.sample(SAMPLE_WINDOW);
-        let stripes = code.encode(&window);
+        let stripes: Vec<Bytes> = code.encode(&window).into_iter().map(Bytes::from).collect();
         let layout = EcLayout {
             k: k as u32,
             m: m as u32,
@@ -865,7 +868,7 @@ impl Cloud4Home {
             holders: sites.iter().map(|&j| self.nodes[j].key).collect(),
         };
         let sname0 = self.ec_stripe_name(name, 0);
-        let row0 = Blob::inline(stripes[0].clone());
+        let row0 = Blob::Inline(stripes[0].clone());
         if !self.nodes[owner].install_voluntary(sname0, stripe_len, row0) {
             return;
         }
@@ -917,7 +920,7 @@ impl Cloud4Home {
     /// publishes per-row stripe records, and flushes stale caches. Returns
     /// `false` (nothing changed) when the object or the owner's copy is
     /// gone.
-    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Vec<u8>]) -> bool {
+    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Bytes]) -> bool {
         let Some(owner) = self.node_index(layout.holders[0]) else {
             return false;
         };
@@ -943,8 +946,8 @@ impl Cloud4Home {
         meta.ec = Some(layout.clone());
         self.replicas.insert(name, meta.clone());
         self.publish_meta_background(owner, meta);
-        for (row, shard) in stripes.iter().enumerate() {
-            self.publish_stripe_record(owner, name, row as u32, layout, stripe_checksum(shard));
+        for (row, checksum) in stripe_checksums(stripes).enumerate() {
+            self.publish_stripe_record(owner, name, row as u32, layout, checksum);
         }
         self.invalidate_meta_caches(name);
         // Heat restarts from scratch in the new form; the EWMA of the
@@ -1035,20 +1038,20 @@ impl Cloud4Home {
             return;
         }
         let code = ErasureCode::new(layout.k as usize, layout.m as usize);
-        let mut shards: Vec<(usize, Vec<u8>)> = Vec::with_capacity(arrived.len());
+        // Stripes are always stored inline: decode reads them in place.
+        let mut shards: Vec<(usize, &[u8])> = Vec::with_capacity(arrived.len());
         for &r in arrived {
             let Some(bytes) = self
                 .node_index(layout.holders[r as usize])
                 .filter(|&j| self.nodes[j].alive)
                 .and_then(|j| self.nodes[j].objects.get(&self.ec_stripe_name(name, r)))
-                .map(|b| b.sample(usize::MAX))
+                .and_then(Blob::inline_bytes)
             else {
                 return; // a survivor vanished mid-rebuild; retry later
             };
             shards.push((r as usize, bytes));
         }
-        let refs: Vec<(usize, &[u8])> = shards.iter().map(|(r, s)| (*r, s.as_slice())).collect();
-        let Some(rebuilt) = code.reconstruct_row(row as usize, &refs) else {
+        let Some(rebuilt) = code.reconstruct_row(row as usize, &shards) else {
             return;
         };
         let checksum = stripe_checksum(&rebuilt);

@@ -73,6 +73,14 @@ impl Blob {
         }
     }
 
+    /// The bytes of an inline blob, borrowed; `None` for a synthetic one.
+    pub(crate) fn inline_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Blob::Inline(b) => Some(b),
+            Blob::Synthetic { .. } => None,
+        }
+    }
+
     /// A content digest combining length and sampled bytes; equal blobs have
     /// equal digests.
     pub fn digest(&self) -> u64 {
@@ -85,29 +93,33 @@ impl Blob {
     }
 }
 
+/// The longest flat run [`synth_bytes`] draws, and the width of the one
+/// store it writes each run with.
+const SPLAT: usize = 32;
+
 /// Deterministic synthetic content: textured pseudo-media bytes (short runs
 /// of similar values, like flat regions in imagery) from an xorshift stream.
+///
+/// Each run is written as one fixed [`SPLAT`]-byte store and the cursor
+/// advances by the run's length, so the next run overwrites the overhang;
+/// `SPLAT` bytes of slack past `len` take the last run's, and are cut off.
 pub fn synth_bytes(seed: u64, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
+    let mut out = vec![0u8; len + SPLAT];
     // Scramble the seed so that nearby seeds produce unrelated streams.
     let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     if x == 0 {
         x = 0x2545_F491_4F6C_DD1D;
     }
-    let mut current = 128u8;
-    let mut run = 0u32;
-    while out.len() < len {
-        if run == 0 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            current = (x >> 24) as u8;
-            run = 1 + ((x >> 8) & 0x1F) as u32; // flat runs of 1..=32
-        }
-        out.push(current);
-        run -= 1;
+    let mut at = 0;
+    while at < len {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        out[at..at + SPLAT].fill((x >> 24) as u8);
+        at += 1 + ((x >> 8) & 0x1F) as usize; // flat runs of 1..=SPLAT
     }
+    out.truncate(len);
     out
 }
 
@@ -235,5 +247,82 @@ mod tests {
         assert!(Blob::inline(Vec::new()).is_empty());
         assert!(Blob::synthetic(1, 0).is_empty());
         assert_eq!(Blob::synthetic(1, 0).sample(100).len(), 0);
+    }
+}
+
+/// The run-splat [`synth_bytes`] against the byte-at-a-time loop it
+/// replaced (CI runs these by name: `kernel_oracle`).
+#[cfg(test)]
+mod kernel_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-splat generator, verbatim: one push per byte.
+    fn synth_bytes_bytewise(seed: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        if x == 0 {
+            x = 0x2545_F491_4F6C_DD1D;
+        }
+        let mut current = 128u8;
+        let mut run = 0u32;
+        while out.len() < len {
+            if run == 0 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                current = (x >> 24) as u8;
+                run = 1 + ((x >> 8) & 0x1F) as u32;
+            }
+            out.push(current);
+            run -= 1;
+        }
+        out
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        c4h_kvstore::stripe_checksum(bytes)
+    }
+
+    #[test]
+    fn synth_bytes_matches_the_bytewise_loop_at_the_edges() {
+        let lens = [
+            0,
+            1,
+            31,
+            32,
+            33,
+            63,
+            64,
+            65,
+            SAMPLE_WINDOW - 1,
+            SAMPLE_WINDOW,
+        ];
+        for seed in [0, 1, 7, 42, 0x5EED_0000, u64::MAX] {
+            for len in lens.into_iter().chain([SAMPLE_WINDOW + 1]) {
+                let got = synth_bytes(seed, len);
+                assert_eq!(got.len(), len);
+                assert!(
+                    got == synth_bytes_bytewise(seed, len),
+                    "seed {seed} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn synth_bytes_of_seed_7_is_pinned() {
+        // A changed byte fails here by name, before any golden digest.
+        assert_eq!(fnv(&synth_bytes(7, 64 * 1024)), 0xf662_7396_f2f2_38ad);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn synth_bytes_matches_the_bytewise_loop(seed in any::<u64>(), len in 0usize..5000) {
+            prop_assert!(synth_bytes(seed, len) == synth_bytes_bytewise(seed, len));
+        }
     }
 }

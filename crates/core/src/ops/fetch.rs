@@ -1206,7 +1206,8 @@ impl Cloud4Home {
     fn ec_decode_finish(&mut self, op: &mut OpCore, f: &mut Fetch, plan: EcPlan) -> StepOutcome {
         let k = plan.k as usize;
         let code = ErasureCode::new(k, plan.row_holders.len() - k);
-        let mut survivors: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
+        // Stripes are always stored inline: decode reads them in place.
+        let mut survivors: Vec<(usize, &[u8])> = Vec::with_capacity(k);
         for &row in &plan.slot_rows {
             let shard = plan.row_holders[row as usize]
                 .filter(|&j| self.nodes[j].alive)
@@ -1215,7 +1216,7 @@ impl Cloud4Home {
                         .objects
                         .get(&self.ec_stripe_name(op.name, row))
                 })
-                .map(|b| b.sample(usize::MAX));
+                .and_then(Blob::inline_bytes);
             match shard {
                 Some(s) => survivors.push((row as usize, s)),
                 // A holder vanished in the final instant; re-plan.
@@ -1228,9 +1229,8 @@ impl Cloud4Home {
             return Some(Err(OpError::StripesLost(op.name.to_string())));
         };
         let window = original.sample(SAMPLE_WINDOW);
-        let refs: Vec<(usize, &[u8])> = survivors.iter().map(|(r, s)| (*r, s.as_slice())).collect();
         let decoded = code
-            .reconstruct_data(&refs)
+            .reconstruct_data(&survivors)
             .map(|shards| code.assemble(&shards, window.len()));
         match decoded {
             Some(bytes) if bytes == window => {

@@ -80,11 +80,12 @@ pub(super) struct Process {
 }
 
 impl Process {
-    /// The state of an op that runs the one `service`.
-    fn new(service: ServiceKind, placement: Placement, route: RoutePolicy) -> Self {
+    /// The state of an op that runs `pipeline` (at least one service), in
+    /// order, at one site.
+    fn new(pipeline: Vec<ServiceKind>, placement: Placement, route: RoutePolicy) -> Self {
         Process {
-            service,
-            pipeline: vec![service],
+            service: pipeline[0],
+            pipeline,
             pipeline_idx: 0,
             placement,
             route,
@@ -144,7 +145,7 @@ impl Cloud4Home {
         service: ServiceKind,
         route: RoutePolicy,
     ) -> OpId {
-        let process = Process::new(service, Placement::Auto, route);
+        let process = Process::new(vec![service], Placement::Auto, route);
         self.submit_process(client, name, OpKind::Process, process)
     }
 
@@ -158,7 +159,7 @@ impl Cloud4Home {
         placement: Placement,
     ) -> OpId {
         let route = RoutePolicy::Performance;
-        let process = Process::new(service, placement, route);
+        let process = Process::new(vec![service], placement, route);
         self.submit_process(client, name, OpKind::Process, process)
     }
 
@@ -172,7 +173,7 @@ impl Cloud4Home {
         service: ServiceKind,
         route: RoutePolicy,
     ) -> OpId {
-        let process = Process::new(service, Placement::Auto, route);
+        let process = Process::new(vec![service], Placement::Auto, route);
         self.submit_process(client, name, OpKind::FetchProcess, process)
     }
 
@@ -194,8 +195,7 @@ impl Cloud4Home {
         route: RoutePolicy,
     ) -> OpId {
         assert!(!services.is_empty(), "pipeline needs at least one service");
-        let mut process = Process::new(services[0], Placement::Auto, route);
-        process.pipeline = services.to_vec();
+        let process = Process::new(services.to_vec(), Placement::Auto, route);
         self.submit_process(client, name, OpKind::Pipeline, process)
     }
 

@@ -55,7 +55,7 @@ mod wire;
 
 pub use keys::{directory_key, node_resource_key, object_key, parent_dir, service_key, stripe_key};
 pub use records::{
-    stripe_checksum, Acl, DirEntry, EcLayout, Location, ObjectMeta, Record, ResourceRecord,
-    ServiceRecord, StripeRecord, SCHEMA_VERSION,
+    stripe_checksum, stripe_checksums, Acl, DirEntry, EcLayout, Location, ObjectMeta, Record,
+    ResourceRecord, ServiceRecord, StripeRecord, SCHEMA_VERSION,
 };
 pub use wire::{WireError, WireReader, WireWriter};

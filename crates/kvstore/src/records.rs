@@ -338,15 +338,69 @@ impl StripeRecord {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Rows [`stripe_checksums`] folds in one pass, one FNV chain each.
+const FNV_LANES: usize = 8;
+
 /// FNV-1a 64-bit digest of stripe bytes (the checksum a [`StripeRecord`]
 /// carries).
 pub fn stripe_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// [`stripe_checksum`] of every row, in row order, without allocating.
+///
+/// FNV-1a is one serial chain of multiplies per row, so one row at a time
+/// runs at multiply latency. Here up to [`FNV_LANES`] rows advance
+/// together, one byte of each per step over their common length (then each
+/// row's tail alone): the chains are independent, so their multiplies
+/// overlap, and each chain still sees exactly its own row's bytes in order
+/// — the same value per row.
+pub fn stripe_checksums<R: AsRef<[u8]>>(rows: &[R]) -> impl Iterator<Item = u64> + '_ {
+    rows.chunks(FNV_LANES).flat_map(|group| {
+        let mut h = [0; FNV_LANES];
+        // One width per group size, so each chain lives in a register.
+        match group.len() {
+            1 => fnv1a_lanes::<1, R>(group, &mut h),
+            2 => fnv1a_lanes::<2, R>(group, &mut h),
+            3 => fnv1a_lanes::<3, R>(group, &mut h),
+            4 => fnv1a_lanes::<4, R>(group, &mut h),
+            5 => fnv1a_lanes::<5, R>(group, &mut h),
+            6 => fnv1a_lanes::<6, R>(group, &mut h),
+            7 => fnv1a_lanes::<7, R>(group, &mut h),
+            _ => fnv1a_lanes::<FNV_LANES, R>(group, &mut h),
+        }
+        h.into_iter().take(group.len())
+    })
+}
+
+/// FNV-1a of the `N` rows into `out[..N]`: the common length eight bytes
+/// of every row per step, then each row's tail alone.
+fn fnv1a_lanes<const N: usize, R: AsRef<[u8]>>(rows: &[R], out: &mut [u64; FNV_LANES]) {
+    let rows: [&[u8]; N] = std::array::from_fn(|l| rows[l].as_ref());
+    let common = rows.iter().map(|r| r.len()).min().unwrap_or(0) / 8 * 8;
+    let mut h = [FNV_OFFSET; N];
+    for at in (0..common).step_by(8) {
+        let words: [[u8; 8]; N] =
+            std::array::from_fn(|l| rows[l][at..at + 8].try_into().expect("eight bytes"));
+        for b in 0..8 {
+            for (h, word) in h.iter_mut().zip(&words) {
+                *h = (*h ^ word[b] as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+    for ((out, h), row) in out.iter_mut().zip(h).zip(rows) {
+        *out = fnv1a(h, &row[common..]);
+    }
 }
 
 /// Availability record for one deployed service.
@@ -872,6 +926,70 @@ mod tests {
     fn stripe_checksum_is_stable_fnv() {
         assert_eq!(stripe_checksum(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(stripe_checksum(b"a"), stripe_checksum(b"b"));
+    }
+}
+
+/// The interleaved [`stripe_checksums`] against per-row [`stripe_checksum`]
+/// (CI runs these by name: `kernel_oracle`).
+#[cfg(test)]
+mod kernel_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn rows_of(lens: &[usize], seed: u64) -> Vec<Vec<u8>> {
+        let mut x = seed | 1;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        lens.iter()
+            .map(|&n| (0..n).map(|_| byte()).collect())
+            .collect()
+    }
+
+    fn serial(rows: &[Vec<u8>]) -> Vec<u64> {
+        rows.iter().map(|r| stripe_checksum(r)).collect()
+    }
+
+    #[test]
+    fn stripe_checksums_match_serial_fnv_at_the_edges() {
+        let shapes: [&[usize]; 7] = [
+            &[],
+            &[0],
+            &[0, 0, 0],
+            &[21_846; 5],
+            &[7, 0, 3, 64],
+            &[100; FNV_LANES],
+            &[33; FNV_LANES * 2 + 3],
+        ];
+        for lens in shapes {
+            let rows = rows_of(lens, lens.len() as u64);
+            let got: Vec<u64> = stripe_checksums(&rows).collect();
+            assert_eq!(got, serial(&rows), "row lengths {lens:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn stripe_checksums_match_serial_fnv(
+            lens in proptest::collection::vec(0usize..300, 0..20),
+            equal in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // Half the cases equal-length (the encoder's shape), half ragged.
+            let lens: Vec<usize> = if equal {
+                lens.iter().map(|_| lens.first().copied().unwrap_or(0)).collect()
+            } else {
+                lens
+            };
+            let rows = rows_of(&lens, seed);
+            let got: Vec<u64> = stripe_checksums(&rows).collect();
+            prop_assert_eq!(got, serial(&rows));
+        }
     }
 }
 #[cfg(test)]
