@@ -535,6 +535,189 @@ fn delete_invalidates_path_caches() {
     assert!(!from_cache);
 }
 
+// Liveness probing on a hand-placed ring. Clockwise from A: X, B, C. A sees
+// B and C; X is a node A learns about only when a test announces it, and
+// it then sits between A and B, pushing B out of A's immediate neighbours.
+const A: Key = Key::from_raw(0x10_0000_0000);
+const X: Key = Key::from_raw(0x20_0000_0000);
+const B: Key = Key::from_raw(0x30_0000_0000);
+const C: Key = Key::from_raw(0x90_0000_0000);
+
+/// Node A probing its ring neighbours one ping round at a time while B is
+/// down: every envelope addressed to B is lost. Only A ticks; the others
+/// answer what reaches them.
+struct ProbeRing {
+    nodes: Vec<ChimeraNode>,
+    round: u64,
+}
+
+impl ProbeRing {
+    fn new(fail_after_missed: u32) -> Self {
+        let config = ChimeraConfig {
+            fail_after_missed,
+            ..cfg()
+        };
+        let mut nodes: Vec<ChimeraNode> = [A, B, C, X]
+            .iter()
+            .map(|&id| ChimeraNode::new(id, config.clone()))
+            .collect();
+        for n in &mut nodes[..3] {
+            n.assemble([A, B, C], SimTime::ZERO);
+            while n.poll_event().is_some() {}
+        }
+        ProbeRing { nodes, round: 0 }
+    }
+
+    /// Delivers `env` and everything it causes, losing what is sent to B.
+    fn deliver(&mut self, env: Envelope) {
+        let now = SimTime::from_secs(self.round);
+        let mut queue = vec![env];
+        while let Some(env) = queue.pop() {
+            if env.to == B {
+                continue;
+            }
+            let node = self.nodes.iter_mut().find(|n| n.id() == env.to).unwrap();
+            node.handle(env, now);
+            queue.extend(std::iter::from_fn(|| node.poll_send()));
+        }
+    }
+
+    /// Delivers `msg` to A as if `from` had sent it.
+    fn tell_a(&mut self, from: Key, msg: Message) {
+        self.deliver(Envelope { from, to: A, msg });
+    }
+
+    /// One ping round at A; returns the peers A declared failed in it.
+    fn round(&mut self) -> Vec<Key> {
+        self.round += 1;
+        let now = SimTime::from_secs(self.round);
+        self.nodes[0].tick(now);
+        let sent: Vec<Envelope> = std::iter::from_fn(|| self.nodes[0].poll_send()).collect();
+        for env in sent {
+            self.deliver(env);
+        }
+        std::iter::from_fn(|| self.nodes[0].poll_event())
+            .filter_map(|e| match e {
+                DhtEvent::PeerFailed { node } => Some(node),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Rounds until A declares `peer` failed, checking no one else is.
+    fn rounds_until_failed(&mut self, peer: Key) -> u64 {
+        for n in 1..=20 {
+            match self.round().as_slice() {
+                [] => {}
+                [p] if *p == peer => return n,
+                other => panic!("round {n}: unexpected failures {other:?}"),
+            }
+        }
+        panic!("{peer} was never declared failed");
+    }
+
+    /// Runs `n` rounds in which nobody may be declared failed.
+    fn quiet_rounds(&mut self, n: u64) {
+        for _ in 0..n {
+            assert_eq!(self.round(), Vec::<Key>::new(), "round {}", self.round);
+        }
+    }
+}
+
+#[test]
+fn failure_is_declared_after_exactly_fail_after_missed_silent_rounds() {
+    for fail_after in [1, 3, 5] {
+        let mut ring = ProbeRing::new(fail_after);
+        // The first round sends the probe; each later round that finds it
+        // unanswered is a miss.
+        assert_eq!(
+            ring.rounds_until_failed(B),
+            u64::from(fail_after) + 1,
+            "fail_after_missed = {fail_after}"
+        );
+        assert!(!ring.nodes[0].peer_keys().contains(&B));
+        assert!(
+            ring.nodes[0].peer_keys().contains(&C),
+            "C answered every probe"
+        );
+    }
+}
+
+#[test]
+fn any_message_from_a_peer_clears_its_outstanding_probe() {
+    let messages = [
+        Message::Ping { from: B },
+        Message::Pong { from: B },
+        // Already known at this incarnation: changes nothing else at A.
+        Message::Announce {
+            node: C,
+            incarnation: 1,
+        },
+    ];
+    for msg in messages {
+        let mut ring = ProbeRing::new(3);
+        ring.quiet_rounds(2); // one miss on B's probe
+        ring.tell_a(B, msg.clone());
+        assert_eq!(ring.rounds_until_failed(B), 4, "after {}", msg.kind());
+    }
+}
+
+#[test]
+fn a_higher_incarnation_relearn_or_a_retirement_clears_the_missed_count() {
+    let announce = |incarnation| Message::Announce {
+        node: B,
+        incarnation,
+    };
+    // Control: the same incarnation again is not news, so the count stands
+    // (one miss, two more to go).
+    let mut ring = ProbeRing::new(3);
+    ring.quiet_rounds(2);
+    ring.tell_a(C, announce(1));
+    assert_eq!(ring.rounds_until_failed(B), 2);
+
+    let mut ring = ProbeRing::new(3);
+    ring.quiet_rounds(2);
+    ring.tell_a(C, announce(2));
+    assert_eq!(ring.rounds_until_failed(B), 4, "after a re-learn");
+
+    let mut ring = ProbeRing::new(3);
+    ring.quiet_rounds(2);
+    ring.tell_a(
+        C,
+        Message::Retire {
+            node: B,
+            incarnation: 1,
+        },
+    );
+    assert!(!ring.nodes[0].peer_keys().contains(&B));
+    ring.tell_a(C, announce(2));
+    assert_eq!(ring.rounds_until_failed(B), 4, "after a retirement");
+}
+
+#[test]
+fn an_ex_neighbour_keeps_its_missed_count_when_it_reenters_the_leaf_set() {
+    let mut ring = ProbeRing::new(3);
+    ring.quiet_rounds(2); // one miss on B's probe
+    ring.tell_a(
+        C,
+        Message::Announce {
+            node: X,
+            incarnation: 1,
+        },
+    );
+    // X now stands between A and B: A probes X and C, not B.
+    ring.quiet_rounds(5);
+    ring.tell_a(
+        C,
+        Message::Retire {
+            node: X,
+            incarnation: 1,
+        },
+    );
+    // B is a neighbour again, and its probe is still one miss down.
+    assert_eq!(ring.rounds_until_failed(B), 2);
+}
+
 #[test]
 fn delete_before_join_is_rejected() {
     let mut node = ChimeraNode::new(Key::from_name("solo"), cfg());
