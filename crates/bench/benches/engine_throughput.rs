@@ -27,7 +27,13 @@
 //!    with replica targets — what every `store` does to its directory. The
 //!    allocations one append makes must not depend on how many versions the
 //!    record already holds (records are shared between copies, not copied).
-//! 4. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
+//! 4. **Overlay deliveries** (`overlay_1k`): rings of 64 and 1 000 nodes,
+//!    each holding the whole ring as its view, through ping/pong rounds by
+//!    direct delivery, then leaf-covered and full-view-fallback `route`
+//!    calls. Neither may allocate (an exact count); what a delivery and a
+//!    route call cost at each size is printed — they should not grow with
+//!    the ring.
+//! 5. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
 //!    paper testbed — how much of the engine win survives under the full
 //!    stack (overlay, flows, services).
 //!
@@ -48,9 +54,12 @@
 use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
-use c4h_chimera::{ChimeraConfig, ChimeraNode, DhtEvent, Key, OverwritePolicy};
+use c4h_chimera::{
+    route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
+    RoutingTable,
+};
 use c4h_simnet::queue::reference::RefQueue;
-use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, SimTime, TcpProfile};
+use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, SimTime, TcpProfile};
 use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
 
@@ -505,6 +514,125 @@ fn dht_chain_append() -> Vec<(f64, f64)> {
     rows
 }
 
+/// Ring sizes of the `overlay_1k` rows.
+const OVERLAY_PEERS: [usize; 2] = [64, 1_000];
+
+/// Keys per kind of `route` call in an `overlay_1k` row.
+const OVERLAY_KEYS: usize = 64;
+
+/// What one `overlay_1k` row measured.
+struct OverlayRow {
+    deliveries: u64,
+    delivery_allocs: u64,
+    ns_per_delivery: f64,
+    route_calls: u64,
+    route_allocs: u64,
+    ns_per_covered_route: f64,
+    ns_per_fallback_route: f64,
+}
+
+/// `n` overlay nodes, each assembled with the whole ring as its view — the
+/// view a protocol join leaves, as on the `neighborhood-1k` world — driven
+/// by direct delivery. Each ping round ticks every node, which pings its two
+/// ring neighbours, and delivers until quiet: every ping is answered, so
+/// nobody is ever declared failed. After two warm-up rounds, `rounds` rounds
+/// are counted. Then `route` runs on node 0's view for keys its leaf set
+/// covers, and — with an empty prefix table, as when the table has no hop —
+/// for keys it does not, which reach the full-view fallback.
+fn overlay_ring(n: usize, rounds: u64, route_reps: u64) -> OverlayRow {
+    let ids: Vec<Key> = (0..n)
+        .map(|i| Key::from_name(&format!("ring-{i}")))
+        .collect();
+    let index: FxHashMap<Key, usize> = ids.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+    let mut nodes: Vec<ChimeraNode> = ids
+        .iter()
+        .map(|&id| {
+            let mut node = ChimeraNode::new(id, ChimeraConfig::default());
+            node.assemble(ids.iter().copied(), SimTime::ZERO);
+            while node.poll_event().is_some() {}
+            node
+        })
+        .collect();
+    let mut round = 0u64;
+    let mut ping_round = |nodes: &mut [ChimeraNode]| -> u64 {
+        round += 1;
+        let now = SimTime::from_secs(round);
+        for node in nodes.iter_mut() {
+            node.tick(now);
+        }
+        let mut delivered = 0;
+        loop {
+            let before = delivered;
+            for i in 0..nodes.len() {
+                while let Some(env) = nodes[i].poll_send() {
+                    let j = index[&env.to];
+                    nodes[j].handle(env, now);
+                    delivered += 1;
+                }
+            }
+            if delivered == before {
+                return delivered;
+            }
+        }
+    };
+    ping_round(&mut nodes);
+    ping_round(&mut nodes);
+    let (allocs0, timer) = (allocations(), Instant::now());
+    let deliveries: u64 = (0..rounds).map(|_| ping_round(&mut nodes)).sum();
+    let ns_per_delivery = timer.elapsed().as_nanos() as f64 / deliveries as f64;
+    let delivery_allocs = allocations() - allocs0;
+    assert!(
+        nodes.iter().all(|node| node.peer_keys().len() == n - 1),
+        "a node dropped a peer that answered every ping"
+    );
+
+    let owner = ids[0];
+    let peers: RbTree<Key, ()> = ids[1..].iter().map(|&k| (k, ())).collect();
+    let mut leaf = LeafSet::new();
+    leaf.rebuild(owner, &peers, ChimeraConfig::default().leaf_size);
+    let mut table = RoutingTable::new(owner);
+    for &k in &ids[1..] {
+        table.add(k);
+    }
+    // The leaf set covers the arc from its farthest left to its farthest
+    // right member.
+    let lo = *leaf.left().last().expect("the ring has peers");
+    let span = lo.clockwise_distance(*leaf.right().last().expect("the ring has peers"));
+    let covered: Vec<Key> = (0..OVERLAY_KEYS as u64)
+        .map(|t| Key::from_raw(lo.raw() + span * t / OVERLAY_KEYS as u64))
+        .collect();
+    let mut mix = Mix(n as u64);
+    let fallback: Vec<Key> = std::iter::repeat_with(|| Key::from_raw(mix.next()))
+        .filter(|&k| !leaf.covers(owner, k))
+        .take(OVERLAY_KEYS)
+        .collect();
+    let no_table = RoutingTable::new(owner);
+    let timed_routes = |keys: &[Key], table: &RoutingTable| -> (f64, u64) {
+        let (allocs0, timer) = (allocations(), Instant::now());
+        for _ in 0..route_reps {
+            for &key in keys {
+                std::hint::black_box(route(owner, key, &leaf, table, &peers));
+            }
+        }
+        let calls = route_reps * keys.len() as u64;
+        (
+            timer.elapsed().as_nanos() as f64 / calls as f64,
+            allocations() - allocs0,
+        )
+    };
+    let (ns_per_covered_route, covered_allocs) = timed_routes(&covered, &table);
+    let (ns_per_fallback_route, fallback_allocs) = timed_routes(&fallback, &no_table);
+    OverlayRow {
+        deliveries,
+        delivery_allocs,
+        ns_per_delivery,
+        route_calls: 2 * route_reps * OVERLAY_KEYS as u64,
+        route_allocs: covered_allocs + fallback_allocs,
+        ns_per_covered_route,
+        ns_per_fallback_route,
+    }
+}
+
 /// End-to-end ops/sec: a mixed store/fetch workload on the paper testbed,
 /// wall-clock timed through the full stack.
 fn runtime_ops_per_sec() -> (u64, f64) {
@@ -741,6 +869,54 @@ fn main() {
              the record must be shared between its copies, not copied",
             CHAIN_LENGTHS[0],
             CHAIN_LENGTHS[CHAIN_LENGTHS.len() - 1]
+        ),
+    );
+
+    // A count gate, not a clock: overlay deliveries and `route` calls on a
+    // full-view ring allocate nothing, at 64 peers and at 1 000. What a
+    // delivery costs at each size is printed only.
+    let (rounds, route_reps) = if smoke() { (20, 200) } else { (200, 2_000) };
+    let mut overlay_allocs = Vec::new();
+    for n in OVERLAY_PEERS {
+        let row = overlay_ring(n, rounds, route_reps);
+        println!(
+            "overlay_1k @{n:>5} peers: {} deliveries, {} allocs, {:.0} ns per delivery; \
+             {} route calls, {} allocs, {:.0} ns covered, {:.0} ns fallback",
+            row.deliveries,
+            row.delivery_allocs,
+            row.ns_per_delivery,
+            row.route_calls,
+            row.route_allocs,
+            row.ns_per_covered_route,
+            row.ns_per_fallback_route
+        );
+        report.push_row(vec![
+            ("overlay_peers", n.into()),
+            ("overlay_deliveries", row.deliveries.into()),
+            ("overlay_delivery_allocs", row.delivery_allocs.into()),
+            (
+                "overlay_ns_per_delivery",
+                row.ns_per_delivery.round().into(),
+            ),
+            ("overlay_route_calls", row.route_calls.into()),
+            ("overlay_route_allocs", row.route_allocs.into()),
+            (
+                "overlay_ns_per_covered_route",
+                row.ns_per_covered_route.round().into(),
+            ),
+            (
+                "overlay_ns_per_fallback_route",
+                row.ns_per_fallback_route.round().into(),
+            ),
+        ]);
+        overlay_allocs.push((n, row.delivery_allocs, row.route_allocs));
+    }
+    report.check(
+        "overlay_1k_zero_alloc",
+        overlay_allocs.iter().all(|&(_, d, r)| d == 0 && r == 0),
+        format!(
+            "(peers, delivery allocs, route allocs) = {overlay_allocs:?}; a ping round and a \
+             route call must not allocate at any ring size"
         ),
     );
 

@@ -22,10 +22,10 @@ use std::time::Duration;
 use c4h_simnet::SimTime;
 use c4h_telemetry::{ArgValue, Recorder, SpanId};
 
-use crate::key::{root_of, Key};
+use crate::key::Key;
 use crate::messages::{Envelope, Message, ReqId};
 use crate::rbtree::RbTree;
-use crate::routing::{route, LeafSet, NextHop, RoutingTable};
+use crate::routing::{closest_known, route, LeafSet, NextHop, RoutingTable};
 use crate::store::{LocalStore, MetaCache, OverwritePolicy, PutError, StoredValue};
 
 /// Tunables of the overlay node.
@@ -145,12 +145,10 @@ pub enum DhtEvent {
     },
 }
 
-/// Per-peer liveness bookkeeping.
+/// What the membership view keeps per peer.
 #[derive(Debug, Clone)]
 struct PeerState {
     incarnation: u32,
-    awaiting_pong: bool,
-    missed: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -223,6 +221,11 @@ pub struct ChimeraNode {
     incarnation: u32,
     config: ChimeraConfig,
     peers: RbTree<Key, PeerState>,
+    /// Outstanding liveness probes: a peer is present while a ping to it
+    /// awaits its answer, mapped to the rounds that found it unanswered.
+    /// Only known peers have one, and it survives the peer leaving the
+    /// leaf set.
+    probes: FxHashMap<Key, u32>,
     retired: FxHashMap<Key, u32>,
     table: RoutingTable,
     leaf: LeafSet,
@@ -250,6 +253,7 @@ impl ChimeraNode {
             table: RoutingTable::new(id),
             leaf: LeafSet::new(),
             peers: RbTree::new(),
+            probes: FxHashMap::default(),
             retired: FxHashMap::default(),
             store: LocalStore::new(),
             replicas: LocalStore::new(),
@@ -377,10 +381,7 @@ impl ChimeraNode {
 
     /// Whether this node is the root for `key` among its known membership.
     pub fn is_root_for(&self, key: Key) -> bool {
-        root_of(
-            key,
-            self.peers.keys().copied().chain(std::iter::once(self.id)),
-        ) == Some(self.id)
+        closest_known(key, &self.peers, Some(self.id)) == Some(self.id)
     }
 
     /// Starts a brand-new overlay with this node as the only member.
@@ -457,9 +458,8 @@ impl ChimeraNode {
         // the transfer order is identical across same-seed runs.
         let mut by_target: std::collections::BTreeMap<Key, Vec<(Key, StoredValue)>> =
             std::collections::BTreeMap::new();
-        let all: Vec<(Key, StoredValue)> = self.store.drain_matching(|_| true);
-        for (k, v) in all {
-            if let Some(target) = root_of(k, self.peers.keys().copied()) {
+        for (k, v) in self.store.drain_matching(|_| true) {
+            if let Some(target) = closest_known(k, &self.peers, None) {
                 by_target.entry(target).or_default().push((k, v));
             }
         }
@@ -605,17 +605,19 @@ impl ChimeraNode {
         self.last_ping_round = Some(now);
         let mut failed = Vec::new();
         for n in self.leaf.immediate_neighbors() {
-            let Some(state) = self.peers.get_mut(&n) else {
-                continue;
-            };
-            if state.awaiting_pong {
-                state.missed += 1;
-                if state.missed >= self.config.fail_after_missed {
-                    failed.push((n, state.incarnation));
+            debug_assert!(
+                self.peers.contains(&n),
+                "leaf member {n} is not a known peer"
+            );
+            if let Some(missed) = self.probes.get_mut(&n) {
+                *missed += 1;
+                if *missed >= self.config.fail_after_missed {
+                    failed.push((n, self.peers.get(&n).expect("leaf ⊆ peers").incarnation));
                     continue;
                 }
+            } else {
+                self.probes.insert(n, 0);
             }
-            state.awaiting_pong = true;
             self.send(n, Message::Ping { from: self.id });
         }
         for (node, inc) in failed {
@@ -666,14 +668,11 @@ impl ChimeraNode {
     }
 
     fn process(&mut self, from: Key, msg: Message, now: SimTime) {
-        // Any message from a peer is liveness evidence: reset its probe
-        // bookkeeping so lossy links do not trigger false failure
-        // declarations (SWIM-style suspicion damping).
-        if from != self.id {
-            if let Some(state) = self.peers.get_mut(&from) {
-                state.awaiting_pong = false;
-                state.missed = 0;
-            }
+        // Any message from a peer is liveness evidence: drop its probe so
+        // lossy links do not trigger false failure declarations (SWIM-style
+        // suspicion damping). This is all a `Pong` does.
+        if from != self.id && !self.probes.is_empty() {
+            self.probes.remove(&from);
         }
         match msg {
             Message::WelcomeRequest {
@@ -813,12 +812,7 @@ impl ChimeraNode {
             Message::Ping { from: prober } => {
                 self.send(prober, Message::Pong { from: self.id });
             }
-            Message::Pong { from: responder } => {
-                if let Some(state) = self.peers.get_mut(&responder) {
-                    state.awaiting_pong = false;
-                    state.missed = 0;
-                }
-            }
+            Message::Pong { .. } => {}
         }
     }
 
@@ -1059,19 +1053,11 @@ impl ChimeraNode {
                     return false;
                 }
                 state.incarnation = incarnation;
-                state.awaiting_pong = false;
-                state.missed = 0;
+                self.probes.remove(&node);
                 true
             }
             None => {
-                self.peers.insert(
-                    node,
-                    PeerState {
-                        incarnation,
-                        awaiting_pong: false,
-                        missed: 0,
-                    },
-                );
+                self.peers.insert(node, PeerState { incarnation });
                 self.table.add(node);
                 true
             }
@@ -1122,19 +1108,13 @@ impl ChimeraNode {
             }
         }
         // Redistribute records the new node now owns; keep local replicas.
-        // With nothing stored there is nothing to move or re-replicate, so
-        // skip materializing the O(peers) membership vector — announce
-        // floods hit every node for every join, and this is their hot path.
+        // With nothing stored there is nothing to move or re-replicate —
+        // announce floods hit every node for every join, and this is their
+        // hot path.
         if !self.store.is_empty() {
-            let peers_and_self: Vec<Key> = self
-                .peers
-                .keys()
-                .copied()
-                .chain(std::iter::once(self.id))
-                .collect();
             let moved = self
                 .store
-                .drain_matching(|k| root_of(k, peers_and_self.iter().copied()) == Some(node));
+                .drain_matching(|k| closest_known(k, &self.peers, Some(self.id)) == Some(node));
             if !moved.is_empty() {
                 for (k, v) in &moved {
                     self.replicas.install(*k, v.clone());
@@ -1178,6 +1158,7 @@ impl ChimeraNode {
         }
         self.retired.insert(node, incarnation);
         self.peers.remove(&node);
+        self.probes.remove(&node);
         self.table.remove(node);
         self.rebuild_views();
         self.events.push_back(if failed {
@@ -1198,15 +1179,9 @@ impl ChimeraNode {
 
     /// Adopts replicas whose root has vanished and is now this node.
     fn promote_orphaned_replicas(&mut self, _now: SimTime) {
-        let peers_and_self: Vec<Key> = self
-            .peers
-            .keys()
-            .copied()
-            .chain(std::iter::once(self.id))
-            .collect();
         let mine = self
             .replicas
-            .drain_matching(|k| root_of(k, peers_and_self.iter().copied()) == Some(self.id));
+            .drain_matching(|k| closest_known(k, &self.peers, Some(self.id)) == Some(self.id));
         for (k, v) in mine {
             self.store.install(k, v.clone());
             self.replicate_record(k, v);

@@ -6,7 +6,7 @@
 //! *leaf set* of ring neighbours handles final numeric delivery. This module
 //! implements both structures over the 40-bit key space.
 
-use crate::key::{Key, KEY_DIGITS};
+use crate::key::{root_of, Key, KEY_DIGITS};
 use crate::rbtree::RbTree;
 
 /// Number of columns per routing-table row (one per hex digit value).
@@ -189,17 +189,6 @@ impl LeafSet {
         lo.clockwise_distance(key) <= lo.clockwise_distance(hi)
     }
 
-    /// Members of both sides, deduplicated, nearest first per side.
-    pub fn members(&self) -> Vec<Key> {
-        let mut out = self.left.clone();
-        for &r in &self.right {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-        out
-    }
-
     /// Replica targets for a record rooted at the owner: the `n` nearest
     /// distinct neighbours, alternating sides.
     pub fn replica_targets(&self, n: usize) -> Vec<Key> {
@@ -260,31 +249,49 @@ pub fn route<V>(
     if peers.is_empty() {
         return NextHop::Deliver;
     }
-    // Final delivery via the leaf set.
-    if leaf.covers(owner, key) {
-        let best = crate::key::root_of(
-            key,
-            leaf.members().into_iter().chain(std::iter::once(owner)),
-        )
-        .expect("owner is always a candidate");
-        return if best == owner {
-            NextHop::Deliver
-        } else {
-            NextHop::Forward(best)
-        };
-    }
-    // Prefix routing step: guaranteed prefix progress.
-    if let Some(hop) = table.next_hop(key) {
+    let best = if leaf.covers(owner, key) {
+        // Final delivery via the leaf set. The fold is a minimum under a
+        // total order, so side order and a node on both sides do not matter.
+        let leaves = leaf.left().iter().chain(leaf.right()).copied();
+        root_of(key, leaves.chain(std::iter::once(owner))).expect("owner is a candidate")
+    } else if let Some(hop) = table.next_hop(key) {
+        // Prefix routing step: guaranteed prefix progress.
         return NextHop::Forward(hop);
-    }
-    // Fallback on the complete logical tree view.
-    let best_known = crate::key::root_of(key, peers.keys().copied().chain(std::iter::once(owner)))
-        .expect("at least the owner is a candidate");
-    if best_known == owner {
+    } else {
+        closest_known(key, peers, Some(owner)).expect("owner is a candidate")
+    };
+    if best == owner {
         NextHop::Deliver
     } else {
-        NextHop::Forward(best_known)
+        NextHop::Forward(best)
     }
+}
+
+/// The root of `key` among `peers` and `owner` (when given): what
+/// [`root_of`] over all of them returns, in O(log n).
+///
+/// `root_of` picks the minimum of a total order — ring distance to `key`,
+/// then raw key. The key itself, when present, is at distance 0. Otherwise
+/// a peer at the least distance `d` sits at `key + d` or `key - d` with no
+/// peer nearer on that side, so it is the first peer clockwise or the first
+/// counter-clockwise from `key` (each side wrapping around the ring through
+/// the tree's minimum or maximum), and an exact tie is between those two.
+pub(crate) fn closest_known<V>(
+    key: Key,
+    peers: &RbTree<Key, V>,
+    owner: Option<Key>,
+) -> Option<Key> {
+    let hit = peers.contains(&key).then_some(key);
+    let next = peers.next_after(&key).or_else(|| peers.min());
+    let prev = peers.prev_before(&key).or_else(|| peers.max());
+    let ring = [next, prev].into_iter().flatten().map(|(k, _)| *k);
+    let best = root_of(key, hit.into_iter().chain(ring).chain(owner));
+    debug_assert_eq!(
+        best,
+        root_of(key, peers.keys().copied().chain(owner)),
+        "closest_known disagrees with the full scan for {key}"
+    );
+    best
 }
 
 #[cfg(test)]
@@ -360,7 +367,8 @@ mod tests {
             leaf.immediate_neighbors().collect::<Vec<_>>(),
             vec![Key::from_raw(0x20)]
         );
-        assert_eq!(leaf.members(), vec![Key::from_raw(0x20)]);
+        assert_eq!(leaf.left(), &[Key::from_raw(0x20)]);
+        assert_eq!(leaf.right(), &[Key::from_raw(0x20)]);
     }
 
     #[test]

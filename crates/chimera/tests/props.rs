@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use c4h_chimera::{
-    root_of, ChimeraConfig, ChimeraNode, Key, LocalStore, MetaCache, OverwritePolicy, RbTree,
-    StoredValue,
+    root_of, route, ChimeraConfig, ChimeraNode, Key, LeafSet, LocalStore, MetaCache, NextHop,
+    OverwritePolicy, RbTree, RoutingTable, StoredValue, KEY_MASK,
 };
 use c4h_simnet::SimTime;
 use proptest::prelude::*;
@@ -164,6 +164,102 @@ fn pump(nodes: &mut [ChimeraNode]) {
         }
     }
     panic!("cluster failed to quiesce");
+}
+
+/// A membership view seen from `owner`, and a key to find the root of.
+#[derive(Debug, Clone)]
+struct RootCase {
+    owner: Key,
+    /// Sorted and distinct; never contains `owner`.
+    view: Vec<Key>,
+    key: Key,
+}
+
+/// Views of 0, 1 or 2 peers a third of the time, else up to 40. The key is
+/// random, a peer, the owner, within a few units of 0 or of the top of the
+/// ring, or exactly halfway between two peers built around it.
+fn root_case() -> impl Strategy<Value = RootCase> {
+    (
+        0u8..6,
+        0u8..3,
+        proptest::collection::btree_set(any::<u64>(), 0..40),
+        any::<u64>(),
+        any::<u64>(),
+        0u64..4,
+    )
+        .prop_map(|(shape, size, raw, owner, pick, near)| {
+            let mut view: Vec<Key> = raw.into_iter().map(Key::from_raw).collect();
+            if size == 0 {
+                view.truncate(view.len() % 3);
+            }
+            let owner = Key::from_raw(owner);
+            let key = match shape {
+                0 => Key::from_raw(pick),
+                1 => view
+                    .get(pick as usize % view.len().max(1))
+                    .copied()
+                    .unwrap_or(owner),
+                2 => owner,
+                3 => Key::from_raw(near),
+                4 => Key::from_raw(KEY_MASK - near),
+                _ => {
+                    // An equidistant pair; `near == 0` puts one peer at the
+                    // antipode, where both sides meet.
+                    let key = Key::from_raw(pick);
+                    let d = if near == 0 {
+                        1 << 39
+                    } else {
+                        1 + (pick >> 40) % 1000
+                    };
+                    view.push(Key::from_raw(key.raw().wrapping_add(d)));
+                    view.push(Key::from_raw(key.raw().wrapping_sub(d)));
+                    key
+                }
+            };
+            view.retain(|&k| k != owner);
+            view.sort_unstable();
+            view.dedup();
+            RootCase { owner, view, key }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The O(log n) closest-known lookup behind `route`'s fallback and
+    /// `is_root_for` picks exactly what the linear `root_of` fold over the
+    /// whole view does, and so does `route`'s leaf-set branch. Checked
+    /// through the public surface, so it holds in release builds too, where
+    /// the lookup's own debug comparison against the fold is compiled out.
+    #[test]
+    fn closest_known_matches_the_full_view_fold(case in root_case()) {
+        let RootCase { owner, view, key } = case;
+        let tree: RbTree<Key, ()> = view.iter().map(|&k| (k, ())).collect();
+        let root = root_of(key, view.iter().copied().chain([owner])).unwrap();
+        let want = if root == owner { NextHop::Deliver } else { NextHop::Forward(root) };
+
+        // No leaf interval and no prefix table: every key but the owner's
+        // own reaches the full-view fallback.
+        let bare = route(owner, key, &LeafSet::new(), &RoutingTable::new(owner), &tree);
+        prop_assert_eq!(bare, want, "fallback for {} at {} over {:?}", key, owner, view);
+
+        let mut node = ChimeraNode::new(owner, ChimeraConfig::default());
+        node.assemble(view.iter().copied(), SimTime::ZERO);
+        prop_assert_eq!(node.is_root_for(key), root == owner, "is_root_for({}) at {}", key, owner);
+
+        // With the true leaf set a covered key is delivered at its root, and
+        // a key routed to no further hop is at its root.
+        let mut leaf = LeafSet::new();
+        leaf.rebuild(owner, &tree, 2);
+        let mut table = RoutingTable::new(owner);
+        for &k in &view {
+            table.add(k);
+        }
+        let hop = route(owner, key, &leaf, &table, &tree);
+        if leaf.covers(owner, key) || hop == NextHop::Deliver {
+            prop_assert_eq!(hop, want, "leaf route for {} at {} over {:?}", key, owner, view);
+        }
+    }
 }
 
 proptest! {
