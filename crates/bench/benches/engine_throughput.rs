@@ -22,7 +22,8 @@
 //!    the max-min solve alone, once with every flow below its cap (a round
 //!    evaluates one candidate — at most 2 per round is asserted, an exact
 //!    count) and once with every cap binding (a round scans every unfixed
-//!    flow).
+//!    flow). They also print the caps a derivation re-read: those of the
+//!    flows at their own instant, not of every flow in flight.
 //! 3. **DHT chained append**: chained puts to one key on a small overlay
 //!    with replica targets — what every `store` does to its directory. The
 //!    allocations one append makes must not depend on how many versions the
@@ -388,8 +389,8 @@ const SOLVE_INFLIGHT: [usize; 3] = [50, 200, 800];
 /// cap, with `cap_limited` every flow's cap is a quarter of its share. Setup
 /// is zero in both, so a solve's filling rounds number the flows in flight.
 /// Times the engine calls that solved, over `solves` of them; returns (ns
-/// per solve, candidates per filling round).
-fn flownet_solve(inflight: usize, cap_limited: bool, solves: u64) -> (f64, f64) {
+/// per solve, candidates per filling round, caps read per derivation).
+fn flownet_solve(inflight: usize, cap_limited: bool, solves: u64) -> (f64, f64, f64) {
     let mut tb = presets::paper_testbed();
     for i in 0..NODES {
         tb.topology.attach(Addr::new(i), tb.home);
@@ -432,6 +433,7 @@ fn flownet_solve(inflight: usize, cap_limited: bool, solves: u64) -> (f64, f64) 
     (
         ns,
         (last.candidates - first.candidates) as f64 / rounds as f64,
+        (last.cap_reads - first.cap_reads) as f64 / (last.derives - first.derives) as f64,
     )
 }
 
@@ -818,7 +820,7 @@ fn main() {
     for inflight in SOLVE_INFLIGHT {
         for cap_limited in [false, true] {
             let solves = if smoke() { 200 } else { 2_000 };
-            let (ns, per_round) = flownet_solve(inflight, cap_limited, solves);
+            let (ns, per_round, reads) = flownet_solve(inflight, cap_limited, solves);
             let kind = if cap_limited {
                 "cap-limited"
             } else {
@@ -826,13 +828,14 @@ fn main() {
             };
             println!(
                 "flownet solve @{inflight:>3} flows, {kind:>13}: {ns:>9.0} ns per solve, \
-                 {per_round:.2} candidates per round"
+                 {per_round:.2} candidates per round, {reads:.2} caps read per derivation"
             );
             report.push_row(vec![
                 ("flownet_solve_inflight", inflight.into()),
                 ("flownet_solve_cap_limited", cap_limited.into()),
                 ("flownet_solve_ns", ns.round().into()),
                 ("flownet_solve_candidates_per_round", per_round.into()),
+                ("flownet_solve_cap_reads_per_derive", reads.into()),
             ]);
             if !cap_limited {
                 report.check(

@@ -1707,11 +1707,12 @@ impl Cloud4Home {
             self.flows.background() as i64,
         );
         for (i, load) in self.net.segment_loads().iter().enumerate() {
+            let name = self.net.topology().segment(load.segment).name();
             put(
-                names.of("net.", i, &load.name, ".util_permille"),
+                names.of("net.", i, name, ".util_permille"),
                 load.util_permille() as i64,
             );
-            put(names.of("net.", i, &load.name, ".flows"), load.flows as i64);
+            put(names.of("net.", i, name, ".flows"), load.flows as i64);
         }
         for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
             let peek = n.sampler.peek();

@@ -21,24 +21,29 @@
 //! instant the flow lands. A clock move that reaches no such instant is
 //! `now = to` and nothing else; only a start, a cancel, a
 //! [`FlowNet::topology_mut`] call or reaching the announced instant makes
-//! the engine pass over its flows again (one *derivation*: re-solve if the
-//! solver's inputs moved, re-anchor the flows whose rate did, find the next
-//! instant). See DESIGN.md ("Poll-independence contract").
+//! the engine look at its flows again (one *derivation*: re-read the caps
+//! of the flows at their own instant, re-solve if the solver's inputs
+//! moved, re-anchor the flows whose rate did, find the next instant). See
+//! DESIGN.md ("Poll-independence contract").
 //!
-//! The solve pays for what binds, on two lemmas (`FlowNet::reallocate`,
-//! DESIGN.md §12). *Lower-bound round:* when the smallest share any path
-//! offers is no larger than a lower bound on the unfixed flows' caps, that
-//! share is the round's minimum and the first flow to tie at it wins — the
-//! round costs the shares plus the flows looked at before that one, not a
-//! scan of all. *Replayed trace:* a derivation whose inputs differ from the
-//! solved ones only in caps that never bound, then or now, would replay the
-//! solve round for round, so it keeps the stored rates. The orders the
-//! rates' bits depend on — flows enter in ascending id, the first of equal
-//! candidates wins, `swap_remove` picks who is seen first next — are kept
-//! exactly; [`FlowCounters`] counts solves and candidate evaluations.
+//! A derivation pays for what changed and the solve for what binds, on
+//! three lemmas (`FlowNet::reallocate`, DESIGN.md §12). *Lower-bound
+//! round:* when the smallest share any path offers is no larger than a
+//! lower bound on the unfixed flows' caps, that share is the round's
+//! minimum and the first flow to tie at it wins — the round costs the
+//! shares plus the flows looked at before that one, not a scan of all.
+//! *Replayed trace:* a derivation whose inputs differ from the last one's
+//! only in caps that never bound, then or now, would replay the solve round
+//! for round, so it keeps the stored rates. *Own instants:* a cap moves
+//! only at its flow's setup end, ramp steps and sustained threshold, each
+//! an instant the flow announces, so a flow caches its cap and a derivation
+//! reads only the flows whose instant it is, the segment capacities and
+//! whether a flow of the last inputs left. The orders the rates' bits
+//! depend on — flows enter in ascending id, the first of equal candidates
+//! wins, `swap_remove` picks who is seen first next — are kept exactly;
+//! [`FlowCounters`] counts solves, candidate evaluations and cap reads.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use c4h_telemetry::{ArgValue, Recorder, SpanId};
 
@@ -160,6 +165,13 @@ struct Flow {
     /// solve the flow was still unfixed in: a cap at or above it did not
     /// bind.
     bound: f64,
+    /// The flow's cap, whether the sustained cap applies, and whether its
+    /// next ramp step still raises the cap — read at its last own instant
+    /// past setup, and constant until the next one (DESIGN.md §12). `cap` is
+    /// NaN until that first read: the flow has not joined a solve's input.
+    cap: f64,
+    shaped: bool,
+    ramping: bool,
     /// Chunked-transfer parent, when this flow carries one chunk of a
     /// larger logical transfer. Chunk completions feed the parent instead of
     /// surfacing as [`FlowEvent`]s.
@@ -207,8 +219,17 @@ impl Flow {
             rate: 0,
             due: now,
             bound: f64::INFINITY,
+            cap: f64::NAN,
+            shaped: false,
+            ramping: false,
             parent,
         }
+    }
+
+    /// Whether the flow is in the solver's input: its cap was read past
+    /// setup.
+    fn joined(&self) -> bool {
+        !self.cap.is_nan()
     }
 
     fn is_active(&self, now: SimTime) -> bool {
@@ -240,37 +261,42 @@ impl Flow {
         }
     }
 
-    /// Whether the sustained cap applies: `bytes(now) >= threshold`,
-    /// without the division.
-    fn shaped(&self, now: SimTime) -> bool {
+    /// The flow's own rate cap at `now` (before sharing), whether the
+    /// sustained cap applies (`bytes(now) >= threshold`, without the
+    /// division) and whether the next ramp step raises the cap: what
+    /// [`Flow::refresh`] caches, read off the profile.
+    fn cap_state(&self, now: SimTime) -> (f64, bool, bool) {
+        let tcp = &self.tcp;
         let crossed = |s: SustainedCap| self.progress(now) >= u128::from(s.threshold_bytes) * BYTE;
-        self.tcp.sustained.is_some_and(crossed)
-    }
-
-    /// The flow's own rate cap at `now` (before sharing).
-    fn cap(&self, now: SimTime) -> f64 {
+        let shaped = tcp.sustained.is_some_and(crossed);
         let active = now
             .checked_duration_since(self.active_from)
             .unwrap_or_default();
         // `cap_at` reads the byte count against the threshold only.
-        let sent = if self.shaped(now) { u64::MAX } else { 0 };
-        self.tcp.cap_at(active, sent) * self.factor
+        let cap = tcp.cap_at(active, if shaped { u64::MAX } else { 0 });
+        let ramping = !shaped
+            && !tcp.ramp_step.is_zero()
+            && tcp.ramp_bps_per_sec > 0.0
+            && cap < tcp.rate_cap_bps;
+        (cap * self.factor, shaped, ramping)
     }
 
-    /// The flow's next event after `now`, given its present epoch.
+    /// Re-reads the cached cap state: at one of the flow's own instants
+    /// past setup, the only instants it can move at.
+    fn refresh(&mut self, now: SimTime) {
+        (self.cap, self.shaped, self.ramping) = self.cap_state(now);
+    }
+
+    /// The flow's next event after `now`, given its present epoch and its
+    /// cached cap state.
     fn next_due(&self, now: SimTime) -> SimTime {
         if !self.is_active(now) {
             return self.active_from;
         }
-        let shaped = self.shaped(now);
         let mut due = SimTime::MAX;
-        let step = self.tcp.ramp_step.as_nanos() as u64;
-        let active = now.as_nanos() - self.active_from.as_nanos();
-        if !shaped
-            && step > 0
-            && self.tcp.ramp_bps_per_sec > 0.0
-            && self.tcp.cap_at(Duration::from_nanos(active), 0) < self.tcp.rate_cap_bps
-        {
+        if self.ramping {
+            let step = self.tcp.ramp_step.as_nanos() as u64;
+            let active = now.as_nanos() - self.active_from.as_nanos();
             due = SimTime::from_nanos(now.as_nanos() + step - active % step);
         }
         if self.rate > 0 {
@@ -278,7 +304,7 @@ impl Flow {
             // byte count that matters. It is after `now`: a flow is retired
             // in the instant it reaches its total.
             let target = match self.tcp.sustained {
-                Some(s) if !shaped => s.threshold_bytes.min(self.total_bytes),
+                Some(s) if !self.shaped => s.threshold_bytes.min(self.total_bytes),
                 _ => self.total_bytes,
             };
             let left = (u128::from(target) * BYTE).saturating_sub(self.sent);
@@ -310,8 +336,8 @@ pub struct FlowProgress {
 /// Point-in-time load on one topology segment, for the health plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentLoad {
-    /// The segment's name (e.g. `"home-lan"`, `"wan-up"`).
-    pub name: String,
+    /// The segment ([`Topology::segment`] has its name).
+    pub segment: SegmentId,
     /// Sum of the rates currently allocated to flows crossing the segment,
     /// bytes/second.
     pub allocated_bps: f64,
@@ -349,11 +375,12 @@ struct Unfixed {
 /// without touching the allocator.
 #[derive(Debug, Default)]
 struct AllocScratch {
-    /// Inputs of the last solve: the segment count, every segment's
-    /// capacity bits, then `(id, cap bits)` per active flow in id order.
-    solved: Vec<u64>,
-    /// The same signature for the engine's present state.
-    probe: Vec<u64>,
+    /// Every segment's capacity bits at the last derivation.
+    capacities: Vec<u64>,
+    /// The last derivation's signature of the solver's inputs, rebuilt
+    /// from scratch: what the replay decision is checked against.
+    #[cfg(debug_assertions)]
+    signature: Vec<u64>,
     unfixed: Vec<Unfixed>,
     /// Per segment: capacity left and unfixed flows crossing it.
     residual: Vec<f64>,
@@ -393,6 +420,38 @@ fn first_smallest(unfixed: &[Unfixed], share: &[f64]) -> (f64, usize) {
         }
     }
     best.expect("unfixed flows must yield a candidate")
+}
+
+/// The replay test as it was before caps were cached: rebuild the signature
+/// `[segment count, capacity bits…, (id, cap bits) per active flow…]` with
+/// every cap read off its profile, and replay when it matches `last` up to
+/// caps that never bound, then or now. Leaves the new signature in `last`.
+#[cfg(debug_assertions)]
+fn replays_by_signature(
+    last: &mut Vec<u64>,
+    flows: &[Flow],
+    segments: &[crate::topology::Segment],
+    now: SimTime,
+) -> bool {
+    let mut probe = vec![segments.len() as u64];
+    probe.extend(segments.iter().map(|g| g.capacity_bps().to_bits()));
+    let mut replays = last.starts_with(&probe);
+    for f in flows.iter().filter(|f| f.is_active(now)) {
+        let cap = f.cap_state(now).0;
+        let at = probe.len();
+        replays = replays
+            && match last.get(at..at + 2) {
+                Some(&[id, solved]) => {
+                    let never_bound = cap.min(f64::from_bits(solved)) >= f.bound;
+                    id == f.id.0 && (solved == cap.to_bits() || never_bound)
+                }
+                _ => false,
+            };
+        probe.extend([f.id.0, cap.to_bits()]);
+    }
+    replays = replays && probe.len() == last.len();
+    *last = probe;
+    replays
 }
 
 /// Progressive filling with the full scan in every round and nothing
@@ -480,6 +539,8 @@ pub struct FlowNet {
     /// since rates and `next` were derived. A clock move short of `next`
     /// does not set it.
     stale: bool,
+    /// A flow of the last derivation's solver input was removed since.
+    left: bool,
     /// Memo of the earliest flow's `due` ([`SimTime::MAX`] when idle);
     /// valid while `!stale`.
     next: SimTime,
@@ -513,6 +574,10 @@ pub struct FlowCounters {
     /// Evaluations of a flow's `min(cap, share)` over all filling rounds of
     /// all solves — what the solves cost.
     pub candidates: u64,
+    /// Caps derivations re-read: one per flow past setup at its own
+    /// instant (setup end, ramp step, sustained threshold), the only
+    /// instants a cap moves at.
+    pub cap_reads: u64,
 }
 
 impl FlowNet {
@@ -526,6 +591,7 @@ impl FlowNet {
             transfers: BTreeMap::new(),
             next_id: 0,
             stale: false,
+            left: false,
             next: SimTime::MAX,
             scratch: Box::default(),
             recorder: None,
@@ -573,7 +639,8 @@ impl FlowNet {
     /// A flow's own rate cap (TCP profile and bandwidth factor, before
     /// max-min sharing) at the engine's current instant.
     pub fn flow_cap(&self, id: FlowId) -> Option<f64> {
-        self.index_of(id).map(|i| self.flows[i].cap(self.now))
+        self.index_of(id)
+            .map(|i| self.flows[i].cap_state(self.now).0)
     }
 
     /// Opens the `net.flow` span of a starting logical transfer.
@@ -693,8 +760,9 @@ impl FlowNet {
             .topology
             .segments()
             .iter()
-            .map(|s| SegmentLoad {
-                name: s.name().to_owned(),
+            .enumerate()
+            .map(|(i, s)| SegmentLoad {
+                segment: SegmentId(i),
                 allocated_bps: 0.0,
                 capacity_bps: s.capacity_bps(),
                 flows: 0,
@@ -887,6 +955,14 @@ impl FlowNet {
         true
     }
 
+    /// Takes the flow at `i` out of the store — the one way a flow leaves
+    /// it, so that the next derivation knows the solver's inputs lost it.
+    fn remove_flow(&mut self, i: usize) -> Flow {
+        let flow = self.flows.remove(i);
+        self.left |= flow.joined();
+        flow
+    }
+
     /// Cancels an in-flight transfer (and, for a chunked transfer, every
     /// live chunk flow). Returns `true` if it existed.
     pub fn cancel(&mut self, id: FlowId) -> bool {
@@ -894,7 +970,7 @@ impl FlowNet {
             let mut sent = transfer.delivered;
             for chunk in &transfer.live {
                 if let Some(i) = self.index_of(*chunk) {
-                    sent += self.flows.remove(i).bytes(self.now);
+                    sent += self.remove_flow(i).bytes(self.now);
                 }
             }
             self.stale = true;
@@ -905,7 +981,7 @@ impl FlowNet {
             self.spans.remove(&id);
             return false;
         };
-        let flow = self.flows.remove(i);
+        let flow = self.remove_flow(i);
         self.stale = true;
         if let Some(parent) = flow.parent {
             // A chunk canceled directly just shrinks its parent transfer.
@@ -967,7 +1043,7 @@ impl FlowNet {
                 i += 1;
                 continue;
             }
-            let flow = self.flows.remove(i);
+            let flow = self.remove_flow(i);
             live -= 1;
             let Some(parent) = flow.parent else {
                 out.push(FlowEvent::Completed {
@@ -997,10 +1073,11 @@ impl FlowNet {
         }
     }
 
-    /// One pass over the flow set at the present instant: re-solve, open a
-    /// new epoch for every flow whose rate moved, and find the earliest
-    /// `due`. Flows whose rate stayed and whose own event is still ahead
-    /// are not touched.
+    /// One derivation at the present instant: re-read the caps of the flows
+    /// at their own instant, re-solve if the solver's inputs moved, open a
+    /// new epoch for every flow whose rate did, and find the earliest
+    /// `due`. Of a flow whose rate stayed and whose own event is still
+    /// ahead, only `due` is read.
     fn derive(&mut self) {
         self.counters.derives += 1;
         self.reallocate();
@@ -1009,6 +1086,8 @@ impl FlowNet {
         for f in &mut self.flows {
             if f.due <= now {
                 f.due = f.next_due(now);
+                // Anything else holds `advance_into` at this instant for ever.
+                assert!(f.due > now || f.is_complete(now), "{:?} stalls", f.id);
             }
             self.next = self.next.min(f.due);
         }
@@ -1019,8 +1098,9 @@ impl FlowNet {
     ///
     /// Every order below is part of the result's bits: flows enter in
     /// ascending id, the first of equal candidates wins a round, and
-    /// `swap_remove` decides who is looked at first in the next. What the
-    /// solve *pays* follows what binds, by two lemmas (DESIGN.md §12):
+    /// `swap_remove` decides who is looked at first in the next. What a
+    /// derivation *pays* follows what changed and what binds, by three
+    /// lemmas (DESIGN.md §12):
     ///
     /// * **Lower-bound round.** `floor` is at most the smallest cap among
     ///   the unfixed flows, so no candidate `min(cap, share[p])` is below
@@ -1030,57 +1110,79 @@ impl FlowNet {
     ///   unfixed flow whose candidate equals it — the scan stops there.
     ///   Otherwise some cap may bind: the full first-wins scan runs and
     ///   takes `floor` anew on its way.
-    /// * **Replayed trace.** The rates are a pure function of the signature
-    ///   built first. A signature that differs from the solved one only in
-    ///   caps that were and are at or above the largest share their flow
-    ///   was ever offered replays the solve round for round — every
+    /// * **Replayed trace.** The rates are a pure function of the solver's
+    ///   inputs: the capacities, and `(id, cap)` per active flow in id
+    ///   order. Inputs that differ from the last derivation's only in caps
+    ///   that were and are at or above the largest share their flow was
+    ///   ever offered replay the solve round for round — every
     ///   `min(cap, share)` reads the share both times — so the stored rates
-    ///   already are the answer, as they are when the signature is equal (a
+    ///   already are the answer, as they are when the inputs are equal (a
     ///   flow still in setup joined or left).
+    /// * **Own instants.** A cap moves only at its flow's own instant — its
+    ///   setup end, a ramp step that raises it, its sustained threshold —
+    ///   and each of those is a `due`. So the inputs differ from the last
+    ///   derivation's exactly where a capacity moved, a flow of them was
+    ///   removed (`left`), or a flow at its own instant joined or re-read a
+    ///   different cap: only those flows are read.
     ///
-    /// Debug builds check every round against the full scan and every
-    /// skipped signature against a solve from scratch.
+    /// Debug builds check every round against the full scan, every cached
+    /// cap state against its profile, the replay decision against the
+    /// signature it replaced, and every skipped solve against a solve from
+    /// scratch.
     fn reallocate(&mut self) {
         let now = self.now;
         let (flows, paths, segments) = (&mut self.flows, &self.paths, self.topology.segments());
         let s = &mut *self.scratch;
-        s.probe.clear();
-        s.probe.push(segments.len() as u64);
-        s.probe
-            .extend(segments.iter().map(|g| g.capacity_bps().to_bits()));
+        let capacities = segments.iter().map(|g| g.capacity_bps().to_bits());
+        let same_capacities = s.capacities.iter().copied().eq(capacities.clone());
+        if !same_capacities {
+            s.capacities.clear();
+            s.capacities.extend(capacities);
+        }
         // Same flows over the same capacities, and no cap that moved bound
         // before or binds now?
-        let mut replays = s.solved.starts_with(&s.probe);
-        s.unfixed.clear();
-        // Flows still in setup have held rate 0.0 since they were created.
-        for (flow, f) in flows.iter().enumerate().filter(|(_, f)| f.is_active(now)) {
-            let (path, cap) = (f.path, f.cap(now));
-            let at = s.probe.len();
-            replays = replays
-                && match s.solved.get(at..at + 2) {
-                    Some(&[id, solved]) => {
-                        let never_bound = cap.min(f64::from_bits(solved)) >= f.bound;
-                        id == f.id.0 && (solved == cap.to_bits() || never_bound)
-                    }
-                    _ => false,
-                };
-            s.probe.extend([f.id.0, cap.to_bits()]);
-            s.unfixed.push(Unfixed { flow, path, cap });
+        let left = std::mem::take(&mut self.left);
+        let mut replays = same_capacities && !left;
+        let at_own_instant = flows
+            .iter_mut()
+            .filter(|f| f.due <= now && f.is_active(now));
+        for f in at_own_instant {
+            self.counters.cap_reads += 1;
+            let (joins, was) = (!f.joined(), f.cap);
+            f.refresh(now);
+            let never_bound = was.min(f.cap) >= f.bound;
+            replays = replays && !joins && (was.to_bits() == f.cap.to_bits() || never_bound);
         }
-        replays = replays && s.probe.len() == s.solved.len();
-        // What replays the solved trace stands for it from here on.
-        std::mem::swap(&mut s.probe, &mut s.solved);
+        #[cfg(debug_assertions)]
+        {
+            for f in flows.iter().filter(|f| f.is_active(now)) {
+                let (cap, shaped, ramping) = f.cap_state(now);
+                let cached = (f.cap.to_bits(), f.shaped, f.ramping);
+                debug_assert_eq!(cached, (cap.to_bits(), shaped, ramping), "{:?}", f.id);
+            }
+            let by_signature = replays_by_signature(&mut s.signature, flows, segments, now);
+            debug_assert_eq!(replays, by_signature, "replay decision at {now}");
+        }
+        // Flows still in setup have held rate 0.0 since they were created.
+        let active = flows.iter().enumerate().filter(|(_, f)| f.is_active(now));
+        let unfixed = active.map(|(flow, f)| Unfixed {
+            flow,
+            path: f.path,
+            cap: f.cap,
+        });
         if replays {
             #[cfg(debug_assertions)]
             {
                 let capacities = segments.iter().map(|g| g.capacity_bps());
-                for (i, rate) in solve_by_full_scans(s.unfixed.clone(), paths, capacities) {
+                for (i, rate) in solve_by_full_scans(unfixed.collect(), paths, capacities) {
                     debug_assert_eq!(flows[i].rate, rate, "skipped a solve that moves {i}");
                 }
             }
             return;
         }
         self.counters.solves += 1;
+        s.unfixed.clear();
+        s.unfixed.extend(unfixed);
 
         s.residual.clear();
         s.residual.extend(segments.iter().map(|g| g.capacity_bps()));
@@ -1337,7 +1439,7 @@ mod tests {
         let loads = net.segment_loads();
         assert_eq!(loads.len(), 1);
         let lan = &loads[0];
-        assert_eq!(lan.name, "lan");
+        assert_eq!(net.topology().segment(lan.segment).name(), "lan");
         assert_eq!(lan.flows, 2);
         assert_eq!(lan.capacity_bps, 1_000.0);
         assert!((lan.allocated_bps - 1_000.0).abs() < 1e-6);
@@ -1715,6 +1817,9 @@ mod tests {
     fn cancel_chunked_transfer_removes_all_chunks() {
         let mut net = FlowNet::new(topo(1_000.0, 500.0));
         let mut rng = DetRng::seed(0);
+        let plain = net
+            .start_flow(SimTime::ZERO, Addr::new(2), Addr::new(3), 10_000, &mut rng)
+            .unwrap();
         let id = net
             .start_transfer(
                 SimTime::ZERO,
@@ -1732,7 +1837,12 @@ mod tests {
         net.advance_into(SimTime::from_secs(1), &mut Vec::new());
         assert!(net.cancel(id));
         assert!(!net.cancel(id));
-        assert_eq!(net.in_flight(), 0);
+        assert_eq!(net.in_flight(), 1);
+        // Three chunks and the plain flow shared the segment; the plain
+        // flow alone runs at its cap.
+        net.next_event();
+        assert_eq!(net.progress(plain).unwrap().rate_bps, 500.0);
+        assert!(net.cancel(plain));
         assert!(net.next_event().is_none());
     }
 

@@ -98,9 +98,11 @@ impl TcpProfile {
         }
         // Whole steps by integer division of nanoseconds: at a boundary the
         // cap is already the new one (`0.15 / 0.05` floors to 2 in `f64`).
-        let steps = match self.ramp_step.as_nanos() {
+        // In `u64`, which a `SimTime` is: `u128` division is a library call.
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let steps = match nanos(self.ramp_step) {
             0 => 0,
-            step => (active.as_nanos() / step) as u64,
+            step => nanos(active) / step,
         };
         let ramped = self.rate_floor_bps
             + self.ramp_bps_per_sec * self.ramp_step.as_secs_f64() * steps as f64;

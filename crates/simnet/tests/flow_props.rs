@@ -218,12 +218,14 @@ impl World {
     }
 }
 
-/// Ramp, sustained threshold and zero setup, alone and mixed; every third
-/// profile is the LAN shape (50 ms steps: `0.15 / 0.05` floors to 2 in
-/// `f64`, the step index the engine once read a boundary late by).
+/// Ramp, sustained threshold and zero setup, alone and mixed; one profile
+/// in four is the LAN shape (50 ms steps: `0.15 / 0.05` floors to 2 in
+/// `f64`, the step index the engine once read a boundary late by), and one
+/// has no window at all — an infinite cap, which no share is above, until
+/// its sustained threshold.
 fn mixed_profile_strategy() -> impl Strategy<Value = TcpProfile> {
     (
-        (0u64..3, 0u64..4),                                 // shape, setup ms
+        (0u64..4, 0u64..4),                                 // shape, setup ms
         (1.0e4..4.0e5f64, 0.0..2.0e6f64, 1.0e4..1.0e6f64),  // floor, ramp, cap
         5u64..200,                                          // ramp step ms
         proptest::option::of((4u64..256, 5.0e3..2.0e5f64)), // sustained KiB, bps
@@ -245,6 +247,10 @@ fn mixed_profile_strategy() -> impl Strategy<Value = TcpProfile> {
                     p.ramp_step = Duration::from_millis(50);
                     p.ramp_bps_per_sec = 1.0e6;
                     p.rate_cap_bps = p.rate_floor_bps + 4.0e5;
+                }
+                if shape == 1 {
+                    p.rate_floor_bps = f64::INFINITY;
+                    p.rate_cap_bps = f64::INFINITY;
                 }
                 p
             },
@@ -270,11 +276,15 @@ fn world_strategy() -> impl Strategy<Value = World> {
 /// execute the same script at the same instants.
 #[derive(Debug, Clone)]
 enum Op {
+    /// Starts a transfer now or, with `at_next`, at the next internal
+    /// instant: a start is the one clock move that derives nothing on its
+    /// way, so the engine reaches that instant with nothing derived there.
     Start {
         src: usize,
         dst: usize,
         bytes: u64,
         chunking: Option<ChunkSpec>,
+        at_next: bool,
     },
     /// Cancels the `pick`-th in-flight logical transfer.
     Cancel { pick: usize },
@@ -286,7 +296,7 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let start = |chunked: bool| {
+    let start = |chunked: bool, at_next: bool| {
         (0..SITES, 0..SITES, 1u64..(384 << 10), 1u64..64, 2usize..5).prop_map(
             move |(src, dst, bytes, chunk_kib, window)| Op::Start {
                 src,
@@ -296,20 +306,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                     chunk_bytes: chunk_kib << 10,
                     window,
                 }),
+                at_next,
             },
         )
     };
     let advance = |lo: u64, hi: u64| (lo..hi).prop_map(|permille| Op::Advance { permille });
     prop_oneof![
-        start(false),
-        start(false),
-        start(true),
+        start(false, false),
+        start(false, false),
+        start(true, false),
+        start(false, true),
         (0usize..64).prop_map(|pick| Op::Cancel { pick }),
         Just(Op::Advance { permille: 1000 }),
         Just(Op::Advance { permille: 1000 }),
         advance(1, 1000),
         advance(1001, 4000),
         (0.3..1.5f64).prop_map(|scale| Op::Recapacity { scale }),
+        // The same capacities in a new topology.
+        Just(Op::Recapacity { scale: 1.0 }),
     ]
 }
 
@@ -332,9 +346,16 @@ fn apply(net: &mut FlowNet, world: &World, op: &Op, rng: &mut DetRng) -> Applied
             dst,
             bytes,
             chunking,
+            at_next,
         } => {
             let (src, dst) = (Addr::new(src as u64 * 2), Addr::new(dst as u64 * 2 + 1));
-            let id = net.start_transfer(net.now(), src, dst, bytes, chunking, rng);
+            let now = net.now();
+            let at = if at_next {
+                net.next_event().unwrap_or(now)
+            } else {
+                now
+            };
+            let id = net.start_transfer(at, src, dst, bytes, chunking, rng);
             Applied::Started(id.expect("every site pair has a route"))
         }
         Op::Cancel { pick } => {
@@ -469,10 +490,12 @@ fn full_scan_rates(net: &FlowNet, active: &[FlowId]) -> Vec<(FlowId, u64)> {
 /// Progress units (2⁻²⁰ B/s × ns) per byte.
 const BYTE: u128 = (1 << 20) * 1_000_000_000;
 
-/// A flow as the reference sees it: when its setup ends, and the epoch its
-/// reference rate opened — progress `sent` at `anchor`, `rate` since.
-#[derive(Debug, Clone, Copy)]
+/// A flow as the reference sees it: its profile, when its setup ends, and
+/// the epoch its reference rate opened — progress `sent` at `anchor`,
+/// `rate` since.
+#[derive(Debug, Clone)]
 struct RefFlow {
+    tcp: TcpProfile,
     active_from: SimTime,
     total: u64,
     anchor: SimTime,
@@ -481,17 +504,53 @@ struct RefFlow {
 }
 
 impl RefFlow {
-    /// The first nanosecond the last byte is in.
-    fn lands(&self) -> SimTime {
-        let left = u128::from(self.total) * BYTE - self.sent;
+    /// The first nanosecond the flow has moved `bytes` in. An epoch may
+    /// open at that nanosecond or after it, when a start reaches it before
+    /// the engine has looked.
+    fn reaches(&self, bytes: u64) -> SimTime {
+        let left = (u128::from(bytes) * BYTE).saturating_sub(self.sent);
         let dt = left.div_ceil(u128::from(self.rate));
         SimTime::from_nanos(self.anchor.as_nanos() + dt as u64)
+    }
+
+    /// The first nanosecond the last byte is in.
+    fn lands(&self) -> SimTime {
+        self.reaches(self.total)
+    }
+
+    /// The flow's next own instant after `now`: its setup end, the next
+    /// ramp step if that raises its cap, its sustained threshold or its
+    /// last byte, whichever is first ([`SimTime::MAX`] for none).
+    fn next_own(&self, now: SimTime) -> SimTime {
+        if now < self.active_from {
+            return self.active_from;
+        }
+        let moved = u128::from(self.rate) * u128::from(now.as_nanos() - self.anchor.as_nanos());
+        let below = |s: &SustainedCap| self.sent + moved < u128::from(s.threshold_bytes) * BYTE;
+        let threshold = self.tcp.sustained.filter(below);
+        let shaped = self.tcp.sustained.is_some() && threshold.is_none();
+        let (step, active) = (
+            self.tcp.ramp_step.as_nanos() as u64,
+            now.as_nanos() - self.active_from.as_nanos(),
+        );
+        let raises = self.tcp.cap_at(Duration::from_nanos(active), 0) < self.tcp.rate_cap_bps;
+        let mut next = SimTime::MAX;
+        if !shaped && step > 0 && self.tcp.ramp_bps_per_sec > 0.0 && raises {
+            next = SimTime::from_nanos(now.as_nanos() + step - active % step);
+        }
+        if self.rate > 0 {
+            let target = threshold.map_or(self.total, |s| s.threshold_bytes.min(self.total));
+            next = next.min(self.reaches(target));
+        }
+        next
     }
 }
 
 /// Solves the engine's present state with [`full_scan_rates`], checks every
-/// rate the engine reports against it by bits, and moves the reference's
-/// epochs to the rates that changed.
+/// rate the engine reports against it by bits, moves the reference's epochs
+/// to the rates that changed, and checks that the engine announces the
+/// first of the flows' own instants — not one more derivation, not one
+/// fewer.
 fn check_against_full_scans(
     net: &mut FlowNet,
     model: &mut BTreeMap<FlowId, RefFlow>,
@@ -523,6 +582,9 @@ fn check_against_full_scans(
             expected
         );
     }
+    let own = model.values().map(|f| f.next_own(now)).min();
+    let own = own.filter(|&t| t != SimTime::MAX);
+    prop_assert_eq!(net.next_event(), own, "next instant at {}", now);
     Ok(())
 }
 
@@ -910,14 +972,23 @@ proptest! {
             let applied = match script.next() {
                 // The reference reads a flow's cap; a chunk flow's is not
                 // on the public surface.
-                Some(&Op::Start { src, dst, bytes, .. }) => {
-                    let op = Op::Start { src, dst, bytes, chunking: None };
+                Some(&Op::Start { src, dst, bytes, at_next, .. }) => {
+                    let op = Op::Start { src, dst, bytes, chunking: None, at_next };
                     let Applied::Started(id) = apply(&mut net, &world, &op, &mut rng) else {
                         unreachable!("a start starts");
                     };
-                    let (now, setup) = (net.now(), world.routes[src * SITES + dst].1.setup);
-                    let flow = RefFlow { active_from: now + setup, total: bytes, anchor: now, sent: 0, rate: 0 };
+                    let (now, tcp) = (net.now(), world.routes[src * SITES + dst].1.clone());
+                    let flow = RefFlow { active_from: now + tcp.setup, tcp, total: bytes, anchor: now, sent: 0, rate: 0 };
                     model.insert(id, flow);
+                    // A cancel at the instant a flow's setup ends, before
+                    // anything derives there: it never joined a solve.
+                    if at_next {
+                        let ended = model.iter().find(|(_, f)| f.active_from == now);
+                        if let Some(ended) = ended.map(|(&ended, _)| ended) {
+                            assert!(net.cancel(ended));
+                            model.remove(&ended);
+                        }
+                    }
                     Applied::Started(id)
                 }
                 Some(op) => apply(&mut net, &world, op, &mut rng),

@@ -405,7 +405,8 @@ fn derivations_are_bounded_by_what_the_flows_did() {
 /// and end, but only a flow joining or leaving the active set moves a rate,
 /// so only those solve; and every filling round of a solve is a tie its
 /// first flow wins, so a solve of F flows evaluates F candidates, not
-/// F² / 2.
+/// F² / 2. A derivation re-reads the caps of the flows at their own
+/// instant only, not of every flow in flight.
 #[test]
 fn a_lan_surge_solves_per_arrival_and_departure_at_one_candidate_a_round() {
     let mut config = Config::paper_testbed(24);
@@ -426,10 +427,11 @@ fn a_lan_surge_solves_per_arrival_and_departure_at_one_candidate_a_round() {
     }
     let flows = home.stats().flows_started - flows0;
     let after = home.flow_counters();
-    let (derives, solves, candidates) = (
+    let (derives, solves, candidates, cap_reads) = (
         after.derives - before.derives,
         after.solves - before.solves,
         after.candidates - before.candidates,
+        after.cap_reads - before.cap_reads,
     );
     assert_eq!(flows, 200, "one replica flow per store");
     assert!(
@@ -446,6 +448,12 @@ fn a_lan_surge_solves_per_arrival_and_departure_at_one_candidate_a_round() {
     assert!(
         candidates <= 2 * flows * flows,
         "{candidates} candidates over {solves} solves of ≤ {flows} flows: rounds scan again"
+    );
+    // At most one read per own instant (start, setup, three ramp steps,
+    // end); reading every flow in flight at every derivation is ≈ flows².
+    assert!(
+        cap_reads <= 6 * flows,
+        "{cap_reads} caps read over {derives} derivations of ≤ {flows} flows"
     );
 }
 
