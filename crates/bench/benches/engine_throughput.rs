@@ -34,9 +34,14 @@
 //!    calls. Neither may allocate (an exact count); what a delivery and a
 //!    route call cost at each size is printed — they should not grow with
 //!    the ring.
-//! 5. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
+//! 5. **Service kernels**: the allocations one `run` of the transcoder,
+//!    the face detector and the face recognizer makes on a 64 KiB window,
+//!    gated at what the byte-at-a-time kernels made.
+//! 6. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
 //!    paper testbed — how much of the engine win survives under the full
-//!    stack (overlay, flows, services).
+//!    stack (overlay, flows, services). Its event queue may scan the wheel
+//!    for the earliest bucket at most once per popped event or clock
+//!    advance (an exact count).
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -59,10 +64,13 @@ use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
     RoutingTable,
 };
+use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::queue::reference::RefQueue;
-use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, SimTime, TcpProfile};
+use c4h_simnet::{
+    presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
+};
 use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
-use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
+use cloud4home::{synth_bytes, Cloud4Home, Config, NodeId, Object, StorePolicy, SAMPLE_WINDOW};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -636,8 +644,9 @@ fn overlay_ring(n: usize, rounds: u64, route_reps: u64) -> OverlayRow {
 }
 
 /// End-to-end ops/sec: a mixed store/fetch workload on the paper testbed,
-/// wall-clock timed through the full stack.
-fn runtime_ops_per_sec() -> (u64, f64) {
+/// wall-clock timed through the full stack, and the event queue's counts
+/// over it.
+fn runtime_ops_per_sec() -> (u64, f64, QueueStats) {
     let rounds = if smoke() { 4u64 } else { 40 };
     let mut config = Config::paper_testbed(61_803);
     config.replication = 2;
@@ -662,7 +671,41 @@ fn runtime_ops_per_sec() -> (u64, f64) {
         }
     }
     home.run_until_idle();
-    (done, done as f64 / started.elapsed().as_secs_f64())
+    (
+        done,
+        done as f64 / started.elapsed().as_secs_f64(),
+        home.queue_stats(),
+    )
+}
+
+/// Heap acquisitions one `run` of each service kernel makes on the
+/// runtime's 64 KiB sample window — a count, not a clock, so a kernel is
+/// not made faster by allocating more. The bounds are what the
+/// byte-at-a-time kernels made on it: the transcoder's coefficient stream,
+/// its run-length output (grown once) and the summary; the detector's
+/// integral image, its 203 detections (grown from 4 to 256) and output; the
+/// recognizer's output and summary.
+const SERVICE_ALLOC_BOUNDS: [(&str, u64); 3] =
+    [("transcode", 4), ("face_detect", 11), ("face_recognize", 2)];
+
+fn service_kernel_allocs() -> [(&'static str, u64); 3] {
+    let image = synth_bytes(7, SAMPLE_WINDOW);
+    let examples: Vec<Vec<u8>> = (0..16)
+        .map(|i| synth_bytes(0x5EED_0000 + i, SAMPLE_WINDOW))
+        .collect();
+    let recognize = FaceRecognize::new(TrainingSet::from_examples(
+        examples.iter().map(Vec::as_slice),
+    ));
+    let services: [(&'static str, &dyn Service); 3] = [
+        ("transcode", &Transcode::new()),
+        ("face_detect", &FaceDetect::new()),
+        ("face_recognize", &recognize),
+    ];
+    services.map(|(name, svc)| {
+        let before = allocations();
+        std::hint::black_box(svc.run(&image));
+        (name, allocations() - before)
+    })
 }
 
 fn main() {
@@ -923,12 +966,52 @@ fn main() {
         ),
     );
 
-    let (runtime_ops, runtime_rate) = runtime_ops_per_sec();
-    println!("full stack: {runtime_ops} mixed ops at {runtime_rate:.0} ops/sec wall");
+    let allocs = service_kernel_allocs();
+    println!("service kernels on a 64 KiB window, allocations per run: {allocs:?}");
+    report.push_row(allocs.iter().map(|&(name, n)| (name, n.into())).collect());
+    report.check(
+        "service_kernel_allocs",
+        allocs
+            .iter()
+            .zip(SERVICE_ALLOC_BOUNDS)
+            .all(|(&(_, n), (_, bound))| n <= bound),
+        format!(
+            "allocations per run {allocs:?} exceed the byte-at-a-time kernels' \
+             {SERVICE_ALLOC_BOUNDS:?}"
+        ),
+    );
+
+    let (runtime_ops, runtime_rate, qs) = runtime_ops_per_sec();
+    println!(
+        "full stack: {runtime_ops} mixed ops at {runtime_rate:.0} ops/sec wall; \
+         queue: {} pops, {} advances, {} full wheel scans ({:.3} per pop or advance), \
+         {} cascades",
+        qs.pops,
+        qs.advances,
+        qs.scans,
+        qs.scans as f64 / (qs.pops + qs.advances) as f64,
+        qs.cascades
+    );
     report.push_row(vec![
         ("runtime_ops", runtime_ops.into()),
         ("runtime_ops_per_sec", runtime_rate.into()),
+        ("runtime_queue_pops", qs.pops.into()),
+        ("runtime_queue_advances", qs.advances.into()),
+        ("runtime_queue_scans", qs.scans.into()),
     ]);
+    // A count gate, not a clock: the loop peeks the queue two or three
+    // times per event (`run_for`'s horizon check, `step`'s merge with the
+    // flow engine, `pop` or `advance_to`), and a scan's answer is kept until
+    // a pop takes its bucket, so the wheel is scanned at most once per event.
+    report.check(
+        "runtime_queue_one_scan_per_event",
+        qs.scans <= qs.pops + qs.advances,
+        format!(
+            "{} full wheel scans for {} pops and {} clock advances; the earliest \
+             bucket must be found once per event, not once per peek",
+            qs.scans, qs.pops, qs.advances
+        ),
+    );
 
     // Timing acceptance bar. Smoke runs (CI shared runners, tiny op
     // counts) print but don't gate on wall-clock ratios; the count checks

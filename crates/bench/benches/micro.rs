@@ -9,7 +9,7 @@
 use c4h_bench::pump_overlay;
 use c4h_chimera::{ChimeraConfig, ChimeraNode, Key, OverwritePolicy, RbTree, RoutingTable};
 use c4h_kvstore::{object_key, stripe_checksums, Acl, Location, ObjectMeta, Record};
-use c4h_services::{FaceDetect, Service, Transcode};
+use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::{mib, SimTime};
 use c4h_telemetry::Recorder;
 use c4h_vmm::{CommandPacket, CommandType, DomId};
@@ -130,6 +130,16 @@ fn bench_services(c: &mut Criterion) {
     let t = Transcode::new();
     c.bench_function("services/transcode_64k", |b| {
         b.iter(|| t.run(black_box(&image)))
+    });
+    // The runtime's training set: 16 enrolled 64 KiB images.
+    let examples: Vec<Vec<u8>> = (0..16)
+        .map(|i| synth_bytes(0x5EED_0000 + i, 64 * 1024))
+        .collect();
+    let fr = FaceRecognize::new(TrainingSet::from_examples(
+        examples.iter().map(Vec::as_slice),
+    ));
+    c.bench_function("services/face_recognize_64k", |b| {
+        b.iter(|| fr.run(black_box(&image)))
     });
 }
 

@@ -27,7 +27,7 @@ use c4h_services::{
 };
 use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
-    FxHashMap, NetError, SimTime, Sym, SymMap,
+    FxHashMap, NetError, QueueStats, SimTime, Sym, SymMap,
 };
 use c4h_telemetry::{ArgValue, CauseKind, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
 use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, PlatformSpec, VmSpec, XenChannel};
@@ -1268,6 +1268,12 @@ impl Cloud4Home {
         self.steps
     }
 
+    /// The event queue's own counts (pops, clock advances, full wheel
+    /// scans, cascades) and its occupancy now.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
+    }
+
     /// Bandwidth samples observed for transfers from a node's address.
     /// Zero for an untrained (or crash-reset) peer, whose estimate sits
     /// at the prior.
@@ -1600,8 +1606,14 @@ impl Cloud4Home {
     /// Advances the simulation by one event. Returns `false` when idle.
     pub(crate) fn step(&mut self) -> bool {
         // Route passive-layer metrics (kvstore codec, service kernels) to
-        // this deployment's recorder for the duration of the step.
-        let _dispatch = c4h_telemetry::install(&self.telemetry);
+        // this deployment's recorder for the duration of the step. A
+        // disabled recorder would drop them anyway, so with telemetry off
+        // the step costs one relaxed load and leaves the thread's target as
+        // it found it.
+        let _dispatch = self
+            .telemetry
+            .enabled()
+            .then(|| c4h_telemetry::install(&self.telemetry));
         self.pump();
         let qt = self.queue.peek_time();
         let nt = self.net.next_event();

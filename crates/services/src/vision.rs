@@ -37,35 +37,55 @@ pub const FACE_RECOGNIZE_ID: ServiceId = ServiceId(2);
 const VISION_WORK_EXPONENT: f64 = 3.2;
 
 /// Interprets a byte slice as a square grayscale image.
-fn as_image(bytes: &[u8]) -> (usize, usize) {
+pub(crate) fn as_image(bytes: &[u8]) -> (usize, usize) {
     let width = (bytes.len() as f64).sqrt().floor().max(1.0) as usize;
     let height = (bytes.len() / width).max(1);
     (width, height)
 }
 
-/// Builds a (downsampled) integral image over the input bytes.
+/// Builds a (downsampled) integral image over the input bytes, one row
+/// slice at a time.
 ///
 /// The kernel bounds its work on very large inputs by striding, keeping test
 /// and example runtimes wall-clock-sane while remaining a real computation
 /// over the content.
-fn integral_image(bytes: &[u8], width: usize, height: usize, stride: usize) -> Vec<u64> {
+///
+/// `u32` holds every entry. [`FaceDetect::detect`]'s stride is 1 below a
+/// width of 512 and `width / 256 ≥ 2` from there on, which keeps the grid at
+/// most 511 columns (≤ 384 once striding) by `height ≤ width + 2` rows, so
+/// no entry exceeds 255 × 511 × 513 < 2³².
+fn integral_image(bytes: &[u8], width: usize, height: usize, stride: usize) -> Vec<u32> {
     let w = width.div_ceil(stride);
     let h = height.div_ceil(stride);
-    let mut integral = vec![0u64; (w + 1) * (h + 1)];
+    debug_assert!(
+        255 * w as u64 * h as u64 <= u64::from(u32::MAX),
+        "a {w} x {h} integral image overflows u32"
+    );
+    let cols = w + 1;
+    let mut integral = vec![0u32; cols * (h + 1)];
     for y in 0..h {
-        let mut row_sum = 0u64;
-        for x in 0..w {
-            let px = bytes[(y * stride) * width + (x * stride)] as u64;
-            row_sum += px;
-            integral[(y + 1) * (w + 1) + (x + 1)] = integral[y * (w + 1) + (x + 1)] + row_sum;
+        let (above, below) = integral.split_at_mut((y + 1) * cols);
+        let (above, row) = (&above[y * cols + 1..], &mut below[1..cols]);
+        // The row's running sum is a serial chain; adding the row above
+        // is a separate pass with no chain, which vectorises.
+        let mut row_sum = 0u32;
+        let pixels = &bytes[y * stride * width..];
+        if stride == 1 {
+            for (cell, &px) in row.iter_mut().zip(pixels) {
+                row_sum += u32::from(px);
+                *cell = row_sum;
+            }
+        } else {
+            for (cell, &px) in row.iter_mut().zip(pixels.iter().step_by(stride)) {
+                row_sum += u32::from(px);
+                *cell = row_sum;
+            }
+        }
+        for (cell, &up) in row.iter_mut().zip(above) {
+            *cell += up;
         }
     }
     integral
-}
-
-fn window_sum(integral: &[u64], w: usize, x0: usize, y0: usize, x1: usize, y1: usize) -> u64 {
-    let at = |x: usize, y: usize| integral[y * (w + 1) + x];
-    at(x1, y1) + at(x0, y0) - at(x1, y0) - at(x0, y1)
 }
 
 /// A detected face window (in downsampled coordinates).
@@ -106,17 +126,27 @@ impl FaceDetect {
             return out;
         }
         let step = 4usize;
+        let (half, cols) = (window / 2, w + 1);
+        let row = |y: usize| &integral[y * cols..(y + 1) * cols];
         for y in (0..h - window).step_by(step) {
+            // The window's four half-bands share the corners at rows y,
+            // y + 6 and y + 12 and columns x, x + 6 and x + 12 — eight
+            // reads, as no band has a corner at the centre.
+            let (r0, r1, r2) = (row(y), row(y + half), row(y + window));
             for x in (0..w - window).step_by(step) {
+                let [a0, a1, a2] = [r0[x], r0[x + half], r0[x + window]].map(i64::from);
+                let [b0, b2] = [r1[x], r1[x + window]].map(i64::from);
+                let [c0, c1, c2] = [r2[x], r2[x + half], r2[x + window]].map(i64::from);
                 // Two Haar-like features: eyes band darker than cheeks band,
-                // and left/right symmetry.
-                let top = window_sum(&integral, w, x, y, x + window, y + window / 2);
-                let bottom = window_sum(&integral, w, x, y + window / 2, x + window, y + window);
-                let left = window_sum(&integral, w, x, y, x + window / 2, y + window);
-                let right = window_sum(&integral, w, x + window / 2, y, x + window, y + window);
+                // and left/right symmetry. Each band's sum is the usual
+                // non-negative inclusion–exclusion over its four corners.
+                let top = b2 + a0 - a2 - b0;
+                let bottom = c2 + b0 - b2 - c0;
+                let left = c1 + a0 - a1 - c0;
+                let right = c2 + a1 - a2 - c1;
                 let area = (window * window / 2) as i64 * 255;
-                let vert = bottom as i64 - top as i64;
-                let horiz = (left as i64 - right as i64).abs();
+                let vert = bottom - top;
+                let horiz = (left - right).abs();
                 if vert * 5 > area && horiz * 20 < area {
                     out.push(Detection {
                         x: (x * stride) as u32,
@@ -232,15 +262,28 @@ impl TrainingSet {
 }
 
 /// Normalized 64-bin luminance histogram of an image.
+///
+/// Counted in four interleaved histograms, one per byte position mod 4, so
+/// a run of equal bytes does not chain every increment through one
+/// counter; the bins are summed in bin order, so each count — and each
+/// `f32` division — is what one histogram gives.
 pub fn feature_vector(bytes: &[u8]) -> [f32; FEATURE_BINS] {
-    let mut hist = [0u32; FEATURE_BINS];
-    for &b in bytes {
-        hist[(b as usize) * FEATURE_BINS / 256] += 1;
+    let bin = |b: u8| usize::from(b) * FEATURE_BINS / 256;
+    let mut lanes = [[0u32; FEATURE_BINS]; 4];
+    let mut quads = bytes.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &b) in lanes.iter_mut().zip(quad) {
+            lane[bin(b)] += 1;
+        }
+    }
+    for &b in quads.remainder() {
+        lanes[0][bin(b)] += 1;
     }
     let total = bytes.len().max(1) as f32;
     let mut out = [0f32; FEATURE_BINS];
-    for (o, h) in out.iter_mut().zip(hist.iter()) {
-        *o = *h as f32 / total;
+    for (i, o) in out.iter_mut().enumerate() {
+        let h = lanes[0][i] + lanes[1][i] + lanes[2][i] + lanes[3][i];
+        *o = h as f32 / total;
     }
     out
 }

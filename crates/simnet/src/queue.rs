@@ -17,7 +17,9 @@
 //! most once per level over its lifetime. Same-instant events share one
 //! level-0 bucket and are delivered in `seq` (insertion) order, preserving
 //! the `(at, seq)` total order the simulation's byte-determinism contract
-//! is built on.
+//! is built on. The answer of the 11-level scan for the earliest bucket is
+//! kept until a pop drains a bucket, so a loop that peeks before it pops
+//! scans the wheel once per drained instant, not once per peek.
 //!
 //! # Payload slab
 //!
@@ -161,6 +163,16 @@ pub struct EventQueue<E> {
     cascades: u64,
     /// Total slots re-placed by those cascades.
     cascaded_slots: u64,
+    /// The answer of the last full scan, kept while it holds (see
+    /// [`earliest`](Self::earliest)): the earliest pending instant in the
+    /// wheel and the levels whose first occupied slot holds it, one bit
+    /// each. `None` means "scan". A `Cell`, as the scan runs under
+    /// `peek_time(&self)`.
+    memo: std::cell::Cell<Option<(u64, u16)>>,
+    /// Full wheel scans `earliest` has made since creation.
+    scans: std::cell::Cell<u64>,
+    /// `advance_to` calls since creation.
+    advances: u64,
 }
 
 /// A point-in-time view of an [`EventQueue`]'s internals, for the engine
@@ -176,6 +188,14 @@ pub struct QueueStats {
     pub cascades: u64,
     /// Total slots re-placed by those cascades.
     pub cascaded_slots: u64,
+    /// Events popped since creation.
+    pub pops: u64,
+    /// `advance_to` calls since creation.
+    pub advances: u64,
+    /// Full wheel scans (all 11 levels) made to find the earliest bucket.
+    /// A scan's answer is kept until a pop drains a bucket, so a loop that
+    /// peeks before it pops makes at most one per popped event.
+    pub scans: u64,
     /// Occupied slots per wheel level (popcount of each occupancy bitmap).
     pub level_occupancy: [u32; LEVELS],
     /// Payload slab cells allocated (live + free).
@@ -204,8 +224,7 @@ fn level_slot(now: u64, at: u64) -> (usize, usize) {
     } else {
         (63 - xor.leading_zeros() as usize) / SLOT_BITS
     };
-    let slot = ((at >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-    (level, slot)
+    (level, slot_of(at, level))
 }
 
 impl<E> EventQueue<E> {
@@ -223,6 +242,9 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             cascades: 0,
             cascaded_slots: 0,
+            memo: std::cell::Cell::new(None),
+            scans: std::cell::Cell::new(0),
+            advances: 0,
         }
     }
 
@@ -252,6 +274,11 @@ impl<E> EventQueue<E> {
             ready: self.ready.len(),
             cascades: self.cascades,
             cascaded_slots: self.cascaded_slots,
+            // Every schedule took a sequence number; the pending ones are
+            // the rest.
+            pops: self.next_seq - self.len as u64,
+            advances: self.advances,
+            scans: self.scans.get(),
             level_occupancy,
             slab_cells: self.slab.len(),
             free_cells: self.free.len(),
@@ -294,8 +321,7 @@ impl<E> EventQueue<E> {
         if !self.ready.is_empty() {
             return Some(SimTime::from_nanos(self.now));
         }
-        self.earliest_bucket()
-            .map(|(_, _, at)| SimTime::from_nanos(at))
+        self.earliest().map(|(at, _)| SimTime::from_nanos(at))
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -309,8 +335,14 @@ impl<E> EventQueue<E> {
                 self.len -= 1;
                 return Some((SimTime::from_nanos(s.at), self.redeem(s)));
             }
-            let (level, slot, at) = self.earliest_bucket()?;
+            let (at, ties) = self.earliest()?;
             debug_assert!(at >= self.now, "wheel surfaced an event from the past");
+            // Ties prefer the highest level, so `pop` cascades stale coarse
+            // buckets before draining the level-0 bucket of the same
+            // instant: all same-instant events must share one ready run
+            // for `seq` ordering to be global.
+            let level = (u16::BITS - 1 - ties.leading_zeros()) as usize;
+            let slot = slot_of(at, level);
             // Advance the clock to the earliest pending instant, then move
             // that bucket: a level-0 bucket holds exactly the events at
             // `at` and drains into the ready run; a coarser bucket spans a
@@ -321,14 +353,19 @@ impl<E> EventQueue<E> {
             self.now = at;
             let idx = level * SLOTS + slot;
             self.occupied[level] &= !(1u64 << slot);
-            // Most instants hold exactly one event; skip the
-            // drain/sort/ready round trip and redeem it in place.
-            if level == 0 && self.buckets[idx].entries.len() == 1 {
-                let s = self.buckets[idx].entries[0];
-                self.buckets[idx].entries.clear();
-                self.buckets[idx].min_at = u64::MAX;
-                self.len -= 1;
-                return Some((SimTime::from_nanos(s.at), self.redeem(s)));
+            if level == 0 {
+                // Every event at `at` leaves the wheel: the next earliest
+                // instant is unknown.
+                self.memo.set(None);
+                // Most instants hold exactly one event; skip the
+                // drain/sort/ready round trip and redeem it in place.
+                if self.buckets[idx].entries.len() == 1 {
+                    let s = self.buckets[idx].entries[0];
+                    self.buckets[idx].entries.clear();
+                    self.buckets[idx].min_at = u64::MAX;
+                    self.len -= 1;
+                    return Some((SimTime::from_nanos(s.at), self.redeem(s)));
+                }
             }
             let mut drained = mem::take(&mut self.buckets[idx].entries);
             self.buckets[idx].min_at = u64::MAX;
@@ -350,6 +387,10 @@ impl<E> EventQueue<E> {
                 for s in drained.drain(..) {
                     self.insert(s);
                 }
+                // The earliest instant is still `at`: its entries moved
+                // to the level-0 slot (re-filed relative to a clock at
+                // `at`), and the lower levels that tied keep their slots.
+                self.memo.set(Some((at, (ties & !(1 << level)) | 1)));
                 // A big coarse slot will not refill until the clock wraps
                 // its whole level; pool the allocation for the bucket
                 // that needs it next instead of stranding it here. Small
@@ -396,10 +437,13 @@ impl<E> EventQueue<E> {
         // every entry's timestamp is ≥ `at`, and an interval sharing a
         // binary prefix at its endpoints shares it throughout, so each
         // entry's stored level can only be coarser than (never below) its
-        // ideal level relative to the new clock. `earliest_bucket` reads
-        // coarse slots through their cached minima and `pop` cascades them
-        // lazily, so no eager re-filing is needed.
+        // ideal level relative to the new clock. `earliest` reads coarse
+        // slots through their cached minima and `pop` cascades them lazily,
+        // so no eager re-filing is needed. The same argument keeps the
+        // memo: no slot between a level's old and new cursor can hold an
+        // entry, so each level's first occupied slot is the one it was.
         self.now = at.as_nanos();
+        self.advances += 1;
     }
 
     /// Parks a payload in the slab, reusing a freed cell when one exists.
@@ -475,34 +519,75 @@ impl<E> EventQueue<E> {
         b.min_at = b.min_at.min(s.at);
         b.entries.push(s);
         self.occupied[level] |= 1u64 << slot;
+        if let Some((at, ties)) = self.memo.get() {
+            if s.at < at {
+                // A strict new minimum: its level's first occupied slot is
+                // this one (an earlier slot would hold an earlier entry), and
+                // no other level can tie it.
+                self.memo.set(Some((s.at, 1 << level)));
+            } else if s.at == at {
+                // A tie never lands above the memo's top level: the entry
+                // behind that level's `at` was filed there or higher than
+                // the level `at` has relative to the clock now (a filing
+                // only ever grows coarse), and that is the level this slot
+                // went to.
+                debug_assert!(1 << level <= ties, "a tie above the memo's top level");
+                self.memo.set(Some((at, ties | 1 << level)));
+            }
+        }
     }
 
-    /// The bucket holding the earliest pending event:
-    /// `(level, slot, min_at)`.
+    /// The earliest pending instant in the wheel and the levels whose first
+    /// occupied slot holds it (bit `l` for level `l`).
     ///
     /// Per level, only slots at or after the clock's own slot can be
     /// occupied (entries are never in the past), and their time windows
     /// ascend with the slot index, so the first occupied slot holds the
     /// level's minimum; the cached `min_at` makes the cross-level compare
-    /// exact even for coarse buckets. Ties prefer the highest level so
-    /// `pop` cascades stale coarse buckets before draining the level-0
-    /// bucket of the same instant — all same-instant events must share one
-    /// ready run for `seq` ordering to be global.
-    fn earliest_bucket(&self) -> Option<(usize, usize, u64)> {
-        let mut best: Option<(usize, usize, u64)> = None;
+    /// exact even for coarse buckets. A level that holds the instant holds
+    /// it in the slot of the instant's own digit at that level.
+    ///
+    /// The answer is kept in `memo` while it holds: `insert` moves it to a
+    /// strictly earlier entry or adds a tying level, `pop` updates it when
+    /// it cascades a bucket and forgets it when it drains one, and
+    /// `advance_to` leaves it be (no slot between a level's old and new
+    /// cursor can hold an entry). A runtime loop that peeks two or three
+    /// times per event therefore scans once per drained instant.
+    fn earliest(&self) -> Option<(u64, u16)> {
+        if let Some(hit) = self.memo.get() {
+            debug_assert_eq!(Some(hit), self.scan(), "stale earliest-instant memo");
+            return Some(hit);
+        }
+        self.scans.set(self.scans.get() + 1);
+        let found = self.scan();
+        self.memo.set(found);
+        found
+    }
+
+    /// The full scan behind [`earliest`](Self::earliest): the first
+    /// occupied slot at or after the cursor, on all 11 levels.
+    fn scan(&self) -> Option<(u64, u16)> {
+        let mut best: Option<(u64, u16)> = None;
         for level in 0..LEVELS {
-            let cursor = (self.now >> (level * SLOT_BITS)) & (SLOTS as u64 - 1);
+            let cursor = slot_of(self.now, level);
             let mask = self.occupied[level] & (!0u64 << cursor);
             if mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
                 let at = self.buckets[level * SLOTS + slot].min_at;
-                if best.is_none_or(|(_, _, b)| at <= b) {
-                    best = Some((level, slot, at));
-                }
+                best = match best {
+                    Some((b, ties)) if at == b => Some((b, ties | 1 << level)),
+                    Some((b, _)) if at > b => best,
+                    _ => Some((at, 1 << level)),
+                };
             }
         }
         best
     }
+}
+
+/// The slot of instant `at` at wheel `level`: its 6-bit digit there.
+fn slot_of(at: u64, level: usize) -> usize {
+    ((at >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize
 }
 
 pub mod reference {

@@ -7,8 +7,10 @@
 //! state after every single step: pop results, clock, length, and peek.
 //! The generated sequences deliberately stress the wheel's hard cases —
 //! same-tick tie storms, zero-delay re-arming from inside the pop loop,
-//! delays spanning ten orders of magnitude (cross-level cascades), and
-//! `advance_to` jumps across long empty slot runs.
+//! delays spanning ten orders of magnitude (cross-level cascades),
+//! `advance_to` jumps across long empty slot runs, and the cases the
+//! wheel's memo of its earliest instant must get right: peeks after only
+//! some ops, and one instant filed at several levels at once.
 
 use std::time::Duration;
 
@@ -103,6 +105,70 @@ fn apply_and_compare(
     prop_assert_eq!(wheel.is_empty(), oracle.is_empty());
     prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
     Ok(())
+}
+
+/// Distinct instants one [`anchored_script`] schedules at.
+const ANCHORS: usize = 3;
+
+/// Anchors at three scales (below 2⁹, 2¹⁴ and 2¹⁹ ns), so a clock closing
+/// in on one crosses wheel levels within a few steps.
+fn anchors() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec((0u32..3, any::<u64>()), ANCHORS..ANCHORS + 1).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(scale, raw)| raw % (1 << (9 + 5 * scale)))
+            .collect()
+    })
+}
+
+/// One step of a script over a few absolute instants (the anchors), so the
+/// same instant is scheduled again and again from clocks at different
+/// distances from it — its entries then sit at several wheel levels at
+/// once, which is what the wheel's earliest-instant memo tracks ties for.
+#[derive(Debug, Clone, Copy)]
+enum Anchored {
+    /// Schedule at anchor `k`, or at the clock once that has passed it.
+    At(usize),
+    /// Schedule after a delay, as in [`Op::Schedule`].
+    In(u64),
+    /// Pop one event.
+    Pop,
+    /// Advance the clock this many thousandths of the way to the next
+    /// pending event.
+    Advance(u16),
+    /// Advance the clock to this many nanoseconds short of the next pending
+    /// event: often into the event's own 64 ns level-0 window, so the next
+    /// schedule at that instant files at level 0 while earlier ones sit
+    /// higher.
+    Approach(u8),
+}
+
+fn anchored_script() -> impl Strategy<Value = Vec<(Anchored, u8)>> {
+    let step = prop_oneof![
+        (0..ANCHORS).prop_map(Anchored::At),
+        (0..ANCHORS).prop_map(Anchored::At),
+        (0..ANCHORS).prop_map(Anchored::At),
+        delay_strategy().prop_map(Anchored::In),
+        Just(Anchored::Pop),
+        Just(Anchored::Pop),
+        (0u16..=1000).prop_map(Anchored::Advance),
+        (0u8..64).prop_map(Anchored::Approach),
+        (0u8..64).prop_map(Anchored::Approach),
+    ];
+    // Each step carries a draw in 0..4: the queues are peeked after the
+    // steps that drew 0.
+    proptest::collection::vec((step, 0u8..4), 1..300)
+}
+
+/// Advances both clocks by `by(gap)` of the gap to the next pending event
+/// (never past it); a no-op on empty queues.
+fn close_in(wheel: &mut EventQueue<u64>, oracle: &mut RefQueue<u64>, by: impl Fn(u64) -> u64) {
+    if let Some(t) = oracle.peek_time() {
+        let now = oracle.now().as_nanos();
+        let target = SimTime::from_nanos(now + by(t.as_nanos() - now));
+        wheel.advance_to(target);
+        oracle.advance_to(target);
+    }
 }
 
 /// Fully drains both queues in lockstep.
@@ -200,6 +266,88 @@ proptest! {
                 prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
             }
         }
+    }
+
+    /// The wheel keeps its last scan's answer (the earliest instant and the
+    /// levels holding it) until a pop drains a bucket. The property above
+    /// peeks after every op, which keeps that answer warm; here the queues
+    /// are peeked after about one op in four, so schedules, advances and
+    /// pops also land with it cold, or warm from a scan several ops back.
+    /// Pop results, the clock and the length are compared after every op.
+    #[test]
+    fn sparse_peeks_over_anchored_instants_match_reference(
+        anchors in anchors(),
+        script in anchored_script(),
+    ) {
+        let mut wheel = EventQueue::new();
+        let mut oracle = RefQueue::new();
+        for (seq, &(step, peek)) in script.iter().enumerate() {
+            let seq = seq as u64;
+            let now = oracle.now().as_nanos();
+            match step {
+                Anchored::At(k) => {
+                    let at = SimTime::from_nanos(anchors[k].max(now));
+                    wheel.schedule_at(at, seq);
+                    oracle.schedule_at(at, seq);
+                }
+                Anchored::In(delay_ns) => {
+                    let d = Duration::from_nanos(delay_ns);
+                    wheel.schedule_in(d, seq);
+                    oracle.schedule_in(d, seq);
+                }
+                Anchored::Pop => {
+                    let got = wheel.pop();
+                    prop_assert_eq!(got, oracle.pop());
+                }
+                Anchored::Advance(permille) => {
+                    close_in(&mut wheel, &mut oracle, |gap| gap / 1000 * permille as u64)
+                }
+                Anchored::Approach(short) => {
+                    close_in(&mut wheel, &mut oracle, |gap| gap - gap.min(short as u64))
+                }
+            }
+            prop_assert_eq!(wheel.now(), oracle.now());
+            prop_assert_eq!(wheel.len(), oracle.len());
+            if peek == 0 {
+                prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
+            }
+        }
+        drain_and_compare(&mut wheel, &mut oracle)?;
+    }
+
+    /// One instant scheduled again and again while the clock closes in on
+    /// it by `advance_to` alone: each filing lands at the level the
+    /// instant has relative to the clock then, so its entries sit at every
+    /// level from the first filing's down to 0, and the wheel's memo of
+    /// the earliest instant (kept warm by `advance_to`'s own peek) must
+    /// record each of those levels for the entries to pop in one
+    /// seq-ordered run. Later instants ride along.
+    #[test]
+    fn one_instant_filed_from_a_closing_clock_pops_in_seq_order(
+        at in 0u64..1 << 30,
+        closes in proptest::collection::vec((0u16..=1000, any::<bool>()), 1..24),
+    ) {
+        let mut wheel = EventQueue::new();
+        let mut oracle = RefQueue::new();
+        let t = SimTime::from_nanos(at);
+        for (seq, &(permille, later)) in closes.iter().enumerate() {
+            let seq = seq as u64;
+            let (t_seq, later_seq) = (2 * seq, 2 * seq + 1);
+            wheel.schedule_at(t, t_seq);
+            oracle.schedule_at(t, t_seq);
+            if later {
+                let after = SimTime::from_nanos(at + 1 + (permille as u64) * 7);
+                wheel.schedule_at(after, later_seq);
+                oracle.schedule_at(after, later_seq);
+            }
+            // Close the remaining gap by `permille` thousandths.
+            let now = oracle.now().as_nanos();
+            let target = SimTime::from_nanos(at - (at - now) * (1000 - permille as u64) / 1000);
+            wheel.advance_to(target);
+            oracle.advance_to(target);
+            prop_assert_eq!(wheel.now(), oracle.now());
+        }
+        drain_and_compare(&mut wheel, &mut oracle)?;
     }
 
     /// `advance_to` across long empty stretches (the wheel's empty-slot

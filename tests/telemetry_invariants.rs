@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use c4h_workloads::{generate, OpKind, TraceConfig};
 use cloud4home::{
-    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, OpReport, RoutePolicy,
-    ServiceKind, Snapshot, SpanRec, StorePolicy,
+    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, OpReport, Recorder,
+    RoutePolicy, ServiceKind, Snapshot, SpanRec, StorePolicy,
 };
 
 /// Runtime instants (fault injections, churn) render on track 0.
@@ -436,6 +436,48 @@ fn span_count(report: &OpReport, stage: &str) -> usize {
         .iter()
         .filter(|(name, _, _)| *name == stage)
         .count()
+}
+
+/// Telemetry off costs a step one relaxed load: the step leaves the
+/// thread's recorder dispatch as it found it, so what the passive layers
+/// count (here the service kernels) reaches the recorder the caller
+/// installed, not the deployment's. With telemetry on, the deployment's
+/// recorder counts every execution and the caller's sees none.
+#[test]
+fn a_step_installs_its_recorder_only_when_recording() {
+    let executions = |tracing: bool| {
+        let mut config = Config::paper_testbed(73);
+        config.tracing = tracing;
+        let mut home = Cloud4Home::new(config);
+        let caller = Recorder::new();
+        caller.set_enabled(true);
+        let _dispatch = c4h_telemetry::install(&caller);
+        let name = "dispatch/frame.jpg";
+        let obj = Object::synthetic(name, 5, 256 << 10, "jpeg");
+        let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+        let services = [
+            ServiceKind::FaceDetect,
+            ServiceKind::FaceRecognize,
+            ServiceKind::Transcode,
+        ];
+        for (i, service) in services.into_iter().enumerate() {
+            let op = home.process_object(NodeId(i), name, service, RoutePolicy::Performance);
+            home.run_until_complete(op).expect_ok();
+        }
+        let count = |r: &Recorder| r.snapshot().counter("services.executions");
+        (count(&caller), count(home.telemetry()))
+    };
+    assert_eq!(
+        executions(false),
+        (3, 0),
+        "telemetry off: (caller, deployment)"
+    );
+    assert_eq!(
+        executions(true),
+        (0, 3),
+        "telemetry on: (caller, deployment)"
+    );
 }
 
 #[test]
