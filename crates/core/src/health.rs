@@ -15,12 +15,10 @@
 //! per call site.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Display;
-use std::sync::Arc;
 use std::time::Duration;
 
-use c4h_simnet::{FxHashMap, SimTime, Sym};
-use c4h_telemetry::{FlightRecorder, PathBucket, SlidingHistogram};
+use c4h_simnet::{FlowNet, SegmentLoad, SimTime, Sym};
+use c4h_telemetry::{FlightRecorder, GaugeId, PathBucket, Recorder, SlidingHistogram};
 
 use crate::config::Config;
 use crate::ops::{OpKind, Stage};
@@ -64,40 +62,162 @@ pub(crate) struct KindHealth {
     pub(crate) slo_ns: Option<u64>,
 }
 
-/// The gauge sampler's name table. A gauge is keyed by what its name is
-/// made of — `(prefix, index, suffix)`, the index standing for the node,
-/// segment or wheel level whose label sits between the two — so a name is
-/// formatted the first time it is sampled and shared from then on: by the
-/// row, the recorder's lookup and the flight ring. Bounded by the gauges
-/// the deployment can report (≈ 5 per node); keyed access only.
+/// Runtime depth gauges, sampled on every row.
+const RUNTIME_GAUGES: [&str; 4] = [
+    "runtime.queue_depth",
+    "runtime.ops_inflight",
+    "runtime.flows_inflight",
+    "runtime.background_jobs",
+];
+
+/// Overload-plane gauges, sampled while the plane is on.
+const OVERLOAD_GAUGES: [&str; 3] = [
+    "overload.shed_permille",
+    "overload.breakers_open",
+    "overload.tenants_inflight",
+];
+
+/// Engine introspection gauges, sampled while the causal ledger is on.
+const ENGINE_GAUGES: [&str; 16] = [
+    "engine.wheel.len",
+    "engine.wheel.ready",
+    "engine.wheel.cascades",
+    "engine.wheel.cascaded_slots",
+    "engine.slab.cells",
+    "engine.slab.free",
+    "engine.spare.buckets",
+    "engine.spare.capacity",
+    "engine.intern.count",
+    "engine.flows.started",
+    "engine.flows.completed",
+    "engine.flows.canceled",
+    "engine.flows.inflight",
+    "engine.ledger.rings",
+    "engine.ledger.recorded",
+    "engine.ledger.dropped",
+];
+
+/// A live node's gauges: `node.<name><suffix>`.
+const NODE_GAUGES: [&str; 5] = [
+    ".cpu_milli",
+    ".mem_free_mib",
+    ".disk_used_bytes",
+    ".dht_table",
+    ".cache_hit_permille",
+];
+
+/// A topology segment's gauges: `net.<name><suffix>`.
+const SEGMENT_GAUGES: [&str; 2] = [".util_permille", ".flows"];
+
+/// Registers `{prefix}{label}{suffix}` for each suffix.
+fn register_labelled<const N: usize>(
+    rec: &Recorder,
+    prefix: &str,
+    label: &str,
+    suffixes: [&str; N],
+) -> [GaugeId; N] {
+    suffixes.map(|suffix| rec.register_gauge(&format!("{prefix}{label}{suffix}")))
+}
+
+/// A node's gauge ids, registered the first time the node is sampled and
+/// kept on the node (`NodeRt::gauges`); the values go in `NODE_GAUGES`
+/// order.
+pub(crate) fn node_gauges(rec: &Recorder, name: &str) -> [GaugeId; 5] {
+    register_labelled(rec, "node.", name, NODE_GAUGES)
+}
+
+/// The ids of the gauges every deployment has, registered on the first
+/// sample. Values go in the order of the matching name table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedGauges {
+    pub(crate) runtime: [GaugeId; 4],
+    pub(crate) overload: [GaugeId; 3],
+    pub(crate) engine: [GaugeId; 16],
+}
+
+/// The gauge sampler's columns: the ids it writes a row with, and the row.
+///
+/// Every gauge is registered with the recorder once, the first time its
+/// subject is sampled — its name formatted then and never again — and
+/// found from then on by position: a fixed slot, the node's own field, the
+/// index of a segment or wheel level, the rank of an admit-token kind. A
+/// steady sample looks up no name, hashes nothing and sorts nothing, and
+/// its row and segment-load buffers are reused.
 #[derive(Debug, Default)]
-pub(crate) struct GaugeNames(FxHashMap<(&'static str, usize, &'static str), Arc<str>>);
+pub(crate) struct GaugeColumns {
+    fixed: Option<FixedGauges>,
+    segments: Vec<[GaugeId; 2]>,
+    levels: Vec<GaugeId>,
+    /// Admit-token kinds in name order, the order the overload plane
+    /// reports them in.
+    admit: Vec<(&'static str, GaugeId)>,
+    loads: Vec<SegmentLoad>,
+    row: Vec<(GaugeId, i64)>,
+}
 
-impl GaugeNames {
-    /// The shared name of the fixed gauge `name`.
-    pub(crate) fn plain(&mut self, name: &'static str) -> Arc<str> {
-        self.of(name, 0, "", "")
+impl GaugeColumns {
+    /// Starts a row; the first call registers the fixed gauges.
+    pub(crate) fn start(&mut self, rec: &Recorder) -> FixedGauges {
+        self.row.clear();
+        *self.fixed.get_or_insert_with(|| FixedGauges {
+            runtime: RUNTIME_GAUGES.map(|name| rec.register_gauge(name)),
+            overload: OVERLOAD_GAUGES.map(|name| rec.register_gauge(name)),
+            engine: ENGINE_GAUGES.map(|name| rec.register_gauge(name)),
+        })
     }
 
-    /// The shared name `{prefix}{label}{suffix}`; `label` must be the same
-    /// whenever `(prefix, index, suffix)` is.
-    pub(crate) fn of(
+    /// Adds the values of `ids`, pairwise.
+    pub(crate) fn put<const N: usize>(&mut self, ids: [GaugeId; N], values: [i64; N]) {
+        self.row.extend(ids.into_iter().zip(values));
+    }
+
+    /// Adds every segment's utilization and flow count.
+    pub(crate) fn put_segments(&mut self, rec: &Recorder, net: &mut FlowNet) {
+        net.segment_loads_into(&mut self.loads);
+        for (i, load) in self.loads.iter().enumerate() {
+            // Loads come in segment-id order, and segments are only added.
+            if i == self.segments.len() {
+                let name = net.topology().segment(load.segment).name();
+                let ids = register_labelled(rec, "net.", name, SEGMENT_GAUGES);
+                self.segments.push(ids);
+            }
+            let [util, flows] = self.segments[i];
+            self.row.push((util, load.util_permille() as i64));
+            self.row.push((flows, load.flows as i64));
+        }
+    }
+
+    /// Adds the occupancy of each timer-wheel level.
+    pub(crate) fn put_levels(&mut self, rec: &Recorder, occupancy: &[u32]) {
+        for (lvl, &occupied) in occupancy.iter().enumerate() {
+            if lvl == self.levels.len() {
+                let id = rec.register_gauge(&format!("engine.wheel.l{lvl}_occupied"));
+                self.levels.push(id);
+            }
+            self.row.push((self.levels[lvl], i64::from(occupied)));
+        }
+    }
+
+    /// Adds the admission tokens of each kind, given in name order. The
+    /// set of kinds only grows, so a kind seen before sits at its rank, and
+    /// one comparison per kind tells a new one.
+    pub(crate) fn put_admit_tokens(
         &mut self,
-        prefix: &'static str,
-        index: usize,
-        label: impl Display,
-        suffix: &'static str,
-    ) -> Arc<str> {
-        let name = self
-            .0
-            .entry((prefix, index, suffix))
-            .or_insert_with(|| format!("{prefix}{label}{suffix}").into());
-        Arc::clone(name)
+        rec: &Recorder,
+        rows: impl Iterator<Item = (&'static str, u64)>,
+    ) {
+        for (rank, (kind, tokens)) in rows.enumerate() {
+            if self.admit.get(rank).map(|&(seen, _)| seen) != Some(kind) {
+                let id = rec.register_gauge(&format!("overload.admit_tokens.{kind}"));
+                self.admit.insert(rank, (kind, id));
+            }
+            self.row.push((self.admit[rank].1, tokens as i64));
+        }
     }
 
-    /// How many distinct gauges have been sampled so far.
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
+    /// The row written since [`GaugeColumns::start`].
+    pub(crate) fn row(&self) -> &[(GaugeId, i64)] {
+        &self.row
     }
 }
 
@@ -115,8 +235,8 @@ pub(crate) struct HealthPlane {
     windows: [Option<SlidingHistogram>; OpKind::COUNT],
     /// Post-mortem context ring + dumps.
     pub(crate) flight: FlightRecorder,
-    /// Names of the gauges sampled so far.
-    pub(crate) gauge_names: GaugeNames,
+    /// The gauge sampler's registered columns and row buffer.
+    pub(crate) columns: GaugeColumns,
     paths: VecDeque<PathRow>,
     /// Bound on `paths` (`Config::path_ring`).
     path_ring: usize,
@@ -142,7 +262,7 @@ impl HealthPlane {
                 .collect(),
             windows: Default::default(),
             flight: FlightRecorder::new(config.fault_ring, config.gauge_ring, config.dump_cap),
-            gauge_names: GaugeNames::default(),
+            columns: GaugeColumns::default(),
             paths: VecDeque::new(),
             path_ring: config.path_ring,
             last_sample: None,
@@ -273,28 +393,38 @@ mod tests {
     }
 
     #[test]
-    fn gauge_names_are_formatted_once_and_shared() {
-        let mut names = GaugeNames::default();
-        let cpu = names.of("node.", 3, "netbook-3", ".cpu_milli");
-        assert_eq!(&*cpu, "node.netbook-3.cpu_milli");
-        assert!(Arc::ptr_eq(
-            &cpu,
-            &names.of("node.", 3, "unused", ".cpu_milli")
-        ));
-        assert_eq!(
-            &*names.of("node.", 4, "desktop", ".cpu_milli"),
-            "node.desktop.cpu_milli"
+    fn gauge_columns_register_once_and_write_by_position() {
+        let rec = Recorder::new();
+        let mut cols = GaugeColumns::default();
+        let name = |row: &[(GaugeId, i64)], i: usize| rec.gauge_name(row[i].0).to_string();
+        let fixed = cols.start(&rec);
+        assert_eq!(rec.gauges_registered(), 4 + 3 + 16);
+        assert_eq!(&*rec.gauge_name(fixed.runtime[0]), "runtime.queue_depth");
+        assert_eq!(&*rec.gauge_name(fixed.engine[15]), "engine.ledger.dropped");
+        let [cpu, ..] = node_gauges(&rec, "netbook-3");
+        assert_eq!(&*rec.gauge_name(cpu), "node.netbook-3.cpu_milli");
+        cols.put_levels(&rec, &[5, 0, 7]);
+        cols.put_admit_tokens(&rec, [("fetch", 3), ("store", 4)].into_iter());
+        assert_eq!(name(cols.row(), 2), "engine.wheel.l2_occupied");
+        assert_eq!(name(cols.row(), 3), "overload.admit_tokens.fetch");
+        let registered = rec.gauges_registered();
+
+        // A second sample registers nothing new unless a kind appears, and
+        // a kind that sorts first shifts the others' ranks, not their ids.
+        let first = cols.row().to_vec();
+        assert_eq!(cols.start(&rec).runtime, fixed.runtime);
+        assert!(cols.row().is_empty(), "a row starts empty");
+        cols.put_levels(&rec, &[1, 1, 1]);
+        cols.put_admit_tokens(
+            &rec,
+            [("delete", 1), ("fetch", 2), ("store", 0)].into_iter(),
         );
-        assert_eq!(
-            &*names.of("engine.wheel.l", 2, 2, "_occupied"),
-            "engine.wheel.l2_occupied"
-        );
-        assert_eq!(
-            &*names.of("overload.admit_tokens.", 0, "", "fetch"),
-            "overload.admit_tokens.fetch"
-        );
-        assert_eq!(&*names.plain("runtime.queue_depth"), "runtime.queue_depth");
-        assert_eq!(names.len(), 5);
+        assert_eq!(rec.gauges_registered(), registered + 1);
+        let ids: Vec<GaugeId> = cols.row().iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids[..3], [first[0].0, first[1].0, first[2].0]);
+        assert_eq!(name(cols.row(), 3), "overload.admit_tokens.delete");
+        assert_eq!(ids[4..], [first[3].0, first[4].0]);
+        assert_eq!(cols.row()[4], (first[3].0, 2));
     }
 
     #[test]

@@ -789,6 +789,7 @@ impl Cloud4Home {
                         e.label(),
                         op.submitted.as_nanos(),
                         stages,
+                        &self.telemetry,
                     );
                     self.telemetry.add("health.postmortems", 1);
                 }

@@ -370,8 +370,8 @@ impl OverloadPlane {
     /// Whole admission tokens currently available, one row per op kind
     /// that has been rate-checked at least once. Sorted by kind (the map
     /// is a `BTreeMap`), so introspection output is deterministic.
-    pub(crate) fn admit_token_rows(&self) -> Vec<(&'static str, u64)> {
-        self.admit.iter().map(|(k, b)| (*k, b.tokens())).collect()
+    pub(crate) fn admit_token_rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.admit.iter().map(|(k, b)| (*k, b.tokens()))
     }
 
     /// Marks an admitted op complete, releasing its tenant slot.

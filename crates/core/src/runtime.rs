@@ -29,14 +29,14 @@ use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
     FxHashMap, NetError, QueueStats, SimTime, Sym, SymMap,
 };
-use c4h_telemetry::{ArgValue, CauseKind, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, CauseKind, GaugeId, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
 use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, PlatformSpec, VmSpec, XenChannel};
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
 use crate::background::Jobs;
 use crate::config::{Config, NodeId, ServiceKind};
 use crate::fault::FaultEvent;
-use crate::health::HealthPlane;
+use crate::health::{node_gauges, HealthPlane};
 use crate::object::{synth_bytes, Blob};
 use crate::ops::{Op, OpInput};
 use crate::overload::OverloadPlane;
@@ -99,6 +99,9 @@ pub(crate) struct NodeRt {
     pub(crate) objects: SymMap<Blob>,
     pub(crate) gateway: bool,
     pub(crate) alive: bool,
+    /// The node's health gauges, registered the first time it is sampled
+    /// (see [`node_gauges`]).
+    pub(crate) gauges: Option<[GaugeId; 5]>,
 }
 
 /// The remote public cloud's runtime state.
@@ -481,6 +484,7 @@ impl Cloud4Home {
                 objects: SymMap::default(),
                 gateway: spec.gateway,
                 alive: true,
+                gauges: None,
             });
         }
         for (i, n) in nodes.iter_mut().enumerate() {
@@ -850,13 +854,7 @@ impl Cloud4Home {
             self.sample_health();
         }
         let mut out = self.report_header("top");
-        let snap = self.telemetry.snapshot();
-        let mut latest: Vec<(String, i64)> = snap
-            .series
-            .iter()
-            .filter_map(|(name, s)| s.last().map(|(_, v)| (name.clone(), v)))
-            .collect();
-        latest.sort_by(|a, b| a.0.cmp(&b.0));
+        let latest = self.telemetry.latest_gauges();
         if latest.is_empty() {
             out.push_str("no gauge samples recorded\n");
         }
@@ -1698,137 +1696,82 @@ impl Cloud4Home {
     /// Records one gauge sample row: runtime queue depths, per-link
     /// utilization, and per-node resource/overlay gauges. Read-only with
     /// respect to simulation state and draws no randomness, so enabling the
-    /// sampler cannot perturb event timing or the RNG stream. Names come
-    /// from the health plane's table (formatted once, shared with the
-    /// flight ring) and the row reaches the recorder in one call.
+    /// sampler cannot perturb event timing or the RNG stream. The row is
+    /// written as `(GaugeId, value)` pairs into the health plane's reused
+    /// buffer (each gauge registered the first time its subject is
+    /// sampled, see [`crate::health::GaugeColumns`]) and reaches the
+    /// recorder and the flight ring in one call each.
     pub(crate) fn sample_health(&mut self) {
         let now = self.now();
         self.health.last_sample = Some(now);
-        let ts = now.as_nanos();
-        let names = &mut self.health.gauge_names;
-        let mut row: Vec<(Arc<str>, i64)> = Vec::with_capacity(names.len());
-        let mut put = |name: Arc<str>, value: i64| row.push((name, value));
-        put(names.plain("runtime.queue_depth"), self.queue.len() as i64);
-        put(names.plain("runtime.ops_inflight"), self.ops.len() as i64);
-        put(
-            names.plain("runtime.flows_inflight"),
-            self.flows.op_owned() as i64,
-        );
-        put(
-            names.plain("runtime.background_jobs"),
-            self.flows.background() as i64,
-        );
-        for (i, load) in self.net.segment_loads().iter().enumerate() {
-            let name = self.net.topology().segment(load.segment).name();
-            put(
-                names.of("net.", i, name, ".util_permille"),
-                load.util_permille() as i64,
-            );
-            put(names.of("net.", i, name, ".flows"), load.flows as i64);
-        }
-        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
+        let rec = &self.telemetry;
+        let cols = &mut self.health.columns;
+        let fixed = cols.start(rec);
+        let depths = [
+            self.queue.len(),
+            self.ops.len(),
+            self.flows.op_owned(),
+            self.flows.background(),
+        ];
+        cols.put(fixed.runtime, depths.map(|n| n as i64));
+        cols.put_segments(rec, &mut self.net);
+        for n in self.nodes.iter_mut().filter(|n| n.alive) {
+            let ids = *n.gauges.get_or_insert_with(|| node_gauges(rec, &n.name));
             let peek = n.sampler.peek();
-            put(
-                names.of("node.", i, &n.name, ".cpu_milli"),
-                (peek.cpu_load * 1000.0).round() as i64,
-            );
-            put(
-                names.of("node.", i, &n.name, ".mem_free_mib"),
-                peek.mem_free_mib as i64,
-            );
-            put(
-                names.of("node.", i, &n.name, ".disk_used_bytes"),
-                (n.bins.used_bytes(Bin::Mandatory) + n.bins.used_bytes(Bin::Voluntary)) as i64,
-            );
-            put(
-                names.of("node.", i, &n.name, ".dht_table"),
-                n.chimera.routing_table_size() as i64,
-            );
             let (hits, misses) = n.chimera.cache_stats();
-            let permille = (hits * 1000).checked_div(hits + misses).unwrap_or(0);
-            put(
-                names.of("node.", i, &n.name, ".cache_hit_permille"),
-                permille as i64,
+            let disk = n.bins.used_bytes(Bin::Mandatory) + n.bins.used_bytes(Bin::Voluntary);
+            cols.put(
+                ids,
+                [
+                    (peek.cpu_load * 1000.0).round() as i64,
+                    peek.mem_free_mib as i64,
+                    disk as i64,
+                    n.chimera.routing_table_size() as i64,
+                    (hits * 1000).checked_div(hits + misses).unwrap_or(0) as i64,
+                ],
             );
         }
         if self.overload.enabled {
-            put(
-                names.plain("overload.shed_permille"),
-                i64::from(self.overload.shed_permille()),
-            );
-            put(
-                names.plain("overload.breakers_open"),
-                self.overload.breakers_open() as i64,
-            );
-            put(
-                names.plain("overload.tenants_inflight"),
-                self.overload.inflight() as i64,
-            );
+            let o = &self.overload;
+            let values = [
+                i64::from(o.shed_permille()),
+                o.breakers_open() as i64,
+                o.inflight() as i64,
+            ];
+            cols.put(fixed.overload, values);
         }
         if self.ledger.enabled() {
             // Engine introspection rides the same cadence but only when the
             // causal ledger is on, so default-config gauge output (and with
             // it the golden corpus) stays byte-identical.
-            let qs = self.queue.stats();
-            put(names.plain("engine.wheel.len"), qs.len as i64);
-            put(names.plain("engine.wheel.ready"), qs.ready as i64);
-            put(names.plain("engine.wheel.cascades"), qs.cascades as i64);
-            put(
-                names.plain("engine.wheel.cascaded_slots"),
-                qs.cascaded_slots as i64,
-            );
-            for (lvl, occ) in qs.level_occupancy.iter().enumerate() {
-                put(
-                    names.of("engine.wheel.l", lvl, lvl, "_occupied"),
-                    i64::from(*occ),
-                );
-            }
-            put(names.plain("engine.slab.cells"), qs.slab_cells as i64);
-            put(names.plain("engine.slab.free"), qs.free_cells as i64);
-            put(names.plain("engine.spare.buckets"), qs.spare_buckets as i64);
-            put(
-                names.plain("engine.spare.capacity"),
-                qs.spare_capacity as i64,
-            );
-            put(
-                names.plain("engine.intern.count"),
-                Sym::interned_count() as i64,
-            );
-            let fc = self.net.counters();
-            put(names.plain("engine.flows.started"), fc.started as i64);
-            put(names.plain("engine.flows.completed"), fc.completed as i64);
-            put(names.plain("engine.flows.canceled"), fc.canceled as i64);
-            put(
-                names.plain("engine.flows.inflight"),
-                self.net.in_flight() as i64,
-            );
-            put(
-                names.plain("engine.ledger.rings"),
-                self.ledger.rings_live() as i64,
-            );
-            put(
-                names.plain("engine.ledger.recorded"),
-                self.ledger.recorded() as i64,
-            );
-            put(
-                names.plain("engine.ledger.dropped"),
-                self.ledger.dropped() as i64,
-            );
+            let (qs, fc) = (self.queue.stats(), self.net.counters());
+            let values = [
+                qs.len as u64,
+                qs.ready as u64,
+                qs.cascades,
+                qs.cascaded_slots,
+                qs.slab_cells as u64,
+                qs.free_cells as u64,
+                qs.spare_buckets as u64,
+                qs.spare_capacity as u64,
+                Sym::interned_count() as u64,
+                fc.started,
+                fc.completed,
+                fc.canceled,
+                self.net.in_flight() as u64,
+                self.ledger.rings_live() as u64,
+                self.ledger.recorded(),
+                self.ledger.dropped(),
+            ];
+            cols.put(fixed.engine, values.map(|n| n as i64));
+            cols.put_levels(rec, &qs.level_occupancy);
             if self.overload.enabled {
-                for (kind, tokens) in self.overload.admit_token_rows() {
-                    // Keyed by the kind itself: the set of kinds can grow.
-                    put(
-                        names.of("overload.admit_tokens.", 0, "", kind),
-                        tokens as i64,
-                    );
-                }
+                cols.put_admit_tokens(rec, self.overload.admit_token_rows());
             }
         }
-        // Names are distinct, so the unstable sort (which does not
-        // allocate) orders the row exactly as a stable one would.
-        row.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.telemetry.gauge_row(ts, &row);
-        self.health.flight.note_gauges(ts, row);
+        let ts = now.as_nanos();
+        rec.gauge_sample(ts, cols.row());
+        self.health.flight.note_gauges(ts, cols.row());
     }
 
     /// The one way the runtime reaches a node's overlay mutably. Any such

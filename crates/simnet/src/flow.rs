@@ -755,19 +755,29 @@ impl FlowNet {
     /// called for it whoever asks first, so probing for health samples
     /// never perturbs flow outcomes.
     pub fn segment_loads(&mut self) -> Vec<SegmentLoad> {
+        let mut loads = Vec::new();
+        self.segment_loads_into(&mut loads);
+        loads
+    }
+
+    /// [`FlowNet::segment_loads`] into a caller-held buffer: `loads` is
+    /// cleared and refilled, so a caller that keeps it allocates only when
+    /// the topology grows.
+    pub fn segment_loads_into(&mut self, loads: &mut Vec<SegmentLoad>) {
         self.next_event();
-        let mut loads: Vec<SegmentLoad> = self
-            .topology
-            .segments()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SegmentLoad {
-                segment: SegmentId(i),
-                allocated_bps: 0.0,
-                capacity_bps: s.capacity_bps(),
-                flows: 0,
-            })
-            .collect();
+        loads.clear();
+        loads.extend(
+            self.topology
+                .segments()
+                .iter()
+                .enumerate()
+                .map(|(i, s)| SegmentLoad {
+                    segment: SegmentId(i),
+                    allocated_bps: 0.0,
+                    capacity_bps: s.capacity_bps(),
+                    flows: 0,
+                }),
+        );
         for f in &self.flows {
             for seg in &self.paths[f.path] {
                 let load = &mut loads[seg.0];
@@ -775,7 +785,6 @@ impl FlowNet {
                 load.flows += 1;
             }
         }
-        loads
     }
 
     /// Progress of a flow or chunked transfer, if still in flight.
@@ -1445,7 +1454,10 @@ mod tests {
         assert!((lan.allocated_bps - 1_000.0).abs() < 1e-6);
         assert_eq!(lan.util_permille(), 1000);
         drain(&mut net);
-        let idle = net.segment_loads();
+        // A held buffer is refilled, not appended to.
+        let mut idle = loads;
+        net.segment_loads_into(&mut idle);
+        assert_eq!(idle.len(), 1);
         assert_eq!(idle[0].flows, 0);
         assert_eq!(idle[0].util_permille(), 0);
     }

@@ -178,7 +178,7 @@ pub(crate) fn prometheus_text(inner: &Inner) -> String {
         }
         out.push('\n');
     }
-    for (name, series) in &inner.series {
+    for (name, series) in inner.gauge_series() {
         let Some((_, value)) = series.last() else {
             continue;
         };
@@ -211,7 +211,7 @@ pub(crate) fn prometheus_text(inner: &Inner) -> String {
 pub(crate) fn series_json(inner: &Inner) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\n\"series\":{");
-    for (i, (name, series)) in inner.series.iter().enumerate() {
+    for (i, (name, series)) in inner.gauge_series().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push('"');
         escape_into(&mut out, name);

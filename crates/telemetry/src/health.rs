@@ -6,9 +6,8 @@
 //! the buckets mean; this module only stores and aggregates.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use crate::recorder::Histogram;
+use crate::recorder::{GaugeId, Histogram, Recorder};
 use crate::TimeNs;
 
 /// A latency histogram over a sliding virtual-time window.
@@ -211,10 +210,9 @@ impl Postmortem {
     }
 }
 
-/// One gauge sample row: sorted `(gauge, value)` pairs. The names are
-/// shared with the sampler that cut the row; a dump copies them out as
-/// `String`s.
-type GaugeRow = Vec<(Arc<str>, i64)>;
+/// One gauge sample row as the sampler wrote it: `(gauge, value)` pairs in
+/// sample order. A dump resolves the names and sorts them.
+type GaugeRow = Vec<(GaugeId, i64)>;
 
 /// A bounded ring of recent health context plus the post-mortem dumps cut
 /// from it when operations fail.
@@ -222,7 +220,8 @@ type GaugeRow = Vec<(Arc<str>, i64)>;
 /// The recorder itself never samples anything: the runtime feeds it fault
 /// notes and gauge rows as they happen, and calls [`FlightRecorder::record`]
 /// on terminal op errors. All capacities are fixed so a chaotic run cannot
-/// grow this without bound.
+/// grow this without bound; once the gauge ring is full, each new row is
+/// copied into the buffer of the row it evicts.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     fault_cap: usize,
@@ -260,16 +259,24 @@ impl FlightRecorder {
         self.faults.push_back((ts_ns, description));
     }
 
-    /// Notes one gauge sample row (sorted `(gauge, value)` pairs).
-    pub fn note_gauges(&mut self, ts_ns: TimeNs, row: Vec<(Arc<str>, i64)>) {
+    /// Notes one gauge sample row (`(gauge, value)` pairs, each gauge at
+    /// most once).
+    pub fn note_gauges(&mut self, ts_ns: TimeNs, row: &[(GaugeId, i64)]) {
+        let mut buf = GaugeRow::new();
         if self.gauges.len() == self.gauge_cap {
-            self.gauges.pop_front();
+            if let Some((_, evicted)) = self.gauges.pop_front() {
+                buf = evicted;
+            }
         }
-        self.gauges.push_back((ts_ns, row));
+        buf.clear();
+        buf.extend_from_slice(row);
+        self.gauges.push_back((ts_ns, buf));
     }
 
     /// Cuts a post-mortem dump for a failed op, attaching the current fault
-    /// and gauge rings. Dumps beyond the cap are counted, not stored.
+    /// and gauge rings; `gauges` is the recorder that registered the ring's
+    /// gauges, and names them. Dumps beyond the cap are counted, not
+    /// stored.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -280,6 +287,7 @@ impl FlightRecorder {
         error: &str,
         submitted_ns: TimeNs,
         stages: Vec<(String, TimeNs, TimeNs)>,
+        gauges: &Recorder,
     ) {
         if self.dumps.len() >= self.dump_cap {
             self.dropped += 1;
@@ -304,7 +312,15 @@ impl FlightRecorder {
             gauges: self
                 .gauges
                 .iter()
-                .map(|(ts, row)| (*ts, row.iter().map(|(n, v)| (n.to_string(), *v)).collect()))
+                .map(|(ts, row)| {
+                    let mut named: Vec<(String, i64)> = row
+                        .iter()
+                        .map(|&(id, v)| (gauges.gauge_name(id).to_string(), v))
+                        .collect();
+                    // A row names each gauge once: unstable is stable here.
+                    named.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                    (*ts, named)
+                })
                 .collect(),
         });
     }
@@ -371,18 +387,23 @@ mod tests {
 
     #[test]
     fn flight_recorder_rings_are_bounded() {
+        let rec = Recorder::new();
+        let (g, a) = (rec.register_gauge("g"), rec.register_gauge("a"));
         let mut fr = FlightRecorder::new(2, 2, 1);
         for i in 0..5u64 {
             fr.note_fault(i, format!("fault{i}"));
-            fr.note_gauges(i, vec![("g".into(), i as i64)]);
+            fr.note_gauges(i, &[(g, i as i64), (a, -1)]);
         }
-        fr.record(9, 1, "fetch", "obj", "Timeout", 0, vec![("s".into(), 0, 9)]);
-        fr.record(10, 2, "fetch", "obj", "Timeout", 0, vec![]);
+        let stages = vec![("s".into(), 0, 9)];
+        fr.record(9, 1, "fetch", "obj", "Timeout", 0, stages, &rec);
+        fr.record(10, 2, "fetch", "obj", "Timeout", 0, vec![], &rec);
         assert_eq!(fr.dumps().len(), 1);
         assert_eq!(fr.dropped(), 1);
         let d = &fr.dumps()[0];
         assert_eq!(d.faults, vec![(3, "fault3".into()), (4, "fault4".into())]);
-        assert_eq!(d.gauges.len(), 2);
+        // The last two rows, their names resolved and sorted.
+        let row = |v: i64| vec![("a".to_owned(), -1), ("g".to_owned(), v)];
+        assert_eq!(d.gauges, vec![(3, row(3)), (4, row(4))]);
         let json = fr.dumps_json();
         assert!(json.contains("\"error\":\"Timeout\""));
         assert!(json.starts_with("[\n{\"id\":\"pm-9-0\",\"ts_ns\":9"));
@@ -392,11 +413,11 @@ mod tests {
     fn same_instant_dumps_get_distinct_ids() {
         // Regression: two ops timing out at the same virtual instant used
         // to collide on a timestamp-only post-mortem id.
-        let mut fr = FlightRecorder::new(2, 2, 8);
-        fr.record(100, 1, "fetch", "a", "Timeout", 0, vec![]);
-        fr.record(100, 2, "fetch", "b", "Timeout", 0, vec![]);
-        fr.record(100, 3, "store", "c", "Timeout", 0, vec![]);
-        fr.record(250, 4, "fetch", "d", "Timeout", 0, vec![]);
+        let (mut fr, rec) = (FlightRecorder::new(2, 2, 8), Recorder::new());
+        fr.record(100, 1, "fetch", "a", "Timeout", 0, vec![], &rec);
+        fr.record(100, 2, "fetch", "b", "Timeout", 0, vec![], &rec);
+        fr.record(100, 3, "store", "c", "Timeout", 0, vec![], &rec);
+        fr.record(250, 4, "fetch", "d", "Timeout", 0, vec![], &rec);
         let ids: Vec<&str> = fr.dumps().iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, vec!["pm-100-0", "pm-100-1", "pm-100-2", "pm-250-0"]);
         let mut uniq = ids.clone();

@@ -326,6 +326,21 @@ struct OpenSpan {
     args: Args,
 }
 
+/// A registered gauge: the index of its column in the [`Recorder`] that
+/// handed it out ([`Recorder::register_gauge`]). Ids are dense, start at 0
+/// and stay valid for the recorder's lifetime, [`Recorder::clear`]
+/// included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GaugeId(u32);
+
+/// One registered gauge: its name (shared with the name index) and its
+/// points.
+#[derive(Debug)]
+struct GaugeColumn {
+    name: Arc<str>,
+    series: GaugeSeries,
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
     next_span: u64,
@@ -333,8 +348,37 @@ pub(crate) struct Inner {
     pub(crate) events: Vec<EventRec>,
     pub(crate) counters: BTreeMap<Cow<'static, str>, u64>,
     pub(crate) hists: BTreeMap<Cow<'static, str>, Histogram>,
-    pub(crate) series: BTreeMap<Cow<'static, str>, GaugeSeries>,
     pub(crate) exemplars: BTreeMap<Cow<'static, str>, String>,
+    /// One column per registered gauge, indexed by [`GaugeId`].
+    columns: Vec<GaugeColumn>,
+    /// Registered gauge names in name order: what every export walks.
+    gauge_index: BTreeMap<Arc<str>, GaugeId>,
+}
+
+impl Inner {
+    fn register_gauge(&mut self, name: &str) -> GaugeId {
+        if let Some(&id) = self.gauge_index.get(name) {
+            return id;
+        }
+        let id = GaugeId(u32::try_from(self.columns.len()).expect("fewer than 2^32 gauges"));
+        let name: Arc<str> = name.into();
+        self.columns.push(GaugeColumn {
+            name: Arc::clone(&name),
+            series: GaugeSeries::new(),
+        });
+        self.gauge_index.insert(name, id);
+        id
+    }
+
+    /// Every gauge series holding at least one point, in name order. A
+    /// column registered but never sampled (or emptied by a clear) is not
+    /// a series.
+    pub(crate) fn gauge_series(&self) -> impl Iterator<Item = (&Arc<str>, &GaugeSeries)> {
+        self.gauge_index
+            .iter()
+            .map(|(name, id)| (name, &self.columns[id.0 as usize].series))
+            .filter(|(_, series)| !series.is_empty())
+    }
 }
 
 #[derive(Debug)]
@@ -381,14 +425,19 @@ impl Recorder {
     }
 
     /// Discards all collected events and metrics (open spans included).
+    /// Gauge registrations survive — every [`GaugeId`] handed out stays
+    /// valid — but their points are dropped, so every export reads as if
+    /// the gauges had never been sampled.
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.open.clear();
         inner.events.clear();
         inner.counters.clear();
         inner.hists.clear();
-        inner.series.clear();
         inner.exemplars.clear();
+        for column in &mut inner.columns {
+            column.series = GaugeSeries::new();
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -569,7 +618,31 @@ impl Recorder {
         self.lock().exemplars.insert(name.into(), label);
     }
 
-    /// Appends one point to a named gauge time series.
+    /// Registers the gauge `name` — or finds it, if it is registered
+    /// already — and returns its column's id. The name is copied once,
+    /// here; samples written through the id never see it again.
+    /// Registration records nothing, so it works while disabled, and a
+    /// column that is never sampled appears in no export.
+    pub fn register_gauge(&self, name: &str) -> GaugeId {
+        self.lock().register_gauge(name)
+    }
+
+    /// The number of gauges registered so far.
+    pub fn gauges_registered(&self) -> usize {
+        self.lock().columns.len()
+    }
+
+    /// The name a gauge was registered under.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was handed out by another recorder.
+    pub fn gauge_name(&self, id: GaugeId) -> Arc<str> {
+        Arc::clone(&self.lock().columns[id.0 as usize].name)
+    }
+
+    /// Appends one point to a named gauge time series: registers the gauge
+    /// (see [`Recorder::register_gauge`]), then pushes the point.
     ///
     /// Gauges are sampled values (queue depths, utilizations, cache ratios)
     /// recorded at virtual-time instants by the health-plane sampler; each
@@ -578,31 +651,35 @@ impl Recorder {
         if !self.enabled() {
             return;
         }
-        self.lock()
-            .series
-            .entry(name.into())
-            .or_default()
-            .push(ts_ns, value);
+        let name: Cow<'static, str> = name.into();
+        let mut inner = self.lock();
+        let id = inner.register_gauge(&name);
+        inner.columns[id.0 as usize].series.push(ts_ns, value);
     }
 
-    /// Appends one sample row — the point `(ts_ns, value)` to each named
-    /// gauge series — under one lock. Series are looked up by `&str`, so
-    /// only the first sample of a name allocates its key.
-    pub fn gauge_row<N: AsRef<str>>(&self, ts_ns: TimeNs, row: &[(N, i64)]) {
+    /// Appends one sample row — the point `(ts_ns, value)` to each
+    /// registered gauge — under one lock. Each point is one indexed push:
+    /// no name is looked at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id was handed out by another recorder.
+    pub fn gauge_sample(&self, ts_ns: TimeNs, row: &[(GaugeId, i64)]) {
         if !self.enabled() {
             return;
         }
         let mut inner = self.lock();
-        for (name, value) in row {
-            let name = name.as_ref();
-            if let Some(series) = inner.series.get_mut(name) {
-                series.push(ts_ns, *value);
-            } else {
-                let mut series = GaugeSeries::new();
-                series.push(ts_ns, *value);
-                inner.series.insert(Cow::Owned(name.to_owned()), series);
-            }
+        for &(id, value) in row {
+            inner.columns[id.0 as usize].series.push(ts_ns, value);
         }
+    }
+
+    /// The last point's value of every sampled gauge, in name order.
+    pub fn latest_gauges(&self) -> Vec<(Arc<str>, i64)> {
+        self.lock()
+            .gauge_series()
+            .filter_map(|(name, series)| Some((Arc::clone(name), series.last()?.1)))
+            .collect()
     }
 
     /// A structured copy of everything recorded so far (completed spans,
@@ -623,9 +700,8 @@ impl Recorder {
                 .map(|(k, v)| (k.clone().into_owned(), v.clone()))
                 .collect(),
             series: inner
-                .series
-                .iter()
-                .map(|(k, v)| (k.clone().into_owned(), v.clone()))
+                .gauge_series()
+                .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
             exemplars: inner
                 .exemplars
@@ -852,21 +928,69 @@ mod tests {
     }
 
     #[test]
-    fn a_gauge_row_lands_like_its_points_one_by_one() {
+    fn a_gauge_sample_lands_like_its_points_one_by_one() {
         let (by_row, by_point) = (Recorder::new(), Recorder::new());
-        by_row.gauge_row(0, &[("a", 1)]); // disabled → dropped
+        let (b, a) = (
+            by_row.register_gauge("b.gauge"),
+            by_row.register_gauge("a.gauge"),
+        );
+        assert_eq!(
+            by_row.register_gauge("b.gauge"),
+            b,
+            "registration is idempotent"
+        );
+        by_row.gauge_sample(0, &[(a, 1)]); // disabled → dropped
         by_row.set_enabled(true);
         by_point.set_enabled(true);
         for ts in [500, 1000] {
-            let row = [("b.gauge", ts as i64), ("a.gauge", -2)];
-            by_row.gauge_row(ts, &row);
-            for (name, value) in row {
-                by_point.gauge(name, ts, value);
-            }
+            by_row.gauge_sample(ts, &[(b, ts as i64), (a, -2)]);
+            by_point.gauge("b.gauge", ts, ts as i64);
+            by_point.gauge("a.gauge", ts, -2);
         }
         assert_eq!(by_row.series_json(), by_point.series_json());
         assert_eq!(by_row.prometheus_text(), by_point.prometheus_text());
         assert_eq!(by_row.snapshot().series["b.gauge"].len(), 2);
+        assert_eq!(&*by_row.gauge_name(a), "a.gauge");
+        let latest: Vec<(Arc<str>, i64)> = vec![("a.gauge".into(), -2), ("b.gauge".into(), 1000)];
+        assert_eq!(by_row.latest_gauges(), latest);
+    }
+
+    #[test]
+    fn registered_but_unsampled_gauges_export_nothing() {
+        let (registered, fresh) = (Recorder::new(), Recorder::new());
+        registered.register_gauge("never.sampled");
+        for rec in [&registered, &fresh] {
+            rec.set_enabled(true);
+            rec.gauge("sampled", 7, 1);
+        }
+        assert_eq!(registered.gauges_registered(), 2);
+        assert_eq!(registered.series_json(), fresh.series_json());
+        assert_eq!(registered.prometheus_text(), fresh.prometheus_text());
+        assert_eq!(
+            registered.snapshot().series.keys().collect::<Vec<_>>(),
+            ["sampled"]
+        );
+    }
+
+    #[test]
+    fn a_cleared_recorder_exports_like_a_fresh_one_fed_the_same_points() {
+        let (cleared, fresh) = (Recorder::new(), Recorder::new());
+        cleared.set_enabled(true);
+        let (x, y) = (cleared.register_gauge("x"), cleared.register_gauge("y"));
+        cleared.gauge_sample(100, &[(x, 1), (y, 2)]);
+        cleared.gauge("z", 100, 3);
+        cleared.clear();
+        assert_eq!(cleared.gauges_registered(), 3, "registrations survive");
+        assert_eq!(cleared.register_gauge("y"), y, "ids stay valid");
+        // Only `y` is sampled after the clear: `x` and `z` must vanish.
+        fresh.set_enabled(true);
+        for ts in [200, 300] {
+            cleared.gauge_sample(ts, &[(y, ts as i64)]);
+            fresh.gauge("y", ts, ts as i64);
+        }
+        assert_eq!(cleared.series_json(), fresh.series_json());
+        assert_eq!(cleared.prometheus_text(), fresh.prometheus_text());
+        assert_eq!(cleared.snapshot().series, fresh.snapshot().series);
     }
 
     #[test]
