@@ -2056,3 +2056,102 @@ mod step_order_tests {
         assert_eq!(home.net.next_event(), None);
     }
 }
+
+#[cfg(test)]
+mod chain_tests {
+    //! The two periodic chains, `Tick` and `HealthSample`: each goes on
+    //! while an op is in flight or the run's horizon is ahead, and an idle
+    //! runtime ends each at its first event at or past the horizon. Read
+    //! from what the events leave with tracing on: every tick observes
+    //! `runtime.queue_depth` once, every gauge sample adds one point to the
+    //! series of the same name.
+
+    use super::*;
+    use crate::{NodeId, Object, StorePolicy};
+
+    const SAMPLE_PERIOD: Duration = Duration::from_millis(300);
+
+    fn ticks(home: &Cloud4Home) -> u64 {
+        let snap = home.telemetry.snapshot();
+        snap.histograms
+            .get("runtime.queue_depth")
+            .map_or(0, |h| h.count)
+    }
+
+    fn samples(home: &Cloud4Home) -> Vec<u64> {
+        let snap = home.telemetry.snapshot();
+        let series = snap.series.get("runtime.queue_depth");
+        series.map_or(Vec::new(), |s| s.points().iter().map(|&(t, _)| t).collect())
+    }
+
+    /// The instants `from + k·period` (k ≥ 1) at or before `to`.
+    fn beats(from: SimTime, to: SimTime, period: Duration) -> Vec<u64> {
+        let step = period.as_nanos() as u64;
+        let n = (to.as_nanos() - from.as_nanos()) / step;
+        (1..=n).map(|k| from.as_nanos() + k * step).collect()
+    }
+
+    /// Steps until nothing is pending; a chain that never stops fails.
+    fn drain(home: &mut Cloud4Home) {
+        for _ in 0..100_000 {
+            if !home.step() {
+                return;
+            }
+        }
+        panic!("a periodic chain never stopped");
+    }
+
+    #[test]
+    fn chains_go_on_while_work_is_in_flight_and_stop_at_the_horizon_when_idle() {
+        let mut config = Config::paper_testbed(12);
+        config.tracing = true;
+        config.health_sample_ms = SAMPLE_PERIOD.as_millis() as u64;
+        let mut home = Cloud4Home::new(config);
+        drain(&mut home);
+
+        // Idle, horizon 1.2 s ahead: ticks at +0.5 and +1.0 go on, the one
+        // at +1.5 ends its chain; the sample at +1.2 is the horizon itself
+        // and ends its own.
+        let t0 = home.now();
+        let (ticks0, samples0) = (ticks(&home), samples(&home).len());
+        home.run_for(Duration::from_millis(1_200));
+        drain(&mut home);
+        assert_eq!(ticks(&home) - ticks0, 3);
+        let want = beats(t0, t0 + Duration::from_millis(1_200), SAMPLE_PERIOD);
+        assert_eq!(samples(&home)[samples0..], want[..]);
+
+        // An op in flight keeps both chains going past the horizon, every
+        // beat, until it completes.
+        let t1 = home.now();
+        let (ticks1, samples1) = (ticks(&home), samples(&home).len());
+        let obj = Object::synthetic("chains/wan.bin", 3, 2 << 20, "tar");
+        let op = home.store_object(NodeId(0), obj, StorePolicy::ForceCloud, true);
+        home.run_for(Duration::from_millis(100));
+        let done = home.run_until_complete(op).completed;
+        assert!(
+            done > t1 + Duration::from_secs(2),
+            "the op outlives the horizon"
+        );
+        let tick_beats = beats(t1, done, TICK_PERIOD).len() as u64;
+        assert_eq!(ticks(&home) - ticks1, tick_beats);
+        let sample_beats = beats(t1, done, SAMPLE_PERIOD);
+        assert_eq!(samples(&home)[samples1..], sample_beats[..]);
+
+        // `run_until_idle` closes with a sample at this instant, once.
+        home.run_until_idle();
+        let closed = samples(&home);
+        assert_eq!(closed.len(), samples1 + sample_beats.len() + 1);
+        assert_eq!(closed.last(), Some(&done.as_nanos()));
+        home.run_until_idle();
+        assert_eq!(samples(&home), closed, "one closing sample per instant");
+
+        // Idle again: each chain fires once more, at its first beat past
+        // the completion, and stops.
+        drain(&mut home);
+        assert_eq!(ticks(&home) - ticks1, tick_beats + 1);
+        let next = t1.as_nanos() + (sample_beats.len() as u64 + 1) * 300_000_000;
+        let end = samples(&home);
+        assert_eq!(end.len(), closed.len() + 1);
+        assert_eq!(end.last(), Some(&next));
+    }
+}

@@ -362,6 +362,41 @@ fn ledger_disabled_runs_stay_byte_identical() {
 }
 
 #[test]
+fn explain_ring_releases_the_oldest_reports_detail_and_keeps_their_outcome() {
+    let mut config = ledger_config(77);
+    config.explain_ring = 2;
+    let mut home = Cloud4Home::new(config);
+    let mut done = Vec::new();
+    for i in 0..4u64 {
+        let obj = Object::synthetic(&format!("ring/{i}.bin"), 40 + i, OBJ_BYTES, "doc");
+        let op = home.store_object(NodeId(i as usize), obj, StorePolicy::ForceHome, true);
+        let report = home.run_until_complete(op);
+        assert!(
+            !report.stages.is_empty() && !report.ledger.is_empty(),
+            "{op}: a report completes with its detail"
+        );
+        done.push(report);
+    }
+    let fallback = "no causal data recorded";
+    for (i, at_completion) in done.iter().enumerate() {
+        let op = at_completion.id;
+        let text = home.explain_text(op);
+        let kept = home.take_report(op).expect("reports outlive their detail");
+        assert_eq!(kept.outcome, at_completion.outcome, "{op}");
+        assert_eq!(kept.breakdown, at_completion.breakdown, "{op}");
+        assert_eq!(kept.critical_path, at_completion.critical_path, "{op}");
+        if i < 2 {
+            assert!(kept.stages.is_empty() && kept.ledger.is_empty(), "{op}");
+            assert!(text.contains(fallback), "{op}: {text}");
+        } else {
+            assert_eq!(kept, *at_completion, "{op}: the two newest keep it all");
+            assert!(!text.contains(fallback), "{op}: {text}");
+            assert!(text.contains("exact-sum:"), "{op}: {text}");
+        }
+    }
+}
+
+#[test]
 fn tiny_ring_eviction_preserves_live_chains() {
     // A four-slot ring under an op that records five decisions across two
     // causal chains (a severed stripe reassigned mid-fetch, plus a hedge
