@@ -489,7 +489,8 @@ impl Config {
     /// returned message; call it directly to validate ahead of time.
     ///
     /// Rejections:
-    /// - no nodes configured;
+    /// - no nodes configured, or more than 10 000 (node `i` gets address
+    ///   `i`, and the cloud site's address is 10 000);
     /// - `replica_quorum > replication` (the quorum could never be met, so
     ///   every store would silently behave as quorum = replication);
     /// - `fetch_sources == 0` (fetches would have no source budget at all;
@@ -528,6 +529,13 @@ impl Config {
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("need at least one home node".into());
+        }
+        // Node `i` sits at address `i`, below the cloud site's.
+        let (nodes, cloud) = (self.nodes.len(), crate::runtime::CLOUD_ADDR.raw());
+        if nodes as u64 > cloud {
+            return Err(format!(
+                "{nodes} home nodes: node {cloud} would take the cloud site's address {cloud}"
+            ));
         }
         if self.replica_quorum > self.replication {
             return Err(format!(
@@ -709,6 +717,17 @@ mod tests {
         let mut c = Config::paper_testbed(1);
         c.nodes.clear();
         assert!(c.validate().unwrap_err().contains("home node"));
+    }
+
+    #[test]
+    fn validate_rejects_a_node_on_the_cloud_address() {
+        let mut c = Config::paper_testbed(1);
+        let spec = c.nodes[0].clone();
+        c.nodes.resize(10_000, spec.clone());
+        assert_eq!(c.validate(), Ok(()), "nodes 0..=9999 sit below the cloud");
+        c.nodes.push(spec);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("cloud site's address 10000"), "{err}");
     }
 
     #[test]
