@@ -11,7 +11,7 @@ use c4h_kvstore::{
     Record, StripeRecord,
 };
 use c4h_resources::Bin;
-use c4h_simnet::{FlowId, SimTime, Sym};
+use c4h_simnet::{FlowId, SimTime, Sym, SymMap};
 use c4h_telemetry::{ArgValue, CauseKind, SpanId};
 
 use crate::ec::ErasureCode;
@@ -193,6 +193,56 @@ impl Jobs {
     }
 }
 
+/// What the runtime keeps beside each object that has an erasure-coded
+/// layout or is getting one: its stripe names in row order, named when a
+/// conversion starts, and its original blob, staged when the conversion
+/// lands. The stripes cover only the content sample window, so a decoding
+/// fetch hands back the original and verifies its decode against it. Both
+/// go when the object is scrubbed.
+#[derive(Debug, Default)]
+pub(crate) struct EcRegistry {
+    /// `BTreeMap` for deterministic iteration.
+    originals: BTreeMap<Sym, Blob>,
+    /// Keyed access only: every anti-entropy pass asks for all `k + m`
+    /// names of each object.
+    row_names: SymMap<Vec<Sym>>,
+}
+
+impl EcRegistry {
+    /// The per-holder object name `name`'s code row `row` is stored under.
+    /// Resolved from the names kept since the object's conversion began;
+    /// only a name with no conversion on record (a fetch holding metadata
+    /// from before a delete) is formatted and interned here.
+    pub(crate) fn stripe_name(&self, name: Sym, row: u32) -> Sym {
+        let known = self.row_names.get(&name);
+        match known.and_then(|rows| rows.get(row as usize)) {
+            Some(&sname) => sname,
+            None => Sym::new(&format!("{name}.ec{row}")),
+        }
+    }
+
+    /// Names `name`'s first `rows` stripe rows for every later lookup.
+    fn name_rows(&mut self, name: Sym, rows: u32) {
+        let names = (0..rows).map(|r| self.stripe_name(name, r)).collect();
+        self.row_names.insert(name, names);
+    }
+
+    /// Stages the original of an object whose conversion landed.
+    fn stage_original(&mut self, name: Sym, blob: Blob) {
+        self.originals.insert(name, blob);
+    }
+
+    /// The original a decoding fetch of `name` hands back.
+    pub(crate) fn original(&self, name: Sym) -> Option<&Blob> {
+        self.originals.get(&name)
+    }
+
+    fn scrub(&mut self, name: Sym) {
+        self.originals.remove(&name);
+        self.row_names.remove(&name);
+    }
+}
+
 impl Cloud4Home {
     // ------------------------------------------------------------------
     // The background-job lifecycle
@@ -268,7 +318,7 @@ impl Cloud4Home {
         // cannot (holder died, bin filled) ends the whole conversion.
         if let JobKind::Encode { layout, stripes } = &job.kind {
             let holder = self.node_index(layout.holders[part as usize]);
-            let (sname, len) = (self.ec_stripe_name(job.name, part), layout.stripe_len);
+            let (sname, len) = (self.ec.stripe_name(job.name, part), layout.stripe_len);
             let shard = Blob::Inline(stripes[part as usize].clone());
             let site = holder.filter(|&j| self.nodes[j].alive);
             if !site.is_some_and(|j| self.nodes[j].install_voluntary(sname, len, shard)) {
@@ -378,13 +428,12 @@ impl Cloud4Home {
             }
         }
         self.repaired_peers.insert(peer);
-        let mut names = std::mem::take(&mut self.names_scratch);
-        names.clear();
-        names.extend(self.replicas.held_by(peer));
-        for &name in &names {
-            self.maybe_repair(name);
-        }
-        self.names_scratch = names;
+        self.with_names(|home, names| {
+            names.extend(home.replicas.held_by(peer));
+            for &name in names.iter() {
+                home.maybe_repair(name);
+            }
+        });
     }
 
     /// Periodic catch-all for under-replication no peer death will ever
@@ -402,21 +451,22 @@ impl Cloud4Home {
             return;
         }
         let every = Duration::from_millis(self.config.anti_entropy_ms);
-        let mut names = std::mem::take(&mut self.names_scratch);
-        if self
-            .replicas
-            .repair_suspects
-            .snapshot_if_due(now, every, &mut names)
-        {
-            for &name in &names {
-                if self.maybe_repair(name) == Repair::Whole {
-                    self.replicas.repair_suspects.clear(name);
+        self.with_names(|home, names| {
+            if !home
+                .replicas
+                .repair_suspects
+                .snapshot_if_due(now, every, names)
+            {
+                return;
+            }
+            for &name in names.iter() {
+                if home.maybe_repair(name) == Repair::Whole {
+                    home.replicas.repair_suspects.clear(name);
                 }
             }
-            let set = &self.replicas.repair_suspects;
-            self.assert_unmarked_read(set, Repair::Whole, Self::repair_verdict);
-        }
-        self.names_scratch = names;
+            let set = &home.replicas.repair_suspects;
+            home.assert_unmarked_read(set, Repair::Whole, Self::repair_verdict);
+        });
     }
 
     /// The complement oracle of a periodic pass (debug builds): every
@@ -464,7 +514,7 @@ impl Cloud4Home {
         self.nodes[j].alive
             && self.nodes[j]
                 .objects
-                .contains_key(&self.ec_stripe_name(name, row))
+                .contains_key(&self.ec.stripe_name(name, row))
     }
 
     /// What a repair visit of `name` finds; fills `holders` with the live
@@ -514,15 +564,15 @@ impl Cloud4Home {
     /// anti-entropy sweep acts on that.
     pub(crate) fn maybe_repair(&mut self, name: Sym) -> Repair {
         self.replicas.repair_scan_visits += 1;
-        let mut holders = std::mem::take(&mut self.holders_scratch);
-        let verdict = self.repair_verdict(name, &mut holders);
-        match verdict {
-            Repair::Whole => {}
-            Repair::ShortRows => self.ec_maybe_repair(name),
-            Repair::ShortCopies { size } => self.repair_copies(name, &holders, size),
-        }
-        self.holders_scratch = holders;
-        verdict
+        self.with_holders(|home, holders| {
+            let verdict = home.repair_verdict(name, holders);
+            match verdict {
+                Repair::Whole => {}
+                Repair::ShortRows => home.ec_maybe_repair(name),
+                Repair::ShortCopies { size } => home.repair_copies(name, holders, size),
+            }
+            verdict
+        })
     }
 
     /// Starts one replica transfer for an object short of full copies.
@@ -639,22 +689,23 @@ impl Cloud4Home {
             return;
         }
         let every = Duration::from_millis(self.config.adaptive.interval_ms.max(1));
-        let mut names = std::mem::take(&mut self.names_scratch);
-        if self
-            .replicas
-            .adaptive_due
-            .snapshot_if_due(now, every, &mut names)
-        {
-            for &name in &names {
-                self.replicas.adaptive_review_visits += 1;
-                if self.adaptive_review(name) == Review::Settled {
-                    self.replicas.adaptive_due.clear(name);
+        self.with_names(|home, names| {
+            if !home
+                .replicas
+                .adaptive_due
+                .snapshot_if_due(now, every, names)
+            {
+                return;
+            }
+            for &name in names.iter() {
+                home.replicas.adaptive_review_visits += 1;
+                if home.adaptive_review(name) == Review::Settled {
+                    home.replicas.adaptive_due.clear(name);
                 }
             }
-            let set = &self.replicas.adaptive_due;
-            self.assert_unmarked_read(set, Review::Settled, Self::review_verdict);
-        }
-        self.names_scratch = names;
+            let set = &home.replicas.adaptive_due;
+            home.assert_unmarked_read(set, Review::Settled, Self::review_verdict);
+        });
     }
 
     /// What a review of `name` would do; fills `holders` with the live
@@ -700,28 +751,29 @@ impl Cloud4Home {
     /// large object to erasure-coded stripes once it is at the floor.
     /// Returns what it found; only the adaptive pass acts on that.
     fn adaptive_review(&mut self, name: Sym) -> Review {
-        let mut holders = std::mem::take(&mut self.holders_scratch);
-        let verdict = self.review_verdict(name, &mut holders);
-        if let Review::Act { action, size } = verdict {
-            if self.ledger.enabled() {
+        self.with_holders(|home, holders| {
+            let verdict = home.review_verdict(name, holders);
+            let Review::Act { action, size } = verdict else {
+                return verdict;
+            };
+            if home.ledger.enabled() {
                 let kind = match action {
                     AdaptiveAction::Grow => CauseKind::AdaptiveGrow,
                     AdaptiveAction::Shrink => CauseKind::AdaptiveShrink,
                     _ => CauseKind::AdaptiveEncode,
                 };
-                self.ledger_bg(kind, object_key(name.as_str()).raw(), holders.len() as u64);
-                self.telemetry
+                home.ledger_bg(kind, object_key(name.as_str()).raw(), holders.len() as u64);
+                home.telemetry
                     .add(format!("adaptive.action.{}", action.label()), 1);
             }
             match action {
-                AdaptiveAction::Grow => self.adaptive_grow(name, &holders, size),
-                AdaptiveAction::Shrink => self.adaptive_shrink(name, &holders),
-                AdaptiveAction::Erasure => self.ec_begin_convert(name),
+                AdaptiveAction::Grow => home.adaptive_grow(name, holders, size),
+                AdaptiveAction::Shrink => home.adaptive_shrink(name, holders),
+                AdaptiveAction::Erasure => home.ec_begin_convert(name),
                 AdaptiveAction::Hold => {}
             }
-        }
-        self.holders_scratch = holders;
-        verdict
+            verdict
+        })
     }
 
     /// The live holder a background copy should be read from: holders
@@ -809,18 +861,6 @@ impl Cloud4Home {
         self.telemetry.add("adaptive.shrink", 1);
     }
 
-    /// The per-holder object name a code row's stripe is stored under.
-    /// Resolved from the names kept since the object's conversion began;
-    /// only a name with no conversion on record (a fetch holding metadata
-    /// from before a delete) is formatted and interned here.
-    pub(crate) fn ec_stripe_name(&self, name: Sym, row: u32) -> Sym {
-        let known = self.ec_row_names.get(&name);
-        match known.and_then(|rows| rows.get(row as usize)) {
-            Some(&sname) => sname,
-            None => Sym::new(&format!("{name}.ec{row}")),
-        }
-    }
-
     /// Begins converting a cold object from full copies to `(k, m)`
     /// erasure-coded stripes: the owner encodes the content window,
     /// installs its own row locally, and ships each remaining row to a
@@ -867,7 +907,7 @@ impl Cloud4Home {
             stripe_len,
             holders: sites.iter().map(|&j| self.nodes[j].key).collect(),
         };
-        let sname0 = self.ec_stripe_name(name, 0);
+        let sname0 = self.ec.stripe_name(name, 0);
         let row0 = Blob::Inline(stripes[0].clone());
         if !self.nodes[owner].install_voluntary(sname0, stripe_len, row0) {
             return;
@@ -892,10 +932,7 @@ impl Cloud4Home {
                 ("stripe_len", ArgValue::from(stripe_len)),
             ],
         );
-        let row_names: Vec<Sym> = (0..total as u32)
-            .map(|r| self.ec_stripe_name(name, r))
-            .collect();
-        self.ec_row_names.insert(name, row_names);
+        self.ec.name_rows(name, total as u32);
         let kind = JobKind::Encode { layout, stripes };
         self.jobs.insert(id, name, pending, kind);
     }
@@ -907,7 +944,7 @@ impl Cloud4Home {
     fn encode_undo(&mut self, name: Sym, layout: &EcLayout, landed: &[u32]) {
         for &row in [0].iter().chain(landed) {
             if let Some(j) = self.node_index(layout.holders[row as usize]) {
-                let sname = self.ec_stripe_name(name, row);
+                let sname = self.ec.stripe_name(name, row);
                 self.nodes[j].evict(sname);
             }
         }
@@ -930,7 +967,7 @@ impl Cloud4Home {
         let Some(blob) = self.nodes[owner].objects.get(&name).cloned() else {
             return false;
         };
-        self.ec_originals.insert(name, blob);
+        self.ec.stage_original(name, blob);
         // Strip full copies from live holders. A dead holder's disk can't
         // be touched; its stale copy is a harmless orphan (the metadata no
         // longer names it).
@@ -999,7 +1036,7 @@ impl Cloud4Home {
         let srcs = &survivors[..layout.k as usize];
         let holds_any = |s: &Self, j: usize| {
             (0..layout.holders.len() as u32)
-                .any(|r| s.nodes[j].objects.contains_key(&s.ec_stripe_name(name, r)))
+                .any(|r| s.nodes[j].objects.contains_key(&s.ec.stripe_name(name, r)))
         };
         // A node with any row of this object (every survivor's holder
         // included) is no destination: losing it must lose one row.
@@ -1044,7 +1081,7 @@ impl Cloud4Home {
             let Some(bytes) = self
                 .node_index(layout.holders[r as usize])
                 .filter(|&j| self.nodes[j].alive)
-                .and_then(|j| self.nodes[j].objects.get(&self.ec_stripe_name(name, r)))
+                .and_then(|j| self.nodes[j].objects.get(&self.ec.stripe_name(name, r)))
                 .and_then(Blob::inline_bytes)
             else {
                 return; // a survivor vanished mid-rebuild; retry later
@@ -1055,7 +1092,7 @@ impl Cloud4Home {
             return;
         };
         let checksum = stripe_checksum(&rebuilt);
-        let sname = self.ec_stripe_name(name, row);
+        let sname = self.ec.stripe_name(name, row);
         if !self.nodes[dst].install_voluntary(sname, layout.stripe_len, Blob::inline(rebuilt)) {
             return;
         }
@@ -1101,7 +1138,7 @@ impl Cloud4Home {
         }
         if let Some(layout) = self.replicas.get(name).and_then(|m| m.ec.clone()) {
             for row in 0..layout.holders.len() as u32 {
-                let sname = self.ec_stripe_name(name, row);
+                let sname = self.ec.stripe_name(name, row);
                 for j in 0..self.nodes.len() {
                     if self.nodes[j].alive {
                         self.nodes[j].evict(sname);
@@ -1110,8 +1147,7 @@ impl Cloud4Home {
             }
             self.invalidate_meta_caches(name);
         }
-        self.ec_originals.remove(&name);
-        self.ec_row_names.remove(&name);
+        self.ec.scrub(name);
     }
 }
 

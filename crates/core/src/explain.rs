@@ -12,12 +12,14 @@
 //! `outliers`). Everything here is pure rendering over recorded data:
 //! integer-only math, `BTreeMap`-free, byte-stable for a fixed seed.
 
+use std::cmp::Reverse;
 use std::fmt::Write;
 
 use c4h_telemetry::{escape_into, tile_critical_path, DagEdge, PathBucket};
 
 use crate::ops::Stage;
-use crate::report::OpReport;
+use crate::report::{OpId, OpReport};
+use crate::runtime::Cloud4Home;
 
 impl OpReport {
     /// The op's critical-path DAG: service and wait edges exactly tiling
@@ -66,7 +68,7 @@ fn edge_bucket(report: &OpReport, edge: &DagEdge) -> &'static str {
 /// duration, label, bucket), with the decisions that fell inside an edge
 /// indented beneath it, then the full causal chain. The final line restates
 /// the exact-sum invariant with the actual numbers.
-pub(crate) fn explain_text(report: &OpReport) -> String {
+fn explain_text(report: &OpReport) -> String {
     let total_ns = report.completed.as_nanos() - report.submitted.as_nanos();
     let edges = report.critical_dag();
     let mut out = String::with_capacity(256 + edges.len() * 96);
@@ -135,7 +137,7 @@ pub(crate) fn explain_text(report: &OpReport) -> String {
 /// Serializes one report's critical-path DAG and ledger as a byte-stable
 /// JSON object (hand-rolled, integer-only — same contract as the other
 /// exporters).
-pub(crate) fn explain_json(report: &OpReport) -> String {
+fn explain_json(report: &OpReport) -> String {
     let total_ns = report.completed.as_nanos() - report.submitted.as_nanos();
     let edges = report.critical_dag();
     let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
@@ -192,9 +194,88 @@ pub(crate) fn explain_json(report: &OpReport) -> String {
     out
 }
 
+impl Cloud4Home {
+    /// Renders a completed op's annotated critical-path timeline: each DAG
+    /// edge with its offset, duration, and latency bucket, the causal
+    /// decisions that fell inside it, the full ledger chain, and the
+    /// exact-sum invariant restated with real numbers. Integer-only
+    /// formatting, deterministic per seed. Reports completed with the
+    /// ledger off render a one-line fallback.
+    pub fn explain_text(&self, op: OpId) -> String {
+        match self.ops.report(op) {
+            Some(report) => explain_text(report),
+            None => format!("no completed report for {op}\n"),
+        }
+    }
+
+    /// Serializes a completed op's critical-path DAG and causal ledger as
+    /// a byte-stable JSON object, or `None` when no report exists for
+    /// `op`. Deterministic for a given seed and workload.
+    pub fn explain_json(&self, op: OpId) -> Option<String> {
+        self.ops.report(op).map(explain_json)
+    }
+
+    /// One summary line for each of the `n` slowest recently completed
+    /// operations (the health plane's sliding window), with the dominant
+    /// critical-path edge when the op completed under the ledger.
+    /// Integer-only formatting, deterministic per seed.
+    pub fn slowest_text(&self, n: usize) -> String {
+        let mut out = self.report_header("slowest");
+        let worst = self.health.worst_paths(n);
+        if worst.is_empty() {
+            out.push_str("no completed operations in the window\n");
+            return out;
+        }
+        for row in worst {
+            match self.ops.report(row.op) {
+                Some(report) => {
+                    out.push_str(&summary_line(report));
+                    out.push('\n');
+                }
+                None => out.push_str(&format!(
+                    "{} {} object={} latency={}ns (report evicted)\n",
+                    row.op, row.kind, row.object, row.total_ns,
+                )),
+            }
+        }
+        out
+    }
+
+    /// Summary lines for completed ops of `kind` whose latency reached the
+    /// p99.9 of that kind's full-run histogram — the tail the SLO plane
+    /// cares about. Scans completed reports in (latency desc, op id)
+    /// order, capped at eight rows. Integer-only, deterministic per seed.
+    pub fn outliers_text(&self, kind: &str) -> String {
+        let mut out = self.report_header(&format!("outliers op.{kind}"));
+        let Some(h) = self.telemetry.histogram(&format!("op.{kind}.total_ns")) else {
+            out.push_str("no latency histogram for this kind (tracing off or no ops)\n");
+            return out;
+        };
+        let p999 = h.value_at_quantile(999, 1000);
+        out.push_str(&format!("n={} p99.9={}ns\n", h.count, p999));
+        let mut picks: Vec<(u64, &OpReport)> = self
+            .ops
+            .reports()
+            .filter(|r| r.kind == kind)
+            .map(|r| (r.completed.as_nanos() - r.submitted.as_nanos(), r))
+            .filter(|&(lat, _)| lat >= p999)
+            .collect();
+        picks.sort_by_key(|&(lat, r)| (Reverse(lat), r.id.0));
+        picks.truncate(8);
+        if picks.is_empty() {
+            out.push_str("no retained reports at or above the threshold\n");
+        }
+        for (_, report) in picks {
+            out.push_str(&summary_line(report));
+            out.push('\n');
+        }
+        out
+    }
+}
+
 /// One line per report: id, kind, object, outcome, latency, dominant edge.
 /// Used by the `slowest` and `outliers` commands.
-pub(crate) fn summary_line(report: &OpReport) -> String {
+fn summary_line(report: &OpReport) -> String {
     let total_ns = report.completed.as_nanos() - report.submitted.as_nanos();
     let edges = report.critical_dag();
     let dominant = edges

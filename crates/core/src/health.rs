@@ -15,7 +15,6 @@
 //! per call site.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
 
 use c4h_simnet::{FlowNet, SegmentLoad, SimTime, Sym};
 use c4h_telemetry::{FlightRecorder, GaugeId, PathBucket, Recorder, SlidingHistogram};
@@ -23,6 +22,7 @@ use c4h_telemetry::{FlightRecorder, GaugeId, PathBucket, Recorder, SlidingHistog
 use crate::config::Config;
 use crate::ops::{OpKind, Stage};
 use crate::report::{OpId, PathAttribution};
+use crate::runtime::Cloud4Home;
 
 /// Sliding-window slices per window (granularity of expiry).
 ///
@@ -49,17 +49,6 @@ pub(crate) struct SloBreach {
     pub(crate) p99_ns: u64,
     /// The configured objective, nanoseconds.
     pub(crate) slo_ns: u64,
-}
-
-/// Per-kind latency summary for the `health` surface.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KindHealth {
-    pub(crate) count: u64,
-    pub(crate) p50_ns: u64,
-    pub(crate) p95_ns: u64,
-    pub(crate) p99_ns: u64,
-    /// Configured objective, if any.
-    pub(crate) slo_ns: Option<u64>,
 }
 
 /// Runtime depth gauges, sampled on every row.
@@ -222,11 +211,10 @@ impl GaugeColumns {
 }
 
 /// Runtime state of the health plane: SLO windows, the worst-path ring,
-/// the flight recorder, and the sampler's arming bookkeeping.
+/// the flight recorder, and the gauge sampler's columns. When the sampler
+/// fires is the runtime's periodic-chain state.
 #[derive(Debug)]
 pub(crate) struct HealthPlane {
-    /// Gauge sampling cadence; `Duration::ZERO` disables the sampler.
-    pub(crate) sample_period: Duration,
     window_ns: u64,
     slice_ns: u64,
     /// Latency objectives by op-kind name, nanoseconds.
@@ -240,10 +228,6 @@ pub(crate) struct HealthPlane {
     paths: VecDeque<PathRow>,
     /// Bound on `paths` (`Config::path_ring`).
     path_ring: usize,
-    /// Virtual time of the most recent gauge sample.
-    pub(crate) last_sample: Option<SimTime>,
-    /// Whether a `HealthSample` event is pending in the queue.
-    pub(crate) armed: bool,
     /// Total SLO violations detected.
     pub(crate) violations: u64,
 }
@@ -252,7 +236,6 @@ impl HealthPlane {
     pub(crate) fn new(config: &Config) -> Self {
         let window_ns = config.health_window_ms.saturating_mul(1_000_000).max(1);
         HealthPlane {
-            sample_period: Duration::from_millis(config.health_sample_ms),
             window_ns,
             slice_ns: (window_ns / WINDOW_SLICES).max(1),
             slo_ns: config
@@ -265,8 +248,6 @@ impl HealthPlane {
             columns: GaugeColumns::default(),
             paths: VecDeque::new(),
             path_ring: config.path_ring,
-            last_sample: None,
-            armed: false,
             violations: 0,
         }
     }
@@ -292,25 +273,6 @@ impl HealthPlane {
         }
     }
 
-    /// Current window summaries of the kinds seen so far, in name order.
-    pub(crate) fn summaries(&self, now: SimTime) -> Vec<(&'static str, KindHealth)> {
-        OpKind::all()
-            .filter_map(|kind| {
-                let m = self.windows[kind as usize].as_ref()?.merged(now.as_nanos());
-                Some((
-                    kind.name(),
-                    KindHealth {
-                        count: m.count,
-                        p50_ns: m.value_at_quantile(1, 2),
-                        p95_ns: m.value_at_quantile(95, 100),
-                        p99_ns: m.value_at_quantile(99, 100),
-                        slo_ns: self.slo_ns.get(kind.name()).copied(),
-                    },
-                ))
-            })
-            .collect()
-    }
-
     /// Remembers a completed op's critical path (bounded ring).
     pub(crate) fn record_path(&mut self, row: PathRow) {
         while self.paths.len() >= self.path_ring {
@@ -326,6 +288,82 @@ impl HealthPlane {
         rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.op.0.cmp(&b.op.0)));
         rows.truncate(n);
         rows
+    }
+}
+
+impl Cloud4Home {
+    /// A human-readable health summary: per-op-kind sliding-window latency
+    /// percentiles against their objectives, violation and post-mortem
+    /// counts. Integer-only formatting, deterministic per seed.
+    pub fn health_text(&self) -> String {
+        let (now, health) = (self.now().as_nanos(), &self.health);
+        let mut out = self.report_header("health");
+        if health.windows.iter().all(Option::is_none) {
+            out.push_str("no operations observed in the window\n");
+        }
+        // The kinds seen so far, in name order.
+        for kind in OpKind::all() {
+            let Some(window) = &health.windows[kind as usize] else {
+                continue;
+            };
+            let (name, m) = (kind.name(), window.merged(now));
+            let p99_ns = m.value_at_quantile(99, 100);
+            let slo = match health.slo_ns.get(name) {
+                Some(&slo_ns) => {
+                    let status = if p99_ns > slo_ns { "BREACH" } else { "ok" };
+                    format!("slo {} ms [{status}]", slo_ns / 1_000_000)
+                }
+                None => "no slo".to_owned(),
+            };
+            out.push_str(&format!(
+                "{name:8} n={} p50={} ms p95={} ms p99={} ms {slo}\n",
+                m.count,
+                m.value_at_quantile(1, 2) / 1_000_000,
+                m.value_at_quantile(95, 100) / 1_000_000,
+                p99_ns / 1_000_000,
+            ));
+        }
+        out.push_str(&format!(
+            "violations={} postmortems={} (dropped {})\n",
+            health.violations,
+            health.flight.dumps().len(),
+            health.flight.dropped(),
+        ));
+        out
+    }
+
+    /// A `top`-style snapshot: the latest gauge sample plus the slowest
+    /// recently completed operations with their dominant critical-path
+    /// bucket. Integer-only formatting, deterministic per seed.
+    ///
+    /// Takes a fresh gauge sample first (when recording is on and none was
+    /// taken at the current instant), so the snapshot is always live.
+    pub fn top_text(&mut self) -> String {
+        self.flush_sample();
+        let mut out = self.report_header("top");
+        let latest = self.telemetry.latest_gauges();
+        if latest.is_empty() {
+            out.push_str("no gauge samples recorded\n");
+        }
+        for (name, v) in latest {
+            out.push_str(&format!("{name} = {v}\n"));
+        }
+        let worst = self.health.worst_paths(8);
+        if !worst.is_empty() {
+            out.push_str("slowest ops:\n");
+            for row in worst {
+                let (bucket, ns) = row.path.dominant();
+                out.push_str(&format!(
+                    "{} {} {} total={} ms dominant={bucket} ({} ms)\n",
+                    row.op,
+                    row.kind,
+                    row.object,
+                    row.total_ns / 1_000_000,
+                    ns / 1_000_000,
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -373,7 +411,7 @@ mod tests {
         assert_eq!(hp.violations, 1);
         // Kinds without an objective are tracked but never breach.
         assert!(hp.observe_latency(OpKind::Store, t, u64::MAX / 2).is_none());
-        assert_eq!(hp.summaries(t).len(), 2);
+        assert_eq!(hp.windows.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -388,8 +426,8 @@ mod tests {
         assert!(hp
             .observe_latency(OpKind::Fetch, SimTime::from_secs(61), 1_000_000)
             .is_none());
-        let (_, h) = hp.summaries(SimTime::from_secs(61))[0];
-        assert_eq!(h.count, 1);
+        let fetch = hp.windows[OpKind::Fetch as usize].as_ref().expect("seen");
+        assert_eq!(fetch.merged(61_000_000_000).count, 1);
     }
 
     #[test]

@@ -479,7 +479,7 @@ impl Cloud4Home {
                 .filter(|r| !ec.slot_rows.contains(r))
                 .find_map(|r| {
                     let holder = ec.row_holders[r as usize]?;
-                    self.holder_viable(op.client, holder, self.ec_stripe_name(op.name, r))
+                    self.holder_viable(op.client, holder, self.ec.stripe_name(op.name, r))
                         .then_some((holder, Some(r), u64::from(r) * ec.stripe_len, ec.stripe_len))
                 }),
         };
@@ -843,7 +843,9 @@ impl Cloud4Home {
         // The bytes a holder serves: the object itself, or — on a coded
         // read — the stripe of the code row this slot is assigned to.
         let want = match &f.plan.ec {
-            Some(ec) => self.ec_stripe_name(op.name, ec.slot_rows[req.stripe as usize]),
+            Some(ec) => self
+                .ec
+                .stripe_name(op.name, ec.slot_rows[req.stripe as usize]),
             None => op.name,
         };
         if !self.holder_serves(op.client, req.holder, want) {
@@ -1133,7 +1135,7 @@ impl Cloud4Home {
     /// Whether code row `row` of `name` can serve a stripe read for
     /// `client` right now: holder resolved and viable for the row's stripe.
     fn ec_row_viable(&self, client: usize, name: Sym, holder: Option<usize>, row: u32) -> bool {
-        holder.is_some_and(|j| self.holder_viable(client, j, self.ec_stripe_name(name, row)))
+        holder.is_some_and(|j| self.holder_viable(client, j, self.ec.stripe_name(name, row)))
     }
 
     /// Routes a fetch of an erasure-coded object: pick `k` viable code
@@ -1214,7 +1216,7 @@ impl Cloud4Home {
                 .and_then(|j| {
                     self.nodes[j]
                         .objects
-                        .get(&self.ec_stripe_name(op.name, row))
+                        .get(&self.ec.stripe_name(op.name, row))
                 })
                 .and_then(Blob::inline_bytes);
             match shard {
@@ -1223,7 +1225,7 @@ impl Cloud4Home {
                 None => return self.fetch_backoff(op, f, OpError::StripesLost),
             }
         }
-        let Some(original) = self.ec_originals.get(&op.name).cloned() else {
+        let Some(original) = self.ec.original(op.name).cloned() else {
             // The conversion registry lost the object (deleted or
             // re-stored mid-fetch); the stripes alone cannot serve it.
             return Some(Err(OpError::StripesLost(op.name.to_string())));

@@ -15,7 +15,8 @@
 //! [`OpCore`] plus the state of exactly one family.
 //!
 //! * **This file** owns what every kind shares: the [`Stage`] and
-//!   [`OpKind`] tables, admission ([`Cloud4Home::submit`]), the driver
+//!   [`OpKind`] tables, the [`OpTable`] of ids, parked ops and reports,
+//!   admission ([`Cloud4Home::submit`]), the driver
 //!   ([`Cloud4Home::op_continue`], the DHT-retry intercept), the one place
 //!   time is accounted ([`Cloud4Home::charge`] via `enter` / `enter_for`),
 //!   completion ([`Cloud4Home::complete_op`]) — and the two kinds too small
@@ -40,6 +41,7 @@ mod fetch;
 mod process;
 mod store;
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use c4h_chimera::{DhtEvent, Key};
@@ -47,7 +49,7 @@ use c4h_cloud::{S3Url, REQUEST_LATENCY};
 use c4h_kvstore::{
     directory_key, object_key, parent_dir, DirEntry, Location, ObjectMeta, Record, ResourceRecord,
 };
-use c4h_simnet::{FlowId, SimTime, Sym};
+use c4h_simnet::{FlowId, FxHashMap, SimTime, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
 use crate::config::NodeId;
@@ -479,6 +481,80 @@ fn dht_timed_out(input: &OpInput) -> bool {
 /// Result of one state-machine step: `Some` completes the op.
 type StepOutcome = Option<Result<OpOutput, OpError>>;
 
+/// Every op the runtime has handed an id: the ones in flight and the
+/// completed reports.
+///
+/// An op in flight is parked here between inputs and taken out for each
+/// step, so what is parked is what is in flight. A report is filed once,
+/// at completion. Only the newest `Config::explain_ring` reports that
+/// carry explain detail keep it: filing one more releases the oldest one's
+/// stage spans and causal chain, while its outcome and breakdown stay.
+#[derive(Debug, Default)]
+pub(crate) struct OpTable {
+    live: FxHashMap<OpId, Op>,
+    reports: FxHashMap<OpId, OpReport>,
+    last_id: u64,
+    /// Reports still holding explain detail, oldest first.
+    detailed: VecDeque<OpId>,
+}
+
+impl OpTable {
+    /// The next op id; the first is 1.
+    fn alloc(&mut self) -> OpId {
+        self.last_id += 1;
+        OpId(self.last_id)
+    }
+
+    /// Parks an op until its next input.
+    fn park(&mut self, op: Op) {
+        self.live.insert(op.core.id, op);
+    }
+
+    /// Takes a parked op out to step it.
+    fn take(&mut self, id: OpId) -> Option<Op> {
+        self.live.remove(&id)
+    }
+
+    /// How many ops are in flight.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Whether `id` is in flight or has a report.
+    pub(crate) fn knows(&self, id: OpId) -> bool {
+        self.reports.contains_key(&id) || self.live.contains_key(&id)
+    }
+
+    pub(crate) fn report(&self, id: OpId) -> Option<&OpReport> {
+        self.reports.get(&id)
+    }
+
+    /// Every report not yet taken, in no particular order.
+    pub(crate) fn reports(&self) -> impl Iterator<Item = &OpReport> {
+        self.reports.values()
+    }
+
+    pub(crate) fn take_report(&mut self, id: OpId) -> Option<OpReport> {
+        self.reports.remove(&id)
+    }
+
+    /// Files a completed op's report; past `explain_ring` detailed
+    /// reports, the oldest one's detail is released.
+    fn file(&mut self, report: OpReport, explain_ring: usize) {
+        if !report.stages.is_empty() || !report.ledger.is_empty() {
+            self.detailed.push_back(report.id);
+        }
+        self.reports.insert(report.id, report);
+        while self.detailed.len() > explain_ring {
+            let oldest = self.detailed.pop_front();
+            if let Some(r) = oldest.and_then(|old| self.reports.get_mut(&old)) {
+                r.stages = Vec::new();
+                r.ledger = Vec::new();
+            }
+        }
+    }
+}
+
 impl Cloud4Home {
     // ------------------------------------------------------------------
     // Public operation API (store, fetch and process submit from their
@@ -518,7 +594,7 @@ impl Cloud4Home {
         assert!(self.nodes[client.0].alive, "{client} is offline");
         let now = self.now();
         let core = OpCore {
-            id: self.alloc_op(),
+            id: self.ops.alloc(),
             kind,
             client: client.0,
             submitted: now,
@@ -549,7 +625,7 @@ impl Cloud4Home {
         };
         let channel = self.nodes[op.core.client].channel_transfer(channel_bytes);
         self.wake_in(id, self.config.timing.command_proc + channel);
-        self.ops.insert(id, op);
+        self.ops.park(op);
         self.ensure_tick();
         id
     }
@@ -580,6 +656,7 @@ impl Cloud4Home {
                 );
                 self.stats.ops_shed += 1;
                 self.telemetry.add(core.kind.info().shed, 1);
+                let tenant = self.nodes[core.client].name.as_str();
                 self.telemetry.instant_args(
                     "overload",
                     "shed.drop",
@@ -589,10 +666,7 @@ impl Cloud4Home {
                         ("kind", ArgValue::from(core.kind.name())),
                         ("reason", ArgValue::from(reason)),
                         ("object", ArgValue::from(core.name.as_str())),
-                        (
-                            "tenant",
-                            ArgValue::from(self.nodes[core.client].name.as_str()),
-                        ),
+                        ("tenant", ArgValue::from(tenant)),
                     ],
                 );
                 let name = core.name.to_string();
@@ -612,7 +686,7 @@ impl Cloud4Home {
     /// stores spill to the cloud, and process moves re-dispatch to the
     /// next-best executor. Stages with no recovery path fail the operation.
     pub(crate) fn transfer_failed(&mut self, id: OpId, flow: FlowId, why: &str) {
-        let Some(mut op) = self.ops.remove(&id) else {
+        let Some(mut op) = self.ops.take(id) else {
             return;
         };
         let Op { core, family } = &mut op;
@@ -640,7 +714,7 @@ impl Cloud4Home {
     }
 
     pub(crate) fn op_continue(&mut self, id: OpId, input: OpInput) {
-        let Some(mut op) = self.ops.remove(&id) else {
+        let Some(mut op) = self.ops.take(id) else {
             return;
         };
         let outcome = self.op_step(&mut op, input);
@@ -652,9 +726,7 @@ impl Cloud4Home {
     fn settle(&mut self, op: Op, outcome: StepOutcome) {
         match outcome {
             Some(result) => self.complete_op(op, result),
-            None => {
-                self.ops.insert(op.core.id, op);
-            }
+            None => self.ops.park(op),
         }
     }
 
@@ -807,24 +879,17 @@ impl Cloud4Home {
         // its stage spans and causal chain so the critical-path DAG can be
         // materialized after the fact. The per-op ring is consumed (moved,
         // not copied) either way, so disabled runs leak nothing.
-        let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
-        let mut ledger: Vec<CausalEvent> = Vec::new();
-        if self.ledger.enabled() {
-            stages = op
+        let (stages, ledger) = if self.ledger.enabled() {
+            let stages = op
                 .stage_log
                 .iter()
-                .map(|&(stage, s, e)| (stage.info().name, s, e))
-                .collect();
-            ledger = self
-                .ledger
-                .finish(op.id.0)
-                .into_iter()
-                .map(CausalEvent::from)
-                .collect();
+                .map(|&(s, t0, t1)| (s.info().name, t0, t1));
+            let events = self.ledger.finish(op.id.0).into_iter();
+            (stages.collect(), events.map(CausalEvent::from).collect())
         } else {
             self.ledger.discard(op.id.0);
-        }
-        let has_detail = !stages.is_empty() || !ledger.is_empty();
+            (Vec::new(), Vec::new())
+        };
         let report = OpReport {
             id: op.id,
             kind: op.kind.name(),
@@ -840,22 +905,7 @@ impl Cloud4Home {
             ledger,
             outcome,
         };
-        self.reports.insert(op.id, report);
-        // The explain ring bounds how many completed reports keep full
-        // detail: past capacity, the oldest report's stages and chain are
-        // released (the report itself survives for its outcome and
-        // breakdown).
-        if has_detail {
-            self.explain_ring.push_back(op.id);
-            while self.explain_ring.len() > self.config.explain_ring {
-                if let Some(old) = self.explain_ring.pop_front() {
-                    if let Some(r) = self.reports.get_mut(&old) {
-                        r.stages = Vec::new();
-                        r.ledger = Vec::new();
-                    }
-                }
-            }
-        }
+        self.ops.file(report, self.config.explain_ring);
     }
 
     /// Closes the stage `op.stage` at the current instant and returns the

@@ -29,9 +29,12 @@
 
 use std::collections::BTreeMap;
 
-use c4h_simnet::DetRng;
+use c4h_simnet::{Addr, DetRng, Sym};
+use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
 use crate::config::Config;
+use crate::report::OpId;
+use crate::runtime::{Cloud4Home, CLOUD_ADDR, RUNTIME_TRACK};
 
 /// Millitokens per whole token: buckets meter in 1/1000ths so slow refill
 /// rates accrue without floating point.
@@ -490,6 +493,170 @@ impl OverloadPlane {
     /// Remaining whole retry tokens for `node`.
     pub(crate) fn retry_tokens(&self, node: usize) -> u64 {
         self.retry.get(node).map_or(0, TokenBucket::tokens)
+    }
+}
+
+impl Cloud4Home {
+    /// A human-readable admission/shedding summary: whether the overload
+    /// plane is active, the shed controller's current rejection
+    /// probability, breach and rejection totals, and per-tenant inflight
+    /// rows. Integer-only formatting, deterministic per seed.
+    pub fn shed_text(&self) -> String {
+        let mut out = self.report_header("shed");
+        if !self.overload.enabled {
+            out.push_str("overload plane disabled\n");
+            return out;
+        }
+        out.push_str(&format!(
+            "drop_permille={} breaches={} shed={} inflight={}\n",
+            self.overload.shed_permille(),
+            self.overload.breaches(),
+            self.stats.ops_shed,
+            self.overload.inflight(),
+        ));
+        out.push_str(&format!(
+            "retry_budget_denied={}\n",
+            self.stats.retry_budget_denied
+        ));
+        for (tenant, inflight) in self.overload.tenant_rows() {
+            let name = self.nodes.get(tenant).map_or("?", |n| n.name.as_str());
+            out.push_str(&format!(
+                "tenant {name} inflight={inflight} retry_tokens={}\n",
+                self.overload.retry_tokens(tenant)
+            ));
+        }
+        out
+    }
+
+    /// A human-readable circuit-breaker summary: one row per path that has
+    /// recorded at least one failure, with its state, consecutive-failure
+    /// count, and trip total. Integer-only formatting, deterministic per
+    /// seed.
+    pub fn breaker_text(&self) -> String {
+        let mut out = self.report_header("breakers");
+        if !self.overload.enabled {
+            out.push_str("overload plane disabled\n");
+            return out;
+        }
+        let mut any = false;
+        for (addr, b) in self.overload.breaker_rows() {
+            any = true;
+            let path = self.path_name(Addr::new(addr));
+            out.push_str(&format!(
+                "{path} state={} failures={} trips={}\n",
+                b.state(),
+                b.failures(),
+                b.trips,
+            ));
+        }
+        if !any {
+            out.push_str("no paths have recorded failures\n");
+        }
+        out.push_str(&format!(
+            "open={} trips_total={} fast_fails={}\n",
+            self.overload.breakers_open(),
+            self.stats.breaker_trips,
+            self.stats.breaker_fast_fails,
+        ));
+        out
+    }
+
+    // ------------------------------------------------------------------
+    // The runtime's hooks (all no-ops while the plane is disabled)
+    // ------------------------------------------------------------------
+
+    /// Human name of a breaker path address: a node name or the cloud
+    /// uplink. Returns the interned name, so the common cases (known
+    /// node, cloud) never allocate; an unknown address formats once and
+    /// its interned fallback is reused from then on.
+    fn path_name(&self, addr: Addr) -> Sym {
+        if addr == CLOUD_ADDR {
+            return Sym::new("cloud-uplink");
+        }
+        // Node `i` sits at address `i`, all below the cloud's.
+        let node = usize::try_from(addr.raw())
+            .ok()
+            .and_then(|i| self.nodes.get(i));
+        match node {
+            Some(n) => n.name_sym,
+            None => Sym::new(&format!("addr-{}", addr.raw())),
+        }
+    }
+
+    /// Counts and traces one breaker transition or fast-fail on `addr`'s
+    /// path.
+    fn note_breaker(&self, name: &'static str, addr: Addr) {
+        let path = self.path_name(addr);
+        self.telemetry.add(name, 1);
+        self.telemetry.instant_args(
+            "overload",
+            name,
+            RUNTIME_TRACK,
+            self.now().as_nanos(),
+            vec![("path", ArgValue::from(path.as_str()))],
+        );
+    }
+
+    /// Records a successful transfer on a path, closing its breaker when a
+    /// half-open probe just succeeded.
+    pub(crate) fn breaker_success(&mut self, addr: Addr) {
+        if self.overload.record_success(addr.raw()) {
+            self.note_breaker("breaker.close", addr);
+        }
+    }
+
+    /// Records a failed transfer on a path, tripping its breaker open after
+    /// the configured consecutive-failure threshold.
+    pub(crate) fn breaker_failure(&mut self, addr: Addr) {
+        let now_ns = self.now().as_nanos();
+        if self.overload.record_failure(addr.raw(), now_ns) {
+            self.stats.breaker_trips += 1;
+            self.ledger_bg(CauseKind::BreakerTrip, addr.raw(), 0);
+            self.note_breaker("breaker.trip", addr);
+        }
+    }
+
+    /// Whether `addr`'s breaker currently blocks traffic for `op`. Counts
+    /// and traces the fast-fail when it does (and stamps a `breaker.skip`
+    /// event on the op's causal ledger); may move an open breaker to
+    /// half-open (the deterministic probe path).
+    pub(crate) fn breaker_blocks_path(&mut self, addr: Addr, op: OpId) -> bool {
+        let now_ns = self.now().as_nanos();
+        if !self.overload.breaker_blocks(addr.raw(), now_ns) {
+            return false;
+        }
+        self.stats.breaker_fast_fails += 1;
+        self.ledger_op(op, CauseKind::BreakerSkip, LEDGER_NONE, addr.raw(), 0);
+        self.note_breaker("breaker.fast_fail", addr);
+        true
+    }
+
+    /// Takes one retry token from `node`'s budget, tracing the denial when
+    /// the bucket is dry. Always grants while the plane is disabled.
+    pub(crate) fn retry_budget_take(
+        &mut self,
+        node: usize,
+        site: &'static str,
+        object: Sym,
+    ) -> bool {
+        let now_ns = self.now().as_nanos();
+        if self.overload.retry_allowed(node, now_ns) {
+            return true;
+        }
+        self.stats.retry_budget_denied += 1;
+        self.telemetry.add("retry.budget_denied", 1);
+        self.telemetry.instant_args(
+            "overload",
+            "retry.budget_denied",
+            RUNTIME_TRACK,
+            now_ns,
+            vec![
+                ("site", ArgValue::from(site)),
+                ("node", ArgValue::from(self.nodes[node].name.as_str())),
+                ("object", ArgValue::from(object.as_str())),
+            ],
+        );
+        false
     }
 }
 

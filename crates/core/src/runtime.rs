@@ -12,7 +12,7 @@
 //! [`OpReport`](crate::report::OpReport) carrying the Table-I-style cost
 //! breakdown.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,12 +33,12 @@ use c4h_telemetry::{ArgValue, CauseKind, GaugeId, LedgerEvent, OpLedger, Recorde
 use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, PlatformSpec, VmSpec, XenChannel};
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
-use crate::background::Jobs;
+use crate::background::{EcRegistry, Jobs};
 use crate::config::{Config, NodeId, ServiceKind};
 use crate::fault::FaultEvent;
 use crate::health::{node_gauges, HealthPlane};
 use crate::object::{synth_bytes, Blob};
-use crate::ops::{Op, OpInput};
+use crate::ops::{OpInput, OpTable};
 use crate::overload::OverloadPlane;
 use crate::replicas::ReplicaIndex;
 use crate::report::{OpId, OpReport};
@@ -154,75 +154,92 @@ pub(crate) enum DhtWaiter {
     Ignore,
 }
 
-/// Aggregate runtime statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunStats {
+/// Declares [`RunStats`] and, from the same field list, the counter each
+/// field is mirrored into: `stats.<field>`.
+macro_rules! run_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Aggregate runtime statistics.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct RunStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl RunStats {
+            /// Each field under its counter name, in declaration order.
+            fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((concat!("stats.", stringify!($field)), self.$field),)*].into_iter()
+            }
+        }
+    };
+}
+
+run_stats! {
     /// Completed operations.
-    pub ops_completed: u64,
+    ops_completed,
     /// Bulk transfer flows started.
-    pub flows_started: u64,
+    flows_started,
     /// Overlay envelopes delivered.
-    pub envelopes_delivered: u64,
+    envelopes_delivered,
     /// Overlay envelopes dropped by loss models or partitions.
-    pub envelopes_dropped: u64,
+    envelopes_dropped,
     /// DHT requests reissued after a timeout.
-    pub dht_retries: u64,
+    dht_retries,
     /// Fetches redirected to another live replica holder.
-    pub fetch_failovers: u64,
+    fetch_failovers,
     /// Process operations re-dispatched after an executor failure.
-    pub proc_redispatches: u64,
+    proc_redispatches,
     /// Peer data replicas written during stores and repairs.
-    pub replicas_written: u64,
+    replicas_written,
     /// Background re-replication transfers started.
-    pub repairs_started: u64,
+    repairs_started,
     /// Background re-replication transfers completed and installed.
-    pub repairs_completed: u64,
+    repairs_completed,
     /// Stores that placed fewer replica copies than `replication` asked
     /// for because too few live peers were available.
-    pub partial_replication: u64,
+    partial_replication,
     /// Bulk transfers that were split into pipelined chunks.
-    pub chunked_transfers: u64,
+    chunked_transfers,
     /// Stores whose metadata was published at quorum, before every replica
     /// flow finished (the stragglers detach and land in the background).
-    pub quorum_publishes: u64,
+    quorum_publishes,
     /// Fetches that split the read into concurrent stripes pulled from
     /// several holders (or parallel cloud range reads).
-    pub striped_fetches: u64,
+    striped_fetches,
     /// Tail stripes re-issued from a second holder because the original
     /// source's ETA exceeded the hedging threshold.
-    pub hedged_fetches: u64,
+    hedged_fetches,
     /// Metadata lookups answered from a node-local cache instead of a
     /// remote overlay request.
-    pub cache_answers: u64,
+    cache_answers,
     /// Metadata-cache hits across all nodes.
-    pub cache_hits: u64,
+    cache_hits,
     /// Metadata-cache misses across all nodes.
-    pub cache_misses: u64,
+    cache_misses,
     /// Operations rejected at admission by the overload plane
     /// (`OpError::Overloaded` fast-fails).
-    pub ops_shed: u64,
+    ops_shed,
     /// Retries (DHT reissues, fetch backoff waits, repair starts) denied
     /// because a node's retry budget was exhausted.
-    pub retry_budget_denied: u64,
+    retry_budget_denied,
     /// Circuit-breaker trips (closed/half-open → open transitions).
-    pub breaker_trips: u64,
+    breaker_trips,
     /// Transfer attempts skipped because the path's breaker was open.
-    pub breaker_fast_fails: u64,
+    breaker_fast_fails,
     /// Aggregate critical-path nanoseconds on DHT/metadata work, across
     /// completed ops (collected only while tracing is enabled).
-    pub crit_dht_ns: u64,
+    crit_dht_ns,
     /// Aggregate critical-path nanoseconds on local disk I/O.
-    pub crit_disk_ns: u64,
+    crit_disk_ns,
     /// Aggregate critical-path nanoseconds on home-network transfers.
-    pub crit_lan_ns: u64,
+    crit_lan_ns,
     /// Aggregate critical-path nanoseconds on WAN/cloud transfers.
-    pub crit_wan_ns: u64,
+    crit_wan_ns,
     /// Aggregate critical-path nanoseconds executing services.
-    pub crit_service_ns: u64,
+    crit_service_ns,
     /// Aggregate critical-path nanoseconds in retry back-off.
-    pub crit_backoff_ns: u64,
+    crit_backoff_ns,
     /// Aggregate critical-path nanoseconds of queueing/control remainder.
-    pub crit_other_ns: u64,
+    crit_other_ns,
 }
 
 /// Why a churn action could not be carried out.
@@ -269,8 +286,9 @@ pub struct Cloud4Home {
     pub(crate) nodes: Vec<NodeRt>,
     pub(crate) cloud: Option<CloudRt>,
     pub(crate) node_of_key: FxHashMap<Key, usize>,
-    pub(crate) ops: FxHashMap<OpId, Op>,
-    pub(crate) reports: FxHashMap<OpId, OpReport>,
+    /// Op ids, the ops in flight and the completed reports (see
+    /// [`OpTable`]).
+    pub(crate) ops: OpTable,
     pub(crate) dht_waiters: FxHashMap<(usize, ReqId), DhtWaiter>,
     /// Every in-flight bulk transfer with its endpoints and its one
     /// accountable owner (see [`crate::transfers`]).
@@ -278,7 +296,6 @@ pub struct Cloud4Home {
     /// The background jobs those flows belong to when no operation owns
     /// them (see [`crate::background`]).
     pub(crate) jobs: Jobs,
-    pub(crate) next_op: u64,
     pub(crate) stats: RunStats,
     /// Link conditions between overlay nodes and `pump`'s worklist (see
     /// [`crate::transport`]).
@@ -287,23 +304,8 @@ pub struct Cloud4Home {
     /// and the names the anti-entropy sweep and the adaptive pass still
     /// have to look at (see [`crate::replicas`]).
     pub(crate) replicas: ReplicaIndex,
-    /// How many events `step` has processed; against the transport's node
-    /// visits this is the scale gate in `tests/world_scaling.rs`.
-    steps: u64,
-    /// Reusable scratch buffer for [`FlowNet::advance_into`] — the main
-    /// loop drains flow completions every step, so the allocation is paid
-    /// once instead of per step. Taken (`mem::take`) while in use; a
-    /// nested advance during completion handling just starts from an
-    /// empty spare.
-    pub(crate) flow_scratch: Vec<FlowEvent>,
-    /// Reusable scratch buffers for the periodic scans (anti-entropy,
-    /// adaptive review, peer-failure repair): the names one scan walks —
-    /// a snapshot, because the work a visit starts re-marks its name — and
-    /// the live holders of the object being looked at. Same take/restore
-    /// discipline as `flow_scratch`, so a scan of objects that need no
-    /// work allocates nothing.
-    pub(crate) names_scratch: Vec<Sym>,
-    pub(crate) holders_scratch: Vec<usize>,
+    chains: Chains,
+    scratch: Scratch,
     /// Peers whose failure the repair daemon has already reacted to.
     pub(crate) repaired_peers: BTreeSet<Key>,
     /// Per-peer bandwidth estimates (keyed by raw address) learned from
@@ -312,16 +314,9 @@ pub struct Cloud4Home {
     /// Per-object fetch-heat tracker feeding the adaptive placement pass.
     /// Only populated when `config.adaptive.enabled`.
     pub(crate) object_heat: ObjectHeat,
-    /// Original blobs of erasure-coded objects: the stripes cover the
-    /// content sample window, so the logical object handed back to a
-    /// decoding fetch (and verified against the decode) is staged here.
-    /// `BTreeMap` for deterministic iteration.
-    pub(crate) ec_originals: BTreeMap<Sym, Blob>,
-    /// The stripe names of each object that has (or is getting) a layout,
-    /// in row order: filled when a conversion starts, dropped by
-    /// [`Self::ec_scrub`]. Every anti-entropy pass asks for all `k + m` of
-    /// them per object. Keyed access only.
-    pub(crate) ec_row_names: SymMap<Vec<Sym>>,
+    /// Stripe names and staged originals of erasure-coded objects (see
+    /// [`EcRegistry`]).
+    pub(crate) ec: EcRegistry,
     /// The deployment-wide telemetry collector; clones of this handle live
     /// in the flow network and every overlay node.
     pub(crate) telemetry: Recorder,
@@ -337,12 +332,58 @@ pub struct Cloud4Home {
     /// keys the shared background-plane ring. Inert (one relaxed atomic
     /// load per decision point) unless enabled.
     pub(crate) ledger: OpLedger,
-    /// Completed op ids still holding full explain detail (stage spans +
-    /// causal chain); bounded by `config.explain_ring` — past capacity the
-    /// oldest report's detail is released.
-    pub(crate) explain_ring: VecDeque<OpId>,
+}
+
+/// The runtime's two periodic event chains, and the count of events the
+/// loop has processed.
+///
+/// `Tick` drives overlay timers, resource publishing and the periodic
+/// passes; `HealthSample` drives the gauge sampler. Each chain keeps at
+/// most one event pending: arming schedules it, firing disarms it, and the
+/// fired event re-arms its own chain only while [`Chains::go_on`] holds.
+/// Anything that starts work arms both through
+/// [`Cloud4Home::ensure_tick`], tick first; turning recording on arms the
+/// sampler alone.
+#[derive(Debug, Default)]
+struct Chains {
     tick_armed: bool,
-    tick_horizon: SimTime,
+    sample_armed: bool,
+    /// Gauge sampling cadence; zero disables the sampler.
+    sample_period: Duration,
+    /// When the latest gauge sample was taken.
+    last_sample: Option<SimTime>,
+    /// The furthest instant a `run_for` has been asked to reach.
+    horizon: SimTime,
+    /// Against the transport's node visits, the scale gate in
+    /// `tests/world_scaling.rs`.
+    steps: u64,
+}
+
+impl Chains {
+    /// Whether a chain whose event just fired at `now` goes on: while an
+    /// op is in flight, and until the first event at or past the horizon.
+    fn go_on(&self, ops_in_flight: usize, now: SimTime) -> bool {
+        ops_in_flight > 0 || now < self.horizon
+    }
+
+    /// Whether the gauge sampler runs: recording on and a cadence set.
+    fn sampling(&self, recording: bool) -> bool {
+        recording && !self.sample_period.is_zero()
+    }
+}
+
+/// Reusable buffers for the loops that walk a snapshot while they mutate
+/// the runtime: the flow completions `drain_net` reaps every step, the
+/// names a periodic pass or a peer-failure scan visits (a snapshot,
+/// because the work a visit starts re-marks its name), and the live
+/// holders of the object one visit looks at. Each is lent out by
+/// [`Cloud4Home::with_scratch`], so a loop allocates only while its buffer
+/// grows.
+#[derive(Debug, Default)]
+struct Scratch {
+    flow_events: Vec<FlowEvent>,
+    names: Vec<Sym>,
+    holders: Vec<usize>,
 }
 
 impl NodeRt {
@@ -518,34 +559,29 @@ impl Cloud4Home {
             nodes,
             cloud,
             node_of_key,
-            ops: FxHashMap::default(),
-            reports: FxHashMap::default(),
+            ops: OpTable::default(),
             dht_waiters: FxHashMap::default(),
             flows: FlowTable::default(),
             jobs: Jobs::default(),
-            next_op: 1,
             stats: RunStats::default(),
             transport: Transport::new(config.nodes.len()),
             replicas: ReplicaIndex::default(),
-            steps: 0,
-            flow_scratch: Vec::new(),
-            names_scratch: Vec::new(),
-            holders_scratch: Vec::new(),
+            chains: Chains {
+                sample_period: Duration::from_millis(config.health_sample_ms),
+                ..Chains::default()
+            },
+            scratch: Scratch::default(),
             repaired_peers: BTreeSet::new(),
             // Prior: the LAN's nominal per-flow TCP cap. Unseen peers all
             // rank equal, so candidate order matches the metadata until
             // real transfers are observed.
             peer_bw: PeerBandwidth::new(10.3e6, 0.3),
             object_heat: ObjectHeat::new(config.adaptive.heat_alpha),
-            ec_originals: BTreeMap::new(),
-            ec_row_names: SymMap::default(),
+            ec: EcRegistry::default(),
             telemetry,
             health: HealthPlane::new(&config),
             overload: OverloadPlane::new(&config),
             ledger: OpLedger::new(config.ledger_ring),
-            explain_ring: VecDeque::new(),
-            tick_armed: false,
-            tick_horizon: SimTime::ZERO,
             config,
         };
         home.warmup();
@@ -568,7 +604,9 @@ impl Cloud4Home {
         self.run_for(Duration::from_secs(2));
         debug_assert!(self.nodes.iter().all(|n| n.chimera.is_joined()));
         self.publish_service_records();
-        self.publish_all_resources();
+        for i in 0..self.nodes.len() {
+            self.publish_resources(i);
+        }
         self.run_for(Duration::from_secs(2));
     }
 
@@ -605,13 +643,6 @@ impl Cloud4Home {
                 policy: "performance".into(),
             });
             self.publish_background(publisher, service_key(kind.name(), kind.id()), record);
-        }
-    }
-
-    /// Forces every node to publish a fresh resource record now.
-    fn publish_all_resources(&mut self) {
-        for i in 0..self.nodes.len() {
-            self.publish_resources(i);
         }
     }
 
@@ -801,146 +832,8 @@ impl Cloud4Home {
 
     /// The first line of every text report: what it is and when it was
     /// taken.
-    fn report_header(&self, what: &str) -> String {
+    pub(crate) fn report_header(&self, what: &str) -> String {
         format!("{what} @ {} ms\n", self.now().as_nanos() / 1_000_000)
-    }
-
-    /// A human-readable health summary: per-op-kind sliding-window latency
-    /// percentiles against their objectives, violation and post-mortem
-    /// counts. Integer-only formatting, deterministic per seed.
-    pub fn health_text(&self) -> String {
-        let now = self.now();
-        let mut out = self.report_header("health");
-        let summaries = self.health.summaries(now);
-        if summaries.is_empty() {
-            out.push_str("no operations observed in the window\n");
-        }
-        for (kind, h) in summaries {
-            let slo = match h.slo_ns {
-                Some(slo_ns) => {
-                    let status = if h.p99_ns > slo_ns { "BREACH" } else { "ok" };
-                    format!("slo {} ms [{status}]", slo_ns / 1_000_000)
-                }
-                None => "no slo".to_owned(),
-            };
-            out.push_str(&format!(
-                "{kind:8} n={} p50={} ms p95={} ms p99={} ms {slo}\n",
-                h.count,
-                h.p50_ns / 1_000_000,
-                h.p95_ns / 1_000_000,
-                h.p99_ns / 1_000_000,
-            ));
-        }
-        out.push_str(&format!(
-            "violations={} postmortems={} (dropped {})\n",
-            self.health.violations,
-            self.health.flight.dumps().len(),
-            self.health.flight.dropped(),
-        ));
-        out
-    }
-
-    /// A `top`-style snapshot: the latest gauge sample plus the slowest
-    /// recently completed operations with their dominant critical-path
-    /// bucket. Integer-only formatting, deterministic per seed.
-    ///
-    /// Takes a fresh gauge sample first (when recording is on and none was
-    /// taken at the current instant), so the snapshot is always live.
-    pub fn top_text(&mut self) -> String {
-        if self.telemetry.enabled()
-            && !self.health.sample_period.is_zero()
-            && self.health.last_sample != Some(self.now())
-        {
-            self.sample_health();
-        }
-        let mut out = self.report_header("top");
-        let latest = self.telemetry.latest_gauges();
-        if latest.is_empty() {
-            out.push_str("no gauge samples recorded\n");
-        }
-        for (name, v) in latest {
-            out.push_str(&format!("{name} = {v}\n"));
-        }
-        let worst = self.health.worst_paths(8);
-        if !worst.is_empty() {
-            out.push_str("slowest ops:\n");
-            for row in worst {
-                let (bucket, ns) = row.path.dominant();
-                out.push_str(&format!(
-                    "{} {} {} total={} ms dominant={bucket} ({} ms)\n",
-                    row.op,
-                    row.kind,
-                    row.object,
-                    row.total_ns / 1_000_000,
-                    ns / 1_000_000,
-                ));
-            }
-        }
-        out
-    }
-
-    /// A human-readable admission/shedding summary: whether the overload
-    /// plane is active, the shed controller's current rejection
-    /// probability, breach and rejection totals, and per-tenant inflight
-    /// rows. Integer-only formatting, deterministic per seed.
-    pub fn shed_text(&self) -> String {
-        let mut out = self.report_header("shed");
-        if !self.overload.enabled {
-            out.push_str("overload plane disabled\n");
-            return out;
-        }
-        out.push_str(&format!(
-            "drop_permille={} breaches={} shed={} inflight={}\n",
-            self.overload.shed_permille(),
-            self.overload.breaches(),
-            self.stats.ops_shed,
-            self.overload.inflight(),
-        ));
-        out.push_str(&format!(
-            "retry_budget_denied={}\n",
-            self.stats.retry_budget_denied
-        ));
-        for (tenant, inflight) in self.overload.tenant_rows() {
-            let name = self.nodes.get(tenant).map_or("?", |n| n.name.as_str());
-            out.push_str(&format!(
-                "tenant {name} inflight={inflight} retry_tokens={}\n",
-                self.overload.retry_tokens(tenant)
-            ));
-        }
-        out
-    }
-
-    /// A human-readable circuit-breaker summary: one row per path that has
-    /// recorded at least one failure, with its state, consecutive-failure
-    /// count, and trip total. Integer-only formatting, deterministic per
-    /// seed.
-    pub fn breaker_text(&self) -> String {
-        let mut out = self.report_header("breakers");
-        if !self.overload.enabled {
-            out.push_str("overload plane disabled\n");
-            return out;
-        }
-        let mut any = false;
-        for (addr, b) in self.overload.breaker_rows() {
-            any = true;
-            let path = self.path_name(Addr::new(addr));
-            out.push_str(&format!(
-                "{path} state={} failures={} trips={}\n",
-                b.state(),
-                b.failures(),
-                b.trips,
-            ));
-        }
-        if !any {
-            out.push_str("no paths have recorded failures\n");
-        }
-        out.push_str(&format!(
-            "open={} trips_total={} fast_fails={}\n",
-            self.overload.breakers_open(),
-            self.stats.breaker_trips,
-            self.stats.breaker_fast_fails,
-        ));
-        out
     }
 
     /// Turns the causal op ledger on or off at runtime. While off, every
@@ -957,89 +850,6 @@ impl Cloud4Home {
         self.ledger.enabled()
     }
 
-    /// Renders a completed op's annotated critical-path timeline: each DAG
-    /// edge with its offset, duration, and latency bucket, the causal
-    /// decisions that fell inside it, the full ledger chain, and the
-    /// exact-sum invariant restated with real numbers. Integer-only
-    /// formatting, deterministic per seed. Reports completed with the
-    /// ledger off render a one-line fallback.
-    pub fn explain_text(&self, op: OpId) -> String {
-        match self.reports.get(&op) {
-            Some(report) => crate::explain::explain_text(report),
-            None => format!("no completed report for {op}\n"),
-        }
-    }
-
-    /// Serializes a completed op's critical-path DAG and causal ledger as
-    /// a byte-stable JSON object, or `None` when no report exists for
-    /// `op`. Deterministic for a given seed and workload.
-    pub fn explain_json(&self, op: OpId) -> Option<String> {
-        self.reports.get(&op).map(crate::explain::explain_json)
-    }
-
-    /// One summary line for each of the `n` slowest recently completed
-    /// operations (the health plane's sliding window), with the dominant
-    /// critical-path edge when the op completed under the ledger.
-    /// Integer-only formatting, deterministic per seed.
-    pub fn slowest_text(&self, n: usize) -> String {
-        let mut out = self.report_header("slowest");
-        let worst = self.health.worst_paths(n);
-        if worst.is_empty() {
-            out.push_str("no completed operations in the window\n");
-            return out;
-        }
-        for row in worst {
-            match self.reports.get(&row.op) {
-                Some(report) => {
-                    out.push_str(&crate::explain::summary_line(report));
-                    out.push('\n');
-                }
-                None => out.push_str(&format!(
-                    "{} {} object={} latency={}ns (report evicted)\n",
-                    row.op, row.kind, row.object, row.total_ns,
-                )),
-            }
-        }
-        out
-    }
-
-    /// Summary lines for completed ops of `kind` whose latency reached the
-    /// p99.9 of that kind's full-run histogram — the tail the SLO plane
-    /// cares about. Scans completed reports in (latency desc, op id)
-    /// order, capped at eight rows. Integer-only, deterministic per seed.
-    pub fn outliers_text(&self, kind: &str) -> String {
-        let mut out = self.report_header(&format!("outliers op.{kind}"));
-        let snap = self.telemetry.snapshot();
-        let Some(h) = snap.histograms.get(&format!("op.{kind}.total_ns")) else {
-            out.push_str("no latency histogram for this kind (tracing off or no ops)\n");
-            return out;
-        };
-        let p999 = h.value_at_quantile(999, 1000);
-        out.push_str(&format!("n={} p99.9={}ns\n", h.count, p999));
-        let mut picks: Vec<(u64, u64, OpId)> = self
-            .reports
-            .iter()
-            .filter(|(_, r)| r.kind == kind)
-            .map(|(id, r)| {
-                let lat = r.completed.as_nanos() - r.submitted.as_nanos();
-                (lat, id.0, *id)
-            })
-            .filter(|(lat, _, _)| *lat >= p999)
-            .collect();
-        picks.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        picks.truncate(8);
-        if picks.is_empty() {
-            out.push_str("no retained reports at or above the threshold\n");
-        }
-        for (_, _, id) in picks {
-            if let Some(report) = self.reports.get(&id) {
-                out.push_str(&crate::explain::summary_line(report));
-                out.push('\n');
-            }
-        }
-        out
-    }
-
     /// The background plane's causal events — breaker trips, repair
     /// triggers, adaptive placement actions — in record order (bounded by
     /// the configured ring size). Empty while the ledger is off.
@@ -1050,38 +860,7 @@ impl Cloud4Home {
     /// Mirrors [`RunStats`] into the metrics registry so dumps carry the
     /// runtime aggregates alongside subsystem counters.
     fn sync_stats_counters(&self) {
-        let s = self.stats();
-        for (name, v) in [
-            ("stats.ops_completed", s.ops_completed),
-            ("stats.flows_started", s.flows_started),
-            ("stats.envelopes_delivered", s.envelopes_delivered),
-            ("stats.envelopes_dropped", s.envelopes_dropped),
-            ("stats.dht_retries", s.dht_retries),
-            ("stats.fetch_failovers", s.fetch_failovers),
-            ("stats.proc_redispatches", s.proc_redispatches),
-            ("stats.replicas_written", s.replicas_written),
-            ("stats.repairs_started", s.repairs_started),
-            ("stats.repairs_completed", s.repairs_completed),
-            ("stats.partial_replication", s.partial_replication),
-            ("stats.chunked_transfers", s.chunked_transfers),
-            ("stats.quorum_publishes", s.quorum_publishes),
-            ("stats.striped_fetches", s.striped_fetches),
-            ("stats.hedged_fetches", s.hedged_fetches),
-            ("stats.cache_answers", s.cache_answers),
-            ("stats.cache_hits", s.cache_hits),
-            ("stats.cache_misses", s.cache_misses),
-            ("stats.ops_shed", s.ops_shed),
-            ("stats.retry_budget_denied", s.retry_budget_denied),
-            ("stats.breaker_trips", s.breaker_trips),
-            ("stats.breaker_fast_fails", s.breaker_fast_fails),
-            ("stats.crit_dht_ns", s.crit_dht_ns),
-            ("stats.crit_disk_ns", s.crit_disk_ns),
-            ("stats.crit_lan_ns", s.crit_lan_ns),
-            ("stats.crit_wan_ns", s.crit_wan_ns),
-            ("stats.crit_service_ns", s.crit_service_ns),
-            ("stats.crit_backoff_ns", s.crit_backoff_ns),
-            ("stats.crit_other_ns", s.crit_other_ns),
-        ] {
+        for (name, v) in self.stats().counters() {
             self.telemetry.set_counter(name, v);
         }
     }
@@ -1117,109 +896,6 @@ impl Cloud4Home {
         let ts = self.now().as_nanos();
         self.ledger
             .record(BACKGROUND_RING, kind, LEDGER_NONE, ts, a, b);
-    }
-
-    // ------------------------------------------------------------------
-    // Overload-plane hooks (all no-ops while the plane is disabled)
-    // ------------------------------------------------------------------
-
-    /// Human name of a breaker path address: a node name or the cloud
-    /// uplink. Returns the interned name, so the common cases (known
-    /// node, cloud) never allocate; an unknown address formats once and
-    /// its interned fallback is reused from then on.
-    fn path_name(&self, addr: Addr) -> Sym {
-        if addr == CLOUD_ADDR {
-            return Sym::new("cloud-uplink");
-        }
-        self.nodes
-            .iter()
-            .find(|n| n.addr == addr)
-            .map_or_else(|| Sym::new(&format!("addr-{}", addr.raw())), |n| n.name_sym)
-    }
-
-    /// Counts and traces one breaker transition or fast-fail on `addr`'s
-    /// path.
-    fn note_breaker(&self, name: &'static str, addr: Addr) {
-        let path = self.path_name(addr);
-        self.telemetry.add(name, 1);
-        self.telemetry.instant_args(
-            "overload",
-            name,
-            RUNTIME_TRACK,
-            self.now().as_nanos(),
-            vec![("path", ArgValue::from(path.as_str()))],
-        );
-    }
-
-    /// Records a successful transfer on a path, closing its breaker when a
-    /// half-open probe just succeeded.
-    pub(crate) fn breaker_success(&mut self, addr: Addr) {
-        if !self.overload.enabled {
-            return;
-        }
-        if self.overload.record_success(addr.raw()) {
-            self.note_breaker("breaker.close", addr);
-        }
-    }
-
-    /// Records a failed transfer on a path, tripping its breaker open after
-    /// the configured consecutive-failure threshold.
-    pub(crate) fn breaker_failure(&mut self, addr: Addr) {
-        if !self.overload.enabled {
-            return;
-        }
-        let now_ns = self.now().as_nanos();
-        if self.overload.record_failure(addr.raw(), now_ns) {
-            self.stats.breaker_trips += 1;
-            self.ledger_bg(CauseKind::BreakerTrip, addr.raw(), 0);
-            self.note_breaker("breaker.trip", addr);
-        }
-    }
-
-    /// Whether `addr`'s breaker currently blocks traffic for `op`. Counts
-    /// and traces the fast-fail when it does (and stamps a `breaker.skip`
-    /// event on the op's causal ledger); may move an open breaker to
-    /// half-open (the deterministic probe path).
-    pub(crate) fn breaker_blocks_path(&mut self, addr: Addr, op: OpId) -> bool {
-        if !self.overload.enabled {
-            return false;
-        }
-        let now_ns = self.now().as_nanos();
-        if !self.overload.breaker_blocks(addr.raw(), now_ns) {
-            return false;
-        }
-        self.stats.breaker_fast_fails += 1;
-        self.ledger_op(op, CauseKind::BreakerSkip, LEDGER_NONE, addr.raw(), 0);
-        self.note_breaker("breaker.fast_fail", addr);
-        true
-    }
-
-    /// Takes one retry token from `node`'s budget, tracing the denial when
-    /// the bucket is dry. Always grants while the plane is disabled.
-    pub(crate) fn retry_budget_take(
-        &mut self,
-        node: usize,
-        site: &'static str,
-        object: Sym,
-    ) -> bool {
-        let now_ns = self.now().as_nanos();
-        if self.overload.retry_allowed(node, now_ns) {
-            return true;
-        }
-        self.stats.retry_budget_denied += 1;
-        self.telemetry.add("retry.budget_denied", 1);
-        self.telemetry.instant_args(
-            "overload",
-            "retry.budget_denied",
-            RUNTIME_TRACK,
-            now_ns,
-            vec![
-                ("site", ArgValue::from(site)),
-                ("node", ArgValue::from(self.nodes[node].name.as_str())),
-                ("object", ArgValue::from(object.as_str())),
-            ],
-        );
-        false
     }
 
     /// Objects currently stored on a node.
@@ -1263,7 +939,7 @@ impl Cloud4Home {
 
     /// How many events the loop has processed since construction.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.chains.steps
     }
 
     /// The event queue's own counts (pops, clock advances, full wheel
@@ -1362,18 +1038,11 @@ impl Cloud4Home {
         );
         let nominal = presets::wan_bandwidth_median();
         for (src, dst) in self.net.topology().route_pairs() {
-            let is_wan = {
-                let route = self.net.topology().route(src, dst).expect("pair listed");
-                // WAN routes are the ones with variability configured.
-                route.bandwidth_sigma > 0.0
-            };
-            if is_wan {
-                let route = self
-                    .net
-                    .topology_mut()
-                    .route_mut(src, dst)
-                    .expect("pair listed");
-                route.bandwidth_median = nominal * factor;
+            // WAN routes are the ones with variability configured.
+            let route = self.net.topology().route(src, dst).expect("pair listed");
+            if route.bandwidth_sigma > 0.0 {
+                let route = self.net.topology_mut().route_mut(src, dst);
+                route.expect("pair listed").bandwidth_median = nominal * factor;
             }
         }
     }
@@ -1488,29 +1157,39 @@ impl Cloud4Home {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Ensures the periodic tick chain is armed.
+    /// Ensures the tick chain is armed, then the gauge-sample chain.
     pub(crate) fn ensure_tick(&mut self) {
-        if !self.tick_armed {
-            self.tick_armed = true;
+        if !self.chains.tick_armed {
+            self.chains.tick_armed = true;
             self.queue.schedule_in(TICK_PERIOD, Event::Tick);
         }
         self.ensure_health();
     }
 
-    /// Ensures the health plane's gauge-sample chain is armed, if the
-    /// sampler is configured and recording is on.
-    pub(crate) fn ensure_health(&mut self) {
-        if !self.health.armed && !self.health.sample_period.is_zero() && self.telemetry.enabled() {
-            self.health.armed = true;
+    /// Ensures the gauge-sample chain is armed, if the sampler runs.
+    fn ensure_health(&mut self) {
+        let chains = &mut self.chains;
+        if !chains.sample_armed && chains.sampling(self.telemetry.enabled()) {
+            chains.sample_armed = true;
             self.queue
-                .schedule_in(self.health.sample_period, Event::HealthSample);
+                .schedule_in(chains.sample_period, Event::HealthSample);
+        }
+    }
+
+    /// Takes a gauge sample off the cadence, unless the sampler is off or
+    /// one was taken at this instant already, so a report or a quiescent
+    /// run ends on the settled state.
+    pub(crate) fn flush_sample(&mut self) {
+        let fresh = self.chains.last_sample == Some(self.now());
+        if self.chains.sampling(self.telemetry.enabled()) && !fresh {
+            self.sample_health();
         }
     }
 
     /// Runs the simulation for a fixed span of virtual time.
     pub fn run_for(&mut self, d: Duration) {
         let target = self.now() + d;
-        self.tick_horizon = self.tick_horizon.max(target);
+        self.chains.horizon = self.chains.horizon.max(target);
         self.ensure_tick();
         while self.next_time().is_some_and(|t| t <= target) {
             self.step();
@@ -1525,12 +1204,41 @@ impl Cloud4Home {
     /// Advances the flow engine to `to` and reaps every completion that
     /// surfaces, at the queue's current instant.
     fn drain_net(&mut self, to: SimTime) {
-        let mut events = std::mem::take(&mut self.flow_scratch);
-        self.net.advance_into(to, &mut events);
-        for &FlowEvent::Completed { flow, .. } in &events {
-            self.reap_flow(flow);
-        }
-        self.flow_scratch = events;
+        self.with_scratch(
+            |s| &mut s.flow_events,
+            |home, events| {
+                home.net.advance_into(to, events);
+                for &FlowEvent::Completed { flow, .. } in events.iter() {
+                    home.reap_flow(flow);
+                }
+            },
+        );
+    }
+
+    /// Lends `f` the scratch buffer `pick` selects, empty, for the length
+    /// of the call. The buffer is out of the runtime meanwhile, so `f` may
+    /// mutate anything; a nested loan of the same buffer starts from an
+    /// empty spare.
+    fn with_scratch<T, R>(
+        &mut self,
+        pick: fn(&mut Scratch) -> &mut Vec<T>,
+        f: impl FnOnce(&mut Self, &mut Vec<T>) -> R,
+    ) -> R {
+        let mut buf = std::mem::take(pick(&mut self.scratch));
+        buf.clear();
+        let out = f(self, &mut buf);
+        *pick(&mut self.scratch) = buf;
+        out
+    }
+
+    /// Lends `f` the names buffer (see [`Self::with_scratch`]).
+    pub(crate) fn with_names<R>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<Sym>) -> R) -> R {
+        self.with_scratch(|s| &mut s.names, f)
+    }
+
+    /// Lends `f` the holders buffer (see [`Self::with_scratch`]).
+    pub(crate) fn with_holders<R>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<usize>) -> R) -> R {
+        self.with_scratch(|s| &mut s.holders, f)
     }
 
     /// Routes one completed flow to its owner. A flow nobody owns
@@ -1552,12 +1260,9 @@ impl Cloud4Home {
     /// Panics if the simulation runs out of events before the operation
     /// completes (a runtime bug) or the id is unknown.
     pub fn run_until_complete(&mut self, op: OpId) -> OpReport {
-        assert!(
-            self.reports.contains_key(&op) || self.ops.contains_key(&op),
-            "unknown operation {op}"
-        );
+        assert!(self.ops.knows(op), "unknown operation {op}");
         loop {
-            if let Some(r) = self.reports.get(&op) {
+            if let Some(r) = self.ops.report(op) {
                 return r.clone();
             }
             self.ensure_tick();
@@ -1569,7 +1274,7 @@ impl Cloud4Home {
     /// transfer (detached store fan-out stragglers, repair re-replication)
     /// has landed.
     pub fn run_until_idle(&mut self) {
-        while !self.ops.is_empty() || self.flows.background() > 0 {
+        while self.ops.in_flight() > 0 || self.flows.background() > 0 {
             debug_assert_eq!(
                 self.jobs.is_empty(),
                 self.flows.background() == 0,
@@ -1578,19 +1283,12 @@ impl Cloud4Home {
             self.ensure_tick();
             assert!(self.step(), "simulation stalled with operations pending");
         }
-        // Flush a final gauge sample at quiescence so the series always
-        // ends with the settled state, even off the sampling cadence.
-        if self.telemetry.enabled()
-            && !self.health.sample_period.is_zero()
-            && self.health.last_sample != Some(self.now())
-        {
-            self.sample_health();
-        }
+        self.flush_sample();
     }
 
     /// Takes a completed report, if present.
     pub fn take_report(&mut self, op: OpId) -> Option<OpReport> {
-        self.reports.remove(&op)
+        self.ops.take_report(op)
     }
 
     /// The earliest pending instant across the queue and the flow network.
@@ -1613,15 +1311,10 @@ impl Cloud4Home {
             .enabled()
             .then(|| c4h_telemetry::install(&self.telemetry));
         self.pump();
-        let qt = self.queue.peek_time();
-        let nt = self.net.next_event();
-        let t = match (qt, nt) {
-            (None, None) => return false,
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
+        let Some(t) = self.next_time() else {
+            return false;
         };
-        if nt == Some(t) {
+        if self.net.next_event() == Some(t) {
             self.queue.advance_to(t);
             self.drain_net(t);
         } else {
@@ -1633,7 +1326,7 @@ impl Cloud4Home {
             self.dispatch(event);
         }
         self.pump();
-        self.steps += 1;
+        self.chains.steps += 1;
         true
     }
 
@@ -1647,7 +1340,7 @@ impl Cloud4Home {
                 }
             }
             Event::Tick => {
-                self.tick_armed = false;
+                self.chains.tick_armed = false;
                 let now = self.now();
                 if self.telemetry.enabled() {
                     // Queue depths sampled on event boundaries: every tick
@@ -1655,7 +1348,7 @@ impl Cloud4Home {
                     self.telemetry
                         .observe("runtime.queue_depth", self.queue.len() as u64);
                     self.telemetry
-                        .observe("runtime.ops_inflight", self.ops.len() as u64);
+                        .observe("runtime.ops_inflight", self.ops.in_flight() as u64);
                     self.telemetry
                         .observe("runtime.flows_inflight", self.flows.len() as u64);
                 }
@@ -1669,7 +1362,7 @@ impl Cloud4Home {
                 }
                 self.anti_entropy_sweep(now);
                 self.adaptive_pass(now);
-                if !self.ops.is_empty() || self.now() < self.tick_horizon {
+                if self.chains.go_on(self.ops.in_flight(), now) {
                     self.ensure_tick();
                 }
             }
@@ -1678,15 +1371,13 @@ impl Cloud4Home {
             Event::DhtDone { op, ev } => self.op_continue(op, OpInput::Dht(ev)),
             Event::Fault(ev) => self.apply_fault(ev),
             Event::HealthSample => {
-                self.health.armed = false;
-                if self.telemetry.enabled() && !self.health.sample_period.is_zero() {
+                self.chains.sample_armed = false;
+                if self.chains.sampling(self.telemetry.enabled()) {
                     self.sample_health();
-                    // Re-arm directly (not via ensure_health) so the cadence
-                    // stays exactly periodic while work remains.
-                    if !self.ops.is_empty() || self.now() < self.tick_horizon {
-                        self.health.armed = true;
-                        self.queue
-                            .schedule_in(self.health.sample_period, Event::HealthSample);
+                    // Re-arms its own chain only (not via `ensure_tick`),
+                    // so the cadence stays exactly periodic.
+                    if self.chains.go_on(self.ops.in_flight(), self.now()) {
+                        self.ensure_health();
                     }
                 }
             }
@@ -1703,13 +1394,13 @@ impl Cloud4Home {
     /// recorder and the flight ring in one call each.
     pub(crate) fn sample_health(&mut self) {
         let now = self.now();
-        self.health.last_sample = Some(now);
+        self.chains.last_sample = Some(now);
         let rec = &self.telemetry;
         let cols = &mut self.health.columns;
         let fixed = cols.start(rec);
         let depths = [
             self.queue.len(),
-            self.ops.len(),
+            self.ops.in_flight(),
             self.flows.op_owned(),
             self.flows.background(),
         ];
@@ -1788,13 +1479,6 @@ impl Cloud4Home {
     // ------------------------------------------------------------------
     // Shared helpers used by the op state machines
     // ------------------------------------------------------------------
-
-    /// Allocates the next operation id.
-    pub(crate) fn alloc_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        id
-    }
 
     /// The chunking policy for a transfer of `bytes`, from the configured
     /// knobs: `None` leaves the transfer monolithic.
@@ -1904,27 +1588,17 @@ impl Cloud4Home {
         if src == dst {
             return Duration::ZERO;
         }
-        match self.net.topology().route_between(src, dst) {
-            Some(route) => {
-                let bottleneck = self
-                    .net
-                    .topology()
-                    .bottleneck_bps(src, dst)
-                    .unwrap_or(f64::INFINITY);
-                match self.chunk_spec(bytes) {
-                    Some(spec) => route.tcp.chunked_transfer_time(
-                        bytes,
-                        spec.chunk_bytes,
-                        spec.window,
-                        bottleneck,
-                        route.bandwidth_median,
-                    ),
-                    None => route
-                        .tcp
-                        .transfer_time(bytes, bottleneck, route.bandwidth_median),
-                }
+        let topology = self.net.topology();
+        let Some(route) = topology.route_between(src, dst) else {
+            return Duration::from_secs(3600);
+        };
+        let bottleneck = topology.bottleneck_bps(src, dst).unwrap_or(f64::INFINITY);
+        let (tcp, median) = (&route.tcp, route.bandwidth_median);
+        match self.chunk_spec(bytes) {
+            Some(c) => {
+                tcp.chunked_transfer_time(bytes, c.chunk_bytes, c.window, bottleneck, median)
             }
-            None => Duration::from_secs(3600),
+            None => tcp.transfer_time(bytes, bottleneck, median),
         }
     }
 

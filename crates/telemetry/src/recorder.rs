@@ -674,6 +674,12 @@ impl Recorder {
         }
     }
 
+    /// A copy of the histogram recorded under `name`, if any sample was:
+    /// one histogram, where [`Recorder::snapshot`] copies everything.
+    pub fn histogram(&self, name: &str) -> Option<Histogram> {
+        self.lock().hists.get(name).cloned()
+    }
+
     /// The last point's value of every sampled gauge, in name order.
     pub fn latest_gauges(&self) -> Vec<(Arc<str>, i64)> {
         self.lock()
@@ -826,6 +832,8 @@ mod tests {
         let buckets: Vec<_> = h.buckets().collect();
         // 0 → bucket 0; 1 → (..1]; 2,3 → (..3]; 4 → (..7]; 1024 → (..2047].
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1), (2047, 1)]);
+        assert_eq!(rec.histogram("h").as_ref(), Some(h), "one read, same copy");
+        assert_eq!(rec.histogram("n"), None, "a counter is not a histogram");
     }
 
     #[test]

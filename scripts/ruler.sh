@@ -5,8 +5,8 @@
 # `--gate` (CI's lint job), fails when the largest file of `core` or the
 # field count is over its limit.
 set -euo pipefail
-max_core_file=1500
-max_fields=32
+max_core_file=1100
+max_fields=24
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 lines() {
