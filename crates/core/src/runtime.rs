@@ -1311,10 +1311,11 @@ impl Cloud4Home {
             .enabled()
             .then(|| c4h_telemetry::install(&self.telemetry));
         self.pump();
-        let Some(t) = self.next_time() else {
+        let nt = self.net.next_event();
+        let Some(t) = self.queue.peek_time().into_iter().chain(nt).min() else {
             return false;
         };
-        if self.net.next_event() == Some(t) {
+        if nt == Some(t) {
             self.queue.advance_to(t);
             self.drain_net(t);
         } else {
