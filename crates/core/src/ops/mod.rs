@@ -15,11 +15,11 @@
 //! [`OpCore`] plus the state of exactly one family.
 //!
 //! * **This file** owns what every kind shares: the [`Stage`] and
-//!   [`OpKind`] tables, the [`OpTable`] of ids, parked ops and reports,
-//!   admission ([`Cloud4Home::submit`]), the driver
+//!   [`OpKind`] tables, admission ([`Cloud4Home::submit`]), the driver
 //!   ([`Cloud4Home::op_continue`], the DHT-retry intercept), the one place
 //!   time is accounted ([`Cloud4Home::charge`] via `enter` / `enter_for`),
-//!   completion ([`Cloud4Home::complete_op`]) — and the two kinds too small
+//!   completion ([`Cloud4Home::complete_op`]), the [`OpTable`] of ids,
+//!   parked ops and reports — and the two kinds too small
 //!   to have a state of their own, delete and list.
 //! * [`store`], [`fetch`] and [`process`] each own their family's state
 //!   (`Store`, `Fetch`, `Process`), its public entry points and its stage
