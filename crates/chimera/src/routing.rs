@@ -431,3 +431,66 @@ mod tests {
         assert_eq!(hop, NextHop::Forward(Key::from_raw(0x8800000000)));
     }
 }
+
+/// The allocating replica-target loop, kept verbatim as the oracle for the
+/// node's buffer-filling call (CI runs these by name: `record_oracle`).
+#[cfg(test)]
+mod record_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn old_replica_targets(leaf: &LeafSet, n: usize) -> Vec<Key> {
+        let mut out = Vec::new();
+        let mut li = leaf.right.iter();
+        let mut ri = leaf.left.iter();
+        while out.len() < n {
+            let mut advanced = false;
+            if let Some(&k) = li.next() {
+                if !out.contains(&k) {
+                    out.push(k);
+                }
+                advanced = true;
+            }
+            if out.len() >= n {
+                break;
+            }
+            if let Some(&k) = ri.next() {
+                if !out.contains(&k) {
+                    out.push(k);
+                }
+                advanced = true;
+            }
+            if !advanced {
+                break;
+            }
+        }
+        out.truncate(n);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random rings from one peer up: with fewer peers than leaf slots
+        /// the two sides share members, which the targets must list once.
+        #[test]
+        fn replica_targets_match_the_allocating_loop(
+            raw in proptest::collection::vec(any::<u64>(), 1..12),
+            owner in any::<u64>(),
+            size in 1usize..5,
+            wants in proptest::collection::vec(0usize..10, 1..6),
+        ) {
+            let owner = Key::from_raw(owner);
+            let peers: RbTree<Key, ()> = raw
+                .iter()
+                .map(|&r| (Key::from_raw(r), ()))
+                .filter(|&(k, _)| k != owner)
+                .collect();
+            let mut leaf = LeafSet::new();
+            leaf.rebuild(owner, &peers, size);
+            for n in wants {
+                prop_assert_eq!(leaf.replica_targets(n), old_replica_targets(&leaf, n));
+            }
+        }
+    }
+}

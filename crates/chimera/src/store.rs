@@ -552,3 +552,205 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 }
+
+/// The record representation the store had before the newest version moved
+/// out of the chain — every version, the newest included, in its own link —
+/// kept verbatim as the oracle for [`StoredValue`] (CI runs these by name:
+/// `record_oracle`).
+#[cfg(test)]
+mod record_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    struct Link {
+        data: Vec<u8>,
+        prev: Option<Arc<Link>>,
+    }
+
+    impl Drop for Link {
+        fn drop(&mut self) {
+            let mut next = self.prev.take();
+            while let Some(link) = next {
+                match Arc::into_inner(link) {
+                    Some(mut link) => next = link.prev.take(),
+                    None => break,
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct OldValue {
+        head: Option<Arc<Link>>,
+        len: usize,
+        version: u64,
+    }
+
+    impl OldValue {
+        fn latest(&self) -> &[u8] {
+            self.head.as_deref().map_or(&[], |l| l.data.as_slice())
+        }
+
+        fn links(&self) -> impl Iterator<Item = &Link> {
+            std::iter::successors(self.head.as_deref(), |l| l.prev.as_deref())
+        }
+
+        fn versions(&self) -> Vec<&[u8]> {
+            let mut out = Vec::with_capacity(self.len);
+            out.extend(self.links().map(|l| l.data.as_slice()));
+            out.reverse();
+            out
+        }
+
+        fn version(&self) -> u64 {
+            self.version
+        }
+
+        fn apply(&mut self, data: Vec<u8>, policy: OverwritePolicy) -> Result<(), PutError> {
+            let prev = match policy {
+                OverwritePolicy::Overwrite => {
+                    self.len = 0;
+                    None
+                }
+                OverwritePolicy::Chain => self.head.take(),
+                OverwritePolicy::Error => return Err(PutError::Exists),
+            };
+            self.head = Some(Arc::new(Link { data, prev }));
+            self.len += 1;
+            self.version += 1;
+            Ok(())
+        }
+    }
+
+    impl PartialEq for OldValue {
+        fn eq(&self, other: &Self) -> bool {
+            self.version == other.version
+                && self.len == other.len
+                && self
+                    .links()
+                    .zip(other.links())
+                    .take_while(|(a, b)| !std::ptr::eq(*a, *b))
+                    .all(|(a, b)| a.data == b.data)
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Apply(usize, Vec<u8>, OverwritePolicy),
+        /// Chains this many one-byte versions onto a held value, so chains
+        /// grow past 64 versions within a sequence.
+        Burst(usize, u8),
+        /// Copies a held value; later applies to either copy must not show
+        /// in the other.
+        Clone(usize),
+        /// Puts the held value into the cache (a newer version only).
+        CacheInsert(usize),
+        /// An update passing a hop: applied to the cached copy, if any.
+        CacheUpdate(Vec<u8>, OverwritePolicy),
+        CacheInvalidate,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Three bytes of a three-letter alphabet, so separately built
+        // versions are often equal and `==` has to look at content.
+        let data = || proptest::collection::vec(0u8..3, 0..3);
+        let policy = || {
+            prop_oneof![
+                Just(OverwritePolicy::Overwrite),
+                Just(OverwritePolicy::Chain),
+                Just(OverwritePolicy::Chain),
+                Just(OverwritePolicy::Chain),
+                Just(OverwritePolicy::Chain),
+                Just(OverwritePolicy::Error),
+            ]
+        };
+        prop_oneof![
+            (any::<usize>(), data(), policy()).prop_map(|(i, d, p)| Step::Apply(i, d, p)),
+            (any::<usize>(), data(), policy()).prop_map(|(i, d, p)| Step::Apply(i, d, p)),
+            (any::<usize>(), data(), policy()).prop_map(|(i, d, p)| Step::Apply(i, d, p)),
+            (any::<usize>(), 1u8..24).prop_map(|(i, n)| Step::Burst(i, n)),
+            any::<usize>().prop_map(Step::Clone),
+            any::<usize>().prop_map(Step::CacheInsert),
+            (data(), policy()).prop_map(|(d, p)| Step::CacheUpdate(d, p)),
+            Just(Step::CacheInvalidate),
+        ]
+    }
+
+    fn check(new: &StoredValue, old: &OldValue) -> Result<(), TestCaseError> {
+        prop_assert_eq!(new.latest(), old.latest());
+        prop_assert_eq!(new.versions(), old.versions());
+        prop_assert_eq!(new.version(), old.version());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every held copy reads what the old representation reads after
+        /// every step, and any two copies are equal exactly when their old
+        /// twins are. Bursts of chained appends grow chains past 64 versions.
+        #[test]
+        fn stored_value_matches_the_old_representation(
+            steps in proptest::collection::vec(step(), 0..120),
+        ) {
+            let key = Key::from_raw(3);
+            let mut held = vec![(StoredValue::default(), OldValue::default())];
+            let (mut cache, mut cached) = (MetaCache::new(2), None::<OldValue>);
+            for s in steps {
+                match s {
+                    Step::Apply(i, data, policy) => {
+                        let i = i % held.len();
+                        let (new, old) = &mut held[i];
+                        let ok = new.apply(data.clone(), policy).is_ok();
+                        prop_assert_eq!(ok, old.apply(data, policy).is_ok());
+                    }
+                    Step::Burst(i, n) => {
+                        let i = i % held.len();
+                        let (new, old) = &mut held[i];
+                        for b in 0..n {
+                            new.apply(vec![b % 3], OverwritePolicy::Chain).unwrap();
+                            old.apply(vec![b % 3], OverwritePolicy::Chain).unwrap();
+                        }
+                    }
+                    Step::Clone(i) => {
+                        let copy = held[i % held.len()].clone();
+                        held.push(copy);
+                    }
+                    Step::CacheInsert(i) => {
+                        let (new, old) = held[i % held.len()].clone();
+                        cache.insert(key, new);
+                        if cached.as_ref().is_none_or(|c| c.version() < old.version()) {
+                            cached = Some(old);
+                        }
+                    }
+                    Step::CacheUpdate(data, policy) => {
+                        cache.update_in_place(key, &data, policy);
+                        if let Some(old) = &mut cached {
+                            let _ = old.apply(data, policy);
+                        }
+                    }
+                    Step::CacheInvalidate => {
+                        cache.invalidate(key);
+                        cached = None;
+                    }
+                }
+                for (new, old) in &held {
+                    check(new, old)?;
+                }
+                for (a, (new_a, old_a)) in held.iter().enumerate() {
+                    for (new_b, old_b) in &held[a..] {
+                        prop_assert_eq!(new_a == new_b, old_a == old_b);
+                    }
+                }
+                let hit = cache.lookup(key);
+                prop_assert_eq!(hit.is_some(), cached.is_some());
+                if let (Some(new), Some(old)) = (&hit, &cached) {
+                    check(new, old)?;
+                    for (new_b, old_b) in &held {
+                        prop_assert_eq!(new == new_b, old == old_b);
+                    }
+                }
+            }
+        }
+    }
+}
