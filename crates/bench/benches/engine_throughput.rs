@@ -9,7 +9,7 @@
 //!    (`queue::reference::RefQueue`) at N = 1k / 10k / 100k / 1M. Delays
 //!    span nine orders of magnitude (same splitmix64 stream for both
 //!    engines), so the wheel pays its real cascade costs. Payloads are
-//!    112 bytes — `size_of` of the runtime's event enum — so the heap
+//!    128 bytes — `size_of` of the runtime's event enum — so the heap
 //!    moves what it would move in production.
 //! 2. **Flow engine steady state**: `FlowNet` holding 200 LAN flows on the
 //!    testbed topology, topped up as they finish. Rounds of `next_event` +
@@ -42,6 +42,14 @@
 //!    stack (overlay, flows, services). Its event queue may scan the wheel
 //!    for the earliest bucket at most once per popped event or clock
 //!    advance (an exact count).
+//! 7. **One allocation per DHT record**: `Record::encode` of every kind (and
+//!    `DirEntry::encode`) makes exactly one allocation, the record's shared
+//!    bytes; an overwrite put on a chimera-only ring, with a recorder
+//!    attached but switched off, that crosses forwarding hops holding the
+//!    key in their path caches and replicates to the leaf set makes none;
+//!    and on the warmed idle paper testbed (recording off) the runtime
+//!    allocates at most 1.1 times per resource record it publishes. All
+//!    three are counts.
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -57,12 +65,16 @@
 //! speedup assertion — the zero-alloc assertion still gates). The table
 //! lands in `BENCH_engine_throughput.json` like every bench's.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
 use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
-    RoutingTable,
+    RoutingTable, StoredValue,
+};
+use c4h_kvstore::{
+    Acl, DirEntry, Location, ObjectMeta, Record, ResourceRecord, ServiceRecord, StripeRecord,
 };
 use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::queue::reference::RefQueue;
@@ -77,12 +89,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
-/// 112-byte payload — exactly `size_of::<Event>()` for the runtime's
+/// 128-byte payload — exactly `size_of::<Event>()` for the runtime's
 /// event enum, so the heap's sift moves what it would move in production.
-type Payload = [u64; 14];
+type Payload = [u64; 16];
 
 fn payload(seed: u64) -> Payload {
-    [seed; 14]
+    [seed; 16]
 }
 
 fn smoke() -> bool {
@@ -524,6 +536,224 @@ fn dht_chain_append() -> Vec<(f64, f64)> {
     rows
 }
 
+/// Encodes per kind in the `record_encode` row.
+const ENCODE_REPS: u64 = 64;
+
+/// Allocations per encode for a record of each kind at the shape the
+/// workloads publish, and for a directory entry. Each encode is the
+/// record's one allocation: its exactly sized shared bytes.
+fn record_encode_allocs() -> Vec<(&'static str, f64)> {
+    let key = |name: &str| Key::from_name(name);
+    let records = [
+        (
+            "resource",
+            Record::Resource(ResourceRecord {
+                node: key("netbook-1"),
+                cpu_load: 0.35,
+                mem_free_mib: 412,
+                bandwidth_up_bps: 500_000.0,
+                bandwidth_down_bps: 900_000.0,
+                battery_pct: Some(62.0),
+                mandatory_free_mib: 900,
+                voluntary_free_mib: 4_000,
+                updated_at_ns: 600_000_000_000,
+            }),
+        ),
+        (
+            "object",
+            Record::Object(ObjectMeta {
+                name: "edonkey/jpeg/file-00042.jpeg".into(),
+                size_bytes: 2 << 20,
+                content_type: "jpeg".into(),
+                tags: vec!["topic-8".into(), "jpeg".into()],
+                location: Location::Home {
+                    node: key("netbook-2"),
+                },
+                private: false,
+                owner: key("netbook-2"),
+                acl: Acl::Public,
+                created_at_ns: 123_456_789,
+                replicas: vec![key("desktop"), key("netbook-0")],
+                ec: None,
+            }),
+        ),
+        (
+            "service",
+            Record::Service(ServiceRecord {
+                name: "face-detect".into(),
+                service_id: 11,
+                providers: vec![key("desktop"), key("netbook-0"), key("netbook-1")],
+                cloud_available: true,
+                policy: "performance".into(),
+            }),
+        ),
+        (
+            "stripe",
+            Record::Stripe(StripeRecord {
+                object: "videos/trip.avi".into(),
+                row: 4,
+                len: 700 << 10,
+                holder: key("netbook-3"),
+                checksum: 0xDEAD_BEEF,
+            }),
+        ),
+    ];
+    let entry = DirEntry {
+        name: "edonkey/jpeg/file-00042.jpeg".into(),
+        tombstone: false,
+    };
+    // The first encode on a thread sizes the reused buffer.
+    for (_, record) in &records {
+        std::hint::black_box(record.encode());
+    }
+    let per_encode = |encode: &dyn Fn() -> Arc<[u8]>| {
+        let before = allocations();
+        for _ in 0..ENCODE_REPS {
+            std::hint::black_box(encode());
+        }
+        (allocations() - before) as f64 / ENCODE_REPS as f64
+    };
+    let mut rows: Vec<(&'static str, f64)> = records
+        .iter()
+        .map(|(kind, record)| (*kind, per_encode(&|| record.encode())))
+        .collect();
+    rows.push(("dir_entry", per_encode(&|| entry.encode())));
+    rows
+}
+
+/// Nodes on the `dht_put_path` ring.
+const PUT_RING: usize = 16;
+
+/// What one counted put on the `dht_put_path` ring did.
+struct PutPath {
+    allocs: u64,
+    hops: u8,
+    /// Whether a later lookup was answered by a forwarding hop's cache with
+    /// the counted put's bytes (the put refreshed the cached copy).
+    cache_refreshed: bool,
+    replicas: usize,
+}
+
+/// An overwrite put on a chimera-only ring of [`PUT_RING`] nodes, each
+/// knowing only its leaf set, so the put walks the ring hop by hop. Every
+/// node has a recorder attached but switched off. The key is rooted half
+/// way round the ring from the origin; a lookup has cached it at every hop
+/// of the path, and the root replicates it to two leaf-set neighbours. The
+/// put's bytes exist before counting starts: the count runs from `put`
+/// until the origin has its `PutCompleted`.
+fn dht_put_path() -> PutPath {
+    let now = SimTime::ZERO;
+    let config = ChimeraConfig {
+        replication: 2,
+        ..ChimeraConfig::default()
+    };
+    let mut ids: Vec<Key> = (0..PUT_RING)
+        .map(|i| Key::from_name(&format!("path-{i}")))
+        .collect();
+    ids.sort_unstable();
+    let recorder = Recorder::new();
+    recorder.set_enabled(false);
+    let mut nodes: Vec<ChimeraNode> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| {
+            let mut node = ChimeraNode::new(id, config.clone());
+            node.set_telemetry(recorder.clone(), i as u64);
+            let view = (1..=config.leaf_size)
+                .flat_map(|d| [ids[(i + d) % PUT_RING], ids[(i + PUT_RING - d) % PUT_RING]]);
+            node.assemble(view, now);
+            while node.poll_event().is_some() {}
+            node
+        })
+        .collect();
+    let key = Key::from_raw(ids[PUT_RING / 2].raw() + 1);
+    let mut version = 0;
+    let mut put = |nodes: &mut Vec<ChimeraNode>, data: Arc<[u8]>| -> u8 {
+        version += 1;
+        nodes[0]
+            .put(key, data, OverwritePolicy::Overwrite, now)
+            .expect("assembled");
+        pump_overlay(nodes);
+        let mut hops = None;
+        while let Some(ev) = nodes[0].poll_event() {
+            if let DhtEvent::PutCompleted {
+                result: Ok(v),
+                hops: h,
+                ..
+            } = ev
+            {
+                assert_eq!(v, version, "put {version} answered with version {v}");
+                hops = Some(h);
+            }
+        }
+        hops.expect("the put was acknowledged")
+    };
+    let get = |nodes: &mut Vec<ChimeraNode>| -> Option<(StoredValue, bool)> {
+        nodes[0].get(key, now).expect("assembled");
+        pump_overlay(nodes);
+        std::iter::from_fn(|| nodes[0].poll_event()).find_map(|ev| match ev {
+            DhtEvent::GetCompleted {
+                value, from_cache, ..
+            } => value.map(|v| (v, from_cache)),
+            _ => None,
+        })
+    };
+    let record = |b: u8| -> Arc<[u8]> { Arc::from(vec![b; 53]) };
+    // Warm every buffer on the path, with the key cached along it.
+    put(&mut nodes, record(1));
+    assert!(get(&mut nodes).is_some_and(|(_, cached)| !cached));
+    put(&mut nodes, record(2));
+    let data = record(3);
+    let before = allocations();
+    let hops = put(&mut nodes, Arc::clone(&data));
+    let allocs = allocations() - before;
+    let cache_refreshed =
+        get(&mut nodes).is_some_and(|(v, cached)| cached && v.latest() == &data[..]);
+    let replicas = nodes
+        .iter()
+        .filter(|n| n.local_get(key).is_some_and(|v| v.latest() == &data[..]))
+        .count();
+    PutPath {
+        allocs,
+        hops,
+        cache_refreshed,
+        replicas,
+    }
+}
+
+/// Virtual time the `idle_publish` testbed runs before counting.
+const IDLE_WARM: Duration = Duration::from_secs(60);
+
+/// Virtual time the `idle_publish` row counts over.
+const IDLE_WINDOW: Duration = Duration::from_secs(600);
+
+/// The paper testbed left idle: (allocations, resource records published)
+/// over [`IDLE_WINDOW`] after [`IDLE_WARM`], recording off. The records
+/// are counted on a twin world with recording on, which publishes the
+/// same records (recording moves no virtual instant).
+fn idle_publish() -> (u64, u64) {
+    let config = Config::paper_testbed(2011);
+    let records = {
+        let mut home = Cloud4Home::new(config.clone());
+        home.set_tracing(true);
+        home.run_for(IDLE_WARM);
+        let encodes = |home: &Cloud4Home| {
+            home.telemetry()
+                .snapshot()
+                .counter("kvstore.record_encodes")
+        };
+        let before = encodes(&home);
+        home.run_for(IDLE_WINDOW);
+        encodes(&home) - before
+    };
+    let mut home = Cloud4Home::new(config);
+    home.set_tracing(false);
+    home.run_for(IDLE_WARM);
+    let before = allocations();
+    home.run_for(IDLE_WINDOW);
+    (allocations() - before, records)
+}
+
 /// Ring sizes of the `overlay_1k` rows.
 const OVERLAY_PEERS: [usize; 2] = [64, 1_000];
 
@@ -963,6 +1193,65 @@ fn main() {
         format!(
             "(peers, delivery allocs, route allocs) = {overlay_allocs:?}; a ping round and a \
              route call must not allocate at any ring size"
+        ),
+    );
+
+    // Counts, not clocks: a record is one allocation from its encode to its
+    // last replica.
+    let encodes = record_encode_allocs();
+    println!("record encodes, allocations per encode: {encodes:?}");
+    report.push_row(encodes.iter().map(|&(kind, n)| (kind, n.into())).collect());
+    report.check(
+        "record_encode_one_alloc",
+        encodes.iter().all(|&(_, n)| n == 1.0),
+        format!(
+            "allocations per encode {encodes:?}; an encode must be exactly its record's \
+             shared bytes (a writer grown from empty made 2-4 at these sizes)"
+        ),
+    );
+    let path = dht_put_path();
+    println!(
+        "dht put path @{PUT_RING} nodes: {} hops, {} allocs, cached copy refreshed: {}, \
+         {} holders of the new bytes",
+        path.hops, path.allocs, path.cache_refreshed, path.replicas
+    );
+    report.push_row(vec![
+        ("dht_put_hops", u64::from(path.hops).into()),
+        ("dht_put_allocs", path.allocs.into()),
+        ("dht_put_cache_refreshed", path.cache_refreshed.into()),
+        ("dht_put_holders", (path.replicas as u64).into()),
+    ]);
+    report.check(
+        "dht_put_zero_alloc",
+        path.allocs == 0 && path.hops >= 3 && path.cache_refreshed && path.replicas == 3,
+        format!(
+            "an overwrite put over {} hops made {} allocations inside the overlay (must be 0: \
+             the bytes are shared by every hop, cache, root and replica); a forwarding hop's \
+             cache refreshed: {} (must be true); root and replicas holding the new bytes: {} \
+             (must be 3)",
+            path.hops, path.allocs, path.cache_refreshed, path.replicas
+        ),
+    );
+    let (idle_allocs, idle_records) = idle_publish();
+    let per_record = idle_allocs as f64 / idle_records as f64;
+    println!(
+        "idle paper testbed, {}s after {}s warm-up, recording off: {idle_allocs} allocations \
+         for {idle_records} published records ({per_record:.2} per record)",
+        IDLE_WINDOW.as_secs(),
+        IDLE_WARM.as_secs()
+    );
+    report.push_row(vec![
+        ("idle_publish_allocs", idle_allocs.into()),
+        ("idle_publish_records", idle_records.into()),
+        ("idle_publish_allocs_per_record", per_record.into()),
+    ]);
+    report.check(
+        "idle_publish_allocs_per_record",
+        idle_records > 0 && per_record <= 1.1,
+        format!(
+            "the idle testbed made {idle_allocs} allocations for {idle_records} published \
+             records ({per_record:.2} per record, must stay <= 1.1: one for the record's \
+             bytes, the rest the event wheel's bucket adoptions)"
         ),
     );
 

@@ -5,7 +5,10 @@
 //! library holds the statistics and scheduling utilities they share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::backtrace::Backtrace;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use c4h_chimera::ChimeraNode;
@@ -26,14 +29,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// heap acquisitions it performed. Counts allocations and reallocations
 /// (the events a steady-state hot path must not produce); frees are not
 /// counted. Relaxed ordering is fine — the benches are single-threaded
-/// and only need a consistent total at the two read points.
+/// and only need a consistent total at the two read points. Inside a
+/// [`census`] window it also records where each allocation came from.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation unchanged to `System`; the counter
-// update has no effect on the returned memory.
+// update and the census capture have no effect on the returned memory. The
+// capture allocates through this allocator again, but only once per
+// outer call (`IN_CENSUS` turns the nested calls into plain delegation),
+// and it does not panic: a poisoned stack lock skips the push.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        census_note();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        census_note();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,6 +61,51 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// global allocator.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Whether a [`census`] window is open.
+static CENSUS_OPEN: AtomicBool = AtomicBool::new(false);
+
+/// The stacks a [`census`] window captured, one per allocation.
+static CENSUS_STACKS: Mutex<Vec<Backtrace>> = Mutex::new(Vec::new());
+
+thread_local! {
+    /// Set while this thread captures a stack: the capture allocates
+    /// itself, and those allocations are the census's, not the program's.
+    static IN_CENSUS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Captures the current stack into the open census window, if any.
+fn census_note() {
+    if !CENSUS_OPEN.load(Ordering::Relaxed) {
+        return;
+    }
+    IN_CENSUS.with(|busy| {
+        if busy.replace(true) {
+            return;
+        }
+        let stack = Backtrace::force_capture();
+        // A poisoned lock means the census's owner panicked; the stack is
+        // dropped rather than panicking inside the allocator.
+        if let Ok(mut stacks) = CENSUS_STACKS.lock() {
+            stacks.push(stack);
+        }
+        busy.set(false);
+    });
+}
+
+/// Runs `f` with an allocation census open and returns its result with
+/// one captured stack per heap acquisition (alloc or realloc) `f` made.
+/// Only binaries that install [`CountingAlloc`] capture anything. Stacks
+/// are captured unresolved; formatting one resolves its symbols.
+pub fn census<R>(f: impl FnOnce() -> R) -> (R, Vec<Backtrace>) {
+    let lock = || CENSUS_STACKS.lock().expect("no census window panicked");
+    lock().clear();
+    CENSUS_OPEN.store(true, Ordering::Relaxed);
+    let out = f();
+    CENSUS_OPEN.store(false, Ordering::Relaxed);
+    let stacks = std::mem::take(&mut *lock());
+    (out, stacks)
 }
 
 /// Sample mean and (population) standard deviation.

@@ -5,6 +5,8 @@
 //! and produces envelopes; the simulation runtime (or any other transport)
 //! moves them between nodes.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::key::Key;
@@ -66,8 +68,9 @@ pub enum Message {
         origin: Key,
         /// The record key.
         key: Key,
-        /// The new value bytes.
-        data: Vec<u8>,
+        /// The new value bytes, shared with the putter and every hop, cache,
+        /// root and replica the put reaches.
+        data: Arc<[u8]>,
         /// What to do if the key already exists.
         policy: OverwritePolicy,
         /// Hops taken so far.

@@ -15,6 +15,7 @@
 //! value").
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use c4h_simnet::FxHashMap;
 use std::time::Duration;
@@ -241,6 +242,8 @@ pub struct ChimeraNode {
     stats: NodeStats,
     telemetry: Option<(Recorder, u64)>,
     req_spans: FxHashMap<ReqId, SpanId>,
+    /// Replica targets of the record being replicated, refilled per record.
+    targets: Vec<Key>,
 }
 
 impl ChimeraNode {
@@ -268,6 +271,7 @@ impl ChimeraNode {
             stats: NodeStats::default(),
             telemetry: None,
             req_spans: FxHashMap::default(),
+            targets: Vec::new(),
         }
     }
 
@@ -279,9 +283,11 @@ impl ChimeraNode {
         self.telemetry = Some((recorder, track));
     }
 
-    /// Opens the span for an originated request.
+    /// Opens the span for an originated request. With recording off this
+    /// costs the recorder's one relaxed load: the span's args are built only
+    /// for a recorder that keeps them.
     fn open_req_span(&mut self, req: ReqId, name: &'static str, now: SimTime) {
-        if let Some((rec, track)) = &self.telemetry {
+        if let Some((rec, track)) = self.telemetry.as_ref().filter(|(rec, _)| rec.enabled()) {
             let span = rec.begin_args(
                 "dht",
                 name,
@@ -480,6 +486,8 @@ impl ChimeraNode {
     }
 
     /// Issues a `put` of `data` under `key` with the given overwrite policy.
+    /// The bytes are shared, never copied, from here to the root's record,
+    /// the caches on the way and the replicas.
     ///
     /// Completion is reported via [`DhtEvent::PutCompleted`].
     ///
@@ -489,7 +497,7 @@ impl ChimeraNode {
     pub fn put(
         &mut self,
         key: Key,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         policy: OverwritePolicy,
         now: SimTime,
     ) -> Result<ReqId, DhtError> {
@@ -510,7 +518,7 @@ impl ChimeraNode {
             req,
             origin: self.id,
             key,
-            data,
+            data: data.into(),
             policy,
             hops: 0,
         };
@@ -822,7 +830,7 @@ impl ChimeraNode {
         req: ReqId,
         origin: Key,
         key: Key,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         policy: OverwritePolicy,
         hops: u8,
         _now: SimTime,
@@ -886,9 +894,7 @@ impl ChimeraNode {
                     self.store.remove(key).is_some() | self.replicas.remove(key).is_some();
                 self.cache.invalidate(key);
                 // Tombstone replicas and any caches on the reply path.
-                for target in self.leaf.replica_targets(self.config.replication) {
-                    self.send(target, Message::Expunge { key });
-                }
+                self.send_to_replicas(|| Message::Expunge { key });
                 let reply = Message::DeleteOk {
                     req,
                     existed,
@@ -1190,15 +1196,21 @@ impl ChimeraNode {
 
     /// Pushes a record to its replica targets.
     fn replicate_record(&mut self, key: Key, value: StoredValue) {
-        for target in self.leaf.replica_targets(self.config.replication) {
-            self.send(
-                target,
-                Message::Replicate {
-                    key,
-                    value: value.clone(),
-                },
-            );
+        self.send_to_replicas(|| Message::Replicate {
+            key,
+            value: value.clone(),
+        });
+    }
+
+    /// Sends one `msg()` to each replica target of a record rooted here.
+    fn send_to_replicas(&mut self, mut msg: impl FnMut() -> Message) {
+        let mut targets = std::mem::take(&mut self.targets);
+        self.leaf
+            .fill_replica_targets(self.config.replication, &mut targets);
+        for &target in &targets {
+            self.send(target, msg());
         }
+        self.targets = targets;
     }
 
     /// Re-replicates every owned record (after membership changes).

@@ -190,34 +190,23 @@ impl LeafSet {
     }
 
     /// Replica targets for a record rooted at the owner: the `n` nearest
-    /// distinct neighbours, alternating sides.
-    pub fn replica_targets(&self, n: usize) -> Vec<Key> {
-        let mut out = Vec::new();
-        let mut li = self.right.iter();
-        let mut ri = self.left.iter();
+    /// distinct neighbours, alternating sides, written over `out`. The
+    /// caller reuses `out`, so a node replicating record after record grows
+    /// it once.
+    pub fn fill_replica_targets(&self, n: usize, out: &mut Vec<Key>) {
+        out.clear();
+        let (mut right, mut left) = (self.right.iter(), self.left.iter());
         while out.len() < n {
-            let mut advanced = false;
-            if let Some(&k) = li.next() {
-                if !out.contains(&k) {
-                    out.push(k);
-                }
-                advanced = true;
-            }
-            if out.len() >= n {
+            let (r, l) = (right.next(), left.next());
+            if r.is_none() && l.is_none() {
                 break;
             }
-            if let Some(&k) = ri.next() {
-                if !out.contains(&k) {
+            for &k in r.into_iter().chain(l) {
+                if out.len() < n && !out.contains(&k) {
                     out.push(k);
                 }
-                advanced = true;
-            }
-            if !advanced {
-                break;
             }
         }
-        out.truncate(n);
-        out
     }
 }
 
@@ -377,7 +366,8 @@ mod tests {
         let peers = tree(&[0x6000000000, 0x7000000000, 0x9000000000, 0xA000000000]);
         let mut leaf = LeafSet::new();
         leaf.rebuild(owner, &peers, 2);
-        let reps = leaf.replica_targets(3);
+        let mut reps = vec![Key::from_raw(1); 5];
+        leaf.fill_replica_targets(3, &mut reps);
         assert_eq!(
             reps,
             vec![
@@ -386,7 +376,8 @@ mod tests {
                 Key::from_raw(0xA000000000),
             ]
         );
-        assert_eq!(leaf.replica_targets(0), Vec::<Key>::new());
+        leaf.fill_replica_targets(0, &mut reps);
+        assert_eq!(reps, Vec::<Key>::new());
     }
 
     #[test]
@@ -433,7 +424,8 @@ mod tests {
 }
 
 /// The allocating replica-target loop, kept verbatim as the oracle for the
-/// node's buffer-filling call (CI runs these by name: `record_oracle`).
+/// buffer-filling [`LeafSet::fill_replica_targets`] (CI runs these by name:
+/// `record_oracle`).
 #[cfg(test)]
 mod record_oracle {
     use super::*;
@@ -488,8 +480,13 @@ mod record_oracle {
                 .collect();
             let mut leaf = LeafSet::new();
             leaf.rebuild(owner, &peers, size);
+            // One buffer for every call, as a node reuses it record after
+            // record: what an earlier call left in it must not show.
+            let mut buf = Vec::new();
             for n in wants {
-                prop_assert_eq!(leaf.replica_targets(n), old_replica_targets(&leaf, n));
+                let want = old_replica_targets(&leaf, n);
+                leaf.fill_replica_targets(n, &mut buf);
+                prop_assert_eq!(&buf, &want);
             }
         }
     }

@@ -47,11 +47,11 @@ impl std::fmt::Display for PutError {
 
 impl std::error::Error for PutError {}
 
-/// One version in a record's chain. Immutable once built: an append makes a
-/// new link in front of it, so every copy taken earlier keeps seeing exactly
-/// the chain it was cloned from.
+/// One older version in a record's chain. Immutable once built: an append
+/// makes a new link in front of it, so every copy taken earlier keeps seeing
+/// exactly the chain it was cloned from.
 struct Link {
-    data: Vec<u8>,
+    data: Arc<[u8]>,
     prev: Option<Arc<Link>>,
 }
 
@@ -73,23 +73,28 @@ impl Drop for Link {
 /// A stored record: the chain of versions plus a monotonically increasing
 /// version counter used for cache freshness.
 ///
-/// The chain is persistent — newest-first links whose tail is shared between
-/// copies — so a clone is a reference-count bump and a chained append
-/// allocates one link however long the chain is. Records are copied at every
-/// hop they travel (replication, key transfer, get replies, caches), and none
-/// of those copies may grow with the directory they carry.
+/// The newest version is the very bytes its put carried, shared with every
+/// hop, cache and replica the put reached; the older versions are
+/// persistent newest-first links whose tail is shared between copies. So a
+/// clone is two reference-count bumps, an overwrite allocates nothing, and
+/// a chained append allocates one link (for the version it pushes down)
+/// however long the chain is. Records are copied at every hop they travel
+/// (replication, key transfer, get replies, caches), and none of those
+/// copies may grow with the directory they carry.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct StoredValue {
-    head: Option<Arc<Link>>,
+    latest: Option<Arc<[u8]>>,
+    older: Option<Arc<Link>>,
     len: usize,
     version: u64,
 }
 
 impl StoredValue {
     /// Creates a record holding a single initial version.
-    pub fn initial(data: Vec<u8>) -> Self {
+    pub fn initial(data: impl Into<Arc<[u8]>>) -> Self {
         StoredValue {
-            head: Some(Arc::new(Link { data, prev: None })),
+            latest: Some(data.into()),
+            older: None,
             len: 1,
             version: 1,
         }
@@ -97,18 +102,19 @@ impl StoredValue {
 
     /// The newest version's bytes.
     pub fn latest(&self) -> &[u8] {
-        self.head.as_deref().map_or(&[], |l| l.data.as_slice())
+        self.latest.as_deref().unwrap_or(&[])
     }
 
-    /// The links, newest first.
+    /// The older versions' links, newest first.
     fn links(&self) -> impl Iterator<Item = &Link> {
-        std::iter::successors(self.head.as_deref(), |l| l.prev.as_deref())
+        std::iter::successors(self.older.as_deref(), |l| l.prev.as_deref())
     }
 
     /// All versions, oldest first (length 1 unless chained).
     pub fn versions(&self) -> Vec<&[u8]> {
         let mut out = Vec::with_capacity(self.len);
-        out.extend(self.links().map(|l| l.data.as_slice()));
+        out.extend(self.latest.as_deref());
+        out.extend(self.links().map(|l| &*l.data));
         out.reverse();
         out
     }
@@ -118,22 +124,35 @@ impl StoredValue {
         self.version
     }
 
-    /// Applies an update under `policy`.
+    /// Applies an update under `policy`, keeping `data` itself (not a copy)
+    /// as the newest version.
     ///
     /// # Errors
     ///
     /// Returns [`PutError::Exists`] under [`OverwritePolicy::Error`] when a
     /// value is already present.
-    pub fn apply(&mut self, data: Vec<u8>, policy: OverwritePolicy) -> Result<(), PutError> {
-        let prev = match policy {
+    pub fn apply(
+        &mut self,
+        data: impl Into<Arc<[u8]>>,
+        policy: OverwritePolicy,
+    ) -> Result<(), PutError> {
+        match policy {
             OverwritePolicy::Overwrite => {
+                self.older = None;
                 self.len = 0;
-                None
             }
-            OverwritePolicy::Chain => self.head.take(),
+            OverwritePolicy::Chain => {
+                if let Some(prev) = self.latest.take() {
+                    let link = Link {
+                        data: prev,
+                        prev: self.older.take(),
+                    };
+                    self.older = Some(Arc::new(link));
+                }
+            }
             OverwritePolicy::Error => return Err(PutError::Exists),
-        };
-        self.head = Some(Arc::new(Link { data, prev }));
+        }
+        self.latest = Some(data.into());
         self.len += 1;
         self.version += 1;
         Ok(())
@@ -146,6 +165,7 @@ impl PartialEq for StoredValue {
     fn eq(&self, other: &Self) -> bool {
         self.version == other.version
             && self.len == other.len
+            && self.latest == other.latest
             && self
                 .links()
                 .zip(other.links())
@@ -205,7 +225,7 @@ impl LocalStore {
     pub fn put(
         &mut self,
         key: Key,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         policy: OverwritePolicy,
     ) -> Result<u64, PutError> {
         match self.records.get_mut(&key) {
@@ -340,11 +360,12 @@ impl MetaCache {
 
     /// Applies an update flowing through this hop to an existing cache entry
     /// ("whenever a key-value entry is modified, the corresponding caches
-    /// are also updated"). Entries not present are not created.
-    pub fn update_in_place(&mut self, key: Key, data: &[u8], policy: OverwritePolicy) {
+    /// are also updated"). Entries not present are not created. The entry
+    /// shares `data` with the update; nothing is copied.
+    pub fn update_in_place(&mut self, key: Key, data: &Arc<[u8]>, policy: OverwritePolicy) {
         if let Some(v) = self.entries.get_mut(&key) {
             // A failed apply under `Error` means the cached copy is current.
-            let _ = v.apply(data.to_vec(), policy);
+            let _ = v.apply(Arc::clone(data), policy);
         }
     }
 
@@ -393,15 +414,21 @@ mod tests {
         let mut rec = StoredValue::initial(b"a".to_vec());
         rec.apply(b"b".to_vec(), OverwritePolicy::Chain).unwrap();
         let copy = rec.clone();
-        let head = |v: &StoredValue| v.head.clone().expect("non-empty");
+        let latest = |v: &StoredValue| v.latest.clone().expect("non-empty");
+        let older = |v: &StoredValue| v.older.clone().expect("chained");
         assert!(
-            Arc::ptr_eq(&head(&rec), &head(&copy)),
+            Arc::ptr_eq(&latest(&rec), &latest(&copy)) && Arc::ptr_eq(&older(&rec), &older(&copy)),
             "clone copies no bytes"
         );
         rec.apply(b"c".to_vec(), OverwritePolicy::Chain).unwrap();
-        // The append put one link in front of the chain both still share.
-        let tail = head(&rec).prev.clone().expect("two older versions");
-        assert!(Arc::ptr_eq(&tail, &head(&copy)));
+        // The append pushed the shared newest version into one new link in
+        // front of the chain both still share.
+        let pushed = older(&rec);
+        assert!(Arc::ptr_eq(&pushed.data, &latest(&copy)));
+        assert!(Arc::ptr_eq(
+            pushed.prev.as_ref().expect("the oldest version"),
+            &older(&copy)
+        ));
         assert_eq!(copy.versions(), [b"a", b"b"]);
         assert_eq!(copy.version(), 2);
         assert_eq!(rec.versions(), [b"a", b"b", b"c"]);
@@ -526,11 +553,17 @@ mod tests {
     #[test]
     fn cache_update_in_place_only_touches_existing() {
         let mut c = MetaCache::new(4);
-        c.update_in_place(k(1), b"x", OverwritePolicy::Overwrite);
+        c.update_in_place(k(1), &Arc::from(*b"x"), OverwritePolicy::Overwrite);
         assert!(c.is_empty());
         c.insert(k(1), StoredValue::initial(b"a".to_vec()));
-        c.update_in_place(k(1), b"b", OverwritePolicy::Overwrite);
-        assert_eq!(c.lookup(k(1)).unwrap().latest(), b"b");
+        let update = Arc::from(*b"b");
+        c.update_in_place(k(1), &update, OverwritePolicy::Overwrite);
+        let hit = c.lookup(k(1)).unwrap();
+        assert_eq!(hit.latest(), b"b");
+        assert!(
+            Arc::ptr_eq(hit.latest.as_ref().unwrap(), &update),
+            "shared, not copied"
+        );
     }
 
     #[test]
@@ -724,7 +757,7 @@ mod record_oracle {
                         }
                     }
                     Step::CacheUpdate(data, policy) => {
-                        cache.update_in_place(key, &data, policy);
+                        cache.update_in_place(key, &Arc::from(data.as_slice()), policy);
                         if let Some(old) = &mut cached {
                             let _ = old.apply(data, policy);
                         }

@@ -463,7 +463,7 @@ proptest! {
                     ModelValue::install_over(&mut cache_model, model);
                 }
                 RecOp::CacheUpdate(data, policy) => {
-                    cache.update_in_place(key, &data, policy);
+                    cache.update_in_place(key, &data.as_slice().into(), policy);
                     if let Some(m) = &mut cache_model {
                         m.apply(data, policy);
                     }

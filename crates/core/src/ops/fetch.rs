@@ -397,10 +397,12 @@ impl Cloud4Home {
     fn note_failover(&mut self, op: &mut OpCore, detail: Option<(&'static str, ArgValue)>) {
         op.failovers += 1;
         self.stats.fetch_failovers += 1;
-        let mut args = Vec::with_capacity(2);
-        args.push(("object", ArgValue::from(op.name.as_str())));
-        args.extend(detail);
-        self.op_instant(op, "fetch.failover", args);
+        self.op_instant(op, "fetch.failover", || {
+            let mut args = Vec::with_capacity(2);
+            args.push(("object", ArgValue::from(op.name.as_str())));
+            args.extend(detail);
+            args
+        });
     }
 
     /// Nothing can serve the fetch right now, but something may later (a
@@ -492,16 +494,20 @@ impl Cloud4Home {
             self.abandon_stripes(op, f);
             return self.fetch_backoff(op, f, exhausted);
         };
-        let mut args = Vec::with_capacity(5);
-        args.push(("object", ArgValue::from(op.name.as_str())));
-        args.push(("stripe", ArgValue::from(u64::from(slot))));
         if let (Some(row), Some(ec)) = (row, f.plan.ec.as_mut()) {
             ec.slot_rows[slot as usize] = row;
-            args.push(("row", ArgValue::from(u64::from(row))));
         }
-        args.push(("via", ArgValue::from(self.nodes[holder].name.as_str())));
-        args.push(("why", ArgValue::from(why)));
-        self.op_instant(op, "fetch.stripe_reassign", args);
+        self.op_instant(op, "fetch.stripe_reassign", || {
+            let mut args = Vec::with_capacity(5);
+            args.push(("object", ArgValue::from(op.name.as_str())));
+            args.push(("stripe", ArgValue::from(u64::from(slot))));
+            if let (Some(row), Some(_)) = (row, &f.plan.ec) {
+                args.push(("row", ArgValue::from(u64::from(row))));
+            }
+            args.push(("via", ArgValue::from(self.nodes[holder].name.as_str())));
+            args.push(("why", ArgValue::from(why)));
+            args
+        });
         let cause = std::mem::take(&mut op.ledger_cause);
         self.ledger_op(
             op.id,
@@ -711,18 +717,16 @@ impl Cloud4Home {
             let skipped = ArgValue::from(self.nodes[primary].name.as_str());
             self.note_failover(op, Some(("skipped", skipped)));
         }
-        let order: Vec<&str> = candidates
-            .iter()
-            .map(|&j| self.nodes[j].name.as_str())
-            .collect();
-        self.op_instant(
-            op,
-            "fetch.rank",
+        self.op_instant(op, "fetch.rank", || {
+            let order: Vec<&str> = candidates
+                .iter()
+                .map(|&j| self.nodes[j].name.as_str())
+                .collect();
             vec![
                 ("object", ArgValue::from(op.name.as_str())),
                 ("order", ArgValue::from(order.join(",").as_str())),
-            ],
-        );
+            ]
+        });
         // Typed counters mirroring the instant's payload, so dashboards can
         // aggregate without parsing trace args.
         self.telemetry.add("fetch.rank.events", 1);
@@ -743,15 +747,13 @@ impl Cloud4Home {
     fn stripe_plan_begin(&mut self, op: &mut OpCore, f: &mut Fetch, stripes: u64, size: u64) {
         f.plan.total = stripes as u32;
         self.stats.striped_fetches += 1;
-        self.op_instant(
-            op,
-            "fetch.stripe_plan",
+        self.op_instant(op, "fetch.stripe_plan", || {
             vec![
                 ("object", ArgValue::from(op.name.as_str())),
                 ("stripes", ArgValue::from(stripes)),
                 ("bytes", ArgValue::from(size)),
-            ],
-        );
+            ]
+        });
         self.enter(op, Stage::FetchStriped);
     }
 
@@ -1019,9 +1021,7 @@ impl Cloud4Home {
             return;
         }
         self.stats.hedged_fetches += 1;
-        self.op_instant(
-            op,
-            "fetch.hedge",
+        self.op_instant(op, "fetch.hedge", || {
             vec![
                 ("object", ArgValue::from(op.name.as_str())),
                 ("stripe", ArgValue::from(u64::from(flight.stripe))),
@@ -1032,8 +1032,8 @@ impl Cloud4Home {
                 ("via", ArgValue::from(self.nodes[idle].name.as_str())),
                 ("eta_us", ArgValue::from((slowest_eta * 1e6) as u64)),
                 ("est_us", ArgValue::from((est * 1e6) as u64)),
-            ],
-        );
+            ]
+        });
         // Typed counter + histograms mirroring the instant's payload.
         self.telemetry.add("fetch.hedge.events", 1);
         self.telemetry
@@ -1168,16 +1168,14 @@ impl Cloud4Home {
         viable.truncate(k);
         let slot_rows = viable;
         self.stats.striped_fetches += 1;
-        self.op_instant(
-            op,
-            "fetch.ec_plan",
+        self.op_instant(op, "fetch.ec_plan", || {
             vec![
                 ("object", ArgValue::from(op.name.as_str())),
                 ("k", ArgValue::from(u64::from(layout.k))),
                 ("m", ArgValue::from(u64::from(layout.m))),
                 ("stripe_len", ArgValue::from(stripe_len)),
-            ],
-        );
+            ]
+        });
         self.enter(op, Stage::FetchStriped);
         f.candidates.clear();
         f.plan.total = k as u32;

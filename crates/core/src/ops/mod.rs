@@ -50,7 +50,7 @@ use c4h_kvstore::{
     directory_key, object_key, parent_dir, DirEntry, Location, ObjectMeta, Record, ResourceRecord,
 };
 use c4h_simnet::{FlowId, FxHashMap, SimTime, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, PathBucket, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, Args, CauseKind, PathBucket, LEDGER_NONE};
 
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
@@ -690,11 +690,12 @@ impl Cloud4Home {
             return;
         };
         let Op { core, family } = &mut op;
-        let args = vec![
-            ("stage", ArgValue::from(core.stage.info().name)),
-            ("why", ArgValue::from(why)),
-        ];
-        self.op_instant(core, "op.transfer_failed", args);
+        self.op_instant(core, "op.transfer_failed", || {
+            vec![
+                ("stage", ArgValue::from(core.stage.info().name)),
+                ("why", ArgValue::from(why)),
+            ]
+        });
         // Causal ledger: the severed transfer is the inducing event for
         // whatever recovery decision follows in this call chain.
         let cause = std::mem::take(&mut core.ledger_cause);
@@ -961,10 +962,14 @@ impl Cloud4Home {
     }
 
     /// Marks a decision of the op's machine on the op's own track, at the
-    /// current instant.
-    fn op_instant(&self, op: &OpCore, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
-        self.telemetry
-            .instant_args("op", name, op.id.0, self.now().as_nanos(), args);
+    /// current instant. `args` runs only while recording is on: with it
+    /// off, an instant costs the recorder's one relaxed load, not the
+    /// vectors and strings of its payload.
+    fn op_instant(&self, op: &OpCore, name: &'static str, args: impl FnOnce() -> Args) {
+        if self.telemetry.enabled() {
+            self.telemetry
+                .instant_args("op", name, op.id.0, self.now().as_nanos(), args());
+        }
     }
 
     /// Counts and traces one reissue of the metadata request `op.stage`
@@ -972,16 +977,18 @@ impl Cloud4Home {
     fn note_dht_retry(&mut self, op: &mut OpCore) {
         op.retries += 1;
         self.stats.dht_retries += 1;
-        self.telemetry.instant_args(
-            "dht",
-            "dht.retry",
-            op.id.0,
-            self.now().as_nanos(),
-            vec![
-                ("stage", ArgValue::from(op.stage.info().name)),
-                ("retries", ArgValue::from(u64::from(op.retries))),
-            ],
-        );
+        if self.telemetry.enabled() {
+            self.telemetry.instant_args(
+                "dht",
+                "dht.retry",
+                op.id.0,
+                self.now().as_nanos(),
+                vec![
+                    ("stage", ArgValue::from(op.stage.info().name)),
+                    ("retries", ArgValue::from(u64::from(op.retries))),
+                ],
+            );
+        }
     }
 
     /// Starts a round of resource-record lookups from the op's client.

@@ -505,18 +505,16 @@ impl Cloud4Home {
             p.exec_target = Some(next);
             op.failovers += 1;
             self.stats.proc_redispatches += 1;
-            let target_desc = match next {
-                ExecTarget::Node(j) => self.nodes[j].name.clone(),
-                ExecTarget::Cloud => "cloud".to_owned(),
-            };
-            self.op_instant(
-                op,
-                "proc.redispatch",
+            self.op_instant(op, "proc.redispatch", || {
+                let target = match next {
+                    ExecTarget::Node(j) => self.nodes[j].name.as_str(),
+                    ExecTarget::Cloud => "cloud",
+                };
                 vec![
                     ("object", ArgValue::from(op.name.as_str())),
-                    ("target", ArgValue::from(target_desc)),
-                ],
-            );
+                    ("target", ArgValue::from(target)),
+                ]
+            });
             p.pipeline_idx = 0;
             p.output = None;
             p.staged = None;

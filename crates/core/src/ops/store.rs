@@ -358,15 +358,13 @@ impl Cloud4Home {
                 let short = (want - got) as u32;
                 op.partial_replication += short;
                 self.stats.partial_replication += u64::from(short);
-                self.op_instant(
-                    op,
-                    "store.partial_replication",
+                self.op_instant(op, "store.partial_replication", || {
                     vec![
                         ("object", ArgValue::from(op.name.as_str())),
                         ("want", ArgValue::from(want as u64)),
                         ("got", ArgValue::from(got as u64)),
-                    ],
-                );
+                    ]
+                });
             }
         }
         self.store_begin_fanout(op, st)
@@ -403,14 +401,12 @@ impl Cloud4Home {
                 op.failovers += 1;
                 op.partial_replication += 1;
                 self.stats.partial_replication += 1;
-                self.op_instant(
-                    op,
-                    "store.replica_skip",
+                self.op_instant(op, "store.replica_skip", || {
                     vec![
                         ("object", ArgValue::from(op.name.as_str())),
                         ("skipped", ArgValue::from(self.nodes[target].name.as_str())),
-                    ],
-                );
+                    ]
+                });
                 continue;
             }
             let src = self.nodes[primary].addr;
@@ -462,14 +458,12 @@ impl Cloud4Home {
             let detached = st.replica_flows.len() as u64;
             self.detach_fanout(op, st);
             self.stats.quorum_publishes += 1;
-            self.op_instant(
-                op,
-                "store.quorum_publish",
+            self.op_instant(op, "store.quorum_publish", || {
                 vec![
                     ("object", ArgValue::from(op.name.as_str())),
                     ("copies", ArgValue::from(1 + st.replicas_done.len() as u64)),
-                ],
-            );
+                ]
+            });
             self.ledger_op(
                 op.id,
                 CauseKind::QuorumDetach,

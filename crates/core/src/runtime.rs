@@ -1541,7 +1541,7 @@ impl Cloud4Home {
     }
 
     /// Issues a DHT put from node `i` on behalf of an operation.
-    pub(crate) fn dht_put_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
+    pub(crate) fn dht_put_for_op(&mut self, op: OpId, i: usize, key: Key, value: Arc<[u8]>) {
         let now = self.now();
         let req = self
             .overlay_mut(i)
@@ -1552,7 +1552,7 @@ impl Cloud4Home {
 
     /// Issues a chained DHT put (the `Chain` overwrite policy) from node
     /// `i` on behalf of an operation — used for directory entry chains.
-    pub(crate) fn dht_chain_for_op(&mut self, op: OpId, i: usize, key: Key, value: Vec<u8>) {
+    pub(crate) fn dht_chain_for_op(&mut self, op: OpId, i: usize, key: Key, value: Arc<[u8]>) {
         let now = self.now();
         let req = self
             .overlay_mut(i)

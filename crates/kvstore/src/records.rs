@@ -14,11 +14,13 @@
 //!
 //! All three encode to the hand-rolled wire format in [`crate::wire`].
 
+use std::sync::Arc;
+
 use c4h_chimera::Key;
 use c4h_simnet::Sym;
 use serde::{Deserialize, Serialize};
 
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::{encode_shared, WireError, WireReader, WireWriter};
 
 /// Schema version stamped into every encoded record.
 pub const SCHEMA_VERSION: u8 = 1;
@@ -534,11 +536,11 @@ pub struct DirEntry {
 }
 
 impl DirEntry {
-    /// Serializes the entry.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.bool(self.tombstone).string(self.name.as_str());
-        w.into_bytes()
+    /// Serializes the entry into one exactly sized shared allocation.
+    pub fn encode(&self) -> Arc<[u8]> {
+        encode_shared(|w| {
+            w.bool(self.tombstone).string(self.name.as_str());
+        })
     }
 
     /// Parses an entry.
@@ -589,28 +591,27 @@ pub enum Record {
 }
 
 impl Record {
-    /// Serializes the record to its wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
+    /// Serializes the record to its wire form: one allocation of exactly
+    /// the encoded length, shared by every copy the DHT makes of it.
+    pub fn encode(&self) -> Arc<[u8]> {
+        let bytes = encode_shared(|w| match self {
             Record::Object(o) => {
                 w.tag(TAG_OBJECT).tag(SCHEMA_VERSION);
-                o.encode_body(&mut w);
+                o.encode_body(w);
             }
             Record::Service(s) => {
                 w.tag(TAG_SERVICE).tag(SCHEMA_VERSION);
-                s.encode_body(&mut w);
+                s.encode_body(w);
             }
             Record::Resource(r) => {
                 w.tag(TAG_RESOURCE).tag(SCHEMA_VERSION);
-                r.encode_body(&mut w);
+                r.encode_body(w);
             }
             Record::Stripe(s) => {
                 w.tag(TAG_STRIPE).tag(SCHEMA_VERSION);
-                s.encode_body(&mut w);
+                s.encode_body(w);
             }
-        }
-        let bytes = w.into_bytes();
+        });
         c4h_telemetry::add("kvstore.record_encodes", 1);
         c4h_telemetry::observe("kvstore.record_bytes", bytes.len() as u64);
         bytes
@@ -757,7 +758,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_rejected() {
-        let mut bytes = Record::Object(sample_object()).encode();
+        let mut bytes = Record::Object(sample_object()).encode().to_vec();
         bytes[1] = 99;
         assert_eq!(
             Record::decode(&bytes).unwrap_err(),
@@ -776,7 +777,8 @@ mod tests {
             cloud_available: false,
             policy: "performance".into(),
         })
-        .encode();
+        .encode()
+        .to_vec();
         bytes.push(0);
         assert!(matches!(
             Record::decode(&bytes).unwrap_err(),
@@ -785,7 +787,7 @@ mod tests {
         // …while an object record treats trailing bytes as the EC
         // extension, so garbage there surfaces as a malformed extension
         // rather than silently decoding.
-        let mut bytes = Record::Object(sample_object()).encode();
+        let mut bytes = Record::Object(sample_object()).encode().to_vec();
         bytes.push(0);
         assert!(Record::decode(&bytes).is_err());
     }
@@ -858,7 +860,7 @@ mod tests {
         for rep in &o.replicas {
             w.u64(rep.raw());
         }
-        assert_eq!(Record::Object(o).encode(), w.into_bytes());
+        assert_eq!(*Record::Object(o).encode(), *w.into_bytes());
     }
 
     #[test]
@@ -910,7 +912,7 @@ mod tests {
         w.u64(700 << 10);
         w.u64(Key::from_name("netbook-3").raw());
         w.u64(0xDEAD_BEEF);
-        assert_eq!(rec.encode(), w.into_bytes());
+        assert_eq!(*rec.encode(), *w.into_bytes());
 
         // Directory entry: tombstone byte then the name string.
         let entry = DirEntry {
@@ -919,7 +921,7 @@ mod tests {
         };
         let mut w = WireWriter::new();
         w.bool(false).string("camera/front/img-17.jpg");
-        assert_eq!(entry.encode(), w.into_bytes());
+        assert_eq!(*entry.encode(), *w.into_bytes());
     }
 
     #[test]
@@ -1062,7 +1064,7 @@ mod dir_tests {
 
     #[test]
     fn fold_listing_applies_tombstones_in_order() {
-        let adds: Vec<Vec<u8>> = ["a", "b", "a", "c"]
+        let adds: Vec<Arc<[u8]>> = ["a", "b", "a", "c"]
             .iter()
             .map(|n| {
                 DirEntry {
@@ -1082,7 +1084,7 @@ mod dir_tests {
             tombstone: false,
         }
         .encode();
-        let mut chain: Vec<&[u8]> = adds.iter().map(Vec::as_slice).collect();
+        let mut chain: Vec<&[u8]> = adds.iter().map(|a| &**a).collect();
         chain.push(&del);
         assert_eq!(
             DirEntry::fold_listing(chain.iter().copied()),

@@ -7,6 +7,9 @@
 //! serialization framework is used, keeping the wire format byte-exact and
 //! inspectable.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 /// Errors produced while decoding wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -36,6 +39,26 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+thread_local! {
+    /// The writer every record is encoded into before its one copy into
+    /// shared bytes. It keeps the capacity of the largest record so far, so
+    /// a steady stream of records grows nothing.
+    static SCRATCH: RefCell<WireWriter> = const { RefCell::new(WireWriter::new()) };
+}
+
+/// Runs `write` on a cleared, reused writer and returns what it wrote as
+/// shared bytes: one allocation of exactly the encoded length, which every
+/// later copy of the record (DHT hops, caches, root, replicas) shares by
+/// reference count. A fresh writer would grow 8 → 16 → 32 → 64 bytes for a
+/// 53-byte record and keep the slack.
+pub(crate) fn encode_shared(write: impl FnOnce(&mut WireWriter)) -> Arc<[u8]> {
+    SCRATCH.with_borrow_mut(|w| {
+        w.buf.clear();
+        write(w);
+        Arc::from(w.buf.as_slice())
+    })
+}
+
 /// Append-only writer for the wire format.
 #[derive(Debug, Default)]
 pub struct WireWriter {
@@ -44,8 +67,8 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
-        WireWriter::default()
+    pub const fn new() -> Self {
+        WireWriter { buf: Vec::new() }
     }
 
     /// Consumes the writer, returning the encoded bytes.
