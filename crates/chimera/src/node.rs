@@ -293,7 +293,7 @@ impl ChimeraNode {
                 name,
                 *track,
                 now.as_nanos(),
-                vec![("req", ArgValue::from(req))],
+                [("req", ArgValue::from(req))],
             );
             if !span.is_none() {
                 self.req_spans.insert(req, span);
@@ -312,7 +312,7 @@ impl ChimeraNode {
             rec.end_args(
                 span,
                 now.as_nanos(),
-                vec![
+                [
                     ("hops", ArgValue::from(u64::from(hops))),
                     ("ok", ArgValue::from(ok)),
                 ],

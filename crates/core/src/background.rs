@@ -289,9 +289,9 @@ impl Cloud4Home {
             "fanout.replica",
             FANOUT_TRACK_BASE + flow.raw(),
             started.as_nanos(),
-            vec![
+            [
                 ("object", ArgValue::from(name.as_str())),
-                ("dst", ArgValue::from(self.nodes[dst].name.as_str())),
+                ("dst", ArgValue::from(self.nodes[dst].name_sym.as_str())),
                 ("bytes", ArgValue::from(bytes)),
             ],
         );
@@ -397,7 +397,7 @@ impl Cloud4Home {
         self.telemetry.end_args(
             span,
             self.now().as_nanos(),
-            vec![("installed", ArgValue::from(installed))],
+            [("installed", ArgValue::from(installed))],
         );
     }
 
@@ -615,10 +615,10 @@ impl Cloud4Home {
             "repair",
             REPAIR_TRACK_BASE + pending[0].0.raw(),
             self.now().as_nanos(),
-            vec![
+            [
                 ("object", ArgValue::from(name.as_str())),
-                ("src", ArgValue::from(self.nodes[src].name.as_str())),
-                ("dst", ArgValue::from(self.nodes[dst].name.as_str())),
+                ("src", ArgValue::from(self.nodes[src].name_sym.as_str())),
+                ("dst", ArgValue::from(self.nodes[dst].name_sym.as_str())),
                 ("bytes", ArgValue::from(size)),
             ],
         );
@@ -925,7 +925,7 @@ impl Cloud4Home {
             "adaptive.ec_convert",
             RUNTIME_TRACK,
             now.as_nanos(),
-            vec![
+            [
                 ("object", ArgValue::from(name.as_str())),
                 ("k", ArgValue::from(k as u64)),
                 ("m", ArgValue::from(m as u64)),

@@ -187,7 +187,7 @@ fn explain_json(report: &OpReport) -> String {
             "{{\"seq\":{},\"cause\":{},\"ts_ns\":{},\"kind\":\"",
             ev.seq, ev.cause, ev.ts_ns
         );
-        escape_into(&mut out, &ev.kind);
+        escape_into(&mut out, ev.kind);
         let _ = write!(out, "\",\"a\":{},\"b\":{}}}", ev.a, ev.b);
     }
     out.push_str("]}\n");
@@ -326,12 +326,12 @@ mod tests {
         }
     }
 
-    fn cev(seq: u32, cause: u32, ts_ns: u64, kind: &str) -> CausalEvent {
+    fn cev(seq: u32, cause: u32, ts_ns: u64, kind: &'static str) -> CausalEvent {
         CausalEvent {
             seq,
             cause,
             ts_ns,
-            kind: kind.to_owned(),
+            kind,
             a: 0,
             b: 0,
         }

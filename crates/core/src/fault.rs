@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use c4h_simnet::{Addr, GilbertElliott, Partition};
-use c4h_telemetry::ArgValue;
+use c4h_telemetry::{Arg, ArgValue};
 
 use crate::config::NodeId;
 use crate::runtime::{Cloud4Home, Event, CLOUD_ADDR, RUNTIME_TRACK};
@@ -126,7 +126,7 @@ impl Cloud4Home {
     pub(crate) fn note_fault(
         &mut self,
         name: &'static str,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl IntoIterator<Item = Arg>,
         text: impl FnOnce() -> String,
     ) {
         let now = self.now().as_nanos();
@@ -180,7 +180,7 @@ impl Cloud4Home {
                     })
                     .collect::<Vec<_>>()
                     .join("|");
-                let args = vec![("groups", ArgValue::from(desc.clone()))];
+                let args = [("groups", ArgValue::from(desc.clone()))];
                 self.note_fault("fault.partition", args, || format!("partition {desc}"));
                 let cut = Partition::new(addr_groups);
                 self.transport.set_partition(cut.clone());
@@ -191,13 +191,13 @@ impl Cloud4Home {
                 self.ensure_tick();
             }
             FaultEvent::Heal => {
-                self.note_fault("fault.heal", Vec::new(), || "heal".to_owned());
+                self.note_fault("fault.heal", [], || "heal".to_owned());
                 self.transport.set_partition(Partition::default());
             }
             FaultEvent::WanDegrade(factor) => {
                 let factor = factor.clamp(0.05, 1.0);
                 let permille = (factor * 1000.0) as u64;
-                let args = vec![("factor_permille", ArgValue::from(permille))];
+                let args = [("factor_permille", ArgValue::from(permille))];
                 self.note_fault("fault.wan_degrade", args, || {
                     format!("wan_degrade {permille}")
                 });
@@ -208,7 +208,7 @@ impl Cloud4Home {
                 mean_burst_len,
             } => {
                 let loss_permille = (mean_loss * 1000.0) as u64;
-                let args = vec![
+                let args = [
                     ("mean_loss_permille", ArgValue::from(loss_permille)),
                     (
                         "mean_burst_len_x1000",
@@ -225,7 +225,7 @@ impl Cloud4Home {
             FaultEvent::SlowNode { node, factor } => {
                 let factor = factor.max(1.0);
                 let name = self.nodes[node.0].name_sym;
-                let args = vec![
+                let args = [
                     ("node", ArgValue::from(name.as_str())),
                     ("factor_permille", ArgValue::from((factor * 1000.0) as u64)),
                 ];

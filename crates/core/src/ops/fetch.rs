@@ -398,10 +398,9 @@ impl Cloud4Home {
         op.failovers += 1;
         self.stats.fetch_failovers += 1;
         self.op_instant(op, "fetch.failover", || {
-            let mut args = Vec::with_capacity(2);
-            args.push(("object", ArgValue::from(op.name.as_str())));
-            args.extend(detail);
-            args
+            [("object", ArgValue::from(op.name.as_str()))]
+                .into_iter()
+                .chain(detail)
         });
     }
 
@@ -498,15 +497,17 @@ impl Cloud4Home {
             ec.slot_rows[slot as usize] = row;
         }
         self.op_instant(op, "fetch.stripe_reassign", || {
-            let mut args = Vec::with_capacity(5);
-            args.push(("object", ArgValue::from(op.name.as_str())));
-            args.push(("stripe", ArgValue::from(u64::from(slot))));
-            if let (Some(row), Some(_)) = (row, &f.plan.ec) {
-                args.push(("row", ArgValue::from(u64::from(row))));
-            }
-            args.push(("via", ArgValue::from(self.nodes[holder].name.as_str())));
-            args.push(("why", ArgValue::from(why)));
-            args
+            let row = row.filter(|_| f.plan.ec.is_some());
+            [
+                ("object", ArgValue::from(op.name.as_str())),
+                ("stripe", ArgValue::from(u64::from(slot))),
+            ]
+            .into_iter()
+            .chain(row.map(|row| ("row", ArgValue::from(u64::from(row)))))
+            .chain([
+                ("via", ArgValue::from(self.nodes[holder].name_sym.as_str())),
+                ("why", ArgValue::from(why.to_owned())),
+            ])
         });
         let cause = std::mem::take(&mut op.ledger_cause);
         self.ledger_op(
@@ -659,7 +660,7 @@ impl Cloud4Home {
                 // A holder that cannot serve us counts as a failover even on
                 // the first routing pass (e.g. the primary died before the
                 // fetch started and we go straight to a replica).
-                let skipped = ArgValue::from(self.nodes[j].name.as_str());
+                let skipped = ArgValue::from(self.nodes[j].name_sym.as_str());
                 self.note_failover(op, Some(("skipped", skipped)));
                 continue;
             }
@@ -714,7 +715,7 @@ impl Cloud4Home {
             )
         });
         if !viable(self, primary) && candidates.first().is_some_and(|&j| viable(self, j)) {
-            let skipped = ArgValue::from(self.nodes[primary].name.as_str());
+            let skipped = ArgValue::from(self.nodes[primary].name_sym.as_str());
             self.note_failover(op, Some(("skipped", skipped)));
         }
         self.op_instant(op, "fetch.rank", || {
@@ -722,9 +723,9 @@ impl Cloud4Home {
                 .iter()
                 .map(|&j| self.nodes[j].name.as_str())
                 .collect();
-            vec![
+            [
                 ("object", ArgValue::from(op.name.as_str())),
-                ("order", ArgValue::from(order.join(",").as_str())),
+                ("order", ArgValue::from(order.join(","))),
             ]
         });
         // Typed counters mirroring the instant's payload, so dashboards can
@@ -748,7 +749,7 @@ impl Cloud4Home {
         f.plan.total = stripes as u32;
         self.stats.striped_fetches += 1;
         self.op_instant(op, "fetch.stripe_plan", || {
-            vec![
+            [
                 ("object", ArgValue::from(op.name.as_str())),
                 ("stripes", ArgValue::from(stripes)),
                 ("bytes", ArgValue::from(size)),
@@ -1022,14 +1023,14 @@ impl Cloud4Home {
         }
         self.stats.hedged_fetches += 1;
         self.op_instant(op, "fetch.hedge", || {
-            vec![
+            [
                 ("object", ArgValue::from(op.name.as_str())),
                 ("stripe", ArgValue::from(u64::from(flight.stripe))),
                 (
                     "slow",
-                    ArgValue::from(self.nodes[slow_holder].name.as_str()),
+                    ArgValue::from(self.nodes[slow_holder].name_sym.as_str()),
                 ),
-                ("via", ArgValue::from(self.nodes[idle].name.as_str())),
+                ("via", ArgValue::from(self.nodes[idle].name_sym.as_str())),
                 ("eta_us", ArgValue::from((slowest_eta * 1e6) as u64)),
                 ("est_us", ArgValue::from((est * 1e6) as u64)),
             ]
@@ -1107,7 +1108,7 @@ impl Cloud4Home {
             return;
         }
         let src = match flight.holder {
-            Some(j) => self.nodes[j].name.as_str(),
+            Some(j) => self.nodes[j].name_sym.as_str(),
             None => "cloud",
         };
         self.telemetry.span_args(
@@ -1116,7 +1117,7 @@ impl Cloud4Home {
             STRIPE_TRACK_BASE + flow.raw(),
             flight.started.as_nanos(),
             now.as_nanos(),
-            vec![
+            [
                 ("object", ArgValue::from(op.name.as_str())),
                 ("stripe", ArgValue::from(u64::from(flight.stripe))),
                 ("src", ArgValue::from(src)),
@@ -1169,7 +1170,7 @@ impl Cloud4Home {
         let slot_rows = viable;
         self.stats.striped_fetches += 1;
         self.op_instant(op, "fetch.ec_plan", || {
-            vec![
+            [
                 ("object", ArgValue::from(op.name.as_str())),
                 ("k", ArgValue::from(u64::from(layout.k))),
                 ("m", ArgValue::from(u64::from(layout.m))),

@@ -50,7 +50,7 @@ use c4h_kvstore::{
     directory_key, object_key, parent_dir, DirEntry, Location, ObjectMeta, Record, ResourceRecord,
 };
 use c4h_simnet::{FlowId, FxHashMap, SimTime, Sym};
-use c4h_telemetry::{ArgValue, Args, CauseKind, PathBucket, LEDGER_NONE};
+use c4h_telemetry::{Arg, ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
@@ -285,6 +285,10 @@ pub(crate) struct OpKindInfo {
     pub(crate) name: &'static str,
     /// The stage an admitted op of this kind starts in.
     first: Stage,
+    /// The stages an op of this kind can charge: its family's rows of the
+    /// stage table, fan-out sub-stages left out. What its stage log
+    /// reserves, so an op without retries logs without regrowing.
+    stages: usize,
     /// Counters `op.<kind>.ok` / `op.<kind>.err`.
     ok: &'static str,
     err: &'static str,
@@ -297,11 +301,12 @@ pub(crate) struct OpKindInfo {
 }
 
 macro_rules! kind_row {
-    ($kind:ident, $name:literal, $first:ident) => {
+    ($kind:ident, $name:literal, $first:ident, $stages:literal) => {
         OpKindInfo {
             kind: OpKind::$kind,
             name: $name,
             first: Stage::$first,
+            stages: $stages,
             ok: concat!("op.", $name, ".ok"),
             err: concat!("op.", $name, ".err"),
             total_ns: concat!("op.", $name, ".total_ns"),
@@ -313,13 +318,13 @@ macro_rules! kind_row {
 
 /// The op-kind table, indexed by discriminant.
 const OP_KINDS: [OpKindInfo; 7] = [
-    kind_row!(Delete, "delete", DelChannelIn),
-    kind_row!(Fetch, "fetch", FetchChannelIn),
-    kind_row!(FetchProcess, "fetch_process", ProcChannelIn),
-    kind_row!(List, "list", ListChannelIn),
-    kind_row!(Pipeline, "pipeline", ProcChannelIn),
-    kind_row!(Process, "process", ProcChannelIn),
-    kind_row!(Store, "store", StoreChannelIn),
+    kind_row!(Delete, "delete", DelChannelIn, 5),
+    kind_row!(Fetch, "fetch", FetchChannelIn, 10),
+    kind_row!(FetchProcess, "fetch_process", ProcChannelIn, 9),
+    kind_row!(List, "list", ListChannelIn, 2),
+    kind_row!(Pipeline, "pipeline", ProcChannelIn, 9),
+    kind_row!(Process, "process", ProcChannelIn, 9),
+    kind_row!(Store, "store", StoreChannelIn, 10),
 ];
 
 const _: () = {
@@ -656,13 +661,13 @@ impl Cloud4Home {
                 );
                 self.stats.ops_shed += 1;
                 self.telemetry.add(core.kind.info().shed, 1);
-                let tenant = self.nodes[core.client].name.as_str();
+                let tenant = self.nodes[core.client].name_sym.as_str();
                 self.telemetry.instant_args(
                     "overload",
                     "shed.drop",
                     core.id.0,
                     self.now().as_nanos(),
-                    vec![
+                    [
                         ("kind", ArgValue::from(core.kind.name())),
                         ("reason", ArgValue::from(reason)),
                         ("object", ArgValue::from(core.name.as_str())),
@@ -691,9 +696,9 @@ impl Cloud4Home {
         };
         let Op { core, family } = &mut op;
         self.op_instant(core, "op.transfer_failed", || {
-            vec![
+            [
                 ("stage", ArgValue::from(core.stage.info().name)),
-                ("why", ArgValue::from(why)),
+                ("why", ArgValue::from(why.to_owned())),
             ]
         });
         // Causal ledger: the severed transfer is the inducing event for
@@ -805,7 +810,7 @@ impl Cloud4Home {
                 op.id.0,
                 op.submitted.as_nanos(),
                 now.as_nanos(),
-                vec![
+                [
                     ("object", ArgValue::from(op.name.as_str())),
                     ("ok", ArgValue::from(ok)),
                     ("retries", ArgValue::from(u64::from(op.retries))),
@@ -824,20 +829,19 @@ impl Cloud4Home {
             self.stats.crit_other_ns += critical.other_ns;
 
             if let Some(breach) = breach {
-                let mut args = vec![
+                let args = [
                     ("kind", ArgValue::from(kind.name)),
                     ("p99_ns", ArgValue::from(breach.p99_ns)),
                     ("slo_ns", ArgValue::from(breach.slo_ns)),
                 ];
-                if breach_seq != LEDGER_NONE {
-                    args.push(("ledger", ArgValue::from(u64::from(breach_seq))));
-                }
+                let ledger = (breach_seq != LEDGER_NONE)
+                    .then(|| ("ledger", ArgValue::from(u64::from(breach_seq))));
                 self.telemetry.instant_args(
                     "health",
                     "slo.violation",
                     op.id.0,
                     now.as_nanos(),
-                    args,
+                    args.into_iter().chain(ledger),
                 );
                 self.telemetry.add(kind.slo_violation, 1);
             }
@@ -885,8 +889,10 @@ impl Cloud4Home {
                 .stage_log
                 .iter()
                 .map(|&(s, t0, t1)| (s.info().name, t0, t1));
-            let events = self.ledger.finish(op.id.0).into_iter();
-            (stages.collect(), events.map(CausalEvent::from).collect())
+            let events = self.ledger.finish_with(op.id.0, |events| {
+                events.iter().copied().map(CausalEvent::from).collect()
+            });
+            (stages.collect(), events)
         } else {
             self.ledger.discard(op.id.0);
             (Vec::new(), Vec::new())
@@ -933,6 +939,9 @@ impl Cloud4Home {
             self.stage_span(op.id, op.stage, start_ns, end_ns);
         }
         if traced || self.ledger.enabled() {
+            if op.stage_log.capacity() == 0 {
+                op.stage_log.reserve_exact(op.kind.info().stages);
+            }
             op.stage_log.push((op.stage, start_ns, end_ns));
         }
         elapsed
@@ -964,8 +973,13 @@ impl Cloud4Home {
     /// Marks a decision of the op's machine on the op's own track, at the
     /// current instant. `args` runs only while recording is on: with it
     /// off, an instant costs the recorder's one relaxed load, not the
-    /// vectors and strings of its payload.
-    fn op_instant(&self, op: &OpCore, name: &'static str, args: impl FnOnce() -> Args) {
+    /// strings of its payload.
+    fn op_instant<A: IntoIterator<Item = Arg>>(
+        &self,
+        op: &OpCore,
+        name: &'static str,
+        args: impl FnOnce() -> A,
+    ) {
         if self.telemetry.enabled() {
             self.telemetry
                 .instant_args("op", name, op.id.0, self.now().as_nanos(), args());
@@ -983,7 +997,7 @@ impl Cloud4Home {
                 "dht.retry",
                 op.id.0,
                 self.now().as_nanos(),
-                vec![
+                [
                     ("stage", ArgValue::from(op.stage.info().name)),
                     ("retries", ArgValue::from(u64::from(op.retries))),
                 ],

@@ -507,10 +507,10 @@ impl Cloud4Home {
             self.stats.proc_redispatches += 1;
             self.op_instant(op, "proc.redispatch", || {
                 let target = match next {
-                    ExecTarget::Node(j) => self.nodes[j].name.as_str(),
+                    ExecTarget::Node(j) => self.nodes[j].name_sym.as_str(),
                     ExecTarget::Cloud => "cloud",
                 };
-                vec![
+                [
                     ("object", ArgValue::from(op.name.as_str())),
                     ("target", ArgValue::from(target)),
                 ]

@@ -359,7 +359,7 @@ impl Cloud4Home {
                 op.partial_replication += short;
                 self.stats.partial_replication += u64::from(short);
                 self.op_instant(op, "store.partial_replication", || {
-                    vec![
+                    [
                         ("object", ArgValue::from(op.name.as_str())),
                         ("want", ArgValue::from(want as u64)),
                         ("got", ArgValue::from(got as u64)),
@@ -402,9 +402,9 @@ impl Cloud4Home {
                 op.partial_replication += 1;
                 self.stats.partial_replication += 1;
                 self.op_instant(op, "store.replica_skip", || {
-                    vec![
+                    [
                         ("object", ArgValue::from(op.name.as_str())),
-                        ("skipped", ArgValue::from(self.nodes[target].name.as_str())),
+                        ("skipped", ArgValue::from(self.nodes[target].name_sym.as_str())),
                     ]
                 });
                 continue;
@@ -459,7 +459,7 @@ impl Cloud4Home {
             self.detach_fanout(op, st);
             self.stats.quorum_publishes += 1;
             self.op_instant(op, "store.quorum_publish", || {
-                vec![
+                [
                     ("object", ArgValue::from(op.name.as_str())),
                     ("copies", ArgValue::from(1 + st.replicas_done.len() as u64)),
                 ]

@@ -593,7 +593,7 @@ impl Cloud4Home {
             name,
             RUNTIME_TRACK,
             self.now().as_nanos(),
-            vec![("path", ArgValue::from(path.as_str()))],
+            [("path", ArgValue::from(path.as_str()))],
         );
     }
 
@@ -650,9 +650,9 @@ impl Cloud4Home {
             "retry.budget_denied",
             RUNTIME_TRACK,
             now_ns,
-            vec![
+            [
                 ("site", ArgValue::from(site)),
-                ("node", ArgValue::from(self.nodes[node].name.as_str())),
+                ("node", ArgValue::from(self.nodes[node].name_sym.as_str())),
                 ("object", ArgValue::from(object.as_str())),
             ],
         );

@@ -240,7 +240,7 @@ pub struct CausalEvent {
     /// Virtual-time instant of the decision, nanoseconds.
     pub ts_ns: u64,
     /// Stable kind label (`"backoff.wait"`, `"hedge.launch"`, …).
-    pub kind: String,
+    pub kind: &'static str,
     /// Kind-specific detail.
     pub a: u64,
     /// Kind-specific detail.
@@ -253,7 +253,7 @@ impl From<c4h_telemetry::LedgerEvent> for CausalEvent {
             seq: e.seq,
             cause: e.cause,
             ts_ns: e.ts_ns,
-            kind: e.kind.label().to_owned(),
+            kind: e.kind.label(),
             a: e.a,
             b: e.b,
         }

@@ -1067,7 +1067,7 @@ impl Cloud4Home {
         self.set_alive(id.0, false);
         let addr = self.nodes[id.0].addr;
         let name = self.nodes[id.0].name_sym;
-        let args = vec![
+        let args = [
             ("node", ArgValue::from(name.as_str())),
             ("addr", ArgValue::from(addr.raw())),
         ];
@@ -1143,7 +1143,7 @@ impl Cloud4Home {
         let key = self.nodes[id.0].key;
         self.repaired_peers.remove(&key);
         let name = self.nodes[id.0].name_sym;
-        let args = vec![("node", ArgValue::from(name.as_str()))];
+        let args = [("node", ArgValue::from(name.as_str()))];
         self.note_fault("fault.rejoin", args, || format!("rejoin {name}"));
         let now = self.now();
         self.overlay_mut(id.0).join_via(seed_key, now);

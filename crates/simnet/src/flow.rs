@@ -650,20 +650,18 @@ impl FlowNet {
             return;
         };
         rec.add("net.flows_started", 1);
-        let mut args = vec![
+        let args = [
             ("src", ArgValue::from(src.raw())),
             ("dst", ArgValue::from(dst.raw())),
             ("bytes", ArgValue::from(bytes)),
         ];
-        if chunks > 0 {
-            args.push(("chunks", ArgValue::from(chunks)));
-        }
+        let chunks = (chunks > 0).then(|| ("chunks", ArgValue::from(chunks)));
         let span = rec.begin_args(
             "net",
             "net.flow",
             NET_TRACK_BASE + id.0,
             self.now.as_nanos(),
-            args,
+            args.into_iter().chain(chunks),
         );
         if !span.is_none() {
             self.spans.insert(id, span);
@@ -701,7 +699,7 @@ impl FlowNet {
             rec.end_args(
                 span,
                 self.now.as_nanos(),
-                vec![
+                [
                     ("sent", ArgValue::from(sent)),
                     ("done", ArgValue::from(done)),
                 ],

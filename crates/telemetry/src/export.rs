@@ -8,7 +8,7 @@
 
 use std::fmt::Write;
 
-use crate::recorder::{ArgValue, Args, EventRec, Inner};
+use crate::recorder::{Arg, ArgValue, Inner};
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape_into(out: &mut String, s: &str) {
@@ -34,7 +34,7 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn args_into(out: &mut String, args: &Args) {
+fn args_into(out: &mut String, args: &[Arg]) {
     out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
@@ -74,38 +74,30 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
          \"args\":{\"name\":\"cloud4home\"}}",
     );
-    for ev in &inner.events {
+    for (ev, args) in inner.events.iter() {
         out.push_str(",\n");
-        match ev {
-            EventRec::Span(s) => {
-                out.push_str("{\"ph\":\"X\",\"pid\":1,\"tid\":");
-                let _ = write!(out, "{}", s.track);
-                out.push_str(",\"cat\":\"");
-                escape_into(&mut out, s.cat);
-                out.push_str("\",\"name\":\"");
-                escape_into(&mut out, &s.name);
-                out.push_str("\",\"ts\":");
-                out.push_str(&micros(s.start_ns));
+        out.push_str(if ev.end_ns.is_some() {
+            "{\"ph\":\"X\",\"pid\":1,\"tid\":"
+        } else {
+            "{\"ph\":\"i\",\"pid\":1,\"tid\":"
+        });
+        let _ = write!(out, "{}", ev.track);
+        out.push_str(",\"cat\":\"");
+        escape_into(&mut out, ev.cat);
+        out.push_str("\",\"name\":\"");
+        escape_into(&mut out, &ev.name);
+        out.push_str("\",\"ts\":");
+        out.push_str(&micros(ev.start_ns));
+        match ev.end_ns {
+            Some(end_ns) => {
                 out.push_str(",\"dur\":");
-                out.push_str(&micros(s.end_ns.saturating_sub(s.start_ns)));
+                out.push_str(&micros(end_ns.saturating_sub(ev.start_ns)));
                 out.push_str(",\"args\":");
-                args_into(&mut out, &s.args);
-                out.push('}');
             }
-            EventRec::Instant(i) => {
-                out.push_str("{\"ph\":\"i\",\"pid\":1,\"tid\":");
-                let _ = write!(out, "{}", i.track);
-                out.push_str(",\"cat\":\"");
-                escape_into(&mut out, i.cat);
-                out.push_str("\",\"name\":\"");
-                escape_into(&mut out, &i.name);
-                out.push_str("\",\"ts\":");
-                out.push_str(&micros(i.ts_ns));
-                out.push_str(",\"s\":\"t\",\"args\":");
-                args_into(&mut out, &i.args);
-                out.push('}');
-            }
+            None => out.push_str(",\"s\":\"t\",\"args\":"),
         }
+        args_into(&mut out, args);
+        out.push('}');
     }
     out.push_str("\n]}\n");
     out

@@ -16,10 +16,12 @@
 //!   [`OpLedger::enabled`] first and returns immediately when the ledger is
 //!   off, so default-config runs stay byte-identical to builds without it.
 //! - **Zero allocations per recorded event.** A ring's storage is
-//!   pre-allocated at its configured capacity when the ring is created
-//!   (once per op, alongside all the op's other state); recording into an
-//!   existing ring never touches the heap, including on eviction (which is
-//!   a `Vec::remove` memmove). The eviction mark bitmap is scratch space
+//!   pre-allocated at its configured capacity when the ring is created;
+//!   recording into an existing ring never touches the heap, including on
+//!   eviction (which is a `Vec::remove` memmove). A finished or discarded
+//!   ring's storage goes on a free list that the next new ring takes from,
+//!   so once the ledger has seen its peak of live ops, opening a ring
+//!   allocates nothing either. The eviction mark bitmap is scratch space
 //!   allocated once per ledger and reused.
 //! - **Eviction never drops a live critical path.** When a full ring must
 //!   evict, events on the transitive cause chain of the incoming event (and
@@ -146,9 +148,12 @@ struct OpRing {
 }
 
 impl OpRing {
-    fn new(cap: usize) -> Self {
+    /// A fresh ring over `events`, an empty buffer of at least the ring's
+    /// capacity.
+    fn new(events: Vec<LedgerEvent>) -> Self {
+        debug_assert!(events.is_empty());
         OpRing {
-            events: Vec::with_capacity(cap),
+            events,
             next_seq: 1,
             last: LEDGER_NONE,
             evicted: 0,
@@ -165,6 +170,9 @@ pub struct OpLedger {
     enabled: AtomicBool,
     cap: usize,
     rings: BTreeMap<u64, OpRing>,
+    /// Emptied event buffers of finished and discarded rings, each of
+    /// capacity at least `cap`, for the next new ring.
+    spare: Vec<Vec<LedgerEvent>>,
     /// Reusable eviction mark bitmap, one bit per ring index.
     mark: Vec<u64>,
     recorded: u64,
@@ -180,6 +188,7 @@ impl OpLedger {
             enabled: AtomicBool::new(false),
             cap,
             rings: BTreeMap::new(),
+            spare: Vec::new(),
             mark: vec![0; cap.div_ceil(64)],
             recorded: 0,
             dropped: 0,
@@ -227,8 +236,11 @@ impl OpLedger {
         if !self.enabled() {
             return LEDGER_NONE;
         }
-        let cap = self.cap;
-        let ring = self.rings.entry(op).or_insert_with(|| OpRing::new(cap));
+        let (cap, spare) = (self.cap, &mut self.spare);
+        let ring = self
+            .rings
+            .entry(op)
+            .or_insert_with(|| OpRing::new(spare.pop().unwrap_or_else(|| Vec::with_capacity(cap))));
         if ring.events.len() >= cap {
             Self::evict(ring, &mut self.mark, cause);
             self.dropped += 1;
@@ -296,15 +308,37 @@ impl OpLedger {
         self.rings.get(&op).map_or(0, |r| r.evicted)
     }
 
-    /// Removes `op`'s ring, returning its events (storage moves out; no
-    /// copy). Call at op completion.
+    /// Removes `op`'s ring, returning a copy of its events. The ring's
+    /// own storage goes back to the ledger for the next op.
     pub fn finish(&mut self, op: u64) -> Vec<LedgerEvent> {
-        self.rings.remove(&op).map_or_else(Vec::new, |r| r.events)
+        self.finish_with(op, <[LedgerEvent]>::to_vec)
     }
 
-    /// Removes `op`'s ring without returning its events.
+    /// Removes `op`'s ring and hands its events, in `seq` order, to `read`
+    /// (an empty slice when nothing was recorded). Call at op completion.
+    /// The ring's storage goes back to the ledger for the next op.
+    pub fn finish_with<R>(&mut self, op: u64, read: impl FnOnce(&[LedgerEvent]) -> R) -> R {
+        match self.rings.remove(&op) {
+            Some(ring) => {
+                let out = read(&ring.events);
+                self.recycle(ring);
+                out
+            }
+            None => read(&[]),
+        }
+    }
+
+    /// Removes `op`'s ring without reading its events.
     pub fn discard(&mut self, op: u64) {
-        self.rings.remove(&op);
+        if let Some(ring) = self.rings.remove(&op) {
+            self.recycle(ring);
+        }
+    }
+
+    fn recycle(&mut self, ring: OpRing) {
+        let mut events = ring.events;
+        events.clear();
+        self.spare.push(events);
     }
 
     /// Total events recorded over the ledger's lifetime.

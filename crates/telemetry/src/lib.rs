@@ -67,7 +67,8 @@ pub use export::escape_into;
 pub use health::{FlightRecorder, PathBucket, Postmortem, SlidingHistogram};
 pub use ledger::{tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE};
 pub use recorder::{
-    ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanId, SpanRec,
+    Arg, ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanId,
+    SpanRec,
 };
 pub use series::GaugeSeries;
 

@@ -12,7 +12,8 @@ use crate::TimeNs;
 ///
 /// Only integers and strings are representable — floating point is banned
 /// from the telemetry path so exports stay byte-identical across runs and
-/// hosts.
+/// hosts. A `&'static str` (a literal, an interned name) is borrowed, not
+/// copied; only a `String` the caller built is owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgValue {
     /// An unsigned integer.
@@ -20,7 +21,7 @@ pub enum ArgValue {
     /// A signed integer.
     I64(i64),
     /// A string.
-    Str(String),
+    Str(Cow<'static, str>),
 }
 
 impl ArgValue {
@@ -83,25 +84,38 @@ impl From<bool> for ArgValue {
     }
 }
 
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_owned())
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> Self {
+        ArgValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for ArgValue {
     fn from(v: String) -> Self {
+        ArgValue::Str(Cow::Owned(v))
+    }
+}
+
+impl From<Cow<'static, str>> for ArgValue {
+    fn from(v: Cow<'static, str>) -> Self {
         ArgValue::Str(v)
     }
 }
 
-/// Key-value arguments attached to a span or instant.
-pub type Args = Vec<(&'static str, ArgValue)>;
+/// One key-value argument of a span or instant.
+pub type Arg = (&'static str, ArgValue);
 
-/// Handle to a span opened with [`Recorder::begin`].
+/// Key-value arguments attached to a span or instant.
+pub type Args = Vec<Arg>;
+
+/// Handle to a span opened with [`Recorder::begin`]: the open-span slot it
+/// occupies and that slot's generation when it was handed out.
 ///
 /// A recorder that is disabled at `begin` time hands out [`SpanId::NONE`],
-/// which makes the matching [`Recorder::end`] free.
+/// which makes the matching [`Recorder::end`] free. A slot's generation
+/// moves on whenever the slot is closed or cleared, so an id outlives its
+/// span harmlessly: ending it again, or after [`Recorder::clear`], matches
+/// no slot and records nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u64);
 
@@ -112,6 +126,20 @@ impl SpanId {
     /// Whether this is the inert id.
     pub fn is_none(&self) -> bool {
         self.0 == 0
+    }
+
+    /// The id of `slot` at `generation` (never 0, so never [`SpanId::NONE`]).
+    fn new(slot: u32, generation: u32) -> SpanId {
+        debug_assert_ne!(generation, 0);
+        SpanId(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
     }
 }
 
@@ -317,13 +345,249 @@ impl Histogram {
     }
 }
 
+/// An append-only sequence kept in chunks of `N` items, for logs that grow
+/// with the run. Growing never moves what is stored: a full chunk is left
+/// as it is and a new one is started, so the log never holds two copies of
+/// itself, as a doubling `Vec` does while it reallocates, and allocates
+/// once per `N` items.
 #[derive(Debug)]
-struct OpenSpan {
+struct Chunked<T, const N: usize> {
+    chunks: Vec<Vec<T>>,
+}
+
+/// Where a run of items sits in a [`Chunked`]: `chunks[chunk][start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    chunk: u32,
+    start: u32,
+    end: u32,
+}
+
+impl<T, const N: usize> Default for Chunked<T, N> {
+    fn default() -> Self {
+        Chunked { chunks: Vec::new() }
+    }
+}
+
+impl<T, const N: usize> Chunked<T, N> {
+    /// Appends `items` as one run that lies inside a single chunk: a run
+    /// that would cross a chunk's end moves, with the rest of its items, to
+    /// a fresh chunk.
+    fn push_run(&mut self, items: impl IntoIterator<Item = T>) -> Run {
+        let mut start = self.chunks.last().map_or(0, Vec::len);
+        for item in items {
+            if self
+                .chunks
+                .last()
+                .is_none_or(|tail| tail.len() == tail.capacity())
+            {
+                let carried = self.chunks.last().map_or(0, |tail| tail.len() - start);
+                let mut fresh = Vec::with_capacity(N.max(2 * (carried + 1)));
+                if let Some(tail) = self.chunks.last_mut() {
+                    fresh.extend(tail.drain(start..));
+                }
+                self.chunks.push(fresh);
+                start = 0;
+            }
+            self.chunks
+                .last_mut()
+                .expect("a chunk with room")
+                .push(item);
+        }
+        let index = |n: usize| u32::try_from(n).expect("fewer than 2^32 items per chunk");
+        Run {
+            chunk: index(self.chunks.len().saturating_sub(1)),
+            start: index(start),
+            end: index(self.chunks.last().map_or(0, Vec::len)),
+        }
+    }
+
+    fn get(&self, run: Run) -> &[T] {
+        if run.start == run.end {
+            return &[];
+        }
+        &self.chunks[run.chunk as usize][run.start as usize..run.end as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten()
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn clear(&mut self) {
+        self.chunks.clear();
+    }
+}
+
+/// One entry of the event log: fixed size, with its arguments a run of the
+/// log's shared arena.
+#[derive(Debug)]
+pub(crate) struct Head {
+    pub(crate) cat: &'static str,
+    pub(crate) name: Cow<'static, str>,
+    pub(crate) track: u64,
+    /// A span's start, or an instant's timestamp.
+    pub(crate) start_ns: TimeNs,
+    /// A span's end; `None` for an instant.
+    pub(crate) end_ns: Option<TimeNs>,
+    args: Run,
+}
+
+/// The event log as columns: one fixed-size [`Head`] per completed span or
+/// instant, in record order, and one append-only arena holding every
+/// event's arguments back to back. Recording an event appends one head and
+/// its arguments; both grow a chunk at a time (4 096 heads, 8 192
+/// arguments, ≈ 320 KiB each), so an event allocates nothing of its own.
+#[derive(Debug, Default)]
+pub(crate) struct EventLog {
+    heads: Chunked<Head, 4096>,
+    arena: Chunked<Arg, 8192>,
+}
+
+impl EventLog {
+    /// Appends one event whose arguments are `first` followed by `rest`.
+    fn push(
+        &mut self,
+        head: (&'static str, Cow<'static, str>, u64, TimeNs, Option<TimeNs>),
+        first: impl IntoIterator<Item = Arg>,
+        rest: impl IntoIterator<Item = Arg>,
+    ) {
+        let (cat, name, track, start_ns, end_ns) = head;
+        let args = self.arena.push_run(first.into_iter().chain(rest));
+        self.heads.push_run([Head {
+            cat,
+            name,
+            track,
+            start_ns,
+            end_ns,
+            args,
+        }]);
+    }
+
+    /// Every event with its arguments, in record order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Head, &[Arg])> {
+        self.heads.iter().map(|h| (h, self.arena.get(h.args)))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.arena.clear();
+    }
+
+    /// The log as owned records, built on demand.
+    fn to_records(&self) -> Vec<EventRec> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.iter().map(|(h, args)| match h.end_ns {
+            Some(end_ns) => EventRec::Span(SpanRec {
+                cat: h.cat,
+                name: h.name.clone(),
+                track: h.track,
+                start_ns: h.start_ns,
+                end_ns,
+                args: args.to_vec(),
+            }),
+            None => EventRec::Instant(InstantRec {
+                cat: h.cat,
+                name: h.name.clone(),
+                track: h.track,
+                ts_ns: h.start_ns,
+                args: args.to_vec(),
+            }),
+        }));
+        out
+    }
+}
+
+/// One slot of the open-span slab. The slot outlives the spans it holds:
+/// its staged-args buffer keeps its capacity across reuse.
+#[derive(Debug)]
+struct OpenSlot {
+    /// The generation the slot's current (or next) span is handed out at.
+    generation: u32,
     cat: &'static str,
     name: Cow<'static, str>,
     track: u64,
     start_ns: TimeNs,
-    args: Args,
+    /// The `begin` arguments, staged until the span ends.
+    args: Vec<Arg>,
+}
+
+/// Spans begun and not yet ended: a slab of slots and a free list.
+#[derive(Debug, Default)]
+struct OpenSpans {
+    slots: Vec<OpenSlot>,
+    free: Vec<u32>,
+}
+
+impl OpenSpans {
+    fn open(
+        &mut self,
+        cat: &'static str,
+        name: Cow<'static, str>,
+        track: u64,
+        start_ns: TimeNs,
+        args: impl IntoIterator<Item = Arg>,
+    ) -> SpanId {
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => {
+                self.slots.push(OpenSlot {
+                    generation: 1,
+                    cat,
+                    name: Cow::Borrowed(""),
+                    track,
+                    start_ns,
+                    args: Vec::new(),
+                });
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 open spans")
+            }
+        };
+        let slot = &mut self.slots[index as usize];
+        slot.cat = cat;
+        slot.name = name;
+        slot.track = track;
+        slot.start_ns = start_ns;
+        slot.args.clear();
+        slot.args.extend(args);
+        SpanId::new(index, slot.generation)
+    }
+
+    /// Frees the slot `span` holds and returns it, still holding the span,
+    /// or `None` when `span` is not open (already ended, or cleared).
+    fn close(&mut self, span: SpanId) -> Option<&mut OpenSlot> {
+        let slot = self.slots.get_mut(span.slot())?;
+        if slot.generation != span.generation() {
+            return None;
+        }
+        slot.generation = next_generation(slot.generation);
+        self.free.push(span.slot() as u32);
+        Some(slot)
+    }
+
+    /// Closes every span without logging it; every id handed out goes
+    /// stale.
+    fn clear(&mut self) {
+        self.free.clear();
+        for (index, slot) in self.slots.iter_mut().enumerate().rev() {
+            slot.generation = next_generation(slot.generation);
+            slot.name = Cow::Borrowed("");
+            slot.args.clear();
+            self.free.push(index as u32);
+        }
+    }
+}
+
+/// The generation after `g`, skipping 0 (which would make a slot-0 id
+/// [`SpanId::NONE`]).
+fn next_generation(g: u32) -> u32 {
+    g.checked_add(1).unwrap_or(1)
 }
 
 /// A registered gauge: the index of its column in the [`Recorder`] that
@@ -343,9 +607,8 @@ struct GaugeColumn {
 
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
-    next_span: u64,
-    open: BTreeMap<u64, OpenSpan>,
-    pub(crate) events: Vec<EventRec>,
+    open: OpenSpans,
+    pub(crate) events: EventLog,
     pub(crate) counters: BTreeMap<Cow<'static, str>, u64>,
     pub(crate) hists: BTreeMap<Cow<'static, str>, Histogram>,
     pub(crate) exemplars: BTreeMap<Cow<'static, str>, String>,
@@ -452,35 +715,25 @@ impl Recorder {
         track: u64,
         start_ns: TimeNs,
     ) -> SpanId {
-        self.begin_args(cat, name, track, start_ns, Args::new())
+        self.begin_args(cat, name, track, start_ns, [])
     }
 
     /// Opens a span with arguments; returns [`SpanId::NONE`] while disabled.
+    /// The arguments are staged in the span's open slot until it ends.
     pub fn begin_args(
         &self,
         cat: &'static str,
         name: impl Into<Cow<'static, str>>,
         track: u64,
         start_ns: TimeNs,
-        args: Args,
+        args: impl IntoIterator<Item = Arg>,
     ) -> SpanId {
         if !self.enabled() {
             return SpanId::NONE;
         }
-        let mut inner = self.lock();
-        inner.next_span += 1;
-        let id = inner.next_span;
-        inner.open.insert(
-            id,
-            OpenSpan {
-                cat,
-                name: name.into(),
-                track,
-                start_ns,
-                args,
-            },
-        );
-        SpanId(id)
+        self.lock()
+            .open
+            .open(cat, name.into(), track, start_ns, args)
     }
 
     /// Closes a span opened with [`Recorder::begin`].
@@ -488,26 +741,24 @@ impl Recorder {
     /// Spans opened while enabled are closed even if recording has been
     /// disabled in between, so the event log never holds dangling opens.
     pub fn end(&self, span: SpanId, end_ns: TimeNs) {
-        self.end_args(span, end_ns, Args::new());
+        self.end_args(span, end_ns, []);
     }
 
-    /// Closes a span, appending extra arguments (e.g. an outcome).
-    pub fn end_args(&self, span: SpanId, end_ns: TimeNs, mut args: Args) {
+    /// Closes a span, appending extra arguments (e.g. an outcome) after the
+    /// ones it began with.
+    pub fn end_args(&self, span: SpanId, end_ns: TimeNs, args: impl IntoIterator<Item = Arg>) {
         if span.is_none() {
             return;
         }
         let mut inner = self.lock();
-        if let Some(open) = inner.open.remove(&span.0) {
-            let mut all = open.args;
-            all.append(&mut args);
-            inner.events.push(EventRec::Span(SpanRec {
-                cat: open.cat,
-                name: open.name,
-                track: open.track,
-                start_ns: open.start_ns,
-                end_ns,
-                args: all,
-            }));
+        let Inner { open, events, .. } = &mut *inner;
+        if let Some(slot) = open.close(span) {
+            let name = std::mem::take(&mut slot.name);
+            events.push(
+                (slot.cat, name, slot.track, slot.start_ns, Some(end_ns)),
+                slot.args.drain(..),
+                args,
+            );
         }
     }
 
@@ -520,7 +771,7 @@ impl Recorder {
         start_ns: TimeNs,
         end_ns: TimeNs,
     ) {
-        self.span_args(cat, name, track, start_ns, end_ns, Args::new());
+        self.span_args(cat, name, track, start_ns, end_ns, []);
     }
 
     /// Records a complete span with arguments in one call.
@@ -531,19 +782,14 @@ impl Recorder {
         track: u64,
         start_ns: TimeNs,
         end_ns: TimeNs,
-        args: Args,
+        args: impl IntoIterator<Item = Arg>,
     ) {
         if !self.enabled() {
             return;
         }
-        self.lock().events.push(EventRec::Span(SpanRec {
-            cat,
-            name: name.into(),
-            track,
-            start_ns,
-            end_ns,
-            args,
-        }));
+        self.lock()
+            .events
+            .push((cat, name.into(), track, start_ns, Some(end_ns)), args, []);
     }
 
     /// Records a point-in-time event.
@@ -554,7 +800,7 @@ impl Recorder {
         track: u64,
         ts_ns: TimeNs,
     ) {
-        self.instant_args(cat, name, track, ts_ns, Args::new());
+        self.instant_args(cat, name, track, ts_ns, []);
     }
 
     /// Records a point-in-time event with arguments.
@@ -564,18 +810,14 @@ impl Recorder {
         name: impl Into<Cow<'static, str>>,
         track: u64,
         ts_ns: TimeNs,
-        args: Args,
+        args: impl IntoIterator<Item = Arg>,
     ) {
         if !self.enabled() {
             return;
         }
-        self.lock().events.push(EventRec::Instant(InstantRec {
-            cat,
-            name: name.into(),
-            track,
-            ts_ns,
-            args,
-        }));
+        self.lock()
+            .events
+            .push((cat, name.into(), track, ts_ns, None), args, []);
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
@@ -694,7 +936,7 @@ impl Recorder {
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
         Snapshot {
-            events: inner.events.clone(),
+            events: inner.events.to_records(),
             counters: inner
                 .counters
                 .iter()
