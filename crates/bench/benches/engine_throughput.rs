@@ -50,6 +50,12 @@
 //!    and on the warmed idle paper testbed (recording off) the runtime
 //!    allocates at most 1.1 times per resource record it publishes. All
 //!    three are counts.
+//! 8. **A recording plane that allocates nothing per event**: after a
+//!    warm-up, 10 000 mixed `begin`/`end`/`span`/`instant` calls with 0-7
+//!    arguments (borrowed strings included, spans ended out of order)
+//!    allocate only the event log's own chunk growth — at most 32 in all
+//!    (the event-per-record recorder made 2-3 per event) — and the same
+//!    calls on a disabled recorder allocate nothing. Both are counts.
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -81,7 +87,7 @@ use c4h_simnet::queue::reference::RefQueue;
 use c4h_simnet::{
     presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
 };
-use c4h_telemetry::{CauseKind, OpLedger, Recorder, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanId, LEDGER_NONE};
 use cloud4home::{synth_bytes, Cloud4Home, Config, NodeId, Object, StorePolicy, SAMPLE_WINDOW};
 
 #[global_allocator]
@@ -754,6 +760,60 @@ fn idle_publish() -> (u64, u64) {
     (allocations() - before, records)
 }
 
+/// Recorder calls per window of the recorder rows.
+const RECORDER_CALLS: u64 = 10_000;
+
+/// Spans the recorder rows keep open at most.
+const RECORDER_OPEN: usize = 16;
+
+/// `calls` mixed recorder calls: begins (while fewer than
+/// [`RECORDER_OPEN`] spans are open), ends of a span picked from the open
+/// ones (so out of order), complete spans and instants, each with 0-7
+/// arguments — integers and borrowed strings, as the runtime's call sites
+/// pass them.
+fn recorder_calls(rec: &Recorder, mix: &mut Mix, open: &mut Vec<SpanId>, calls: u64) {
+    let args = [
+        ("object", ArgValue::from("census/7.avi")),
+        ("ok", ArgValue::from(true)),
+        ("bytes", ArgValue::from(262_144u64)),
+        ("node", ArgValue::from("netbook-3")),
+        ("retries", ArgValue::from(2u64)),
+        ("delta", ArgValue::from(-5i64)),
+        ("why", ArgValue::from("a \"quoted\" reason")),
+    ];
+    for t in 0..calls {
+        let r = mix.next();
+        let n = (r >> 8) as usize % (args.len() + 1);
+        let args = args[..n].iter().cloned();
+        match r % 4 {
+            0 if open.len() < RECORDER_OPEN => {
+                open.push(rec.begin_args("dht", "dht.get", r % 8, t, args))
+            }
+            0 | 1 if !open.is_empty() => {
+                let span = open.swap_remove((r >> 32) as usize % open.len());
+                rec.end_args(span, t, args);
+            }
+            2 => rec.span_args("stage", "fetch.flow_home", r % 8, t, t + 5, args),
+            _ => rec.instant_args("op", "fetch.failover", r % 8, t, args),
+        }
+    }
+}
+
+/// Allocations of [`RECORDER_CALLS`] recorder calls after as many warm-up
+/// calls, on an enabled and on a disabled recorder.
+fn recorder_allocs() -> (u64, u64) {
+    let window = |enabled: bool| {
+        let rec = Recorder::new();
+        rec.set_enabled(enabled);
+        let (mut mix, mut open) = (Mix(0x5eed_0034), Vec::with_capacity(RECORDER_OPEN));
+        recorder_calls(&rec, &mut mix, &mut open, RECORDER_CALLS);
+        let before = allocations();
+        recorder_calls(&rec, &mut mix, &mut open, RECORDER_CALLS);
+        allocations() - before
+    };
+    (window(true), window(false))
+}
+
 /// Ring sizes of the `overlay_1k` rows.
 const OVERLAY_PEERS: [usize; 2] = [64, 1_000];
 
@@ -1253,6 +1313,30 @@ fn main() {
              records ({per_record:.2} per record, must stay <= 1.1: one for the record's \
              bytes, the rest the event wheel's bucket adoptions)"
         ),
+    );
+
+    let (on_allocs, off_allocs) = recorder_allocs();
+    println!(
+        "recorder: {RECORDER_CALLS} mixed begin/end/span/instant calls with 0-7 args after \
+         warm-up: {on_allocs} allocations enabled, {off_allocs} disabled"
+    );
+    report.push_row(vec![
+        ("recorder_calls", RECORDER_CALLS.into()),
+        ("recorder_on_allocs", on_allocs.into()),
+        ("recorder_off_allocs", off_allocs.into()),
+    ]);
+    report.check(
+        "recorder_zero_alloc",
+        on_allocs <= 32,
+        format!(
+            "{RECORDER_CALLS} recorder calls made {on_allocs} allocations (must stay <= 32: \
+             only the event log's chunk growth; an event allocates nothing of its own)"
+        ),
+    );
+    report.check(
+        "recorder_off_zero_alloc",
+        off_allocs == 0,
+        format!("{RECORDER_CALLS} calls on a disabled recorder made {off_allocs} allocations"),
     );
 
     let allocs = service_kernel_allocs();

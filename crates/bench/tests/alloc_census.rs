@@ -3,12 +3,16 @@
 //! function of a `c4h-*` or `cloud4home` crate), so a rise in
 //! `allocs_per_op` can be traced to the code that makes it.
 //!
-//! Two warmed windows on `Config::paper_testbed(2011)`, recording off:
+//! Three warmed windows on `Config::paper_testbed(2011)`:
 //!
-//! * **idle**: 600 s of virtual time with no ops — only the background
-//!   plane (resource records every 2 s per node, overlay liveness probes);
+//! * **idle**: 600 s of virtual time with no ops, recording off — only the
+//!   background plane (resource records every 2 s per node, overlay
+//!   liveness probes);
 //! * **loop**: rounds of store, fetch and process of fresh objects from
-//!   rotating nodes.
+//!   rotating nodes, recording off;
+//! * **recorded loop**: the same rounds with tracing and the causal ledger
+//!   on, as the `planes-gray` benchmark workload runs — what the recording
+//!   plane itself allocates per op.
 //!
 //! Ignored by default: capturing and resolving a stack per allocation takes
 //! seconds. Built with the bench profile (release with debug info), so
@@ -80,10 +84,12 @@ fn print_table(title: &str, stacks: &[Backtrace], units: u64, unit: &str) {
     }
 }
 
-/// The testbed after a minute of virtual time, recording off.
-fn warmed_testbed() -> Cloud4Home {
+/// The testbed after a minute of virtual time, with tracing and the
+/// causal ledger both on or both off.
+fn warmed_testbed(recording: bool) -> Cloud4Home {
     let mut home = Cloud4Home::new(Config::paper_testbed(2011));
-    home.set_tracing(false);
+    home.set_tracing(recording);
+    home.set_ledger(recording);
     home.run_for(Duration::from_secs(60));
     home
 }
@@ -113,7 +119,7 @@ fn round(home: &mut Cloud4Home, r: u64) -> u64 {
 #[ignore = "captures a stack per allocation; run by hand, see the module docs"]
 fn allocation_census_of_the_paper_testbed() {
     const IDLE: Duration = Duration::from_secs(600);
-    let mut home = warmed_testbed();
+    let mut home = warmed_testbed(false);
     let ((), stacks) = census(|| home.run_for(IDLE));
     let period = Config::paper_testbed(2011).monitor.update_period;
     let records = home.node_count() as u64 * IDLE.as_secs() / period.as_secs();
@@ -126,20 +132,20 @@ fn allocation_census_of_the_paper_testbed() {
 
     const WARM_ROUNDS: u64 = 4;
     const ROUNDS: u64 = 40;
-    let mut home = warmed_testbed();
-    for r in 0..WARM_ROUNDS {
-        round(&mut home, r);
+    for (recording, title) in [
+        (false, "store/fetch/process loop (recording off)"),
+        (true, "store/fetch/process loop (tracing and ledger on)"),
+    ] {
+        let mut home = warmed_testbed(recording);
+        for r in 0..WARM_ROUNDS {
+            round(&mut home, r);
+        }
+        let (ops, stacks) = census(|| {
+            (WARM_ROUNDS..WARM_ROUNDS + ROUNDS)
+                .map(|r| round(&mut home, r))
+                .sum::<u64>()
+        });
+        print_table(title, &stacks, ops, "op");
+        assert!(!stacks.is_empty(), "the census captured nothing");
     }
-    let (ops, stacks) = census(|| {
-        (WARM_ROUNDS..WARM_ROUNDS + ROUNDS)
-            .map(|r| round(&mut home, r))
-            .sum::<u64>()
-    });
-    print_table(
-        "store/fetch/process loop (recording off)",
-        &stacks,
-        ops,
-        "op",
-    );
-    assert!(!stacks.is_empty(), "the census captured nothing");
 }

@@ -404,7 +404,10 @@ impl Cloud4Home {
                 self.op_instant(op, "store.replica_skip", || {
                     [
                         ("object", ArgValue::from(op.name.as_str())),
-                        ("skipped", ArgValue::from(self.nodes[target].name_sym.as_str())),
+                        (
+                            "skipped",
+                            ArgValue::from(self.nodes[target].name_sym.as_str()),
+                        ),
                     ]
                 });
                 continue;

@@ -60,6 +60,8 @@ mod export;
 mod health;
 mod ledger;
 mod recorder;
+#[cfg(test)]
+mod recorder_oracle;
 mod series;
 
 pub use dispatch::{add, install, observe, with, DispatchGuard};

@@ -535,26 +535,24 @@ impl OpenSpans {
         start_ns: TimeNs,
         args: impl IntoIterator<Item = Arg>,
     ) -> SpanId {
-        let index = match self.free.pop() {
-            Some(index) => index,
-            None => {
-                self.slots.push(OpenSlot {
-                    generation: 1,
-                    cat,
-                    name: Cow::Borrowed(""),
-                    track,
-                    start_ns,
-                    args: Vec::new(),
-                });
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 open spans")
-            }
-        };
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(OpenSlot {
+                generation: 1,
+                cat: "",
+                name: Cow::Borrowed(""),
+                track: 0,
+                start_ns: 0,
+                args: Vec::new(),
+            });
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 open spans")
+        });
+        // A free slot's buffer is empty: its last span's end drained it, or
+        // a clear did.
         let slot = &mut self.slots[index as usize];
         slot.cat = cat;
         slot.name = name;
         slot.track = track;
         slot.start_ns = start_ns;
-        slot.args.clear();
         slot.args.extend(args);
         SpanId::new(index, slot.generation)
     }
@@ -1051,6 +1049,23 @@ mod tests {
         assert_eq!(span.name, "fetch");
         assert_eq!(span.dur_ns(), 300);
         assert_eq!(span.arg("ok").and_then(ArgValue::as_u64), Some(1));
+    }
+
+    #[test]
+    fn a_span_id_outlived_by_its_slot_ends_nothing() {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        let stale = rec.begin("op", "cleared", 1, 0);
+        rec.clear();
+        let live = rec.begin("op", "live", 1, 10);
+        assert_ne!(stale, live, "same slot, next generation");
+        rec.end(stale, 20);
+        assert!(rec.snapshot().events.is_empty());
+        rec.end(live, 30);
+        rec.end(live, 40);
+        let snap = rec.snapshot();
+        let names: Vec<_> = snap.spans().map(|s| (&*s.name, s.end_ns)).collect();
+        assert_eq!(names, [("live", 30)], "a second end is a no-op");
     }
 
     #[test]
