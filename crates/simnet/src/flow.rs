@@ -47,6 +47,7 @@ use std::collections::BTreeMap;
 
 use c4h_telemetry::{ArgValue, Recorder, SpanId};
 
+use crate::hash::FxHashMap;
 use crate::intern::Sym;
 use crate::tcp::{SustainedCap, TcpProfile};
 use crate::time::SimTime;
@@ -397,6 +398,10 @@ struct AllocScratch {
     /// it). It lives behind the box to pay for the engine's two solve
     /// counters, whose size is pinned.
     segment_keys: Vec<&'static str>,
+    /// Not the solver's either: the open `net.flow` span of each logical
+    /// transfer while recording. A hash map, where a `BTreeMap` allocated
+    /// and freed nodes as transfers came and went; it is never iterated.
+    spans: FxHashMap<FlowId, SpanId>,
 }
 
 /// What `path`'s segments can still give one more flow: the least of
@@ -549,7 +554,6 @@ pub struct FlowNet {
     /// polling every node per event (ROADMAP, lesson (i)).
     scratch: Box<AllocScratch>,
     recorder: Option<Recorder>,
-    spans: BTreeMap<FlowId, SpanId>,
     counters: FlowCounters,
 }
 
@@ -595,7 +599,6 @@ impl FlowNet {
             next: SimTime::MAX,
             scratch: Box::default(),
             recorder: None,
-            spans: BTreeMap::new(),
             counters: FlowCounters::default(),
         }
     }
@@ -664,7 +667,7 @@ impl FlowNet {
             args.into_iter().chain(chunks),
         );
         if !span.is_none() {
-            self.spans.insert(id, span);
+            self.scratch.spans.insert(id, span);
         }
     }
 
@@ -676,7 +679,7 @@ impl FlowNet {
         } else {
             self.counters.canceled += 1;
         }
-        let span = self.spans.remove(&id);
+        let span = self.scratch.spans.remove(&id);
         let Some(rec) = &self.recorder else { return };
         if self.scratch.segment_keys.is_empty() {
             let segments = self.topology.segments().iter();
@@ -985,7 +988,7 @@ impl FlowNet {
             return true;
         }
         let Some(i) = self.index_of(id) else {
-            self.spans.remove(&id);
+            self.scratch.spans.remove(&id);
             return false;
         };
         let flow = self.remove_flow(i);

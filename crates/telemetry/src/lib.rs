@@ -12,11 +12,11 @@
 //! Three properties drive the design:
 //!
 //! * **Determinism.** Two runs of the same seeded workload must serialize
-//!   to byte-identical output. Events are kept in record order in a `Vec`,
-//!   metrics in `BTreeMap`s, span ids are handed out sequentially, and the
-//!   exporters emit integers only (timestamps are fixed-point microsecond
-//!   strings derived from integer nanoseconds) — no floats, no hash-map
-//!   iteration, no host clocks.
+//!   to byte-identical output. Events are kept in record order (fixed-size
+//!   heads plus one shared args arena), metrics in `BTreeMap`s, span ids
+//!   never reach an export, and the exporters emit integers only
+//!   (timestamps are fixed-point microsecond strings derived from integer
+//!   nanoseconds) — no floats, no hash-map iteration, no host clocks.
 //! * **Near-zero cost when off.** Recording sits behind a runtime toggle;
 //!   the disabled path is a single relaxed atomic load per call, so the
 //!   instrumentation can stay compiled into hot paths.
