@@ -76,7 +76,7 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
     );
     for (ev, args) in inner.events.iter() {
         out.push_str(",\n");
-        out.push_str(if ev.end_ns.is_some() {
+        out.push_str(if ev.end_ns().is_some() {
             "{\"ph\":\"X\",\"pid\":1,\"tid\":"
         } else {
             "{\"ph\":\"i\",\"pid\":1,\"tid\":"
@@ -88,7 +88,7 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
         escape_into(&mut out, &ev.name);
         out.push_str("\",\"ts\":");
         out.push_str(&micros(ev.start_ns));
-        match ev.end_ns {
+        match ev.end_ns() {
             Some(end_ns) => {
                 out.push_str(",\"dur\":");
                 out.push_str(&micros(end_ns.saturating_sub(ev.start_ns)));

@@ -464,6 +464,22 @@ mod tests {
     }
 
     #[test]
+    fn finished_and_discarded_rings_lend_their_buffers_to_new_ones() {
+        let mut l = OpLedger::new(8);
+        l.set_enabled(true);
+        l.record(1, CauseKind::Admit, LEDGER_NONE, 0, 0, 0);
+        l.record(2, CauseKind::Admit, LEDGER_NONE, 0, 0, 0);
+        l.record(2, CauseKind::DhtRetry, 1, 5, 1, 0);
+        assert_eq!(l.finish_with(1, <[LedgerEvent]>::len), 1);
+        l.discard(2);
+        assert_eq!(l.spare.len(), 2);
+        let seq = l.record(3, CauseKind::Admit, LEDGER_NONE, 9, 0, 0);
+        assert_eq!(l.spare.len(), 1, "the new ring took a spare buffer");
+        assert_eq!((seq, l.chain(3).len()), (1, 1), "and started it empty");
+        assert!(l.finish_with(4, <[LedgerEvent]>::is_empty));
+    }
+
+    #[test]
     fn eviction_protects_the_cause_chain() {
         let mut l = OpLedger::new(4);
         l.set_enabled(true);

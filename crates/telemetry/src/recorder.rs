@@ -431,9 +431,20 @@ pub(crate) struct Head {
     pub(crate) track: u64,
     /// A span's start, or an instant's timestamp.
     pub(crate) start_ns: TimeNs,
-    /// A span's end; `None` for an instant.
-    pub(crate) end_ns: Option<TimeNs>,
+    /// A span's end; an instant's timestamp again.
+    end_ns: TimeNs,
+    /// Whether the event is a span, not an instant: a flag beside the
+    /// `u32`s rather than an `Option`, which would make every head 8 bytes
+    /// wider.
+    span: bool,
     args: Run,
+}
+
+impl Head {
+    /// A span's end; `None` for an instant.
+    pub(crate) fn end_ns(&self) -> Option<TimeNs> {
+        self.span.then_some(self.end_ns)
+    }
 }
 
 /// The event log as columns: one fixed-size [`Head`] per completed span or
@@ -448,21 +459,24 @@ pub(crate) struct EventLog {
 }
 
 impl EventLog {
-    /// Appends one event whose arguments are `first` followed by `rest`.
+    /// Appends one event: a span, or an instant when `end_ns` is `None`.
     fn push(
         &mut self,
-        head: (&'static str, Cow<'static, str>, u64, TimeNs, Option<TimeNs>),
-        first: impl IntoIterator<Item = Arg>,
-        rest: impl IntoIterator<Item = Arg>,
+        cat: &'static str,
+        name: Cow<'static, str>,
+        track: u64,
+        start_ns: TimeNs,
+        end_ns: Option<TimeNs>,
+        args: impl IntoIterator<Item = Arg>,
     ) {
-        let (cat, name, track, start_ns, end_ns) = head;
-        let args = self.arena.push_run(first.into_iter().chain(rest));
+        let args = self.arena.push_run(args);
         self.heads.push_run([Head {
             cat,
             name,
             track,
             start_ns,
-            end_ns,
+            end_ns: end_ns.unwrap_or(start_ns),
+            span: end_ns.is_some(),
             args,
         }]);
     }
@@ -484,7 +498,7 @@ impl EventLog {
     /// The log as owned records, built on demand.
     fn to_records(&self) -> Vec<EventRec> {
         let mut out = Vec::with_capacity(self.len());
-        out.extend(self.iter().map(|(h, args)| match h.end_ns {
+        out.extend(self.iter().map(|(h, args)| match h.end_ns() {
             Some(end_ns) => EventRec::Span(SpanRec {
                 cat: h.cat,
                 name: h.name.clone(),
@@ -753,9 +767,12 @@ impl Recorder {
         if let Some(slot) = open.close(span) {
             let name = std::mem::take(&mut slot.name);
             events.push(
-                (slot.cat, name, slot.track, slot.start_ns, Some(end_ns)),
-                slot.args.drain(..),
-                args,
+                slot.cat,
+                name,
+                slot.track,
+                slot.start_ns,
+                Some(end_ns),
+                slot.args.drain(..).chain(args),
             );
         }
     }
@@ -787,7 +804,7 @@ impl Recorder {
         }
         self.lock()
             .events
-            .push((cat, name.into(), track, start_ns, Some(end_ns)), args, []);
+            .push(cat, name.into(), track, start_ns, Some(end_ns), args);
     }
 
     /// Records a point-in-time event.
@@ -815,7 +832,7 @@ impl Recorder {
         }
         self.lock()
             .events
-            .push((cat, name.into(), track, ts_ns, None), args, []);
+            .push(cat, name.into(), track, ts_ns, None, args);
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
