@@ -11,8 +11,7 @@
 //! node's mandatory bin … in cases where the mandatory bin is full … the
 //! data is stored elsewhere").
 
-use std::collections::HashMap;
-
+use c4h_simnet::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// Which storage pool an object occupies.
@@ -74,7 +73,10 @@ pub struct BinWatcher {
     /// Per-bin byte counts, indexed by `bin as usize`.
     capacity: [u64; 2],
     used: [u64; 2],
-    objects: HashMap<String, (Bin, u64)>,
+    /// Keyed with the fixed hasher: a randomly keyed map reallocates its
+    /// table at moments that differ between runs, which moved the heap's
+    /// layout, and so peak RSS, between runs of one seed. Never iterated.
+    objects: FxHashMap<String, (Bin, u64)>,
 }
 
 impl BinWatcher {
@@ -83,7 +85,7 @@ impl BinWatcher {
         BinWatcher {
             capacity: [mandatory_bytes, voluntary_bytes],
             used: [0; 2],
-            objects: HashMap::new(),
+            objects: FxHashMap::default(),
         }
     }
 

@@ -899,11 +899,10 @@ proptest! {
     }
 }
 
-/// Logs long enough to fill several head and arena chunks, with argument
-/// runs of every length from 0 to 7 crossing the chunks' ends, some of
-/// them staged by spans left open while later ones close.
+/// A 12 000-call log with argument runs of every length from 0 to 7, some
+/// of them staged by spans left open while later ones close.
 #[test]
-fn long_logs_cross_chunk_ends_like_the_event_per_record_recorder() {
+fn long_logs_match_the_event_per_record_recorder() {
     let (new, old) = (Recorder::new(), old::Recorder::new());
     new.set_enabled(true);
     old.set_enabled(true);
