@@ -96,12 +96,6 @@ impl From<String> for ArgValue {
     }
 }
 
-impl From<Cow<'static, str>> for ArgValue {
-    fn from(v: Cow<'static, str>) -> Self {
-        ArgValue::Str(v)
-    }
-}
-
 /// One key-value argument of a span or instant.
 pub type Arg = (&'static str, ArgValue);
 
