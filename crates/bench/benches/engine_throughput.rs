@@ -57,6 +57,14 @@
 //!    (the event-per-record recorder made 2-3 per event) — and the same
 //!    calls on a disabled recorder allocate nothing. Both are counts.
 //!
+//! 9. **The membership view in one arena**: `Cloud4Home::new` on the
+//!    `neighborhood-1k` world (1 000 nodes, leaf sets of 2, replication 2)
+//!    joins every node by protocol; it makes at most 50 000 allocations (a
+//!    boxed view made 561 704, one per view entry). A view bulk-loaded from
+//!    1 000 sorted entries is exactly one allocation, and iterating it
+//!    allocates nothing. All three are counts; the join's host time is
+//!    printed, and in full mode the 2 000-node join too.
+//!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
 //! slab engine reaches an **allocation-free steady state**: hold chunks
@@ -74,7 +82,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use c4h_bench::{allocations, banner, pump_overlay, BenchReport, CountingAlloc};
+use c4h_bench::{
+    allocations, banner, neighborhood_config, pump_overlay, BenchReport, CountingAlloc,
+};
 use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
     RoutingTable, StoredValue,
@@ -933,6 +943,33 @@ fn overlay_ring(n: usize, rounds: u64, route_reps: u64) -> OverlayRow {
     }
 }
 
+/// The most allocations the 1 000-node protocol join may make.
+const JOIN_1K_ALLOC_BOUND: u64 = 50_000;
+
+/// Allocations and host seconds of `Cloud4Home::new` on the
+/// `neighborhood-1k` world at `nodes` nodes.
+fn join_allocs(nodes: usize) -> (u64, f64) {
+    let config = neighborhood_config(nodes, 2011);
+    let (before, timer) = (allocations(), Instant::now());
+    let home = Cloud4Home::new(config);
+    let (allocs, secs) = (allocations() - before, timer.elapsed().as_secs_f64());
+    drop(home);
+    (allocs, secs)
+}
+
+/// Allocations of a 1 000-entry membership view bulk-loaded from sorted
+/// keys, and of one full in-order walk over it.
+fn view_allocs() -> (u64, u64) {
+    let entries = (0..1_000u64).map(|i| (Key::from_raw(i << 20), i as u32));
+    let before = allocations();
+    let view = RbTree::from_sorted(entries);
+    let load = allocations() - before;
+    let before = allocations();
+    let sum: u64 = view.iter().map(|(k, &v)| k.raw() ^ u64::from(v)).sum();
+    std::hint::black_box(sum);
+    (load, allocations() - before)
+}
+
 /// End-to-end ops/sec: a mixed store/fetch workload on the paper testbed,
 /// wall-clock timed through the full stack, and the event queue's counts
 /// over it.
@@ -1254,6 +1291,55 @@ fn main() {
             "(peers, delivery allocs, route allocs) = {overlay_allocs:?}; a ping round and a \
              route call must not allocate at any ring size"
         ),
+    );
+
+    // Counts, not clocks: the membership view is one arena per node, filled
+    // in one bulk load from a `Welcome`.
+    let (join_1k, join_1k_s) = join_allocs(1_000);
+    println!(
+        "protocol join @ 1000 nodes (neighborhood-1k world): {join_1k} allocations, \
+         {join_1k_s:.3} s"
+    );
+    report.push_row(vec![
+        ("join_nodes", 1_000u64.into()),
+        ("join_allocs", join_1k.into()),
+        ("join_host_s", join_1k_s.into()),
+    ]);
+    if !smoke() {
+        let (join_2k, join_2k_s) = join_allocs(2_000);
+        println!("protocol join @ 2000 nodes: {join_2k} allocations, {join_2k_s:.3} s");
+        report.push_row(vec![
+            ("join_nodes", 2_000u64.into()),
+            ("join_allocs", join_2k.into()),
+            ("join_host_s", join_2k_s.into()),
+        ]);
+    }
+    report.check(
+        "join_1k_allocs",
+        join_1k <= JOIN_1K_ALLOC_BOUND,
+        format!(
+            "the 1 000-node join made {join_1k} allocations (must stay <= \
+             {JOIN_1K_ALLOC_BOUND}; a boxed view made 561 704, one per view entry)"
+        ),
+    );
+    let (load_allocs, iter_allocs) = view_allocs();
+    println!(
+        "membership view of 1000 peers: bulk load {load_allocs} allocations, \
+         in-order walk {iter_allocs}"
+    );
+    report.push_row(vec![
+        ("view_bulk_load_allocs", load_allocs.into()),
+        ("view_iter_allocs", iter_allocs.into()),
+    ]);
+    report.check(
+        "view_bulk_load_one_alloc",
+        load_allocs == 1,
+        format!("a 1 000-entry bulk load made {load_allocs} allocations (must be exactly 1)"),
+    );
+    report.check(
+        "view_iter_zero_alloc",
+        iter_allocs == 0,
+        format!("an in-order walk of 1 000 entries made {iter_allocs} allocations (must be 0)"),
     );
 
     // Counts, not clocks: a record is one allocation from its encode to its

@@ -13,10 +13,15 @@ use std::time::Duration;
 
 use c4h_chimera::ChimeraNode;
 use c4h_simnet::SimTime;
-use cloud4home::{Cloud4Home, OpId, OpReport};
+use cloud4home::{
+    Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, OpReport, RoutePolicy, ServiceKind,
+    StorePolicy,
+};
 
+mod profile;
 mod report;
 
+pub use profile::{sample_profile, FrameShare, Profile};
 pub use report::{BenchReport, JsonVal};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -160,6 +165,56 @@ pub fn pump_overlay(nodes: &mut [ChimeraNode]) {
             return;
         }
     }
+}
+
+/// The world of the `neighborhood-1k` benchmark workload at `nodes` nodes:
+/// netbooks on one LAN and a desktop gateway offering transcoding, leaf
+/// sets of 2 per side, objects replicated twice. `Cloud4Home::new` on it
+/// is the protocol join the workload pays in its set-up.
+pub fn neighborhood_config(nodes: usize, seed: u64) -> Config {
+    let mut config = Config::paper_testbed(seed);
+    config.chimera.leaf_size = 2;
+    config.replication = 2;
+    config.nodes.clear();
+    for i in 0..nodes - 1 {
+        config.nodes.push(NodeSpec::netbook(&format!("nb-{i:03}")));
+    }
+    config
+        .nodes
+        .push(NodeSpec::desktop("nb-gateway").with_services(&[ServiceKind::Transcode]));
+    config
+}
+
+/// The paper testbed after a minute of virtual time, with tracing and the
+/// causal ledger both on or both off.
+pub fn warmed_testbed(recording: bool) -> Cloud4Home {
+    let mut home = Cloud4Home::new(Config::paper_testbed(2011));
+    home.set_tracing(recording);
+    home.set_ledger(recording);
+    home.run_for(Duration::from_secs(60));
+    home
+}
+
+/// One round of a store/fetch/process loop on the testbed: a store, a
+/// fetch and a process of a fresh object, each from a different node.
+/// Returns the ops it ran.
+pub fn testbed_round(home: &mut Cloud4Home, r: u64) -> u64 {
+    let n = home.node_count();
+    let at = |k: u64| NodeId((r + k) as usize % n);
+    let name = format!("census/{r}.avi");
+    let obj = Object::synthetic(&name, r, (256 + 64 * (r % 4)) << 10, "avi");
+    let op = home.store_object(at(0), obj, StorePolicy::MandatoryFirst, true);
+    home.run_until_complete(op).expect_ok();
+    let op = home.fetch_object(at(2), &name);
+    home.run_until_complete(op).expect_ok();
+    let op = home.process_object(
+        at(4),
+        &name,
+        ServiceKind::Transcode,
+        RoutePolicy::Performance,
+    );
+    home.run_until_complete(op).expect_ok();
+    3
 }
 
 /// Formats a duration in milliseconds with fixed width.

@@ -26,8 +26,8 @@ use std::backtrace::Backtrace;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use c4h_bench::{census, CountingAlloc};
-use cloud4home::{Cloud4Home, Config, NodeId, Object, RoutePolicy, ServiceKind, StorePolicy};
+use c4h_bench::{census, testbed_round as round, warmed_testbed, CountingAlloc};
+use cloud4home::Config;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -82,37 +82,6 @@ fn print_table(title: &str, stacks: &[Backtrace], units: u64, unit: &str) {
     for (site, n) in rows {
         println!("{n:>9} {:>9.3}  {site}", n as f64 / units as f64);
     }
-}
-
-/// The testbed after a minute of virtual time, with tracing and the
-/// causal ledger both on or both off.
-fn warmed_testbed(recording: bool) -> Cloud4Home {
-    let mut home = Cloud4Home::new(Config::paper_testbed(2011));
-    home.set_tracing(recording);
-    home.set_ledger(recording);
-    home.run_for(Duration::from_secs(60));
-    home
-}
-
-/// One round of the loop window: a store, a fetch and a process of a fresh
-/// object, each from a different node. Returns the ops it ran.
-fn round(home: &mut Cloud4Home, r: u64) -> u64 {
-    let n = home.node_count();
-    let at = |k: u64| NodeId((r + k) as usize % n);
-    let name = format!("census/{r}.avi");
-    let obj = Object::synthetic(&name, r, (256 + 64 * (r % 4)) << 10, "avi");
-    let op = home.store_object(at(0), obj, StorePolicy::MandatoryFirst, true);
-    home.run_until_complete(op).expect_ok();
-    let op = home.fetch_object(at(2), &name);
-    home.run_until_complete(op).expect_ok();
-    let op = home.process_object(
-        at(4),
-        &name,
-        ServiceKind::Transcode,
-        RoutePolicy::Performance,
-    );
-    home.run_until_complete(op).expect_ok();
-    3
 }
 
 #[test]

@@ -80,12 +80,14 @@ mod key;
 mod messages;
 mod node;
 mod rbtree;
+#[cfg(test)]
+mod rbtree_oracle;
 mod routing;
 mod store;
 
 pub use key::{root_of, Key, KeyHasher, KEY_BITS, KEY_DIGITS, KEY_MASK};
 pub use messages::{Envelope, Message, ReqId};
 pub use node::{ChimeraConfig, ChimeraNode, DhtError, DhtEvent, NodeStats};
-pub use rbtree::{Iter as RbIter, RbTree};
+pub use rbtree::{Iter as RbIter, RbTree, Seek as RbSeek};
 pub use routing::{route, LeafSet, NextHop, RoutingTable, ROW_WIDTH};
 pub use store::{LocalStore, MetaCache, OverwritePolicy, PutError, StoredValue};

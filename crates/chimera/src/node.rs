@@ -442,8 +442,20 @@ impl ChimeraNode {
     /// retired incarnations are ignored, mirroring a Welcome import.
     /// Emits [`DhtEvent::Joined`] exactly like a protocol join.
     pub fn assemble<I: IntoIterator<Item = Key>>(&mut self, view: I, _now: SimTime) {
-        for k in view {
-            self.learn_peer_quiet(k, 1);
+        if self.peers.is_empty() {
+            // An empty view is bulk-loaded: the routing table sees the keys
+            // in the caller's order, as one import each would show them.
+            let mut keys: Vec<Key> = view.into_iter().filter(|&k| !self.skips(k, 1)).collect();
+            for &k in &keys {
+                self.table.add(k);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            self.load_view(keys.into_iter().map(|k| (k, 1)));
+        } else {
+            for k in view {
+                self.learn_peer_quiet(k, 1);
+            }
         }
         self.rebuild_views();
         self.joined = true;
@@ -687,19 +699,22 @@ impl ChimeraNode {
                 joiner,
                 incarnation,
             } => {
-                let peers: Vec<(Key, u32)> = self
-                    .peers
-                    .iter()
-                    .filter(|(k, _)| **k != joiner)
-                    .map(|(k, s)| (*k, s.incarnation))
-                    .chain(std::iter::once((self.id, self.incarnation)))
-                    .collect();
+                // Sized once: the view plus this node, or one less when the
+                // joiner was known.
+                let mut peers = Vec::with_capacity(self.peers.len() + 1);
+                peers.extend(
+                    self.peers
+                        .iter()
+                        .filter(|(k, _)| **k != joiner)
+                        .map(|(k, s)| (*k, s.incarnation)),
+                );
+                peers.push((self.id, self.incarnation));
                 self.send(joiner, Message::Welcome { peers });
                 self.learn_peer(joiner, incarnation, Some(from), now);
             }
             Message::Welcome { peers } => {
-                for (k, inc) in peers {
-                    if k != self.id {
+                if !self.import_welcome(&peers) {
+                    for (k, inc) in peers {
                         self.learn_peer_quiet(k, inc);
                     }
                 }
@@ -1047,27 +1062,66 @@ impl ChimeraNode {
 
     /// Adds a peer without flooding or view rebuilds (bulk Welcome import).
     fn learn_peer_quiet(&mut self, node: Key, incarnation: u32) -> bool {
-        if node == self.id {
+        if self.skips(node, incarnation) {
             return false;
         }
-        if self.retired.get(&node).copied() >= Some(incarnation) {
+        let (state, inserted) = self.peers.upsert(node, || PeerState { incarnation });
+        if inserted {
+            self.table.add(node);
+            return true;
+        }
+        if state.incarnation >= incarnation {
             return false;
         }
-        match self.peers.get_mut(&node) {
-            Some(state) => {
-                if state.incarnation >= incarnation {
-                    return false;
-                }
-                state.incarnation = incarnation;
-                self.probes.remove(&node);
-                true
-            }
-            None => {
-                self.peers.insert(node, PeerState { incarnation });
-                self.table.add(node);
-                true
+        state.incarnation = incarnation;
+        self.probes.remove(&node);
+        true
+    }
+
+    /// Whether learning `(node, incarnation)` is a no-op: it is this node
+    /// itself or an incarnation it saw retire.
+    fn skips(&self, node: Key, incarnation: u32) -> bool {
+        node == self.id || self.retired.get(&node).copied() >= Some(incarnation)
+    }
+
+    /// Imports a `Welcome`'s peer list — the sender's view in key order,
+    /// then the sender itself — into an empty view without a descent per
+    /// peer: the routing table sees the entries `learn_peer_quiet` would
+    /// keep, in list order, and the view is bulk-loaded from them with the
+    /// sender placed by binary search. Returns `false`, having changed
+    /// nothing, when the view is not empty or the list is not in that
+    /// shape.
+    fn import_welcome(&mut self, peers: &[(Key, u32)]) -> bool {
+        let Some((sender, view)) = peers.split_last() else {
+            return false;
+        };
+        let at = view.partition_point(|(k, _)| *k < sender.0);
+        if !self.peers.is_empty()
+            || !view.windows(2).all(|w| w[0].0 < w[1].0)
+            || view.get(at).is_some_and(|(k, _)| *k == sender.0)
+        {
+            return false;
+        }
+        for &(k, inc) in peers {
+            if !self.skips(k, inc) {
+                self.table.add(k);
             }
         }
+        let (lo, hi) = view.split_at(at);
+        self.load_view(lo.iter().chain([sender]).chain(hi).copied());
+        true
+    }
+
+    /// Bulk-loads the empty view from entries in strictly ascending key
+    /// order, skipping those `learn_peer_quiet` would.
+    fn load_view(&mut self, sorted: impl Iterator<Item = (Key, u32)>) {
+        debug_assert!(self.peers.is_empty(), "bulk load over a non-empty view");
+        let view = RbTree::from_sorted(
+            sorted
+                .filter(|&(k, inc)| !self.skips(k, inc))
+                .map(|(k, incarnation)| (k, PeerState { incarnation })),
+        );
+        self.peers = view;
     }
 
     /// Adds a peer, rebuilds views, propagates the announcement, and hands

@@ -12,26 +12,35 @@
 //! The overlay uses it as the ordered view of all known peers, from which
 //! leaf sets (ring neighbours) and `chimeraGetDecision` candidate lists are
 //! derived.
+//!
+//! The nodes of one tree live in one arena (a `Vec`) and link by `u32`
+//! index, so a view of n peers is one allocation, not n. The arena grows by
+//! an eighth at a time, not by doubling, and stays dense: a removal moves
+//! the last node into the freed slot. [`RbTree::from_sorted`] lays out ascending entries in
+//! O(n) without a single rotation, and [`RbTree::upsert`] finds or inserts
+//! in one descent. Every reader answers from the set of keys alone, never
+//! from the tree's shape, so two trees with the same entries answer alike
+//! however they were built.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Red,
-    Black,
-}
+/// The absent link.
+const NIL: u32 = u32::MAX;
+
+/// The deepest left spine an in-order walk can stack: a left-leaning
+/// red-black tree of n nodes is at most 2·log₂(n + 1) high, and an arena
+/// indexed by `u32` holds fewer than 2³² nodes.
+const MAX_DEPTH: usize = 64;
 
 #[derive(Debug, Clone)]
 struct Node<K, V> {
     key: K,
     value: V,
-    color: Color,
-    left: Link<K, V>,
-    right: Link<K, V>,
+    left: u32,
+    right: u32,
+    red: bool,
 }
-
-type Link<K, V> = Option<Box<Node<K, V>>>;
 
 /// An ordered map implemented as a left-leaning red-black tree.
 ///
@@ -52,8 +61,19 @@ type Link<K, V> = Option<Box<Node<K, V>>>;
 /// ```
 #[derive(Clone)]
 pub struct RbTree<K, V> {
-    root: Link<K, V>,
-    len: usize,
+    nodes: Vec<Node<K, V>>,
+    root: u32,
+}
+
+/// What [`RbTree::seek`] finds around a key in one descent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seek<'a, K, V> {
+    /// The entry at the key itself.
+    pub hit: Option<(&'a K, &'a V)>,
+    /// The largest entry with a key strictly less.
+    pub prev: Option<(&'a K, &'a V)>,
+    /// The smallest entry with a key strictly greater.
+    pub next: Option<(&'a K, &'a V)>,
 }
 
 impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for RbTree<K, V> {
@@ -68,72 +88,12 @@ impl<K, V> Default for RbTree<K, V> {
     }
 }
 
-fn is_red<K, V>(link: &Link<K, V>) -> bool {
-    matches!(link, Some(n) if n.color == Color::Red)
-}
-
-fn rotate_left<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    let mut x = h.right.take().expect("rotate_left requires right child");
-    h.right = x.left.take();
-    x.color = h.color;
-    h.color = Color::Red;
-    x.left = Some(h);
-    x
-}
-
-fn rotate_right<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    let mut x = h.left.take().expect("rotate_right requires left child");
-    h.left = x.right.take();
-    x.color = h.color;
-    h.color = Color::Red;
-    x.right = Some(h);
-    x
-}
-
-fn flip_colors<K, V>(h: &mut Node<K, V>) {
-    fn flip(c: Color) -> Color {
-        match c {
-            Color::Red => Color::Black,
-            Color::Black => Color::Red,
-        }
-    }
-    h.color = flip(h.color);
-    if let Some(l) = h.left.as_mut() {
-        l.color = flip(l.color);
-    }
-    if let Some(r) = h.right.as_mut() {
-        r.color = flip(r.color);
-    }
-}
-
-fn fix_up<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    if is_red(&h.right) && !is_red(&h.left) {
-        h = rotate_left(h);
-    }
-    if is_red(&h.left) && h.left.as_ref().is_some_and(|l| is_red(&l.left)) {
-        h = rotate_right(h);
-    }
-    if is_red(&h.left) && is_red(&h.right) {
-        flip_colors(&mut h);
-    }
-    h
-}
-
-fn move_red_left<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    flip_colors(&mut h);
-    if h.right.as_ref().is_some_and(|r| is_red(&r.left)) {
-        h.right = Some(rotate_right(h.right.take().expect("checked above")));
-        h = rotate_left(h);
-        flip_colors(&mut h);
-    }
-    h
-}
-
-fn move_red_right<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    flip_colors(&mut h);
-    if h.left.as_ref().is_some_and(|l| is_red(&l.left)) {
-        h = rotate_right(h);
-        flip_colors(&mut h);
+/// The height of the shortest 2-3 tree holding `n` keys: the least `h`
+/// with 3^h − 1 ≥ n.
+fn height_23(n: usize) -> u32 {
+    let mut h = 0;
+    while 3u128.pow(h) - 1 < n as u128 {
+        h += 1;
     }
     h
 }
@@ -141,108 +101,363 @@ fn move_red_right<K, V>(mut h: Box<Node<K, V>>) -> Box<Node<K, V>> {
 impl<K, V> RbTree<K, V> {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        RbTree { root: None, len: 0 }
+        RbTree {
+            nodes: Vec::new(),
+            root: NIL,
+        }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// Returns `true` if the tree holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
-    /// In-order iterator over entries.
+    /// In-order iterator over entries. Allocates nothing.
     pub fn iter(&self) -> Iter<'_, K, V> {
-        let mut stack = Vec::new();
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            stack.push(n);
-            cur = n.left.as_deref();
-        }
-        Iter { stack }
+        let mut it = Iter {
+            nodes: &self.nodes,
+            stack: [NIL; MAX_DEPTH],
+            depth: 0,
+        };
+        it.push_left(self.root);
+        it
     }
 
     /// In-order iterator over keys.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
     }
+
+    fn is_red(&self, i: u32) -> bool {
+        i != NIL && self.nodes[i as usize].red
+    }
+
+    /// Whether `i` is a node whose left child is red.
+    fn is_red_left(&self, i: u32) -> bool {
+        i != NIL && self.is_red(self.left(i))
+    }
+
+    fn left(&self, i: u32) -> u32 {
+        self.nodes[i as usize].left
+    }
+
+    fn right(&self, i: u32) -> u32 {
+        self.nodes[i as usize].right
+    }
+
+    fn entry(&self, i: u32) -> Option<(&K, &V)> {
+        (i != NIL).then(|| {
+            let n = &self.nodes[i as usize];
+            (&n.key, &n.value)
+        })
+    }
+
+    /// Appends a detached node, growing the arena by an eighth when full
+    /// rather than doubling it: a view bulk-loaded at join and then grown
+    /// by a few announced peers keeps little spare capacity.
+    fn push(&mut self, key: K, value: V, red: bool) -> u32 {
+        assert!(
+            self.nodes.len() < NIL as usize,
+            "an arena holds < 2³² − 1 nodes"
+        );
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact((self.nodes.len() / 8).max(4));
+        }
+        self.nodes.push(Node {
+            key,
+            value,
+            left: NIL,
+            right: NIL,
+            red,
+        });
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn rotate_left(&mut self, h: u32) -> u32 {
+        let x = self.right(h);
+        debug_assert_ne!(x, NIL, "rotate_left requires a right child");
+        self.nodes[h as usize].right = self.left(x);
+        self.nodes[x as usize].left = h;
+        self.nodes[x as usize].red = self.nodes[h as usize].red;
+        self.nodes[h as usize].red = true;
+        x
+    }
+
+    fn rotate_right(&mut self, h: u32) -> u32 {
+        let x = self.left(h);
+        debug_assert_ne!(x, NIL, "rotate_right requires a left child");
+        self.nodes[h as usize].left = self.right(x);
+        self.nodes[x as usize].right = h;
+        self.nodes[x as usize].red = self.nodes[h as usize].red;
+        self.nodes[h as usize].red = true;
+        x
+    }
+
+    fn flip_colors(&mut self, h: u32) {
+        for i in [h, self.left(h), self.right(h)] {
+            if i != NIL {
+                let n = &mut self.nodes[i as usize];
+                n.red = !n.red;
+            }
+        }
+    }
+
+    fn fix_up(&mut self, mut h: u32) -> u32 {
+        if self.is_red(self.right(h)) && !self.is_red(self.left(h)) {
+            h = self.rotate_left(h);
+        }
+        if self.is_red(self.left(h)) && self.is_red_left(self.left(h)) {
+            h = self.rotate_right(h);
+        }
+        if self.is_red(self.left(h)) && self.is_red(self.right(h)) {
+            self.flip_colors(h);
+        }
+        h
+    }
+
+    fn move_red_left(&mut self, mut h: u32) -> u32 {
+        self.flip_colors(h);
+        let r = self.right(h);
+        if self.is_red_left(r) {
+            self.nodes[h as usize].right = self.rotate_right(r);
+            h = self.rotate_left(h);
+            self.flip_colors(h);
+        }
+        h
+    }
+
+    fn move_red_right(&mut self, mut h: u32) -> u32 {
+        self.flip_colors(h);
+        if self.is_red_left(self.left(h)) {
+            h = self.rotate_right(h);
+            self.flip_colors(h);
+        }
+        h
+    }
+
+    /// Detaches the minimum of the subtree at `h`; returns the subtree's
+    /// new root and the detached node.
+    fn remove_min_rec(&mut self, mut h: u32) -> (u32, u32) {
+        if self.left(h) == NIL {
+            return (NIL, h);
+        }
+        if !self.is_red(self.left(h)) && !self.is_red_left(self.left(h)) {
+            h = self.move_red_left(h);
+        }
+        let (l, min) = self.remove_min_rec(self.left(h));
+        self.nodes[h as usize].left = l;
+        (self.fix_up(h), min)
+    }
+
+    /// Frees the detached node `gone`: the last node moves into its slot
+    /// and the link that reached it follows.
+    fn compact(&mut self, gone: u32) -> Node<K, V>
+    where
+        K: Ord,
+    {
+        let last = (self.nodes.len() - 1) as u32;
+        if gone != last {
+            let key = &self.nodes[last as usize].key;
+            let mut link: Option<u32> = None;
+            let mut cur = self.root;
+            while cur != last {
+                link = Some(cur);
+                let n = &self.nodes[cur as usize];
+                cur = if *key < n.key { n.left } else { n.right };
+            }
+            match link {
+                None => self.root = gone,
+                Some(p) if self.left(p) == last => self.nodes[p as usize].left = gone,
+                Some(p) => self.nodes[p as usize].right = gone,
+            }
+        }
+        self.nodes.swap_remove(gone as usize)
+    }
 }
 
 impl<K: Ord, V> RbTree<K, V> {
-    /// Looks up the value for `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
+    /// Builds a tree from entries in strictly ascending key order, in O(n)
+    /// and one allocation when the iterator knows its upper bound.
+    ///
+    /// The entries form the shortest 2-3 tree that holds them, every leaf
+    /// at the same depth, each 3-node encoded as a black node with a red
+    /// left child.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are not strictly ascending.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use c4h_chimera::RbTree;
+    ///
+    /// let t = RbTree::from_sorted((0..10).map(|k| (k, k * k)));
+    /// assert_eq!(t.get(&7), Some(&49));
+    /// assert!(t.check_invariants().is_ok());
+    /// ```
+    pub fn from_sorted<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let (lower, upper) = entries.size_hint();
+        let mut nodes: Vec<Node<K, V>> = Vec::with_capacity(upper.unwrap_or(lower));
+        for (key, value) in entries {
+            if let Some(prev) = nodes.last() {
+                assert!(prev.key < key, "from_sorted: keys not strictly ascending");
+            }
+            nodes.push(Node {
+                key,
+                value,
+                left: NIL,
+                right: NIL,
+                red: false,
+            });
+        }
+        let mut tree = RbTree { nodes, root: NIL };
+        let n = tree.nodes.len();
+        assert!(n < NIL as usize, "an arena holds < 2³² − 1 nodes");
+        tree.root = tree.link_23(0, n, height_23(n));
+        debug_assert_eq!(tree.check_invariants(), Ok(()));
+        tree
+    }
+
+    /// Links the arena slots `first..first + n`, already in key order, as
+    /// a 2-3 tree of height `h` (which must hold n: 2^h − 1 ≤ n ≤ 3^h − 1)
+    /// and returns its root.
+    fn link_23(&mut self, first: usize, n: usize, h: u32) -> u32 {
+        if n == 0 {
+            return NIL;
+        }
+        let sub = h - 1;
+        if (n as u128) < 2 * 3u128.pow(sub) {
+            // A 2-node: one key between two subtrees of height h − 1.
+            let a = (n - 1) / 2;
+            let l = self.link_23(first, a, sub);
+            let x = (first + a) as u32;
+            let r = self.link_23(first + a + 1, n - 1 - a, sub);
+            let node = &mut self.nodes[x as usize];
+            (node.left, node.right) = (l, r);
+            x
+        } else {
+            // A 3-node: keys y < x between three subtrees, encoded as black
+            // x with red left child y.
+            let rest = n - 2;
+            let a = rest / 3;
+            let b = (rest - a) / 2;
+            let c = rest - a - b;
+            let y = (first + a) as u32;
+            let x = (first + a + 1 + b) as u32;
+            let yl = self.link_23(first, a, sub);
+            let yr = self.link_23(first + a + 1, b, sub);
+            let xr = self.link_23(first + a + b + 2, c, sub);
+            let small = &mut self.nodes[y as usize];
+            (small.left, small.right, small.red) = (yl, yr, true);
+            let big = &mut self.nodes[x as usize];
+            (big.left, big.right) = (y, xr);
+            x
+        }
+    }
+
+    fn find(&self, key: &K) -> u32 {
+        let mut cur = self.root;
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
             match key.cmp(&n.key) {
-                Ordering::Less => cur = n.left.as_deref(),
-                Ordering::Greater => cur = n.right.as_deref(),
-                Ordering::Equal => return Some(&n.value),
+                Ordering::Less => cur = n.left,
+                Ordering::Greater => cur = n.right,
+                Ordering::Equal => return cur,
             }
         }
-        None
+        NIL
+    }
+
+    /// Looks up the value for `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.entry(self.find(key)).map(|(_, v)| v)
     }
 
     /// Looks up the value for `key`, mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let mut cur = self.root.as_deref_mut();
-        while let Some(n) = cur {
-            match key.cmp(&n.key) {
-                Ordering::Less => cur = n.left.as_deref_mut(),
-                Ordering::Greater => cur = n.right.as_deref_mut(),
-                Ordering::Equal => return Some(&mut n.value),
-            }
+        match self.find(key) {
+            NIL => None,
+            i => Some(&mut self.nodes[i as usize].value),
         }
-        None
     }
 
     /// Returns `true` if the tree contains `key`.
     pub fn contains(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.find(key) != NIL
     }
 
     /// Inserts a key-value pair, returning the previous value if the key was
     /// present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (root, old) = Self::insert_rec(self.root.take(), key, value);
-        let mut root = root;
-        root.color = Color::Black;
-        self.root = Some(root);
-        if old.is_none() {
-            self.len += 1;
+        let mut value = Some(value);
+        let (slot, inserted) = self.upsert(key, || value.take().expect("made once"));
+        match value {
+            Some(value) if !inserted => Some(std::mem::replace(slot, value)),
+            _ => None,
         }
-        old
     }
 
-    fn insert_rec(link: Link<K, V>, key: K, value: V) -> (Box<Node<K, V>>, Option<V>) {
-        let Some(mut h) = link else {
-            return (
-                Box::new(Node {
-                    key,
-                    value,
-                    color: Color::Red,
-                    left: None,
-                    right: None,
-                }),
-                None,
-            );
-        };
-        let old = match key.cmp(&h.key) {
+    /// The value for `key`, inserting `make()` first if the key is absent,
+    /// in one descent. The flag says whether it inserted.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use c4h_chimera::RbTree;
+    ///
+    /// let mut t = RbTree::new();
+    /// let (v, inserted) = t.upsert("k", || 1);
+    /// assert!(inserted);
+    /// *v += 1;
+    /// assert_eq!(t.upsert("k", || 0), (&mut 2, false));
+    /// ```
+    pub fn upsert(&mut self, key: K, make: impl FnOnce() -> V) -> (&mut V, bool) {
+        let mut at = (NIL, false);
+        let root = self.upsert_rec(self.root, key, make, &mut at);
+        self.root = root;
+        self.nodes[root as usize].red = false;
+        (&mut self.nodes[at.0 as usize].value, at.1)
+    }
+
+    fn upsert_rec(
+        &mut self,
+        h: u32,
+        key: K,
+        make: impl FnOnce() -> V,
+        at: &mut (u32, bool),
+    ) -> u32 {
+        if h == NIL {
+            let i = self.push(key, make(), true);
+            *at = (i, true);
+            return i;
+        }
+        match key.cmp(&self.nodes[h as usize].key) {
             Ordering::Less => {
-                let (l, old) = Self::insert_rec(h.left.take(), key, value);
-                h.left = Some(l);
-                old
+                let l = self.upsert_rec(self.left(h), key, make, at);
+                self.nodes[h as usize].left = l;
             }
             Ordering::Greater => {
-                let (r, old) = Self::insert_rec(h.right.take(), key, value);
-                h.right = Some(r);
-                old
+                let r = self.upsert_rec(self.right(h), key, make, at);
+                self.nodes[h as usize].right = r;
             }
-            Ordering::Equal => Some(std::mem::replace(&mut h.value, value)),
-        };
-        (fix_up(h), old)
+            Ordering::Equal => {
+                *at = (h, false);
+                return h;
+            }
+        }
+        // A hit changed no link below, so the path needs no fix-up.
+        if at.1 {
+            self.fix_up(h)
+        } else {
+            h
+        }
     }
 
     /// Removes `key`, returning its value if present.
@@ -252,161 +467,185 @@ impl<K: Ord, V> RbTree<K, V> {
         }
         // LLRB delete requires the root to be treated as red when both
         // children are black.
-        let mut root = self.root.take().expect("contains() implies non-empty");
-        if !is_red(&root.left) && !is_red(&root.right) {
-            root.color = Color::Red;
+        let root = self.root;
+        if !self.is_red(self.left(root)) && !self.is_red(self.right(root)) {
+            self.nodes[root as usize].red = true;
         }
-        let (link, removed) = Self::remove_rec(root, key);
-        self.root = link;
-        if let Some(r) = self.root.as_mut() {
-            r.color = Color::Black;
+        let mut gone = NIL;
+        self.root = self.remove_rec(root, key, &mut gone);
+        if self.root != NIL {
+            self.nodes[self.root as usize].red = false;
         }
-        self.len -= 1;
-        Some(removed)
+        Some(self.compact(gone).value)
     }
 
-    fn remove_rec(mut h: Box<Node<K, V>>, key: &K) -> (Link<K, V>, V) {
-        if key < &h.key {
-            if !is_red(&h.left) && !h.left.as_ref().is_some_and(|l| is_red(&l.left)) {
-                h = move_red_left(h);
+    /// Removes `key` from the subtree at `h`, leaving its node detached in
+    /// `gone`; returns the subtree's new root.
+    fn remove_rec(&mut self, mut h: u32, key: &K, gone: &mut u32) -> u32 {
+        if *key < self.nodes[h as usize].key {
+            if !self.is_red(self.left(h)) && !self.is_red_left(self.left(h)) {
+                h = self.move_red_left(h);
             }
-            let (l, removed) =
-                Self::remove_rec(h.left.take().expect("key is in left subtree"), key);
-            h.left = l;
-            (Some(fix_up(h)), removed)
+            let l = self.remove_rec(self.left(h), key, gone);
+            self.nodes[h as usize].left = l;
+            return self.fix_up(h);
+        }
+        if self.is_red(self.left(h)) {
+            h = self.rotate_right(h);
+        }
+        if *key == self.nodes[h as usize].key && self.right(h) == NIL {
+            *gone = h;
+            return NIL;
+        }
+        if !self.is_red(self.right(h)) && !self.is_red_left(self.right(h)) {
+            h = self.move_red_right(h);
+        }
+        if *key == self.nodes[h as usize].key {
+            // The successor (min of the right subtree) takes h's place.
+            let (r, min) = self.remove_min_rec(self.right(h));
+            let (left, red) = (self.left(h), self.nodes[h as usize].red);
+            let m = &mut self.nodes[min as usize];
+            (m.left, m.right, m.red) = (left, r, red);
+            *gone = h;
+            self.fix_up(min)
         } else {
-            if is_red(&h.left) {
-                h = rotate_right(h);
-            }
-            if key == &h.key && h.right.is_none() {
-                return (None, h.value);
-            }
-            if !is_red(&h.right) && !h.right.as_ref().is_some_and(|r| is_red(&r.left)) {
-                h = move_red_right(h);
-            }
-            if key == &h.key {
-                // Replace with the successor (min of right subtree).
-                let (r, min) = Self::remove_min_rec(h.right.take().expect("right checked above"));
-                h.right = r;
-                let removed = std::mem::replace(&mut h.value, min.value);
-                h.key = min.key;
-                (Some(fix_up(h)), removed)
-            } else {
-                let (r, removed) =
-                    Self::remove_rec(h.right.take().expect("key is in right subtree"), key);
-                h.right = r;
-                (Some(fix_up(h)), removed)
-            }
+            let r = self.remove_rec(self.right(h), key, gone);
+            self.nodes[h as usize].right = r;
+            self.fix_up(h)
         }
-    }
-
-    fn remove_min_rec(mut h: Box<Node<K, V>>) -> (Link<K, V>, Box<Node<K, V>>) {
-        if h.left.is_none() {
-            return (None, h);
-        }
-        if !is_red(&h.left) && !h.left.as_ref().is_some_and(|l| is_red(&l.left)) {
-            h = move_red_left(h);
-        }
-        let (l, min) = Self::remove_min_rec(h.left.take().expect("left checked above"));
-        h.left = l;
-        (Some(fix_up(h)), min)
     }
 
     /// The smallest entry.
     pub fn min(&self) -> Option<(&K, &V)> {
-        let mut cur = self.root.as_deref()?;
-        while let Some(l) = cur.left.as_deref() {
-            cur = l;
+        let mut cur = self.root;
+        while cur != NIL && self.left(cur) != NIL {
+            cur = self.left(cur);
         }
-        Some((&cur.key, &cur.value))
+        self.entry(cur)
     }
 
     /// The largest entry.
     pub fn max(&self) -> Option<(&K, &V)> {
-        let mut cur = self.root.as_deref()?;
-        while let Some(r) = cur.right.as_deref() {
-            cur = r;
+        let mut cur = self.root;
+        while cur != NIL && self.right(cur) != NIL {
+            cur = self.right(cur);
         }
-        Some((&cur.key, &cur.value))
+        self.entry(cur)
     }
 
     /// The smallest entry with key strictly greater than `key`.
     pub fn next_after(&self, key: &K) -> Option<(&K, &V)> {
-        let mut best: Option<&Node<K, V>> = None;
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            if &n.key > key {
-                best = Some(n);
-                cur = n.left.as_deref();
-            } else {
-                cur = n.right.as_deref();
-            }
-        }
-        best.map(|n| (&n.key, &n.value))
+        self.seek(key).next
     }
 
     /// The largest entry with key strictly less than `key`.
     pub fn prev_before(&self, key: &K) -> Option<(&K, &V)> {
-        let mut best: Option<&Node<K, V>> = None;
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            if &n.key < key {
-                best = Some(n);
-                cur = n.right.as_deref();
-            } else {
-                cur = n.left.as_deref();
+        self.seek(key).prev
+    }
+
+    /// The entry at `key` and its strict neighbours, in one descent: past
+    /// a hit the walk goes on down the hit's two subtrees' inner spines.
+    pub fn seek(&self, key: &K) -> Seek<'_, K, V> {
+        let (mut hit, mut prev, mut next) = (NIL, NIL, NIL);
+        let mut cur = self.root;
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
+            match key.cmp(&n.key) {
+                Ordering::Less => {
+                    next = cur;
+                    cur = n.left;
+                }
+                Ordering::Greater => {
+                    prev = cur;
+                    cur = n.right;
+                }
+                Ordering::Equal => {
+                    hit = cur;
+                    break;
+                }
             }
         }
-        best.map(|n| (&n.key, &n.value))
+        if hit != NIL {
+            let mut cur = self.left(hit);
+            while cur != NIL {
+                prev = cur;
+                cur = self.right(cur);
+            }
+            let mut cur = self.right(hit);
+            while cur != NIL {
+                next = cur;
+                cur = self.left(cur);
+            }
+        }
+        Seek {
+            hit: self.entry(hit),
+            prev: self.entry(prev),
+            next: self.entry(next),
+        }
     }
 
     /// Verifies the red-black invariants; used by tests and debug assertions.
     ///
-    /// Checks: root is black; no red node has a red child; every path from
-    /// the root to a leaf crosses the same number of black nodes; keys are
-    /// in strict order.
+    /// Checks: root is black; no red node has a red child and no red link
+    /// leans right; every path from the root to a leaf crosses the same
+    /// number of black nodes; keys are in strict order; every arena slot is
+    /// reached exactly once.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if is_red(&self.root) {
+        if self.is_red(self.root) {
             return Err("root is red".into());
         }
         fn walk<K: Ord, V>(
-            link: &Link<K, V>,
+            t: &RbTree<K, V>,
+            i: u32,
             lo: Option<&K>,
             hi: Option<&K>,
+            seen: &mut usize,
         ) -> Result<usize, String> {
-            let Some(n) = link else {
+            if i == NIL {
                 return Ok(1);
+            }
+            let Some(n) = t.nodes.get(i as usize) else {
+                return Err(format!("link {i} past the arena's {} slots", t.nodes.len()));
             };
-            if let Some(lo) = lo {
-                if &n.key <= lo {
-                    return Err("key order violated (lower bound)".into());
-                }
+            *seen += 1;
+            if *seen > t.nodes.len() {
+                return Err("a slot is reached twice".into());
             }
-            if let Some(hi) = hi {
-                if &n.key >= hi {
-                    return Err("key order violated (upper bound)".into());
-                }
+            if lo.is_some_and(|lo| n.key <= *lo) {
+                return Err("key order violated (lower bound)".into());
             }
-            if n.color == Color::Red && (is_red(&n.left) || is_red(&n.right)) {
+            if hi.is_some_and(|hi| n.key >= *hi) {
+                return Err("key order violated (upper bound)".into());
+            }
+            if n.red && (t.is_red(n.left) || t.is_red(n.right)) {
                 return Err("red node with red child".into());
             }
-            let lb = walk(&n.left, lo, Some(&n.key))?;
-            let rb = walk(&n.right, Some(&n.key), hi)?;
+            if t.is_red(n.right) {
+                return Err("red link leans right".into());
+            }
+            let lb = walk(t, n.left, lo, Some(&n.key), seen)?;
+            let rb = walk(t, n.right, Some(&n.key), hi, seen)?;
             if lb != rb {
                 return Err(format!("black-height mismatch: {lb} vs {rb}"));
             }
-            Ok(lb + usize::from(n.color == Color::Black))
+            Ok(lb + usize::from(!n.red))
         }
-        walk(&self.root, None, None).map(|_| ())
+        let mut seen = 0;
+        walk(self, self.root, None, None, &mut seen)?;
+        if seen != self.nodes.len() {
+            return Err(format!(
+                "{seen} of the arena's {} slots are in the tree",
+                self.nodes.len()
+            ));
+        }
+        Ok(())
     }
 }
 
 impl<K: Ord, V> FromIterator<(K, V)> for RbTree<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut t = RbTree::new();
-        for (k, v) in iter {
-            t.insert(k, v);
-        }
+        t.extend(iter);
         t
     }
 }
@@ -419,22 +658,32 @@ impl<K: Ord, V> Extend<(K, V)> for RbTree<K, V> {
     }
 }
 
-/// In-order iterator over a [`RbTree`].
+/// In-order iterator over a [`RbTree`]. Its stack is a fixed array, so
+/// iterating allocates nothing.
 #[derive(Debug)]
 pub struct Iter<'a, K, V> {
-    stack: Vec<&'a Node<K, V>>,
+    nodes: &'a [Node<K, V>],
+    stack: [u32; MAX_DEPTH],
+    depth: usize,
+}
+
+impl<K, V> Iter<'_, K, V> {
+    fn push_left(&mut self, mut cur: u32) {
+        while cur != NIL {
+            self.stack[self.depth] = cur;
+            self.depth += 1;
+            cur = self.nodes[cur as usize].left;
+        }
+    }
 }
 
 impl<'a, K, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let n = self.stack.pop()?;
-        let mut cur = n.right.as_deref();
-        while let Some(c) = cur {
-            self.stack.push(c);
-            cur = c.left.as_deref();
-        }
+        self.depth = self.depth.checked_sub(1)?;
+        let n = &self.nodes[self.stack[self.depth] as usize];
+        self.push_left(n.right);
         Some((&n.key, &n.value))
     }
 }
@@ -548,5 +797,51 @@ mod tests {
         assert_eq!(format!("{t:?}"), "{}");
         let t: RbTree<i32, i32> = [(1, 2)].into_iter().collect();
         assert_eq!(format!("{t:?}"), "{1: 2}");
+    }
+
+    #[test]
+    fn bulk_loads_of_every_size_to_3_to_the_6th_are_valid_2_3_trees() {
+        for n in 0..=729usize {
+            let t = RbTree::from_sorted((0..n).map(|k| (k, k)));
+            t.check_invariants().unwrap();
+            assert_eq!(t.nodes.capacity(), n, "one exact allocation");
+            assert!(t.keys().copied().eq(0..n));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn bulk_load_refuses_unsorted_keys() {
+        RbTree::from_sorted([(2, ()), (1, ())]);
+    }
+
+    #[test]
+    fn arena_grows_by_an_eighth_and_stays_dense() {
+        let mut t = RbTree::new();
+        for i in 0..5_000u32 {
+            t.insert(i.wrapping_mul(2_654_435_761), ());
+            assert!(t.nodes.capacity() <= t.len() + t.len() / 8 + 4);
+        }
+        for i in (0..5_000u32).step_by(3) {
+            assert_eq!(t.remove(&i.wrapping_mul(2_654_435_761)), Some(()));
+        }
+        t.check_invariants().unwrap();
+        assert_eq!(t.nodes.len(), t.len());
+    }
+
+    #[test]
+    fn seek_finds_hit_and_strict_neighbours() {
+        let t = RbTree::from_sorted([10, 20, 30, 40].map(|k| (k, ())));
+        let keys = |s: Seek<'_, i32, ()>| {
+            (
+                s.hit.map(|e| *e.0),
+                s.prev.map(|e| *e.0),
+                s.next.map(|e| *e.0),
+            )
+        };
+        assert_eq!(keys(t.seek(&20)), (Some(20), Some(10), Some(30)));
+        assert_eq!(keys(t.seek(&25)), (None, Some(20), Some(30)));
+        assert_eq!(keys(t.seek(&5)), (None, None, Some(10)));
+        assert_eq!(keys(t.seek(&40)), (Some(40), Some(30), None));
     }
 }

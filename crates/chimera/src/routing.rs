@@ -257,22 +257,24 @@ pub fn route<V>(
 }
 
 /// The root of `key` among `peers` and `owner` (when given): what
-/// [`root_of`] over all of them returns, in O(log n).
+/// [`root_of`] over all of them returns, in one O(log n) descent.
 ///
 /// `root_of` picks the minimum of a total order — ring distance to `key`,
 /// then raw key. The key itself, when present, is at distance 0. Otherwise
 /// a peer at the least distance `d` sits at `key + d` or `key - d` with no
 /// peer nearer on that side, so it is the first peer clockwise or the first
 /// counter-clockwise from `key` (each side wrapping around the ring through
-/// the tree's minimum or maximum), and an exact tie is between those two.
+/// the tree's minimum or maximum, a second descent only for a key past
+/// either end), and an exact tie is between those two.
 pub(crate) fn closest_known<V>(
     key: Key,
     peers: &RbTree<Key, V>,
     owner: Option<Key>,
 ) -> Option<Key> {
-    let hit = peers.contains(&key).then_some(key);
-    let next = peers.next_after(&key).or_else(|| peers.min());
-    let prev = peers.prev_before(&key).or_else(|| peers.max());
+    let seek = peers.seek(&key);
+    let hit = seek.hit.map(|(k, _)| *k);
+    let next = seek.next.or_else(|| peers.min());
+    let prev = seek.prev.or_else(|| peers.max());
     let ring = [next, prev].into_iter().flatten().map(|(k, _)| *k);
     let best = root_of(key, hit.into_iter().chain(ring).chain(owner));
     debug_assert_eq!(
