@@ -94,30 +94,66 @@ impl DetRng {
         median * (sigma * n).exp()
     }
 
-    /// Samples an index according to Zipf-like popularity over `n` items with
-    /// exponent `s`.
+    /// Raw access to the underlying [`Rng`] for samplers not covered above.
+    pub fn raw(&mut self) -> &mut impl Rng {
+        &mut self.inner
+    }
+}
+
+/// Zipf-like popularity over `n` items with exponent `s`: item `k` (0-based)
+/// has weight `(k + 1)^-s`.
+///
+/// The weights and their sum are computed once, so a draw costs one uniform
+/// draw and a walk down the table to the chosen rank — O(rank), not O(n)
+/// `powf` calls. Draws are inverse-CDF sampling over the truncated harmonic
+/// distribution: one `uniform(0, total)` draw, then the weights subtracted
+/// in rank order until the remainder falls below one.
+///
+/// # Examples
+///
+/// ```
+/// use c4h_simnet::{DetRng, Zipf};
+///
+/// let popularity = Zipf::new(100, 0.9);
+/// let mut rng = DetRng::seed(42);
+/// let rank = popularity.sample(&mut rng);
+/// assert!(rank < 100);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Zipf {
+    /// Builds the table of `n` weights `k^-s`, `k = 1..=n`, and their sum,
+    /// added in rank order.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
+    pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "zipf over empty domain");
-        // Inverse-CDF sampling over the truncated harmonic distribution.
-        let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-        let mut u = self.uniform(0.0, h);
-        for k in 1..=n {
-            let w = (k as f64).powf(-s);
+        let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
+        let total = weights.iter().sum();
+        Zipf { weights, total }
+    }
+
+    /// Draws a 0-based rank. Consumes exactly one `uniform` draw from `rng`.
+    pub fn sample(&self, rng: &mut DetRng) -> usize {
+        self.rank_of(rng.uniform(0.0, self.total))
+    }
+
+    /// The rank a draw `u` in `[0, total)` selects; a remainder that
+    /// rounding leaves past the last weight selects the last rank.
+    fn rank_of(&self, mut u: f64) -> usize {
+        for (rank, &w) in self.weights.iter().enumerate() {
             if u < w {
-                return k - 1;
+                return rank;
             }
             u -= w;
         }
-        n - 1
-    }
-
-    /// Raw access to the underlying [`Rng`] for samplers not covered above.
-    pub fn raw(&mut self) -> &mut impl Rng {
-        &mut self.inner
+        self.weights.len() - 1
     }
 }
 
@@ -169,9 +205,10 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut r = DetRng::seed(3);
+        let zipf = Zipf::new(10, 1.0);
         let mut counts = vec![0usize; 10];
         for _ in 0..10_000 {
-            counts[r.zipf(10, 1.0)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         assert!(counts[0] > counts[4], "rank 0 should dominate: {counts:?}");
         assert!(
@@ -192,5 +229,124 @@ mod tests {
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(r.chance(2.0)); // clamped
+    }
+}
+
+/// [`Zipf`] against the per-draw loop it replaced.
+#[cfg(test)]
+mod zipf_oracle {
+    use proptest::prelude::*;
+
+    use super::{DetRng, Zipf};
+
+    /// `DetRng::zipf` as it was before the table, verbatim but for the
+    /// draw: `draw(h)` stands for `self.uniform(0.0, h)`. Returns the rank
+    /// and the total it drew under.
+    fn per_draw_zipf(n: usize, s: f64, draw: impl FnOnce(f64) -> f64) -> (usize, f64) {
+        assert!(n > 0, "zipf over empty domain");
+        // Inverse-CDF sampling over the truncated harmonic distribution.
+        let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        let mut u = draw(h);
+        for k in 1..=n {
+            let w = (k as f64).powf(-s);
+            if u < w {
+                return (k - 1, h);
+            }
+            u -= w;
+        }
+        (n - 1, h)
+    }
+
+    /// The exponents named for the oracle, beside random ones.
+    const EXPONENTS: [f64; 7] = [0.0, 0.5, 0.9, 1.0, 1.2, 2.0, 8.0];
+
+    fn exponent() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..EXPONENTS.len()).prop_map(|i| EXPONENTS[i]),
+            0.0..10.0f64,
+        ]
+    }
+
+    /// Draws `u` on which a chain of subtractions is likely to go wrong:
+    /// the first weight exactly (the `<` boundary), zero, the largest values
+    /// below the total (where rounding can carry the remainder past the
+    /// last weight), the running sums of the first weights, and one uniform
+    /// point.
+    fn edge_draws(zipf: &Zipf, frac: f64) -> Vec<f64> {
+        let below_total = |ulps: u64| f64::from_bits(zipf.total.to_bits() - ulps);
+        let mut draws = vec![0.0, zipf.weights[0], frac * zipf.total];
+        draws.extend((1..=4).map(below_total));
+        let mut sum = 0.0;
+        for &w in zipf.weights.iter().take(8) {
+            sum += w;
+            if sum < zipf.total {
+                draws.push(sum);
+            }
+        }
+        draws
+    }
+
+    /// Cases per run: CI's release step runs the full count, debug builds
+    /// (tier-1) a short one.
+    const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 1024 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn zipf_oracle_streams_match_the_per_draw_loop(
+            n in 1..3_001usize,
+            s in exponent(),
+            seed in any::<u64>(),
+            draws in 1..48usize,
+        ) {
+            let zipf = Zipf::new(n, s);
+            let mut table = DetRng::seed(seed);
+            let mut per_draw = DetRng::seed(seed);
+            for d in 0..draws {
+                let (want, total) = per_draw_zipf(n, s, |h| per_draw.uniform(0.0, h));
+                prop_assert_eq!(zipf.total.to_bits(), total.to_bits(), "total, n {} s {}", n, s);
+                prop_assert_eq!(zipf.sample(&mut table), want, "draw {}, n {} s {}", d, n, s);
+                prop_assert_eq!(
+                    table.uniform(0.0, 1.0).to_bits(),
+                    per_draw.uniform(0.0, 1.0).to_bits(),
+                    "stream position after draw {}", d
+                );
+            }
+        }
+
+        #[test]
+        fn zipf_oracle_edge_draws_pick_the_same_rank(
+            n in 1..3_001usize,
+            s in exponent(),
+            frac in 0.0..1.0f64,
+        ) {
+            let zipf = Zipf::new(n, s);
+            for u in edge_draws(&zipf, frac) {
+                let (want, _) = per_draw_zipf(n, s, |_| u);
+                prop_assert_eq!(zipf.rank_of(u), want, "u {:e}, n {} s {}", u, n, s);
+            }
+        }
+    }
+
+    /// Rounding can leave the remainder of a draw just below the total
+    /// past the last weight; both samplers then pick the last rank.
+    #[test]
+    fn zipf_oracle_rounding_falls_back_to_the_last_rank() {
+        let mut fallbacks = 0;
+        for n in 2..400 {
+            let zipf = Zipf::new(n, 0.9);
+            for ulps in 1..=4 {
+                let u = f64::from_bits(zipf.total.to_bits() - ulps);
+                let (want, _) = per_draw_zipf(n, 0.9, |_| u);
+                assert_eq!(zipf.rank_of(u), want, "n {n}, {ulps} ulps below");
+                let rest = zipf.weights[..n - 1].iter().fold(u, |r, w| r - w);
+                if rest >= zipf.weights[n - 1] {
+                    assert_eq!(want, n - 1);
+                    fallbacks += 1;
+                }
+            }
+        }
+        assert!(fallbacks > 0, "no draw reached the fallback");
     }
 }

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use c4h_simnet::DetRng;
+use c4h_simnet::{DetRng, Zipf};
 use serde::{Deserialize, Serialize};
 
 use crate::trace::OpKind;
@@ -146,6 +146,7 @@ pub fn arrivals(config: &OpenLoopConfig, seed: u64) -> Vec<Arrival> {
         "base rate must be positive"
     );
     let mut rng = DetRng::seed(seed);
+    let popularity = Zipf::new(config.catalog, config.zipf_exponent);
     let horizon = config.horizon.as_secs_f64();
     let mut out = Vec::with_capacity(config.expected_arrivals() as usize + 16);
     let mut t = 0.0f64;
@@ -167,7 +168,7 @@ pub fn arrivals(config: &OpenLoopConfig, seed: u64) -> Vec<Arrival> {
         } else {
             OpKind::Fetch
         };
-        let object = rng.zipf(config.catalog, config.zipf_exponent);
+        let object = popularity.sample(&mut rng);
         out.push(Arrival {
             at: Duration::from_secs_f64(t),
             tenant,

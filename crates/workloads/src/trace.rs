@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use c4h_simnet::DetRng;
+use c4h_simnet::{DetRng, Zipf};
 use serde::{Deserialize, Serialize};
 
 /// The paper's object-size classification.
@@ -290,10 +290,11 @@ pub fn generate(config: &TraceConfig, seed: u64) -> Trace {
         });
     }
 
+    let popularity = Zipf::new(config.files, config.zipf_exponent);
     let mut stored = vec![false; config.files];
     let mut ops = Vec::with_capacity(config.operations);
     for _ in 0..config.operations {
-        let file = rng.zipf(config.files, config.zipf_exponent);
+        let file = popularity.sample(&mut rng);
         let client = rng.uniform_u64(0, config.clients as u64) as usize;
         let mut op = if rng.chance(config.store_fraction) {
             OpKind::Store
