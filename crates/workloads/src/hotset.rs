@@ -102,15 +102,15 @@ pub fn hotset_fetches(config: &HotsetConfig, seed: u64) -> Vec<HotsetFetch> {
         let phase = ((t / config.phase_len.as_secs_f64()) as usize).min(config.phases - 1);
         let object = if rng.chance(config.hot_bias) {
             let base = (phase * config.hot) % config.catalog;
-            let i = rng.uniform_u64(0, config.hot.min(config.catalog) as u64 - 1) as usize;
+            let i = rng.uniform_u64(0, config.hot.min(config.catalog) as u64) as usize;
             (base + i) % config.catalog
         } else {
-            rng.uniform_u64(0, config.catalog as u64 - 1) as usize
+            rng.uniform_u64(0, config.catalog as u64) as usize
         };
         let client = if rng.chance(config.reader_bias) {
             phase % config.clients
         } else {
-            rng.uniform_u64(0, config.clients as u64 - 1) as usize
+            rng.uniform_u64(0, config.clients as u64) as usize
         };
         out.push(HotsetFetch {
             at: Duration::from_secs_f64(t),
@@ -161,6 +161,42 @@ mod tests {
             "only {in_hot}/{} fetches hit the hot window",
             fetches.len()
         );
+    }
+
+    #[test]
+    fn every_object_and_client_is_drawn() {
+        let cfg = HotsetConfig::drifting(32, 4, 3, Duration::from_secs(600));
+        let fetches = hotset_fetches(&cfg, 11);
+        for p in 0..cfg.phases {
+            for object in cfg.hot_window(p) {
+                assert!(
+                    fetches.iter().any(|f| f.object == object),
+                    "hot object {object} of phase {p} never fetched"
+                );
+            }
+        }
+        assert!(
+            fetches.iter().any(|f| f.object == cfg.catalog - 1),
+            "the last catalog object is never fetched"
+        );
+        for client in 0..cfg.clients {
+            assert!(
+                fetches.iter().any(|f| f.client == client),
+                "client {client} never fetches"
+            );
+        }
+    }
+
+    #[test]
+    fn one_object_windows_and_one_client_draw_without_panicking() {
+        let mut cfg = HotsetConfig::drifting(8, 1, 2, Duration::from_secs(60));
+        let fetches = hotset_fetches(&cfg, 3);
+        assert!(fetches.iter().any(|f| f.object == 0));
+        cfg.catalog = 1;
+        cfg.clients = 1;
+        let fetches = hotset_fetches(&cfg, 5);
+        assert!(!fetches.is_empty());
+        assert!(fetches.iter().all(|f| f.object == 0 && f.client == 0));
     }
 
     #[test]
