@@ -64,6 +64,11 @@
 //!    1 000 sorted entries is exactly one allocation, and iterating it
 //!    allocates nothing. All three are counts; the join's host time is
 //!    printed, and in full mode the 2 000-node join too.
+//! 10. **Input generation**: host milliseconds per `generate` of the
+//!     `testbed-trace` trace shape (10 000 ops over 1 300 files) and per
+//!     1 000 `arrivals` over `flash-crowd`'s 2 048-object catalog — the
+//!     benchmark counts both in `setup_s`. Printed as advisory host time,
+//!     the fastest of a few calls; not gated.
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -83,7 +88,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{
-    allocations, banner, neighborhood_config, pump_overlay, BenchReport, CountingAlloc,
+    allocations, banner, neighborhood_config, pump_overlay, testbed_trace_config, BenchReport,
+    CountingAlloc,
 };
 use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
@@ -98,6 +104,7 @@ use c4h_simnet::{
     presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
 };
 use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanId, LEDGER_NONE};
+use c4h_workloads::{arrivals, generate, OpenLoopConfig};
 use cloud4home::{synth_bytes, Cloud4Home, Config, NodeId, Object, StorePolicy, SAMPLE_WINDOW};
 
 #[global_allocator]
@@ -1035,6 +1042,32 @@ fn service_kernel_allocs() -> [(&'static str, u64); 3] {
     })
 }
 
+/// The fastest of `reps` calls of `f`, in host milliseconds, and the
+/// value of the last call.
+fn fastest_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let timer = Instant::now();
+        last = Some(std::hint::black_box(f()));
+        best = best.min(timer.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, last.expect("at least one call"))
+}
+
+/// Host milliseconds per `generate` of the `testbed-trace` shape and per
+/// 1 000 `arrivals` over a 2 048-object catalog (six tenants, 24 s at 50
+/// arrivals a second, half stores).
+fn generation_ms() -> (f64, f64) {
+    let reps = if smoke() { 3 } else { 20 };
+    let (trace_ms, _) = fastest_ms(reps, || generate(&testbed_trace_config(10_000), 2011));
+    let mut stream = OpenLoopConfig::steady(50.0, Duration::from_secs(24), 6);
+    stream.store_fraction = 0.5;
+    stream.catalog = 2048;
+    let (arrivals_ms, drawn) = fastest_ms(reps, || arrivals(&stream, 2011).len());
+    (trace_ms, arrivals_ms * 1_000.0 / drawn as f64)
+}
+
 fn main() {
     banner(
         "Engine throughput",
@@ -1471,6 +1504,16 @@ fn main() {
             qs.scans, qs.pops, qs.advances
         ),
     );
+
+    let (trace_ms, arrivals_ms) = generation_ms();
+    println!(
+        "input generation (advisory host time): {trace_ms:.2} ms per testbed-trace \
+         generate, {arrivals_ms:.3} ms per 1 000 arrivals over a 2 048-object catalog"
+    );
+    report.push_row(vec![
+        ("generate_testbed_trace_host_ms", trace_ms.into()),
+        ("arrivals_per_1k_host_ms", arrivals_ms.into()),
+    ]);
 
     // Timing acceptance bar. Smoke runs (CI shared runners, tiny op
     // counts) print but don't gate on wall-clock ratios; the count checks

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use c4h_chimera::ChimeraNode;
 use c4h_simnet::SimTime;
+use c4h_workloads::TraceConfig;
 use cloud4home::{
     Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, OpReport, RoutePolicy, ServiceKind,
     StorePolicy,
@@ -183,6 +184,16 @@ pub fn neighborhood_config(nodes: usize, seed: u64) -> Config {
         .nodes
         .push(NodeSpec::desktop("nb-gateway").with_services(&[ServiceKind::Transcode]));
     config
+}
+
+/// The trace shape of the `testbed-trace` benchmark workload: the paper's
+/// reshaped eDonkey trace (6 clients, 1 300 Zipf-popular files, 60 %
+/// stores) over `ops` operations, files of 64 KiB-4 MiB, no think time.
+pub fn testbed_trace_config(ops: usize) -> TraceConfig {
+    let mut tc = TraceConfig::paper_default(ops);
+    tc.size_override = Some((64 << 10, 4 << 20));
+    tc.mean_think = Duration::ZERO;
+    tc
 }
 
 /// The paper testbed after a minute of virtual time, with tracing and the
