@@ -107,7 +107,7 @@ impl DetRng {
 /// draw and a walk down the table to the chosen rank — O(rank), not O(n)
 /// `powf` calls. Draws are inverse-CDF sampling over the truncated harmonic
 /// distribution: one `uniform(0, total)` draw, then the weights subtracted
-/// in rank order until the remainder falls below one.
+/// in rank order until the remainder falls below the next weight.
 ///
 /// # Examples
 ///
