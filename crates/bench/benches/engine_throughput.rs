@@ -69,6 +69,13 @@
 //!     1 000 `arrivals` over `flash-crowd`'s 2 048-object catalog — the
 //!     benchmark counts both in `setup_s`. Printed as advisory host time,
 //!     the fastest of a few calls; not gated.
+//! 11. **Per-op copies**: the exact heap acquisitions of one home store
+//!     (an overwrite), one home fetch, one fetch of a cloud-located object
+//!     and one transcode on the paper testbed, recording off: 3 / 2 / 1 /
+//!     17 (the `String`-field records made 7 / 6 / 10 / 37). What is left
+//!     is the records' own bytes, a directory version's chain link, the
+//!     `Get` path, the decision's candidate lists and the kernel's output —
+//!     a per-op `String` or record copy that comes back fails the gate.
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -105,7 +112,10 @@ use c4h_simnet::{
 };
 use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanId, LEDGER_NONE};
 use c4h_workloads::{arrivals, generate, OpenLoopConfig};
-use cloud4home::{synth_bytes, Cloud4Home, Config, NodeId, Object, StorePolicy, SAMPLE_WINDOW};
+use cloud4home::{
+    synth_bytes, Cloud4Home, Config, NodeId, Object, OpId, RoutePolicy, ServiceKind, StorePolicy,
+    SAMPLE_WINDOW,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -777,6 +787,84 @@ fn idle_publish() -> (u64, u64) {
     (allocations() - before, records)
 }
 
+/// Runs of each op before the gated ones: the interner, the metadata
+/// caches and the event wheel's spare buckets have settled by then.
+const OP_WARM: usize = 16;
+
+/// Gated runs of each op; the gate reads the fewest allocations among
+/// them.
+const OP_REPS: usize = 8;
+
+/// Exact allocations of one op of each kind (see [`op_allocs`]).
+const OP_ALLOCS: [(&str, u64); 4] = [
+    ("home_store", 3),
+    ("home_fetch", 2),
+    ("cloud_fetch", 1),
+    ("process", 17),
+];
+
+/// Heap acquisitions of one op of each kind on the paper testbed,
+/// recording off: a store overwriting a home object, a fetch of it, a
+/// fetch of an object the cloud holds, and a transcode of the home object.
+/// Each op runs from submit to its report as the benchmark driver runs one
+/// (20 ms polls, `take_report`). The resource monitor publishes hourly, so
+/// no record publish lands inside an op; the count is the fewest of
+/// [`OP_REPS`] runs after [`OP_WARM`], because an event-wheel bucket that
+/// one run happens to adopt is the wheel's, not the op's.
+fn op_allocs() -> [(&'static str, u64); 4] {
+    fn run(home: &mut Cloud4Home, op: OpId) {
+        loop {
+            if let Some(report) = home.take_report(op) {
+                report.expect_ok();
+                return;
+            }
+            home.run_for(Duration::from_millis(20));
+        }
+    }
+    let mut config = Config::paper_testbed(2011);
+    config.monitor.update_period = Duration::from_secs(3_600);
+    let mut home = Cloud4Home::new(config);
+    home.run_for(IDLE_WARM);
+    let cloud = Object::synthetic("gate/cloud.avi", 2, 256 << 10, "avi");
+    let op = home.store_object(NodeId(1), cloud, StorePolicy::ForceCloud, true);
+    run(&mut home, op);
+    type Submit = fn(&mut Cloud4Home) -> OpId;
+    let ops: [(&str, Submit); 4] = [
+        ("home_store", |home| {
+            let obj = Object::synthetic("gate/home.avi", 1, 256 << 10, "avi");
+            home.store_object(NodeId(0), obj, StorePolicy::MandatoryFirst, true)
+        }),
+        ("home_fetch", |home| {
+            home.fetch_object(NodeId(2), "gate/home.avi")
+        }),
+        ("cloud_fetch", |home| {
+            home.fetch_object(NodeId(2), "gate/cloud.avi")
+        }),
+        ("process", |home| {
+            let route = RoutePolicy::Performance;
+            home.process_object(NodeId(4), "gate/home.avi", ServiceKind::Transcode, route)
+        }),
+    ];
+    for (_, submit) in &ops {
+        for _ in 0..OP_WARM {
+            let op = submit(&mut home);
+            run(&mut home, op);
+        }
+    }
+    ops.map(|(kind, submit)| {
+        let fewest = (0..OP_REPS)
+            .map(|_| {
+                let before = allocations();
+                let op = submit(&mut home);
+                run(&mut home, op);
+                allocations() - before
+            })
+            .min()
+            .expect("at least one run");
+        (kind, fewest)
+    })
+}
+
 /// Recorder calls per window of the recorder rows.
 const RECORDER_CALLS: u64 = 10_000;
 
@@ -1431,6 +1519,19 @@ fn main() {
             "the idle testbed made {idle_allocs} allocations for {idle_records} published \
              records ({per_record:.2} per record, must stay <= 1.1: one for the record's \
              bytes, the rest the event wheel's bucket adoptions)"
+        ),
+    );
+
+    let per_op = op_allocs();
+    println!("paper testbed, recording off, allocations per op: {per_op:?}");
+    report.push_row(per_op.iter().map(|&(kind, n)| (kind, n.into())).collect());
+    report.check(
+        "op_allocs_exact",
+        per_op == OP_ALLOCS,
+        format!(
+            "allocations per op {per_op:?}, pinned at {OP_ALLOCS:?}: records hold interned \
+             strings and the op paths borrow them, so a per-op String or record copy shows \
+             here as one more"
         ),
     );
 

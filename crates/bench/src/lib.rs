@@ -196,6 +196,206 @@ pub fn testbed_trace_config(ops: usize) -> TraceConfig {
     tc
 }
 
+/// Stores in flight per preload wave of [`testbed_trace_loop`], as the
+/// benchmark driver uses.
+const PRELOAD_WAVE: usize = 8;
+
+/// How often [`TraceReplay::run`] looks for completions, in virtual time,
+/// as the benchmark driver's closed loop does.
+const POLL: Duration = Duration::from_millis(20);
+
+/// What one op of [`testbed_trace_loop`] does.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    Store,
+    Fetch,
+    Process(ServiceKind),
+    /// Face detection then recognition, as one `process_pipeline`.
+    FacePipeline,
+}
+
+/// One op of the replayed stream: a client, an index into the catalog and
+/// an action (think times are zero in this shape).
+#[derive(Debug, Clone, Copy)]
+struct ReplayOp {
+    client: usize,
+    object: usize,
+    action: Action,
+}
+
+/// One file of the replayed catalog.
+#[derive(Debug, Clone)]
+struct ReplayFile {
+    name: String,
+    seed: u64,
+    size: u64,
+    content_type: &'static str,
+}
+
+impl ReplayFile {
+    fn object(&self) -> Object {
+        Object::synthetic(&self.name, self.seed, self.size, self.content_type)
+    }
+}
+
+/// `testbed-trace` after its set-up, ready to replay its measured phase;
+/// see [`testbed_trace_loop`].
+#[derive(Debug)]
+pub struct TraceReplay {
+    home: Cloud4Home,
+    files: Vec<ReplayFile>,
+    ops: Vec<ReplayOp>,
+    clients: usize,
+    /// Preloaded files the store policy placed in the cloud.
+    pub via_cloud: usize,
+}
+
+/// The `testbed-trace` benchmark workload as `benchmark/src/{workloads,
+/// driver}.rs` run it, over `ops` operations on `seed`: [`generate`] of
+/// the [`testbed_trace_config`] trace, `Cloud4Home::new` on the paper
+/// testbed, and the preload of all 1 300 files from the six clients in
+/// turn, in waves of 8 drained by `run_until_idle`, under the 3 MiB cloud
+/// threshold. File `rank`'s size comes from the benchmark's golden-ratio
+/// sequence over 64 KiB-4 MiB, and every tenth op is a processing request
+/// rotating face detection, the detect → recognise pipeline and
+/// transcoding. [`TraceReplay::run`] replays the measured phase, so the
+/// set-up done here stays out of a window put around it.
+///
+/// # Panics
+///
+/// Panics if a preload store files no report or fails.
+///
+/// [`generate`]: c4h_workloads::generate
+pub fn testbed_trace_loop(ops: usize, seed: u64) -> TraceReplay {
+    const GOLDEN: f64 = 0.618_033_988_749_894_9;
+    const ROTATION: [Action; 3] = [
+        Action::Process(ServiceKind::FaceDetect),
+        Action::FacePipeline,
+        Action::Process(ServiceKind::Transcode),
+    ];
+    let tc = testbed_trace_config(ops);
+    let (lo, hi) = tc.size_override.expect("the shape fixes its sizes");
+    let trace = c4h_workloads::generate(&tc, seed);
+    let files: Vec<ReplayFile> = trace
+        .files
+        .iter()
+        .enumerate()
+        .map(|(rank, f)| ReplayFile {
+            name: f.name.clone(),
+            seed: f.content_seed,
+            size: lo + ((rank as f64 * GOLDEN).fract() * (hi - lo) as f64) as u64,
+            content_type: f.kind.content_type(),
+        })
+        .collect();
+    let ops = trace
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(i, t)| ReplayOp {
+            client: t.client,
+            object: t.file,
+            action: match t.op {
+                _ if i % 10 == 9 => ROTATION[(i / 10) % ROTATION.len()],
+                c4h_workloads::OpKind::Store => Action::Store,
+                c4h_workloads::OpKind::Fetch => Action::Fetch,
+            },
+        })
+        .collect();
+    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
+    let mut wave = Vec::with_capacity(PRELOAD_WAVE);
+    let mut via_cloud = 0;
+    for (idx, f) in files.iter().enumerate() {
+        let client = NodeId(idx % tc.clients);
+        wave.push(home.store_object(client, f.object(), trace_policy(), true));
+        if wave.len() == PRELOAD_WAVE || idx + 1 == files.len() {
+            home.run_until_idle();
+            for id in wave.drain(..) {
+                let report = home
+                    .take_report(id)
+                    .expect("a preload store files a report");
+                via_cloud += usize::from(report.expect_ok().via_cloud);
+            }
+        }
+    }
+    TraceReplay {
+        home,
+        files,
+        ops,
+        clients: tc.clients,
+        via_cloud,
+    }
+}
+
+/// `testbed-trace`'s store policy: objects of 3 MiB and up go to the cloud.
+fn trace_policy() -> StorePolicy {
+    StorePolicy::SizeThreshold {
+        cloud_at_bytes: 3 << 20,
+    }
+}
+
+impl TraceReplay {
+    /// The measured phase: each client submits its next op as soon as its
+    /// previous one completes, completions are looked for every 20 ms of
+    /// virtual time, and the deployment is drained to idle at the end.
+    /// Returns the ops that succeeded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice.
+    pub fn run(&mut self) -> usize {
+        assert!(!self.ops.is_empty(), "the measured phase runs once");
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); self.clients];
+        for (i, op) in self.ops.iter().enumerate() {
+            queues[op.client].push(i);
+        }
+        let mut cursor = vec![0usize; self.clients];
+        let mut inflight: Vec<Option<OpId>> = vec![None; self.clients];
+        let mut remaining = self.ops.len();
+        let mut ok = 0;
+        loop {
+            for c in 0..self.clients {
+                if let Some(id) = inflight[c] {
+                    if let Some(report) = self.home.take_report(id) {
+                        ok += usize::from(report.outcome.is_ok());
+                        inflight[c] = None;
+                        remaining -= 1;
+                    }
+                }
+                if inflight[c].is_none() {
+                    if let Some(&i) = queues[c].get(cursor[c]) {
+                        cursor[c] += 1;
+                        inflight[c] = Some(self.submit(i));
+                    }
+                }
+            }
+            if remaining == 0 {
+                break;
+            }
+            self.home.run_for(POLL);
+        }
+        self.home.run_until_idle();
+        self.ops.clear();
+        ok
+    }
+
+    fn submit(&mut self, i: usize) -> OpId {
+        let op = self.ops[i];
+        let client = NodeId(op.client);
+        let file = &self.files[op.object];
+        let route = RoutePolicy::Performance;
+        let home = &mut self.home;
+        match op.action {
+            Action::Store => home.store_object(client, file.object(), trace_policy(), true),
+            Action::Fetch => home.fetch_object(client, &file.name),
+            Action::Process(kind) => home.process_object(client, &file.name, kind, route),
+            Action::FacePipeline => {
+                let chain = [ServiceKind::FaceDetect, ServiceKind::FaceRecognize];
+                home.process_pipeline(client, &file.name, &chain, route)
+            }
+        }
+    }
+}
+
 /// The paper testbed after a minute of virtual time, with tracing and the
 /// causal ledger both on or both off.
 pub fn warmed_testbed(recording: bool) -> Cloud4Home {
@@ -255,6 +455,16 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn mean_std_rejects_empty() {
         mean_std(&[]);
+    }
+
+    #[test]
+    fn trace_replay_runs_every_op() {
+        let mut replay = testbed_trace_loop(60, 2011);
+        assert!(
+            replay.via_cloud > 0,
+            "the 3 MiB threshold sends some files out"
+        );
+        assert_eq!(replay.run(), 60, "every op of the replay succeeds");
     }
 
     #[test]

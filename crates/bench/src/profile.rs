@@ -89,8 +89,24 @@ impl Profile {
         rows
     }
 
-    /// A table of the `top` frames by inclusive share and the `top` by
-    /// self share, in percent of the window's samples.
+    /// The self share of every product module, largest first: each sample
+    /// counts once, for the module of the innermost product frame on its
+    /// stack (see [`product_module`]), or for `(no product frame)`. The
+    /// shares sum to 1.
+    pub fn module_shares(&self) -> Vec<(String, f64)> {
+        let symbols = symbolize(self.stacks.iter().flatten().copied());
+        let stacks = self.stacks.iter().map(|stack| {
+            stack.iter().enumerate().flat_map(|(depth, addr)| {
+                let key = if depth == 0 { *addr } else { addr - 1 };
+                symbols[&key].iter().map(String::as_str)
+            })
+        });
+        module_rollup(stacks)
+    }
+
+    /// A table of the `top` frames by inclusive share, the `top` by self
+    /// share and the `top` product modules by self share (the layer view),
+    /// in percent of the window's samples.
     pub fn table(&self, title: &str, top: usize) -> String {
         let rows = self.shares();
         let depth = self.stacks.iter().map(Vec::len).sum::<usize>() as f64
@@ -119,8 +135,75 @@ impl Profile {
         by_self.sort_by(|a, b| b.self_share.total_cmp(&a.self_share));
         by_self.truncate(top);
         section("by self share", &by_self);
+        let _ = writeln!(out, "by product module (self)\n{:>7}  module", "self%");
+        for (module, share) in self.module_shares().into_iter().take(top) {
+            let _ = writeln!(out, "{:>7.1}  {module}", 100.0 * share);
+        }
         out
     }
+}
+
+/// The module path of a product function's symbol: `c4h_simnet::queue` for
+/// `c4h_simnet::queue::EventQueue<E>::pop` or `<c4h_simnet::flow::FlowNet
+/// as Trait>::f`, `cloud4home::ops::fetch` for
+/// `cloud4home::ops::fetch::<impl cloud4home::runtime::Cloud4Home>::f`,
+/// `c4h_kvstore::wire` for `c4h_kvstore::wire::encode_shared::{{closure}}`.
+/// `None` outside the product: std, dependencies and this harness.
+pub fn product_module(symbol: &str) -> Option<&str> {
+    let path = symbol.strip_prefix('<').unwrap_or(symbol);
+    let product = path.starts_with("c4h_") || path.starts_with("cloud4home::");
+    if !product || path.starts_with("c4h_bench") {
+        return None;
+    }
+    // Leading snake-case segments are modules, up to the first type or
+    // impl segment; when a function name comes first (a free function, or
+    // its closure), it is the last of them and is dropped.
+    let snake = |seg: &str| {
+        !seg.is_empty()
+            && seg
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    let mut end = 0;
+    let mut last = 0;
+    let mut stop = None;
+    for seg in path.split("::") {
+        if !snake(seg) {
+            stop = Some(seg);
+            break;
+        }
+        last = end;
+        end += seg.len() + if end == 0 { 0 } else { 2 };
+    }
+    let free_function = stop.is_none_or(|seg| seg.starts_with('{'));
+    let end = if free_function { last } else { end };
+    (end > 0).then(|| &path[..end])
+}
+
+/// Self share by innermost product module over `stacks`, each the frame
+/// names of one sample, innermost first (see [`Profile::module_shares`]).
+fn module_rollup<'a, S, F>(stacks: S) -> Vec<(String, f64)>
+where
+    S: IntoIterator<Item = F>,
+    F: IntoIterator<Item = &'a str>,
+{
+    let mut by_module: HashMap<&str, u64> = HashMap::new();
+    let mut samples = 0u64;
+    for stack in stacks {
+        samples += 1;
+        let module = stack
+            .into_iter()
+            .find_map(product_module)
+            .unwrap_or("(no product frame)");
+        *by_module.entry(module).or_default() += 1;
+    }
+    let total = samples.max(1) as f64;
+    let mut rows: Vec<(String, f64)> = by_module
+        .into_iter()
+        .map(|(module, n)| (module.to_owned(), n as f64 / total))
+        .collect();
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows
 }
 
 /// One function's share of a [`Profile`]'s samples.
@@ -444,5 +527,77 @@ mod sampler {
         let dropped = DROPPED.load(Ordering::Relaxed);
         BUF.store(std::ptr::null_mut(), Ordering::SeqCst);
         (out, Profile { stacks, dropped })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn product_module_is_the_path_up_to_the_first_type_or_function() {
+        let cases = [
+            (
+                "c4h_simnet::queue::EventQueue<E>::pop",
+                Some("c4h_simnet::queue"),
+            ),
+            (
+                "<c4h_simnet::flow::FlowNet as core::ops::drop::Drop>::drop",
+                Some("c4h_simnet::flow"),
+            ),
+            (
+                "cloud4home::ops::fetch::<impl cloud4home::runtime::Cloud4Home>::fetch_step",
+                Some("cloud4home::ops::fetch"),
+            ),
+            (
+                "c4h_kvstore::wire::encode_shared::{{closure}}",
+                Some("c4h_kvstore::wire"),
+            ),
+            (
+                "c4h_kvstore::records::stripe_checksum",
+                Some("c4h_kvstore::records"),
+            ),
+            (
+                "cloud4home::runtime::Cloud4Home::step",
+                Some("cloud4home::runtime"),
+            ),
+            ("c4h_bench::TraceReplay::run", None),
+            ("alloc::vec::Vec<T,A>::push", None),
+            ("<alloc::vec::Vec<T> as core::clone::Clone>::clone", None),
+            ("(outside the binary)", None),
+        ];
+        for (symbol, module) in cases {
+            assert_eq!(product_module(symbol), module, "{symbol}");
+        }
+    }
+
+    #[test]
+    fn rollup_charges_each_sample_to_its_innermost_product_module() {
+        let stacks: [&[&str]; 5] = [
+            // Inside std, called from the flow engine: the flow engine's.
+            &[
+                "core::ptr::drop_in_place",
+                "c4h_simnet::flow::FlowNet::advance_into",
+                "cloud4home::runtime::Cloud4Home::step",
+            ],
+            &["c4h_simnet::flow::FlowNet::reallocate", "main"],
+            &[
+                "cloud4home::runtime::Cloud4Home::pump",
+                "cloud4home::runtime::Cloud4Home::step",
+            ],
+            &["c4h_bench::TraceReplay::run", "main"],
+            &[],
+        ];
+        let rows = module_rollup(stacks.iter().map(|s| s.iter().copied()));
+        assert_eq!(
+            rows,
+            vec![
+                ("(no product frame)".to_owned(), 0.4),
+                ("c4h_simnet::flow".to_owned(), 0.4),
+                ("cloud4home::runtime".to_owned(), 0.2),
+            ]
+        );
+        let sum: f64 = rows.iter().map(|r| r.1).sum();
+        assert!((sum - 1.0).abs() < 1e-12);
     }
 }

@@ -3,7 +3,8 @@
 //! function of a `c4h-*` or `cloud4home` crate), so a rise in
 //! `allocs_per_op` can be traced to the code that makes it.
 //!
-//! Three warmed windows on `Config::paper_testbed(2011)`:
+//! Three warmed windows on `Config::paper_testbed(2011)`, and the
+//! `testbed-trace` benchmark workload's measured phase:
 //!
 //! * **idle**: 600 s of virtual time with no ops, recording off — only the
 //!   background plane (resource records every 2 s per node, overlay
@@ -12,7 +13,11 @@
 //!   rotating nodes, recording off;
 //! * **recorded loop**: the same rounds with tracing and the causal ledger
 //!   on, as the `planes-gray` benchmark workload runs — what the recording
-//!   plane itself allocates per op.
+//!   plane itself allocates per op;
+//! * **testbed-trace**: `c4h_bench::testbed_trace_loop` over 3 000 ops on
+//!   seed 2011 — the benchmark driver's closed loop after its 1 300-file
+//!   preload, so its per-op figure is that workload's `allocs_per_op`
+//!   (within the driver's own few bookkeeping allocations).
 //!
 //! Ignored by default: capturing and resolving a stack per allocation takes
 //! seconds. Built with the bench profile (release with debug info), so
@@ -26,7 +31,9 @@ use std::backtrace::Backtrace;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use c4h_bench::{census, testbed_round as round, warmed_testbed, CountingAlloc};
+use c4h_bench::{
+    census, testbed_round as round, testbed_trace_loop, warmed_testbed, CountingAlloc,
+};
 use cloud4home::Config;
 
 #[global_allocator]
@@ -117,4 +124,15 @@ fn allocation_census_of_the_paper_testbed() {
         print_table(title, &stacks, ops, "op");
         assert!(!stacks.is_empty(), "the census captured nothing");
     }
+
+    const TRACE_OPS: usize = 3_000;
+    let mut replay = testbed_trace_loop(TRACE_OPS, 2011);
+    let (ok, stacks) = census(|| replay.run());
+    assert_eq!(ok, TRACE_OPS, "every op of the replay succeeds");
+    print_table(
+        "testbed-trace measured phase (seed 2011, recording off)",
+        &stacks,
+        TRACE_OPS as u64,
+        "op",
+    );
 }

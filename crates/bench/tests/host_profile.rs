@@ -1,7 +1,8 @@
-//! Sampled host-time profile of three windows, by frame: the share of
+//! Sampled host-time profile of four windows, by frame: the share of
 //! samples interrupted inside each function (self) and with it anywhere on
-//! the stack (inclusive), so the next optimisation is chosen from a profile
-//! anyone can re-take.
+//! the stack (inclusive), and the self share rolled up by the innermost
+//! product module on each stack (the layer view), so the next optimisation
+//! is chosen from a profile anyone can re-take.
 //!
 //! * **join**: `Cloud4Home::new` on the `neighborhood-1k` world (1 000
 //!   nodes, leaf sets of 2, replication 2), three times — the protocol join
@@ -12,7 +13,10 @@
 //!   driver runs it, three times — `generate` of its trace,
 //!   `Cloud4Home::new` on the paper testbed, and the preload of its 1 300
 //!   files in waves of 8 under the 3 MiB cloud threshold, each wave drained
-//!   with `run_until_idle`.
+//!   with `run_until_idle` (`c4h_bench::testbed_trace_loop`);
+//! * **measured phase**: that workload's measured phase after the set-up,
+//!   10 000 ops on seed 2011 from six closed-loop clients polled every
+//!   20 ms (`TraceReplay::run`).
 //!
 //! A sample taken inside a library without frame pointers (libm's `pow`,
 //! say) keeps only its innermost frame: its stack ends at "(outside the
@@ -32,54 +36,16 @@
 //! the first frame that keeps none and inclusive shares undercount.
 
 use c4h_bench::{
-    neighborhood_config, sample_profile, testbed_round, testbed_trace_config, warmed_testbed,
+    neighborhood_config, sample_profile, testbed_round, testbed_trace_loop, warmed_testbed,
 };
-use c4h_workloads::generate;
-use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
+use cloud4home::Cloud4Home;
 
 /// Frames printed per table.
 const TOP: usize = 30;
 
-/// Stores in flight per preload wave, as the benchmark driver uses.
-const PRELOAD_WAVE: usize = 8;
-
-/// `testbed-trace`'s set-up as `benchmark/src/{workloads,driver}.rs` run
-/// it: the trace, the paper testbed, and every file preloaded from the six
-/// clients in turn, in waves drained by `run_until_idle`. File `rank`'s
-/// size comes from the same golden-ratio sequence over 64 KiB-4 MiB the
-/// benchmark uses. Returns the files placed in the cloud.
-fn testbed_trace_setup(seed: u64) -> usize {
-    const GOLDEN: f64 = 0.618_033_988_749_894_9;
-    let tc = testbed_trace_config(10_000);
-    let (lo, hi) = tc.size_override.expect("the shape fixes its sizes");
-    let trace = generate(&tc, seed);
-    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
-    let policy = StorePolicy::SizeThreshold {
-        cloud_at_bytes: 3 << 20,
-    };
-    let mut wave = Vec::with_capacity(PRELOAD_WAVE);
-    let mut via_cloud = 0;
-    for (rank, f) in trace.files.iter().enumerate() {
-        let size = lo + ((rank as f64 * GOLDEN).fract() * (hi - lo) as f64) as u64;
-        let obj = Object::synthetic(&f.name, f.content_seed, size, f.kind.content_type());
-        let client = NodeId(rank % tc.clients);
-        wave.push(home.store_object(client, obj, policy.clone(), true));
-        if wave.len() == PRELOAD_WAVE || rank + 1 == trace.files.len() {
-            home.run_until_idle();
-            for id in wave.drain(..) {
-                let report = home
-                    .take_report(id)
-                    .expect("a preload store files a report");
-                via_cloud += usize::from(report.expect_ok().via_cloud);
-            }
-        }
-    }
-    via_cloud
-}
-
 #[test]
 #[ignore = "samples for seconds and shells out to addr2line; run by hand, see the module docs"]
-fn host_profile_of_the_join_the_testbed_loop_and_its_setup() {
+fn host_profile_of_the_join_the_testbed_loop_and_testbed_trace() {
     const JOINS: usize = 3;
     let ((), join) = sample_profile(|| {
         for _ in 0..JOINS {
@@ -116,7 +82,7 @@ fn host_profile_of_the_join_the_testbed_loop_and_its_setup() {
     const SETUPS: usize = 3;
     let (via_cloud, setup) = sample_profile(|| {
         (0..SETUPS)
-            .map(|_| testbed_trace_setup(2011))
+            .map(|_| testbed_trace_loop(10_000, 2011).via_cloud)
             .sum::<usize>()
     });
     println!(
@@ -130,8 +96,14 @@ fn host_profile_of_the_join_the_testbed_loop_and_its_setup() {
             TOP
         )
     );
+
+    const OPS: usize = 10_000;
+    let mut replay = testbed_trace_loop(OPS, 2011);
+    let (ok, measured) = sample_profile(|| replay.run());
+    let title = format!("measured-phase window (testbed-trace, {OPS} ops, {ok} ok)");
+    println!("{}", measured.table(&title, TOP));
     assert!(
-        join.samples() > 0 && looped.samples() > 0 && setup.samples() > 0,
+        join.samples() > 0 && looped.samples() > 0 && setup.samples() > 0 && measured.samples() > 0,
         "the sampler took nothing"
     );
 }

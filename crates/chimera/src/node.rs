@@ -993,16 +993,16 @@ impl ChimeraNode {
         path_pos: usize,
     ) {
         let hops = path.len() as u8;
+        let target = path[path_pos];
         let msg = Message::GetReply {
             req,
             key,
             value,
             from_cache,
-            path: path.clone(),
+            path,
             path_pos,
             hops,
         };
-        let target = path[path_pos];
         if target == self.id {
             self.process_local(msg, SimTime::ZERO);
         } else {

@@ -17,23 +17,25 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
+use c4h_simnet::Sym;
 use serde::{Deserialize, Serialize};
 
-/// An `s3://bucket/key` object address.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// An `s3://bucket/key` object address: two interned strings, so copying
+/// an address copies eight bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct S3Url {
     /// The bucket name.
-    pub bucket: String,
+    pub bucket: Sym,
     /// The object key within the bucket.
-    pub key: String,
+    pub key: Sym,
 }
 
 impl S3Url {
     /// Builds a URL from its parts.
     pub fn new(bucket: &str, key: &str) -> Self {
         S3Url {
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
+            bucket: Sym::new(bucket),
+            key: Sym::new(key),
         }
     }
 
@@ -91,9 +93,11 @@ pub struct S3Object<T> {
     pub etag: u64,
 }
 
+/// Keys order by their strings ([`Sym`]'s `Ord`), so listings come out in
+/// the order a `String`-keyed map gave.
 #[derive(Debug, Clone, Default)]
 struct Bucket<T> {
-    objects: BTreeMap<String, S3Object<T>>,
+    objects: BTreeMap<Sym, S3Object<T>>,
 }
 
 /// Request-level statistics, exposed for the experiment harness.
@@ -130,7 +134,7 @@ pub const REQUEST_LATENCY: Duration = Duration::from_millis(35);
 /// ```
 #[derive(Debug, Clone)]
 pub struct S3Store<T> {
-    buckets: BTreeMap<String, Bucket<T>>,
+    buckets: BTreeMap<Sym, Bucket<T>>,
     stats: S3Stats,
     next_etag: u64,
 }
@@ -162,11 +166,12 @@ impl<T> S3Store<T> {
     ///
     /// [`S3Error::BucketExists`] if the name is taken.
     pub fn create_bucket(&mut self, name: &str) -> Result<(), S3Error> {
-        if self.buckets.contains_key(name) {
-            return Err(S3Error::BucketExists(name.to_owned()));
+        let name = Sym::new(name);
+        if self.buckets.contains_key(&name) {
+            return Err(S3Error::BucketExists(name.to_string()));
         }
         self.buckets.insert(
-            name.to_owned(),
+            name,
             Bucket {
                 objects: BTreeMap::new(),
             },
@@ -176,7 +181,7 @@ impl<T> S3Store<T> {
 
     /// Whether a bucket exists.
     pub fn bucket_exists(&self, name: &str) -> bool {
-        self.buckets.contains_key(name)
+        Sym::lookup(name).is_some_and(|name| self.buckets.contains_key(&name))
     }
 
     /// Stores an object, overwriting any previous version, and returns its
@@ -192,14 +197,23 @@ impl<T> S3Store<T> {
         payload: T,
         size_bytes: u64,
     ) -> Result<S3Url, S3Error> {
+        self.put_at(S3Url::new(bucket, key), payload, size_bytes)
+    }
+
+    /// [`S3Store::put`] at an address already interned.
+    ///
+    /// # Errors
+    ///
+    /// [`S3Error::NoSuchBucket`] if the bucket is missing.
+    pub fn put_at(&mut self, url: S3Url, payload: T, size_bytes: u64) -> Result<S3Url, S3Error> {
         let b = self
             .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| S3Error::NoSuchBucket(bucket.to_owned()))?;
+            .get_mut(&url.bucket)
+            .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
         let etag = self.next_etag;
         self.next_etag += 1;
         b.objects.insert(
-            key.to_owned(),
+            url.key,
             S3Object {
                 payload,
                 size_bytes,
@@ -208,7 +222,7 @@ impl<T> S3Store<T> {
         );
         self.stats.puts += 1;
         self.stats.bytes_in += size_bytes;
-        Ok(S3Url::new(bucket, key))
+        Ok(url)
     }
 
     /// Retrieves an object.
@@ -220,11 +234,8 @@ impl<T> S3Store<T> {
         let b = self
             .buckets
             .get(&url.bucket)
-            .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.clone()))?;
-        let obj = b
-            .objects
-            .get(&url.key)
-            .ok_or_else(|| S3Error::NoSuchKey(url.clone()))?;
+            .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
+        let obj = b.objects.get(&url.key).ok_or(S3Error::NoSuchKey(*url))?;
         self.stats.gets += 1;
         self.stats.bytes_out += obj.size_bytes;
         Ok(obj)
@@ -245,10 +256,8 @@ impl<T> S3Store<T> {
         let b = self
             .buckets
             .get_mut(&url.bucket)
-            .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.clone()))?;
-        b.objects
-            .remove(&url.key)
-            .ok_or_else(|| S3Error::NoSuchKey(url.clone()))
+            .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
+        b.objects.remove(&url.key).ok_or(S3Error::NoSuchKey(*url))
     }
 
     /// Lists keys in a bucket under a prefix, in order.
@@ -257,14 +266,13 @@ impl<T> S3Store<T> {
     ///
     /// [`S3Error::NoSuchBucket`] if the bucket is missing.
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<&str>, S3Error> {
-        let b = self
-            .buckets
-            .get(bucket)
+        let b = Sym::lookup(bucket)
+            .and_then(|name| self.buckets.get(&name))
             .ok_or_else(|| S3Error::NoSuchBucket(bucket.to_owned()))?;
         Ok(b.objects
             .keys()
+            .map(|k| k.as_str())
             .filter(|k| k.starts_with(prefix))
-            .map(String::as_str)
             .collect())
     }
 

@@ -314,7 +314,7 @@ impl AdaptivePlacement {
     /// the sooner completion, with privacy overriding everything (private
     /// objects never leave the home cloud).
     pub fn policy_for(&self, object: &Object) -> StorePolicy {
-        if object.private || object.content_type == "mp3" {
+        if object.stays_home() {
             return StorePolicy::ForceHome;
         }
         let bytes = object.size_bytes();

@@ -2,6 +2,7 @@
 //! home nodes once their store has completed.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -198,7 +199,8 @@ impl Jobs {
 /// conversion starts, and its original blob, staged when the conversion
 /// lands. The stripes cover only the content sample window, so a decoding
 /// fetch hands back the original and verifies its decode against it. Both
-/// go when the object is scrubbed.
+/// go when the object is scrubbed. It also holds the code itself, built
+/// once.
 #[derive(Debug, Default)]
 pub(crate) struct EcRegistry {
     /// `BTreeMap` for deterministic iteration.
@@ -206,18 +208,30 @@ pub(crate) struct EcRegistry {
     /// Keyed access only: every anti-entropy pass asks for all `k + m`
     /// names of each object.
     row_names: SymMap<Vec<Sym>>,
+    /// The last (k, m) code built: every conversion, rebuild and decoding
+    /// fetch of a deployment uses its configured code, so it is built once.
+    code: Option<Arc<ErasureCode>>,
 }
 
 impl EcRegistry {
     /// The per-holder object name `name`'s code row `row` is stored under.
     /// Resolved from the names kept since the object's conversion began;
-    /// only a name with no conversion on record (a fetch holding metadata
-    /// from before a delete) is formatted and interned here.
+    /// only a name with no conversion on record (a conversion naming its
+    /// rows, a fetch holding metadata from before a delete) is formatted
+    /// and interned here, through one reused buffer.
     pub(crate) fn stripe_name(&self, name: Sym, row: u32) -> Sym {
         let known = self.row_names.get(&name);
         match known.and_then(|rows| rows.get(row as usize)) {
             Some(&sname) => sname,
-            None => Sym::new(&format!("{name}.ec{row}")),
+            None => Sym::from_fmt(format_args!("{name}.ec{row}")),
+        }
+    }
+
+    /// The systematic code for `k` data and `m` parity stripes, shared.
+    pub(crate) fn code(&mut self, k: usize, m: usize) -> Arc<ErasureCode> {
+        match &self.code {
+            Some(code) if (code.k(), code.m()) == (k, m) => Arc::clone(code),
+            _ => Arc::clone(self.code.insert(Arc::new(ErasureCode::new(k, m)))),
         }
     }
 
@@ -898,7 +912,7 @@ impl Cloud4Home {
         if found + 1 < total {
             return; // not enough distinct sites; keep the full copies
         }
-        let code = ErasureCode::new(k, m);
+        let code = self.ec.code(k, m);
         let window = blob.sample(SAMPLE_WINDOW);
         let stripes: Vec<Bytes> = code.encode(&window).into_iter().map(Bytes::from).collect();
         let layout = EcLayout {
@@ -1074,7 +1088,7 @@ impl Cloud4Home {
         if !self.nodes[dst].alive {
             return;
         }
-        let code = ErasureCode::new(layout.k as usize, layout.m as usize);
+        let code = self.ec.code(layout.k as usize, layout.m as usize);
         // Stripes are always stored inline: decode reads them in place.
         let mut shards: Vec<(usize, &[u8])> = Vec::with_capacity(arrived.len());
         for &r in arrived {

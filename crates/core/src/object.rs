@@ -13,6 +13,8 @@
 //! on a deterministic sample window of synthetic blobs; cost models use the
 //! declared length.
 
+use std::sync::OnceLock;
+
 use bytes::Bytes;
 use c4h_kvstore::Acl;
 use c4h_simnet::Sym;
@@ -130,8 +132,9 @@ pub struct Object {
     pub name: Sym,
     /// The payload.
     pub blob: Blob,
-    /// Content type, e.g. `"jpeg"`, `"avi"`, `"mp3"`.
-    pub content_type: String,
+    /// Content type, e.g. `"jpeg"`, `"avi"`, `"mp3"` (interned, like the
+    /// name: a store's metadata copies it as four bytes).
+    pub content_type: Sym,
     /// Context tags.
     pub tags: Vec<String>,
     /// Whether privacy policies must keep this object in the home cloud.
@@ -146,7 +149,7 @@ impl Object {
         Object {
             name: Sym::from(name),
             blob: Blob::inline(bytes),
-            content_type: content_type.to_owned(),
+            content_type: Sym::from(content_type),
             tags: Vec::new(),
             private: false,
             acl: Acl::Public,
@@ -158,7 +161,7 @@ impl Object {
         Object {
             name: Sym::from(name),
             blob: Blob::synthetic(seed, len),
-            content_type: content_type.to_owned(),
+            content_type: Sym::from(content_type),
             tags: Vec::new(),
             private: false,
             acl: Acl::Public,
@@ -186,6 +189,13 @@ impl Object {
     /// Payload size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.blob.len()
+    }
+
+    /// The privacy placement rule (Figure 6): private objects, and music
+    /// (`.mp3` in the paper), never leave the home cloud.
+    pub fn stays_home(&self) -> bool {
+        static MP3: OnceLock<Sym> = OnceLock::new();
+        self.private || self.content_type == *MP3.get_or_init(|| Sym::new("mp3"))
     }
 }
 

@@ -43,7 +43,6 @@ use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
 use super::{Family, OpCore, OpInput, OpKind, Stage, StepOutcome, COMMAND_BYTES};
 use crate::config::NodeId;
-use crate::ec::ErasureCode;
 use crate::object::{Blob, SAMPLE_WINDOW};
 use crate::report::{OpError, OpId};
 use crate::runtime::{Cloud4Home, CLOUD_ADDR, STRIPE_TRACK_BASE};
@@ -556,11 +555,10 @@ impl Cloud4Home {
             return Err(OpError::Dht("unexpected completion".into()));
         };
         result.map_err(OpError::from)?;
-        let meta = value
-            .as_ref()
-            .and_then(|v| Record::decode(v.latest()).ok())
-            .and_then(|r| r.as_object().cloned())
-            .ok_or_else(|| OpError::NotFound(op.name.to_string()))?;
+        let meta = match value.as_ref().map(|v| Record::decode(v.latest())) {
+            Some(Ok(Record::Object(meta))) => meta,
+            _ => return Err(OpError::NotFound(op.name.to_string())),
+        };
         // Access control: the reader must be permitted by the object's ACL.
         if !meta.acl.permits(self.nodes[op.client].key, meta.owner) {
             return Err(OpError::AccessDenied(op.name.to_string()));
@@ -574,7 +572,7 @@ impl Cloud4Home {
         f: &mut Fetch,
         meta: ObjectMeta,
     ) -> StepOutcome {
-        op.meta = Some(meta.clone());
+        let meta = op.meta.insert(meta);
         // An erasure-coded object has no full copy anywhere: the read is
         // k concurrent stripe pulls plus a decode, not a holder fetch.
         if let Some(layout) = meta.ec.clone() {
@@ -607,7 +605,7 @@ impl Cloud4Home {
                 if self.breaker_blocks_path(CLOUD_ADDR, op.id) {
                     return Some(Err(OpError::OwnerUnreachable(op.name.to_string())));
                 }
-                let Some(url) = S3Url::parse(url) else {
+                let Some(url) = S3Url::parse(url.as_str()) else {
                     return Some(Err(OpError::NotFound(op.name.to_string())));
                 };
                 f.cloud_url = Some(url);
@@ -1206,7 +1204,7 @@ impl Cloud4Home {
     /// the client channel.
     fn ec_decode_finish(&mut self, op: &mut OpCore, f: &mut Fetch, plan: EcPlan) -> StepOutcome {
         let k = plan.k as usize;
-        let code = ErasureCode::new(k, plan.row_holders.len() - k);
+        let code = self.ec.code(k, plan.row_holders.len() - k);
         // Stripes are always stored inline: decode reads them in place.
         let mut survivors: Vec<(usize, &[u8])> = Vec::with_capacity(k);
         for &row in &plan.slot_rows {

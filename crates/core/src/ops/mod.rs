@@ -1241,7 +1241,8 @@ impl Cloud4Home {
                 self.enter_for(op, Stage::DelRemoveBytes, latency + unlink)
             }
             Location::Cloud { url } => {
-                if let (Some(cloud), Some(url)) = (self.cloud.as_mut(), S3Url::parse(url)) {
+                if let (Some(cloud), Some(url)) = (self.cloud.as_mut(), S3Url::parse(url.as_str()))
+                {
                     let _ = cloud.s3.delete(&url);
                     op.via_cloud = true;
                 }

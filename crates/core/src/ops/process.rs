@@ -271,7 +271,7 @@ impl Cloud4Home {
                 }
                 self.charge(op);
                 let timed_out = p.batch_timed_out;
-                let Some(meta) = op.meta.clone() else {
+                let Some(meta) = op.meta.as_ref() else {
                     return Some(Err(if timed_out {
                         OpError::Timeout(op.name.to_string())
                     } else {
@@ -352,16 +352,15 @@ impl Cloud4Home {
     fn proc_resolve_placement(&mut self, op: &mut OpCore, p: &mut Process) -> StepOutcome {
         let kind = p.service;
         let sid = ServiceId(kind.id());
-        let record = p.svc_record.clone().expect("set in ProcMetaSvcGet");
+        let record = p.svc_record.as_ref().expect("set in ProcMetaSvcGet");
+        let cloud_available = record.cloud_available;
 
         if op.kind == OpKind::FetchProcess && p.placement == Placement::Auto {
             // "It uses the service identifier to first determine if the
             // requesting node is capable of executing the service itself."
             if self.nodes[op.client].registry.provides(sid) {
                 p.placement = Placement::Pin(NodeId(op.client));
-            } else if let Some(Location::Home { node }) =
-                op.meta.as_ref().map(|m| m.location.clone())
-            {
+            } else if let Some(Location::Home { node }) = op.meta.as_ref().map(|m| m.location) {
                 // "Otherwise, the object owner checks whether it is capable
                 // of performing the required service."
                 if let Some(owner) = self.node_index(node) {
@@ -386,7 +385,7 @@ impl Cloud4Home {
                 self.enter_for(op, Stage::ProcDecide, LOCATE_TIME)
             }
             Placement::Cloud => {
-                if self.cloud.is_none() || !record.cloud_available {
+                if self.cloud.is_none() || !cloud_available {
                     return Some(Err(OpError::ServiceUnavailable(kind.id())));
                 }
                 p.exec_target = Some(ExecTarget::Cloud);
@@ -403,7 +402,7 @@ impl Cloud4Home {
                     .map(|j| self.nodes[j].resource_key)
                     .collect();
                 if providers.is_empty() {
-                    if record.cloud_available && self.cloud.is_some() {
+                    if cloud_available && self.cloud.is_some() {
                         p.exec_target = Some(ExecTarget::Cloud);
                         return self.enter_for(op, Stage::ProcDecide, LOCATE_TIME);
                     }
@@ -422,7 +421,7 @@ impl Cloud4Home {
     fn proc_choose_target(&mut self, op: &mut OpCore, p: &mut Process) -> StepOutcome {
         let kind = p.service;
         let sid = ServiceId(kind.id());
-        let record = p.svc_record.clone().expect("set in ProcMetaSvcGet");
+        let record = p.svc_record.as_ref().expect("set in ProcMetaSvcGet");
         let size = op.meta_bytes();
         let owner_addr = self.owner_addr(op);
 
@@ -440,15 +439,15 @@ impl Cloud4Home {
                 .get(sid)
                 .cloned()
                 .expect("combined_demand verified the first stage");
-            let platform = self.nodes[j].machine.platform().clone();
+            let platform = self.nodes[j].machine.platform();
             let vm = self.nodes[j].service_vm;
             candidates.push(Candidate {
                 target: ExecTarget::Node(j),
                 movement: self.estimate_transfer(owner_addr, self.nodes[j].addr, size),
-                exec: estimate_exec(&demand, &platform, vm, rec.cpu_load),
+                exec: estimate_exec(&demand, platform, vm, rec.cpu_load),
                 cpu_load: rec.cpu_load,
                 battery_pct: rec.battery_pct,
-                meets_min: meets_minimum(&svc.min_requirements(), &platform, vm),
+                meets_min: meets_minimum(&svc.min_requirements(), platform, vm),
             });
         }
         if record.cloud_available {
@@ -457,11 +456,10 @@ impl Cloud4Home {
                     cloud.registry.get(sid),
                     combined_demand(&cloud.registry, &p.pipeline, size),
                 ) {
-                    let platform = cloud.platform();
                     candidates.push(Candidate {
                         target: ExecTarget::Cloud,
                         movement: self.estimate_transfer(owner_addr, cloud.addr, size),
-                        exec: estimate_exec(&demand, &platform, cloud.instance_vm, 0.15),
+                        exec: estimate_exec(&demand, cloud.platform(), cloud.instance_vm, 0.15),
                         cpu_load: 0.15,
                         battery_pct: None,
                         meets_min: true,
@@ -542,11 +540,11 @@ impl Cloud4Home {
     /// Stages the argument object: owner disk read, then a move flow when
     /// the execution target differs from the owner.
     fn proc_move_argument(&mut self, op: &mut OpCore, p: &mut Process) -> StepOutcome {
-        let mut meta = op.meta.clone().expect("set in ProcMetaSvcGet");
-        match &meta.location {
+        let meta = op.meta.as_ref().expect("set in ProcMetaSvcGet");
+        match meta.location {
             Location::Home { node } => {
                 // Stage from the first live holder: primary, then replicas.
-                let holder = std::iter::once(*node)
+                let holder = std::iter::once(node)
                     .chain(meta.replicas.iter().copied())
                     .filter_map(|key| self.node_index(key))
                     .find(|&j| self.holder_serves(op.client, j, op.name));
@@ -563,8 +561,9 @@ impl Cloud4Home {
                 // is re-published so later fetches don't fail over through
                 // a dead replica.
                 let owner_key = self.nodes[owner].key;
-                if owner_key != *node {
-                    let old_primary = *node;
+                if owner_key != node {
+                    let mut meta = meta.clone();
+                    let old_primary = node;
                     meta.replicas.retain(|k| *k != owner_key);
                     let old_alive = self
                         .node_index(old_primary)
@@ -579,16 +578,14 @@ impl Cloud4Home {
                         self.replicas.insert(meta.name, meta.clone());
                     }
                     self.publish_meta_background(op.client, meta.clone());
-                } else {
-                    meta.location = Location::Home { node: owner_key };
+                    op.meta = Some(meta);
                 }
-                op.meta = Some(meta.clone());
                 p.staged = Some(blob);
-                let read = self.nodes[owner].disk.read_time(meta.size_bytes);
+                let read = self.nodes[owner].disk.read_time(op.meta_bytes());
                 self.enter_for(op, Stage::ProcReadArg, read)
             }
             Location::Cloud { url } => {
-                let Some(url) = S3Url::parse(url) else {
+                let Some(url) = S3Url::parse(url.as_str()) else {
                     return Some(Err(OpError::NotFound(op.name.to_string())));
                 };
                 let cloud = self.cloud.as_mut().expect("cloud location requires cloud");
@@ -656,7 +653,7 @@ impl Cloud4Home {
                     self.nodes[j].sampler.active_tasks() as f64 + self.config.nodes[j].ambient_load;
                 let d = estimate_exec(
                     &demand,
-                    &self.nodes[j].machine.platform().clone(),
+                    self.nodes[j].machine.platform(),
                     self.nodes[j].service_vm,
                     load,
                 );
@@ -673,9 +670,8 @@ impl Cloud4Home {
                     .cloned()
                     .expect("placement validated the service");
                 let demand = svc.demand(size);
-                let platform = cloud.platform();
                 let load = cloud.active_tasks as f64 * 0.2 + 0.15;
-                let d = estimate_exec(&demand, &platform, cloud.instance_vm, load);
+                let d = estimate_exec(&demand, cloud.platform(), cloud.instance_vm, load);
                 cloud.active_tasks += 1;
                 (d, demand)
             }

@@ -7,10 +7,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use c4h_chimera::{DhtEvent, Key};
-use c4h_cloud::REQUEST_LATENCY;
+use c4h_cloud::{S3Url, REQUEST_LATENCY};
 use c4h_kvstore::{object_key, Location, ObjectMeta, Record};
 use c4h_resources::Bin;
-use c4h_simnet::{FlowId, SimTime};
+use c4h_simnet::{FlowId, SimTime, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
 use super::{Family, OpCore, OpInput, OpKind, ResourceQuery, Stage, StepOutcome, COMMAND_BYTES};
@@ -134,23 +134,17 @@ impl Cloud4Home {
                 self.breaker_success(CLOUD_ADDR);
                 let object = &st.object;
                 let cloud = self.cloud.as_mut().expect("cloud path requires a cloud");
+                let at = S3Url {
+                    bucket: cloud.bucket,
+                    key: object.name,
+                };
                 let url = cloud
                     .s3
-                    .put(
-                        &cloud.bucket.clone(),
-                        object.name.as_str(),
-                        object.blob.clone(),
-                        object.size_bytes(),
-                    )
+                    .put_at(at, object.blob.clone(), object.size_bytes())
                     .expect("bucket exists");
                 op.via_cloud = true;
-                self.store_meta_put(
-                    op,
-                    st,
-                    Location::Cloud {
-                        url: url.to_string(),
-                    },
-                )
+                let url = Sym::from_fmt(format_args!("{url}"));
+                self.store_meta_put(op, st, Location::Cloud { url })
             }
             Stage::StoreMetaPut => {
                 let OpInput::Dht(ev) = input else { return None };
@@ -562,14 +556,15 @@ impl Cloud4Home {
         let meta = ObjectMeta {
             name: object.name,
             size_bytes: object.size_bytes(),
-            content_type: object.content_type.clone(),
+            content_type: object.content_type,
             tags: object.tags.clone(),
             location,
             private: object.private,
             owner: self.nodes[op.client].key,
             acl: object.acl.clone(),
             created_at_ns: self.now().as_nanos(),
-            replicas: st.replicas_done.clone(),
+            // Published once: the fan-out is complete or detached.
+            replicas: std::mem::take(&mut st.replicas_done),
             ec: None,
         };
         if self.config.adaptive.enabled {
@@ -595,14 +590,14 @@ impl Cloud4Home {
         } else {
             self.replicas.remove(meta.name);
         }
-        op.meta = Some(meta.clone());
+        let record = Record::Object(meta);
+        let bytes = record.encode();
+        let Record::Object(meta) = record else {
+            unreachable!("an object record");
+        };
+        op.meta = Some(meta);
         self.enter(op, Stage::StoreMetaPut);
-        self.dht_put_for_op(
-            op.id,
-            op.client,
-            object_key(op.name.as_str()),
-            Record::Object(meta).encode(),
-        );
+        self.dht_put_for_op(op.id, op.client, object_key(op.name.as_str()), bytes);
         None
     }
 }

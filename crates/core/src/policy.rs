@@ -65,7 +65,7 @@ impl StorePolicy {
                 }
             }
             StorePolicy::Privacy => {
-                if object.private || object.content_type == "mp3" {
+                if object.stays_home() {
                     PlacementClass::LocalFirst
                 } else {
                     PlacementClass::RemoteCloud

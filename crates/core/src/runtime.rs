@@ -108,7 +108,7 @@ pub(crate) struct NodeRt {
 #[derive(Debug)]
 pub(crate) struct CloudRt {
     pub(crate) addr: Addr,
-    pub(crate) bucket: String,
+    pub(crate) bucket: Sym,
     pub(crate) s3: S3Store<Blob>,
     pub(crate) fleet: Ec2Fleet,
     pub(crate) registry: ServiceRegistry,
@@ -118,9 +118,9 @@ pub(crate) struct CloudRt {
 
 impl CloudRt {
     /// The platform the cloud's compute instance runs on.
-    pub(crate) fn platform(&self) -> PlatformSpec {
+    pub(crate) fn platform(&self) -> &PlatformSpec {
         let instance = self.fleet.iter().next().expect("fleet has an instance");
-        instance.machine.platform().clone()
+        instance.machine.platform()
     }
 }
 
@@ -543,7 +543,7 @@ impl Cloud4Home {
             }
             CloudRt {
                 addr: CLOUD_ADDR,
-                bucket: spec.bucket.clone(),
+                bucket: Sym::new(&spec.bucket),
                 s3,
                 fleet,
                 registry: build_registry(&spec.services),
@@ -636,7 +636,7 @@ impl Cloud4Home {
                 .as_ref()
                 .is_some_and(|c| c.registry.provides(c4h_services::ServiceId(kind.id())));
             let record = Record::Service(ServiceRecord {
-                name: kind.name().to_owned(),
+                name: Sym::new(kind.name()),
                 service_id: kind.id(),
                 providers,
                 cloud_available,

@@ -99,7 +99,7 @@ impl Acl {
 }
 
 /// Where an object's bytes currently live.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Location {
     /// A node in the home cloud, by overlay key.
     Home {
@@ -109,8 +109,9 @@ pub enum Location {
     /// A remote public cloud object, by URL ("URL location of object in
     /// users S3 storage bucket is stored as value").
     Cloud {
-        /// The object URL, e.g. `s3://home-bucket/videos/trip.avi`.
-        url: String,
+        /// The object URL, e.g. `s3://home-bucket/videos/trip.avi`
+        /// (interned; written to the wire as its string).
+        url: Sym,
     },
 }
 
@@ -121,7 +122,7 @@ impl Location {
                 w.tag(LOC_HOME).u64(node.raw());
             }
             Location::Cloud { url } => {
-                w.tag(LOC_CLOUD).string(url);
+                w.tag(LOC_CLOUD).string(url.as_str());
             }
         }
     }
@@ -131,7 +132,9 @@ impl Location {
             LOC_HOME => Ok(Location::Home {
                 node: Key::from_raw(r.u64()?),
             }),
-            LOC_CLOUD => Ok(Location::Cloud { url: r.string()? }),
+            LOC_CLOUD => Ok(Location::Cloud {
+                url: Sym::from(r.str_ref()?),
+            }),
             t => Err(WireError::UnknownTag(t)),
         }
     }
@@ -203,8 +206,9 @@ pub struct ObjectMeta {
     pub name: Sym,
     /// Object size in bytes.
     pub size_bytes: u64,
-    /// Content type, e.g. `"mp3"`, `"avi"`, `"jpeg"`.
-    pub content_type: String,
+    /// Content type, e.g. `"mp3"`, `"avi"`, `"jpeg"` (interned, like
+    /// `name`).
+    pub content_type: Sym,
     /// Free-form tags ("tags that define its context").
     pub tags: Vec<String>,
     /// Where the bytes live.
@@ -231,7 +235,7 @@ impl ObjectMeta {
     fn encode_body(&self, w: &mut WireWriter) {
         w.string(self.name.as_str());
         w.u64(self.size_bytes);
-        w.string(&self.content_type);
+        w.string(self.content_type.as_str());
         w.u64(self.tags.len() as u64);
         for t in &self.tags {
             w.string(t);
@@ -255,7 +259,7 @@ impl ObjectMeta {
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let name = Sym::from(r.str_ref()?);
         let size_bytes = r.u64()?;
-        let content_type = r.string()?;
+        let content_type = Sym::from(r.str_ref()?);
         let n_tags = r.u64()? as usize;
         let mut tags = Vec::with_capacity(n_tags.min(1024));
         for _ in 0..n_tags {
@@ -408,8 +412,9 @@ fn fnv1a_lanes<const N: usize, R: AsRef<[u8]>>(rows: &[R], out: &mut [u64; FNV_L
 /// Availability record for one deployed service.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceRecord {
-    /// The service name, e.g. `"face-detect"`.
-    pub name: String,
+    /// The service name, e.g. `"face-detect"` (interned; written to the
+    /// wire as its string, like the policy).
+    pub name: Sym,
     /// The service identifier ("unique keys derived from the service name
     /// and identifier").
     pub service_id: u32,
@@ -418,23 +423,23 @@ pub struct ServiceRecord {
     /// Whether the service is also deployed in the remote cloud.
     pub cloud_available: bool,
     /// Name of the service policy governing placement.
-    pub policy: String,
+    pub policy: Sym,
 }
 
 impl ServiceRecord {
     fn encode_body(&self, w: &mut WireWriter) {
-        w.string(&self.name);
+        w.string(self.name.as_str());
         w.u32(self.service_id);
         w.u64(self.providers.len() as u64);
         for p in &self.providers {
             w.u64(p.raw());
         }
         w.bool(self.cloud_available);
-        w.string(&self.policy);
+        w.string(self.policy.as_str());
     }
 
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let name = r.string()?;
+        let name = Sym::from(r.str_ref()?);
         let service_id = r.u32()?;
         let n = r.u64()? as usize;
         let mut providers = Vec::with_capacity(n.min(1024));
@@ -442,7 +447,7 @@ impl ServiceRecord {
             providers.push(Key::from_raw(r.u64()?));
         }
         let cloud_available = r.bool()?;
-        let policy = r.string()?;
+        let policy = Sym::from(r.str_ref()?);
         Ok(ServiceRecord {
             name,
             service_id,
@@ -839,7 +844,7 @@ mod tests {
         w.tag(TAG_OBJECT).tag(SCHEMA_VERSION);
         w.string(o.name.as_str());
         w.u64(o.size_bytes);
-        w.string(&o.content_type);
+        w.string(o.content_type.as_str());
         w.u64(o.tags.len() as u64);
         for t in &o.tags {
             w.string(t);
@@ -849,7 +854,7 @@ mod tests {
                 w.tag(LOC_HOME).u64(node.raw());
             }
             Location::Cloud { url } => {
-                w.tag(LOC_CLOUD).string(url);
+                w.tag(LOC_CLOUD).string(url.as_str());
             }
         }
         w.bool(o.private);
@@ -1163,7 +1168,8 @@ mod record_oracle {
         }
 
         /// Lengths up to 300 bytes, so length prefixes take one and two
-        /// bytes, with multi-byte characters mixed in.
+        /// bytes, with multi-byte characters, capitals, spaces and URL
+        /// punctuation mixed in.
         fn string(&mut self) -> String {
             let len = match self.below(4) {
                 0 => 0,
@@ -1174,9 +1180,16 @@ mod record_oracle {
                 .map(|_| match self.below(16) {
                     0 => 'é',
                     1 => '/',
+                    2 => ' ',
+                    3 => ':',
+                    4 => char::from(b'A' + self.below(26) as u8),
                     _ => char::from(b'a' + self.below(26) as u8),
                 })
                 .collect()
+        }
+
+        fn sym(&mut self) -> Sym {
+            Sym::from(self.string().as_str())
         }
 
         fn keys(&mut self, max: u64) -> Vec<Key> {
@@ -1202,14 +1215,14 @@ mod record_oracle {
                 0 => Record::Object(ObjectMeta {
                     name: Sym::from(self.string().as_str()),
                     size_bytes: self.u64(),
-                    content_type: self.string(),
+                    content_type: self.sym(),
                     tags: (0..self.below(20)).map(|_| self.string()).collect(),
                     location: if self.below(2) == 0 {
                         Location::Home {
                             node: Key::from_raw(self.next()),
                         }
                     } else {
-                        Location::Cloud { url: self.string() }
+                        Location::Cloud { url: self.sym() }
                     },
                     private: self.below(2) == 0,
                     owner: Key::from_raw(self.next()),
@@ -1228,11 +1241,11 @@ mod record_oracle {
                     }),
                 }),
                 1 => Record::Service(ServiceRecord {
-                    name: self.string(),
+                    name: self.sym(),
                     service_id: self.next() as u32,
                     providers: self.keys(40),
                     cloud_available: self.below(2) == 0,
-                    policy: self.string(),
+                    policy: self.sym(),
                 }),
                 2 => Record::Resource(ResourceRecord {
                     node: Key::from_raw(self.next()),
@@ -1301,6 +1314,326 @@ mod record_oracle {
         records.extend((0..64).map(|_| gen.record()));
         for record in &records {
             assert_eq!(&record.encode()[..], &grown_record(record)[..]);
+        }
+    }
+
+    /// The object, location and service records as they were before their
+    /// strings were interned — types, encoders and decoders verbatim — as
+    /// the oracle for the `Sym` fields: the wire bytes and the `Debug` text
+    /// of a record must not tell the two apart.
+    mod string_era {
+        use super::super::{Acl, EcLayout, LOC_CLOUD, LOC_HOME};
+        use crate::wire::{WireError, WireReader, WireWriter};
+        use c4h_chimera::Key;
+        use c4h_simnet::Sym;
+
+        /// Where an object's bytes currently live.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Location {
+            /// A node in the home cloud, by overlay key.
+            Home {
+                /// The owning node's overlay ID.
+                node: Key,
+            },
+            /// A remote public cloud object, by URL.
+            Cloud {
+                /// The object URL.
+                url: String,
+            },
+        }
+
+        impl Location {
+            fn encode(&self, w: &mut WireWriter) {
+                match self {
+                    Location::Home { node } => {
+                        w.tag(LOC_HOME).u64(node.raw());
+                    }
+                    Location::Cloud { url } => {
+                        w.tag(LOC_CLOUD).string(url);
+                    }
+                }
+            }
+
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                match r.tag()? {
+                    LOC_HOME => Ok(Location::Home {
+                        node: Key::from_raw(r.u64()?),
+                    }),
+                    LOC_CLOUD => Ok(Location::Cloud { url: r.string()? }),
+                    t => Err(WireError::UnknownTag(t)),
+                }
+            }
+        }
+
+        /// Metadata for one stored object.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct ObjectMeta {
+            pub name: Sym,
+            pub size_bytes: u64,
+            pub content_type: String,
+            pub tags: Vec<String>,
+            pub location: Location,
+            pub private: bool,
+            pub owner: Key,
+            pub acl: Acl,
+            pub created_at_ns: u64,
+            pub replicas: Vec<Key>,
+            pub ec: Option<EcLayout>,
+        }
+
+        impl ObjectMeta {
+            pub fn encode_body(&self, w: &mut WireWriter) {
+                w.string(self.name.as_str());
+                w.u64(self.size_bytes);
+                w.string(&self.content_type);
+                w.u64(self.tags.len() as u64);
+                for t in &self.tags {
+                    w.string(t);
+                }
+                self.location.encode(w);
+                w.bool(self.private);
+                w.u64(self.owner.raw());
+                self.acl.encode(w);
+                w.u64(self.created_at_ns);
+                w.u64(self.replicas.len() as u64);
+                for rep in &self.replicas {
+                    w.u64(rep.raw());
+                }
+                if let Some(ec) = &self.ec {
+                    ec.encode(w);
+                }
+            }
+
+            pub fn decode_body(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                let name = Sym::from(r.str_ref()?);
+                let size_bytes = r.u64()?;
+                let content_type = r.string()?;
+                let n_tags = r.u64()? as usize;
+                let mut tags = Vec::with_capacity(n_tags.min(1024));
+                for _ in 0..n_tags {
+                    tags.push(r.string()?);
+                }
+                let location = Location::decode(r)?;
+                let private = r.bool()?;
+                let owner = Key::from_raw(r.u64()?);
+                let acl = Acl::decode(r)?;
+                let created_at_ns = r.u64()?;
+                let n_replicas = r.u64()? as usize;
+                let mut replicas = Vec::with_capacity(n_replicas.min(1024));
+                for _ in 0..n_replicas {
+                    replicas.push(Key::from_raw(r.u64()?));
+                }
+                let ec = if r.remaining() > 0 {
+                    Some(EcLayout::decode(r)?)
+                } else {
+                    None
+                };
+                Ok(ObjectMeta {
+                    name,
+                    size_bytes,
+                    content_type,
+                    tags,
+                    location,
+                    private,
+                    owner,
+                    acl,
+                    created_at_ns,
+                    replicas,
+                    ec,
+                })
+            }
+        }
+
+        /// Availability record for one deployed service.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct ServiceRecord {
+            pub name: String,
+            pub service_id: u32,
+            pub providers: Vec<Key>,
+            pub cloud_available: bool,
+            pub policy: String,
+        }
+
+        impl ServiceRecord {
+            pub fn encode_body(&self, w: &mut WireWriter) {
+                w.string(&self.name);
+                w.u32(self.service_id);
+                w.u64(self.providers.len() as u64);
+                for p in &self.providers {
+                    w.u64(p.raw());
+                }
+                w.bool(self.cloud_available);
+                w.string(&self.policy);
+            }
+
+            pub fn decode_body(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                let name = r.string()?;
+                let service_id = r.u32()?;
+                let n = r.u64()? as usize;
+                let mut providers = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    providers.push(Key::from_raw(r.u64()?));
+                }
+                let cloud_available = r.bool()?;
+                let policy = r.string()?;
+                Ok(ServiceRecord {
+                    name,
+                    service_id,
+                    providers,
+                    cloud_available,
+                    policy,
+                })
+            }
+        }
+    }
+
+    /// One `String`-era record and its interned twin.
+    enum Twin {
+        Object(Box<string_era::ObjectMeta>, Box<ObjectMeta>),
+        Service(string_era::ServiceRecord, ServiceRecord),
+    }
+
+    impl Gen {
+        /// A `String`-era object or service record of any shape, and the
+        /// same record with its strings interned.
+        fn twin(&mut self) -> Twin {
+            if self.below(3) == 0 {
+                let old = string_era::ServiceRecord {
+                    name: self.string(),
+                    service_id: self.next() as u32,
+                    providers: self.keys(40),
+                    cloud_available: self.below(2) == 0,
+                    policy: self.string(),
+                };
+                let new = ServiceRecord {
+                    name: Sym::from(old.name.as_str()),
+                    service_id: old.service_id,
+                    providers: old.providers.clone(),
+                    cloud_available: old.cloud_available,
+                    policy: Sym::from(old.policy.as_str()),
+                };
+                return Twin::Service(old, new);
+            }
+            let Record::Object(shape) = (loop {
+                let r = self.record();
+                if matches!(r, Record::Object(_)) {
+                    break r;
+                }
+            }) else {
+                unreachable!("the loop breaks on an object");
+            };
+            let (location, old_location) = match self.below(2) {
+                0 => {
+                    let node = Key::from_raw(self.next());
+                    (Location::Home { node }, string_era::Location::Home { node })
+                }
+                _ => {
+                    let url = match self.below(2) {
+                        0 => format!("s3://{}/{}", self.string(), self.string()),
+                        _ => self.string(),
+                    };
+                    (
+                        Location::Cloud {
+                            url: Sym::from(url.as_str()),
+                        },
+                        string_era::Location::Cloud { url },
+                    )
+                }
+            };
+            let content_type = self.string();
+            let old = string_era::ObjectMeta {
+                name: shape.name,
+                size_bytes: shape.size_bytes,
+                content_type: content_type.clone(),
+                tags: shape.tags.clone(),
+                location: old_location,
+                private: shape.private,
+                owner: shape.owner,
+                acl: shape.acl.clone(),
+                created_at_ns: shape.created_at_ns,
+                replicas: shape.replicas.clone(),
+                ec: shape.ec.clone(),
+            };
+            let new = ObjectMeta {
+                content_type: Sym::from(content_type.as_str()),
+                location,
+                ..shape
+            };
+            Twin::Object(Box::new(old), Box::new(new))
+        }
+    }
+
+    /// The `String`-era record writer: a fresh writer, header, body.
+    fn string_era_bytes(twin: &Twin) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        match twin {
+            Twin::Object(old, _) => {
+                w.tag(TAG_OBJECT).tag(SCHEMA_VERSION);
+                old.encode_body(&mut w);
+            }
+            Twin::Service(old, _) => {
+                w.tag(TAG_SERVICE).tag(SCHEMA_VERSION);
+                old.encode_body(&mut w);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// The `String`-era record reader: header, body, nothing left over.
+    fn string_era_decode<T>(
+        bytes: &[u8],
+        tag: u8,
+        body: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let mut r = WireReader::new(bytes);
+        assert_eq!(r.tag()?, tag, "the record's kind");
+        assert_eq!(r.tag()?, SCHEMA_VERSION);
+        let value = body(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Interned object and service records against their `String`-era
+        /// twins: the same bytes, each decoder reads the other's bytes back
+        /// to the twin of what was written, and the same `Debug` text.
+        #[test]
+        fn interned_records_match_the_string_era(seed in any::<u64>(), n in 1usize..12) {
+            let mut gen = Gen(seed | 1);
+            for _ in 0..n {
+                let twin = gen.twin();
+                let old_bytes = string_era_bytes(&twin);
+                match &twin {
+                    Twin::Object(old, new) => {
+                        let bytes = Record::Object((**new).clone()).encode();
+                        prop_assert_eq!(&bytes[..], &old_bytes[..]);
+                        let read = Record::decode(&old_bytes).expect("new reads old");
+                        prop_assert_eq!(read.as_object(), Some(&**new));
+                        let back = string_era_decode(&bytes, TAG_OBJECT, |r| {
+                            string_era::ObjectMeta::decode_body(r)
+                        });
+                        prop_assert_eq!(back.as_ref(), Ok(&**old));
+                        prop_assert_eq!(format!("{new:?}"), format!("{old:?}"));
+                        prop_assert_eq!(
+                            format!("{:?}", new.location),
+                            format!("{:?}", old.location)
+                        );
+                    }
+                    Twin::Service(old, new) => {
+                        let bytes = Record::Service(new.clone()).encode();
+                        prop_assert_eq!(&bytes[..], &old_bytes[..]);
+                        let read = Record::decode(&old_bytes).expect("new reads old");
+                        prop_assert_eq!(read.as_service(), Some(new));
+                        let back = string_era_decode(&bytes, TAG_SERVICE, |r| {
+                            string_era::ServiceRecord::decode_body(r)
+                        });
+                        prop_assert_eq!(back.as_ref(), Ok(old));
+                        prop_assert_eq!(format!("{new:?}"), format!("{old:?}"));
+                    }
+                }
+            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! node's mandatory bin … in cases where the mandatory bin is full … the
 //! data is stored elsewhere").
 
-use c4h_simnet::FxHashMap;
+use c4h_simnet::{Sym, SymMap};
 use serde::{Deserialize, Serialize};
 
 /// Which storage pool an object occupies.
@@ -36,7 +36,7 @@ pub enum BinError {
         free: u64,
     },
     /// An object with this name is already stored here.
-    Duplicate(String),
+    Duplicate(Sym),
 }
 
 impl std::fmt::Display for BinError {
@@ -73,10 +73,11 @@ pub struct BinWatcher {
     /// Per-bin byte counts, indexed by `bin as usize`.
     capacity: [u64; 2],
     used: [u64; 2],
-    /// Keyed with the fixed hasher: a randomly keyed map reallocates its
-    /// table at moments that differ between runs, which moved the heap's
-    /// layout, and so peak RSS, between runs of one seed. Never iterated.
-    objects: FxHashMap<String, (Bin, u64)>,
+    /// Keyed by interned name with the fixed hasher: a randomly keyed map
+    /// reallocates its table at moments that differ between runs, which
+    /// moved the heap's layout, and so peak RSS, between runs of one seed.
+    /// Never iterated.
+    objects: SymMap<(Bin, u64)>,
 }
 
 impl BinWatcher {
@@ -85,7 +86,7 @@ impl BinWatcher {
         BinWatcher {
             capacity: [mandatory_bytes, voluntary_bytes],
             used: [0; 2],
-            objects: FxHashMap::default(),
+            objects: SymMap::default(),
         }
     }
 
@@ -115,8 +116,8 @@ impl BinWatcher {
     }
 
     /// The bin and size of a stored object.
-    pub fn lookup(&self, name: &str) -> Option<(Bin, u64)> {
-        self.objects.get(name).copied()
+    pub fn lookup(&self, name: impl Into<Sym>) -> Option<(Bin, u64)> {
+        self.objects.get(&name.into()).copied()
     }
 
     /// Records an object occupying `bytes` in `bin`.
@@ -125,9 +126,10 @@ impl BinWatcher {
     ///
     /// [`BinError::Full`] if the bin lacks space; [`BinError::Duplicate`] if
     /// the name is already present.
-    pub fn store(&mut self, name: &str, bytes: u64, bin: Bin) -> Result<(), BinError> {
-        if self.objects.contains_key(name) {
-            return Err(BinError::Duplicate(name.to_owned()));
+    pub fn store(&mut self, name: impl Into<Sym>, bytes: u64, bin: Bin) -> Result<(), BinError> {
+        let name = name.into();
+        if self.objects.contains_key(&name) {
+            return Err(BinError::Duplicate(name));
         }
         let free = self.free_bytes(bin);
         if bytes > free {
@@ -138,13 +140,13 @@ impl BinWatcher {
             });
         }
         self.used[bin as usize] += bytes;
-        self.objects.insert(name.to_owned(), (bin, bytes));
+        self.objects.insert(name, (bin, bytes));
         Ok(())
     }
 
     /// Removes an object, freeing its space. Returns its bin and size.
-    pub fn remove(&mut self, name: &str) -> Option<(Bin, u64)> {
-        let (bin, bytes) = self.objects.remove(name)?;
+    pub fn remove(&mut self, name: impl Into<Sym>) -> Option<(Bin, u64)> {
+        let (bin, bytes) = self.objects.remove(&name.into())?;
         self.used[bin as usize] -= bytes;
         Some((bin, bytes))
     }

@@ -135,6 +135,26 @@ impl Sym {
         Sym(REGISTRY.intern(s))
     }
 
+    /// Interns the text `args` formats to, written into one reused buffer
+    /// per thread (`Sym::from_fmt(format_args!("{name}.ec{row}"))`):
+    /// allocates only for text new to the process, or longer than any this
+    /// thread formatted before — never a `String` per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if formatting an argument calls `from_fmt` again.
+    pub fn from_fmt(args: std::fmt::Arguments<'_>) -> Sym {
+        use std::fmt::Write as _;
+        thread_local! {
+            static TEXT: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
+        }
+        TEXT.with_borrow_mut(|text| {
+            text.clear();
+            text.write_fmt(args).expect("formatting into a String");
+            Sym::new(text)
+        })
+    }
+
     /// The symbol for `s` if it has already been interned — a read-only
     /// probe that never allocates a table entry.
     pub fn lookup(s: &str) -> Option<Sym> {
@@ -324,6 +344,16 @@ mod tests {
         let s = Sym::new("intern-test/display");
         assert_eq!(format!("{s}"), "intern-test/display");
         assert_eq!(format!("{s:?}"), format!("{:?}", "intern-test/display"));
+    }
+
+    #[test]
+    fn from_fmt_interns_the_formatted_text() {
+        let name = Sym::new("intern-test/fmt");
+        let row = Sym::from_fmt(format_args!("{name}.ec{}", 3));
+        assert_eq!(row, Sym::new("intern-test/fmt.ec3"));
+        // A shorter text after a longer one: the buffer is cleared, not
+        // overwritten in place.
+        assert_eq!(Sym::from_fmt(format_args!("{}", "a")), "a");
     }
 
     #[test]
