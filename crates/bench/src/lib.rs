@@ -1,8 +1,11 @@
 //! Shared helpers for the Cloud4Home experiment harness.
 //!
-//! Every paper table and figure has a dedicated bench target under
-//! `benches/` (run with `cargo bench -p c4h-bench --bench <name>`); this
-//! library holds the statistics and scheduling utilities they share.
+//! [`paper`] holds every table and figure of the paper's evaluation as rows
+//! plus the predicates its shape claims reduce to; the `paper` bench target
+//! prints them (`cargo bench -p c4h-bench --bench paper`) and
+//! `tests/paper_shapes.rs` asserts them. The other targets under `benches/`
+//! study mechanisms and host cost beyond the paper; this library holds the
+//! statistics, allocation-counting and profiling utilities they share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -19,6 +22,7 @@ use cloud4home::{
     StorePolicy,
 };
 
+pub mod paper;
 mod profile;
 mod report;
 
