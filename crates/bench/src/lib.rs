@@ -18,8 +18,7 @@ use c4h_chimera::ChimeraNode;
 use c4h_simnet::SimTime;
 use c4h_workloads::TraceConfig;
 use cloud4home::{
-    Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, OpReport, RoutePolicy, ServiceKind,
-    StorePolicy,
+    Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, RoutePolicy, ServiceKind, StorePolicy,
 };
 
 pub mod paper;
@@ -129,27 +128,6 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     let mean = xs.iter().sum::<f64>() / n;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     (mean, var.sqrt())
-}
-
-/// Runs the simulation until any of `pending` completes; returns its index
-/// and report.
-///
-/// Used by closed-loop multi-stream workloads (Figure 6's client threads):
-/// each completion immediately triggers the stream's next request.
-///
-/// # Panics
-///
-/// Panics if `pending` is empty or the simulation stalls.
-pub fn run_until_any(home: &mut Cloud4Home, pending: &[OpId]) -> (usize, OpReport) {
-    assert!(!pending.is_empty(), "no pending operations");
-    loop {
-        for (i, &op) in pending.iter().enumerate() {
-            if let Some(r) = home.take_report(op) {
-                return (i, r);
-            }
-        }
-        home.run_for(Duration::from_millis(200));
-    }
 }
 
 /// Delivers overlay envelopes between `nodes` directly — no network model,

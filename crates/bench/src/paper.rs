@@ -10,7 +10,7 @@ use cloud4home::{
     ServiceKind, StorePolicy,
 };
 
-use crate::{mean_std, ms, run_until_any};
+use crate::{mean_std, ms};
 
 /// A sample's mean and (population) standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +39,7 @@ fn closed_loop<R>(
         if pending.is_empty() {
             return done;
         }
-        let (idx, report) = run_until_any(home, &pending);
+        let (idx, report) = home.run_until_any(&pending);
         pending.swap_remove(idx);
         let s = stream_of.swap_remove(idx);
         ready.push(s);

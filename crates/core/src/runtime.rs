@@ -1270,6 +1270,26 @@ impl Cloud4Home {
         }
     }
 
+    /// Runs until any of `ops` completes, returning its index in `ops` and
+    /// its report, taken as by [`Self::take_report`]. Steps one event at a
+    /// time, so the caller sees a completion at its own instant: a closed
+    /// loop can issue its next request with no polling delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty or the simulation runs out of events first.
+    pub fn run_until_any(&mut self, ops: &[OpId]) -> (usize, OpReport) {
+        assert!(!ops.is_empty(), "no operations to wait for");
+        loop {
+            let mut done = ops.iter().enumerate();
+            match done.find_map(|(i, &op)| Some((i, self.ops.take_report(op)?))) {
+                Some(found) => return found,
+                None => self.ensure_tick(),
+            }
+            assert!(self.step(), "simulation stalled with {ops:?} pending");
+        }
+    }
+
     /// Runs until no operations remain in flight and every background
     /// transfer (detached store fan-out stragglers, repair re-replication)
     /// has landed.

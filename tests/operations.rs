@@ -218,6 +218,25 @@ fn cloud_only_service_executes_in_the_cloud() {
 }
 
 #[test]
+fn run_until_any_returns_the_first_completion_at_its_instant() {
+    let mut home = testbed(31);
+    store_home(&mut home, 1, "any/big.bin", 8 << 20, 1);
+    store_home(&mut home, 2, "any/small.bin", 64 << 10, 2);
+    let big = home.fetch_object(NodeId(3), "any/big.bin");
+    let small = home.fetch_object(NodeId(4), "any/small.bin");
+
+    let (idx, first) = home.run_until_any(&[big, small]);
+    assert_eq!((idx, first.id), (1, small), "the small fetch lands first");
+    assert_eq!(home.now(), first.completed, "seen at its own instant");
+    assert!(home.take_report(small).is_none(), "the report was taken");
+
+    let (idx, second) = home.run_until_any(&[big]);
+    assert_eq!((idx, second.id), (0, big));
+    assert_eq!(home.now(), second.completed);
+    second.expect_ok();
+}
+
+#[test]
 fn concurrent_lan_fetches_contend_for_bandwidth() {
     let mut home = testbed(30);
     store_home(&mut home, 1, "t11/a.bin", 20 << 20, 1);
