@@ -110,7 +110,7 @@ pub fn table1() -> Vec<Table1Row> {
     rows
 }
 
-/// Table I, "inter-node ≈ linear in size": the inter-node cost per MB
+/// Table I, inter-node cost ≈ linear in size: the inter-node cost per MB
 /// varies across sizes by no more than the paper's own column does
 /// (13 577 / 100 over 4 678 / 50 = 1.45×).
 pub fn inter_node_linear(rows: &[Table1Row]) -> bool {
@@ -127,7 +127,7 @@ pub fn inter_domain_below_inter_node(rows: &[Table1Row]) -> bool {
     rows.iter().all(|r| r.inter_domain < r.inter_node)
 }
 
-/// Table I, "DHT lookup constant": across a 100× size range the lookup
+/// Table I, DHT lookup constant: across a 100× size range the lookup
 /// cost stays within a band no wider than the paper's (12–16 ms, 4 ms).
 pub fn dht_flat(rows: &[Table1Row]) -> bool {
     let band = |rows: &[Table1Row]| {
@@ -186,7 +186,7 @@ pub fn fig4() -> Vec<Fig4Row> {
     rows
 }
 
-/// Figure 4, remote latencies "far higher": a cloud fetch takes at least
+/// Figure 4, remote latencies far higher: a cloud fetch takes at least
 /// 10× a home fetch at every size.
 pub fn cloud_fetch_10x_home(rows: &[Fig4Row]) -> bool {
     let far_higher = |r: &Fig4Row| r.cloud_fetch.mean >= 10.0 * r.home_fetch.mean;
@@ -199,8 +199,8 @@ pub fn cloud_store_slower(rows: &[Fig4Row]) -> bool {
     rows.iter().all(|r| r.cloud_store.mean > r.cloud_fetch.mean)
 }
 
-/// Figure 4, remote latencies "far more variable, increasingly so for
-/// larger objects": both cloud series' spread grows at every size step.
+/// Figure 4, remote latencies far more variable, increasingly so for larger
+/// objects: both cloud series' spread grows at every size step.
 pub fn cloud_spread_grows(rows: &[Fig4Row]) -> bool {
     rows.windows(2).all(|w| {
         w[1].cloud_store.std > w[0].cloud_store.std && w[1].cloud_fetch.std > w[0].cloud_fetch.std
@@ -346,7 +346,7 @@ pub fn concurrency_gain(fig: &Fig6, remote_pct: usize) -> f64 {
     (t[2] / t[0] - 1.0) * 100.0
 }
 
-/// Figure 6, "concurrency hides remote stalls": in every row, more threads
+/// Figure 6, concurrency hides remote stalls: in every row, more threads
 /// are never slower.
 pub fn more_threads_never_worse(fig: &Fig6) -> bool {
     let rising = |r: &Fig6Row| r.threads.windows(2).all(|w| w[1] >= w[0]);
@@ -359,7 +359,7 @@ pub fn remote_only_lowest(fig: &Fig6) -> bool {
     cells.all(|x| fig.remote_only < x)
 }
 
-/// Figure 6, throughput "falls as more content lives behind the WAN": with
+/// Figure 6, throughput falls as more content lives behind the WAN: with
 /// all content at home, every thread count beats every row with remote
 /// content.
 pub fn all_home_beats_remote(fig: &Fig6) -> bool {
@@ -443,7 +443,7 @@ pub fn split() -> Split {
     }
 }
 
-/// §V-B: "joint usage of home and remote resources" (iii) finishes before
+/// §V-B, joint use of home and remote resources: (iii) finishes before
 /// either (i) or (ii) alone.
 pub fn split_beats_both(s: &Split) -> bool {
     s.split < s.home && s.split < s.cloud
