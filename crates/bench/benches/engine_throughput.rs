@@ -1,15 +1,13 @@
-//! Event-engine throughput — slab wheel vs `BinaryHeap`.
+//! Event-engine throughput and allocation gates.
 //!
-//! Two sections:
+//! Sections:
 //!
 //! 1. **Hold model** (classic calendar-queue benchmark): pre-fill the
 //!    queue with N pending events, then repeatedly pop-one/push-one so the
 //!    population holds at N. Reports raw events/sec for the production
-//!    slab-arena wheel (`EventQueue`) and the reference heap
-//!    (`queue::reference::RefQueue`) at N = 1k / 10k / 100k / 1M. Delays
-//!    span nine orders of magnitude (same splitmix64 stream for both
-//!    engines), so the wheel pays its real cascade costs. Payloads are
-//!    128 bytes — `size_of` of the runtime's event enum — so the heap
+//!    `BinaryHeap` queue (`EventQueue`) at N = 1k / 10k / 100k / 1M.
+//!    Delays span nine orders of magnitude (a splitmix64 stream). Payloads
+//!    are 128 bytes — `size_of` of the runtime's event enum — so the heap
 //!    moves what it would move in production.
 //! 2. **Flow engine steady state**: `FlowNet` holding 200 LAN flows on the
 //!    testbed topology, topped up as they finish. Rounds of `next_event` +
@@ -38,10 +36,8 @@
 //!    the face detector and the face recognizer makes on a 64 KiB window,
 //!    gated at what the byte-at-a-time kernels made.
 //! 6. **Runtime ops/sec**: end-to-end mixed store/fetch workload on the
-//!    paper testbed — how much of the engine win survives under the full
-//!    stack (overlay, flows, services). Its event queue may scan the wheel
-//!    for the earliest bucket at most once per popped event or clock
-//!    advance (an exact count).
+//!    paper testbed under the full stack (overlay, flows, services), with
+//!    the event queue's pops and clock advances over it.
 //! 7. **One allocation per DHT record**: `Record::encode` of every kind (and
 //!    `DirEntry::encode`) makes exactly one allocation, the record's shared
 //!    bytes; an overwrite put on a chimera-only ring, with a recorder
@@ -79,17 +75,16 @@
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
-//! slab engine reaches an **allocation-free steady state**: hold chunks
+//! event queue reaches an **allocation-free steady state**: hold chunks
 //! run until an entire chunk performs zero heap acquisitions, and that
 //! quiescent chunk is the reported measurement. The delay stream is
 //! deterministic, so this is a hard regression gate, not a flaky timing
-//! check. In full mode one speedup is also asserted: ≥ 2× over the heap
-//! at 100k (the PR-6 bar).
+//! check. Every gate is a count; rates are printed, not asserted.
 //!
 //! Run with: `cargo bench -p c4h-bench --bench engine_throughput`
-//! (set `C4H_SMOKE=1` for the CI smoke variant: fewer hold ops, no
-//! speedup assertion — the zero-alloc assertion still gates). The table
-//! lands in `BENCH_engine_throughput.json` like every bench's.
+//! (set `C4H_SMOKE=1` for the CI smoke variant: shorter loops and no
+//! 2 000-node join row, the same gates). The table lands in
+//! `BENCH_engine_throughput.json` like every bench's.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +101,6 @@ use c4h_kvstore::{
     Acl, DirEntry, Location, ObjectMeta, Record, ResourceRecord, ServiceRecord, StripeRecord,
 };
 use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
-use c4h_simnet::queue::reference::RefQueue;
 use c4h_simnet::{
     presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
 };
@@ -143,7 +137,7 @@ fn hold_ops() -> u64 {
     }
 }
 
-/// Deterministic splitmix64 — identical delay streams for all engines.
+/// Deterministic splitmix64 — the same delay stream on every run.
 struct Mix(u64);
 
 impl Mix {
@@ -170,63 +164,42 @@ impl Mix {
 /// Chunks to try before giving up on allocator quiescence.
 const MAX_CHUNKS: u64 = 40;
 
-/// Generates a hold-model runner for one queue engine. Both engines
-/// share the schedule_in/pop API, identical seeds, and identical op
-/// streams; each returns (events/sec, heap acquisitions, warm chunks).
+/// The hold model on the production [`EventQueue`] at `n` pending:
+/// returns (events/sec, heap acquisitions, warm chunks).
 ///
-/// Steady state is found, not assumed: bucket vectors and the slab
-/// free-list grow toward high-water marks that a fixed warmup cannot be
-/// proven to reach (capacity records keep creeping, ever more rarely).
-/// So the runner executes hold chunks of `max(ops, n)` events until one
-/// entire chunk performs **zero** heap acquisitions, and reports that
-/// chunk's throughput and allocation count. The splitmix64 stream is
-/// deterministic, so the number of warm chunks — and the final verdict —
-/// is reproducible, not timing-dependent. If no chunk quiesces within
-/// [`MAX_CHUNKS`], the last chunk's (rate, allocs) is returned and the
-/// caller's assertion reports the failure.
-macro_rules! hold_model {
-    ($(#[$doc:meta])* $name:ident, $queue:ty) => {
-        $(#[$doc])*
-        fn $name(n: usize, ops: u64) -> (f64, u64, u64) {
-            let mut q: $queue = <$queue>::new();
-            let mut mix = Mix(0x000e_1113 + n as u64);
-            for i in 0..n as u64 {
-                q.schedule_in(Duration::from_nanos(mix.delay()), payload(i));
-            }
-            let chunk = ops.max(n as u64);
-            let mut rate = 0.0;
-            let mut allocs = u64::MAX;
-            let mut warm = 0;
-            for c in 0..MAX_CHUNKS {
-                let allocs0 = allocations();
-                let started = Instant::now();
-                for i in 0..chunk {
-                    let (_, p) = q.pop().expect("population is held at n");
-                    q.schedule_in(Duration::from_nanos(mix.delay()), payload(p[0] ^ i));
-                }
-                rate = chunk as f64 / started.elapsed().as_secs_f64();
-                allocs = allocations() - allocs0;
-                warm = c;
-                if allocs == 0 {
-                    break;
-                }
-            }
-            (rate, allocs, warm)
+/// Steady state is found, not assumed: the runner executes hold chunks of
+/// `max(ops, n)` events until one entire chunk performs **zero** heap
+/// acquisitions, and reports that chunk's throughput and allocation count.
+/// The splitmix64 stream is deterministic, so the number of warm chunks —
+/// and the final verdict — is reproducible, not timing-dependent. If no
+/// chunk quiesces within [`MAX_CHUNKS`], the last chunk's (rate, allocs)
+/// is returned and the caller's assertion reports the failure.
+fn hold_model(n: usize, ops: u64) -> (f64, u64, u64) {
+    let mut q: EventQueue<Payload> = EventQueue::new();
+    let mut mix = Mix(0x000e_1113 + n as u64);
+    for i in 0..n as u64 {
+        q.schedule_in(Duration::from_nanos(mix.delay()), payload(i));
+    }
+    let chunk = ops.max(n as u64);
+    let mut rate = 0.0;
+    let mut allocs = u64::MAX;
+    let mut warm = 0;
+    for c in 0..MAX_CHUNKS {
+        let allocs0 = allocations();
+        let started = Instant::now();
+        for i in 0..chunk {
+            let (_, p) = q.pop().expect("population is held at n");
+            q.schedule_in(Duration::from_nanos(mix.delay()), payload(p[0] ^ i));
         }
-    };
+        rate = chunk as f64 / started.elapsed().as_secs_f64();
+        allocs = allocations() - allocs0;
+        warm = c;
+        if allocs == 0 {
+            break;
+        }
+    }
+    (rate, allocs, warm)
 }
-
-hold_model!(
-    /// The production slab-arena wheel: POD slots in buckets, payloads
-    /// parked in a generational slab with free-list reuse.
-    hold_slab,
-    EventQueue<Payload>
-);
-hold_model!(
-    /// The `BinaryHeap` oracle.
-    hold_heap,
-    RefQueue<Payload>
-);
 
 /// What [`explain_overhead`] measured over its three interleaved pairs of
 /// quiescent chunks.
@@ -788,7 +761,7 @@ fn idle_publish() -> (u64, u64) {
 }
 
 /// Runs of each op before the gated ones: the interner, the metadata
-/// caches and the event wheel's spare buckets have settled by then.
+/// caches and the event queue's buffer have settled by then.
 const OP_WARM: usize = 16;
 
 /// Gated runs of each op; the gate reads the fewest allocations among
@@ -809,8 +782,8 @@ const OP_ALLOCS: [(&str, u64); 4] = [
 /// Each op runs from submit to its report as the benchmark driver runs one
 /// (20 ms polls, `take_report`). The resource monitor publishes hourly, so
 /// no record publish lands inside an op; the count is the fewest of
-/// [`OP_REPS`] runs after [`OP_WARM`], because an event-wheel bucket that
-/// one run happens to adopt is the wheel's, not the op's.
+/// [`OP_REPS`] runs after [`OP_WARM`], because an event-queue buffer that
+/// one run happens to grow is the queue's, not the op's.
 fn op_allocs() -> [(&'static str, u64); 4] {
     fn run(home: &mut Cloud4Home, op: OpId) {
         loop {
@@ -1159,46 +1132,34 @@ fn generation_ms() -> (f64, f64) {
 fn main() {
     banner(
         "Engine throughput",
-        "slab wheel vs BinaryHeap (hold model + full stack)",
+        "event queue hold model, allocation gates, full stack",
     );
     let ops = hold_ops();
-    println!(
-        "{:>8} | {:>13} {:>13} {:>8} {:>9}",
-        "pending", "slab (ev/s)", "heap (ev/s)", "vs heap", "allocs"
-    );
-    println!("{}", "-".repeat(58));
+    println!("{:>8} | {:>13} {:>9}", "pending", "heap (ev/s)", "allocs");
+    println!("{}", "-".repeat(34));
 
     let mut report = BenchReport::new("engine_throughput");
     report.config("smoke", smoke());
     report.config("hold_ops_per_point", ops);
 
-    let mut vs_heap_100k = 0.0;
     for n in SIZES {
-        let (slab, slab_allocs, warm) = hold_slab(n, ops);
-        let (heap, _, _) = hold_heap(n, ops);
-        let vs_heap = slab / heap;
-        if n == 100_000 {
-            vs_heap_100k = vs_heap;
-        }
-        println!("{n:>8} | {slab:>13.0} {heap:>13.0} {vs_heap:>7.2}x {slab_allocs:>9}");
+        let (heap, allocs, warm) = hold_model(n, ops);
+        println!("{n:>8} | {heap:>13.0} {allocs:>9}");
         report.push_row(vec![
             ("pending", n.into()),
-            ("slab_events_per_sec", slab.round().into()),
             ("heap_events_per_sec", heap.round().into()),
-            ("speedup_vs_heap", vs_heap.into()),
-            ("slab_allocs", slab_allocs.into()),
+            ("heap_allocs", allocs.into()),
             ("warm_chunks", warm.into()),
         ]);
-        // The tentpole contract: once warm, the slab engine never touches
-        // the heap — at any population, 10⁶ included. Deterministic delay
-        // stream ⇒ deterministic verdict.
+        // Once warm, the event queue never touches the allocator — at any
+        // population, 10⁶ included. Deterministic delay stream ⇒
+        // deterministic verdict.
         report.check(
             &format!("zero_alloc_steady_state_{n}"),
-            slab_allocs == 0,
+            allocs == 0,
             format!(
-                "slab EventQueue steady-state chunk at n={n} made {slab_allocs} \
-                 allocations ({MAX_CHUNKS} chunks tried); the hot path must be \
-                 allocation-free"
+                "EventQueue steady-state chunk at n={n} made {allocs} allocations \
+                 ({MAX_CHUNKS} chunks tried); the hot path must be allocation-free"
             ),
         );
     }
@@ -1518,7 +1479,7 @@ fn main() {
         format!(
             "the idle testbed made {idle_allocs} allocations for {idle_records} published \
              records ({per_record:.2} per record, must stay <= 1.1: one for the record's \
-             bytes, the rest the event wheel's bucket adoptions)"
+             bytes)"
         ),
     );
 
@@ -1577,34 +1538,15 @@ fn main() {
     let (runtime_ops, runtime_rate, qs) = runtime_ops_per_sec();
     println!(
         "full stack: {runtime_ops} mixed ops at {runtime_rate:.0} ops/sec wall; \
-         queue: {} pops, {} advances, {} full wheel scans ({:.3} per pop or advance), \
-         {} cascades",
-        qs.pops,
-        qs.advances,
-        qs.scans,
-        qs.scans as f64 / (qs.pops + qs.advances) as f64,
-        qs.cascades
+         queue: {} pops, {} advances",
+        qs.pops, qs.advances,
     );
     report.push_row(vec![
         ("runtime_ops", runtime_ops.into()),
         ("runtime_ops_per_sec", runtime_rate.into()),
         ("runtime_queue_pops", qs.pops.into()),
         ("runtime_queue_advances", qs.advances.into()),
-        ("runtime_queue_scans", qs.scans.into()),
     ]);
-    // A count gate, not a clock: the loop peeks the queue two or three
-    // times per event (`run_for`'s horizon check, `step`'s merge with the
-    // flow engine, `pop` or `advance_to`), and a scan's answer is kept until
-    // a pop takes its bucket, so the wheel is scanned at most once per event.
-    report.check(
-        "runtime_queue_one_scan_per_event",
-        qs.scans <= qs.pops + qs.advances,
-        format!(
-            "{} full wheel scans for {} pops and {} clock advances; the earliest \
-             bucket must be found once per event, not once per peek",
-            qs.scans, qs.pops, qs.advances
-        ),
-    );
 
     let (trace_ms, arrivals_ms) = generation_ms();
     println!(
@@ -1615,19 +1557,5 @@ fn main() {
         ("generate_testbed_trace_host_ms", trace_ms.into()),
         ("arrivals_per_1k_host_ms", arrivals_ms.into()),
     ]);
-
-    // Timing acceptance bar. Smoke runs (CI shared runners, tiny op
-    // counts) print but don't gate on wall-clock ratios; the count checks
-    // above gate everywhere.
-    if !smoke() {
-        report.check(
-            "speedup_vs_heap_100k",
-            vs_heap_100k >= 2.0,
-            format!(
-                "slab wheel must be >=2x the BinaryHeap reference at 100k \
-                 pending events; measured {vs_heap_100k:.2}x"
-            ),
-        );
-    }
     report.finish();
 }

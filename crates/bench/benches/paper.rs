@@ -66,9 +66,13 @@ fn fig4() {
     println!(
         "\ncloud/home fetch latency at {mb} MB: {ratio:.0}x; relative variability: cloud {cloud_var:.2} vs home {home_var:.2}"
     );
-    println!(
-        "store > fetch on the cloud path (upload 4.5 vs download 6.5 Mbps): {} ",
-        paper::cloud_store_slower(&rows)
+    verdict(
+        paper::cloud_fetch_10x_home(&rows)
+            && paper::cloud_store_slower(&rows)
+            && paper::cloud_spread_grows(&rows),
+        "Shape checks: cloud fetch ≥ 10x home fetch at every size; cloud store\n\
+         slower than cloud fetch (upload 4.5 vs download 6.5 Mbps); both cloud\n\
+         spreads grow with size.",
     );
 }
 
@@ -86,6 +90,10 @@ fn fig5() {
     let m1 = paper::fig5_peak(&rows, |r| r.method1);
     let m2 = paper::fig5_peak(&rows, |r| r.method2);
     println!("\noptimal object size: Method 1 = {m1} MB, Method 2 = {m2} MB (paper: ≈20 MB)");
+    verdict(
+        m1 == 20 && m2 == 20,
+        "Both methods peak at 20 MB, the paper's remote-cloud optimum.",
+    );
 }
 
 fn fig6() {
@@ -102,6 +110,13 @@ fn fig6() {
     }
     let gain = paper::concurrency_gain(&fig, 10);
     println!("\nconcurrency gain at 10% remote (3 threads vs 1): {gain:.0}% (paper: ~45%)");
+    verdict(
+        paper::more_threads_never_worse(&fig)
+            && paper::remote_only_lowest(&fig)
+            && paper::all_home_beats_remote(&fig),
+        "Shape checks: more threads never hurt; remote-only is the lowest line;\n\
+         the all-home row is on top.",
+    );
 }
 
 fn split() {
@@ -146,6 +161,10 @@ fn fig7() {
     }
     let winners: Vec<_> = rows.iter().map(paper::Fig7Row::winner).collect();
     println!("\npaper shape: S1 wins smallest, S2 the middle, S3 the largest — got {winners:?}");
+    verdict(
+        winners == paper::FIG7_PAPER_WINNERS,
+        "The winning placement at every size is the paper's.",
+    );
 }
 
 fn fig8() {
@@ -164,9 +183,9 @@ fn fig8() {
         );
     }
     verdict(
-        paper::topt_beats_town(&rows),
-        "Topt < Town at every size: dynamic routing pays for its movement\n\
-         and decision overheads (paper Figure 8's observation).",
+        paper::topt_beats_town(&rows) && paper::topt_picks_desktop(&rows),
+        "Topt < Town at every size, routed to the desktop: dynamic routing pays\n\
+         for its movement and decision overheads (paper Figure 8's observation).",
     );
 }
 

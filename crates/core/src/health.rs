@@ -67,15 +67,10 @@ const OVERLOAD_GAUGES: [&str; 3] = [
 ];
 
 /// Engine introspection gauges, sampled while the causal ledger is on.
-const ENGINE_GAUGES: [&str; 16] = [
+/// `engine.wheel.len` is the event queue's length, named for the timer
+/// wheel the queue once was; `benchmark/src/layers.rs` reads it by name.
+const ENGINE_GAUGES: [&str; 9] = [
     "engine.wheel.len",
-    "engine.wheel.ready",
-    "engine.wheel.cascades",
-    "engine.wheel.cascaded_slots",
-    "engine.slab.cells",
-    "engine.slab.free",
-    "engine.spare.buckets",
-    "engine.spare.capacity",
     "engine.intern.count",
     "engine.flows.started",
     "engine.flows.completed",
@@ -121,7 +116,7 @@ pub(crate) fn node_gauges(rec: &Recorder, name: &str) -> [GaugeId; 5] {
 pub(crate) struct FixedGauges {
     pub(crate) runtime: [GaugeId; 4],
     pub(crate) overload: [GaugeId; 3],
-    pub(crate) engine: [GaugeId; 16],
+    pub(crate) engine: [GaugeId; 9],
 }
 
 /// The gauge sampler's columns: the ids it writes a row with, and the row.
@@ -129,14 +124,13 @@ pub(crate) struct FixedGauges {
 /// Every gauge is registered with the recorder once, the first time its
 /// subject is sampled — its name formatted then and never again — and
 /// found from then on by position: a fixed slot, the node's own field, the
-/// index of a segment or wheel level, the rank of an admit-token kind. A
+/// index of a segment, the rank of an admit-token kind. A
 /// steady sample looks up no name, hashes nothing and sorts nothing, and
 /// its row and segment-load buffers are reused.
 #[derive(Debug, Default)]
 pub(crate) struct GaugeColumns {
     fixed: Option<FixedGauges>,
     segments: Vec<[GaugeId; 2]>,
-    levels: Vec<GaugeId>,
     /// Admit-token kinds in name order, the order the overload plane
     /// reports them in.
     admit: Vec<(&'static str, GaugeId)>,
@@ -173,17 +167,6 @@ impl GaugeColumns {
             let [util, flows] = self.segments[i];
             self.row.push((util, load.util_permille() as i64));
             self.row.push((flows, load.flows as i64));
-        }
-    }
-
-    /// Adds the occupancy of each timer-wheel level.
-    pub(crate) fn put_levels(&mut self, rec: &Recorder, occupancy: &[u32]) {
-        for (lvl, &occupied) in occupancy.iter().enumerate() {
-            if lvl == self.levels.len() {
-                let id = rec.register_gauge(&format!("engine.wheel.l{lvl}_occupied"));
-                self.levels.push(id);
-            }
-            self.row.push((self.levels[lvl], i64::from(occupied)));
         }
     }
 
@@ -436,14 +419,15 @@ mod tests {
         let mut cols = GaugeColumns::default();
         let name = |row: &[(GaugeId, i64)], i: usize| rec.gauge_name(row[i].0).to_string();
         let fixed = cols.start(&rec);
-        assert_eq!(rec.gauges_registered(), 4 + 3 + 16);
+        assert_eq!(rec.gauges_registered(), 4 + 3 + 9);
         assert_eq!(&*rec.gauge_name(fixed.runtime[0]), "runtime.queue_depth");
-        assert_eq!(&*rec.gauge_name(fixed.engine[15]), "engine.ledger.dropped");
+        assert_eq!(&*rec.gauge_name(fixed.engine[0]), "engine.wheel.len");
+        assert_eq!(&*rec.gauge_name(fixed.engine[8]), "engine.ledger.dropped");
         let [cpu, ..] = node_gauges(&rec, "netbook-3");
         assert_eq!(&*rec.gauge_name(cpu), "node.netbook-3.cpu_milli");
-        cols.put_levels(&rec, &[5, 0, 7]);
+        cols.put(fixed.overload, [5, 0, 7]);
         cols.put_admit_tokens(&rec, [("fetch", 3), ("store", 4)].into_iter());
-        assert_eq!(name(cols.row(), 2), "engine.wheel.l2_occupied");
+        assert_eq!(name(cols.row(), 2), "overload.tenants_inflight");
         assert_eq!(name(cols.row(), 3), "overload.admit_tokens.fetch");
         let registered = rec.gauges_registered();
 
@@ -452,7 +436,7 @@ mod tests {
         let first = cols.row().to_vec();
         assert_eq!(cols.start(&rec).runtime, fixed.runtime);
         assert!(cols.row().is_empty(), "a row starts empty");
-        cols.put_levels(&rec, &[1, 1, 1]);
+        cols.put(fixed.overload, [1, 1, 1]);
         cols.put_admit_tokens(
             &rec,
             [("delete", 1), ("fetch", 2), ("store", 0)].into_iter(),

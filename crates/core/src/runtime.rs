@@ -942,8 +942,8 @@ impl Cloud4Home {
         self.chains.steps
     }
 
-    /// The event queue's own counts (pops, clock advances, full wheel
-    /// scans, cascades) and its occupancy now.
+    /// The event queue's own counts (pops, clock advances) and its
+    /// length now.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
@@ -1456,16 +1456,9 @@ impl Cloud4Home {
             // Engine introspection rides the same cadence but only when the
             // causal ledger is on, so default-config gauge output (and with
             // it the golden corpus) stays byte-identical.
-            let (qs, fc) = (self.queue.stats(), self.net.counters());
+            let fc = self.net.counters();
             let values = [
-                qs.len as u64,
-                qs.ready as u64,
-                qs.cascades,
-                qs.cascaded_slots,
-                qs.slab_cells as u64,
-                qs.free_cells as u64,
-                qs.spare_buckets as u64,
-                qs.spare_capacity as u64,
+                self.queue.len() as u64,
                 Sym::interned_count() as u64,
                 fc.started,
                 fc.completed,
@@ -1476,7 +1469,6 @@ impl Cloud4Home {
                 self.ledger.dropped(),
             ];
             cols.put(fixed.engine, values.map(|n| n as i64));
-            cols.put_levels(rec, &qs.level_occupancy);
             if self.overload.enabled {
                 cols.put_admit_tokens(rec, self.overload.admit_token_rows());
             }

@@ -1,7 +1,6 @@
 //! Regression tests for completion-vs-event interleaving at equal
 //! timestamps — the ordering hazard class PR 6 fixed (flow completions
-//! surfacing at queue-event instants) re-audited against wheel-bucketed
-//! delivery.
+//! surfacing at queue-event instants).
 //!
 //! The three `drain_net()` call sites (`run_for`, `step`'s two branches)
 //! all promise: a flow completion landing at the same virtual instant as

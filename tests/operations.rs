@@ -58,43 +58,6 @@ fn dht_lookup_cost_is_roughly_constant_across_sizes() {
 }
 
 #[test]
-fn inter_node_cost_scales_with_object_size() {
-    let mut home = testbed(22);
-    let mut costs = Vec::new();
-    for (i, mb) in [1u64, 10].into_iter().enumerate() {
-        let name = format!("t3/{mb}.bin");
-        store_home(&mut home, 1, &name, mb << 20, i as u64);
-        let op = home.fetch_object(NodeId(2), &name);
-        let r = home.run_until_complete(op);
-        r.expect_ok();
-        costs.push(r.breakdown.inter_node.as_secs_f64());
-    }
-    let ratio = costs[1] / costs[0];
-    assert!(
-        (6.0..14.0).contains(&ratio),
-        "10 MiB should cost ~10x 1 MiB on the LAN, got {ratio:.2}"
-    );
-}
-
-#[test]
-fn home_fetch_is_much_faster_and_steadier_than_cloud_fetch() {
-    let mut home = testbed(23);
-    store_home(&mut home, 1, "t4/home.bin", 5 << 20, 1);
-    let obj = Object::synthetic("t4/cloud.bin", 2, 5 << 20, "doc");
-    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
-    home.run_until_complete(op).expect_ok();
-
-    let op = home.fetch_object(NodeId(2), "t4/home.bin");
-    let home_time = home.run_until_complete(op).total();
-    let op = home.fetch_object(NodeId(2), "t4/cloud.bin");
-    let cloud_time = home.run_until_complete(op).total();
-    assert!(
-        cloud_time.as_secs_f64() > 10.0 * home_time.as_secs_f64(),
-        "paper Figure 4: cloud access dwarfs home access ({home_time:?} vs {cloud_time:?})"
-    );
-}
-
-#[test]
 fn process_auto_picks_the_desktop_for_midsize_images() {
     let mut home = testbed(24);
     store_home(&mut home, 0, "t5/img.jpg", 1 << 20, 1);
@@ -113,32 +76,6 @@ fn process_auto_picks_the_desktop_for_midsize_images() {
     );
     assert!(r.breakdown.exec > Duration::ZERO);
     assert!(out.summary.is_some());
-}
-
-#[test]
-fn pinned_placements_order_as_figure7_expects_at_1mib() {
-    let mut home = testbed(25);
-    store_home(&mut home, 0, "t6/img.jpg", 1 << 20, 1);
-    let mut totals = std::collections::HashMap::new();
-    for (label, placement) in [
-        ("netbook", Placement::Pin(NodeId(0))),
-        ("desktop", Placement::Pin(NodeId(5))),
-        ("cloud", Placement::Cloud),
-    ] {
-        let op =
-            home.process_object_at(NodeId(0), "t6/img.jpg", ServiceKind::FaceDetect, placement);
-        let r = home.run_until_complete(op);
-        r.expect_ok();
-        totals.insert(label, r.total());
-    }
-    assert!(
-        totals["desktop"] < totals["netbook"],
-        "movement to the desktop pays off at 1 MiB"
-    );
-    assert!(
-        totals["cloud"] > totals["desktop"],
-        "WAN movement makes the cloud lose at 1 MiB"
-    );
 }
 
 #[test]
