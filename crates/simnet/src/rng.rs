@@ -229,6 +229,183 @@ mod tests {
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(r.chance(2.0)); // clamped
+        assert!(!r.chance(-1.0)); // clamped
+    }
+
+    #[test]
+    fn chance_edges_draw_nothing() {
+        let mut r = DetRng::seed(6);
+        let mut twin = DetRng::seed(6);
+        for _ in 0..100 {
+            assert!(!r.chance(0.0));
+            assert!(r.chance(1.0));
+        }
+        assert_eq!(r.uniform_u64(0, 1000), twin.uniform_u64(0, 1000));
+    }
+
+    #[test]
+    fn chance_respects_the_probability() {
+        let mut r = DetRng::seed(2);
+        let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
+        assert!((2000..3000).contains(&hits), "got {hits}");
+    }
+
+    #[test]
+    fn draws_stay_in_range() {
+        let mut r = DetRng::seed(1);
+        for _ in 0..1000 {
+            let x = r.uniform_u64(3, 17);
+            assert!((3..17).contains(&x), "{x}");
+            let f = r.uniform(-2.0, 5.0);
+            assert!((-2.0..5.0).contains(&f), "{f}");
+            assert_eq!(r.uniform_u64(9, 10), 9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_integer_range_panics() {
+        DetRng::seed(1).uniform_u64(5, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "lo 2 > hi 1")]
+    fn reversed_float_range_panics() {
+        DetRng::seed(1).uniform(2.0, 1.0);
+    }
+
+    /// The first 8 draws of every sampler for seeds 0 and 2011, as bits:
+    /// every figure, golden digest and benchmark input pin comes from this
+    /// stream, so a change to it fails here by name.
+    #[test]
+    fn stream_is_pinned() {
+        type Sampler = fn(&mut DetRng) -> u64;
+        let samplers: [(&str, Sampler); 7] = [
+            ("next", |r| r.uniform_u64(0, u64::MAX)),
+            ("fork", |r| r.fork().uniform_u64(0, u64::MAX)),
+            ("uniform", |r| r.uniform(-3.0, 5.0).to_bits()),
+            ("uniform_u64", |r| r.uniform_u64(10, 1000)),
+            ("chance", |r| u64::from(r.chance(0.3))),
+            ("jitter_factor", |r| r.jitter_factor(0.2).to_bits()),
+            ("heavy_tail", |r| r.heavy_tail(1.5, 0.8).to_bits()),
+        ];
+        let pins: [[[u64; 8]; 7]; 2] = [
+            [
+                [
+                    0x06c4_5d18_8009_454f,
+                    0xf88b_b8a8_724c_81ec,
+                    0x1b39_896a_51a8_749b,
+                    0x53cb_9f0c_747e_a2ea,
+                    0x2c82_9abe_1f45_32e1,
+                    0xc584_133a_c916_ab3c,
+                    0x3ee5_7890_41c9_8ac3,
+                    0xf3b8_488c_368c_b0a6,
+                ],
+                [
+                    0x0cf9_6360_b0fa_1860,
+                    0x3231_f8d8_d6d8_3962,
+                    0x9393_dd16_56cb_cc0b,
+                    0x5fb9_2247_b7bb_dbf1,
+                    0x6fc4_76ee_82e5_326d,
+                    0x7125_f138_f60b_7ece,
+                    0xe3a2_1f12_167b_8bcd,
+                    0x9eb8_688a_386d_113b,
+                ],
+                [
+                    0xc006_4ee8_b9df_fdb0,
+                    0x4013_1177_150e_4990,
+                    0xc001_319d_a56b_95e4,
+                    0xbfd8_68c1_e717_02c0,
+                    0xbff9_beb2_a0f0_5d68,
+                    0x4009_6104_ceb2_45aa,
+                    0xbff0_8d43_b7df_1b3c,
+                    0x4012_7709_1186_d196,
+                ],
+                [209, 134, 347, 850, 573, 180, 459, 930],
+                [1, 0, 1, 0, 1, 0, 1, 0],
+                [
+                    0x3fe9_f037_dad3_33aa,
+                    0x3ff3_037e_3769_41ea,
+                    0x3fea_f613_abb7_486c,
+                    0x3fed_ca2e_5a39_0656,
+                    0x3feb_d354_8981_9043,
+                    0x3ff1_bce6_e178_3a2b,
+                    0x3fec_beac_6d9c_e3ae,
+                    0x3ff2_e49b_69e7_c385,
+                ],
+                [
+                    0x3ff0_a45d_a9c1_b556,
+                    0x3ff3_748f_689b_ee5e,
+                    0x3ffa_2e83_c52b_f031,
+                    0x4000_6e26_f665_8505,
+                    0x3ffd_4a26_9cb2_b122,
+                    0x4000_08ba_4820_863a,
+                    0x400c_bbde_c9d1_f2de,
+                    0x3ffe_cd05_4693_0aeb,
+                ],
+            ],
+            [
+                [
+                    0xda05_e211_1e0b_1167,
+                    0x3968_412b_1c2d_f8ee,
+                    0x9f14_1577_f519_ca88,
+                    0x7595_202f_4765_693d,
+                    0x6370_52f5_bcd2_92e1,
+                    0x32bc_21f1_c091_791c,
+                    0x94b7_be1c_77d9_f45b,
+                    0xb768_551c_1cc6_4c17,
+                ],
+                [
+                    0x2581_131d_b123_01c0,
+                    0x785c_9d94_dae6_609e,
+                    0xc620_22d4_c60d_de5b,
+                    0xfee5_debd_1854_aa81,
+                    0x353f_2fdc_d813_d536,
+                    0x6fe4_0f31_cf7b_da86,
+                    0xaac3_80ef_b2c8_96f4,
+                    0x1841_1765_aa5d_2288,
+                ],
+                [
+                    0x400e_8178_8447_82c4,
+                    0xbff3_4bdf_6a71_e904,
+                    0x3fff_8a0a_bbfa_8ce4,
+                    0x3fe5_9520_2f47_6568,
+                    0x3fbb_8297_ade6_9480,
+                    0xbff6_a1ef_071f_b744,
+                    0x3ffa_5bdf_0e3b_ecf8,
+                    0x4005_da15_4707_3192,
+                ],
+                [187, 58, 142, 543, 237, 288, 405, 225],
+                [0, 1, 0, 0, 0, 1, 0, 0],
+                [
+                    0x3ff2_4025_a6d3_f37b,
+                    0x3fec_7869_a88e_3580,
+                    0x3ff0_c6e6_efcc_870c,
+                    0x3fef_7aa8_025d_2b79,
+                    0x3fee_926a_8c49_70ee,
+                    0x3fec_2301_b27c_d414,
+                    0x3ff0_8497_f3e9_6573,
+                    0x3ff1_629b_ba4d_84f6,
+                ],
+                [
+                    0x3ffc_cc53_e29d_2bf6,
+                    0x3fef_8e29_95a2_13fe,
+                    0x3ffc_cd3c_741a_ddd8,
+                    0x3ffc_ba0e_d829_dccc,
+                    0x4006_5697_0c96_c312,
+                    0x3ff4_5a37_2ab3_6073,
+                    0x3ff3_03b7_80ac_02cd,
+                    0x3fe8_9216_1286_2c5a,
+                ],
+            ],
+        ];
+        for (seed, pins) in [0, 2011].into_iter().zip(pins) {
+            for ((name, sampler), want) in samplers.into_iter().zip(pins) {
+                let mut r = DetRng::seed(seed);
+                let got: Vec<u64> = (0..8).map(|_| sampler(&mut r)).collect();
+                assert_eq!(got, want, "seed {seed}, {name}");
+            }
+        }
     }
 }
 
