@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bits in the key space.
 pub const KEY_BITS: u32 = 40;
 
@@ -30,9 +28,7 @@ pub const KEY_MASK: u64 = (1u64 << KEY_BITS) - 1;
 /// assert_eq!(k, Key::from_name("vacation.avi")); // deterministic
 /// assert!(k.raw() <= Key::MAX.raw());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(u64);
 
 impl Key {

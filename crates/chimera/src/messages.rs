@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::key::Key;
 use crate::store::{OverwritePolicy, PutError, StoredValue};
 
@@ -16,7 +14,7 @@ use crate::store::{OverwritePolicy, PutError, StoredValue};
 pub type ReqId = u64;
 
 /// A message in flight between two overlay nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sending node's overlay ID.
     pub from: Key,
@@ -27,7 +25,7 @@ pub struct Envelope {
 }
 
 /// Overlay protocol messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A joining node asks a seed for the current membership.
     WelcomeRequest {

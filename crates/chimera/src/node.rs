@@ -164,6 +164,9 @@ enum PendingKind {
 struct Pending {
     kind: PendingKind,
     deadline: SimTime,
+    /// The request's `dht.*` span; [`SpanId::NONE`] for a join and while
+    /// recording is off.
+    span: SpanId,
 }
 
 /// Message-level statistics, exposed for the experiment harness.
@@ -241,7 +244,6 @@ pub struct ChimeraNode {
     last_ping_round: Option<SimTime>,
     stats: NodeStats,
     telemetry: Option<(Recorder, u64)>,
-    req_spans: FxHashMap<ReqId, SpanId>,
     /// Replica targets of the record being replicated, refilled per record.
     targets: Vec<Key>,
 }
@@ -270,7 +272,6 @@ impl ChimeraNode {
             config,
             stats: NodeStats::default(),
             telemetry: None,
-            req_spans: FxHashMap::default(),
             targets: Vec::new(),
         }
     }
@@ -283,32 +284,46 @@ impl ChimeraNode {
         self.telemetry = Some((recorder, track));
     }
 
-    /// Opens the span for an originated request. With recording off this
-    /// costs the recorder's one relaxed load: the span's args are built only
-    /// for a recorder that keeps them.
-    fn open_req_span(&mut self, req: ReqId, name: &'static str, now: SimTime) {
-        if let Some((rec, track)) = self.telemetry.as_ref().filter(|(rec, _)| rec.enabled()) {
-            let span = rec.begin_args(
+    /// Records an originated request as pending until `now` plus the
+    /// request timeout, with its span open. With recording off the span
+    /// costs the recorder's one relaxed load: its args are built only for a
+    /// recorder that keeps them.
+    fn insert_pending(&mut self, req: ReqId, kind: PendingKind, now: SimTime) {
+        let name = match kind {
+            PendingKind::Join => None,
+            PendingKind::Put => Some("dht.put"),
+            PendingKind::Get { .. } => Some("dht.get"),
+            PendingKind::Delete => Some("dht.delete"),
+        };
+        let recorder = self.telemetry.as_ref().filter(|(rec, _)| rec.enabled());
+        let span = match (recorder, name) {
+            (Some((rec, track)), Some(name)) => rec.begin_args(
                 "dht",
                 name,
                 *track,
                 now.as_nanos(),
                 [("req", ArgValue::from(req))],
-            );
-            if !span.is_none() {
-                self.req_spans.insert(req, span);
-            }
-        }
+            ),
+            _ => SpanId::NONE,
+        };
+        let deadline = now + self.config.request_timeout;
+        self.pending.insert(
+            req,
+            Pending {
+                kind,
+                deadline,
+                span,
+            },
+        );
     }
 
     /// Closes an originated request's span with its hop count and outcome.
     /// Lookup completions (`observe_hops`) also feed the hop histogram.
-    fn close_req_span(&mut self, req: ReqId, now: SimTime, hops: u8, ok: bool, observe_hops: bool) {
-        let span = self.req_spans.remove(&req);
+    fn close_req_span(&self, span: SpanId, now: SimTime, hops: u8, ok: bool, observe_hops: bool) {
         let Some((rec, _)) = &self.telemetry else {
             return;
         };
-        if let Some(span) = span {
+        if !span.is_none() {
             rec.end_args(
                 span,
                 now.as_nanos(),
@@ -402,13 +417,7 @@ impl ChimeraNode {
     /// timeout.
     pub fn join_via(&mut self, seed: Key, now: SimTime) {
         let req = self.alloc_req();
-        self.pending.insert(
-            req,
-            Pending {
-                kind: PendingKind::Join,
-                deadline: now + self.config.request_timeout,
-            },
-        );
+        self.insert_pending(req, PendingKind::Join, now);
         self.send(
             seed,
             Message::WelcomeRequest {
@@ -518,14 +527,7 @@ impl ChimeraNode {
         }
         let req = self.alloc_req();
         self.stats.puts += 1;
-        self.pending.insert(
-            req,
-            Pending {
-                kind: PendingKind::Put,
-                deadline: now + self.config.request_timeout,
-            },
-        );
-        self.open_req_span(req, "dht.put", now);
+        self.insert_pending(req, PendingKind::Put, now);
         let msg = Message::Put {
             req,
             origin: self.id,
@@ -551,14 +553,7 @@ impl ChimeraNode {
         }
         let req = self.alloc_req();
         self.stats.gets += 1;
-        self.pending.insert(
-            req,
-            Pending {
-                kind: PendingKind::Get { key },
-                deadline: now + self.config.request_timeout,
-            },
-        );
-        self.open_req_span(req, "dht.get", now);
+        self.insert_pending(req, PendingKind::Get { key }, now);
         let msg = Message::Get {
             req,
             origin: self.id,
@@ -582,14 +577,7 @@ impl ChimeraNode {
             return Err(DhtError::NotJoined);
         }
         let req = self.alloc_req();
-        self.pending.insert(
-            req,
-            Pending {
-                kind: PendingKind::Delete,
-                deadline: now + self.config.request_timeout,
-            },
-        );
-        self.open_req_span(req, "dht.delete", now);
+        self.insert_pending(req, PendingKind::Delete, now);
         let msg = Message::Delete {
             req,
             origin: self.id,
@@ -769,8 +757,8 @@ impl ChimeraNode {
                 self.handle_put(req, origin, key, data, policy, hops, now);
             }
             Message::PutOk { req, version, hops } => {
-                if self.pending.remove(&req).is_some() {
-                    self.close_req_span(req, now, hops, true, false);
+                if let Some(p) = self.pending.remove(&req) {
+                    self.close_req_span(p.span, now, hops, true, false);
                     self.events.push_back(DhtEvent::PutCompleted {
                         req,
                         result: Ok(version),
@@ -779,8 +767,8 @@ impl ChimeraNode {
                 }
             }
             Message::PutFailed { req, error, hops } => {
-                if self.pending.remove(&req).is_some() {
-                    self.close_req_span(req, now, hops, false, false);
+                if let Some(p) = self.pending.remove(&req) {
+                    self.close_req_span(p.span, now, hops, false, false);
                     self.events.push_back(DhtEvent::PutCompleted {
                         req,
                         result: Err(DhtError::Rejected(error)),
@@ -816,8 +804,8 @@ impl ChimeraNode {
                 self.handle_delete(req, origin, key, hops);
             }
             Message::DeleteOk { req, existed, hops } => {
-                if self.pending.remove(&req).is_some() {
-                    self.close_req_span(req, now, hops, true, false);
+                if let Some(p) = self.pending.remove(&req) {
+                    self.close_req_span(p.span, now, hops, true, false);
                     self.events.push_back(DhtEvent::DeleteCompleted {
                         req,
                         result: Ok(existed),
@@ -1029,9 +1017,9 @@ impl ChimeraNode {
         }
         if path_pos == 0 {
             // We are the origin.
-            if self.pending.remove(&req).is_some() {
+            if let Some(p) = self.pending.remove(&req) {
                 self.stats.lookup_hops += hops as u64;
-                self.close_req_span(req, now, hops, true, true);
+                self.close_req_span(p.span, now, hops, true, true);
                 self.events.push_back(DhtEvent::GetCompleted {
                     req,
                     key,
@@ -1294,9 +1282,7 @@ impl ChimeraNode {
         expired.sort_unstable_by_key(|(r, _)| *r);
         for (req, p) in expired {
             self.pending.remove(&req);
-            if !matches!(p.kind, PendingKind::Join) {
-                self.close_req_span(req, now, 0, false, false);
-            }
+            self.close_req_span(p.span, now, 0, false, false);
             match p.kind {
                 PendingKind::Join => self.events.push_back(DhtEvent::JoinFailed),
                 PendingKind::Put => self.events.push_back(DhtEvent::PutCompleted {

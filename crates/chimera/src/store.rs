@@ -15,12 +15,10 @@ use std::sync::Arc;
 
 use c4h_simnet::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::key::Key;
 
 /// What a `put` should do when the key already holds a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverwritePolicy {
     /// Replace the stored value.
     Overwrite,
@@ -31,7 +29,7 @@ pub enum OverwritePolicy {
 }
 
 /// Error returned by a rejected `put`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PutError {
     /// The key already exists and the policy was [`OverwritePolicy::Error`].
     Exists,
@@ -81,7 +79,7 @@ impl Drop for Link {
 /// however long the chain is. Records are copied at every hop they travel
 /// (replication, key transfer, get replies, caches), and none of those
 /// copies may grow with the directory they carry.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct StoredValue {
     latest: Option<Arc<[u8]>>,
     older: Option<Arc<Link>>,

@@ -18,11 +18,10 @@ use std::fmt;
 use std::time::Duration;
 
 use c4h_simnet::Sym;
-use serde::{Deserialize, Serialize};
 
 /// An `s3://bucket/key` object address: two interned strings, so copying
 /// an address copies eight bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct S3Url {
     /// The bucket name.
     pub bucket: Sym,

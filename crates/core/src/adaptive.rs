@@ -15,14 +15,13 @@
 //! issue (iv)) without reconfiguration.
 
 use c4h_simnet::Sym;
-use serde::{Deserialize, Serialize};
 
 use crate::object::Object;
 use crate::policy::StorePolicy;
 use crate::report::OpReport;
 
 /// Exponentially weighted moving average of an observed rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaRate {
     bps: f64,
     alpha: f64,
@@ -76,7 +75,7 @@ impl EwmaRate {
 /// unseen peers answer with the shared prior, which keeps ranking neutral
 /// — and therefore identical to the old metadata order — until real
 /// observations arrive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerBandwidth {
     prior_bps: f64,
     alpha: f64,
@@ -257,7 +256,7 @@ impl ObjectHeat {
 /// // With the default priors the home cloud wins for ordinary objects.
 /// assert_eq!(learner.policy_for(&obj), StorePolicy::ForceHome);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivePlacement {
     home: EwmaRate,
     cloud: EwmaRate,

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use c4h_chimera::Key;
 use c4h_kvstore::{
     object_key, stripe_checksum, stripe_checksums, stripe_key, EcLayout, Location, ObjectMeta,
@@ -63,7 +62,7 @@ enum JobKind {
     /// replicated as before.
     Encode {
         layout: EcLayout,
-        stripes: Vec<Bytes>,
+        stripes: Vec<Arc<[u8]>>,
     },
     /// A lost code row: `dst` pulls `k` surviving stripes and re-derives
     /// the row once all have arrived.
@@ -914,7 +913,7 @@ impl Cloud4Home {
         }
         let code = self.ec.code(k, m);
         let window = blob.sample(SAMPLE_WINDOW);
-        let stripes: Vec<Bytes> = code.encode(&window).into_iter().map(Bytes::from).collect();
+        let stripes: Vec<Arc<[u8]>> = code.encode(&window).into_iter().map(Arc::from).collect();
         let layout = EcLayout {
             k: k as u32,
             m: m as u32,
@@ -971,7 +970,7 @@ impl Cloud4Home {
     /// publishes per-row stripe records, and flushes stale caches. Returns
     /// `false` (nothing changed) when the object or the owner's copy is
     /// gone.
-    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Bytes]) -> bool {
+    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Arc<[u8]>]) -> bool {
         let Some(owner) = self.node_index(layout.holders[0]) else {
             return false;
         };

@@ -6,13 +6,12 @@ use std::time::Duration;
 use c4h_chimera::ChimeraConfig;
 use c4h_resources::{BatteryConfig, MonitorConfig};
 use c4h_vmm::{PlatformSpec, VmSpec, XenChannelConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::ops::OpKind;
 
 /// Handle of a home-cloud node within a [`Cloud4Home`](crate::Cloud4Home)
 /// instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl std::fmt::Display for NodeId {
@@ -22,7 +21,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// A service deployable on nodes or cloud instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
     /// CPU-intensive face detection.
     FaceDetect,
@@ -57,7 +56,7 @@ impl ServiceKind {
 }
 
 /// Configuration of one home-cloud node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Node name (also its identity in the overlay).
     pub name: String,
@@ -130,7 +129,7 @@ impl NodeSpec {
 }
 
 /// Remote public-cloud configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudSpec {
     /// S3 bucket objects are stored under.
     pub bucket: String,
@@ -163,7 +162,7 @@ impl Default for CloudSpec {
 /// Calibrated so a one-hop metadata lookup in a six-node home cloud costs
 /// the 12–16 ms Table I reports (VStore++ ↔ Chimera IPC plus per-hop
 /// processing dominates the sub-millisecond LAN latency).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// VStore++ ↔ Chimera IPC cost, charged at request issue and completion.
     pub chimera_ipc: Duration,
@@ -194,7 +193,7 @@ impl Default for TimingConfig {
 /// admission checks run, no budget tokens are consumed, no breaker state
 /// mutates, and no RNG is drawn, so default-config runs stay byte-identical
 /// to builds that predate the plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// Master switch for the whole plane.
     pub enabled: bool,
@@ -259,7 +258,7 @@ impl Default for OverloadConfig {
 /// erasure-coded form, and no RNG is drawn — so default-config runs stay
 /// byte-identical to builds that predate the plane (the same contract the
 /// overload plane keeps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// Master switch for the whole plane.
     pub enabled: bool,

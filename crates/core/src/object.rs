@@ -13,22 +13,21 @@
 //! on a deterministic sample window of synthetic blobs; cost models use the
 //! declared length.
 
-use std::sync::OnceLock;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
 use c4h_kvstore::Acl;
 use c4h_simnet::Sym;
-use serde::{Deserialize, Serialize};
 
 /// Maximum sample window generated from a synthetic blob for service
 /// kernels.
 pub const SAMPLE_WINDOW: usize = 64 * 1024;
 
 /// An object payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub enum Blob {
-    /// Real bytes held in memory.
-    Inline(Bytes),
+    /// Real bytes held in memory, shared by every copy of the blob.
+    Inline(Arc<[u8]>),
     /// A deterministic synthetic payload described by `(seed, len)`.
     Synthetic {
         /// Content seed; equal seeds produce equal content.
@@ -40,7 +39,7 @@ pub enum Blob {
 
 impl Blob {
     /// An inline blob from bytes.
-    pub fn inline(bytes: impl Into<Bytes>) -> Self {
+    pub fn inline(bytes: impl Into<Arc<[u8]>>) -> Self {
         Blob::Inline(bytes.into())
     }
 
@@ -95,6 +94,33 @@ impl Blob {
     }
 }
 
+/// Inline payloads print as their first 32 bytes, escaped, so the `Debug`
+/// text of a deployment does not dump object contents.
+impl fmt::Debug for Blob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Blob::Inline(b) => f.debug_tuple("Inline").field(&Prefix(b)).finish(),
+            Blob::Synthetic { seed, len } => f
+                .debug_struct("Synthetic")
+                .field("seed", seed)
+                .field("len", len)
+                .finish(),
+        }
+    }
+}
+
+/// The bounded `b"…"` rendering of an inline payload.
+struct Prefix<'a>(&'a [u8]);
+
+impl fmt::Debug for Prefix<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        const SHOWN: usize = 32;
+        let shown = &self.0[..self.0.len().min(SHOWN)];
+        let ellipsis = if self.0.len() > SHOWN { "…" } else { "" };
+        write!(f, "b\"{}{ellipsis}\"", shown.escape_ascii())
+    }
+}
+
 /// The longest flat run [`synth_bytes`] draws, and the width of the one
 /// store it writes each run with.
 const SPLAT: usize = 32;
@@ -126,7 +152,7 @@ pub fn synth_bytes(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// A named object with its payload and policy-relevant metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Object {
     /// The unique object name (interned; hashed into the metadata key).
     pub name: Sym,
@@ -145,7 +171,7 @@ pub struct Object {
 
 impl Object {
     /// Creates an object with an inline payload.
-    pub fn new(name: &str, bytes: impl Into<Bytes>, content_type: &str) -> Self {
+    pub fn new(name: &str, bytes: impl Into<Arc<[u8]>>, content_type: &str) -> Self {
         Object {
             name: Sym::from(name),
             blob: Blob::inline(bytes),
@@ -210,6 +236,17 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.sample(10), vec![1, 2, 3]);
         assert_eq!(b.sample(2), vec![1, 2]);
+    }
+
+    #[test]
+    fn inline_debug_shows_a_bounded_prefix() {
+        let long = Blob::inline(vec![b'a'; 100]);
+        let want = format!("Inline(b\"{}…\")", "a".repeat(32));
+        assert_eq!(format!("{long:?}"), want);
+        let short = Blob::inline(&b"hi\n\xff"[..]);
+        assert_eq!(format!("{short:?}"), r#"Inline(b"hi\n\xff")"#);
+        let synthetic = Blob::synthetic(1, 2);
+        assert_eq!(format!("{synthetic:?}"), "Synthetic { seed: 1, len: 2 }");
     }
 
     #[test]

@@ -13,12 +13,10 @@
 //! attributes to a [`PlacementClass`]; the decision engine then picks the
 //! concrete node within the class.
 
-use serde::{Deserialize, Serialize};
-
 use crate::object::Object;
 
 /// The coarse placement target a store policy selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementClass {
     /// The storing node's own mandatory bin (spilling to peers when full).
     LocalFirst,
@@ -29,7 +27,7 @@ pub enum PlacementClass {
 }
 
 /// Statically encoded store-placement rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum StorePolicy {
     /// The default: the node's mandatory bin, spilling to voluntary peer
     /// space, then to the cloud.
@@ -139,7 +137,7 @@ pub fn adaptive_action(
 
 /// The decision policy for routing process requests
 /// (`chimeraGetDecision`'s `policy` parameter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
     /// Minimize estimated completion time (movement + queueing + execution).
     #[default]

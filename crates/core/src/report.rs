@@ -11,10 +11,9 @@ use std::time::Duration;
 use c4h_chimera::DhtError;
 use c4h_simnet::{SimTime, Sym};
 use c4h_telemetry::PathBucket;
-use serde::{Deserialize, Serialize};
 
 /// Correlates a submitted operation with its report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u64);
 
 impl std::fmt::Display for OpId {
@@ -24,7 +23,7 @@ impl std::fmt::Display for OpId {
 }
 
 /// Where time went during an operation (Table I's columns and more).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Breakdown {
     /// Guest VM ↔ dom0 shared-memory channel time ("inter domain").
     pub inter_domain: Duration,
@@ -73,7 +72,7 @@ impl Breakdown {
 }
 
 /// Successful operation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpOutput {
     /// Bytes delivered to (or accepted from) the application.
     pub bytes: u64,
@@ -88,7 +87,7 @@ pub struct OpOutput {
 }
 
 /// Operation failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpError {
     /// No metadata exists for the object.
     NotFound(String),
@@ -165,7 +164,7 @@ impl From<DhtError> for OpError {
 /// kind of work the elapsed virtual time was spent on, bucketed by the
 /// health plane's analyzer. Buckets sum to [`OpReport::total`] (`other_ns`
 /// absorbs queueing/control time not covered by a recorded stage).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathAttribution {
     /// Nanoseconds on overlay lookups and metadata access.
     pub dht_ns: u64,
@@ -231,7 +230,7 @@ impl PathAttribution {
 /// One causal-ledger decision event attached to a completed report: a
 /// serialization-friendly copy of `c4h_telemetry::LedgerEvent` with the
 /// kind resolved to its stable label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalEvent {
     /// Sequence number within the op's ring (1-based; 0 never occurs).
     pub seq: u32,
@@ -261,7 +260,7 @@ impl From<c4h_telemetry::LedgerEvent> for CausalEvent {
 }
 
 /// The completed record of one operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpReport {
     /// The operation.
     pub id: OpId,
@@ -290,17 +289,14 @@ pub struct OpReport {
     /// Where the operation's wall-clock time went, bucketed by the
     /// critical-path analyzer. All-zero when tracing was disabled (stage
     /// timings are only collected while the recorder is on).
-    #[serde(default)]
     pub critical_path: PathAttribution,
     /// The op's completed stage spans as `(name, start_ns, end_ns)`,
     /// sequential and non-overlapping. Populated only while the causal
     /// ledger is enabled (the explain plane's DAG tiles these against the
     /// op window); empty otherwise.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub stages: Vec<(&'static str, u64, u64)>,
     /// The op's causal-ledger decision events, in `seq` order. Populated
     /// only while the causal ledger is enabled; empty otherwise.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub ledger: Vec<CausalEvent>,
     /// Success output or failure.
     pub outcome: Result<OpOutput, OpError>,

@@ -145,15 +145,6 @@ pub(crate) enum Event {
     HealthSample,
 }
 
-/// Who is waiting on a DHT request.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DhtWaiter {
-    /// An operation continuation.
-    Op(OpId),
-    /// Background bookkeeping (resource publishing); result dropped.
-    Ignore,
-}
-
 /// Declares [`RunStats`] and, from the same field list, the counter each
 /// field is mirrored into: `stats.<field>`.
 macro_rules! run_stats {
@@ -289,7 +280,9 @@ pub struct Cloud4Home {
     /// Op ids, the ops in flight and the completed reports (see
     /// [`OpTable`]).
     pub(crate) ops: OpTable,
-    pub(crate) dht_waiters: FxHashMap<(usize, ReqId), DhtWaiter>,
+    /// The op waiting on each DHT request a node issued for it. Background
+    /// publishes wait for nothing and have no entry.
+    pub(crate) dht_waiters: FxHashMap<(usize, ReqId), OpId>,
     /// Every in-flight bulk transfer with its endpoints and its one
     /// accountable owner (see [`crate::transfers`]).
     pub(crate) flows: FlowTable,
@@ -672,12 +665,9 @@ impl Cloud4Home {
             return;
         }
         let now = self.now();
-        if let Ok(req) =
-            self.overlay_mut(i)
-                .put(key, record.encode(), OverwritePolicy::Overwrite, now)
-        {
-            self.dht_waiters.insert((i, req), DhtWaiter::Ignore);
-        }
+        let _ = self
+            .overlay_mut(i)
+            .put(key, record.encode(), OverwritePolicy::Overwrite, now);
     }
 
     /// A node's nominal (up, down) bandwidth in bytes/second.
@@ -1549,7 +1539,7 @@ impl Cloud4Home {
     pub(crate) fn dht_get_for_op(&mut self, op: OpId, i: usize, key: Key) {
         let now = self.now();
         let req = self.overlay_mut(i).get(key, now).expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_waiters.insert((i, req), op);
     }
 
     /// Issues a DHT put from node `i` on behalf of an operation.
@@ -1559,7 +1549,7 @@ impl Cloud4Home {
             .overlay_mut(i)
             .put(key, value, OverwritePolicy::Overwrite, now)
             .expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_waiters.insert((i, req), op);
     }
 
     /// Issues a chained DHT put (the `Chain` overwrite policy) from node
@@ -1570,7 +1560,7 @@ impl Cloud4Home {
             .overlay_mut(i)
             .put(key, value, OverwritePolicy::Chain, now)
             .expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_waiters.insert((i, req), op);
     }
 
     /// Issues a DHT delete from node `i` on behalf of an operation.
@@ -1580,7 +1570,7 @@ impl Cloud4Home {
             .overlay_mut(i)
             .delete(key, now)
             .expect("node is joined");
-        self.dht_waiters.insert((i, req), DhtWaiter::Op(op));
+        self.dht_waiters.insert((i, req), op);
     }
 
     /// Schedules an operation wake after `delay`.

@@ -11,7 +11,7 @@ use std::time::Duration;
 use c4h_chimera::DhtEvent;
 use c4h_simnet::{Addr, DetRng, FxHashMap, GilbertElliott, Partition, Topology};
 
-use crate::runtime::{Cloud4Home, DhtWaiter, Event};
+use crate::runtime::{Cloud4Home, Event};
 use crate::worklist::DirtyNodes;
 
 /// Link conditions between overlay nodes, and the worklist of nodes with
@@ -201,14 +201,11 @@ impl Cloud4Home {
                     _ => None,
                 };
                 let Some(req) = req else { continue };
-                match self.dht_waiters.remove(&(i, req)) {
-                    Some(DhtWaiter::Op(op)) => {
-                        // Completion crosses the VStore++ ↔ Chimera IPC
-                        // boundary.
-                        self.queue
-                            .schedule_in(self.config.timing.chimera_ipc, Event::DhtDone { op, ev });
-                    }
-                    Some(DhtWaiter::Ignore) | None => {}
+                if let Some(op) = self.dht_waiters.remove(&(i, req)) {
+                    // Completion crosses the VStore++ ↔ Chimera IPC
+                    // boundary.
+                    self.queue
+                        .schedule_in(self.config.timing.chimera_ipc, Event::DhtDone { op, ev });
                 }
             }
         }

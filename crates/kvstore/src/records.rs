@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use c4h_chimera::Key;
 use c4h_simnet::Sym;
-use serde::{Deserialize, Serialize};
 
 use crate::wire::{encode_shared, WireError, WireReader, WireWriter};
 
@@ -43,7 +42,7 @@ const ACL_NODES: u8 = 2;
 /// notable open issue; this is the reproduction's implementation of that
 /// extension: per-object reader lists enforced by the VStore++ daemon on
 /// every fetch and process operation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Acl {
     /// Any node in the home cloud may read.
     #[default]
@@ -99,7 +98,7 @@ impl Acl {
 }
 
 /// Where an object's bytes currently live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Location {
     /// A node in the home cloud, by overlay key.
     Home {
@@ -154,7 +153,7 @@ impl Location {
 /// default configuration ever produces — keep their exact pre-extension
 /// wire size (`kvstore.record_bytes` histograms included), and old
 /// readers of non-EC records need no migration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcLayout {
     /// Data stripe count.
     pub k: u32,
@@ -197,7 +196,7 @@ impl EcLayout {
 }
 
 /// Metadata for one stored object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectMeta {
     /// The object's user-visible name (hashed to form its key). Interned:
     /// copying metadata between nodes copies four bytes, and the name
@@ -304,7 +303,7 @@ impl ObjectMeta {
 /// [`stripe_key`](crate::stripe_key), so the repair daemon can locate and
 /// verify individual stripes without re-reading the whole object record,
 /// and a reconstructed stripe republishes only its own entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StripeRecord {
     /// The parent object's name (interned; resolved to `&str` only when
     /// encoding, keeping the wire bytes identical to the `String` era).
@@ -410,7 +409,7 @@ fn fnv1a_lanes<const N: usize, R: AsRef<[u8]>>(rows: &[R], out: &mut [u64; FNV_L
 }
 
 /// Availability record for one deployed service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceRecord {
     /// The service name, e.g. `"face-detect"` (interned; written to the
     /// wire as its string, like the policy).
@@ -459,7 +458,7 @@ impl ServiceRecord {
 }
 
 /// A node's published resource usage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceRecord {
     /// The reporting node's overlay key.
     pub node: Key,
@@ -532,7 +531,7 @@ impl ResourceRecord {
 /// Directory chains are the metadata layer's use of the `Chain` overwrite
 /// policy: "updates to Chimera have an overwrite policy value that
 /// determines if … newer version of metadata is to be added by chaining".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
     /// The full object name (interned).
     pub name: Sym,
@@ -583,7 +582,7 @@ impl DirEntry {
 }
 
 /// Any record storable in the metadata key-value store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// Object metadata.
     Object(ObjectMeta),

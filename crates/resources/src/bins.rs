@@ -12,10 +12,9 @@
 //! data is stored elsewhere").
 
 use c4h_simnet::{Sym, SymMap};
-use serde::{Deserialize, Serialize};
 
 /// Which storage pool an object occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bin {
     /// Local resources reserved for this node's own applications.
     Mandatory,

@@ -11,13 +11,12 @@ use std::time::Duration;
 
 use c4h_kvstore::ResourceRecord;
 use c4h_simnet::{DetRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::bins::{Bin, BinWatcher};
 use crate::sampler::ResourceSampler;
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// How often resource records are published.
     pub update_period: Duration,

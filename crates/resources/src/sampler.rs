@@ -12,10 +12,9 @@
 use std::time::Duration;
 
 use c4h_simnet::{DetRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Battery model for portable devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryConfig {
     /// Initial charge, percent.
     pub initial_pct: f64,
@@ -36,7 +35,7 @@ impl Default for BatteryConfig {
 }
 
 /// Configuration of a node's synthetic resource behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Mean ambient CPU load the AR(1) process reverts to (per-core
     /// normalized, 0..=1).
@@ -67,7 +66,7 @@ impl Default for SamplerConfig {
 }
 
 /// One resource sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Runnable load, per-core normalized.
     pub cpu_load: f64,

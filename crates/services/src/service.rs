@@ -18,10 +18,9 @@
 use std::fmt;
 
 use c4h_vmm::{ExecProfile, WorkUnits};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a deployed service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId(pub u32);
 
 impl fmt::Display for ServiceId {
@@ -42,7 +41,7 @@ pub struct ServiceDemand {
 }
 
 /// Minimum resources a node must offer to host the service at its SLA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinRequirements {
     /// Minimum VM memory grant, MiB.
     pub min_mem_mib: u64,

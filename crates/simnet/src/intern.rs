@@ -236,13 +236,6 @@ impl PartialEq<&str> for Sym {
     }
 }
 
-// The workspace's serde is an offline marker-trait shim (see
-// `third_party/serde`); were a real backend wired in, `Sym` would
-// serialize as its resolved string and deserialize by interning.
-impl serde::Serialize for Sym {}
-
-impl<'de> serde::Deserialize<'de> for Sym {}
-
 /// Hash map keyed by [`Sym`] (FxHasher over the 4-byte id). Keyed access
 /// only — iteration order is process-history-dependent.
 pub type SymMap<V> = FxHashMap<Sym, V>;

@@ -4,14 +4,11 @@
 //! variability, workload generation) draws from a [`DetRng`] seeded at
 //! simulation start, so experiment runs are exactly reproducible.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// A deterministic random number generator for simulations.
+/// A deterministic random number generator for simulations: splitmix64.
 ///
-/// Wraps [`SmallRng`] with convenience samplers used across the Cloud4Home
-/// crates. Two `DetRng`s constructed with the same seed produce identical
-/// streams.
+/// This is the one definition of the seeded stream behind every figure,
+/// golden digest and benchmark input of the reproduction. Two `DetRng`s
+/// constructed with the same seed produce identical streams.
 ///
 /// # Examples
 ///
@@ -24,15 +21,35 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    state: u64,
 }
+
+/// The splitmix64 increment (the golden ratio in 64 bits); also the seed's
+/// pre-scramble, so that small consecutive seeds diverge quickly.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
-        DetRng {
-            inner: SmallRng::seed_from_u64(seed),
-        }
+        let mut rng = DetRng {
+            state: seed ^ GAMMA,
+        };
+        rng.next();
+        rng
+    }
+
+    /// Next 64 random bits: one splitmix64 step.
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits of the next draw.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Forks an independent generator whose stream is derived from this one.
@@ -41,7 +58,7 @@ impl DetRng {
     /// counts: consuming extra samples in one subsystem does not perturb the
     /// others.
     pub fn fork(&mut self) -> DetRng {
-        DetRng::seed(self.inner.gen())
+        DetRng::seed(self.next())
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -54,7 +71,7 @@ impl DetRng {
         if lo == hi {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        lo + self.unit() * (hi - lo)
     }
 
     /// Uniform integer sample in `[lo, hi)`.
@@ -64,13 +81,24 @@ impl DetRng {
     /// Panics if `lo >= hi`.
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "uniform_u64: empty range {lo}..{hi}");
-        self.inner.gen_range(lo..hi)
+        lo + self.next() % (hi - lo)
     }
 
     /// Bernoulli sample: `true` with probability `p` (clamped to `[0, 1]`).
+    /// Draws nothing when `p` is at or past either end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN.
     pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
+        assert!(!p.is_nan(), "chance: p is NaN");
+        if p <= 0.0 {
+            false
+        } else if p >= 1.0 {
+            true
+        } else {
+            self.unit() < p
+        }
     }
 
     /// A multiplicative jitter factor in `[1 - spread, 1 + spread]`.
@@ -92,11 +120,6 @@ impl DetRng {
         let n = (self.uniform(-1.0, 1.0) + self.uniform(-1.0, 1.0) + self.uniform(-1.0, 1.0))
             / 3.0_f64.sqrt();
         median * (sigma * n).exp()
-    }
-
-    /// Raw access to the underlying [`Rng`] for samplers not covered above.
-    pub fn raw(&mut self) -> &mut impl Rng {
-        &mut self.inner
     }
 }
 
@@ -226,20 +249,13 @@ mod tests {
     #[test]
     fn chance_extremes() {
         let mut r = DetRng::seed(5);
+        let mut twin = DetRng::seed(5);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(r.chance(2.0)); // clamped
         assert!(!r.chance(-1.0)); // clamped
-    }
 
-    #[test]
-    fn chance_edges_draw_nothing() {
-        let mut r = DetRng::seed(6);
-        let mut twin = DetRng::seed(6);
-        for _ in 0..100 {
-            assert!(!r.chance(0.0));
-            assert!(r.chance(1.0));
-        }
+        // Certain outcomes draw nothing.
         assert_eq!(r.uniform_u64(0, 1000), twin.uniform_u64(0, 1000));
     }
 
@@ -266,6 +282,12 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_integer_range_panics() {
         DetRng::seed(1).uniform_u64(5, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "p is NaN")]
+    fn nan_chance_panics() {
+        DetRng::seed(1).chance(f64::NAN);
     }
 
     #[test]

@@ -25,8 +25,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::duration_from_secs_f64;
 
 /// Rate limitation applied after a flow has moved a threshold number of
@@ -35,7 +33,7 @@ use crate::time::duration_from_secs_f64;
 /// Models both ISP traffic shaping of long WAN transfers (paper §V-A) and
 /// page-cache exhaustion on LAN receivers (Table I's sub-linear inter-node
 /// costs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SustainedCap {
     /// Cumulative bytes after which the cap applies.
     pub threshold_bytes: u64,
@@ -56,7 +54,7 @@ pub struct SustainedCap {
 /// with piecewise-constant rates. The `setup` duration models connection
 /// establishment plus request round trips and is charged before any byte
 /// moves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpProfile {
     /// Connection setup + request overhead charged before the first byte.
     pub setup: Duration,

@@ -9,8 +9,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulation's virtual clock, in nanoseconds since the
 /// start of the simulation.
 ///
@@ -27,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_millis_f64(), 250.0);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -10,8 +10,6 @@ use crate::hash::FxHashMap;
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::DetRng;
 use crate::tcp::TcpProfile;
 
@@ -20,9 +18,7 @@ use crate::tcp::TcpProfile;
 /// Addresses are opaque 64-bit identifiers; the Cloud4Home runtime assigns
 /// one per node (home devices, cloud gateway, cloud storage/compute
 /// endpoints).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -44,11 +40,11 @@ impl fmt::Display for Addr {
 }
 
 /// Identifier of a shared bandwidth segment within a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SegmentId(pub(crate) usize);
 
 /// Identifier of a site within a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SiteId(pub(crate) usize);
 
 /// A shared bandwidth resource (an Ethernet LAN, a wireless uplink, …).
@@ -56,7 +52,7 @@ pub struct SiteId(pub(crate) usize);
 /// Concurrent flows crossing the same segment share its capacity max-min
 /// fairly; this is what produces the contention effects of the paper's
 /// Figure 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Segment {
     name: String,
     capacity_bps: f64,
@@ -76,7 +72,7 @@ impl Segment {
 
 /// Latency model for control messages on a route: a base propagation delay
 /// perturbed by a multiplicative jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Median one-way delay.
     pub base: Duration,
@@ -92,7 +88,7 @@ impl LatencyModel {
 }
 
 /// A directed route between two sites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Route {
     /// Shared segments traversed, in order.
     pub segments: Vec<SegmentId>,

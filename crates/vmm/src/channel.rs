@@ -14,10 +14,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of one inter-domain channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XenChannelConfig {
     /// Size of each shared page in bytes (4 KiB in the prototype; "the page
     /// size can be increased up to 2 MB if the devices have larger memory").

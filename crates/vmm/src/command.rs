@@ -9,8 +9,6 @@
 //! This module implements that packet format for real: fixed little-endian
 //! header plus a variable payload, with a strict decoder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vm::DomId;
 
 /// Command packet header size in bytes:
@@ -21,7 +19,7 @@ pub const HEADER_LEN: usize = 2 + 1 + 4 + 4 + 8;
 pub const MAX_PACKET_LEN: usize = u16::MAX as usize;
 
 /// The operation a command packet requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CommandType {
     /// Map a file to a new object and create its metadata.
@@ -112,7 +110,7 @@ impl std::error::Error for DecodeError {}
 /// assert!(bytes.len() < 50, "commands are usually under 50 bytes");
 /// assert_eq!(CommandPacket::decode(&bytes).unwrap(), pkt);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandPacket {
     /// The requested operation.
     pub command: CommandType,

@@ -19,14 +19,12 @@
 use std::ops::{Add, AddAssign, Mul};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::PlatformSpec;
 use crate::vm::VmSpec;
 
 /// Normalized compute work: 1.0 unit runs for one second on a 1 GHz
 /// reference core.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct WorkUnits(pub f64);
 
 impl WorkUnits {
@@ -62,7 +60,7 @@ impl Mul<f64> for WorkUnits {
 }
 
 /// Execution characteristics of a piece of work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecProfile {
     /// Fraction of the work that parallelizes across cores (Amdahl).
     pub parallel_fraction: f64,

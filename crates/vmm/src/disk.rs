@@ -9,12 +9,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::PlatformSpec;
 
 /// Disk access model for one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Per-access latency (seek + file-system metadata).
     pub access_latency: Duration,

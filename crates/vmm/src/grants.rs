@@ -11,12 +11,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vm::DomId;
 
 /// A grant-table reference handed to the peer domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GrantRef(pub u64);
 
 impl std::fmt::Display for GrantRef {
@@ -26,7 +24,7 @@ impl std::fmt::Display for GrantRef {
 }
 
 /// One granted shared-memory region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
     /// The domain granted access.
     pub grantee: DomId,

@@ -6,10 +6,8 @@
 //! bandwidth. [`PlatformSpec`] captures those parameters, with presets for
 //! each machine class the paper names.
 
-use serde::{Deserialize, Serialize};
-
 /// A physical machine's capabilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Human-readable model name.
     pub name: String,

@@ -6,12 +6,10 @@
 //! decisions need each VM's memory grant and VCPU count (Figure 7's S2 is
 //! deliberately memory-starved: "a 128 MB multi-VCPU VM").
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::PlatformSpec;
 
 /// Identifier of a domain (VM) within one machine. Dom0 is always id 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomId(pub u32);
 
 impl DomId {
@@ -31,7 +29,7 @@ impl std::fmt::Display for DomId {
 }
 
 /// Resource grant of one virtual machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmSpec {
     /// Memory grant in MiB.
     pub mem_mib: u64,
@@ -47,7 +45,7 @@ impl VmSpec {
 }
 
 /// The role of a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainRole {
     /// The control domain hosting the VStore++ service.
     Control,
@@ -56,7 +54,7 @@ pub enum DomainRole {
 }
 
 /// One domain instance on a machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Domain {
     /// The domain id.
     pub id: DomId,

@@ -16,10 +16,9 @@
 use std::time::Duration;
 
 use c4h_simnet::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the hotset-drift schedule generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotsetConfig {
     /// Total number of objects in the catalog.
     pub catalog: usize,
@@ -68,7 +67,7 @@ impl HotsetConfig {
 
 /// One scheduled fetch: client `client` asks for catalog object `object`
 /// at offset `at` from the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotsetFetch {
     /// Offset from the start of the schedule.
     pub at: Duration,

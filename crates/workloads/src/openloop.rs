@@ -16,12 +16,11 @@
 use std::time::Duration;
 
 use c4h_simnet::{DetRng, Zipf};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::OpKind;
 
 /// Configuration for the open-loop arrival generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopConfig {
     /// Steady-state mean arrival rate in operations per second.
     pub base_rate_hz: f64,
@@ -102,7 +101,7 @@ impl OpenLoopConfig {
 }
 
 /// One arrival of the open-loop stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Offset from the window start at which the operation is submitted.
     pub at: Duration,

@@ -16,10 +16,9 @@
 use std::time::Duration;
 
 use c4h_simnet::{DetRng, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// The paper's object-size classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeBucket {
     /// 1–10 MB.
     Small,
@@ -67,7 +66,7 @@ impl SizeBucket {
 /// Content kind of a trace file (drives content-type tags and the privacy
 /// policy: the paper's Figure 6 policy "stores private data (in our case all
 /// .mp3 files) locally and shareable data … remotely").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// Music — treated as private.
     Mp3,
@@ -100,7 +99,7 @@ impl FileKind {
 }
 
 /// One file in the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileSpec {
     /// Unique object name.
     pub name: String,
@@ -115,7 +114,7 @@ pub struct FileSpec {
 }
 
 /// Operation kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Store the file into VStore++.
     Store,
@@ -124,7 +123,7 @@ pub enum OpKind {
 }
 
 /// One operation in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Issuing client (0-based).
     pub client: usize,
@@ -139,7 +138,7 @@ pub struct TraceOp {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of emulated clients (the paper uses 6).
     pub clients: usize,
@@ -190,7 +189,7 @@ impl TraceConfig {
 }
 
 /// A generated workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The file population.
     pub files: Vec<FileSpec>,
