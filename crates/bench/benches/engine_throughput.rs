@@ -72,6 +72,14 @@
 //!     is the records' own bytes, a directory version's chain link, the
 //!     `Get` path, the decision's candidate lists and the kernel's output —
 //!     a per-op `String` or record copy that comes back fails the gate.
+//! 12. **Stripes as recipes** (`ec_convert_live_bytes`): the paper testbed
+//!     with the adaptive plane on stores two batches of cold synthetic
+//!     objects over the conversion threshold, each run until every object
+//!     is erasure-coded and nothing is in flight. The heap bytes the second
+//!     batch leaves live per coded object — its metadata, records, stripe
+//!     names and row recipes, ≈ 3.6 KiB — must stay <= 8 KiB; rows that
+//!     held their bytes kept about 109 KiB more per object. A count of live
+//!     bytes, not a clock.
 //!
 //! The binary installs a counting global allocator and asserts — in smoke
 //! and full mode alike, at every size including 10⁶ pending — that the
@@ -90,8 +98,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{
-    allocations, banner, neighborhood_config, pump_overlay, testbed_trace_config, BenchReport,
-    CountingAlloc,
+    allocations, banner, live_bytes, neighborhood_config, pump_overlay, testbed_trace_config,
+    BenchReport, CountingAlloc,
 };
 use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
@@ -838,6 +846,56 @@ fn op_allocs() -> [(&'static str, u64); 4] {
     })
 }
 
+/// Live heap bytes one erasure-coded object may keep (see
+/// [`ec_convert_live_bytes`]): about 3.6 KiB today, of which 1.5 KiB any
+/// stored object keeps on full copies and 1.4 KiB are its five stripe
+/// records in the overlay. One row holding its bytes adds 21.8 KiB.
+const EC_LIVE_BYTES_PER_OBJECT: u64 = 8 << 10;
+
+/// The paper testbed with the adaptive plane on, recording off, stores
+/// cold synthetic objects of twice the conversion threshold in two batches
+/// of `batch`, each run until every object is erasure-coded and nothing
+/// is in flight. The first batch grows what the conversions use in bulk
+/// (flow and job tables, the event queue) to its working size; the second
+/// is measured. Returns (objects of the second batch coded, live heap
+/// bytes it gained per coded object).
+fn ec_convert_live_bytes(batch: usize) -> (u64, u64) {
+    let mut config = Config::paper_testbed(2011);
+    config.adaptive.enabled = true;
+    let size = 2 * config.adaptive.ec_threshold_bytes;
+    let mut home = Cloud4Home::new(config);
+    home.run_for(IDLE_WARM);
+    home.run_until_idle();
+    let names: Vec<String> = (0..2 * batch)
+        .map(|i| format!("gate/cold-{i}.bin"))
+        .collect();
+    let convert = |home: &mut Cloud4Home, names: &[String]| {
+        for (i, name) in names.iter().enumerate() {
+            let obj = Object::synthetic(name, i as u64, size, "tar");
+            let client = NodeId(i % home.node_count());
+            let op = home.store_object(client, obj, StorePolicy::ForceHome, true);
+            home.run_until_complete(op).expect_ok();
+        }
+        let coded = |home: &Cloud4Home| names.iter().filter(|n| home.is_erasure_coded(n)).count();
+        for _ in 0..600 {
+            if coded(home) == names.len() {
+                break;
+            }
+            home.run_for(Duration::from_secs(1));
+        }
+        // The last conversions' records and caches settle.
+        home.run_for(Duration::from_secs(10));
+        home.run_until_idle();
+        coded(home)
+    };
+    let (warm, measured) = names.split_at(batch);
+    convert(&mut home, warm);
+    let before = live_bytes();
+    let coded = convert(&mut home, measured) as u64;
+    let gained = live_bytes().saturating_sub(before);
+    (coded, gained / coded.max(1))
+}
+
 /// Recorder calls per window of the recorder rows.
 const RECORDER_CALLS: u64 = 10_000;
 
@@ -1532,6 +1590,26 @@ fn main() {
         format!(
             "allocations per run {allocs:?} exceed the byte-at-a-time kernels' \
              {SERVICE_ALLOC_BOUNDS:?}"
+        ),
+    );
+
+    let ec_objects: usize = if smoke() { 64 } else { 256 };
+    let (coded, live_per_object) = ec_convert_live_bytes(ec_objects);
+    println!(
+        "adaptive plane, second batch of {ec_objects} cold objects: {coded} erasure-coded, \
+         {live_per_object} live heap bytes per coded object"
+    );
+    report.push_row(vec![
+        ("ec_objects_coded", coded.into()),
+        ("ec_live_bytes_per_object", live_per_object.into()),
+    ]);
+    report.check(
+        "ec_convert_live_bytes",
+        coded == ec_objects as u64 && live_per_object <= EC_LIVE_BYTES_PER_OBJECT,
+        format!(
+            "{coded} of {ec_objects} objects coded (must be all), {live_per_object} live \
+             heap bytes per coded object (must stay <= {EC_LIVE_BYTES_PER_OBJECT}: a row \
+             is a recipe; rows holding their bytes kept about 109 KiB per object)"
         ),
     );
 

@@ -30,6 +30,9 @@ pub use report::{BenchReport, JsonVal};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes handed out and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+
 /// A counting wrapper around the system allocator.
 ///
 /// Install it in a bench binary with
@@ -37,9 +40,10 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// and bracket the measured region with [`allocations`] to count how many
 /// heap acquisitions it performed. Counts allocations and reallocations
 /// (the events a steady-state hot path must not produce); frees are not
-/// counted. Relaxed ordering is fine — the benches are single-threaded
-/// and only need a consistent total at the two read points. Inside a
-/// [`census`] window it also records where each allocation came from.
+/// counted. It also keeps the heap bytes live, read by [`live_bytes`].
+/// Relaxed ordering is fine — the benches are single-threaded and only
+/// need a consistent total at the two read points. Inside a [`census`]
+/// window it also records where each allocation came from.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation unchanged to `System`; the counter
@@ -51,17 +55,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         census_note();
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         census_note();
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            // Wrapping: a shrink adds the two's complement of the drop.
+            let delta = (new_size as u64).wrapping_sub(layout.size() as u64);
+            LIVE.fetch_add(delta, Ordering::Relaxed);
+        }
+        moved
     }
 }
 
@@ -70,6 +85,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// global allocator.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap bytes allocated through [`CountingAlloc`] and not yet freed. Zero
+/// unless the binary installed it as the global allocator.
+pub fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// Whether a [`census`] window is open.

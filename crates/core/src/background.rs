@@ -15,7 +15,7 @@ use c4h_simnet::{FlowId, SimTime, Sym, SymMap};
 use c4h_telemetry::{ArgValue, CauseKind, SpanId};
 
 use crate::ec::ErasureCode;
-use crate::object::{Blob, SAMPLE_WINDOW};
+use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
 use crate::policy::{adaptive_action, AdaptiveAction};
 use crate::replicas::{holder_keys, Repair, Review, WorkSet};
 use crate::runtime::{Cloud4Home, FANOUT_TRACK_BASE, REPAIR_TRACK_BASE, RUNTIME_TRACK};
@@ -54,15 +54,18 @@ enum JobKind {
         span: SpanId,
         from: CopyFrom,
     },
-    /// Full copies → stripes: the owner (holder of row 0) encoded the
-    /// object into `stripes` (row order, data then parity), installed its
-    /// own row, and ships every other row to its holder; each installed
-    /// row shares its bytes with `stripes`. Full copies are stripped only
-    /// once every row has landed, so an abort leaves the object exactly as
-    /// replicated as before.
+    /// Full copies → stripes: the owner (holder of row 0) installed its
+    /// own row and ships every other row to its holder. A row is a recipe,
+    /// not bytes: `recipe` is row 0 over the owner's blob, and each leg
+    /// that lands installs its own row of it. `checksums` holds every
+    /// row's checksum in row order, computed once when the conversion
+    /// began and published when it finishes. Full copies are stripped
+    /// only once every row has landed, so an abort leaves the object
+    /// exactly as replicated as before.
     Encode {
         layout: EcLayout,
-        stripes: Vec<Arc<[u8]>>,
+        recipe: CodeRow,
+        checksums: Vec<u64>,
     },
     /// A lost code row: `dst` pulls `k` surviving stripes and re-derives
     /// the row once all have arrived.
@@ -196,10 +199,12 @@ impl Jobs {
 /// What the runtime keeps beside each object that has an erasure-coded
 /// layout or is getting one: its stripe names in row order, named when a
 /// conversion starts, and its original blob, staged when the conversion
-/// lands. The stripes cover only the content sample window, so a decoding
-/// fetch hands back the original and verifies its decode against it. Both
-/// go when the object is scrubbed. It also holds the code itself, built
-/// once.
+/// lands. Every row is a recipe over that blob's sample window; a decoding
+/// fetch reads its rows' bytes off one window of the staged original,
+/// hands the original back and verifies its decode against it. Both go
+/// when the object is scrubbed, so rows left on a holder that was down at
+/// the scrub cannot serve a deleted or re-stored object. It also holds the
+/// code itself, built once.
 #[derive(Debug, Default)]
 pub(crate) struct EcRegistry {
     /// `BTreeMap` for deterministic iteration.
@@ -329,10 +334,10 @@ impl Cloud4Home {
         let job = &self.jobs.table[&id];
         // A conversion's row goes onto its holder as it arrives; one that
         // cannot (holder died, bin filled) ends the whole conversion.
-        if let JobKind::Encode { layout, stripes } = &job.kind {
+        if let JobKind::Encode { layout, recipe, .. } = &job.kind {
             let holder = self.node_index(layout.holders[part as usize]);
             let (sname, len) = (self.ec.stripe_name(job.name, part), layout.stripe_len);
-            let shard = Blob::Inline(stripes[part as usize].clone());
+            let shard = Blob::Row(recipe.with_row(part as usize));
             let site = holder.filter(|&j| self.nodes[j].alive);
             if !site.is_some_and(|j| self.nodes[j].install_voluntary(sname, len, shard)) {
                 return self.job_abort(id, false);
@@ -357,8 +362,10 @@ impl Cloud4Home {
                     self.maybe_repair(job.name);
                 }
             }
-            JobKind::Encode { layout, stripes } => {
-                if !self.encode_finish(job.name, &layout, &stripes) {
+            JobKind::Encode {
+                layout, checksums, ..
+            } => {
+                if !self.encode_finish(job.name, &layout, &checksums) {
                     self.encode_undo(job.name, &layout, &job.landed);
                 }
             }
@@ -875,10 +882,10 @@ impl Cloud4Home {
     }
 
     /// Begins converting a cold object from full copies to `(k, m)`
-    /// erasure-coded stripes: the owner encodes the content window,
-    /// installs its own row locally, and ships each remaining row to a
-    /// distinct peer. Full copies survive untouched until every stripe
-    /// has landed.
+    /// erasure-coded stripes: the owner checksums every code row of the
+    /// content window, installs its own row's recipe locally, and ships
+    /// each remaining row to a distinct peer. Full copies survive
+    /// untouched until every stripe has landed.
     fn ec_begin_convert(&mut self, name: Sym) {
         let Some(meta) = self.replicas.get(name).cloned() else {
             return;
@@ -911,9 +918,21 @@ impl Cloud4Home {
         if found + 1 < total {
             return; // not enough distinct sites; keep the full copies
         }
+        // Every row's checksum, from one padded window: the data rows are
+        // its slices, the parity rows are computed into one buffer.
         let code = self.ec.code(k, m);
-        let window = blob.sample(SAMPLE_WINDOW);
-        let stripes: Vec<Arc<[u8]>> = code.encode(&window).into_iter().map(Arc::from).collect();
+        let mut padded = blob.sample(SAMPLE_WINDOW);
+        let sl = code.pad(&mut padded);
+        let mut parity = vec![0; m * sl];
+        for (row, out) in (k..total).zip(parity.chunks_exact_mut(sl)) {
+            code.encode_row(&padded, row, out);
+        }
+        let rows: Vec<&[u8]> = padded
+            .chunks_exact(sl)
+            .chain(parity.chunks_exact(sl))
+            .collect();
+        let checksums: Vec<u64> = stripe_checksums(&rows).collect();
+        let recipe = CodeRow::new(Arc::new(blob), k, m, 0);
         let layout = EcLayout {
             k: k as u32,
             m: m as u32,
@@ -921,7 +940,7 @@ impl Cloud4Home {
             holders: sites.iter().map(|&j| self.nodes[j].key).collect(),
         };
         let sname0 = self.ec.stripe_name(name, 0);
-        let row0 = Blob::Inline(stripes[0].clone());
+        let row0 = Blob::Row(recipe.clone());
         if !self.nodes[owner].install_voluntary(sname0, stripe_len, row0) {
             return;
         }
@@ -946,7 +965,11 @@ impl Cloud4Home {
             ],
         );
         self.ec.name_rows(name, total as u32);
-        let kind = JobKind::Encode { layout, stripes };
+        let kind = JobKind::Encode {
+            layout,
+            recipe,
+            checksums,
+        };
         self.jobs.insert(id, name, pending, kind);
     }
 
@@ -967,10 +990,10 @@ impl Cloud4Home {
     /// Every stripe landed: cut the object over to its erasure-coded
     /// form. Stages the original for decode verification, strips the full
     /// copies from live holders, rewrites the metadata with the layout,
-    /// publishes per-row stripe records, and flushes stale caches. Returns
-    /// `false` (nothing changed) when the object or the owner's copy is
-    /// gone.
-    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, stripes: &[Arc<[u8]>]) -> bool {
+    /// publishes per-row stripe records with the `checksums` computed when
+    /// the conversion began, and flushes stale caches. Returns `false`
+    /// (nothing changed) when the object or the owner's copy is gone.
+    fn encode_finish(&mut self, name: Sym, layout: &EcLayout, checksums: &[u64]) -> bool {
         let Some(owner) = self.node_index(layout.holders[0]) else {
             return false;
         };
@@ -996,7 +1019,7 @@ impl Cloud4Home {
         meta.ec = Some(layout.clone());
         self.replicas.insert(name, meta.clone());
         self.publish_meta_background(owner, meta);
-        for (row, checksum) in stripe_checksums(stripes).enumerate() {
+        for (row, &checksum) in checksums.iter().enumerate() {
             self.publish_stripe_record(owner, name, row as u32, layout, checksum);
         }
         self.invalidate_meta_caches(name);
@@ -1075,8 +1098,9 @@ impl Cloud4Home {
     }
 
     /// All survivor stripes are in: invert the code to re-derive the lost
-    /// row, install it on the destination, re-home the row in the layout,
-    /// and republish metadata and the row's stripe record.
+    /// row from the survivors' bytes, check it against the lost row's
+    /// recipe, install the recipe on the destination, re-home the row in
+    /// the layout, and republish metadata and the row's stripe record.
     fn rebuild_finish(&mut self, name: Sym, row: u32, dst: usize, arrived: &[u32]) {
         let Some(mut meta) = self.replicas.get(name).cloned() else {
             return; // deleted while the rebuild was in flight
@@ -1088,25 +1112,37 @@ impl Cloud4Home {
             return;
         }
         let code = self.ec.code(layout.k as usize, layout.m as usize);
-        // Stripes are always stored inline: decode reads them in place.
-        let mut shards: Vec<(usize, &[u8])> = Vec::with_capacity(arrived.len());
+        let mut recipes: Vec<&CodeRow> = Vec::with_capacity(arrived.len());
         for &r in arrived {
-            let Some(bytes) = self
+            let Some(recipe) = self
                 .node_index(layout.holders[r as usize])
                 .filter(|&j| self.nodes[j].alive)
                 .and_then(|j| self.nodes[j].objects.get(&self.ec.stripe_name(name, r)))
-                .and_then(Blob::inline_bytes)
+                .and_then(Blob::code_row)
             else {
                 return; // a survivor vanished mid-rebuild; retry later
             };
-            shards.push((r as usize, bytes));
+            recipes.push(recipe);
         }
+        // The lost row is the same code over the first survivor's source;
+        // every survivor of that source is read off one window of it.
+        let lost = recipes[0].with_row(row as usize);
+        let mut padded = lost.source().sample(SAMPLE_WINDOW);
+        code.pad(&mut padded);
+        let shards = arrived
+            .iter()
+            .zip(recipes)
+            .map(|(&r, recipe)| (r as usize, recipe.bytes_over(&code, lost.source(), &padded)));
+        let shards: Vec<_> = shards.collect();
         let Some(rebuilt) = code.reconstruct_row(row as usize, &shards) else {
             return;
         };
+        if rebuilt != *lost.bytes_over(&code, lost.source(), &padded) {
+            return; // the survivors do not rebuild the row; retry later
+        }
         let checksum = stripe_checksum(&rebuilt);
         let sname = self.ec.stripe_name(name, row);
-        if !self.nodes[dst].install_voluntary(sname, layout.stripe_len, Blob::inline(rebuilt)) {
+        if !self.nodes[dst].install_voluntary(sname, layout.stripe_len, Blob::Row(lost)) {
             return;
         }
         self.stats.repairs_completed += 1;
@@ -1182,5 +1218,85 @@ impl Jobs {
             JobKind::Encode { layout, .. } => Some(layout.holders.as_slice()),
             _ => None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Config, NodeId, Object, StorePolicy};
+
+    /// Steps virtual time in 50 ms slices until `done` holds (at most 60 s).
+    fn run_until(home: &mut Cloud4Home, what: &str, done: impl Fn(&Cloud4Home) -> bool) {
+        for _ in 0..1_200 {
+            if done(home) {
+                return;
+            }
+            home.run_for(Duration::from_millis(50));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    /// The checksums the oldest conversion in flight computed, row order.
+    fn converting_checksums(home: &Cloud4Home) -> Option<Vec<u64>> {
+        home.jobs.table.values().find_map(|job| match &job.kind {
+            JobKind::Encode { checksums, .. } => Some(checksums.clone()),
+            _ => None,
+        })
+    }
+
+    /// A rebuilt row is a recipe; materialized on its new holder, its
+    /// bytes must be the row the conversion checksummed, and the row of
+    /// the full encode of the object's window.
+    #[test]
+    fn a_rebuilt_row_materializes_the_bytes_its_conversion_checksummed() {
+        let mut config = Config::paper_testbed(86);
+        config.adaptive.enabled = true;
+        let mut home = Cloud4Home::new(config);
+        let source = Blob::synthetic(17, 2 << 20);
+        let obj = Object {
+            blob: source.clone(),
+            ..Object::synthetic("cold/backup.bin", 0, 0, "tar")
+        };
+        let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+        let name = Sym::new("cold/backup.bin");
+
+        run_until(&mut home, "the conversion", |h| {
+            converting_checksums(h).is_some()
+        });
+        let checksums = converting_checksums(&home).expect("a conversion in flight");
+        run_until(&mut home, "the coded form", |h| {
+            h.is_erasure_coded("cold/backup.bin")
+        });
+        let layout = home.replicas.get(name).and_then(|m| m.ec.clone());
+        let layout = layout.expect("a coded layout");
+        assert_eq!(checksums.len(), layout.holders.len());
+
+        // Lose the last parity row's holder; the repair daemon rebuilds it.
+        let row = layout.holders.len() - 1;
+        let lost = home
+            .node_index(layout.holders[row])
+            .expect("a known holder");
+        home.crash_node(NodeId(lost));
+        run_until(&mut home, "the rebuild", |h| {
+            let layout = h.replicas.get(name).and_then(|m| m.ec.as_ref());
+            layout.is_some_and(|l| l.holders[row] != h.nodes[lost].key)
+        });
+        let layout = home.replicas.get(name).and_then(|m| m.ec.clone());
+        let layout = layout.expect("still coded");
+        let dst = home
+            .node_index(layout.holders[row])
+            .expect("a known holder");
+        let stored = home.nodes[dst]
+            .objects
+            .get(&home.ec.stripe_name(name, row as u32));
+        let recipe = stored
+            .and_then(Blob::code_row)
+            .expect("the rebuilt row's recipe");
+        let bytes = recipe.bytes();
+        assert_eq!(stripe_checksum(&bytes), checksums[row]);
+        let code = ErasureCode::new(layout.k as usize, layout.m as usize);
+        assert!(bytes == code.encode(&source.sample(SAMPLE_WINDOW))[row]);
     }
 }

@@ -246,17 +246,46 @@ impl ErasureCode {
         stripes
     }
 
+    /// Zero-pads `data` in place to `k` whole stripes and returns the
+    /// stripe length: row `i < k` of [`ErasureCode::encode`] is then the
+    /// `i`-th stripe-long slice, and [`ErasureCode::encode_row`] reads any
+    /// row from it.
+    pub fn pad(&self, data: &mut Vec<u8>) -> usize {
+        let sl = self.stripe_len(data.len());
+        data.resize(self.k * sl, 0);
+        sl
+    }
+
+    /// Row `row` of [`ErasureCode::encode`] alone, into `out` (one stripe
+    /// long), from data already [`ErasureCode::pad`]ded: a data row is a
+    /// copy of its slice, a parity row one [`mul_acc`] pass per data row.
+    pub fn encode_row(&self, padded: &[u8], row: usize, out: &mut [u8]) {
+        let sl = out.len();
+        debug_assert_eq!(padded.len(), self.k * sl);
+        if row < self.k {
+            out.copy_from_slice(&padded[row * sl..(row + 1) * sl]);
+            return;
+        }
+        out.fill(0);
+        for (&c, stripe) in self.rows[row].iter().zip(padded.chunks_exact(sl)) {
+            mul_acc(out, stripe, c);
+        }
+    }
+
     /// Reconstructs the k data stripes from any k surviving `(row, bytes)`
     /// pairs. Stripes must share one length; rows must be distinct and
     /// `< k + m`.
     ///
     /// Returns `None` when fewer than k rows are supplied or the survivor
     /// matrix is malformed (duplicate rows).
-    pub fn reconstruct_data(&self, survivors: &[(usize, &[u8])]) -> Option<Vec<Vec<u8>>> {
+    pub fn reconstruct_data<R: AsRef<[u8]>>(
+        &self,
+        survivors: &[(usize, R)],
+    ) -> Option<Vec<Vec<u8>>> {
         let inv = self.decode_matrix(survivors)?;
         let picked = &survivors[..self.k];
-        let sl = picked[0].1.len();
-        let rows = || picked.iter().map(|&(_, s)| s);
+        let sl = picked[0].1.as_ref().len();
+        let rows = || picked.iter().map(|(_, s)| s.as_ref());
         Some(inv.iter().map(|coefs| combine(sl, coefs, rows())).collect())
     }
 
@@ -266,15 +295,19 @@ impl ErasureCode {
     /// Row `row` is `g · data` for its generator row `g`, and `data` is
     /// `inv · survivors`, so `g · inv` is folded into one coefficient per
     /// survivor first: `k` passes over the bytes, whatever the row.
-    pub fn reconstruct_row(&self, row: usize, survivors: &[(usize, &[u8])]) -> Option<Vec<u8>> {
+    pub fn reconstruct_row<R: AsRef<[u8]>>(
+        &self,
+        row: usize,
+        survivors: &[(usize, R)],
+    ) -> Option<Vec<u8>> {
         let inv = self.decode_matrix(survivors)?;
         let picked = &survivors[..self.k];
         let g = &self.rows[row];
         let coefs: Vec<u8> = (0..self.k)
             .map(|j| (0..self.k).fold(0, |acc, i| acc ^ gf_mul(g[i], inv[i][j])))
             .collect();
-        let rows = picked.iter().map(|&(_, s)| s);
-        Some(combine(picked[0].1.len(), &coefs, rows))
+        let rows = picked.iter().map(|(_, s)| s.as_ref());
+        Some(combine(picked[0].1.as_ref().len(), &coefs, rows))
     }
 
     /// The inverse of the k × k generator submatrix of the first k
@@ -282,15 +315,15 @@ impl ErasureCode {
     /// `Σ_j inv[i][j]·survivors[j]`. `None` when fewer than k rows are
     /// supplied, a row is out of range, the lengths differ, or a row
     /// repeats (the submatrix is then singular).
-    fn decode_matrix(&self, survivors: &[(usize, &[u8])]) -> Option<Vec<Vec<u8>>> {
+    fn decode_matrix<R: AsRef<[u8]>>(&self, survivors: &[(usize, R)]) -> Option<Vec<Vec<u8>>> {
         if survivors.len() < self.k {
             return None;
         }
         let picked = &survivors[..self.k];
-        let sl = picked[0].1.len();
+        let sl = picked[0].1.as_ref().len();
         if picked
             .iter()
-            .any(|(r, s)| *r >= self.k + self.m || s.len() != sl)
+            .any(|(r, s)| *r >= self.k + self.m || s.as_ref().len() != sl)
         {
             return None;
         }

@@ -6,18 +6,23 @@
 //! An [`Object`] pairs a unique name with a payload [`Blob`] and the
 //! metadata (content type, tags, privacy) that placement policies act on.
 //!
-//! Payloads come in two forms: [`Blob::Inline`] carries real bytes (small
+//! Payloads come in three forms: [`Blob::Inline`] carries real bytes (small
 //! objects, service outputs), while [`Blob::Synthetic`] describes a large
 //! deterministic payload by seed and length so multi-hundred-megabyte
 //! experiment datasets never have to be materialized. Service kernels run
 //! on a deterministic sample window of synthetic blobs; cost models use the
-//! declared length.
+//! declared length. An erasure-coded stripe is a [`Blob::Row`]: the recipe
+//! for one code row over another blob's sample window, whose bytes are
+//! computed only where they are read.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use c4h_kvstore::Acl;
 use c4h_simnet::Sym;
+
+use crate::ec::ErasureCode;
 
 /// Maximum sample window generated from a synthetic blob for service
 /// kernels.
@@ -35,6 +40,8 @@ pub enum Blob {
         /// Payload length in bytes.
         len: u64,
     },
+    /// One row of an erasure code over another blob, kept as its recipe.
+    Row(CodeRow),
 }
 
 impl Blob {
@@ -53,6 +60,7 @@ impl Blob {
         match self {
             Blob::Inline(b) => b.len() as u64,
             Blob::Synthetic { len, .. } => *len,
+            Blob::Row(row) => row.len(),
         }
     }
 
@@ -63,7 +71,7 @@ impl Blob {
 
     /// A deterministic byte window for service kernels: inline blobs return
     /// their full content (up to `max`), synthetic blobs generate their
-    /// first `min(max, len)` bytes.
+    /// first `min(max, len)` bytes, code rows compute their bytes.
     pub fn sample(&self, max: usize) -> Vec<u8> {
         match self {
             Blob::Inline(b) => b[..b.len().min(max)].to_vec(),
@@ -71,14 +79,19 @@ impl Blob {
                 let n = (*len).min(max as u64) as usize;
                 synth_bytes(*seed, n)
             }
+            Blob::Row(row) => {
+                let mut bytes = row.bytes();
+                bytes.truncate(max);
+                bytes
+            }
         }
     }
 
-    /// The bytes of an inline blob, borrowed; `None` for a synthetic one.
-    pub(crate) fn inline_bytes(&self) -> Option<&[u8]> {
+    /// The recipe of a stripe; `None` for any other payload.
+    pub(crate) fn code_row(&self) -> Option<&CodeRow> {
         match self {
-            Blob::Inline(b) => Some(b),
-            Blob::Synthetic { .. } => None,
+            Blob::Row(row) => Some(row),
+            _ => None,
         }
     }
 
@@ -105,6 +118,7 @@ impl fmt::Debug for Blob {
                 .field("seed", seed)
                 .field("len", len)
                 .finish(),
+            Blob::Row(row) => f.debug_tuple("Row").field(row).finish(),
         }
     }
 }
@@ -118,6 +132,88 @@ impl fmt::Debug for Prefix<'_> {
         let shown = &self.0[..self.0.len().min(SHOWN)];
         let ellipsis = if self.0.len() > SHOWN { "…" } else { "" };
         write!(f, "b\"{}{ellipsis}\"", shown.escape_ascii())
+    }
+}
+
+/// Row `row` of the systematic `(k, m)` [`ErasureCode`] over the sample
+/// window of `source`: what a stripe holder keeps in place of the row's
+/// bytes. Every row of one conversion shares its source through one `Arc`;
+/// `k + m ≤ 255`, so the code and the row fit in a byte each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodeRow {
+    source: Arc<Blob>,
+    k: u8,
+    m: u8,
+    row: u8,
+}
+
+impl CodeRow {
+    /// Row `row` of the `(k, m)` code over `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k + m > 255` or `row ≥ k + m`.
+    pub(crate) fn new(source: Arc<Blob>, k: usize, m: usize, row: usize) -> Self {
+        assert!(
+            k + m <= 255 && row < k + m,
+            "row {row} of a ({k}, {m}) code"
+        );
+        CodeRow {
+            source,
+            k: k as u8,
+            m: m as u8,
+            row: row as u8,
+        }
+    }
+
+    /// Row `row` of the same code over the same source.
+    pub(crate) fn with_row(&self, row: usize) -> Self {
+        CodeRow::new(Arc::clone(&self.source), self.k.into(), self.m.into(), row)
+    }
+
+    /// The blob the row is computed from.
+    pub(crate) fn source(&self) -> &Blob {
+        &self.source
+    }
+
+    /// The row's length: that of one stripe of the source's sample window,
+    /// as [`ErasureCode::stripe_len`] gives it.
+    pub(crate) fn len(&self) -> u64 {
+        let window = self.source.len().min(SAMPLE_WINDOW as u64);
+        window.div_ceil(self.k.into()).max(1)
+    }
+
+    /// The row's bytes, computed from scratch: row `row` of
+    /// [`ErasureCode::encode`] over the source's sample window.
+    pub(crate) fn bytes(&self) -> Vec<u8> {
+        let code = ErasureCode::new(self.k.into(), self.m.into());
+        let mut padded = self.source.sample(SAMPLE_WINDOW);
+        code.pad(&mut padded);
+        self.bytes_over(&code, &self.source, &padded).into_owned()
+    }
+
+    /// The row's bytes read off `padded`, the sample window of `source`
+    /// [`ErasureCode::pad`]ded for `code`, the row's own code: a data row
+    /// of `source` borrows its slice, a parity row of `source` is computed
+    /// from the slices, and a row over any other source is computed from
+    /// scratch.
+    pub(crate) fn bytes_over<'a>(
+        &self,
+        code: &ErasureCode,
+        source: &Blob,
+        padded: &'a [u8],
+    ) -> Cow<'a, [u8]> {
+        debug_assert_eq!((code.k(), code.m()), (self.k.into(), self.m.into()));
+        if *self.source != *source {
+            return Cow::Owned(self.bytes());
+        }
+        let (row, sl) = (usize::from(self.row), padded.len() / code.k());
+        if row < code.k() {
+            return Cow::Borrowed(&padded[row * sl..(row + 1) * sl]);
+        }
+        let mut out = vec![0; sl];
+        code.encode_row(padded, row, &mut out);
+        Cow::Owned(out)
     }
 }
 
@@ -298,7 +394,9 @@ mod tests {
 }
 
 /// The run-splat [`synth_bytes`] against the byte-at-a-time loop it
-/// replaced (CI runs these by name: `kernel_oracle`).
+/// replaced, and every row a [`CodeRow`] computes against the full
+/// [`ErasureCode::encode`] it stands for (CI runs these by name:
+/// `kernel_oracle`).
 #[cfg(test)]
 mod kernel_oracle {
     use super::*;
@@ -370,6 +468,59 @@ mod kernel_oracle {
         #[test]
         fn synth_bytes_matches_the_bytewise_loop(seed in any::<u64>(), len in 0usize..5000) {
             prop_assert!(synth_bytes(seed, len) == synth_bytes_bytewise(seed, len));
+        }
+    }
+
+    /// A source length of one shape: 0, 1, below `k`, not a multiple of
+    /// `k`, exactly the sample window, or above it.
+    fn source_len(shape: u8, k: usize, n: usize) -> usize {
+        match shape {
+            0 => 0,
+            1 => 1,
+            2 => n % k,
+            3 => (n % 5000) / k * k + 1 + n % (k - 1).max(1),
+            4 => SAMPLE_WINDOW,
+            _ => SAMPLE_WINDOW + 1 + n % 5000,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn code_rows_match_the_full_encode(
+            k in 1usize..=8,
+            m in 1usize..=4,
+            shape in 0u8..6,
+            n in any::<usize>(),
+            seed in any::<u64>(),
+            inline in any::<bool>(),
+        ) {
+            prop_assume!(k + m <= 12);
+            let len = source_len(shape, k, n);
+            let source = if inline {
+                Blob::inline(synth_bytes(seed, len))
+            } else {
+                Blob::synthetic(seed, len as u64)
+            };
+            let code = ErasureCode::new(k, m);
+            let mut padded = source.sample(SAMPLE_WINDOW);
+            let stripes = code.encode(&padded);
+            code.pad(&mut padded);
+            let stranger = Blob::synthetic(seed ^ 1, len as u64);
+            let shared = Arc::new(source.clone());
+            for (row, want) in stripes.iter().enumerate() {
+                let recipe = CodeRow::new(Arc::clone(&shared), k, m, row);
+                prop_assert_eq!(recipe.len(), want.len() as u64, "row {} of {} bytes", row, len);
+                prop_assert!(recipe.bytes() == *want, "row {} of {} bytes", row, len);
+                let over = recipe.bytes_over(&code, &source, &padded);
+                prop_assert!(*over == **want, "row {} read off the window", row);
+                let foreign = recipe.bytes_over(&code, &stranger, &[]);
+                prop_assert!(*foreign == **want, "row {} beside another source", row);
+                let blob = Blob::Row(recipe);
+                prop_assert!(blob.sample(SAMPLE_WINDOW) == *want);
+                prop_assert_eq!(blob.len(), want.len() as u64);
+            }
         }
     }
 }

@@ -43,7 +43,7 @@ use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
 use super::{Family, OpCore, OpInput, OpKind, Stage, StepOutcome, COMMAND_BYTES};
 use crate::config::NodeId;
-use crate::object::{Blob, SAMPLE_WINDOW};
+use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
 use crate::report::{OpError, OpId};
 use crate::runtime::{Cloud4Home, CLOUD_ADDR, STRIPE_TRACK_BASE};
 
@@ -1198,26 +1198,26 @@ impl Cloud4Home {
         None
     }
 
-    /// Every stripe slot landed: gather the `k` shard byte windows from
-    /// their holders, invert the code, and verify the decode against the
-    /// original staged at conversion time before handing the object to
-    /// the client channel.
+    /// Every stripe slot landed: read the `k` rows' bytes off one padded
+    /// window of the original staged at conversion time (data rows are
+    /// its slices, parity rows are computed from them), invert the code,
+    /// and verify the decode against that window before handing the
+    /// object to the client channel.
     fn ec_decode_finish(&mut self, op: &mut OpCore, f: &mut Fetch, plan: EcPlan) -> StepOutcome {
         let k = plan.k as usize;
         let code = self.ec.code(k, plan.row_holders.len() - k);
-        // Stripes are always stored inline: decode reads them in place.
-        let mut survivors: Vec<(usize, &[u8])> = Vec::with_capacity(k);
+        let mut recipes: Vec<&CodeRow> = Vec::with_capacity(k);
         for &row in &plan.slot_rows {
-            let shard = plan.row_holders[row as usize]
+            let recipe = plan.row_holders[row as usize]
                 .filter(|&j| self.nodes[j].alive)
                 .and_then(|j| {
                     self.nodes[j]
                         .objects
                         .get(&self.ec.stripe_name(op.name, row))
                 })
-                .and_then(Blob::inline_bytes);
-            match shard {
-                Some(s) => survivors.push((row as usize, s)),
+                .and_then(Blob::code_row);
+            match recipe {
+                Some(recipe) => recipes.push(recipe),
                 // A holder vanished in the final instant; re-plan.
                 None => return self.fetch_backoff(op, f, OpError::StripesLost),
             }
@@ -1227,12 +1227,20 @@ impl Cloud4Home {
             // re-stored mid-fetch); the stripes alone cannot serve it.
             return Some(Err(OpError::StripesLost(op.name.to_string())));
         };
-        let window = original.sample(SAMPLE_WINDOW);
+        let mut padded = original.sample(SAMPLE_WINDOW);
+        let len = padded.len();
+        code.pad(&mut padded);
+        let survivors = plan
+            .slot_rows
+            .iter()
+            .zip(recipes)
+            .map(|(&row, recipe)| (row as usize, recipe.bytes_over(&code, &original, &padded)));
+        let survivors: Vec<_> = survivors.collect();
         let decoded = code
             .reconstruct_data(&survivors)
-            .map(|shards| code.assemble(&shards, window.len()));
+            .map(|shards| code.assemble(&shards, len));
         match decoded {
-            Some(bytes) if bytes == window => {
+            Some(bytes) if bytes == padded[..len] => {
                 self.telemetry.add("fetch.ec_decodes", 1);
                 f.staged = Some(original);
                 self.fetch_channel_out(op)
