@@ -6,8 +6,7 @@
 //! location of object in users S3 storage bucket is stored as value").
 //!
 //! [`S3Store`] reproduces the storage semantics: named buckets, key-value
-//! objects with ETags and overwrite counting, prefix listing, and
-//! `s3://bucket/key` URL addressing. It is generic over the payload type so
+//! objects, and `s3://bucket/key` URL addressing. It is generic over the payload type so
 //! the Cloud4Home runtime can store its compact blob descriptors instead of
 //! materialized buffers. Transfer *timing* is not modeled here — the
 //! simulated WAN charges the bytes; this type charges only the provider-side
@@ -88,28 +87,6 @@ pub struct S3Object<T> {
     /// Declared payload size in bytes (used for billing and transfer
     /// charging).
     pub size_bytes: u64,
-    /// Opaque entity tag, changes on every overwrite.
-    pub etag: u64,
-}
-
-/// Keys order by their strings ([`Sym`]'s `Ord`), so listings come out in
-/// the order a `String`-keyed map gave.
-#[derive(Debug, Clone, Default)]
-struct Bucket<T> {
-    objects: BTreeMap<Sym, S3Object<T>>,
-}
-
-/// Request-level statistics, exposed for the experiment harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct S3Stats {
-    /// PUT requests served.
-    pub puts: u64,
-    /// GET requests served.
-    pub gets: u64,
-    /// Bytes accepted by PUTs.
-    pub bytes_in: u64,
-    /// Bytes returned by GETs.
-    pub bytes_out: u64,
 }
 
 /// The provider-side request processing latency charged per operation,
@@ -133,9 +110,8 @@ pub const REQUEST_LATENCY: Duration = Duration::from_millis(35);
 /// ```
 #[derive(Debug, Clone)]
 pub struct S3Store<T> {
-    buckets: BTreeMap<Sym, Bucket<T>>,
-    stats: S3Stats,
-    next_etag: u64,
+    /// Bucket name → object key → object.
+    buckets: BTreeMap<Sym, BTreeMap<Sym, S3Object<T>>>,
 }
 
 impl<T> Default for S3Store<T> {
@@ -149,14 +125,7 @@ impl<T> S3Store<T> {
     pub fn new() -> Self {
         S3Store {
             buckets: BTreeMap::new(),
-            stats: S3Stats::default(),
-            next_etag: 1,
         }
-    }
-
-    /// Request statistics so far.
-    pub fn stats(&self) -> S3Stats {
-        self.stats
     }
 
     /// Creates a bucket.
@@ -169,18 +138,8 @@ impl<T> S3Store<T> {
         if self.buckets.contains_key(&name) {
             return Err(S3Error::BucketExists(name.to_string()));
         }
-        self.buckets.insert(
-            name,
-            Bucket {
-                objects: BTreeMap::new(),
-            },
-        );
+        self.buckets.insert(name, BTreeMap::new());
         Ok(())
-    }
-
-    /// Whether a bucket exists.
-    pub fn bucket_exists(&self, name: &str) -> bool {
-        Sym::lookup(name).is_some_and(|name| self.buckets.contains_key(&name))
     }
 
     /// Stores an object, overwriting any previous version, and returns its
@@ -209,18 +168,13 @@ impl<T> S3Store<T> {
             .buckets
             .get_mut(&url.bucket)
             .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
-        let etag = self.next_etag;
-        self.next_etag += 1;
-        b.objects.insert(
+        b.insert(
             url.key,
             S3Object {
                 payload,
                 size_bytes,
-                etag,
             },
         );
-        self.stats.puts += 1;
-        self.stats.bytes_in += size_bytes;
         Ok(url)
     }
 
@@ -229,21 +183,12 @@ impl<T> S3Store<T> {
     /// # Errors
     ///
     /// [`S3Error::NoSuchBucket`] / [`S3Error::NoSuchKey`] when absent.
-    pub fn get(&mut self, url: &S3Url) -> Result<&S3Object<T>, S3Error> {
+    pub fn get(&self, url: &S3Url) -> Result<&S3Object<T>, S3Error> {
         let b = self
             .buckets
             .get(&url.bucket)
             .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
-        let obj = b.objects.get(&url.key).ok_or(S3Error::NoSuchKey(*url))?;
-        self.stats.gets += 1;
-        self.stats.bytes_out += obj.size_bytes;
-        Ok(obj)
-    }
-
-    /// Reads an object without touching the request statistics (internal
-    /// bookkeeping lookups).
-    pub fn peek(&self, url: &S3Url) -> Option<&S3Object<T>> {
-        self.buckets.get(&url.bucket)?.objects.get(&url.key)
+        b.get(&url.key).ok_or(S3Error::NoSuchKey(*url))
     }
 
     /// Deletes an object, returning it.
@@ -256,32 +201,7 @@ impl<T> S3Store<T> {
             .buckets
             .get_mut(&url.bucket)
             .ok_or_else(|| S3Error::NoSuchBucket(url.bucket.to_string()))?;
-        b.objects.remove(&url.key).ok_or(S3Error::NoSuchKey(*url))
-    }
-
-    /// Lists keys in a bucket under a prefix, in order.
-    ///
-    /// # Errors
-    ///
-    /// [`S3Error::NoSuchBucket`] if the bucket is missing.
-    pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<&str>, S3Error> {
-        let b = Sym::lookup(bucket)
-            .and_then(|name| self.buckets.get(&name))
-            .ok_or_else(|| S3Error::NoSuchBucket(bucket.to_owned()))?;
-        Ok(b.objects
-            .keys()
-            .map(|k| k.as_str())
-            .filter(|k| k.starts_with(prefix))
-            .collect())
-    }
-
-    /// Total bytes stored across all buckets.
-    pub fn total_bytes(&self) -> u64 {
-        self.buckets
-            .values()
-            .flat_map(|b| b.objects.values())
-            .map(|o| o.size_bytes)
-            .sum()
+        b.remove(&url.key).ok_or(S3Error::NoSuchKey(*url))
     }
 }
 
@@ -322,8 +242,10 @@ mod tests {
             s.put("ghost", "k", vec![], 0).unwrap_err(),
             S3Error::NoSuchBucket("ghost".into())
         );
-        assert!(!s.bucket_exists("ghost"));
-        assert!(s.list("ghost", "").is_err());
+        assert_eq!(
+            s.get(&S3Url::new("ghost", "k")).unwrap_err(),
+            S3Error::NoSuchBucket("ghost".into())
+        );
     }
 
     #[test]
@@ -336,41 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_changes_etag() {
+    fn overwrite_replaces_payload() {
         let mut s = store_with_bucket();
         let url = s.put("b", "k", vec![1], 1).unwrap();
-        let e1 = s.get(&url).unwrap().etag;
-        s.put("b", "k", vec![2], 1).unwrap();
-        let e2 = s.get(&url).unwrap().etag;
-        assert_ne!(e1, e2);
-        assert_eq!(s.get(&url).unwrap().payload, vec![2]);
-    }
-
-    #[test]
-    fn prefix_listing_is_ordered() {
-        let mut s = store_with_bucket();
-        for k in ["video/b.avi", "img/a.jpg", "video/a.avi"] {
-            s.put("b", k, vec![], 0).unwrap();
-        }
-        assert_eq!(
-            s.list("b", "video/").unwrap(),
-            vec!["video/a.avi", "video/b.avi"]
-        );
-        assert_eq!(s.list("b", "").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn stats_count_requests_and_bytes() {
-        let mut s = store_with_bucket();
-        let url = s.put("b", "k", vec![0; 10], 10).unwrap();
-        let _ = s.get(&url).unwrap();
-        let _ = s.peek(&url);
-        let st = s.stats();
-        assert_eq!(st.puts, 1);
-        assert_eq!(st.gets, 1);
-        assert_eq!(st.bytes_in, 10);
-        assert_eq!(st.bytes_out, 10);
-        assert_eq!(s.total_bytes(), 10);
+        s.put("b", "k", vec![2, 2], 2).unwrap();
+        let obj = s.get(&url).unwrap();
+        assert_eq!((obj.payload.clone(), obj.size_bytes), (vec![2, 2], 2));
     }
 
     #[test]

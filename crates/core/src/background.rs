@@ -783,8 +783,7 @@ impl Cloud4Home {
                     _ => CauseKind::AdaptiveEncode,
                 };
                 home.ledger_bg(kind, object_key(name.as_str()).raw(), holders.len() as u64);
-                home.telemetry
-                    .add(format!("adaptive.action.{}", action.label()), 1);
+                home.telemetry.add(action.counter(), 1);
             }
             match action {
                 AdaptiveAction::Grow => home.adaptive_grow(name, holders, size),

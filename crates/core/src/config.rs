@@ -55,6 +55,14 @@ impl ServiceKind {
     }
 }
 
+/// Memory a home node's control domain (dom0, where VStore++ runs) keeps
+/// for itself; a node's `service_vm` gets at most the rest of its RAM.
+pub(crate) const DOM0_MEM_MIB: u64 = 256;
+
+/// Memory the cloud instance's control domain keeps for itself; the
+/// `instance_vm` gets at most the rest of the instance's RAM.
+pub(crate) const CLOUD_DOM0_MEM_MIB: u64 = 512;
+
 /// Configuration of one home-cloud node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
@@ -490,6 +498,9 @@ impl Config {
     /// Rejections:
     /// - no nodes configured, or more than 10 000 (node `i` gets address
     ///   `i`, and the cloud site's address is 10 000);
+    /// - a node whose `service_vm` does not fit its platform's RAM beside
+    ///   dom0's 256 MiB, or a cloud whose `instance_vm` does not fit
+    ///   `instance_platform`'s RAM beside the instance's own 512 MiB;
     /// - `replica_quorum > replication` (the quorum could never be met, so
     ///   every store would silently behave as quorum = replication);
     /// - `fetch_sources == 0` (fetches would have no source budget at all;
@@ -534,6 +545,31 @@ impl Config {
         if nodes as u64 > cloud {
             return Err(format!(
                 "{nodes} home nodes: node {cloud} would take the cloud site's address {cloud}"
+            ));
+        }
+        let fits = |platform: &PlatformSpec, dom0: u64, vm: VmSpec| {
+            dom0.saturating_add(vm.mem_mib) <= platform.ram_mib
+        };
+        if let Some(n) = self
+            .nodes
+            .iter()
+            .find(|n| !fits(&n.platform, DOM0_MEM_MIB, n.service_vm))
+        {
+            return Err(format!(
+                "node {}: service VM of {} MiB does not fit beside dom0's {DOM0_MEM_MIB} MiB \
+                 in {} MiB of RAM",
+                n.name, n.service_vm.mem_mib, n.platform.ram_mib
+            ));
+        }
+        if let Some(c) = self
+            .cloud
+            .as_ref()
+            .filter(|c| !fits(&c.instance_platform, CLOUD_DOM0_MEM_MIB, c.instance_vm))
+        {
+            return Err(format!(
+                "cloud instance VM of {} MiB does not fit beside the instance's \
+                 {CLOUD_DOM0_MEM_MIB} MiB control domain in {} MiB of RAM",
+                c.instance_vm.mem_mib, c.instance_platform.ram_mib
             ));
         }
         if self.replica_quorum > self.replication {
@@ -727,6 +763,36 @@ mod tests {
         c.nodes.push(spec);
         let err = c.validate().unwrap_err();
         assert!(err.contains("cloud site's address 10000"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_service_vm_that_does_not_fit_beside_dom0() {
+        let mut c = Config::paper_testbed(1);
+        let ram = c.nodes[0].platform.ram_mib;
+        c.nodes[0].service_vm = VmSpec::new(ram - DOM0_MEM_MIB, 1);
+        assert_eq!(c.validate(), Ok(()), "an exact fit is legal");
+        c.nodes[0].service_vm = VmSpec::new(ram - DOM0_MEM_MIB + 1, 1);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("netbook-0") && err.contains("dom0"), "{err}");
+        // A platform smaller than dom0 alone fits no service VM at all.
+        c.nodes[0].platform.ram_mib = DOM0_MEM_MIB - 1;
+        c.nodes[0].service_vm = VmSpec::new(0, 1);
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_cloud_instance_vm_that_does_not_fit_its_platform() {
+        let mut c = Config::paper_testbed(1);
+        let cloud = c.cloud.as_mut().expect("the testbed has a cloud");
+        let ram = cloud.instance_platform.ram_mib;
+        cloud.instance_vm = VmSpec::new(ram - CLOUD_DOM0_MEM_MIB, 5);
+        assert_eq!(c.validate(), Ok(()), "an exact fit is legal");
+        let cloud = c.cloud.as_mut().expect("the testbed has a cloud");
+        cloud.instance_vm = VmSpec::new(ram - CLOUD_DOM0_MEM_MIB + 1, 5);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("cloud instance VM"), "{err}");
+        c.cloud = None;
+        assert_eq!(c.validate(), Ok(()), "no cloud, nothing to fit");
     }
 
     #[test]

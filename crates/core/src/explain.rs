@@ -98,7 +98,7 @@ fn explain_text(report: &OpReport) -> String {
         );
         for seq in &edge.causes {
             if let Some(ev) = report.ledger.iter().find(|e| e.seq == *seq) {
-                let _ = write!(out, "      #{} {}", ev.seq, ev.kind);
+                let _ = write!(out, "      #{} {}", ev.seq, ev.kind.label());
                 if ev.cause != 0 {
                     let _ = write!(out, " <- #{}", ev.cause);
                 }
@@ -113,7 +113,7 @@ fn explain_text(report: &OpReport) -> String {
                 out,
                 "  #{} {} @+{}ns",
                 ev.seq,
-                ev.kind,
+                ev.kind.label(),
                 ev.ts_ns.saturating_sub(report.submitted.as_nanos()),
             );
             if ev.cause != 0 {
@@ -187,7 +187,7 @@ fn explain_json(report: &OpReport) -> String {
             "{{\"seq\":{},\"cause\":{},\"ts_ns\":{},\"kind\":\"",
             ev.seq, ev.cause, ev.ts_ns
         );
-        escape_into(&mut out, ev.kind);
+        escape_into(&mut out, ev.kind.label());
         let _ = write!(out, "\",\"a\":{},\"b\":{}}}", ev.a, ev.b);
     }
     out.push_str("]}\n");
@@ -299,10 +299,11 @@ fn summary_line(report: &OpReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, PathAttribution};
+    use crate::report::{Breakdown, OpError, OpId, OpOutput, PathAttribution};
     use c4h_simnet::SimTime;
+    use c4h_telemetry::{CauseKind, LedgerEvent};
 
-    fn report_with(stages: Vec<(&'static str, u64, u64)>, ledger: Vec<CausalEvent>) -> OpReport {
+    fn report_with(stages: Vec<(&'static str, u64, u64)>, ledger: Vec<LedgerEvent>) -> OpReport {
         OpReport {
             id: OpId(7),
             kind: "fetch",
@@ -326,8 +327,8 @@ mod tests {
         }
     }
 
-    fn cev(seq: u32, cause: u32, ts_ns: u64, kind: &'static str) -> CausalEvent {
-        CausalEvent {
+    fn cev(seq: u32, cause: u32, ts_ns: u64, kind: CauseKind) -> LedgerEvent {
+        LedgerEvent {
             seq,
             cause,
             ts_ns,
@@ -344,7 +345,10 @@ mod tests {
                 ("fetch.meta_get", 1_200, 2_000),
                 ("fetch.flow_home", 2_500, 10_000),
             ],
-            vec![cev(1, 0, 1_000, "admit"), cev(2, 1, 2_400, "backoff.wait")],
+            vec![
+                cev(1, 0, 1_000, CauseKind::Admit),
+                cev(2, 1, 2_400, CauseKind::Backoff),
+            ],
         );
         let edges = r.critical_dag();
         let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
@@ -360,7 +364,7 @@ mod tests {
     fn text_and_json_are_deterministic_and_exact() {
         let r = report_with(
             vec![("fetch.meta_get", 1_200, 2_000)],
-            vec![cev(1, 0, 1_000, "admit")],
+            vec![cev(1, 0, 1_000, CauseKind::Admit)],
         );
         let text = explain_text(&r);
         assert_eq!(text, explain_text(&r));
@@ -386,7 +390,7 @@ mod tests {
 
     #[test]
     fn failed_report_uses_error_label() {
-        let mut r = report_with(Vec::new(), vec![cev(1, 0, 5_000, "shed")]);
+        let mut r = report_with(Vec::new(), vec![cev(1, 0, 5_000, CauseKind::Shed)]);
         r.outcome = Err(OpError::Overloaded("cam/clip.bin".into()));
         assert!(explain_text(&r).contains("outcome=Overloaded"));
         assert!(explain_json(&r).contains("\"outcome\":\"Overloaded\""));

@@ -87,5 +87,5 @@ pub use object::{synth_bytes, Blob, Object, SAMPLE_WINDOW};
 pub use ops::{ExecTarget, Placement};
 pub use overload::BreakerState;
 pub use policy::{adaptive_action, AdaptiveAction, PlacementClass, RoutePolicy, StorePolicy};
-pub use report::{Breakdown, CausalEvent, OpError, OpId, OpOutput, OpReport, PathAttribution};
+pub use report::{Breakdown, OpError, OpId, OpOutput, OpReport, PathAttribution};
 pub use runtime::{ChurnError, Cloud4Home, RunStats};

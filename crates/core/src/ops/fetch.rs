@@ -287,7 +287,7 @@ impl Cloud4Home {
                     .cloud_url
                     .take()
                     .expect("parked when the fetch was routed");
-                let cloud = self.cloud.as_mut().expect("cloud fetch requires a cloud");
+                let cloud = self.cloud.as_ref().expect("cloud fetch requires a cloud");
                 match cloud.s3.get(&url) {
                     Ok(obj) => {
                         f.staged = Some(obj.payload.clone());
@@ -1250,7 +1250,9 @@ impl Cloud4Home {
     }
 
     fn fetch_channel_out(&mut self, op: &mut OpCore) -> StepOutcome {
-        let channel = self.nodes[op.client].channel_transfer(op.meta_bytes());
+        let channel = self.config.nodes[op.client]
+            .channel
+            .transfer_time(op.meta_bytes());
         self.enter_for(op, Stage::FetchChannelOut, channel)
     }
 }

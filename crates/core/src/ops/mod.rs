@@ -55,9 +55,7 @@ use c4h_telemetry::{Arg, ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
 use crate::overload::{shed_reason_code, AdmitDecision};
-use crate::report::{
-    Breakdown, CausalEvent, Column, OpError, OpId, OpOutput, OpReport, PathAttribution,
-};
+use crate::report::{Breakdown, Column, OpError, OpId, OpOutput, OpReport, PathAttribution};
 use crate::runtime::Cloud4Home;
 
 pub use process::{ExecTarget, Placement};
@@ -628,7 +626,9 @@ impl Cloud4Home {
         let Some(op) = self.admit_gate(op) else {
             return id;
         };
-        let channel = self.nodes[op.core.client].channel_transfer(channel_bytes);
+        let channel = self.config.nodes[op.core.client]
+            .channel
+            .transfer_time(channel_bytes);
         self.wake_in(id, self.config.timing.command_proc + channel);
         self.ops.park(op);
         self.ensure_tick();
@@ -889,9 +889,7 @@ impl Cloud4Home {
                 .stage_log
                 .iter()
                 .map(|&(s, t0, t1)| (s.info().name, t0, t1));
-            let events = self.ledger.finish_with(op.id.0, |events| {
-                events.iter().copied().map(CausalEvent::from).collect()
-            });
+            let events = self.ledger.finish_with(op.id.0, <[_]>::to_vec);
             (stages.collect(), events)
         } else {
             self.ledger.discard(op.id.0);

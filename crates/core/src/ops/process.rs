@@ -439,8 +439,8 @@ impl Cloud4Home {
                 .get(sid)
                 .cloned()
                 .expect("combined_demand verified the first stage");
-            let platform = self.nodes[j].machine.platform();
-            let vm = self.nodes[j].service_vm;
+            let spec = &self.config.nodes[j];
+            let (platform, vm) = (&spec.platform, spec.service_vm);
             candidates.push(Candidate {
                 target: ExecTarget::Node(j),
                 movement: self.estimate_transfer(owner_addr, self.nodes[j].addr, size),
@@ -451,7 +451,7 @@ impl Cloud4Home {
             });
         }
         if record.cloud_available {
-            if let Some(cloud) = &self.cloud {
+            if let (Some(cloud), Some(spec)) = (&self.cloud, &self.config.cloud) {
                 if let (Some(_), Some(demand)) = (
                     cloud.registry.get(sid),
                     combined_demand(&cloud.registry, &p.pipeline, size),
@@ -459,7 +459,12 @@ impl Cloud4Home {
                     candidates.push(Candidate {
                         target: ExecTarget::Cloud,
                         movement: self.estimate_transfer(owner_addr, cloud.addr, size),
-                        exec: estimate_exec(&demand, cloud.platform(), cloud.instance_vm, 0.15),
+                        exec: estimate_exec(
+                            &demand,
+                            &spec.instance_platform,
+                            spec.instance_vm,
+                            0.15,
+                        ),
                         cpu_load: 0.15,
                         battery_pct: None,
                         meets_min: true,
@@ -588,7 +593,7 @@ impl Cloud4Home {
                 let Some(url) = S3Url::parse(url.as_str()) else {
                     return Some(Err(OpError::NotFound(op.name.to_string())));
                 };
-                let cloud = self.cloud.as_mut().expect("cloud location requires cloud");
+                let cloud = self.cloud.as_ref().expect("cloud location requires cloud");
                 match cloud.s3.get(&url) {
                     Ok(obj) => {
                         p.staged = Some(obj.payload.clone());
@@ -649,14 +654,9 @@ impl Cloud4Home {
                     .cloned()
                     .expect("placement validated the service");
                 let demand = svc.demand(size);
-                let load =
-                    self.nodes[j].sampler.active_tasks() as f64 + self.config.nodes[j].ambient_load;
-                let d = estimate_exec(
-                    &demand,
-                    self.nodes[j].machine.platform(),
-                    self.nodes[j].service_vm,
-                    load,
-                );
+                let spec = &self.config.nodes[j];
+                let load = self.nodes[j].sampler.active_tasks() as f64 + spec.ambient_load;
+                let d = estimate_exec(&demand, &spec.platform, spec.service_vm, load);
                 self.nodes[j]
                     .sampler
                     .task_started(demand.exec.mem_required_mib);
@@ -664,6 +664,7 @@ impl Cloud4Home {
             }
             ExecTarget::Cloud => {
                 let cloud = self.cloud.as_mut().expect("cloud target");
+                let spec = self.config.cloud.as_ref().expect("cloud target");
                 let svc = cloud
                     .registry
                     .get(sid)
@@ -671,7 +672,7 @@ impl Cloud4Home {
                     .expect("placement validated the service");
                 let demand = svc.demand(size);
                 let load = cloud.active_tasks as f64 * 0.2 + 0.15;
-                let d = estimate_exec(&demand, cloud.platform(), cloud.instance_vm, load);
+                let d = estimate_exec(&demand, &spec.instance_platform, spec.instance_vm, load);
                 cloud.active_tasks += 1;
                 (d, demand)
             }
@@ -734,7 +735,9 @@ impl Cloud4Home {
     }
 
     fn proc_channel_out(&mut self, op: &mut OpCore, p: &mut Process) -> StepOutcome {
-        let channel = self.nodes[op.client].channel_transfer(p.result_bytes);
+        let channel = self.config.nodes[op.client]
+            .channel
+            .transfer_time(p.result_bytes);
         self.enter_for(op, Stage::ProcChannelOut, channel)
     }
 }

@@ -169,7 +169,9 @@ impl Cloud4Home {
                 if st.blocking {
                     // "Blocking operations incur the cost of an additional
                     // acknowledgement."
-                    let ack = self.nodes[op.client].channel_transfer(COMMAND_BYTES)
+                    let ack = self.config.nodes[op.client]
+                        .channel
+                        .transfer_time(COMMAND_BYTES)
                         + self.config.timing.command_proc;
                     self.enter_for(op, Stage::StoreAck, ack)
                 } else {

@@ -106,6 +106,18 @@ impl AdaptiveAction {
             AdaptiveAction::Erasure => "erasure",
         }
     }
+
+    /// The metrics counter a pass that takes this action bumps:
+    /// `adaptive.action.` plus [`Self::label`], spelled out so recording it
+    /// builds no string.
+    pub fn counter(self) -> &'static str {
+        match self {
+            AdaptiveAction::Hold => "adaptive.action.hold",
+            AdaptiveAction::Grow => "adaptive.action.grow",
+            AdaptiveAction::Shrink => "adaptive.action.shrink",
+            AdaptiveAction::Erasure => "adaptive.action.erasure",
+        }
+    }
 }
 
 /// Derives the adaptive action for one fully-replicated object from its
@@ -152,6 +164,18 @@ pub enum RoutePolicy {
 mod tests {
     use super::*;
     use crate::object::Object;
+
+    #[test]
+    fn adaptive_counters_are_prefixed_labels() {
+        for a in [
+            AdaptiveAction::Hold,
+            AdaptiveAction::Grow,
+            AdaptiveAction::Shrink,
+            AdaptiveAction::Erasure,
+        ] {
+            assert_eq!(a.counter(), format!("adaptive.action.{}", a.label()));
+        }
+    }
 
     fn obj(size: u64, content_type: &str, private: bool) -> Object {
         let mut o = Object::synthetic("t", 1, size, content_type);

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use c4h_chimera::DhtError;
 use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::PathBucket;
+use c4h_telemetry::{LedgerEvent, PathBucket};
 
 /// Correlates a submitted operation with its report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -227,38 +227,6 @@ impl PathAttribution {
     }
 }
 
-/// One causal-ledger decision event attached to a completed report: a
-/// serialization-friendly copy of `c4h_telemetry::LedgerEvent` with the
-/// kind resolved to its stable label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CausalEvent {
-    /// Sequence number within the op's ring (1-based; 0 never occurs).
-    pub seq: u32,
-    /// `seq` of the inducing event, or 0 for a root decision.
-    pub cause: u32,
-    /// Virtual-time instant of the decision, nanoseconds.
-    pub ts_ns: u64,
-    /// Stable kind label (`"backoff.wait"`, `"hedge.launch"`, …).
-    pub kind: &'static str,
-    /// Kind-specific detail.
-    pub a: u64,
-    /// Kind-specific detail.
-    pub b: u64,
-}
-
-impl From<c4h_telemetry::LedgerEvent> for CausalEvent {
-    fn from(e: c4h_telemetry::LedgerEvent) -> Self {
-        CausalEvent {
-            seq: e.seq,
-            cause: e.cause,
-            ts_ns: e.ts_ns,
-            kind: e.kind.label(),
-            a: e.a,
-            b: e.b,
-        }
-    }
-}
-
 /// The completed record of one operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpReport {
@@ -297,7 +265,7 @@ pub struct OpReport {
     pub stages: Vec<(&'static str, u64, u64)>,
     /// The op's causal-ledger decision events, in `seq` order. Populated
     /// only while the causal ledger is enabled; empty otherwise.
-    pub ledger: Vec<CausalEvent>,
+    pub ledger: Vec<LedgerEvent>,
     /// Success output or failure.
     pub outcome: Result<OpOutput, OpError>,
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use c4h_chimera::{ChimeraNode, DhtEvent, Envelope, Key, OverwritePolicy, ReqId};
-use c4h_cloud::{Ec2Fleet, S3Store};
+use c4h_cloud::S3Store;
 use c4h_kvstore::{
     node_resource_key, object_key, service_key, ObjectMeta, Record, ResourceRecord, ServiceRecord,
 };
@@ -30,7 +30,7 @@ use c4h_simnet::{
     FxHashMap, NetError, QueueStats, SimTime, Sym, SymMap,
 };
 use c4h_telemetry::{ArgValue, CauseKind, GaugeId, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
-use c4h_vmm::{DiskModel, DomId, GrantTable, Machine, PlatformSpec, VmSpec, XenChannel};
+use c4h_vmm::DiskModel;
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
 use crate::background::{EcRegistry, Jobs};
@@ -82,10 +82,6 @@ pub(crate) struct NodeRt {
     /// Where this node's resource record lives in the key-value store
     /// (derived from `key`; every publish and every placement query uses it).
     pub(crate) resource_key: Key,
-    pub(crate) machine: Machine,
-    pub(crate) service_vm: VmSpec,
-    pub(crate) channel: XenChannel,
-    pub(crate) grants: GrantTable,
     pub(crate) disk: DiskModel,
     /// Private to this module: the runtime mutates it only through
     /// [`Cloud4Home::overlay_mut`], which is what keeps `pump`'s worklist
@@ -110,18 +106,8 @@ pub(crate) struct CloudRt {
     pub(crate) addr: Addr,
     pub(crate) bucket: Sym,
     pub(crate) s3: S3Store<Blob>,
-    pub(crate) fleet: Ec2Fleet,
     pub(crate) registry: ServiceRegistry,
-    pub(crate) instance_vm: VmSpec,
     pub(crate) active_tasks: u32,
-}
-
-impl CloudRt {
-    /// The platform the cloud's compute instance runs on.
-    pub(crate) fn platform(&self) -> &PlatformSpec {
-        let instance = self.fleet.iter().next().expect("fleet has an instance");
-        instance.machine.platform()
-    }
 }
 
 /// Events in the runtime's queue.
@@ -380,23 +366,6 @@ struct Scratch {
 }
 
 impl NodeRt {
-    /// Moves `bytes` across the guest ↔ dom0 shared-memory channel with the
-    /// full descriptor exchange the paper describes: the receiver grants a
-    /// page ring, the sender maps it, data is copied, and the grant is torn
-    /// down. Returns the transfer duration.
-    pub(crate) fn channel_transfer(&mut self, bytes: u64) -> Duration {
-        let pages = self.channel.config().pages;
-        let gref = self
-            .grants
-            .grant(DomId(1), pages, true)
-            .expect("bounded concurrent transfers per node");
-        self.grants.map(gref).expect("fresh grant maps");
-        let cost = self.channel.transfer(bytes);
-        self.grants.unmap(gref).expect("mapped above");
-        self.grants.revoke(gref).expect("unmapped above");
-        cost
-    }
-
     /// The overlay's next outgoing envelope. Polling (like
     /// [`Self::poll_event`] and [`Self::has_output`]) leaves nothing new
     /// behind, so unlike a mutation it needs no worklist mark.
@@ -490,10 +459,6 @@ impl Cloud4Home {
                 "node name collision for {}",
                 spec.name
             );
-            let mut machine = Machine::new(spec.platform.clone(), VmSpec::new(256, 1));
-            machine
-                .spawn_guest(spec.service_vm)
-                .expect("service VM must fit the platform");
             nodes.push(NodeRt {
                 name: spec.name.clone(),
                 name_sym: Sym::new(&spec.name),
@@ -501,10 +466,6 @@ impl Cloud4Home {
                 key,
                 resource_key: node_resource_key(&key.to_string()),
                 disk: DiskModel::for_platform(&spec.platform),
-                machine,
-                service_vm: spec.service_vm,
-                channel: XenChannel::new(spec.channel),
-                grants: GrantTable::new(256),
                 chimera: ChimeraNode::new(key, config.chimera.clone()),
                 sampler: ResourceSampler::new(SamplerConfig {
                     baseline_load: spec.ambient_load,
@@ -529,18 +490,11 @@ impl Cloud4Home {
         let cloud = config.cloud.as_ref().map(|spec| {
             let mut s3 = S3Store::new();
             s3.create_bucket(&spec.bucket).expect("fresh bucket");
-            let mut fleet = Ec2Fleet::new();
-            let id = fleet.launch(spec.instance_platform.clone(), spec.instance_vm);
-            for k in &spec.services {
-                fleet.deploy_service(id, k.id()).expect("instance exists");
-            }
             CloudRt {
                 addr: CLOUD_ADDR,
                 bucket: Sym::new(&spec.bucket),
                 s3,
-                fleet,
                 registry: build_registry(&spec.services),
-                instance_vm: spec.instance_vm,
                 active_tasks: 0,
             }
         });

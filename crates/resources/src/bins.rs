@@ -99,19 +99,9 @@ impl BinWatcher {
         self.used[bin as usize]
     }
 
-    /// Total capacity of a bin.
-    pub fn capacity_bytes(&self, bin: Bin) -> u64 {
-        self.capacity[bin as usize]
-    }
-
     /// Whether `bytes` fits in a bin right now.
     pub fn fits(&self, bytes: u64, bin: Bin) -> bool {
         bytes <= self.free_bytes(bin)
-    }
-
-    /// Number of stored objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
     }
 
     /// The bin and size of a stored object.
@@ -160,7 +150,7 @@ mod tests {
         let mut w = BinWatcher::new(1000, 2000);
         w.store("x", 400, Bin::Mandatory).unwrap();
         w.store("y", 500, Bin::Voluntary).unwrap();
-        assert_eq!(w.object_count(), 2);
+        assert_eq!(w.lookup("y"), Some((Bin::Voluntary, 500)));
         assert_eq!(w.used_bytes(Bin::Mandatory), 400);
         assert_eq!(w.free_bytes(Bin::Voluntary), 1500);
         assert_eq!(w.lookup("x"), Some((Bin::Mandatory, 400)));
@@ -185,7 +175,7 @@ mod tests {
         assert!(err.to_string().contains("bin full"));
         // The failed store must not leak accounting.
         assert_eq!(w.used_bytes(Bin::Mandatory), 900);
-        assert_eq!(w.object_count(), 1);
+        assert_eq!(w.lookup("more"), None);
     }
 
     #[test]
@@ -202,6 +192,5 @@ mod tests {
         assert!(w.fits(100, Bin::Mandatory));
         w.store("exact", 100, Bin::Mandatory).unwrap();
         assert_eq!(w.free_bytes(Bin::Mandatory), 0);
-        assert_eq!(w.capacity_bytes(Bin::Mandatory), 100);
     }
 }

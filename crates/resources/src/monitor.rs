@@ -62,7 +62,6 @@ impl Default for MonitorConfig {
 pub struct ResourceMonitor {
     config: MonitorConfig,
     last_published: Option<SimTime>,
-    published_count: u64,
 }
 
 impl ResourceMonitor {
@@ -71,18 +70,7 @@ impl ResourceMonitor {
         ResourceMonitor {
             config,
             last_published: None,
-            published_count: 0,
         }
-    }
-
-    /// The configured update period.
-    pub fn period(&self) -> Duration {
-        self.config.update_period
-    }
-
-    /// Number of records published so far.
-    pub fn published_count(&self) -> u64 {
-        self.published_count
     }
 
     /// Whether a new record is due at `now`.
@@ -112,7 +100,6 @@ impl ResourceMonitor {
     ) -> ResourceRecord {
         let sample = sampler.sample(now, rng);
         self.last_published = Some(now);
-        self.published_count += 1;
         ResourceRecord {
             node,
             cpu_load: sample.cpu_load,
@@ -156,8 +143,6 @@ mod tests {
         publish_at(&mut m, SimTime::ZERO);
         assert!(!m.due(SimTime::from_secs(1)));
         assert!(m.due(SimTime::from_secs(2)));
-        assert_eq!(m.published_count(), 1);
-        assert_eq!(m.period(), Duration::from_secs(2));
     }
 
     #[test]

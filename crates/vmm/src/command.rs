@@ -9,7 +9,9 @@
 //! This module implements that packet format for real: fixed little-endian
 //! header plus a variable payload, with a strict decoder.
 
-use crate::vm::DomId;
+/// Identifier of a domain (VM) within one machine; dom0 is id 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DomId(pub u32);
 
 /// Command packet header size in bytes:
 /// `u16 len + u8 type + u32 service + u32 dom + u64 shm_ref`.

@@ -5,44 +5,35 @@
 //! channel, and every API call becomes a small command packet. The
 //! calibration notes for this reproduction say to "skip hypervisor
 //! specifics", so this crate models the *costs and constraints* of that
-//! stack rather than its mechanics — but implements the pieces with real
-//! behaviour where the paper describes concrete formats:
+//! stack, not its mechanics — a host or a VM is the capacities its cost
+//! functions read:
 //!
 //! * [`PlatformSpec`] — the testbed machine classes (Atom netbooks, quad
 //!   desktop, EC2 extra-large);
-//! * [`Machine`] / [`DomId`] / [`VmSpec`] — domain layout with memory-grant
-//!   accounting;
-//! * [`XenChannel`] — the shared-page inter-domain transfer cost model,
-//!   calibrated against Table I's inter-domain column;
+//! * [`VmSpec`] — a VM's memory and VCPU grant;
+//! * [`XenChannelConfig`] — the shared-page inter-domain channel and its
+//!   transfer cost, calibrated against Table I's inter-domain column;
 //! * [`CommandPacket`] — the real, byte-exact command wire protocol
 //!   ("packet length, command type, the requesting service ID, VMs domain
 //!   ID, shared memory reference and command data");
 //! * [`exec_time`] — Amdahl multi-core speedup plus a superlinear
 //!   memory-pressure penalty (the effect that makes Figure 7's 128 MB VM
 //!   lose to the remote cloud at 2 MB images);
-//! * [`DiskModel`] — per-access latency plus sequential bandwidth;
-//! * [`GrantTable`] — the receiver-side grant-reference allocator backing
-//!   each transfer's descriptor exchange.
+//! * [`DiskModel`] — per-access latency plus sequential bandwidth.
 //!
 //! # Examples
 //!
 //! ```
-//! use c4h_vmm::{CommandPacket, CommandType, DomId, Machine, PlatformSpec, VmSpec, XenChannel};
-//!
-//! // A netbook node: dom0 plus one application guest.
-//! let mut node = Machine::new(PlatformSpec::atom_netbook(), VmSpec::new(256, 1));
-//! let guest = node.spawn_guest(VmSpec::new(512, 1))?;
+//! use c4h_vmm::{CommandPacket, CommandType, DomId, XenChannelConfig};
 //!
 //! // The guest asks dom0 to fetch an object: a <50-byte command packet,
 //! // then the object crosses the shared-memory channel.
-//! let cmd = CommandPacket::new(CommandType::FetchObject, 1, guest, 0x10, b"img.jpg".to_vec());
+//! let cmd = CommandPacket::new(CommandType::FetchObject, 1, DomId(1), 0x10, b"img.jpg".to_vec());
 //! let wire = cmd.encode();
 //! assert_eq!(CommandPacket::decode(&wire).unwrap(), cmd);
 //!
-//! let channel = XenChannel::prototype();
-//! let copy_cost = channel.transfer_time(1024 * 1024);
+//! let copy_cost = XenChannelConfig::prototype().transfer_time(1024 * 1024);
 //! assert!(copy_cost.as_millis() > 0);
-//! # Ok::<(), c4h_vmm::VmError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -52,17 +43,15 @@ mod channel;
 mod command;
 mod cpu;
 mod disk;
-mod grants;
 mod platform;
 mod vm;
 
-pub use channel::{XenChannel, XenChannelConfig};
-pub use command::{CommandPacket, CommandType, DecodeError, HEADER_LEN, MAX_PACKET_LEN};
+pub use channel::XenChannelConfig;
+pub use command::{CommandPacket, CommandType, DecodeError, DomId, HEADER_LEN, MAX_PACKET_LEN};
 pub use cpu::{
     amdahl_speedup, exec_time, memory_pressure, ExecProfile, WorkUnits, THRASH_EXPONENT,
     VIRT_OVERHEAD,
 };
 pub use disk::DiskModel;
-pub use grants::{Grant, GrantError, GrantRef, GrantTable};
 pub use platform::PlatformSpec;
-pub use vm::{DomId, Domain, DomainRole, Machine, VmError, VmSpec};
+pub use vm::VmSpec;

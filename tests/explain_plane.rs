@@ -76,7 +76,7 @@ fn assert_chain_closed(report: &OpReport) {
             "{}: event #{} ({}) points at evicted cause #{}",
             report.id,
             e.seq,
-            e.kind,
+            e.kind.label(),
             e.cause
         );
     }
@@ -121,7 +121,7 @@ fn exact_sum_survives_crash_mid_fetch_and_open_breaker() {
     let severed = reports
         .iter()
         .flat_map(|r| &r.ledger)
-        .filter(|e| e.kind == "transfer.failed")
+        .filter(|e| e.kind.label() == "transfer.failed")
         .count();
     assert!(
         severed >= 2,
@@ -143,7 +143,10 @@ fn exact_sum_survives_crash_mid_fetch_and_open_breaker() {
     assert!(report.outcome.is_err(), "open breaker must fast-fail");
     assert_exact_sum(&report);
     assert!(
-        report.ledger.iter().any(|e| e.kind == "breaker.skip"),
+        report
+            .ledger
+            .iter()
+            .any(|e| e.kind.label() == "breaker.skip"),
         "the fast-failed op must carry its breaker.skip decision: {:?}",
         report.ledger
     );
@@ -180,7 +183,7 @@ fn exact_sum_survives_hedge_race() {
     let launch = report
         .ledger
         .iter()
-        .find(|e| e.kind == "hedge.launch")
+        .find(|e| e.kind.label() == "hedge.launch")
         .unwrap_or_else(|| {
             panic!(
                 "the raced stripe must record its launch: {:?}",
@@ -190,7 +193,7 @@ fn exact_sum_survives_hedge_race() {
     let cancel = report
         .ledger
         .iter()
-        .find(|e| e.kind == "hedge.cancel")
+        .find(|e| e.kind.label() == "hedge.cancel")
         .unwrap_or_else(|| {
             panic!(
                 "the losing copy must record its cancel: {:?}",
@@ -256,12 +259,12 @@ fn coded_read_backoff_is_chained_in_the_ledger_and_the_dag_still_sums() {
     let severed = report
         .ledger
         .iter()
-        .find(|e| e.kind == "transfer.failed")
+        .find(|e| e.kind.label() == "transfer.failed")
         .unwrap_or_else(|| panic!("the severed stripe is recorded: {:?}", report.ledger));
     let waits: Vec<_> = report
         .ledger
         .iter()
-        .filter(|e| e.kind == "backoff.wait")
+        .filter(|e| e.kind.label() == "backoff.wait")
         .collect();
     assert!(
         waits.len() >= 2,
@@ -444,7 +447,7 @@ fn tiny_ring_eviction_preserves_live_chains() {
         "hedge.cancel",
     ] {
         assert!(
-            report.ledger.iter().any(|e| e.kind == kind),
+            report.ledger.iter().any(|e| e.kind.label() == kind),
             "the chained {kind} decision must survive eviction: {:?}",
             report.ledger
         );

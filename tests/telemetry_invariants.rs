@@ -600,7 +600,10 @@ fn a_severed_transfers_time_stays_in_the_breakdown() {
     report.expect_ok();
     assert!(report.failovers >= 1, "the crash must redirect the fetch");
     assert!(
-        report.ledger.iter().any(|e| e.kind == "transfer.failed"),
+        report
+            .ledger
+            .iter()
+            .any(|e| e.kind.label() == "transfer.failed"),
         "the crash must land mid-transfer: {:?}",
         report.stages
     );
