@@ -547,13 +547,10 @@ impl Config {
                 "{nodes} home nodes: node {cloud} would take the cloud site's address {cloud}"
             ));
         }
-        let fits = |platform: &PlatformSpec, dom0: u64, vm: VmSpec| {
-            dom0.saturating_add(vm.mem_mib) <= platform.ram_mib
-        };
         if let Some(n) = self
             .nodes
             .iter()
-            .find(|n| !fits(&n.platform, DOM0_MEM_MIB, n.service_vm))
+            .find(|n| !n.service_vm.fits_beside_dom0(&n.platform, DOM0_MEM_MIB))
         {
             return Err(format!(
                 "node {}: service VM of {} MiB does not fit beside dom0's {DOM0_MEM_MIB} MiB \
@@ -561,11 +558,10 @@ impl Config {
                 n.name, n.service_vm.mem_mib, n.platform.ram_mib
             ));
         }
-        if let Some(c) = self
-            .cloud
-            .as_ref()
-            .filter(|c| !fits(&c.instance_platform, CLOUD_DOM0_MEM_MIB, c.instance_vm))
-        {
+        if let Some(c) = self.cloud.as_ref().filter(|c| {
+            !c.instance_vm
+                .fits_beside_dom0(&c.instance_platform, CLOUD_DOM0_MEM_MIB)
+        }) {
             return Err(format!(
                 "cloud instance VM of {} MiB does not fit beside the instance's \
                  {CLOUD_DOM0_MEM_MIB} MiB control domain in {} MiB of RAM",

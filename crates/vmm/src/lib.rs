@@ -10,7 +10,8 @@
 //!
 //! * [`PlatformSpec`] — the testbed machine classes (Atom netbooks, quad
 //!   desktop, EC2 extra-large);
-//! * [`VmSpec`] — a VM's memory and VCPU grant;
+//! * [`VmSpec`] — a VM's memory and VCPU grant, and whether it fits
+//!   beside the control domain;
 //! * [`XenChannelConfig`] — the shared-page inter-domain channel and its
 //!   transfer cost, calibrated against Table I's inter-domain column;
 //! * [`CommandPacket`] — the real, byte-exact command wire protocol
