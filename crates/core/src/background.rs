@@ -16,6 +16,7 @@ use c4h_telemetry::{ArgValue, CauseKind, SpanId};
 
 use crate::ec::ErasureCode;
 use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
+use crate::overload::RetrySite;
 use crate::policy::{adaptive_action, AdaptiveAction};
 use crate::replicas::{holder_keys, Repair, Review, WorkSet};
 use crate::runtime::{Cloud4Home, FANOUT_TRACK_BASE, REPAIR_TRACK_BASE, RUNTIME_TRACK};
@@ -622,7 +623,7 @@ impl Cloud4Home {
         // Repairs ride the source node's retry budget: a home cloud deep in
         // failure churn must not amplify itself with unbounded repair
         // traffic.
-        if !self.retry_budget_take(src, "repair", name) {
+        if !self.retry_budget_take(src, RetrySite::Repair, name) {
             return false;
         }
         let Some((id, pending)) = self.start_job(size, [(src, dst, 0)]) else {
@@ -1083,7 +1084,7 @@ impl Cloud4Home {
         };
         // Rebuilds ride the destination's retry budget (it sinks k
         // concurrent transfers), bounding repair amplification in churn.
-        if !self.retry_budget_take(dst, "repair", name) {
+        if !self.retry_budget_take(dst, RetrySite::Repair, name) {
             return;
         }
         let legs = srcs.iter().map(|&(r, s)| (s, dst, r));

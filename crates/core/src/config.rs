@@ -128,12 +128,6 @@ impl NodeSpec {
         self.services = services.to_vec();
         self
     }
-
-    /// Builder-style: set the service VM grant.
-    pub fn with_service_vm(mut self, vm: VmSpec) -> Self {
-        self.service_vm = vm;
-        self
-    }
 }
 
 /// Remote public-cloud configuration.
@@ -725,11 +719,8 @@ mod tests {
 
     #[test]
     fn node_builders_compose() {
-        let n = NodeSpec::netbook("n")
-            .with_services(&[ServiceKind::Transcode])
-            .with_service_vm(VmSpec::new(128, 4));
+        let n = NodeSpec::netbook("n").with_services(&[ServiceKind::Transcode]);
         assert_eq!(n.services, vec![ServiceKind::Transcode]);
-        assert_eq!(n.service_vm, VmSpec::new(128, 4));
         assert_eq!(NodeId(3).to_string(), "node3");
     }
 

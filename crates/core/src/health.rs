@@ -14,7 +14,7 @@
 //! tracing disabled none of this code runs beyond one relaxed atomic load
 //! per call site.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use c4h_simnet::{FlowNet, SegmentLoad, SimTime, Sym};
 use c4h_telemetry::{FlightRecorder, GaugeId, PathBucket, Recorder, SlidingHistogram};
@@ -124,16 +124,15 @@ pub(crate) struct FixedGauges {
 /// Every gauge is registered with the recorder once, the first time its
 /// subject is sampled — its name formatted then and never again — and
 /// found from then on by position: a fixed slot, the node's own field, the
-/// index of a segment, the rank of an admit-token kind. A
+/// index of a segment, the op kind of an admit-token row. A
 /// steady sample looks up no name, hashes nothing and sorts nothing, and
 /// its row and segment-load buffers are reused.
 #[derive(Debug, Default)]
 pub(crate) struct GaugeColumns {
     fixed: Option<FixedGauges>,
     segments: Vec<[GaugeId; 2]>,
-    /// Admit-token kinds in name order, the order the overload plane
-    /// reports them in.
-    admit: Vec<(&'static str, GaugeId)>,
+    /// Admit-token gauges by op kind.
+    admit: [Option<GaugeId>; OpKind::COUNT],
     loads: Vec<SegmentLoad>,
     row: Vec<(GaugeId, i64)>,
 }
@@ -170,20 +169,17 @@ impl GaugeColumns {
         }
     }
 
-    /// Adds the admission tokens of each kind, given in name order. The
-    /// set of kinds only grows, so a kind seen before sits at its rank, and
-    /// one comparison per kind tells a new one.
+    /// Adds the admission tokens of each kind given.
     pub(crate) fn put_admit_tokens(
         &mut self,
         rec: &Recorder,
-        rows: impl Iterator<Item = (&'static str, u64)>,
+        rows: impl Iterator<Item = (OpKind, u64)>,
     ) {
-        for (rank, (kind, tokens)) in rows.enumerate() {
-            if self.admit.get(rank).map(|&(seen, _)| seen) != Some(kind) {
-                let id = rec.register_gauge(&format!("overload.admit_tokens.{kind}"));
-                self.admit.insert(rank, (kind, id));
-            }
-            self.row.push((self.admit[rank].1, tokens as i64));
+        for (kind, tokens) in rows {
+            let id = *self.admit[kind as usize].get_or_insert_with(|| {
+                rec.register_gauge(&format!("overload.admit_tokens.{}", kind.name()))
+            });
+            self.row.push((id, tokens as i64));
         }
     }
 
@@ -200,8 +196,8 @@ impl GaugeColumns {
 pub(crate) struct HealthPlane {
     window_ns: u64,
     slice_ns: u64,
-    /// Latency objectives by op-kind name, nanoseconds.
-    slo_ns: BTreeMap<String, u64>,
+    /// Latency objectives by op kind, nanoseconds.
+    slo_ns: [Option<u64>; OpKind::COUNT],
     /// Per-op-kind sliding latency windows, populated on first completion.
     windows: [Option<SlidingHistogram>; OpKind::COUNT],
     /// Post-mortem context ring + dumps.
@@ -218,14 +214,17 @@ pub(crate) struct HealthPlane {
 impl HealthPlane {
     pub(crate) fn new(config: &Config) -> Self {
         let window_ns = config.health_window_ms.saturating_mul(1_000_000).max(1);
+        let mut slo_ns = [None; OpKind::COUNT];
+        for kind in OpKind::all() {
+            slo_ns[kind as usize] = config
+                .slo_ms
+                .get(kind.name())
+                .map(|ms| ms.saturating_mul(1_000_000));
+        }
         HealthPlane {
             window_ns,
             slice_ns: (window_ns / WINDOW_SLICES).max(1),
-            slo_ns: config
-                .slo_ms
-                .iter()
-                .map(|(k, ms)| (k.clone(), ms.saturating_mul(1_000_000)))
-                .collect(),
+            slo_ns,
             windows: Default::default(),
             flight: FlightRecorder::new(config.fault_ring, config.gauge_ring, config.dump_cap),
             columns: GaugeColumns::default(),
@@ -246,7 +245,7 @@ impl HealthPlane {
         let window = self.windows[kind as usize]
             .get_or_insert_with(|| SlidingHistogram::new(self.window_ns, self.slice_ns));
         window.observe(now.as_nanos(), total_ns);
-        let slo_ns = *self.slo_ns.get(kind.name())?;
+        let slo_ns = self.slo_ns[kind as usize]?;
         let p99_ns = window.merged(now.as_nanos()).value_at_quantile(99, 100);
         if p99_ns > slo_ns {
             self.violations += 1;
@@ -291,8 +290,8 @@ impl Cloud4Home {
             };
             let (name, m) = (kind.name(), window.merged(now));
             let p99_ns = m.value_at_quantile(99, 100);
-            let slo = match health.slo_ns.get(name) {
-                Some(&slo_ns) => {
+            let slo = match health.slo_ns[kind as usize] {
+                Some(slo_ns) => {
                     let status = if p99_ns > slo_ns { "BREACH" } else { "ok" };
                     format!("slo {} ms [{status}]", slo_ns / 1_000_000)
                 }
@@ -372,6 +371,8 @@ pub(crate) fn attribute(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn plane(slo_fetch_ms: u64) -> HealthPlane {
@@ -426,20 +427,20 @@ mod tests {
         let [cpu, ..] = node_gauges(&rec, "netbook-3");
         assert_eq!(&*rec.gauge_name(cpu), "node.netbook-3.cpu_milli");
         cols.put(fixed.overload, [5, 0, 7]);
-        cols.put_admit_tokens(&rec, [("fetch", 3), ("store", 4)].into_iter());
+        cols.put_admit_tokens(&rec, [(OpKind::Fetch, 3), (OpKind::Store, 4)].into_iter());
         assert_eq!(name(cols.row(), 2), "overload.tenants_inflight");
         assert_eq!(name(cols.row(), 3), "overload.admit_tokens.fetch");
         let registered = rec.gauges_registered();
 
         // A second sample registers nothing new unless a kind appears, and
-        // a kind that sorts first shifts the others' ranks, not their ids.
+        // a kind that sorts first shifts the others' places, not their ids.
         let first = cols.row().to_vec();
         assert_eq!(cols.start(&rec).runtime, fixed.runtime);
         assert!(cols.row().is_empty(), "a row starts empty");
         cols.put(fixed.overload, [1, 1, 1]);
         cols.put_admit_tokens(
             &rec,
-            [("delete", 1), ("fetch", 2), ("store", 0)].into_iter(),
+            [(OpKind::Delete, 1), (OpKind::Fetch, 2), (OpKind::Store, 0)].into_iter(),
         );
         assert_eq!(rec.gauges_registered(), registered + 1);
         let ids: Vec<GaugeId> = cols.row().iter().map(|&(id, _)| id).collect();

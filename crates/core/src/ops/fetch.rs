@@ -41,7 +41,7 @@ use c4h_kvstore::{object_key, EcLayout, Location, ObjectMeta, Record};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
-use super::{Family, OpCore, OpInput, OpKind, Stage, StepOutcome, COMMAND_BYTES};
+use super::{Family, OpCore, OpInput, OpKind, RetrySite, Stage, StepOutcome, COMMAND_BYTES};
 use crate::config::NodeId;
 use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
 use crate::report::{OpError, OpId};
@@ -425,9 +425,8 @@ impl Cloud4Home {
         if remaining.is_zero() {
             return Some(Err(exhausted(op.name.to_string())));
         }
-        if !self.retry_budget_take(op.client, "fetch", op.name) {
-            let cause = std::mem::take(&mut op.ledger_cause);
-            self.ledger_op(op.id, CauseKind::RetryDenied, cause, 2, 0);
+        if !self.retry_budget_take(op.client, RetrySite::Fetch, op.name) {
+            self.note_retry_denied(op, RetrySite::Fetch);
             return Some(Err(exhausted(op.name.to_string())));
         }
         let wait = f
@@ -555,7 +554,7 @@ impl Cloud4Home {
             return Err(OpError::Dht("unexpected completion".into()));
         };
         result.map_err(OpError::from)?;
-        let meta = match value.as_ref().map(|v| Record::decode(v.latest())) {
+        let meta = match value.as_ref().map(|v| self.decode_record(v.latest())) {
             Some(Ok(Record::Object(meta))) => meta,
             _ => return Err(OpError::NotFound(op.name.to_string())),
         };

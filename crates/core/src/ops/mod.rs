@@ -54,7 +54,7 @@ use c4h_telemetry::{Arg, ArgValue, CauseKind, PathBucket, LEDGER_NONE};
 
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
-use crate::overload::{shed_reason_code, AdmitDecision};
+use crate::overload::{AdmitDecision, RetrySite};
 use crate::report::{Breakdown, Column, OpError, OpId, OpOutput, OpReport, PathAttribution};
 use crate::runtime::Cloud4Home;
 
@@ -444,14 +444,12 @@ struct ResourceQuery {
 }
 
 impl ResourceQuery {
-    /// Folds one lookup completion in.
-    fn absorb(&mut self, input: OpInput) {
+    /// Folds one lookup completion in, decoding through `home`.
+    fn absorb(&mut self, input: OpInput, home: &Cloud4Home) {
         if let OpInput::Dht(DhtEvent::GetCompleted { value, .. }) = input {
             self.pending = self.pending.saturating_sub(1);
-            if let Some(rec) = value
-                .as_ref()
-                .and_then(|v| Cloud4Home::decode_resource(v.latest()))
-            {
+            let record = value.as_ref().map(|v| home.decode_record(v.latest()));
+            if let Some(Ok(Record::Resource(rec))) = record {
                 self.records.push(rec);
             }
         }
@@ -644,7 +642,7 @@ impl Cloud4Home {
         let core = &mut op.core;
         match self
             .overload
-            .admit(core.kind.name(), core.client, self.now().as_nanos())
+            .admit(core.kind, core.client, self.now().as_nanos())
         {
             AdmitDecision::Admitted => {
                 self.ledger_op(core.id, CauseKind::Admit, LEDGER_NONE, 0, 0);
@@ -652,13 +650,7 @@ impl Cloud4Home {
             }
             AdmitDecision::Shed(reason) => {
                 core.shed = true;
-                self.ledger_op(
-                    core.id,
-                    CauseKind::Shed,
-                    LEDGER_NONE,
-                    shed_reason_code(reason),
-                    0,
-                );
+                self.ledger_op(core.id, CauseKind::Shed, LEDGER_NONE, reason as u64, 0);
                 self.stats.ops_shed += 1;
                 self.telemetry.add(core.kind.info().shed, 1);
                 let tenant = self.nodes[core.client].name_sym.as_str();
@@ -669,7 +661,7 @@ impl Cloud4Home {
                     self.now().as_nanos(),
                     [
                         ("kind", ArgValue::from(core.kind.name())),
-                        ("reason", ArgValue::from(reason)),
+                        ("reason", ArgValue::from(reason.label())),
                         ("object", ArgValue::from(core.name.as_str())),
                         ("tenant", ArgValue::from(tenant)),
                     ],
@@ -1003,6 +995,13 @@ impl Cloud4Home {
         }
     }
 
+    /// Stamps a retry the node's budget denied on the op's ledger, chained
+    /// to what caused it.
+    fn note_retry_denied(&mut self, op: &mut OpCore, site: RetrySite) {
+        let cause = std::mem::take(&mut op.ledger_cause);
+        self.ledger_op(op.id, CauseKind::RetryDenied, cause, site as u64, 0);
+    }
+
     /// Starts a round of resource-record lookups from the op's client.
     fn query_resources(&mut self, op: &OpCore, query: &mut ResourceQuery, keys: Vec<Key>) {
         query.records.clear();
@@ -1021,7 +1020,7 @@ impl Cloud4Home {
         if dht_timed_out(&input) {
             let op = &mut *core;
             if op.retries < MAX_DHT_RETRIES {
-                let budgeted = self.retry_budget_take(op.client, "dht", op.name);
+                let budgeted = self.retry_budget_take(op.client, RetrySite::Dht, op.name);
                 if budgeted && self.retry_dht(op) {
                     self.note_dht_retry(op);
                     // Retries chain retry-to-retry: the first is a root,
@@ -1032,8 +1031,7 @@ impl Cloud4Home {
                     return None;
                 }
                 if !budgeted {
-                    let cause = std::mem::take(&mut op.ledger_cause);
-                    self.ledger_op(op.id, CauseKind::RetryDenied, cause, 1, 0);
+                    self.note_retry_denied(op, RetrySite::Dht);
                 }
                 if !budgeted && !op.stage.absorbs_lost_reply() {
                     return Some(Err(OpError::Timeout(op.name.to_string())));
@@ -1076,12 +1074,8 @@ impl Cloud4Home {
             }
             Stage::StoreMetaPut => {
                 let meta = op.meta.clone().expect("set before the put");
-                self.dht_put_for_op(
-                    op.id,
-                    op.client,
-                    object_key(op.name.as_str()),
-                    Record::Object(meta).encode(),
-                );
+                let bytes = self.encode_record(&Record::Object(meta));
+                self.dht_put_for_op(op.id, op.client, object_key(op.name.as_str()), bytes);
                 true
             }
             Stage::StoreDirPut | Stage::DelDirPut => {
@@ -1121,7 +1115,7 @@ impl Cloud4Home {
                 }
                 let meta = value
                     .as_ref()
-                    .and_then(|v| Record::decode(v.latest()).ok())
+                    .and_then(|v| self.decode_record(v.latest()).ok())
                     .and_then(|r| r.as_object().cloned());
                 let Some(meta) = meta else {
                     return Some(Err(OpError::NotFound(op.name.to_string())));

@@ -21,7 +21,7 @@ use c4h_simnet::{Addr, Sym};
 use c4h_telemetry::ArgValue;
 
 use super::{
-    Family, OpCore, OpInput, OpKind, ResourceQuery, Stage, StepOutcome, COMMAND_BYTES,
+    Family, OpCore, OpInput, OpKind, ResourceQuery, RetrySite, Stage, StepOutcome, COMMAND_BYTES,
     MAX_DHT_RETRIES,
 };
 use crate::config::{NodeId, ServiceKind};
@@ -240,9 +240,10 @@ impl Cloud4Home {
                     Ok(()) => {
                         // Replies are told apart by record type, not
                         // arrival order.
-                        match value.as_ref().and_then(|v| Record::decode(v.latest()).ok()) {
-                            Some(Record::Object(m)) => op.meta = Some(m),
-                            Some(Record::Service(s)) => p.svc_record = Some(s),
+                        let record = value.as_ref().map(|v| self.decode_record(v.latest()));
+                        match record {
+                            Some(Ok(Record::Object(m))) => op.meta = Some(m),
+                            Some(Ok(Record::Service(s))) => p.svc_record = Some(s),
                             _ => {}
                         }
                     }
@@ -255,7 +256,7 @@ impl Cloud4Home {
                 if p.batch_timed_out
                     && (op.meta.is_none() || p.svc_record.is_none())
                     && op.retries < MAX_DHT_RETRIES
-                    && self.retry_budget_take(op.client, "dht", op.name)
+                    && self.retry_budget_take(op.client, RetrySite::Dht, op.name)
                 {
                     self.note_dht_retry(op);
                     p.batch_timed_out = false;
@@ -291,7 +292,7 @@ impl Cloud4Home {
                 self.proc_resolve_placement(op, p)
             }
             Stage::ProcQueryResources => {
-                p.query.absorb(input);
+                p.query.absorb(input, self);
                 if p.query.pending > 0 {
                     return None;
                 }
@@ -706,13 +707,13 @@ impl Cloud4Home {
                     .sampler
                     .task_finished(demand.exec.mem_required_mib);
                 let svc = self.nodes[j].registry.get(sid).cloned().expect("deployed");
-                svc.run_traced(&sample)
+                self.run_service(&*svc, &sample)
             }
             ExecTarget::Cloud => {
                 let cloud = self.cloud.as_mut().expect("cloud target");
                 cloud.active_tasks = cloud.active_tasks.saturating_sub(1);
                 let svc = cloud.registry.get(sid).cloned().expect("deployed");
-                svc.run_traced(&sample)
+                self.run_service(&*svc, &sample)
             }
         };
         p.result_bytes = demand.output_bytes.max(output.data.len() as u64);

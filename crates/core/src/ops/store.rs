@@ -113,7 +113,7 @@ impl Cloud4Home {
                 self.store_decide_placement(op, st)
             }
             Stage::StoreQueryPeers => {
-                st.query.absorb(input);
+                st.query.absorb(input, self);
                 if st.query.pending > 0 {
                     return None;
                 }
@@ -593,7 +593,7 @@ impl Cloud4Home {
             self.replicas.remove(meta.name);
         }
         let record = Record::Object(meta);
-        let bytes = record.encode();
+        let bytes = self.encode_record(&record);
         let Record::Object(meta) = record else {
             unreachable!("an object record");
         };

@@ -33,6 +33,7 @@ use c4h_simnet::{Addr, DetRng, Sym};
 use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
 
 use crate::config::Config;
+use crate::ops::OpKind;
 use crate::report::OpId;
 use crate::runtime::{Cloud4Home, CLOUD_ADDR, RUNTIME_TRACK};
 
@@ -262,19 +263,38 @@ impl CircuitBreaker {
 pub(crate) enum AdmitDecision {
     /// The op proceeds; its tenant's inflight count was incremented.
     Admitted,
-    /// The op is rejected with the named reason (`"tenant_cap"`, `"slo"`,
-    /// or `"rate"`).
-    Shed(&'static str),
+    /// The op is rejected.
+    Shed(ShedReason),
 }
 
-/// The stable numeric code of a shed reason, for compact causal-ledger
-/// events (`0` = unknown).
-pub(crate) fn shed_reason_code(reason: &str) -> u64 {
-    match reason {
-        "tenant_cap" => 1,
-        "slo" => 2,
-        "rate" => 3,
-        _ => 0,
+/// Why admission shed an op; the discriminant is its causal-ledger code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShedReason {
+    TenantCap = 1,
+    Slo = 2,
+    Rate = 3,
+}
+
+impl ShedReason {
+    /// The trace label, in discriminant order.
+    pub(crate) fn label(self) -> &'static str {
+        ["tenant_cap", "slo", "rate"][self as usize - 1]
+    }
+}
+
+/// Where a retry token is spent; the discriminant is the `RetryDenied`
+/// causal-ledger code.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RetrySite {
+    Dht = 1,
+    Fetch = 2,
+    Repair = 3,
+}
+
+impl RetrySite {
+    /// The trace `site` label, in discriminant order.
+    fn label(self) -> &'static str {
+        ["dht", "fetch", "repair"][self as usize - 1]
     }
 }
 
@@ -286,7 +306,8 @@ pub(crate) struct OverloadPlane {
     rng: DetRng,
     admit_rate: u32,
     admit_burst: u32,
-    admit: BTreeMap<&'static str, TokenBucket>,
+    /// Per-kind admission buckets, made on a kind's first rate check.
+    admit: [Option<TokenBucket>; OpKind::COUNT],
     shed: ShedController,
     tenant_cap: u64,
     tenant_inflight: BTreeMap<usize, u64>,
@@ -308,7 +329,7 @@ impl OverloadPlane {
             rng: DetRng::seed(config.seed ^ RNG_SALT),
             admit_rate: o.admit_rate,
             admit_burst: o.admit_burst,
-            admit: BTreeMap::new(),
+            admit: Default::default(),
             shed: ShedController::new(
                 o.shed_step_permille,
                 o.shed_decay_permille,
@@ -328,18 +349,13 @@ impl OverloadPlane {
     /// checked first (no token spent on a capped tenant), then the shed
     /// controller (an SLO-driven drop must not burn an admission token),
     /// then the rate bucket.
-    pub(crate) fn admit(
-        &mut self,
-        kind: &'static str,
-        tenant: usize,
-        now_ns: u64,
-    ) -> AdmitDecision {
+    pub(crate) fn admit(&mut self, kind: OpKind, tenant: usize, now_ns: u64) -> AdmitDecision {
         if !self.enabled {
             return AdmitDecision::Admitted;
         }
         let inflight = self.tenant_inflight.get(&tenant).copied().unwrap_or(0);
         if self.tenant_cap > 0 && inflight >= self.tenant_cap {
-            return AdmitDecision::Shed("tenant_cap");
+            return AdmitDecision::Shed(ShedReason::TenantCap);
         }
         let permille = self.shed.permille();
         if permille > 0 {
@@ -353,16 +369,14 @@ impl OverloadPlane {
                 permille
             };
             if self.rng.uniform_u64(0, 1000) < u64::from(effective) {
-                return AdmitDecision::Shed("slo");
+                return AdmitDecision::Shed(ShedReason::Slo);
             }
         }
         if self.admit_rate > 0 {
-            let bucket = self
-                .admit
-                .entry(kind)
-                .or_insert_with(|| TokenBucket::new(self.admit_burst, self.admit_rate));
+            let bucket = self.admit[kind as usize]
+                .get_or_insert_with(|| TokenBucket::new(self.admit_burst, self.admit_rate));
             if !bucket.try_take(now_ns) {
-                return AdmitDecision::Shed("rate");
+                return AdmitDecision::Shed(ShedReason::Rate);
             }
         }
         *self.tenant_inflight.entry(tenant).or_insert(0) += 1;
@@ -371,10 +385,9 @@ impl OverloadPlane {
     }
 
     /// Whole admission tokens currently available, one row per op kind
-    /// that has been rate-checked at least once. Sorted by kind (the map
-    /// is a `BTreeMap`), so introspection output is deterministic.
-    pub(crate) fn admit_token_rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.admit.iter().map(|(k, b)| (*k, b.tokens()))
+    /// that has been rate-checked at least once, in kind (name) order.
+    pub(crate) fn admit_token_rows(&self) -> impl Iterator<Item = (OpKind, u64)> + '_ {
+        OpKind::all().filter_map(|k| Some((k, self.admit[k as usize].as_ref()?.tokens())))
     }
 
     /// Marks an admitted op complete, releasing its tenant slot.
@@ -415,10 +428,9 @@ impl OverloadPlane {
         if !self.enabled {
             return false;
         }
-        match self.breakers.get_mut(&addr) {
-            Some(b) => !b.allow(now_ns),
-            None => false,
-        }
+        self.breakers
+            .get_mut(&addr)
+            .is_some_and(|b| !b.allow(now_ns))
     }
 
     /// Read-only breaker check for ranking/filtering contexts.
@@ -437,10 +449,7 @@ impl OverloadPlane {
         if !self.enabled {
             return false;
         }
-        match self.breakers.get_mut(&addr) {
-            Some(b) => b.on_success(),
-            None => false,
-        }
+        self.breakers.get_mut(&addr).is_some_and(|b| b.on_success())
     }
 
     /// Records a failed transfer on `addr`'s path; returns `true` when this
@@ -633,12 +642,7 @@ impl Cloud4Home {
 
     /// Takes one retry token from `node`'s budget, tracing the denial when
     /// the bucket is dry. Always grants while the plane is disabled.
-    pub(crate) fn retry_budget_take(
-        &mut self,
-        node: usize,
-        site: &'static str,
-        object: Sym,
-    ) -> bool {
+    pub(crate) fn retry_budget_take(&mut self, node: usize, site: RetrySite, object: Sym) -> bool {
         let now_ns = self.now().as_nanos();
         if self.overload.retry_allowed(node, now_ns) {
             return true;
@@ -651,7 +655,7 @@ impl Cloud4Home {
             RUNTIME_TRACK,
             now_ns,
             [
-                ("site", ArgValue::from(site)),
+                ("site", ArgValue::from(site.label())),
                 ("node", ArgValue::from(self.nodes[node].name_sym.as_str())),
                 ("object", ArgValue::from(object.as_str())),
             ],
@@ -740,7 +744,7 @@ mod tests {
         let mut c = Config::paper_testbed(9);
         c.overload.enabled = false;
         let mut p = OverloadPlane::new(&c);
-        assert_eq!(p.admit("store", 0, 0), AdmitDecision::Admitted);
+        assert_eq!(p.admit(OpKind::Store, 0, 0), AdmitDecision::Admitted);
         assert!(p.retry_allowed(0, 0));
         assert!(!p.breaker_blocks(42, 0));
         assert!(!p.record_failure(42, 0));
@@ -753,16 +757,19 @@ mod tests {
         let mut c = enabled_config();
         c.overload.tenant_max_inflight = 2;
         let mut p = OverloadPlane::new(&c);
-        assert_eq!(p.admit("store", 0, 0), AdmitDecision::Admitted);
-        assert_eq!(p.admit("store", 0, 0), AdmitDecision::Admitted);
-        assert_eq!(p.admit("store", 0, 0), AdmitDecision::Shed("tenant_cap"));
+        assert_eq!(p.admit(OpKind::Store, 0, 0), AdmitDecision::Admitted);
+        assert_eq!(p.admit(OpKind::Store, 0, 0), AdmitDecision::Admitted);
         assert_eq!(
-            p.admit("store", 1, 0),
+            p.admit(OpKind::Store, 0, 0),
+            AdmitDecision::Shed(ShedReason::TenantCap)
+        );
+        assert_eq!(
+            p.admit(OpKind::Store, 1, 0),
             AdmitDecision::Admitted,
             "other tenants unaffected"
         );
         p.tenant_done(0);
-        assert_eq!(p.admit("store", 0, 0), AdmitDecision::Admitted);
+        assert_eq!(p.admit(OpKind::Store, 0, 0), AdmitDecision::Admitted);
     }
 
     #[test]
@@ -776,22 +783,22 @@ mod tests {
         // controller ramps. (A sole tenant holding everything is *at*
         // fair share, not over it, and sheds at the base rate.)
         for _ in 0..8 {
-            assert_eq!(p.admit("fetch", 0, 0), AdmitDecision::Admitted);
+            assert_eq!(p.admit(OpKind::Fetch, 0, 0), AdmitDecision::Admitted);
         }
-        assert_eq!(p.admit("fetch", 1, 0), AdmitDecision::Admitted);
+        assert_eq!(p.admit(OpKind::Fetch, 1, 0), AdmitDecision::Admitted);
         p.observe_completion(true); // 400 permille
         let trials = 2_000;
         let mut hot = 0;
         let mut cold = 0;
         for _ in 0..trials {
             // Tenant 0 is far over fair share: sheds at 800 permille.
-            if p.admit("fetch", 0, 0) == AdmitDecision::Shed("slo") {
+            if p.admit(OpKind::Fetch, 0, 0) == AdmitDecision::Shed(ShedReason::Slo) {
                 hot += 1;
             } else {
                 p.tenant_done(0);
             }
             // A fresh tenant sheds at the base 400 permille.
-            if p.admit("fetch", 99, 0) == AdmitDecision::Shed("slo") {
+            if p.admit(OpKind::Fetch, 99, 0) == AdmitDecision::Shed(ShedReason::Slo) {
                 cold += 1;
             } else {
                 p.tenant_done(99);
@@ -810,10 +817,26 @@ mod tests {
             p.observe_completion(true);
             p.observe_completion(true);
             (0..200)
-                .map(|i| p.admit("fetch", i % 3, i as u64 * 1_000_000) == AdmitDecision::Admitted)
+                .map(|i| {
+                    p.admit(OpKind::Fetch, i % 3, i as u64 * 1_000_000) == AdmitDecision::Admitted
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn shed_reasons_and_retry_sites_keep_their_labels_and_ledger_codes() {
+        let shed = [ShedReason::TenantCap, ShedReason::Slo, ShedReason::Rate];
+        assert_eq!(
+            shed.map(|r| (r.label(), r as u64)),
+            [("tenant_cap", 1), ("slo", 2), ("rate", 3)]
+        );
+        let sites = [RetrySite::Dht, RetrySite::Fetch, RetrySite::Repair];
+        assert_eq!(
+            sites.map(|s| (s.label(), s as u64)),
+            [("dht", 1), ("fetch", 2), ("repair", 3)]
+        );
     }
 
     #[test]

@@ -19,11 +19,12 @@ use std::time::Duration;
 use c4h_chimera::{ChimeraNode, DhtEvent, Envelope, Key, OverwritePolicy, ReqId};
 use c4h_cloud::S3Store;
 use c4h_kvstore::{
-    node_resource_key, object_key, service_key, ObjectMeta, Record, ResourceRecord, ServiceRecord,
+    node_resource_key, object_key, service_key, ObjectMeta, Record, ServiceRecord, WireError,
 };
 use c4h_resources::{Bin, BinWatcher, ResourceMonitor, ResourceSampler, SamplerConfig};
 use c4h_services::{
-    Compress, FaceDetect, FaceRecognize, Service, ServiceRegistry, TrainingSet, Transcode,
+    Compress, FaceDetect, FaceRecognize, Service, ServiceOutput, ServiceRegistry, TrainingSet,
+    Transcode,
 };
 use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
@@ -618,10 +619,42 @@ impl Cloud4Home {
         if !self.nodes[i].alive || !self.nodes[i].chimera.is_joined() {
             return;
         }
-        let now = self.now();
+        let (bytes, now) = (self.encode_record(&record), self.now());
         let _ = self
             .overlay_mut(i)
-            .put(key, record.encode(), OverwritePolicy::Overwrite, now);
+            .put(key, bytes, OverwritePolicy::Overwrite, now);
+    }
+
+    // The key-value store and the services are libraries the runtime
+    // calls; it counts the calls it makes, one helper per counted call.
+
+    /// Encodes `record` for the DHT, counting it in
+    /// `kvstore.record_encodes` and its size in `kvstore.record_bytes`.
+    pub(crate) fn encode_record(&self, record: &Record) -> Arc<[u8]> {
+        let bytes = record.encode();
+        self.telemetry.add("kvstore.record_encodes", 1);
+        self.telemetry
+            .observe("kvstore.record_bytes", bytes.len() as u64);
+        bytes
+    }
+
+    /// Decodes DHT value bytes, counting the attempt in
+    /// `kvstore.record_decodes`, malformed input included.
+    pub(crate) fn decode_record(&self, bytes: &[u8]) -> Result<Record, WireError> {
+        self.telemetry.add("kvstore.record_decodes", 1);
+        Record::decode(bytes)
+    }
+
+    /// Runs a service kernel, counting it in `services.executions` and
+    /// its bytes in `services.input_bytes` and `services.output_bytes`.
+    pub(crate) fn run_service(&self, svc: &dyn Service, input: &[u8]) -> ServiceOutput {
+        let out = svc.run(input);
+        self.telemetry.add("services.executions", 1);
+        self.telemetry
+            .observe("services.input_bytes", input.len() as u64);
+        self.telemetry
+            .observe("services.output_bytes", out.data.len() as u64);
+        out
     }
 
     /// A node's nominal (up, down) bandwidth in bytes/second.
@@ -1265,15 +1298,6 @@ impl Cloud4Home {
 
     /// Advances the simulation by one event. Returns `false` when idle.
     pub(crate) fn step(&mut self) -> bool {
-        // Route passive-layer metrics (kvstore codec, service kernels) to
-        // this deployment's recorder for the duration of the step. A
-        // disabled recorder would drop them anyway, so with telemetry off
-        // the step costs one relaxed load and leaves the thread's target as
-        // it found it.
-        let _dispatch = self
-            .telemetry
-            .enabled()
-            .then(|| c4h_telemetry::install(&self.telemetry));
         self.pump();
         let nt = self.net.next_event();
         let Some(t) = self.queue.peek_time().into_iter().chain(nt).min() else {
@@ -1562,13 +1586,6 @@ impl Cloud4Home {
     /// Looks up the node index for an overlay key.
     pub(crate) fn node_index(&self, key: Key) -> Option<usize> {
         self.node_of_key.get(&key).copied()
-    }
-
-    /// Decodes the freshest resource record bytes into a typed record.
-    pub(crate) fn decode_resource(bytes: &[u8]) -> Option<ResourceRecord> {
-        Record::decode(bytes)
-            .ok()
-            .and_then(|r| r.as_resource().cloned())
     }
 
     /// Best-effort background publish of an object metadata record from

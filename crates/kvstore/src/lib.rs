@@ -17,7 +17,10 @@
 //!   [`node_resource_key`]) mapping names into the 40-bit Chimera key space.
 //!
 //! Transport is deliberately out of scope: the Cloud4Home runtime stores
-//! encoded records through [`c4h_chimera::ChimeraNode`]'s `put`/`get`.
+//! encoded records through [`c4h_chimera::ChimeraNode`]'s `put`/`get`. So
+//! are metrics: the runtime counts the encodes and decodes it makes
+//! (`kvstore.record_encodes`, `kvstore.record_decodes`), and this crate
+//! depends on no recorder.
 //!
 //! # Examples
 //!

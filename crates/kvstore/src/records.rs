@@ -137,11 +137,6 @@ impl Location {
             t => Err(WireError::UnknownTag(t)),
         }
     }
-
-    /// Whether the object lives in the remote cloud.
-    pub fn is_cloud(&self) -> bool {
-        matches!(self, Location::Cloud { .. })
-    }
 }
 
 /// Erasure-coding layout of an object whose bytes live as (k, m) stripes
@@ -598,7 +593,7 @@ impl Record {
     /// Serializes the record to its wire form: one allocation of exactly
     /// the encoded length, shared by every copy the DHT makes of it.
     pub fn encode(&self) -> Arc<[u8]> {
-        let bytes = encode_shared(|w| match self {
+        encode_shared(|w| match self {
             Record::Object(o) => {
                 w.tag(TAG_OBJECT).tag(SCHEMA_VERSION);
                 o.encode_body(w);
@@ -615,10 +610,7 @@ impl Record {
                 w.tag(TAG_STRIPE).tag(SCHEMA_VERSION);
                 s.encode_body(w);
             }
-        });
-        c4h_telemetry::add("kvstore.record_encodes", 1);
-        c4h_telemetry::observe("kvstore.record_bytes", bytes.len() as u64);
-        bytes
+        })
     }
 
     /// Parses a record from its wire form.
@@ -628,7 +620,6 @@ impl Record {
     /// Returns a [`WireError`] for malformed, truncated, or
     /// unknown-schema input.
     pub fn decode(bytes: &[u8]) -> Result<Record, WireError> {
-        c4h_telemetry::add("kvstore.record_decodes", 1);
         let mut r = WireReader::new(bytes);
         let tag = r.tag()?;
         let version = r.tag()?;
@@ -658,14 +649,6 @@ impl Record {
     pub fn as_service(&self) -> Option<&ServiceRecord> {
         match self {
             Record::Service(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The resource record, if this is a resource record.
-    pub fn as_resource(&self) -> Option<&ResourceRecord> {
-        match self {
-            Record::Resource(r) => Some(r),
             _ => None,
         }
     }
@@ -708,7 +691,6 @@ mod tests {
         assert_eq!(decoded, rec);
         assert!(decoded.as_object().is_some());
         assert!(decoded.as_service().is_none());
-        assert!(decoded.as_resource().is_none());
     }
 
     #[test]
@@ -717,7 +699,6 @@ mod tests {
         o.location = Location::Cloud {
             url: "s3://home-bucket/img-17.jpg".into(),
         };
-        assert!(o.location.is_cloud());
         let rec = Record::Object(o);
         assert_eq!(Record::decode(&rec.encode()).unwrap(), rec);
     }

@@ -23,7 +23,8 @@
 //! The [`Service`] trait separates the observable kernel ([`Service::run`])
 //! from the virtual-time cost model ([`Service::demand`]), which the runtime
 //! feeds into [`c4h_vmm::exec_time`] together with the hosting platform and
-//! VM grant.
+//! VM grant. The crate keeps no metrics: the runtime counts the kernels it
+//! runs (`services.executions` and their input and output bytes).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

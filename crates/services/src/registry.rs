@@ -42,11 +42,6 @@ impl ServiceRegistry {
         self.services.insert(service.id(), service)
     }
 
-    /// Removes a service.
-    pub fn undeploy(&mut self, id: ServiceId) -> Option<Arc<dyn Service>> {
-        self.services.remove(&id)
-    }
-
     /// Whether the node provides a service.
     pub fn provides(&self, id: ServiceId) -> bool {
         self.services.contains_key(&id)
@@ -76,6 +71,7 @@ impl ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::COMPRESS_ID;
     use crate::transcode::{Transcode, TRANSCODE_ID};
     use crate::vision::{FaceDetect, FACE_DETECT_ID};
 
@@ -89,9 +85,9 @@ mod tests {
         assert_eq!(reg.ids(), vec![FACE_DETECT_ID, TRANSCODE_ID]);
         assert!(reg.provides(FACE_DETECT_ID));
         assert!(reg.get(TRANSCODE_ID).is_some());
-        assert!(reg.undeploy(TRANSCODE_ID).is_some());
-        assert!(!reg.provides(TRANSCODE_ID));
-        assert!(reg.undeploy(TRANSCODE_ID).is_none());
+        // An id that is not deployed is neither provided nor found.
+        assert!(!reg.provides(COMPRESS_ID));
+        assert!(reg.get(COMPRESS_ID).is_none());
     }
 
     #[test]

@@ -78,16 +78,6 @@ pub trait Service: fmt::Debug + Send + Sync {
     /// their content; the cost model uses the declared size, while the
     /// kernel validates behaviour on the sample.
     fn run(&self, input: &[u8]) -> ServiceOutput;
-
-    /// Executes the kernel and feeds execution counts and byte volumes to
-    /// the thread-installed telemetry recorder (no-op without one).
-    fn run_traced(&self, input: &[u8]) -> ServiceOutput {
-        let out = self.run(input);
-        c4h_telemetry::add("services.executions", 1);
-        c4h_telemetry::observe("services.input_bytes", input.len() as u64);
-        c4h_telemetry::observe("services.output_bytes", out.data.len() as u64);
-        out
-    }
 }
 
 /// Converts bytes to fractional MiB (the unit the calibration formulas use).

@@ -150,11 +150,6 @@ impl Partition {
         }
     }
 
-    /// Whether the partition names no groups (everything connected).
-    pub fn is_trivial(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// The group index an address belongs to; unlisted addresses share the
     /// implicit remainder group `self.groups.len()`.
     pub fn group_of(&self, a: Addr) -> usize {
@@ -229,8 +224,6 @@ mod tests {
         assert!(cut.connected(Addr::new(4), Addr::new(5)));
         // Self-connectivity always holds.
         assert!(cut.connected(Addr::new(3), Addr::new(3)));
-        assert!(!cut.is_trivial());
-        assert!(Partition::default().is_trivial());
         assert!(Partition::default().connected(Addr::new(1), Addr::new(2)));
     }
 }

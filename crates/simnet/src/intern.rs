@@ -243,45 +243,6 @@ pub type SymMap<V> = FxHashMap<Sym, V>;
 /// Hash set of [`Sym`]s. Keyed access only, as [`SymMap`].
 pub type SymSet = FxHashSet<Sym>;
 
-/// A local, non-global interner with the same insertion-order id
-/// assignment as the global table.
-///
-/// The global table is shared by every test in a process, so its absolute
-/// ids can't be asserted against. This standalone instance exists to state
-/// the determinism contract in isolation: drive two `Interner`s with the
-/// same sequence and the ids must match exactly.
-#[derive(Debug, Default)]
-pub struct Interner {
-    map: FxHashMap<Box<str>, u32>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
-    /// Interns `s`, assigning the next id on first sight.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.map.len()).expect("interner id space exhausted");
-        self.map.insert(s.into(), id);
-        id
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn local_interner_assigns_insertion_order_ids() {
-        let mut i = Interner::new();
-        assert!(i.is_empty());
-        assert_eq!(i.intern("a"), 0);
-        assert_eq!(i.intern("b"), 1);
-        assert_eq!(i.intern("a"), 0);
-        assert_eq!(i.intern("c"), 2);
-        assert_eq!(i.len(), 3);
-    }
-
-    #[test]
     fn syms_cross_thread_boundaries() {
         let s = Sym::new("intern-test/threads");
         let handle = std::thread::spawn(move || {
@@ -384,40 +334,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The determinism contract: two runs that intern the same
-            /// (interleaved, repeating) sequence of strings assign
-            /// identical ids, and ids are dense first-occurrence ranks.
-            #[test]
-            fn interleaved_interning_assigns_identical_ids(
-                pool in proptest::collection::vec("[a-z]{1,10}(/[a-z0-9]{1,6}){0,2}", 1..12),
-                picks in proptest::collection::vec(any::<u16>(), 1..128),
-            ) {
-                let sequence: Vec<&str> = picks
-                    .iter()
-                    .map(|&i| pool[i as usize % pool.len()].as_str())
-                    .collect();
-                let mut run_a = Interner::new();
-                let mut run_b = Interner::new();
-                let ids_a: Vec<u32> = sequence.iter().map(|s| run_a.intern(s)).collect();
-                let ids_b: Vec<u32> = sequence.iter().map(|s| run_b.intern(s)).collect();
-                prop_assert_eq!(&ids_a, &ids_b);
-                // Ids are first-occurrence ranks: recomputing them from
-                // the sequence alone reproduces the assignment.
-                let mut seen: Vec<&str> = Vec::new();
-                let ranks: Vec<u32> = sequence
-                    .iter()
-                    .map(|s| match seen.iter().position(|&t| t == *s) {
-                        Some(p) => p as u32,
-                        None => {
-                            seen.push(s);
-                            (seen.len() - 1) as u32
-                        }
-                    })
-                    .collect();
-                prop_assert_eq!(ids_a, ranks);
-                prop_assert_eq!(run_a.len(), seen.len());
-            }
-
             /// Global-table symmetry: equal strings produce equal symbols
             /// and round-trip through resolution, regardless of what other
             /// tests interned first.

@@ -72,7 +72,7 @@ pub use flow::{
     NET_TRACK_BASE,
 };
 pub use hash::{FxHashMap, FxHashSet};
-pub use intern::{Interner, Sym, SymMap, SymSet};
+pub use intern::{Sym, SymMap, SymSet};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{DetRng, Zipf};
 pub use tcp::{mbps, mib, SustainedCap, TcpProfile};

@@ -290,8 +290,9 @@ mod tests {
     #[test]
     fn prometheus_text_has_counters_gauges_histograms() {
         let rec = sample();
-        rec.gauge("node0.cpu_milli", 500_000_000, 250);
-        rec.gauge("node0.cpu_milli", 1_000_000_000, 310);
+        let cpu = rec.register_gauge("node0.cpu_milli");
+        rec.gauge_sample(500_000_000, &[(cpu, 250)]);
+        rec.gauge_sample(1_000_000_000, &[(cpu, 310)]);
         let text = rec.prometheus_text();
         assert!(text.contains("# TYPE c4h_op_fetch_ok counter\nc4h_op_fetch_ok 1\n"));
         // Gauges export only the latest point.
@@ -323,9 +324,9 @@ mod tests {
     fn series_json_lists_all_points_sorted() {
         let rec = Recorder::new();
         rec.set_enabled(true);
-        rec.gauge("b.gauge", 0, 1);
-        rec.gauge("a.gauge", 500, -2);
-        rec.gauge("b.gauge", 500, 3);
+        let [b, a] = ["b.gauge", "a.gauge"].map(|name| rec.register_gauge(name));
+        rec.gauge_sample(0, &[(b, 1)]);
+        rec.gauge_sample(500, &[(a, -2), (b, 3)]);
         let json = rec.series_json();
         assert_eq!(
             json,
@@ -344,7 +345,8 @@ mod tests {
         rec.add("newline\nc4h_phantom 42", 1);
         rec.add("spaced out name", 2);
         rec.add("unicode-Ω☃", 3);
-        rec.gauge("gauge\"quote", 1_000, -5);
+        let quote = rec.register_gauge("gauge\"quote");
+        rec.gauge_sample(1_000, &[(quote, -5)]);
         rec.observe("hist{le=\"+Inf\"} 0", 11);
         let text = rec.prometheus_text();
 

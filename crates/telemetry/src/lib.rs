@@ -27,6 +27,11 @@
 //!   followed by a failover to a live replica") can be asserted over the
 //!   recorded spans themselves.
 //!
+//! A layer records through a [`Recorder`] handle it holds; there is no
+//! ambient, thread-local recorder. Layers that hold none, such as the
+//! key-value codec and the service kernels, are counted by the runtime
+//! that calls them.
+//!
 //! Spans are grouped by `track` — an arbitrary `u64` that becomes the
 //! Chrome `tid`. Cloud4Home uses one track per operation (the op id), so a
 //! `fetch` op span and its `fetch.meta_get` / `fetch.flow_home` children
@@ -55,7 +60,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod dispatch;
 mod export;
 mod health;
 mod ledger;
@@ -64,7 +68,6 @@ mod recorder;
 mod recorder_oracle;
 mod series;
 
-pub use dispatch::{add, install, observe, with, DispatchGuard};
 pub use export::escape_into;
 pub use health::{FlightRecorder, PathBucket, Postmortem, SlidingHistogram};
 pub use ledger::{tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE};
@@ -217,8 +220,9 @@ mod gauge_oracle {
     /// One script step.
     #[derive(Debug, Clone)]
     enum Step {
-        /// `Recorder::gauge` on `NAMES[i]`.
-        Gauge(usize, i64),
+        /// `NAMES[i]` registered and sampled alone, outside the flight
+        /// ring: one call of the name-keyed writer.
+        Point(usize, i64),
         /// Registers `NAMES[i]`, or the ghost for `i == NAMES.len()`.
         Register(usize),
         /// One sample row; a gauge sampled twice keeps its first value, and a
@@ -238,8 +242,8 @@ mod gauge_oracle {
             row(),
             row(),
             row(),
-            (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Gauge(i, v)),
-            (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Gauge(i, v)),
+            (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Point(i, v)),
+            (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Point(i, v)),
             (0..=NAMES.len()).prop_map(Step::Register),
             Just(Step::Clear),
             any::<bool>().prop_map(Step::Enable),
@@ -271,8 +275,9 @@ mod gauge_oracle {
             let mut ts: TimeNs = 0;
             for step in script {
                 match step {
-                    Step::Gauge(i, v) => {
-                        rec.gauge(NAMES[i], ts, v);
+                    Step::Point(i, v) => {
+                        let id = rec.register_gauge(NAMES[i]);
+                        rec.gauge_sample(ts, &[(id, v)]);
                         oracle.gauge(NAMES[i], ts, v);
                     }
                     Step::Register(i) => {

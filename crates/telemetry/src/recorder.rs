@@ -904,22 +904,6 @@ impl Recorder {
         Arc::clone(&self.lock().columns[id.0 as usize].name)
     }
 
-    /// Appends one point to a named gauge time series: registers the gauge
-    /// (see [`Recorder::register_gauge`]), then pushes the point.
-    ///
-    /// Gauges are sampled values (queue depths, utilizations, cache ratios)
-    /// recorded at virtual-time instants by the health-plane sampler; each
-    /// series keeps its full point history in record order.
-    pub fn gauge(&self, name: impl Into<Cow<'static, str>>, ts_ns: TimeNs, value: i64) {
-        if !self.enabled() {
-            return;
-        }
-        let name: Cow<'static, str> = name.into();
-        let mut inner = self.lock();
-        let id = inner.register_gauge(&name);
-        inner.columns[id.0 as usize].series.push(ts_ns, value);
-    }
-
     /// Appends one sample row — the point `(ts_ns, value)` to each
     /// registered gauge — under one lock. Each point is one indexed push:
     /// no name is looked at.
@@ -1226,10 +1210,11 @@ mod tests {
     #[test]
     fn gauges_record_and_survive_snapshot() {
         let rec = Recorder::new();
-        rec.gauge("node0.cpu_milli", 0, 100); // disabled → dropped
+        let cpu = rec.register_gauge("node0.cpu_milli");
+        rec.gauge_sample(0, &[(cpu, 100)]); // disabled → dropped
         rec.set_enabled(true);
-        rec.gauge("node0.cpu_milli", 500, 250);
-        rec.gauge("node0.cpu_milli", 1000, 300);
+        rec.gauge_sample(500, &[(cpu, 250)]);
+        rec.gauge_sample(1000, &[(cpu, 300)]);
         let snap = rec.snapshot();
         let s = &snap.series["node0.cpu_milli"];
         assert_eq!(s.points(), &[(500, 250), (1000, 300)]);
@@ -1251,10 +1236,14 @@ mod tests {
         by_row.gauge_sample(0, &[(a, 1)]); // disabled → dropped
         by_row.set_enabled(true);
         by_point.set_enabled(true);
+        let (pb, pa) = (
+            by_point.register_gauge("b.gauge"),
+            by_point.register_gauge("a.gauge"),
+        );
         for ts in [500, 1000] {
             by_row.gauge_sample(ts, &[(b, ts as i64), (a, -2)]);
-            by_point.gauge("b.gauge", ts, ts as i64);
-            by_point.gauge("a.gauge", ts, -2);
+            by_point.gauge_sample(ts, &[(pb, ts as i64)]);
+            by_point.gauge_sample(ts, &[(pa, -2)]);
         }
         assert_eq!(by_row.series_json(), by_point.series_json());
         assert_eq!(by_row.prometheus_text(), by_point.prometheus_text());
@@ -1270,7 +1259,8 @@ mod tests {
         registered.register_gauge("never.sampled");
         for rec in [&registered, &fresh] {
             rec.set_enabled(true);
-            rec.gauge("sampled", 7, 1);
+            let id = rec.register_gauge("sampled");
+            rec.gauge_sample(7, &[(id, 1)]);
         }
         assert_eq!(registered.gauges_registered(), 2);
         assert_eq!(registered.series_json(), fresh.series_json());
@@ -1285,17 +1275,17 @@ mod tests {
     fn a_cleared_recorder_exports_like_a_fresh_one_fed_the_same_points() {
         let (cleared, fresh) = (Recorder::new(), Recorder::new());
         cleared.set_enabled(true);
-        let (x, y) = (cleared.register_gauge("x"), cleared.register_gauge("y"));
-        cleared.gauge_sample(100, &[(x, 1), (y, 2)]);
-        cleared.gauge("z", 100, 3);
+        let [x, y, z] = ["x", "y", "z"].map(|name| cleared.register_gauge(name));
+        cleared.gauge_sample(100, &[(x, 1), (y, 2), (z, 3)]);
         cleared.clear();
         assert_eq!(cleared.gauges_registered(), 3, "registrations survive");
         assert_eq!(cleared.register_gauge("y"), y, "ids stay valid");
         // Only `y` is sampled after the clear: `x` and `z` must vanish.
         fresh.set_enabled(true);
+        let fresh_y = fresh.register_gauge("y");
         for ts in [200, 300] {
             cleared.gauge_sample(ts, &[(y, ts as i64)]);
-            fresh.gauge("y", ts, ts as i64);
+            fresh.gauge_sample(ts, &[(fresh_y, ts as i64)]);
         }
         assert_eq!(cleared.series_json(), fresh.series_json());
         assert_eq!(cleared.prometheus_text(), fresh.prometheus_text());
@@ -1309,7 +1299,8 @@ mod tests {
         rec.span("op", "x", 1, 0, 5);
         rec.add("c", 1);
         rec.observe("h", 1);
-        rec.gauge("g", 0, 1);
+        let g = rec.register_gauge("g");
+        rec.gauge_sample(0, &[(g, 1)]);
         rec.clear();
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());

@@ -878,7 +878,8 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 old.set_exemplar(METRICS[m], NAMES[l].to_owned());
             }
             Step::Gauge(m, v) => {
-                new.gauge(METRICS[m], ts, v);
+                let id = new.register_gauge(METRICS[m]);
+                new.gauge_sample(ts, &[(id, v)]);
                 old.gauge(METRICS[m], ts, v);
             }
             Step::Advance(dt) => ts += dt,

@@ -49,11 +49,6 @@ impl GaugeSeries {
     pub fn last(&self) -> Option<(TimeNs, i64)> {
         self.points.last().copied()
     }
-
-    /// Largest value observed, or `None` when empty.
-    pub fn max_value(&self) -> Option<i64> {
-        self.points.iter().map(|&(_, v)| v).max()
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +65,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.points(), &[(500, 10), (1000, -3)]);
         assert_eq!(s.last(), Some((1000, -3)));
-        assert_eq!(s.max_value(), Some(10));
     }
 }

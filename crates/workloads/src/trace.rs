@@ -210,16 +210,6 @@ impl Trace {
     pub fn total_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.size_bytes).sum()
     }
-
-    /// Files in a given size bucket.
-    pub fn files_in_bucket(&self, bucket: SizeBucket) -> Vec<usize> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| SizeBucket::classify(f.size_bytes) == bucket)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 const KINDS: [FileKind; 4] = [FileKind::Avi, FileKind::Mp4, FileKind::Jpeg, FileKind::Doc];
@@ -368,7 +358,10 @@ mod tests {
         // All four buckets are populated in a 1300-file population.
         for b in SizeBucket::ALL {
             assert!(
-                !trace.files_in_bucket(b).is_empty(),
+                trace
+                    .files
+                    .iter()
+                    .any(|f| SizeBucket::classify(f.size_bytes) == b),
                 "bucket {b:?} unpopulated"
             );
         }

@@ -2,9 +2,10 @@
 # The round's ruler: non-test, non-comment, non-blank lines, each file
 # counted up to its top-level `#[cfg(test)]`; a file whose `mod` is itself
 # declared under `#[cfg(test)]` (a test-only oracle) is not counted at all.
-# Prints per-crate totals, the five largest files of `core`, and the
-# `Cloud4Home` field count. With `--gate` (CI's lint job), fails when the
-# largest file of `core` or the field count is over its limit.
+# Prints per-crate totals, the five largest files of `core`, the
+# `Cloud4Home` field count, and the workspace-internal dependency edges.
+# With `--gate` (CI's lint job), fails when the largest file of `core` or
+# the field count is over its limit; the edge count is reported only.
 set -euo pipefail
 max_core_file=1100
 max_fields=24
@@ -57,6 +58,12 @@ echo "$largest"
 # Fields of `pub struct Cloud4Home { .. }`: lines that declare `name: Type,`.
 fields=$(awk '/^pub struct Cloud4Home \{/{on=1;next} on&&/^\}/{exit} on&&/^    (pub(\([a-z]+\))? )?[a-z_0-9]+: /{n++} END{print n+0}' crates/core/src/runtime.rs)
 echo "Cloud4Home fields: $fields"
+
+# Coupling: the `c4h-*` and `cloud4home` lines under `[dependencies]` in
+# the crates' manifests (dev-dependencies are not edges).
+edges=$(awk 'FNR == 1 { on = 0 } /^\[/ { on = ($0 == "[dependencies]"); next }
+    on && /^(c4h-|cloud4home)/ { n++ } END { print n + 0 }' crates/*/Cargo.toml)
+echo "internal dependency edges: $edges"
 
 if [ "${1:-}" = --gate ]; then
     top=${largest%% *}

@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use c4h_workloads::{generate, OpKind, TraceConfig};
 use cloud4home::{
-    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, OpReport, Recorder,
-    RoutePolicy, ServiceKind, Snapshot, SpanRec, StorePolicy,
+    Cloud4Home, Config, FaultEvent, FaultPlan, InstantRec, NodeId, Object, OpReport, RoutePolicy,
+    ServiceKind, Snapshot, SpanRec, StorePolicy,
 };
 
 /// Runtime instants (fault injections, churn) render on track 0.
@@ -438,21 +438,30 @@ fn span_count(report: &OpReport, stage: &str) -> usize {
         .count()
 }
 
-/// Telemetry off costs a step one relaxed load: the step leaves the
-/// thread's recorder dispatch as it found it, so what the passive layers
-/// count (here the service kernels) reaches the recorder the caller
-/// installed, not the deployment's. With telemetry on, the deployment's
-/// recorder counts every execution and the caller's sees none.
+/// The runtime counts the key-value store and service calls it makes,
+/// wherever it makes them: every kernel it runs is one
+/// `services.executions`, and the records a direct `rejoin_node`
+/// publishes after its own run (four service records, the node's resource
+/// record) are encodes like any other. With recording off the deployment
+/// holds no counter at all.
 #[test]
-fn a_step_installs_its_recorder_only_when_recording() {
-    let executions = |tracing: bool| {
+fn the_runtime_counts_the_calls_it_makes() {
+    let run = |tracing: bool| {
         let mut config = Config::paper_testbed(73);
         config.tracing = tracing;
+        // No periodic resource publish inside the test's horizon: only the
+        // rejoin's own publishes encode while nothing is in flight.
+        config.monitor.update_period = Duration::from_secs(3_600);
         let mut home = Cloud4Home::new(config);
-        let caller = Recorder::new();
-        caller.set_enabled(true);
-        let _dispatch = c4h_telemetry::install(&caller);
-        let name = "dispatch/frame.jpg";
+        let counter = |home: &Cloud4Home, name| home.telemetry().snapshot().counter(name);
+
+        home.crash_node(NodeId(3));
+        home.run_for(Duration::from_secs(5));
+        let before = counter(&home, "kvstore.record_encodes");
+        home.rejoin_node(NodeId(3)).expect("live seed");
+        let rejoin_encodes = counter(&home, "kvstore.record_encodes") - before;
+
+        let name = "counted/frame.jpg";
         let obj = Object::synthetic(name, 5, 256 << 10, "jpeg");
         let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
         home.run_until_complete(op).expect_ok();
@@ -465,19 +474,17 @@ fn a_step_installs_its_recorder_only_when_recording() {
             let op = home.process_object(NodeId(i), name, service, RoutePolicy::Performance);
             home.run_until_complete(op).expect_ok();
         }
-        let count = |r: &Recorder| r.snapshot().counter("services.executions");
-        (count(&caller), count(home.telemetry()))
+        let counters = home.telemetry().snapshot().counters.len();
+        (
+            rejoin_encodes,
+            counter(&home, "services.executions"),
+            counters,
+        )
     };
-    assert_eq!(
-        executions(false),
-        (3, 0),
-        "telemetry off: (caller, deployment)"
-    );
-    assert_eq!(
-        executions(true),
-        (0, 3),
-        "telemetry on: (caller, deployment)"
-    );
+    let (rejoin_encodes, executions, _) = run(true);
+    assert_eq!(rejoin_encodes, 4 + 1, "service records + resource record");
+    assert_eq!(executions, 3, "one per kernel run");
+    assert_eq!(run(false), (0, 0, 0), "recording off counts nothing");
 }
 
 #[test]
