@@ -112,7 +112,7 @@ use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::{
     presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
 };
-use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanId, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanStart, LEDGER_NONE};
 use c4h_workloads::{arrivals, generate, OpenLoopConfig};
 use cloud4home::{
     synth_bytes, Cloud4Home, Config, NodeId, Object, OpId, RoutePolicy, ServiceKind, StorePolicy,
@@ -902,12 +902,16 @@ const RECORDER_CALLS: u64 = 10_000;
 /// Spans the recorder rows keep open at most.
 const RECORDER_OPEN: usize = 16;
 
+/// A span the recorder rows began: its token, its track and how many
+/// begin arguments its end passes first.
+type OpenSpan = (SpanStart, u64, usize);
+
 /// `calls` mixed recorder calls: begins (while fewer than
 /// [`RECORDER_OPEN`] spans are open), ends of a span picked from the open
 /// ones (so out of order), complete spans and instants, each with 0-7
 /// arguments — integers and borrowed strings, as the runtime's call sites
-/// pass them.
-fn recorder_calls(rec: &Recorder, mix: &mut Mix, open: &mut Vec<SpanId>, calls: u64) {
+/// pass them. An end passes its span's begin arguments, then its own.
+fn recorder_calls(rec: &Recorder, mix: &mut Mix, open: &mut Vec<OpenSpan>, calls: u64) {
     let args = [
         ("object", ArgValue::from("census/7.avi")),
         ("ok", ArgValue::from(true)),
@@ -920,17 +924,22 @@ fn recorder_calls(rec: &Recorder, mix: &mut Mix, open: &mut Vec<SpanId>, calls: 
     for t in 0..calls {
         let r = mix.next();
         let n = (r >> 8) as usize % (args.len() + 1);
-        let args = args[..n].iter().cloned();
         match r % 4 {
-            0 if open.len() < RECORDER_OPEN => {
-                open.push(rec.begin_args("dht", "dht.get", r % 8, t, args))
-            }
+            0 if open.len() < RECORDER_OPEN => open.push((rec.begin(t), r % 8, n)),
             0 | 1 if !open.is_empty() => {
-                let span = open.swap_remove((r >> 32) as usize % open.len());
-                rec.end_args(span, t, args);
+                let (span, track, begun) = open.swap_remove((r >> 32) as usize % open.len());
+                let args = args[..begun].iter().chain(&args[..n]).cloned();
+                rec.end(span, "dht", "dht.get", track, t, args);
             }
-            2 => rec.span_args("stage", "fetch.flow_home", r % 8, t, t + 5, args),
-            _ => rec.instant_args("op", "fetch.failover", r % 8, t, args),
+            2 => rec.span_args(
+                "stage",
+                "fetch.flow_home",
+                r % 8,
+                t,
+                t + 5,
+                args[..n].iter().cloned(),
+            ),
+            _ => rec.instant_args("op", "fetch.failover", r % 8, t, args[..n].iter().cloned()),
         }
     }
 }

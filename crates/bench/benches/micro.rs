@@ -140,8 +140,8 @@ fn bench_telemetry() {
     // tracing is off — it must stay at one relaxed atomic load.
     let off = Recorder::new();
     bench("telemetry/span_disabled", || {
-        let id = off.begin("op", "fetch", black_box(1), 0);
-        off.end(id, 100);
+        let span = off.begin(black_box(0));
+        off.end(span, "op", "fetch", black_box(1), 100, []);
     });
     bench("telemetry/observe_disabled", || {
         off.observe("h", black_box(42))
@@ -150,8 +150,8 @@ fn bench_telemetry() {
     let on = Recorder::new();
     on.set_enabled(true);
     bench("telemetry/span_enabled", || {
-        let id = on.begin("op", "fetch", black_box(1), 0);
-        on.end(id, 100);
+        let span = on.begin(black_box(0));
+        on.end(span, "op", "fetch", black_box(1), 100, []);
     });
     bench("telemetry/observe_enabled", || {
         on.observe("h", black_box(42))

@@ -21,7 +21,7 @@ use c4h_simnet::FxHashMap;
 use std::time::Duration;
 
 use c4h_simnet::SimTime;
-use c4h_telemetry::{ArgValue, Recorder, SpanId};
+use c4h_telemetry::{ArgValue, Recorder, SpanStart};
 
 use crate::key::Key;
 use crate::messages::{Envelope, Message, ReqId};
@@ -160,13 +160,25 @@ enum PendingKind {
     Delete,
 }
 
-#[derive(Debug, Clone)]
+impl PendingKind {
+    /// The request's `dht.*` span name; a join has no span.
+    fn span_name(&self) -> Option<&'static str> {
+        match self {
+            PendingKind::Join => None,
+            PendingKind::Put => Some("dht.put"),
+            PendingKind::Get { .. } => Some("dht.get"),
+            PendingKind::Delete => Some("dht.delete"),
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Pending {
     kind: PendingKind,
     deadline: SimTime,
-    /// The request's `dht.*` span; [`SpanId::NONE`] for a join and while
-    /// recording is off.
-    span: SpanId,
+    /// Where the request's `dht.*` span began; inert while recording is
+    /// off.
+    span: SpanStart,
 }
 
 /// Message-level statistics, exposed for the experiment harness.
@@ -285,26 +297,12 @@ impl ChimeraNode {
     }
 
     /// Records an originated request as pending until `now` plus the
-    /// request timeout, with its span open. With recording off the span
-    /// costs the recorder's one relaxed load: its args are built only for a
-    /// recorder that keeps them.
+    /// request timeout, with its span begun. With recording off the span
+    /// costs the recorder's one relaxed load.
     fn insert_pending(&mut self, req: ReqId, kind: PendingKind, now: SimTime) {
-        let name = match kind {
-            PendingKind::Join => None,
-            PendingKind::Put => Some("dht.put"),
-            PendingKind::Get { .. } => Some("dht.get"),
-            PendingKind::Delete => Some("dht.delete"),
-        };
-        let recorder = self.telemetry.as_ref().filter(|(rec, _)| rec.enabled());
-        let span = match (recorder, name) {
-            (Some((rec, track)), Some(name)) => rec.begin_args(
-                "dht",
-                name,
-                *track,
-                now.as_nanos(),
-                [("req", ArgValue::from(req))],
-            ),
-            _ => SpanId::NONE,
+        let span = match &self.telemetry {
+            Some((rec, _)) => rec.begin(now.as_nanos()),
+            None => SpanStart::default(),
         };
         let deadline = now + self.config.request_timeout;
         self.pending.insert(
@@ -318,22 +316,20 @@ impl ChimeraNode {
     }
 
     /// Closes an originated request's span with its hop count and outcome.
-    /// Lookup completions (`observe_hops`) also feed the hop histogram.
-    fn close_req_span(&self, span: SpanId, now: SimTime, hops: u8, ok: bool, observe_hops: bool) {
-        let Some((rec, _)) = &self.telemetry else {
+    /// Completed lookups also feed the hop histogram.
+    fn close_req_span(&self, req: ReqId, p: Pending, now: SimTime, hops: u8, ok: bool) {
+        let Some((rec, track)) = &self.telemetry else {
             return;
         };
-        if !span.is_none() {
-            rec.end_args(
-                span,
-                now.as_nanos(),
-                [
-                    ("hops", ArgValue::from(u64::from(hops))),
-                    ("ok", ArgValue::from(ok)),
-                ],
-            );
+        if let Some(name) = p.kind.span_name() {
+            let args = [
+                ("req", ArgValue::from(req)),
+                ("hops", ArgValue::from(u64::from(hops))),
+                ("ok", ArgValue::from(ok)),
+            ];
+            rec.end(p.span, "dht", name, *track, now.as_nanos(), args);
         }
-        if ok && observe_hops {
+        if ok && matches!(p.kind, PendingKind::Get { .. }) {
             rec.observe("chimera.lookup_hops", u64::from(hops));
         }
     }
@@ -758,7 +754,7 @@ impl ChimeraNode {
             }
             Message::PutOk { req, version, hops } => {
                 if let Some(p) = self.pending.remove(&req) {
-                    self.close_req_span(p.span, now, hops, true, false);
+                    self.close_req_span(req, p, now, hops, true);
                     self.events.push_back(DhtEvent::PutCompleted {
                         req,
                         result: Ok(version),
@@ -768,7 +764,7 @@ impl ChimeraNode {
             }
             Message::PutFailed { req, error, hops } => {
                 if let Some(p) = self.pending.remove(&req) {
-                    self.close_req_span(p.span, now, hops, false, false);
+                    self.close_req_span(req, p, now, hops, false);
                     self.events.push_back(DhtEvent::PutCompleted {
                         req,
                         result: Err(DhtError::Rejected(error)),
@@ -805,7 +801,7 @@ impl ChimeraNode {
             }
             Message::DeleteOk { req, existed, hops } => {
                 if let Some(p) = self.pending.remove(&req) {
-                    self.close_req_span(p.span, now, hops, true, false);
+                    self.close_req_span(req, p, now, hops, true);
                     self.events.push_back(DhtEvent::DeleteCompleted {
                         req,
                         result: Ok(existed),
@@ -1019,7 +1015,7 @@ impl ChimeraNode {
             // We are the origin.
             if let Some(p) = self.pending.remove(&req) {
                 self.stats.lookup_hops += hops as u64;
-                self.close_req_span(p.span, now, hops, true, true);
+                self.close_req_span(req, p, now, hops, true);
                 self.events.push_back(DhtEvent::GetCompleted {
                     req,
                     key,
@@ -1272,38 +1268,41 @@ impl ChimeraNode {
     }
 
     fn expire_pending(&mut self, now: SimTime) {
-        let mut expired: Vec<(ReqId, Pending)> = self
+        let mut expired: Vec<ReqId> = self
             .pending
             .iter()
             .filter(|(_, p)| p.deadline <= now)
-            .map(|(r, p)| (*r, p.clone()))
+            .map(|(r, _)| *r)
             .collect();
         // Retransmissions must fire in the same order across same-seed runs.
-        expired.sort_unstable_by_key(|(r, _)| *r);
-        for (req, p) in expired {
-            self.pending.remove(&req);
-            self.close_req_span(p.span, now, 0, false, false);
-            match p.kind {
-                PendingKind::Join => self.events.push_back(DhtEvent::JoinFailed),
-                PendingKind::Put => self.events.push_back(DhtEvent::PutCompleted {
+        expired.sort_unstable();
+        for req in expired {
+            let Some(p) = self.pending.remove(&req) else {
+                continue;
+            };
+            let event = match p.kind {
+                PendingKind::Join => DhtEvent::JoinFailed,
+                PendingKind::Put => DhtEvent::PutCompleted {
                     req,
                     result: Err(DhtError::Timeout),
                     hops: 0,
-                }),
-                PendingKind::Delete => self.events.push_back(DhtEvent::DeleteCompleted {
+                },
+                PendingKind::Delete => DhtEvent::DeleteCompleted {
                     req,
                     result: Err(DhtError::Timeout),
                     hops: 0,
-                }),
-                PendingKind::Get { key } => self.events.push_back(DhtEvent::GetCompleted {
+                },
+                PendingKind::Get { key } => DhtEvent::GetCompleted {
                     req,
                     key,
                     value: None,
                     from_cache: false,
                     hops: 0,
                     result: Err(DhtError::Timeout),
-                }),
-            }
+                },
+            };
+            self.close_req_span(req, p, now, 0, false);
+            self.events.push_back(event);
         }
     }
 }

@@ -12,7 +12,7 @@ use c4h_kvstore::{
 };
 use c4h_resources::Bin;
 use c4h_simnet::{FlowId, SimTime, Sym, SymMap};
-use c4h_telemetry::{ArgValue, CauseKind, SpanId};
+use c4h_telemetry::{ArgValue, CauseKind, SpanStart};
 
 use crate::ec::ErasureCode;
 use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
@@ -47,12 +47,12 @@ struct Job {
 /// What a job moves and installs.
 #[derive(Debug)]
 enum JobKind {
-    /// One full copy on its way to node `dst`, under an open `repair` or
-    /// `fanout.replica` trace span.
+    /// One full copy on its way to node `dst`, under a `repair` or
+    /// `fanout.replica` trace span begun at `span`.
     Copy {
         dst: usize,
         bytes: u64,
-        span: SpanId,
+        span: SpanStart,
         from: CopyFrom,
     },
     /// Full copies → stripes: the owner (holder of row 0) installed its
@@ -88,6 +88,16 @@ enum CopyFrom {
     /// peer-failure scan would ever find its shortfall, so a straggler
     /// that fails to land hands its object straight to the repair daemon.
     Carried(Blob),
+}
+
+impl CopyFrom {
+    /// The source holder of a repair or grow copy.
+    fn holder(&self) -> Option<usize> {
+        match self {
+            CopyFrom::Holder(src) => Some(*src),
+            CopyFrom::Carried(_) => None,
+        }
+    }
 }
 
 impl JobKind {
@@ -303,17 +313,7 @@ impl Cloud4Home {
         blob: Blob,
     ) {
         let bytes = blob.len();
-        let span = self.telemetry.begin_args(
-            "fanout",
-            "fanout.replica",
-            FANOUT_TRACK_BASE + flow.raw(),
-            started.as_nanos(),
-            [
-                ("object", ArgValue::from(name.as_str())),
-                ("dst", ArgValue::from(self.nodes[dst].name_sym.as_str())),
-                ("bytes", ArgValue::from(bytes)),
-            ],
-        );
+        let span = self.telemetry.begin(started.as_nanos());
         let id = self.jobs.next_id();
         let from = CopyFrom::Carried(blob);
         let kind = JobKind::Copy {
@@ -357,8 +357,9 @@ impl Cloud4Home {
                 span,
                 from,
             } => {
+                let src = from.holder();
                 let installed = self.copy_install(job.name, dst, bytes, from);
-                self.end_replica_span(span, installed);
+                self.end_copy_span(span, flow, job.name, (src, dst, bytes), installed);
                 if !installed && requeue {
                     self.maybe_repair(job.name);
                 }
@@ -380,8 +381,19 @@ impl Cloud4Home {
     /// trace span closes.
     pub(crate) fn job_leg_severed(&mut self, flow: FlowId, id: JobId) {
         self.jobs.take_leg(id, flow);
-        if let Some(JobKind::Copy { span, .. }) = self.jobs.table.get(&id).map(|job| &job.kind) {
-            self.end_replica_span(*span, false);
+        let Some(job) = self.jobs.table.get_mut(&id) else {
+            return;
+        };
+        if let JobKind::Copy {
+            dst,
+            bytes,
+            span,
+            from,
+        } = &mut job.kind
+        {
+            let (span, copy) = (std::mem::take(span), (from.holder(), *dst, *bytes));
+            let name = job.name;
+            self.end_copy_span(span, flow, name, copy, false);
         }
     }
 
@@ -413,13 +425,32 @@ impl Cloud4Home {
         }
     }
 
-    /// Closes a repair or detached fan-out transfer's trace span.
-    fn end_replica_span(&self, span: SpanId, installed: bool) {
-        self.telemetry.end_args(
-            span,
-            self.now().as_nanos(),
-            [("installed", ArgValue::from(installed))],
-        );
+    /// Ends the trace span of a repair (`src` its source holder) or a
+    /// detached fan-out copy (no `src`) of `name` to `dst`. The span's
+    /// track is the copy's one leg.
+    fn end_copy_span(
+        &self,
+        span: SpanStart,
+        leg: FlowId,
+        name: Sym,
+        (src, dst, bytes): (Option<usize>, usize, u64),
+        installed: bool,
+    ) {
+        let node = |i: usize| ArgValue::from(self.nodes[i].name_sym.as_str());
+        let (cat, span_name, track) = match src {
+            Some(_) => ("repair", "repair", REPAIR_TRACK_BASE),
+            None => ("fanout", "fanout.replica", FANOUT_TRACK_BASE),
+        };
+        let args = [("object", ArgValue::from(name.as_str()))]
+            .into_iter()
+            .chain(src.map(|src| ("src", node(src))))
+            .chain([
+                ("dst", node(dst)),
+                ("bytes", ArgValue::from(bytes)),
+                ("installed", ArgValue::from(installed)),
+            ]);
+        let (track, now) = (track + leg.raw(), self.now().as_nanos());
+        self.telemetry.end(span, cat, span_name, track, now, args);
     }
 
     // ------------------------------------------------------------------
@@ -630,19 +661,7 @@ impl Cloud4Home {
             return false;
         };
         self.stats.repairs_started += 1;
-        // The span's track is the flow id.
-        let span = self.telemetry.begin_args(
-            "repair",
-            "repair",
-            REPAIR_TRACK_BASE + pending[0].0.raw(),
-            self.now().as_nanos(),
-            [
-                ("object", ArgValue::from(name.as_str())),
-                ("src", ArgValue::from(self.nodes[src].name_sym.as_str())),
-                ("dst", ArgValue::from(self.nodes[dst].name_sym.as_str())),
-                ("bytes", ArgValue::from(size)),
-            ],
-        );
+        let span = self.telemetry.begin(self.now().as_nanos());
         let from = CopyFrom::Holder(src);
         let kind = JobKind::Copy {
             dst,

@@ -848,7 +848,7 @@ impl Cloud4Home {
                     let stages = op
                         .stage_log
                         .iter()
-                        .map(|&(stage, s, e)| (stage.info().name.to_owned(), s, e))
+                        .map(|&(stage, s, e)| (stage.info().name, s, e))
                         .collect();
                     self.health.flight.record(
                         now.as_nanos(),
@@ -976,8 +976,8 @@ impl Cloud4Home {
         }
     }
 
-    /// Counts and traces one reissue of the metadata request `op.stage`
-    /// waits on.
+    /// Counts, traces and stamps on the op's ledger one reissue of the
+    /// metadata request `op.stage` waits on.
     fn note_dht_retry(&mut self, op: &mut OpCore) {
         op.retries += 1;
         self.stats.dht_retries += 1;
@@ -993,6 +993,11 @@ impl Cloud4Home {
                 ],
             );
         }
+        // Retries chain retry-to-retry: the first is a root, each
+        // subsequent one links to its predecessor.
+        let cause = std::mem::take(&mut op.ledger_cause);
+        op.ledger_cause =
+            self.ledger_op(op.id, CauseKind::DhtRetry, cause, u64::from(op.retries), 0);
     }
 
     /// Stamps a retry the node's budget denied on the op's ledger, chained
@@ -1023,11 +1028,6 @@ impl Cloud4Home {
                 let budgeted = self.retry_budget_take(op.client, RetrySite::Dht, op.name);
                 if budgeted && self.retry_dht(op) {
                     self.note_dht_retry(op);
-                    // Retries chain retry-to-retry: the first is a root,
-                    // each subsequent one links to its predecessor.
-                    let cause = std::mem::take(&mut op.ledger_cause);
-                    op.ledger_cause =
-                        self.ledger_op(op.id, CauseKind::DhtRetry, cause, u64::from(op.retries), 0);
                     return None;
                 }
                 if !budgeted {

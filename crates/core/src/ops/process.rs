@@ -256,19 +256,22 @@ impl Cloud4Home {
                 if p.batch_timed_out
                     && (op.meta.is_none() || p.svc_record.is_none())
                     && op.retries < MAX_DHT_RETRIES
-                    && self.retry_budget_take(op.client, RetrySite::Dht, op.name)
                 {
-                    self.note_dht_retry(op);
-                    p.batch_timed_out = false;
-                    if op.meta.is_none() {
-                        p.pending_gets += 1;
-                        self.dht_get_for_op(op.id, op.client, object_key(op.name.as_str()));
+                    if self.retry_budget_take(op.client, RetrySite::Dht, op.name) {
+                        self.note_dht_retry(op);
+                        p.batch_timed_out = false;
+                        if op.meta.is_none() {
+                            p.pending_gets += 1;
+                            self.dht_get_for_op(op.id, op.client, object_key(op.name.as_str()));
+                        }
+                        if p.svc_record.is_none() {
+                            p.pending_gets += 1;
+                            let key = service_key(kind.name(), kind.id());
+                            self.dht_get_for_op(op.id, op.client, key);
+                        }
+                        return None;
                     }
-                    if p.svc_record.is_none() {
-                        p.pending_gets += 1;
-                        self.dht_get_for_op(op.id, op.client, service_key(kind.name(), kind.id()));
-                    }
-                    return None;
+                    self.note_retry_denied(op, RetrySite::Dht);
                 }
                 self.charge(op);
                 let timed_out = p.batch_timed_out;

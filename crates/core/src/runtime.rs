@@ -754,8 +754,9 @@ impl Cloud4Home {
         &self.telemetry
     }
 
-    /// Turns trace/metric recording on or off at runtime. Spans opened
-    /// while enabled still close cleanly after a disable. Enabling also
+    /// Turns trace/metric recording on or off at runtime. A span begun
+    /// while enabled is still recorded when it ends after a disable; one
+    /// begun while disabled is not recorded after an enable. Enabling also
     /// arms the health plane's gauge sampler.
     pub fn set_tracing(&mut self, on: bool) {
         self.telemetry.set_enabled(on);

@@ -45,7 +45,7 @@
 
 use std::collections::BTreeMap;
 
-use c4h_telemetry::{ArgValue, Recorder, SpanId};
+use c4h_telemetry::{ArgValue, Recorder, SpanStart};
 
 use crate::hash::FxHashMap;
 use crate::intern::Sym;
@@ -398,10 +398,23 @@ struct AllocScratch {
     /// it). It lives behind the box to pay for the engine's two solve
     /// counters, whose size is pinned.
     segment_keys: Vec<&'static str>,
-    /// Not the solver's either: the open `net.flow` span of each logical
-    /// transfer while recording. A hash map, where a `BTreeMap` allocated
-    /// and freed nodes as transfers came and went; it is never iterated.
-    spans: FxHashMap<FlowId, SpanId>,
+    /// Not the solver's either: the `net.flow` span of each logical
+    /// transfer begun while recording. A hash map, where a `BTreeMap`
+    /// allocated and freed nodes as transfers came and went; it is never
+    /// iterated.
+    spans: FxHashMap<FlowId, FlowSpan>,
+}
+
+/// A logical transfer's `net.flow` span until the transfer retires: where
+/// it began and its begin arguments.
+#[derive(Debug)]
+struct FlowSpan {
+    start: SpanStart,
+    src: Addr,
+    dst: Addr,
+    bytes: u64,
+    /// A chunked transfer's chunk count; 0 for a single flow.
+    chunks: u64,
 }
 
 /// What `path`'s segments can still give one more flow: the least of
@@ -653,22 +666,14 @@ impl FlowNet {
             return;
         };
         rec.add("net.flows_started", 1);
-        let args = [
-            ("src", ArgValue::from(src.raw())),
-            ("dst", ArgValue::from(dst.raw())),
-            ("bytes", ArgValue::from(bytes)),
-        ];
-        let chunks = (chunks > 0).then(|| ("chunks", ArgValue::from(chunks)));
-        let span = rec.begin_args(
-            "net",
-            "net.flow",
-            NET_TRACK_BASE + id.0,
-            self.now.as_nanos(),
-            args.into_iter().chain(chunks),
-        );
-        if !span.is_none() {
-            self.scratch.spans.insert(id, span);
-        }
+        let span = FlowSpan {
+            start: rec.begin(self.now.as_nanos()),
+            src,
+            dst,
+            bytes,
+            chunks,
+        };
+        self.scratch.spans.insert(id, span);
     }
 
     /// Credits a finished or canceled flow's delivered bytes to the
@@ -699,14 +704,19 @@ impl FlowNet {
             1,
         );
         if let Some(span) = span {
-            rec.end_args(
-                span,
-                self.now.as_nanos(),
-                [
-                    ("sent", ArgValue::from(sent)),
-                    ("done", ArgValue::from(done)),
-                ],
-            );
+            let args = [
+                ("src", ArgValue::from(span.src.raw())),
+                ("dst", ArgValue::from(span.dst.raw())),
+                ("bytes", ArgValue::from(span.bytes)),
+            ];
+            let chunks = (span.chunks > 0).then(|| ("chunks", ArgValue::from(span.chunks)));
+            let outcome = [
+                ("sent", ArgValue::from(sent)),
+                ("done", ArgValue::from(done)),
+            ];
+            let (track, now) = (NET_TRACK_BASE + id.0, self.now.as_nanos());
+            let args = args.into_iter().chain(chunks).chain(outcome);
+            rec.end(span.start, "net", "net.flow", track, now, args);
         }
     }
 

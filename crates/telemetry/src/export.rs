@@ -85,7 +85,7 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
         out.push_str(",\"cat\":\"");
         escape_into(&mut out, ev.cat);
         out.push_str("\",\"name\":\"");
-        escape_into(&mut out, &ev.name);
+        escape_into(&mut out, ev.name);
         out.push_str("\",\"ts\":");
         out.push_str(&micros(ev.start_ns));
         match ev.end_ns() {
@@ -227,15 +227,13 @@ mod tests {
     fn sample() -> Recorder {
         let rec = Recorder::new();
         rec.set_enabled(true);
-        let id = rec.begin_args(
-            "op",
-            "fetch",
-            7,
-            1_234_567,
-            vec![("object", ArgValue::from("a/b \"c\".bin"))],
-        );
+        let span = rec.begin(1_234_567);
         rec.instant("fault", "fault.crash", 0, 2_000_000);
-        rec.end_args(id, 3_456_789, vec![("ok", ArgValue::from(true))]);
+        let args = [
+            ("object", ArgValue::from("a/b \"c\".bin")),
+            ("ok", ArgValue::from(true)),
+        ];
+        rec.end(span, "op", "fetch", 7, 3_456_789, args);
         rec.add("op.fetch.ok", 1);
         rec.observe("op.fetch.total_us", 2_222);
         rec

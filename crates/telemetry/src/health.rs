@@ -134,15 +134,15 @@ pub struct Postmortem {
     /// Failing operation's id.
     pub op_id: u64,
     /// Operation kind (`"store"`, `"fetch"`, …).
-    pub kind: String,
+    pub kind: &'static str,
     /// Object name the operation targeted.
-    pub object: String,
+    pub object: &'static str,
     /// Error label, e.g. `"Timeout"`.
-    pub error: String,
+    pub error: &'static str,
     /// Virtual time the operation was submitted.
     pub submitted_ns: TimeNs,
     /// The op's completed stages as `(name, start_ns, end_ns)`.
-    pub stages: Vec<(String, TimeNs, TimeNs)>,
+    pub stages: Vec<(&'static str, TimeNs, TimeNs)>,
     /// Recent fault events as `(ts_ns, description)`, oldest first.
     pub faults: Vec<(TimeNs, String)>,
     /// Recent gauge sample rows, oldest first: each row is the sample's
@@ -162,11 +162,11 @@ impl Postmortem {
             "\",\"ts_ns\":{},\"op\":{},\"kind\":\"",
             self.ts_ns, self.op_id
         );
-        crate::export::escape_into(&mut out, &self.kind);
+        crate::export::escape_into(&mut out, self.kind);
         out.push_str("\",\"object\":\"");
-        crate::export::escape_into(&mut out, &self.object);
+        crate::export::escape_into(&mut out, self.object);
         out.push_str("\",\"error\":\"");
-        crate::export::escape_into(&mut out, &self.error);
+        crate::export::escape_into(&mut out, self.error);
         let _ = write!(
             out,
             "\",\"submitted_ns\":{},\"stages\":[",
@@ -282,11 +282,11 @@ impl FlightRecorder {
         &mut self,
         ts_ns: TimeNs,
         op_id: u64,
-        kind: &str,
-        object: &str,
-        error: &str,
+        kind: &'static str,
+        object: &'static str,
+        error: &'static str,
         submitted_ns: TimeNs,
-        stages: Vec<(String, TimeNs, TimeNs)>,
+        stages: Vec<(&'static str, TimeNs, TimeNs)>,
         gauges: &Recorder,
     ) {
         if self.dumps.len() >= self.dump_cap {
@@ -303,9 +303,9 @@ impl FlightRecorder {
             id: format!("pm-{ts_ns}-{seq}"),
             ts_ns,
             op_id,
-            kind: kind.to_owned(),
-            object: object.to_owned(),
-            error: error.to_owned(),
+            kind,
+            object,
+            error,
             submitted_ns,
             stages,
             faults: self.faults.iter().cloned().collect(),
@@ -394,7 +394,7 @@ mod tests {
             fr.note_fault(i, format!("fault{i}"));
             fr.note_gauges(i, &[(g, i as i64), (a, -1)]);
         }
-        let stages = vec![("s".into(), 0, 9)];
+        let stages = vec![("s", 0, 9)];
         fr.record(9, 1, "fetch", "obj", "Timeout", 0, stages, &rec);
         fr.record(10, 2, "fetch", "obj", "Timeout", 0, vec![], &rec);
         assert_eq!(fr.dumps().len(), 1);
@@ -432,11 +432,11 @@ mod tests {
             id: "pm-5-0".into(),
             ts_ns: 5,
             op_id: 3,
-            kind: "store".into(),
-            object: "a\"b".into(),
-            error: "NoSpace".into(),
+            kind: "store",
+            object: "a\"b",
+            error: "NoSpace",
             submitted_ns: 1,
-            stages: vec![("store.disk_write".into(), 1, 4)],
+            stages: vec![("store.disk_write", 1, 4)],
             faults: vec![(2, "crash node4".into())],
             gauges: vec![(3, vec![("cpu".into(), 250)])],
         };

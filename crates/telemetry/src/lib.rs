@@ -13,8 +13,8 @@
 //!
 //! * **Determinism.** Two runs of the same seeded workload must serialize
 //!   to byte-identical output. Events are kept in record order (fixed-size
-//!   heads plus one shared args arena), metrics in `BTreeMap`s, span ids
-//!   never reach an export, and the exporters emit integers only
+//!   heads plus one shared args arena, each span appended whole when it
+//!   ends), metrics in `BTreeMap`s, and the exporters emit integers only
 //!   (timestamps are fixed-point microsecond strings derived from integer
 //!   nanoseconds) — no floats, no hash-map iteration, no host clocks.
 //! * **Near-zero cost when off.** Recording sits behind a runtime toggle;
@@ -45,11 +45,11 @@
 //!
 //! let rec = Recorder::new();
 //! rec.set_enabled(true);
-//! let span = rec.begin("op", "fetch", 7, 1_000);
+//! let span = rec.begin(1_000);
 //! rec.instant("op", "fetch.failover", 7, 2_000);
 //! rec.add("op.fetch.failovers", 1);
 //! rec.observe("op.fetch.total_us", 4);
-//! rec.end(span, 5_000);
+//! rec.end(span, "op", "fetch", 7, 5_000, [("ok", true.into())]);
 //!
 //! let snap = rec.snapshot();
 //! assert_eq!(snap.spans().count(), 1);
@@ -72,8 +72,8 @@ pub use export::escape_into;
 pub use health::{FlightRecorder, PathBucket, Postmortem, SlidingHistogram};
 pub use ledger::{tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE};
 pub use recorder::{
-    Arg, ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanId,
-    SpanRec,
+    Arg, ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanRec,
+    SpanStart,
 };
 pub use series::GaugeSeries;
 

@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::series::GaugeSeries;
@@ -102,45 +102,22 @@ pub type Arg = (&'static str, ArgValue);
 /// Key-value arguments attached to a span or instant.
 pub type Args = Vec<Arg>;
 
-/// Handle to a span opened with [`Recorder::begin`]: the open-span slot it
-/// occupies and that slot's generation when it was handed out.
+/// A span begun with [`Recorder::begin`]: its start, and the recorder's
+/// clear count when it began. The recorder holds nothing for a span in
+/// flight; its owner keeps the token beside whatever else names the span,
+/// and [`Recorder::end`] records the span whole. `end` consumes the token,
+/// so a span cannot be ended twice.
 ///
-/// A recorder that is disabled at `begin` time hands out [`SpanId::NONE`],
-/// which makes the matching [`Recorder::end`] free. A slot's generation
-/// moves on whenever the slot is closed or cleared, so an id outlives its
-/// span harmlessly: ending it again, or after [`Recorder::clear`], matches
-/// no slot and records nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(u64);
-
-impl SpanId {
-    /// The inert span id: ending it is a no-op.
-    pub const NONE: SpanId = SpanId(0);
-
-    /// Whether this is the inert id.
-    pub fn is_none(&self) -> bool {
-        self.0 == 0
-    }
-
-    /// The id of `slot` at `generation` (never 0, so never [`SpanId::NONE`]).
-    fn new(slot: u32, generation: u32) -> SpanId {
-        debug_assert_ne!(generation, 0);
-        SpanId(u64::from(generation) << 32 | u64::from(slot))
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & u64::from(u32::MAX)) as usize
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-impl Default for SpanId {
-    fn default() -> Self {
-        SpanId::NONE
-    }
+/// A token handed out while recording is off, and the default token, are
+/// inert: ending one records nothing. So is a token that outlived a
+/// [`Recorder::clear`].
+#[derive(Debug, Default)]
+#[must_use = "a span is recorded only when its token is passed to `Recorder::end`"]
+pub struct SpanStart {
+    start_ns: TimeNs,
+    /// The recorder's epoch at `begin` (its clear count plus one); 0 for
+    /// an inert token.
+    epoch: u64,
 }
 
 /// A completed span: a named interval of virtual time on a track.
@@ -149,7 +126,7 @@ pub struct SpanRec {
     /// Category, e.g. `"op"`, `"net"`, `"dht"`, `"repair"`.
     pub cat: &'static str,
     /// Span name, e.g. `"fetch"` or `"fetch.flow_home"`.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Track (Chrome `tid`) the span renders on.
     pub track: u64,
     /// Start, in virtual nanoseconds.
@@ -178,7 +155,7 @@ pub struct InstantRec {
     /// Category, e.g. `"fault"`.
     pub cat: &'static str,
     /// Instant name, e.g. `"fault.partition"`.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Track (Chrome `tid`) the instant renders on.
     pub track: u64,
     /// Timestamp, in virtual nanoseconds.
@@ -423,7 +400,7 @@ impl<T, const N: usize> Chunked<T, N> {
 #[derive(Debug)]
 pub(crate) struct Head {
     pub(crate) cat: &'static str,
-    pub(crate) name: Cow<'static, str>,
+    pub(crate) name: &'static str,
     pub(crate) track: u64,
     /// A span's start, or an instant's timestamp.
     pub(crate) start_ns: TimeNs,
@@ -456,7 +433,7 @@ const CHUNK_BYTES: usize = 40 << 20;
 /// instant, in record order, and one append-only arena holding every
 /// event's arguments back to back. Recording an event appends one head and
 /// its arguments, so an event allocates nothing of its own; each column
-/// allocates once per [`CHUNK_BYTES`] (524 288 heads, 1 048 576
+/// allocates once per [`CHUNK_BYTES`] (582 542 heads of 72 bytes, 1 048 576
 /// arguments).
 #[derive(Debug, Default)]
 pub(crate) struct EventLog {
@@ -469,7 +446,7 @@ impl EventLog {
     fn push(
         &mut self,
         cat: &'static str,
-        name: Cow<'static, str>,
+        name: &'static str,
         track: u64,
         start_ns: TimeNs,
         end_ns: Option<TimeNs>,
@@ -507,7 +484,7 @@ impl EventLog {
         out.extend(self.iter().map(|(h, args)| match h.end_ns() {
             Some(end_ns) => EventRec::Span(SpanRec {
                 cat: h.cat,
-                name: h.name.clone(),
+                name: h.name,
                 track: h.track,
                 start_ns: h.start_ns,
                 end_ns,
@@ -515,7 +492,7 @@ impl EventLog {
             }),
             None => EventRec::Instant(InstantRec {
                 cat: h.cat,
-                name: h.name.clone(),
+                name: h.name,
                 track: h.track,
                 ts_ns: h.start_ns,
                 args: args.to_vec(),
@@ -523,89 +500,6 @@ impl EventLog {
         }));
         out
     }
-}
-
-/// One slot of the open-span slab. The slot outlives the spans it holds:
-/// its staged-args buffer keeps its capacity across reuse.
-#[derive(Debug)]
-struct OpenSlot {
-    /// The generation the slot's current (or next) span is handed out at.
-    generation: u32,
-    cat: &'static str,
-    name: Cow<'static, str>,
-    track: u64,
-    start_ns: TimeNs,
-    /// The `begin` arguments, staged until the span ends.
-    args: Vec<Arg>,
-}
-
-/// Spans begun and not yet ended: a slab of slots and a free list.
-#[derive(Debug, Default)]
-struct OpenSpans {
-    slots: Vec<OpenSlot>,
-    free: Vec<u32>,
-}
-
-impl OpenSpans {
-    fn open(
-        &mut self,
-        cat: &'static str,
-        name: Cow<'static, str>,
-        track: u64,
-        start_ns: TimeNs,
-        args: impl IntoIterator<Item = Arg>,
-    ) -> SpanId {
-        let index = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(OpenSlot {
-                generation: 1,
-                cat: "",
-                name: Cow::Borrowed(""),
-                track: 0,
-                start_ns: 0,
-                args: Vec::new(),
-            });
-            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 open spans")
-        });
-        // A free slot's buffer is empty: its last span's end drained it, or
-        // a clear did.
-        let slot = &mut self.slots[index as usize];
-        slot.cat = cat;
-        slot.name = name;
-        slot.track = track;
-        slot.start_ns = start_ns;
-        slot.args.extend(args);
-        SpanId::new(index, slot.generation)
-    }
-
-    /// Frees the slot `span` holds and returns it, still holding the span,
-    /// or `None` when `span` is not open (already ended, or cleared).
-    fn close(&mut self, span: SpanId) -> Option<&mut OpenSlot> {
-        let slot = self.slots.get_mut(span.slot())?;
-        if slot.generation != span.generation() {
-            return None;
-        }
-        slot.generation = next_generation(slot.generation);
-        self.free.push(span.slot() as u32);
-        Some(slot)
-    }
-
-    /// Closes every span without logging it; every id handed out goes
-    /// stale.
-    fn clear(&mut self) {
-        self.free.clear();
-        for (index, slot) in self.slots.iter_mut().enumerate().rev() {
-            slot.generation = next_generation(slot.generation);
-            slot.name = Cow::Borrowed("");
-            slot.args.clear();
-            self.free.push(index as u32);
-        }
-    }
-}
-
-/// The generation after `g`, skipping 0 (which would make a slot-0 id
-/// [`SpanId::NONE`]).
-fn next_generation(g: u32) -> u32 {
-    g.checked_add(1).unwrap_or(1)
 }
 
 /// A registered gauge: the index of its column in the [`Recorder`] that
@@ -625,11 +519,10 @@ struct GaugeColumn {
 
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
-    open: OpenSpans,
     pub(crate) events: EventLog,
-    pub(crate) counters: BTreeMap<Cow<'static, str>, u64>,
-    pub(crate) hists: BTreeMap<Cow<'static, str>, Histogram>,
-    pub(crate) exemplars: BTreeMap<Cow<'static, str>, String>,
+    pub(crate) counters: BTreeMap<&'static str, u64>,
+    pub(crate) hists: BTreeMap<&'static str, Histogram>,
+    pub(crate) exemplars: BTreeMap<&'static str, String>,
     /// One column per registered gauge, indexed by [`GaugeId`].
     columns: Vec<GaugeColumn>,
     /// Registered gauge names in name order: what every export walks.
@@ -665,6 +558,12 @@ impl Inner {
 #[derive(Debug)]
 struct Shared {
     enabled: AtomicBool,
+    /// One more than the number of clears so far: what a [`SpanStart`]
+    /// must still match when it ends. Moved and compared only under the
+    /// `inner` lock, and it publishes no other data, so `Relaxed` does: a
+    /// `begin` racing a `clear` from another thread may take either epoch,
+    /// and its span is recorded or not as if it began on that side.
+    epoch: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -690,6 +589,7 @@ impl Recorder {
         Recorder {
             shared: Arc::new(Shared {
                 enabled: AtomicBool::new(false),
+                epoch: AtomicU64::new(1),
                 inner: Mutex::new(Inner::default()),
             }),
         }
@@ -705,13 +605,13 @@ impl Recorder {
         self.shared.enabled.load(Ordering::Relaxed)
     }
 
-    /// Discards all collected events and metrics (open spans included).
-    /// Gauge registrations survive — every [`GaugeId`] handed out stays
+    /// Discards all collected events and metrics; a span begun before the
+    /// clear records nothing when it ends. Gauge registrations survive — every [`GaugeId`] handed out stays
     /// valid — but their points are dropped, so every export reads as if
     /// the gauges had never been sampled.
     pub fn clear(&self) {
         let mut inner = self.lock();
-        inner.open.clear();
+        self.shared.epoch.fetch_add(1, Ordering::Relaxed);
         inner.events.clear();
         inner.counters.clear();
         inner.hists.clear();
@@ -725,61 +625,41 @@ impl Recorder {
         self.shared.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Opens a span; returns [`SpanId::NONE`] while disabled.
-    pub fn begin(
-        &self,
-        cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        track: u64,
-        start_ns: TimeNs,
-    ) -> SpanId {
-        self.begin_args(cat, name, track, start_ns, [])
-    }
-
-    /// Opens a span with arguments; returns [`SpanId::NONE`] while disabled.
-    /// The arguments are staged in the span's open slot until it ends.
-    pub fn begin_args(
-        &self,
-        cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        track: u64,
-        start_ns: TimeNs,
-        args: impl IntoIterator<Item = Arg>,
-    ) -> SpanId {
+    /// Begins a span at `start_ns`; hands out an inert token while
+    /// disabled.
+    pub fn begin(&self, start_ns: TimeNs) -> SpanStart {
         if !self.enabled() {
-            return SpanId::NONE;
+            return SpanStart::default();
         }
-        self.lock()
-            .open
-            .open(cat, name.into(), track, start_ns, args)
+        SpanStart {
+            start_ns,
+            epoch: self.shared.epoch.load(Ordering::Relaxed),
+        }
     }
 
-    /// Closes a span opened with [`Recorder::begin`].
+    /// Ends a span begun with [`Recorder::begin`] and records it whole, its
+    /// arguments in the order given (a caller passes the ones it began
+    /// with first).
     ///
-    /// Spans opened while enabled are closed even if recording has been
-    /// disabled in between, so the event log never holds dangling opens.
-    pub fn end(&self, span: SpanId, end_ns: TimeNs) {
-        self.end_args(span, end_ns, []);
-    }
-
-    /// Closes a span, appending extra arguments (e.g. an outcome) after the
-    /// ones it began with.
-    pub fn end_args(&self, span: SpanId, end_ns: TimeNs, args: impl IntoIterator<Item = Arg>) {
-        if span.is_none() {
+    /// A span begun while enabled is recorded even if recording has been
+    /// disabled since; one begun before a [`Recorder::clear`] is not.
+    pub fn end(
+        &self,
+        span: SpanStart,
+        cat: &'static str,
+        name: &'static str,
+        track: u64,
+        end_ns: TimeNs,
+        args: impl IntoIterator<Item = Arg>,
+    ) {
+        if span.epoch == 0 {
             return;
         }
         let mut inner = self.lock();
-        let Inner { open, events, .. } = &mut *inner;
-        if let Some(slot) = open.close(span) {
-            let name = std::mem::take(&mut slot.name);
-            events.push(
-                slot.cat,
-                name,
-                slot.track,
-                slot.start_ns,
-                Some(end_ns),
-                slot.args.drain(..).chain(args),
-            );
+        if span.epoch == self.shared.epoch.load(Ordering::Relaxed) {
+            inner
+                .events
+                .push(cat, name, track, span.start_ns, Some(end_ns), args);
         }
     }
 
@@ -787,7 +667,7 @@ impl Recorder {
     pub fn span(
         &self,
         cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
+        name: &'static str,
         track: u64,
         start_ns: TimeNs,
         end_ns: TimeNs,
@@ -799,7 +679,7 @@ impl Recorder {
     pub fn span_args(
         &self,
         cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
+        name: &'static str,
         track: u64,
         start_ns: TimeNs,
         end_ns: TimeNs,
@@ -810,17 +690,11 @@ impl Recorder {
         }
         self.lock()
             .events
-            .push(cat, name.into(), track, start_ns, Some(end_ns), args);
+            .push(cat, name, track, start_ns, Some(end_ns), args);
     }
 
     /// Records a point-in-time event.
-    pub fn instant(
-        &self,
-        cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        track: u64,
-        ts_ns: TimeNs,
-    ) {
+    pub fn instant(&self, cat: &'static str, name: &'static str, track: u64, ts_ns: TimeNs) {
         self.instant_args(cat, name, track, ts_ns, []);
     }
 
@@ -828,7 +702,7 @@ impl Recorder {
     pub fn instant_args(
         &self,
         cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
+        name: &'static str,
         track: u64,
         ts_ns: TimeNs,
         args: impl IntoIterator<Item = Arg>,
@@ -836,49 +710,43 @@ impl Recorder {
         if !self.enabled() {
             return;
         }
-        self.lock()
-            .events
-            .push(cat, name.into(), track, ts_ns, None, args);
+        self.lock().events.push(cat, name, track, ts_ns, None, args);
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
-    pub fn add(&self, name: impl Into<Cow<'static, str>>, delta: u64) {
+    pub fn add(&self, name: &'static str, delta: u64) {
         if !self.enabled() {
             return;
         }
-        *self.lock().counters.entry(name.into()).or_insert(0) += delta;
+        *self.lock().counters.entry(name).or_insert(0) += delta;
     }
 
     /// Sets a counter to an absolute value (used to mirror externally
     /// maintained statistics into the metrics dump).
-    pub fn set_counter(&self, name: impl Into<Cow<'static, str>>, value: u64) {
+    pub fn set_counter(&self, name: &'static str, value: u64) {
         if !self.enabled() {
             return;
         }
-        self.lock().counters.insert(name.into(), value);
+        self.lock().counters.insert(name, value);
     }
 
     /// Records one histogram sample.
-    pub fn observe(&self, name: impl Into<Cow<'static, str>>, value: u64) {
+    pub fn observe(&self, name: &'static str, value: u64) {
         if !self.enabled() {
             return;
         }
-        self.lock()
-            .hists
-            .entry(name.into())
-            .or_default()
-            .observe(value);
+        self.lock().hists.entry(name).or_default().observe(value);
     }
 
     /// Attaches an OpenMetrics-style exemplar to a counter: the Prometheus
     /// export appends `# {ledger="<label>"}` to that counter's sample line,
     /// linking the aggregate to one concrete causal-ledger entry (the most
     /// recent one wins). No-op while disabled.
-    pub fn set_exemplar(&self, name: impl Into<Cow<'static, str>>, label: String) {
+    pub fn set_exemplar(&self, name: &'static str, label: String) {
         if !self.enabled() {
             return;
         }
-        self.lock().exemplars.insert(name.into(), label);
+        self.lock().exemplars.insert(name, label);
     }
 
     /// Registers the gauge `name` — or finds it, if it is registered
@@ -945,12 +813,12 @@ impl Recorder {
             counters: inner
                 .counters
                 .iter()
-                .map(|(k, v)| (k.clone().into_owned(), *v))
+                .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
             histograms: inner
                 .hists
                 .iter()
-                .map(|(k, v)| (k.clone().into_owned(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
             series: inner
                 .gauge_series()
@@ -959,7 +827,7 @@ impl Recorder {
             exemplars: inner
                 .exemplars
                 .iter()
-                .map(|(k, v)| (k.clone().into_owned(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         }
     }
@@ -1031,9 +899,8 @@ mod tests {
     #[test]
     fn disabled_recorder_collects_nothing() {
         let rec = Recorder::new();
-        let id = rec.begin("op", "store", 1, 0);
-        assert!(id.is_none());
-        rec.end(id, 10);
+        let span = rec.begin(0);
+        rec.end(span, "op", "store", 1, 10, []);
         rec.span("op", "x", 1, 0, 5);
         rec.instant("op", "y", 1, 3);
         rec.add("c", 2);
@@ -1048,9 +915,9 @@ mod tests {
     fn spans_survive_disable_between_begin_and_end() {
         let rec = Recorder::new();
         rec.set_enabled(true);
-        let id = rec.begin("op", "fetch", 3, 100);
+        let span = rec.begin(100);
         rec.set_enabled(false);
-        rec.end_args(id, 400, vec![("ok", ArgValue::from(true))]);
+        rec.end(span, "op", "fetch", 3, 400, [("ok", ArgValue::from(true))]);
         let snap = rec.snapshot();
         let span = snap.spans().next().expect("span recorded");
         assert_eq!(span.name, "fetch");
@@ -1080,20 +947,21 @@ mod tests {
     }
 
     #[test]
-    fn a_span_id_outlived_by_its_slot_ends_nothing() {
+    fn a_token_that_outlived_a_clear_ends_nothing() {
         let rec = Recorder::new();
         rec.set_enabled(true);
-        let stale = rec.begin("op", "cleared", 1, 0);
+        let stale = rec.begin(0);
         rec.clear();
-        let live = rec.begin("op", "live", 1, 10);
-        assert_ne!(stale, live, "same slot, next generation");
-        rec.end(stale, 20);
+        let live = rec.begin(10);
+        rec.end(stale, "op", "cleared", 1, 20, []);
         assert!(rec.snapshot().events.is_empty());
-        rec.end(live, 30);
-        rec.end(live, 40);
+        rec.end(live, "op", "live", 1, 30, []);
         let snap = rec.snapshot();
-        let names: Vec<_> = snap.spans().map(|s| (&*s.name, s.end_ns)).collect();
-        assert_eq!(names, [("live", 30)], "a second end is a no-op");
+        let names: Vec<_> = snap
+            .spans()
+            .map(|s| (s.name, s.start_ns, s.end_ns))
+            .collect();
+        assert_eq!(names, [("live", 10, 30)]);
     }
 
     #[test]

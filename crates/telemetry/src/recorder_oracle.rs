@@ -2,10 +2,14 @@
 //!
 //! Before the event log was columns, the recorder kept one `EventRec` per
 //! event, each with its own args `Vec` (grown by `append` at a span's end),
-//! and open spans in a `BTreeMap` under sequential ids. [`old`] is that
-//! recorder and its exporters, kept verbatim (only the `ArgValue` it stores
-//! is today's); the proptest below drives random interleavings of
-//! begin/end — out-of-order ends, double ends, ends after `clear` — spans,
+//! open spans in a `BTreeMap` under sequential ids, and every name as a
+//! `Cow<str>`. [`old`] is that recorder, its record types and its
+//! exporters, kept verbatim (only the `ArgValue` it stores is today's). The
+//! new recorder holds no open spans: the driver keeps each begun span's
+//! token, category, name, track and begin arguments, as the product's
+//! callers do, and hands them to `end`. The proptest below drives random
+//! interleavings of begin/end — out-of-order ends, double ends (a no-op on
+//! the old side; the new side's token is gone), ends after `clear` — spans,
 //! instants, enable/disable, counters, histograms, exemplars and gauges
 //! through both and requires the same `chrome_trace_json`, `metrics_json`,
 //! `prometheus_text` and `series_json` bytes and the same `snapshot()`.
@@ -18,7 +22,7 @@ use std::borrow::Cow;
 use proptest::collection;
 use proptest::prelude::*;
 
-use crate::{Arg, ArgValue, Recorder, Snapshot, SpanId, TimeNs};
+use crate::{Arg, ArgValue, EventRec, Recorder, Snapshot, SpanStart, TimeNs};
 
 #[allow(dead_code)] // kept verbatim: not every method is driven
 mod old {
@@ -27,7 +31,63 @@ mod old {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
 
-    use crate::{Args, EventRec, GaugeSeries, Histogram, InstantRec, Snapshot, SpanRec, TimeNs};
+    use crate::{Args, GaugeSeries, Histogram, TimeNs};
+
+    /// A completed span: a named interval of virtual time on a track.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanRec {
+        /// Category, e.g. `"op"`, `"net"`, `"dht"`, `"repair"`.
+        pub cat: &'static str,
+        /// Span name, e.g. `"fetch"` or `"fetch.flow_home"`.
+        pub name: Cow<'static, str>,
+        /// Track (Chrome `tid`) the span renders on.
+        pub track: u64,
+        /// Start, in virtual nanoseconds.
+        pub start_ns: TimeNs,
+        /// End, in virtual nanoseconds.
+        pub end_ns: TimeNs,
+        /// Attached arguments, in record order.
+        pub args: Args,
+    }
+
+    /// A point-in-time event on a track.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InstantRec {
+        /// Category, e.g. `"fault"`.
+        pub cat: &'static str,
+        /// Instant name, e.g. `"fault.partition"`.
+        pub name: Cow<'static, str>,
+        /// Track (Chrome `tid`) the instant renders on.
+        pub track: u64,
+        /// Timestamp, in virtual nanoseconds.
+        pub ts_ns: TimeNs,
+        /// Attached arguments, in record order.
+        pub args: Args,
+    }
+
+    /// One entry of the event log, in record order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventRec {
+        /// A completed span (logged when it ends).
+        Span(SpanRec),
+        /// A point-in-time event.
+        Instant(InstantRec),
+    }
+
+    /// A structured copy of a recorder's state, for tests and reports.
+    #[derive(Debug, Clone, Default)]
+    pub struct Snapshot {
+        /// Completed spans and instants, in record order.
+        pub events: Vec<EventRec>,
+        /// Counter values by name.
+        pub counters: BTreeMap<String, u64>,
+        /// Histograms by name.
+        pub histograms: BTreeMap<String, Histogram>,
+        /// Gauge time series by name.
+        pub series: BTreeMap<String, GaugeSeries>,
+        /// Exemplar labels by counter name.
+        pub exemplars: BTreeMap<String, String>,
+    }
 
     /// Handle to a span opened with [`Recorder::begin`].
     ///
@@ -477,8 +537,8 @@ mod old {
     mod export {
         use std::fmt::Write;
 
-        use super::Inner;
-        use crate::{ArgValue, Args, EventRec};
+        use super::{EventRec, Inner};
+        use crate::{ArgValue, Args};
 
         /// Escapes a string for inclusion in a JSON string literal.
         fn escape_into(out: &mut String, s: &str) {
@@ -742,24 +802,15 @@ fn args(spec: &ArgSpec) -> Vec<Arg> {
     spec.iter().map(|(k, v)| (KEYS[*k], v.arg())).collect()
 }
 
-/// A span or instant name, borrowed or owned.
-fn name((i, owned): (usize, bool)) -> Cow<'static, str> {
-    if owned {
-        Cow::Owned(NAMES[i].to_owned())
-    } else {
-        Cow::Borrowed(NAMES[i])
-    }
-}
-
 /// One script step.
 #[derive(Debug, Clone)]
 enum Step {
-    Begin(usize, (usize, bool), u64, ArgSpec),
-    /// Ends the `n`-th id handed out (modulo their count): ids may be
-    /// ended out of order, twice, or after a clear.
+    Begin(usize, usize, u64, ArgSpec),
+    /// Ends the `n`-th span begun (modulo their count): spans may be ended
+    /// out of order, twice, or after a clear.
     End(usize, ArgSpec),
-    Span(usize, (usize, bool), u64, u64, ArgSpec),
-    Instant(usize, (usize, bool), u64, ArgSpec),
+    Span(usize, usize, u64, u64, ArgSpec),
+    Instant(usize, usize, u64, ArgSpec),
     Enable(bool),
     Clear,
     Add(usize, u64),
@@ -780,7 +831,7 @@ fn step() -> impl Strategy<Value = Step> {
         ]
     };
     let spec = move || collection::vec((0..KEYS.len(), value()), 0..8);
-    let name = || (0..NAMES.len(), any::<bool>());
+    let name = || 0..NAMES.len();
     let (cat, track, metric) = (|| 0..CATS.len(), || 0u64..4, || 0..METRICS.len());
     let begin =
         || (cat(), name(), track(), spec()).prop_map(|(c, n, t, a)| Step::Begin(c, n, t, a));
@@ -806,8 +857,32 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn same_snapshot(new: Snapshot, old: Snapshot) -> TestCaseResult {
-    prop_assert_eq!(new.events, old.events);
+/// A new-side event in the old recorder's record shape.
+fn old_shape(event: &EventRec) -> old::EventRec {
+    match event {
+        EventRec::Span(s) => old::EventRec::Span(old::SpanRec {
+            cat: s.cat,
+            name: Cow::Borrowed(s.name),
+            track: s.track,
+            start_ns: s.start_ns,
+            end_ns: s.end_ns,
+            args: s.args.clone(),
+        }),
+        EventRec::Instant(i) => old::EventRec::Instant(old::InstantRec {
+            cat: i.cat,
+            name: Cow::Borrowed(i.name),
+            track: i.track,
+            ts_ns: i.ts_ns,
+            args: i.args.clone(),
+        }),
+    }
+}
+
+fn same_snapshot(new: Snapshot, old: old::Snapshot) -> TestCaseResult {
+    prop_assert_eq!(
+        new.events.iter().map(old_shape).collect::<Vec<_>>(),
+        old.events
+    );
     prop_assert_eq!(new.counters, old.counters);
     prop_assert_eq!(new.histograms, old.histograms);
     prop_assert_eq!(new.series, old.series);
@@ -823,35 +898,61 @@ fn same_exports(new: &Recorder, old: &old::Recorder) -> TestCaseResult {
     same_snapshot(new.snapshot(), old.snapshot())
 }
 
+/// A span begun on the new recorder, as its caller keeps it until the end.
+#[derive(Debug)]
+struct Open {
+    start: SpanStart,
+    cat: &'static str,
+    name: &'static str,
+    track: u64,
+    args: Vec<Arg>,
+}
+
+impl Open {
+    fn end(self, rec: &Recorder, end_ns: TimeNs, extra: Vec<Arg>) {
+        let args = self.args.into_iter().chain(extra);
+        rec.end(self.start, self.cat, self.name, self.track, end_ns, args);
+    }
+}
+
 /// Runs `script` against both recorders, comparing every export after each
 /// step.
 fn run(script: Vec<Step>) -> TestCaseResult {
     let (new, old) = (Recorder::new(), old::Recorder::new());
     new.set_enabled(true);
     old.set_enabled(true);
-    let mut ids: Vec<(SpanId, old::SpanId)> = Vec::new();
+    // A span's new-side record is taken by its first end.
+    let mut spans: Vec<(Option<Open>, old::SpanId)> = Vec::new();
     let mut ts: TimeNs = 0;
     for step in script {
         match step {
-            Step::Begin(c, n, track, spec) => ids.push((
-                new.begin_args(CATS[c], name(n), track, ts, args(&spec)),
-                old.begin_args(CATS[c], name(n), track, ts, args(&spec)),
+            Step::Begin(c, n, track, spec) => spans.push((
+                Some(Open {
+                    start: new.begin(ts),
+                    cat: CATS[c],
+                    name: NAMES[n],
+                    track,
+                    args: args(&spec),
+                }),
+                old.begin_args(CATS[c], NAMES[n], track, ts, args(&spec)),
             )),
-            Step::End(h, spec) => {
-                let (a, b) = match ids.len() {
-                    0 => (SpanId::NONE, old::SpanId::NONE),
-                    len => ids[h % len],
-                };
-                new.end_args(a, ts, args(&spec));
-                old.end_args(b, ts, args(&spec));
-            }
+            Step::End(h, spec) => match spans.len() {
+                0 => old.end_args(old::SpanId::NONE, ts, args(&spec)),
+                len => {
+                    let (open, id) = &mut spans[h % len];
+                    if let Some(open) = open.take() {
+                        open.end(&new, ts, args(&spec));
+                    }
+                    old.end_args(*id, ts, args(&spec));
+                }
+            },
             Step::Span(c, n, track, dur, spec) => {
-                new.span_args(CATS[c], name(n), track, ts, ts + dur, args(&spec));
-                old.span_args(CATS[c], name(n), track, ts, ts + dur, args(&spec));
+                new.span_args(CATS[c], NAMES[n], track, ts, ts + dur, args(&spec));
+                old.span_args(CATS[c], NAMES[n], track, ts, ts + dur, args(&spec));
             }
             Step::Instant(c, n, track, spec) => {
-                new.instant_args(CATS[c], name(n), track, ts, args(&spec));
-                old.instant_args(CATS[c], name(n), track, ts, args(&spec));
+                new.instant_args(CATS[c], NAMES[n], track, ts, args(&spec));
+                old.instant_args(CATS[c], NAMES[n], track, ts, args(&spec));
             }
             Step::Enable(on) => {
                 new.set_enabled(on);
@@ -901,7 +1002,7 @@ proptest! {
 }
 
 /// A 12 000-call log with argument runs of every length from 0 to 7, some
-/// of them staged by spans left open while later ones close.
+/// of them begun by spans left open while later ones close.
 #[test]
 fn long_logs_match_the_event_per_record_recorder() {
     let (new, old) = (Recorder::new(), old::Recorder::new());
@@ -914,34 +1015,43 @@ fn long_logs_match_the_event_per_record_recorder() {
     };
     let mut open = Vec::new();
     for i in 0..12_000u64 {
-        let n = ((i % NAMES.len() as u64) as usize, i % 3 == 0);
+        let name = NAMES[(i % NAMES.len() as u64) as usize];
         match i % 4 {
             0 => open.push((
-                new.begin_args("op", name(n), i, i, args(&spec(i))),
-                old.begin_args("op", name(n), i, i, args(&spec(i))),
+                Open {
+                    start: new.begin(i),
+                    cat: "op",
+                    name,
+                    track: i,
+                    args: args(&spec(i)),
+                },
+                old.begin_args("op", name, i, i, args(&spec(i))),
             )),
             1 => {
-                new.instant_args("op", name(n), i, i, args(&spec(i)));
-                old.instant_args("op", name(n), i, i, args(&spec(i)));
+                new.instant_args("op", name, i, i, args(&spec(i)));
+                old.instant_args("op", name, i, i, args(&spec(i)));
             }
             2 => {
-                new.span_args("op", name(n), i, i, i + 1, args(&spec(i)));
-                old.span_args("op", name(n), i, i, i + 1, args(&spec(i)));
+                new.span_args("op", name, i, i, i + 1, args(&spec(i)));
+                old.span_args("op", name, i, i, i + 1, args(&spec(i)));
             }
             _ if i % 8 == 3 => {
                 let (a, b) = open.pop().expect("a span is open");
-                new.end_args(a, i, args(&spec(i + 3)));
+                a.end(&new, i, args(&spec(i + 3)));
                 old.end_args(b, i, args(&spec(i + 3)));
             }
             _ => {}
         }
     }
     for (a, b) in open.into_iter().rev() {
-        new.end_args(a, 20_000, args(&spec(5)));
+        a.end(&new, 20_000, args(&spec(5)));
         old.end_args(b, 20_000, args(&spec(5)));
     }
     let events = new.snapshot().events;
     assert!(events.len() > 2 * 4096, "{} events", events.len());
-    assert_eq!(events, old.snapshot().events);
+    assert_eq!(
+        events.iter().map(old_shape).collect::<Vec<_>>(),
+        old.snapshot().events
+    );
     assert_eq!(new.chrome_trace_json(), old.chrome_trace_json());
 }

@@ -4,11 +4,12 @@
 # declared under `#[cfg(test)]` (a test-only oracle) is not counted at all.
 # Prints per-crate totals, the five largest files of `core`, the
 # `Cloud4Home` field count, and the workspace-internal dependency edges.
-# With `--gate` (CI's lint job), fails when the largest file of `core` or
-# the field count is over its limit; the edge count is reported only.
+# With `--gate` (CI's lint job), fails when the largest file of `core`, the
+# field count or the edge count is over its limit.
 set -euo pipefail
 max_core_file=1100
 max_fields=24
+max_edges=27
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 lines() {
@@ -69,4 +70,5 @@ if [ "${1:-}" = --gate ]; then
     top=${largest%% *}
     [ "$top" -le "$max_core_file" ] || { echo "gate: largest core file has $top lines (limit $max_core_file)" >&2; exit 1; }
     [ "$fields" -le "$max_fields" ] || { echo "gate: Cloud4Home has $fields fields (limit $max_fields)" >&2; exit 1; }
+    [ "$edges" -le "$max_edges" ] || { echo "gate: $edges internal dependency edges (limit $max_edges)" >&2; exit 1; }
 fi

@@ -6,7 +6,10 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use cloud4home::{Cloud4Home, Config, NodeId, Object, OpReport, StorePolicy, LEDGER_NONE};
+use cloud4home::{
+    CauseKind, Cloud4Home, Config, NodeId, Object, OpReport, RoutePolicy, ServiceKind, StorePolicy,
+    LEDGER_NONE,
+};
 
 const OBJ_BYTES: u64 = 256 << 10;
 
@@ -454,4 +457,58 @@ fn tiny_ring_eviction_preserves_live_chains() {
     }
     assert_exact_sum(&report);
     assert_chain_closed(&report);
+}
+
+/// A process op reissues its timed-out metadata batch from its own stage,
+/// not through the op engine's reply intercept. Each reissue is a
+/// `DhtRetry` on the op's ledger, chained like any other, and a reissue the
+/// retry budget denies is a `RetryDenied`.
+#[test]
+fn a_process_batch_reissue_is_stamped_on_the_ledger() {
+    let run = |budget: u32| -> (Cloud4Home, OpReport) {
+        let mut config = ledger_config(4646);
+        config.overload.enabled = true;
+        config.overload.retry_budget = budget;
+        config.overload.retry_refill_per_sec = 0;
+        let mut home = Cloud4Home::new(config);
+        let obj = Object::synthetic("lossy/clip.avi", 31, OBJ_BYTES, "avi");
+        let op = home.store_object(NodeId(2), obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+        home.run_until_idle();
+        home.set_message_loss(0.99);
+        let service = ServiceKind::Transcode;
+        let op = home.process_object(
+            NodeId(4),
+            "lossy/clip.avi",
+            service,
+            RoutePolicy::Performance,
+        );
+        let report = home.run_until_complete(op);
+        assert!(report.outcome.is_err(), "the batch never lands: {report:?}");
+        (home, report)
+    };
+    let count = |report: &OpReport, kind: CauseKind| {
+        report.ledger.iter().filter(|e| e.kind == kind).count() as u64
+    };
+
+    let (home, report) = run(64);
+    assert!(report.retries > 0, "a lost batch is reissued: {report:?}");
+    assert_eq!(home.stats().retry_budget_denied, 0);
+    assert_eq!(
+        count(&report, CauseKind::DhtRetry),
+        u64::from(report.retries),
+        "every reissue is on the ledger: {:?}",
+        report.ledger
+    );
+    assert_chain_closed(&report);
+
+    let (home, report) = run(1);
+    let denied = home.stats().retry_budget_denied;
+    assert!(denied > 0, "a one-token budget runs dry");
+    assert_eq!(
+        count(&report, CauseKind::RetryDenied),
+        denied,
+        "every denied reissue is on the ledger: {:?}",
+        report.ledger
+    );
 }

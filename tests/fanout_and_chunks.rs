@@ -157,6 +157,8 @@ fn chunked_transfers_account_every_byte() {
         split.arg("chunks").and_then(|v| v.as_u64()),
         Some((4u64 << 20).div_ceil(256 << 10))
     );
+    let keys: Vec<&str> = split.args.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, ["src", "dst", "bytes", "chunks", "sent", "done"]);
 
     // Chunking must never change how many bytes the application sees.
     let plain = run(0);

@@ -246,7 +246,7 @@ fn no_transfer_crosses_an_active_partition() {
     // Reconstruct partition windows [cut, heal) from the fault instants.
     let mut windows: Vec<(u64, u64, Vec<BTreeSet<u64>>)> = Vec::new();
     for i in snap.instants().filter(|i| i.track == RUNTIME_TRACK) {
-        match &*i.name {
+        match i.name {
             "fault.partition" => windows.push((i.ts_ns, u64::MAX, parse_groups(i))),
             "fault.heal" => {
                 if let Some(w) = windows.last_mut() {
