@@ -91,7 +91,7 @@ impl Profile {
 
     /// The self share of every product module, largest first: each sample
     /// counts once, for the module of the innermost product frame on its
-    /// stack (see [`product_module`]), or for `(no product frame)`. The
+    /// stack (see `product_module`), or for `(no product frame)`. The
     /// shares sum to 1.
     pub fn module_shares(&self) -> Vec<(String, f64)> {
         let symbols = symbolize(self.stacks.iter().flatten().copied());
@@ -217,7 +217,7 @@ pub struct FrameShare {
     pub inclusive_share: f64,
 }
 
-/// Runs `f` while sampling this thread's stack every [`INTERVAL`] and
+/// Runs `f` while sampling this thread's stack every `INTERVAL` and
 /// returns its result with the samples. Windows do not nest.
 pub fn sample_profile<R>(f: impl FnOnce() -> R) -> (R, Profile) {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

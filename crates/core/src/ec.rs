@@ -258,7 +258,7 @@ impl ErasureCode {
 
     /// Row `row` of [`ErasureCode::encode`] alone, into `out` (one stripe
     /// long), from data already [`ErasureCode::pad`]ded: a data row is a
-    /// copy of its slice, a parity row one [`mul_acc`] pass per data row.
+    /// copy of its slice, a parity row one `mul_acc` pass per data row.
     pub fn encode_row(&self, padded: &[u8], row: usize, out: &mut [u8]) {
         let sl = out.len();
         debug_assert_eq!(padded.len(), self.k * sl);

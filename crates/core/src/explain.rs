@@ -15,25 +15,92 @@
 use std::cmp::Reverse;
 use std::fmt::Write;
 
-use c4h_telemetry::{escape_into, tile_critical_path, DagEdge, PathBucket};
+use c4h_telemetry::escape_into;
 
-use crate::ops::Stage;
+use crate::ops::{OpKind, Stage};
 use crate::report::{OpId, OpReport};
 use crate::runtime::Cloud4Home;
 
+/// One edge of a critical-path DAG: a half-open `[start_ns, end_ns)` slice
+/// of the op's lifetime, either a recorded stage (service) or the gap
+/// between stages (wait), annotated with the `seq`s of the ledger events
+/// whose decisions fell inside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DagEdge {
+    /// The stage a service edge ran; `None` for a wait edge.
+    stage: Option<Stage>,
+    /// Edge start, absolute virtual time.
+    pub start_ns: u64,
+    /// Edge end, absolute virtual time.
+    pub end_ns: u64,
+    /// `seq`s of ledger events recorded in `[start_ns, end_ns)` (the final
+    /// edge also claims events at exactly `end_ns`).
+    pub causes: Vec<u32>,
+}
+
+impl DagEdge {
+    /// The stage's span name, or `"wait"` for a gap edge.
+    pub fn label(&self) -> &'static str {
+        self.stage.map_or("wait", |s| s.info().name)
+    }
+
+    /// Whether this is a gap (queueing/control/backoff) edge.
+    pub fn wait(&self) -> bool {
+        self.stage.is_none()
+    }
+
+    /// The edge's duration.
+    pub fn dur_ns(&self) -> u64 {
+        self.end_ns - self.start_ns
+    }
+}
+
 impl OpReport {
-    /// The op's critical-path DAG: service and wait edges exactly tiling
-    /// `[submitted, completed]` (summed edge durations equal
-    /// [`OpReport::total`] to the nanosecond), with ledger-event `seq`s
-    /// attached to the edge each decision fell in. Empty when the report
-    /// completed without the causal ledger enabled (no stages recorded and
-    /// a zero-length window); a ledger-enabled op with no stages still
-    /// yields one all-wait edge.
+    /// The op's critical-path DAG: its stage spans tiled against the window
+    /// `[submitted, completed]` with the gaps between them, as service and
+    /// wait edges whose durations sum to **exactly** [`OpReport::total`] —
+    /// the exact-sum invariant the explain plane is built on. The stages
+    /// are sorted by start and non-overlapping (the runtime's sequential
+    /// stage log is both by construction); spans outside the window are
+    /// clamped into it. Each ledger event's `seq` is attached to the edge
+    /// its decision fell in. Empty when the report completed without the
+    /// causal ledger enabled (no stages recorded and a zero-length window);
+    /// a ledger-enabled op with no stages still yields one all-wait edge.
     pub fn critical_dag(&self) -> Vec<DagEdge> {
-        let start = self.submitted.as_nanos();
-        let end = self.completed.as_nanos();
-        let events: Vec<(u32, u64)> = self.ledger.iter().map(|e| (e.seq, e.ts_ns)).collect();
-        tile_critical_path(start, end, &self.stages, &events)
+        let end_ns = self.completed.as_nanos();
+        let mut edges = Vec::new();
+        let mut cursor = self.submitted.as_nanos();
+        let push = |edges: &mut Vec<DagEdge>, stage, s, e| {
+            if e > s {
+                edges.push(DagEdge {
+                    stage,
+                    start_ns: s,
+                    end_ns: e,
+                    causes: Vec::new(),
+                });
+            }
+        };
+        for span in &self.stages {
+            let s = span.start_ns.clamp(cursor, end_ns);
+            let e = span.end_ns.clamp(cursor, end_ns);
+            push(&mut edges, None, cursor, s);
+            push(&mut edges, Some(span.stage), s, e);
+            cursor = cursor.max(e);
+        }
+        push(&mut edges, None, cursor, end_ns);
+        // Attach each event to the edge covering its instant. Events land
+        // on half-open edges so a decision made at a boundary annotates the
+        // edge it *opens* (a backoff decision annotates the wait it starts).
+        let n = edges.len();
+        for ev in &self.ledger {
+            let hit = edges.iter_mut().enumerate().find(|(i, edge)| {
+                ev.ts_ns >= edge.start_ns && (ev.ts_ns < edge.end_ns || *i + 1 == n)
+            });
+            if let Some((_, edge)) = hit {
+                edge.causes.push(ev.seq);
+            }
+        }
+        edges
     }
 }
 
@@ -51,15 +118,10 @@ fn via_cloud(report: &OpReport) -> bool {
 }
 
 /// The latency bucket an edge charges to: the stage table's bucket for
-/// service edges (a label the table does not know charges to `other`),
-/// `"wait"` for gap edges.
+/// service edges, `"wait"` for gap edges.
 fn edge_bucket(report: &OpReport, edge: &DagEdge) -> &'static str {
-    if edge.wait {
-        return "wait";
-    }
-    Stage::from_name(&edge.label)
-        .map_or(PathBucket::Other, |s| s.bucket(via_cloud(report)))
-        .label()
+    edge.stage
+        .map_or("wait", |s| s.bucket(via_cloud(report)).label())
 }
 
 /// Renders one report as the `explain` command's annotated timeline.
@@ -93,7 +155,7 @@ fn explain_text(report: &OpReport) -> String {
             "  +{:<12} {:<10} {} [{}]",
             format!("{}ns", edge.start_ns - report.submitted.as_nanos()),
             format!("{}ns", edge.dur_ns()),
-            edge.label,
+            edge.label(),
             edge_bucket(report, edge),
         );
         for seq in &edge.causes {
@@ -160,13 +222,13 @@ fn explain_json(report: &OpReport) -> String {
             out.push(',');
         }
         out.push_str("{\"label\":\"");
-        escape_into(&mut out, &edge.label);
+        escape_into(&mut out, edge.label());
         let _ = write!(
             out,
             "\",\"start_ns\":{},\"end_ns\":{},\"wait\":{},\"bucket\":\"{}\",\"causes\":[",
             edge.start_ns,
             edge.end_ns,
-            edge.wait,
+            edge.wait(),
             edge_bucket(report, edge),
         );
         for (j, seq) in edge.causes.iter().enumerate() {
@@ -247,7 +309,9 @@ impl Cloud4Home {
     /// order, capped at eight rows. Integer-only, deterministic per seed.
     pub fn outliers_text(&self, kind: &str) -> String {
         let mut out = self.report_header(&format!("outliers op.{kind}"));
-        let Some(h) = self.telemetry.histogram(&format!("op.{kind}.total_ns")) else {
+        let histogram =
+            OpKind::from_name(kind).and_then(|k| self.telemetry.histogram(k.info().total_ns));
+        let Some(h) = histogram else {
             out.push_str("no latency histogram for this kind (tracing off or no ops)\n");
             return out;
         };
@@ -281,8 +345,7 @@ fn summary_line(report: &OpReport) -> String {
     let dominant = edges
         .iter()
         .max_by_key(|e| (e.dur_ns(), std::cmp::Reverse((e.start_ns, e.end_ns))))
-        .map(|e| (e.label.clone(), e.dur_ns()))
-        .unwrap_or_else(|| ("none".to_owned(), 0));
+        .map_or(("none", 0), |e| (e.label(), e.dur_ns()));
     format!(
         "{} {} object={} outcome={} latency={}ns dominant={} ({}ns, {} events)",
         report.id,
@@ -299,11 +362,23 @@ fn summary_line(report: &OpReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::StageSpan;
     use crate::report::{Breakdown, OpError, OpId, OpOutput, PathAttribution};
     use c4h_simnet::SimTime;
     use c4h_telemetry::{CauseKind, LedgerEvent};
 
-    fn report_with(stages: Vec<(&'static str, u64, u64)>, ledger: Vec<LedgerEvent>) -> OpReport {
+    fn spans(stages: &[(Stage, u64, u64)]) -> Vec<StageSpan> {
+        stages
+            .iter()
+            .map(|&(stage, start_ns, end_ns)| StageSpan {
+                stage,
+                start_ns,
+                end_ns,
+            })
+            .collect()
+    }
+
+    fn report_with(stages: &[(Stage, u64, u64)], ledger: Vec<LedgerEvent>) -> OpReport {
         OpReport {
             id: OpId(7),
             kind: "fetch",
@@ -315,7 +390,7 @@ mod tests {
             failovers: 0,
             partial_replication: 0,
             critical_path: PathAttribution::default(),
-            stages,
+            stages: spans(stages),
             ledger,
             outcome: Ok(OpOutput {
                 bytes: 64,
@@ -338,12 +413,74 @@ mod tests {
         }
     }
 
+    /// The DAG of an op over `[start_ns, end_ns]` with `stages` and
+    /// ledger events `(seq, ts_ns)`.
+    fn tile(
+        start_ns: u64,
+        end_ns: u64,
+        stages: &[(Stage, u64, u64)],
+        events: &[(u32, u64)],
+    ) -> Vec<DagEdge> {
+        let events = events
+            .iter()
+            .map(|&(seq, ts_ns)| cev(seq, 0, ts_ns, CauseKind::Admit))
+            .collect();
+        let mut r = report_with(stages, events);
+        r.submitted = SimTime::from_nanos(start_ns);
+        r.completed = SimTime::from_nanos(end_ns);
+        r.critical_dag()
+    }
+
+    #[test]
+    fn tile_exact_sum_with_gaps_and_clamps() {
+        let stages = [
+            (Stage::StoreChannelIn, 110, 150),
+            (Stage::StoreDiskWrite, 150, 400),
+            (Stage::StoreFanout, 500, 900),
+        ];
+        let edges = tile(100, 1000, &stages, &[(1, 100), (2, 450), (3, 1000)]);
+        let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
+        assert_eq!(sum, 900, "edges must tile the window exactly");
+        // wait, stage, stage, wait, stage, wait
+        let labels: Vec<&str> = edges.iter().map(DagEdge::label).collect();
+        assert_eq!(
+            labels,
+            vec![
+                "wait",
+                "store.channel_in",
+                "store.disk_write",
+                "wait",
+                "store.fanout",
+                "wait"
+            ]
+        );
+        assert_eq!(edges[0].causes, vec![1], "boundary event opens the edge");
+        assert_eq!(edges[3].causes, vec![2]);
+        assert_eq!(edges[5].causes, vec![3], "final edge claims the endpoint");
+        for pair in edges.windows(2) {
+            assert_eq!(pair[0].end_ns, pair[1].start_ns, "edges are adjacent");
+        }
+    }
+
+    #[test]
+    fn tile_handles_empty_and_degenerate_windows() {
+        assert!(tile(5, 5, &[], &[]).is_empty());
+        let edges = tile(0, 100, &[], &[]);
+        assert_eq!(edges.len(), 1);
+        assert!(edges[0].wait());
+        assert_eq!(edges[0].dur_ns(), 100);
+        // A stage wholly outside the window contributes nothing.
+        let edges = tile(0, 100, &[(Stage::ProcExec, 200, 300)], &[]);
+        let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
+        assert_eq!(sum, 100);
+    }
+
     #[test]
     fn dag_tiles_the_exact_window() {
         let r = report_with(
-            vec![
-                ("fetch.meta_get", 1_200, 2_000),
-                ("fetch.flow_home", 2_500, 10_000),
+            &[
+                (Stage::FetchMetaGet, 1_200, 2_000),
+                (Stage::FetchFlowHome, 2_500, 10_000),
             ],
             vec![
                 cev(1, 0, 1_000, CauseKind::Admit),
@@ -356,14 +493,14 @@ mod tests {
         assert_eq!(edges.first().unwrap().causes, vec![1]);
         // The backoff decision at 2400 lands on the wait edge [2000, 2500).
         let wait = edges.iter().find(|e| e.causes.contains(&2)).unwrap();
-        assert!(wait.wait);
+        assert!(wait.wait());
         assert_eq!((wait.start_ns, wait.end_ns), (2_000, 2_500));
     }
 
     #[test]
     fn text_and_json_are_deterministic_and_exact() {
         let r = report_with(
-            vec![("fetch.meta_get", 1_200, 2_000)],
+            &[(Stage::FetchMetaGet, 1_200, 2_000)],
             vec![cev(1, 0, 1_000, CauseKind::Admit)],
         );
         let text = explain_text(&r);
@@ -381,7 +518,7 @@ mod tests {
 
     #[test]
     fn ledgerless_report_renders_the_fallback() {
-        let r = report_with(Vec::new(), Vec::new());
+        let r = report_with(&[], Vec::new());
         assert!(explain_text(&r).contains("no causal data recorded"));
         let line = summary_line(&r);
         assert!(line.contains("latency=10000ns"));
@@ -390,7 +527,7 @@ mod tests {
 
     #[test]
     fn failed_report_uses_error_label() {
-        let mut r = report_with(Vec::new(), vec![cev(1, 0, 5_000, CauseKind::Shed)]);
+        let mut r = report_with(&[], vec![cev(1, 0, 5_000, CauseKind::Shed)]);
         r.outcome = Err(OpError::Overloaded("cam/clip.bin".into()));
         assert!(explain_text(&r).contains("outcome=Overloaded"));
         assert!(explain_json(&r).contains("\"outcome\":\"Overloaded\""));

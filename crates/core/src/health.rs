@@ -17,19 +17,14 @@
 use std::collections::VecDeque;
 
 use c4h_simnet::{FlowNet, SegmentLoad, SimTime, Sym};
-use c4h_telemetry::{FlightRecorder, GaugeId, PathBucket, Recorder, SlidingHistogram};
+use c4h_telemetry::{FlightRecorder, GaugeId, Recorder, SlidingHistogram};
 
 use crate::config::Config;
-use crate::ops::{OpKind, Stage};
-use crate::report::{OpId, PathAttribution};
+use crate::ops::OpKind;
+use crate::report::{OpId, PathAttribution, PathBucket, StageSpan};
 use crate::runtime::Cloud4Home;
 
 /// Sliding-window slices per window (granularity of expiry).
-///
-/// The ring depths that used to live beside this constant (`FAULT_RING`,
-/// `GAUGE_RING`, `DUMP_CAP`, `PATH_RING`) are now `Config` fields
-/// (`fault_ring`, `gauge_ring`, `dump_cap`, `path_ring`) with the same
-/// defaults.
 const WINDOW_SLICES: u64 = 16;
 
 /// One completed operation's critical path, kept for the `top` surface.
@@ -350,19 +345,22 @@ impl Cloud4Home {
 }
 
 /// Attributes an op's end-to-end latency across buckets from its stage log
-/// (the sequential `(stage, start_ns, end_ns)` spans `charge()` recorded).
+/// (the sequential spans `charge()` recorded).
 ///
 /// Stages on the sequential path never overlap, so bucket sums plus the
 /// `Other` remainder (queueing, command processing, uncharged transitions)
 /// equal `total_ns` exactly.
 pub(crate) fn attribute(
-    stage_log: &[(Stage, u64, u64)],
+    stage_log: &[StageSpan],
     total_ns: u64,
     via_cloud: bool,
 ) -> PathAttribution {
     let mut cp = PathAttribution::default();
-    for &(stage, start_ns, end_ns) in stage_log {
-        cp.add(stage.bucket(via_cloud), end_ns.saturating_sub(start_ns));
+    for s in stage_log {
+        cp.add(
+            s.stage.bucket(via_cloud),
+            s.end_ns.saturating_sub(s.start_ns),
+        );
     }
     let accounted = cp.total_ns();
     cp.add(PathBucket::Other, total_ns.saturating_sub(accounted));
@@ -374,6 +372,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::ops::Stage;
 
     fn plane(slo_fetch_ms: u64) -> HealthPlane {
         let mut cfg = Config::paper_testbed(1);
@@ -456,7 +455,12 @@ mod tests {
             (Stage::FetchMetaGet, 0, 10),
             (Stage::FetchFlowHome, 10, 70),
             (Stage::FetchChannelOut, 70, 80),
-        ];
+        ]
+        .map(|(stage, start_ns, end_ns)| StageSpan {
+            stage,
+            start_ns,
+            end_ns,
+        });
         let cp = attribute(&log, 100, false);
         assert_eq!(cp.dht_ns, 10);
         assert_eq!(cp.lan_ns, 60);

@@ -74,7 +74,7 @@ mod worklist;
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};
 pub use c4h_kvstore::Acl;
 pub use c4h_telemetry::{
-    ArgValue, CauseKind, DagEdge, EventRec, Histogram, InstantRec, LedgerEvent, OpLedger, Recorder,
+    ArgValue, CauseKind, EventRec, Histogram, InstantRec, LedgerEvent, OpLedger, Recorder,
     Snapshot, SpanRec, LEDGER_NONE,
 };
 pub use config::{
@@ -82,10 +82,11 @@ pub use config::{
 };
 pub use decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME};
 pub use ec::{gf_inv, gf_mul, ErasureCode};
+pub use explain::DagEdge;
 pub use fault::{FaultEvent, FaultPlan};
 pub use object::{synth_bytes, Blob, Object, SAMPLE_WINDOW};
 pub use ops::{ExecTarget, Placement};
 pub use overload::BreakerState;
 pub use policy::{adaptive_action, AdaptiveAction, PlacementClass, RoutePolicy, StorePolicy};
-pub use report::{Breakdown, OpError, OpId, OpOutput, OpReport, PathAttribution};
+pub use report::{Breakdown, OpError, OpId, OpOutput, OpReport, PathAttribution, StageSpan};
 pub use runtime::{ChurnError, Cloud4Home, RunStats};

@@ -224,7 +224,7 @@ const SPLAT: usize = 32;
 /// Deterministic synthetic content: textured pseudo-media bytes (short runs
 /// of similar values, like flat regions in imagery) from an xorshift stream.
 ///
-/// Each run is written as one fixed [`SPLAT`]-byte store and the cursor
+/// Each run is written as one fixed `SPLAT`-byte store and the cursor
 /// advances by the run's length, so the next run overwrites the overhang;
 /// `SPLAT` bytes of slack past `len` take the last run's, and are cut off.
 pub fn synth_bytes(seed: u64, len: usize) -> Vec<u8> {

@@ -50,12 +50,14 @@ use c4h_kvstore::{
     directory_key, object_key, parent_dir, DirEntry, Location, ObjectMeta, Record, ResourceRecord,
 };
 use c4h_simnet::{FlowId, FxHashMap, SimTime, Sym};
-use c4h_telemetry::{Arg, ArgValue, CauseKind, PathBucket, LEDGER_NONE};
+use c4h_telemetry::{Arg, ArgValue, CauseKind, LEDGER_NONE};
 
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
 use crate::overload::{AdmitDecision, RetrySite};
-use crate::report::{Breakdown, Column, OpError, OpId, OpOutput, OpReport, PathAttribution};
+use crate::report::{
+    Breakdown, Column, OpError, OpId, OpOutput, OpReport, PathAttribution, PathBucket, StageSpan,
+};
 use crate::runtime::Cloud4Home;
 
 pub use process::{ExecTarget, Placement};
@@ -235,11 +237,6 @@ impl Stage {
         &STAGES[self as usize]
     }
 
-    /// The stage whose span name is `name` (cold path: rendering only).
-    pub(crate) fn from_name(name: &str) -> Option<Stage> {
-        STAGES.iter().find(|r| r.name == name).map(|r| r.stage)
-    }
-
     /// The critical-path bucket the stage's time falls in. `fetch.striped`
     /// pulls either from home peers or from the cloud via parallel range
     /// reads; `via_cloud`, known at completion, disambiguates.
@@ -291,7 +288,7 @@ pub(crate) struct OpKindInfo {
     ok: &'static str,
     err: &'static str,
     /// Histogram `op.<kind>.total_ns`.
-    total_ns: &'static str,
+    pub(crate) total_ns: &'static str,
     /// Counter `shed.<kind>`.
     shed: &'static str,
     /// Counter `slo.violation.<kind>`.
@@ -382,11 +379,11 @@ struct OpCore {
     partial_replication: u32,
     /// Absolute recovery deadline; failovers past it fail with `Timeout`.
     deadline: SimTime,
-    /// Sequential stage spans `(stage, start_ns, end_ns)` recorded while
-    /// tracing or the causal ledger is on; the critical-path analyzer
-    /// buckets them at completion and the explain plane tiles them into
-    /// the op's DAG. Empty when both are disabled.
-    stage_log: Vec<(Stage, u64, u64)>,
+    /// Sequential stage spans recorded while tracing or the causal ledger
+    /// is on; the critical-path analyzer buckets them at completion and a
+    /// ledger-on report takes them, for the explain plane to tile into the
+    /// op's DAG. Empty when both are disabled.
+    stage_log: Vec<StageSpan>,
     /// Whether the overload plane rejected this op at admission. Shed ops
     /// never held a tenant slot and never enter the SLO windows.
     shed: bool,
@@ -848,7 +845,7 @@ impl Cloud4Home {
                     let stages = op
                         .stage_log
                         .iter()
-                        .map(|&(stage, s, e)| (stage.info().name, s, e))
+                        .map(|s| (s.name(), s.start_ns, s.end_ns))
                         .collect();
                     self.health.flight.record(
                         now.as_nanos(),
@@ -872,17 +869,13 @@ impl Cloud4Home {
                 .observe_fetch(op.name, op.client, now.as_nanos());
             self.replicas.fetched(op.name);
         }
-        // Explain plane: completed with the ledger on, the report carries
-        // its stage spans and causal chain so the critical-path DAG can be
-        // materialized after the fact. The per-op ring is consumed (moved,
-        // not copied) either way, so disabled runs leak nothing.
+        // Explain plane: completed with the ledger on, the report takes
+        // the op's stage log and causal chain so the critical-path DAG can
+        // be materialized after the fact. The per-op ring is consumed
+        // (moved, not copied) either way, so disabled runs leak nothing.
         let (stages, ledger) = if self.ledger.enabled() {
-            let stages = op
-                .stage_log
-                .iter()
-                .map(|&(s, t0, t1)| (s.info().name, t0, t1));
             let events = self.ledger.finish_with(op.id.0, <[_]>::to_vec);
-            (stages.collect(), events)
+            (op.stage_log, events)
         } else {
             self.ledger.discard(op.id.0);
             (Vec::new(), Vec::new())
@@ -932,7 +925,11 @@ impl Cloud4Home {
             if op.stage_log.capacity() == 0 {
                 op.stage_log.reserve_exact(op.kind.info().stages);
             }
-            op.stage_log.push((op.stage, start_ns, end_ns));
+            op.stage_log.push(StageSpan {
+                stage: op.stage,
+                start_ns,
+                end_ns,
+            });
         }
         elapsed
     }
@@ -1313,10 +1310,8 @@ mod tests {
             );
             assert_eq!(got, want);
             assert_eq!(row.hist, ["phase.", row.name, "_ns"].concat());
-            // Names are unique: the first row with this name is this row.
-            assert_eq!(Stage::from_name(row.name), Some(stage));
+            assert_eq!(STAGES.iter().filter(|r| r.name == row.name).count(), 1);
         }
-        assert_eq!(Stage::from_name("not.a.stage"), None);
     }
 
     #[test]

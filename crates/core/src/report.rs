@@ -10,7 +10,9 @@ use std::time::Duration;
 
 use c4h_chimera::DhtError;
 use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::{LedgerEvent, PathBucket};
+use c4h_telemetry::LedgerEvent;
+
+use crate::ops::Stage;
 
 /// Correlates a submitted operation with its report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -160,6 +162,33 @@ impl From<DhtError> for OpError {
     }
 }
 
+/// The latency bucket a span of an operation's critical path charges to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PathBucket {
+    /// Overlay lookups, metadata puts/gets, DHT maintenance.
+    Dht,
+    /// Local disk reads and writes.
+    Disk,
+    /// Home-network transfers (node ↔ node on the LAN).
+    Lan,
+    /// Wide-area transfers and remote-cloud requests.
+    Wan,
+    /// Service execution (the useful work).
+    Service,
+    /// Retry back-off waits.
+    Backoff,
+    /// Queueing, control, and anything not otherwise attributed.
+    Other,
+}
+
+impl PathBucket {
+    /// Stable lowercase label used in exports and reports (in variant
+    /// order).
+    pub(crate) fn label(self) -> &'static str {
+        ["dht", "disk", "lan", "wan", "service", "backoff", "other"][self as usize]
+    }
+}
+
 /// Critical-path attribution of one operation's end-to-end latency: which
 /// kind of work the elapsed virtual time was spent on, bucketed by the
 /// health plane's analyzer. Buckets sum to [`OpReport::total`] (`other_ns`
@@ -200,14 +229,15 @@ impl PathAttribution {
     /// `(label, ns)` pairs in fixed bucket order.
     pub fn buckets(&self) -> [(&'static str, u64); 7] {
         [
-            ("dht", self.dht_ns),
-            ("disk", self.disk_ns),
-            ("lan", self.lan_ns),
-            ("wan", self.wan_ns),
-            ("service", self.service_ns),
-            ("backoff", self.backoff_ns),
-            ("other", self.other_ns),
+            (PathBucket::Dht, self.dht_ns),
+            (PathBucket::Disk, self.disk_ns),
+            (PathBucket::Lan, self.lan_ns),
+            (PathBucket::Wan, self.wan_ns),
+            (PathBucket::Service, self.service_ns),
+            (PathBucket::Backoff, self.backoff_ns),
+            (PathBucket::Other, self.other_ns),
         ]
+        .map(|(bucket, ns)| (bucket.label(), ns))
     }
 
     /// Sum over all buckets, nanoseconds.
@@ -217,13 +247,33 @@ impl PathAttribution {
 
     /// The bucket charged the most time (first in bucket order on ties).
     pub fn dominant(&self) -> (&'static str, u64) {
-        let mut best = ("other", 0);
+        let mut best = (PathBucket::Other.label(), 0);
         for (label, ns) in self.buckets() {
             if ns > best.1 {
                 best = (label, ns);
             }
         }
         best
+    }
+}
+
+/// One run of a stage on an operation's sequential path, as `charge`
+/// closed it: the record the Table-I breakdown, the critical-path buckets,
+/// the explain DAG and the post-mortem dumps are all read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSpan {
+    pub(crate) stage: Stage,
+    /// Start, absolute virtual nanoseconds.
+    pub start_ns: u64,
+    /// End, absolute virtual nanoseconds.
+    pub end_ns: u64,
+}
+
+impl StageSpan {
+    /// The stage's trace-span name (dotted `<op>.<step>` form), from the
+    /// stage table.
+    pub fn name(&self) -> &'static str {
+        self.stage.info().name
     }
 }
 
@@ -258,11 +308,11 @@ pub struct OpReport {
     /// critical-path analyzer. All-zero when tracing was disabled (stage
     /// timings are only collected while the recorder is on).
     pub critical_path: PathAttribution,
-    /// The op's completed stage spans as `(name, start_ns, end_ns)`,
-    /// sequential and non-overlapping. Populated only while the causal
-    /// ledger is enabled (the explain plane's DAG tiles these against the
-    /// op window); empty otherwise.
-    pub stages: Vec<(&'static str, u64, u64)>,
+    /// The op's completed stage spans, sequential and non-overlapping:
+    /// its stage log, moved in. Populated only while the causal ledger is
+    /// enabled (the explain plane's DAG tiles these against the op
+    /// window); empty otherwise.
+    pub stages: Vec<StageSpan>,
     /// The op's causal-ledger decision events, in `seq` order. Populated
     /// only while the causal ledger is enabled; empty otherwise.
     pub ledger: Vec<LedgerEvent>,
@@ -363,7 +413,11 @@ mod tests {
         p.add(PathBucket::Other, 100);
         assert_eq!(p.wan_ns, 700);
         assert_eq!(p.total_ns(), 1000);
-        assert_eq!(PathBucket::Backoff.label(), "backoff");
+        let labels = p.buckets().map(|(label, _)| label);
+        assert_eq!(
+            labels,
+            ["dht", "disk", "lan", "wan", "service", "backoff", "other"]
+        );
         assert_eq!(p.dominant(), ("wan", 700));
         assert_eq!(PathAttribution::default().dominant(), ("other", 0));
     }

@@ -778,19 +778,19 @@ impl Cloud4Home {
     }
 
     /// Serializes recorded counters and histograms as a flat, sorted JSON
-    /// document, with the aggregate [`RunStats`] mirrored in under
-    /// `stats.*`. Deterministic for a given seed and workload.
+    /// document. While recording is on, the aggregate [`RunStats`] are
+    /// read into the counters under `stats.*`; the export stores nothing.
+    /// Deterministic for a given seed and workload.
     pub fn metrics_json(&self) -> String {
-        self.sync_stats_counters();
-        self.telemetry.metrics_json()
+        self.telemetry.metrics_json(self.stats().counters())
     }
 
-    /// Serializes counters, the latest gauge values, and histograms in the
-    /// Prometheus text exposition format (metric names prefixed `c4h_`).
-    /// Deterministic for a given seed and workload.
+    /// Serializes counters (with the `stats.*` view, as
+    /// [`Cloud4Home::metrics_json`] writes them), the latest gauge values,
+    /// and histograms in the Prometheus text exposition format (metric
+    /// names prefixed `c4h_`). Deterministic for a given seed and workload.
     pub fn prometheus_text(&self) -> String {
-        self.sync_stats_counters();
-        self.telemetry.prometheus_text()
+        self.telemetry.prometheus_text(self.stats().counters())
     }
 
     /// Serializes every recorded gauge time series (full history, virtual
@@ -833,14 +833,6 @@ impl Cloud4Home {
     /// the configured ring size). Empty while the ledger is off.
     pub fn background_ledger(&self) -> &[LedgerEvent] {
         self.ledger.chain(BACKGROUND_RING)
-    }
-
-    /// Mirrors [`RunStats`] into the metrics registry so dumps carry the
-    /// runtime aggregates alongside subsystem counters.
-    fn sync_stats_counters(&self) {
-        for (name, v) in self.stats().counters() {
-            self.telemetry.set_counter(name, v);
-        }
     }
 
     // ------------------------------------------------------------------

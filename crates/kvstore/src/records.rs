@@ -360,7 +360,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// [`stripe_checksum`] of every row, in row order, without allocating.
 ///
 /// FNV-1a is one serial chain of multiplies per row, so one row at a time
-/// runs at multiply latency. Here up to [`FNV_LANES`] rows advance
+/// runs at multiply latency. Here up to `FNV_LANES` rows advance
 /// together, one byte of each per step over their common length (then each
 /// row's tail alone): the chains are independent, so their multiplies
 /// overlap, and each chain still sees exactly its own row's bytes in order

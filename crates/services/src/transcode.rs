@@ -38,7 +38,7 @@ impl Transcode {
     ///
     /// Each block's quantized coefficients are packed as soon as they are
     /// made, so the coefficient stream is never materialised; a run that
-    /// crosses a block boundary carries over in [`Runs`].
+    /// crosses a block boundary carries over in `Runs`.
     pub fn convert(&self, input: &[u8]) -> Vec<u8> {
         let mut runs = Runs {
             out: Vec::with_capacity(input.len() / 2),

@@ -6,6 +6,7 @@
 //! a fixed-point decimal derived from integer nanoseconds; map-like output
 //! always follows `BTreeMap` order.
 
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use crate::recorder::{Arg, ArgValue, Inner};
@@ -103,12 +104,12 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
     out
 }
 
-/// Serializes counters and histograms as a flat JSON document with one
-/// entry per line, sorted by name.
-pub(crate) fn metrics_json(inner: &Inner) -> String {
+/// Serializes `counters` and the histograms as a flat JSON document with
+/// one entry per line, sorted by name.
+pub(crate) fn metrics_json(inner: &Inner, counters: &BTreeMap<&'static str, u64>) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\n\"counters\":{");
-    for (i, (name, value)) in inner.counters.iter().enumerate() {
+    for (i, (name, value)) in counters.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push('"');
         escape_into(&mut out, name);
@@ -149,15 +150,15 @@ fn prom_name_into(out: &mut String, name: &str) {
     }
 }
 
-/// Serializes counters, the latest gauge values, and histograms in
+/// Serializes `counters`, the latest gauge values, and histograms in
 /// Prometheus text exposition format.
 ///
 /// Counters come first, then gauges (one sample per series: the last
 /// point), then histograms with cumulative `_bucket{le="..."}` lines, all
 /// in `BTreeMap` name order — the output is byte-stable for a fixed seed.
-pub(crate) fn prometheus_text(inner: &Inner) -> String {
+pub(crate) fn prometheus_text(inner: &Inner, counters: &BTreeMap<&'static str, u64>) -> String {
     let mut out = String::with_capacity(512);
-    for (name, value) in &inner.counters {
+    for (name, value) in counters {
         out.push_str("# TYPE ");
         prom_name_into(&mut out, name);
         out.push_str(" counter\n");
@@ -228,7 +229,7 @@ mod tests {
         let rec = Recorder::new();
         rec.set_enabled(true);
         let span = rec.begin(1_234_567);
-        rec.instant("fault", "fault.crash", 0, 2_000_000);
+        rec.instant_args("fault", "fault.crash", 0, 2_000_000, []);
         let args = [
             ("object", ArgValue::from("a/b \"c\".bin")),
             ("ok", ArgValue::from(true)),
@@ -264,7 +265,7 @@ mod tests {
     fn metrics_json_is_sorted_and_integer_only() {
         let rec = sample();
         rec.add("a.first", 3);
-        let json = rec.metrics_json();
+        let json = rec.metrics_json([]);
         let a = json.find("a.first").unwrap();
         let b = json.find("op.fetch.ok").unwrap();
         assert!(a < b, "counters must serialize in sorted order");
@@ -276,12 +277,30 @@ mod tests {
     }
 
     #[test]
+    fn a_view_is_merged_by_name_while_recording_and_never_stored() {
+        let rec = sample();
+        let view = [("z.view", 5), ("op.fetch.ok", 9), ("b.view", 2)];
+        let json = rec.metrics_json(view);
+        let at = |name: &str| json.find(name).expect(name);
+        assert!(at("\"b.view\":2") < at("\"op.fetch.ok\":9"));
+        assert!(at("\"op.fetch.ok\":9") < at("\"z.view\":5"));
+        let text = rec.prometheus_text(view);
+        assert!(text.contains("\nc4h_op_fetch_ok 9\n") && text.contains("\nc4h_z_view 5\n"));
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("op.fetch.ok"), 1, "the view is not stored");
+        assert_eq!(snap.counter("z.view"), 0);
+        rec.set_enabled(false);
+        assert_eq!(rec.metrics_json(view), rec.metrics_json([]));
+        assert_eq!(rec.prometheus_text(view), rec.prometheus_text([]));
+    }
+
+    #[test]
     fn exports_are_reproducible() {
         let a = sample();
         let b = sample();
         assert_eq!(a.chrome_trace_json(), b.chrome_trace_json());
-        assert_eq!(a.metrics_json(), b.metrics_json());
-        assert_eq!(a.prometheus_text(), b.prometheus_text());
+        assert_eq!(a.metrics_json([]), b.metrics_json([]));
+        assert_eq!(a.prometheus_text([]), b.prometheus_text([]));
         assert_eq!(a.series_json(), b.series_json());
     }
 
@@ -291,7 +310,7 @@ mod tests {
         let cpu = rec.register_gauge("node0.cpu_milli");
         rec.gauge_sample(500_000_000, &[(cpu, 250)]);
         rec.gauge_sample(1_000_000_000, &[(cpu, 310)]);
-        let text = rec.prometheus_text();
+        let text = rec.prometheus_text([]);
         assert!(text.contains("# TYPE c4h_op_fetch_ok counter\nc4h_op_fetch_ok 1\n"));
         // Gauges export only the latest point.
         assert!(text.contains("# TYPE c4h_node0_cpu_milli gauge\nc4h_node0_cpu_milli 310\n"));
@@ -310,12 +329,12 @@ mod tests {
         rec.set_exemplar("op.fetch.ok", "op7#3".into());
         rec.set_exemplar("op.fetch.ok", "op9#1".into()); // latest wins
         rec.set_exemplar("absent.counter", "op1#1".into()); // no such counter
-        let text = rec.prometheus_text();
+        let text = rec.prometheus_text([]);
         assert!(text.contains("c4h_op_fetch_ok 1 # {ledger=\"op9#1\"}\n"));
         assert!(!text.contains("op7#3"));
         assert!(!text.contains("absent"));
         // Without exemplars the exposition is unchanged.
-        assert!(sample().prometheus_text().contains("c4h_op_fetch_ok 1\n"));
+        assert!(sample().prometheus_text([]).contains("c4h_op_fetch_ok 1\n"));
     }
 
     #[test]
@@ -346,7 +365,7 @@ mod tests {
         let quote = rec.register_gauge("gauge\"quote");
         rec.gauge_sample(1_000, &[(quote, -5)]);
         rec.observe("hist{le=\"+Inf\"} 0", 11);
-        let text = rec.prometheus_text();
+        let text = rec.prometheus_text([]);
 
         // Every line is either a TYPE comment or a sample whose name is
         // `c4h_` followed strictly by [A-Za-z0-9_]; the only brace pair
@@ -388,7 +407,7 @@ mod tests {
         let rec = Recorder::new();
         let trace = rec.chrome_trace_json();
         assert!(trace.contains("process_name"));
-        let metrics = rec.metrics_json();
+        let metrics = rec.metrics_json([]);
         assert!(metrics.contains("\"counters\":{"));
         assert!(metrics.contains("\"histograms\":{"));
     }

@@ -1,9 +1,9 @@
-//! Health-plane primitives: sliding latency windows, critical-path
-//! buckets, and the post-mortem flight recorder.
+//! Health-plane primitives: sliding latency windows and the post-mortem
+//! flight recorder.
 //!
 //! Everything here is deterministic integer math on the virtual clock. The
 //! types are substrate: the runtime decides *when* to observe and *what*
-//! the buckets mean; this module only stores and aggregates.
+//! the latencies mean; this module only stores and aggregates.
 
 use std::collections::VecDeque;
 
@@ -83,40 +83,6 @@ impl SlidingHistogram {
             }
         }
         out
-    }
-}
-
-/// The latency bucket a span of an operation's critical path charges to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathBucket {
-    /// Overlay lookups, metadata puts/gets, DHT maintenance.
-    Dht,
-    /// Local disk reads and writes.
-    Disk,
-    /// Home-network transfers (node ↔ node on the LAN).
-    Lan,
-    /// Wide-area transfers and remote-cloud requests.
-    Wan,
-    /// Service execution (the useful work).
-    Service,
-    /// Retry back-off waits.
-    Backoff,
-    /// Queueing, control, and anything not otherwise attributed.
-    Other,
-}
-
-impl PathBucket {
-    /// Stable lowercase label used in exports and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PathBucket::Dht => "dht",
-            PathBucket::Disk => "disk",
-            PathBucket::Lan => "lan",
-            PathBucket::Wan => "wan",
-            PathBucket::Service => "service",
-            PathBucket::Backoff => "backoff",
-            PathBucket::Other => "other",
-        }
     }
 }
 

@@ -357,84 +357,6 @@ impl OpLedger {
     }
 }
 
-/// One edge of a critical-path DAG: a half-open `[start_ns, end_ns)` slice
-/// of the op's lifetime, either a recorded stage (service) or the gap
-/// between stages (wait), annotated with the `seq`s of the ledger events
-/// whose decisions fell inside it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DagEdge {
-    /// Stage name, or `"wait"` for a gap edge.
-    pub label: String,
-    /// Edge start, absolute virtual time.
-    pub start_ns: TimeNs,
-    /// Edge end, absolute virtual time.
-    pub end_ns: TimeNs,
-    /// `true` for gap (queueing/control/backoff) edges.
-    pub wait: bool,
-    /// `seq`s of ledger events recorded in `[start_ns, end_ns)` (the final
-    /// edge also claims events at exactly `end_ns`).
-    pub causes: Vec<u32>,
-}
-
-impl DagEdge {
-    /// The edge's duration.
-    pub fn dur_ns(&self) -> TimeNs {
-        self.end_ns - self.start_ns
-    }
-}
-
-/// Tiles the window `[start_ns, end_ns]` with the recorded stage spans and
-/// the gaps between them, producing the op's critical path as an edge
-/// sequence whose durations sum to **exactly** `end_ns - start_ns` — the
-/// exact-sum invariant the explain plane is built on. `stages` must be
-/// sorted by start and non-overlapping (the runtime's sequential stage log
-/// is both by construction); spans outside the window are clamped into it.
-/// Ledger events are attached to the edge covering their timestamp; they
-/// arrive as `(seq, ts_ns)` pairs so callers can feed either live
-/// [`LedgerEvent`]s or serialized report copies.
-pub fn tile_critical_path<S: AsRef<str>>(
-    start_ns: TimeNs,
-    end_ns: TimeNs,
-    stages: &[(S, TimeNs, TimeNs)],
-    events: &[(u32, TimeNs)],
-) -> Vec<DagEdge> {
-    let mut edges = Vec::new();
-    let mut cursor = start_ns;
-    let push = |edges: &mut Vec<DagEdge>, label: &str, s, e, wait| {
-        if e > s {
-            edges.push(DagEdge {
-                label: label.to_owned(),
-                start_ns: s,
-                end_ns: e,
-                wait,
-                causes: Vec::new(),
-            });
-        }
-    };
-    for (name, s, e) in stages {
-        let s = (*s).clamp(cursor, end_ns);
-        let e = (*e).clamp(cursor, end_ns);
-        push(&mut edges, "wait", cursor, s, true);
-        push(&mut edges, name.as_ref(), s, e, false);
-        cursor = cursor.max(e);
-    }
-    push(&mut edges, "wait", cursor, end_ns, true);
-    // Attach each event to the edge covering its instant. Events land on
-    // half-open edges so a decision made at a boundary annotates the edge
-    // it *opens* (a backoff decision annotates the wait it starts).
-    let n = edges.len();
-    for &(seq, ts_ns) in events {
-        let hit = edges
-            .iter_mut()
-            .enumerate()
-            .find(|(i, edge)| ts_ns >= edge.start_ns && (ts_ns < edge.end_ns || *i + 1 == n));
-        if let Some((_, edge)) = hit {
-            edge.causes.push(seq);
-        }
-    }
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,51 +452,5 @@ mod tests {
         let r = l.rings.get(&9).unwrap();
         assert_eq!(r.events.capacity(), cap_before);
         assert_eq!(r.events.len(), 16);
-    }
-
-    #[test]
-    fn tile_exact_sum_with_gaps_and_clamps() {
-        let stages: Vec<(&'static str, u64, u64)> = vec![
-            ("store.channel_in", 110, 150),
-            ("store.disk", 150, 400),
-            ("store.fanout", 500, 900),
-        ];
-        let events = vec![(1u32, 100u64), (2, 450), (3, 1000)];
-        let edges = tile_critical_path(100, 1000, &stages, &events);
-        let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
-        assert_eq!(sum, 900, "edges must tile the window exactly");
-        // wait, stage, stage, wait, stage, wait
-        let labels: Vec<&str> = edges.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "wait",
-                "store.channel_in",
-                "store.disk",
-                "wait",
-                "store.fanout",
-                "wait"
-            ]
-        );
-        assert_eq!(edges[0].causes, vec![1], "boundary event opens the edge");
-        assert_eq!(edges[3].causes, vec![2]);
-        assert_eq!(edges[5].causes, vec![3], "final edge claims the endpoint");
-        for pair in edges.windows(2) {
-            assert_eq!(pair[0].end_ns, pair[1].start_ns, "edges are adjacent");
-        }
-    }
-
-    #[test]
-    fn tile_handles_empty_and_degenerate_windows() {
-        assert!(tile_critical_path::<&str>(5, 5, &[], &[]).is_empty());
-        let edges = tile_critical_path::<&str>(0, 100, &[], &[]);
-        assert_eq!(edges.len(), 1);
-        assert!(edges[0].wait);
-        assert_eq!(edges[0].dur_ns(), 100);
-        // A stage wholly outside the window contributes nothing.
-        let stages: Vec<(&'static str, u64, u64)> = vec![("x", 200, 300)];
-        let edges = tile_critical_path(0, 100, &stages, &[]);
-        let sum: u64 = edges.iter().map(DagEdge::dur_ns).sum();
-        assert_eq!(sum, 100);
     }
 }

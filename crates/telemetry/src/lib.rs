@@ -32,6 +32,12 @@
 //! key-value codec and the service kernels, are counted by the runtime
 //! that calls them.
 //!
+//! The crate holds mechanism only: the [`Recorder`] and its event log,
+//! the causal [`OpLedger`]'s per-op rings, and the [`FlightRecorder`].
+//! What an operation's time *means* — its stages, their Table-I columns
+//! and critical-path buckets, the explain plane's DAG — is Cloud4Home's,
+//! and lives in the runtime crate beside the op state machines.
+//!
 //! Spans are grouped by `track` — an arbitrary `u64` that becomes the
 //! Chrome `tid`. Cloud4Home uses one track per operation (the op id), so a
 //! `fetch` op span and its `fetch.meta_get` / `fetch.flow_home` children
@@ -46,7 +52,7 @@
 //! let rec = Recorder::new();
 //! rec.set_enabled(true);
 //! let span = rec.begin(1_000);
-//! rec.instant("op", "fetch.failover", 7, 2_000);
+//! rec.instant_args("op", "fetch.failover", 7, 2_000, []);
 //! rec.add("op.fetch.failovers", 1);
 //! rec.observe("op.fetch.total_us", 4);
 //! rec.end(span, "op", "fetch", 7, 5_000, [("ok", true.into())]);
@@ -69,8 +75,8 @@ mod recorder_oracle;
 mod series;
 
 pub use export::escape_into;
-pub use health::{FlightRecorder, PathBucket, Postmortem, SlidingHistogram};
-pub use ledger::{tile_critical_path, CauseKind, DagEdge, LedgerEvent, OpLedger, LEDGER_NONE};
+pub use health::{FlightRecorder, Postmortem, SlidingHistogram};
+pub use ledger::{CauseKind, LedgerEvent, OpLedger, LEDGER_NONE};
 pub use recorder::{
     Arg, ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanRec,
     SpanStart,
@@ -254,7 +260,7 @@ mod gauge_oracle {
 
     fn same_exports(rec: &Recorder, oracle: &NameKeyed) -> TestCaseResult {
         prop_assert_eq!(rec.series_json(), oracle.series_json());
-        prop_assert_eq!(rec.prometheus_text(), oracle.prometheus_text());
+        prop_assert_eq!(rec.prometheus_text([]), oracle.prometheus_text());
         prop_assert_eq!(rec.snapshot().series, oracle.snapshot_series());
         prop_assert_eq!(rec.latest_gauges(), oracle.latest());
         Ok(())

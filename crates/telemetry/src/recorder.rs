@@ -693,11 +693,6 @@ impl Recorder {
             .push(cat, name, track, start_ns, Some(end_ns), args);
     }
 
-    /// Records a point-in-time event.
-    pub fn instant(&self, cat: &'static str, name: &'static str, track: u64, ts_ns: TimeNs) {
-        self.instant_args(cat, name, track, ts_ns, []);
-    }
-
     /// Records a point-in-time event with arguments.
     pub fn instant_args(
         &self,
@@ -719,15 +714,6 @@ impl Recorder {
             return;
         }
         *self.lock().counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets a counter to an absolute value (used to mirror externally
-    /// maintained statistics into the metrics dump).
-    pub fn set_counter(&self, name: &'static str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.lock().counters.insert(name, value);
     }
 
     /// Records one histogram sample.
@@ -838,14 +824,33 @@ impl Recorder {
     }
 
     /// Serializes counters and histograms as a flat, sorted JSON document.
-    pub fn metrics_json(&self) -> String {
-        crate::export::metrics_json(&self.lock())
+    ///
+    /// `view` is counter rows kept outside the recorder, `(name, value)`:
+    /// while recording is on they are written in name order among the
+    /// stored counters (a row replaces a stored counter of its name), and
+    /// nothing is stored. Pass `[]` for the stored counters alone.
+    pub fn metrics_json(&self, view: impl IntoIterator<Item = (&'static str, u64)>) -> String {
+        let inner = self.lock();
+        crate::export::metrics_json(&inner, &self.counters_with(&inner, view))
     }
 
-    /// Serializes counters, histograms, and the latest gauge values in
-    /// Prometheus text exposition format.
-    pub fn prometheus_text(&self) -> String {
-        crate::export::prometheus_text(&self.lock())
+    /// Serializes counters (with `view` merged in, as
+    /// [`Recorder::metrics_json`] merges it), histograms, and the latest
+    /// gauge values in Prometheus text exposition format.
+    pub fn prometheus_text(&self, view: impl IntoIterator<Item = (&'static str, u64)>) -> String {
+        let inner = self.lock();
+        crate::export::prometheus_text(&inner, &self.counters_with(&inner, view))
+    }
+
+    /// The stored counters with `view`'s rows merged in while recording.
+    fn counters_with(
+        &self,
+        inner: &Inner,
+        view: impl IntoIterator<Item = (&'static str, u64)>,
+    ) -> BTreeMap<&'static str, u64> {
+        let mut counters = inner.counters.clone();
+        counters.extend(view.into_iter().filter(|_| self.enabled()));
+        counters
     }
 
     /// Serializes all gauge time series as a sorted JSON document.
@@ -902,7 +907,7 @@ mod tests {
         let span = rec.begin(0);
         rec.end(span, "op", "store", 1, 10, []);
         rec.span("op", "x", 1, 0, 5);
-        rec.instant("op", "y", 1, 3);
+        rec.instant_args("op", "y", 1, 3, []);
         rec.add("c", 2);
         rec.observe("h", 9);
         let snap = rec.snapshot();
@@ -970,13 +975,11 @@ mod tests {
         rec.set_enabled(true);
         rec.add("n", 1);
         rec.add("n", 4);
-        rec.set_counter("abs", 17);
         for v in [0u64, 1, 2, 3, 4, 1024] {
             rec.observe("h", v);
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counter("n"), 5);
-        assert_eq!(snap.counter("abs"), 17);
         let h = &snap.histograms["h"];
         assert_eq!(h.count, 6);
         assert_eq!(h.sum, 1034);
@@ -1114,7 +1117,7 @@ mod tests {
             by_point.gauge_sample(ts, &[(pa, -2)]);
         }
         assert_eq!(by_row.series_json(), by_point.series_json());
-        assert_eq!(by_row.prometheus_text(), by_point.prometheus_text());
+        assert_eq!(by_row.prometheus_text([]), by_point.prometheus_text([]));
         assert_eq!(by_row.snapshot().series["b.gauge"].len(), 2);
         assert_eq!(&*by_row.gauge_name(a), "a.gauge");
         let latest: Vec<(Arc<str>, i64)> = vec![("a.gauge".into(), -2), ("b.gauge".into(), 1000)];
@@ -1132,7 +1135,7 @@ mod tests {
         }
         assert_eq!(registered.gauges_registered(), 2);
         assert_eq!(registered.series_json(), fresh.series_json());
-        assert_eq!(registered.prometheus_text(), fresh.prometheus_text());
+        assert_eq!(registered.prometheus_text([]), fresh.prometheus_text([]));
         assert_eq!(
             registered.snapshot().series.keys().collect::<Vec<_>>(),
             ["sampled"]
@@ -1156,7 +1159,7 @@ mod tests {
             fresh.gauge_sample(ts, &[(fresh_y, ts as i64)]);
         }
         assert_eq!(cleared.series_json(), fresh.series_json());
-        assert_eq!(cleared.prometheus_text(), fresh.prometheus_text());
+        assert_eq!(cleared.prometheus_text([]), fresh.prometheus_text([]));
         assert_eq!(cleared.snapshot().series, fresh.snapshot().series);
     }
 
@@ -1182,7 +1185,7 @@ mod tests {
         let rec = Recorder::new();
         rec.set_enabled(true);
         let other = rec.clone();
-        other.instant("net", "drop", 2, 9);
+        other.instant_args("net", "drop", 2, 9, []);
         assert_eq!(rec.snapshot().instants().count(), 1);
     }
 }

@@ -284,7 +284,7 @@ fn coded_read_backoff_is_chained_in_the_ledger_and_the_dag_still_sums() {
     let dag = report.critical_dag();
     let edge = dag
         .iter()
-        .find(|e| e.label == "fetch.retry_wait")
+        .find(|e| e.label() == "fetch.retry_wait")
         .expect("the backoff is an edge of the DAG");
     assert_eq!(
         edge.dur_ns(),
@@ -365,6 +365,13 @@ fn ledger_disabled_runs_stay_byte_identical() {
     }
     assert_eq!(c.slowest_text(5), d.slowest_text(5));
     assert_eq!(c.outliers_text("fetch"), d.outliers_text("fetch"));
+    // A kind's histogram is found through the op-kind table; a name that
+    // is no kind has none.
+    let fetch = c.outliers_text("fetch");
+    assert!(fetch.contains(" p99.9="), "{fetch}");
+    assert!(c
+        .outliers_text("fetchh")
+        .contains("no latency histogram for this kind"));
 }
 
 #[test]

@@ -347,6 +347,31 @@ fn chrome_trace_and_metrics_are_byte_deterministic() {
     }
 }
 
+/// The `stats.*` rows of the exports are a view of `RunStats`: they carry
+/// the live aggregates, and taking an export writes nothing into the
+/// recorder.
+#[test]
+fn exports_read_the_run_stats_without_writing_them() {
+    let mut config = Config::paper_testbed(75);
+    config.tracing = true;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("views/stats.bin", 3, 64 << 10, "doc");
+    let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+
+    let before = home.telemetry().snapshot().counters;
+    let metrics = home.metrics_json();
+    let prom = home.prometheus_text();
+    assert_eq!(
+        home.telemetry().snapshot().counters,
+        before,
+        "an export wrote into the recorder"
+    );
+    let completed = home.stats().ops_completed;
+    assert!(metrics.contains(&format!("\"stats.ops_completed\":{completed}")));
+    assert!(prom.contains(&format!("\nc4h_stats_ops_completed {completed}\n")));
+}
+
 // ----------------------------------------------------------------------
 // One decomposition, four views
 // ----------------------------------------------------------------------
@@ -392,8 +417,8 @@ fn assert_views_agree(report: &OpReport) {
         report
             .stages
             .iter()
-            .filter(|(name, _, _)| column_of(name) == Some(column))
-            .map(|(_, start, end)| end - start)
+            .filter(|span| column_of(span.name()) == Some(column))
+            .map(|span| span.end_ns - span.start_ns)
             .sum()
     };
     let b = &report.breakdown;
@@ -434,7 +459,7 @@ fn span_count(report: &OpReport, stage: &str) -> usize {
     report
         .stages
         .iter()
-        .filter(|(name, _, _)| *name == stage)
+        .filter(|span| span.name() == stage)
         .count()
 }
 
