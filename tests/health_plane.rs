@@ -273,3 +273,27 @@ fn health_exports_are_byte_identical_across_same_seed_chaos_runs() {
         a.health_text()
     );
 }
+
+/// FNV-1a 64-bit over `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The chaos run's full gauge history, pinned byte for byte. No golden
+/// transcript carries it (the Prometheus text keeps only each gauge's last
+/// value), so a change to how gauge points are stored must reproduce these
+/// exact bytes: every point, every gap a dead node leaves, in order.
+#[test]
+fn chaos_run_series_json_is_pinned() {
+    let json = chaos_run().series_json();
+    assert_eq!(
+        (json.len(), format!("{:016x}", fnv64(json.as_bytes()))),
+        (96_081, "916a09e664d6a025".to_owned()),
+        "the chaos run's series_json bytes moved"
+    );
+}
