@@ -6,7 +6,7 @@
 //! at an aggressive 100 ms cadence — and reports host-time cost plus the
 //! volume of health data each configuration produced.
 //!
-//! Four acceptance properties are asserted, not just printed:
+//! Five acceptance properties are asserted, not just printed:
 //!
 //! 1. The health plane must not perturb the simulation: all three runs
 //!    finish at the identical virtual time (sampling draws no randomness
@@ -14,13 +14,18 @@
 //! 2. With tracing disabled the plane is entirely dark: zero telemetry
 //!    events, zero gauge series, zero post-mortems — the per-call cost is
 //!    one relaxed atomic load.
-//! 3. A steady gauge sample writes integers into registered columns: at
-//!    most 1 heap acquisition per sample, which is what the columns'
-//!    `Vec` doubling costs spread over the samples (a count, not a clock;
-//!    this world's 42 gauges once cost 98.6 per sample, when every name
-//!    was formatted, cloned and looked up each time, then 2.6 with the
-//!    names formatted once).
-//! 4. Over the same 200 idle seconds no gauge is registered: every column
+//! 3. A steady gauge sample writes integers into registered columns, as
+//!    runs of equal values over one sample clock: at most 1 heap
+//!    acquisition per sample (≈ 0.1: the clock's and the runs' `Vec`
+//!    doubling spread over the samples; a count, not a clock; this world's
+//!    42 gauges once cost 98.6 per sample, when every name was formatted,
+//!    cloned and looked up each time, then 2.6 with the names formatted
+//!    once, then 0.6 with one `(ts, value)` vector per gauge).
+//! 4. A steady sample keeps at most 128 heap bytes
+//!    (`live_bytes_per_health_sample`, ≈ 40): a gauge that holds its
+//!    value adds nothing, the row adds 8 bytes to the shared clock, and a
+//!    changed gauge 16. A `(ts, value)` point per gauge kept ≈ 840.
+//! 5. Over the same 200 idle seconds no gauge is registered: every column
 //!    exists after the first sample of its subject, so a steady sample
 //!    looks up no name (`gauge_registrations_per_steady_sample`, exactly
 //!    0).
@@ -30,13 +35,18 @@
 
 use std::time::{Duration, Instant};
 
-use c4h_bench::{allocations, banner, BenchReport, CountingAlloc};
+use c4h_bench::{allocations, banner, live_bytes, BenchReport, CountingAlloc};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, RoutePolicy, ServiceKind, StorePolicy};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 2024;
+
+/// Heap bytes a steady gauge sample may keep: its clock row (8) plus 16
+/// per run a changed gauge starts, with the `Vec`s' doubling slack. A
+/// point stored per gauge keeps at least 16 × 42 = 672.
+const LIVE_BYTES_PER_SAMPLE: f64 = 128.0;
 
 fn smoke() -> bool {
     std::env::var_os("C4H_SMOKE").is_some()
@@ -91,12 +101,23 @@ fn timed(tracing: bool, cadence_ms: u64) -> (std::time::Duration, Cloud4Home) {
     (t.elapsed(), home)
 }
 
-/// Heap acquisitions per gauge sample, gauges registered over the same
-/// window, and the samples measured. The sampler perturbs nothing, so the
-/// same 200 idle virtual seconds after the workload, traced with the
-/// sampler on and with it off, differ by exactly the sampler's own
-/// acquisitions.
-fn steady_samples() -> (f64, usize, usize) {
+/// What the sampler costs over 200 idle virtual seconds after the
+/// workload.
+struct Steady {
+    /// Heap acquisitions per gauge sample.
+    allocs_per_sample: f64,
+    /// Heap bytes per gauge sample still live at the window's end.
+    live_bytes_per_sample: f64,
+    /// Gauges registered over the window.
+    registrations: usize,
+    /// Samples the window took.
+    samples: usize,
+}
+
+/// Measures [`Steady`]. The sampler perturbs nothing, so the same 200 idle
+/// virtual seconds, traced with the sampler on and with it off, differ by
+/// exactly the sampler's own acquisitions and the bytes it keeps.
+fn steady_samples() -> Steady {
     let idle = |cadence_ms: u64| {
         let mut home = run_workload(true, cadence_ms);
         let points = |home: &Cloud4Home| {
@@ -104,16 +125,22 @@ fn steady_samples() -> (f64, usize, usize) {
             series.get("runtime.queue_depth").map_or(0, |s| s.len())
         };
         let registered = |home: &Cloud4Home| home.telemetry().gauges_registered();
-        let (points0, registered0, allocs0) = (points(&home), registered(&home), allocations());
+        let (points0, registered0) = (points(&home), registered(&home));
+        let (allocs0, live0) = (allocations(), live_bytes());
         home.run_for(Duration::from_secs(200));
         let allocs = allocations() - allocs0;
+        let live = live_bytes() as i64 - live0 as i64;
         let registrations = registered(&home) - registered0;
-        (allocs, registrations, points(&home) - points0)
+        (allocs, live, registrations, points(&home) - points0)
     };
-    let (off, _, _) = idle(0);
-    let (on, registrations, samples) = idle(500);
-    let per_sample = on.saturating_sub(off) as f64 / samples as f64;
-    (per_sample, registrations, samples)
+    let (off, live_off, _, _) = idle(0);
+    let (on, live_on, registrations, samples) = idle(500);
+    Steady {
+        allocs_per_sample: on.saturating_sub(off) as f64 / samples as f64,
+        live_bytes_per_sample: (live_on - live_off) as f64 / samples as f64,
+        registrations,
+        samples,
+    }
 }
 
 fn main() {
@@ -213,22 +240,37 @@ fn main() {
         format!("100 ms cadence must sample more points than 500 ms ({p100} vs {p500})"),
     );
 
-    let (per_sample, registrations, samples) = steady_samples();
+    let Steady {
+        allocs_per_sample,
+        live_bytes_per_sample,
+        registrations,
+        samples,
+    } = steady_samples();
     println!(
-        "\nallocations per gauge sample: {per_sample:.2}, gauges registered: {registrations} \
-         (over {samples} samples)"
+        "\nper gauge sample: {allocs_per_sample:.2} allocations, {live_bytes_per_sample:.1} live \
+         bytes; gauges registered: {registrations} (over {samples} samples)"
     );
     report.push_row(vec![
         ("configuration", "on, 500ms, idle".into()),
         ("samples", samples.into()),
-        ("allocs_per_health_sample", per_sample.into()),
+        ("allocs_per_health_sample", allocs_per_sample.into()),
+        ("live_bytes_per_health_sample", live_bytes_per_sample.into()),
         ("gauge_registrations", registrations.into()),
     ]);
     report.check(
         "allocs_per_health_sample",
-        samples >= 300 && per_sample <= 1.0,
+        samples >= 300 && allocs_per_sample <= 1.0,
         format!(
-            "{per_sample:.2} heap acquisitions per gauge sample over {samples} samples (bound 1)"
+            "{allocs_per_sample:.2} heap acquisitions per gauge sample over {samples} samples \
+             (bound 1)"
+        ),
+    );
+    report.check(
+        "live_bytes_per_health_sample",
+        samples >= 300 && live_bytes_per_sample <= LIVE_BYTES_PER_SAMPLE,
+        format!(
+            "{live_bytes_per_sample:.1} heap bytes kept per gauge sample over {samples} samples \
+             (bound {LIVE_BYTES_PER_SAMPLE})"
         ),
     );
     report.check(

@@ -171,8 +171,8 @@ pub(crate) fn prometheus_text(inner: &Inner, counters: &BTreeMap<&'static str, u
         }
         out.push('\n');
     }
-    for (name, series) in inner.gauge_series() {
-        let Some((_, value)) = series.last() else {
+    for (name, view) in inner.gauge_series() {
+        let Some((_, value)) = view.last() else {
             continue;
         };
         out.push_str("# TYPE ");
@@ -204,12 +204,12 @@ pub(crate) fn prometheus_text(inner: &Inner, counters: &BTreeMap<&'static str, u
 pub(crate) fn series_json(inner: &Inner) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\n\"series\":{");
-    for (i, (name, series)) in inner.gauge_series().enumerate() {
+    for (i, (name, view)) in inner.gauge_series().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push('"');
         escape_into(&mut out, name);
         out.push_str("\":[");
-        for (j, &(ts, v)) in series.points().iter().enumerate() {
+        for (j, (ts, v)) in view.points().enumerate() {
             if j > 0 {
                 out.push(',');
             }

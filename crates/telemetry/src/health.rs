@@ -283,8 +283,9 @@ impl FlightRecorder {
                         .iter()
                         .map(|&(id, v)| (gauges.gauge_name(id).to_string(), v))
                         .collect();
-                    // A row names each gauge once: unstable is stable here.
-                    named.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                    // Stable: a gauge named twice in one row keeps its
+                    // two points in row order.
+                    named.sort_by(|a, b| a.0.cmp(&b.0));
                     (*ts, named)
                 })
                 .collect(),

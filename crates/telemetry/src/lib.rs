@@ -5,16 +5,18 @@
 //! [`OpReport`](https://docs.rs/cloud4home)-style end-to-end latencies hide
 //! per-phase regressions inside the total. This crate is the measurement
 //! substrate: a [`Recorder`] collects hierarchical spans, point-in-time
-//! instants, monotonic counters, and power-of-two-bucket histograms, all
-//! stamped with **virtual** nanoseconds taken from `simnet::time`, never
-//! from the wall clock.
+//! instants, monotonic counters, power-of-two-bucket histograms, and
+//! registered gauges sampled in rows, all stamped with **virtual**
+//! nanoseconds taken from `simnet::time`, never from the wall clock.
 //!
 //! Three properties drive the design:
 //!
 //! * **Determinism.** Two runs of the same seeded workload must serialize
 //!   to byte-identical output. Events are kept in record order (fixed-size
 //!   heads plus one shared args arena, each span appended whole when it
-//!   ends), metrics in `BTreeMap`s, and the exporters emit integers only
+//!   ends), gauges as runs of equal values over one shared sample clock
+//!   (a gauge that holds its value costs nothing per sample), metrics in
+//!   `BTreeMap`s, and the exporters emit integers only
 //!   (timestamps are fixed-point microsecond strings derived from integer
 //!   nanoseconds) — no floats, no hash-map iteration, no host clocks.
 //! * **Near-zero cost when off.** Recording sits behind a runtime toggle;
@@ -92,7 +94,7 @@ pub type TimeNs = u64;
 
 #[cfg(test)]
 mod gauge_oracle {
-    //! Differential oracle for the gauge columns.
+    //! Differential oracle for the gauge columns and their runs.
     //!
     //! Before gauges were registered columns, the recorder kept one
     //! `GaugeSeries` per name in a `BTreeMap<Cow<str>, GaugeSeries>`, looked a
@@ -103,6 +105,8 @@ mod gauge_oracle {
     //! enable/disable and post-mortem cuts against both and requires the same
     //! bytes from `series_json` and `prometheus_text`, the same
     //! `snapshot().series`, the same latest values, and the same dump rows.
+    //! Rows may name a gauge twice and repeat unchanged hundreds of times,
+    //! so the recorder's runs grow long and are cut by every kind of break.
     //!
     //! Run in release with `cargo test -q --release -p c4h-telemetry --lib
     //! gauge_oracle`.
@@ -231,9 +235,12 @@ mod gauge_oracle {
         Point(usize, i64),
         /// Registers `NAMES[i]`, or the ghost for `i == NAMES.len()`.
         Register(usize),
-        /// One sample row; a gauge sampled twice keeps its first value, and a
-        /// gauge left out is a gap (a dead node's row).
+        /// One sample row; a gauge named twice gets two points at one
+        /// instant, and a gauge left out is a gap (a dead node's row).
         Sample(Vec<(usize, i64)>),
+        /// The last `Sample` row again, its values unchanged, `n` times one
+        /// nanosecond apart: a held gauge's runs grow long.
+        Repeat(usize),
         Clear,
         Enable(bool),
         /// Moves the clock; 0 samples twice at one instant.
@@ -251,6 +258,7 @@ mod gauge_oracle {
             (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Point(i, v)),
             (0..NAMES.len(), any::<i64>()).prop_map(|(i, v)| Step::Point(i, v)),
             (0..=NAMES.len()).prop_map(Step::Register),
+            (1usize..300).prop_map(Step::Repeat),
             Just(Step::Clear),
             any::<bool>().prop_map(Step::Enable),
             (0u64..3).prop_map(Step::Advance),
@@ -266,6 +274,35 @@ mod gauge_oracle {
         Ok(())
     }
 
+    /// The recorder and its flight ring beside the name-keyed store and
+    /// the flight ring of name-sorted rows they replaced.
+    struct Both {
+        rec: Recorder,
+        flight: FlightRecorder,
+        oracle: NameKeyed,
+        old_ring: VecDeque<(TimeNs, Vec<(String, i64)>)>,
+    }
+
+    impl Both {
+        /// Writes the sample row `points` at `ts` to both sides.
+        fn sample(&mut self, ts: TimeNs, points: &[(usize, i64)]) {
+            let mut row = Vec::new();
+            let mut old_row: Vec<(String, i64)> = Vec::new();
+            for &(i, v) in points {
+                row.push((self.rec.register_gauge(NAMES[i]), v));
+                self.oracle.gauge(NAMES[i], ts, v);
+                old_row.push((NAMES[i].to_owned(), v));
+            }
+            self.rec.gauge_sample(ts, &row);
+            self.flight.note_gauges(ts, &row);
+            old_row.sort_by(|a, b| a.0.cmp(&b.0));
+            if self.old_ring.len() == RING {
+                self.old_ring.pop_front();
+            }
+            self.old_ring.push_back((ts, old_row));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -273,61 +310,55 @@ mod gauge_oracle {
         fn gauge_columns_export_like_the_name_keyed_recorder(
             script in collection::vec(step(), 0..64),
         ) {
-            let rec = Recorder::new();
-            rec.set_enabled(true);
-            let mut oracle = NameKeyed { enabled: true, ..NameKeyed::default() };
-            let mut flight = FlightRecorder::new(1, RING, 64);
-            let mut old_ring: VecDeque<(TimeNs, Vec<(String, i64)>)> = VecDeque::new();
+            let mut both = Both {
+                rec: Recorder::new(),
+                flight: FlightRecorder::new(1, RING, 64),
+                oracle: NameKeyed { enabled: true, ..NameKeyed::default() },
+                old_ring: VecDeque::new(),
+            };
+            both.rec.set_enabled(true);
+            let mut last_row = Vec::new();
             let mut ts: TimeNs = 0;
             for step in script {
                 match step {
                     Step::Point(i, v) => {
-                        let id = rec.register_gauge(NAMES[i]);
-                        rec.gauge_sample(ts, &[(id, v)]);
-                        oracle.gauge(NAMES[i], ts, v);
+                        let id = both.rec.register_gauge(NAMES[i]);
+                        both.rec.gauge_sample(ts, &[(id, v)]);
+                        both.oracle.gauge(NAMES[i], ts, v);
                     }
                     Step::Register(i) => {
-                        rec.register_gauge(NAMES.get(i).copied().unwrap_or(GHOST));
+                        both.rec.register_gauge(NAMES.get(i).copied().unwrap_or(GHOST));
                     }
                     Step::Sample(points) => {
-                        let mut row = Vec::new();
-                        let mut old_row: Vec<(String, i64)> = Vec::new();
-                        for (i, v) in points {
-                            let id = rec.register_gauge(NAMES[i]);
-                            if row.iter().any(|&(seen, _)| seen == id) {
-                                continue;
-                            }
-                            row.push((id, v));
-                            oracle.gauge(NAMES[i], ts, v);
-                            old_row.push((NAMES[i].to_owned(), v));
+                        both.sample(ts, &points);
+                        last_row = points;
+                    }
+                    Step::Repeat(n) => {
+                        for _ in 0..n {
+                            ts += 1;
+                            both.sample(ts, &last_row);
                         }
-                        rec.gauge_sample(ts, &row);
-                        flight.note_gauges(ts, &row);
-                        old_row.sort_by(|a, b| a.0.cmp(&b.0));
-                        if old_ring.len() == RING {
-                            old_ring.pop_front();
-                        }
-                        old_ring.push_back((ts, old_row));
                     }
                     Step::Clear => {
-                        rec.clear();
-                        oracle.series.clear();
+                        both.rec.clear();
+                        both.oracle.series.clear();
                     }
                     Step::Enable(on) => {
-                        rec.set_enabled(on);
-                        oracle.enabled = on;
+                        both.rec.set_enabled(on);
+                        both.oracle.enabled = on;
                     }
                     Step::Advance(dt) => ts += dt,
                     Step::Dump => {
-                        flight.record(ts, 1, "fetch", "obj", "Timeout", 0, Vec::new(), &rec);
-                        let dump = flight.dumps().last().expect("below the dump cap");
-                        prop_assert_eq!(&dump.gauges, &Vec::from(old_ring.clone()));
+                        let rec = &both.rec;
+                        both.flight.record(ts, 1, "fetch", "obj", "Timeout", 0, Vec::new(), rec);
+                        let dump = both.flight.dumps().last().expect("below the dump cap");
+                        prop_assert_eq!(&dump.gauges, &Vec::from(both.old_ring.clone()));
                     }
                 }
-                same_exports(&rec, &oracle)?;
+                same_exports(&both.rec, &both.oracle)?;
             }
             prop_assert!(
-                rec.snapshot().series.keys().all(|name| name != GHOST),
+                both.rec.snapshot().series.keys().all(|name| name != GHOST),
                 "a registered, never sampled gauge is not a series"
             );
         }

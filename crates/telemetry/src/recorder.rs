@@ -509,12 +509,70 @@ impl EventLog {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GaugeId(u32);
 
+/// A stretch of consecutive sample-clock rows, `first_row..first_row +
+/// len`, in which one column was sampled with one value.
+#[derive(Debug, Clone, Copy)]
+struct ValueRun {
+    value: i64,
+    first_row: u32,
+    len: u32,
+}
+
 /// One registered gauge: its name (shared with the name index) and its
-/// points.
+/// points, as runs over the recorder's sample clock.
 #[derive(Debug)]
 struct GaugeColumn {
     name: Arc<str>,
-    series: GaugeSeries,
+    runs: Vec<ValueRun>,
+}
+
+impl GaugeColumn {
+    /// Adds the point `value` at clock row `row`: it extends the last run
+    /// only if that run holds `value` and ends just before `row`. A changed
+    /// value, a skipped row, or a second point in one row starts a run.
+    fn push(&mut self, row: u32, value: i64) {
+        match self.runs.last_mut() {
+            Some(run) if run.value == value && run.first_row + run.len == row => run.len += 1,
+            _ => self.runs.push(ValueRun {
+                value,
+                first_row: row,
+                len: 1,
+            }),
+        }
+    }
+}
+
+/// A column's points, read back from the sample clock and the column's
+/// runs without copying either.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GaugeView<'a> {
+    clock: &'a [TimeNs],
+    runs: &'a [ValueRun],
+}
+
+impl<'a> GaugeView<'a> {
+    /// Every point, `(ts_ns, value)`, in record order.
+    pub(crate) fn points(self) -> impl Iterator<Item = (TimeNs, i64)> + 'a {
+        let clock = self.clock;
+        self.runs.iter().flat_map(move |run| {
+            let rows = run.first_row as usize..(run.first_row + run.len) as usize;
+            clock[rows].iter().map(move |&ts| (ts, run.value))
+        })
+    }
+
+    /// The last point.
+    pub(crate) fn last(self) -> Option<(TimeNs, i64)> {
+        let run = self.runs.last()?;
+        let row = (run.first_row + run.len - 1) as usize;
+        Some((self.clock[row], run.value))
+    }
+
+    /// The owned copy of the points a [`Snapshot`] hands out.
+    fn to_series(self) -> GaugeSeries {
+        let mut points = Vec::with_capacity(self.runs.iter().map(|run| run.len as usize).sum());
+        points.extend(self.points());
+        GaugeSeries::from_points(points)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -523,6 +581,9 @@ pub(crate) struct Inner {
     pub(crate) counters: BTreeMap<&'static str, u64>,
     pub(crate) hists: BTreeMap<&'static str, Histogram>,
     pub(crate) exemplars: BTreeMap<&'static str, String>,
+    /// The instant of every sample row that recorded a point: the
+    /// timestamps all columns' runs index into.
+    clock: Vec<TimeNs>,
     /// One column per registered gauge, indexed by [`GaugeId`].
     columns: Vec<GaugeColumn>,
     /// Registered gauge names in name order: what every export walks.
@@ -538,7 +599,7 @@ impl Inner {
         let name: Arc<str> = name.into();
         self.columns.push(GaugeColumn {
             name: Arc::clone(&name),
-            series: GaugeSeries::new(),
+            runs: Vec::new(),
         });
         self.gauge_index.insert(name, id);
         id
@@ -547,11 +608,20 @@ impl Inner {
     /// Every gauge series holding at least one point, in name order. A
     /// column registered but never sampled (or emptied by a clear) is not
     /// a series.
-    pub(crate) fn gauge_series(&self) -> impl Iterator<Item = (&Arc<str>, &GaugeSeries)> {
+    pub(crate) fn gauge_series(&self) -> impl Iterator<Item = (&Arc<str>, GaugeView<'_>)> {
         self.gauge_index
             .iter()
-            .map(|(name, id)| (name, &self.columns[id.0 as usize].series))
-            .filter(|(_, series)| !series.is_empty())
+            .map(|(name, id)| (name, &self.columns[id.0 as usize].runs))
+            .filter(|(_, runs)| !runs.is_empty())
+            .map(|(name, runs)| {
+                (
+                    name,
+                    GaugeView {
+                        clock: &self.clock,
+                        runs,
+                    },
+                )
+            })
     }
 }
 
@@ -616,8 +686,9 @@ impl Recorder {
         inner.counters.clear();
         inner.hists.clear();
         inner.exemplars.clear();
+        inner.clock.clear();
         for column in &mut inner.columns {
-            column.series = GaugeSeries::new();
+            column.runs.clear();
         }
     }
 
@@ -759,19 +830,23 @@ impl Recorder {
     }
 
     /// Appends one sample row — the point `(ts_ns, value)` to each
-    /// registered gauge — under one lock. Each point is one indexed push:
-    /// no name is looked at.
+    /// registered gauge — under one lock. The row adds `ts_ns` to the
+    /// sample clock once; a point that repeats its column's value from the
+    /// row before only lengthens that column's last run, and any other
+    /// point starts a run. No name is looked at.
     ///
     /// # Panics
     ///
     /// Panics if an id was handed out by another recorder.
     pub fn gauge_sample(&self, ts_ns: TimeNs, row: &[(GaugeId, i64)]) {
-        if !self.enabled() {
+        if !self.enabled() || row.is_empty() {
             return;
         }
         let mut inner = self.lock();
+        let at = u32::try_from(inner.clock.len()).expect("fewer than 2^32 sample rows");
+        inner.clock.push(ts_ns);
         for &(id, value) in row {
-            inner.columns[id.0 as usize].series.push(ts_ns, value);
+            inner.columns[id.0 as usize].push(at, value);
         }
     }
 
@@ -785,7 +860,7 @@ impl Recorder {
     pub fn latest_gauges(&self) -> Vec<(Arc<str>, i64)> {
         self.lock()
             .gauge_series()
-            .filter_map(|(name, series)| Some((Arc::clone(name), series.last()?.1)))
+            .filter_map(|(name, view)| Some((Arc::clone(name), view.last()?.1)))
             .collect()
     }
 
@@ -808,7 +883,7 @@ impl Recorder {
                 .collect(),
             series: inner
                 .gauge_series()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.to_series()))
                 .collect(),
             exemplars: inner
                 .exemplars
@@ -1161,6 +1236,92 @@ mod tests {
         assert_eq!(cleared.series_json(), fresh.series_json());
         assert_eq!(cleared.prometheus_text([]), fresh.prometheus_text([]));
         assert_eq!(cleared.snapshot().series, fresh.snapshot().series);
+    }
+
+    /// The runs gauge `id`'s column holds, and the sample clock's rows.
+    fn gauge_runs(rec: &Recorder, id: GaugeId) -> (usize, usize) {
+        let inner = rec.lock();
+        (inner.columns[id.0 as usize].runs.len(), inner.clock.len())
+    }
+
+    /// A recorder with one gauge, `g`, recording.
+    fn one_gauge() -> (Recorder, GaugeId) {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        let g = rec.register_gauge("g");
+        (rec, g)
+    }
+
+    #[test]
+    fn a_held_gauge_is_one_run() {
+        let (rec, g) = one_gauge();
+        for ts in 0..10_000 {
+            rec.gauge_sample(ts, &[(g, 7)]);
+        }
+        assert_eq!(gauge_runs(&rec, g), (1, 10_000));
+        assert_eq!(rec.snapshot().series["g"].len(), 10_000);
+        assert_eq!(rec.latest_gauges(), vec![("g".into(), 7)]);
+    }
+
+    #[test]
+    fn a_gauge_that_changes_every_row_is_one_run_per_row() {
+        let (rec, g) = one_gauge();
+        for ts in 0..1_000 {
+            rec.gauge_sample(ts, &[(g, ts as i64 % 2)]);
+        }
+        assert_eq!(gauge_runs(&rec, g), (1_000, 1_000));
+    }
+
+    #[test]
+    fn a_skipped_row_splits_a_run() {
+        let (rec, g) = one_gauge();
+        let other = rec.register_gauge("other");
+        rec.gauge_sample(0, &[(g, 1)]);
+        rec.gauge_sample(1, &[(other, 0)]);
+        rec.gauge_sample(2, &[(g, 1)]);
+        assert_eq!(gauge_runs(&rec, g), (2, 3));
+        assert_eq!(rec.snapshot().series["g"].points(), &[(0, 1), (2, 1)]);
+    }
+
+    #[test]
+    fn a_sample_while_disabled_does_not_split_a_run() {
+        let (rec, g) = one_gauge();
+        rec.gauge_sample(0, &[(g, 1)]);
+        rec.set_enabled(false);
+        rec.gauge_sample(1, &[(g, 1)]);
+        rec.set_enabled(true);
+        rec.gauge_sample(2, &[(g, 1)]);
+        assert_eq!(gauge_runs(&rec, g), (1, 2));
+        assert_eq!(rec.snapshot().series["g"].points(), &[(0, 1), (2, 1)]);
+    }
+
+    #[test]
+    fn clear_empties_the_clock_and_the_runs() {
+        let (rec, g) = one_gauge();
+        for ts in 0..10 {
+            rec.gauge_sample(ts, &[(g, ts as i64)]);
+        }
+        rec.clear();
+        assert_eq!(gauge_runs(&rec, g), (0, 0));
+        rec.gauge_sample(20, &[(g, 9)]);
+        assert_eq!(gauge_runs(&rec, g), (1, 1));
+        assert_eq!(rec.snapshot().series["g"].points(), &[(20, 9)]);
+    }
+
+    #[test]
+    fn a_gauge_named_twice_in_one_row_gets_two_points_at_one_instant() {
+        let (rec, g) = one_gauge();
+        rec.gauge_sample(5, &[(g, 3), (g, 3)]);
+        rec.gauge_sample(6, &[(g, 3)]);
+        assert_eq!(gauge_runs(&rec, g), (2, 2));
+        assert_eq!(
+            rec.snapshot().series["g"].points(),
+            &[(5, 3), (5, 3), (6, 3)]
+        );
+        assert_eq!(
+            rec.series_json(),
+            "{\n\"series\":{\n\"g\":[[5,3],[5,3],[6,3]]\n}\n}\n"
+        );
     }
 
     #[test]

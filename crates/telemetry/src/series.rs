@@ -2,9 +2,12 @@
 //!
 //! The health-plane sampler records point-in-time measurements (queue
 //! depths, link utilizations, cache ratios) at fixed virtual-time cadence.
-//! Each series is a plain append-only vector of `(timestamp, value)` pairs:
-//! virtual time is monotone, so no sorting or interpolation is ever needed,
-//! and integer values keep the export byte-stable across runs and hosts.
+//! The recorder keeps them as runs of equal values over one shared sample
+//! clock; a [`GaugeSeries`] is the owned copy of one gauge's points that
+//! [`Recorder::snapshot`](crate::Recorder::snapshot) returns, every
+//! `(timestamp, value)` pair spelled out. Virtual time is monotone, so no
+//! sorting or interpolation is ever needed, and integer values keep the
+//! export byte-stable across runs and hosts.
 
 use crate::TimeNs;
 
@@ -21,6 +24,11 @@ impl GaugeSeries {
     /// Creates an empty series.
     pub fn new() -> Self {
         GaugeSeries::default()
+    }
+
+    /// A series holding `points`, in the order given.
+    pub(crate) fn from_points(points: Vec<(TimeNs, i64)>) -> Self {
+        GaugeSeries { points }
     }
 
     /// Appends one sample. Timestamps are expected to be non-decreasing
