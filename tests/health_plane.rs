@@ -297,3 +297,16 @@ fn chaos_run_series_json_is_pinned() {
         "the chaos run's series_json bytes moved"
     );
 }
+
+/// The chaos run's post-mortem dumps, pinned byte for byte beside the
+/// gauge series: the failed op's stage rows, the fault ring and the gauge
+/// ring each dump carries. No golden transcript carries them either.
+#[test]
+fn chaos_run_postmortem_json_is_pinned() {
+    let json = chaos_run().postmortem_json();
+    assert_eq!(
+        (json.len(), format!("{:016x}", fnv64(json.as_bytes()))),
+        (9_638, "2f439da9036cfc2a".to_owned()),
+        "the chaos run's postmortem_json bytes moved"
+    );
+}
