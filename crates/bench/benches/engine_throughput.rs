@@ -112,11 +112,11 @@ use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::{
     presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, QueueStats, SimTime, TcpProfile,
 };
-use c4h_telemetry::{ArgValue, CauseKind, OpLedger, Recorder, SpanStart, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, Recorder, SpanStart};
 use c4h_workloads::{arrivals, generate, OpenLoopConfig};
 use cloud4home::{
-    synth_bytes, Cloud4Home, Config, NodeId, Object, OpId, RoutePolicy, ServiceKind, StorePolicy,
-    SAMPLE_WINDOW,
+    synth_bytes, CauseKind, Cloud4Home, Config, NodeId, Object, OpId, OpLedger, RoutePolicy,
+    ServiceKind, StorePolicy, LEDGER_NONE, SAMPLE_WINDOW,
 };
 
 #[global_allocator]

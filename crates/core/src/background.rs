@@ -12,9 +12,10 @@ use c4h_kvstore::{
 };
 use c4h_resources::Bin;
 use c4h_simnet::{FlowId, SimTime, Sym, SymMap};
-use c4h_telemetry::{ArgValue, CauseKind, SpanStart};
+use c4h_telemetry::{ArgValue, SpanStart};
 
 use crate::ec::ErasureCode;
+use crate::ledger::CauseKind;
 use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
 use crate::overload::RetrySite;
 use crate::policy::{adaptive_action, AdaptiveAction};

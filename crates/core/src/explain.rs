@@ -362,10 +362,10 @@ fn summary_line(report: &OpReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{CauseKind, LedgerEvent};
     use crate::report::StageSpan;
     use crate::report::{Breakdown, OpError, OpId, OpOutput, PathAttribution};
     use c4h_simnet::SimTime;
-    use c4h_telemetry::{CauseKind, LedgerEvent};
 
     fn spans(stages: &[(Stage, u64, u64)]) -> Vec<StageSpan> {
         stages

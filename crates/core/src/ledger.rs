@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::TimeNs;
+use c4h_telemetry::TimeNs;
 
 /// The null ledger reference: "no cause" / "nothing recorded".
 pub const LEDGER_NONE: u32 = 0;

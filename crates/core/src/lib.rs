@@ -60,6 +60,7 @@ mod ec;
 mod explain;
 mod fault;
 mod health;
+mod ledger;
 mod object;
 mod ops;
 mod overload;
@@ -73,10 +74,7 @@ mod worklist;
 
 pub use adaptive::{AdaptivePlacement, EwmaRate, ObjectHeat, PeerBandwidth};
 pub use c4h_kvstore::Acl;
-pub use c4h_telemetry::{
-    ArgValue, CauseKind, EventRec, Histogram, InstantRec, LedgerEvent, OpLedger, Recorder,
-    Snapshot, SpanRec, LEDGER_NONE,
-};
+pub use c4h_telemetry::{ArgValue, EventRec, Histogram, InstantRec, Recorder, Snapshot, SpanRec};
 pub use config::{
     AdaptiveConfig, CloudSpec, Config, NodeId, NodeSpec, OverloadConfig, ServiceKind, TimingConfig,
 };
@@ -84,6 +82,7 @@ pub use decision::{choose, estimate_exec, meets_minimum, Candidate, LOCATE_TIME}
 pub use ec::{gf_inv, gf_mul, ErasureCode};
 pub use explain::DagEdge;
 pub use fault::{FaultEvent, FaultPlan};
+pub use ledger::{CauseKind, LedgerEvent, OpLedger, LEDGER_NONE};
 pub use object::{synth_bytes, Blob, Object, SAMPLE_WINDOW};
 pub use ops::{ExecTarget, Placement};
 pub use overload::BreakerState;

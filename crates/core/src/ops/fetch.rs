@@ -39,10 +39,11 @@ use c4h_chimera::DhtEvent;
 use c4h_cloud::{S3Url, REQUEST_LATENCY};
 use c4h_kvstore::{object_key, EcLayout, Location, ObjectMeta, Record};
 use c4h_simnet::{Addr, FlowId, SimTime, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::ArgValue;
 
 use super::{Family, OpCore, OpInput, OpKind, RetrySite, Stage, StepOutcome, COMMAND_BYTES};
 use crate::config::NodeId;
+use crate::ledger::{CauseKind, LEDGER_NONE};
 use crate::object::{Blob, CodeRow, SAMPLE_WINDOW};
 use crate::report::{OpError, OpId};
 use crate::runtime::{Cloud4Home, CLOUD_ADDR, STRIPE_TRACK_BASE};

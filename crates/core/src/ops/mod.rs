@@ -50,10 +50,11 @@ use c4h_kvstore::{
     directory_key, object_key, parent_dir, DirEntry, Location, ObjectMeta, Record, ResourceRecord,
 };
 use c4h_simnet::{FlowId, FxHashMap, SimTime, Sym};
-use c4h_telemetry::{Arg, ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::{Arg, ArgValue};
 
 use crate::config::NodeId;
 use crate::health::{attribute, PathRow};
+use crate::ledger::{CauseKind, LEDGER_NONE};
 use crate::overload::{AdmitDecision, RetrySite};
 use crate::report::{
     Breakdown, Column, OpError, OpId, OpOutput, OpReport, PathAttribution, PathBucket, StageSpan,
@@ -727,7 +728,7 @@ impl Cloud4Home {
 
     fn complete_op(&mut self, op: Op, outcome: Result<OpOutput, OpError>) {
         let Op {
-            core: op,
+            core: mut op,
             mut family,
         } = op;
         // An op failing with transfers still in the air (e.g. its client
@@ -842,20 +843,21 @@ impl Cloud4Home {
                     e,
                     OpError::Timeout(_) | OpError::ExecutorFailed(_) | OpError::OwnerUnreachable(_)
                 ) {
-                    let stages = op
-                        .stage_log
-                        .iter()
-                        .map(|s| (s.name(), s.start_ns, s.end_ns))
-                        .collect();
+                    // The dump takes the stage log; the report below
+                    // takes it too only when the ledger is on.
+                    let stages = if self.ledger.enabled() {
+                        op.stage_log.clone()
+                    } else {
+                        std::mem::take(&mut op.stage_log)
+                    };
                     self.health.flight.record(
                         now.as_nanos(),
-                        op.id.0,
-                        kind.name,
-                        op.name.as_str(),
+                        op.id,
+                        op.kind,
+                        op.name,
                         e.label(),
                         op.submitted.as_nanos(),
                         stages,
-                        &self.telemetry,
                     );
                     self.telemetry.add("health.postmortems", 1);
                 }

@@ -11,10 +11,11 @@ use c4h_cloud::{S3Url, REQUEST_LATENCY};
 use c4h_kvstore::{object_key, Location, ObjectMeta, Record};
 use c4h_resources::Bin;
 use c4h_simnet::{FlowId, SimTime, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::ArgValue;
 
 use super::{Family, OpCore, OpInput, OpKind, ResourceQuery, Stage, StepOutcome, COMMAND_BYTES};
 use crate::config::NodeId;
+use crate::ledger::{CauseKind, LEDGER_NONE};
 use crate::object::Object;
 use crate::policy::{PlacementClass, StorePolicy};
 use crate::report::{OpError, OpId};

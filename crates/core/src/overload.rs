@@ -30,9 +30,10 @@
 use std::collections::BTreeMap;
 
 use c4h_simnet::{Addr, DetRng, Sym};
-use c4h_telemetry::{ArgValue, CauseKind, LEDGER_NONE};
+use c4h_telemetry::ArgValue;
 
 use crate::config::Config;
+use crate::ledger::{CauseKind, LEDGER_NONE};
 use crate::ops::OpKind;
 use crate::report::OpId;
 use crate::runtime::{Cloud4Home, CLOUD_ADDR, RUNTIME_TRACK};

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use c4h_chimera::DhtError;
 use c4h_simnet::{SimTime, Sym};
-use c4h_telemetry::LedgerEvent;
 
+use crate::ledger::LedgerEvent;
 use crate::ops::Stage;
 
 /// Correlates a submitted operation with its report.

@@ -30,7 +30,7 @@ use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
     FxHashMap, NetError, QueueStats, SimTime, Sym, SymMap,
 };
-use c4h_telemetry::{ArgValue, CauseKind, GaugeId, LedgerEvent, OpLedger, Recorder, LEDGER_NONE};
+use c4h_telemetry::{ArgValue, GaugeId, Recorder};
 use c4h_vmm::DiskModel;
 
 use crate::adaptive::{ObjectHeat, PeerBandwidth};
@@ -38,6 +38,7 @@ use crate::background::{EcRegistry, Jobs};
 use crate::config::{Config, NodeId, ServiceKind};
 use crate::fault::FaultEvent;
 use crate::health::{node_gauges, HealthPlane};
+use crate::ledger::{CauseKind, LedgerEvent, OpLedger, LEDGER_NONE};
 use crate::object::{synth_bytes, Blob};
 use crate::ops::{OpInput, OpTable};
 use crate::overload::OverloadPlane;
@@ -308,7 +309,7 @@ pub struct Cloud4Home {
     /// `config.overload.enabled`.
     pub(crate) overload: OverloadPlane,
     /// The causal op ledger: bounded per-op decision rings feeding the
-    /// explain plane (see [`c4h_telemetry::OpLedger`]). `BACKGROUND_RING`
+    /// explain plane (see [`OpLedger`]). `BACKGROUND_RING`
     /// keys the shared background-plane ring. Inert (one relaxed atomic
     /// load per decision point) unless enabled.
     pub(crate) ledger: OpLedger,
@@ -805,7 +806,7 @@ impl Cloud4Home {
     /// fault notes, and the last gauge samples before the failure.
     /// Deterministic for a given seed and workload.
     pub fn postmortem_json(&self) -> String {
-        self.health.flight.dumps_json()
+        self.health.flight.dumps_json(&self.telemetry)
     }
 
     /// The first line of every text report: what it is and when it was

@@ -34,11 +34,12 @@
 //! key-value codec and the service kernels, are counted by the runtime
 //! that calls them.
 //!
-//! The crate holds mechanism only: the [`Recorder`] and its event log,
-//! the causal [`OpLedger`]'s per-op rings, and the [`FlightRecorder`].
-//! What an operation's time *means* — its stages, their Table-I columns
-//! and critical-path buckets, the explain plane's DAG — is Cloud4Home's,
-//! and lives in the runtime crate beside the op state machines.
+//! The crate holds mechanism only: the [`Recorder`], its event log and
+//! exporters, [`Histogram`] and [`GaugeSeries`]. What an operation's time
+//! *means* — its stages, their Table-I columns and critical-path buckets,
+//! the explain plane's DAG and causal op ledger, the SLO windows, the
+//! post-mortem flight recorder — is Cloud4Home's, and lives in the runtime
+//! crate beside the op state machines.
 //!
 //! Spans are grouped by `track` — an arbitrary `u64` that becomes the
 //! Chrome `tid`. Cloud4Home uses one track per operation (the op id), so a
@@ -69,16 +70,12 @@
 #![warn(missing_debug_implementations)]
 
 mod export;
-mod health;
-mod ledger;
 mod recorder;
 #[cfg(test)]
 mod recorder_oracle;
 mod series;
 
 pub use export::escape_into;
-pub use health::{FlightRecorder, Postmortem, SlidingHistogram};
-pub use ledger::{CauseKind, LedgerEvent, OpLedger, LEDGER_NONE};
 pub use recorder::{
     Arg, ArgValue, Args, EventRec, GaugeId, Histogram, InstantRec, Recorder, Snapshot, SpanRec,
     SpanStart,
@@ -98,28 +95,29 @@ mod gauge_oracle {
     //!
     //! Before gauges were registered columns, the recorder kept one
     //! `GaugeSeries` per name in a `BTreeMap<Cow<str>, GaugeSeries>`, looked a
-    //! name up for every point, and the flight ring kept each sample row as
-    //! name-sorted `(String, i64)` pairs. [`NameKeyed`] is that recorder's
-    //! gauge half and its two exporters, kept verbatim; the proptest below runs
-    //! random scripts of `gauge`, `register_gauge`, `gauge_sample`, `clear`,
-    //! enable/disable and post-mortem cuts against both and requires the same
-    //! bytes from `series_json` and `prometheus_text`, the same
-    //! `snapshot().series`, the same latest values, and the same dump rows.
-    //! Rows may name a gauge twice and repeat unchanged hundreds of times,
-    //! so the recorder's runs grow long and are cut by every kind of break.
+    //! name up for every point. [`NameKeyed`] is that recorder's gauge half
+    //! and its two exporters, kept verbatim; the proptest below runs random
+    //! scripts of `gauge`, `register_gauge`, `gauge_sample`, `clear` and
+    //! enable/disable against both and requires the same bytes from
+    //! `series_json` and `prometheus_text`, the same `snapshot().series`
+    //! and the same latest values. Rows may name a gauge twice and repeat
+    //! unchanged hundreds of times, so the recorder's runs grow long and are
+    //! cut by every kind of break. The flight ring's half, which holds a
+    //! post-mortem's rows to the name-sorted rows the ring used to keep,
+    //! lives beside the flight recorder in `cloud4home`'s `health` module.
     //!
     //! Run in release with `cargo test -q --release -p c4h-telemetry --lib
     //! gauge_oracle`.
 
     use std::borrow::Cow;
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::BTreeMap;
     use std::fmt::Write;
     use std::sync::Arc;
 
     use proptest::collection;
     use proptest::prelude::*;
 
-    use crate::{escape_into, FlightRecorder, GaugeSeries, Recorder, TimeNs};
+    use crate::{escape_into, GaugeSeries, Recorder, TimeNs};
 
     /// Gauge names the scripts draw from: JSON escapes, a control character,
     /// non-ASCII, names that flatten to one Prometheus name, and names whose
@@ -143,9 +141,6 @@ mod gauge_oracle {
 
     /// Registered by the scripts, never sampled: it must appear in no export.
     const GHOST: &str = "ghost.never_sampled";
-
-    /// Post-mortem gauge ring depth of the scripts' flight recorders.
-    const RING: usize = 3;
 
     /// The name-keyed gauge store the recorder used to keep.
     #[derive(Debug, Default)]
@@ -230,8 +225,8 @@ mod gauge_oracle {
     /// One script step.
     #[derive(Debug, Clone)]
     enum Step {
-        /// `NAMES[i]` registered and sampled alone, outside the flight
-        /// ring: one call of the name-keyed writer.
+        /// `NAMES[i]` registered and sampled alone: one call of the
+        /// name-keyed writer.
         Point(usize, i64),
         /// Registers `NAMES[i]`, or the ghost for `i == NAMES.len()`.
         Register(usize),
@@ -245,8 +240,6 @@ mod gauge_oracle {
         Enable(bool),
         /// Moves the clock; 0 samples twice at one instant.
         Advance(u64),
-        /// Cuts a post-mortem.
-        Dump,
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -262,7 +255,6 @@ mod gauge_oracle {
             Just(Step::Clear),
             any::<bool>().prop_map(Step::Enable),
             (0u64..3).prop_map(Step::Advance),
-            Just(Step::Dump),
         ]
     }
 
@@ -274,32 +266,21 @@ mod gauge_oracle {
         Ok(())
     }
 
-    /// The recorder and its flight ring beside the name-keyed store and
-    /// the flight ring of name-sorted rows they replaced.
+    /// The recorder beside the name-keyed store it replaced.
     struct Both {
         rec: Recorder,
-        flight: FlightRecorder,
         oracle: NameKeyed,
-        old_ring: VecDeque<(TimeNs, Vec<(String, i64)>)>,
     }
 
     impl Both {
         /// Writes the sample row `points` at `ts` to both sides.
         fn sample(&mut self, ts: TimeNs, points: &[(usize, i64)]) {
             let mut row = Vec::new();
-            let mut old_row: Vec<(String, i64)> = Vec::new();
             for &(i, v) in points {
                 row.push((self.rec.register_gauge(NAMES[i]), v));
                 self.oracle.gauge(NAMES[i], ts, v);
-                old_row.push((NAMES[i].to_owned(), v));
             }
             self.rec.gauge_sample(ts, &row);
-            self.flight.note_gauges(ts, &row);
-            old_row.sort_by(|a, b| a.0.cmp(&b.0));
-            if self.old_ring.len() == RING {
-                self.old_ring.pop_front();
-            }
-            self.old_ring.push_back((ts, old_row));
         }
     }
 
@@ -312,9 +293,7 @@ mod gauge_oracle {
         ) {
             let mut both = Both {
                 rec: Recorder::new(),
-                flight: FlightRecorder::new(1, RING, 64),
                 oracle: NameKeyed { enabled: true, ..NameKeyed::default() },
-                old_ring: VecDeque::new(),
             };
             both.rec.set_enabled(true);
             let mut last_row = Vec::new();
@@ -348,12 +327,6 @@ mod gauge_oracle {
                         both.oracle.enabled = on;
                     }
                     Step::Advance(dt) => ts += dt,
-                    Step::Dump => {
-                        let rec = &both.rec;
-                        both.flight.record(ts, 1, "fetch", "obj", "Timeout", 0, Vec::new(), rec);
-                        let dump = both.flight.dumps().last().expect("below the dump cap");
-                        prop_assert_eq!(&dump.gauges, &Vec::from(both.old_ring.clone()));
-                    }
                 }
                 same_exports(&both.rec, &both.oracle)?;
             }
