@@ -372,6 +372,64 @@ fn exports_read_the_run_stats_without_writing_them() {
     assert!(prom.contains(&format!("\nc4h_stats_ops_completed {completed}\n")));
 }
 
+/// A mixed workload run to completion one op at a time: twelve stores and
+/// twelve fetches of 512 KiB images on a two-replica testbed, then four
+/// face detections. Returns the deployment and every op's report.
+fn mixed_workload(tracing: bool) -> (Cloud4Home, Vec<OpReport>) {
+    const OBJECTS: usize = 12;
+    let mut config = Config::paper_testbed(2024);
+    config.replication = 2;
+    config.tracing = tracing;
+    let mut home = Cloud4Home::new(config);
+    let mut reports = Vec::new();
+    let name = |i: usize| format!("attr/img-{i:03}.jpg");
+    for i in 0..OBJECTS {
+        let obj = Object::synthetic(&name(i), 900 + i as u64, 512 << 10, "jpeg");
+        let op = home.store_object(NodeId(i % 4), obj, StorePolicy::ForceHome, true);
+        reports.push(home.run_until_complete(op));
+    }
+    for i in 0..OBJECTS {
+        let op = home.fetch_object(NodeId((i + 2) % 4), &name(i));
+        reports.push(home.run_until_complete(op));
+    }
+    for i in 0..4 {
+        let (detect, route) = (ServiceKind::FaceDetect, RoutePolicy::Performance);
+        let op = home.process_object(NodeId(0), &name(i), detect, route);
+        reports.push(home.run_until_complete(op));
+    }
+    (home, reports)
+}
+
+/// Recording observes and never steers: the same workload with tracing off
+/// and on ends at the same virtual instant, every op completes at the same
+/// instant with the same outcome, and the trace holds exactly one `op`
+/// span per op, on the op's own track.
+#[test]
+fn tracing_moves_no_instant_and_leaves_one_op_span_per_op() {
+    let (off, off_reports) = mixed_workload(false);
+    let (on, on_reports) = mixed_workload(true);
+    assert_eq!(off.now(), on.now(), "tracing must not perturb virtual time");
+    assert_eq!(off_reports.len(), on_reports.len());
+    for (a, b) in off_reports.iter().zip(&on_reports) {
+        assert_eq!(
+            (a.id, a.completed, &a.outcome, a.breakdown),
+            (b.id, b.completed, &b.outcome, b.breakdown),
+            "tracing moved an op"
+        );
+        a.expect_ok();
+    }
+
+    let snap = on.telemetry().snapshot();
+    let ok = ["store", "fetch", "process"].map(|k| snap.counter(&format!("op.{k}.ok")));
+    assert_eq!(ok, [12, 12, 4], "the op counters sum to the ops run");
+    for r in &on_reports {
+        let on_track = snap.spans().filter(|s| s.cat == "op" && s.track == r.id.0);
+        assert_eq!(on_track.count(), 1, "{} leaves one op span", r.id);
+    }
+    let op_spans = snap.spans().filter(|s| s.cat == "op").count();
+    assert_eq!(op_spans, on_reports.len(), "every op span is an op's");
+}
+
 // ----------------------------------------------------------------------
 // One decomposition, four views
 // ----------------------------------------------------------------------
