@@ -519,3 +519,48 @@ fn a_process_batch_reissue_is_stamped_on_the_ledger() {
         report.ledger
     );
 }
+
+/// A known fault, held red until it is mended. The op engine's lost-reply
+/// intercept takes a retry-budget token for every timed-out reply, also on
+/// a stage that absorbs lost replies itself and reissues nothing there
+/// (`ProcMetaSvcGet` here). With a one-token budget the intercept spends the
+/// token, so the batch's own reissue is denied (`RetryDenied`) and the op
+/// times out, though the network healed before the reissue was due. The
+/// correct behaviour asserted here: the batch's reissue takes the token
+/// (`retries == 1`) and no retry is denied. Mending the intercept moves
+/// overload-on bytes, so it waits for a re-bless window; that change turns
+/// this test from `should_panic` to a plain test.
+#[test]
+#[should_panic(expected = "the lost-reply intercept spent the batch's retry token")]
+fn an_absorbing_stage_keeps_its_retry_token_for_its_own_reissue() {
+    let mut config = ledger_config(4646);
+    config.overload.enabled = true;
+    config.overload.retry_budget = 1;
+    config.overload.retry_refill_per_sec = 0;
+    let mut home = Cloud4Home::new(config);
+    let obj = Object::synthetic("lossy/clip.avi", 31, OBJ_BYTES, "avi");
+    let op = home.store_object(NodeId(2), obj, StorePolicy::ForceHome, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+    // The batch's lookups are lost; the network heals before they time out.
+    home.set_message_loss(0.99);
+    let service = ServiceKind::Transcode;
+    let op = home.process_object(
+        NodeId(4),
+        "lossy/clip.avi",
+        service,
+        RoutePolicy::Performance,
+    );
+    home.run_for(Duration::from_millis(50));
+    home.set_message_loss(0.0);
+    let report = home.run_until_complete(op);
+    let denied = report
+        .ledger
+        .iter()
+        .filter(|e| e.kind == CauseKind::RetryDenied);
+    assert_eq!(
+        (report.retries, denied.count()),
+        (1, 0),
+        "the lost-reply intercept spent the batch's retry token: {report:?}"
+    );
+}
