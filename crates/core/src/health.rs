@@ -235,8 +235,12 @@ impl SlidingHistogram {
 
     fn evict(&mut self, now: TimeNs) {
         let horizon = now.saturating_sub(self.window_ns);
-        while (self.slices.front()).is_some_and(|&(start, _)| start + self.slice_ns <= horizon) {
-            self.slices.pop_front();
+        while let Some(&(start, _)) = self.slices.front() {
+            if start + self.slice_ns <= horizon {
+                self.slices.pop_front();
+            } else {
+                break;
+            }
         }
     }
 
@@ -398,8 +402,12 @@ impl FlightRecorder {
 
     /// Notes one gauge sample row (`(gauge, value)` pairs).
     pub(crate) fn note_gauges(&mut self, ts_ns: TimeNs, row: &[(GaugeId, i64)]) {
-        let evicted = (self.gauges.len() == self.gauge_cap).then(|| self.gauges.pop_front());
-        let mut buf = evicted.flatten().map_or_else(GaugeRow::new, |(_, row)| row);
+        let mut buf = GaugeRow::new();
+        if self.gauges.len() == self.gauge_cap {
+            if let Some((_, evicted)) = self.gauges.pop_front() {
+                buf = evicted;
+            }
+        }
         buf.clear();
         buf.extend_from_slice(row);
         self.gauges.push_back((ts_ns, buf));
@@ -1180,7 +1188,11 @@ mod gauge_oracle {
                         let kind = OpKind::all().nth(k).expect("a kind");
                         let log = stages
                             .into_iter()
-                            .map(|(i, start, len)| span(STAGES[i], start, start + len))
+                            .map(|(i, start_ns, len)| StageSpan {
+                                stage: STAGES[i],
+                                start_ns,
+                                end_ns: start_ns + len,
+                            })
                             .collect();
                         both.dump(ts, kind, ERRORS[e], log);
                         let dump = both.flight.dumps.last().expect("below the dump cap");
@@ -1198,14 +1210,6 @@ mod gauge_oracle {
                     old_dumps_json(&both.old_dumps)
                 );
             }
-        }
-    }
-
-    fn span(stage: Stage, start_ns: u64, end_ns: u64) -> StageSpan {
-        StageSpan {
-            stage,
-            start_ns,
-            end_ns,
         }
     }
 }
