@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo bench -p c4h-bench --bench paper`
 
-use c4h_bench::banner;
-use c4h_bench::paper::{self, COMMITTED};
+use c4h_bench::{banner, paper};
 
 /// Prints the experiment banner, the column header and a rule `width` wide.
 fn table(id: &str, title: &str, header: &str, width: usize) {
@@ -29,7 +28,7 @@ fn table1() {
         "  size |     total inter-node   inter-dom     dht |   P:total   P:i-node     P:i-dom   P:dht",
         100,
     );
-    let rows = paper::table1(COMMITTED.table1);
+    let rows = paper::table1();
     for (r, p) in rows.iter().zip(&paper::TABLE1_PAPER) {
         let (mb, t, i, d, k) = (r.mb, r.total, r.inter_node, r.inter_domain, r.dht);
         let (pt, pi, pd, pk) = (p.total, p.inter_node, p.inter_domain, p.dht);
@@ -47,7 +46,7 @@ fn table1() {
 }
 
 fn fig4() {
-    let rows = paper::fig4(COMMITTED.fig4);
+    let rows = paper::fig4();
     table(
         "Figure 4",
         "home vs remote cloud access latency and variability (seconds)",
@@ -84,7 +83,7 @@ fn fig5() {
         "   size |  Method 1 (Mbit/s)  Method 2 (Mbit/s)",
         50,
     );
-    let rows = paper::fig5(COMMITTED.fig5);
+    let rows = paper::fig5();
     for r in &rows {
         println!("{:>5}MB | {:>18.2} {:>18.2}", r.mb, r.method1, r.method2);
     }
@@ -104,7 +103,7 @@ fn fig6() {
         " % remote |   1 thread  2 threads  3 threads |  remote-only",
         62,
     );
-    let fig = paper::fig6(COMMITTED.fig6);
+    let fig = paper::fig6();
     for r in &fig.rows {
         let ([t1, t2, t3], pct, only) = (r.threads, r.remote_pct, fig.remote_only);
         println!("{pct:>8}% | {t1:>10.2} {t2:>10.2} {t3:>10.2} | {only:>12.2}");
@@ -127,7 +126,7 @@ fn split() {
         "scenario                     measured (s)    paper (s)",
         56,
     );
-    let s = paper::split(COMMITTED.split);
+    let s = paper::split();
     let cloud_share = paper::SPLIT_IMAGES - s.home_share;
     let (home, cloud) = (
         ("(i)   home only", s.home),
@@ -147,7 +146,7 @@ fn split() {
 }
 
 fn fig7() {
-    let rows = paper::fig7(COMMITTED.fig7);
+    let rows = paper::fig7();
     table(
         "Figure 7",
         "surveillance pipeline (FDet+FRec) cost by placement, from S1",
@@ -175,7 +174,7 @@ fn fig8() {
         "   size |   Town (s)   Topt (s)   speedup |   move (ms) decide (ms)       chosen",
         84,
     );
-    let rows = paper::fig8(COMMITTED.fig8);
+    let rows = paper::fig8();
     for r in &rows {
         let (mb, town, topt, speedup) = (r.mb, r.town, r.topt, r.town / r.topt);
         let (moved, decide, chosen) = (r.move_ms, r.decide_ms, &r.chosen);
@@ -197,7 +196,7 @@ fn baselines() {
         "architecture       workload (s)   failed",
         42,
     );
-    let b = paper::baselines(COMMITTED.baselines);
+    let b = paper::baselines();
     let runs = [
         ("all-cloud", b.all_cloud),
         ("all-home", b.all_home),

@@ -2,8 +2,7 @@
 //! typed rows, and one predicate per shape claim the paper makes about them.
 //! `benches/paper.rs` prints the rows and verdicts, `tests/paper_shapes.rs`
 //! asserts the predicates. Every bound comes from the paper's words or its
-//! Table I values, never from a measured row. Each experiment takes its
-//! seed; [`COMMITTED`] holds the seeds every committed table was made with.
+//! Table I values, never from a measured row.
 
 use c4h_vmm::{PlatformSpec, VmSpec};
 use cloud4home::{
@@ -12,41 +11,6 @@ use cloud4home::{
 };
 
 use crate::{mean_std, ms};
-
-/// The seed of each experiment's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Seeds {
-    /// [`table1`].
-    pub table1: u64,
-    /// [`fig4`].
-    pub fig4: u64,
-    /// [`fig5`].
-    pub fig5: u64,
-    /// [`fig6`]'s base: a cell at `pct` % remote is staged from
-    /// `fig6 + pct`, the remote-only line from `fig6`.
-    pub fig6: u64,
-    /// [`split`]'s three runs: at home, on the cloud, split.
-    pub split: [u64; 3],
-    /// [`fig7`].
-    pub fig7: u64,
-    /// [`fig8`].
-    pub fig8: u64,
-    /// [`baselines`], all three architectures.
-    pub baselines: u64,
-}
-
-/// The seeds of the committed tables (EXPERIMENTS.md) and of the shape
-/// tests.
-pub const COMMITTED: Seeds = Seeds {
-    table1: 1001,
-    fig4: 1002,
-    fig5: 1003,
-    fig6: 2000,
-    split: [1005, 1006, 1009],
-    fig7: 1007,
-    fig8: 1008,
-    baselines: 5000,
-};
 
 /// A sample's mean and (population) standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,8 +81,8 @@ pub const TABLE1_PAPER: [Table1Row; 7] = [
 
 /// Table I: the mean of three fetches per size, each of an object stored on
 /// another netbook.
-pub fn table1(seed: u64) -> Vec<Table1Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
+pub fn table1() -> Vec<Table1Row> {
+    let mut home = Cloud4Home::new(Config::paper_testbed(1001));
     let mut rows = Vec::new();
     for mb in TABLE1_PAPER.map(|p| p.mb) {
         let mut cols: [Vec<f64>; 4] = Default::default();
@@ -186,8 +150,8 @@ pub struct Fig4Row {
 
 /// Figure 4: the mean and spread of four stores and fetches per size on
 /// each cloud, the home dataset spread across the nodes.
-pub fn fig4(seed: u64) -> Vec<Fig4Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
+pub fn fig4() -> Vec<Fig4Row> {
+    let mut home = Cloud4Home::new(Config::paper_testbed(1002));
     let mut rows = Vec::new();
     for mb in [1, 5, 10, 20, 50] {
         // home store, home fetch, cloud store, cloud fetch
@@ -273,8 +237,8 @@ fn fig5_measure(home: &mut Cloud4Home, tag: &str, mb: u64, count: usize) -> f64 
 
 /// Figure 5: remote-cloud throughput per object size, Method 1 with
 /// 120 MB per size class and Method 2 with 3 files per class.
-pub fn fig5(seed: u64) -> Vec<Fig5Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
+pub fn fig5() -> Vec<Fig5Row> {
+    let mut home = Cloud4Home::new(Config::paper_testbed(1003));
     (10..=100)
         .step_by(10)
         .map(|mb| Fig5Row {
@@ -352,14 +316,14 @@ fn fig6_measure(home: &mut Cloud4Home, names: &[String], threads: usize) -> (f64
     (bytes as f64 / (1 << 20) as f64 / elapsed, remote)
 }
 
-/// Figure 6: each cell on its own testbed staged from seed `seed + pct`,
-/// the remote-only line from `seed` at one thread.
-pub fn fig6(seed: u64) -> Fig6 {
-    let (mut base, names) = fig6_stage(seed, 100);
+/// Figure 6: each cell on its own testbed staged from seed `2000 + pct`,
+/// the remote-only line from seed 2000 at one thread.
+pub fn fig6() -> Fig6 {
+    let (mut base, names) = fig6_stage(2000, 100);
     let remote_only = fig6_measure(&mut base, &names, 1).0;
     let row = |remote_pct: usize| {
         let cells = [1, 2, 3].map(|threads| {
-            let (mut home, names) = fig6_stage(seed + remote_pct as u64, remote_pct);
+            let (mut home, names) = fig6_stage(2000 + remote_pct as u64, remote_pct);
             fig6_measure(&mut home, &names, threads)
         });
         let remote = cells.each_ref().map(|c| &c.1);
@@ -460,11 +424,10 @@ fn split_run(seed: u64, stages: &[(&str, usize, bool)]) -> f64 {
 }
 
 /// §V-B: a 12-image recognition sequence (i) at home, (ii) on EC2 and
-/// (iii) split in proportion to the rates (i) and (ii) achieved, each run
-/// on its own testbed, seeded in that order from `seeds`.
-pub fn split(seeds: [u64; 3]) -> Split {
-    let t_home = split_run(seeds[0], &[("home", SPLIT_IMAGES, false)]);
-    let t_cloud = split_run(seeds[1], &[("cloud", SPLIT_IMAGES, true)]);
+/// (iii) split in proportion to the rates (i) and (ii) achieved.
+pub fn split() -> Split {
+    let t_home = split_run(1005, &[("home", SPLIT_IMAGES, false)]);
+    let t_cloud = split_run(1006, &[("cloud", SPLIT_IMAGES, true)]);
     let images = SPLIT_IMAGES as f64;
     let (home_rate, cloud_rate) = (images / t_home, images / t_cloud);
     let home_share = ((home_rate / (home_rate + cloud_rate)) * images).round() as usize;
@@ -475,7 +438,7 @@ pub fn split(seeds: [u64; 3]) -> Split {
     Split {
         home: t_home,
         cloud: t_cloud,
-        split: split_run(seeds[2], &halves),
+        split: split_run(1009, &halves),
         home_share,
     }
 }
@@ -510,8 +473,8 @@ impl Fig7Row {
 /// Figure 7: the FDet → FRec pipeline from S1, the requesting Atom, pinned
 /// at S1, at S2 (a quad-core desktop with a small 128 MB VM) and at S3 (the
 /// cloud's extra-large instance).
-pub fn fig7(seed: u64) -> Vec<Fig7Row> {
-    let mut config = Config::paper_testbed(seed);
+pub fn fig7() -> Vec<Fig7Row> {
+    let mut config = Config::paper_testbed(1007);
     let face = vec![ServiceKind::FaceDetect, ServiceKind::FaceRecognize];
     let mut s1 = NodeSpec::netbook("S1");
     s1.platform = PlatformSpec::atom_s1();
@@ -567,8 +530,8 @@ pub struct Fig8Row {
 
 /// Figure 8: a netbook converts a video owned by another netbook, pinned at
 /// the owner (Town) or routed for performance (Topt).
-pub fn fig8(seed: u64) -> Vec<Fig8Row> {
-    let mut config = Config::paper_testbed(seed);
+pub fn fig8() -> Vec<Fig8Row> {
+    let mut config = Config::paper_testbed(1008);
     config.nodes[1].services = vec![ServiceKind::Transcode];
     let mut home = Cloud4Home::new(config);
     let (owner, mobile, convert) = (NodeId(1), NodeId(2), ServiceKind::Transcode);
@@ -633,8 +596,8 @@ enum Arch {
 
 /// Four images stored and recognized, a video converted, two archives stored
 /// and one fetched back under `arch`, on home disks too small for them.
-fn baseline_run(seed: u64, arch: Arch) -> Run {
-    let mut config = Config::paper_testbed(seed);
+fn baseline_run(arch: Arch) -> Run {
+    let mut config = Config::paper_testbed(5000);
     for n in &mut config.nodes {
         n.mandatory_bytes = 16 << 20;
         n.voluntary_bytes = 4 << 20;
@@ -691,13 +654,12 @@ fn baseline_run(seed: u64, arch: Arch) -> Run {
     Run { secs, failed }
 }
 
-/// The baseline workload under each architecture, each on a fresh testbed
-/// seeded with `seed`.
-pub fn baselines(seed: u64) -> Baselines {
+/// The baseline workload under each architecture, each on a fresh testbed.
+pub fn baselines() -> Baselines {
     Baselines {
-        all_cloud: baseline_run(seed, Arch::AllCloud),
-        all_home: baseline_run(seed, Arch::AllHome),
-        cloud4home: baseline_run(seed, Arch::Cloud4Home),
+        all_cloud: baseline_run(Arch::AllCloud),
+        all_home: baseline_run(Arch::AllHome),
+        cloud4home: baseline_run(Arch::Cloud4Home),
     }
 }
 

@@ -4,14 +4,13 @@
 //! one whose verdict `cargo bench -p c4h-bench --bench paper` prints. Each
 //! bound comes from the paper's words (in quotes where verbatim) or its
 //! Table I values, named beside the assertion; none is fitted to a measured
-//! row. A failing claim is a finding to report, not a bound to loosen. The
-//! experiments run on the committed seeds, `paper::COMMITTED`.
+//! row. A failing claim is a finding to report, not a bound to loosen.
 
-use c4h_bench::paper::{self, COMMITTED};
+use c4h_bench::paper;
 
 #[test]
 fn table1_cost_breakdown() {
-    let rows = paper::table1(COMMITTED.table1);
+    let rows = paper::table1();
     // Table I: inter-node cost per MB ranges 93.6–135.8 ms (1.45×).
     assert!(
         paper::inter_node_linear(&rows),
@@ -28,7 +27,7 @@ fn table1_cost_breakdown() {
 
 #[test]
 fn fig4_home_vs_remote() {
-    let rows = paper::fig4(COMMITTED.fig4);
+    let rows = paper::fig4();
     // Remote latencies are far higher (at least 10×) …
     assert!(
         paper::cloud_fetch_10x_home(&rows),
@@ -48,7 +47,7 @@ fn fig4_home_vs_remote() {
 
 #[test]
 fn fig5_optimal_object_size() {
-    let rows = paper::fig5(COMMITTED.fig5);
+    let rows = paper::fig5();
     // "Remote Cloud - optimal object size": ≈ 20 MB by both methods.
     assert_eq!(
         paper::fig5_peak(&rows, |r| r.method1),
@@ -64,7 +63,7 @@ fn fig5_optimal_object_size() {
 
 #[test]
 fn fig6_fetch_throughput() {
-    let fig = paper::fig6(COMMITTED.fig6);
+    let fig = paper::fig6();
     // More client threads overlap remote stalls with home accesses.
     assert!(paper::more_threads_never_worse(&fig), "threads: {fig:?}");
     // The remote-cloud-only line sits at the bottom.
@@ -91,7 +90,7 @@ fn fig6_fetch_throughput() {
 
 #[test]
 fn split_processing() {
-    let s = paper::split(COMMITTED.split);
+    let s = paper::split();
     // "… are 162 sec, 127 sec, and 98 sec, respectively": the split wins.
     assert!(
         paper::split_beats_both(&s),
@@ -101,7 +100,7 @@ fn split_processing() {
 
 #[test]
 fn fig7_service_placement() {
-    let rows = paper::fig7(COMMITTED.fig7);
+    let rows = paper::fig7();
     // S1 for the smallest images, S2 in the middle, and at 2 MB S3 "despite
     // the even greater data movement costs".
     for (row, paper_winner) in rows.iter().zip(paper::FIG7_PAPER_WINNERS) {
@@ -112,7 +111,7 @@ fn fig7_service_placement() {
 
 #[test]
 fn fig8_dynamic_routing() {
-    let rows = paper::fig8(COMMITTED.fig8);
+    let rows = paper::fig8();
     // "the latter case results in substantial performance gains, despite the
     // additional costs for moving data from owner to the desktop node".
     assert!(paper::topt_beats_town(&rows), "Topt < Town: {rows:?}");
@@ -124,7 +123,7 @@ fn fig8_dynamic_routing() {
 
 #[test]
 fn baselines_thin_client_and_end_point() {
-    let b = paper::baselines(COMMITTED.baselines);
+    let b = paper::baselines();
     // "'thin client' models … can suffer from high and variable delays".
     assert!(paper::beats_thin_client(&b), "faster than all-cloud: {b:?}");
     assert!(paper::completes_everything(&b), "no failed op: {b:?}");
