@@ -17,15 +17,11 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use c4h_bench::{banner, mean_std, ms, BenchReport};
+use c4h_bench::{banner, mean_std, ms, smoke, BenchReport};
 use c4h_workloads::{hotset_fetches, HotsetConfig};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
 
 const OBJECT_BYTES: u64 = 2 << 20; // over the 1 MiB erasure-coding threshold
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 fn p99(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty(), "p99 of empty sample");

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use c4h_bench::{banner, BenchReport};
+use c4h_bench::{banner, smoke, BenchReport};
 use c4h_workloads::{arrivals, Arrival, OpKind, OpenLoopConfig};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, OpError, OpReport, RunStats, StorePolicy};
 
@@ -34,10 +34,6 @@ const FETCH_SLO_MS: u64 = 2_000;
 const STORE_SLO_MS: u64 = 4_000;
 const TENANTS: usize = 4;
 const CATALOG: usize = 12;
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 fn offered_rates() -> Vec<f64> {
     // The 60/40 fetch/store mix puts ~45% of offered bytes on the shared

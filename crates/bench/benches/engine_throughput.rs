@@ -98,8 +98,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use c4h_bench::{
-    allocations, banner, live_bytes, neighborhood_config, pump_overlay, testbed_trace_config,
-    BenchReport, CountingAlloc,
+    allocations, banner, live_bytes, neighborhood_config, pump_overlay, smoke,
+    testbed_trace_config, BenchReport, CountingAlloc,
 };
 use c4h_chimera::{
     route, ChimeraConfig, ChimeraNode, DhtEvent, Key, LeafSet, OverwritePolicy, RbTree,
@@ -130,10 +130,6 @@ type Payload = [u64; 16];
 
 fn payload(seed: u64) -> Payload {
     [seed; 16]
-}
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
 }
 
 /// Hold operations measured per size (after warmup).

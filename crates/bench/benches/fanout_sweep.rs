@@ -12,14 +12,10 @@
 
 use std::time::Duration;
 
-use c4h_bench::{banner, mean_std, ms, BenchReport};
+use c4h_bench::{banner, mean_std, ms, smoke, BenchReport};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
 
 const OBJECT_BYTES: u64 = 4 << 20;
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 /// Mean (and spread) of store latency over `trials` fresh deployments.
 fn store_latency(

@@ -11,12 +11,8 @@
 //! Run with: `cargo bench -p c4h-bench --bench fetch_stripe`
 //! (set `C4H_SMOKE=1` for the CI smoke variant: one trial per point).
 
-use c4h_bench::{banner, mean_std, ms, BenchReport};
+use c4h_bench::{banner, mean_std, ms, smoke, BenchReport};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, StorePolicy};
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 /// Mean fetch latency over `trials` fresh deployments. The object is
 /// stored — replicated across `holders` home nodes for home placement,

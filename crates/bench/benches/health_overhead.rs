@@ -35,7 +35,7 @@
 
 use std::time::{Duration, Instant};
 
-use c4h_bench::{allocations, banner, live_bytes, BenchReport, CountingAlloc};
+use c4h_bench::{allocations, banner, live_bytes, smoke, BenchReport, CountingAlloc};
 use cloud4home::{Cloud4Home, Config, NodeId, Object, RoutePolicy, ServiceKind, StorePolicy};
 
 #[global_allocator]
@@ -47,10 +47,6 @@ const SEED: u64 = 2024;
 /// per run a changed gauge starts, with the `Vec`s' doubling slack. A
 /// point stored per gauge keeps at least 16 × 42 = 672.
 const LIVE_BYTES_PER_SAMPLE: f64 = 128.0;
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 fn objects() -> usize {
     if smoke() {

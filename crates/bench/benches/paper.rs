@@ -1,10 +1,12 @@
 //! PAPER.md §V, every table: Table I, Figures 4–6, the §V-B split
 //! processing experiment, Figures 7–8, and the introduction's thin-client
-//! vs end-point comparison. The rows come from `c4h_bench::paper`, and
-//! every verdict line from its shape predicates, which
-//! `tests/paper_shapes.rs` asserts.
+//! vs end-point comparison; then the mechanism studies beyond the paper.
+//! The rows come from `c4h_bench::paper`, and every verdict line from its
+//! claim tables, which `tests/paper_shapes.rs` asserts.
 //!
 //! Run with: `cargo bench -p c4h-bench --bench paper`
+
+use std::fmt::Debug;
 
 use c4h_bench::{banner, paper};
 
@@ -14,11 +16,14 @@ fn table(id: &str, title: &str, header: &str, width: usize) {
     println!("{header}\n{}", "-".repeat(width));
 }
 
-/// Prints `claim` after a blank line if it holds, or flags it as not
-/// reproduced.
-fn verdict(holds: bool, claim: &str) {
-    let flag = if holds { "" } else { "NOT REPRODUCED: " };
-    println!("\n{flag}{claim}");
+/// Prints, after a blank line, each of `experiment`'s claims with its
+/// verdict on `rows`.
+fn verdicts<R: Debug>(experiment: &paper::Experiment<R>, rows: &R) {
+    println!();
+    for (claim, holds) in experiment.verdicts(rows) {
+        let flag = if holds { "holds" } else { "NOT REPRODUCED" };
+        println!("{flag}: {} — {}", claim.name, claim.says);
+    }
 }
 
 fn table1() {
@@ -28,7 +33,7 @@ fn table1() {
         "  size |     total inter-node   inter-dom     dht |   P:total   P:i-node     P:i-dom   P:dht",
         100,
     );
-    let rows = paper::table1();
+    let rows = paper::TABLE1.committed();
     for (r, p) in rows.iter().zip(&paper::TABLE1_PAPER) {
         let (mb, t, i, d, k) = (r.mb, r.total, r.inter_node, r.inter_domain, r.dht);
         let (pt, pi, pd, pk) = (p.total, p.inter_node, p.inter_domain, p.dht);
@@ -36,17 +41,11 @@ fn table1() {
             "{mb:>4}MB | {t:>9.0} {i:>10.0} {d:>11.0} {k:>7.1} | {pt:>9.0} {pi:>10.0} {pd:>11.0} {pk:>7.0}"
         );
     }
-    verdict(
-        paper::inter_node_linear(&rows)
-            && paper::inter_domain_below_inter_node(&rows)
-            && paper::dht_flat(&rows),
-        "Shape checks: inter-node ≈ linear in size; inter-domain ≈ linear and\n\
-         ~10x smaller; DHT lookup constant and negligible for large objects.",
-    );
+    verdicts(&paper::TABLE1, &rows);
 }
 
 fn fig4() {
-    let rows = paper::fig4();
+    let rows = paper::FIG4.committed();
     table(
         "Figure 4",
         "home vs remote cloud access latency and variability (seconds)",
@@ -66,14 +65,7 @@ fn fig4() {
     println!(
         "\ncloud/home fetch latency at {mb} MB: {ratio:.0}x; relative variability: cloud {cloud_var:.2} vs home {home_var:.2}"
     );
-    verdict(
-        paper::cloud_fetch_10x_home(&rows)
-            && paper::cloud_store_slower(&rows)
-            && paper::cloud_spread_grows(&rows),
-        "Shape checks: cloud fetch ≥ 10x home fetch at every size; cloud store\n\
-         slower than cloud fetch (upload 4.5 vs download 6.5 Mbps); both cloud\n\
-         spreads grow with size.",
-    );
+    verdicts(&paper::FIG4, &rows);
 }
 
 fn fig5() {
@@ -83,17 +75,14 @@ fn fig5() {
         "   size |  Method 1 (Mbit/s)  Method 2 (Mbit/s)",
         50,
     );
-    let rows = paper::fig5();
+    let rows = paper::FIG5.committed();
     for r in &rows {
         println!("{:>5}MB | {:>18.2} {:>18.2}", r.mb, r.method1, r.method2);
     }
     let m1 = paper::fig5_peak(&rows, |r| r.method1);
     let m2 = paper::fig5_peak(&rows, |r| r.method2);
     println!("\noptimal object size: Method 1 = {m1} MB, Method 2 = {m2} MB (paper: ≈20 MB)");
-    verdict(
-        m1 == 20 && m2 == 20,
-        "Both methods peak at 20 MB, the paper's remote-cloud optimum.",
-    );
+    verdicts(&paper::FIG5, &rows);
 }
 
 fn fig6() {
@@ -103,20 +92,14 @@ fn fig6() {
         " % remote |   1 thread  2 threads  3 threads |  remote-only",
         62,
     );
-    let fig = paper::fig6();
+    let fig = paper::FIG6.committed();
     for r in &fig.rows {
         let ([t1, t2, t3], pct, only) = (r.threads, r.remote_pct, fig.remote_only);
         println!("{pct:>8}% | {t1:>10.2} {t2:>10.2} {t3:>10.2} | {only:>12.2}");
     }
     let gain = paper::concurrency_gain(&fig, 10);
     println!("\nconcurrency gain at 10% remote (3 threads vs 1): {gain:.0}% (paper: ~45%)");
-    verdict(
-        paper::more_threads_never_worse(&fig)
-            && paper::remote_only_lowest(&fig)
-            && paper::all_home_beats_remote(&fig),
-        "Shape checks: more threads never hurt; remote-only is the lowest line;\n\
-         the all-home row is on top.",
-    );
+    verdicts(&paper::FIG6, &fig);
 }
 
 fn split() {
@@ -126,7 +109,7 @@ fn split() {
         "scenario                     measured (s)    paper (s)",
         56,
     );
-    let s = paper::split();
+    let s = paper::SPLIT.committed();
     let cloud_share = paper::SPLIT_IMAGES - s.home_share;
     let (home, cloud) = (
         ("(i)   home only", s.home),
@@ -139,14 +122,11 @@ fn split() {
         "{:<28} {:>12.0} {:>12}   ({} images home / {cloud_share} cloud)",
         "(iii) split home+cloud", s.split, 98, s.home_share
     );
-    verdict(
-        paper::split_beats_both(&s),
-        "joint usage of home and remote resources wins — the paper's claim.",
-    );
+    verdicts(&paper::SPLIT, &s);
 }
 
 fn fig7() {
-    let rows = paper::fig7();
+    let rows = paper::FIG7.committed();
     table(
         "Figure 7",
         "surveillance pipeline (FDet+FRec) cost by placement, from S1",
@@ -161,10 +141,7 @@ fn fig7() {
     }
     let winners: Vec<_> = rows.iter().map(paper::Fig7Row::winner).collect();
     println!("\npaper shape: S1 wins smallest, S2 the middle, S3 the largest — got {winners:?}");
-    verdict(
-        winners == paper::FIG7_PAPER_WINNERS,
-        "The winning placement at every size is the paper's.",
-    );
+    verdicts(&paper::FIG7, &rows);
 }
 
 fn fig8() {
@@ -174,7 +151,7 @@ fn fig8() {
         "   size |   Town (s)   Topt (s)   speedup |   move (ms) decide (ms)       chosen",
         84,
     );
-    let rows = paper::fig8();
+    let rows = paper::FIG8.committed();
     for r in &rows {
         let (mb, town, topt, speedup) = (r.mb, r.town, r.topt, r.town / r.topt);
         let (moved, decide, chosen) = (r.move_ms, r.decide_ms, &r.chosen);
@@ -182,11 +159,7 @@ fn fig8() {
             "{mb:>5}MB | {town:>10.2} {topt:>10.2} {speedup:>8.2}x | {moved:>11.0} {decide:>11.0} {chosen:>12}"
         );
     }
-    verdict(
-        paper::topt_beats_town(&rows) && paper::topt_picks_desktop(&rows),
-        "Topt < Town at every size, routed to the desktop: dynamic routing pays\n\
-         for its movement and decision overheads (paper Figure 8's observation).",
-    );
+    verdicts(&paper::FIG8, &rows);
 }
 
 fn baselines() {
@@ -196,7 +169,7 @@ fn baselines() {
         "architecture       workload (s)   failed",
         42,
     );
-    let b = paper::baselines();
+    let b = paper::BASELINES.committed();
     let runs = [
         ("all-cloud", b.all_cloud),
         ("all-home", b.all_home),
@@ -205,20 +178,85 @@ fn baselines() {
     for (label, r) in runs {
         println!("{label:<14} {:>16.1} {:>8}", r.secs, r.failed);
     }
-    verdict(
-        paper::beats_thin_client(&b)
-            && paper::completes_everything(&b)
-            && paper::end_point_fails_archive(&b),
-        &format!(
-            "The thin client pays WAN latency for everything; pure end-point\n\
-             operation is fast but cannot absorb the archival data at all.\n\
-             Cloud4Home completes the whole workload {:.1}x faster than the thin\n\
-             client — the paper's thesis ('quality in service delivery that\n\
-             exceeds that of the pure in-the-cloud or at-the-edge service\n\
-             realizations').",
-            b.all_cloud.secs / b.cloud4home.secs
-        ),
+    verdicts(&paper::BASELINES, &b);
+    let speedup = b.all_cloud.secs / b.cloud4home.secs;
+    println!("Cloud4Home completes the whole workload {speedup:.1}x faster than the thin client.");
+}
+
+/// Prints a study's title and column header.
+fn study(title: &str, header: &str) {
+    println!("\n--- {title} ---\n{header}");
+}
+
+fn path_caching() {
+    study(
+        "metadata path caching (32-node overlay, repeated lookups)",
+        "cache capacity   mean dht (ms)   cache hits",
     );
+    let rows = paper::PATH_CACHING.committed();
+    for r in &rows {
+        println!("{:>14} {:>15.1} {:>12}", r.capacity, r.dht_ms, r.hits);
+    }
+    verdicts(&paper::PATH_CACHING, &rows);
+}
+
+fn metadata_replication() {
+    study(
+        "replication factor vs crash survival",
+        "replication   metadata survived",
+    );
+    let (rows, n) = (
+        paper::METADATA_REPLICATION.committed(),
+        paper::STUDY_OBJECTS,
+    );
+    for (factor, resolved) in rows.iter().enumerate() {
+        println!("{factor:>11} {resolved:>16}/{n}");
+    }
+    verdicts(&paper::METADATA_REPLICATION, &rows);
+}
+
+fn route_policies() {
+    study(
+        "decision policies on a transcode batch",
+        "policy         mean (s)   on desktop   on battery node",
+    );
+    let rows = paper::ROUTE_POLICIES.committed();
+    for r in &rows {
+        let (policy, mean, desktop, netbook) = (r.policy, r.mean_s, r.on_desktop, r.on_netbook);
+        println!(
+            "{:<12} {mean:>10.2} {desktop:>10}/6 {netbook:>15}/6",
+            format!("{policy:?}")
+        );
+    }
+    verdicts(&paper::ROUTE_POLICIES, &rows);
+}
+
+fn blocking_stores() {
+    study(
+        "blocking vs non-blocking stores (1 MiB, home)",
+        "store          mean (ms)",
+    );
+    let r = paper::BLOCKING_STORES.committed();
+    let (bm, nm) = (r.blocking_ms, r.non_blocking_ms);
+    println!(
+        "blocking     {bm:>10.1}\nnon-blocking {nm:>10.1}   (ack saved: {:.1} ms)",
+        bm - nm
+    );
+    verdicts(&paper::BLOCKING_STORES, &r);
+}
+
+fn replica_failover() {
+    study(
+        "chaos: data replication factor x bursty loss",
+        "replication     loss     fetch ok    failovers    repairs",
+    );
+    let (rows, n) = (paper::REPLICA_FAILOVER.committed(), paper::FAILOVER_OBJECTS);
+    for r in &rows {
+        let (f, loss, ok, failovers, repairs) =
+            (r.factor, r.loss, r.fetched, r.failovers, r.repairs);
+        println!("{f:<12} {loss:>8.2} {ok:>10}/{n} {failovers:>12} {repairs:>10}");
+    }
+    verdicts(&paper::REPLICA_FAILOVER, &rows);
 }
 
 fn main() {
@@ -230,4 +268,13 @@ fn main() {
     fig7();
     fig8();
     baselines();
+    banner(
+        "Beyond the paper",
+        "mechanism studies of Cloud4Home design choices",
+    );
+    path_caching();
+    metadata_replication();
+    route_policies();
+    blocking_stores();
+    replica_failover();
 }

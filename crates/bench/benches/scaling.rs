@@ -19,14 +19,10 @@
 
 use std::time::{Duration, Instant};
 
-use c4h_bench::{banner, mean_std, ms, BenchReport};
+use c4h_bench::{banner, mean_std, ms, smoke, BenchReport};
 use cloud4home::{Cloud4Home, Config, NodeId, NodeSpec, Object, ServiceKind, StorePolicy};
 
 const SIZES: [usize; 7] = [6, 12, 24, 48, 96, 384, 1000];
-
-fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
-}
 
 fn build(n: usize, seed: u64) -> Cloud4Home {
     let mut config = Config::paper_testbed(seed);

@@ -1,10 +1,11 @@
 //! Shared helpers for the Cloud4Home experiment harness.
 //!
-//! [`paper`] holds every table and figure of the paper's evaluation as rows
-//! plus the predicates its shape claims reduce to; the `paper` bench target
-//! prints them (`cargo bench -p c4h-bench --bench paper`) and
-//! `tests/paper_shapes.rs` asserts them. The other targets under `benches/`
-//! study mechanisms and host cost beyond the paper; this library holds the
+//! [`paper`] holds every table and figure of the paper's evaluation, and the
+//! mechanism studies beyond it, as rows plus one table of the claims made
+//! about them; the `paper` bench target prints them (`cargo bench -p
+//! c4h-bench --bench paper`), `tests/paper_shapes.rs` asserts them and
+//! [`paper::sweep`] counts the seeds each holds on. The other targets under
+//! `benches/` study mechanisms and host cost; this library holds the
 //! statistics, allocation-counting and profiling utilities they share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -429,6 +430,12 @@ pub fn testbed_round(home: &mut Cloud4Home, r: u64) -> u64 {
     );
     home.run_until_complete(op).expect_ok();
     3
+}
+
+/// Whether `C4H_SMOKE` is set: a bench's CI tier, which runs fewer
+/// repetitions and hard-gates the same counts.
+pub fn smoke() -> bool {
+    std::env::var_os("C4H_SMOKE").is_some()
 }
 
 /// Formats a duration in milliseconds with fixed width.

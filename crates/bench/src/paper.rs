@@ -1,16 +1,157 @@
-//! PAPER.md §V written once: one function per table or figure, returning
-//! typed rows, and one predicate per shape claim the paper makes about them.
-//! `benches/paper.rs` prints the rows and verdicts, `tests/paper_shapes.rs`
-//! asserts the predicates. Every bound comes from the paper's words or its
+//! PAPER.md §V written once, with the mechanism studies EXPERIMENTS.md
+//! reports beyond it: one function per experiment returning typed rows, and
+//! beside it the table of its claims, each a named predicate over those rows
+//! with the paper's words (or its Table I bound, or for a study beyond the
+//! paper, EXPERIMENTS.md's sentence) that it encodes. `benches/paper.rs`
+//! prints the rows and each claim's verdict, `tests/paper_shapes.rs` asserts
+//! every claim on the committed seeds, and [`sweep`] counts the salted seeds
+//! each claim holds on. Every bound comes from the paper's words or its
 //! Table I values, never from a measured row.
+
+use std::fmt::Debug;
+use std::ops::Range;
+use std::time::Duration;
 
 use c4h_vmm::{PlatformSpec, VmSpec};
 use cloud4home::{
-    Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, OpReport, Placement, RoutePolicy,
-    ServiceKind, StorePolicy,
+    Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, NodeSpec, Object, OpId, OpReport, Placement,
+    RoutePolicy, ServiceKind, StorePolicy,
 };
 
 use crate::{mean_std, ms};
+
+/// The seed each experiment's deployments are made from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seeds {
+    pub table1: u64,
+    pub fig4: u64,
+    pub fig5: u64,
+    /// A Figure 6 cell at `pct` % remote is staged from `fig6 + pct`, the
+    /// remote-only line from `fig6`.
+    pub fig6: u64,
+    /// §V-B's three runs: at home, on the cloud, split.
+    pub split: [u64; 3],
+    pub fig7: u64,
+    pub fig8: u64,
+    /// All three architectures of the baselines.
+    pub baselines: u64,
+    pub path_caching: u64,
+    /// Replication factor `f` runs on `metadata_replication + f`.
+    pub metadata_replication: u64,
+    pub route_policies: u64,
+    pub blocking_stores: u64,
+    /// Replication factor `f` runs on `replica_failover + f`.
+    pub replica_failover: u64,
+}
+
+/// The seeds of the committed tables (EXPERIMENTS.md) and of the shape
+/// tests: salt 0.
+pub const COMMITTED: Seeds = Seeds {
+    table1: 1001,
+    fig4: 1002,
+    fig5: 1003,
+    fig6: 2000,
+    split: [1005, 1006, 1009],
+    fig7: 1007,
+    fig8: 1008,
+    baselines: 5000,
+    path_caching: 3000,
+    metadata_replication: 3100,
+    route_policies: 3200,
+    blocking_stores: 3300,
+    replica_failover: 3500,
+};
+
+/// The paper testbed on `seed` with `salt` mixed in, as
+/// `seed ^ salt · 0x9E37_79B9_7F4A_7C15`: salt 0 is `seed` itself. Only the
+/// deployment's seed is salted; object contents and Figure 6's object sizes
+/// keep the committed draws.
+fn testbed(seed: u64, salt: u64) -> Config {
+    Config::paper_testbed(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// One claim about an experiment's rows.
+#[derive(Debug)]
+pub struct Claim<R> {
+    pub name: &'static str,
+    /// What the predicate encodes: the paper's words or its Table I bound,
+    /// or, beyond the paper, EXPERIMENTS.md's sentence.
+    pub says: &'static str,
+    holds: fn(&R) -> bool,
+}
+
+/// An experiment: its rows on a salt of its committed seed, and its claims.
+#[derive(Debug)]
+pub struct Experiment<R: 'static> {
+    run: fn(u64) -> R,
+    pub claims: &'static [Claim<R>],
+}
+
+impl<R: Debug> Experiment<R> {
+    /// The rows on [`COMMITTED`].
+    pub fn committed(&self) -> R {
+        (self.run)(0)
+    }
+
+    /// Each claim, with whether it holds on `rows`.
+    pub fn verdicts<'a>(&'a self, rows: &'a R) -> impl Iterator<Item = (&'a Claim<R>, bool)> {
+        self.claims.iter().map(move |c| (c, (c.holds)(rows)))
+    }
+
+    /// Runs the experiment on [`COMMITTED`] and panics naming every claim
+    /// that does not hold.
+    pub fn assert_committed(&self) {
+        let rows = self.committed();
+        let failed: Vec<_> = self.verdicts(&rows).filter(|v| !v.1).collect();
+        assert!(failed.is_empty(), "{failed:#?} on {rows:#?}");
+    }
+
+    /// Each claim's name, with whether it holds on salt `salt`.
+    fn judge(&self, salt: u64) -> Verdicts {
+        let rows = (self.run)(salt);
+        let verdicts = self.verdicts(&rows);
+        verdicts.map(|(claim, holds)| (claim.name, holds)).collect()
+    }
+}
+
+/// Each claim's name, with whether it holds.
+type Verdicts = Vec<(&'static str, bool)>;
+
+/// Every experiment's [`Experiment::judge`], in the order `benches/paper.rs`
+/// prints them.
+const EVERY: [fn(u64) -> Verdicts; 13] = [
+    |salt| TABLE1.judge(salt),
+    |salt| FIG4.judge(salt),
+    |salt| FIG5.judge(salt),
+    |salt| FIG6.judge(salt),
+    |salt| SPLIT.judge(salt),
+    |salt| FIG7.judge(salt),
+    |salt| FIG8.judge(salt),
+    |salt| BASELINES.judge(salt),
+    |salt| PATH_CACHING.judge(salt),
+    |salt| METADATA_REPLICATION.judge(salt),
+    |salt| ROUTE_POLICIES.judge(salt),
+    |salt| BLOCKING_STORES.judge(salt),
+    |salt| REPLICA_FAILOVER.judge(salt),
+];
+
+/// Runs every experiment on each salt of `salts`, each deployment seed
+/// salted as `seed ^ salt · 0x9E37_79B9_7F4A_7C15` (salt 0 is
+/// [`COMMITTED`]), and returns each claim's name with the salts it held on,
+/// in the order `benches/paper.rs` prints them, then `("every claim", n)`:
+/// the salts on which all of them held.
+pub fn sweep(salts: Range<u64>) -> Vec<(&'static str, usize)> {
+    let mut counts: Vec<(&'static str, usize)> = Vec::new();
+    for salt in salts {
+        let mut verdicts: Vec<_> = EVERY.iter().flat_map(|judge| judge(salt)).collect();
+        verdicts.push(("every claim", verdicts.iter().all(|v| v.1)));
+        counts.resize(verdicts.len(), ("", 0));
+        for (count, (claim, holds)) in counts.iter_mut().zip(verdicts) {
+            *count = (claim, count.1 + usize::from(holds));
+        }
+    }
+    counts
+}
 
 /// A sample's mean and (population) standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,8 +222,8 @@ pub const TABLE1_PAPER: [Table1Row; 7] = [
 
 /// Table I: the mean of three fetches per size, each of an object stored on
 /// another netbook.
-pub fn table1() -> Vec<Table1Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(1001));
+fn table1(seed: u64, salt: u64) -> Vec<Table1Row> {
+    let mut home = Cloud4Home::new(testbed(seed, salt));
     let mut rows = Vec::new();
     for mb in TABLE1_PAPER.map(|p| p.mb) {
         let mut cols: [Vec<f64>; 4] = Default::default();
@@ -110,32 +251,39 @@ pub fn table1() -> Vec<Table1Row> {
     rows
 }
 
-/// Table I, inter-node cost ≈ linear in size: the inter-node cost per MB
-/// varies across sizes by no more than the paper's own column does
-/// (13 577 / 100 over 4 678 / 50 = 1.45×).
-pub fn inter_node_linear(rows: &[Table1Row]) -> bool {
-    let spread = |rows: &[Table1Row]| {
-        let per_mb = rows.iter().map(|r| r.inter_node / r.mb as f64);
-        per_mb.clone().fold(0.0, f64::max) / per_mb.fold(f64::MAX, f64::min)
-    };
-    spread(rows) <= spread(&TABLE1_PAPER)
+/// How far the inter-node cost per MB spreads across sizes (max / min).
+fn per_mb_spread(rows: &[Table1Row]) -> f64 {
+    let per_mb = rows.iter().map(|r| r.inter_node / r.mb as f64);
+    per_mb.clone().fold(0.0, f64::max) / per_mb.fold(f64::MAX, f64::min)
 }
 
-/// Table I: the inter-domain transfer costs less than the inter-node one
-/// at every size.
-pub fn inter_domain_below_inter_node(rows: &[Table1Row]) -> bool {
-    rows.iter().all(|r| r.inter_domain < r.inter_node)
+/// The band (ms) the DHT lookup cost stays in across sizes.
+fn dht_band(rows: &[Table1Row]) -> f64 {
+    let dht = rows.iter().map(|r| r.dht);
+    dht.clone().fold(0.0, f64::max) - dht.fold(f64::MAX, f64::min)
 }
 
-/// Table I, DHT lookup constant: across a 100× size range the lookup
-/// cost stays within a band no wider than the paper's (12–16 ms, 4 ms).
-pub fn dht_flat(rows: &[Table1Row]) -> bool {
-    let band = |rows: &[Table1Row]| {
-        let dht = rows.iter().map(|r| r.dht);
-        dht.clone().fold(0.0, f64::max) - dht.fold(f64::MAX, f64::min)
-    };
-    band(rows) <= band(&TABLE1_PAPER)
-}
+/// Table I's claims.
+pub const TABLE1: Experiment<Vec<Table1Row>> = Experiment {
+    run: |salt| table1(COMMITTED.table1, salt),
+    claims: &[
+        Claim {
+            name: "inter_node_linear",
+            says: "Table I: inter-node cost ≈ linear in size; its per-MB cost spreads no wider than the paper's 93.6–135.8 ms (1.45×)",
+            holds: |rows| per_mb_spread(rows) <= per_mb_spread(&TABLE1_PAPER),
+        },
+        Claim {
+            name: "inter_domain_below_inter_node",
+            says: "Table I: inter-domain (25 → 1 603 ms) below inter-node at every size",
+            holds: |rows| rows.iter().all(|r| r.inter_domain < r.inter_node),
+        },
+        Claim {
+            name: "dht_flat",
+            says: "Table I: DHT lookup constant, in a band no wider than the paper's 12–16 ms (4 ms) from 1 MB to 100 MB",
+            holds: |rows| dht_band(rows) <= dht_band(&TABLE1_PAPER),
+        },
+    ],
+};
 
 /// One size (MB) of Figure 4: the latency (s) of a store and a fetch on the
 /// home and on the remote cloud.
@@ -150,8 +298,8 @@ pub struct Fig4Row {
 
 /// Figure 4: the mean and spread of four stores and fetches per size on
 /// each cloud, the home dataset spread across the nodes.
-pub fn fig4() -> Vec<Fig4Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(1002));
+fn fig4(seed: u64, salt: u64) -> Vec<Fig4Row> {
+    let mut home = Cloud4Home::new(testbed(seed, salt));
     let mut rows = Vec::new();
     for mb in [1, 5, 10, 20, 50] {
         // home store, home fetch, cloud store, cloud fetch
@@ -186,26 +334,32 @@ pub fn fig4() -> Vec<Fig4Row> {
     rows
 }
 
-/// Figure 4, remote latencies far higher: a cloud fetch takes at least
-/// 10× a home fetch at every size.
-pub fn cloud_fetch_10x_home(rows: &[Fig4Row]) -> bool {
-    let far_higher = |r: &Fig4Row| r.cloud_fetch.mean >= 10.0 * r.home_fetch.mean;
-    rows.iter().all(far_higher)
-}
-
-/// Figure 4: a cloud store is slower than a cloud fetch at every size (the
-/// 4.5 Mbit/s uplink against the 6.5 Mbit/s downlink).
-pub fn cloud_store_slower(rows: &[Fig4Row]) -> bool {
-    rows.iter().all(|r| r.cloud_store.mean > r.cloud_fetch.mean)
-}
-
-/// Figure 4, remote latencies far more variable, increasingly so for larger
-/// objects: both cloud series' spread grows at every size step.
-pub fn cloud_spread_grows(rows: &[Fig4Row]) -> bool {
-    rows.windows(2).all(|w| {
-        w[1].cloud_store.std > w[0].cloud_store.std && w[1].cloud_fetch.std > w[0].cloud_fetch.std
-    })
-}
+/// Figure 4's claims.
+pub const FIG4: Experiment<Vec<Fig4Row>> = Experiment {
+    run: |salt| fig4(COMMITTED.fig4, salt),
+    claims: &[
+        Claim {
+            name: "cloud_fetch_10x_home",
+            says: "remote latencies are \"far higher\": a cloud fetch ≥ 10× a home fetch at every size",
+            holds: |rows| rows.iter().all(|r| r.cloud_fetch.mean >= 10.0 * r.home_fetch.mean),
+        },
+        Claim {
+            name: "cloud_store_slower",
+            says: "a cloud store is slower than a cloud fetch (upload 4.5 vs download 6.5 Mbit/s)",
+            holds: |rows| rows.iter().all(|r| r.cloud_store.mean > r.cloud_fetch.mean),
+        },
+        Claim {
+            name: "cloud_spread_grows",
+            says: "remote latencies are \"far more variable\", increasingly so for larger objects: both cloud spreads grow at every size step",
+            holds: |rows| {
+                rows.windows(2).all(|w| {
+                    let [a, b] = [&w[0], &w[1]];
+                    b.cloud_store.std > a.cloud_store.std && b.cloud_fetch.std > a.cloud_fetch.std
+                })
+            },
+        },
+    ],
+};
 
 /// One size (MB) of Figure 5: remote-cloud throughput (Mbit/s) with constant
 /// bytes (Method 1) and constant file count (Method 2) per size class.
@@ -237,8 +391,8 @@ fn fig5_measure(home: &mut Cloud4Home, tag: &str, mb: u64, count: usize) -> f64 
 
 /// Figure 5: remote-cloud throughput per object size, Method 1 with
 /// 120 MB per size class and Method 2 with 3 files per class.
-pub fn fig5() -> Vec<Fig5Row> {
-    let mut home = Cloud4Home::new(Config::paper_testbed(1003));
+fn fig5(seed: u64, salt: u64) -> Vec<Fig5Row> {
+    let mut home = Cloud4Home::new(testbed(seed, salt));
     (10..=100)
         .step_by(10)
         .map(|mb| Fig5Row {
@@ -254,6 +408,23 @@ pub fn fig5_peak(rows: &[Fig5Row], method: fn(&Fig5Row) -> f64) -> u64 {
     let best = rows.iter().max_by(|a, b| method(a).total_cmp(&method(b)));
     best.expect("Figure 5 has rows").mb
 }
+
+/// Figure 5's claims: "Remote Cloud - optimal object size", ≈ 20 MB.
+pub const FIG5: Experiment<Vec<Fig5Row>> = Experiment {
+    run: |salt| fig5(COMMITTED.fig5, salt),
+    claims: &[
+        Claim {
+            name: "method1_peaks_at_20mb",
+            says: "Method 1 (120 MB per size class) peaks at the paper's ≈ 20 MB optimum",
+            holds: |rows| fig5_peak(rows, |r| r.method1) == 20,
+        },
+        Claim {
+            name: "method2_peaks_at_20mb",
+            says: "Method 2 (3 files per size class) peaks at the paper's ≈ 20 MB optimum",
+            holds: |rows| fig5_peak(rows, |r| r.method2) == 20,
+        },
+    ],
+};
 
 /// One remote fraction (%) of Figure 6 at 1–3 threads per client: throughput
 /// (MB/s), fetches the cloud served, and the most any one stream made.
@@ -275,8 +446,8 @@ pub struct Fig6 {
 
 /// A testbed with `remote_pct` percent of Figure 6's 16 "optimal" 10–25 MB
 /// objects in the cloud, the rest owned by the non-client devices.
-fn fig6_stage(seed: u64, remote_pct: usize) -> (Cloud4Home, Vec<String>) {
-    let mut home = Cloud4Home::new(Config::paper_testbed(seed));
+fn fig6_stage(seed: u64, salt: u64, remote_pct: usize) -> (Cloud4Home, Vec<String>) {
+    let mut home = Cloud4Home::new(testbed(seed, salt));
     let mut rng = c4h_simnet::DetRng::seed(seed ^ 0xF16);
     let names = (0..16)
         .map(|i| {
@@ -316,14 +487,14 @@ fn fig6_measure(home: &mut Cloud4Home, names: &[String], threads: usize) -> (f64
     (bytes as f64 / (1 << 20) as f64 / elapsed, remote)
 }
 
-/// Figure 6: each cell on its own testbed staged from seed `2000 + pct`,
-/// the remote-only line from seed 2000 at one thread.
-pub fn fig6() -> Fig6 {
-    let (mut base, names) = fig6_stage(2000, 100);
+/// Figure 6: each cell on its own testbed staged from `seed + pct`, the
+/// remote-only line from `seed` at one thread.
+fn fig6(seed: u64, salt: u64) -> Fig6 {
+    let (mut base, names) = fig6_stage(seed, salt, 100);
     let remote_only = fig6_measure(&mut base, &names, 1).0;
     let row = |remote_pct: usize| {
         let cells = [1, 2, 3].map(|threads| {
-            let (mut home, names) = fig6_stage(2000 + remote_pct as u64, remote_pct);
+            let (mut home, names) = fig6_stage(seed + remote_pct as u64, salt, remote_pct);
             fig6_measure(&mut home, &names, threads)
         });
         let remote = cells.each_ref().map(|c| &c.1);
@@ -346,27 +517,42 @@ pub fn concurrency_gain(fig: &Fig6, remote_pct: usize) -> f64 {
     (t[2] / t[0] - 1.0) * 100.0
 }
 
-/// Figure 6, concurrency hides remote stalls: in every row, more threads
-/// are never slower.
-pub fn more_threads_never_worse(fig: &Fig6) -> bool {
-    let rising = |r: &Fig6Row| r.threads.windows(2).all(|w| w[1] >= w[0]);
-    fig.rows.iter().all(rising)
-}
-
-/// Figure 6: the remote-cloud-only line sits below every other cell.
-pub fn remote_only_lowest(fig: &Fig6) -> bool {
-    let mut cells = fig.rows.iter().flat_map(|r| r.threads);
-    cells.all(|x| fig.remote_only < x)
-}
-
-/// Figure 6, throughput falls as more content lives behind the WAN: with
-/// all content at home, every thread count beats every row with remote
-/// content.
-pub fn all_home_beats_remote(fig: &Fig6) -> bool {
-    let (home, remote) = fig.rows.split_first().expect("Figure 6 has rows");
-    let beaten = |r: &Fig6Row| (0..3).all(|t| home.threads[t] > r.threads[t]);
-    home.remote_pct == 0 && remote.iter().all(beaten)
-}
+/// Figure 6's claims.
+pub const FIG6: Experiment<Fig6> = Experiment {
+    run: |salt| fig6(COMMITTED.fig6, salt),
+    claims: &[
+        Claim {
+            name: "more_threads_never_worse",
+            says: "more client threads overlap remote stalls with home accesses: never slower",
+            holds: |fig| fig.rows.iter().all(|r| r.threads.windows(2).all(|w| w[1] >= w[0])),
+        },
+        Claim {
+            name: "remote_only_lowest",
+            says: "the remote-cloud-only line sits at the bottom",
+            holds: |fig| fig.rows.iter().flat_map(|r| r.threads).all(|x| fig.remote_only < x),
+        },
+        Claim {
+            name: "all_home_beats_remote",
+            says: "throughput falls as content moves behind the WAN: the 0 % row beats every remote row",
+            holds: |fig| {
+                let (home, remote) = fig.rows.split_first().expect("Figure 6 has rows");
+                let beaten = |r: &Fig6Row| (0..3).all(|t| home.threads[t] > r.threads[t]);
+                home.remote_pct == 0 && remote.iter().all(beaten)
+            },
+        },
+        Claim {
+            name: "one_remote_fetch_per_stream",
+            says: "why the 20 % row beats the 10 % row: the cloud serves 2, 3, 3 of 18, 36, 54 fetches at 10 % and 3, 6, 9 at 20 %, never two to one stream",
+            holds: |fig| {
+                let pinned = |pct, fetches| {
+                    let row = fig.rows.iter().find(|r| r.remote_pct == pct);
+                    row.is_some_and(|r| r.remote_fetches == fetches && r.remote_per_stream == [1; 3])
+                };
+                pinned(10, [2, 3, 3]) && pinned(20, [3, 6, 9])
+            },
+        },
+    ],
+};
 
 /// §V-B's makespans (s): (i) at home, (ii) on EC2, (iii) split between the
 /// two with `home_share` of the [`SPLIT_IMAGES`] images at home.
@@ -384,8 +570,8 @@ pub const SPLIT_IMAGES: usize = 12;
 /// The makespan (s) of recognizing `(tag, count, cloud)` stages of images
 /// owned round-robin, each at its owner or on the cloud, one image at a
 /// time per placement, on a testbed with FRec on every home device.
-fn split_run(seed: u64, stages: &[(&str, usize, bool)]) -> f64 {
-    let mut config = Config::paper_testbed(seed);
+fn split_run(seed: u64, salt: u64, stages: &[(&str, usize, bool)]) -> f64 {
+    let mut config = testbed(seed, salt);
     for n in &mut config.nodes {
         if !n.services.contains(&ServiceKind::FaceRecognize) {
             n.services.push(ServiceKind::FaceRecognize);
@@ -424,10 +610,11 @@ fn split_run(seed: u64, stages: &[(&str, usize, bool)]) -> f64 {
 }
 
 /// §V-B: a 12-image recognition sequence (i) at home, (ii) on EC2 and
-/// (iii) split in proportion to the rates (i) and (ii) achieved.
-pub fn split() -> Split {
-    let t_home = split_run(1005, &[("home", SPLIT_IMAGES, false)]);
-    let t_cloud = split_run(1006, &[("cloud", SPLIT_IMAGES, true)]);
+/// (iii) split in proportion to the rates (i) and (ii) achieved, each run
+/// on its own testbed, seeded in that order from `seeds`.
+fn split(seeds: [u64; 3], salt: u64) -> Split {
+    let t_home = split_run(seeds[0], salt, &[("home", SPLIT_IMAGES, false)]);
+    let t_cloud = split_run(seeds[1], salt, &[("cloud", SPLIT_IMAGES, true)]);
     let images = SPLIT_IMAGES as f64;
     let (home_rate, cloud_rate) = (images / t_home, images / t_cloud);
     let home_share = ((home_rate / (home_rate + cloud_rate)) * images).round() as usize;
@@ -438,16 +625,22 @@ pub fn split() -> Split {
     Split {
         home: t_home,
         cloud: t_cloud,
-        split: split_run(1009, &halves),
+        split: split_run(seeds[2], salt, &halves),
         home_share,
     }
 }
 
-/// §V-B, joint use of home and remote resources: (iii) finishes before
-/// either (i) or (ii) alone.
-pub fn split_beats_both(s: &Split) -> bool {
-    s.split < s.home && s.split < s.cloud
-}
+/// §V-B's claim.
+pub const SPLIT: Experiment<Split> = Experiment {
+    run: |salt| split(COMMITTED.split, salt),
+    claims: &[
+        Claim {
+            name: "split_beats_both",
+            says: "\"162 sec, 127 sec, and 98 sec, respectively\": (iii) split beats (i) home and (ii) cloud alone",
+            holds: |s| s.split < s.home && s.split < s.cloud,
+        },
+    ],
+};
 
 /// The paper's Figure 7 winner per image size: S1 at 256 KiB, S2 in the
 /// middle, S3 at 2 MiB.
@@ -473,8 +666,8 @@ impl Fig7Row {
 /// Figure 7: the FDet → FRec pipeline from S1, the requesting Atom, pinned
 /// at S1, at S2 (a quad-core desktop with a small 128 MB VM) and at S3 (the
 /// cloud's extra-large instance).
-pub fn fig7() -> Vec<Fig7Row> {
-    let mut config = Config::paper_testbed(1007);
+fn fig7(seed: u64, salt: u64) -> Vec<Fig7Row> {
+    let mut config = testbed(seed, salt);
     let face = vec![ServiceKind::FaceDetect, ServiceKind::FaceRecognize];
     let mut s1 = NodeSpec::netbook("S1");
     s1.platform = PlatformSpec::atom_s1();
@@ -516,6 +709,18 @@ pub fn fig7() -> Vec<Fig7Row> {
     rows
 }
 
+/// Figure 7's claim.
+pub const FIG7: Experiment<Vec<Fig7Row>> = Experiment {
+    run: |salt| fig7(COMMITTED.fig7, salt),
+    claims: &[
+        Claim {
+            name: "paper_winners",
+            says: "S1 wins the smallest images, S2 the middle, and S3 at 2 MiB \"despite the even greater data movement costs\"",
+            holds: |rows| rows.iter().map(Fig7Row::winner).eq(FIG7_PAPER_WINNERS),
+        },
+    ],
+};
+
 /// One video size (MB) of Figure 8: conversion at the owner and routed (s),
 /// the routed run's movement and decision cost (ms), and where it went.
 #[derive(Debug, Clone, PartialEq)]
@@ -530,8 +735,8 @@ pub struct Fig8Row {
 
 /// Figure 8: a netbook converts a video owned by another netbook, pinned at
 /// the owner (Town) or routed for performance (Topt).
-pub fn fig8() -> Vec<Fig8Row> {
-    let mut config = Config::paper_testbed(1008);
+fn fig8(seed: u64, salt: u64) -> Vec<Fig8Row> {
+    let mut config = testbed(seed, salt);
     config.nodes[1].services = vec![ServiceKind::Transcode];
     let mut home = Cloud4Home::new(config);
     let (owner, mobile, convert) = (NodeId(1), NodeId(2), ServiceKind::Transcode);
@@ -558,17 +763,22 @@ pub fn fig8() -> Vec<Fig8Row> {
     rows
 }
 
-/// Figure 8, "the latter case results in substantial performance gains":
-/// Topt beats Town at every size.
-pub fn topt_beats_town(rows: &[Fig8Row]) -> bool {
-    rows.iter().all(|r| r.topt < r.town)
-}
-
-/// Figure 8: dynamic discovery routes the conversion to the desktop at
-/// every size.
-pub fn topt_picks_desktop(rows: &[Fig8Row]) -> bool {
-    rows.iter().all(|r| r.chosen == "desktop")
-}
+/// Figure 8's claims.
+pub const FIG8: Experiment<Vec<Fig8Row>> = Experiment {
+    run: |salt| fig8(COMMITTED.fig8, salt),
+    claims: &[
+        Claim {
+            name: "topt_beats_town",
+            says: "\"the latter case results in substantial performance gains, despite the additional costs for moving data\": Topt < Town at every size",
+            holds: |rows| rows.iter().all(|r| r.topt < r.town),
+        },
+        Claim {
+            name: "topt_picks_desktop",
+            says: "dynamic discovery routes the conversion to the desktop at every size",
+            holds: |rows| rows.iter().all(|r| r.chosen == "desktop"),
+        },
+    ],
+};
 
 /// One architecture's run of the baseline workload: virtual seconds it
 /// took, and the operations that failed.
@@ -596,8 +806,8 @@ enum Arch {
 
 /// Four images stored and recognized, a video converted, two archives stored
 /// and one fetched back under `arch`, on home disks too small for them.
-fn baseline_run(arch: Arch) -> Run {
-    let mut config = Config::paper_testbed(5000);
+fn baseline_run(seed: u64, salt: u64, arch: Arch) -> Run {
+    let mut config = testbed(seed, salt);
     for n in &mut config.nodes {
         n.mandatory_bytes = 16 << 20;
         n.voluntary_bytes = 4 << 20;
@@ -654,28 +864,303 @@ fn baseline_run(arch: Arch) -> Run {
     Run { secs, failed }
 }
 
-/// The baseline workload under each architecture, each on a fresh testbed.
-pub fn baselines() -> Baselines {
+/// The baseline workload under each architecture, each on a fresh testbed
+/// seeded with `seed`.
+fn baselines(seed: u64, salt: u64) -> Baselines {
     Baselines {
-        all_cloud: baseline_run(Arch::AllCloud),
-        all_home: baseline_run(Arch::AllHome),
-        cloud4home: baseline_run(Arch::Cloud4Home),
+        all_cloud: baseline_run(seed, salt, Arch::AllCloud),
+        all_home: baseline_run(seed, salt, Arch::AllHome),
+        cloud4home: baseline_run(seed, salt, Arch::Cloud4Home),
     }
 }
 
-/// Cloud4Home finishes the workload before the thin client, which "can
-/// suffer from high and variable delays".
-pub fn beats_thin_client(b: &Baselines) -> bool {
-    b.cloud4home.secs < b.all_cloud.secs
+/// The introduction's claims.
+pub const BASELINES: Experiment<Baselines> = Experiment {
+    run: |salt| baselines(COMMITTED.baselines, salt),
+    claims: &[
+        Claim {
+            name: "beats_thin_client",
+            says: "\"'thin client' models … can suffer from high and variable delays\": Cloud4Home finishes first",
+            holds: |b| b.cloud4home.secs < b.all_cloud.secs,
+        },
+        Claim {
+            name: "completes_everything",
+            says: "Cloud4Home completes the whole workload",
+            holds: |b| b.cloud4home.failed == 0,
+        },
+        Claim {
+            name: "end_point_fails_archive",
+            says: "end-point solutions \"cannot take advantage of the large storage … present in large scale datacenters\": an archive store fails",
+            holds: |b| b.all_home.failed > 0,
+        },
+    ],
+};
+
+// Beyond the paper: the mechanism studies EXPERIMENTS.md reports under
+// "Ablations", each with the directional sentence it states there.
+
+/// One cache setting of the path-caching study: the capacity, the mean DHT
+/// time (ms) over the repeated lookups and the hits the caches served.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CacheRow {
+    pub capacity: usize,
+    pub dht_ms: f64,
+    pub hits: u64,
 }
 
-/// Cloud4Home completes the whole workload.
-pub fn completes_everything(b: &Baselines) -> bool {
-    b.cloud4home.failed == 0
+/// 32 nodes with leaf sets of 2, so lookups take several prefix hops:
+/// 8 objects stored from one node, then 4 rounds of the same 8 client →
+/// object lookups. A reply caches at the intermediate hops of its path, so
+/// later rounds can stop short.
+fn path_caching(seed: u64, salt: u64) -> [CacheRow; 2] {
+    [0, 128].map(|capacity| {
+        let mut config = testbed(seed, salt);
+        config.chimera.cache_capacity = capacity;
+        config.chimera.leaf_size = 2;
+        config.nodes = (0..31)
+            .map(|i| NodeSpec::netbook(&format!("wide-{i}")))
+            .collect();
+        let desktop = NodeSpec::desktop("wide-desktop").with_services(&[ServiceKind::Transcode]);
+        config.nodes.push(desktop);
+        let mut home = Cloud4Home::new(config);
+        for i in 0..8u64 {
+            let obj = Object::synthetic(&format!("abl/c{i}"), i, 128 << 10, "doc");
+            let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, true);
+            home.run_until_complete(op).expect_ok();
+        }
+        let mut dht_ms = Vec::new();
+        for _round in 0..4 {
+            for i in 0..8u64 {
+                let client = NodeId(((i as usize) * 2 + 1) % 32);
+                let op = home.fetch_object(client, &format!("abl/c{i}"));
+                let r = home.run_until_complete(op);
+                r.expect_ok();
+                dht_ms.push(ms(r.breakdown.dht));
+            }
+        }
+        CacheRow {
+            capacity,
+            dht_ms: mean_std(&dht_ms).0,
+            hits: home.cache_stats().0,
+        }
+    })
 }
 
-/// Pure end-point operation "cannot take advantage of the large storage …
-/// present in large scale datacenters": at least one archival store fails.
-pub fn end_point_fails_archive(b: &Baselines) -> bool {
-    b.all_home.failed > 0
+/// The path-caching study's claim.
+pub const PATH_CACHING: Experiment<[CacheRow; 2]> = Experiment {
+    run: |salt| path_caching(COMMITTED.path_caching, salt),
+    claims: &[Claim {
+        name: "path_caching_lowers_dht",
+        says: "mean DHT access falls with path caches on",
+        holds: |[off, on]| on.dht_ms < off.dht_ms,
+    }],
+};
+
+/// How many of `names` a fetch from netbook-2 still finds.
+fn fetchable(home: &mut Cloud4Home, names: impl Iterator<Item = String>) -> usize {
+    let found = |name: &String| {
+        let op = home.fetch_object(NodeId(2), name);
+        home.run_until_complete(op).outcome.is_ok()
+    };
+    names.filter(found).count()
 }
+
+/// Objects each replication study stores.
+pub const STUDY_OBJECTS: usize = 18;
+
+/// DHT record replication 0, 1 and 2 against one node's crash, each factor
+/// on `seed + factor`: of [`STUDY_OBJECTS`] objects stored from netbook-1,
+/// how many still resolve 12 s after netbook-4 crashes, by factor.
+fn metadata_replication(seed: u64, salt: u64) -> [usize; 3] {
+    [0, 1, 2].map(|factor| {
+        let mut config = testbed(seed + factor as u64, salt);
+        config.chimera.replication = factor;
+        let mut home = Cloud4Home::new(config);
+        let name = |i| format!("abl/r{i}");
+        for i in 0..STUDY_OBJECTS {
+            let obj = Object::synthetic(&name(i), i as u64, 64 << 10, "doc");
+            let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+            home.run_until_complete(op).expect_ok();
+        }
+        home.crash_node(NodeId(4));
+        home.run_for(Duration::from_secs(12));
+        fetchable(&mut home, (0..STUDY_OBJECTS).map(name))
+    })
+}
+
+/// The metadata replication study's claim.
+pub const METADATA_REPLICATION: Experiment<[usize; 3]> = Experiment {
+    run: |salt| metadata_replication(COMMITTED.metadata_replication, salt),
+    claims: &[Claim {
+        name: "replication_2_resolves_all",
+        says: "with records replicated twice, all 18 objects stay resolvable after a crash",
+        holds: |resolved| resolved[2] == STUDY_OBJECTS,
+    }],
+};
+
+/// One decision policy on a batch of 6 transcodes: the mean latency (s)
+/// and how many ran on the desktop and on a (battery-powered) netbook.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PolicyRow {
+    pub policy: RoutePolicy,
+    pub mean_s: f64,
+    pub on_desktop: usize,
+    pub on_netbook: usize,
+}
+
+/// Each policy routes 6 conversions of 2 MiB videos from netbook-3, with
+/// transcoding offered by netbooks 0 and 1 and the desktop.
+fn route_policies(seed: u64, salt: u64) -> [PolicyRow; 3] {
+    let policies = [
+        RoutePolicy::Performance,
+        RoutePolicy::Balanced,
+        RoutePolicy::BatterySaver,
+    ];
+    policies.map(|policy| {
+        let mut config = testbed(seed, salt);
+        config.nodes[0].services = vec![ServiceKind::Transcode];
+        config.nodes[1].services = vec![ServiceKind::Transcode];
+        let mut home = Cloud4Home::new(config);
+        let (mut totals, mut on_desktop, mut on_netbook) = (Vec::new(), 0, 0);
+        for i in 0..6u64 {
+            let name = format!("abl/p{i}.avi");
+            let obj = Object::synthetic(&name, i, 2 << 20, "avi");
+            let op = home.store_object(NodeId(3), obj, StorePolicy::ForceHome, true);
+            home.run_until_complete(op).expect_ok();
+            let op = home.process_object(NodeId(3), &name, ServiceKind::Transcode, policy);
+            let r = home.run_until_complete(op);
+            let target = r.expect_ok().exec_target.as_deref().unwrap_or_default();
+            on_desktop += usize::from(target == "desktop");
+            on_netbook += usize::from(target.starts_with("netbook"));
+            totals.push(r.total().as_secs_f64());
+        }
+        PolicyRow {
+            policy,
+            mean_s: mean_std(&totals).0,
+            on_desktop,
+            on_netbook,
+        }
+    })
+}
+
+/// The decision policy study's claim.
+pub const ROUTE_POLICIES: Experiment<[PolicyRow; 3]> = Experiment {
+    run: |salt| route_policies(COMMITTED.route_policies, salt),
+    claims: &[
+        Claim {
+            name: "policies_route_as_named",
+            says: "performance and battery-saver pick the desktop; balanced spreads work onto the netbooks",
+            holds: |[performance, balanced, battery]| {
+                performance.on_desktop == 6 && battery.on_desktop == 6 && balanced.on_netbook > 0
+            },
+        },
+    ],
+};
+
+/// The mean latency (ms) of five 1 MiB home stores that wait for the
+/// acknowledgement and of five that do not.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockingRow {
+    pub blocking_ms: f64,
+    pub non_blocking_ms: f64,
+}
+
+/// Blocking and non-blocking stores from netbook-0, alternating.
+fn blocking_stores(seed: u64, salt: u64) -> BlockingRow {
+    let mut home = Cloud4Home::new(testbed(seed, salt));
+    let (mut blocking, mut non_blocking) = (Vec::new(), Vec::new());
+    for i in 0..5u64 {
+        for (col, tag, content, wait) in [
+            (&mut blocking, "b", i, true),
+            (&mut non_blocking, "nb", i + 100, false),
+        ] {
+            let obj = Object::synthetic(&format!("abl/{tag}{i}"), content, 1 << 20, "doc");
+            let op = home.store_object(NodeId(0), obj, StorePolicy::ForceHome, wait);
+            col.push(ms(home.run_until_complete(op).total()));
+        }
+    }
+    BlockingRow {
+        blocking_ms: mean_std(&blocking).0,
+        non_blocking_ms: mean_std(&non_blocking).0,
+    }
+}
+
+/// The blocking store study's claim.
+pub const BLOCKING_STORES: Experiment<BlockingRow> = Experiment {
+    run: |salt| blocking_stores(COMMITTED.blocking_stores, salt),
+    claims: &[Claim {
+        name: "blocking_store_costs_more",
+        says: "blocking stores \"incur the cost of an additional acknowledgement\"",
+        holds: |r| r.blocking_ms > r.non_blocking_ms,
+    }],
+};
+
+/// Objects the replica failover study stores.
+pub const FAILOVER_OBJECTS: usize = 10;
+
+/// One cell of the replica failover study: of [`FAILOVER_OBJECTS`] objects,
+/// how many fetched after their owner crashed, with the fetch failovers and
+/// background repairs the run made.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FailoverRow {
+    pub factor: usize,
+    pub loss: f64,
+    pub fetched: usize,
+    pub failovers: u64,
+    pub repairs: u64,
+}
+
+/// Data replication 1-3 × Gilbert–Elliott loss 0-25 %, each factor on
+/// `seed + factor`: stores from netbook-1, which crashes 1 s later, and
+/// every object refetched 10 s after that.
+fn replica_failover(seed: u64, salt: u64) -> Vec<FailoverRow> {
+    let mut rows = Vec::new();
+    for factor in [1usize, 2, 3] {
+        for loss in [0.0, 0.10, 0.25] {
+            let mut config = testbed(seed + factor as u64, salt);
+            config.replication = factor;
+            let mut home = Cloud4Home::new(config);
+            if loss > 0.0 {
+                home.apply_fault(FaultEvent::BurstyLoss {
+                    mean_loss: loss,
+                    mean_burst_len: 8.0,
+                });
+            }
+            let name = |i| format!("abl/x{factor}-{i}");
+            for i in 0..FAILOVER_OBJECTS {
+                let obj = Object::synthetic(&name(i), i as u64, 256 << 10, "doc");
+                let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+                // Under heavy loss a store may fail; `fetched` shows it.
+                let _ = home.run_until_complete(op);
+            }
+            let crash = FaultEvent::Crash(NodeId(1));
+            home.inject_faults(FaultPlan::new().at(Duration::from_secs(1), crash));
+            home.run_for(Duration::from_secs(10));
+            let fetched = fetchable(&mut home, (0..FAILOVER_OBJECTS).map(name));
+            let s = home.stats();
+            rows.push(FailoverRow {
+                factor,
+                loss,
+                fetched,
+                failovers: s.fetch_failovers,
+                repairs: s.repairs_completed,
+            });
+        }
+    }
+    rows
+}
+
+/// The replica failover study's claim.
+pub const REPLICA_FAILOVER: Experiment<Vec<FailoverRow>> = Experiment {
+    run: |salt| replica_failover(COMMITTED.replica_failover, salt),
+    claims: &[
+        Claim {
+            name: "replica_survives_owner",
+            says: "replication 1 loses every object with its owner; replication 2 serves all of them at zero loss",
+            holds: |rows| {
+                let fetched = |f| rows.iter().find(|r| r.factor == f && r.loss == 0.0).map(|r| r.fetched);
+                fetched(1) == Some(0) && fetched(2) == Some(FAILOVER_OBJECTS)
+            },
+        },
+    ],
+};

@@ -19,7 +19,8 @@ use std::time::Duration;
 use c4h_chimera::{ChimeraNode, DhtEvent, Envelope, Key, OverwritePolicy, ReqId};
 use c4h_cloud::S3Store;
 use c4h_kvstore::{
-    node_resource_key, object_key, service_key, ObjectMeta, Record, ServiceRecord, WireError,
+    node_resource_key, object_key, service_key, ObjectMeta, Record, ResourceRecord, ServiceRecord,
+    WireError,
 };
 use c4h_resources::{Bin, BinWatcher, ResourceMonitor, ResourceSampler, SamplerConfig};
 use c4h_services::{
@@ -385,6 +386,30 @@ impl NodeRt {
         self.chimera.has_output()
     }
 
+    /// The node's resource record at `now`: a fresh sample (drawn from
+    /// `rng`), its bins' free space and the `(up, down)` link bandwidths
+    /// the runtime sees. Marks the monitor's period served.
+    pub(crate) fn resource_record(
+        &mut self,
+        now: SimTime,
+        (bandwidth_up_bps, bandwidth_down_bps): (f64, f64),
+        rng: &mut DetRng,
+    ) -> ResourceRecord {
+        let sample = self.sampler.sample(now, rng);
+        self.monitor.mark_published(now);
+        ResourceRecord {
+            node: self.key,
+            cpu_load: sample.cpu_load,
+            mem_free_mib: sample.mem_free_mib,
+            bandwidth_up_bps,
+            bandwidth_down_bps,
+            battery_pct: sample.battery_pct,
+            mandatory_free_mib: self.bins.free_bytes(Bin::Mandatory) >> 20,
+            voluntary_free_mib: self.bins.free_bytes(Bin::Voluntary) >> 20,
+            updated_at_ns: now.as_nanos(),
+        }
+    }
+
     /// Installs a copy (or stripe) in the voluntary bin, replacing any
     /// stale entry of the same name. Returns whether it fit.
     pub(crate) fn install_voluntary(&mut self, name: Sym, bytes: u64, blob: Blob) -> bool {
@@ -602,12 +627,9 @@ impl Cloud4Home {
             return;
         }
         let now = self.queue.now();
-        let (up, down) = self.node_bandwidth(i);
-        let n = &mut self.nodes[i];
-        let record =
-            n.monitor
-                .publish(n.key, now, &mut n.sampler, &n.bins, up, down, &mut self.rng);
-        let key = n.resource_key;
+        let bandwidth = self.node_bandwidth(i);
+        let record = self.nodes[i].resource_record(now, bandwidth, &mut self.rng);
+        let key = self.nodes[i].resource_key;
         self.publish_background(i, key, Record::Resource(record));
     }
 
@@ -1795,5 +1817,28 @@ mod chain_tests {
         let end = samples(&home);
         assert_eq!(end.len(), closed.len() + 1);
         assert_eq!(end.last(), Some(&next));
+    }
+}
+
+#[cfg(test)]
+mod resource_record_tests {
+    use super::*;
+
+    #[test]
+    fn record_reflects_bin_state() {
+        let mut config = Config::paper_testbed(1);
+        config.nodes[0].mandatory_bytes = 100 << 20;
+        config.nodes[0].voluntary_bytes = 200 << 20;
+        let mut home = Cloud4Home::new(config);
+        let at = SimTime::from_secs(5);
+        let n = &mut home.nodes[0];
+        let rec = n.resource_record(at, (1.0, 2.0), &mut DetRng::seed(0));
+        assert_eq!(rec.node, n.key);
+        assert_eq!(rec.mandatory_free_mib, 100);
+        assert_eq!(rec.voluntary_free_mib, 200);
+        assert_eq!(rec.updated_at_ns, at.as_nanos());
+        assert_eq!(rec.bandwidth_up_bps, 1.0);
+        assert_eq!(rec.bandwidth_down_bps, 2.0);
+        assert!(!n.monitor.due(at), "the record serves the period");
     }
 }

@@ -12,8 +12,8 @@
 //! * [`ResourceSampler`] — mean-reverting ambient CPU load, working-set
 //!   memory accounting, and battery drain for portable devices;
 //! * [`BinWatcher`] — mandatory/voluntary bin space accounting;
-//! * [`ResourceMonitor`] — the configurable-period publisher assembling
-//!   [`c4h_kvstore::ResourceRecord`]s.
+//! * [`ResourceMonitor`] — the configurable period on which the runtime
+//!   publishes each node's resource record.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

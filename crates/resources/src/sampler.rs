@@ -6,7 +6,7 @@
 //! follows a mean-reverting AR(1) process, active service executions add
 //! directly to the runnable load, memory tracks the active working sets, and
 //! battery drains with load on portable devices. The outputs feed the
-//! [`ResourceRecord`](c4h_kvstore::ResourceRecord)s that placement decisions
+//! resource records (`c4h_kvstore::ResourceRecord`) that placement decisions
 //! consume.
 
 use std::time::Duration;

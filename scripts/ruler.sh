@@ -12,7 +12,7 @@
 set -euo pipefail
 max_core_file=1100
 max_fields=24
-max_edges=27
+max_edges=25
 core_op_types='CauseKind|LedgerEvent|OpLedger|LEDGER_NONE|FlightRecorder|Postmortem|SlidingHistogram|OpKind|StageSpan'
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
