@@ -1,6 +1,8 @@
 //! PAPER.md §V, every table: Table I, Figures 4–6, the §V-B split
 //! processing experiment, Figures 7–8, and the introduction's thin-client
-//! vs end-point comparison; then the mechanism studies beyond the paper.
+//! vs end-point comparison; then the mechanism studies beyond the paper,
+//! from path caching to the replica fan-out, striped fetch, capacity
+//! frontier and adaptive placement sweeps.
 //! The rows come from `c4h_bench::paper`, and every verdict line from its
 //! claim tables, which `tests/paper_shapes.rs` asserts.
 //!
@@ -33,7 +35,7 @@ fn table1() {
         "  size |     total inter-node   inter-dom     dht |   P:total   P:i-node     P:i-dom   P:dht",
         100,
     );
-    let rows = paper::TABLE1.committed();
+    let rows = paper::TABLE1.rows(0);
     for (r, p) in rows.iter().zip(&paper::TABLE1_PAPER) {
         let (mb, t, i, d, k) = (r.mb, r.total, r.inter_node, r.inter_domain, r.dht);
         let (pt, pi, pd, pk) = (p.total, p.inter_node, p.inter_domain, p.dht);
@@ -45,7 +47,7 @@ fn table1() {
 }
 
 fn fig4() {
-    let rows = paper::FIG4.committed();
+    let rows = paper::FIG4.rows(0);
     table(
         "Figure 4",
         "home vs remote cloud access latency and variability (seconds)",
@@ -75,7 +77,7 @@ fn fig5() {
         "   size |  Method 1 (Mbit/s)  Method 2 (Mbit/s)",
         50,
     );
-    let rows = paper::FIG5.committed();
+    let rows = paper::FIG5.rows(0);
     for r in &rows {
         println!("{:>5}MB | {:>18.2} {:>18.2}", r.mb, r.method1, r.method2);
     }
@@ -92,7 +94,7 @@ fn fig6() {
         " % remote |   1 thread  2 threads  3 threads |  remote-only",
         62,
     );
-    let fig = paper::FIG6.committed();
+    let fig = paper::FIG6.rows(0);
     for r in &fig.rows {
         let ([t1, t2, t3], pct, only) = (r.threads, r.remote_pct, fig.remote_only);
         println!("{pct:>8}% | {t1:>10.2} {t2:>10.2} {t3:>10.2} | {only:>12.2}");
@@ -109,7 +111,7 @@ fn split() {
         "scenario                     measured (s)    paper (s)",
         56,
     );
-    let s = paper::SPLIT.committed();
+    let s = paper::SPLIT.rows(0);
     let cloud_share = paper::SPLIT_IMAGES - s.home_share;
     let (home, cloud) = (
         ("(i)   home only", s.home),
@@ -126,7 +128,7 @@ fn split() {
 }
 
 fn fig7() {
-    let rows = paper::FIG7.committed();
+    let rows = paper::FIG7.rows(0);
     table(
         "Figure 7",
         "surveillance pipeline (FDet+FRec) cost by placement, from S1",
@@ -151,7 +153,7 @@ fn fig8() {
         "   size |   Town (s)   Topt (s)   speedup |   move (ms) decide (ms)       chosen",
         84,
     );
-    let rows = paper::FIG8.committed();
+    let rows = paper::FIG8.rows(0);
     for r in &rows {
         let (mb, town, topt, speedup) = (r.mb, r.town, r.topt, r.town / r.topt);
         let (moved, decide, chosen) = (r.move_ms, r.decide_ms, &r.chosen);
@@ -169,7 +171,7 @@ fn baselines() {
         "architecture       workload (s)   failed",
         42,
     );
-    let b = paper::BASELINES.committed();
+    let b = paper::BASELINES.rows(0);
     let runs = [
         ("all-cloud", b.all_cloud),
         ("all-home", b.all_home),
@@ -193,7 +195,7 @@ fn path_caching() {
         "metadata path caching (32-node overlay, repeated lookups)",
         "cache capacity   mean dht (ms)   cache hits",
     );
-    let rows = paper::PATH_CACHING.committed();
+    let rows = paper::PATH_CACHING.rows(0);
     for r in &rows {
         println!("{:>14} {:>15.1} {:>12}", r.capacity, r.dht_ms, r.hits);
     }
@@ -205,10 +207,7 @@ fn metadata_replication() {
         "replication factor vs crash survival",
         "replication   metadata survived",
     );
-    let (rows, n) = (
-        paper::METADATA_REPLICATION.committed(),
-        paper::STUDY_OBJECTS,
-    );
+    let (rows, n) = (paper::METADATA_REPLICATION.rows(0), paper::STUDY_OBJECTS);
     for (factor, resolved) in rows.iter().enumerate() {
         println!("{factor:>11} {resolved:>16}/{n}");
     }
@@ -220,7 +219,7 @@ fn route_policies() {
         "decision policies on a transcode batch",
         "policy         mean (s)   on desktop   on battery node",
     );
-    let rows = paper::ROUTE_POLICIES.committed();
+    let rows = paper::ROUTE_POLICIES.rows(0);
     for r in &rows {
         let (policy, mean, desktop, netbook) = (r.policy, r.mean_s, r.on_desktop, r.on_netbook);
         println!(
@@ -236,7 +235,7 @@ fn blocking_stores() {
         "blocking vs non-blocking stores (1 MiB, home)",
         "store          mean (ms)",
     );
-    let r = paper::BLOCKING_STORES.committed();
+    let r = paper::BLOCKING_STORES.rows(0);
     let (bm, nm) = (r.blocking_ms, r.non_blocking_ms);
     println!(
         "blocking     {bm:>10.1}\nnon-blocking {nm:>10.1}   (ack saved: {:.1} ms)",
@@ -250,13 +249,106 @@ fn replica_failover() {
         "chaos: data replication factor x bursty loss",
         "replication     loss     fetch ok    failovers    repairs",
     );
-    let (rows, n) = (paper::REPLICA_FAILOVER.committed(), paper::FAILOVER_OBJECTS);
+    let (rows, n) = (paper::REPLICA_FAILOVER.rows(0), paper::FAILOVER_OBJECTS);
     for r in &rows {
         let (f, loss, ok, failovers, repairs) =
             (r.factor, r.loss, r.fetched, r.failovers, r.repairs);
         println!("{f:<12} {loss:>8.2} {ok:>10}/{n} {failovers:>12} {repairs:>10}");
     }
     verdicts(&paper::REPLICA_FAILOVER, &rows);
+}
+
+fn fanout_sweep() {
+    study(
+        "replica fan-out and write quorums (4 MiB home store, mean of 5)",
+        "  rep |    all copies (ms)      quorum=1 (ms)    ratio",
+    );
+    let f = paper::FANOUT_SWEEP.rows(0);
+    let base = f.rows[0].all_copies_ms;
+    for r in &f.rows {
+        let (rep, all, q1) = (r.replication, r.all_copies_ms, r.quorum1_ms);
+        println!("{rep:>5} | {all:>18.1} {q1:>18.1} {:>8.2}", q1 / base);
+    }
+    println!("\nChunked vs monolithic WAN upload (8 MiB):");
+    for u in &f.uploads {
+        let label = match u.chunk_bytes {
+            0 => "monolithic".to_owned(),
+            bytes => format!("{} MiB chunks", bytes >> 20),
+        };
+        let (ms, chunked) = (u.ms, u.chunked);
+        println!("  {label:>14}: {ms:>9.1} ms ({chunked} chunked transfers)");
+    }
+    verdicts(&paper::FANOUT_SWEEP, &f);
+}
+
+fn fetch_stripe() {
+    study(
+        "striped fetches with bandwidth ranking and hedging (mean of 5)",
+        "segment     size |        k=1        k=2        k=3    speedup k=3",
+    );
+    let s = paper::FETCH_STRIPE.rows(0);
+    for r in &s.rows {
+        let (segment, mb, [k1, k2, k3]) = (if r.cloud { "WAN" } else { "LAN" }, r.mb, r.k_ms);
+        println!(
+            "{segment:<7} {mb:>6}MB | {k1:>10.1} {k2:>10.1} {k3:>10.1} {:>13.2}x",
+            k1 / k3
+        );
+    }
+    println!("\nHedged tail requests (48 MiB home object, k=2 of 3 holders):");
+    for h in &s.hedges {
+        let label = match h.hedge {
+            0.0 => "hedging off".to_owned(),
+            hedge => format!("hedge={hedge}"),
+        };
+        println!(
+            "  {label:>12}: {:>9.1} ms ({} hedged)",
+            h.fetch_ms, h.hedged
+        );
+    }
+    verdicts(&paper::FETCH_STRIPE, &s);
+}
+
+fn capacity_frontier() {
+    study(
+        "capacity frontier: open-loop load, overload plane off/on (10 s per point)",
+        " offered/s | plane |  admitted    shed  fetch p99 ms    goodput/s  shed %",
+    );
+    let rows = paper::CAPACITY_FRONTIER.rows(0);
+    for r in &rows {
+        for (plane, p) in [("off", r.off), ("on", r.on)] {
+            let shed_pct = 100.0 * p.shed as f64 / (p.admitted + p.shed).max(1) as f64;
+            println!(
+                "{:>10} | {plane:>5} | {:>9} {:>7} {:>13.1} {:>12.1} {shed_pct:>6.1}%",
+                r.offered_hz, p.admitted, p.shed, p.fetch_p99_ms, p.goodput_hz
+            );
+        }
+    }
+    verdicts(&paper::CAPACITY_FRONTIER, &rows);
+}
+
+fn adaptive_placement() {
+    let w = paper::hotset();
+    study(
+        &format!(
+            "adaptive placement vs static copies ({} objects x 2 MiB, {} phases x {:?}, hot window {})",
+            w.catalog, w.phases, w.phase_len, w.hot
+        ),
+        "               arm |    stored  overhead  mean (ms)   p99 (ms)     EC  floor",
+    );
+    let arms = paper::ADAPTIVE_PLACEMENT.rows(0);
+    for a in &arms {
+        println!(
+            "{:>18} | {:>5} MiB {:>8.2}x {:>10.1} {:>10.1} {:>6} {:>6}",
+            a.label,
+            a.stored_bytes >> 20,
+            a.stored_bytes as f64 / a.logical_bytes as f64,
+            a.fetch_mean_ms,
+            a.fetch_p99_ms,
+            a.ec_objects,
+            a.loss_floor,
+        );
+    }
+    verdicts(&paper::ADAPTIVE_PLACEMENT, &arms);
 }
 
 fn main() {
@@ -277,4 +369,8 @@ fn main() {
     route_policies();
     blocking_stores();
     replica_failover();
+    fanout_sweep();
+    fetch_stripe();
+    capacity_frontier();
+    adaptive_placement();
 }

@@ -4,9 +4,10 @@
 //! mechanism studies beyond it, as rows plus one table of the claims made
 //! about them; the `paper` bench target prints them (`cargo bench -p
 //! c4h-bench --bench paper`), `tests/paper_shapes.rs` asserts them and
-//! [`paper::sweep`] counts the seeds each holds on. The other targets under
-//! `benches/` study mechanisms and host cost; this library holds the
-//! statistics, allocation-counting and profiling utilities they share.
+//! [`paper::sweep`] names the seeds each fails on. The other targets under
+//! `benches/` (`scaling`, `health_overhead`, `engine_throughput`) measure
+//! host cost; this library holds the statistics, allocation-counting and
+//! profiling utilities they share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;

@@ -4,18 +4,20 @@
 //! with the paper's words (or its Table I bound, or for a study beyond the
 //! paper, EXPERIMENTS.md's sentence) that it encodes. `benches/paper.rs`
 //! prints the rows and each claim's verdict, `tests/paper_shapes.rs` asserts
-//! every claim on the committed seeds, and [`sweep`] counts the salted seeds
-//! each claim holds on. Every bound comes from the paper's words or its
-//! Table I values, never from a measured row.
+//! every claim on the committed seeds, and [`sweep`] names the salted seeds
+//! each claim fails on. Every bound comes from the paper's words or its
+//! Table I values, or a study's own sentence, never from a measured row.
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::ops::Range;
 use std::time::Duration;
 
 use c4h_vmm::{PlatformSpec, VmSpec};
+use c4h_workloads::{arrivals, hotset_fetches, HotsetConfig, OpKind, OpenLoopConfig};
 use cloud4home::{
-    Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, NodeSpec, Object, OpId, OpReport, Placement,
-    RoutePolicy, ServiceKind, StorePolicy,
+    Cloud4Home, Config, FaultEvent, FaultPlan, NodeId, NodeSpec, Object, OpError, OpId, OpReport,
+    Placement, RoutePolicy, RunStats, ServiceKind, StorePolicy,
 };
 
 use crate::{mean_std, ms};
@@ -42,6 +44,13 @@ pub struct Seeds {
     pub blocking_stores: u64,
     /// Replication factor `f` runs on `replica_failover + f`.
     pub replica_failover: u64,
+    /// Trial `t` runs on `fanout_sweep + t`, the WAN uploads on
+    /// `fanout_sweep + 100`.
+    pub fanout_sweep: u64,
+    /// Trial `t` runs on `fetch_stripe + t`, the hedged fetches on trial 0's.
+    pub fetch_stripe: u64,
+    pub capacity_frontier: u64,
+    pub adaptive_placement: u64,
 }
 
 /// The seeds of the committed tables (EXPERIMENTS.md) and of the shape
@@ -60,12 +69,16 @@ pub const COMMITTED: Seeds = Seeds {
     route_policies: 3200,
     blocking_stores: 3300,
     replica_failover: 3500,
+    fanout_sweep: 9000,
+    fetch_stripe: 9200,
+    capacity_frontier: 7191,
+    adaptive_placement: 9200,
 };
 
 /// The paper testbed on `seed` with `salt` mixed in, as
 /// `seed ^ salt · 0x9E37_79B9_7F4A_7C15`: salt 0 is `seed` itself. Only the
-/// deployment's seed is salted; object contents and Figure 6's object sizes
-/// keep the committed draws.
+/// deployment's seed is salted; object contents, Figure 6's object sizes and
+/// the studies' arrival and fetch schedules keep the committed draws.
 fn testbed(seed: u64, salt: u64) -> Config {
     Config::paper_testbed(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
@@ -88,9 +101,10 @@ pub struct Experiment<R: 'static> {
 }
 
 impl<R: Debug> Experiment<R> {
-    /// The rows on [`COMMITTED`].
-    pub fn committed(&self) -> R {
-        (self.run)(0)
+    /// The rows on salt `salt` of the deployment seeds; salt 0 is
+    /// [`COMMITTED`].
+    pub fn rows(&self, salt: u64) -> R {
+        (self.run)(salt)
     }
 
     /// Each claim, with whether it holds on `rows`.
@@ -98,17 +112,17 @@ impl<R: Debug> Experiment<R> {
         self.claims.iter().map(move |c| (c, (c.holds)(rows)))
     }
 
-    /// Runs the experiment on [`COMMITTED`] and panics naming every claim
+    /// Runs the experiment on salt `salt` and panics naming every claim
     /// that does not hold.
-    pub fn assert_committed(&self) {
-        let rows = self.committed();
+    pub fn assert_holds(&self, salt: u64) {
+        let rows = self.rows(salt);
         let failed: Vec<_> = self.verdicts(&rows).filter(|v| !v.1).collect();
         assert!(failed.is_empty(), "{failed:#?} on {rows:#?}");
     }
 
     /// Each claim's name, with whether it holds on salt `salt`.
     fn judge(&self, salt: u64) -> Verdicts {
-        let rows = (self.run)(salt);
+        let rows = self.rows(salt);
         let verdicts = self.verdicts(&rows);
         verdicts.map(|(claim, holds)| (claim.name, holds)).collect()
     }
@@ -119,7 +133,7 @@ type Verdicts = Vec<(&'static str, bool)>;
 
 /// Every experiment's [`Experiment::judge`], in the order `benches/paper.rs`
 /// prints them.
-const EVERY: [fn(u64) -> Verdicts; 13] = [
+const EVERY: [fn(u64) -> Verdicts; 17] = [
     |salt| TABLE1.judge(salt),
     |salt| FIG4.judge(salt),
     |salt| FIG5.judge(salt),
@@ -133,24 +147,31 @@ const EVERY: [fn(u64) -> Verdicts; 13] = [
     |salt| ROUTE_POLICIES.judge(salt),
     |salt| BLOCKING_STORES.judge(salt),
     |salt| REPLICA_FAILOVER.judge(salt),
+    |salt| FANOUT_SWEEP.judge(salt),
+    |salt| FETCH_STRIPE.judge(salt),
+    |salt| CAPACITY_FRONTIER.judge(salt),
+    |salt| ADAPTIVE_PLACEMENT.judge(salt),
 ];
 
 /// Runs every experiment on each salt of `salts`, each deployment seed
 /// salted as `seed ^ salt · 0x9E37_79B9_7F4A_7C15` (salt 0 is
-/// [`COMMITTED`]), and returns each claim's name with the salts it held on,
-/// in the order `benches/paper.rs` prints them, then `("every claim", n)`:
-/// the salts on which all of them held.
-pub fn sweep(salts: Range<u64>) -> Vec<(&'static str, usize)> {
-    let mut counts: Vec<(&'static str, usize)> = Vec::new();
+/// [`COMMITTED`]), and returns each claim's name with the salts it failed
+/// on, in the order `benches/paper.rs` prints them, then `"every claim"`
+/// with the salts on which any of them failed.
+pub fn sweep(salts: Range<u64>) -> Vec<(&'static str, Vec<u64>)> {
+    let mut fails: Vec<(&'static str, Vec<u64>)> = Vec::new();
     for salt in salts {
         let mut verdicts: Vec<_> = EVERY.iter().flat_map(|judge| judge(salt)).collect();
         verdicts.push(("every claim", verdicts.iter().all(|v| v.1)));
-        counts.resize(verdicts.len(), ("", 0));
-        for (count, (claim, holds)) in counts.iter_mut().zip(verdicts) {
-            *count = (claim, count.1 + usize::from(holds));
+        fails.resize(verdicts.len(), ("", Vec::new()));
+        for ((name, failed_on), (claim, holds)) in fails.iter_mut().zip(verdicts) {
+            *name = claim;
+            if !holds {
+                failed_on.push(salt);
+            }
         }
     }
-    counts
+    fails
 }
 
 /// A sample's mean and (population) standard deviation.
@@ -1161,6 +1182,573 @@ pub const REPLICA_FAILOVER: Experiment<Vec<FailoverRow>> = Experiment {
                 let fetched = |f| rows.iter().find(|r| r.factor == f && r.loss == 0.0).map(|r| r.fetched);
                 fetched(1) == Some(0) && fetched(2) == Some(FAILOVER_OBJECTS)
             },
+        },
+    ],
+};
+
+// Beyond the paper: the data-path and plane studies EXPERIMENTS.md reports
+// in their own sections, each claim a gate its bench asserted or a
+// sentence its section states.
+
+/// Deployments each fan-out and striped-fetch point averages over.
+pub const TRIALS: u64 = 5;
+
+/// Object copies held across all nodes.
+fn copies(home: &Cloud4Home) -> usize {
+    (0..home.node_count())
+        .map(|j| home.objects_on(NodeId(j)))
+        .sum()
+}
+
+/// One replication factor of the fan-out sweep: the mean latency (ms) of a
+/// 4 MiB home store with every copy in the foreground and with a write
+/// quorum of one, and whether every copy of every store landed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FanoutRow {
+    pub replication: usize,
+    pub all_copies_ms: f64,
+    pub quorum1_ms: f64,
+    pub landed: bool,
+}
+
+/// An 8 MiB WAN upload in chunks of `chunk_bytes` (0: one flow): its
+/// latency (ms) and the chunked transfers it made.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UploadRow {
+    pub chunk_bytes: u64,
+    pub ms: f64,
+    pub chunked: u64,
+}
+
+/// The fan-out sweep: replication 1–4, and the WAN upload in one flow and
+/// in 1 and 4 MiB chunks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fanout {
+    pub rows: Vec<FanoutRow>,
+    pub uploads: Vec<UploadRow>,
+}
+
+/// The mean latency (ms) of a 4 MiB home store from netbook-1 over
+/// [`TRIALS`] deployments, trial `t` on `seed + t`, and whether every copy
+/// landed once the stragglers drained.
+fn store_latency(seed: u64, salt: u64, replication: usize, quorum: usize) -> (f64, bool) {
+    let (mut samples, mut landed) = (Vec::new(), true);
+    for t in 0..TRIALS {
+        let mut config = testbed(seed + t, salt);
+        config.replication = replication;
+        config.replica_quorum = quorum;
+        let mut home = Cloud4Home::new(config);
+        let obj = Object::synthetic(&format!("sweep/{t}.bin"), t, 4 << 20, "doc");
+        let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
+        let r = home.run_until_complete(op);
+        r.expect_ok();
+        samples.push(ms(r.total()));
+        home.run_until_idle();
+        landed &= copies(&home) == replication;
+    }
+    (mean_std(&samples).0, landed)
+}
+
+fn fanout_sweep(seed: u64, salt: u64) -> Fanout {
+    let rows = (1..=4)
+        .map(|replication| {
+            let (all_copies_ms, all_landed) = store_latency(seed, salt, replication, 0);
+            let (quorum1_ms, quorum1_landed) = store_latency(seed, salt, replication, 1);
+            FanoutRow {
+                replication,
+                all_copies_ms,
+                quorum1_ms,
+                landed: all_landed && quorum1_landed,
+            }
+        })
+        .collect();
+    let uploads = [0, 1 << 20, 4 << 20]
+        .map(|chunk_bytes| {
+            let mut config = testbed(seed + 100, salt);
+            config.chunk_bytes = chunk_bytes;
+            let mut home = Cloud4Home::new(config);
+            let obj = Object::synthetic("sweep/wan.bin", 7, 8 << 20, "doc");
+            let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
+            let r = home.run_until_complete(op);
+            r.expect_ok();
+            let chunked = home.stats().chunked_transfers;
+            UploadRow {
+                chunk_bytes,
+                ms: ms(r.total()),
+                chunked,
+            }
+        })
+        .into();
+    Fanout { rows, uploads }
+}
+
+/// The fan-out sweep's claims.
+pub const FANOUT_SWEEP: Experiment<Fanout> = Experiment {
+    run: |salt| fanout_sweep(COMMITTED.fanout_sweep, salt),
+    claims: &[
+        Claim {
+            name: "fanout_within_1_5x",
+            says: "at quorum=1 the fan-out is entirely background: a rep=4 store stays within 1.5× of an unreplicated one",
+            holds: |f| f.rows[3].quorum1_ms <= 1.5 * f.rows[0].all_copies_ms,
+        },
+        Claim {
+            name: "every_replica_lands",
+            says: "whatever completed early still replicates fully: every copy of every store lands",
+            holds: |f| f.rows.iter().all(|r| r.landed),
+        },
+        Claim {
+            name: "foreground_tracks_bytes",
+            says: "with all copies foreground, latency tracks the extra bytes the shared LAN must carry: it grows with every copy",
+            holds: |f| f.rows.windows(2).all(|w| w[1].all_copies_ms > w[0].all_copies_ms),
+        },
+        Claim {
+            name: "chunked_wan_beats_monolithic",
+            says: "windowed chunks overlap their slow-starts: a chunked WAN upload beats a monolithic one",
+            holds: |f| {
+                let (mono, chunked) = f.uploads.split_first().expect("a monolithic upload");
+                mono.chunk_bytes == 0 && chunked.iter().all(|u| u.ms < mono.ms)
+            },
+        },
+    ],
+};
+
+/// One object of the striped-fetch sweep, on the home LAN (one replica
+/// holder per stripe) or in the cloud (parallel S3 range reads): the mean
+/// latency (ms) of a fetch in k = 1, 2, 3 stripes over [`TRIALS`]
+/// deployments, the striped fetches each k made, and whether every fetch
+/// delivered every byte, from the cloud exactly when the object lives there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StripeRow {
+    pub cloud: bool,
+    pub mb: u64,
+    pub k_ms: [f64; 3],
+    pub striped: [u64; 3],
+    pub whole: bool,
+}
+
+/// A 48 MiB home fetch in 2 stripes from 3 holders at hedging threshold
+/// `hedge`: its latency (ms) and the hedges it fired.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HedgeRow {
+    pub hedge: f64,
+    pub fetch_ms: f64,
+    pub hedged: u64,
+}
+
+/// The striped-fetch sweep: 4, 16 and 64 MiB on the LAN, 2, 4 and 8 MiB in
+/// the cloud, then the hedged tail requests.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Striping {
+    pub rows: Vec<StripeRow>,
+    pub hedges: Vec<HedgeRow>,
+}
+
+/// Stores `obj` from netbook-1, in the cloud when `cloud`, lets its
+/// replicas land, and fetches it from a node that holds no copy. Returns
+/// the fetch's latency (ms), whether it delivered every byte from the cloud
+/// exactly when `cloud`, and the run's counters.
+fn fetch_from_non_holder(config: Config, obj: Object, cloud: bool) -> (f64, bool, RunStats) {
+    let (name, bytes) = (obj.name.as_str(), obj.size_bytes());
+    let policy = if cloud {
+        StorePolicy::ForceCloud
+    } else {
+        StorePolicy::ForceHome
+    };
+    let mut home = Cloud4Home::new(config);
+    let op = home.store_object(NodeId(1), obj, policy, true);
+    home.run_until_complete(op).expect_ok();
+    home.run_until_idle();
+    let client = (0..home.node_count())
+        .map(NodeId)
+        .find(|&id| home.objects_on(id) == 0)
+        .expect("a non-holding client");
+    let op = home.fetch_object(client, name);
+    let r = home.run_until_complete(op);
+    let out = r.expect_ok();
+    let whole = out.bytes == bytes && out.via_cloud == cloud;
+    (ms(r.total()), whole, home.stats())
+}
+
+fn stripe_row(seed: u64, salt: u64, cloud: bool, mb: u64) -> StripeRow {
+    let mut row = StripeRow {
+        cloud,
+        mb,
+        k_ms: [0.0; 3],
+        striped: [0; 3],
+        whole: true,
+    };
+    for k in 1..=3 {
+        let mut samples = Vec::new();
+        for t in 0..TRIALS {
+            let mut config = testbed(seed + t, salt);
+            config.replication = if cloud { 1 } else { k };
+            config.fetch_sources = k;
+            config.fetch_hedge = 0.0;
+            let obj = Object::synthetic(&format!("stripe/{t}.bin"), t, mb << 20, "doc");
+            let (latency, whole, stats) = fetch_from_non_holder(config, obj, cloud);
+            samples.push(latency);
+            row.whole &= whole;
+            row.striped[k - 1] += stats.striped_fetches;
+        }
+        row.k_ms[k - 1] = mean_std(&samples).0;
+    }
+    row
+}
+
+fn fetch_stripe(seed: u64, salt: u64) -> Striping {
+    let lan = [4, 16, 64].map(|mb| stripe_row(seed, salt, false, mb));
+    let wan = [2, 4, 8].map(|mb| stripe_row(seed, salt, true, mb));
+    let hedges = [0.0, 0.5, 0.01]
+        .map(|hedge| {
+            let mut config = testbed(seed, salt);
+            config.replication = 3;
+            config.fetch_sources = 2;
+            config.fetch_hedge = hedge;
+            let obj = Object::synthetic("stripe/hedge.bin", 1, 48 << 20, "doc");
+            let (fetch_ms, _, stats) = fetch_from_non_holder(config, obj, false);
+            let hedged = stats.hedged_fetches;
+            HedgeRow {
+                hedge,
+                fetch_ms,
+                hedged,
+            }
+        })
+        .into();
+    let rows = lan.into_iter().chain(wan).collect();
+    Striping { rows, hedges }
+}
+
+/// The striped-fetch sweep's claims.
+pub const FETCH_STRIPE: Experiment<Striping> = Experiment {
+    run: |salt| fetch_stripe(COMMITTED.fetch_stripe, salt),
+    claims: &[
+        Claim {
+            name: "wan_striping_beats_single_flow",
+            says: "the WAN downlink fits ~3.7 per-flow TCP streams: 3 range reads of a cloud object take under 0.55× of one flow at every size",
+            holds: |s| s.rows.iter().filter(|r| r.cloud).all(|r| r.k_ms[2] < 0.55 * r.k_ms[0]),
+        },
+        Claim {
+            name: "stripes_exactly_when_sources_allow",
+            says: "a fetch stripes exactly when it may use more than one source, and delivers every byte, from the cloud exactly when the object lives there",
+            holds: |s| s.rows.iter().all(|r| r.whole && r.striped == [0, TRIALS, TRIALS]),
+        },
+        Claim {
+            name: "wan_reads_scale_with_stripes",
+            says: "on the WAN parallel range reads scale until the segment saturates near k=4: each stripe added is faster",
+            holds: |s| {
+                let faster = |r: &StripeRow| r.k_ms[2] < r.k_ms[1] && r.k_ms[1] < r.k_ms[0];
+                s.rows.iter().filter(|r| r.cloud).all(faster)
+            },
+        },
+        Claim {
+            name: "lan_two_stripes_fill_the_wire",
+            says: "on the LAN two stripes already fill the wire and k=3 adds little: k=2 beats one flow, and the third stripe saves less than the second",
+            holds: |s| {
+                let capped = |r: &StripeRow| {
+                    let [k1, k2, k3] = r.k_ms;
+                    k2 < k1 && k2 - k3 < k1 - k2
+                };
+                s.rows.iter().filter(|r| !r.cloud).all(capped)
+            },
+        },
+        Claim {
+            name: "hedges_fire_latency_neutral",
+            says: "hedged tail requests fire on the tail stripe and lose the race on a healthy LAN: latency-neutral, the same with and without hedging",
+            holds: |s| {
+                let unhedged = s.hedges[0];
+                let fired = s.hedges.iter().any(|h| h.hedged > 0);
+                fired && s.hedges.iter().all(|h| h.fetch_ms == unhedged.fetch_ms)
+            },
+        },
+    ],
+};
+
+/// The capacity frontier's fetch objective (ms).
+const FETCH_SLO_MS: u64 = 2_000;
+
+/// The capacity frontier's store objective (ms).
+const STORE_SLO_MS: u64 = 4_000;
+
+/// The capacity frontier's offered rates (op/s). The 60/40 fetch/store mix
+/// puts ~45 % of offered bytes on the shared LAN (stores land on the
+/// client's own disk; a quarter of fetches are local), so the ~12 MB/s
+/// segment saturates near 100 op/s, and the top rate sits well past that to
+/// build a queue worth shedding.
+const OFFERED_HZ: [u32; 5] = [10, 25, 50, 100, 200];
+
+/// One run of the capacity frontier: arrivals admitted and shed, the
+/// admitted fetches' p99 (ms), and goodput — ok completions within their
+/// objective per virtual second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Load {
+    pub admitted: usize,
+    pub shed: usize,
+    pub fetch_p99_ms: f64,
+    pub goodput_hz: f64,
+}
+
+/// One offered rate (op/s) of the capacity frontier, with the overload
+/// plane off and on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrontierRow {
+    pub offered_hz: u32,
+    pub off: Load,
+    pub on: Load,
+}
+
+/// The sample at the 99th percentile (nearest rank, rounded down), or 0 for
+/// no samples.
+fn p99(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples
+        .get(samples.len().saturating_sub(1) * 99 / 100)
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// 10 s of open-loop Poisson arrivals at `offered_hz` from 4 tenants, 60/40
+/// fetch/store over a pre-stored 12-object catalog of 256 KiB objects, with
+/// the overload plane off or on (SLO-driven shedding and per-tenant
+/// inflight caps). Every arrival is submitted at its appointed virtual time
+/// (open loop: the stream does not slow down for a backlogged system).
+fn frontier_run(seed: u64, salt: u64, offered_hz: u32, protected: bool) -> Load {
+    let (horizon, tenants, bytes) = (Duration::from_secs(10), 4, 256 << 10);
+    let mut config = testbed(seed, salt);
+    config.tracing = true;
+    config.slo_ms = BTreeMap::from([
+        ("fetch".to_owned(), FETCH_SLO_MS),
+        ("store".to_owned(), STORE_SLO_MS),
+    ]);
+    // Track the open-loop surge in near real time (the 30 s default lets
+    // pre-surge samples mask a breach for seconds).
+    config.health_window_ms = 5_000;
+    if protected {
+        config.overload.enabled = true;
+        config.overload.shed_step_permille = 450;
+        config.overload.shed_decay_permille = 10;
+        config.overload.shed_max_permille = 950;
+        config.overload.tenant_max_inflight = 16;
+    }
+    let mut home = Cloud4Home::new(config);
+    let catalog: Vec<String> = (0..12)
+        .map(|i| {
+            let name = format!("catalog/obj-{i:03}.bin");
+            let obj = Object::synthetic(&name, 10_000 + i as u64, bytes, "doc");
+            let op = home.store_object(NodeId(i % tenants), obj, StorePolicy::MandatoryFirst, true);
+            home.run_until_complete(op).expect_ok();
+            name
+        })
+        .collect();
+    home.run_until_idle();
+    let stream = arrivals(
+        &OpenLoopConfig::steady(f64::from(offered_hz), horizon, tenants),
+        91,
+    );
+    let start = home.now();
+    let mut ids = Vec::with_capacity(stream.len());
+    for (n, a) in stream.iter().enumerate() {
+        if let Some(gap) = (start + a.at).checked_duration_since(home.now()) {
+            home.run_for(gap);
+        }
+        let client = NodeId(a.tenant);
+        ids.push(match a.op {
+            OpKind::Store => {
+                let name = format!("open/st-{n:05}.bin");
+                let obj = Object::synthetic(&name, 50_000 + n as u64, bytes, "doc");
+                home.store_object(client, obj, StorePolicy::MandatoryFirst, true)
+            }
+            OpKind::Fetch => home.fetch_object(client, &catalog[a.object % catalog.len()]),
+        });
+    }
+    home.run_until_idle();
+    let (mut shed, mut good, mut fetch_ms) = (0, 0, Vec::new());
+    for id in ids {
+        let r = home.take_report(id).expect("run drained to idle");
+        let ns = r.total().as_nanos() as u64;
+        let slo_ms = if r.kind == "fetch" {
+            FETCH_SLO_MS
+        } else {
+            STORE_SLO_MS
+        };
+        shed += usize::from(matches!(r.outcome, Err(OpError::Overloaded(_))));
+        good += usize::from(r.outcome.is_ok() && ns <= slo_ms * 1_000_000);
+        if r.kind == "fetch" && r.outcome.is_ok() {
+            fetch_ms.push(ns as f64 / 1e6);
+        }
+    }
+    Load {
+        admitted: stream.len() - shed,
+        shed,
+        fetch_p99_ms: p99(fetch_ms),
+        goodput_hz: good as f64 / horizon.as_secs_f64(),
+    }
+}
+
+fn capacity_frontier(seed: u64, salt: u64) -> Vec<FrontierRow> {
+    let rows = OFFERED_HZ.map(|offered_hz| FrontierRow {
+        offered_hz,
+        off: frontier_run(seed, salt, offered_hz, false),
+        on: frontier_run(seed, salt, offered_hz, true),
+    });
+    rows.into()
+}
+
+/// The capacity frontier's claims; the last four are about the top rate.
+pub const CAPACITY_FRONTIER: Experiment<Vec<FrontierRow>> = Experiment {
+    run: |salt| capacity_frontier(COMMITTED.capacity_frontier, salt),
+    claims: &[
+        Claim {
+            name: "plane_off_never_sheds",
+            says: "the plane off never sheds, at any rate",
+            holds: |rows| rows.iter().all(|r| r.off.shed == 0),
+        },
+        Claim {
+            name: "plane_invisible_below_saturation",
+            says: "below saturation (near 100 op/s) the plane is invisible: identical rows off and on",
+            holds: |rows| rows.iter().filter(|r| r.offered_hz < 100).all(|r| r.off == r.on),
+        },
+        Claim {
+            name: "top_load_saturates_unprotected",
+            says: "at 2× capacity the unprotected run's admitted fetch p99 blows through its 2 s objective",
+            holds: |rows| rows.last().is_some_and(|r| r.off.fetch_p99_ms > FETCH_SLO_MS as f64),
+        },
+        Claim {
+            name: "protected_sheds_at_top_load",
+            says: "at the top rate the plane sheds arrivals up front",
+            holds: |rows| rows.last().is_some_and(|r| r.on.shed > 0),
+        },
+        Claim {
+            name: "protected_p99_within_slo",
+            says: "at the top rate the plane keeps the admitted fetch p99 inside the 2 s objective",
+            holds: |rows| rows.last().is_some_and(|r| r.on.fetch_p99_ms <= FETCH_SLO_MS as f64),
+        },
+        Claim {
+            name: "plane_costs_about_5pct_goodput",
+            says: "at the top rate the plane costs ~5 % of goodput: less than 10 %",
+            holds: |rows| rows.last().is_some_and(|r| r.on.goodput_hz > 0.9 * r.off.goodput_hz),
+        },
+    ],
+};
+
+/// One arm of the adaptive placement study at the end of its cool-down:
+/// the catalog's bytes (one copy of each object) and the bytes stored for
+/// it, its fetches' mean and p99 latency (ms), the objects held as
+/// erasure-coded stripes, and the fewest holder losses any object survives.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arm {
+    pub label: &'static str,
+    pub logical_bytes: u64,
+    pub stored_bytes: u64,
+    pub fetch_mean_ms: f64,
+    pub fetch_p99_ms: f64,
+    pub ec_objects: usize,
+    pub loss_floor: usize,
+}
+
+/// The adaptive placement study's schedule: popularity concentrates on a
+/// window of 4 of 24 objects that moves between 4 phases of 240 s, with
+/// per-phase reader locality.
+pub fn hotset() -> HotsetConfig {
+    HotsetConfig::drifting(24, 4, 4, Duration::from_secs(240))
+}
+
+/// Stores the catalog of 2 MiB objects (over the 1 MiB erasure-coding
+/// threshold), replays the schedule against `config`, then cools down for
+/// 300 s so the last phase's hot set shrinks and converts.
+fn placement_arm(label: &'static str, mut config: Config, seed: u64) -> Arm {
+    let (workload, bytes) = (hotset(), 2 << 20);
+    let names: Vec<String> = (0..workload.catalog)
+        .map(|i| format!("hotset/obj-{i}.bin"))
+        .collect();
+    config.anti_entropy_ms = 10_000;
+    let mut home = Cloud4Home::new(config);
+    for (i, name) in names.iter().enumerate() {
+        let obj = Object::synthetic(name, seed + i as u64, bytes, "doc");
+        let owner = NodeId(i % workload.clients);
+        let op = home.store_object(owner, obj, StorePolicy::ForceHome, true);
+        home.run_until_complete(op).expect_ok();
+    }
+    home.run_until_idle();
+    let start = home.now();
+    let mut latencies = Vec::new();
+    for f in hotset_fetches(&workload, seed) {
+        let gap = (start + f.at).checked_duration_since(home.now());
+        if let Some(gap) = gap.filter(|gap| !gap.is_zero()) {
+            home.run_for(gap);
+        }
+        let op = home.fetch_object(NodeId(f.client), &names[f.object]);
+        let r = home.run_until_complete(op);
+        r.expect_ok();
+        latencies.push(ms(r.total()));
+    }
+    home.run_for(Duration::from_secs(300));
+    home.run_until_idle();
+    let stored_bytes = (0..home.node_count())
+        .map(|i| home.stored_bytes(NodeId(i)))
+        .sum();
+    let ec_objects = names.iter().filter(|n| home.is_erasure_coded(n)).count();
+    // A coded object with every row on a distinct live holder survives m
+    // losses of its k + m = 3 + 2 rows; a replicated one, all but one copy.
+    let survives = |n: &String| match home.is_erasure_coded(n) {
+        true => home.stripe_holders(n).len().saturating_sub(3),
+        false => home.live_copies(n).saturating_sub(1),
+    };
+    Arm {
+        label,
+        logical_bytes: bytes * workload.catalog as u64,
+        stored_bytes,
+        fetch_mean_ms: mean_std(&latencies).0,
+        fetch_p99_ms: p99(latencies),
+        ec_objects,
+        loss_floor: names.iter().map(survives).min().unwrap_or(0),
+    }
+}
+
+/// Both arms at equal durability: three full copies of everything, and
+/// heat-driven replication with (3, 2) erasure coding.
+fn adaptive_placement(seed: u64, salt: u64) -> [Arm; 2] {
+    let mut fixed = testbed(seed, salt);
+    fixed.replication = 3;
+    fixed.replica_quorum = 1;
+    let mut adaptive = testbed(seed, salt);
+    adaptive.adaptive.enabled = true; // replication stays 1; heat does the rest
+    [
+        placement_arm("static rep=3", fixed, seed),
+        placement_arm("adaptive + EC(3,2)", adaptive, seed),
+    ]
+}
+
+/// The adaptive placement study's claims.
+pub const ADAPTIVE_PLACEMENT: Experiment<[Arm; 2]> = Experiment {
+    run: |salt| adaptive_placement(COMMITTED.adaptive_placement, salt),
+    claims: &[
+        Claim {
+            name: "cooldown_erasure_codes_cold_objects",
+            says: "at steady state the adaptive arm holds every cold object as (3, 2) stripes",
+            holds: |[_, adaptive]| adaptive.ec_objects == hotset().catalog,
+        },
+        Claim {
+            name: "adaptive_beats_static_footprint",
+            says: "the adaptive arm stores fewer bytes than three full copies",
+            holds: |[fixed, adaptive]| adaptive.stored_bytes < fixed.stored_bytes,
+        },
+        Claim {
+            name: "same_loss_floor_at_1_67x",
+            says: "the same 2-loss tolerance as three full copies, at (3 + 2) / 3 = 1.67× the bytes instead of 3×",
+            holds: |[fixed, adaptive]| {
+                let overhead = adaptive.stored_bytes as f64 / adaptive.logical_bytes as f64;
+                fixed.loss_floor >= 2 && adaptive.loss_floor >= 2 && overhead <= 1.67
+            },
+        },
+        Claim {
+            name: "adaptive_tail_undercuts_static",
+            says: "the latency tail is better, not worse: a decode reads k = 3 stripes in parallel, so the adaptive p99 undercuts the static one",
+            holds: |[fixed, adaptive]| adaptive.fetch_p99_ms < fixed.fetch_p99_ms,
+        },
+        Claim {
+            name: "adaptive_mean_competitive",
+            says: "full replicas grown next to each phase's reader keep the mean competitive: no higher than the static arm's",
+            holds: |[fixed, adaptive]| adaptive.fetch_mean_ms <= fixed.fetch_mean_ms,
         },
     ],
 };

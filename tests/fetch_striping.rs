@@ -108,38 +108,6 @@ fn striped_fetch_pulls_stripes_concurrently_and_accounts_every_byte() {
 }
 
 #[test]
-fn cloud_striping_fills_the_wan_pipe() {
-    // The WAN downlink fits ~3.7 per-flow TCP streams, so three parallel
-    // range reads of the same S3 object finish close to 3× sooner than
-    // one monolithic flow — the acceptance headline for striped fetches.
-    let fetch_secs = |sources: usize| {
-        let mut config = Config::paper_testbed(81);
-        config.fetch_sources = sources;
-        let mut home = Cloud4Home::new(config);
-        let obj = Object::synthetic("wan/archive.zip", 2, 4 << 20, "doc");
-        let op = home.store_object(NodeId(1), obj, StorePolicy::ForceCloud, true);
-        home.run_until_complete(op).expect_ok();
-        let op = home.fetch_object(NodeId(2), "wan/archive.zip");
-        let r = home.run_until_complete(op);
-        let out = r.expect_ok();
-        assert_eq!(out.bytes, 4 << 20);
-        assert!(out.via_cloud, "the object lives in the cloud");
-        assert_eq!(
-            home.stats().striped_fetches,
-            u64::from(sources > 1),
-            "cloud fetches stripe exactly when sources allow"
-        );
-        r.total()
-    };
-    let single = fetch_secs(1);
-    let striped = fetch_secs(3);
-    assert!(
-        striped.as_secs_f64() < single.as_secs_f64() * 0.55,
-        "3 range reads took {striped:?}, expected well under half of {single:?}"
-    );
-}
-
-#[test]
 fn hedged_stripe_races_without_duplicating_bytes() {
     // Two stripes across two of the three holders leave the third idle;
     // an aggressive hedging threshold re-issues the tail stripe there as

@@ -350,32 +350,24 @@ fn run_script(
 ) -> String {
     // Chaos perturbs placement enough that a fixed script can dead-end;
     // every cell keeps the same script and simply records outcomes.
-    let mut home = Cloud4Home::new(config.clone());
-    if let Some(plan) = plan.clone() {
-        home.inject_faults(plan);
-    }
-    let mut transcript = drive(&mut home, label);
-    let _ = writeln!(transcript, "now_ns={}", home.now().as_nanos());
-    let _ = writeln!(transcript, "stats={:?}", home.stats());
-    transcript.push_str(&home.metrics_json());
-    transcript.push_str(&home.prometheus_text());
+    let run = || {
+        let mut home = Cloud4Home::new(config.clone());
+        if let Some(plan) = plan.clone() {
+            home.inject_faults(plan);
+        }
+        let mut transcript = drive(&mut home, label);
+        let _ = writeln!(transcript, "now_ns={}", home.now().as_nanos());
+        let _ = writeln!(transcript, "stats={:?}", home.stats());
+        transcript.push_str(&home.metrics_json());
+        transcript.push_str(&home.prometheus_text());
+        transcript
+    };
+    let transcript = run();
     // Belt and braces: the digest must also be reproducible within this
     // process — catches map-iteration-order dependence immediately rather
     // than as a cross-machine mystery.
-    let again = {
-        let mut home = Cloud4Home::new(config.clone());
-        if let Some(plan) = plan {
-            home.inject_faults(plan);
-        }
-        let mut t = drive(&mut home, label);
-        let _ = writeln!(t, "now_ns={}", home.now().as_nanos());
-        let _ = writeln!(t, "stats={:?}", home.stats());
-        t.push_str(&home.metrics_json());
-        t.push_str(&home.prometheus_text());
-        t
-    };
     assert!(
-        transcript == again,
+        transcript == run(),
         "cell {label} is not self-deterministic (two in-process runs differ)"
     );
     transcript
