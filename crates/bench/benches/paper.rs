@@ -2,7 +2,7 @@
 //! processing experiment, Figures 7–8, and the introduction's thin-client
 //! vs end-point comparison; then the mechanism studies beyond the paper,
 //! from path caching to the replica fan-out, striped fetch, capacity
-//! frontier and adaptive placement sweeps.
+//! frontier and adaptive placement sweeps and the overlay scaling study.
 //! The rows come from `c4h_bench::paper`, and every verdict line from its
 //! claim tables, which `tests/paper_shapes.rs` asserts.
 //!
@@ -351,6 +351,25 @@ fn adaptive_placement() {
     verdicts(&paper::ADAPTIVE_PLACEMENT, &arms);
 }
 
+fn overlay_scaling() {
+    study(
+        "overlay scaling: metadata cost vs overlay size (paper future-work iii)",
+        "  nodes |  dht mean (ms)  mean hops  join envelopes  pump visits/step",
+    );
+    let rows = paper::OVERLAY_SCALING.rows(0);
+    for r in &rows {
+        println!(
+            "{:>7} | {:>14.1} {:>10.2} {:>15} {:>17.2}",
+            r.nodes,
+            r.dht_ms,
+            r.hops,
+            r.join_envelopes,
+            r.pump_visits as f64 / r.steps as f64
+        );
+    }
+    verdicts(&paper::OVERLAY_SCALING, &rows);
+}
+
 fn main() {
     table1();
     fig4();
@@ -373,4 +392,5 @@ fn main() {
     fetch_stripe();
     capacity_frontier();
     adaptive_placement();
+    overlay_scaling();
 }

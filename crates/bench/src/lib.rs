@@ -4,10 +4,11 @@
 //! mechanism studies beyond it, as rows plus one table of the claims made
 //! about them; the `paper` bench target prints them (`cargo bench -p
 //! c4h-bench --bench paper`), `tests/paper_shapes.rs` asserts them and
-//! [`paper::sweep`] names the seeds each fails on. The other targets under
-//! `benches/` (`scaling`, `health_overhead`, `engine_throughput`) measure
-//! host cost; this library holds the statistics, allocation-counting and
-//! profiling utilities they share.
+//! [`paper::sweep`] names the seeds each fails on. [`gates`] holds every
+//! host-side count CI gates, each with its bound; the `gates` bench target
+//! runs them (`cargo bench -p c4h-bench --bench gates`). This library also
+//! holds the statistics, allocation-counting and profiling utilities they
+//! share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -23,6 +24,7 @@ use cloud4home::{
     Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, RoutePolicy, ServiceKind, StorePolicy,
 };
 
+pub mod gates;
 pub mod paper;
 mod profile;
 mod report;
@@ -431,12 +433,6 @@ pub fn testbed_round(home: &mut Cloud4Home, r: u64) -> u64 {
     );
     home.run_until_complete(op).expect_ok();
     3
-}
-
-/// Whether `C4H_SMOKE` is set: a bench's CI tier, which runs fewer
-/// repetitions and hard-gates the same counts.
-pub fn smoke() -> bool {
-    std::env::var_os("C4H_SMOKE").is_some()
 }
 
 /// Formats a duration in milliseconds with fixed width.

@@ -51,6 +51,8 @@ pub struct Seeds {
     pub fetch_stripe: u64,
     pub capacity_frontier: u64,
     pub adaptive_placement: u64,
+    /// The world of `n` nodes runs on `overlay_scaling + n`.
+    pub overlay_scaling: u64,
 }
 
 /// The seeds of the committed tables (EXPERIMENTS.md) and of the shape
@@ -73,6 +75,7 @@ pub const COMMITTED: Seeds = Seeds {
     fetch_stripe: 9200,
     capacity_frontier: 7191,
     adaptive_placement: 9200,
+    overlay_scaling: 4000,
 };
 
 /// The paper testbed on `seed` with `salt` mixed in, as
@@ -133,7 +136,7 @@ type Verdicts = Vec<(&'static str, bool)>;
 
 /// Every experiment's [`Experiment::judge`], in the order `benches/paper.rs`
 /// prints them.
-const EVERY: [fn(u64) -> Verdicts; 17] = [
+const EVERY: [fn(u64) -> Verdicts; 18] = [
     |salt| TABLE1.judge(salt),
     |salt| FIG4.judge(salt),
     |salt| FIG5.judge(salt),
@@ -151,6 +154,7 @@ const EVERY: [fn(u64) -> Verdicts; 17] = [
     |salt| FETCH_STRIPE.judge(salt),
     |salt| CAPACITY_FRONTIER.judge(salt),
     |salt| ADAPTIVE_PLACEMENT.judge(salt),
+    |salt| OVERLAY_SCALING.judge(salt),
 ];
 
 /// Runs every experiment on each salt of `salts`, each deployment seed
@@ -1749,6 +1753,100 @@ pub const ADAPTIVE_PLACEMENT: Experiment<[Arm; 2]> = Experiment {
             name: "adaptive_mean_competitive",
             says: "full replicas grown next to each phase's reader keep the mean competitive: no higher than the static arm's",
             holds: |[fixed, adaptive]| adaptive.fetch_mean_ms <= fixed.fetch_mean_ms,
+        },
+    ],
+};
+
+/// One row of the overlay scaling study (the paper's future-work item
+/// (iii)): a deployment's whole life at `nodes` nodes — the protocol join,
+/// 12 stores, then 36 fetches from clients spread over the world. Every
+/// column is deterministic; `steps` and `pump_visits` are the simulator's
+/// own work, which the count gates time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverlayRow {
+    pub nodes: usize,
+    /// The fetches' mean DHT lookup time (ms).
+    pub dht_ms: f64,
+    /// Mean overlay hops per DHT lookup.
+    pub hops: f64,
+    /// Overlay envelopes the join delivered.
+    pub join_envelopes: u64,
+    /// Events the runtime processed, and the nodes `pump` visited for them.
+    pub steps: u64,
+    pub pump_visits: u64,
+}
+
+/// The world sizes of [`OVERLAY_SCALING`], from the paper's six devices to
+/// neighbourhood scale; the frozen benchmark's `neighborhood-1k` reports
+/// the same lookup hops and join envelopes at 1 000.
+pub const OVERLAY_NODES: [usize; 6] = [6, 12, 24, 48, 96, 384];
+
+/// `nodes - 1` netbooks and a transcoding desktop, leaf sets of 2: one row
+/// of [`OVERLAY_SCALING`] on salt `salt`.
+pub fn overlay_row(nodes: usize, salt: u64) -> OverlayRow {
+    let mut config = testbed(COMMITTED.overlay_scaling + nodes as u64, salt);
+    config.chimera.leaf_size = 2;
+    config.nodes = (0..nodes - 1)
+        .map(|i| NodeSpec::netbook(&format!("scale-{i}")))
+        .collect();
+    let desktop = NodeSpec::desktop("scale-desktop").with_services(&[ServiceKind::Transcode]);
+    config.nodes.push(desktop);
+    let mut home = Cloud4Home::new(config);
+    let join_envelopes = home.stats().envelopes_delivered;
+    for i in 0..12u64 {
+        let obj = Object::synthetic(&format!("scale/{i}"), i, 128 << 10, "doc");
+        let op = home.store_object(
+            NodeId(i as usize % nodes),
+            obj,
+            StorePolicy::ForceHome,
+            true,
+        );
+        home.run_until_complete(op).expect_ok();
+    }
+    let mut dht_ms = Vec::new();
+    for round in 0..3usize {
+        for i in 0..12usize {
+            let client = NodeId((i * 7 + round * 3 + 1) % nodes);
+            let op = home.fetch_object(client, &format!("scale/{i}"));
+            let r = home.run_until_complete(op);
+            r.expect_ok();
+            dht_ms.push(ms(r.breakdown.dht));
+        }
+    }
+    OverlayRow {
+        nodes,
+        dht_ms: mean_std(&dht_ms).0,
+        hops: home.dht_lookup_hops() as f64 / dht_ms.len() as f64,
+        join_envelopes,
+        steps: home.steps(),
+        pump_visits: home.pump_node_visits(),
+    }
+}
+
+/// The overlay scaling study's claims.
+pub const OVERLAY_SCALING: Experiment<Vec<OverlayRow>> = Experiment {
+    run: |salt| OVERLAY_NODES.map(|n| overlay_row(n, salt)).into(),
+    claims: &[
+        Claim {
+            name: "lookup_hops_grow_logarithmically",
+            says: "lookup cost grows logarithmically with membership (prefix routing): mean hops rise with the world, by at most one hop per doubling",
+            holds: |rows| {
+                rows.windows(2).all(|w| {
+                    let rise = w[1].hops - w[0].hops;
+                    let doublings = (w[1].nodes / w[0].nodes).ilog2();
+                    rise >= 0.0 && rise <= f64::from(doublings)
+                })
+            },
+        },
+        Claim {
+            name: "join_envelopes_grow_linearly",
+            says: "join traffic grows linearly with membership (full-view announcements): from the smallest world to the largest the join envelopes grow as nᵏ with k nearer 1 than ½ or 2, between 0.75 and 1.5",
+            holds: |rows| {
+                let (first, last) = (rows[0], rows[rows.len() - 1]);
+                let growth = last.join_envelopes as f64 / first.join_envelopes as f64;
+                let k = growth.ln() / (last.nodes as f64 / first.nodes as f64).ln();
+                (0.75..1.5).contains(&k)
+            },
         },
     ],
 };

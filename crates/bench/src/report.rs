@@ -5,10 +5,10 @@
 //!
 //! ```json
 //! {
-//!   "name": "engine_throughput",
-//!   "config": {"smoke": true, "hold_ops": 200000},
-//!   "rows": [{"pending": 1000, "slab_events_per_sec": 81000000}],
-//!   "asserts": [{"name": "zero_alloc", "pass": true, "detail": "..."}]
+//!   "name": "gates",
+//!   "config": {},
+//!   "rows": [{"gate": "op_allocs_exact", "host_s": 0.01, "home_store": 3}],
+//!   "asserts": [{"name": "op_allocs_exact", "pass": true, "detail": "..."}]
 //! }
 //! ```
 //!
@@ -19,7 +19,7 @@
 //! explain it. CI points `C4H_BENCH_DIR` at one directory and uploads the
 //! whole set as a single artifact.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
 /// One JSON scalar in a report row or config entry.
@@ -82,6 +82,20 @@ impl From<&str> for JsonVal {
 impl From<String> for JsonVal {
     fn from(v: String) -> Self {
         JsonVal::S(v)
+    }
+}
+
+/// Human-readable, as the bench targets print a column: integers whole,
+/// floats to two places, strings bare.
+impl fmt::Display for JsonVal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonVal::U(v) => write!(f, "{v}"),
+            JsonVal::I(v) => write!(f, "{v}"),
+            JsonVal::F(v) => write!(f, "{v:.2}"),
+            JsonVal::S(s) => f.write_str(s),
+            JsonVal::B(v) => write!(f, "{v}"),
+        }
     }
 }
 
@@ -155,10 +169,9 @@ struct AssertRow {
 /// The intended shape of a bench `main`:
 ///
 /// ```no_run
-/// let mut report = c4h_bench::BenchReport::new("engine_throughput");
-/// report.config("smoke", true);
-/// report.push_row(vec![("pending", 1000u64.into())]);
-/// report.check("zero_alloc", true, "0 allocs in quiescent chunk");
+/// let mut report = c4h_bench::BenchReport::new("gates");
+/// report.push_row(vec![("gate", "recorder_zero_alloc".into()), ("allocs", 0u64.into())]);
+/// report.check("recorder_zero_alloc", true, "allocs 0 (at most 32)");
 /// report.finish(); // writes the JSON, then panics if any check failed
 /// ```
 #[derive(Debug)]

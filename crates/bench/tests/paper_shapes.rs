@@ -39,6 +39,7 @@ shape_tests! {
     fetch_stripe: FETCH_STRIPE,
     capacity_frontier: CAPACITY_FRONTIER,
     adaptive_placement: ADAPTIVE_PLACEMENT,
+    overlay_scaling: OVERLAY_SCALING,
 }
 
 /// The finding that on salt 3 `balanced` puts no transcode on the idle
@@ -110,6 +111,8 @@ fn paper_seeds() {
         ("same_loss_floor_at_1_67x", 32),
         ("adaptive_tail_undercuts_static", 32),
         ("adaptive_mean_competitive", 32),
+        ("lookup_hops_grow_logarithmically", 32),
+        ("join_envelopes_grow_linearly", 32),
         ("every claim", 3),
     ];
     assert_eq!(counts, pinned, "salts each claim fails on: {sweep:#?}");

@@ -374,12 +374,14 @@ fn exports_read_the_run_stats_without_writing_them() {
 
 /// A mixed workload run to completion one op at a time: twelve stores and
 /// twelve fetches of 512 KiB images on a two-replica testbed, then four
-/// face detections. Returns the deployment and every op's report.
-fn mixed_workload(tracing: bool) -> (Cloud4Home, Vec<OpReport>) {
+/// face detections, with gauges sampled every `health_sample_ms` while
+/// tracing. Returns the deployment and every op's report.
+fn mixed_workload(tracing: bool, health_sample_ms: u64) -> (Cloud4Home, Vec<OpReport>) {
     const OBJECTS: usize = 12;
     let mut config = Config::paper_testbed(2024);
     config.replication = 2;
     config.tracing = tracing;
+    config.health_sample_ms = health_sample_ms;
     let mut home = Cloud4Home::new(config);
     let mut reports = Vec::new();
     let name = |i: usize| format!("attr/img-{i:03}.jpg");
@@ -401,33 +403,61 @@ fn mixed_workload(tracing: bool) -> (Cloud4Home, Vec<OpReport>) {
 }
 
 /// Recording observes and never steers: the same workload with tracing off
-/// and on ends at the same virtual instant, every op completes at the same
+/// and on — gauges sampled at the default 500 ms and at a 5× denser 100 ms
+/// — ends at the same virtual instant, every op completes at the same
 /// instant with the same outcome, and the trace holds exactly one `op`
-/// span per op, on the op's own track.
+/// span per op, on the op's own track. With tracing off the recorder is
+/// dark: no event, series or counter, and no post-mortem; the denser
+/// cadence samples more gauge points.
 #[test]
 fn tracing_moves_no_instant_and_leaves_one_op_span_per_op() {
-    let (off, off_reports) = mixed_workload(false);
-    let (on, on_reports) = mixed_workload(true);
-    assert_eq!(off.now(), on.now(), "tracing must not perturb virtual time");
-    assert_eq!(off_reports.len(), on_reports.len());
-    for (a, b) in off_reports.iter().zip(&on_reports) {
+    let (off, off_reports) = mixed_workload(false, 500);
+    let dark = off.telemetry().snapshot();
+    assert!(
+        dark.events.is_empty() && dark.series.is_empty() && dark.counters.is_empty(),
+        "a disabled recorder stores nothing ({} events, {} series, {} counters)",
+        dark.events.len(),
+        dark.series.len(),
+        dark.counters.len()
+    );
+    assert_eq!(
+        off.postmortem_json(),
+        "[\n\n]\n",
+        "a disabled recorder cuts no post-mortem"
+    );
+    let mut points = Vec::new();
+    for cadence_ms in [500, 100] {
+        let (on, on_reports) = mixed_workload(true, cadence_ms);
         assert_eq!(
-            (a.id, a.completed, &a.outcome, a.breakdown),
-            (b.id, b.completed, &b.outcome, b.breakdown),
-            "tracing moved an op"
+            off.now(),
+            on.now(),
+            "tracing at {cadence_ms} ms moved virtual time"
         );
-        a.expect_ok();
-    }
+        assert_eq!(off_reports.len(), on_reports.len());
+        for (a, b) in off_reports.iter().zip(&on_reports) {
+            assert_eq!(
+                (a.id, a.completed, &a.outcome, a.breakdown),
+                (b.id, b.completed, &b.outcome, b.breakdown),
+                "tracing moved an op"
+            );
+            a.expect_ok();
+        }
 
-    let snap = on.telemetry().snapshot();
-    let ok = ["store", "fetch", "process"].map(|k| snap.counter(&format!("op.{k}.ok")));
-    assert_eq!(ok, [12, 12, 4], "the op counters sum to the ops run");
-    for r in &on_reports {
-        let on_track = snap.spans().filter(|s| s.cat == "op" && s.track == r.id.0);
-        assert_eq!(on_track.count(), 1, "{} leaves one op span", r.id);
+        let snap = on.telemetry().snapshot();
+        let ok = ["store", "fetch", "process"].map(|k| snap.counter(&format!("op.{k}.ok")));
+        assert_eq!(ok, [12, 12, 4], "the op counters sum to the ops run");
+        for r in &on_reports {
+            let on_track = snap.spans().filter(|s| s.cat == "op" && s.track == r.id.0);
+            assert_eq!(on_track.count(), 1, "{} leaves one op span", r.id);
+        }
+        let op_spans = snap.spans().filter(|s| s.cat == "op").count();
+        assert_eq!(op_spans, on_reports.len(), "every op span is an op's");
+        points.push(snap.series.values().map(|s| s.len()).sum::<usize>());
     }
-    let op_spans = snap.spans().filter(|s| s.cat == "op").count();
-    assert_eq!(op_spans, on_reports.len(), "every op span is an op's");
+    assert!(
+        points[1] > points[0],
+        "100 ms samples no more than 500 ms: {points:?}"
+    );
 }
 
 // ----------------------------------------------------------------------
