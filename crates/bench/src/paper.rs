@@ -157,15 +157,49 @@ const EVERY: [fn(u64) -> Verdicts; 18] = [
     |salt| OVERLAY_SCALING.judge(salt),
 ];
 
+/// Threads [`sweep`] judges salts on at most.
+const SWEEP_THREADS: usize = 8;
+
 /// Runs every experiment on each salt of `salts`, each deployment seed
 /// salted as `seed ^ salt · 0x9E37_79B9_7F4A_7C15` (salt 0 is
 /// [`COMMITTED`]), and returns each claim's name with the salts it failed
 /// on, in the order `benches/paper.rs` prints them, then `"every claim"`
 /// with the salts on which any of them failed.
+///
+/// Salts are striped over `available_parallelism()` scoped threads, at
+/// most `SWEEP_THREADS` (8) and never more than there are salts, and their
+/// verdicts merged in salt order. Every world is built from its own seed
+/// and no claim reads a process-wide counter, so a salt's verdicts do not
+/// depend on the thread that judged it.
 pub fn sweep(salts: Range<u64>) -> Vec<(&'static str, Vec<u64>)> {
+    let salts: Vec<u64> = salts.collect();
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(SWEEP_THREADS)
+        .min(salts.len())
+        .max(1);
+    let mut judged: Vec<(u64, Verdicts)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|first| {
+                let stripe = salts.iter().skip(first).step_by(threads);
+                scope.spawn(move || {
+                    let judge = |&salt: &u64| (salt, EVERY.iter().flat_map(|j| j(salt)).collect());
+                    stripe.map(judge).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
+            .collect()
+    });
+    judged.sort_by_key(|&(salt, _)| salt);
     let mut fails: Vec<(&'static str, Vec<u64>)> = Vec::new();
-    for salt in salts {
-        let mut verdicts: Vec<_> = EVERY.iter().flat_map(|judge| judge(salt)).collect();
+    for (salt, mut verdicts) in judged {
         verdicts.push(("every claim", verdicts.iter().all(|v| v.1)));
         fails.resize(verdicts.len(), ("", Vec::new()));
         for ((name, failed_on), (claim, holds)) in fails.iter_mut().zip(verdicts) {

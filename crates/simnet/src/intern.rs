@@ -26,6 +26,10 @@
 //!   `Sym → &str` ([`Sym::as_str`]) and emit the string bytes; decode
 //!   re-interns. The wire format is byte-identical to the `String` era.
 //!
+//! `tests/golden_interner.rs` holds the runtime to both rules: it runs
+//! the golden corpus after shifting every id and reversing the names' id
+//! order, and every digest must stay as committed.
+//!
 //! # Storage
 //!
 //! Interned strings are leaked once into a global append-only table:

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-use crate::recorder::{Arg, ArgValue, Inner};
+use crate::recorder::{ArgRef, Inner};
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape_into(out: &mut String, s: &str) {
@@ -35,9 +35,9 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn args_into(out: &mut String, args: &[Arg]) {
+fn args_into<'a>(out: &mut String, args: impl Iterator<Item = (&'static str, ArgRef<'a>)>) {
     out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
+    for (i, (k, v)) in args.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -45,13 +45,13 @@ fn args_into(out: &mut String, args: &[Arg]) {
         escape_into(out, k);
         out.push_str("\":");
         match v {
-            ArgValue::U64(n) => {
+            ArgRef::U64(n) => {
                 let _ = write!(out, "{n}");
             }
-            ArgValue::I64(n) => {
+            ArgRef::I64(n) => {
                 let _ = write!(out, "{n}");
             }
-            ArgValue::Str(s) => {
+            ArgRef::Str(s) => {
                 out.push('"');
                 escape_into(out, s);
                 out.push('"');
@@ -75,9 +75,9 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
          \"args\":{\"name\":\"cloud4home\"}}",
     );
-    for (ev, args) in inner.events.iter() {
+    for ev in inner.events.iter() {
         out.push_str(",\n");
-        out.push_str(if ev.end_ns().is_some() {
+        out.push_str(if ev.end_ns.is_some() {
             "{\"ph\":\"X\",\"pid\":1,\"tid\":"
         } else {
             "{\"ph\":\"i\",\"pid\":1,\"tid\":"
@@ -89,7 +89,7 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
         escape_into(&mut out, ev.name);
         out.push_str("\",\"ts\":");
         out.push_str(&micros(ev.start_ns));
-        match ev.end_ns() {
+        match ev.end_ns {
             Some(end_ns) => {
                 out.push_str(",\"dur\":");
                 out.push_str(&micros(end_ns.saturating_sub(ev.start_ns)));
@@ -97,7 +97,7 @@ pub(crate) fn chrome_trace_json(inner: &Inner) -> String {
             }
             None => out.push_str(",\"s\":\"t\",\"args\":"),
         }
-        args_into(&mut out, args);
+        args_into(&mut out, ev.args());
         out.push('}');
     }
     out.push_str("\n]}\n");

@@ -12,8 +12,8 @@
 //! Three properties drive the design:
 //!
 //! * **Determinism.** Two runs of the same seeded workload must serialize
-//!   to byte-identical output. Events are kept in record order (fixed-size
-//!   heads plus one shared args arena, each span appended whole when it
+//!   to byte-identical output. Events are kept in record order (32-byte
+//!   heads plus 16-byte argument slots, each span appended whole when it
 //!   ends), gauges as runs of equal values over one shared sample clock
 //!   (a gauge that holds its value costs nothing per sample), metrics in
 //!   `BTreeMap`s, and the exporters emit integers only

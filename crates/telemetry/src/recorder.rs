@@ -1,7 +1,8 @@
 //! The event and metric collector.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -320,20 +321,12 @@ impl Histogram {
 /// with the run. Growing never moves what is stored: a full chunk is left
 /// as it is and a new one is started, so the log never holds two copies of
 /// itself, as a doubling `Vec` does while it reallocates, and allocates
-/// once per `N` items.
+/// once per `N` items. Item `i` sits at `chunks[i / N][i % N]`.
 ///
 /// The event log sizes its chunks at [`CHUNK_BYTES`].
 #[derive(Debug)]
 struct Chunked<T, const N: usize> {
     chunks: Vec<Vec<T>>,
-}
-
-/// Where a run of items sits in a [`Chunked`]: `chunks[chunk][start..end]`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    chunk: u32,
-    start: u32,
-    end: u32,
 }
 
 impl<T, const N: usize> Default for Chunked<T, N> {
@@ -343,43 +336,22 @@ impl<T, const N: usize> Default for Chunked<T, N> {
 }
 
 impl<T, const N: usize> Chunked<T, N> {
-    /// Appends `items` as one run that lies inside a single chunk: a run
-    /// that would cross a chunk's end moves, with the rest of its items, to
-    /// a fresh chunk.
-    fn push_run(&mut self, items: impl IntoIterator<Item = T>) -> Run {
-        let mut start = self.chunks.last().map_or(0, Vec::len);
-        for item in items {
-            if self
-                .chunks
-                .last()
-                .is_none_or(|tail| tail.len() == tail.capacity())
-            {
-                let carried = self.chunks.last().map_or(0, |tail| tail.len() - start);
-                let mut fresh = Vec::with_capacity(N.max(2 * (carried + 1)));
-                if let Some(tail) = self.chunks.last_mut() {
-                    fresh.extend(tail.drain(start..));
-                }
+    /// Appends `item` and returns its index.
+    fn push(&mut self, item: T) -> usize {
+        let index = self.len();
+        match self.chunks.last_mut() {
+            Some(tail) if tail.len() < N => tail.push(item),
+            _ => {
+                let mut fresh = Vec::with_capacity(N);
+                fresh.push(item);
                 self.chunks.push(fresh);
-                start = 0;
             }
-            self.chunks
-                .last_mut()
-                .expect("a chunk with room")
-                .push(item);
         }
-        let index = |n: usize| u32::try_from(n).expect("fewer than 2^32 items per chunk");
-        Run {
-            chunk: index(self.chunks.len().saturating_sub(1)),
-            start: index(start),
-            end: index(self.chunks.last().map_or(0, Vec::len)),
-        }
+        index
     }
 
-    fn get(&self, run: Run) -> &[T] {
-        if run.start == run.end {
-            return &[];
-        }
-        &self.chunks[run.chunk as usize][run.start as usize..run.end as usize]
+    fn get(&self, index: usize) -> &T {
+        &self.chunks[index / N][index % N]
     }
 
     fn iter(&self) -> impl Iterator<Item = &T> {
@@ -387,7 +359,9 @@ impl<T, const N: usize> Chunked<T, N> {
     }
 
     fn len(&self) -> usize {
-        self.chunks.iter().map(Vec::len).sum()
+        self.chunks
+            .last()
+            .map_or(0, |tail| (self.chunks.len() - 1) * N + tail.len())
     }
 
     fn clear(&mut self) {
@@ -395,30 +369,122 @@ impl<T, const N: usize> Chunked<T, N> {
     }
 }
 
-/// One entry of the event log: fixed size, with its arguments a run of the
-/// log's shared arena.
-#[derive(Debug)]
-pub(crate) struct Head {
-    pub(crate) cat: &'static str,
-    pub(crate) name: &'static str,
-    pub(crate) track: u64,
-    /// A span's start, or an instant's timestamp.
-    pub(crate) start_ns: TimeNs,
-    /// A span's end; an instant's timestamp again.
-    end_ns: TimeNs,
-    /// Whether the event is a span, not an instant: a flag beside the
-    /// `u32`s rather than an `Option`, which would make every head 8 bytes
-    /// wider.
-    span: bool,
-    args: Run,
-}
+/// Hashes the address words a [`Table`] is keyed by: a rotate, xor and
+/// multiply per word, as rustc's `FxHasher` does. The keys are addresses
+/// the program chose, so the table needs no flood resistance.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
 
-impl Head {
-    /// A span's end; `None` for an instant.
-    pub(crate) fn end_ns(&self) -> Option<TimeNs> {
-        self.span.then_some(self.end_ns)
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte.into());
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
+
+/// A string's address and length: what a [`Table`] finds it by.
+type StrAddr = (usize, usize);
+
+fn addr(s: &'static str) -> StrAddr {
+    (s.as_ptr() as usize, s.len())
+}
+
+/// Names a [`Table`] makes room for at its first: the runtime records 43
+/// labels and 29 keys, so once its first event is in, a table never grows
+/// while a run records.
+const TABLE_ROOM: usize = 64;
+
+/// The `&'static str`s (or pairs of them) the event log has seen, each
+/// under a dense id that a head or an argument stores in its place. A
+/// string is found by its address and length, never by its content, so a
+/// lookup hashes a few words; two equal strings at distinct addresses get
+/// two ids, each reading back as itself. Ids never reach an export.
+#[derive(Debug)]
+struct Table<T, K> {
+    items: Vec<T>,
+    ids: HashMap<K, u32, BuildHasherDefault<AddrHasher>>,
+}
+
+impl<T, K> Default for Table<T, K> {
+    fn default() -> Self {
+        Table {
+            items: Vec::new(),
+            ids: HashMap::default(),
+        }
+    }
+}
+
+impl<T: Copy, K: Hash + Eq> Table<T, K> {
+    /// The id of `item`, found by `key`; an item not seen yet is added.
+    fn id(&mut self, key: K, item: T) -> u32 {
+        if self.items.is_empty() {
+            self.items.reserve(TABLE_ROOM);
+            self.ids.reserve(TABLE_ROOM);
+        }
+        let items = &mut self.items;
+        *self.ids.entry(key).or_insert_with(|| {
+            items.push(item);
+            u32::try_from(items.len() - 1).expect("fewer than 2^32 names")
+        })
+    }
+
+    fn get(&self, id: u32) -> T {
+        self.items[id as usize]
+    }
+}
+
+/// One entry of the event log: 32 bytes, with its arguments a run of the
+/// log's argument column and its category and name one label id.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// A span's start, or an instant's timestamp.
+    start_ns: TimeNs,
+    /// A span's end; an instant's timestamp again.
+    end_ns: TimeNs,
+    track: u64,
+    /// The index of the event's first argument in the argument column.
+    first_arg: u32,
+    /// The (category, name) pair's id in the log's label table.
+    label: u16,
+    /// The argument count, shifted left one bit, with bit 0 set for a
+    /// span: a flag beside the count rather than an `Option` end, which
+    /// would make every head 8 bytes wider.
+    argc_span: u16,
+}
+
+/// The kind of value an argument [`Slot`] holds.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    U64,
+    I64,
+    /// The value is an index in the log's string column.
+    Str,
+}
+
+/// One argument of the event log, 16 bytes: its key's id, its kind, and
+/// eight bytes of value — the integer itself, or the string's index.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    value: u64,
+    key: u32,
+    kind: Kind,
+}
+
+const _: () = assert!(std::mem::size_of::<Head>() == 32);
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// Bytes of address space per chunk of the event log: above 32 MiB, the
 /// highest point to which glibc's malloc moves its mmap threshold, so
@@ -429,16 +495,79 @@ impl Head {
 /// `planes-gray`'s peak RSS by up to 19 MiB from run to run.
 const CHUNK_BYTES: usize = 40 << 20;
 
-/// The event log as columns: one fixed-size [`Head`] per completed span or
-/// instant, in record order, and one append-only arena holding every
-/// event's arguments back to back. Recording an event appends one head and
-/// its arguments, so an event allocates nothing of its own; each column
-/// allocates once per [`CHUNK_BYTES`] (582 542 heads of 72 bytes, 1 048 576
-/// arguments).
+/// A string column's item: a literal or interned name is borrowed, a
+/// string the caller built is owned.
+type Text = Cow<'static, str>;
+
+/// The event log as columns: one 32-byte [`Head`] per completed span or
+/// instant, in record order; one column of 16-byte argument [`Slot`]s,
+/// every event's back to back; and a column holding each string
+/// argument's value. A head's category and name and a slot's key are ids
+/// in two tables of the `&'static str`s seen, which survive a clear.
+/// Recording an event appends one head and its arguments, so an event
+/// allocates nothing of its own; each column allocates once per
+/// [`CHUNK_BYTES`] (1 310 720 heads, 2 621 440 arguments, 1 747 626
+/// strings).
 #[derive(Debug, Default)]
 pub(crate) struct EventLog {
     heads: Chunked<Head, { CHUNK_BYTES / std::mem::size_of::<Head>() }>,
-    arena: Chunked<Arg, { CHUNK_BYTES / std::mem::size_of::<Arg>() }>,
+    args: Chunked<Slot, { CHUNK_BYTES / std::mem::size_of::<Slot>() }>,
+    texts: Chunked<Text, { CHUNK_BYTES / std::mem::size_of::<Text>() }>,
+    labels: Table<(&'static str, &'static str), (StrAddr, StrAddr)>,
+    keys: Table<&'static str, StrAddr>,
+}
+
+/// An event read back from the [`EventLog`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Event<'a> {
+    pub(crate) cat: &'static str,
+    pub(crate) name: &'static str,
+    pub(crate) track: u64,
+    /// A span's start, or an instant's timestamp.
+    pub(crate) start_ns: TimeNs,
+    /// A span's end; `None` for an instant.
+    pub(crate) end_ns: Option<TimeNs>,
+    log: &'a EventLog,
+    first_arg: usize,
+    argc: usize,
+}
+
+/// An argument value read back from the [`EventLog`], a string borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ArgRef<'a> {
+    U64(u64),
+    I64(i64),
+    Str(&'a Text),
+}
+
+impl ArgRef<'_> {
+    fn to_value(self) -> ArgValue {
+        match self {
+            ArgRef::U64(v) => ArgValue::U64(v),
+            ArgRef::I64(v) => ArgValue::I64(v),
+            ArgRef::Str(s) => ArgValue::Str(s.clone()),
+        }
+    }
+}
+
+impl<'a> Event<'a> {
+    /// The event's arguments, in record order.
+    pub(crate) fn args(self) -> impl Iterator<Item = (&'static str, ArgRef<'a>)> {
+        let log = self.log;
+        (self.first_arg..self.first_arg + self.argc).map(move |i| {
+            let slot = log.args.get(i);
+            let value = match slot.kind {
+                Kind::U64 => ArgRef::U64(slot.value),
+                Kind::I64 => ArgRef::I64(slot.value as i64),
+                Kind::Str => ArgRef::Str(log.texts.get(slot.value as usize)),
+            };
+            (log.keys.get(slot.key), value)
+        })
+    }
+
+    fn owned_args(self) -> Args {
+        self.args().map(|(k, v)| (k, v.to_value())).collect()
+    }
 }
 
 impl EventLog {
@@ -452,21 +581,44 @@ impl EventLog {
         end_ns: Option<TimeNs>,
         args: impl IntoIterator<Item = Arg>,
     ) {
-        let args = self.arena.push_run(args);
-        self.heads.push_run([Head {
-            cat,
-            name,
-            track,
+        let first_arg = self.args.len();
+        for (key, value) in args {
+            let (kind, value) = match value {
+                ArgValue::U64(v) => (Kind::U64, v),
+                ArgValue::I64(v) => (Kind::I64, v as u64),
+                ArgValue::Str(s) => (Kind::Str, self.texts.push(s) as u64),
+            };
+            let key = self.keys.id(addr(key), key);
+            self.args.push(Slot { value, key, kind });
+        }
+        let argc = self.args.len() - first_arg;
+        let label = self.labels.id((addr(cat), addr(name)), (cat, name));
+        self.heads.push(Head {
             start_ns,
             end_ns: end_ns.unwrap_or(start_ns),
-            span: end_ns.is_some(),
-            args,
-        }]);
+            track,
+            first_arg: u32::try_from(first_arg).expect("fewer than 2^32 arguments"),
+            label: u16::try_from(label).expect("fewer than 2^16 (category, name) pairs"),
+            argc_span: u16::try_from(argc << 1).expect("fewer than 2^15 arguments per event")
+                | u16::from(end_ns.is_some()),
+        });
     }
 
-    /// Every event with its arguments, in record order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Head, &[Arg])> {
-        self.heads.iter().map(|h| (h, self.arena.get(h.args)))
+    /// Every event, in record order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Event<'_>> {
+        self.heads.iter().map(|h| {
+            let (cat, name) = self.labels.get(h.label.into());
+            Event {
+                cat,
+                name,
+                track: h.track,
+                start_ns: h.start_ns,
+                end_ns: (h.argc_span & 1 == 1).then_some(h.end_ns),
+                log: self,
+                first_arg: h.first_arg as usize,
+                argc: usize::from(h.argc_span >> 1),
+            }
+        })
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -475,27 +627,28 @@ impl EventLog {
 
     fn clear(&mut self) {
         self.heads.clear();
-        self.arena.clear();
+        self.args.clear();
+        self.texts.clear();
     }
 
     /// The log as owned records, built on demand.
     fn to_records(&self) -> Vec<EventRec> {
         let mut out = Vec::with_capacity(self.len());
-        out.extend(self.iter().map(|(h, args)| match h.end_ns() {
+        out.extend(self.iter().map(|ev| match ev.end_ns {
             Some(end_ns) => EventRec::Span(SpanRec {
-                cat: h.cat,
-                name: h.name,
-                track: h.track,
-                start_ns: h.start_ns,
+                cat: ev.cat,
+                name: ev.name,
+                track: ev.track,
+                start_ns: ev.start_ns,
                 end_ns,
-                args: args.to_vec(),
+                args: ev.owned_args(),
             }),
             None => EventRec::Instant(InstantRec {
-                cat: h.cat,
-                name: h.name,
-                track: h.track,
-                ts_ns: h.start_ns,
-                args: args.to_vec(),
+                cat: ev.cat,
+                name: ev.name,
+                track: ev.track,
+                ts_ns: ev.start_ns,
+                args: ev.owned_args(),
             }),
         }));
         out
@@ -1013,10 +1166,15 @@ mod tests {
         for len in [0, 3, 2, 0, 4, 1, 7, 3, 3, 0] {
             let items: Vec<u32> = (next..next + len).collect();
             next += len;
-            runs.push((log.push_run(items.iter().copied()), items));
+            let first = log.len();
+            for &item in &items {
+                log.push(item);
+            }
+            runs.push((first, items));
         }
-        for (run, items) in &runs {
-            assert_eq!(log.get(*run), items.as_slice());
+        for (first, items) in &runs {
+            let read: Vec<u32> = (*first..first + items.len()).map(|i| *log.get(i)).collect();
+            assert_eq!(&read, items);
         }
         assert_eq!(
             log.iter().copied().collect::<Vec<_>>(),
@@ -1024,6 +1182,8 @@ mod tests {
         );
         assert_eq!(log.len(), next as usize);
         assert!(log.chunks.len() > 4, "the runs crossed chunk ends");
+        let (tail, full) = log.chunks.split_last().expect("chunks");
+        assert!(full.iter().all(|chunk| chunk.len() == 4) && !tail.is_empty());
     }
 
     #[test]

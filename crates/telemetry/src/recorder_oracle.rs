@@ -18,6 +18,7 @@
 //! recorder_oracle`.
 
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -760,21 +761,55 @@ mod old {
     }
 }
 
-/// Span and instant names: plain, JSON escapes, a control character and
-/// non-ASCII.
-const NAMES: [&str; 6] = [
+/// Span and instant names: plain, JSON escapes, a control character,
+/// non-ASCII and empty.
+const NAMES: [&str; 7] = [
     "fetch",
     "net.flow",
     "quote\"d",
     "back\\slash",
     "new\nline\ttab",
     "unicode-Ω☃",
+    "",
 ];
 const CATS: [&str; 3] = ["op", "net", "dht"];
-const KEYS: [&str; 5] = ["object", "ok", "src", "why", "k\"ey"];
+const KEYS: [&str; 6] = ["object", "ok", "src", "why", "k\"ey", ""];
 /// Counter, histogram and gauge names, some flattening to one Prometheus
 /// name.
 const METRICS: [&str; 5] = ["op.fetch.ok", "a", "a.b", "a_b", "hist{le=\"+Inf\"} 0"];
+
+/// The forms [`pick`] gives a name in.
+const FORMS: usize = 3;
+
+/// A name of `names` by index, in one of [`FORMS`] forms: the literal; an
+/// equal string at another address (leaked once per name); or the
+/// literal's first half, at the literal's own address. So the log meets
+/// equal names it must keep apart by address, and names at one address it
+/// must keep apart by length.
+fn pick<const N: usize>(names: &'static [&'static str; N], pick: usize) -> &'static str {
+    static COPIES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let name = names[(pick / FORMS) % N];
+    match pick % FORMS {
+        0 => name,
+        1 => {
+            let copies = COPIES.get_or_init(|| {
+                let all = NAMES.iter().chain(&CATS).chain(&KEYS);
+                all.map(|s| &*Box::leak(s.to_string().into_boxed_str()))
+                    .collect()
+            });
+            let copy = copies.iter().find(|copy| **copy == name);
+            copy.expect("every name has a copy")
+        }
+        _ => {
+            let half = name.char_indices().nth(name.chars().count() / 2);
+            &name[..half.map_or(0, |(at, _)| at)]
+        }
+    }
+}
+
+/// Where network flows render in the runtime (`simnet`'s
+/// `NET_TRACK_BASE`): tracks are drawn around it, near 0 and anywhere.
+const NET_TRACK_BASE: u64 = 2_000_000;
 
 /// An argument value; strings are borrowed literals or owned copies.
 #[derive(Debug, Clone)]
@@ -790,8 +825,8 @@ impl Value {
         match *self {
             Value::U64(v) => ArgValue::from(v),
             Value::I64(v) => ArgValue::from(v),
-            Value::Borrowed(i) => ArgValue::from(NAMES[i]),
-            Value::Owned(i) => ArgValue::from(NAMES[i].to_owned()),
+            Value::Borrowed(i) => ArgValue::from(pick(&NAMES, i)),
+            Value::Owned(i) => ArgValue::from(pick(&NAMES, i).to_owned()),
         }
     }
 }
@@ -799,7 +834,25 @@ impl Value {
 type ArgSpec = Vec<(usize, Value)>;
 
 fn args(spec: &ArgSpec) -> Vec<Arg> {
-    spec.iter().map(|(k, v)| (KEYS[*k], v.arg())).collect()
+    spec.iter()
+        .map(|(k, v)| (pick(&KEYS, *k), v.arg()))
+        .collect()
+}
+
+/// `n` arguments for one event: every key, and every kind of value, in
+/// turn.
+fn many(n: usize) -> ArgSpec {
+    (0..n)
+        .map(|i| {
+            let value = match i % 4 {
+                0 => Value::U64(i as u64),
+                1 => Value::I64(-(i as i64)),
+                2 => Value::Borrowed(i),
+                _ => Value::Owned(i),
+            };
+            (i, value)
+        })
+        .collect()
 }
 
 /// One script step.
@@ -818,6 +871,8 @@ enum Step {
     Exemplar(usize, usize),
     Gauge(usize, i64),
     Advance(u64),
+    /// Moves the clock to any instant, `u64::MAX` included.
+    Jump(u64),
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -825,16 +880,31 @@ fn step() -> impl Strategy<Value = Step> {
         prop_oneof![
             any::<u64>().prop_map(Value::U64),
             any::<i64>().prop_map(Value::I64),
-            (0..NAMES.len()).prop_map(Value::Borrowed),
-            (0..NAMES.len()).prop_map(Value::Owned),
+            prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(-1)].prop_map(Value::I64),
+            Just(Value::U64(u64::MAX)),
+            (0..FORMS * NAMES.len()).prop_map(Value::Borrowed),
+            (0..FORMS * NAMES.len()).prop_map(Value::Owned),
         ]
     };
-    let spec = move || collection::vec((0..KEYS.len(), value()), 0..8);
-    let name = || 0..NAMES.len();
-    let (cat, track, metric) = (|| 0..CATS.len(), || 0u64..4, || 0..METRICS.len());
+    // One spec in 16 is hundreds of arguments long.
+    let spec = move || {
+        let few = collection::vec((0..FORMS * KEYS.len(), value()), 0..8);
+        (0u8..16, few, 200usize..400).prop_map(|(w, few, n)| if w == 0 { many(n) } else { few })
+    };
+    let name = || 0..FORMS * NAMES.len();
+    let cat = || 0..FORMS * CATS.len();
+    let track = || {
+        prop_oneof![
+            0u64..4,
+            (0u64..4).prop_map(|n| NET_TRACK_BASE + n),
+            Just(u64::MAX),
+            any::<u64>(),
+        ]
+    };
+    let metric = || 0..METRICS.len();
     let begin =
-        || (cat(), name(), track(), spec()).prop_map(|(c, n, t, a)| Step::Begin(c, n, t, a));
-    let end = || (any::<usize>(), spec()).prop_map(|(h, a)| Step::End(h, a));
+        move || (cat(), name(), track(), spec()).prop_map(|(c, n, t, a)| Step::Begin(c, n, t, a));
+    let end = move || (any::<usize>(), spec()).prop_map(|(h, a)| Step::End(h, a));
     prop_oneof![
         begin(),
         begin(),
@@ -852,6 +922,7 @@ fn step() -> impl Strategy<Value = Step> {
         (metric(), 0..NAMES.len()).prop_map(|(m, l)| Step::Exemplar(m, l)),
         (metric(), -3i64..3).prop_map(|(m, v)| Step::Gauge(m, v)),
         (0u64..1_500).prop_map(Step::Advance),
+        prop_oneof![Just(u64::MAX), Just(u64::MAX - 3), any::<u64>()].prop_map(Step::Jump),
     ]
 }
 
@@ -924,16 +995,19 @@ fn run(script: Vec<Step>) -> TestCaseResult {
     let mut ts: TimeNs = 0;
     for step in script {
         match step {
-            Step::Begin(c, n, track, spec) => spans.push((
-                Some(Open {
-                    start: new.begin(ts),
-                    cat: CATS[c],
-                    name: NAMES[n],
-                    track,
-                    args: args(&spec),
-                }),
-                old.begin_args(CATS[c], NAMES[n], track, ts, args(&spec)),
-            )),
+            Step::Begin(c, n, track, spec) => {
+                let (cat, name) = (pick(&CATS, c), pick(&NAMES, n));
+                spans.push((
+                    Some(Open {
+                        start: new.begin(ts),
+                        cat,
+                        name,
+                        track,
+                        args: args(&spec),
+                    }),
+                    old.begin_args(cat, name, track, ts, args(&spec)),
+                ))
+            }
             Step::End(h, spec) => match spans.len() {
                 0 => old.end_args(old::SpanId::NONE, ts, args(&spec)),
                 len => {
@@ -945,12 +1019,14 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 }
             },
             Step::Span(c, n, track, dur, spec) => {
-                new.span_args(CATS[c], NAMES[n], track, ts, ts + dur, args(&spec));
-                old.span_args(CATS[c], NAMES[n], track, ts, ts + dur, args(&spec));
+                let (cat, name, end) = (pick(&CATS, c), pick(&NAMES, n), ts.saturating_add(dur));
+                new.span_args(cat, name, track, ts, end, args(&spec));
+                old.span_args(cat, name, track, ts, end, args(&spec));
             }
             Step::Instant(c, n, track, spec) => {
-                new.instant_args(CATS[c], NAMES[n], track, ts, args(&spec));
-                old.instant_args(CATS[c], NAMES[n], track, ts, args(&spec));
+                let (cat, name) = (pick(&CATS, c), pick(&NAMES, n));
+                new.instant_args(cat, name, track, ts, args(&spec));
+                old.instant_args(cat, name, track, ts, args(&spec));
             }
             Step::Enable(on) => {
                 new.set_enabled(on);
@@ -977,7 +1053,8 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 new.gauge_sample(ts, &[(id, v)]);
                 old.gauge(METRICS[m], ts, v);
             }
-            Step::Advance(dt) => ts += dt,
+            Step::Advance(dt) => ts = ts.saturating_add(dt),
+            Step::Jump(to) => ts = to,
         }
         same_exports(&new, &old)?;
     }
