@@ -2,9 +2,11 @@
 //!
 //! [`paper`] holds every table and figure of the paper's evaluation, and the
 //! mechanism studies beyond it, as rows plus one table of the claims made
-//! about them; the `paper` bench target prints them (`cargo bench -p
-//! c4h-bench --bench paper`), `tests/paper_shapes.rs` asserts them and
-//! [`paper::sweep`] names the seeds each fails on. [`gates`] holds every
+//! about them and the renderer of each one's markdown block; the `paper`
+//! bench target prints the blocks EXPERIMENTS.md holds (`cargo bench -p
+//! c4h-bench --bench paper`), `tests/paper_shapes.rs` asserts the claims and
+//! checks the committed blocks, and [`paper::sweep`] names the seeds each
+//! claim fails on. [`gates`] holds every
 //! host-side count CI gates, each with its bound; the `gates` bench target
 //! runs them (`cargo bench -p c4h-bench --bench gates`). This library also
 //! holds the statistics, allocation-counting and profiling utilities they

@@ -22,6 +22,8 @@
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
+use c4h_telemetry::escape_into;
+
 /// One JSON scalar in a report row or config entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonVal {
@@ -99,22 +101,6 @@ impl fmt::Display for JsonVal {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl JsonVal {
     fn write_into(&self, out: &mut String) {
         match self {
@@ -130,7 +116,7 @@ impl JsonVal {
             JsonVal::F(_) => out.push_str("null"),
             JsonVal::S(s) => {
                 out.push('"');
-                write_escaped(out, s);
+                escape_into(out, s);
                 out.push('"');
             }
             JsonVal::B(v) => {
@@ -147,7 +133,7 @@ fn write_object(out: &mut String, fields: &[(String, JsonVal)]) {
             out.push_str(", ");
         }
         out.push('"');
-        write_escaped(out, k);
+        escape_into(out, k);
         out.push_str("\": ");
         v.write_into(out);
     }
@@ -222,7 +208,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512 + self.rows.len() * 128);
         out.push_str("{\n  \"name\": \"");
-        write_escaped(&mut out, &self.name);
+        escape_into(&mut out, &self.name);
         out.push_str("\",\n  \"config\": ");
         write_object(&mut out, &self.config);
         out.push_str(",\n  \"rows\": [");

@@ -1,24 +1,53 @@
 //! The shape claims of the paper's evaluation (§V), and of the mechanism
-//! studies EXPERIMENTS.md reports beyond it, asserted on full sweeps.
+//! studies beyond it, asserted on full sweeps, and the blocks EXPERIMENTS.md
+//! holds checked against the same rows.
 //!
 //! Every assertion is a claim of `c4h_bench::paper`'s tables, the same one
-//! whose verdict `cargo bench -p c4h-bench --bench paper` prints, run on the
-//! committed seeds (`paper::COMMITTED`). Each claim's bound comes from the
-//! paper's words (in quotes where verbatim), its Table I values or a
-//! study's own sentence, written beside its predicate; none is fitted to a
-//! measured row. A failing claim is a finding to report, not a bound to
-//! loosen.
+//! whose verdict line `cargo bench -p c4h-bench --bench paper` prints, run
+//! on the committed seeds (`paper::COMMITTED`). Each claim's bound comes
+//! from the paper's words (in quotes where verbatim), its Table I values or
+//! a study's own sentence, written beside its predicate; none is fitted to
+//! a measured row. A failing claim is a finding to report, not a bound to
+//! loosen. A stale block is regenerated: paste the bench's output for it.
 
 use c4h_bench::paper;
 
-/// One test per experiment, asserting every claim of its table.
+/// The document whose marked blocks must equal their renderings.
+const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+
+/// Asserts that EXPERIMENTS.md holds `fresh`, the block `name` rendered
+/// from this run's rows, markers included.
+fn assert_committed(name: &str, fresh: &str) {
+    let open = format!("<!-- paper:{name} -->\n");
+    let close = format!("<!-- /paper:{name} -->\n");
+    let committed = EXPERIMENTS_MD.find(&open).and_then(|start| {
+        let end = EXPERIMENTS_MD[start..].find(&close)? + close.len();
+        Some(&EXPERIMENTS_MD[start..start + end])
+    });
+    assert!(
+        committed == Some(fresh),
+        "EXPERIMENTS.md's `{name}` block is stale or missing; the rows render:\n{fresh}"
+    );
+}
+
+/// One test per experiment, asserting every claim of its table and then
+/// its committed block, rendered from the same rows. The list restates
+/// `paper::EVERY` so that libtest runs the experiments on parallel threads
+/// and names the one that fails; `every_block_is_committed_in_bench_order`
+/// holds the two lists equal.
 macro_rules! shape_tests {
-    ($($test:ident: $experiment:ident,)*) => {$(
-        #[test]
-        fn $test() {
-            paper::$experiment.assert_holds(0);
-        }
-    )*};
+    ($($test:ident: $experiment:ident,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                let experiment = &paper::$experiment;
+                assert_committed(experiment.name, &experiment.assert_holds(0));
+            }
+        )*
+
+        /// The experiments the tests above cover, in order.
+        const TESTED: &[&str] = &[$(paper::$experiment.name),*];
+    };
 }
 
 shape_tests! {
@@ -42,6 +71,21 @@ shape_tests! {
     overlay_scaling: OVERLAY_SCALING,
 }
 
+/// Every experiment has a test above, and EXPERIMENTS.md holds the seeds
+/// block, rendered from `paper::SEED_PINS`, and then every experiment's
+/// block once each, in the order the bench prints them.
+#[test]
+fn every_block_is_committed_in_bench_order() {
+    let every: Vec<_> = paper::EVERY.iter().map(|e| e.name()).collect();
+    assert_eq!(TESTED, every, "a shape test per experiment, in order");
+    let marked: Vec<_> = EXPERIMENTS_MD
+        .lines()
+        .filter_map(|line| line.strip_prefix("<!-- paper:")?.strip_suffix(" -->"))
+        .collect();
+    assert_eq!(marked, [&["seeds"][..], &every].concat());
+    assert_committed("seeds", &paper::seeds_block());
+}
+
 /// The finding that on salt 3 `balanced` puts no transcode on the idle
 /// netbooks — 5 of the 6 on the desktop, the sixth on the cloud
 /// (EXPERIMENTS.md, "Claims over seeds") — held red until the decision
@@ -53,67 +97,23 @@ fn route_policies_balanced_skips_the_netbooks_on_salt_3() {
 }
 
 /// Each claim's pass count over salts 0–31 of every experiment's
-/// deployment seed, pinned as a digest is: a change that moves virtual time
-/// reports which counts it moved, and a mismatch prints the salts each
-/// claim fails on. Salt 0 is the committed seeds. About 1.6 s per salt in
-/// release:
+/// deployment seed, pinned in `paper::SEED_PINS` as a digest is: a change
+/// that moves virtual time reports which counts it moved, and a mismatch
+/// prints the salts each claim fails on. Salt 0 is the committed seeds.
+/// About 1.6 s per salt in release:
 /// `cargo test --release -p c4h-bench --test paper_shapes -- --ignored paper_seeds`.
 #[test]
 #[ignore = "32 salts of every experiment; run in release"]
 fn paper_seeds() {
-    let sweep = paper::sweep(0..32);
+    let sweep = paper::sweep(paper::SWEEP_SALTS);
+    let salts = paper::SWEEP_SALTS.end - paper::SWEEP_SALTS.start;
     let counts: Vec<_> = sweep
         .iter()
-        .map(|(claim, failed)| (*claim, 32 - failed.len()))
+        .map(|(claim, failed)| (*claim, salts - failed.len() as u64))
         .collect();
-    let pinned = [
-        ("inter_node_linear", 28),
-        ("inter_domain_below_inter_node", 32),
-        ("dht_flat", 26),
-        ("cloud_fetch_10x_home", 32),
-        ("cloud_store_slower", 32),
-        ("cloud_spread_grows", 6),
-        ("method1_peaks_at_20mb", 32),
-        ("method2_peaks_at_20mb", 23),
-        ("more_threads_never_worse", 32),
-        ("remote_only_lowest", 32),
-        ("all_home_beats_remote", 32),
-        ("one_remote_fetch_per_stream", 32),
-        ("split_beats_both", 32),
-        ("paper_winners", 30),
-        ("topt_beats_town", 32),
-        ("topt_picks_desktop", 32),
-        ("beats_thin_client", 32),
-        ("completes_everything", 32),
-        ("end_point_fails_archive", 32),
-        ("path_caching_lowers_dht", 32),
-        ("replication_2_resolves_all", 32),
-        ("policies_route_as_named", 31),
-        ("blocking_store_costs_more", 32),
-        ("replica_survives_owner", 32),
-        ("fanout_within_1_5x", 32),
-        ("every_replica_lands", 32),
-        ("foreground_tracks_bytes", 32),
-        ("chunked_wan_beats_monolithic", 32),
-        ("wan_striping_beats_single_flow", 29),
-        ("stripes_exactly_when_sources_allow", 32),
-        ("wan_reads_scale_with_stripes", 32),
-        ("lan_two_stripes_fill_the_wire", 32),
-        ("hedges_fire_latency_neutral", 32),
-        ("plane_off_never_sheds", 32),
-        ("plane_invisible_below_saturation", 32),
-        ("top_load_saturates_unprotected", 32),
-        ("protected_sheds_at_top_load", 32),
-        ("protected_p99_within_slo", 32),
-        ("plane_costs_about_5pct_goodput", 32),
-        ("cooldown_erasure_codes_cold_objects", 32),
-        ("adaptive_beats_static_footprint", 32),
-        ("same_loss_floor_at_1_67x", 32),
-        ("adaptive_tail_undercuts_static", 32),
-        ("adaptive_mean_competitive", 32),
-        ("lookup_hops_grow_logarithmically", 32),
-        ("join_envelopes_grow_linearly", 32),
-        ("every claim", 3),
-    ];
-    assert_eq!(counts, pinned, "salts each claim fails on: {sweep:#?}");
+    assert_eq!(
+        counts,
+        paper::SEED_PINS,
+        "salts each claim fails on: {sweep:#?}"
+    );
 }

@@ -29,7 +29,7 @@ use c4h_services::{
 };
 use c4h_simnet::{
     presets, Addr, ChunkSpec, DetRng, EventQueue, FlowCounters, FlowEvent, FlowId, FlowNet,
-    FxHashMap, NetError, QueueStats, SimTime, Sym, SymMap,
+    FxHashMap, NetError, SimTime, Sym, SymMap,
 };
 use c4h_telemetry::{ArgValue, GaugeId, Recorder};
 use c4h_vmm::DiskModel;
@@ -933,12 +933,6 @@ impl Cloud4Home {
     /// How many events the loop has processed since construction.
     pub fn steps(&self) -> u64 {
         self.chains.steps
-    }
-
-    /// The event queue's own counts (pops, clock advances) and its
-    /// length now.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
     }
 
     /// Bandwidth samples observed for transfers from a node's address.

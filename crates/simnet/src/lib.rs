@@ -73,7 +73,7 @@ pub use flow::{
 };
 pub use hash::{FxHashMap, FxHashSet};
 pub use intern::{Sym, SymMap, SymSet};
-pub use queue::{EventQueue, QueueStats};
+pub use queue::EventQueue;
 pub use rng::{DetRng, Zipf};
 pub use tcp::{mbps, mib, SustainedCap, TcpProfile};
 pub use time::{duration_from_secs_f64, SimTime};

@@ -81,21 +81,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    /// `advance_to` calls since creation.
-    advances: u64,
-}
-
-/// A point-in-time view of an [`EventQueue`]'s counts, for the engine
-/// introspection surface. Pure observation: taking one never mutates the
-/// queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Pending events.
-    pub len: usize,
-    /// Events popped since creation.
-    pub pops: u64,
-    /// `advance_to` calls since creation.
-    pub advances: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -111,7 +96,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            advances: 0,
         }
     }
 
@@ -128,17 +112,6 @@ impl<E> EventQueue<E> {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Snapshots the queue's counts (see [`QueueStats`]).
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            len: self.heap.len(),
-            // Every schedule took a sequence number; the pending ones are
-            // the rest.
-            pops: self.next_seq - self.heap.len() as u64,
-            advances: self.advances,
-        }
     }
 
     /// Schedules `payload` at the absolute instant `at`.
@@ -191,7 +164,6 @@ impl<E> EventQueue<E> {
             assert!(t >= at, "cannot advance past a pending event at {t}");
         }
         self.now = at;
-        self.advances += 1;
     }
 }
 
@@ -283,28 +255,6 @@ mod tests {
         q.schedule_at(t, 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2], "seq order across scheduling clocks");
-    }
-
-    /// `stats()` counts pops and clock advances without perturbing the
-    /// queue.
-    #[test]
-    fn stats_observe_without_mutating() {
-        let mut q = EventQueue::new();
-        for i in 0..100u64 {
-            q.schedule_at(SimTime::from_millis(1 + i * 7), i);
-        }
-        let s = q.stats();
-        assert_eq!((s.len, s.pops, s.advances), (100, 0, 0));
-        let before = q.peek_time();
-        assert_eq!(q.peek_time(), before, "stats took no events");
-        q.advance_to(SimTime::from_millis(1));
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        let s = q.stats();
-        assert_eq!(popped, 100);
-        assert_eq!((s.len, s.pops, s.advances), (0, 100, 1));
     }
 
     /// Far-future events (including the `SimTime::MAX` sentinel) pop in

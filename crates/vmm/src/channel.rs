@@ -46,17 +46,6 @@ impl XenChannelConfig {
         }
     }
 
-    /// A large-page variant ("up to 2 MB"), which amortizes ring wraps.
-    pub fn large_pages() -> Self {
-        XenChannelConfig {
-            page_size: 2 * 1024 * 1024,
-            pages: 8,
-            setup: Duration::from_millis(8),
-            copy_bps: 62.0e6,
-            cycle_overhead: Duration::from_micros(18),
-        }
-    }
-
     /// Bytes carried by one full ring cycle.
     pub fn ring_bytes(&self) -> u64 {
         self.page_size as u64 * self.pages as u64
@@ -112,14 +101,6 @@ mod tests {
             assert!(t > prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn large_pages_reduce_cycle_overhead() {
-        let small = XenChannelConfig::prototype();
-        let large = XenChannelConfig::large_pages();
-        let bytes = 64 * 1024 * 1024;
-        assert!(large.transfer_time(bytes) < small.transfer_time(bytes));
     }
 
     #[test]

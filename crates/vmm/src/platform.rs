@@ -84,26 +84,11 @@ impl PlatformSpec {
             disk_write_bps: 140.0e6,
         }
     }
-
-    /// Aggregate compute capacity in GHz·cores, the crude first-order
-    /// capacity measure used by placement heuristics.
-    pub fn compute_capacity(&self) -> f64 {
-        self.cpu_ghz * self.cores as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_are_ordered_by_capacity() {
-        let s1 = PlatformSpec::atom_s1();
-        let s2 = PlatformSpec::desktop_s2();
-        let s3 = PlatformSpec::ec2_extra_large();
-        assert!(s1.compute_capacity() < s2.compute_capacity());
-        assert!(s2.compute_capacity() < s3.compute_capacity());
-    }
 
     #[test]
     fn testbed_netbook_matches_paper() {

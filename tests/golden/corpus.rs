@@ -383,73 +383,9 @@ fn chaos_plan() -> FaultPlan {
         .at(Duration::from_secs(15), FaultEvent::Heal)
 }
 
-/// The seed × config matrix: every cell name maps to its transcript.
-pub fn corpus() -> BTreeMap<String, String> {
-    let mut cells = BTreeMap::new();
-
-    cells.insert(
-        "defaults-s11".to_owned(),
-        run_cell("defaults-s11", base(11), None),
-    );
-    cells.insert(
-        "defaults-s12".to_owned(),
-        run_cell("defaults-s12", base(12), None),
-    );
-
-    let mut config = base(11);
-    config.replication = 3;
-    config.replica_quorum = 2;
-    cells.insert(
-        "replication-quorum-s11".to_owned(),
-        run_cell("replication-quorum-s11", config, None),
-    );
-
-    let mut config = base(11);
-    config.replication = 3;
-    config.fetch_sources = 3;
-    config.fetch_hedge = 1.3;
-    cells.insert(
-        "striping-hedge-s11".to_owned(),
-        run_cell("striping-hedge-s11", config, None),
-    );
-
-    let mut config = base(11);
-    config.chunk_bytes = 64 << 10;
-    config.chunk_window = 4;
-    cells.insert(
-        "chunked-s11".to_owned(),
-        run_cell("chunked-s11", config, None),
-    );
-
-    let mut config = base(11);
-    config.replication = 2;
-    cells.insert(
-        "chaos-s11".to_owned(),
-        run_cell("chaos-s11", config, Some(chaos_plan())),
-    );
-
-    let mut config = base(11);
-    config.overload.enabled = true;
-    config.overload.tenant_max_inflight = 4;
-    config.overload.shed_step_permille = 400;
-    config.overload.shed_decay_permille = 10;
-    config.overload.shed_max_permille = 900;
-    cells.insert(
-        "overload-s11".to_owned(),
-        run_cell("overload-s11", config, None),
-    );
-
-    let mut config = base(11);
-    config.replication = 3;
-    config.replica_quorum = 2;
-    config.fetch_sources = 3;
-    cells.insert(
-        "surge-s11".to_owned(),
-        run_script("surge-s11", config, None, drive_surge),
-    );
-
-    // 96 nodes on one LAN, every bin the same size, so replica placement
-    // is decided by the index tie-break on every store.
+/// The 96-node cell's world: every bin the same size, so replica
+/// placement is decided by the index tie-break on every store.
+fn lossy_churn_cell() -> (Config, FaultPlan) {
     let mut config = base(11);
     config.chimera.leaf_size = 2;
     config.replication = 2;
@@ -481,23 +417,95 @@ pub fn corpus() -> BTreeMap<String, String> {
                 mean_burst_len: 1.0,
             },
         );
-    cells.insert(
-        "lossy-churn-s11".to_owned(),
-        run_script("lossy-churn-s11", config, Some(plan), drive_lossy_churn),
-    );
+    (config, plan)
+}
 
-    let (config, plan) = adaptive_ec_churn_cell();
-    cells.insert(
-        "adaptive-ec-churn-s11".to_owned(),
-        run_script(
-            "adaptive-ec-churn-s11",
-            config,
-            Some(plan),
-            drive_adaptive_ec_churn,
-        ),
-    );
+/// A cell's name and the run that returns its transcript.
+type Cell = (&'static str, fn(&str) -> String);
 
-    cells
+/// The seed × config matrix.
+const CELLS: [Cell; 10] = [
+    ("defaults-s11", |label| run_cell(label, base(11), None)),
+    ("defaults-s12", |label| run_cell(label, base(12), None)),
+    ("replication-quorum-s11", |label| {
+        let mut config = base(11);
+        config.replication = 3;
+        config.replica_quorum = 2;
+        run_cell(label, config, None)
+    }),
+    ("striping-hedge-s11", |label| {
+        let mut config = base(11);
+        config.replication = 3;
+        config.fetch_sources = 3;
+        config.fetch_hedge = 1.3;
+        run_cell(label, config, None)
+    }),
+    ("chunked-s11", |label| {
+        let mut config = base(11);
+        config.chunk_bytes = 64 << 10;
+        config.chunk_window = 4;
+        run_cell(label, config, None)
+    }),
+    ("chaos-s11", |label| {
+        let mut config = base(11);
+        config.replication = 2;
+        run_cell(label, config, Some(chaos_plan()))
+    }),
+    ("overload-s11", |label| {
+        let mut config = base(11);
+        config.overload.enabled = true;
+        config.overload.tenant_max_inflight = 4;
+        config.overload.shed_step_permille = 400;
+        config.overload.shed_decay_permille = 10;
+        config.overload.shed_max_permille = 900;
+        run_cell(label, config, None)
+    }),
+    ("surge-s11", |label| {
+        let mut config = base(11);
+        config.replication = 3;
+        config.replica_quorum = 2;
+        config.fetch_sources = 3;
+        run_script(label, config, None, drive_surge)
+    }),
+    ("lossy-churn-s11", |label| {
+        let (config, plan) = lossy_churn_cell();
+        run_script(label, config, Some(plan), drive_lossy_churn)
+    }),
+    ("adaptive-ec-churn-s11", |label| {
+        let (config, plan) = adaptive_ec_churn_cell();
+        run_script(label, config, Some(plan), drive_adaptive_ec_churn)
+    }),
+];
+
+/// One cell's name and transcript.
+fn run(&(label, cell): &Cell) -> (String, String) {
+    (label.to_owned(), cell(label))
+}
+
+/// Every cell's transcript, by name, the cells run one after another.
+pub fn corpus() -> BTreeMap<String, String> {
+    CELLS.iter().map(run).collect()
+}
+
+/// Every cell's transcript, by name, the cells striped over `threads`
+/// scoped threads so that cells run at once in one process.
+pub fn corpus_on_threads(threads: usize) -> BTreeMap<String, String> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|first| {
+                let stripe = CELLS.iter().skip(first).step_by(threads);
+                scope.spawn(move || stripe.map(run).collect::<Vec<_>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
+            .collect()
+    })
 }
 
 pub fn render_digests(cells: &BTreeMap<String, String>) -> String {

@@ -9,7 +9,7 @@
 //! sort one way get ids that sort the other. Every digest must still match
 //! `tests/golden/digests.json`.
 
-#[allow(dead_code)] // `golden_runs` blesses; this binary only checks
+#[allow(dead_code)] // `golden_runs` blesses and runs cells at once; this binary only checks
 #[path = "golden/corpus.rs"]
 mod corpus;
 

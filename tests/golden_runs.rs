@@ -38,3 +38,20 @@ fn golden_corpus_digests_match() {
         failures.join("\n")
     );
 }
+
+/// The corpus with two cells at once, on two scoped threads of one
+/// process: every digest must match the same file. Cells share the
+/// process's interner, the `OnceLock` tables and nothing else, so a digest
+/// that moves here and not in `golden_corpus_digests_match` means one world
+/// read another's state.
+#[test]
+fn golden_digests_match_with_two_cells_at_once() {
+    let cells = corpus::corpus_on_threads(2);
+    let failures = corpus::diverged(&cells, &corpus::committed(), "golden-threads");
+    assert!(
+        failures.is_empty(),
+        "a golden digest moved when cells ran at once — worlds share \
+         state:\n{}",
+        failures.join("\n")
+    );
+}
