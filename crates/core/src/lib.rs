@@ -60,6 +60,7 @@ mod ec;
 mod explain;
 mod fault;
 mod health;
+mod invariants;
 mod ledger;
 mod object;
 mod ops;

@@ -495,6 +495,10 @@ pub(crate) struct OpTable {
     last_id: u64,
     /// Reports still holding explain detail, oldest first.
     detailed: VecDeque<OpId>,
+    /// Reports filed, and filings that found a report of the same id still
+    /// there. Counted in debug builds only, for the invariant audit.
+    pub(crate) filed: u64,
+    pub(crate) refiled: u64,
 }
 
 impl OpTable {
@@ -512,6 +516,11 @@ impl OpTable {
     /// Takes a parked op out to step it.
     fn take(&mut self, id: OpId) -> Option<Op> {
         self.live.remove(&id)
+    }
+
+    /// How many op ids were handed out.
+    pub(crate) fn allocated(&self) -> u64 {
+        self.last_id
     }
 
     /// How many ops are in flight.
@@ -538,8 +547,14 @@ impl OpTable {
     }
 
     /// Files a completed op's report; past `explain_ring` detailed
-    /// reports, the oldest one's detail is released.
-    fn file(&mut self, report: OpReport, explain_ring: usize) {
+    /// reports, the oldest one's detail is released. Debug builds audit
+    /// the report first, while it still has its detail.
+    pub(crate) fn file(&mut self, report: OpReport, explain_ring: usize) {
+        if cfg!(debug_assertions) {
+            crate::invariants::audit_report(&report);
+            self.filed += 1;
+            self.refiled += u64::from(self.reports.contains_key(&report.id));
+        }
         if !report.stages.is_empty() || !report.ledger.is_empty() {
             self.detailed.push_back(report.id);
         }

@@ -109,6 +109,11 @@ impl WorkSet {
     pub(crate) fn contains(&self, name: Sym) -> bool {
         self.names.contains(&name)
     }
+
+    /// Every name still to be looked at.
+    pub(crate) fn names(&self) -> &BTreeSet<Sym> {
+        &self.names
+    }
 }
 
 /// Metadata of replicated home objects with its inverse holder index and
@@ -208,9 +213,30 @@ impl ReplicaIndex {
         }
     }
 
+    /// The metadata and its inverse holder index, read-only.
+    pub(crate) fn maps(&self) -> (&BTreeMap<Sym, ObjectMeta>, &FxHashMap<Key, BTreeSet<Sym>>) {
+        (&self.meta, &self.held)
+    }
+
     /// The indexed names a pass does *not* look at, for its debug oracle.
     pub(crate) fn outside<'a>(&'a self, set: &'a WorkSet) -> impl Iterator<Item = Sym> + 'a {
         self.meta.keys().copied().filter(|&n| !set.contains(n))
+    }
+}
+
+#[cfg(test)]
+impl ReplicaIndex {
+    /// Drops `name` from `holder`'s set and nothing else, as a broken
+    /// unindex would: the invariant audit's holder row must see it.
+    pub(crate) fn forget_holding(&mut self, holder: Key, name: Sym) {
+        if let Some(set) = self.held.get_mut(&holder) {
+            set.remove(&name);
+        }
+    }
+
+    /// Marks `name` for the adaptive pass whether or not it is indexed.
+    pub(crate) fn mark_due(&mut self, name: Sym) {
+        self.adaptive_due.names.insert(name);
     }
 }
 

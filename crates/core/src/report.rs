@@ -35,7 +35,10 @@ pub struct Breakdown {
     pub dht: Duration,
     /// Placement decision time (resource queries + scoring).
     pub decision: Duration,
-    /// Local file-system time at whichever node held the bytes.
+    /// Local file-system time at whichever nodes held the bytes: the
+    /// modelled read of every holder that served the operation, summed. A
+    /// striped or erasure-coded fetch reads its stripes on several holders
+    /// at once, so this column can exceed the operation's latency.
     pub disk: Duration,
     /// Service execution time.
     pub exec: Duration,
@@ -66,8 +69,12 @@ impl Breakdown {
         } += elapsed;
     }
 
-    /// The sum of all accounted components (the remainder of an operation's
-    /// total is queueing plus command processing).
+    /// The sum of all accounted components. The columns other than `disk`
+    /// charge time on the operation's own sequential path, so they sum to
+    /// no more than its latency (the remainder is queueing plus command
+    /// processing). `disk` sums every serving holder's read, and those run
+    /// in parallel for a striped or erasure-coded fetch, so this total can
+    /// exceed the latency there.
     pub fn accounted(&self) -> Duration {
         self.inter_domain + self.inter_node + self.dht + self.decision + self.disk + self.exec
     }

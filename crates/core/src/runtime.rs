@@ -1279,7 +1279,13 @@ impl Cloud4Home {
 
     /// Runs until no operations remain in flight and every background
     /// transfer (detached store fan-out stragglers, repair re-replication)
-    /// has landed.
+    /// has landed. Debug builds then audit the idle rows of the runtime's
+    /// invariants table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation stalls with work pending, or, in a debug
+    /// build, naming every invariant the idle runtime breaks.
     pub fn run_until_idle(&mut self) {
         while self.ops.in_flight() > 0 || self.flows.background() > 0 {
             debug_assert_eq!(
@@ -1291,6 +1297,9 @@ impl Cloud4Home {
             assert!(self.step(), "simulation stalled with operations pending");
         }
         self.flush_sample();
+        if cfg!(debug_assertions) {
+            crate::invariants::audit_idle(self);
+        }
     }
 
     /// Takes a completed report, if present.
@@ -1614,6 +1623,14 @@ impl Cloud4Home {
             // Dropping a cache entry sends nothing: no worklist mark.
             n.chimera.invalidate_cached(key);
         }
+    }
+}
+
+#[cfg(test)]
+impl NodeRt {
+    /// The node's overlay state, read-only.
+    pub(crate) fn overlay(&self) -> &ChimeraNode {
+        &self.chimera
     }
 }
 

@@ -683,8 +683,6 @@ fn coded_read_without_enough_rows_fails_as_stripes_lost_by_its_deadline() {
     );
     assert!(stage_spans(&home, "fetch.retry_wait") >= 2);
     home.run_until_idle();
-    let fc = home.flow_counters();
-    assert_eq!(fc.started, fc.completed + fc.canceled, "{fc:?}");
 }
 
 /// Fewer than `k` rows are readable when the read is planned: that is a

@@ -2,13 +2,16 @@
 //! exact-sum invariant of critical-path DAGs under chaos (crash mid-fetch,
 //! hedge races, open breakers), byte determinism with the ledger disabled
 //! and enabled, and the bounded per-op ring's chain-preserving eviction.
+//!
+//! The exact sum and the closed cause chain are rows of the runtime's
+//! invariants table, which debug builds check on every report as it is
+//! filed; the chaos here is what puts those rows under load.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use cloud4home::{
     CauseKind, Cloud4Home, Config, NodeId, Object, OpReport, RoutePolicy, ServiceKind, StorePolicy,
-    LEDGER_NONE,
 };
 
 const OBJ_BYTES: u64 = 256 << 10;
@@ -19,70 +22,6 @@ fn ledger_config(seed: u64) -> Config {
     let mut config = Config::paper_testbed(seed);
     config.ledger = true;
     config
-}
-
-/// Asserts the exact-sum invariant on one completed report: the DAG's
-/// edges are adjacent, tile `[submitted, completed]` with no gap or
-/// overlap, sum to the op latency to the nanosecond, and account for
-/// every recorded ledger event exactly once.
-fn assert_exact_sum(report: &OpReport) {
-    let dag = report.critical_dag();
-    assert!(
-        !dag.is_empty(),
-        "{}: a ledger-enabled op must yield a critical-path DAG",
-        report.id
-    );
-    let first = dag.first().expect("non-empty");
-    let last = dag.last().expect("non-empty");
-    assert_eq!(
-        first.start_ns,
-        report.submitted.as_nanos(),
-        "{}: the DAG must start at submission",
-        report.id
-    );
-    assert_eq!(
-        last.end_ns,
-        report.completed.as_nanos(),
-        "{}: the DAG must end at completion",
-        report.id
-    );
-    for pair in dag.windows(2) {
-        assert_eq!(
-            pair[0].end_ns, pair[1].start_ns,
-            "{}: DAG edges must be adjacent (no gap, no overlap)",
-            report.id
-        );
-    }
-    let summed: u64 = dag.iter().map(|e| e.end_ns - e.start_ns).sum();
-    let latency = report.total().as_nanos() as u64;
-    assert_eq!(
-        summed, latency,
-        "{}: DAG path length must equal op latency exactly",
-        report.id
-    );
-    let attached: usize = dag.iter().map(|e| e.causes.len()).sum();
-    assert_eq!(
-        attached,
-        report.ledger.len(),
-        "{}: every ledger event must land on exactly one edge",
-        report.id
-    );
-}
-
-/// Every retained event's cause link must resolve inside the same report:
-/// eviction may drop events, but never a link out from under a survivor.
-fn assert_chain_closed(report: &OpReport) {
-    let seqs: Vec<u32> = report.ledger.iter().map(|e| e.seq).collect();
-    for e in &report.ledger {
-        assert!(
-            e.cause == LEDGER_NONE || seqs.contains(&e.cause),
-            "{}: event #{} ({}) points at evicted cause #{}",
-            report.id,
-            e.seq,
-            e.kind.label(),
-            e.cause
-        );
-    }
 }
 
 #[test]
@@ -97,7 +36,6 @@ fn exact_sum_survives_crash_mid_fetch_and_open_breaker() {
     let op = home.store_object(NodeId(1), obj, StorePolicy::ForceHome, true);
     let stored = home.run_until_complete(op);
     stored.expect_ok();
-    assert_exact_sum(&stored);
 
     // Three concurrent fetches are mid-transfer when the holder crashes:
     // each severed path records transfer.failed and the retry/backoff
@@ -117,10 +55,6 @@ fn exact_sum_survives_crash_mid_fetch_and_open_breaker() {
         failed >= 2,
         "crash mid-flow must fail the in-flight fetches"
     );
-    for r in &reports {
-        assert_exact_sum(r);
-        assert_chain_closed(r);
-    }
     let severed = reports
         .iter()
         .flat_map(|r| &r.ledger)
@@ -144,7 +78,6 @@ fn exact_sum_survives_crash_mid_fetch_and_open_breaker() {
     let op = home.fetch_object(NodeId(2), "chaos/payload.bin");
     let report = home.run_until_complete(op);
     assert!(report.outcome.is_err(), "open breaker must fast-fail");
-    assert_exact_sum(&report);
     assert!(
         report
             .ledger
@@ -181,8 +114,6 @@ fn exact_sum_survives_hedge_race() {
     let report = home.run_until_complete(op);
     report.expect_ok();
     assert!(home.stats().hedged_fetches >= 1, "the hedge must fire");
-    assert_exact_sum(&report);
-    assert_chain_closed(&report);
     let launch = report
         .ledger
         .iter()
@@ -256,8 +187,6 @@ fn coded_read_backoff_is_chained_in_the_ledger_and_the_dag_still_sums() {
     home.rejoin_node(rows[1]).expect("a live seed exists");
     let report = home.run_until_complete(op);
     assert_eq!(report.expect_ok().bytes, 2 << 20);
-    assert_exact_sum(&report);
-    assert_chain_closed(&report);
 
     let severed = report
         .ledger
@@ -462,8 +391,6 @@ fn tiny_ring_eviction_preserves_live_chains() {
             report.ledger
         );
     }
-    assert_exact_sum(&report);
-    assert_chain_closed(&report);
 }
 
 /// A process op reissues its timed-out metadata batch from its own stage,
@@ -507,7 +434,6 @@ fn a_process_batch_reissue_is_stamped_on_the_ledger() {
         "every reissue is on the ledger: {:?}",
         report.ledger
     );
-    assert_chain_closed(&report);
 
     let (home, report) = run(1);
     let denied = home.stats().retry_budget_denied;

@@ -310,17 +310,13 @@ fn has_stage_span(home: &Cloud4Home, name: &str) -> bool {
         .any(|s| s.cat == "stage" && s.name == name)
 }
 
-/// Nothing the fetch started is still in flight: the flow engine settled
-/// every transfer it began, and the gauge row `run_until_idle` flushes at
-/// quiescence shows an empty flow table.
+/// Nothing the fetch started is still in flight: the gauge row
+/// `run_until_idle` flushes at quiescence shows an empty flow table and no
+/// background job. (That the flow engine settled every transfer it began
+/// is a row of the runtime's invariants table, which `run_until_idle`
+/// checks in debug builds.)
 fn assert_no_flow_leaked(home: &mut Cloud4Home) {
     home.run_until_idle();
-    let fc = home.flow_counters();
-    assert_eq!(
-        fc.started,
-        fc.completed + fc.canceled,
-        "a transfer is still in the flow engine: {fc:?}"
-    );
     let snap = home.telemetry().snapshot();
     for gauge in ["runtime.flows_inflight", "runtime.background_jobs"] {
         let (_, last) = snap

@@ -124,19 +124,15 @@ fn wan_bound_fetch_attributes_its_latency_to_the_wan() {
     let report = home.run_until_complete(op);
     assert!(report.expect_ok().via_cloud, "the bytes live in the cloud");
 
-    // The bucket sums account for the whole operation, exactly.
-    let total_ns = report.total().as_nanos() as u64;
-    assert_eq!(
-        report.critical_path.total_ns(),
-        total_ns,
-        "critical-path buckets must sum to the op duration"
-    );
-    // Pulling megabytes over a ~1.5 Mbps WAN dwarfs everything else.
+    // The buckets sum to the op's latency exactly: a row of the runtime's
+    // invariants table, checked as the report is filed. Pulling megabytes
+    // over a ~1.5 Mbps WAN dwarfs everything else.
     let (bucket, ns) = report.critical_path.dominant();
     assert_eq!(
         bucket, "wan",
         "cloud fetch must be WAN-dominated: {report:?}"
     );
+    let total_ns = report.total().as_nanos() as u64;
     assert!(ns > total_ns / 2, "WAN time must exceed half the total");
     assert!(
         report.critical_path.dht_ns > 0,

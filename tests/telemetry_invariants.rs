@@ -498,8 +498,9 @@ fn column_of(stage: &str) -> Option<&'static str> {
 /// Checks one report completed with the ledger on: every `Breakdown`
 /// column equals the summed length of the stage spans charged to it
 /// (`disk` may exceed its spans by the modelled holder reads, which have
-/// no span of their own), and both the critical-path buckets and the
-/// explain DAG's edges sum to the op's latency.
+/// no span of their own). That the columns fit in the latency, and that
+/// the critical-path buckets and the explain DAG's edges sum to it, are
+/// rows of the runtime's invariants table, checked as each report is filed.
 fn assert_views_agree(report: &OpReport) {
     let spans = |column: &str| -> u64 {
         report
@@ -532,15 +533,6 @@ fn assert_views_agree(report: &OpReport) {
         report.id,
         report.kind
     );
-    let total = report.total().as_nanos() as u64;
-    assert!(b.accounted().as_nanos() as u64 <= total + b.disk.as_nanos() as u64);
-    assert_eq!(report.critical_path.total_ns(), total);
-    let dag: u64 = report
-        .critical_dag()
-        .iter()
-        .map(|e| e.end_ns - e.start_ns)
-        .sum();
-    assert_eq!(dag, total);
 }
 
 fn span_count(report: &OpReport, stage: &str) -> usize {
