@@ -29,7 +29,7 @@ use c4h_kvstore::{
 };
 use c4h_services::{FaceDetect, FaceRecognize, Service, TrainingSet, Transcode};
 use c4h_simnet::{presets, Addr, DetRng, EventQueue, FlowNet, FxHashMap, SimTime, Sym, TcpProfile};
-use c4h_telemetry::{ArgValue, Recorder, SpanStart};
+use c4h_telemetry::{ArgValue, EventRec, Recorder, SpanStart};
 use cloud4home::{
     synth_bytes, CauseKind, Cloud4Home, Config, NodeId, NodeSpec, Object, OpId, OpLedger,
     RoutePolicy, ServiceKind, StorePolicy, LEDGER_NONE, SAMPLE_WINDOW,
@@ -300,6 +300,12 @@ pub const GATES: &[Gate] = &[
         why: "the same calls on a disabled recorder allocate nothing",
         bound: Bound::Exact(&[0.0]),
         measure: || Measured::of([("allocs", recorder_allocs(false) as f64)]),
+    },
+    Gate {
+        name: "event_log_bytes_per_event",
+        why: "the event log writes each event as varints, its start and track as deltas from the event before: 10 000 mixed recorder calls with 0-7 arguments take at most this many stream bytes per event (32-byte heads and 16-byte argument slots took `columns_bytes_per_event`, advisory)",
+        bound: Bound::AtMost(&[17.58]),
+        measure: event_log_gate,
     },
     Gate {
         name: "service_kernel_allocs",
@@ -1238,6 +1244,33 @@ fn recorder_allocs(enabled: bool) -> u64 {
     let before = allocations();
     recorder_calls(&rec, &mut mix, &mut open, RECORDER_CALLS);
     allocations() - before
+}
+
+/// The event log's stream bytes per event over [`RECORDER_CALLS`] calls
+/// of [`recorder_calls`]' mix, and, advisory, what 32-byte heads and
+/// 16-byte argument slots held for the same events.
+fn event_log_gate() -> Measured {
+    let rec = Recorder::new();
+    rec.set_enabled(true);
+    let (mut mix, mut open) = (Mix(0x5eed_0034), Vec::with_capacity(RECORDER_OPEN));
+    recorder_calls(&rec, &mut mix, &mut open, RECORDER_CALLS);
+    let events = rec.snapshot().events;
+    let args: usize = events
+        .iter()
+        .map(|ev| match ev {
+            EventRec::Span(span) => span.args.len(),
+            EventRec::Instant(instant) => instant.args.len(),
+        })
+        .sum();
+    let bytes = rec.event_log_bytes();
+    let per_event = |bytes: usize| bytes as f64 / events.len() as f64;
+    Measured::of([("bytes_per_event", per_event(bytes))])
+        .advise(
+            "columns_bytes_per_event",
+            per_event(32 * events.len() + 16 * args),
+        )
+        .advise("bytes", bytes)
+        .advise("events", events.len())
 }
 
 /// Ring sizes of [`overlay_gate`].

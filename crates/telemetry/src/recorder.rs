@@ -323,7 +323,7 @@ impl Histogram {
 /// itself, as a doubling `Vec` does while it reallocates, and allocates
 /// once per `N` items. Item `i` sits at `chunks[i / N][i % N]`.
 ///
-/// The event log sizes its chunks at [`CHUNK_BYTES`].
+/// The event log's string column sizes its chunks at [`CHUNK_BYTES`].
 #[derive(Debug)]
 struct Chunked<T, const N: usize> {
     chunks: Vec<Vec<T>>,
@@ -352,10 +352,6 @@ impl<T, const N: usize> Chunked<T, N> {
 
     fn get(&self, index: usize) -> &T {
         &self.chunks[index / N][index % N]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flatten()
     }
 
     fn len(&self) -> usize {
@@ -408,7 +404,7 @@ fn addr(s: &'static str) -> StrAddr {
 const TABLE_ROOM: usize = 64;
 
 /// The `&'static str`s (or pairs of them) the event log has seen, each
-/// under a dense id that a head or an argument stores in its place. A
+/// under a dense id that the event log's stream stores in its place. A
 /// string is found by its address and length, never by its content, so a
 /// lookup hashes a few words; two equal strings at distinct addresses get
 /// two ids, each reading back as itself. Ids never reach an export.
@@ -446,73 +442,120 @@ impl<T: Copy, K: Hash + Eq> Table<T, K> {
     }
 }
 
-/// One entry of the event log: 32 bytes, with its arguments a run of the
-/// log's argument column and its category and name one label id.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    /// A span's start, or an instant's timestamp.
-    start_ns: TimeNs,
-    /// A span's end; an instant's timestamp again.
-    end_ns: TimeNs,
-    track: u64,
-    /// The index of the event's first argument in the argument column.
-    first_arg: u32,
-    /// The (category, name) pair's id in the log's label table.
-    label: u16,
-    /// The argument count, shifted left one bit, with bit 0 set for a
-    /// span: a flag beside the count rather than an `Option` end, which
-    /// would make every head 8 bytes wider.
-    argc_span: u16,
-}
-
-/// The kind of value an argument [`Slot`] holds.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    U64,
-    I64,
-    /// The value is an index in the log's string column.
-    Str,
-}
-
-/// One argument of the event log, 16 bytes: its key's id, its kind, and
-/// eight bytes of value — the integer itself, or the string's index.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    value: u64,
-    key: u32,
-    kind: Kind,
-}
-
-const _: () = assert!(std::mem::size_of::<Head>() == 32);
-const _: () = assert!(std::mem::size_of::<Slot>() == 16);
-
-/// Bytes of address space per chunk of the event log: above 32 MiB, the
-/// highest point to which glibc's malloc moves its mmap threshold, so
-/// every chunk is a mapping of its own. Its pages become resident only as
-/// events are written into them, and the log never sits in the heap
-/// between the simulation's short-lived object buffers: chunks small
-/// enough to be carved from the heap fragmented it, and moved
-/// `planes-gray`'s peak RSS by up to 19 MiB from run to run.
+/// Bytes of address space per chunk of the event log's byte stream and of
+/// its string column: above 32 MiB, the highest point to which glibc's
+/// malloc moves its mmap threshold, so every chunk is a mapping of its
+/// own. Its pages become resident only as events are written into them,
+/// and the log never sits in the heap between the simulation's short-lived
+/// object buffers: chunks small enough to be carved from the heap
+/// fragmented it, and moved `planes-gray`'s peak RSS by up to 19 MiB from
+/// run to run.
 const CHUNK_BYTES: usize = 40 << 20;
 
 /// A string column's item: a literal or interned name is borrowed, a
 /// string the caller built is owned.
 type Text = Cow<'static, str>;
 
-/// The event log as columns: one 32-byte [`Head`] per completed span or
-/// instant, in record order; one column of 16-byte argument [`Slot`]s,
-/// every event's back to back; and a column holding each string
-/// argument's value. A head's category and name and a slot's key are ids
-/// in two tables of the `&'static str`s seen, which survive a clear.
-/// Recording an event appends one head and its arguments, so an event
-/// allocates nothing of its own; each column allocates once per
-/// [`CHUNK_BYTES`] (1 310 720 heads, 2 621 440 arguments, 1 747 626
-/// strings).
+/// The string column: each string argument's value, in record order.
+type Texts = Chunked<Text, { CHUNK_BYTES / std::mem::size_of::<Text>() }>;
+
+/// The most bytes one varint takes: a `u64` in 7-bit groups.
+const VARINT_MAX: usize = 10;
+
+/// An argument's kind, in the low two bits of its key varint: what its
+/// value varint holds.
+const ARG_U64: u64 = 0;
+const ARG_I64: u64 = 1;
+const ARG_STR: u64 = 2;
+
+/// Appends `v` as a varint: seven bits a byte, the low group first, the
+/// high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint at the front of `bytes` and moves `bytes` past it.
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = bytes.split_first().expect("the stream holds whole events");
+        *bytes = rest;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
+/// A signed value as an unsigned one that is small when its magnitude is:
+/// 0, −1, 1, −2, 2 … become 0, 1, 2, 3, 4 …
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// An append-only byte stream kept in chunks of at least `N` bytes.
+/// [`Stream::room`] hands out the tail chunk when it has the room asked
+/// for and starts a chunk when it has not, so what one append writes never
+/// straddles two chunks, and no chunk is ever moved. A chunk's bytes are
+/// its `Vec`'s length; the capacity past them is never written.
 #[derive(Debug, Default)]
-pub(crate) struct EventLog {
-    heads: Chunked<Head, { CHUNK_BYTES / std::mem::size_of::<Head>() }>,
-    args: Chunked<Slot, { CHUNK_BYTES / std::mem::size_of::<Slot>() }>,
-    texts: Chunked<Text, { CHUNK_BYTES / std::mem::size_of::<Text>() }>,
+struct Stream<const N: usize> {
+    chunks: Vec<Vec<u8>>,
+}
+
+impl<const N: usize> Stream<N> {
+    /// The tail chunk, with room for `need` more bytes.
+    fn room(&mut self, need: usize) -> &mut Vec<u8> {
+        let fits = self
+            .chunks
+            .last()
+            .is_some_and(|tail| tail.capacity() - tail.len() >= need);
+        if !fits {
+            self.chunks.push(Vec::with_capacity(need.max(N)));
+        }
+        self.chunks.last_mut().expect("a tail chunk")
+    }
+}
+
+/// The event log as one byte stream: each completed span or instant, in
+/// record order, as a run of varints —
+///
+/// - its label: the (category, name) pair's id in the label table;
+/// - its argument count, shifted left one bit, with bit 0 set for a span;
+/// - its start, as a zigzagged delta from the previous event's start;
+/// - for a span only, its end minus its start;
+/// - its track, as a zigzagged delta from the previous event's track;
+/// - each argument: its key's id in the key table, shifted left two bits
+///   over its kind, then its value — a `U64` as it is, an `I64`
+///   zigzagged, a string as its index in the string column.
+///
+/// Deltas and differences wrap, so every `u64` reads back. Recording an
+/// event writes its varints straight into the stream's tail chunk, with
+/// room for every varint at its longest, so an event allocates nothing of
+/// its own: the stream allocates once per `CHUNK` bytes (the default,
+/// [`CHUNK_BYTES`], holds about 2.4 million `planes-gray` events) and the
+/// string column once per 1 747 626 strings. The label and key tables
+/// survive a clear; the stream, the strings and the delta state do not.
+/// `CHUNK` is smaller only in tests.
+#[derive(Debug, Default)]
+pub(crate) struct EventLog<const CHUNK: usize = CHUNK_BYTES> {
+    stream: Stream<CHUNK>,
+    /// Events written.
+    len: usize,
+    /// The last event's start and track, which the next event's are
+    /// written as deltas from; 0 in an empty log.
+    last_start: TimeNs,
+    last_track: u64,
+    texts: Texts,
     labels: Table<(&'static str, &'static str), (StrAddr, StrAddr)>,
     keys: Table<&'static str, StrAddr>,
 }
@@ -527,9 +570,11 @@ pub(crate) struct Event<'a> {
     pub(crate) start_ns: TimeNs,
     /// A span's end; `None` for an instant.
     pub(crate) end_ns: Option<TimeNs>,
-    log: &'a EventLog,
-    first_arg: usize,
+    /// The stream from the event's first argument on.
+    args: &'a [u8],
     argc: usize,
+    keys: &'a Table<&'static str, StrAddr>,
+    texts: &'a Texts,
 }
 
 /// An argument value read back from the [`EventLog`], a string borrowed.
@@ -553,15 +598,16 @@ impl ArgRef<'_> {
 impl<'a> Event<'a> {
     /// The event's arguments, in record order.
     pub(crate) fn args(self) -> impl Iterator<Item = (&'static str, ArgRef<'a>)> {
-        let log = self.log;
-        (self.first_arg..self.first_arg + self.argc).map(move |i| {
-            let slot = log.args.get(i);
-            let value = match slot.kind {
-                Kind::U64 => ArgRef::U64(slot.value),
-                Kind::I64 => ArgRef::I64(slot.value as i64),
-                Kind::Str => ArgRef::Str(log.texts.get(slot.value as usize)),
+        let mut bytes = self.args;
+        (0..self.argc).map(move |_| {
+            let key_kind = take_varint(&mut bytes);
+            let value = take_varint(&mut bytes);
+            let value = match key_kind & 3 {
+                ARG_U64 => ArgRef::U64(value),
+                ARG_I64 => ArgRef::I64(unzigzag(value)),
+                _ => ArgRef::Str(self.texts.get(value as usize)),
             };
-            (log.keys.get(slot.key), value)
+            (self.keys.get((key_kind >> 2) as u32), value)
         })
     }
 
@@ -570,9 +616,14 @@ impl<'a> Event<'a> {
     }
 }
 
-impl EventLog {
+impl<const CHUNK: usize> EventLog<CHUNK> {
     /// Appends one event: a span, or an instant when `end_ns` is `None`.
-    fn push(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `args` holds another number of arguments than its exact
+    /// size hint says; nothing of the event is kept.
+    pub(crate) fn push(
         &mut self,
         cat: &'static str,
         name: &'static str,
@@ -581,58 +632,96 @@ impl EventLog {
         end_ns: Option<TimeNs>,
         args: impl IntoIterator<Item = Arg>,
     ) {
-        let first_arg = self.args.len();
-        for (key, value) in args {
+        let mut args = args.into_iter();
+        let argc = match args.size_hint() {
+            (low, Some(high)) if low == high => low,
+            // The count is written first: an iterator that does not know
+            // its length is counted out into a `Vec`.
+            _ => return self.push(cat, name, track, start_ns, end_ns, args.collect::<Vec<_>>()),
+        };
+        let label = self.labels.id((addr(cat), addr(name)), (cat, name));
+        let tail = self.stream.room((5 + 2 * argc) * VARINT_MAX);
+        let mark = tail.len();
+        put_varint(tail, label.into());
+        put_varint(tail, (argc as u64) << 1 | u64::from(end_ns.is_some()));
+        put_varint(tail, zigzag(start_ns.wrapping_sub(self.last_start) as i64));
+        if let Some(end_ns) = end_ns {
+            put_varint(tail, end_ns.wrapping_sub(start_ns));
+        }
+        put_varint(tail, zigzag(track.wrapping_sub(self.last_track) as i64));
+        let mut written = 0;
+        for (key, value) in args.by_ref().take(argc) {
             let (kind, value) = match value {
-                ArgValue::U64(v) => (Kind::U64, v),
-                ArgValue::I64(v) => (Kind::I64, v as u64),
-                ArgValue::Str(s) => (Kind::Str, self.texts.push(s) as u64),
+                ArgValue::U64(v) => (ARG_U64, v),
+                ArgValue::I64(v) => (ARG_I64, zigzag(v)),
+                ArgValue::Str(s) => (ARG_STR, self.texts.push(s) as u64),
             };
             let key = self.keys.id(addr(key), key);
-            self.args.push(Slot { value, key, kind });
+            put_varint(tail, u64::from(key) << 2 | kind);
+            put_varint(tail, value);
+            written += 1;
         }
-        let argc = self.args.len() - first_arg;
-        let label = self.labels.id((addr(cat), addr(name)), (cat, name));
-        self.heads.push(Head {
-            start_ns,
-            end_ns: end_ns.unwrap_or(start_ns),
-            track,
-            first_arg: u32::try_from(first_arg).expect("fewer than 2^32 arguments"),
-            label: u16::try_from(label).expect("fewer than 2^16 (category, name) pairs"),
-            argc_span: u16::try_from(argc << 1).expect("fewer than 2^15 arguments per event")
-                | u16::from(end_ns.is_some()),
-        });
+        if written != argc || args.next().is_some() {
+            tail.truncate(mark);
+            panic!("an argument iterator's exact size hint of {argc} was wrong");
+        }
+        self.len += 1;
+        self.last_start = start_ns;
+        self.last_track = track;
     }
 
     /// Every event, in record order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = Event<'_>> {
-        self.heads.iter().map(|h| {
-            let (cat, name) = self.labels.get(h.label.into());
-            Event {
+        let mut chunks = self.stream.chunks.iter();
+        let mut bytes: &[u8] = &[];
+        let (mut start_ns, mut track) = (0u64, 0u64);
+        std::iter::from_fn(move || {
+            while bytes.is_empty() {
+                bytes = chunks.next()?;
+            }
+            let (cat, name) = self.labels.get(take_varint(&mut bytes) as u32);
+            let argc_span = take_varint(&mut bytes);
+            start_ns = start_ns.wrapping_add(unzigzag(take_varint(&mut bytes)) as u64);
+            let end_ns =
+                (argc_span & 1 == 1).then(|| start_ns.wrapping_add(take_varint(&mut bytes)));
+            track = track.wrapping_add(unzigzag(take_varint(&mut bytes)) as u64);
+            let (args, argc) = (bytes, (argc_span >> 1) as usize);
+            for _ in 0..2 * argc {
+                take_varint(&mut bytes);
+            }
+            Some(Event {
                 cat,
                 name,
-                track: h.track,
-                start_ns: h.start_ns,
-                end_ns: (h.argc_span & 1 == 1).then_some(h.end_ns),
-                log: self,
-                first_arg: h.first_arg as usize,
-                argc: usize::from(h.argc_span >> 1),
-            }
+                track,
+                start_ns,
+                end_ns,
+                args,
+                argc,
+                keys: &self.keys,
+                texts: &self.texts,
+            })
         })
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.heads.len()
+        self.len
     }
 
-    fn clear(&mut self) {
-        self.heads.clear();
-        self.args.clear();
+    /// Bytes the stream holds.
+    pub(crate) fn bytes(&self) -> usize {
+        self.stream.chunks.iter().map(Vec::len).sum()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.stream.chunks.clear();
         self.texts.clear();
+        self.len = 0;
+        self.last_start = 0;
+        self.last_track = 0;
     }
 
     /// The log as owned records, built on demand.
-    fn to_records(&self) -> Vec<EventRec> {
+    pub(crate) fn to_records(&self) -> Vec<EventRec> {
         let mut out = Vec::with_capacity(self.len());
         out.extend(self.iter().map(|ev| match ev.end_ns {
             Some(end_ns) => EventRec::Span(SpanRec {
@@ -1046,6 +1135,13 @@ impl Recorder {
         }
     }
 
+    /// The bytes the event log's stream holds: what its events were
+    /// written as, not the capacity of its chunks. String arguments' texts
+    /// are held apart and not counted.
+    pub fn event_log_bytes(&self) -> usize {
+        self.lock().events.bytes()
+    }
+
     /// Serializes the event log as Chrome `trace_event` JSON.
     pub fn chrome_trace_json(&self) -> String {
         crate::export::chrome_trace_json(&self.lock())
@@ -1177,13 +1273,109 @@ mod tests {
             assert_eq!(&read, items);
         }
         assert_eq!(
-            log.iter().copied().collect::<Vec<_>>(),
+            log.chunks.iter().flatten().copied().collect::<Vec<_>>(),
             (0..next).collect::<Vec<_>>()
         );
         assert_eq!(log.len(), next as usize);
         assert!(log.chunks.len() > 4, "the runs crossed chunk ends");
         let (tail, full) = log.chunks.split_last().expect("chunks");
         assert!(full.iter().all(|chunk| chunk.len() == 4) && !tail.is_empty());
+    }
+
+    #[test]
+    fn an_instant_and_a_span_encode_to_pinned_lengths() {
+        let mut log: EventLog = EventLog::default();
+        // Label 0, 2 << 1, zigzag(1 000) in 2 bytes, zigzag(3); key 0 with
+        // 300 in 2 bytes; key 1 with string 0.
+        let instant = [
+            ("bytes", ArgValue::from(300u64)),
+            ("node", ArgValue::from("netbook-3")),
+        ];
+        log.push("op", "fetch.failover", 3, 1_000, None, instant.clone());
+        assert_eq!(log.bytes(), 10);
+        // Label 1, 1 << 1 | 1, zigzag(−100) in 2 bytes, 250 in 2 bytes,
+        // zigzag(−1); key 2 with zigzag(−5).
+        let span = [("delta", ArgValue::from(-5i64))];
+        log.push("dht", "dht.get", 2, 900, Some(1_150), span.clone());
+        assert_eq!(log.bytes(), 10 + 9);
+        assert_eq!(
+            log.to_records(),
+            [
+                EventRec::Instant(InstantRec {
+                    cat: "op",
+                    name: "fetch.failover",
+                    track: 3,
+                    ts_ns: 1_000,
+                    args: instant.to_vec(),
+                }),
+                EventRec::Span(SpanRec {
+                    cat: "dht",
+                    name: "dht.get",
+                    track: 2,
+                    start_ns: 900,
+                    end_ns: 1_150,
+                    args: span.to_vec(),
+                }),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_event_the_tail_chunk_cannot_hold_starts_the_next_whole() {
+        // A span without arguments has room made for five varints at their
+        // longest, 50 bytes, and is written in 5: in 55-byte chunks the
+        // second span still fits and the third does not.
+        let mut log = EventLog::<55>::default();
+        for t in 0..3 {
+            log.push("op", "tick", 0, t, Some(t), []);
+        }
+        let chunks = |log: &EventLog<55>| -> Vec<(usize, usize)> {
+            log.stream
+                .chunks
+                .iter()
+                .map(|chunk| (chunk.len(), chunk.capacity()))
+                .collect()
+        };
+        assert_eq!(chunks(&log), [(10, 55), (5, 55)]);
+        // An event larger than a chunk gets a chunk of its own size.
+        let args = (0..8u64).map(|i| ("k", ArgValue::from(i)));
+        log.push("op", "tick", 0, 3, Some(3), args);
+        assert_eq!(chunks(&log), [(10, 55), (5, 55), (21, 210)]);
+        let starts: Vec<_> = log.iter().map(|ev| (ev.start_ns, ev.argc)).collect();
+        assert_eq!(starts, [(0, 0), (1, 0), (2, 0), (3, 8)]);
+    }
+
+    /// Arguments whose size hint promises one more than they hold.
+    struct Short(std::vec::IntoIter<Arg>);
+
+    impl Iterator for Short {
+        type Item = Arg;
+
+        fn next(&mut self) -> Option<Arg> {
+            self.0.next()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            let n = self.0.len() + 1;
+            (n, Some(n))
+        }
+    }
+
+    #[test]
+    fn arguments_with_a_wrong_size_hint_leave_nothing_of_their_event() {
+        let mut log: EventLog = EventLog::default();
+        log.push("op", "a", 1, 10, None, []);
+        let short = Short(vec![("k", ArgValue::from(1u64))].into_iter());
+        let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            log.push("op", "b", 2, 20, None, short);
+        }));
+        assert!(pushed.is_err());
+        log.push("op", "c", 3, 30, None, []);
+        let events: Vec<_> = log
+            .iter()
+            .map(|ev| (ev.name, ev.track, ev.start_ns))
+            .collect();
+        assert_eq!(events, [("a", 1, 10), ("c", 3, 30)]);
     }
 
     #[test]

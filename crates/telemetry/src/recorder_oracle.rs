@@ -1,6 +1,6 @@
-//! Differential oracle for the event log as columns.
+//! Differential oracle for the event log as one byte stream.
 //!
-//! Before the event log was columns, the recorder kept one `EventRec` per
+//! Before the event log was a stream, the recorder kept one `EventRec` per
 //! event, each with its own args `Vec` (grown by `append` at a span's end),
 //! open spans in a `BTreeMap` under sequential ids, and every name as a
 //! `Cow<str>`. [`old`] is that recorder, its record types and its
@@ -13,6 +13,10 @@
 //! instants, enable/disable, counters, histograms, exemplars and gauges
 //! through both and requires the same `chrome_trace_json`, `metrics_json`,
 //! `prometheus_text` and `series_json` bytes and the same `snapshot()`.
+//! The clock rewinds (across 0 to near `u64::MAX`) and jumps (to 0 and to
+//! `u64::MAX`), and tracks jump between 0 and `u64::MAX`, so the stream's
+//! deltas meet both signs and both wraps; every event is also written into
+//! a log of test-sized chunks, which must read back the same events.
 //!
 //! Run in release with `cargo test -q --release -p c4h-telemetry --lib
 //! recorder_oracle`.
@@ -23,6 +27,7 @@ use std::sync::OnceLock;
 use proptest::collection;
 use proptest::prelude::*;
 
+use crate::recorder::EventLog;
 use crate::{Arg, ArgValue, EventRec, Recorder, Snapshot, SpanStart, TimeNs};
 
 #[allow(dead_code)] // kept verbatim: not every method is driven
@@ -871,7 +876,9 @@ enum Step {
     Exemplar(usize, usize),
     Gauge(usize, i64),
     Advance(u64),
-    /// Moves the clock to any instant, `u64::MAX` included.
+    /// Moves the clock back, across 0 to near `u64::MAX` from near 0.
+    Rewind(u64),
+    /// Moves the clock to any instant, 0 and `u64::MAX` included.
     Jump(u64),
 }
 
@@ -922,7 +929,8 @@ fn step() -> impl Strategy<Value = Step> {
         (metric(), 0..NAMES.len()).prop_map(|(m, l)| Step::Exemplar(m, l)),
         (metric(), -3i64..3).prop_map(|(m, v)| Step::Gauge(m, v)),
         (0u64..1_500).prop_map(Step::Advance),
-        prop_oneof![Just(u64::MAX), Just(u64::MAX - 3), any::<u64>()].prop_map(Step::Jump),
+        (1u64..1_500).prop_map(Step::Rewind),
+        prop_oneof![Just(0), Just(u64::MAX), Just(u64::MAX - 3), any::<u64>()].prop_map(Step::Jump),
     ]
 }
 
@@ -975,6 +983,10 @@ struct Open {
     name: &'static str,
     track: u64,
     args: Vec<Arg>,
+    /// The span's start if its end is to be written into [`run`]'s
+    /// small-chunk log: it began while recording was on, and no clear has
+    /// come since.
+    small: Option<TimeNs>,
 }
 
 impl Open {
@@ -984,12 +996,19 @@ impl Open {
     }
 }
 
+/// The stream chunk size of [`run`]'s second event log: a few events a
+/// chunk, so a script's events roll over chunk ends.
+const SMALL_CHUNK: usize = 256;
+
 /// Runs `script` against both recorders, comparing every export after each
-/// step.
+/// step. The events the new recorder records are also written into an
+/// event log of [`SMALL_CHUNK`]-byte chunks, which must read back the same
+/// events.
 fn run(script: Vec<Step>) -> TestCaseResult {
     let (new, old) = (Recorder::new(), old::Recorder::new());
     new.set_enabled(true);
     old.set_enabled(true);
+    let (mut small, mut on) = (EventLog::<SMALL_CHUNK>::default(), true);
     // A span's new-side record is taken by its first end.
     let mut spans: Vec<(Option<Open>, old::SpanId)> = Vec::new();
     let mut ts: TimeNs = 0;
@@ -1004,6 +1023,7 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                         name,
                         track,
                         args: args(&spec),
+                        small: on.then_some(ts),
                     }),
                     old.begin_args(cat, name, track, ts, args(&spec)),
                 ))
@@ -1013,6 +1033,10 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 len => {
                     let (open, id) = &mut spans[h % len];
                     if let Some(open) = open.take() {
+                        if let Some(start) = open.small {
+                            let all = open.args.iter().cloned().chain(args(&spec));
+                            small.push(open.cat, open.name, open.track, start, Some(ts), all);
+                        }
                         open.end(&new, ts, args(&spec));
                     }
                     old.end_args(*id, ts, args(&spec));
@@ -1022,19 +1046,30 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 let (cat, name, end) = (pick(&CATS, c), pick(&NAMES, n), ts.saturating_add(dur));
                 new.span_args(cat, name, track, ts, end, args(&spec));
                 old.span_args(cat, name, track, ts, end, args(&spec));
+                if on {
+                    small.push(cat, name, track, ts, Some(end), args(&spec));
+                }
             }
             Step::Instant(c, n, track, spec) => {
                 let (cat, name) = (pick(&CATS, c), pick(&NAMES, n));
                 new.instant_args(cat, name, track, ts, args(&spec));
                 old.instant_args(cat, name, track, ts, args(&spec));
+                if on {
+                    small.push(cat, name, track, ts, None, args(&spec));
+                }
             }
-            Step::Enable(on) => {
-                new.set_enabled(on);
-                old.set_enabled(on);
+            Step::Enable(enable) => {
+                new.set_enabled(enable);
+                old.set_enabled(enable);
+                on = enable;
             }
             Step::Clear => {
                 new.clear();
                 old.clear();
+                small.clear();
+                for open in spans.iter_mut().filter_map(|(open, _)| open.as_mut()) {
+                    open.small = None;
+                }
             }
             Step::Add(m, d) => {
                 new.add(METRICS[m], d);
@@ -1054,9 +1089,11 @@ fn run(script: Vec<Step>) -> TestCaseResult {
                 old.gauge(METRICS[m], ts, v);
             }
             Step::Advance(dt) => ts = ts.saturating_add(dt),
+            Step::Rewind(dt) => ts = ts.wrapping_sub(dt),
             Step::Jump(to) => ts = to,
         }
         same_exports(&new, &old)?;
+        prop_assert_eq!(small.to_records(), new.snapshot().events);
     }
     Ok(())
 }
@@ -1095,6 +1132,7 @@ fn long_logs_match_the_event_per_record_recorder() {
                     name,
                     track: i,
                     args: args(&spec(i)),
+                    small: None,
                 },
                 old.begin_args("op", name, i, i, args(&spec(i))),
             )),
